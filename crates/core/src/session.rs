@@ -757,14 +757,22 @@ fn settle_into(
     hi: Option<Timestamp>,
     results: &ExecutorResults,
 ) {
-    for (qid, group, w, value) in results.iter() {
+    // source group id → id in `settled`, resolved on a group's first
+    // settled row: one key lookup per group and call, none per copy
+    const UNSETTLED: u32 = u32::MAX;
+    let mut settled_gid = vec![UNSETTLED; results.group_slots()];
+    for (qid, gid, w, value) in results.rows() {
         if lo.is_some_and(|l| w <= l) || hi.is_some_and(|h| w > h) {
             continue;
         }
         let slot = sigs[qid.0 as usize];
         for (h_idx, h) in handles.iter().enumerate() {
             if h.sig == slot && h.owns(w) {
-                settled.emit(QueryId(h_idx as u32), group.clone(), w, *value);
+                let to = &mut settled_gid[gid as usize];
+                if *to == UNSETTLED {
+                    *to = settled.intern(results.group(gid));
+                }
+                settled.emit_interned(QueryId(h_idx as u32), *to, w, value);
             }
         }
     }

@@ -30,7 +30,9 @@ const MANIFEST_MAGIC: &[u8; 8] = b"SHRNCKPT";
 /// Checkpoint format version; bump on any codec change.
 /// v2: event-time sections (router frontier, per-engine reorder gate).
 /// v3: one router-state segment per routing-plane thread (`R ≥ 1`).
-const FORMAT_VERSION: u32 = 3;
+/// v4: results image is a key table plus rows by group id (was a nested
+/// key → value map with a key per row).
+const FORMAT_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------------
 // errors
@@ -709,34 +711,35 @@ fn parse_batch(s: &str) -> Result<u64, String> {
 /// the pipeline after the last routed batch, every routing-plane thread
 /// deposits its split-tracker state, every worker deposits its serialized
 /// engine state, and the ingest thread collects the lot once all slots
-/// fill.
+/// fill. `S` is what a worker deposits: state bytes for a checkpoint, the
+/// result log itself (moved, never encoded) for a result harvest.
 #[derive(Debug)]
-pub struct CheckpointBarrier {
-    slots: Mutex<BarrierSlots>,
+pub struct CheckpointBarrier<S = Vec<u8>> {
+    slots: Mutex<BarrierSlots<S>>,
     filled: Condvar,
 }
 
 /// The harvest a filled barrier yields: one serialized segment per
-/// routing-plane thread, then one per worker shard.
-pub type BarrierHarvest = (Vec<Vec<u8>>, Vec<Vec<u8>>);
+/// routing-plane thread, then one deposit per worker shard.
+pub type BarrierHarvest<S = Vec<u8>> = (Vec<Vec<u8>>, Vec<S>);
 
 #[derive(Debug)]
-struct BarrierSlots {
+struct BarrierSlots<S> {
     routers: Vec<Option<Vec<u8>>>,
-    shards: Vec<Option<Vec<u8>>>,
+    shards: Vec<Option<S>>,
     /// Set when a participant cannot serialize (processor without
     /// checkpoint support) — the waiter surfaces this as an error.
     unsupported: bool,
 }
 
-impl CheckpointBarrier {
+impl<S> CheckpointBarrier<S> {
     /// A barrier awaiting `n_routers` router deposits and `n_shards`
     /// worker deposits.
     pub fn new(n_routers: usize, n_shards: usize) -> Self {
         CheckpointBarrier {
             slots: Mutex::new(BarrierSlots {
                 routers: vec![None; n_routers],
-                shards: vec![None; n_shards],
+                shards: std::iter::repeat_with(|| None).take(n_shards).collect(),
                 unsupported: false,
             }),
             filled: Condvar::new(),
@@ -750,11 +753,11 @@ impl CheckpointBarrier {
         self.filled.notify_all();
     }
 
-    /// Deposit worker `shard`'s serialized state (`None` marks the
-    /// processor as unable to checkpoint, failing the barrier).
-    pub fn fill_shard(&self, shard: usize, bytes: Option<Vec<u8>>) {
+    /// Deposit worker `shard`'s state (`None` marks the processor as
+    /// unable to checkpoint, failing the barrier).
+    pub fn fill_shard(&self, shard: usize, deposit: Option<S>) {
         let mut s = self.slots.lock().expect("barrier poisoned");
-        match bytes {
+        match deposit {
             Some(b) => s.shards[shard] = Some(b),
             None => s.unsupported = true,
         }
@@ -765,7 +768,7 @@ impl CheckpointBarrier {
     ///
     /// Checks `cancel` periodically so a worker that died mid-checkpoint
     /// fails the barrier instead of hanging the ingest thread forever.
-    pub fn wait(&self, cancel: &AtomicBool) -> Result<BarrierHarvest, CheckpointError> {
+    pub fn wait(&self, cancel: &AtomicBool) -> Result<BarrierHarvest<S>, CheckpointError> {
         let mut s = self.slots.lock().expect("barrier poisoned");
         loop {
             if s.unsupported {
@@ -802,6 +805,9 @@ impl CheckpointBarrier {
 
 /// Convenience alias used by barrier messages flowing through the rings.
 pub type BarrierRef = Arc<CheckpointBarrier>;
+
+/// A result-harvest barrier in flight: workers deposit their result log.
+pub type HarvestRef = Arc<CheckpointBarrier<crate::results::ExecutorResults>>;
 
 #[cfg(test)]
 mod tests {
@@ -950,6 +956,37 @@ mod tests {
     }
 
     #[test]
+    fn older_format_is_refused_naming_both_versions() {
+        // a v3 directory (results stored as a nested key → value map, a
+        // key per row) must not be read as v4 (key table + rows by id):
+        // rewrite a good manifest's version field and re-seal it
+        let dir = test_dir("v3");
+        let store = CheckpointStore::open(&dir).unwrap();
+        store
+            .write(0, 50, &[b"r".to_vec()], &[b"seg".to_vec()])
+            .unwrap();
+        let manifest = dir.join("ckpt-0000000000000000").join("MANIFEST");
+        let mut bytes = fs::read(&manifest).unwrap();
+        let at = MANIFEST_MAGIC.len();
+        assert_eq!(bytes[at..at + 4], FORMAT_VERSION.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        let body = bytes.len() - 8;
+        let digest = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&digest.to_le_bytes());
+        fs::write(&manifest, &bytes).unwrap();
+
+        for refused in [store.load(0), store.latest()] {
+            match refused {
+                Err(CheckpointError::Mismatch(msg)) => {
+                    assert!(msg.contains("v3") && msg.contains("v4"), "{msg}");
+                }
+                other => panic!("expected a format mismatch, got {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn checkpoint_spec_parses() {
         let c = parse_checkpoint_spec("/tmp/x").unwrap();
         assert_eq!(c.interval_batches, 64);
@@ -992,11 +1029,11 @@ mod tests {
 
     #[test]
     fn barrier_fails_on_cancel_and_unsupported() {
-        let b = CheckpointBarrier::new(1, 1);
+        let b: CheckpointBarrier = CheckpointBarrier::new(1, 1);
         let cancel = AtomicBool::new(true);
         assert!(b.wait(&cancel).is_err());
 
-        let b = CheckpointBarrier::new(1, 1);
+        let b: CheckpointBarrier = CheckpointBarrier::new(1, 1);
         b.fill_router(0, vec![]);
         b.fill_shard(0, None);
         let cancel = AtomicBool::new(false);

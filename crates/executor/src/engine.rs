@@ -63,6 +63,44 @@ struct GroupRuntime<A> {
     /// Recency stamp from the engine's access clock, read by the spill
     /// tier's eviction sweep (not persisted — recency is run-local).
     last_use: u64,
+    /// This group's id in the engine's result log (not persisted: a
+    /// restored or paged-in group re-interns).
+    result_id: ResultId,
+}
+
+/// Where an engine's closing windows go.
+struct Output {
+    /// Final values: the result log, handed out by move at
+    /// [`Engine::take_results`] / [`Engine::finish_parts`].
+    results: ExecutorResults,
+    /// Result epoch: bumped whenever `results` is handed away (see
+    /// [`ResultId`]).
+    epoch: u64,
+    /// Per-window sub-aggregates of split groups, merged across shards by
+    /// the sharded runtime at the end of the run.
+    partials: PartialResults,
+}
+
+/// A group's id in its engine's result log, valid for one result epoch:
+/// [`Engine::take_results`] hands the log and its key table away and
+/// bumps the epoch, so a group interns again on its next emission — once
+/// per epoch, not once per result.
+#[derive(Clone, Copy, Default)]
+struct ResultId {
+    gid: u32,
+    /// Epoch `gid` was handed out in (engine epochs start at 1).
+    epoch: u64,
+}
+
+impl ResultId {
+    #[inline]
+    fn resolve(&mut self, epoch: u64, key: &GroupKey, results: &mut ExecutorResults) -> u32 {
+        if self.epoch != epoch {
+            self.gid = results.add_group(key.clone());
+            self.epoch = epoch;
+        }
+        self.gid
+    }
 }
 
 impl<A: Aggregate> GroupRuntime<A> {
@@ -101,6 +139,7 @@ impl<A: Aggregate> GroupRuntime<A> {
             closed_before: 0,
             expired_through: Timestamp::ZERO,
             last_use: 0,
+            result_id: ResultId::default(),
         }
     }
 
@@ -229,6 +268,7 @@ impl<A: Aggregate> GroupRuntime<A> {
             closed_before,
             expired_through,
             last_use: 0,
+            result_id: ResultId::default(),
         })
     }
 
@@ -347,7 +387,7 @@ struct SpillTier {
 pub struct Engine<A: Aggregate> {
     part: CompiledPartition,
     groups: FxHashMap<GroupKey, GroupRuntime<A>>,
-    results: ExecutorResults,
+    out: Output,
     scratch: FoldScratch<A>,
     /// Reused per-event key storage — the hot path never allocates a
     /// fresh key; cloning happens only on first sight of a group.
@@ -363,9 +403,6 @@ pub struct Engine<A: Aggregate> {
     split_hashes: FxHashSet<u64>,
     /// Whether the global (no `GROUP BY`) partition is split.
     split_global: bool,
-    /// Per-window sub-aggregates of split groups, merged across shards by
-    /// the sharded runtime at the end of the run.
-    partials: PartialResults,
     /// Paging tier for cold groups (`None` = everything stays resident;
     /// the disabled hot path pays exactly one branch).
     spill: Option<SpillTier>,
@@ -405,7 +442,11 @@ impl<A: Aggregate> Engine<A> {
         Engine {
             part,
             groups: FxHashMap::default(),
-            results: ExecutorResults::new(),
+            out: Output {
+                results: ExecutorResults::new(),
+                epoch: 1,
+                partials: PartialResults::new(),
+            },
             scratch: FoldScratch::new(),
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
@@ -413,7 +454,6 @@ impl<A: Aggregate> Engine<A> {
             shard: None,
             split_hashes: FxHashSet::default(),
             split_global: false,
-            partials: PartialResults::new(),
             spill: None,
             clock: 0,
             last_time: Timestamp::ZERO,
@@ -604,44 +644,48 @@ impl<A: Aggregate> Engine<A> {
             self.events_matched += 1;
         }
 
-        // lookup-before-insert: `key_scratch.clone()` (the only remaining
-        // allocation) happens exactly once per distinct group. Split
-        // membership is resolved ONCE here, on first sight — split
-        // notices always precede the split group's rows, and
-        // `mark_split` upgrades groups that already exist — so the
-        // per-row hot path never re-hashes the key to probe the split
+        // one probe per row: the hit path is a single `get_mut`; only the
+        // first sight of a group pays the insert and a second probe.
+        // `key_scratch.clone()` (the only remaining allocation) happens
+        // exactly once per distinct group. Split membership is resolved
+        // ONCE there — split notices always precede the split group's
+        // rows, and `mark_split` upgrades groups that already exist — so
+        // the per-row hot path never re-hashes the key to probe the split
         // set.
-        if !self.groups.contains_key(&self.key_scratch) {
-            let split_now = self.shard.is_some()
-                && match &self.key_scratch {
-                    GroupKey::Global => self.split_global,
-                    key => {
-                        !self.split_hashes.is_empty()
-                            && self.split_hashes.contains(&fx_hash_one(key))
-                    }
+        let grt = match self.groups.get_mut(&self.key_scratch) {
+            Some(grt) => grt,
+            None => {
+                let split_now = self.shard.is_some()
+                    && match &self.key_scratch {
+                        GroupKey::Global => self.split_global,
+                        key => {
+                            !self.split_hashes.is_empty()
+                                && self.split_hashes.contains(&fx_hash_one(key))
+                        }
+                    };
+                // a "new" group may in fact be paged out — the spill
+                // tier's reload path (cold, never taken when spilling is
+                // off) brings it back before any fresh state is created
+                let reloaded = match &mut self.spill {
+                    Some(tier) => Self::reload_spilled(tier, &self.part, &self.key_scratch),
+                    None => None,
                 };
-            // a "new" group may in fact be paged out — the spill tier's
-            // reload path (cold, never taken when spilling is off) brings
-            // it back before any fresh state is created
-            let reloaded = match &mut self.spill {
-                Some(tier) => Self::reload_spilled(tier, &self.part, &self.key_scratch),
-                None => None,
-            };
-            let mut grt = reloaded.unwrap_or_else(|| GroupRuntime::new(&self.part));
-            // split membership is resolved once per residency: a notice
-            // that arrived while the group was spilled is applied here
-            grt.split |= split_now;
-            self.groups.insert(self.key_scratch.clone(), grt);
-            if let Some(tier) = &mut self.spill {
-                if self.groups.len() > tier.max_resident {
-                    Self::evict_coldest(tier, &mut self.groups, &self.key_scratch);
+                let mut grt = reloaded.unwrap_or_else(|| GroupRuntime::new(&self.part));
+                // split membership is resolved once per residency: a
+                // notice that arrived while the group was spilled is
+                // applied here
+                grt.split |= split_now;
+                self.groups.insert(self.key_scratch.clone(), grt);
+                if let Some(tier) = &mut self.spill {
+                    if self.groups.len() > tier.max_resident {
+                        Self::evict_coldest(tier, &mut self.groups, &self.key_scratch);
+                    }
                 }
+                self.groups
+                    .get_mut(&self.key_scratch)
+                    .expect("group present after insert")
             }
-        }
-        let grt = self
-            .groups
-            .get_mut(&self.key_scratch)
-            .expect("group present after insert");
+        };
         self.clock += 1;
         grt.last_use = self.clock;
         if let Some(slice) = &self.shard {
@@ -657,8 +701,7 @@ impl<A: Aggregate> Engine<A> {
             grt,
             &self.part,
             time,
-            &mut self.results,
-            &mut self.partials,
+            &mut self.out,
             &self.key_scratch,
             &mut self.scratch.emit,
         );
@@ -696,7 +739,7 @@ impl<A: Aggregate> Engine<A> {
         // path starts from real capacity instead of growing from zero
         // (beyond this, growth is amortized doubling; callers with a
         // results budget use `reserve_results` for exact planning)
-        self.partials.reserve(256);
+        self.out.partials.reserve(256);
     }
 
     /// Revert a split notice (the router cooled the group back down).
@@ -755,13 +798,7 @@ impl<A: Aggregate> Engine<A> {
             return;
         }
         if let Some(mut grt) = self.groups.remove(key) {
-            Self::drain_group(
-                &self.part,
-                key,
-                &mut grt,
-                &mut self.results,
-                &mut self.partials,
-            );
+            Self::drain_group(&self.part, key, &mut grt, &mut self.out);
         }
         // a replica copy is never evicted while split (eviction skips
         // split groups), but stay defensive: drain any paged-out bytes
@@ -778,13 +815,7 @@ impl<A: Aggregate> Engine<A> {
             let mut grt = GroupRuntime::load_state(&mut r, &self.part)
                 .unwrap_or_else(|e| panic!("spilled group state corrupt: {e}"));
             grt.split = true;
-            Self::drain_group(
-                &self.part,
-                key,
-                &mut grt,
-                &mut self.results,
-                &mut self.partials,
-            );
+            Self::drain_group(&self.part, key, &mut grt, &mut self.out);
         }
     }
 
@@ -843,28 +874,19 @@ impl<A: Aggregate> Engine<A> {
         part: &CompiledPartition,
         key: &GroupKey,
         grt: &mut GroupRuntime<A>,
-        results: &mut ExecutorResults,
-        partials: &mut PartialResults,
+        out: &mut Output,
     ) {
         let split = grt.split;
-        for (qi, f) in grt.finals.iter_mut().enumerate() {
+        for (f, q) in grt.finals.iter_mut().zip(&part.queries) {
             for (seq, v) in f.drain_before(u64::MAX) {
                 let window = Timestamp(seq * part.window.slide.millis());
                 if split {
-                    partials.push(
-                        part.queries[qi].id,
-                        key.clone(),
-                        window,
-                        v.to_partial(),
-                        part.queries[qi].output,
-                    );
+                    out.partials
+                        .push(q.id, key.clone(), window, v.to_partial(), q.output);
                 } else {
-                    results.emit(
-                        part.queries[qi].id,
-                        key.clone(),
-                        window,
-                        v.output(part.queries[qi].output),
-                    );
+                    let gid = grt.result_id.resolve(out.epoch, key, &mut out.results);
+                    out.results
+                        .emit_interned(q.id, gid, window, v.output(q.output));
                 }
             }
         }
@@ -886,8 +908,8 @@ impl<A: Aggregate> Engine<A> {
         for h in hashes {
             w.u64(h);
         }
-        self.results.save_state(w);
-        self.partials.save_state(w);
+        self.out.results.save_state(w);
+        self.out.partials.save_state(w);
         let spilled = self.spill.as_ref().map_or(0, |t| t.store.len());
         w.seq_len(self.groups.len() + spilled);
         for (key, grt) in &self.groups {
@@ -931,8 +953,8 @@ impl<A: Aggregate> Engine<A> {
         for _ in 0..n_hashes {
             self.split_hashes.insert(r.u64()?);
         }
-        self.results = ExecutorResults::load_state(r)?;
-        self.partials = PartialResults::load_state(r)?;
+        self.out.results = ExecutorResults::load_state(r)?;
+        self.out.partials = PartialResults::load_state(r)?;
         let n_groups = r.seq_len()?;
         self.groups.clear();
         for _ in 0..n_groups {
@@ -1172,13 +1194,15 @@ impl<A: Aggregate> Engine<A> {
     /// per query, so steady-state window emission does not reallocate
     /// (sub-aggregate entries of split groups included).
     pub fn reserve_results(&mut self, additional: usize) {
-        for q in &self.part.queries {
-            self.results.reserve(q.id, additional);
-        }
+        self.out
+            .results
+            .reserve(additional * self.part.queries.len());
         // sharded engines can be handed split groups at any point; size
         // their sub-aggregate buffer with the same budget
         if self.shard.is_some() {
-            self.partials.reserve(additional * self.part.queries.len());
+            self.out
+                .partials
+                .reserve(additional * self.part.queries.len());
         }
     }
 
@@ -1192,8 +1216,7 @@ impl<A: Aggregate> Engine<A> {
         grt: &mut GroupRuntime<A>,
         part: &CompiledPartition,
         now: Timestamp,
-        results: &mut ExecutorResults,
-        partials: &mut PartialResults,
+        out: &mut Output,
         key: &GroupKey,
         emit_buf: &mut Vec<(u64, A)>,
     ) {
@@ -1224,24 +1247,30 @@ impl<A: Aggregate> Engine<A> {
             return;
         }
         grt.closed_before = close_seq;
-        for (qi, f) in grt.finals.iter_mut().enumerate() {
+        for (f, q) in grt.finals.iter_mut().zip(&part.queries) {
             emit_buf.clear();
             f.drain_before_into(close_seq, emit_buf);
-            for &(seq, v) in emit_buf.iter() {
-                if grt.split {
-                    partials.push(
-                        part.queries[qi].id,
+            if emit_buf.is_empty() {
+                continue;
+            }
+            if grt.split {
+                for &(seq, v) in emit_buf.iter() {
+                    out.partials.push(
+                        q.id,
                         key.clone(),
                         Timestamp(seq * slide),
                         v.to_partial(),
-                        part.queries[qi].output,
+                        q.output,
                     );
-                } else {
-                    results.emit(
-                        part.queries[qi].id,
-                        key.clone(),
+                }
+            } else {
+                let gid = grt.result_id.resolve(out.epoch, key, &mut out.results);
+                for &(seq, v) in emit_buf.iter() {
+                    out.results.emit_interned(
+                        q.id,
+                        gid,
                         Timestamp(seq * slide),
-                        v.output(part.queries[qi].output),
+                        v.output(q.output),
                     );
                 }
             }
@@ -1532,19 +1561,13 @@ impl<A: Aggregate> Engine<A> {
                 let mut r = StateReader::new(&bytes);
                 let mut grt = GroupRuntime::load_state(&mut r, &self.part)
                     .unwrap_or_else(|e| panic!("spilled group state corrupt: {e}"));
-                Self::drain_group(
-                    &self.part,
-                    &key,
-                    &mut grt,
-                    &mut self.results,
-                    &mut self.partials,
-                );
+                Self::drain_group(&self.part, &key, &mut grt, &mut self.out);
             }
         }
         for (key, grt) in self.groups.iter_mut() {
-            Self::drain_group(&self.part, key, grt, &mut self.results, &mut self.partials);
+            Self::drain_group(&self.part, key, grt, &mut self.out);
         }
-        (self.results, self.partials)
+        (self.out.results, self.out.partials)
     }
 
     /// Take the results emitted so far, leaving the store empty. Windows
@@ -1552,7 +1575,9 @@ impl<A: Aggregate> Engine<A> {
     /// [`Engine::finish`] — this is the non-consuming epoch drain used by
     /// the session layer's `drain_results`.
     pub fn take_results(&mut self) -> ExecutorResults {
-        std::mem::take(&mut self.results)
+        // the log leaves with its key table: ids handed out so far die
+        self.out.epoch += 1;
+        std::mem::take(&mut self.out.results)
     }
 
     /// Events that passed routing, predicates, and grouping.

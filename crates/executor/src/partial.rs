@@ -127,11 +127,14 @@ impl PartialResults {
         if self.entries.is_empty() {
             return;
         }
-        let mut merged: FxHashMap<(QueryId, GroupKey, Timestamp), (PartialAgg, OutputKind)> =
+        // keyed by the group's id in `results`: one key lookup per entry,
+        // no key stored in the merge table
+        let mut merged: FxHashMap<(QueryId, u32, Timestamp), (PartialAgg, OutputKind)> =
             FxHashMap::default();
         merged.reserve(self.entries.len());
         for e in self.entries {
-            match merged.entry((e.query, e.group, e.window)) {
+            let gid = results.intern(&e.group);
+            match merged.entry((e.query, gid, e.window)) {
                 std::collections::hash_map::Entry::Occupied(mut o) => {
                     o.get_mut().0.merge(&e.value);
                 }
@@ -140,8 +143,8 @@ impl PartialResults {
                 }
             }
         }
-        for ((query, group, window), (value, output)) in merged {
-            results.emit(query, group, window, value.output(output));
+        for ((query, gid, window), (value, output)) in merged {
+            results.emit_interned(query, gid, window, value.output(output));
         }
     }
 }

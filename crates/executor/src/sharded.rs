@@ -125,7 +125,7 @@
 
 use crate::checkpoint::{
     BarrierRef, CheckpointBarrier, CheckpointConfig, CheckpointError, CheckpointStore, FaultPlan,
-    StateError, StateReader, StateWriter,
+    HarvestRef, StateError, StateReader, StateWriter,
 };
 use crate::compile::{compile, CompileError, CompiledPartition};
 use crate::engine::{EngineKind, ShardSlice};
@@ -221,10 +221,10 @@ struct RouteJob {
 enum WorkerMsg {
     Batch(RoutedBatch),
     Barrier(BarrierRef),
-    /// A result-harvest barrier: deposit the results emitted so far
-    /// (serialized) into the barrier, leaving window state untouched.
-    /// Same in-band ordering contract as `Barrier`.
-    Harvest(BarrierRef),
+    /// A result-harvest barrier: move the results emitted so far into
+    /// the barrier, leaving window state untouched. Same in-band
+    /// ordering contract as `Barrier`.
+    Harvest(HarvestRef),
 }
 
 /// What the ingest→router job rings carry (same in-band ordering; the
@@ -233,7 +233,7 @@ enum WorkerMsg {
 enum RouterMsg {
     Route(RouteJob),
     Barrier(BarrierRef),
-    Harvest(BarrierRef),
+    Harvest(HarvestRef),
     /// A synchronized state probe: the router deposits its live
     /// split-group count into its slot without touching the worker rings
     /// (backs [`ShardedExecutor::split_snapshot`]).
@@ -381,14 +381,13 @@ pub trait ShardProcessor: Send {
         ))
     }
 
-    /// Serialize and *remove* the results emitted so far (an
-    /// [`ExecutorResults`] image written with
-    /// [`ExecutorResults::save_state`]), leaving open-window state in
+    /// Move out the results emitted so far, leaving open-window state in
     /// place — the epoch drain behind the session layer's
-    /// `drain_results`. `None` (the default) means the strategy cannot
-    /// harvest mid-stream; the harvest barrier then fails instead of
-    /// returning an empty result set that lies.
-    fn take_results(&mut self) -> Option<Vec<u8>> {
+    /// `drain_results`. The harvest is in-process, so the log travels as
+    /// it is (the codec is for checkpoints only). `None` (the default)
+    /// means the strategy cannot harvest mid-stream; the harvest barrier
+    /// then fails instead of returning an empty result set that lies.
+    fn take_results(&mut self) -> Option<ExecutorResults> {
         None
     }
 
@@ -461,14 +460,12 @@ impl ShardProcessor for EngineShard {
         Ok(())
     }
 
-    fn take_results(&mut self) -> Option<Vec<u8>> {
+    fn take_results(&mut self) -> Option<ExecutorResults> {
         let mut out = ExecutorResults::new();
         for engine in &mut self.engines {
             out.merge(engine.take_results());
         }
-        let mut w = StateWriter::new();
-        out.save_state(&mut w);
-        Some(w.into_bytes())
+        Some(out)
     }
 
     fn finish(mut self: Box<Self>) -> ShardReport {
@@ -640,7 +637,7 @@ impl Fanout {
     /// [`Fanout::send_barrier`], but workers deposit (and clear) their
     /// emitted results instead of their engine state. Routers have no
     /// results of their own, so their segments are empty.
-    fn send_harvest(&mut self, barrier: &BarrierRef, cancel: &AtomicBool) {
+    fn send_harvest(&mut self, barrier: &HarvestRef, cancel: &AtomicBool) {
         for ch in &mut self.channels {
             if ch
                 .sender
@@ -1763,7 +1760,7 @@ impl ShardedExecutor {
     /// [`CheckpointError::Corrupt`] if a runtime thread died.
     pub fn harvest_results(&mut self) -> Result<ExecutorResults, CheckpointError> {
         self.flush();
-        let barrier: BarrierRef = Arc::new(CheckpointBarrier::new(self.n_routers, self.n_shards));
+        let barrier: HarvestRef = Arc::new(CheckpointBarrier::new(self.n_routers, self.n_shards));
         let Self { stage, cancel, .. } = self;
         match stage.as_mut().expect("executor is active") {
             IngestStage::Inline(fanout) => fanout.send_harvest(&barrier, cancel),
@@ -1781,10 +1778,7 @@ impl ShardedExecutor {
         }
         let (_routers, shards) = barrier.wait(&self.cancel)?;
         let mut out = ExecutorResults::new();
-        for (shard, bytes) in shards.iter().enumerate() {
-            let mut r = StateReader::new(bytes);
-            let results = ExecutorResults::load_state(&mut r)
-                .unwrap_or_else(|e| panic!("harvested results of shard {shard} corrupt: {e}"));
+        for results in shards {
             out.merge(results);
         }
         Ok(out)
@@ -2316,41 +2310,51 @@ mod tests {
 
     #[test]
     fn harvest_then_finish_equals_uninterrupted_run() {
+        // 97 groups, a harvest after every ingested batch: every harvest
+        // hands the workers' logs and key tables away, so each group
+        // interns afresh in each epoch it emits in — ids must never leak
+        // from one epoch's table into the next
         let (c, w) = grouped_workload();
-        let events = stream(&c, 4000, 13);
+        let events = stream(&c, 4000, 97);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
         sequential.process_batch(&events);
         let want = sequential.finish();
+        let tracked = GroupKey::One(Value::Int(0));
 
         let plan = SharingPlan::non_shared();
-        for depth in [0usize, 2] {
+        for (shards, depth) in [(1usize, 2usize), (2, 0), (2, 2), (4, 2)] {
             let mut sharded = ShardedExecutor::with_pipeline_depth(
                 &c,
                 &w,
                 &plan,
-                3,
+                shards,
                 64,
                 SplitConfig::default(),
                 depth,
             )
             .unwrap();
-            let (head, tail) = events.split_at(events.len() / 2);
-            sharded.process_batch(head);
-            let mut drained = sharded.harvest_results().expect("first harvest");
-            let mid = drained.len();
-            sharded.process_batch(tail);
-            drained.merge(sharded.harvest_results().expect("second harvest"));
+            let mut drained = ExecutorResults::new();
+            let (mut epochs, mut epochs_with_tracked) = (0, 0);
+            for batch in events.chunks(64) {
+                sharded.process_batch(batch);
+                let epoch = sharded.harvest_results().expect("harvest");
+                epochs += usize::from(!epoch.is_empty());
+                epochs_with_tracked +=
+                    usize::from(epoch.rows().any(|r| *epoch.group(r.1) == tracked));
+                drained.merge(epoch);
+            }
             drained.merge(sharded.finish());
             assert!(
                 drained.semantically_eq(&want, 1e-9),
-                "depth {depth}: harvested epochs + finish diverge \
+                "{shards} shards, depth {depth}: harvested epochs + finish diverge \
                  ({} vs {} results)",
                 drained.len(),
                 want.len(),
             );
             assert!(
-                mid > 0,
-                "depth {depth}: mid-stream harvest yields closed windows"
+                epochs > 30 && epochs_with_tracked > 10,
+                "{shards} shards, depth {depth}: mid-stream harvests yield closed windows \
+                 ({epochs} epochs, group 0 in {epochs_with_tracked})"
             );
         }
     }

@@ -8,6 +8,7 @@
 //! the `#[global_allocator]` and read peak deltas around measured regions.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Live allocated bytes.
@@ -17,6 +18,16 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// Total number of allocation calls (including growing reallocs) —
 /// the counter behind the zero-allocation hot-path regression tests.
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's share of [`ALLOCS`]: what [`measure_allocs`] reads, so
+    /// a measured region sees the calling thread's allocations and not
+    /// those of whatever else the process is running (the test harness, a
+    /// runtime thread still joining). Const-initialised and without a
+    /// destructor, so touching it from inside the allocator never
+    /// allocates or registers anything.
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
 /// A `#[global_allocator]` wrapper that tracks current and peak heap use.
 ///
@@ -28,6 +39,7 @@ pub struct TrackingAllocator;
 
 fn on_alloc(size: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
     let cur = CURRENT.fetch_add(size, Ordering::Relaxed) + size;
     // lock-free peak update
     let mut peak = PEAK.load(Ordering::Relaxed);
@@ -86,9 +98,15 @@ pub fn reset_peak() -> usize {
     cur
 }
 
-/// Total allocation calls so far (growing reallocs count as one).
+/// Total allocation calls so far, process-wide (growing reallocs count as
+/// one).
 pub fn alloc_count() -> usize {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocation calls the calling thread has made so far.
+fn thread_alloc_count() -> usize {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Measure the peak heap growth (bytes above the starting level) while
@@ -103,15 +121,16 @@ pub fn measure_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, peak.saturating_sub(base))
 }
 
-/// Count the allocation calls performed while running `f`.
+/// Count the allocation calls the **calling thread** performs while
+/// running `f`; other threads' allocations are not seen.
 ///
 /// Meaningful only when [`TrackingAllocator`] is installed as the global
 /// allocator; otherwise returns 0. Used by the allocation-regression
 /// tests that pin the steady-state hot paths at zero allocations.
 pub fn measure_allocs<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = alloc_count();
+    let before = thread_alloc_count();
     let out = f();
-    (out, alloc_count() - before)
+    (out, thread_alloc_count() - before)
 }
 
 #[cfg(test)]
@@ -151,7 +170,18 @@ mod tests {
         on_dealloc(16);
         assert!(alloc_count() > before, "frees do not count");
         let ((), n) = measure_allocs(|| on_alloc(8));
-        assert!(n >= 1);
+        assert_eq!(n, 1, "the thread-local count sees this thread only");
+        on_dealloc(8);
+    }
+
+    #[test]
+    fn measure_allocs_ignores_other_threads() {
+        let ((), n) = measure_allocs(|| {
+            std::thread::spawn(|| on_alloc(8))
+                .join()
+                .expect("bump thread");
+        });
+        assert_eq!(n, 0, "another thread's allocation must not be counted");
         on_dealloc(8);
     }
 

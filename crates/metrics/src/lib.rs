@@ -1,13 +1,12 @@
 //! # sharon-metrics
 //!
 //! Measurement utilities for reproducing the paper's evaluation metrics
-//! (Section 8.1): latency, throughput, and peak memory.
+//! (Section 8.1): peak memory, work counters and result tables.
 //!
 //! * [`alloc`] — a [`TrackingAllocator`] recording current/peak heap use
 //!   (install as `#[global_allocator]` in bench binaries);
 //! * [`counters`] — explicit runtime work counters (router scope scans)
 //!   backing the shared-work regression tests;
-//! * [`latency`] — per-window latency and throughput recording;
 //! * [`report`] — printable/serializable result [`Table`]s, one per
 //!   reproduced figure.
 
@@ -15,7 +14,6 @@
 
 pub mod alloc;
 pub mod counters;
-pub mod latency;
 pub mod report;
 
 pub use alloc::{
@@ -32,5 +30,4 @@ pub use counters::{
     router_batches_routed, router_scope_scans, router_stall_waits, rows_scanned, rows_selected,
     swap_windows_lost,
 };
-pub use latency::{timed, LatencyRecorder};
 pub use report::{fmt_bytes, fmt_duration, fmt_throughput, Table};

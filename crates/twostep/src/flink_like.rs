@@ -585,18 +585,11 @@ impl FlinkLike {
     /// per query (capacity planning for allocation-free steady-state
     /// emission).
     pub fn reserve_results(&mut self, additional: usize) {
-        match &self.kernel {
-            Kernel::Count(qs) => {
-                for q in qs {
-                    self.results.reserve(q.id, additional);
-                }
-            }
-            Kernel::Stats(qs) => {
-                for q in qs {
-                    self.results.reserve(q.id, additional);
-                }
-            }
-        }
+        let queries = match &self.kernel {
+            Kernel::Count(qs) => qs.len(),
+            Kernel::Stats(qs) => qs.len(),
+        };
+        self.results.reserve(additional * queries);
     }
 
     /// Flush and return all results.

@@ -788,18 +788,11 @@ impl SpassLike {
     /// per query (capacity planning for allocation-free steady-state
     /// emission).
     pub fn reserve_results(&mut self, additional: usize) {
-        match &self.kernel {
-            Kernel::Count(ps) => {
-                for q in ps.iter().flat_map(|p| &p.queries) {
-                    self.results.reserve(q.id, additional);
-                }
-            }
-            Kernel::Stats(ps) => {
-                for q in ps.iter().flat_map(|p| &p.queries) {
-                    self.results.reserve(q.id, additional);
-                }
-            }
-        }
+        let queries: usize = match &self.kernel {
+            Kernel::Count(ps) => ps.iter().map(|p| p.queries.len()).sum(),
+            Kernel::Stats(ps) => ps.iter().map(|p| p.queries.len()).sum(),
+        };
+        self.results.reserve(additional * queries);
     }
 
     /// Flush and return all results.

@@ -109,10 +109,9 @@ fn columnar_hot_path_is_allocation_free_after_warmup() {
     for batch in &warmup {
         executor.process_columnar(batch);
     }
-    // result emission appends to a hash map for the whole run; pre-size it
-    // for the measured phase so emission is pure inserts (capacity
-    // planning, not a loophole: everything else must already be reusing
-    // warmed buffers)
+    // result emission appends to the result log for the whole run;
+    // reserve its segments for the measured phase (capacity planning, not
+    // a loophole: everything else must already be reusing warmed buffers)
     let expected_results = (MEASURED_BATCHES * BATCH_ROWS / 4 + 64) * (GROUPS as usize);
     executor.reserve_results(expected_results);
 
@@ -136,6 +135,63 @@ fn columnar_hot_path_is_allocation_free_after_warmup() {
     // sanity: the run produces real per-group, per-window results
     let results = executor.finish();
     assert!(results.len() > 1000, "windows closed and emitted");
+}
+
+#[test]
+fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
+    // every measured batch closes windows (256 ms of events, 4 ms slide),
+    // and the phase starts right after a `take_results`, i.e. on a fresh
+    // log in a fresh result epoch: one more batch re-interns every group
+    // (an id per group and epoch), `reserve_results` reserves the
+    // segments, and from there emission is pure appends
+    let _serial = serial();
+    let mut catalog = Catalog::new();
+    catalog.register_with_schema("A", Schema::new(["g", "v"]));
+    let workload = parse_workload(
+        &mut catalog,
+        ["RETURN COUNT(*) PATTERN SEQ(A) GROUP BY g WITHIN 8 ms SLIDE 4 ms"],
+    )
+    .unwrap();
+    let mut executor = Executor::non_shared(&catalog, &workload).unwrap();
+
+    let (warmup, t) = build_batches(&catalog, WARMUP_BATCHES, 0);
+    let (reintern, t) = build_batches(&catalog, 1, t);
+    let (measured, _) = build_batches(&catalog, MEASURED_BATCHES, t);
+    for batch in &warmup {
+        executor.process_columnar(batch);
+    }
+    let first_epoch = executor.take_results();
+    assert!(first_epoch.len() > 1000, "warm-up closed windows");
+    executor.process_columnar(&reintern[0]);
+    // an event per ms, each in two windows of its group
+    let closing = 2 * (MEASURED_BATCHES * BATCH_ROWS);
+    executor.reserve_results(closing);
+
+    let (_, allocs) = alloc::measure_allocs(|| {
+        for batch in &measured {
+            executor.process_columnar(batch);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "window closes after reserve_results must not allocate \
+         ({MEASURED_BATCHES} closing batches performed {allocs} allocations)"
+    );
+    let second_epoch = executor.take_results();
+    assert!(
+        second_epoch.len() >= closing - 64,
+        "the measured batches emitted their windows ({} rows)",
+        second_epoch.len()
+    );
+    // the two epochs are disjoint and carry their own key tables
+    let mut all = first_epoch;
+    all.merge(second_epoch);
+    all.merge(executor.finish());
+    let mut oracle = Executor::non_shared(&catalog, &workload).unwrap();
+    for batch in warmup.iter().chain(&reintern).chain(&measured) {
+        oracle.process_columnar(batch);
+    }
+    assert!(all.semantically_eq(&oracle.finish(), 0.0));
 }
 
 #[test]
@@ -628,7 +684,10 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
             batch,
         );
     }
-    let expected = MEASURED_BATCHES * BATCH_ROWS / 4 + 64;
+    // a pair completes every 2 ms and lands in two windows: one result
+    // per ms over both shards (the result log reserves exactly what it is
+    // asked for — there is no hash-table slack to absorb an undercount)
+    let expected = MEASURED_BATCHES * BATCH_ROWS / 2 + 64;
     for engines in &mut shards {
         for engine in engines.iter_mut() {
             engine.reserve_results(expected);
