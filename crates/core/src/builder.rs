@@ -196,8 +196,18 @@ impl<'a> SharonBuilder<'a> {
         self
     }
 
+    /// The sharded runtime asserts this; a builder reports it.
+    fn check_routing_plane(&self) -> Result<(), CompileError> {
+        let routers = self.options.routers;
+        if routers > 1 && self.options.pipeline_depth == 0 {
+            return Err(CompileError::RoutersNeedPipeline { routers });
+        }
+        Ok(())
+    }
+
     /// Build the executor and the optimizer outcome (when an optimizer
-    /// runs for the chosen strategy).
+    /// runs for the chosen strategy). A multi-router plane without a
+    /// pipelined ingest stage is [`CompileError::RoutersNeedPipeline`].
     ///
     /// Panics if durability options (checkpoint / spill / fault) were set
     /// with `shards(0)` — the durability tier lives in the sharded
@@ -225,6 +235,7 @@ impl<'a> SharonBuilder<'a> {
             }
             Ok((ex, outcome))
         } else {
+            self.check_routing_plane()?;
             build_sharded_any(
                 self.catalog,
                 self.workload,
@@ -253,6 +264,7 @@ impl<'a> SharonBuilder<'a> {
     /// to one shard) and require an online strategy; see
     /// [`SharonSession`] for the option surface it supports.
     pub fn session(self, session_config: SessionConfig) -> Result<SharonSession, CompileError> {
+        self.check_routing_plane()?;
         if let Some(mode) = self.scan {
             set_scan_mode(Some(mode));
         }

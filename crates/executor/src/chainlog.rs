@@ -16,12 +16,13 @@
 //! Σᵢ snapshotᵢ × δᵢ  =  Σⱼ entryⱼ × (Σ_{i : offᵢ > j} δᵢ)
 //! ```
 //!
-//! Same-timestamp isolation works exactly as in
-//! [`crate::winvec::WinVec`]: entries stay pending until the log is
-//! touched at a strictly later time, so an offset captured at time `t`
-//! never covers contributions of other time-`t` events.
+//! Same-timestamp isolation needs no pending buffer: entries carry their
+//! event time and arrive in time order, so the entries an event at `t`
+//! may see are exactly the prefix with `time < t` — an offset captured at
+//! `t` never covers contributions of other time-`t` events.
 
 use crate::agg::Aggregate;
+use crate::checkpoint::{StateError, StateReader, StateWriter};
 use crate::winvec::WinSeq;
 use sharon_types::Timestamp;
 use std::collections::VecDeque;
@@ -30,7 +31,7 @@ use std::collections::VecDeque;
 /// `lo ..= hi`.
 #[derive(Debug, Clone, Copy)]
 pub struct LogEntry<A> {
-    /// Commit time (the event time that produced it).
+    /// The event time that produced it: visible to strictly later events.
     pub time: Timestamp,
     /// First window sequence covered.
     pub lo: WinSeq,
@@ -46,8 +47,6 @@ pub struct ChainLog<A> {
     /// Absolute index of `entries.front()`.
     base: u64,
     entries: VecDeque<LogEntry<A>>,
-    pending: Vec<(WinSeq, WinSeq, A)>,
-    pending_time: Timestamp,
 }
 
 impl<A: Aggregate> Default for ChainLog<A> {
@@ -62,81 +61,67 @@ impl<A: Aggregate> ChainLog<A> {
         ChainLog {
             base: 0,
             entries: VecDeque::new(),
-            pending: Vec::new(),
-            pending_time: Timestamp::ZERO,
         }
     }
 
-    /// Fold pending contributions older than `now` into the committed
-    /// entries.
+    /// Record `value` over windows `lo ..= hi`, performed at `now` (no
+    /// earlier than any recorded entry).
     #[inline]
-    pub fn settle(&mut self, now: Timestamp) {
-        if !self.pending.is_empty() && self.pending_time < now {
-            let t = self.pending_time;
-            for (lo, hi, v) in self.pending.drain(..) {
-                self.entries.push_back(LogEntry {
-                    time: t,
-                    lo,
-                    hi,
-                    value: v,
-                });
-            }
-        }
-    }
-
-    /// Record `value` over windows `lo ..= hi`, performed at `now`.
     pub fn add_range(&mut self, now: Timestamp, lo: WinSeq, hi: WinSeq, value: A) {
         if value.is_zero() || lo > hi {
             return;
         }
-        self.settle(now);
-        self.pending_time = now;
-        self.pending.push((lo, hi, value));
+        debug_assert!(self.entries.back().is_none_or(|e| e.time <= now));
+        self.entries.push_back(LogEntry {
+            time: now,
+            lo,
+            hi,
+            value,
+        });
     }
 
     /// The absolute offset separating contributions strictly before `now`
     /// from later ones. Stored per START event of the next chain stage.
-    pub fn offset_at(&mut self, now: Timestamp) -> u64 {
-        self.settle(now);
-        self.base + self.entries.len() as u64
+    #[inline]
+    pub fn offset_at(&self, now: Timestamp) -> u64 {
+        let same_time = self.entries.iter().rev().take_while(|e| e.time >= now);
+        self.base + (self.entries.len() - same_time.count()) as u64
     }
 
-    /// Iterate committed entries as `(absolute index, entry)`, oldest
-    /// first. Call [`ChainLog::settle`] first to observe a given time.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &LogEntry<A>)> {
+    /// Iterate the entries visible at `now` (`time < now`) as
+    /// `(absolute index, entry)`, oldest first.
+    pub fn iter_before(&self, now: Timestamp) -> impl Iterator<Item = (u64, &LogEntry<A>)> {
         self.entries
             .iter()
+            .take_while(move |e| e.time < now)
             .enumerate()
             .map(move |(i, e)| (self.base + i as u64, e))
     }
 
     /// Drop leading entries whose whole window range closed before
     /// `close_seq` — they can no longer contribute to any result.
+    #[inline]
     pub fn drop_dead(&mut self, close_seq: WinSeq) {
-        while let Some(front) = self.entries.front() {
-            if front.hi < close_seq {
-                self.entries.pop_front();
-                self.base += 1;
-            } else {
-                break;
-            }
+        while self.entries.front().is_some_and(|e| e.hi < close_seq) {
+            self.entries.pop_front();
+            self.base += 1;
         }
     }
 
-    /// Committed entries currently held.
+    /// Entries currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no committed entries are held.
+    /// True when no entries are held.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Serialize the log — committed entries, the pending buffer, and the
-    /// absolute base offset (START events of later stages hold absolute
-    /// offsets into this log, so the base must survive a restore).
-    pub fn save_state(&self, w: &mut crate::checkpoint::StateWriter) {
+    /// Serialize the log — its entries and the absolute base offset (START
+    /// events of later stages hold absolute offsets into this log, so the
+    /// base must survive a restore).
+    pub fn save_state(&self, w: &mut StateWriter) {
         w.u64(self.base);
         w.seq_len(self.entries.len());
         for e in &self.entries {
@@ -145,19 +130,10 @@ impl<A: Aggregate> ChainLog<A> {
             w.u64(e.hi);
             e.value.save(w);
         }
-        w.seq_len(self.pending.len());
-        for (lo, hi, v) in &self.pending {
-            w.u64(*lo);
-            w.u64(*hi);
-            v.save(w);
-        }
-        w.time(self.pending_time);
     }
 
     /// Decode a log written by [`ChainLog::save_state`].
-    pub fn load_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::StateError> {
+    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
         let base = r.u64()?;
         let n = r.seq_len()?;
         let mut entries = VecDeque::with_capacity(n);
@@ -169,20 +145,7 @@ impl<A: Aggregate> ChainLog<A> {
                 value: A::load(r)?,
             });
         }
-        let n = r.seq_len()?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            let lo = r.u64()?;
-            let hi = r.u64()?;
-            pending.push((lo, hi, A::load(r)?));
-        }
-        let pending_time = r.time()?;
-        Ok(ChainLog {
-            base,
-            entries,
-            pending,
-            pending_time,
-        })
+        Ok(ChainLog { base, entries })
     }
 }
 
@@ -200,7 +163,9 @@ mod tests {
         let mut log: ChainLog<CountCell> = ChainLog::new();
         log.add_range(Timestamp(5), 0, 2, c(1));
         assert_eq!(log.offset_at(Timestamp(5)), 0, "same-time adds invisible");
+        assert_eq!(log.iter_before(Timestamp(5)).count(), 0);
         assert_eq!(log.offset_at(Timestamp(6)), 1);
+        assert_eq!(log.iter_before(Timestamp(6)).count(), 1);
         assert_eq!(log.len(), 1);
     }
 
@@ -210,11 +175,12 @@ mod tests {
         log.add_range(Timestamp(1), 0, 0, c(1));
         let off_a = log.offset_at(Timestamp(2)); // sees entry 0
         log.add_range(Timestamp(2), 1, 1, c(2));
-        let off_b = log.offset_at(Timestamp(3)); // sees entries 0, 1
-        assert_eq!(off_a, 1);
-        assert_eq!(off_b, 2);
-        let idx: Vec<u64> = log.iter().map(|(j, _)| j).collect();
-        assert_eq!(idx, vec![0, 1]);
+        log.add_range(Timestamp(2), 2, 2, c(2));
+        assert_eq!(log.offset_at(Timestamp(2)), off_a, "a t=2 batch stays out");
+        let off_b = log.offset_at(Timestamp(3)); // sees all three
+        assert_eq!((off_a, off_b), (1, 3));
+        let idx: Vec<u64> = log.iter_before(Timestamp(3)).map(|(j, _)| j).collect();
+        assert_eq!(idx, vec![0, 1, 2]);
     }
 
     #[test]
@@ -223,6 +189,7 @@ mod tests {
         log.add_range(Timestamp(1), 0, 3, c(0));
         log.add_range(Timestamp(1), 3, 1, c(5));
         assert_eq!(log.offset_at(Timestamp(9)), 0);
+        assert!(log.is_empty());
     }
 
     #[test]
@@ -230,46 +197,34 @@ mod tests {
         let mut log: ChainLog<CountCell> = ChainLog::new();
         log.add_range(Timestamp(1), 0, 1, c(1));
         log.add_range(Timestamp(2), 2, 4, c(2));
-        log.settle(Timestamp(10));
         log.drop_dead(2);
         assert_eq!(log.len(), 1);
-        let (j, e) = log.iter().next().unwrap();
+        let (j, e) = log.iter_before(Timestamp(10)).next().unwrap();
         assert_eq!(j, 1, "absolute index survives front drops");
         assert_eq!(e.lo, 2);
         // an offset captured before the drop still compares correctly
         assert_eq!(log.offset_at(Timestamp(11)), 2);
-        assert!(!log.is_empty());
     }
 
     #[test]
-    fn same_time_batch_commits_together() {
-        let mut log: ChainLog<CountCell> = ChainLog::new();
-        log.add_range(Timestamp(3), 0, 0, c(1));
-        log.add_range(Timestamp(3), 1, 1, c(1));
-        assert_eq!(log.offset_at(Timestamp(4)), 2);
-        assert!(log.iter().all(|(_, e)| e.time == Timestamp(3)));
-    }
-
-    #[test]
-    fn state_round_trips_with_base_and_pending() {
+    fn state_round_trips_with_base_and_same_time_tail() {
         let mut log: ChainLog<CountCell> = ChainLog::new();
         log.add_range(Timestamp(1), 0, 1, c(1));
         log.add_range(Timestamp(2), 2, 4, c(2));
-        log.settle(Timestamp(10));
         log.drop_dead(2); // base becomes 1
-        log.add_range(Timestamp(11), 5, 6, c(3)); // stays pending
+        log.add_range(Timestamp(11), 5, 6, c(3));
 
-        let mut w = crate::checkpoint::StateWriter::new();
+        let mut w = StateWriter::new();
         log.save_state(&mut w);
         let bytes = w.into_bytes();
-        let mut r = crate::checkpoint::StateReader::new(&bytes);
-        let mut got: ChainLog<CountCell> = ChainLog::load_state(&mut r).unwrap();
+        let mut r = StateReader::new(&bytes);
+        let got: ChainLog<CountCell> = ChainLog::load_state(&mut r).unwrap();
         assert!(r.is_exhausted());
 
         // absolute indexing survives (base restored)
-        let (j, e) = got.iter().next().unwrap();
+        let (j, e) = got.iter_before(Timestamp(11)).next().unwrap();
         assert_eq!((j, e.lo, e.hi), (1, 2, 4));
-        // pending entry still invisible at its own time, visible later
+        // the t=11 entry is still invisible at its own time, visible later
         assert_eq!(got.offset_at(Timestamp(11)), 2);
         assert_eq!(got.offset_at(Timestamp(12)), 3);
     }

@@ -32,7 +32,10 @@ const MANIFEST_MAGIC: &[u8; 8] = b"SHRNCKPT";
 /// v3: one router-state segment per routing-plane thread (`R ≥ 1`).
 /// v4: results image is a key table plus rows by group id (was a nested
 /// key → value map with a key per row).
-const FORMAT_VERSION: u32 = 4;
+/// v5: a group is one block — window plane, runner rings carrying their
+/// chain offsets, chain logs without a pending buffer (was a forest of
+/// runners, offset deques, logs, mirror and final window vectors).
+const FORMAT_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------------
 // errors
@@ -957,10 +960,11 @@ mod tests {
 
     #[test]
     fn older_format_is_refused_naming_both_versions() {
-        // a v3 directory (results stored as a nested key → value map, a
-        // key per row) must not be read as v4 (key table + rows by id):
-        // rewrite a good manifest's version field and re-seal it
-        let dir = test_dir("v3");
+        // a v4 directory (a group as runner / offset / chain-log / window
+        // vector forests) must not be read as v5 (a group as one window
+        // plane, runner rings and timestamped chain logs): rewrite a good
+        // manifest's version field and re-seal it
+        let dir = test_dir("v4");
         let store = CheckpointStore::open(&dir).unwrap();
         store
             .write(0, 50, &[b"r".to_vec()], &[b"seg".to_vec()])
@@ -969,7 +973,7 @@ mod tests {
         let mut bytes = fs::read(&manifest).unwrap();
         let at = MANIFEST_MAGIC.len();
         assert_eq!(bytes[at..at + 4], FORMAT_VERSION.to_le_bytes());
-        bytes[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
         let body = bytes.len() - 8;
         let digest = fnv1a(&bytes[..body]);
         bytes[body..].copy_from_slice(&digest.to_le_bytes());
@@ -978,7 +982,7 @@ mod tests {
         for refused in [store.load(0), store.latest()] {
             match refused {
                 Err(CheckpointError::Mismatch(msg)) => {
-                    assert!(msg.contains("v3") && msg.contains("v4"), "{msg}");
+                    assert!(msg.contains("v4") && msg.contains("v5"), "{msg}");
                 }
                 other => panic!("expected a format mismatch, got {other:?}"),
             }

@@ -62,6 +62,13 @@ pub enum CompileError {
     },
     /// The workload is empty.
     EmptyWorkload,
+    /// The runtime options ask for a multi-router plane with in-line
+    /// routing (`pipeline_depth` 0): the routers run behind the ingest
+    /// pipeline, and there is nothing to parallelize without it.
+    RoutersNeedPipeline {
+        /// The router count asked for.
+        routers: usize,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -82,6 +89,10 @@ impl fmt::Display for CompileError {
                 write!(f, "predicate attribute `{attr}` missing from type {ty}")
             }
             CompileError::EmptyWorkload => write!(f, "workload has no queries"),
+            CompileError::RoutersNeedPipeline { routers } => write!(
+                f,
+                "{routers} routers require a pipelined ingest stage (pipeline_depth >= 1)"
+            ),
         }
     }
 }
@@ -95,6 +106,9 @@ pub struct CompiledQuery {
     pub id: QueryId,
     /// Number of chain stages (segments).
     pub n_stages: usize,
+    /// Group-block index of this query's stage-0 chain log: stage `s`
+    /// (`s < n_stages − 1`) folds into log `chain_base + s`.
+    pub chain_base: usize,
     /// How the final cell maps to the query's output.
     pub output: OutputKind,
 }
@@ -148,6 +162,14 @@ pub struct CompiledPartition {
     /// True if every query in the partition is `COUNT`-like (enables the
     /// [`crate::agg::CountCell`] kernel).
     pub count_only: bool,
+    /// Per chain log of a group block: the window-plane column mirroring
+    /// it (the log's contributions folded per window) — `Some` only where
+    /// the query's next stage is a length-1 segment, the one reader of
+    /// current per-window totals. Its length is the block's log count.
+    pub mirror_col: Vec<Option<usize>>,
+    /// Columns of a group's window plane: column `q` is query `q`'s final
+    /// accumulator, the mirrors follow.
+    pub n_cols: usize,
 }
 
 impl CompiledPartition {
@@ -389,14 +411,22 @@ fn compile_partition(
     let mut shared_runner: FxHashMap<usize, usize> = FxHashMap::default(); // candidate idx -> runner idx
     let mut routes: Vec<Option<Box<Routes>>> = (0..=max_ty).map(|_| None).collect();
     let mut compiled_queries = Vec::with_capacity(queries.len());
+    let mut mirror_col: Vec<Option<usize>> = Vec::new();
+    let mut n_cols = queries.len();
 
     for (qi, q) in queries.iter().enumerate() {
         let segments = plan
             .decompose(q)
             .map_err(|e| CompileError::PlanInvalid(e.to_string()))?;
         let n_stages = segments.len();
+        let chain_base = mirror_col.len();
+        mirror_col.resize(chain_base + n_stages.saturating_sub(1), None);
         for (stage, seg) in segments.iter().enumerate() {
             if seg.pattern.len() == 1 {
+                if stage > 0 {
+                    mirror_col[chain_base + stage - 1] = Some(n_cols);
+                    n_cols += 1;
+                }
                 let t = seg.pattern.start_type();
                 routes[t.index()]
                     .get_or_insert_with(Default::default)
@@ -454,6 +484,7 @@ fn compile_partition(
         compiled_queries.push(CompiledQuery {
             id: q.id,
             n_stages,
+            chain_base,
             output: output_kind(q),
         });
     }
@@ -473,6 +504,8 @@ fn compile_partition(
         predicates,
         contrib_target,
         count_only,
+        mirror_col,
+        n_cols,
     })
 }
 

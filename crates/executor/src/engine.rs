@@ -2,20 +2,26 @@
 //!
 //! One [`Engine`] evaluates one compiled partition (queries with identical
 //! predicates, grouping, window, and aggregate — assumption (2) / §7.2).
-//! Per `GROUP BY` partition it maintains:
+//! Per `GROUP BY` partition it maintains one flat block (README, "Group
+//! state"):
 //!
-//! * one [`SegmentRunner`] per runner slot — shared runners are updated
-//!   *once* per event regardless of how many queries subscribe (the gain of
-//!   the Shared method, Eq. 7);
-//! * per query, the *chain combination* state: a [`ChainLog`] per stage
-//!   recording the combined contributions `R_i` per window, and per live
-//!   START event of each stage's segment, the log **offset** at its
-//!   arrival — the Shared method's "count(prefix) at the time c arrives"
-//!   (Section 3.3 step 2, Example 3). A completion batch folds in
-//!   `O(log entries + starts + windows)` via suffix sums and a
-//!   difference array (see [`ChainLog`]);
-//! * per query, the final per-window accumulators, emitted when windows
-//!   close.
+//! * a **runner plane**: one [`SegmentRunner`] per runner slot — shared
+//!   runners are updated *once* per event regardless of how many queries
+//!   subscribe (the gain of the Shared method, Eq. 7). Each live START
+//!   event carries, beside its prefix aggregates, the [`ChainLog`]
+//!   **offset** at its arrival for every chain stage it feeds — the Shared
+//!   method's "count(prefix) at the time c arrives" (Section 3.3 step 2,
+//!   Example 3);
+//! * per query and chain stage but the last, a [`ChainLog`] of the
+//!   combined contributions `R_i` per window. A completion batch folds in
+//!   `O(log entries + starts + windows)` via suffix sums and a difference
+//!   array (see [`ChainLog`]);
+//! * a **window plane**: one [`WindowPlane`] holding every per-window
+//!   accumulator of the group — the queries' finals, emitted when windows
+//!   close, and the chain-log mirrors that length-1 stages read.
+//!
+//! A row pays for the roles its type plays; closing windows, expiring
+//! START events and trimming logs are paid once per group and slide.
 
 use crate::agg::{Aggregate, Contribution, CountCell, StatsCell};
 use crate::chainlog::ChainLog;
@@ -27,45 +33,34 @@ use crate::results::ExecutorResults;
 use crate::runner::SegmentRunner;
 use crate::scan::ScanKernel;
 use crate::spill::{SpillConfig, SpillStore};
-use crate::winvec::WinVec;
+use crate::winvec::WindowPlane;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{
     fx_hash_one, Catalog, Event, EventBatch, EventStream, EventTypeId, FxHashMap, FxHashSet,
     GroupKey, Timestamp, Value,
 };
-use std::collections::VecDeque;
 
-/// Per-group runtime state.
+/// Per-group runtime state: one block laid out by the compiled partition.
 struct GroupRuntime<A> {
     /// True once the sharded router split this (hot) group across shards:
     /// window closes then emit per-window **sub-aggregates** into the
     /// engine's [`PartialResults`] instead of final values, and the
     /// sharded merge step combines the shards' parts.
     split: bool,
-    runners: Vec<SegmentRunner<A>>,
-    /// `offs[q][stage]`: per live START event of the stage's segment, the
-    /// chain-log offset at its arrival (unused for stage 0 / unit stages).
-    offs: Vec<Vec<VecDeque<u64>>>,
-    /// `chains[q][stage]`: contribution log of `R_stage`
-    /// (stages `0 .. n_stages−1`).
-    chains: Vec<Vec<ChainLog<A>>>,
-    /// Per-window mirror of each chain log (same contributions, folded
-    /// per window) — read by stateless length-1 stages, which need the
-    /// current totals rather than the history.
-    mirrors: Vec<Vec<WinVec<A>>>,
-    /// Final per-window accumulators, one per query.
-    finals: Vec<WinVec<A>>,
-    /// Window-close watermark: windows with `seq < closed_before` have
-    /// been emitted for this group.
-    closed_before: u64,
-    /// Expiration watermark (ms): START events at or before it are gone.
-    expired_through: Timestamp,
     /// Recency stamp from the engine's access clock, read by the spill
     /// tier's eviction sweep (not persisted — recency is run-local).
     last_use: u64,
     /// This group's id in the engine's result log (not persisted: a
     /// restored or paged-in group re-interns).
     result_id: ResultId,
+    /// Column `q` is query `q`'s final accumulator; the rest mirror chain
+    /// logs (`CompiledPartition::mirror_col`). Its first open window is
+    /// the group's close watermark.
+    plane: WindowPlane<A>,
+    runners: Box<[SegmentRunner<A>]>,
+    /// Log `queries[q].chain_base + stage` records `R_stage` of query `q`
+    /// (stages `0 .. n_stages − 1`).
+    chains: Box<[ChainLog<A>]>,
 }
 
 /// Where an engine's closing windows go.
@@ -107,39 +102,15 @@ impl<A: Aggregate> GroupRuntime<A> {
     fn new(part: &CompiledPartition) -> Self {
         GroupRuntime {
             split: false,
+            last_use: 0,
+            result_id: ResultId::default(),
+            plane: WindowPlane::new(part.window.max_open(), part.n_cols),
             runners: part
                 .runners
                 .iter()
-                .map(|r| SegmentRunner::new(r.len))
+                .map(|r| SegmentRunner::new(r.len, r.start_subs.len()))
                 .collect(),
-            offs: part
-                .queries
-                .iter()
-                .map(|q| (0..q.n_stages).map(|_| VecDeque::new()).collect())
-                .collect(),
-            chains: part
-                .queries
-                .iter()
-                .map(|q| {
-                    (0..q.n_stages.saturating_sub(1))
-                        .map(|_| ChainLog::new())
-                        .collect()
-                })
-                .collect(),
-            mirrors: part
-                .queries
-                .iter()
-                .map(|q| {
-                    (0..q.n_stages.saturating_sub(1))
-                        .map(|_| WinVec::new())
-                        .collect()
-                })
-                .collect(),
-            finals: part.queries.iter().map(|_| WinVec::new()).collect(),
-            closed_before: 0,
-            expired_through: Timestamp::ZERO,
-            last_use: 0,
-            result_id: ResultId::default(),
+            chains: part.mirror_col.iter().map(|_| ChainLog::new()).collect(),
         }
     }
 
@@ -149,169 +120,59 @@ impl<A: Aggregate> GroupRuntime<A> {
     /// so spilled state checkpoints without a decode/re-encode cycle.
     fn save_state(&self, w: &mut StateWriter) {
         w.bool(self.split);
-        w.u64(self.closed_before);
-        w.time(self.expired_through);
+        self.plane.save_state(w);
         w.seq_len(self.runners.len());
-        for r in &self.runners {
+        for r in self.runners.iter() {
             r.save_state(w);
         }
-        w.seq_len(self.offs.len());
-        for q in &self.offs {
-            w.seq_len(q.len());
-            for dq in q {
-                w.seq_len(dq.len());
-                for &off in dq {
-                    w.u64(off);
-                }
-            }
-        }
         w.seq_len(self.chains.len());
-        for q in &self.chains {
-            w.seq_len(q.len());
-            for log in q {
-                log.save_state(w);
-            }
-        }
-        w.seq_len(self.mirrors.len());
-        for q in &self.mirrors {
-            w.seq_len(q.len());
-            for m in q {
-                m.save_state(w);
-            }
-        }
-        w.seq_len(self.finals.len());
-        for f in &self.finals {
-            f.save_state(w);
+        for log in self.chains.iter() {
+            log.save_state(w);
         }
     }
 
-    /// Decode a group written by [`GroupRuntime::save_state`], validating
+    /// Decode a group written by [`GroupRuntime::save_state`], checking
     /// every dimension against the compiled partition the state claims to
     /// belong to.
     fn load_state(r: &mut StateReader<'_>, part: &CompiledPartition) -> Result<Self, StateError> {
         let split = r.bool()?;
-        let closed_before = r.u64()?;
-        let expired_through = r.time()?;
-        let n_runners = r.seq_len()?;
-        if n_runners != part.runners.len() {
+        let plane = WindowPlane::load_state(r, part.window.max_open(), part.n_cols)?;
+        if r.seq_len()? != part.runners.len() {
             return Err(StateError::Corrupt("group runner count"));
         }
-        let mut runners = Vec::with_capacity(n_runners);
-        for _ in 0..n_runners {
-            runners.push(SegmentRunner::load_state(r)?);
+        let runners = part
+            .runners
+            .iter()
+            .map(|spec| SegmentRunner::load_state(r, spec.len, spec.start_subs.len()))
+            .collect::<Result<_, _>>()?;
+        if r.seq_len()? != part.mirror_col.len() {
+            return Err(StateError::Corrupt("group chain-log count"));
         }
-        let n_q = r.seq_len()?;
-        if n_q != part.queries.len() {
-            return Err(StateError::Corrupt("group query count (offs)"));
-        }
-        let mut offs = Vec::with_capacity(n_q);
-        for q in &part.queries {
-            let n_stages = r.seq_len()?;
-            if n_stages != q.n_stages {
-                return Err(StateError::Corrupt("group stage count (offs)"));
-            }
-            let mut per_stage = Vec::with_capacity(n_stages);
-            for _ in 0..n_stages {
-                let n = r.seq_len()?;
-                let mut dq = VecDeque::with_capacity(n);
-                for _ in 0..n {
-                    dq.push_back(r.u64()?);
-                }
-                per_stage.push(dq);
-            }
-            offs.push(per_stage);
-        }
-        if r.seq_len()? != part.queries.len() {
-            return Err(StateError::Corrupt("group query count (chains)"));
-        }
-        let mut chains = Vec::with_capacity(n_q);
-        for q in &part.queries {
-            let n = r.seq_len()?;
-            if n != q.n_stages.saturating_sub(1) {
-                return Err(StateError::Corrupt("group stage count (chains)"));
-            }
-            let mut per_stage = Vec::with_capacity(n);
-            for _ in 0..n {
-                per_stage.push(ChainLog::load_state(r)?);
-            }
-            chains.push(per_stage);
-        }
-        if r.seq_len()? != part.queries.len() {
-            return Err(StateError::Corrupt("group query count (mirrors)"));
-        }
-        let mut mirrors = Vec::with_capacity(n_q);
-        for q in &part.queries {
-            let n = r.seq_len()?;
-            if n != q.n_stages.saturating_sub(1) {
-                return Err(StateError::Corrupt("group stage count (mirrors)"));
-            }
-            let mut per_stage = Vec::with_capacity(n);
-            for _ in 0..n {
-                per_stage.push(WinVec::load_state(r)?);
-            }
-            mirrors.push(per_stage);
-        }
-        if r.seq_len()? != part.queries.len() {
-            return Err(StateError::Corrupt("group query count (finals)"));
-        }
-        let mut finals = Vec::with_capacity(n_q);
-        for _ in 0..n_q {
-            finals.push(WinVec::load_state(r)?);
-        }
+        let chains = part
+            .mirror_col
+            .iter()
+            .map(|_| ChainLog::load_state(r))
+            .collect::<Result<_, _>>()?;
         Ok(GroupRuntime {
             split,
-            runners,
-            offs,
-            chains,
-            mirrors,
-            finals,
-            closed_before,
-            expired_through,
             last_use: 0,
             result_id: ResultId::default(),
+            plane,
+            runners,
+            chains,
         })
     }
 
-    /// Rough number of live aggregate cells (memory proxy).
+    /// Live aggregate cells (memory proxy): the cells and offsets of live
+    /// START events, chain-log entries, non-zero cells of open windows.
     fn cell_count(&self) -> usize {
-        self.runners
-            .iter()
-            .map(SegmentRunner::cell_count)
-            .sum::<usize>()
+        self.plane.live_cells()
             + self
-                .chains
+                .runners
                 .iter()
-                .flatten()
-                .map(ChainLog::len)
+                .map(SegmentRunner::cell_count)
                 .sum::<usize>()
-            + self
-                .mirrors
-                .iter()
-                .flatten()
-                .map(WinVec::len)
-                .sum::<usize>()
-            + self.finals.iter().map(WinVec::len).sum::<usize>()
-            + self.offs.iter().flatten().map(VecDeque::len).sum::<usize>()
-    }
-}
-
-/// Where a fold's per-window totals land: a later chain stage's log or
-/// the query's final accumulators.
-enum FoldTarget<'a, A: Aggregate> {
-    Final(&'a mut WinVec<A>),
-    Log(&'a mut ChainLog<A>, &'a mut WinVec<A>),
-}
-
-impl<A: Aggregate> FoldTarget<'_, A> {
-    #[inline]
-    fn add_range(&mut self, t: Timestamp, lo: u64, hi: u64, v: A) {
-        match self {
-            FoldTarget::Final(w) => w.add_range(t, lo, hi, v),
-            FoldTarget::Log(l, m) => {
-                l.add_range(t, lo, hi, v);
-                m.add_range(t, lo, hi, v);
-            }
-        }
+            + self.chains.iter().map(ChainLog::len).sum::<usize>()
     }
 }
 
@@ -321,11 +182,11 @@ struct FoldScratch<A> {
     completions: Vec<(usize, Timestamp, A)>,
     /// Suffix sums of the completion deltas.
     suffix: Vec<A>,
-    /// Difference-array / dense window accumulators.
-    add_at: Vec<A>,
+    /// Per-window totals of the current fold, one per open window: a
+    /// difference array with `remove_after` while accumulating when the
+    /// cell supports subtraction, dense otherwise.
+    totals: Vec<A>,
     remove_after: Vec<A>,
-    /// Reused emission buffer for closing windows (see `Engine::touch`).
-    emit: Vec<(u64, A)>,
 }
 
 impl<A: Aggregate> FoldScratch<A> {
@@ -333,9 +194,48 @@ impl<A: Aggregate> FoldScratch<A> {
         FoldScratch {
             completions: Vec::new(),
             suffix: Vec::new(),
-            add_at: Vec::new(),
+            totals: Vec::new(),
             remove_after: Vec::new(),
-            emit: Vec::new(),
+        }
+    }
+
+    /// Zero the fold buffers for `width` open windows.
+    fn reset(&mut self, width: usize) {
+        self.totals.clear();
+        self.totals.resize(width, A::ZERO);
+        if A::SUBTRACTABLE {
+            self.remove_after.clear();
+            self.remove_after.resize(width, A::ZERO);
+        }
+    }
+
+    /// Accumulate `value × multiplier` over windows `lo..=hi` (indexes
+    /// into the open range).
+    #[inline]
+    fn accumulate(&mut self, lo: usize, hi: usize, value: A, multiplier: &A) {
+        let contribution = value.cross(multiplier);
+        if contribution.is_zero() {
+            return;
+        }
+        if A::SUBTRACTABLE {
+            self.totals[lo].merge(&contribution);
+            self.remove_after[hi].merge(&contribution);
+        } else {
+            for w in lo..=hi {
+                self.totals[w].merge(&contribution);
+            }
+        }
+    }
+
+    /// Turn the accumulated difference array into per-window totals.
+    fn materialize(&mut self) {
+        if A::SUBTRACTABLE {
+            let mut running = A::ZERO;
+            for (total, removed) in self.totals.iter_mut().zip(&self.remove_after) {
+                running.merge(total);
+                *total = running;
+                running.sub_assign(removed);
+            }
         }
     }
 }
@@ -697,14 +597,7 @@ impl<A: Aggregate> Engine<A> {
             }
         }
 
-        Self::touch(
-            grt,
-            &self.part,
-            time,
-            &mut self.out,
-            &self.key_scratch,
-            &mut self.scratch.emit,
-        );
+        Self::touch(grt, &self.part, time, &mut self.out, &self.key_scratch);
 
         let c = Self::contribution(&self.part, ty, attrs);
         Self::dispatch(
@@ -867,29 +760,51 @@ impl<A: Aggregate> Engine<A> {
         }
     }
 
-    /// Drain every remaining final window of one group into `results`
-    /// (or `partials` for split groups) — the shared tail of
+    /// Close every window of one group before `close_seq`, oldest first,
+    /// into `results` (or `partials` for split groups); zero finals are
+    /// not results.
+    fn close_windows(
+        part: &CompiledPartition,
+        key: &GroupKey,
+        grt: &mut GroupRuntime<A>,
+        out: &mut Output,
+        close_seq: u64,
+    ) {
+        let GroupRuntime {
+            split,
+            result_id,
+            plane,
+            ..
+        } = grt;
+        let slide = part.window.slide.millis();
+        plane.close_before(close_seq, |seq, cells| {
+            let window = Timestamp(seq * slide);
+            for (v, q) in cells.iter().zip(&part.queries) {
+                if v.is_zero() {
+                    continue;
+                }
+                if *split {
+                    out.partials
+                        .push(q.id, key.clone(), window, v.to_partial(), q.output);
+                } else {
+                    let gid = result_id.resolve(out.epoch, key, &mut out.results);
+                    out.results
+                        .emit_interned(q.id, gid, window, v.output(q.output));
+                }
+            }
+        });
+    }
+
+    /// Drain every remaining window of one group — the shared tail of
     /// `finish_parts`, spilled-group finalization, and replica eviction.
+    /// The group is dropped afterwards.
     fn drain_group(
         part: &CompiledPartition,
         key: &GroupKey,
         grt: &mut GroupRuntime<A>,
         out: &mut Output,
     ) {
-        let split = grt.split;
-        for (f, q) in grt.finals.iter_mut().zip(&part.queries) {
-            for (seq, v) in f.drain_before(u64::MAX) {
-                let window = Timestamp(seq * part.window.slide.millis());
-                if split {
-                    out.partials
-                        .push(q.id, key.clone(), window, v.to_partial(), q.output);
-                } else {
-                    let gid = grt.result_id.resolve(out.epoch, key, &mut out.results);
-                    out.results
-                        .emit_interned(q.id, gid, window, v.output(q.output));
-                }
-            }
-        }
+        Self::close_windows(part, key, grt, out, u64::MAX);
     }
 
     /// Serialize this engine's full evaluation state into a checkpoint
@@ -1206,161 +1121,93 @@ impl<A: Aggregate> Engine<A> {
         }
     }
 
-    /// Expire START events and emit/close finished windows for one group.
-    ///
-    /// `emit_buf` is a reused scratch buffer for the drained
-    /// `(window, value)` pairs — window closes allocate nothing in steady
-    /// state. Split groups emit per-window sub-aggregate cells into
-    /// `partials` (merged across shards later) instead of final values.
+    /// Bring one group up to `now` before a row at `now` is dispatched:
+    /// adds of earlier timestamps become readable, and once per slide the
+    /// windows that ended are closed. On every other row this is two
+    /// compares.
+    #[inline]
     fn touch(
         grt: &mut GroupRuntime<A>,
         part: &CompiledPartition,
         now: Timestamp,
         out: &mut Output,
         key: &GroupKey,
-        emit_buf: &mut Vec<(u64, A)>,
+    ) {
+        grt.plane.settle(now);
+        let spec = part.window;
+        // the oldest open window ends at `first_seq × slide + within`
+        if now.millis() >= grt.plane.first_seq() * spec.slide.millis() + spec.within.millis() {
+            Self::slide_group(grt, part, now, out, key);
+        }
+    }
+
+    /// The per-slide maintenance of one group: close the windows that
+    /// ended by `now` (split groups emit per-window sub-aggregate cells
+    /// into `partials`, merged across shards later), expire the START
+    /// events no open window can hold, and drop the chain-log entries
+    /// that only fed closed windows.
+    fn slide_group(
+        grt: &mut GroupRuntime<A>,
+        part: &CompiledPartition,
+        now: Timestamp,
+        out: &mut Output,
+        key: &GroupKey,
     ) {
         let spec = part.window;
-        // expire: a START event at time s is dead once now − s ≥ within
-        if now.millis() >= spec.within.millis() {
-            let cutoff = Timestamp(now.millis() - spec.within.millis());
-            if cutoff > grt.expired_through {
-                grt.expired_through = cutoff;
-                for (ri, runner) in grt.runners.iter_mut().enumerate() {
-                    let dropped = runner.expire(cutoff);
-                    if dropped > 0 {
-                        for &(q, s) in &part.runners[ri].start_subs {
-                            let dq = &mut grt.offs[q][s];
-                            for _ in 0..dropped {
-                                dq.pop_front();
-                            }
-                        }
-                    }
-                }
-            }
+        let close_seq = spec.first_start_covering(now).millis() / spec.slide.millis();
+        Self::close_windows(part, key, grt, out, close_seq);
+        let dead_before = Self::dead_before(part, now);
+        for runner in grt.runners.iter_mut() {
+            runner.expire(dead_before);
         }
-        // close windows whose end ≤ now — only when the close watermark
-        // actually advanced (it moves once per slide, not per event)
-        let slide = spec.slide.millis();
-        let close_seq = spec.first_start_covering(now).millis() / slide;
-        if close_seq <= grt.closed_before {
-            return;
-        }
-        grt.closed_before = close_seq;
-        for (f, q) in grt.finals.iter_mut().zip(&part.queries) {
-            emit_buf.clear();
-            f.drain_before_into(close_seq, emit_buf);
-            if emit_buf.is_empty() {
-                continue;
-            }
-            if grt.split {
-                for &(seq, v) in emit_buf.iter() {
-                    out.partials.push(
-                        q.id,
-                        key.clone(),
-                        Timestamp(seq * slide),
-                        v.to_partial(),
-                        q.output,
-                    );
-                }
-            } else {
-                let gid = grt.result_id.resolve(out.epoch, key, &mut out.results);
-                for &(seq, v) in emit_buf.iter() {
-                    out.results.emit_interned(
-                        q.id,
-                        gid,
-                        Timestamp(seq * slide),
-                        v.output(q.output),
-                    );
-                }
-            }
-        }
-        for cq in grt.chains.iter_mut() {
-            for log in cq.iter_mut() {
-                log.drop_dead(close_seq);
-            }
-        }
-        for mq in grt.mirrors.iter_mut() {
-            for m in mq.iter_mut() {
-                m.drop_before(close_seq);
-            }
+        for log in grt.chains.iter_mut() {
+            log.drop_dead(close_seq);
         }
     }
 
-    /// Materialize the accumulated window totals (difference-array form
-    /// when the cell supports subtraction, dense otherwise) and emit them
-    /// run-compressed into `target`.
-    fn emit_totals(
-        scratch: &mut FoldScratch<A>,
-        target: &mut FoldTarget<'_, A>,
+    /// START events before this time are dead at `now`: a START at `s` can
+    /// share no window with `now` once `now − s ≥ within`.
+    #[inline]
+    fn dead_before(part: &CompiledPartition, now: Timestamp) -> Timestamp {
+        Timestamp((now.millis() + 1).saturating_sub(part.window.within.millis()))
+    }
+
+    /// Fold `totals` — an event's contribution at `t` to windows
+    /// `min_seq ..` — into stage `stage` of query `q`: the query's final
+    /// column if the stage is its last (written directly: nothing reads a
+    /// final before its window closes), else the stage's chain log,
+    /// run-compressed, and its mirror column where a unit stage reads one
+    /// (pending: that reader may carry the same timestamp).
+    fn fold_totals(
+        part: &CompiledPartition,
+        plane: &mut WindowPlane<A>,
+        chains: &mut [ChainLog<A>],
+        (q, stage): (usize, usize),
         t: Timestamp,
         min_seq: u64,
-        width: usize,
+        totals: &[A],
     ) {
-        let mut running = A::ZERO;
-        let mut run_start = 0usize;
-        let mut run_val = A::ZERO;
-        let mut run_open = false;
-        for i in 0..width {
-            if A::SUBTRACTABLE {
-                running.merge(&scratch.add_at[i]);
-            } else {
-                running = scratch.add_at[i];
+        let query = &part.queries[q];
+        if stage + 1 == query.n_stages {
+            return plane.add_dense(q, min_seq, totals);
+        }
+        let chain = query.chain_base + stage;
+        let mut lo = 0;
+        while lo < totals.len() {
+            let value = totals[lo];
+            let mut end = lo + 1;
+            while end < totals.len() && totals[end] == value {
+                end += 1;
             }
-            let cur = running;
-            if run_open && cur != run_val {
-                if !run_val.is_zero() {
-                    target.add_range(
-                        t,
-                        min_seq + run_start as u64,
-                        min_seq + i as u64 - 1,
-                        run_val,
-                    );
+            if !value.is_zero() {
+                let (seq_lo, seq_hi) = (min_seq + lo as u64, min_seq + end as u64 - 1);
+                chains[chain].add_range(t, seq_lo, seq_hi, value);
+                if let Some(col) = part.mirror_col[chain] {
+                    plane.add_pending(t, col, seq_lo, seq_hi, value);
                 }
-                run_start = i;
-                run_val = cur;
-            } else if !run_open {
-                run_open = true;
-                run_start = i;
-                run_val = cur;
             }
-            if A::SUBTRACTABLE {
-                running.sub_assign(&scratch.remove_after[i]);
-            }
+            lo = end;
         }
-        if run_open && !run_val.is_zero() {
-            target.add_range(
-                t,
-                min_seq + run_start as u64,
-                min_seq + width as u64 - 1,
-                run_val,
-            );
-        }
-    }
-
-    /// Accumulate `value × multiplier` over windows `lo..=hi` (already
-    /// clamped to the open range) into the fold buffers.
-    #[inline]
-    fn accumulate(scratch: &mut FoldScratch<A>, li: usize, hi: usize, value: A, multiplier: &A) {
-        let contribution = value.cross(multiplier);
-        if contribution.is_zero() {
-            return;
-        }
-        if A::SUBTRACTABLE {
-            scratch.add_at[li].merge(&contribution);
-            scratch.remove_after[hi].merge(&contribution);
-        } else {
-            for w in li..=hi {
-                scratch.add_at[w].merge(&contribution);
-            }
-        }
-    }
-
-    fn reset_buffers(scratch: &mut FoldScratch<A>, width: usize) {
-        scratch.add_at.clear();
-        scratch.add_at.resize(width, A::ZERO);
-        scratch.remove_after.clear();
-        scratch.remove_after.resize(width, A::ZERO);
     }
 
     /// Route one in-group event through all its runner and unit roles.
@@ -1380,44 +1227,58 @@ impl<A: Aggregate> Engine<A> {
         fold_finals: bool,
         scratch: &mut FoldScratch<A>,
     ) {
-        let spec = part.window;
-        let slide = spec.slide.millis();
-        let min_seq = spec.first_start_covering(t).millis() / slide;
-        let last_seq = spec.last_start_covering(t).millis() / slide;
-        let width = (last_seq - min_seq + 1) as usize;
-
         let GroupRuntime {
+            plane,
             runners,
-            offs,
             chains,
-            mirrors,
-            finals,
             ..
         } = grt;
+        let slide = part.window.slide.millis();
+        // `touch` closed everything that ended by `t`
+        let min_seq = plane.first_seq();
+        let last_seq = t.millis() / slide;
+        debug_assert_eq!(
+            min_seq * slide,
+            part.window.first_start_covering(t).millis()
+        );
+        let width = (last_seq - min_seq + 1) as usize;
+        let is_final = |&(q, stage): &(usize, usize)| stage + 1 == part.queries[q].n_stages;
+        let dead_before = Self::dead_before(part, t);
 
         for &(ri, pos) in &routes.runner_roles {
             let rspec = &part.runners[ri];
-            if pos + 1 == rspec.len {
-                // state-only replicas skip ENDs whose every completion
-                // folds into a final accumulator — nothing they may write
-                if !fold_finals
-                    && rspec
-                        .completion_subs
-                        .iter()
-                        .all(|&(q, stage)| stage + 1 == part.queries[q].n_stages)
-                {
-                    continue;
+            let runner = &mut runners[ri];
+            runner.expire(dead_before);
+            if pos == 0 {
+                // START of the segment: open a live START record holding
+                // the chain-log offset of every stage > 0 it feeds
+                let offs = runner.on_start(t, c);
+                for (off, &(q, stage)) in offs.iter_mut().zip(&rspec.start_subs) {
+                    *off = chains[part.queries[q].chain_base + stage - 1].offset_at(t);
                 }
-                // END of the segment: collect per-START completion deltas
-                scratch.completions.clear();
-                runners[ri].on_end(t, c, |idx, st, d| {
-                    scratch.completions.push((idx, st, d));
-                });
-                if scratch.completions.is_empty() {
-                    continue;
-                }
-                // suffix sums δᵢ + δᵢ₊₁ + … (needed by stage > 0 folds)
-                let n_comp = scratch.completions.len();
+                continue;
+            }
+            if pos + 1 < rspec.len {
+                runner.on_mid(pos, t, c);
+                continue;
+            }
+            // END of the segment. State-only replicas skip ENDs whose every
+            // completion folds into a final accumulator — nothing they may
+            // write
+            if !fold_finals && rspec.completion_subs.iter().all(is_final) {
+                continue;
+            }
+            // collect per-START completion deltas
+            scratch.completions.clear();
+            runner.on_end(t, c, |idx, st, d| {
+                scratch.completions.push((idx, st, d));
+            });
+            let n_comp = scratch.completions.len();
+            if n_comp == 0 {
+                continue;
+            }
+            // suffix sums δᵢ + δᵢ₊₁ + … (needed by stage > 0 folds)
+            if !rspec.start_subs.is_empty() {
                 scratch.suffix.clear();
                 scratch.suffix.resize(n_comp, A::ZERO);
                 let mut acc = A::ZERO;
@@ -1425,103 +1286,84 @@ impl<A: Aggregate> Engine<A> {
                     acc.merge(&scratch.completions[i].2);
                     scratch.suffix[i] = acc;
                 }
-                for &(q, stage) in &rspec.completion_subs {
-                    let n = part.queries[q].n_stages;
-                    if !fold_finals && stage + 1 == n {
-                        continue; // replica: final folds happen elsewhere
-                    }
-                    Self::reset_buffers(scratch, width);
-                    if stage == 0 {
-                        // leftmost segment: a completion starting in window
-                        // `hi` belongs to every open window up to `hi`
-                        let one = A::unit(Contribution::NONE);
-                        for i in 0..n_comp {
-                            let (_, st, delta) = scratch.completions[i];
-                            let hi = st.millis() / slide;
-                            if hi >= min_seq {
-                                let hi_i = (hi.min(last_seq) - min_seq) as usize;
-                                Self::accumulate(scratch, 0, hi_i, delta, &one);
-                            }
-                        }
-                    } else {
-                        // chain fold: Σᵢ R(tᵢ) × δᵢ over the log
-                        // (two-pointer over entries and START offsets)
-                        let log = &mut chains[q][stage - 1];
-                        log.settle(t);
-                        let stage_offs = &offs[q][stage];
-                        let mut p = 0usize;
-                        for (j, entry) in log.iter() {
-                            while p < n_comp && stage_offs[scratch.completions[p].0] <= j {
-                                p += 1;
-                            }
-                            if p == n_comp {
-                                break;
-                            }
-                            let lo = entry.lo.max(min_seq);
-                            if lo > entry.hi {
-                                continue;
-                            }
-                            let li = (lo - min_seq) as usize;
-                            let hi_i = (entry.hi.min(last_seq) - min_seq) as usize;
-                            let mult = scratch.suffix[p];
-                            let value = entry.value;
-                            Self::accumulate(scratch, li, hi_i, value, &mult);
-                        }
-                    }
-                    let mut target = if stage + 1 == n {
-                        FoldTarget::Final(&mut finals[q])
-                    } else {
-                        FoldTarget::Log(&mut chains[q][stage], &mut mirrors[q][stage])
-                    };
-                    Self::emit_totals(scratch, &mut target, t, min_seq, width);
+            }
+            // subscription `k` of `start_subs` is the `k`-th stage > 0 one
+            let mut k = 0;
+            // the stage-0 totals depend on the completions alone: computed
+            // for the first stage-0 subscriber, they serve the following
+            // ones while `scratch.totals` still holds them
+            let mut have_stage0 = false;
+            for sub in &rspec.completion_subs {
+                let (q, stage) = *sub;
+                let slot = k;
+                k += usize::from(stage > 0);
+                if !fold_finals && is_final(sub) {
+                    continue; // replica: final folds happen elsewhere
                 }
-            } else if pos == 0 {
-                // START of the segment: open a live START entry and record
-                // the chain-log offset for stages > 0
-                runners[ri].on_start(t, c);
-                for &(q, stage) in &rspec.start_subs {
-                    let off = chains[q][stage - 1].offset_at(t);
-                    offs[q][stage].push_back(off);
+                if stage > 0 {
+                    // chain fold: Σᵢ R(tᵢ) × δᵢ over the log
+                    // (two-pointer over entries and START offsets)
+                    have_stage0 = false;
+                    scratch.reset(width);
+                    let log = &chains[part.queries[q].chain_base + stage - 1];
+                    let mut p = 0usize;
+                    for (j, entry) in log.iter_before(t) {
+                        while p < n_comp && runner.offset(scratch.completions[p].0, slot) <= j {
+                            p += 1;
+                        }
+                        if p == n_comp {
+                            break;
+                        }
+                        let lo = entry.lo.max(min_seq);
+                        if lo > entry.hi {
+                            continue;
+                        }
+                        let li = (lo - min_seq) as usize;
+                        let hi_i = (entry.hi.min(last_seq) - min_seq) as usize;
+                        let mult = scratch.suffix[p];
+                        scratch.accumulate(li, hi_i, entry.value, &mult);
+                    }
+                    scratch.materialize();
+                } else if !have_stage0 {
+                    // leftmost segment: a completion starting in window
+                    // `hi` belongs to every open window up to `hi`
+                    have_stage0 = true;
+                    scratch.reset(width);
+                    let one = A::unit(Contribution::NONE);
+                    for i in 0..n_comp {
+                        let (_, st, delta) = scratch.completions[i];
+                        let hi = st.millis() / slide;
+                        if hi >= min_seq {
+                            let hi_i = (hi.min(last_seq) - min_seq) as usize;
+                            scratch.accumulate(0, hi_i, delta, &one);
+                        }
+                    }
+                    scratch.materialize();
                 }
-            } else {
-                runners[ri].on_mid(pos, t, c);
+                Self::fold_totals(part, plane, chains, *sub, t, min_seq, &scratch.totals);
             }
         }
 
         // stateless length-1 segments: START and END coincide
-        for &(q, stage) in &routes.unit_roles {
-            let n = part.queries[q].n_stages;
-            if !fold_finals && stage + 1 == n {
+        for sub in &routes.unit_roles {
+            if !fold_finals && is_final(sub) {
                 continue; // replica: final folds happen elsewhere
             }
+            let (q, stage) = *sub;
             let delta = A::unit(c);
+            scratch.totals.clear();
             if stage == 0 {
-                let mut target = if n == 1 {
-                    FoldTarget::Final(&mut finals[q])
-                } else {
-                    FoldTarget::Log(&mut chains[q][0], &mut mirrors[q][0])
-                };
-                target.add_range(t, min_seq, last_seq, delta);
+                scratch.totals.resize(width, delta);
             } else {
                 // immediate combination: (all chains completed before now)
-                // × this single event — the mirror holds the current
-                // per-window totals, O(open windows)
-                let snap = mirrors[q][stage - 1].snapshot(t);
-                let mut target = if stage + 1 == n {
-                    FoldTarget::Final(&mut finals[q])
-                } else {
-                    FoldTarget::Log(&mut chains[q][stage], &mut mirrors[q][stage])
-                };
-                for (seq, v) in snap.iter() {
-                    if seq < min_seq {
-                        continue;
-                    }
-                    let contribution = v.cross(&delta);
-                    if !contribution.is_zero() {
-                        target.add_range(t, seq, seq, contribution);
-                    }
-                }
+                // × this single event — the mirror column holds the current
+                // per-window totals and is read in place, O(open windows)
+                let col = part.mirror_col[part.queries[q].chain_base + stage - 1]
+                    .expect("a unit stage's predecessor is mirrored");
+                let read = (min_seq..=last_seq).map(|seq| plane.get(col, seq).cross(&delta));
+                scratch.totals.extend(read);
             }
+            Self::fold_totals(part, plane, chains, *sub, t, min_seq, &scratch.totals);
         }
     }
 
@@ -2640,6 +2482,87 @@ mod tests {
             resumed.finish().semantically_eq(&want, 0.0),
             "snapshot + restore + replay must equal the uninterrupted run"
         );
+    }
+
+    fn engine_blob(ex: &mut Executor) -> Vec<u8> {
+        let Executor::__Internal(engines) = ex;
+        let mut sw = StateWriter::new();
+        engines[0].save_state(&mut sw);
+        sw.into_bytes()
+    }
+
+    #[test]
+    fn a_group_touched_after_a_gap_checkpoints_no_dead_start() {
+        // 30 STARTs of (A, B, C) whose B never arrives, a gap, then an X
+        // that plays no role in that runner: only the per-slide
+        // maintenance can expire them. The checkpoint must equal, byte
+        // for byte, that of an engine whose first 30 rows left no state
+        let mut c = Catalog::new();
+        let w = parse_workload(
+            &mut c,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(A, B, C) WITHIN 10 ms SLIDE 5 ms",
+                "RETURN COUNT(*) PATTERN SEQ(X, Y) WITHIN 10 ms SLIDE 5 ms",
+            ],
+        )
+        .unwrap();
+        let blob_after = |burst: &str| {
+            let mut ex = Executor::non_shared(&c, &w).unwrap();
+            for t in 1..=30 {
+                ex.process(&ev(c.lookup(burst).unwrap(), t));
+            }
+            ex.process(&ev(c.lookup("X").unwrap(), 1_000_000));
+            assert_eq!(ex.cell_count(), 1, "after a burst of {burst}");
+            engine_blob(&mut ex)
+        };
+        assert_eq!(blob_after("A"), blob_after("Y"));
+    }
+
+    #[test]
+    fn spilled_groups_embed_verbatim_in_a_checkpoint() {
+        use crate::spill::SpillConfig;
+        let (c, w, events) = grouped_setup(24);
+        let dir = std::env::temp_dir().join(format!("sharon-engine-embed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ex = Executor::non_shared(&c, &w).unwrap();
+        let Executor::__Internal(engines) = &mut ex;
+        engines[0]
+            .set_spill(&SpillConfig::new(&dir, 4), "embed")
+            .unwrap();
+        let cut = events.len() / 2;
+        for e in &events[..cut] {
+            ex.process(e);
+        }
+        let blob = engine_blob(&mut ex);
+        let Executor::__Internal(engines) = &mut ex;
+        let EngineKind::Count(engine) = &mut engines[0] else {
+            panic!("a COUNT workload runs the count kernel");
+        };
+        let store = &mut engine.spill.as_mut().unwrap().store;
+        assert!(store.len() >= 16, "most groups are paged out");
+        store
+            .for_each(|key, bytes| {
+                let mut entry = StateWriter::new();
+                entry.group_key(key);
+                entry.bytes(bytes);
+                let entry = entry.into_bytes();
+                assert!(
+                    blob.windows(entry.len()).any(|w| w == entry),
+                    "group {key} must appear in the checkpoint as spilled"
+                );
+            })
+            .unwrap();
+
+        // and the checkpoint restores into an engine without a spill tier
+        let mut resumed = Executor::non_shared(&c, &w).unwrap();
+        let Executor::__Internal(engines) = &mut resumed;
+        engines[0].load_state(&mut StateReader::new(&blob)).unwrap();
+        let mut reference = Executor::non_shared(&c, &w).unwrap();
+        events.iter().for_each(|e| reference.process(e));
+        events[cut..].iter().for_each(|e| resumed.process(e));
+        assert!(resumed.finish().semantically_eq(&reference.finish(), 0.0));
+        drop(ex);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

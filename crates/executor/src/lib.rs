@@ -62,4 +62,4 @@ pub use sharded::{
     DEFAULT_ROUTERS,
 };
 pub use spill::SpillConfig;
-pub use winvec::{Snapshot, WinVec};
+pub use winvec::{WinVec, WindowPlane};

@@ -1,13 +1,18 @@
-//! Property-based tests of the aggregate cell algebra and the
-//! window/chain data structures — the laws the executor's correctness
-//! rests on (see [`crate::agg::Aggregate`]).
+//! Property-based tests of the aggregate cell algebra (the laws the
+//! executor's correctness rests on, see [`crate::agg::Aggregate`]), of the
+//! group block's planes against plain models, and of the group codec.
 
 #![cfg(test)]
 
 use crate::agg::{Aggregate, Contribution, CountCell, StatsCell};
-use crate::winvec::WinVec;
+use crate::checkpoint::{StateReader, StateWriter};
+use crate::engine::Executor;
+use crate::runner::SegmentRunner;
+use crate::winvec::{WinVec, WindowPlane};
 use proptest::prelude::*;
-use sharon_types::Timestamp;
+use sharon_query::{parse_workload, Pattern, PlanCandidate, QueryId, SharingPlan};
+use sharon_types::{Catalog, Event, Schema, TimeDelta, Timestamp, Value, WindowSpec};
+use std::collections::BTreeMap;
 
 fn contribution() -> impl Strategy<Value = Contribution> {
     (any::<bool>(), -100.0f64..100.0).prop_map(|(relevant, value)| Contribution { relevant, value })
@@ -143,7 +148,6 @@ proptest! {
         use crate::chainlog::ChainLog;
         let mut log: ChainLog<CountCell> = ChainLog::new();
         let mut t = 0u64;
-        let mut committed_times: Vec<u64> = Vec::new();
         let mut adds: Vec<u64> = Vec::new(); // times of all adds, in order
         for (dt, w, n) in ops {
             t += dt;
@@ -154,11 +158,220 @@ proptest! {
             log.add_range(Timestamp(t), w, w, CountCell(n));
             adds.push(t);
         }
-        committed_times.clear();
-        log.settle(Timestamp(t + 1));
-        for (_, e) in log.iter() {
-            committed_times.push(e.time.millis());
+        let visible_later: Vec<u64> =
+            log.iter_before(Timestamp(t + 1)).map(|(_, e)| e.time.millis()).collect();
+        prop_assert_eq!(visible_later, adds);
+    }
+    /// The window plane against a plain per-window map: random
+    /// interleavings of direct range folds (finals), pending range folds
+    /// (mirrors), in-place reads at the same and at later timestamps,
+    /// closes (also after gaps longer than the ring) and codec round
+    /// trips. Checked: strict `<` between equal timestamps, close order,
+    /// zero suppression, and that a recycled slot starts from zero.
+    #[test]
+    fn window_plane_matches_a_per_window_map(
+        open in 1u64..6,
+        slide in 1u64..4,
+        ops in prop::collection::vec((0u8..6, 0u64..12, 0usize..3, 0usize..8, 0usize..8, 1u128..50), 0..90),
+    ) {
+        const FINALS: usize = 2; // columns 0 and 1 are written directly, 2 is read in place
+        let spec = WindowSpec::new(TimeDelta(open * slide), TimeDelta(slide));
+        let mut plane: WindowPlane<CountCell> = WindowPlane::new(spec.max_open(), FINALS + 1);
+        let mut visible = BTreeMap::<(u64, usize), u128>::new();
+        let mut pending: Vec<(u64, u64, u64, u128)> = Vec::new(); // (time, lo, hi, n) on column 2
+        let mut t = 0u64;
+        let finals_before = |visible: &mut BTreeMap<(u64, usize), u128>, cutoff: u64| {
+            let closed: Vec<(u64, usize, u128)> = visible
+                .range(..(cutoff, 0))
+                .filter(|(&(_, col), _)| col < FINALS)
+                .map(|(&(seq, col), &n)| (seq, col, n))
+                .collect();
+            *visible = visible.split_off(&(cutoff, 0));
+            closed
+        };
+        let closed_by = |plane: &mut WindowPlane<CountCell>, cutoff: u64| {
+            let mut closed = Vec::new();
+            plane.close_before(cutoff, |seq, cells| {
+                let finals = cells[..FINALS].iter().enumerate();
+                closed.extend(finals.filter(|(_, c)| !c.is_zero()).map(|(col, c)| (seq, col, c.0)));
+            });
+            closed
+        };
+        for (kind, dt, col, lo, span, n) in ops {
+            // half the rows share the previous timestamp; some end a long gap
+            t += match dt { 0..=5 => 0, 6..=10 => dt - 5, _ => 7 * open * slide };
+            // what the engine does before it dispatches a row at `t`
+            plane.settle(Timestamp(t));
+            for (_, lo, hi, n) in pending.iter().filter(|p| p.0 < t) {
+                for seq in *lo..=*hi {
+                    *visible.entry((seq, FINALS)).or_insert(0) += n;
+                }
+            }
+            pending.retain(|p| p.0 >= t);
+            let min_seq = spec.first_start_covering(Timestamp(t)).millis() / slide;
+            prop_assert_eq!(closed_by(&mut plane, min_seq), finals_before(&mut visible, min_seq));
+            prop_assert_eq!(plane.first_seq(), min_seq);
+            let width = (t / slide - min_seq + 1) as usize;
+            let lo = lo % width;
+            let hi = lo + span % (width - lo);
+            let (seq_lo, seq_hi) = (min_seq + lo as u64, min_seq + hi as u64);
+            match kind {
+                0 | 1 => {
+                    let col = col % FINALS;
+                    plane.add_dense(col, seq_lo, &vec![CountCell(n); hi - lo + 1]);
+                    for seq in seq_lo..=seq_hi {
+                        *visible.entry((seq, col)).or_insert(0) += n;
+                    }
+                }
+                2 | 3 => {
+                    plane.add_pending(Timestamp(t), FINALS, seq_lo, seq_hi, CountCell(n));
+                    pending.push((t, seq_lo, seq_hi, n));
+                }
+                4 => {
+                    for seq in min_seq..min_seq + width as u64 {
+                        let want = visible.get(&(seq, col)).copied().unwrap_or(0);
+                        prop_assert_eq!(plane.get(col, seq).0, want, "col {} window {} at t={}", col, seq, t);
+                    }
+                }
+                _ => {
+                    let mut w = StateWriter::new();
+                    plane.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut r = StateReader::new(&bytes);
+                    plane = WindowPlane::load_state(&mut r, spec.max_open(), FINALS + 1).unwrap();
+                    prop_assert!(r.is_exhausted());
+                }
+            }
         }
-        prop_assert_eq!(committed_times, adds);
+        prop_assert_eq!(closed_by(&mut plane, u64::MAX), finals_before(&mut visible, u64::MAX));
+    }
+
+    /// The runner ring of a 3-type segment against the event history:
+    /// random STARTs (each carrying a chain offset), mids, ENDs, expiries
+    /// and codec round trips at equal and increasing timestamps. An END
+    /// must report, per live START and oldest first, the mids strictly
+    /// between the two — with the START's own offset beside it.
+    #[test]
+    fn runner_ring_matches_the_event_history(
+        ops in prop::collection::vec((0u8..7, 0u64..3, 1u64..40), 0..120),
+    ) {
+        use crate::agg::Contribution;
+        let mut ring: SegmentRunner<CountCell> = SegmentRunner::new(3, 1);
+        let mut starts: Vec<(u64, u64)> = Vec::new(); // live (time, offset), oldest first
+        let mut mids: Vec<u64> = Vec::new();
+        let mut t = 0u64;
+        for (kind, dt, x) in ops {
+            t += dt;
+            match kind {
+                0 | 1 => {
+                    ring.on_start(Timestamp(t), Contribution::NONE)[0] = x;
+                    starts.push((t, x));
+                }
+                2 | 3 => {
+                    ring.on_mid(1, Timestamp(t), Contribution::NONE);
+                    mids.push(t);
+                }
+                4 => {
+                    let mut got = Vec::new();
+                    ring.on_end(Timestamp(t), Contribution::NONE, |idx, st, d| {
+                        got.push((idx, st.millis(), d.0));
+                    });
+                    let want: Vec<(usize, u64, u128)> = starts
+                        .iter()
+                        .enumerate()
+                        .map(|(idx, &(st, _))| {
+                            let between = mids.iter().filter(|&&m| st < m && m < t).count();
+                            (idx, st, between as u128)
+                        })
+                        .filter(|c| c.2 > 0)
+                        .collect();
+                    prop_assert_eq!(&got, &want, "END at t={}", t);
+                    for (idx, _, _) in got {
+                        prop_assert_eq!(ring.offset(idx, 0), starts[idx].1);
+                    }
+                }
+                5 => {
+                    let dead_before = t.saturating_sub(x % 6);
+                    let live = starts.len();
+                    starts.retain(|s| s.0 >= dead_before);
+                    prop_assert_eq!(ring.expire(Timestamp(dead_before)), live - starts.len());
+                }
+                _ => {
+                    let mut w = StateWriter::new();
+                    ring.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut r = StateReader::new(&bytes);
+                    ring = SegmentRunner::load_state(&mut r, 3, 1).unwrap();
+                    prop_assert!(r.is_exhausted());
+                }
+            }
+            prop_assert_eq!(ring.live_starts(), starts.len());
+        }
+    }
+}
+
+/// A workload that exercises every part of a group block under one plan:
+/// `(A, B)` is shared at stage 0 by q0/q1 (whose unit last stages read its
+/// mirror) and at stage 1 by q2 (whose STARTs record offsets into the log
+/// its unit prefix writes); q3 is a private runner, q4 a single unit.
+fn block_workload(agg: &str) -> (Catalog, sharon_query::Workload, SharingPlan) {
+    let mut c = Catalog::new();
+    for name in ["A", "B", "C", "D", "X"] {
+        c.register_with_schema(name, Schema::new(["g", "v"]));
+    }
+    let query = |pattern: &str| {
+        format!("RETURN {agg} PATTERN SEQ({pattern}) GROUP BY g WITHIN 12 ms SLIDE 4 ms")
+    };
+    let sources = ["A, B, C", "A, B, D", "X, A, B", "B, X, C", "X"].map(query);
+    let w = parse_workload(&mut c, sources.iter().map(String::as_str)).unwrap();
+    let ab = Pattern::from_names(&mut c, ["A", "B"]);
+    let plan = SharingPlan::new([PlanCandidate::new(ab, [QueryId(0), QueryId(1), QueryId(2)])]);
+    (c, w, plan)
+}
+
+/// Random op sequence with a `save_state` → `load_state` into a fresh
+/// executor after every event: the run must equal the uninterrupted one
+/// bit for bit, whatever state the cut lands on (live STARTs, same-
+/// timestamp pending adds, half-closed windows).
+fn codec_round_trip_is_exact(agg: &str, raw: &[(usize, u64, i64, i64)]) {
+    let (c, w, plan) = block_workload(agg);
+    let mut whole = Executor::new(&c, &w, &plan).unwrap();
+    let mut cut = Executor::new(&c, &w, &plan).unwrap();
+    let mut t = 0u64;
+    for &(ty, dt, g, v) in raw {
+        t += dt;
+        let ty = c.lookup(["A", "B", "C", "D", "X"][ty]).unwrap();
+        let e = Event::with_attrs(ty, Timestamp(t), [Value::Int(g), Value::Int(v)]);
+        whole.process(&e);
+        cut.process(&e);
+        let mut resumed = Executor::new(&c, &w, &plan).unwrap();
+        let (Executor::__Internal(saved), Executor::__Internal(loaded)) = (&mut cut, &mut resumed);
+        for (from, to) in saved.iter_mut().zip(loaded.iter_mut()) {
+            let mut sw = StateWriter::new();
+            from.save_state(&mut sw);
+            let bytes = sw.into_bytes();
+            let mut sr = StateReader::new(&bytes);
+            to.load_state(&mut sr).unwrap();
+            assert!(sr.is_exhausted(), "engine state fully consumed");
+        }
+        assert_eq!(resumed.cell_count(), cut.cell_count());
+        cut = resumed;
+    }
+    assert_eq!(cut.events_matched(), whole.events_matched());
+    assert!(
+        cut.finish().semantically_eq(&whole.finish(), 0.0),
+        "{agg}: the run restored after every event diverges"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn group_codec_round_trips_mid_stream(
+        raw in prop::collection::vec((0usize..5, 0u64..3, 0i64..3, -5i64..6), 0..150),
+    ) {
+        codec_round_trip_is_exact("COUNT(*)", &raw); // CountCell
+        codec_round_trip_is_exact("SUM(B.v)", &raw); // StatsCell
     }
 }

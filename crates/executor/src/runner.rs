@@ -14,12 +14,12 @@
 //! once and consulted by every query in `Q_p` (Section 3.3, step 1).
 //!
 //! Strict sequence semantics: an event never extends state written by
-//! another event with the same timestamp. Per-cell pending buffers (the
-//! same scheme as [`crate::winvec::WinVec`]) enforce this.
+//! another event with the same timestamp. Per-cell pending buffers enforce
+//! this.
 
 use crate::agg::{Aggregate, Contribution};
+use crate::checkpoint::{StateError, StateReader, StateWriter};
 use sharon_types::Timestamp;
-use std::collections::VecDeque;
 
 /// One aggregate with same-timestamp isolation.
 #[derive(Debug, Clone, Copy)]
@@ -30,21 +30,11 @@ struct Cell<A> {
 }
 
 impl<A: Aggregate> Cell<A> {
-    fn zero() -> Self {
-        Cell {
-            committed: A::ZERO,
-            pending: A::ZERO,
-            pending_time: Timestamp::ZERO,
-        }
-    }
-
-    fn with_pending(value: A, at: Timestamp) -> Self {
-        Cell {
-            committed: A::ZERO,
-            pending: value,
-            pending_time: at,
-        }
-    }
+    const ZERO: Self = Cell {
+        committed: A::ZERO,
+        pending: A::ZERO,
+        pending_time: Timestamp::ZERO,
+    };
 
     #[inline]
     fn settle(&mut self, now: Timestamp) {
@@ -68,96 +58,134 @@ impl<A: Aggregate> Cell<A> {
     }
 }
 
-/// Aggregates for one live START event: `cells[j]` is the aggregate of all
-/// sequences of the prefix `(E₁ … E_{j+1})` that begin at this START event.
-/// The final position `E_l` is not stored — completions are consumed
-/// immediately by the window accumulators or the chain combiner.
-#[derive(Debug, Clone)]
-struct StartEntry<A> {
-    time: Timestamp,
-    cells: Box<[Cell<A>]>,
-}
-
 /// Online aggregation state for one pattern segment of length ≥ 2.
 ///
 /// (Length-1 segments need no state at all: each matching event is
 /// simultaneously START and END, handled inline by the engine.)
 ///
-/// START-entry cell arrays are **pooled**: expiration returns each dead
-/// entry's box to a free list and [`SegmentRunner::on_start`] reuses it,
-/// so the steady-state multi-type-segment path performs no per-event
-/// allocation (the free list is bounded by the peak number of live START
-/// events, which sliding-window expiration itself bounds).
+/// The live START events sit, oldest first, in one growable ring of
+/// fixed-stride records `[time | chain offset per start subscription |
+/// len − 1 cells]`: cell `j` of a record is the aggregate of all sequences
+/// of the prefix `(E₁ … E_{j+1})` that begin at that START event (the
+/// final position `E_l` is not stored — completions are consumed at once
+/// by the window accumulators or the chain combiner), and offset `k` is
+/// where the chain log feeding the runner's `k`-th stage > 0 subscription
+/// stood when the START arrived. Expiring moves the head; a new START
+/// reuses the freed record, so the steady state allocates nothing, and
+/// the times, offsets and cells of a START cannot drift apart.
 #[derive(Debug, Clone)]
 pub struct SegmentRunner<A> {
-    len: usize,
-    starts: VecDeque<StartEntry<A>>,
-    /// Recycled cell arrays of expired START entries.
-    free: Vec<Box<[Cell<A>]>>,
+    /// Cells per record: the segment length − 1.
+    width: usize,
+    /// Chain offsets per record.
+    n_offs: usize,
+    /// Ring position of the oldest live record.
+    head: usize,
+    /// Live records.
+    live: usize,
+    /// Records the ring holds: zero or a power of two.
+    cap: usize,
+    /// Per record the START time, then its chain offsets.
+    meta: Vec<u64>,
+    cells: Vec<Cell<A>>,
 }
 
 impl<A: Aggregate> SegmentRunner<A> {
-    /// A runner for a segment of `len` event types (`len ≥ 2`).
-    pub fn new(len: usize) -> Self {
+    /// A runner for a segment of `len` event types (`len ≥ 2`) whose
+    /// START events each record `n_offs` chain-log offsets.
+    pub fn new(len: usize, n_offs: usize) -> Self {
         assert!(len >= 2, "length-1 segments are stateless");
         SegmentRunner {
-            len,
-            starts: VecDeque::new(),
-            free: Vec::new(),
+            width: len - 1,
+            n_offs,
+            head: 0,
+            live: 0,
+            cap: 0,
+            meta: Vec::new(),
+            cells: Vec::new(),
         }
     }
 
     /// The segment length.
     pub fn segment_len(&self) -> usize {
-        self.len
+        self.width + 1
     }
 
     /// Number of live START events.
     pub fn live_starts(&self) -> usize {
-        self.starts.len()
+        self.live
     }
 
-    /// The timestamp of the live START event at `idx` (front = oldest).
+    /// Ring position of live record `idx` (0 = oldest).
+    #[inline]
+    fn pos(&self, idx: usize) -> usize {
+        (self.head + idx) & (self.cap - 1)
+    }
+
+    /// The timestamp of the live START event at `idx` (0 = oldest).
+    #[inline]
     pub fn start_time(&self, idx: usize) -> Timestamp {
-        self.starts[idx].time
+        Timestamp(self.meta[self.pos(idx) * (1 + self.n_offs)])
     }
 
-    /// Drop START events with `time <= cutoff` (they can no longer fall in
-    /// a window together with the current event — Section 3.2, "only the
-    /// counts of not-expired START events are updated"). Returns how many
-    /// entries were dropped so that chain stages can discard the aligned
-    /// snapshots.
-    pub fn expire(&mut self, cutoff: Timestamp) -> usize {
-        let mut dropped = 0;
-        while let Some(front) = self.starts.front() {
-            if front.time <= cutoff {
-                let entry = self.starts.pop_front().expect("front checked");
-                self.free.push(entry.cells);
-                dropped += 1;
-            } else {
-                break;
-            }
+    /// Chain offset `k` of the live START event at `idx`.
+    #[inline]
+    pub fn offset(&self, idx: usize, k: usize) -> u64 {
+        self.meta[self.pos(idx) * (1 + self.n_offs) + 1 + k]
+    }
+
+    /// Drop START events with `time < dead_before`: they can no longer
+    /// fall in a window together with the current event (Section 3.2,
+    /// "only the counts of not-expired START events are updated"). Returns
+    /// how many were dropped.
+    #[inline]
+    pub fn expire(&mut self, dead_before: Timestamp) -> usize {
+        let before = self.live;
+        while self.live > 0 && self.start_time(0) < dead_before {
+            self.head = self.pos(1);
+            self.live -= 1;
         }
-        dropped
+        before - self.live
     }
 
-    /// A START-type event arrived: create a new live START entry whose
-    /// unit aggregate becomes visible to strictly later events. The cell
-    /// array comes from the expiration free list when one is available.
-    pub fn on_start(&mut self, time: Timestamp, c: Contribution) {
+    /// Double the ring (4 records at first), moving the live records to
+    /// its start.
+    #[cold]
+    fn grow(&mut self) {
+        let cap = (self.cap * 2).max(4);
+        let stride = 1 + self.n_offs;
+        let mut meta = Vec::with_capacity(cap * stride);
+        let mut cells = Vec::with_capacity(cap * self.width);
+        for idx in 0..self.live {
+            let p = self.pos(idx);
+            meta.extend_from_slice(&self.meta[p * stride..(p + 1) * stride]);
+            cells.extend_from_slice(&self.cells[p * self.width..(p + 1) * self.width]);
+        }
+        meta.resize(cap * stride, 0);
+        cells.resize(cap * self.width, Cell::ZERO);
+        (self.meta, self.cells, self.head, self.cap) = (meta, cells, 0, cap);
+    }
+
+    /// A START-type event arrived: open a new live record whose unit
+    /// aggregate becomes visible to strictly later events. Returns the
+    /// record's chain offsets for the caller to fill.
+    pub fn on_start(&mut self, time: Timestamp, c: Contribution) -> &mut [u64] {
         debug_assert!(
-            self.starts.back().is_none_or(|b| b.time <= time),
+            self.live == 0 || self.start_time(self.live - 1) <= time,
             "events must arrive in timestamp order"
         );
-        let mut cells = match self.free.pop() {
-            Some(mut cells) => {
-                cells.fill(Cell::zero());
-                cells
-            }
-            None => vec![Cell::zero(); self.len - 1].into_boxed_slice(),
-        };
-        cells[0] = Cell::with_pending(A::unit(c), time);
-        self.starts.push_back(StartEntry { time, cells });
+        if self.live == self.cap {
+            self.grow();
+        }
+        let p = self.pos(self.live);
+        self.live += 1;
+        let cells = &mut self.cells[p * self.width..(p + 1) * self.width];
+        cells.fill(Cell::ZERO);
+        cells[0].pending = A::unit(c);
+        cells[0].pending_time = time;
+        let meta = &mut self.meta[p * (1 + self.n_offs)..(p + 1) * (1 + self.n_offs)];
+        meta[0] = time.millis();
+        &mut meta[1..]
     }
 
     /// A MID-type event arrived at 0-based pattern position `pos`
@@ -165,17 +193,16 @@ impl<A: Aggregate> SegmentRunner<A> {
     /// than the event, extend the length-`pos` prefix aggregate into the
     /// length-`pos + 1` one.
     pub fn on_mid(&mut self, pos: usize, time: Timestamp, c: Contribution) {
-        debug_assert!(pos >= 1 && pos < self.len - 1, "mid position out of range");
-        for entry in self.starts.iter_mut() {
-            if entry.time >= time {
+        debug_assert!(pos >= 1 && pos < self.width, "mid position out of range");
+        for idx in 0..self.live {
+            if self.start_time(idx) >= time {
                 break;
             }
-            let prev = entry.cells[pos - 1].read(time);
-            if prev.is_zero() {
-                continue;
+            let at = self.pos(idx) * self.width + pos;
+            let prev = self.cells[at - 1].read(time);
+            if !prev.is_zero() {
+                self.cells[at].add(time, &prev.extend(c));
             }
-            let delta = prev.extend(c);
-            entry.cells[pos].add(time, &delta);
         }
     }
 
@@ -188,35 +215,38 @@ impl<A: Aggregate> SegmentRunner<A> {
         c: Contribution,
         mut on_completion: F,
     ) {
-        let last = self.len - 2;
-        for (idx, entry) in self.starts.iter_mut().enumerate() {
-            if entry.time >= time {
+        for idx in 0..self.live {
+            let start = self.start_time(idx);
+            if start >= time {
                 break;
             }
-            let prev = entry.cells[last].read(time);
-            if prev.is_zero() {
-                continue;
+            let last = (self.pos(idx) + 1) * self.width - 1;
+            let prev = self.cells[last].read(time);
+            if !prev.is_zero() {
+                on_completion(idx, start, prev.extend(c));
             }
-            on_completion(idx, entry.time, prev.extend(c));
         }
     }
 
-    /// Rough count of aggregate cells held (for memory reporting).
+    /// Aggregate cells and chain offsets of the live START events (for
+    /// memory reporting).
     pub fn cell_count(&self) -> usize {
-        self.starts.len() * (self.len - 1)
+        self.live * (self.width + self.n_offs)
     }
 
-    /// Serialize the runner: segment length and every live START entry
-    /// with its cells (committed + pending, preserving the strict `<`
-    /// same-timestamp isolation). The expiration free list is a pure
-    /// allocation cache and is not persisted.
-    pub fn save_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.usize(self.len);
-        w.seq_len(self.starts.len());
-        for entry in &self.starts {
-            w.time(entry.time);
-            w.seq_len(entry.cells.len());
-            for cell in entry.cells.iter() {
+    /// Serialize the live START events, oldest first, each with its
+    /// offsets and cells (committed + pending, preserving the strict `<`
+    /// same-timestamp isolation).
+    pub fn save_state(&self, w: &mut StateWriter) {
+        w.seq_len(self.width);
+        w.seq_len(self.n_offs);
+        w.seq_len(self.live);
+        for idx in 0..self.live {
+            let p = self.pos(idx);
+            for &word in &self.meta[p * (1 + self.n_offs)..(p + 1) * (1 + self.n_offs)] {
+                w.u64(word);
+            }
+            for cell in &self.cells[p * self.width..(p + 1) * self.width] {
                 cell.committed.save(w);
                 cell.pending.save(w);
                 w.time(cell.pending_time);
@@ -224,40 +254,36 @@ impl<A: Aggregate> SegmentRunner<A> {
         }
     }
 
-    /// Decode a runner written by [`SegmentRunner::save_state`].
+    /// Decode a runner written by [`SegmentRunner::save_state`] for the
+    /// same segment length and offset count.
     pub fn load_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::StateError> {
-        let len = r.usize()?;
-        if len < 2 {
-            return Err(crate::checkpoint::StateError::Corrupt("segment length"));
+        r: &mut StateReader<'_>,
+        len: usize,
+        n_offs: usize,
+    ) -> Result<Self, StateError> {
+        let mut runner = Self::new(len, n_offs);
+        if (r.seq_len()?, r.seq_len()?) != (runner.width, n_offs) {
+            return Err(StateError::Corrupt("START record shape"));
         }
-        let n = r.seq_len()?;
-        let mut starts = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let time = r.time()?;
-            let n_cells = r.seq_len()?;
-            if n_cells != len - 1 {
-                return Err(crate::checkpoint::StateError::Corrupt("cell array length"));
+        runner.live = r.seq_len()?;
+        for _ in 0..runner.live {
+            for _ in 0..1 + n_offs {
+                runner.meta.push(r.u64()?);
             }
-            let mut cells = Vec::with_capacity(n_cells);
-            for _ in 0..n_cells {
-                cells.push(Cell {
+            for _ in 0..runner.width {
+                runner.cells.push(Cell {
                     committed: A::load(r)?,
                     pending: A::load(r)?,
                     pending_time: r.time()?,
                 });
             }
-            starts.push_back(StartEntry {
-                time,
-                cells: cells.into_boxed_slice(),
-            });
         }
-        Ok(SegmentRunner {
-            len,
-            starts,
-            free: Vec::new(),
-        })
+        if runner.live > 0 {
+            runner.cap = runner.live.next_power_of_two();
+            runner.meta.resize(runner.cap * (1 + n_offs), 0);
+            runner.cells.resize(runner.cap * runner.width, Cell::ZERO);
+        }
+        Ok(runner)
     }
 }
 
@@ -268,6 +294,10 @@ mod tests {
 
     const NONE: Contribution = Contribution::NONE;
 
+    fn runner(len: usize) -> SegmentRunner<CountCell> {
+        SegmentRunner::new(len, 0)
+    }
+
     fn completions(runner: &mut SegmentRunner<CountCell>, t: u64) -> Vec<(u64, u128)> {
         let mut out = Vec::new();
         runner.on_end(Timestamp(t), NONE, |_, st, d| out.push((st.millis(), d.0)));
@@ -277,7 +307,7 @@ mod tests {
     /// Figure 6(a): pattern (A,B) over a1, b2, a3, b4 — count(A,B) = 3.
     #[test]
     fn online_sequence_count_example_1() {
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(2);
+        let mut r = runner(2);
         r.on_start(Timestamp(1), NONE); // a1
         assert_eq!(completions(&mut r, 2), vec![(1, 1)]); // b2: (a1,b2)
         r.on_start(Timestamp(3), NONE); // a3
@@ -291,12 +321,11 @@ mod tests {
     /// expired and only a2's count updates.
     #[test]
     fn expiration_example_2() {
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(2);
+        let mut r = runner(2);
         r.on_start(Timestamp(1), NONE); // a1
         r.on_start(Timestamp(2), NONE); // a2
-                                        // b5 arrives: cutoff = 5 - 4 = 1, so a1 expires
-        let dropped = r.expire(Timestamp(1));
-        assert_eq!(dropped, 1);
+                                        // b5 arrives: STARTs at or before 5 - 4 = 1 are dead
+        assert_eq!(r.expire(Timestamp(2)), 1);
         assert_eq!(r.live_starts(), 1);
         assert_eq!(completions(&mut r, 5), vec![(2, 1)]);
     }
@@ -304,7 +333,7 @@ mod tests {
     #[test]
     fn three_type_pattern_with_mid_events() {
         // pattern (A, B, C): a1 b2 b3 c4 -> sequences (a1,b2,c4), (a1,b3,c4)
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(3);
+        let mut r = runner(3);
         r.on_start(Timestamp(1), NONE);
         r.on_mid(1, Timestamp(2), NONE);
         r.on_mid(1, Timestamp(3), NONE);
@@ -316,7 +345,7 @@ mod tests {
     #[test]
     fn same_timestamp_events_do_not_chain() {
         // pattern (A, B): a at t=5, b at t=5 -> no sequence (strict <)
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(2);
+        let mut r = runner(2);
         r.on_start(Timestamp(5), NONE);
         assert_eq!(completions(&mut r, 5), vec![]);
         // but a later b works
@@ -326,7 +355,7 @@ mod tests {
     #[test]
     fn same_timestamp_mid_chain_is_blocked() {
         // pattern (A, B, C): a1, b5, c5 -> c5 must not see b5's update
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(3);
+        let mut r = runner(3);
         r.on_start(Timestamp(1), NONE);
         r.on_mid(1, Timestamp(5), NONE);
         assert_eq!(completions(&mut r, 5), vec![]);
@@ -337,7 +366,7 @@ mod tests {
     #[test]
     fn multiple_starts_accumulate_prefix_counts() {
         // pattern (A, B, C): a1 a2 b3 c4 -> (a1,b3,c4), (a2,b3,c4)
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(3);
+        let mut r = runner(3);
         r.on_start(Timestamp(1), NONE);
         r.on_start(Timestamp(2), NONE);
         r.on_mid(1, Timestamp(3), NONE);
@@ -347,71 +376,83 @@ mod tests {
     #[test]
     fn zero_prefixes_produce_no_completions() {
         // pattern (A, B, C) with no B yet: C produces nothing
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(3);
+        let mut r = runner(3);
         r.on_start(Timestamp(1), NONE);
         assert_eq!(completions(&mut r, 2), vec![]);
     }
 
     #[test]
-    fn expire_keeps_later_starts() {
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(2);
-        for t in 1..=5 {
-            r.on_start(Timestamp(t), NONE);
-        }
-        assert_eq!(r.expire(Timestamp(3)), 3);
-        assert_eq!(r.live_starts(), 2);
-        assert_eq!(r.start_time(0), Timestamp(4));
-        assert_eq!(r.expire(Timestamp(3)), 0, "idempotent");
-    }
-
-    #[test]
-    fn cell_count_reports_state_size() {
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(4);
+    fn the_ring_grows_turns_and_keeps_offsets_beside_their_start() {
+        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(4, 2);
         assert_eq!(r.cell_count(), 0);
-        r.on_start(Timestamp(1), NONE);
-        r.on_start(Timestamp(2), NONE);
-        assert_eq!(r.cell_count(), 6);
+        for t in 1..=5u64 {
+            r.on_start(Timestamp(t), NONE)
+                .copy_from_slice(&[10 * t, 10 * t + 1]);
+        }
+        assert_eq!((r.live_starts(), r.cap), (5, 8), "grew 4 -> 8 in place");
+        assert_eq!(r.cell_count(), 5 * (3 + 2));
         assert_eq!(r.segment_len(), 4);
+        assert_eq!(r.expire(Timestamp(4)), 3);
+        assert_eq!(r.expire(Timestamp(4)), 0, "idempotent");
+        // six more STARTs wrap around the 8-record ring without growing
+        for t in 6..=11u64 {
+            r.on_start(Timestamp(t), NONE)
+                .copy_from_slice(&[10 * t, 10 * t + 1]);
+        }
+        assert_eq!((r.live_starts(), r.cap), (8, 8));
+        for (idx, t) in (4..=11u64).enumerate() {
+            assert_eq!(r.start_time(idx), Timestamp(t));
+            assert_eq!((r.offset(idx, 0), r.offset(idx, 1)), (10 * t, 10 * t + 1));
+        }
     }
 
     #[test]
     #[should_panic(expected = "length-1 segments are stateless")]
     fn length_one_rejected() {
-        let _ = SegmentRunner::<CountCell>::new(1);
+        let _ = runner(1);
     }
 
     #[test]
     fn state_round_trips_preserving_same_time_isolation() {
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(3);
-        r.on_start(Timestamp(1), NONE);
+        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(3, 1);
+        r.on_start(Timestamp(1), NONE)[0] = 7;
         r.on_mid(1, Timestamp(2), NONE);
-        r.on_start(Timestamp(2), NONE); // pending at t=2
-        let mut w = crate::checkpoint::StateWriter::new();
+        r.on_start(Timestamp(2), NONE)[0] = 9; // pending at t=2
+        let mut w = StateWriter::new();
         r.save_state(&mut w);
         let bytes = w.into_bytes();
-        let mut rd = crate::checkpoint::StateReader::new(&bytes);
-        let mut got: SegmentRunner<CountCell> = SegmentRunner::load_state(&mut rd).unwrap();
+        let mut rd = StateReader::new(&bytes);
+        let mut got: SegmentRunner<CountCell> = SegmentRunner::load_state(&mut rd, 3, 1).unwrap();
         assert!(rd.is_exhausted());
-        assert_eq!(got.segment_len(), 3);
         assert_eq!(got.live_starts(), 2);
+        assert_eq!((got.offset(0, 0), got.offset(1, 0)), (7, 9));
         // t=2's START and mid-update stay invisible at t=2, visible at t=3
         assert_eq!(completions(&mut got, 2), vec![]);
         assert_eq!(completions(&mut got, 3), vec![(1, 1)]);
+        // the restored ring keeps working as a ring
+        got.on_start(Timestamp(4), NONE)[0] = 11;
+        assert_eq!(got.offset(2, 0), 11);
+        // a runner of another shape refuses the bytes
+        for (len, n_offs) in [(4, 1), (3, 0)] {
+            let mut rd = StateReader::new(&bytes);
+            assert!(SegmentRunner::<CountCell>::load_state(&mut rd, len, n_offs).is_err());
+        }
     }
 
     #[test]
-    fn expired_entries_are_pooled_and_reset_on_reuse() {
-        // the recycled cell array must behave exactly like a fresh one
-        let mut r: SegmentRunner<CountCell> = SegmentRunner::new(3);
-        r.on_start(Timestamp(1), NONE);
-        r.on_mid(1, Timestamp(2), NONE); // dirty the second cell
-        assert_eq!(r.expire(Timestamp(1)), 1);
-        assert_eq!(r.free.len(), 1, "expired entry returned to the pool");
-        r.on_start(Timestamp(3), NONE); // reuses the pooled array
-        assert!(r.free.is_empty(), "pooled entry was taken");
+    fn a_reused_record_starts_from_zero() {
+        // the recycled cells must behave exactly like fresh ones
+        let mut r = runner(3);
+        for t in 1..=4 {
+            r.on_start(Timestamp(t), NONE);
+        }
+        r.on_mid(1, Timestamp(5), NONE); // dirty every second cell
+        assert_eq!(r.expire(Timestamp(5)), 4);
+        r.on_start(Timestamp(6), NONE); // reuses the first record
+        assert_eq!(r.cap, 4);
         // a C now must see no completion: the dirty mid-cell was reset
-        assert_eq!(completions(&mut r, 4), vec![]);
-        r.on_mid(1, Timestamp(5), NONE);
-        assert_eq!(completions(&mut r, 6), vec![(3, 1)]);
+        assert_eq!(completions(&mut r, 7), vec![]);
+        r.on_mid(1, Timestamp(8), NONE);
+        assert_eq!(completions(&mut r, 9), vec![(6, 1)]);
     }
 }

@@ -1,71 +1,271 @@
-//! Window-aligned aggregate vectors.
+//! Window-aligned aggregate state.
 //!
 //! Sliding windows make every running aggregate *per window instance*: an
 //! END event "updates the final counts for all windows that e falls into"
-//! (Section 3.2). A [`WinVec`] holds one aggregate cell per open window
-//! instance, indexed by the window's *sequence number* `start / slide`.
+//! (Section 3.2). Window instances are indexed by their *sequence number*
+//! `start / slide`.
 //!
-//! `WinVec` additionally enforces the strict `<` sequence semantics between
-//! same-timestamp events: updates performed at time `t` stay in a *pending*
-//! buffer that readers at the same time `t` do not observe; the buffer is
-//! folded into the committed state as soon as the vector is touched at a
-//! later time. This way an event can never extend, combine with, or
-//! snapshot state produced by another event carrying the same timestamp.
+//! * A [`WindowPlane`] is the engine's per-group block: every per-window
+//!   accumulator of the group lives in one ring with one slot per open
+//!   window and one column per accumulator.
+//! * A [`WinVec`] is the single growable accumulator of the two-step
+//!   baselines.
+//!
+//! Both enforce the strict `<` sequence semantics between same-timestamp
+//! events where a reader can exist: updates performed at time `t` stay in
+//! a *pending* buffer that readers at the same time `t` do not observe;
+//! the buffer is folded into the committed state as soon as time advances.
 
 use crate::agg::Aggregate;
+use crate::checkpoint::{StateError, StateReader, StateWriter};
 use sharon_types::Timestamp;
 use std::collections::VecDeque;
 
 /// Sequence number of a window instance (`start / slide`).
 pub type WinSeq = u64;
 
-/// An immutable, compact copy of a [`WinVec`]'s committed state, taken when
-/// a chain segment's START event arrives (the Shared method's
-/// "count(prefix) at the time `c` arrives", Example 3).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot<A> {
+/// A range add waiting for the group's time to advance.
+#[derive(Debug, Clone, Copy)]
+struct PendingAdd<A> {
+    col: u32,
+    lo: WinSeq,
+    hi: WinSeq,
+    value: A,
+}
+
+/// Every per-window accumulator of one group in one ring: slot `s` holds
+/// the cells of one open window, one cell per column. The engine gives a
+/// column to each query's final accumulator and to each chain-stage
+/// mirror a unit stage reads (`CompiledPartition::n_cols`).
+///
+/// Two kinds of write. *Direct* adds ([`WindowPlane::add_dense`]) are for
+/// columns nothing reads before their window closes (finals). *Pending*
+/// adds ([`WindowPlane::add_pending`]) are for columns read in place
+/// ([`WindowPlane::get`]) by other events: they wait in one list for the
+/// whole plane until [`WindowPlane::settle`] sees a later timestamp, so a
+/// reader never observes an add carrying its own timestamp.
+///
+/// The ring never grows: at time `t` the open windows are
+/// `first_seq ..= t / slide`, at most [`sharon_types::WindowSpec::max_open`]
+/// of them once the caller has closed everything that ended by `t`.
+#[derive(Debug, Clone)]
+pub struct WindowPlane<A> {
+    /// The oldest open window — the close watermark: every window before
+    /// it has been emitted.
     first_seq: WinSeq,
-    vals: Box<[A]>,
+    /// Ring slot of `first_seq`.
+    head: usize,
+    n_cols: usize,
+    /// `slots × n_cols` cells, slot-major.
+    cells: Box<[A]>,
+    pending: Vec<PendingAdd<A>>,
+    pending_time: Timestamp,
 }
 
-impl<A: Aggregate> Snapshot<A> {
-    /// An empty snapshot (all windows zero).
-    pub fn empty() -> Self {
-        Snapshot {
+impl<A: Aggregate> WindowPlane<A> {
+    /// An all-zero plane of `n_slots` windows × `n_cols` accumulators,
+    /// starting at window 0.
+    pub fn new(n_slots: usize, n_cols: usize) -> Self {
+        assert!(n_slots > 0 && n_cols > 0, "a plane has at least one cell");
+        WindowPlane {
             first_seq: 0,
-            vals: Box::new([]),
+            head: 0,
+            n_cols,
+            cells: vec![A::ZERO; n_slots * n_cols].into_boxed_slice(),
+            pending: Vec::new(),
+            pending_time: Timestamp::ZERO,
         }
     }
 
-    /// The value for window `seq` (zero outside the captured range).
+    /// The oldest open window: everything before it is closed.
     #[inline]
-    pub fn get(&self, seq: WinSeq) -> A {
-        if seq < self.first_seq {
-            return A::ZERO;
+    pub fn first_seq(&self) -> WinSeq {
+        self.first_seq
+    }
+
+    /// Index of window `seq`'s first cell.
+    #[inline]
+    fn slot(&self, seq: WinSeq) -> usize {
+        debug_assert!(
+            seq >= self.first_seq
+                && ((seq - self.first_seq) as usize) < self.cells.len() / self.n_cols,
+            "window {seq} is outside the open range starting at {}",
+            self.first_seq
+        );
+        let at = (self.head + (seq - self.first_seq) as usize) * self.n_cols;
+        if at >= self.cells.len() {
+            at - self.cells.len()
+        } else {
+            at
         }
-        self.vals
-            .get((seq - self.first_seq) as usize)
-            .copied()
-            .unwrap_or(A::ZERO)
     }
 
-    /// Iterate over non-zero `(seq, value)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (WinSeq, &A)> {
-        self.vals
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_zero())
-            .map(|(i, v)| (self.first_seq + i as u64, v))
+    /// Cell indexes of column `col` from window `lo` on, around the ring.
+    #[inline]
+    fn column_from(&self, col: usize, lo: WinSeq) -> impl Iterator<Item = usize> {
+        let (len, step) = (self.cells.len(), self.n_cols);
+        std::iter::successors(Some(self.slot(lo) + col), move |&at| {
+            Some(if at + step < len {
+                at + step
+            } else {
+                at + step - len
+            })
+        })
     }
 
-    /// True if every entry is zero.
-    pub fn is_empty(&self) -> bool {
-        self.vals.iter().all(A::is_zero)
+    /// Merge `totals[i]` into column `col` of window `lo + i`, visible at
+    /// once.
+    #[inline]
+    pub fn add_dense(&mut self, col: usize, lo: WinSeq, totals: &[A]) {
+        if totals.is_empty() {
+            return;
+        }
+        for (at, v) in self.column_from(col, lo).zip(totals) {
+            self.cells[at].merge(v);
+        }
+    }
+
+    /// Merge `value` into column `col` of windows `lo ..= hi` as of `now`:
+    /// invisible to [`WindowPlane::get`] until [`WindowPlane::settle`] is
+    /// called with a later time. The caller settles before the first add
+    /// of a new timestamp.
+    #[inline]
+    pub fn add_pending(&mut self, now: Timestamp, col: usize, lo: WinSeq, hi: WinSeq, value: A) {
+        debug_assert!(
+            self.pending.is_empty() || self.pending_time == now,
+            "settle before adding at a new timestamp"
+        );
+        self.pending_time = now;
+        self.pending.push(PendingAdd {
+            col: col as u32,
+            lo,
+            hi,
+            value,
+        });
+    }
+
+    /// Make every pending add older than `now` visible.
+    #[inline]
+    pub fn settle(&mut self, now: Timestamp) {
+        if !self.pending.is_empty() && self.pending_time < now {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        for i in 0..self.pending.len() {
+            let p = self.pending[i];
+            let windows = (p.hi - p.lo + 1) as usize;
+            for at in self.column_from(p.col as usize, p.lo).take(windows) {
+                self.cells[at].merge(&p.value);
+            }
+        }
+        self.pending.clear();
+    }
+
+    /// Column `col` of open window `seq`, without the pending adds.
+    #[inline]
+    pub fn get(&self, col: usize, seq: WinSeq) -> A {
+        self.cells[self.slot(seq) + col]
+    }
+
+    /// Close every window before `cutoff`, oldest first: `emit` sees the
+    /// window's cells (one per column), then the slot is zeroed for the
+    /// window that will reuse it. Pending adds are left alone — between
+    /// [`WindowPlane::settle`] and the adds of the same timestamp there
+    /// are none for a window that ended.
+    pub fn close_before(&mut self, cutoff: WinSeq, mut emit: impl FnMut(WinSeq, &[A])) {
+        if cutoff <= self.first_seq {
+            return;
+        }
+        let n_slots = self.cells.len() / self.n_cols;
+        // after a gap longer than the ring, one lap visits every slot
+        let n = (cutoff - self.first_seq).min(n_slots as u64) as usize;
+        for i in 0..n {
+            let at = self.head * self.n_cols;
+            let slot = &mut self.cells[at..at + self.n_cols];
+            emit(self.first_seq + i as u64, slot);
+            slot.fill(A::ZERO);
+            self.head += 1;
+            if self.head == n_slots {
+                self.head = 0;
+            }
+        }
+        self.first_seq = cutoff;
+    }
+
+    /// Non-zero cells of open windows (memory proxy).
+    pub fn live_cells(&self) -> usize {
+        self.cells.iter().filter(|c| !c.is_zero()).count()
+    }
+
+    /// Serialize the plane: the watermark, the open windows up to the
+    /// last one holding a value, and the pending adds with their
+    /// timestamp, so a restore keeps the strict `<` semantics.
+    pub fn save_state(&self, w: &mut StateWriter) {
+        w.u64(self.first_seq);
+        w.seq_len(self.n_cols);
+        let n_slots = self.cells.len() / self.n_cols;
+        let window = |i: usize| {
+            let at = (self.head + i) % n_slots * self.n_cols;
+            &self.cells[at..at + self.n_cols]
+        };
+        let used = (0..n_slots)
+            .rev()
+            .find(|&i| window(i).iter().any(|c| !c.is_zero()))
+            .map_or(0, |i| i + 1);
+        w.seq_len(used);
+        for i in 0..used {
+            for c in window(i) {
+                c.save(w);
+            }
+        }
+        w.time(self.pending_time);
+        w.seq_len(self.pending.len());
+        for p in &self.pending {
+            w.u32(p.col);
+            w.u64(p.lo);
+            w.u64(p.hi);
+            p.value.save(w);
+        }
+    }
+
+    /// Decode a plane written by [`WindowPlane::save_state`] for the same
+    /// dimensions.
+    pub fn load_state(
+        r: &mut StateReader<'_>,
+        n_slots: usize,
+        n_cols: usize,
+    ) -> Result<Self, StateError> {
+        let mut plane = Self::new(n_slots, n_cols);
+        plane.first_seq = r.u64()?;
+        if r.seq_len()? != n_cols {
+            return Err(StateError::Corrupt("window plane column count"));
+        }
+        let used = r.seq_len()?;
+        if used > n_slots {
+            return Err(StateError::Corrupt("window plane holds more windows"));
+        }
+        for cell in &mut plane.cells[..used * n_cols] {
+            *cell = A::load(r)?;
+        }
+        plane.pending_time = r.time()?;
+        let open = plane.first_seq..plane.first_seq.saturating_add(n_slots as u64);
+        for _ in 0..r.seq_len()? {
+            let (col, lo, hi) = (r.u32()?, r.u64()?, r.u64()?);
+            if col as usize >= n_cols || lo > hi || !open.contains(&lo) || !open.contains(&hi) {
+                return Err(StateError::Corrupt("pending add outside the window plane"));
+            }
+            let value = A::load(r)?;
+            plane.pending.push(PendingAdd { col, lo, hi, value });
+        }
+        Ok(plane)
     }
 }
 
-/// One aggregate cell per open window instance, with same-timestamp
-/// isolation (see module docs).
+/// One aggregate cell per open window instance of a single accumulator,
+/// with same-timestamp isolation (see module docs): the per-group final
+/// accumulator of the two-step baselines.
 #[derive(Debug, Clone)]
 pub struct WinVec<A> {
     first_seq: WinSeq,
@@ -117,110 +317,19 @@ impl<A: Aggregate> WinVec<A> {
         self.pending.clear();
     }
 
-    /// Fold pending updates older than `now` into the committed state.
-    #[inline]
-    pub fn settle(&mut self, now: Timestamp) {
-        if !self.pending.is_empty() && self.pending_time < now {
-            self.commit();
-        }
-    }
-
-    /// Add `delta` to window `seq`, performed at time `now`.
-    pub fn add(&mut self, now: Timestamp, seq: WinSeq, delta: A) {
-        if delta.is_zero() {
-            return;
-        }
-        self.settle(now);
-        self.pending_time = now;
-        self.pending.push((seq, delta));
-    }
-
     /// Add `delta` to every window in `seq_lo..=seq_hi`, performed at
-    /// `now`. Used when a stage-0 (leftmost) segment completes: the
-    /// sequence it closed belongs to every window containing its START
-    /// event and the current END event.
+    /// `now`: a completed sequence belongs to every window containing its
+    /// START event and the current END event.
     pub fn add_range(&mut self, now: Timestamp, seq_lo: WinSeq, seq_hi: WinSeq, delta: A) {
         if delta.is_zero() {
             return;
         }
-        self.settle(now);
+        if !self.pending.is_empty() && self.pending_time < now {
+            self.commit();
+        }
         self.pending_time = now;
         for seq in seq_lo..=seq_hi {
             self.pending.push((seq, delta));
-        }
-    }
-
-    /// Add `snapshot[seq] × delta` to every window with `seq ≥ min_seq`,
-    /// performed at `now` — the Shared method's combination step.
-    ///
-    /// `min_seq` must be the sequence number of the earliest window still
-    /// covering `now`: windows that ended before the current event cannot
-    /// contain the sequence being completed (its END event is the current
-    /// one), so snapshot entries for them are skipped.
-    pub fn add_cross(
-        &mut self,
-        now: Timestamp,
-        snapshot: &Snapshot<A>,
-        delta: &A,
-        min_seq: WinSeq,
-    ) {
-        if delta.is_zero() {
-            return;
-        }
-        self.settle(now);
-        for (seq, snap) in snapshot.iter() {
-            if seq < min_seq {
-                continue;
-            }
-            let v = snap.cross(delta);
-            if !v.is_zero() {
-                self.pending_time = now;
-                self.pending.push((seq, v));
-            }
-        }
-    }
-
-    /// The committed value of window `seq` as observable at `now`.
-    pub fn get(&mut self, now: Timestamp, seq: WinSeq) -> A {
-        self.settle(now);
-        if seq < self.first_seq {
-            return A::ZERO;
-        }
-        self.committed
-            .get((seq - self.first_seq) as usize)
-            .copied()
-            .unwrap_or(A::ZERO)
-    }
-
-    /// Capture the committed state observable at `now`.
-    pub fn snapshot(&mut self, now: Timestamp) -> Snapshot<A> {
-        self.settle(now);
-        // trim zero margins for compactness
-        let mut lo = 0usize;
-        let mut hi = self.committed.len();
-        while lo < hi && self.committed[lo].is_zero() {
-            lo += 1;
-        }
-        while hi > lo && self.committed[hi - 1].is_zero() {
-            hi -= 1;
-        }
-        Snapshot {
-            first_seq: self.first_seq + lo as u64,
-            vals: self.committed.range(lo..hi).copied().collect(),
-        }
-    }
-
-    /// Remove (and return) the final value of window `seq`, committing any
-    /// pending updates first. Called when a window closes.
-    pub fn take(&mut self, seq: WinSeq) -> A {
-        self.commit();
-        if seq < self.first_seq {
-            return A::ZERO;
-        }
-        let idx = (seq - self.first_seq) as usize;
-        match self.committed.get_mut(idx) {
-            Some(v) => std::mem::replace(v, A::ZERO),
-            None => A::ZERO,
         }
     }
 
@@ -234,9 +343,9 @@ impl<A: Aggregate> WinVec<A> {
         out
     }
 
-    /// [`WinVec::drain_before`] into a caller-owned buffer, so the
-    /// executor's window-close path allocates nothing in steady state.
-    /// Appends to `out` without clearing it.
+    /// [`WinVec::drain_before`] into a caller-owned buffer, so a
+    /// window-close path allocates nothing in steady state. Appends to
+    /// `out` without clearing it.
     pub fn drain_before_into(&mut self, cutoff: WinSeq, out: &mut Vec<(WinSeq, A)>) {
         self.commit();
         while self.first_seq < cutoff {
@@ -254,219 +363,107 @@ impl<A: Aggregate> WinVec<A> {
             }
         }
     }
-
-    /// Drop entries for windows with `seq < cutoff` (their instances have
-    /// closed and been emitted).
-    ///
-    /// Pending same-timestamp updates are *not* committed — they are only
-    /// filtered — so a snapshot taken later at the same timestamp still
-    /// excludes them (strict `<` semantics).
-    pub fn drop_before(&mut self, cutoff: WinSeq) {
-        self.pending.retain(|(seq, _)| *seq >= cutoff);
-        while self.first_seq < cutoff && !self.committed.is_empty() {
-            self.committed.pop_front();
-            self.first_seq += 1;
-        }
-        if self.committed.is_empty() {
-            self.first_seq = cutoff.max(self.first_seq);
-        }
-    }
-
-    /// Number of tracked window cells (committed).
-    pub fn len(&self) -> usize {
-        self.committed.len()
-    }
-
-    /// True if nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.committed.is_empty() && self.pending.is_empty()
-    }
-
-    /// Serialize the full vector — committed cells *and* the uncommitted
-    /// same-timestamp pending buffer, so a restore resumes with the strict
-    /// `<` semantics exactly where the checkpoint left them.
-    pub fn save_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.u64(self.first_seq);
-        w.seq_len(self.committed.len());
-        for v in &self.committed {
-            v.save(w);
-        }
-        w.seq_len(self.pending.len());
-        for (seq, v) in &self.pending {
-            w.u64(*seq);
-            v.save(w);
-        }
-        w.time(self.pending_time);
-    }
-
-    /// Decode a vector written by [`WinVec::save_state`].
-    pub fn load_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::StateError> {
-        let first_seq = r.u64()?;
-        let n = r.seq_len()?;
-        let mut committed = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            committed.push_back(A::load(r)?);
-        }
-        let n = r.seq_len()?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            let seq = r.u64()?;
-            pending.push((seq, A::load(r)?));
-        }
-        let pending_time = r.time()?;
-        Ok(WinVec {
-            first_seq,
-            committed,
-            pending,
-            pending_time,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::{Contribution, CountCell};
+    use crate::agg::CountCell;
 
     fn c(n: u128) -> CountCell {
         CountCell(n)
     }
 
-    #[test]
-    fn adds_are_visible_only_at_later_times() {
-        let mut v: WinVec<CountCell> = WinVec::new();
-        v.add(Timestamp(5), 3, c(2));
-        // a reader at the same time sees nothing (strict `<` semantics)
-        assert_eq!(v.get(Timestamp(5), 3), c(0));
-        // a reader later sees it
-        assert_eq!(v.get(Timestamp(6), 3), c(2));
+    fn closed(p: &mut WindowPlane<CountCell>, cutoff: WinSeq) -> Vec<(WinSeq, Vec<u128>)> {
+        let mut out = Vec::new();
+        p.close_before(cutoff, |seq, cells| {
+            out.push((seq, cells.iter().map(|c| c.0).collect()));
+        });
+        out
     }
 
     #[test]
-    fn same_time_adds_accumulate_then_commit_together() {
-        let mut v: WinVec<CountCell> = WinVec::new();
-        v.add(Timestamp(5), 3, c(2));
-        v.add(Timestamp(5), 3, c(1));
-        v.add(Timestamp(5), 4, c(7));
-        assert_eq!(v.get(Timestamp(9), 3), c(3));
-        assert_eq!(v.get(Timestamp(9), 4), c(7));
+    fn direct_adds_are_visible_at_once_pending_adds_only_later() {
+        let mut p: WindowPlane<CountCell> = WindowPlane::new(4, 2);
+        p.add_dense(0, 1, &[c(2), c(3)]);
+        assert_eq!((p.get(0, 1), p.get(0, 2), p.get(0, 3)), (c(2), c(3), c(0)));
+        p.add_pending(Timestamp(5), 1, 0, 2, c(7));
+        p.settle(Timestamp(5));
+        assert_eq!(p.get(1, 1), c(0), "a reader at t=5 must not see a t=5 add");
+        p.settle(Timestamp(6));
+        assert_eq!((p.get(1, 0), p.get(1, 2), p.get(1, 3)), (c(7), c(7), c(0)));
+        assert_eq!(p.live_cells(), 5);
     }
 
     #[test]
-    fn add_range() {
-        let mut v: WinVec<CountCell> = WinVec::new();
-        v.add_range(Timestamp(1), 2, 4, c(5));
-        assert_eq!(v.get(Timestamp(2), 2), c(5));
-        assert_eq!(v.get(Timestamp(2), 3), c(5));
-        assert_eq!(v.get(Timestamp(2), 4), c(5));
-        assert_eq!(v.get(Timestamp(2), 5), c(0));
-        assert_eq!(v.get(Timestamp(2), 1), c(0));
-    }
-
-    #[test]
-    fn snapshot_excludes_same_time_pending() {
-        let mut v: WinVec<CountCell> = WinVec::new();
-        v.add(Timestamp(1), 0, c(1));
-        v.add(Timestamp(2), 1, c(9));
-        let snap = v.snapshot(Timestamp(2));
-        assert_eq!(snap.get(0), c(1));
-        assert_eq!(snap.get(1), c(0), "the t=2 add is invisible at t=2");
-        let snap = v.snapshot(Timestamp(3));
-        assert_eq!(snap.get(1), c(9));
-    }
-
-    #[test]
-    fn snapshot_trims_zero_margins() {
-        let mut v: WinVec<CountCell> = WinVec::new();
-        v.add(Timestamp(1), 5, c(1));
-        v.add(Timestamp(1), 9, c(0)); // ignored: zero delta
-        let snap = v.snapshot(Timestamp(2));
-        assert_eq!(snap.iter().count(), 1);
-        assert_eq!(snap.get(5), c(1));
-        assert_eq!(snap.get(4), c(0));
-        assert_eq!(snap.get(99), c(0));
-        assert!(!snap.is_empty());
-        assert!(Snapshot::<CountCell>::empty().is_empty());
-    }
-
-    #[test]
-    fn add_cross_multiplies_snapshot_by_delta() {
-        let mut left: WinVec<CountCell> = WinVec::new();
-        left.add(Timestamp(1), 0, c(2));
-        left.add(Timestamp(1), 1, c(3));
-        let snap = left.snapshot(Timestamp(2));
-
-        let mut r: WinVec<CountCell> = WinVec::new();
-        r.add_cross(Timestamp(4), &snap, &c(10), 0);
-        assert_eq!(r.get(Timestamp(5), 0), c(20));
-        assert_eq!(r.get(Timestamp(5), 1), c(30));
-        // zero delta is a no-op
-        r.add_cross(Timestamp(6), &snap, &c(0), 0);
-        assert_eq!(r.get(Timestamp(7), 0), c(20));
-        // min_seq clamps away windows that ended before the current event
-        let mut r2: WinVec<CountCell> = WinVec::new();
-        r2.add_cross(Timestamp(4), &snap, &c(10), 1);
-        assert_eq!(r2.get(Timestamp(5), 0), c(0));
-        assert_eq!(r2.get(Timestamp(5), 1), c(30));
-    }
-
-    #[test]
-    fn take_and_drop() {
-        let mut v: WinVec<CountCell> = WinVec::new();
-        v.add(Timestamp(1), 0, c(4));
-        v.add(Timestamp(1), 1, c(6));
-        assert_eq!(v.take(0), c(4));
-        assert_eq!(v.take(0), c(0), "take removes");
-        v.drop_before(2);
-        assert_eq!(v.get(Timestamp(9), 1), c(0));
-        assert_eq!(v.len(), 0);
-    }
-
-    #[test]
-    fn out_of_order_window_seqs_extend_front() {
-        let mut v: WinVec<CountCell> = WinVec::new();
-        v.add(Timestamp(1), 5, c(1));
-        v.add(Timestamp(2), 2, c(3));
-        assert_eq!(v.get(Timestamp(3), 2), c(3));
-        assert_eq!(v.get(Timestamp(3), 5), c(1));
-    }
-
-    #[test]
-    fn repro_snapshot_same_time() {
-        use crate::agg::CountCell;
-        use sharon_types::Timestamp;
-        let mut r: WinVec<CountCell> = WinVec::new();
-        r.add_range(Timestamp(0), 0, 0, CountCell(1));
-        let snap = r.snapshot(Timestamp(0));
-        assert!(
-            snap.is_empty(),
-            "snapshot at same time must be empty: {snap:?}"
+    fn closing_emits_in_window_order_and_recycles_the_slots() {
+        let mut p: WindowPlane<CountCell> = WindowPlane::new(3, 2);
+        p.add_dense(0, 0, &[c(1), c(2), c(3)]);
+        p.add_dense(1, 2, &[c(9)]);
+        assert_eq!(closed(&mut p, 2), vec![(0, vec![1, 0]), (1, vec![2, 0])]);
+        assert_eq!(p.first_seq(), 2);
+        assert_eq!(closed(&mut p, 2), vec![], "idempotent");
+        // windows 3 and 4 reuse the slots of 0 and 1: they start from zero
+        p.add_dense(0, 3, &[c(5), c(6)]);
+        assert_eq!(
+            closed(&mut p, 5),
+            vec![(2, vec![3, 9]), (3, vec![5, 0]), (4, vec![6, 0])]
         );
     }
 
     #[test]
-    fn unit_contribution_roundtrip() {
-        // sanity: CountCell::unit ignores contributions
-        assert_eq!(CountCell::unit(Contribution::of(3.0)), c(1));
+    fn a_gap_longer_than_the_ring_closes_one_lap() {
+        let mut p: WindowPlane<CountCell> = WindowPlane::new(3, 1);
+        p.add_dense(0, 1, &[c(4)]);
+        let got = closed(&mut p, 1_000_000);
+        assert_eq!(got, vec![(0, vec![0]), (1, vec![4]), (2, vec![0])]);
+        assert_eq!(p.first_seq(), 1_000_000);
+        p.add_dense(0, 1_000_002, &[c(1)]);
+        assert_eq!(p.get(0, 1_000_002), c(1));
+        assert_eq!(p.live_cells(), 1);
     }
 
     #[test]
-    fn state_round_trips_including_pending() {
-        let mut v: WinVec<CountCell> = WinVec::new();
-        v.add(Timestamp(1), 3, c(2));
-        v.add(Timestamp(2), 4, c(5)); // commits seq 3, leaves 4 pending
-        let mut w = crate::checkpoint::StateWriter::new();
-        v.save_state(&mut w);
+    fn state_round_trips_with_a_turned_ring_and_pending_adds() {
+        let mut p: WindowPlane<CountCell> = WindowPlane::new(4, 2);
+        p.add_dense(0, 0, &[c(1), c(2), c(3), c(4)]);
+        closed(&mut p, 3); // head now sits on the fourth slot
+        p.add_dense(1, 4, &[c(8)]);
+        p.add_pending(Timestamp(9), 1, 3, 5, c(5));
+        let mut w = StateWriter::new();
+        p.save_state(&mut w);
         let bytes = w.into_bytes();
-        let mut r = crate::checkpoint::StateReader::new(&bytes);
-        let mut got: WinVec<CountCell> = WinVec::load_state(&mut r).unwrap();
+        let mut r = StateReader::new(&bytes);
+        let mut got: WindowPlane<CountCell> = WindowPlane::load_state(&mut r, 4, 2).unwrap();
         assert!(r.is_exhausted());
-        // pending entry is still invisible at its own timestamp...
-        assert_eq!(got.get(Timestamp(2), 4), c(0));
-        // ...and settles at a later one, exactly like the original
-        assert_eq!(got.get(Timestamp(3), 4), c(5));
-        assert_eq!(got.get(Timestamp(3), 3), c(2));
+        got.settle(Timestamp(9));
+        assert_eq!(got.get(1, 4), c(8), "still pending at its own timestamp");
+        got.settle(Timestamp(10));
+        assert_eq!(
+            closed(&mut got, 7),
+            vec![
+                (3, vec![4, 5]),
+                (4, vec![0, 13]),
+                (5, vec![0, 5]),
+                (6, vec![0, 0])
+            ]
+        );
+        // a plane of other dimensions refuses the bytes
+        for (n_slots, n_cols) in [(1, 2), (4, 3)] {
+            let mut r = StateReader::new(&bytes);
+            assert!(WindowPlane::<CountCell>::load_state(&mut r, n_slots, n_cols).is_err());
+        }
+    }
+
+    #[test]
+    fn winvec_commits_same_time_adds_together_and_drains_in_order() {
+        let mut v: WinVec<CountCell> = WinVec::new();
+        v.add_range(Timestamp(5), 3, 4, c(2));
+        v.add_range(Timestamp(5), 3, 3, c(1));
+        v.add_range(Timestamp(6), 1, 1, c(7)); // older window: extends the front
+        v.add_range(Timestamp(6), 9, 9, c(0)); // ignored: zero delta
+        assert_eq!(v.drain_before(4), vec![(1, c(7)), (3, c(3))]);
+        assert_eq!(v.drain_before(u64::MAX), vec![(4, c(2))]);
+        assert_eq!(v.drain_before(u64::MAX), vec![]);
     }
 }

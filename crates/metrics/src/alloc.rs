@@ -140,8 +140,18 @@ mod tests {
     // NOTE: the allocator is NOT installed in unit tests (that would
     // affect every test binary); these tests exercise the counter logic
     // directly.
+
+    /// The byte counters are process-wide and the exact checks below read
+    /// them twice: every test that moves them holds this lock.
+    static BYTES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn bytes_lock() -> std::sync::MutexGuard<'static, ()> {
+        BYTES.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn counters_move() {
+        let _bytes = bytes_lock();
         let base = current_bytes();
         on_alloc(1000);
         assert_eq!(current_bytes(), base + 1000);
@@ -152,6 +162,7 @@ mod tests {
 
     #[test]
     fn reset_peak_rebases() {
+        let _bytes = bytes_lock();
         on_alloc(5000);
         on_dealloc(5000);
         let base = reset_peak();
@@ -165,6 +176,7 @@ mod tests {
     fn alloc_counter_moves() {
         // other tests in this binary may bump the global counters
         // concurrently, so assert lower bounds only
+        let _bytes = bytes_lock();
         let before = alloc_count();
         on_alloc(16);
         on_dealloc(16);
@@ -176,6 +188,7 @@ mod tests {
 
     #[test]
     fn measure_allocs_ignores_other_threads() {
+        let _bytes = bytes_lock();
         let ((), n) = measure_allocs(|| {
             std::thread::spawn(|| on_alloc(8))
                 .join()

@@ -8,9 +8,10 @@
 //! around a measured steady-state phase.
 //!
 //! Scope: the promise covers the online engine's unit path (length-1
-//! segments), the multi-type-segment path (START-entry cell arrays are
-//! pooled by [`sharon::executor::SegmentRunner`]), and the two-step
-//! baselines' columnar paths (Flink-like and SPASS-like run the same
+//! segments, reading the group's window plane in place), the
+//! multi-type-segment path (START records live in the
+//! [`sharon::executor::SegmentRunner`] ring), window closes, and the
+//! two-step baselines' columnar paths (Flink-like and SPASS-like run the same
 //! stateless-scan → stateful-dispatch pipeline with reused scratch
 //! buffers).
 
@@ -322,9 +323,8 @@ fn watermark_tracking_is_allocation_free_after_warmup() {
 
 #[test]
 fn multi_type_segment_path_is_allocation_free_after_warmup() {
-    // SEQ(A, B): every A boxes a START-entry cell array — pooled by
-    // SegmentRunner since the pooling change, making this path
-    // zero-allocation too (it used to be the last per-event allocation)
+    // SEQ(A, B): every A opens a START record — a slot of the runner's
+    // ring, freed by expiry and reused, so this path allocates nothing
     let _serial = serial();
     let mut catalog = Catalog::new();
     catalog.register_with_schema("A", Schema::new(["g", "v"]));
@@ -363,6 +363,92 @@ fn multi_type_segment_path_is_allocation_free_after_warmup() {
     );
     let results = executor.finish();
     assert!(!results.is_empty(), "pairs matched and windows emitted");
+}
+
+#[test]
+fn shared_segment_with_unit_stage_is_allocation_free_and_a_new_group_is_cheap() {
+    // the TX shape: a length-5 segment shared by two queries whose last
+    // stage is a single type — every X / Y row combines the segment's
+    // per-window totals (the mirror column of the group's window plane,
+    // read in place) with itself, and every batch closes windows
+    let _serial = serial();
+    const TYPES: [&str; 7] = ["S1", "S2", "S3", "S4", "S5", "X", "Y"];
+    let mut catalog = Catalog::new();
+    for name in TYPES {
+        catalog.register_with_schema(name, Schema::new(["g", "v"]));
+    }
+    let workload = parse_workload(
+        &mut catalog,
+        ["X", "Y"].map(|last| {
+            format!(
+                "RETURN COUNT(*) PATTERN SEQ(S1, S2, S3, S4, S5, {last}) \
+                 GROUP BY g WITHIN 256 ms SLIDE 16 ms"
+            )
+        }),
+    )
+    .unwrap();
+    let shared = Pattern::from_names(&mut catalog, &TYPES[..5]);
+    let plan = SharingPlan::new([PlanCandidate::new(shared, [QueryId(0), QueryId(1)])]);
+    let mut executor = Executor::new(&catalog, &workload, &plan).unwrap();
+
+    // rows cycle through the seven types, seven consecutive rows a group
+    let types: Vec<EventTypeId> = TYPES.iter().map(|n| catalog.lookup(n).unwrap()).collect();
+    let mut t = 0u64;
+    let mut build = |n: usize| -> Vec<EventBatch> {
+        (0..n)
+            .map(|_| {
+                let mut batch = EventBatch::with_capacity(BATCH_ROWS, 2);
+                for _ in 0..BATCH_ROWS {
+                    t += 1;
+                    let group = Value::Int((t / 7) as i64 % GROUPS);
+                    batch.push_from(
+                        types[(t % 7) as usize],
+                        Timestamp(t),
+                        [group, Value::Int(1)],
+                    );
+                }
+                batch
+            })
+            .collect()
+    };
+    let warmup = build(WARMUP_BATCHES);
+    let measured = build(MEASURED_BATCHES);
+    let mut newcomer = EventBatch::with_capacity(1, 2);
+    newcomer.push_from(
+        types[0],
+        Timestamp(t + 1),
+        [Value::Int(GROUPS), Value::Int(1)],
+    );
+
+    for batch in &warmup {
+        executor.process_columnar(batch);
+    }
+    // a batch is 16 slides for each of 16 groups and two queries
+    executor.reserve_results(MEASURED_BATCHES * 16 * GROUPS as usize + 64);
+    let (_, allocs) = alloc::measure_allocs(|| {
+        for batch in &measured {
+            executor.process_columnar(batch);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state shared-segment + unit-stage path must not allocate \
+         ({MEASURED_BATCHES} window-closing batches performed {allocs} allocations)"
+    );
+
+    // a group seen for the first time: its block is a handful of
+    // allocations (window plane, runner table, log table, one START ring)
+    let (_, allocs) = alloc::measure_allocs(|| executor.process_columnar(&newcomer));
+    assert!(
+        (1..=8).contains(&allocs),
+        "a first-seen group cost {allocs} allocations"
+    );
+
+    let results = executor.finish();
+    for q in [QueryId(0), QueryId(1)] {
+        let rows = results.of_query(q).count();
+        assert!(rows > 1000, "{q:?}: windows closed and emitted ({rows})");
+    }
 }
 
 #[test]

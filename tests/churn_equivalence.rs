@@ -262,6 +262,7 @@ fn hot_swap_holds_for_greedy_and_non_shared() {
             .strategy(strategy)
             .shards(2)
             .pipeline_depth(0)
+            .routers(1)
             .session(SessionConfig::default())
             .expect("session starts");
         let third = s.events.len() / 3;
@@ -299,6 +300,7 @@ fn attach_at_offset_matches_static_for_complete_windows() {
             let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
                 .shards(shards)
                 .pipeline_depth(0)
+                .routers(1)
                 .session(SessionConfig::default())
                 .expect("session starts");
             let k = s.events.len() / 3;
@@ -339,6 +341,7 @@ fn alias_attach_takes_fast_path_and_mirrors_source() {
     let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
         .shards(2)
         .pipeline_depth(0)
+        .routers(1)
         .session(SessionConfig::default())
         .expect("session starts");
     let k = s.events.len() / 3;
@@ -396,6 +399,7 @@ fn detach_frees_sidecar_state() {
     let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
         .shards(2)
         .pipeline_depth(0)
+        .routers(1)
         .session(SessionConfig::default())
         .expect("session starts");
     let (k1, k2) = (s.events.len() / 4, s.events.len() / 2);
@@ -435,6 +439,7 @@ fn detach_shared_query_keeps_closed_windows() {
     let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
         .shards(2)
         .pipeline_depth(0)
+        .routers(1)
         .session(SessionConfig::default())
         .expect("session starts");
     let k = s.events.len() / 2;
@@ -479,6 +484,7 @@ fn scripted_churn_matches_static_reference() {
             let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
                 .shards(shards)
                 .pipeline_depth(0)
+                .routers(1)
                 .session(SessionConfig::default())
                 .expect("session starts");
             let len = s.events.len();
@@ -546,6 +552,7 @@ fn drain_epochs_are_disjoint_and_complete() {
     let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
         .shards(2)
         .pipeline_depth(0)
+        .routers(1)
         .session(SessionConfig::default())
         .expect("session starts");
     let len = s.events.len();

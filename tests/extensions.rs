@@ -230,3 +230,36 @@ fn window_gaps_are_handled() {
     // at 999995 and 1000000 both hold (a,b)
     assert_eq!(res.total_count(QueryId(0)), 1 + 2);
 }
+
+/// The same gap with a 3-type runner whose middle type never arrives: its
+/// START events complete nothing and only expiry removes them. The state
+/// size counts live START cells and open window cells only — also when
+/// the first row after the gap plays no role in that runner, so nothing
+/// but the per-slide maintenance can have expired it.
+#[test]
+fn starts_that_never_complete_expire_over_gaps() {
+    let mut c = Catalog::new();
+    let w = parse_workload(
+        &mut c,
+        [
+            "RETURN COUNT(*) PATTERN SEQ(A, B, C) WITHIN 10 ms SLIDE 5 ms",
+            "RETURN COUNT(*) PATTERN SEQ(X, Y) WITHIN 10 ms SLIDE 5 ms",
+        ],
+    )
+    .unwrap();
+    let mut ex = Executor::non_shared(&c, &w).unwrap();
+    for t in 1..=50u64 {
+        ex.process(&ev(&c, "A", t));
+    }
+    // at t = 50 the STARTs after t = 40 are alive: 10 × 2 prefix cells
+    assert_eq!(ex.cell_count(), 20, "dead STARTs must not be counted");
+    ex.process(&ev(&c, "X", 1_000_000));
+    assert_eq!(ex.cell_count(), 1, "only the X that ended the gap is alive");
+    ex.process(&ev(&c, "C", 1_000_001));
+    ex.process(&ev(&c, "Y", 1_000_002));
+    // (x, y) sits in the windows starting at 999995 and 1000000
+    assert_eq!(ex.cell_count(), 1 + 2);
+    let res = ex.finish();
+    assert_eq!(res.total_count(QueryId(0)), 0);
+    assert_eq!(res.total_count(QueryId(1)), 2);
+}

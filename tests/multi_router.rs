@@ -450,3 +450,32 @@ mod determinism {
         }
     }
 }
+
+/// A multi-router plane without a pipelined ingest stage cannot be built:
+/// the builder says so as a typed error before any thread is spawned, for
+/// the executor and for a session alike.
+#[test]
+fn builder_refuses_a_multi_router_plane_with_inline_routing() {
+    use sharon::executor::CompileError;
+
+    let mut catalog = Catalog::new();
+    let workload = parse_workload(
+        &mut catalog,
+        ["RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10 s SLIDE 1 s"],
+    )
+    .expect("query parses");
+    let rates = RateMap::uniform(100.0);
+    let inline = SharonBuilder::new(&catalog, &workload, &rates)
+        .shards(2)
+        .routers(2)
+        .pipeline_depth(0);
+    let want = CompileError::RoutersNeedPipeline { routers: 2 };
+    assert_eq!(inline.clone().build_executor().err(), Some(want.clone()));
+    assert_eq!(inline.session(SessionConfig::default()).err(), Some(want));
+    // the sequential engine has no routing plane to mis-size
+    SharonBuilder::new(&catalog, &workload, &rates)
+        .routers(2)
+        .pipeline_depth(0)
+        .build_executor()
+        .expect("shards(0) ignores the plane options");
+}

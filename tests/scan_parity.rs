@@ -345,6 +345,9 @@ fn run_mode(
             batch_size: 512,
             split: sharon_executor::SplitConfig::default(),
             pipeline_depth: 0,
+            // in-line routing has no plane to size (`SHARON_ROUTERS` may
+            // ask for one)
+            routers: 1,
             ..Default::default()
         },
     )

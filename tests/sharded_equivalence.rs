@@ -407,16 +407,18 @@ proptest! {
 
         // a small flush threshold forces mid-stream route-once fan-outs
         let plan = SharingPlan::non_shared();
-        let mut sharded = ShardedExecutor::with_pipeline_depth(
-            &catalog,
-            &workload,
-            &plan,
-            shards,
-            13,
-            sharon_executor::SplitConfig::default(),
-            depth,
-        )
-        .unwrap();
+        let mut options = sharon_executor::ShardedOptions {
+            batch_size: 13,
+            pipeline_depth: depth,
+            ..Default::default()
+        };
+        if depth == 0 {
+            // in-line routing has no plane to size (`SHARON_ROUTERS` may
+            // ask for one)
+            options.routers = 1;
+        }
+        let mut sharded =
+            ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options).unwrap();
         for b in &batches {
             sharded.process_columnar(b);
         }
