@@ -15,14 +15,10 @@
 //! splitting is built to fix. Every row of a sweep must report identical
 //! result counts, so the skewed merge path cannot silently bitrot.
 //!
-//! The **query-count sweep** measures the pipelined ingest + scope-dedup
-//! path on the workload shape that used to stall the routing core: 1/8/64
-//! Flink-like queries sharing one routing scope (dedup collapses them to
-//! a single router scan per batch) × shards ∈ {1, 4, 8}, with in-line
-//! routing (`pipeline 0`) against the router-thread pipeline
-//! (`pipeline 2`). On a 1-CPU host the two modes time-share one core, so
-//! their ratio measures hand-off overhead, not overlap — the JSON notes
-//! the core count for that reason.
+//! The **query-count sweep** measures the scope-dedup path on the
+//! workload shape that used to stall the routing core: 1/8/64 Flink-like
+//! queries sharing one routing scope (dedup collapses them to a single
+//! router scan per batch) × shards ∈ {1, 4, 8}.
 //!
 //! The **selectivity sweep** measures the compiled-scan tentpole: the
 //! same predicate-bearing workload at 0% / ~50% / 100% predicate pass
@@ -35,7 +31,7 @@
 //! The **routing sweep** measures the parallel routing plane on its
 //! target shape: 64 queries whose predicates all differ (so scope dedup
 //! collapses nothing and every batch costs 64 scope scans) × routers ∈
-//! {1, 2, 4} × shards ∈ {4, 8}, pipelined. It also asserts the LPT cost
+//! {1, 2, 4} × shards ∈ {4, 8}. It also asserts the LPT cost
 //! partition keeps per-router scope scans within 2× of each other.
 //!
 //! Prints one table per scenario and writes a machine-readable baseline to
@@ -66,6 +62,18 @@ struct Run {
     label: String,
     events_per_sec: f64,
     results: usize,
+}
+
+/// The online engines under `plan` on `shards` worker shards, default
+/// runtime options.
+fn sharded(
+    catalog: &Catalog,
+    workload: &Workload,
+    plan: &SharingPlan,
+    shards: usize,
+) -> ShardedExecutor {
+    ShardedExecutor::with_options(catalog, workload, plan, shards, ShardedOptions::default())
+        .unwrap()
 }
 
 fn measure(label: &str, n_events: usize, run: impl Fn() -> ExecutorResults) -> Run {
@@ -126,7 +134,7 @@ fn scenario(n_events: usize, n_vehicles: usize) -> (String, Vec<Run>) {
     let shared = Arc::new(batch.clone());
     for shards in SHARD_COUNTS {
         runs.push(measure(&format!("sharded/{shards}"), n, || {
-            let mut ex = ShardedExecutor::new(&catalog, &workload, &plan, shards).unwrap();
+            let mut ex = sharded(&catalog, &workload, &plan, shards);
             ex.process_shared(&shared);
             ex.finish()
         }));
@@ -184,21 +192,17 @@ fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
     }));
     for shards in SHARD_COUNTS {
         runs.push(measure(&format!("sharded/{shards}"), n, || {
-            let mut ex = ShardedExecutor::new(&catalog, &workload, &plan, shards).unwrap();
+            let mut ex = sharded(&catalog, &workload, &plan, shards);
             ex.process_shared(&shared);
             ex.finish()
         }));
     }
     runs.push(measure("sharded/8/pinned", n, || {
-        let mut ex = ShardedExecutor::with_split_config(
-            &catalog,
-            &workload,
-            &plan,
-            8,
-            sharon::executor::DEFAULT_BATCH_SIZE,
-            SplitConfig::disabled(),
-        )
-        .unwrap();
+        let options = ShardedOptions {
+            split: SplitConfig::disabled(),
+            ..ShardedOptions::default()
+        };
+        let mut ex = ShardedExecutor::with_options(&catalog, &workload, &plan, 8, options).unwrap();
         ex.process_shared(&shared);
         ex.finish()
     }));
@@ -216,19 +220,15 @@ fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
     // legs above into pinned-only runs and the smoke would keep passing
     // while never exercising the split/merge path. `split_snapshot()`
     // barriers the routing plane before counting, so the guard holds at
-    // every pipeline depth and router count — including the pipelined
-    // configurations whose live `split_groups()` may trail the short
-    // smoke stream's last batches.
+    // every router count.
     if theta > 0.0 {
-        for (depth, routers) in [(0usize, 1usize), (2, 1), (2, 2)] {
+        for routers in [1usize, 2] {
             let mut ex = ShardedExecutor::with_options(
                 &catalog,
                 &workload,
                 &plan,
                 8,
                 ShardedOptions {
-                    batch_size: sharon::executor::DEFAULT_BATCH_SIZE,
-                    pipeline_depth: depth,
                     routers,
                     split: SplitConfig {
                         min_rows: 64,
@@ -242,13 +242,13 @@ fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
             ex.process_shared(&shared);
             assert!(
                 ex.split_snapshot() > 0,
-                "theta={theta} depth={depth} routers={routers}: \
+                "theta={theta} routers={routers}: \
                  the skewed stream must trigger a split"
             );
             assert_eq!(
                 ex.finish().len(),
                 want,
-                "theta={theta} depth={depth} routers={routers}: \
+                "theta={theta} routers={routers}: \
                  splitting changed the result count"
             );
         }
@@ -256,14 +256,12 @@ fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
     (name, runs)
 }
 
-/// Pipelined ingest + scope dedup on a many-query, shared-scope workload:
-/// `n_queries` Flink-like queries over the same `SEQ(MainSt, StateSt)`
-/// scope (windows differ, so the queries are distinct but route
-/// identically — dedup collapses them to ONE router scan per batch),
-/// swept over shard counts with in-line routing vs the router-thread
-/// pipeline. This is the Amdahl case the pipeline exists for: per-query
-/// routing work used to serialize on the ingest core while the workers
-/// idled.
+/// Scope dedup on a many-query, shared-scope workload: `n_queries`
+/// Flink-like queries over the same `SEQ(MainSt, StateSt)` scope (windows
+/// differ, so the queries are distinct but route identically — dedup
+/// collapses them to ONE router scan per batch), swept over shard counts.
+/// This is the Amdahl case dedup exists for: per-query routing work used
+/// to serialize on the routing core while the workers idled.
 fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
     let n_events = scaled(60_000, 3_000);
     let n_vehicles = 512;
@@ -293,28 +291,16 @@ fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
         ex.finish()
     }));
     for shards in [1usize, 4, 8] {
-        for (mode, depth) in [("inline", 0usize), ("pipelined", 2)] {
-            runs.push(measure(
-                &format!("flink/sharded/{shards}/{mode}"),
-                n,
-                || {
-                    let mut ex = FlinkLike::sharded_with_pipeline(
-                        &catalog,
-                        &workload,
-                        shards,
-                        sharon::executor::DEFAULT_BATCH_SIZE,
-                        depth,
-                        None,
-                    )
+        runs.push(measure(&format!("flink/sharded/{shards}"), n, || {
+            let mut ex =
+                FlinkLike::sharded(&catalog, &workload, shards, &ShardedOptions::default())
                     .unwrap();
-                    ex.process_shared(&shared);
-                    ex.finish()
-                },
-            ));
-        }
+            ex.process_shared(&shared);
+            ex.finish()
+        }));
     }
 
-    // routing mode and shard count must never change results
+    // the shard count must never change results
     let want = runs[0].results;
     for run in &runs {
         assert_eq!(run.results, want, "{}: result count diverged", run.label);
@@ -326,7 +312,7 @@ fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
 /// exists for — `n_queries` Flink-like queries whose predicates all
 /// differ, so scope dedup collapses **nothing** and the router must scan
 /// every scope on every batch. Swept over routers ∈ {1, 2, 4} × shards ∈
-/// {4, 8} (pipelined ingest, depth 2): with one router the scope scans
+/// {4, 8}: with one router the scope scans
 /// serialize on a single routing thread; a plane of R routers splits them
 /// R ways. A sequential columnar run anchors the results, and every
 /// configuration must report the identical result count.
@@ -360,6 +346,10 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
         parse_workload(&mut catalog, sources.iter().map(String::as_str)).expect("workload parses");
     let n = batch.len();
     let shared = Arc::new(batch);
+    let plane = |routers: usize| ShardedOptions {
+        routers,
+        ..ShardedOptions::default()
+    };
 
     let mut runs = Vec::new();
     runs.push(measure("flink/sequential", n, || {
@@ -373,16 +363,8 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
                 &format!("flink/sharded/{shards}/routers-{routers}"),
                 n,
                 || {
-                    let mut ex = FlinkLike::sharded_with_routing(
-                        &catalog,
-                        &workload,
-                        shards,
-                        sharon::executor::DEFAULT_BATCH_SIZE,
-                        2,
-                        None,
-                        routers,
-                    )
-                    .unwrap();
+                    let mut ex =
+                        FlinkLike::sharded(&catalog, &workload, shards, &plane(routers)).unwrap();
                     ex.process_shared(&shared);
                     ex.finish()
                 },
@@ -399,16 +381,7 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
     // load-balance guard (not measured): the LPT cost partition must keep
     // per-router scope scans within 2× of each other
     for routers in [2usize, 4] {
-        let mut ex = FlinkLike::sharded_with_routing(
-            &catalog,
-            &workload,
-            4,
-            sharon::executor::DEFAULT_BATCH_SIZE,
-            2,
-            None,
-            routers,
-        )
-        .unwrap();
+        let mut ex = FlinkLike::sharded(&catalog, &workload, 4, &plane(routers)).unwrap();
         ex.process_shared(&shared);
         // split_snapshot barriers the plane, so the counters cover every
         // routed batch including the flushed tail
@@ -488,7 +461,7 @@ fn selectivity_sweep(pass_label: &str, threshold: f64) -> (String, Vec<Run>) {
         ));
         runs.push(measure(&format!("sharded/4/{mode_label}"), n, || {
             set_scan_mode(Some(mode));
-            let mut ex = ShardedExecutor::new(&catalog, &workload, &plan, 4).unwrap();
+            let mut ex = sharded(&catalog, &workload, &plan, 4);
             set_scan_mode(None);
             ex.process_shared(&shared);
             ex.finish()
@@ -561,7 +534,7 @@ fn scan_stress_sweep() -> (String, Vec<Run>) {
         ));
         runs.push(measure(&format!("sharded/4/{mode_label}"), n, || {
             set_scan_mode(Some(mode));
-            let mut ex = ShardedExecutor::new(&catalog, &workload, &plan, 4).unwrap();
+            let mut ex = sharded(&catalog, &workload, &plan, 4);
             set_scan_mode(None);
             ex.process_shared(&shared);
             ex.finish()
@@ -610,22 +583,25 @@ fn strategy_sweep(theta: f64) -> (String, Vec<Run>) {
     // optimize once outside the measured closures (like `scenario`): the
     // sweep times ingestion + finish, not the fixed plan-search cost
     let plan = optimize_sharon(&workload, &rates, &OptimizerConfig::default()).plan;
+    let defaults = ShardedOptions::default();
     let build = |strategy: Strategy, shards: usize| -> AnyExecutor {
         match (strategy, shards) {
             (Strategy::Sharon, 0) => Executor::new(&catalog, &workload, &plan).unwrap().into(),
             (Strategy::ASeq, 0) => Executor::non_shared(&catalog, &workload).unwrap().into(),
             (Strategy::FlinkLike, 0) => FlinkLike::new(&catalog, &workload).unwrap().into(),
             (Strategy::SpassLike, 0) => SpassLike::new(&catalog, &workload, &plan).unwrap().into(),
-            (Strategy::Sharon, n) => ShardedExecutor::new(&catalog, &workload, &plan, n)
+            (Strategy::Sharon, n) => sharded(&catalog, &workload, &plan, n).into(),
+            (Strategy::ASeq, n) => {
+                sharded(&catalog, &workload, &SharingPlan::non_shared(), n).into()
+            }
+            (Strategy::FlinkLike, n) => FlinkLike::sharded(&catalog, &workload, n, &defaults)
                 .unwrap()
                 .into(),
-            (Strategy::ASeq, n) => ShardedExecutor::non_shared(&catalog, &workload, n)
-                .unwrap()
-                .into(),
-            (Strategy::FlinkLike, n) => FlinkLike::sharded(&catalog, &workload, n).unwrap().into(),
-            (Strategy::SpassLike, n) => SpassLike::sharded(&catalog, &workload, &plan, n)
-                .unwrap()
-                .into(),
+            (Strategy::SpassLike, n) => {
+                SpassLike::sharded(&catalog, &workload, &plan, n, &defaults)
+                    .unwrap()
+                    .into()
+            }
             (Strategy::Greedy, _) => unreachable!("Greedy is not in the sweep"),
         }
     };
@@ -685,9 +661,8 @@ fn json_out(path: &std::path::Path, scenarios: &[(String, Vec<Run>)], parallelis
              timeshare one core, so sharded/N ratios measure overhead only, not parallel \
              speedup; in the skew sweep this also means hot-group splitting's broadcast \
              replication can only cost (sharded/N vs sharded/8/pinned shows the replication \
-             overhead, not the load-balance win), and in the query-count sweep \
-             pipelined-vs-inline measures hand-off overhead, not routing/execution overlap — \
-             rerun on a multi-core host to observe scaling\",\n",
+             overhead, not the load-balance win) — rerun on a multi-core host to observe \
+             scaling\",\n",
         );
     }
     out.push_str("  \"scenarios\": [\n");

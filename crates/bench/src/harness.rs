@@ -38,14 +38,6 @@ pub fn shards() -> usize {
         .unwrap_or(0)
 }
 
-/// The sharded runtime's ingest pipeline depth for the figure sweeps:
-/// `SHARON_PIPELINE` if set (`0` = in-line routing), else the
-/// double-buffered default — see
-/// [`sharon::executor::default_pipeline_depth`].
-pub fn pipeline() -> usize {
-    sharon::executor::default_pipeline_depth()
-}
-
 /// The sharded runtime's routing-plane size for the figure sweeps:
 /// `SHARON_ROUTERS` if set (`1` = the classic single router thread), else
 /// 1 — see [`sharon::executor::default_routers`].
@@ -170,7 +162,6 @@ pub fn run_measured(
         .strategy(strategy)
         .optimizer_config(cfg)
         .shards(n_shards)
-        .pipeline_depth(pipeline())
         .routers(routers())
         .build_executor()
         .expect("executor compiles");

@@ -8,7 +8,7 @@
 //! USAGE:
 //!   sharon [--queries FILE] [--stream taxi|lr|ec] [--events N]
 //!          [--strategy sharon|greedy|aseq|flink|spass] [--shards N]
-//!          [--pipeline-depth N] [--routers R] [--skew THETA] [--explain]
+//!          [--routers R] [--skew THETA] [--explain]
 //!          [--results N] [--checkpoint-dir DIR] [--checkpoint-interval N]
 //!          [--resume] [--spill-max N] [--disorder K] [--lateness B]
 //!          [--churn FILE]
@@ -17,15 +17,11 @@
 //! Figure 2 purchase workload (ec) is used. `--shards N` runs *any*
 //! strategy — online or two-step — on the sharded parallel runtime with N
 //! worker threads (every strategy is a columnar `BatchProcessor` the
-//! route-once runtime can host). `--pipeline-depth N` sets the ingest
-//! pipeline: 0 routes batches in-line on the ingest thread (the legacy
-//! mode), N >= 1 overlaps routing with execution on a dedicated router
-//! thread behind an N-deep job ring (default 2, or the `SHARON_PIPELINE`
-//! environment variable). `--routers R` sizes the routing plane: the
-//! compiled scopes are cost-partitioned across R router threads, each
-//! with its own per-worker rings, and workers merge the R streams in
-//! batch-sequence order (default 1, or the `SHARON_ROUTERS` environment
-//! variable; R > 1 requires a pipelined ingest stage).
+//! route-once runtime can host); routing overlaps execution on dedicated
+//! router threads. `--routers R` sizes that routing plane: the compiled
+//! scopes are cost-partitioned across R router threads, each with its own
+//! per-worker rings, and workers merge the R streams in batch-sequence
+//! order (default 1, or the `SHARON_ROUTERS` environment variable).
 //! `--skew THETA` draws the stream's group
 //! dimension (vehicle / car / customer) from a Zipf(THETA) distribution,
 //! the skewed `GROUP BY` shape the sharded runtime's hot-group splitting
@@ -39,6 +35,8 @@
 //! groups resident per engine. The `SHARON_CHECKPOINT=<dir>[:<interval>]`
 //! and `SHARON_FAULT=<drop@N|panic@N:S|abort@N|reorder@N:K>` environment
 //! knobs are honored too (unparsable values are fatal, never ignored).
+//! A durability knob without `--shards`, or on a two-step baseline, is
+//! refused with the builder's error.
 //!
 //! Event time: `--disorder K` scrambles the generated stream with bounded
 //! disorder (each event displaced at most K positions; seeded, so runs
@@ -73,7 +71,7 @@ use sharon::executor::{CheckpointConfig, ShardedOptions, SpillConfig};
 use sharon::prelude::*;
 use sharon::streams::workload::{figure_1_workload, figure_2_workload, measured_rates_batch};
 use sharon::streams::{ecommerce, linear_road, taxi};
-use sharon::{resume_sharded_executor, Strategy};
+use sharon::Strategy;
 use std::time::Instant;
 
 struct Args {
@@ -82,7 +80,6 @@ struct Args {
     events: usize,
     strategy: Strategy,
     shards: usize,
-    pipeline_depth: usize,
     routers: Option<usize>,
     skew: f64,
     explain: bool,
@@ -103,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
         events: 50_000,
         strategy: Strategy::Sharon,
         shards: 0,
-        pipeline_depth: sharon::executor::default_pipeline_depth(),
         routers: None,
         skew: 0.0,
         explain: false,
@@ -146,11 +142,6 @@ fn parse_args() -> Result<Args, String> {
                 args.shards = value("--shards")?
                     .parse()
                     .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--pipeline-depth" => {
-                args.pipeline_depth = value("--pipeline-depth")?
-                    .parse()
-                    .map_err(|e| format!("--pipeline-depth: {e}"))?
             }
             "--routers" => {
                 let n: usize = value("--routers")?
@@ -208,7 +199,7 @@ fn parse_args() -> Result<Args, String> {
                     "sharon — shared online event sequence aggregation (ICDE 2018)\n\n\
                      USAGE:\n  sharon [--queries FILE] [--stream taxi|lr|ec] [--events N]\n\
                      \x20        [--strategy sharon|greedy|aseq|flink|spass] [--shards N]\n\
-                     \x20        [--pipeline-depth N] [--routers R] [--skew THETA] [--explain]\n\
+                     \x20        [--routers R] [--skew THETA] [--explain]\n\
                      \x20        [--results N] [--checkpoint-dir DIR] [--checkpoint-interval N]\n\
                      \x20        [--resume] [--spill-max N] [--disorder K] [--lateness B]\n\
                      \x20        [--churn FILE]"
@@ -324,18 +315,11 @@ fn main() {
     eprintln!("workload: {} queries", workload.len());
 
     // 3. durability knobs — flags override the SHARON_CHECKPOINT /
-    // SHARON_FAULT environment knobs that RuntimeOptions picked up
+    // SHARON_FAULT environment knobs that RuntimeOptions picked up; the
+    // builder refuses the combinations its runtime cannot host
     let mut options = runtime.sharded_options();
-    options.pipeline_depth = args.pipeline_depth;
     if let Some(n) = args.routers {
         options.routers = n;
-    }
-    if options.routers > 1 && options.pipeline_depth == 0 {
-        eprintln!(
-            "error: --routers {} needs a pipelined ingest stage (--pipeline-depth >= 1)",
-            options.routers
-        );
-        std::process::exit(2);
     }
     if let Some(dir) = &args.checkpoint_dir {
         options.checkpoint = Some(CheckpointConfig::every(
@@ -363,22 +347,6 @@ fn main() {
         options.spill = Some(SpillConfig::new(dir, max_resident));
     }
     let durability = options.checkpoint.is_some() || options.spill.is_some();
-    if (durability || options.fault.is_some() || args.resume) && shards == 0 && args.churn.is_none()
-    {
-        eprintln!(
-            "error: checkpoint/spill/fault/resume knobs require the sharded runtime (--shards N)"
-        );
-        std::process::exit(2);
-    }
-    if (durability || args.resume)
-        && matches!(args.strategy, Strategy::FlinkLike | Strategy::SpassLike)
-    {
-        eprintln!(
-            "error: the {} two-step baseline does not support checkpoint/spill/resume",
-            args.strategy.name()
-        );
-        std::process::exit(2);
-    }
     if args.resume && options.checkpoint.is_none() {
         eprintln!("error: --resume needs --checkpoint-dir (or SHARON_CHECKPOINT)");
         std::process::exit(2);
@@ -420,43 +388,35 @@ fn main() {
     let t0 = Instant::now();
     let n_routers = options.routers;
     let mut replay_offset: u64 = 0;
+    let mut builder = SharonBuilder::new(&catalog, &workload, &rates)
+        .strategy(args.strategy)
+        .shards(shards)
+        .routers(options.routers)
+        .batch_size(options.batch_size);
+    if let Some(ck) = options.checkpoint.clone() {
+        builder = builder.checkpoint(ck);
+    }
+    if let Some(sp) = options.spill.clone() {
+        builder = builder.spill(sp);
+    }
+    if let Some(fault) = options.fault {
+        builder = builder.fault(fault);
+    }
+    if let Some(b) = options.lateness {
+        builder = builder.lateness(b);
+    }
+    if let Some(mode) = runtime.scan {
+        builder = builder.scan_mode(mode);
+    }
     let built = if args.resume {
-        resume_sharded_executor(
-            &catalog,
-            &workload,
-            &rates,
-            args.strategy,
-            &OptimizerConfig::default(),
-            shards,
-            options,
-        )
-        .map(|(ex, outcome, offset)| {
-            replay_offset = offset;
-            (ex, outcome)
-        })
-        .map_err(|e| format!("cannot resume: {e}"))
+        builder
+            .resume()
+            .map(|(ex, outcome, offset)| {
+                replay_offset = offset;
+                (ex, outcome)
+            })
+            .map_err(|e| format!("cannot resume: {e}"))
     } else {
-        let mut builder = SharonBuilder::new(&catalog, &workload, &rates)
-            .strategy(args.strategy)
-            .shards(shards)
-            .pipeline_depth(options.pipeline_depth)
-            .routers(options.routers)
-            .batch_size(options.batch_size);
-        if let Some(ck) = options.checkpoint.clone() {
-            builder = builder.checkpoint(ck);
-        }
-        if let Some(sp) = options.spill.clone() {
-            builder = builder.spill(sp);
-        }
-        if let Some(fault) = options.fault {
-            builder = builder.fault(fault);
-        }
-        if let Some(b) = options.lateness {
-            builder = builder.lateness(b);
-        }
-        if let Some(mode) = runtime.scan {
-            builder = builder.scan_mode(mode);
-        }
         builder.build_executor().map_err(|e| e.to_string())
     };
     let (mut executor, outcome) = match built {
@@ -468,22 +428,7 @@ fn main() {
     };
     let optimize_time = t0.elapsed();
     if shards > 0 {
-        if args.pipeline_depth > 0 && n_routers > 1 {
-            eprintln!(
-                "runtime: sharded across {} worker threads, pipelined ingest ({} router threads, depth {})",
-                shards, n_routers, args.pipeline_depth
-            );
-        } else if args.pipeline_depth > 0 {
-            eprintln!(
-                "runtime: sharded across {} worker threads, pipelined ingest (router thread, depth {})",
-                shards, args.pipeline_depth
-            );
-        } else {
-            eprintln!(
-                "runtime: sharded across {} worker threads, in-line routing",
-                shards
-            );
-        }
+        eprintln!("runtime: sharded across {shards} worker threads, {n_routers} router thread(s)");
     }
 
     if let Some(outcome) = &outcome {
@@ -711,7 +656,6 @@ fn run_churn(
     let mut builder = SharonBuilder::new(catalog, workload, rates)
         .strategy(args.strategy)
         .shards(shards)
-        .pipeline_depth(options.pipeline_depth)
         .routers(options.routers)
         .batch_size(options.batch_size);
     if let Some(sp) = options.spill.clone() {
@@ -728,11 +672,11 @@ fn run_churn(
         }
     };
     eprintln!(
-        "session: {} initial queries ({}) on {} shard(s), pipeline depth {}, {} scripted op(s)",
+        "session: {} initial queries ({}) on {} shard(s), {} router thread(s), {} scripted op(s)",
         workload.len(),
         args.strategy.name(),
         shards,
-        options.pipeline_depth,
+        options.routers,
         ops.len()
     );
 

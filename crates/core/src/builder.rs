@@ -1,9 +1,7 @@
 //! Fluent construction of every Sharon runtime shape.
 //!
-//! [`SharonBuilder`] replaces the old constructor zoo
-//! (`SharonFramework::{new, with_strategy, with_shards}`,
-//! `build_sharded_executor{,_with_options}`) with one chain that scales
-//! from "defaults, sequential" to "sharded, pipelined, checkpointed,
+//! [`SharonBuilder`] is the one way to build: a single chain that scales
+//! from "defaults, sequential" to "sharded, multi-router, checkpointed,
 //! spilling, fault-injected":
 //!
 //! ```
@@ -17,7 +15,7 @@
 //!
 //! let mut fw = SharonBuilder::new(&catalog, &workload, &rates)
 //!     .shards(2)
-//!     .pipeline_depth(0)
+//!     .routers(1)
 //!     .build()
 //!     .unwrap();
 //! # let _ = fw.finish();
@@ -25,23 +23,24 @@
 //!
 //! The terminal calls are [`SharonBuilder::build`] (a
 //! [`SharonFramework`]), [`SharonBuilder::build_executor`] (the raw
-//! [`AnyExecutor`] plus optimizer outcome), and [`SharonBuilder::session`]
-//! (a live [`SharonSession`] supporting runtime
-//! query churn).
+//! [`AnyExecutor`] plus optimizer outcome), [`SharonBuilder::resume`]
+//! (the same, restarted from the latest checkpoint), and
+//! [`SharonBuilder::session`] (a live [`SharonSession`] supporting
+//! runtime query churn).
 
 use crate::framework::SharonFramework;
 use crate::session::{SessionConfig, SharonSession};
-use crate::strategy::{build_executor, build_sharded_any, AnyExecutor, Strategy};
+use crate::strategy::{build_executor, build_sharded_any, strategy_plan, AnyExecutor, Strategy};
 use sharon_executor::{
-    set_scan_mode, CheckpointConfig, CompileError, FaultPlan, RuntimeOptions, ScanMode,
-    ShardedOptions, SpillConfig, SplitConfig,
+    set_scan_mode, CheckpointConfig, CheckpointError, CompileError, FaultPlan, RuntimeOptions,
+    ScanMode, ShardedExecutor, ShardedOptions, SpillConfig, SplitConfig,
 };
 use sharon_optimizer::{OptimizeOutcome, OptimizerConfig, RateMap};
 use sharon_query::Workload;
 use sharon_types::Catalog;
 
 /// Fluent builder for every executor shape: strategy × sharding ×
-/// pipelining × durability × event-time × scan mode, one setter each.
+/// routing plane × durability × event-time × scan mode, one setter each.
 ///
 /// Unset knobs keep the engine defaults ([`ShardedOptions::default`],
 /// [`Strategy::Sharon`], [`OptimizerConfig::default`]). `shards(0)` (the
@@ -95,21 +94,11 @@ impl<'a> SharonBuilder<'a> {
         self
     }
 
-    /// Ingest pipeline depth for the sharded runtime: `0` routes in-line
-    /// on the ingest thread, `n ≥ 1` overlaps routing with execution on a
-    /// dedicated router thread behind an `n`-deep job ring. Default:
-    /// [`sharon_executor::default_pipeline_depth`] (honours
-    /// `SHARON_PIPELINE`).
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.options.pipeline_depth = depth;
-        self
-    }
-
     /// Router threads in the sharded runtime's routing plane: `1` (the
     /// default) is the classic single router, `n ≥ 2` partitions the
-    /// compiled scopes across `n` router threads by cost estimate —
-    /// requires `pipeline_depth ≥ 1`. Default:
-    /// [`sharon_executor::default_routers`] (honours `SHARON_ROUTERS`).
+    /// compiled scopes across `n` router threads by cost estimate.
+    /// Default: [`sharon_executor::default_routers`] (honours
+    /// `SHARON_ROUTERS`).
     pub fn routers(mut self, n: usize) -> Self {
         self.options.routers = n;
         self
@@ -168,15 +157,11 @@ impl<'a> SharonBuilder<'a> {
     }
 
     /// Apply every knob parsed from the `SHARON_*` environment surface
-    /// (see [`RuntimeOptions`]): shard count, pipeline depth, router
-    /// count, scan mode, lateness, checkpoint spec, and fault plan, each
-    /// only when set.
+    /// (see [`RuntimeOptions`]): shard count, router count, scan mode,
+    /// lateness, checkpoint spec, and fault plan, each only when set.
     pub fn runtime_options(mut self, opts: &RuntimeOptions) -> Self {
         if let Some(n) = opts.shards {
             self.shards = n;
-        }
-        if let Some(depth) = opts.pipeline_depth {
-            self.options.pipeline_depth = depth;
         }
         if let Some(n) = opts.routers {
             self.options.routers = n;
@@ -196,47 +181,19 @@ impl<'a> SharonBuilder<'a> {
         self
     }
 
-    /// The sharded runtime asserts this; a builder reports it.
-    fn check_routing_plane(&self) -> Result<(), CompileError> {
-        let routers = self.options.routers;
-        if routers > 1 && self.options.pipeline_depth == 0 {
-            return Err(CompileError::RoutersNeedPipeline { routers });
-        }
-        Ok(())
-    }
-
     /// Build the executor and the optimizer outcome (when an optimizer
-    /// runs for the chosen strategy). A multi-router plane without a
-    /// pipelined ingest stage is [`CompileError::RoutersNeedPipeline`].
+    /// runs for the chosen strategy).
     ///
-    /// Panics if durability options (checkpoint / spill / fault) were set
-    /// with `shards(0)` — the durability tier lives in the sharded
-    /// runtime only.
+    /// A durability option (checkpoint / spill / fault) with `shards(0)`
+    /// is [`CompileError::ShardsRequired`] — the durability tier lives in
+    /// the sharded runtime only — and one on a two-step baseline is
+    /// [`CompileError::UnsupportedOption`].
     pub fn build_executor(self) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
         if let Some(mode) = self.scan {
             set_scan_mode(Some(mode));
         }
-        if self.shards == 0 {
-            assert!(
-                self.options.checkpoint.is_none()
-                    && self.options.spill.is_none()
-                    && self.options.fault.is_none(),
-                "checkpoint/spill/fault require the sharded runtime — call .shards(n >= 1)"
-            );
-            let (mut ex, outcome) = build_executor(
-                self.catalog,
-                self.workload,
-                self.rates,
-                self.strategy,
-                &self.config,
-            )?;
-            if let Some(ms) = self.options.lateness {
-                ex.set_lateness(ms);
-            }
-            Ok((ex, outcome))
-        } else {
-            self.check_routing_plane()?;
-            build_sharded_any(
+        if self.shards > 0 {
+            return build_sharded_any(
                 self.catalog,
                 self.workload,
                 self.rates,
@@ -244,8 +201,25 @@ impl<'a> SharonBuilder<'a> {
                 &self.config,
                 self.shards,
                 self.options,
-            )
+            );
         }
+        if let Some(option) = self.options.durability_option() {
+            return Err(CompileError::ShardsRequired {
+                option,
+                strategy: self.strategy.name(),
+            });
+        }
+        let (mut ex, outcome) = build_executor(
+            self.catalog,
+            self.workload,
+            self.rates,
+            self.strategy,
+            &self.config,
+        )?;
+        if let Some(ms) = self.options.lateness {
+            ex.set_lateness(ms);
+        }
+        Ok((ex, outcome))
     }
 
     /// Build a [`SharonFramework`] — the optimize-once, run-the-stream
@@ -253,6 +227,43 @@ impl<'a> SharonBuilder<'a> {
     pub fn build(self) -> Result<SharonFramework, CompileError> {
         let (executor, outcome) = self.build_executor()?;
         Ok(SharonFramework::from_parts(executor, outcome))
+    }
+
+    /// Rebuild a sharded run of an **online** strategy (Sharon / Greedy /
+    /// A-Seq) from the latest complete checkpoint in the configured
+    /// [`checkpoint`](SharonBuilder::checkpoint) store.
+    ///
+    /// Returns the executor, the optimizer outcome (re-derived — the
+    /// optimizer is deterministic for a given workload and rate map, so
+    /// the plan matches the checkpointing run), and the stream offset to
+    /// replay from: re-ingest every event from that offset on and the
+    /// results are identical to an uninterrupted run. The two-step
+    /// baselines and `shards(0)` have no checkpoints to resume
+    /// ([`CheckpointError::Mismatch`]).
+    pub fn resume(self) -> Result<(AnyExecutor, Option<OptimizeOutcome>, u64), CheckpointError> {
+        if matches!(self.strategy, Strategy::FlinkLike | Strategy::SpassLike) {
+            return Err(CheckpointError::Mismatch(format!(
+                "the {} two-step baseline does not support checkpoint/resume",
+                self.strategy.name()
+            )));
+        }
+        if self.shards == 0 {
+            return Err(CheckpointError::Mismatch(
+                "resume requires the sharded runtime (shards >= 1)".into(),
+            ));
+        }
+        if let Some(mode) = self.scan {
+            set_scan_mode(Some(mode));
+        }
+        let (plan, outcome) = strategy_plan(self.workload, self.rates, self.strategy, &self.config);
+        let (ex, offset) = ShardedExecutor::resume(
+            self.catalog,
+            self.workload,
+            &plan,
+            self.shards,
+            self.options,
+        )?;
+        Ok((ex.into(), outcome, offset))
     }
 
     /// Start a live [`SharonSession`] hosting this workload as the
@@ -264,7 +275,6 @@ impl<'a> SharonBuilder<'a> {
     /// to one shard) and require an online strategy; see
     /// [`SharonSession`] for the option surface it supports.
     pub fn session(self, session_config: SessionConfig) -> Result<SharonSession, CompileError> {
-        self.check_routing_plane()?;
         if let Some(mode) = self.scan {
             set_scan_mode(Some(mode));
         }
@@ -278,5 +288,65 @@ impl<'a> SharonBuilder<'a> {
             self.options,
             session_config,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sharon_query::parse_workload;
+
+    fn workload() -> (Catalog, Workload) {
+        let mut catalog = Catalog::new();
+        let workload = parse_workload(
+            &mut catalog,
+            ["RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10 ms SLIDE 2 ms"],
+        )
+        .unwrap();
+        (catalog, workload)
+    }
+
+    #[test]
+    fn durability_without_shards_is_a_typed_error() {
+        let (catalog, workload) = workload();
+        let rates = RateMap::uniform(100.0);
+        let dir = std::env::temp_dir().join("sharon-builder-no-shards");
+        let err = SharonBuilder::new(&catalog, &workload, &rates)
+            .checkpoint(CheckpointConfig::every(&dir, 4))
+            .build_executor()
+            .err()
+            .expect("a checkpoint needs the sharded runtime");
+        assert_eq!(
+            err,
+            CompileError::ShardsRequired {
+                option: "checkpoint",
+                strategy: "SHARON"
+            }
+        );
+    }
+
+    #[test]
+    fn durability_on_a_baseline_is_a_typed_error() {
+        let (catalog, workload) = workload();
+        let rates = RateMap::uniform(100.0);
+        for (strategy, name) in [
+            (Strategy::FlinkLike, "Flink"),
+            (Strategy::SpassLike, "SPASS"),
+        ] {
+            let err = SharonBuilder::new(&catalog, &workload, &rates)
+                .strategy(strategy)
+                .shards(2)
+                .fault(FaultPlan::Drop { batch: 3 })
+                .build_executor()
+                .err()
+                .expect("a baseline hosts no fault injection");
+            assert_eq!(
+                err,
+                CompileError::UnsupportedOption {
+                    option: "fault",
+                    strategy: name
+                }
+            );
+        }
     }
 }

@@ -6,17 +6,15 @@
 //! the aggregation results for each shared pattern and then combines these
 //! shared aggregations to obtain the final results for each query."
 
-use crate::builder::SharonBuilder;
-use crate::strategy::{AnyExecutor, Strategy};
-use sharon_executor::{CompileError, Executor, ExecutorResults};
-use sharon_optimizer::{OptimizeOutcome, OptimizerConfig, RateMap};
-use sharon_query::{SharingPlan, Workload};
-use sharon_types::{Catalog, Event, EventBatch, EventStream};
+use crate::strategy::AnyExecutor;
+use sharon_executor::{Executor, ExecutorResults};
+use sharon_optimizer::OptimizeOutcome;
+use sharon_query::SharingPlan;
+use sharon_types::{Event, EventBatch, EventStream};
 
 /// The end-to-end Sharon system: optimize once, then execute the stream.
 ///
-/// Construct through [`SharonBuilder`]; the old `new` / `with_strategy` /
-/// `with_shards` constructors remain as deprecated shims.
+/// Construct through [`crate::SharonBuilder`].
 pub struct SharonFramework {
     executor: AnyExecutor,
     outcome: Option<OptimizeOutcome>,
@@ -24,56 +22,9 @@ pub struct SharonFramework {
 
 impl SharonFramework {
     /// Assemble from a built executor and its optimizer outcome (the
-    /// terminal step of [`SharonBuilder::build`]).
+    /// terminal step of [`crate::SharonBuilder::build`]).
     pub(crate) fn from_parts(executor: AnyExecutor, outcome: Option<OptimizeOutcome>) -> Self {
         SharonFramework { executor, outcome }
-    }
-
-    /// Deprecated shim for the default build — compile `workload` with
-    /// the Sharon optimizer and build the shared runtime executor.
-    #[deprecated(since = "0.9.0", note = "use SharonBuilder::new(..).build()")]
-    pub fn new(
-        catalog: &Catalog,
-        workload: &Workload,
-        rates: &RateMap,
-    ) -> Result<Self, CompileError> {
-        SharonBuilder::new(catalog, workload, rates).build()
-    }
-
-    /// Deprecated shim — compile with an explicit execution [`Strategy`]
-    /// and optimizer configuration.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use SharonBuilder::new(..).strategy(s).optimizer_config(c).build()"
-    )]
-    pub fn with_strategy(
-        catalog: &Catalog,
-        workload: &Workload,
-        rates: &RateMap,
-        strategy: Strategy,
-        config: &OptimizerConfig,
-    ) -> Result<Self, CompileError> {
-        SharonBuilder::new(catalog, workload, rates)
-            .strategy(strategy)
-            .optimizer_config(config.clone())
-            .build()
-    }
-
-    /// Deprecated shim — compile with the Sharon optimizer and run on the
-    /// sharded parallel runtime with `n_shards` worker threads at the
-    /// default ingest pipeline depth (`SHARON_PIPELINE`, else
-    /// double-buffered).
-    #[deprecated(since = "0.9.0", note = "use SharonBuilder::new(..).shards(n).build()")]
-    pub fn with_shards(
-        catalog: &Catalog,
-        workload: &Workload,
-        rates: &RateMap,
-        n_shards: usize,
-    ) -> Result<Self, CompileError> {
-        SharonBuilder::new(catalog, workload, rates)
-            .shards(n_shards)
-            .pipeline_depth(sharon_executor::default_pipeline_depth())
-            .build()
     }
 
     /// The sharing plan in force (empty for non-shared strategies).
@@ -130,10 +81,12 @@ impl SharonFramework {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{SharonBuilder, Strategy};
+    use sharon_optimizer::RateMap;
     use sharon_query::QueryId;
     use sharon_streams::taxi::{generate, TaxiConfig};
     use sharon_streams::workload::{figure_1_workload, measured_rates};
+    use sharon_types::Catalog;
     use sharon_types::SortedVecStream;
 
     #[test]
@@ -216,42 +169,5 @@ mod tests {
             "sharding must not change results"
         );
         assert!(!got.is_empty());
-    }
-
-    /// The deprecated constructors must keep building the same engines
-    /// until removal — they are the published pre-builder API.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_build() {
-        let mut catalog = Catalog::new();
-        let events = generate(
-            &mut catalog,
-            &TaxiConfig {
-                n_events: 1000,
-                n_streets: 7,
-                ..Default::default()
-            },
-        );
-        let workload = figure_1_workload(&mut catalog);
-        let rates = RateMap::uniform(100.0);
-
-        let mut fw = SharonFramework::new(&catalog, &workload, &rates).unwrap();
-        fw.run(SortedVecStream::presorted(events.clone()));
-        let want = fw.finish();
-
-        let mut strat = SharonFramework::with_strategy(
-            &catalog,
-            &workload,
-            &rates,
-            Strategy::ASeq,
-            &OptimizerConfig::default(),
-        )
-        .unwrap();
-        strat.run(SortedVecStream::presorted(events.clone()));
-        assert!(strat.finish().semantically_eq(&want, 1e-9));
-
-        let mut sharded = SharonFramework::with_shards(&catalog, &workload, &rates, 2).unwrap();
-        sharded.run(SortedVecStream::presorted(events));
-        assert!(sharded.finish().semantically_eq(&want, 1e-9));
     }
 }

@@ -60,11 +60,7 @@ pub mod strategy;
 pub use builder::SharonBuilder;
 pub use framework::SharonFramework;
 pub use session::{QueryHandle, SessionConfig, SharonSession};
-#[allow(deprecated)]
-pub use strategy::{
-    build_executor, build_sharded_executor, build_sharded_executor_with_options, executor_for_plan,
-    resume_sharded_executor, run_strategy, AnyExecutor, Strategy,
-};
+pub use strategy::{build_executor, executor_for_plan, run_strategy, AnyExecutor, Strategy};
 
 // Re-export the component crates under stable names.
 pub use sharon_executor as executor;

@@ -810,7 +810,6 @@ mod tests {
         let rates = RateMap::uniform(100.0);
         let session = SharonBuilder::new(&catalog, &workload, &rates)
             .shards(2)
-            .pipeline_depth(0)
             .session(SessionConfig::default())
             .unwrap();
         (session, attachable)

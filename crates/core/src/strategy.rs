@@ -8,8 +8,7 @@
 //! any batch path.
 
 use sharon_executor::{
-    BatchProcessor, CheckpointError, CompileError, Executor, ExecutorResults, ShardedExecutor,
-    ShardedOptions,
+    BatchProcessor, CompileError, Executor, ExecutorResults, ShardedExecutor, ShardedOptions,
 };
 use sharon_optimizer::{
     optimize_greedy, optimize_sharon, OptimizeOutcome, OptimizerConfig, RateMap,
@@ -221,37 +220,6 @@ pub fn executor_for_plan(
     Executor::new(catalog, workload, plan)
 }
 
-/// Deprecated free-function form of the sharded build — construct through
-/// [`crate::SharonBuilder`] instead, which owns the full option surface
-/// (`strategy`, `shards`, `pipeline_depth`, `lateness`, `checkpoint`,
-/// `scan_mode`, `spill`, …) behind one fluent call chain.
-#[deprecated(
-    since = "0.9.0",
-    note = "use SharonBuilder::new(..).shards(n).pipeline_depth(d)"
-)]
-pub fn build_sharded_executor(
-    catalog: &Catalog,
-    workload: &Workload,
-    rates: &RateMap,
-    strategy: Strategy,
-    config: &OptimizerConfig,
-    n_shards: usize,
-    pipeline_depth: usize,
-) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
-    build_sharded_any(
-        catalog,
-        workload,
-        rates,
-        strategy,
-        config,
-        n_shards,
-        ShardedOptions {
-            pipeline_depth,
-            ..ShardedOptions::default()
-        },
-    )
-}
-
 /// The sharing plan a strategy executes under (and the optimizer outcome
 /// that produced it, when an optimizer runs): the single source of truth
 /// shared by the build and resume paths, so a resumed run always compiles
@@ -275,42 +243,23 @@ pub(crate) fn strategy_plan(
     }
 }
 
-/// Deprecated free-function form of the fully optioned sharded build —
-/// construct through [`crate::SharonBuilder`] instead.
-#[deprecated(
-    since = "0.9.0",
-    note = "use SharonBuilder with checkpoint/spill/fault setters"
-)]
-pub fn build_sharded_executor_with_options(
-    catalog: &Catalog,
-    workload: &Workload,
-    rates: &RateMap,
-    strategy: Strategy,
-    config: &OptimizerConfig,
-    n_shards: usize,
-    options: ShardedOptions,
-) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
-    build_sharded_any(
-        catalog, workload, rates, strategy, config, n_shards, options,
-    )
-}
-
 /// Build a sharded parallel executor under `strategy` with the full
 /// durability-capable option set (spill tier, periodic checkpoints, fault
 /// injection — see [`ShardedOptions`]). The single sharded construction
-/// path behind [`crate::SharonBuilder`] and the deprecated free functions.
+/// path behind [`crate::SharonBuilder`].
 ///
 /// Every strategy shards: the online engines run one engine set per
-/// worker ([`ShardedExecutor::new`]), and the two-step baselines run one
-/// full baseline instance per worker behind their own route-once,
+/// worker ([`ShardedExecutor::with_options`]), and the two-step baselines
+/// run one full baseline instance per worker behind their own route-once,
 /// scope-deduplicated routing ([`FlinkLike::sharded`] /
 /// [`SpassLike::sharded`]) — making figure-13 comparisons
 /// apples-to-apples columnar at any shard count.
 ///
 /// Only the online strategies (Sharon / Greedy / A-Seq) host the
-/// durability tier; passing checkpoint, spill, or fault options with a
-/// two-step baseline panics — the baselines' processors cannot serialize
-/// their state, and silently running without durability would be worse.
+/// durability tier; checkpoint, spill, or fault options with a two-step
+/// baseline are [`CompileError::UnsupportedOption`] — the baselines'
+/// processors cannot serialize their state, and silently running without
+/// durability would be worse.
 pub(crate) fn build_sharded_any(
     catalog: &Catalog,
     workload: &Workload,
@@ -326,74 +275,16 @@ pub(crate) fn build_sharded_any(
             let ex = ShardedExecutor::with_options(catalog, workload, &plan, n_shards, options)?;
             (ex, outcome)
         }
-        Strategy::FlinkLike => {
-            assert_durability_free(&options, strategy);
-            let ex = FlinkLike::sharded_with_routing(
-                catalog,
-                workload,
-                n_shards,
-                options.batch_size,
-                options.pipeline_depth,
-                options.lateness,
-                options.routers,
-            )?;
-            (ex, None)
-        }
+        Strategy::FlinkLike => (
+            FlinkLike::sharded(catalog, workload, n_shards, &options)?,
+            None,
+        ),
         Strategy::SpassLike => {
-            assert_durability_free(&options, strategy);
-            let ex = SpassLike::sharded_with_routing(
-                catalog,
-                workload,
-                &plan,
-                n_shards,
-                options.batch_size,
-                options.pipeline_depth,
-                options.lateness,
-                options.routers,
-            )?;
+            let ex = SpassLike::sharded(catalog, workload, &plan, n_shards, &options)?;
             (ex, outcome)
         }
     };
     Ok((ex.into(), outcome))
-}
-
-/// The two-step baselines' processors cannot serialize their state, so
-/// durability options on them are a configuration error — and silently
-/// dropping the options would be worse than refusing.
-fn assert_durability_free(options: &ShardedOptions, strategy: Strategy) {
-    assert!(
-        options.checkpoint.is_none() && options.spill.is_none() && options.fault.is_none(),
-        "the {} two-step baseline does not support checkpoint/spill/fault options",
-        strategy.name()
-    );
-}
-
-/// Resume a sharded run of an **online** strategy (Sharon / Greedy /
-/// A-Seq) from the latest complete checkpoint in `options.checkpoint`.
-///
-/// Returns the executor, the optimizer outcome (re-derived — the
-/// optimizer is deterministic for a given workload and rate map, so the
-/// plan matches the checkpointing run), and the stream offset to replay
-/// from: re-ingest every event from that offset on and the results are
-/// identical to an uninterrupted run.
-pub fn resume_sharded_executor(
-    catalog: &Catalog,
-    workload: &Workload,
-    rates: &RateMap,
-    strategy: Strategy,
-    config: &OptimizerConfig,
-    n_shards: usize,
-    options: ShardedOptions,
-) -> Result<(AnyExecutor, Option<OptimizeOutcome>, u64), CheckpointError> {
-    if matches!(strategy, Strategy::FlinkLike | Strategy::SpassLike) {
-        return Err(CheckpointError::Mismatch(format!(
-            "the {} two-step baseline does not support checkpoint/resume",
-            strategy.name()
-        )));
-    }
-    let (plan, outcome) = strategy_plan(workload, rates, strategy, config);
-    let (ex, offset) = ShardedExecutor::resume(catalog, workload, &plan, n_shards, options)?;
-    Ok((ex.into(), outcome, offset))
 }
 
 #[cfg(test)]
@@ -473,19 +364,19 @@ mod tests {
                 strategy.name()
             );
 
-            for (shards, depth) in [(1usize, 0usize), (1, 2), (3, 0), (3, 2)] {
+            for (shards, routers) in [(1usize, 1usize), (1, 2), (3, 1), (3, 2)] {
                 let (mut sharded, _) = crate::SharonBuilder::new(&catalog, &workload, &rates)
                     .strategy(strategy)
                     .optimizer_config(cfg.clone())
                     .shards(shards)
-                    .pipeline_depth(depth)
+                    .routers(routers)
                     .build_executor()
                     .unwrap();
                 sharded.process_columnar(&batch);
                 let got = sharded.finish();
                 assert!(
                     got.semantically_eq(&reference, 1e-9),
-                    "{} sharded/{shards} (pipeline {depth}) diverges",
+                    "{} sharded/{shards} ({routers} router(s)) diverges",
                     strategy.name()
                 );
             }
@@ -496,46 +387,5 @@ mod tests {
     fn strategy_names() {
         assert_eq!(Strategy::Sharon.name(), "SHARON");
         assert_eq!(Strategy::FlinkLike.name(), "Flink");
-    }
-
-    /// The deprecated free-function constructors must keep working until
-    /// removal — they are the published pre-builder API.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builders_still_build() {
-        let mut catalog = Catalog::new();
-        let events = generate(
-            &mut catalog,
-            &EcommerceConfig {
-                n_events: 600,
-                n_items: 8,
-                events_per_sec: 500,
-                ..Default::default()
-            },
-        );
-        let workload = figure_2_workload(&mut catalog);
-        let rates = RateMap::uniform(100.0);
-        let cfg = OptimizerConfig::default();
-        let reference = run_strategy(&catalog, &workload, &rates, Strategy::ASeq, &events).unwrap();
-
-        let batch = sharon_types::EventBatch::from_events(&events);
-        let (mut a, _) =
-            build_sharded_executor(&catalog, &workload, &rates, Strategy::Sharon, &cfg, 2, 0)
-                .unwrap();
-        a.process_columnar(&batch);
-        assert!(a.finish().semantically_eq(&reference, 1e-9));
-
-        let (mut b, _) = build_sharded_executor_with_options(
-            &catalog,
-            &workload,
-            &rates,
-            Strategy::Sharon,
-            &cfg,
-            2,
-            ShardedOptions::default(),
-        )
-        .unwrap();
-        b.process_columnar(&batch);
-        assert!(b.finish().semantically_eq(&reference, 1e-9));
     }
 }

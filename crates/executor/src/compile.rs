@@ -62,12 +62,28 @@ pub enum CompileError {
     },
     /// The workload is empty.
     EmptyWorkload,
-    /// The runtime options ask for a multi-router plane with in-line
-    /// routing (`pipeline_depth` 0): the routers run behind the ingest
-    /// pipeline, and there is nothing to parallelize without it.
-    RoutersNeedPipeline {
-        /// The router count asked for.
-        routers: usize,
+    /// A durability option (checkpoint, spill, fault) was set on a build
+    /// that runs the sequential engine: the durability tier lives in the
+    /// sharded runtime only.
+    ShardsRequired {
+        /// The option that was set (`checkpoint`, `spill` or `fault`).
+        option: &'static str,
+        /// Display name of the strategy being built.
+        strategy: &'static str,
+    },
+    /// The strategy cannot honour a runtime option (the two-step
+    /// baselines cannot serialize their state, so they host no
+    /// checkpoint, spill or fault injection).
+    UnsupportedOption {
+        /// The option that was set.
+        option: &'static str,
+        /// Display name of the strategy being built.
+        strategy: &'static str,
+    },
+    /// A sharded runtime was asked for zero worker shards.
+    ZeroShards {
+        /// Display name of the strategy being built.
+        strategy: &'static str,
     },
 }
 
@@ -89,10 +105,16 @@ impl fmt::Display for CompileError {
                 write!(f, "predicate attribute `{attr}` missing from type {ty}")
             }
             CompileError::EmptyWorkload => write!(f, "workload has no queries"),
-            CompileError::RoutersNeedPipeline { routers } => write!(
+            CompileError::ShardsRequired { option, strategy } => write!(
                 f,
-                "{routers} routers require a pipelined ingest stage (pipeline_depth >= 1)"
+                "{strategy}: the {option} option requires the sharded runtime (shards >= 1)"
             ),
+            CompileError::UnsupportedOption { option, strategy } => {
+                write!(f, "{strategy}: the strategy does not support the {option} option")
+            }
+            CompileError::ZeroShards { strategy } => {
+                write!(f, "{strategy}: the sharded runtime needs at least one shard")
+            }
         }
     }
 }

@@ -9,8 +9,7 @@
 //! | Variable            | Value                          | Effect |
 //! |---------------------|--------------------------------|--------|
 //! | `SHARON_SHARDS`     | shard count (≥ 1)              | run the sharded runtime with this many worker shards |
-//! | `SHARON_PIPELINE`   | pipeline depth (`0` = in-line) | ingest→router job-ring depth ([`default_pipeline_depth`](crate::default_pipeline_depth)) |
-//! | `SHARON_ROUTERS`    | router threads (≥ 1)           | routing-plane size ([`default_routers`](crate::default_routers)); `> 1` requires a pipelined ingest stage |
+//! | `SHARON_ROUTERS`    | router threads (≥ 1)           | routing-plane size ([`default_routers`](crate::default_routers)) |
 //! | `SHARON_SCAN`       | `scalar` \| `vector`           | stateless-scan implementation ([`ScanMode`]) |
 //! | `SHARON_LATENESS`   | milliseconds                   | event-time mode with this allowed lateness |
 //! | `SHARON_DISORDER`   | max displacement `K`           | test harness: scramble streams within `K` positions |
@@ -23,7 +22,7 @@
 
 use crate::checkpoint::{parse_checkpoint_spec, CheckpointConfig, FaultPlan};
 use crate::scan::ScanMode;
-use crate::sharded::{ShardedOptions, DEFAULT_PIPELINE_DEPTH, DEFAULT_ROUTERS};
+use crate::sharded::{ShardedOptions, DEFAULT_ROUTERS};
 use std::fmt;
 
 /// A `SHARON_*` environment variable held an unparsable value.
@@ -52,10 +51,7 @@ impl std::error::Error for EnvError {}
 pub struct RuntimeOptions {
     /// `SHARON_SHARDS`: worker shard count for the sharded runtime.
     pub shards: Option<usize>,
-    /// `SHARON_PIPELINE`: ingest pipeline depth (`0` = in-line routing).
-    pub pipeline_depth: Option<usize>,
-    /// `SHARON_ROUTERS`: router threads in the routing plane (≥ 1; a
-    /// plane of more than one router requires a pipelined ingest stage).
+    /// `SHARON_ROUTERS`: router threads in the routing plane (≥ 1).
     pub routers: Option<usize>,
     /// `SHARON_SCAN`: stateless-scan implementation.
     pub scan: Option<ScanMode>,
@@ -88,20 +84,14 @@ impl RuntimeOptions {
     /// Parse the complete `SHARON_*` knob surface from the environment.
     ///
     /// Unset variables leave their field at the default; a set-but-
-    /// unparsable variable is an [`EnvError`] naming it, and so is an
-    /// **inconsistent combination** (see
-    /// [`RuntimeOptions::validated`]) — a bad matrix entry must fail
-    /// the run, not silently run a clamped configuration.
+    /// unparsable variable is an [`EnvError`] naming it — a bad matrix
+    /// entry must fail the run, not silently run a clamped
+    /// configuration.
     pub fn from_env() -> Result<Self, EnvError> {
-        RuntimeOptions {
+        Ok(RuntimeOptions {
             shards: knob("SHARON_SHARDS", |s| {
                 s.parse()
                     .map_err(|e| format!("{s:?} is not a shard count: {e}"))
-            })?,
-            pipeline_depth: knob("SHARON_PIPELINE", |s| {
-                s.parse().map_err(|e| {
-                    format!("{s:?} is not a pipeline depth (0 = in-line routing): {e}")
-                })
             })?,
             routers: knob("SHARON_ROUTERS", parse_routers)?,
             scan: knob("SHARON_SCAN", |s| s.parse())?,
@@ -116,31 +106,7 @@ impl RuntimeOptions {
             .unwrap_or(0),
             checkpoint: knob("SHARON_CHECKPOINT", parse_checkpoint_spec)?,
             fault: knob("SHARON_FAULT", |s| s.parse())?,
-        }
-        .validated()
-    }
-
-    /// Reject inconsistent knob combinations loudly instead of silently
-    /// clamping: a multi-router plane (`SHARON_ROUTERS > 1`) with
-    /// in-line routing (`SHARON_PIPELINE=0`) has no router threads to
-    /// spread scopes over — running one router anyway would record
-    /// numbers attributed to a plane that never existed. `routers = 1`
-    /// with any depth (including `0`) stays valid: one router *is*
-    /// today's pipeline.
-    pub fn validated(self) -> Result<Self, EnvError> {
-        if let Some(routers) = self.routers {
-            if routers > 1 && self.pipeline_depth == Some(0) {
-                return Err(EnvError {
-                    var: "SHARON_ROUTERS",
-                    problem: format!(
-                        "{routers} router threads need a pipelined ingest stage, \
-                         but SHARON_PIPELINE=0 selects in-line routing \
-                         (set SHARON_PIPELINE >= 1 or SHARON_ROUTERS=1)"
-                    ),
-                });
-            }
-        }
-        Ok(self)
+        })
     }
 
     /// Lower these options onto a [`ShardedOptions`] for the sharded
@@ -148,7 +114,6 @@ impl RuntimeOptions {
     /// defaults — they have no env knobs).
     pub fn sharded_options(&self) -> ShardedOptions {
         ShardedOptions {
-            pipeline_depth: self.pipeline_depth.unwrap_or(DEFAULT_PIPELINE_DEPTH),
             routers: self.routers.unwrap_or(DEFAULT_ROUTERS),
             checkpoint: self.checkpoint.clone(),
             fault: self.fault,
@@ -235,41 +200,5 @@ mod tests {
         assert_eq!(err.var, "SHARON_ROUTERS");
         assert!(err.to_string().contains("at least one router"), "{err}");
         assert!(parse("SHARON_ROUTERS", "many", parse_routers).is_err());
-    }
-
-    #[test]
-    fn multi_router_inline_combo_is_rejected_loudly() {
-        // routers > 1 with in-line routing: inconsistent, fail the run
-        let opts = RuntimeOptions {
-            routers: Some(2),
-            pipeline_depth: Some(0),
-            ..RuntimeOptions::default()
-        };
-        let err = opts.validated().unwrap_err();
-        assert_eq!(err.var, "SHARON_ROUTERS");
-        assert!(err.to_string().contains("SHARON_PIPELINE=0"), "{err}");
-
-        // one router *is* the classic pipeline: valid at any depth,
-        // including in-line (the CI matrix crosses ROUTERS=1 × PIPELINE=0)
-        let opts = RuntimeOptions {
-            routers: Some(1),
-            pipeline_depth: Some(0),
-            ..RuntimeOptions::default()
-        };
-        assert_eq!(opts.validated().unwrap().routers, Some(1));
-
-        // routers > 1 with a pipelined stage (explicit or defaulted) is valid
-        let opts = RuntimeOptions {
-            routers: Some(4),
-            pipeline_depth: Some(2),
-            ..RuntimeOptions::default()
-        };
-        assert_eq!(opts.validated().unwrap().sharded_options().routers, 4);
-        let opts = RuntimeOptions {
-            routers: Some(4),
-            pipeline_depth: None,
-            ..RuntimeOptions::default()
-        };
-        assert!(opts.validated().is_ok());
     }
 }

@@ -57,9 +57,8 @@ pub use router::{
 pub use runner::SegmentRunner;
 pub use scan::{scan_mode, set_scan_mode, ScanCounters, ScanKernel, ScanMode};
 pub use sharded::{
-    default_pipeline_depth, default_routers, prepare_step, RouterStats, ShardProcessor,
-    ShardReport, ShardedExecutor, ShardedOptions, DEFAULT_BATCH_SIZE, DEFAULT_PIPELINE_DEPTH,
-    DEFAULT_ROUTERS,
+    default_routers, prepare_step, RouterStats, ShardProcessor, ShardReport, ShardedExecutor,
+    ShardedOptions, DEFAULT_BATCH_SIZE, DEFAULT_ROUTERS,
 };
 pub use spill::SpillConfig;
 pub use winvec::{WinVec, WindowPlane};

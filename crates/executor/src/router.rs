@@ -625,8 +625,8 @@ pub trait RouteBatch: Send {
     }
 
     /// The router's per-scope scan tallies, if it tracks them. Cloned by
-    /// the executor handle **before** the router moves onto its ingest
-    /// thread, so selectivity stays reportable in pipelined mode.
+    /// the executor handle **before** the router moves onto its router
+    /// thread, so selectivity stays reportable from the ingest side.
     fn scan_counters(&self) -> Option<Arc<ScanCounters>> {
         None
     }

@@ -37,20 +37,12 @@
 //!
 //! # Pipelined ingest
 //!
-//! Routing is the serial stage of the runtime: with in-line routing the
-//! ingest thread routes batch `k + 1` only after every worker accepted
-//! batch `k`, so per Amdahl the routing core caps shard scaling on
-//! query-heavy workloads. With a **pipeline depth ≥ 1** (the default,
-//! [`DEFAULT_PIPELINE_DEPTH`]), a dedicated *router thread* owns the
-//! [`RouteBatch`] and the worker rings, and the ingest thread hands it
-//! filled batches over one more bounded SPSC ring (capacity = the
-//! pipeline depth, so the ring itself is the backpressure): the router
-//! routes batch `k + 1` while the shard workers execute batch `k` and the
-//! ingest thread buffers batch `k + 2`. Depth `0` selects the legacy
-//! in-line mode (routing on the ingest thread); both modes are exercised
-//! by the equivalence suites and produce identical results. The
-//! `SHARON_PIPELINE` environment variable picks the default depth (see
-//! [`default_pipeline_depth`]).
+//! Routing is the serial stage of the runtime, so it never runs on the
+//! ingest thread: a dedicated *router thread* owns the [`RouteBatch`] and
+//! the worker rings, and the ingest thread hands it filled batches over
+//! one more bounded SPSC job ring (double-buffered — the ring itself is
+//! the backpressure): the router routes batch `k + 1` while the shard
+//! workers execute batch `k` and the ingest thread buffers batch `k + 2`.
 //!
 //! # The routing plane
 //!
@@ -77,9 +69,7 @@
 //! `R = 1`. Checkpoint barriers fan out to every router and the manifest
 //! carries `R` router-state segments; resume rebuilds the identical
 //! scope assignment (the cost partition is a pure function of the
-//! compiled scopes). A multi-router plane requires a pipelined ingest
-//! stage (`pipeline_depth ≥ 1`) — there is nothing to parallelize
-//! in-line on the ingest thread.
+//! compiled scopes).
 //!
 //! Every hand-off buffer is **recycled**: each worker returns its consumed
 //! row-index lists through a return ring drained by the routing side, and
@@ -138,7 +128,7 @@ use crate::spill::SpillConfig;
 use crate::spsc;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{Catalog, Event, EventBatch, EventStream, Timestamp};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -149,25 +139,9 @@ pub const DEFAULT_BATCH_SIZE: usize = 4096;
 /// Bounded depth of each worker's ring buffer (backpressure).
 const RING_DEPTH: usize = 4;
 
-/// Default ingest→router pipeline depth: double-buffered hand-off (the
+/// Depth of each ingest→router job ring: double-buffered hand-off (the
 /// router routes one batch while the ingest thread fills the next).
-pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
-
-/// The pipeline depth to use when none is given explicitly: the
-/// `SHARON_PIPELINE` environment variable if set (`0` = legacy in-line
-/// routing on the ingest thread), [`DEFAULT_PIPELINE_DEPTH`] otherwise.
-///
-/// An unparsable `SHARON_PIPELINE` panics rather than silently running
-/// the default mode — a bench matrix typo must not record numbers
-/// attributed to a routing mode that never ran.
-pub fn default_pipeline_depth() -> usize {
-    match std::env::var("SHARON_PIPELINE") {
-        Ok(s) => s
-            .parse()
-            .expect("SHARON_PIPELINE must be a pipeline depth (0 = in-line routing)"),
-        Err(_) => DEFAULT_PIPELINE_DEPTH,
-    }
-}
+const JOB_RING_DEPTH: usize = 2;
 
 /// Default number of router threads in the routing plane: one — the
 /// classic single-router pipeline.
@@ -178,9 +152,8 @@ pub const DEFAULT_ROUTERS: usize = 1;
 /// otherwise.
 ///
 /// An unparsable or zero `SHARON_ROUTERS` panics rather than silently
-/// running a different plane — same fatal-parse policy as
-/// `SHARON_PIPELINE` (a bench matrix typo must not record numbers
-/// attributed to a routing plane that never ran).
+/// running a different plane (a bench matrix typo must not record
+/// numbers attributed to a routing plane that never ran).
 pub fn default_routers() -> usize {
     match std::env::var("SHARON_ROUTERS") {
         Ok(s) => {
@@ -525,10 +498,9 @@ struct WorkerHandle {
 
 /// One router's complete routing stage: its [`RouteBatch`] (owning a
 /// disjoint subset of the compiled scopes), its own worker rings (one
-/// lane per worker), and its recycling pools. Runs on the ingest thread
-/// (in-line mode, single-router planes only) or is moved wholesale onto
-/// a dedicated router thread (pipelined mode); dropping it closes this
-/// router's lane of every worker.
+/// lane per worker), and its recycling pools. Moved wholesale onto a
+/// dedicated router thread; dropping it closes this router's lane of
+/// every worker.
 struct Fanout {
     router: Box<dyn RouteBatch>,
     /// This router's index within the routing plane — its lane order at
@@ -720,24 +692,27 @@ struct RouterThread {
     /// this router's worker lanes close (after all in-flight jobs
     /// routed).
     handle: JoinHandle<Fanout>,
-    /// Split-group count (this router's scopes only) published after
-    /// each batch (trails ingestion by at most the in-flight pipeline
-    /// jobs).
-    split_groups: Arc<AtomicUsize>,
 }
 
-/// Where routing runs: on the ingest thread (depth 0, single-router
-/// planes only) or on `R ≥ 1` dedicated router threads, each behind its
-/// own bounded job ring (depth ≥ 1).
-enum IngestStage {
-    Inline(Fanout),
-    Pipelined(Vec<RouterThread>),
+/// Close every job ring first, then join the routers in router order,
+/// dropping each returned fan-out as its thread returns — which closes
+/// that router's worker lanes, releasing any worker blocked on it before
+/// the next join (close-then-drain is the poison message: each router
+/// routes every queued job first). Returns the routers that panicked; a
+/// panicked router already dropped its fan-out during unwind.
+fn join_routers(threads: Vec<RouterThread>) -> Vec<usize> {
+    let handles: Vec<_> = threads.into_iter().map(|rt| rt.handle).collect();
+    handles
+        .into_iter()
+        .enumerate()
+        .filter_map(|(ri, handle)| handle.join().is_err().then_some(ri))
+        .collect()
 }
 
 /// Every tuning and durability knob of the sharded runtime in one place;
-/// [`ShardedExecutor::with_options`] and [`ShardedExecutor::resume`] take
-/// it whole. [`ShardedOptions::default`] reproduces the classic
-/// constructors (no spill, no checkpoints, no faults);
+/// every [`ShardedExecutor`] constructor takes it whole.
+/// [`ShardedOptions::default`] is the plain runtime (no spill, no
+/// checkpoints, no faults, arrival order);
 /// [`ShardedOptions::from_env`] additionally honors the
 /// `SHARON_CHECKPOINT` and `SHARON_FAULT` environment knobs.
 #[derive(Debug, Clone)]
@@ -746,14 +721,9 @@ pub struct ShardedOptions {
     pub batch_size: usize,
     /// Hot-group splitting tuning (see [`SplitConfig`]).
     pub split: SplitConfig,
-    /// Ingest pipeline depth (`0` = in-line routing; defaults to
-    /// [`default_pipeline_depth`]).
-    pub pipeline_depth: usize,
     /// Router threads in the routing plane (`1` = the classic single
     /// router; defaults to [`default_routers`], which honours
-    /// `SHARON_ROUTERS`). A plane of more than one router requires
-    /// `pipeline_depth ≥ 1` — in-line routing has nothing to
-    /// parallelize.
+    /// `SHARON_ROUTERS`).
     pub routers: usize,
     /// When set, every engine pages cold groups out to a spill log under
     /// this configuration — bounded memory for huge `GROUP BY`
@@ -780,7 +750,6 @@ impl Default for ShardedOptions {
         ShardedOptions {
             batch_size: DEFAULT_BATCH_SIZE,
             split: SplitConfig::default(),
-            pipeline_depth: default_pipeline_depth(),
             routers: default_routers(),
             spill: None,
             checkpoint: None,
@@ -803,6 +772,21 @@ impl ShardedOptions {
         crate::config::RuntimeOptions::from_env()
             .unwrap_or_else(|e| panic!("{e}"))
             .sharded_options()
+    }
+
+    /// The first durability option that is set (`checkpoint`, `spill`,
+    /// `fault`), by name — what a build without the durability tier
+    /// must refuse.
+    pub fn durability_option(&self) -> Option<&'static str> {
+        if self.checkpoint.is_some() {
+            Some("checkpoint")
+        } else if self.spill.is_some() {
+            Some("spill")
+        } else if self.fault.is_some() {
+            Some("fault")
+        } else {
+            None
+        }
     }
 }
 
@@ -880,22 +864,20 @@ fn reorder_burst(batch: &EventBatch, lo: usize, hi: usize, k: u32) -> EventBatch
 
 /// A parallel executor that hash-partitions work across `N` worker shards.
 ///
-/// [`ShardedExecutor::new`] compiles a workload into online engine shards
-/// exactly like [`crate::Executor`]; [`ShardedExecutor::from_parts`]
-/// hosts *any* [`ShardProcessor`] + [`RouteBatch`] pair, which is how the
-/// two-step baselines run sharded. Events are accepted one at a time, in
-/// row-form batches, or in columnar batches; the routing side routes each
-/// buffered batch once and fans the per-shard row lists out over SPSC
-/// rings — on the ingest thread or overlapped on a dedicated router
-/// thread, depending on the pipeline depth (see the module docs).
-/// [`ShardedExecutor::finish`] drains the pipeline and merges the
-/// disjoint shard results. [`ShardedExecutor::with_options`] adds the
-/// durability tier — periodic checkpoints, spill-to-disk groups, fault
-/// injection — and [`ShardedExecutor::resume`] restarts from the latest
-/// complete checkpoint.
+/// Three constructors, one build path: [`ShardedExecutor::with_options`]
+/// compiles a workload into online engine shards exactly like
+/// [`crate::Executor`], [`ShardedExecutor::resume`] rebuilds them from the
+/// latest complete checkpoint, and [`ShardedExecutor::from_parts`] hosts
+/// *any* [`ShardProcessor`] set behind a pre-built routing plane, which
+/// is how the two-step baselines run sharded. Events are accepted one at
+/// a time, in row-form batches, or in columnar batches; router threads
+/// route each buffered batch once and fan the per-shard row lists out
+/// over SPSC rings (see the module docs). [`ShardedExecutor::finish`]
+/// drains the pipeline and merges the disjoint shard results.
 pub struct ShardedExecutor {
-    /// `None` only after `finish`/`Drop` tore the stage down.
-    stage: Option<IngestStage>,
+    /// The routing plane's threads, in router order; `None` only after
+    /// `finish`/`Drop` tore them down.
+    routers: Option<Vec<RouterThread>>,
     workers: Vec<WorkerHandle>,
     /// The fill buffer. Kept in an [`Arc`] (uniquely owned between
     /// flushes) so a flush moves it into the pipeline without re-wrapping
@@ -903,7 +885,6 @@ pub struct ShardedExecutor {
     buffer: Arc<EventBatch>,
     batch_size: usize,
     n_shards: usize,
-    pipeline_depth: usize,
     /// Incremented by `flush` as batches are fanned out; see
     /// [`ShardedExecutor::events_sent`].
     events_sent: u64,
@@ -929,7 +910,7 @@ pub struct ShardedExecutor {
     /// simulating a crash with unflushed state.
     fault_tripped: Option<u64>,
     /// Each router's per-slot scan tallies, cloned out before the
-    /// routers (possibly) moved onto their threads (empty when the
+    /// routers moved onto their threads (empty when the
     /// routers do not track them). Routers fill disjoint slots, so the
     /// plane-wide view is the slot-wise sum.
     scan_counters: Vec<Arc<ScanCounters>>,
@@ -938,99 +919,10 @@ pub struct ShardedExecutor {
 }
 
 impl ShardedExecutor {
-    /// Compile `workload` under `plan` and spawn `n_shards` worker threads
-    /// running the online engines.
-    pub fn new(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-    ) -> Result<Self, CompileError> {
-        Self::with_batch_size(catalog, workload, plan, n_shards, DEFAULT_BATCH_SIZE)
-    }
-
-    /// The Non-Shared (A-Seq) sharded executor.
-    pub fn non_shared(
-        catalog: &Catalog,
-        workload: &Workload,
-        n_shards: usize,
-    ) -> Result<Self, CompileError> {
-        Self::new(catalog, workload, &SharingPlan::non_shared(), n_shards)
-    }
-
-    /// [`ShardedExecutor::new`] with an explicit flush threshold.
-    pub fn with_batch_size(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-        batch_size: usize,
-    ) -> Result<Self, CompileError> {
-        Self::with_split_config(
-            catalog,
-            workload,
-            plan,
-            n_shards,
-            batch_size,
-            SplitConfig::default(),
-        )
-    }
-
-    /// [`ShardedExecutor::with_batch_size`] with explicit hot-group
-    /// splitting tuning (see [`SplitConfig`]; tests use
-    /// [`SplitConfig::eager`] to exercise the split path on small
-    /// streams, benchmarks [`SplitConfig::disabled`] to measure the
-    /// pinned baseline).
-    pub fn with_split_config(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-        batch_size: usize,
-        split: SplitConfig,
-    ) -> Result<Self, CompileError> {
-        Self::with_pipeline_depth(
-            catalog,
-            workload,
-            plan,
-            n_shards,
-            batch_size,
-            split,
-            default_pipeline_depth(),
-        )
-    }
-
-    /// [`ShardedExecutor::with_split_config`] plus an explicit ingest
-    /// pipeline depth (`0` = in-line routing on the ingest thread,
-    /// `n ≥ 1` = a dedicated router thread behind an `n`-deep job ring;
-    /// see the module docs).
-    pub fn with_pipeline_depth(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-        batch_size: usize,
-        split: SplitConfig,
-        pipeline_depth: usize,
-    ) -> Result<Self, CompileError> {
-        Self::with_options(
-            catalog,
-            workload,
-            plan,
-            n_shards,
-            ShardedOptions {
-                batch_size,
-                split,
-                pipeline_depth,
-                ..ShardedOptions::default()
-            },
-        )
-    }
-
-    /// The full-knob online constructor: compile `workload` under `plan`
-    /// and spawn `n_shards` online engine shards configured by `options`
-    /// (batching, splitting, pipelining, spill tier, checkpoints, fault
-    /// injection).
+    /// Compile `workload` under `plan` and spawn `n_shards` online engine
+    /// shards configured by `options` (batching, splitting, routing plane,
+    /// spill tier, checkpoints, fault injection, lateness). Zero shards is
+    /// [`CompileError::ZeroShards`].
     pub fn with_options(
         catalog: &Catalog,
         workload: &Workload,
@@ -1038,11 +930,15 @@ impl ShardedExecutor {
         n_shards: usize,
         options: ShardedOptions,
     ) -> Result<Self, CompileError> {
-        assert!(n_shards >= 1, "need at least one shard");
+        if n_shards == 0 {
+            return Err(CompileError::ZeroShards {
+                strategy: "online engine",
+            });
+        }
         let parts = compile(catalog, workload, plan)?;
         let shards = engine_shards(&parts, n_shards, options.spill.as_ref(), options.lateness);
         let routers = split_router_plane(parts, n_shards, options.split, options.routers);
-        Ok(Self::build_with(routers, shards, options, 0))
+        Ok(Self::build_with(routers, shards, &options, 0))
     }
 
     /// Rebuild the runtime from the **latest complete checkpoint** in
@@ -1102,70 +998,39 @@ impl ShardedExecutor {
                 .map_err(|e| CheckpointError::Corrupt(format!("shard {shard} state: {e}")))?;
         }
         let offset = data.events_sent;
-        Ok((Self::build_with(routers, shards, options, offset), offset))
+        Ok((Self::build_with(routers, shards, &options, offset), offset))
     }
 
-    /// Build the runtime from an explicit router + one processor per
-    /// shard — the generic entry point that lets the sharded runtime host
-    /// any strategy (the two-step baselines use it). The router's shard
-    /// assignment must agree with how the processors partition their
-    /// group state; both sides deriving from the same [`crate::RowFilter`]
-    /// scopes guarantees that. The ingest pipeline depth defaults to
-    /// [`default_pipeline_depth`].
+    /// Host any strategy: a pre-built **routing plane** — one
+    /// [`RouteBatch`] per router thread, each owning a disjoint subset of
+    /// the plane-wide routing slots (see [`split_router_plane`]) — plus
+    /// one processor per shard (the two-step baselines run sharded this
+    /// way). The routers' shard assignment must agree with how the
+    /// processors partition their group state; both sides deriving from
+    /// the same [`crate::RowFilter`] scopes guarantees that.
+    ///
+    /// The plane size is `routers.len()` — [`ShardedOptions::routers`] is
+    /// not consulted, so a caller-built plane is never silently resized
+    /// by the environment; the engine-side options (`split`, `spill`,
+    /// `lateness`) are the processors' business too. Panics on an empty
+    /// plane or shard set, or when routers and processors disagree on
+    /// the shard or slot count.
     pub fn from_parts(
-        router: Box<dyn RouteBatch>,
-        shards: Vec<Box<dyn ShardProcessor>>,
-        batch_size: usize,
-    ) -> Self {
-        Self::from_parts_with(router, shards, batch_size, default_pipeline_depth())
-    }
-
-    /// [`ShardedExecutor::from_parts`] with an explicit ingest pipeline
-    /// depth (`0` = in-line routing).
-    pub fn from_parts_with(
-        router: Box<dyn RouteBatch>,
-        shards: Vec<Box<dyn ShardProcessor>>,
-        batch_size: usize,
-        pipeline_depth: usize,
-    ) -> Self {
-        Self::from_parts_multi(vec![router], shards, batch_size, pipeline_depth)
-    }
-
-    /// [`ShardedExecutor::from_parts_with`] for a pre-built **routing
-    /// plane**: one [`RouteBatch`] per router thread, each owning a
-    /// disjoint subset of the plane-wide routing slots (see
-    /// [`split_router_plane`]). The plane size is `routers.len()` — the
-    /// [`ShardedOptions::routers`] knob is not consulted on this path,
-    /// so a caller-built plane is never silently resized by the
-    /// environment.
-    pub fn from_parts_multi(
         routers: Vec<Box<dyn RouteBatch>>,
         shards: Vec<Box<dyn ShardProcessor>>,
-        batch_size: usize,
-        pipeline_depth: usize,
+        options: &ShardedOptions,
     ) -> Self {
-        Self::build_with(
-            routers,
-            shards,
-            ShardedOptions {
-                batch_size,
-                pipeline_depth,
-                ..ShardedOptions::default()
-            },
-            0,
-        )
+        Self::build_with(routers, shards, options, 0)
     }
 
-    /// Spawn the worker threads (and the router threads in pipelined
-    /// mode) around the routing plane `routers` + `shards`. The plane
-    /// size is `routers.len()` — [`ShardedOptions::routers`] is not
-    /// consulted here, so pre-built planes are authoritative.
-    /// `events_sent` seeds the ingest counter — zero for fresh runs, the
-    /// checkpoint's replay offset for resumed ones.
+    /// Spawn the worker and router threads around the routing plane
+    /// `routers` + `shards`. `events_sent` seeds the ingest counter —
+    /// zero for fresh runs, the checkpoint's replay offset for resumed
+    /// ones.
     fn build_with(
         routers: Vec<Box<dyn RouteBatch>>,
         shards: Vec<Box<dyn ShardProcessor>>,
-        options: ShardedOptions,
+        options: &ShardedOptions,
         events_sent: u64,
     ) -> Self {
         let n_shards = shards.len();
@@ -1173,12 +1038,6 @@ impl ShardedExecutor {
         assert!(n_shards >= 1, "need at least one shard");
         assert!(n_routers >= 1, "a routing plane needs at least one router");
         let batch_size = options.batch_size.max(1);
-        let pipeline_depth = options.pipeline_depth;
-        assert!(
-            n_routers == 1 || pipeline_depth >= 1,
-            "a multi-router plane requires a pipelined ingest stage \
-             (pipeline_depth >= 1; in-line routing has nothing to parallelize)"
-        );
         for router in &routers {
             assert_eq!(
                 router.n_shards(),
@@ -1194,8 +1053,7 @@ impl ShardedExecutor {
                 "every router of a plane must address the same plane-wide slot space"
             );
         }
-        // cloned now: in pipelined mode the routers move onto their own
-        // threads, but selectivity stays reportable through the shared
+        // cloned now: the routers move onto their own threads, but selectivity stays reportable through the shared
         // counters (summed slot-wise across the plane)
         let scan_counters: Vec<Arc<ScanCounters>> =
             routers.iter().filter_map(|r| r.scan_counters()).collect();
@@ -1360,68 +1218,53 @@ impl ShardedExecutor {
             workers.push(WorkerHandle { handle, matched });
         }
 
-        let stage = if pipeline_depth == 0 {
-            let fanout = fanouts.pop().expect("single-router plane in inline mode");
-            IngestStage::Inline(fanout)
-        } else {
-            let threads = fanouts
-                .into_iter()
-                .enumerate()
-                .map(|(ri, fanout)| {
-                    let (jobs, mut job_rx) = spsc::ring::<RouterMsg>(pipeline_depth);
-                    let split_groups = Arc::new(AtomicUsize::new(0));
-                    let splits_pub = Arc::clone(&split_groups);
-                    let cancelled = Arc::clone(&cancel);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("sharon-router-{ri}"))
-                        .spawn(move || {
-                            let _guard = CancelOnPanic(Arc::clone(&cancelled));
-                            let mut fanout = fanout;
-                            while let Some(msg) = job_rx.recv() {
-                                match msg {
-                                    RouterMsg::Route(RouteJob { batch, lo, hi, seq }) => {
-                                        if cancelled.load(Ordering::Relaxed) {
-                                            continue; // aborted: drain jobs without routing
-                                        }
-                                        fanout.dispatch(&batch, lo, hi, seq, &cancelled);
-                                        splits_pub
-                                            .store(fanout.router.split_groups(), Ordering::Relaxed);
+        let threads = fanouts
+            .into_iter()
+            .enumerate()
+            .map(|(ri, fanout)| {
+                let (jobs, mut job_rx) = spsc::ring::<RouterMsg>(JOB_RING_DEPTH);
+                let cancelled = Arc::clone(&cancel);
+                let handle = std::thread::Builder::new()
+                    .name(format!("sharon-router-{ri}"))
+                    .spawn(move || {
+                        let _guard = CancelOnPanic(Arc::clone(&cancelled));
+                        let mut fanout = fanout;
+                        while let Some(msg) = job_rx.recv() {
+                            match msg {
+                                RouterMsg::Route(RouteJob { batch, lo, hi, seq }) => {
+                                    if cancelled.load(Ordering::Relaxed) {
+                                        continue; // aborted: drain jobs without routing
                                     }
-                                    RouterMsg::Barrier(barrier) => {
-                                        fanout.send_barrier(&barrier, &cancelled);
-                                    }
-                                    RouterMsg::Harvest(barrier) => {
-                                        fanout.send_harvest(&barrier, &cancelled);
-                                    }
-                                    RouterMsg::Sync(probe) => {
-                                        probe.fill(ri, fanout.router.split_groups());
-                                    }
+                                    fanout.dispatch(&batch, lo, hi, seq, &cancelled);
+                                }
+                                RouterMsg::Barrier(barrier) => {
+                                    fanout.send_barrier(&barrier, &cancelled);
+                                }
+                                RouterMsg::Harvest(barrier) => {
+                                    fanout.send_harvest(&barrier, &cancelled);
+                                }
+                                RouterMsg::Sync(probe) => {
+                                    probe.fill(ri, fanout.router.split_groups());
                                 }
                             }
-                            // end of stream: hand the fan-out back so
-                            // `finish` closes this router's worker lanes
-                            // only after every queued job was routed
-                            fanout
-                        })
-                        .expect("spawn router thread");
-                    RouterThread {
-                        jobs,
-                        handle,
-                        split_groups,
-                    }
-                })
-                .collect();
-            IngestStage::Pipelined(threads)
-        };
+                        }
+                        // end of stream: hand the fan-out back so
+                        // `finish` closes this router's worker lanes
+                        // only after every queued job was routed
+                        fanout
+                    })
+                    .expect("spawn router thread");
+                RouterThread { jobs, handle }
+            })
+            .collect();
 
         ShardedExecutor {
-            stage: Some(stage),
+            routers: Some(threads),
             workers,
             buffer: Arc::new(EventBatch::with_capacity(batch_size, 2)),
             batch_size,
             n_shards,
             n_routers,
-            pipeline_depth,
             events_sent,
             batches_sent: 0,
             batch_pool: Vec::new(),
@@ -1437,12 +1280,6 @@ impl ShardedExecutor {
     /// Number of worker shards.
     pub fn n_shards(&self) -> usize {
         self.n_shards
-    }
-
-    /// The ingest pipeline depth this runtime was built with (`0` =
-    /// in-line routing).
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth
     }
 
     /// Router threads in the routing plane (`1` = the classic single
@@ -1491,8 +1328,8 @@ impl ShardedExecutor {
     /// stateless pass so far (empty when the routers do not track it).
     /// Every router tallies into the plane-wide slot space — each slot
     /// owned by exactly one router — so the slot-wise sum reproduces the
-    /// single-router view exactly. Live in both inline and pipelined
-    /// modes; exact once ingestion is flushed.
+    /// single-router view exactly. Live; exact once ingestion is
+    /// flushed.
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = Vec::new();
         for counters in &self.scan_counters {
@@ -1593,8 +1430,7 @@ impl ShardedExecutor {
         Arc::new(EventBatch::with_capacity(self.batch_size, 2))
     }
 
-    /// Hand the buffered batch to the routing stage (in-line: route and
-    /// fan out now; pipelined: enqueue for the router thread).
+    /// Hand the buffered batch to the router threads.
     fn flush(&mut self) {
         if self.buffer.is_empty() {
             return;
@@ -1606,12 +1442,24 @@ impl ShardedExecutor {
         // keep the body in the pool for reuse once its consumers drop it;
         // the cap covers the worker rings plus the router pipeline so a
         // slow shard cannot make the pool grow without bound
-        if self.batch_pool.len() < 2 * RING_DEPTH + self.pipeline_depth {
+        if self.batch_pool.len() < 2 * RING_DEPTH + JOB_RING_DEPTH {
             self.batch_pool.push(batch);
         }
     }
 
-    /// Send rows `lo..hi` of `batch` through the routing stage, then run
+    /// Send one message to every router's job ring, in router order, so
+    /// every lane of every worker observes the same message sequence. A
+    /// full ring blocks — the pipeline's backpressure — and a dead router
+    /// thread flips `cancel` so `finish` reports it.
+    fn broadcast(&mut self, msg: impl Fn() -> RouterMsg) {
+        for rt in self.routers.as_mut().expect("executor is active") {
+            if rt.jobs.send(msg()).is_err() {
+                self.cancel.store(true, Ordering::Release);
+            }
+        }
+    }
+
+    /// Send rows `lo..hi` of `batch` to the router threads, then run
     /// the per-batch durability hooks (fault injection, periodic
     /// checkpoints). With both disabled the hooks cost two integer
     /// checks — the zero-allocation steady state is untouched.
@@ -1632,30 +1480,15 @@ impl ShardedExecutor {
         };
         self.events_sent += (hi - lo) as u64;
         let seq = self.batches_sent;
-        let Self { stage, cancel, .. } = self;
-        match stage.as_mut().expect("executor is active") {
-            IngestStage::Inline(fanout) => fanout.dispatch(batch, lo, hi, seq, cancel),
-            IngestStage::Pipelined(threads) => {
-                // every router routes every batch (each against its own
-                // scope subset); a full job ring blocks — the pipeline's
-                // backpressure — and a dead router thread flips cancel
-                // so `finish` reports it
-                for rt in threads {
-                    if rt
-                        .jobs
-                        .send(RouterMsg::Route(RouteJob {
-                            batch: Arc::clone(batch),
-                            lo,
-                            hi,
-                            seq,
-                        }))
-                        .is_err()
-                    {
-                        cancel.store(true, Ordering::Release);
-                    }
-                }
-            }
-        }
+        // every router routes every batch, each against its own scopes
+        self.broadcast(|| {
+            RouterMsg::Route(RouteJob {
+                batch: Arc::clone(batch),
+                lo,
+                hi,
+                seq,
+            })
+        });
         self.batches_sent += 1;
         self.maybe_checkpoint();
     }
@@ -1704,24 +1537,10 @@ impl ShardedExecutor {
     /// shard's state deposit, and persist the checkpoint.
     fn take_checkpoint(&mut self) -> Result<u64, CheckpointError> {
         let barrier: BarrierRef = Arc::new(CheckpointBarrier::new(self.n_routers, self.n_shards));
-        let Self { stage, cancel, .. } = self;
-        match stage.as_mut().expect("executor is active") {
-            IngestStage::Inline(fanout) => fanout.send_barrier(&barrier, cancel),
-            IngestStage::Pipelined(threads) => {
-                // the barrier rides every router's job ring in-band, so
-                // each router segment (and each shard's lane barrier)
-                // covers exactly the batches routed before it
-                for rt in threads {
-                    if rt
-                        .jobs
-                        .send(RouterMsg::Barrier(Arc::clone(&barrier)))
-                        .is_err()
-                    {
-                        cancel.store(true, Ordering::Release);
-                    }
-                }
-            }
-        }
+        // the barrier rides every router's job ring in-band, so each
+        // router segment (and each shard's lane barrier) covers exactly
+        // the batches routed before it
+        self.broadcast(|| RouterMsg::Barrier(Arc::clone(&barrier)));
         let (routers, shards) = barrier.wait(&self.cancel)?;
         let ck = self
             .checkpointer
@@ -1761,21 +1580,7 @@ impl ShardedExecutor {
     pub fn harvest_results(&mut self) -> Result<ExecutorResults, CheckpointError> {
         self.flush();
         let barrier: HarvestRef = Arc::new(CheckpointBarrier::new(self.n_routers, self.n_shards));
-        let Self { stage, cancel, .. } = self;
-        match stage.as_mut().expect("executor is active") {
-            IngestStage::Inline(fanout) => fanout.send_harvest(&barrier, cancel),
-            IngestStage::Pipelined(threads) => {
-                for rt in threads {
-                    if rt
-                        .jobs
-                        .send(RouterMsg::Harvest(Arc::clone(&barrier)))
-                        .is_err()
-                    {
-                        cancel.store(true, Ordering::Release);
-                    }
-                }
-            }
-        }
+        self.broadcast(|| RouterMsg::Harvest(Arc::clone(&barrier)));
         let (_routers, shards) = barrier.wait(&self.cancel)?;
         let mut out = ExecutorResults::new();
         for results in shards {
@@ -1811,34 +1616,11 @@ impl ShardedExecutor {
                 "injected fault: simulated crash at ingested batch {batch} (buffered state lost)"
             );
         }
-        // teardown order is the flush contract: close EVERY ingest→router
-        // job ring FIRST (close-then-drain is the poison message — each
-        // router thread routes every queued job before returning its
-        // fan-out), then join the routers in router order, dropping each
-        // fan-out as its thread returns, closing that router's worker
-        // lanes — no routed batch is lost, every ShardReport is
-        // complete, and a worker blocked on a dead router's lane (only
-        // possible on a cancelled run) is released before the next
-        // router is joined
-        let mut failed_routers = Vec::new();
-        match self.stage.take().expect("finish runs once") {
-            IngestStage::Inline(fanout) => drop(fanout),
-            IngestStage::Pipelined(threads) => {
-                let mut handles = Vec::with_capacity(threads.len());
-                for rt in threads {
-                    drop(rt.jobs);
-                    handles.push(rt.handle);
-                }
-                for (ri, handle) in handles.into_iter().enumerate() {
-                    match handle.join() {
-                        // a panicked router already dropped its fan-out
-                        // during unwind, closing its worker lanes
-                        Ok(fanout) => drop(fanout),
-                        Err(_) => failed_routers.push(ri),
-                    }
-                }
-            }
-        }
+        // teardown order is the flush contract: the routers drain every
+        // queued job and close their worker lanes before the shards are
+        // joined, so no routed batch is lost and every ShardReport is
+        // complete
+        let failed_routers = join_routers(self.routers.take().expect("finish runs once"));
         // all rings are closed: join the shards in deterministic order
         let workers = std::mem::take(&mut self.workers);
         let mut results = ExecutorResults::new();
@@ -1876,44 +1658,17 @@ impl ShardedExecutor {
         (results, matched, state)
     }
 
-    /// Number of groups the routing plane has split across shards so
-    /// far. In pipelined mode this sums each router thread's last
-    /// published count, which trails ingestion by at most the in-flight
-    /// pipeline jobs — use [`ShardedExecutor::split_snapshot`] when the
-    /// count must cover everything ingested so far.
-    pub fn split_groups(&self) -> usize {
-        match self.stage.as_ref().expect("executor is active") {
-            IngestStage::Inline(fanout) => fanout.router.split_groups(),
-            IngestStage::Pipelined(threads) => threads
-                .iter()
-                .map(|rt| rt.split_groups.load(Ordering::Relaxed))
-                .sum(),
-        }
-    }
-
-    /// A **synchronized** split-group count: flushes the ingest buffer,
-    /// then waits until every router thread has answered a probe sent
-    /// in-band behind everything queued so far — so the returned count
-    /// covers every batch ingested before the call, at any pipeline
-    /// depth and plane size (unlike [`ShardedExecutor::split_groups`],
-    /// whose pipelined reading trails ingestion). Each group's scope
-    /// lives on exactly one router, so the per-router counts sum
-    /// exactly.
+    /// Number of groups the routing plane has split across shards,
+    /// exactly: flushes the ingest buffer, then waits until every router
+    /// thread has answered a probe sent in-band behind everything queued
+    /// so far — so the count covers every batch ingested before the call.
+    /// Each group's scope lives on exactly one router, so the per-router
+    /// counts sum exactly.
     pub fn split_snapshot(&mut self) -> usize {
         self.flush();
-        let Self { stage, cancel, .. } = self;
-        match stage.as_mut().expect("executor is active") {
-            IngestStage::Inline(fanout) => fanout.router.split_groups(),
-            IngestStage::Pipelined(threads) => {
-                let probe = Arc::new(SplitProbe::new(threads.len()));
-                for rt in threads.iter_mut() {
-                    if rt.jobs.send(RouterMsg::Sync(Arc::clone(&probe))).is_err() {
-                        cancel.store(true, Ordering::Release);
-                    }
-                }
-                probe.wait_sum(cancel)
-            }
-        }
+        let probe = Arc::new(SplitProbe::new(self.n_routers));
+        self.broadcast(|| RouterMsg::Sync(Arc::clone(&probe)));
+        probe.wait_sum(&self.cancel)
     }
 }
 
@@ -1925,27 +1680,11 @@ impl Drop for ShardedExecutor {
     /// never leaves detached threads grinding through polynomial two-step
     /// work behind the next measurement.
     fn drop(&mut self) {
-        let Some(stage) = self.stage.take() else {
+        let Some(threads) = self.routers.take() else {
             return; // finished normally: threads already joined
         };
         self.cancel.store(true, Ordering::Relaxed);
-        match stage {
-            IngestStage::Inline(fanout) => drop(fanout),
-            IngestStage::Pipelined(threads) => {
-                // close every job ring first, then join the routers in
-                // order — joining returns each fan-out, whose drop
-                // closes that router's worker lanes (releasing any
-                // worker blocked on it before the next join)
-                let mut handles = Vec::with_capacity(threads.len());
-                for rt in threads {
-                    drop(rt.jobs);
-                    handles.push(rt.handle);
-                }
-                for handle in handles {
-                    let _ = handle.join();
-                }
-            }
-        }
+        join_routers(threads);
         for worker in std::mem::take(&mut self.workers) {
             let _ = worker.handle.join();
         }
@@ -2041,6 +1780,15 @@ mod tests {
             .collect()
     }
 
+    /// The non-shared (A-Seq) sharded runtime at a given flush threshold.
+    fn non_shared(c: &Catalog, w: &Workload, shards: usize, batch_size: usize) -> ShardedExecutor {
+        let options = ShardedOptions {
+            batch_size,
+            ..ShardedOptions::default()
+        };
+        ShardedExecutor::with_options(c, w, &SharingPlan::non_shared(), shards, options).unwrap()
+    }
+
     fn test_dir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("sharon-sharded-test-{}-{tag}", std::process::id()));
@@ -2060,7 +1808,7 @@ mod tests {
         assert!(!want.is_empty());
 
         for shards in [1usize, 2, 3, 8] {
-            let mut sharded = ShardedExecutor::non_shared(&c, &w, shards).unwrap();
+            let mut sharded = non_shared(&c, &w, shards, DEFAULT_BATCH_SIZE);
             for chunk in events.chunks(97) {
                 sharded.process_batch(chunk);
             }
@@ -2070,38 +1818,6 @@ mod tests {
                 "{shards} shards diverge from sequential"
             );
             assert_eq!(matched, want_matched, "{shards} shards: matched count");
-        }
-    }
-
-    #[test]
-    fn pipelined_and_inline_routing_agree() {
-        let (c, w) = grouped_workload();
-        let events = stream(&c, 5000, 23);
-        let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
-        let want_matched = sequential.events_matched();
-        let want = sequential.finish();
-
-        let plan = SharingPlan::non_shared();
-        for depth in [0usize, 1, 2, 4] {
-            let mut sharded = ShardedExecutor::with_pipeline_depth(
-                &c,
-                &w,
-                &plan,
-                3,
-                128,
-                SplitConfig::default(),
-                depth,
-            )
-            .unwrap();
-            assert_eq!(sharded.pipeline_depth(), depth);
-            sharded.process_batch(&events);
-            let (got, matched, _) = sharded.finish_with_stats();
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "pipeline depth {depth} diverges from sequential"
-            );
-            assert_eq!(matched, want_matched, "depth {depth}: matched count");
         }
     }
 
@@ -2116,7 +1832,7 @@ mod tests {
         let want = sequential.finish();
 
         // one oversized columnar push: re-chunked internally
-        let mut sharded = ShardedExecutor::non_shared(&c, &w, 3).unwrap();
+        let mut sharded = non_shared(&c, &w, 3, DEFAULT_BATCH_SIZE);
         sharded.process_columnar(&batch);
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
@@ -2126,7 +1842,7 @@ mod tests {
         // pre-flush)
         let (head, tail) = events.split_at(100);
         let shared = Arc::new(EventBatch::from_events(tail));
-        let mut sharded = ShardedExecutor::non_shared(&c, &w, 3).unwrap();
+        let mut sharded = non_shared(&c, &w, 3, DEFAULT_BATCH_SIZE);
         sharded.process_batch(head);
         sharded.process_shared(&shared);
         let (got, matched, _) = sharded.finish_with_stats();
@@ -2155,7 +1871,7 @@ mod tests {
         sequential.process_batch(&events);
         let want = sequential.finish();
 
-        let mut sharded = ShardedExecutor::non_shared(&c, &w, 4).unwrap();
+        let mut sharded = non_shared(&c, &w, 4, DEFAULT_BATCH_SIZE);
         sharded.process_batch(&events);
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
@@ -2176,8 +1892,7 @@ mod tests {
         sequential.process_batch(&events);
         let want = sequential.finish();
 
-        let plan = SharingPlan::non_shared();
-        let mut sharded = ShardedExecutor::with_batch_size(&c, &w, &plan, 2, 64).unwrap();
+        let mut sharded = non_shared(&c, &w, 2, 64);
         for e in &events {
             sharded.process(e);
         }
@@ -2188,25 +1903,12 @@ mod tests {
     #[test]
     fn drop_without_finish_aborts_and_joins_workers() {
         // dropping mid-stream must not hang and must not leave router or
-        // worker threads draining queued work (the bench DNF path) — in
-        // both routing modes
+        // worker threads draining queued work (the bench DNF path)
         let (c, w) = grouped_workload();
         let events = stream(&c, 2000, 11);
-        let plan = SharingPlan::non_shared();
-        for depth in [0usize, 2] {
-            let mut sharded = ShardedExecutor::with_pipeline_depth(
-                &c,
-                &w,
-                &plan,
-                3,
-                64,
-                SplitConfig::default(),
-                depth,
-            )
-            .unwrap();
-            sharded.process_batch(&events);
-            drop(sharded); // joins; a deadlock here fails the test by timeout
-        }
+        let mut sharded = non_shared(&c, &w, 3, 64);
+        sharded.process_batch(&events);
+        drop(sharded); // joins; a deadlock here fails the test by timeout
     }
 
     #[test]
@@ -2221,8 +1923,7 @@ mod tests {
         sequential.process_batch(&events);
         let want = sequential.finish();
 
-        let plan = SharingPlan::non_shared();
-        let mut sharded = ShardedExecutor::with_batch_size(&c, &w, &plan, 2, 32).unwrap();
+        let mut sharded = non_shared(&c, &w, 2, 32);
         sharded.process_batch(&events);
         assert!(
             !sharded.batch_pool.is_empty(),
@@ -2233,13 +1934,23 @@ mod tests {
     }
 
     #[test]
-    fn env_override_picks_the_default_depth() {
-        // no env manipulation (tests run in parallel): just pin the
-        // compiled-in default and the explicit-constructor contract
-        assert_eq!(DEFAULT_PIPELINE_DEPTH, 2);
+    fn zero_shards_is_a_typed_error() {
         let (c, w) = grouped_workload();
-        let sharded = ShardedExecutor::non_shared(&c, &w, 2).unwrap();
-        assert_eq!(sharded.pipeline_depth(), default_pipeline_depth());
+        let err = ShardedExecutor::with_options(
+            &c,
+            &w,
+            &SharingPlan::non_shared(),
+            0,
+            ShardedOptions::default(),
+        )
+        .err()
+        .expect("zero shards must not build");
+        assert_eq!(
+            err,
+            CompileError::ZeroShards {
+                strategy: "online engine"
+            }
+        );
     }
 
     #[test]
@@ -2260,7 +1971,6 @@ mod tests {
                 3,
                 ShardedOptions {
                     batch_size: 128,
-                    pipeline_depth: 2,
                     routers,
                     ..ShardedOptions::default()
                 },
@@ -2292,23 +2002,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a multi-router plane requires a pipelined ingest stage")]
-    fn multi_router_plane_rejects_inline_routing() {
-        let (c, w) = grouped_workload();
-        let _ = ShardedExecutor::with_options(
-            &c,
-            &w,
-            &SharingPlan::non_shared(),
-            2,
-            ShardedOptions {
-                pipeline_depth: 0,
-                routers: 2,
-                ..ShardedOptions::default()
-            },
-        );
-    }
-
-    #[test]
     fn harvest_then_finish_equals_uninterrupted_run() {
         // 97 groups, a harvest after every ingested batch: every harvest
         // hands the workers' logs and key tables away, so each group
@@ -2321,18 +2014,8 @@ mod tests {
         let want = sequential.finish();
         let tracked = GroupKey::One(Value::Int(0));
 
-        let plan = SharingPlan::non_shared();
-        for (shards, depth) in [(1usize, 2usize), (2, 0), (2, 2), (4, 2)] {
-            let mut sharded = ShardedExecutor::with_pipeline_depth(
-                &c,
-                &w,
-                &plan,
-                shards,
-                64,
-                SplitConfig::default(),
-                depth,
-            )
-            .unwrap();
+        for shards in [1usize, 2, 4] {
+            let mut sharded = non_shared(&c, &w, shards, 64);
             let mut drained = ExecutorResults::new();
             let (mut epochs, mut epochs_with_tracked) = (0, 0);
             for batch in events.chunks(64) {
@@ -2346,14 +2029,13 @@ mod tests {
             drained.merge(sharded.finish());
             assert!(
                 drained.semantically_eq(&want, 1e-9),
-                "{shards} shards, depth {depth}: harvested epochs + finish diverge \
-                 ({} vs {} results)",
+                "{shards} shards: harvested epochs + finish diverge ({} vs {} results)",
                 drained.len(),
                 want.len(),
             );
             assert!(
                 epochs > 30 && epochs_with_tracked > 10,
-                "{shards} shards, depth {depth}: mid-stream harvests yield closed windows \
+                "{shards} shards: mid-stream harvests yield closed windows \
                  ({epochs} epochs, group 0 in {epochs_with_tracked})"
             );
         }
@@ -2369,66 +2051,59 @@ mod tests {
         let want = sequential.finish();
 
         let plan = SharingPlan::non_shared();
-        for depth in [0usize, 2] {
-            let dir = test_dir(&format!("resume-{depth}"));
-            let options = ShardedOptions {
-                batch_size: 128,
-                pipeline_depth: depth,
-                checkpoint: Some(CheckpointConfig::every(&dir, 4)),
-                ..ShardedOptions::default()
-            };
-            let written_before = sharon_metrics::checkpoints_written();
-            let mut sharded =
-                ShardedExecutor::with_options(&c, &w, &plan, 3, options.clone()).unwrap();
-            sharded.process_batch(&events[..2400]);
-            assert!(
-                sharon_metrics::checkpoints_written() >= written_before + 4,
-                "periodic checkpoints were taken"
-            );
-            drop(sharded); // simulated crash: buffered + post-checkpoint state lost
+        let dir = test_dir("resume");
+        let options = ShardedOptions {
+            batch_size: 128,
+            checkpoint: Some(CheckpointConfig::every(&dir, 4)),
+            ..ShardedOptions::default()
+        };
+        let written_before = sharon_metrics::checkpoints_written();
+        let mut sharded = ShardedExecutor::with_options(&c, &w, &plan, 3, options.clone()).unwrap();
+        sharded.process_batch(&events[..2400]);
+        assert!(
+            sharon_metrics::checkpoints_written() >= written_before + 4,
+            "periodic checkpoints were taken"
+        );
+        drop(sharded); // simulated crash: buffered + post-checkpoint state lost
 
-            let (mut resumed, offset) = ShardedExecutor::resume(&c, &w, &plan, 3, options).unwrap();
-            assert_eq!(
-                offset, 2048,
-                "depth {depth}: latest complete checkpoint is 16 batches of 128"
-            );
-            assert_eq!(resumed.events_sent(), offset);
-            resumed.process_batch(&events[offset as usize..]);
-            let (got, matched, _) = resumed.finish_with_stats();
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "depth {depth}: resumed run diverges from uninterrupted"
-            );
-            assert_eq!(matched, want_matched, "depth {depth}: matched count");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let (mut resumed, offset) = ShardedExecutor::resume(&c, &w, &plan, 3, options).unwrap();
+        assert_eq!(
+            offset, 2048,
+            "latest complete checkpoint is 16 batches of 128"
+        );
+        assert_eq!(resumed.events_sent(), offset);
+        resumed.process_batch(&events[offset as usize..]);
+        let (got, matched, _) = resumed.finish_with_stats();
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "resumed run diverges from uninterrupted"
+        );
+        assert_eq!(matched, want_matched, "matched count");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn worker_panic_cancels_the_run_and_finish_fails_fast() {
         let (c, w) = grouped_workload();
-        let plan = SharingPlan::non_shared();
-        for depth in [0usize, 2] {
-            let events = stream(&c, 2000, 11);
-            let options = ShardedOptions {
-                batch_size: 64,
-                pipeline_depth: depth,
-                fault: Some(FaultPlan::PanicWorker { batch: 2, shard: 1 }),
-                ..ShardedOptions::default()
-            };
-            let sharded = ShardedExecutor::with_options(&c, &w, &plan, 3, options).unwrap();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                let mut sharded = sharded;
-                sharded.process_batch(&events);
-                sharded.finish()
-            }));
-            let err = result.expect_err("a panicked worker must fail the run");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(
-                msg.contains("worker shard"),
-                "depth {depth}: unexpected panic message: {msg:?}"
-            );
-        }
+        let events = stream(&c, 2000, 11);
+        let options = ShardedOptions {
+            batch_size: 64,
+            fault: Some(FaultPlan::PanicWorker { batch: 2, shard: 1 }),
+            ..ShardedOptions::default()
+        };
+        let sharded =
+            ShardedExecutor::with_options(&c, &w, &SharingPlan::non_shared(), 3, options).unwrap();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let mut sharded = sharded;
+            sharded.process_batch(&events);
+            sharded.finish()
+        }));
+        let err = result.expect_err("a panicked worker must fail the run");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("worker shard"),
+            "unexpected panic message: {msg:?}"
+        );
     }
 
     #[test]
@@ -2438,7 +2113,6 @@ mod tests {
         let plan = SharingPlan::non_shared();
         let options = ShardedOptions {
             batch_size: 64,
-            pipeline_depth: 2,
             fault: Some(FaultPlan::Drop { batch: 3 }),
             ..ShardedOptions::default()
         };

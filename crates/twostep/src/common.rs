@@ -9,13 +9,17 @@
 //! baseline routing scope (a query for Flink-like, a sharing-signature
 //! partition for SPASS-like) as a [`RowFilter`], which is what lets the
 //! sharded runtime's route-once [`sharon_executor::BatchRouter`] fan
-//! baseline work out across shards.
+//! baseline work out across shards; [`sharded`] and [`ScopeFanShard`]
+//! are the one sharded build path and shard worker both baselines use.
 
 use sharon_executor::agg::Contribution;
 use sharon_executor::compile::CompileError;
-use sharon_executor::{RowFilter, ScanKernel};
+use sharon_executor::{
+    split_router_plane, ExecutorResults, Reorder, RoutedRows, RowFilter, ScanKernel,
+    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions,
+};
 use sharon_query::{clause_passes, CmpOp, Query};
-use sharon_types::{AttrId, Catalog, EventTypeId, GroupKey, Value};
+use sharon_types::{AttrId, Catalog, EventBatch, EventTypeId, GroupKey, Timestamp, Value};
 use std::collections::HashMap;
 
 /// Per-event-type resolved clauses for one query or partition.
@@ -348,6 +352,158 @@ impl RowFilter for ScopeFilter {
         let routed_types = self.routed.iter().filter(|&&r| r).count();
         let clauses: usize = self.table.predicates.iter().map(Vec::len).sum();
         (1.0 + clauses as f64) * (routed_types as f64 / total_types as f64).max(f64::MIN_POSITIVE)
+    }
+}
+
+/// What a two-step baseline exposes to its shard worker: the stateful
+/// dispatch of one routing scope's pre-routed rows to one subscriber (a
+/// query for Flink-like, a signature partition for SPASS-like) and its
+/// end-of-stream report.
+pub(crate) trait ScopeHost: Send + Sized + 'static {
+    /// Display name of the strategy, for build errors.
+    const NAME: &'static str;
+
+    /// Dispatch pre-routed `rows` of `batch` to subscriber `sub`.
+    fn process_scope_rows(&mut self, sub: usize, batch: &EventBatch, rows: &[u32]);
+
+    /// Row form of [`ScopeHost::process_scope_rows`] — the release path
+    /// of the event-time gate, which re-dispatches buffered rows one at a
+    /// time.
+    fn process_scope_row(&mut self, sub: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]);
+
+    /// Rows that survived the stateless scans so far.
+    fn events_matched(&self) -> u64;
+
+    /// The baseline's memory proxy (buffered events or materialized
+    /// matches).
+    fn state_size(&self) -> usize;
+
+    /// Flush every open window and return all results.
+    fn finish(self) -> ExecutorResults;
+}
+
+/// Run a baseline on the sharded runtime: `scopes` (one per subscriber,
+/// in subscriber order) are deduplicated — the router scans each
+/// *distinct* scope once per batch — and cost-partitioned across
+/// `options.routers` router threads, and each of the `n_shards` workers
+/// hosts one `build()` instance behind a [`ScopeFanShard`]. Durability
+/// options are [`CompileError::UnsupportedOption`] (a baseline cannot
+/// serialize its state) and zero shards is [`CompileError::ZeroShards`].
+pub(crate) fn sharded<B: ScopeHost>(
+    scopes: Vec<ScopeFilter>,
+    n_shards: usize,
+    options: &ShardedOptions,
+    mut build: impl FnMut() -> Result<B, CompileError>,
+) -> Result<ShardedExecutor, CompileError> {
+    if let Some(option) = options.durability_option() {
+        return Err(CompileError::UnsupportedOption {
+            option,
+            strategy: B::NAME,
+        });
+    }
+    if n_shards == 0 {
+        return Err(CompileError::ZeroShards { strategy: B::NAME });
+    }
+    let (scopes, subscribers) = dedup_scopes(scopes);
+    let plane = split_router_plane(scopes, n_shards, options.split, options.routers);
+    let shards = (0..n_shards)
+        .map(|_| {
+            build().map(|inner| {
+                Box::new(ScopeFanShard {
+                    inner,
+                    subscribers: subscribers.clone(),
+                    gate: options.lateness.map(Reorder::new),
+                }) as Box<dyn ShardProcessor>
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(ShardedExecutor::from_parts(plane, shards, options))
+}
+
+/// The shard worker of both baselines: `rows.per_part` is parallel to the
+/// router's *distinct* (deduplicated) routing scopes, and each scope's
+/// row selection is dispatched to every subscriber — the worker-side half
+/// of routing each scope once per batch. The baselines never host split
+/// groups, so replica lists and split notices are always empty here.
+pub(crate) struct ScopeFanShard<B> {
+    inner: B,
+    /// Per distinct scope: the subscriber indexes fanned out to.
+    subscribers: Vec<Vec<usize>>,
+    /// Event-time gate over the pre-routed rows: admission records the
+    /// scope in [`sharon_executor::PendingRow::scope`], release fans the
+    /// row back out to the scope's subscribers. `None` keeps the
+    /// arrival-order contract.
+    gate: Option<Reorder>,
+}
+
+impl<B: ScopeHost> ScopeFanShard<B> {
+    /// Dispatch every gate-released row to its scope's subscribers.
+    fn release_ready(&mut self) {
+        while let Some(row) = self.gate.as_mut().and_then(Reorder::pop_ready) {
+            for &sub in &self.subscribers[row.scope as usize] {
+                self.inner
+                    .process_scope_row(sub, row.ty, row.time, &row.attrs);
+            }
+            if let Some(gate) = &mut self.gate {
+                gate.recycle(row);
+            }
+        }
+    }
+}
+
+impl<B: ScopeHost> ShardProcessor for ScopeFanShard<B> {
+    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
+        debug_assert!(
+            rows.splits.is_empty() && rows.state_rows.iter().all(Vec::is_empty),
+            "baseline scopes never split groups"
+        );
+        if let Some(gate) = &mut self.gate {
+            // event-time mode: buffer each scope's rows behind the
+            // router's merged frontier and release in event-time order
+            for (scope, list) in rows.per_part.iter().enumerate() {
+                for &row in list {
+                    let row = row as usize;
+                    gate.admit(
+                        batch.ty(row),
+                        batch.time(row),
+                        batch.attrs(row),
+                        scope as u32,
+                        true,
+                        false,
+                    );
+                }
+            }
+            gate.advance(rows.frontier);
+            self.release_ready();
+            return;
+        }
+        for (scope, list) in rows.per_part.iter().enumerate() {
+            if list.is_empty() {
+                continue;
+            }
+            for &sub in &self.subscribers[scope] {
+                self.inner.process_scope_rows(sub, batch, list);
+            }
+        }
+    }
+
+    fn events_matched(&self) -> u64 {
+        self.inner.events_matched()
+    }
+
+    fn finish(mut self: Box<Self>) -> ShardReport {
+        if let Some(gate) = &mut self.gate {
+            gate.open();
+        }
+        self.release_ready();
+        let state_size = self.inner.state_size();
+        let events_matched = self.inner.events_matched();
+        ShardReport {
+            results: self.inner.finish(),
+            events_matched,
+            state_size,
+            ..Default::default()
+        }
     }
 }
 

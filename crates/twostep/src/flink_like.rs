@@ -16,18 +16,17 @@
 //! [`FlinkLike::sharded`] runs the baseline on the route-once parallel
 //! runtime with groups hash-partitioned across worker threads, exactly
 //! like the online engines: each worker hosts one baseline instance
-//! behind a scope-fanning [`ShardProcessor`] wrapper, and identical
-//! routing scopes are deduplicated so the router scans each distinct
-//! scope once per batch.
+//! behind a scope-fanning [`sharon_executor::ShardProcessor`] wrapper,
+//! and identical routing scopes are deduplicated so the router scans each
+//! distinct scope once per batch.
 
-use crate::common::{dedup_scopes, ScopeFilter, TypeTable};
+use crate::common::{self, ScopeFilter, ScopeHost, TypeTable};
 use crate::construct::SeqBuffers;
 use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
 use sharon_executor::{
-    split_router_plane, BatchProcessor, ExecutorResults, Reorder, RoutedRows, ScanKernel,
-    ShardProcessor, ShardReport, ShardedExecutor, SplitConfig, DEFAULT_BATCH_SIZE,
+    BatchProcessor, ExecutorResults, Reorder, ScanKernel, ShardedExecutor, ShardedOptions,
 };
 use sharon_query::{AggFunc, Query, QueryId, Workload};
 use sharon_types::{
@@ -402,120 +401,31 @@ impl FlinkLike {
     /// what keeps the routing stage from becoming the serial bottleneck
     /// on many-query workloads (the shape the paper's Flink baseline
     /// degrades on: per-query work where shared work would do).
+    ///
+    /// `options` sizes the batches and the routing plane; with a
+    /// lateness set, each shard worker gates its pre-routed rows behind
+    /// the router's merged cross-shard frontier, so bounded disorder up
+    /// to the lateness is absorbed exactly and later rows are dropped and
+    /// counted. Durability options are
+    /// [`CompileError::UnsupportedOption`].
     pub fn sharded(
         catalog: &Catalog,
         workload: &Workload,
         n_shards: usize,
-    ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_batch_size(catalog, workload, n_shards, DEFAULT_BATCH_SIZE)
-    }
-
-    /// [`FlinkLike::sharded`] with an explicit flush threshold.
-    pub fn sharded_with_batch_size(
-        catalog: &Catalog,
-        workload: &Workload,
-        n_shards: usize,
-        batch_size: usize,
-    ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_pipeline(
-            catalog,
-            workload,
-            n_shards,
-            batch_size,
-            sharon_executor::default_pipeline_depth(),
-            None,
-        )
-    }
-
-    /// [`FlinkLike::sharded_with_batch_size`] with an explicit ingest
-    /// pipeline depth (`0` = in-line routing; see
-    /// [`ShardedExecutor::from_parts_with`]) and optional event-time
-    /// lateness: when set, each shard worker gates its pre-routed rows
-    /// behind the router's merged cross-shard frontier, so bounded
-    /// disorder up to the lateness is absorbed exactly and later rows are
-    /// dropped and counted.
-    pub fn sharded_with_pipeline(
-        catalog: &Catalog,
-        workload: &Workload,
-        n_shards: usize,
-        batch_size: usize,
-        pipeline_depth: usize,
-        lateness: Option<u64>,
-    ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_routing(
-            catalog,
-            workload,
-            n_shards,
-            batch_size,
-            pipeline_depth,
-            lateness,
-            1,
-        )
-    }
-
-    /// [`FlinkLike::sharded_with_pipeline`] with an explicit routing-plane
-    /// size: the deduplicated scopes are cost-partitioned across `routers`
-    /// router threads ([`split_router_plane`]); `routers > 1` requires a
-    /// pipelined ingest stage (`pipeline_depth >= 1`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sharded_with_routing(
-        catalog: &Catalog,
-        workload: &Workload,
-        n_shards: usize,
-        batch_size: usize,
-        pipeline_depth: usize,
-        lateness: Option<u64>,
-        routers: usize,
+        options: &ShardedOptions,
     ) -> Result<ShardedExecutor, CompileError> {
         if workload.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
-        // one routing scope per query, deduplicated: identical scopes are
-        // scanned once and fanned out to all subscribing queries on the
-        // worker side
+        // one routing scope per query
         let scopes = workload
             .queries()
             .iter()
             .map(|q| ScopeFilter::build(catalog, &[q]))
             .collect::<Result<Vec<_>, _>>()?;
-        let (scopes, subscribers) = dedup_scopes(scopes);
-        let plane = split_router_plane(scopes, n_shards, SplitConfig::default(), routers);
-        let shards = (0..n_shards)
-            .map(|_| {
-                FlinkLike::new(catalog, workload).map(|f| {
-                    Box::new(ScopeFanShard {
-                        inner: f,
-                        subscribers: subscribers.clone(),
-                        gate: lateness.map(Reorder::new),
-                    }) as Box<dyn ShardProcessor>
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedExecutor::from_parts_multi(
-            plane,
-            shards,
-            batch_size,
-            pipeline_depth,
-        ))
-    }
-
-    /// Stateful dispatch of one deduplicated routing scope's pre-routed
-    /// rows to subscribing query `qi` (the sharded fan-out path).
-    fn process_scope_rows(&mut self, qi: usize, batch: &EventBatch, rows: &[u32]) {
-        match &mut self.kernel {
-            Kernel::Count(qs) => qs[qi].process_rows(batch, rows, &mut self.results),
-            Kernel::Stats(qs) => qs[qi].process_rows(batch, rows, &mut self.results),
-        }
-    }
-
-    /// Row form of [`FlinkLike::process_scope_rows`] — the release path of
-    /// the sharded event-time gate, which re-dispatches buffered rows one
-    /// at a time.
-    fn process_scope_row(&mut self, qi: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
-        match &mut self.kernel {
-            Kernel::Count(qs) => qs[qi].process_row(ty, time, attrs, true, &mut self.results),
-            Kernel::Stats(qs) => qs[qi].process_row(ty, time, attrs, true, &mut self.results),
-        }
+        common::sharded(scopes, n_shards, options, || {
+            FlinkLike::new(catalog, workload)
+        })
     }
 
     /// Process one event through every query. With an event-time gate the
@@ -689,91 +599,34 @@ impl BatchProcessor for FlinkLike {
     }
 }
 
-/// The shard worker of [`FlinkLike::sharded`]: `rows.per_part` is
-/// parallel to the router's *distinct* (deduplicated) routing scopes, and
-/// each scope's row selection is dispatched to every subscribing query —
-/// the worker-side half of routing each scope once per batch. The
-/// baseline never hosts split groups, so replica lists and split notices
-/// are always empty here.
-struct ScopeFanShard {
-    inner: FlinkLike,
-    /// Per distinct scope: the query indexes subscribing to it.
-    subscribers: Vec<Vec<usize>>,
-    /// Event-time gate over the pre-routed rows: admission records the
-    /// scope in [`sharon_executor::PendingRow::scope`], release fans the
-    /// row back out to the scope's subscribers. `None` keeps the
-    /// arrival-order contract.
-    gate: Option<Reorder>,
-}
+/// The sharded fan-out path: a subscriber is a query index.
+impl ScopeHost for FlinkLike {
+    const NAME: &'static str = "Flink";
 
-impl ScopeFanShard {
-    /// Dispatch every gate-released row to its scope's subscribers.
-    fn release_ready(&mut self) {
-        while let Some(row) = self.gate.as_mut().and_then(Reorder::pop_ready) {
-            for &qi in &self.subscribers[row.scope as usize] {
-                self.inner
-                    .process_scope_row(qi, row.ty, row.time, &row.attrs);
-            }
-            if let Some(gate) = &mut self.gate {
-                gate.recycle(row);
-            }
+    fn process_scope_rows(&mut self, qi: usize, batch: &EventBatch, rows: &[u32]) {
+        match &mut self.kernel {
+            Kernel::Count(qs) => qs[qi].process_rows(batch, rows, &mut self.results),
+            Kernel::Stats(qs) => qs[qi].process_rows(batch, rows, &mut self.results),
         }
     }
-}
 
-impl ShardProcessor for ScopeFanShard {
-    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        debug_assert!(
-            rows.splits.is_empty() && rows.state_rows.iter().all(Vec::is_empty),
-            "baseline scopes never split groups"
-        );
-        if let Some(gate) = &mut self.gate {
-            // event-time mode: buffer each scope's rows behind the
-            // router's merged frontier and release in event-time order
-            for (scope, list) in rows.per_part.iter().enumerate() {
-                for &row in list {
-                    let row = row as usize;
-                    gate.admit(
-                        batch.ty(row),
-                        batch.time(row),
-                        batch.attrs(row),
-                        scope as u32,
-                        true,
-                        false,
-                    );
-                }
-            }
-            gate.advance(rows.frontier);
-            self.release_ready();
-            return;
-        }
-        for (scope, list) in rows.per_part.iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            for &qi in &self.subscribers[scope] {
-                self.inner.process_scope_rows(qi, batch, list);
-            }
+    fn process_scope_row(&mut self, qi: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
+        match &mut self.kernel {
+            Kernel::Count(qs) => qs[qi].process_row(ty, time, attrs, true, &mut self.results),
+            Kernel::Stats(qs) => qs[qi].process_row(ty, time, attrs, true, &mut self.results),
         }
     }
 
     fn events_matched(&self) -> u64 {
-        FlinkLike::events_matched(&self.inner)
+        FlinkLike::events_matched(self)
     }
 
-    fn finish(mut self: Box<Self>) -> ShardReport {
-        if let Some(gate) = &mut self.gate {
-            gate.open();
-        }
-        self.release_ready();
-        let state_size = self.inner.buffered_events();
-        let events_matched = FlinkLike::events_matched(&self.inner);
-        ShardReport {
-            results: self.inner.finish(),
-            events_matched,
-            state_size,
-            ..Default::default()
-        }
+    fn state_size(&self) -> usize {
+        self.buffered_events()
+    }
+
+    fn finish(self) -> ExecutorResults {
+        FlinkLike::finish(self)
     }
 }
 
@@ -905,7 +758,7 @@ mod tests {
         assert!(got.semantically_eq(&want, 1e-9));
 
         // sharded route-once agrees too
-        let mut sharded = FlinkLike::sharded(&c, &w, 3).unwrap();
+        let mut sharded = FlinkLike::sharded(&c, &w, 3, &ShardedOptions::default()).unwrap();
         sharded.process_columnar(&batch);
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
@@ -916,7 +769,7 @@ mod tests {
         // eight queries sharing one routing scope (same pattern + GROUP
         // BY, different windows): the sharded runtime routes the scope
         // once and every query still gets its full selection — results
-        // identical to the sequential baseline, in both routing modes
+        // identical to the sequential baseline, on one router or two
         let mut c = Catalog::new();
         c.register_with_schema("A", sharon_types::Schema::new(["g"]));
         c.register_with_schema("B", sharon_types::Schema::new(["g"]));
@@ -949,19 +802,23 @@ mod tests {
         assert!(!want.is_empty());
 
         let batch = EventBatch::from_events(&events);
-        for depth in [0usize, 2] {
-            let mut sharded =
-                FlinkLike::sharded_with_pipeline(&c, &w, 3, 128, depth, None).unwrap();
+        for routers in [1usize, 2] {
+            let options = ShardedOptions {
+                batch_size: 128,
+                routers,
+                ..ShardedOptions::default()
+            };
+            let mut sharded = FlinkLike::sharded(&c, &w, 3, &options).unwrap();
             sharded.process_columnar(&batch);
             let got = sharded.finish();
             assert!(
                 got.semantically_eq(&want, 1e-9),
-                "depth {depth}: deduplicated sharded baseline diverges"
+                "{routers} router(s): deduplicated sharded baseline diverges"
             );
             for q in w.ids() {
                 assert!(
                     got.total_count(q) > 0,
-                    "depth {depth}: query {q} received its fanned-out selection"
+                    "{routers} router(s): query {q} received its fanned-out selection"
                 );
             }
         }

@@ -18,17 +18,16 @@
 //! selects row indices, then a stateful dispatch over the shared value
 //! buffer — no row-form [`Event`] is materialized. [`SpassLike::sharded`]
 //! runs the baseline on the route-once parallel runtime: one instance per
-//! worker behind a scope-fanning [`ShardProcessor`] wrapper, with
-//! identical routing scopes deduplicated.
+//! worker behind a scope-fanning [`sharon_executor::ShardProcessor`]
+//! wrapper, with identical routing scopes deduplicated.
 
-use crate::common::{dedup_scopes, ScopeFilter, TypeTable};
+use crate::common::{self, ScopeFilter, ScopeHost, TypeTable};
 use crate::construct::SeqBuffers;
 use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
 use sharon_executor::{
-    split_router_plane, BatchProcessor, ExecutorResults, Reorder, RoutedRows, ScanKernel,
-    ShardProcessor, ShardReport, ShardedExecutor, SplitConfig, DEFAULT_BATCH_SIZE,
+    BatchProcessor, ExecutorResults, Reorder, ScanKernel, ShardedExecutor, ShardedOptions,
 };
 use sharon_query::{AggFunc, Query, QueryId, SegmentKind, SharingPlan, Workload};
 use sharon_types::{
@@ -599,127 +598,26 @@ impl SpassLike {
     /// `GROUP BY` clauses coincide (partitions differing only in window
     /// or aggregate, say) share one routing scope, scanned once per batch
     /// and fanned out to every subscribing partition on the worker side.
+    /// `options` is read as in [`crate::FlinkLike::sharded`].
     pub fn sharded(
         catalog: &Catalog,
         workload: &Workload,
         plan: &SharingPlan,
         n_shards: usize,
-    ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_batch_size(catalog, workload, plan, n_shards, DEFAULT_BATCH_SIZE)
-    }
-
-    /// [`SpassLike::sharded`] with an explicit flush threshold.
-    pub fn sharded_with_batch_size(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-        batch_size: usize,
-    ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_pipeline(
-            catalog,
-            workload,
-            plan,
-            n_shards,
-            batch_size,
-            sharon_executor::default_pipeline_depth(),
-            None,
-        )
-    }
-
-    /// [`SpassLike::sharded_with_batch_size`] with an explicit ingest
-    /// pipeline depth (`0` = in-line routing; see
-    /// [`ShardedExecutor::from_parts_with`]) and optional event-time
-    /// lateness: when set, each shard worker gates its pre-routed rows
-    /// behind the router's merged cross-shard frontier, so bounded
-    /// disorder up to the lateness is absorbed exactly and later rows are
-    /// dropped and counted.
-    pub fn sharded_with_pipeline(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-        batch_size: usize,
-        pipeline_depth: usize,
-        lateness: Option<u64>,
-    ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_routing(
-            catalog,
-            workload,
-            plan,
-            n_shards,
-            batch_size,
-            pipeline_depth,
-            lateness,
-            1,
-        )
-    }
-
-    /// [`SpassLike::sharded_with_pipeline`] with an explicit routing-plane
-    /// size: the deduplicated scopes are cost-partitioned across `routers`
-    /// router threads ([`split_router_plane`]); `routers > 1` requires a
-    /// pipelined ingest stage (`pipeline_depth >= 1`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sharded_with_routing(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-        batch_size: usize,
-        pipeline_depth: usize,
-        lateness: Option<u64>,
-        routers: usize,
+        options: &ShardedOptions,
     ) -> Result<ShardedExecutor, CompileError> {
         if workload.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
         // one routing scope per signature partition, in the same order the
-        // sequential kernel builds them — then deduplicated, with the
-        // worker side fanning each distinct scope's selection out to all
-        // subscribing partitions
+        // sequential kernel builds them
         let scopes = signature_partitions(workload)
             .iter()
             .map(|qs| ScopeFilter::build(catalog, qs))
             .collect::<Result<Vec<_>, _>>()?;
-        let (scopes, subscribers) = dedup_scopes(scopes);
-        let plane = split_router_plane(scopes, n_shards, SplitConfig::default(), routers);
-        let shards = (0..n_shards)
-            .map(|_| {
-                SpassLike::new(catalog, workload, plan).map(|s| {
-                    Box::new(ScopeFanShard {
-                        inner: s,
-                        subscribers: subscribers.clone(),
-                        gate: lateness.map(Reorder::new),
-                    }) as Box<dyn ShardProcessor>
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedExecutor::from_parts_multi(
-            plane,
-            shards,
-            batch_size,
-            pipeline_depth,
-        ))
-    }
-
-    /// Stateful dispatch of one deduplicated routing scope's pre-routed
-    /// rows to subscribing signature partition `pi` (the sharded fan-out
-    /// path).
-    fn process_scope_rows(&mut self, pi: usize, batch: &EventBatch, rows: &[u32]) {
-        match &mut self.kernel {
-            Kernel::Count(ps) => ps[pi].process_rows(batch, rows, &mut self.results),
-            Kernel::Stats(ps) => ps[pi].process_rows(batch, rows, &mut self.results),
-        }
-    }
-
-    /// Row form of [`SpassLike::process_scope_rows`] — the release path of
-    /// the sharded event-time gate, which re-dispatches buffered rows one
-    /// at a time.
-    fn process_scope_row(&mut self, pi: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
-        match &mut self.kernel {
-            Kernel::Count(ps) => ps[pi].process_row(ty, time, attrs, true, &mut self.results),
-            Kernel::Stats(ps) => ps[pi].process_row(ty, time, attrs, true, &mut self.results),
-        }
+        common::sharded(scopes, n_shards, options, || {
+            SpassLike::new(catalog, workload, plan)
+        })
     }
 
     /// Process one event. With an event-time gate the row is admitted (or
@@ -891,92 +789,34 @@ impl BatchProcessor for SpassLike {
     }
 }
 
-/// The shard worker of [`SpassLike::sharded`]: `rows.per_part` is
-/// parallel to the router's *distinct* (deduplicated) routing scopes, and
-/// each scope's row selection is dispatched to every subscribing
-/// signature partition — the worker-side half of routing each scope once
-/// per batch. The baseline never hosts split groups, so replica lists and
-/// split notices are always empty here.
-struct ScopeFanShard {
-    inner: SpassLike,
-    /// Per distinct scope: the signature-partition indexes subscribing to
-    /// it.
-    subscribers: Vec<Vec<usize>>,
-    /// Event-time gate over the pre-routed rows: admission records the
-    /// scope in [`sharon_executor::PendingRow::scope`], release fans the
-    /// row back out to the scope's subscribers. `None` keeps the
-    /// arrival-order contract.
-    gate: Option<Reorder>,
-}
+/// The sharded fan-out path: a subscriber is a signature-partition index.
+impl ScopeHost for SpassLike {
+    const NAME: &'static str = "SPASS";
 
-impl ScopeFanShard {
-    /// Dispatch every gate-released row to its scope's subscribers.
-    fn release_ready(&mut self) {
-        while let Some(row) = self.gate.as_mut().and_then(Reorder::pop_ready) {
-            for &pi in &self.subscribers[row.scope as usize] {
-                self.inner
-                    .process_scope_row(pi, row.ty, row.time, &row.attrs);
-            }
-            if let Some(gate) = &mut self.gate {
-                gate.recycle(row);
-            }
+    fn process_scope_rows(&mut self, pi: usize, batch: &EventBatch, rows: &[u32]) {
+        match &mut self.kernel {
+            Kernel::Count(ps) => ps[pi].process_rows(batch, rows, &mut self.results),
+            Kernel::Stats(ps) => ps[pi].process_rows(batch, rows, &mut self.results),
         }
     }
-}
 
-impl ShardProcessor for ScopeFanShard {
-    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        debug_assert!(
-            rows.splits.is_empty() && rows.state_rows.iter().all(Vec::is_empty),
-            "baseline scopes never split groups"
-        );
-        if let Some(gate) = &mut self.gate {
-            // event-time mode: buffer each scope's rows behind the
-            // router's merged frontier and release in event-time order
-            for (scope, list) in rows.per_part.iter().enumerate() {
-                for &row in list {
-                    let row = row as usize;
-                    gate.admit(
-                        batch.ty(row),
-                        batch.time(row),
-                        batch.attrs(row),
-                        scope as u32,
-                        true,
-                        false,
-                    );
-                }
-            }
-            gate.advance(rows.frontier);
-            self.release_ready();
-            return;
-        }
-        for (scope, list) in rows.per_part.iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            for &pi in &self.subscribers[scope] {
-                self.inner.process_scope_rows(pi, batch, list);
-            }
+    fn process_scope_row(&mut self, pi: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
+        match &mut self.kernel {
+            Kernel::Count(ps) => ps[pi].process_row(ty, time, attrs, true, &mut self.results),
+            Kernel::Stats(ps) => ps[pi].process_row(ty, time, attrs, true, &mut self.results),
         }
     }
 
     fn events_matched(&self) -> u64 {
-        SpassLike::events_matched(&self.inner)
+        SpassLike::events_matched(self)
     }
 
-    fn finish(mut self: Box<Self>) -> ShardReport {
-        if let Some(gate) = &mut self.gate {
-            gate.open();
-        }
-        self.release_ready();
-        let state_size = self.inner.materialized_matches();
-        let events_matched = SpassLike::events_matched(&self.inner);
-        ShardReport {
-            results: self.inner.finish(),
-            events_matched,
-            state_size,
-            ..Default::default()
-        }
+    fn state_size(&self) -> usize {
+        self.materialized_matches()
+    }
+
+    fn finish(self) -> ExecutorResults {
+        SpassLike::finish(self)
     }
 }
 
@@ -1111,7 +951,7 @@ mod tests {
         let got = columnar.finish();
         assert!(got.semantically_eq(&want, 1e-9));
 
-        let mut sharded = SpassLike::sharded(&c, &w, &plan, 3).unwrap();
+        let mut sharded = SpassLike::sharded(&c, &w, &plan, 3, &ShardedOptions::default()).unwrap();
         sharded.process_columnar(&batch);
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));

@@ -19,7 +19,7 @@ use sharon::prelude::*;
 use sharon::twostep::{FlinkLike, SpassLike};
 use sharon_executor::{
     compile, set_scan_mode, spsc, BatchRouter, EngineKind, RouteBatch, RoutedRows, ScanMode,
-    ShardSlice, SplitConfig,
+    ShardSlice, ShardedOptions, SplitConfig,
 };
 use sharon_metrics::{alloc, TrackingAllocator};
 use std::sync::{Arc, Mutex};
@@ -1036,22 +1036,25 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
     let want = sequential.finish();
     assert!(!want.is_empty());
 
-    for depth in [0usize, 2] {
-        let mut sharded =
-            FlinkLike::sharded_with_pipeline(&catalog, &workload, 3, BATCH_SIZE, depth, None)
-                .unwrap();
+    for routers in [1usize, 2] {
+        let options = ShardedOptions {
+            batch_size: BATCH_SIZE,
+            routers,
+            ..ShardedOptions::default()
+        };
+        let mut sharded = FlinkLike::sharded(&catalog, &workload, 3, &options).unwrap();
         let scans_before = sharon_metrics::router_scope_scans();
         sharded.process_shared(&shared);
         let got = sharded.finish(); // drains the pipeline: all chunks routed
         let scans = sharon_metrics::router_scope_scans() - scans_before;
         assert_eq!(
             scans, BATCHES as u64,
-            "depth {depth}: 64 identical-scope queries must cost exactly one \
+            "{routers} router(s): 64 identical-scope queries must cost exactly one \
              scope scan per batch ({BATCHES} batches performed {scans} scans)"
         );
         assert!(
             got.semantically_eq(&want, 1e-9),
-            "depth {depth}: deduplicated routing changed the results"
+            "{routers} router(s): deduplicated routing changed the results"
         );
     }
 }

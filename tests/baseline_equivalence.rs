@@ -9,6 +9,7 @@
 //! neither the batch form nor sharding is ever a semantics change.
 
 use proptest::prelude::*;
+use sharon::executor::ShardedOptions;
 use sharon::prelude::*;
 use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
@@ -160,7 +161,8 @@ fn assert_baseline_forms_agree(
         want.len(),
     );
     for shards in [1usize, 2, 8] {
-        let mut sharded = FlinkLike::sharded(catalog, workload, shards).unwrap();
+        let mut sharded =
+            FlinkLike::sharded(catalog, workload, shards, &ShardedOptions::default()).unwrap();
         sharded.process_columnar(&batch);
         let got = sharded.finish();
         assert!(
@@ -186,7 +188,9 @@ fn assert_baseline_forms_agree(
         want.len(),
     );
     for shards in [1usize, 2, 8] {
-        let mut sharded = SpassLike::sharded(catalog, workload, &plan, shards).unwrap();
+        let mut sharded =
+            SpassLike::sharded(catalog, workload, &plan, shards, &ShardedOptions::default())
+                .unwrap();
         sharded.process_columnar(&batch);
         let got = sharded.finish();
         assert!(
@@ -322,35 +326,48 @@ proptest! {
             "flink columnar diverges over ragged batches"
         );
 
-        // a small flush threshold forces mid-stream route-once fan-outs
-        let mut sharded = FlinkLike::sharded_with_batch_size(&c, &w, shards, 13).unwrap();
-        for b in &batches {
-            sharded.process_columnar(b);
-        }
-        let got = sharded.finish();
-        prop_assert!(
-            got.semantically_eq(&want, 1e-9),
-            "flink {} shards: ragged route-once diverges",
-            shards
-        );
-
         let plan = SharingPlan::non_shared();
         let mut reference = SpassLike::new(&c, &w, &plan).unwrap();
         for e in &events {
             reference.process(e);
         }
-        let want = reference.finish();
+        let spass_want = reference.finish();
 
-        let mut sharded = SpassLike::sharded_with_batch_size(&c, &w, &plan, shards, 13).unwrap();
-        for b in &batches {
-            sharded.process_columnar(b);
+        // both baselines through their one sharded constructor — and so
+        // through the one shared `ScopeFanShard` — on one router and two,
+        // arrival order and event time (the stream is in order, so any
+        // lateness covers it); a small flush threshold forces mid-stream
+        // route-once fan-outs
+        for routers in [1usize, 2] {
+            for lateness in [None, Some(5)] {
+                let options = ShardedOptions {
+                    batch_size: 13,
+                    routers,
+                    lateness,
+                    ..ShardedOptions::default()
+                };
+                let mut flink = FlinkLike::sharded(&c, &w, shards, &options).unwrap();
+                let mut spass = SpassLike::sharded(&c, &w, &plan, shards, &options).unwrap();
+                for b in &batches {
+                    flink.process_columnar(b);
+                    spass.process_columnar(b);
+                }
+                prop_assert!(
+                    flink.finish().semantically_eq(&want, 1e-9),
+                    "flink {} shards, {} router(s), lateness {:?}: ragged route-once diverges",
+                    shards,
+                    routers,
+                    lateness
+                );
+                prop_assert!(
+                    spass.finish().semantically_eq(&spass_want, 1e-9),
+                    "spass {} shards, {} router(s), lateness {:?}: ragged route-once diverges",
+                    shards,
+                    routers,
+                    lateness
+                );
+            }
         }
-        let got = sharded.finish();
-        prop_assert!(
-            got.semantically_eq(&want, 1e-9),
-            "spass {} shards: ragged route-once diverges",
-            shards
-        );
     }
 }
 

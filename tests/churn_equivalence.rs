@@ -13,7 +13,7 @@
 //!   of plan hot-swaps.
 //!
 //! Checked on all three paper streams (TX, LR, EC), across shard counts
-//! and ingest pipeline depths, for: forced hot-swap mid-stream, attach at
+//! and routing-plane sizes (`SHARON_ROUTERS`), for: forced hot-swap mid-stream, attach at
 //! an offset (fresh signature → sidecar, equal signature → alias fast
 //! path), detach (sidecar state freed immediately, shared queries keep
 //! their closed windows), a fully scripted churn scenario with metric
@@ -220,11 +220,11 @@ fn hot_swap_mid_stream_matches_uninterrupted() {
         let want = static_run(&s.catalog, &s.workload, &s.rates, &s.events);
         assert!(!want.is_empty(), "{}: reference produces results", s.label);
         for &shards in &support::shard_counts(&[1, 2]) {
-            for &depth in &support::pipeline_depths() {
-                let ctx = format!("{}/shards{shards}/pipe{depth}", s.label);
+            for routers in support::router_counts() {
+                let ctx = format!("{}/shards{shards}/routers{routers}", s.label);
                 let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
                     .shards(shards)
-                    .pipeline_depth(depth)
+                    .routers(routers)
                     .session(SessionConfig::default())
                     .expect("session starts");
                 let half = s.events.len() / 2;
@@ -261,8 +261,6 @@ fn hot_swap_holds_for_greedy_and_non_shared() {
         let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
             .strategy(strategy)
             .shards(2)
-            .pipeline_depth(0)
-            .routers(1)
             .session(SessionConfig::default())
             .expect("session starts");
         let third = s.events.len() / 3;
@@ -299,8 +297,6 @@ fn attach_at_offset_matches_static_for_complete_windows() {
             let ctx = format!("{}/shards{shards}", s.label);
             let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
                 .shards(shards)
-                .pipeline_depth(0)
-                .routers(1)
                 .session(SessionConfig::default())
                 .expect("session starts");
             let k = s.events.len() / 3;
@@ -340,8 +336,6 @@ fn alias_attach_takes_fast_path_and_mirrors_source() {
 
     let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
         .shards(2)
-        .pipeline_depth(0)
-        .routers(1)
         .session(SessionConfig::default())
         .expect("session starts");
     let k = s.events.len() / 3;
@@ -398,8 +392,6 @@ fn detach_frees_sidecar_state() {
 
     let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
         .shards(2)
-        .pipeline_depth(0)
-        .routers(1)
         .session(SessionConfig::default())
         .expect("session starts");
     let (k1, k2) = (s.events.len() / 4, s.events.len() / 2);
@@ -438,8 +430,6 @@ fn detach_shared_query_keeps_closed_windows() {
 
     let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
         .shards(2)
-        .pipeline_depth(0)
-        .routers(1)
         .session(SessionConfig::default())
         .expect("session starts");
     let k = s.events.len() / 2;
@@ -483,8 +473,6 @@ fn scripted_churn_matches_static_reference() {
             let ctx = format!("{}/shards{shards}", s.label);
             let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
                 .shards(shards)
-                .pipeline_depth(0)
-                .routers(1)
                 .session(SessionConfig::default())
                 .expect("session starts");
             let len = s.events.len();
@@ -551,8 +539,6 @@ fn drain_epochs_are_disjoint_and_complete() {
 
     let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
         .shards(2)
-        .pipeline_depth(0)
-        .routers(1)
         .session(SessionConfig::default())
         .expect("session starts");
     let len = s.events.len();

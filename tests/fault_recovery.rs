@@ -2,11 +2,11 @@
 //! boundaries, a simulated crash (ingest cut off mid-stream, buffered
 //! state discarded) followed by [`ShardedExecutor::resume`] + replay from
 //! the returned offset reproduces the uninterrupted run **exactly** — on
-//! all three paper streams (TX, LR, EC), across shard counts, both
-//! ingest pipeline modes, and routing-plane sizes (`SHARON_ROUTERS`; a
-//! multi-router checkpoint harvests one segment per router and resume
-//! rebuilds the same scope assignment), at a *randomized* crash batch
-//! (seed printed, `SHARON_FAULT_SEED` pins it). Also covered: the LRU spill tier is
+//! all three paper streams (TX, LR, EC), across shard counts and
+//! routing-plane sizes (`SHARON_ROUTERS`; a multi-router checkpoint
+//! harvests one segment per router and resume rebuilds the same scope
+//! assignment), at a *randomized* crash batch (seed printed,
+//! `SHARON_FAULT_SEED` pins it). Also covered: the LRU spill tier is
 //! result-exact under memory pressure, worker panics are contained and
 //! reported (never a hang, never silent partial results), and the
 //! strategy layer's build/resume pair round-trips through the optimizer.
@@ -23,7 +23,7 @@ use sharon::streams::taxi::{self, TaxiConfig};
 use sharon::streams::workload::{
     figure_1_workload, figure_2_workload, overlapping_workload, WorkloadConfig,
 };
-use sharon::{resume_sharded_executor, SharonBuilder, Strategy};
+use sharon::{SharonBuilder, Strategy};
 
 #[path = "support.rs"]
 mod support;
@@ -118,60 +118,57 @@ fn assert_kill_and_resume_is_exact(
     );
 
     for shards in support::shard_counts(&[1, 2, 8]) {
-        for depth in support::pipeline_depths() {
-            for routers in support::router_counts(depth) {
-                // crash after the first checkpoint but before ingest completes
-                let crash_batch = rng.range(INTERVAL, n_batches);
-                let dir = test_dir(label);
-                let options = ShardedOptions {
-                    batch_size: BATCH,
-                    pipeline_depth: depth,
-                    routers,
-                    checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
-                    fault: Some(FaultPlan::Drop { batch: crash_batch }),
-                    ..ShardedOptions::default()
-                };
+        for routers in support::router_counts() {
+            // crash after the first checkpoint but before ingest completes
+            let crash_batch = rng.range(INTERVAL, n_batches);
+            let dir = test_dir(label);
+            let options = ShardedOptions {
+                batch_size: BATCH,
+                routers,
+                checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
+                fault: Some(FaultPlan::Drop { batch: crash_batch }),
+                ..ShardedOptions::default()
+            };
 
-                let mut crashing =
-                    ShardedExecutor::with_options(catalog, workload, plan, shards, options.clone())
-                        .expect("sharded compiles");
-                crashing.process_batch(events);
-                // simulated crash: everything after the last checkpoint is lost
-                drop(crashing);
+            let mut crashing =
+                ShardedExecutor::with_options(catalog, workload, plan, shards, options.clone())
+                    .expect("sharded compiles");
+            crashing.process_batch(events);
+            // simulated crash: everything after the last checkpoint is lost
+            drop(crashing);
 
-                let resume_options = ShardedOptions {
-                    fault: None,
-                    ..options
-                };
-                let (mut resumed, offset) =
-                    ShardedExecutor::resume(catalog, workload, plan, shards, resume_options)
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "{label}: {shards} shards (pipeline {depth}, routers {routers}) \
-                                 crash@{crash_batch}: resume failed: {e}"
-                            )
-                        });
-                assert!(
-                    offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
-                    "{label}: resume offset {offset} is not a checkpoint boundary"
-                );
-                assert!(
-                    offset <= crash_batch * BATCH as u64,
-                    "{label}: checkpoint at {offset} covers events dropped at batch {crash_batch}"
-                );
+            let resume_options = ShardedOptions {
+                fault: None,
+                ..options
+            };
+            let (mut resumed, offset) =
+                ShardedExecutor::resume(catalog, workload, plan, shards, resume_options)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "{label}: {shards} shards (routers {routers}) \
+                             crash@{crash_batch}: resume failed: {e}"
+                        )
+                    });
+            assert!(
+                offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
+                "{label}: resume offset {offset} is not a checkpoint boundary"
+            );
+            assert!(
+                offset <= crash_batch * BATCH as u64,
+                "{label}: checkpoint at {offset} covers events dropped at batch {crash_batch}"
+            );
 
-                resumed.process_batch(&events[offset as usize..]);
-                let got = resumed.finish();
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "{label}: {shards} shards (pipeline {depth}, routers {routers}) \
-                     crash@{crash_batch} resume@{offset} diverges from the uninterrupted run \
-                     ({} vs {} results)",
-                    got.len(),
-                    want.len(),
-                );
-                std::fs::remove_dir_all(&dir).ok();
-            }
+            resumed.process_batch(&events[offset as usize..]);
+            let got = resumed.finish();
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "{label}: {shards} shards (routers {routers}) \
+                 crash@{crash_batch} resume@{offset} diverges from the uninterrupted run \
+                 ({} vs {} results)",
+                got.len(),
+                want.len(),
+            );
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
@@ -293,105 +290,87 @@ fn reorder_fault_kill_and_resume_is_exact() {
     const K: u32 = 96;
 
     for shards in support::shard_counts(&[1, 2, 8]) {
-        for depth in support::pipeline_depths() {
-            for routers in support::router_counts(depth) {
-                let burst_at = rng.range(1, n_batches - 1);
+        for routers in support::router_counts() {
+            let burst_at = rng.range(1, n_batches - 1);
 
-                // uninterrupted disordered run: the covering lateness must
-                // absorb the burst exactly
-                let options = ShardedOptions {
-                    batch_size: BATCH,
-                    pipeline_depth: depth,
-                    routers,
-                    lateness: Some(need),
-                    fault: Some(FaultPlan::Reorder {
-                        batch: burst_at,
-                        k: K,
-                    }),
-                    ..ShardedOptions::default()
-                };
-                let mut uninterrupted = ShardedExecutor::with_options(
-                    &catalog,
-                    &workload,
-                    &plan,
-                    shards,
-                    options.clone(),
-                )
-                .expect("sharded compiles");
-                uninterrupted.process_batch(&events);
-                let got = uninterrupted.finish();
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "reorder: {shards} shards (pipeline {depth}, routers {routers}) \
-                     burst@{burst_at}:{K} with covering lateness {need} diverges from the \
-                     in-order run ({} vs {} results)",
-                    got.len(),
-                    want.len(),
-                );
+            // uninterrupted disordered run: the covering lateness must
+            // absorb the burst exactly
+            let options = ShardedOptions {
+                batch_size: BATCH,
+                routers,
+                lateness: Some(need),
+                fault: Some(FaultPlan::Reorder {
+                    batch: burst_at,
+                    k: K,
+                }),
+                ..ShardedOptions::default()
+            };
+            let mut uninterrupted =
+                ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
+                    .expect("sharded compiles");
+            uninterrupted.process_batch(&events);
+            let got = uninterrupted.finish();
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "reorder: {shards} shards (routers {routers}) \
+                 burst@{burst_at}:{K} with covering lateness {need} diverges from the \
+                 in-order run ({} vs {} results)",
+                got.len(),
+                want.len(),
+            );
 
-                // kill-and-resume: crash at a checkpointed run mid-stream
-                // (ingest past the crash batch is lost), resume, replay
-                let crash_batch = rng.range(INTERVAL, n_batches);
-                let dir = test_dir("reorder");
-                let options = ShardedOptions {
-                    checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
-                    ..options
-                };
-                let mut crashing = ShardedExecutor::with_options(
-                    &catalog,
-                    &workload,
-                    &plan,
-                    shards,
-                    options.clone(),
-                )
-                .expect("sharded compiles");
-                crashing.process_batch(&events[..(crash_batch * BATCH as u64) as usize]);
-                drop(crashing); // simulated crash: uncheckpointed tail is lost
+            // kill-and-resume: crash at a checkpointed run mid-stream
+            // (ingest past the crash batch is lost), resume, replay
+            let crash_batch = rng.range(INTERVAL, n_batches);
+            let dir = test_dir("reorder");
+            let options = ShardedOptions {
+                checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
+                ..options
+            };
+            let mut crashing =
+                ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
+                    .expect("sharded compiles");
+            crashing.process_batch(&events[..(crash_batch * BATCH as u64) as usize]);
+            drop(crashing); // simulated crash: uncheckpointed tail is lost
 
-                // a burst at or past the resume offset has to fire again in
-                // the replay (shifted to the replayed batch index); a burst
-                // the checkpoint already covers must not
-                let resume_options = |offset: u64| ShardedOptions {
-                    fault: (burst_at >= offset / BATCH as u64).then(|| FaultPlan::Reorder {
-                        batch: burst_at - offset / BATCH as u64,
-                        k: K,
-                    }),
-                    ..options.clone()
-                };
-                let (_, offset) =
-                    ShardedExecutor::resume(&catalog, &workload, &plan, shards, options.clone())
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "reorder: {shards} shards (pipeline {depth}, routers {routers}) \
-                                 crash@{crash_batch}: resume failed: {e}"
-                            )
-                        });
-                assert!(
-                    offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
-                    "reorder: resume offset {offset} is not a checkpoint boundary"
-                );
-                let (mut resumed, offset2) = ShardedExecutor::resume(
-                    &catalog,
-                    &workload,
-                    &plan,
-                    shards,
-                    resume_options(offset),
-                )
-                .expect("second resume from the same store");
-                assert_eq!(offset, offset2, "reorder: resume offset must be stable");
+            // a burst at or past the resume offset has to fire again in
+            // the replay (shifted to the replayed batch index); a burst
+            // the checkpoint already covers must not
+            let resume_options = |offset: u64| ShardedOptions {
+                fault: (burst_at >= offset / BATCH as u64).then(|| FaultPlan::Reorder {
+                    batch: burst_at - offset / BATCH as u64,
+                    k: K,
+                }),
+                ..options.clone()
+            };
+            let (_, offset) =
+                ShardedExecutor::resume(&catalog, &workload, &plan, shards, options.clone())
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "reorder: {shards} shards (routers {routers}) \
+                             crash@{crash_batch}: resume failed: {e}"
+                        )
+                    });
+            assert!(
+                offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
+                "reorder: resume offset {offset} is not a checkpoint boundary"
+            );
+            let (mut resumed, offset2) =
+                ShardedExecutor::resume(&catalog, &workload, &plan, shards, resume_options(offset))
+                    .expect("second resume from the same store");
+            assert_eq!(offset, offset2, "reorder: resume offset must be stable");
 
-                resumed.process_batch(&events[offset as usize..]);
-                let got = resumed.finish();
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "reorder: {shards} shards (pipeline {depth}, routers {routers}) \
-                     burst@{burst_at}:{K} crash@{crash_batch} resume@{offset} diverges from \
-                     the uninterrupted run ({} vs {} results)",
-                    got.len(),
-                    want.len(),
-                );
-                std::fs::remove_dir_all(&dir).ok();
-            }
+            resumed.process_batch(&events[offset as usize..]);
+            let got = resumed.finish();
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "reorder: {shards} shards (routers {routers}) \
+                 burst@{burst_at}:{K} crash@{crash_batch} resume@{offset} diverges from \
+                 the uninterrupted run ({} vs {} results)",
+                got.len(),
+                want.len(),
+            );
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
@@ -441,41 +420,38 @@ fn below_bound_lateness_drops_and_counts() {
     );
 
     for shards in support::shard_counts(&[1, 2, 8]) {
-        for depth in support::pipeline_depths() {
-            for routers in support::router_counts(depth) {
-                let options = ShardedOptions {
-                    batch_size: BATCH,
-                    pipeline_depth: depth,
-                    routers,
-                    lateness: Some(lateness),
-                    ..ShardedOptions::default()
-                };
-                let before = sharon::metrics::late_rows_dropped();
-                let mut sharded =
-                    ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
-                        .expect("sharded compiles");
-                sharded.process_batch(&shuffled);
-                let got = sharded.finish();
-                let dropped = sharon::metrics::late_rows_dropped() - before;
-                assert_eq!(
-                    dropped, want_drops,
-                    "{shards} shards (pipeline {depth}, routers {routers}): every late row \
-                     must be counted exactly once (owner copies only)"
-                );
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "{shards} shards (pipeline {depth}, routers {routers}): drop-and-count \
-                     must be shard- and router-invariant ({} vs {} results)",
-                    got.len(),
-                    want.len(),
-                );
-            }
+        for routers in support::router_counts() {
+            let options = ShardedOptions {
+                batch_size: BATCH,
+                routers,
+                lateness: Some(lateness),
+                ..ShardedOptions::default()
+            };
+            let before = sharon::metrics::late_rows_dropped();
+            let mut sharded =
+                ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
+                    .expect("sharded compiles");
+            sharded.process_batch(&shuffled);
+            let got = sharded.finish();
+            let dropped = sharon::metrics::late_rows_dropped() - before;
+            assert_eq!(
+                dropped, want_drops,
+                "{shards} shards (routers {routers}): every late row \
+                 must be counted exactly once (owner copies only)"
+            );
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "{shards} shards (routers {routers}): drop-and-count \
+                 must be shard- and router-invariant ({} vs {} results)",
+                got.len(),
+                want.len(),
+            );
         }
     }
 }
 
-/// The strategy layer round-trips: `build_sharded_executor_with_options`
-/// checkpoints, a crash drops the tail, `resume_sharded_executor`
+/// The strategy layer round-trips: `SharonBuilder::build_executor`
+/// checkpoints, a crash drops the tail, `SharonBuilder::resume`
 /// re-derives the same plan from the (deterministic) optimizer and the
 /// replayed run matches an uninterrupted strategy run.
 #[test]
@@ -497,51 +473,28 @@ fn strategy_layer_resume_round_trips() {
     let config = OptimizerConfig::default();
 
     for strategy in [Strategy::Sharon, Strategy::Greedy, Strategy::ASeq] {
-        let (mut plain, _) = SharonBuilder::new(&catalog, &workload, &rates)
+        let builder = SharonBuilder::new(&catalog, &workload, &rates)
             .strategy(strategy)
             .optimizer_config(config.clone())
             .shards(2)
-            .batch_size(BATCH)
-            .build_executor()
-            .expect("builds");
+            .batch_size(BATCH);
+        let (mut plain, _) = builder.clone().build_executor().expect("builds");
         plain.process_batch(&events);
         let want = plain.finish();
 
         let dir = test_dir(strategy.name());
         let n_batches = (events.len() as u64).div_ceil(BATCH as u64);
         let crash_batch = rng.range(INTERVAL, n_batches);
-        let options = ShardedOptions {
-            batch_size: BATCH,
-            checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
-            fault: Some(FaultPlan::Drop { batch: crash_batch }),
-            ..ShardedOptions::default()
-        };
-        let (mut crashing, _) = SharonBuilder::new(&catalog, &workload, &rates)
-            .strategy(strategy)
-            .optimizer_config(config.clone())
-            .shards(2)
-            .batch_size(BATCH)
-            .checkpoint(CheckpointConfig::every(&dir, INTERVAL))
+        let builder = builder.checkpoint(CheckpointConfig::every(&dir, INTERVAL));
+        let (mut crashing, _) = builder
+            .clone()
             .fault(FaultPlan::Drop { batch: crash_batch })
             .build_executor()
             .expect("builds with durability");
         crashing.process_batch(&events);
         drop(crashing);
 
-        let resume_options = ShardedOptions {
-            fault: None,
-            ..options
-        };
-        let (mut resumed, _, offset) = resume_sharded_executor(
-            &catalog,
-            &workload,
-            &rates,
-            strategy,
-            &config,
-            2,
-            resume_options,
-        )
-        .expect("resumes");
+        let (mut resumed, _, offset) = builder.resume().expect("resumes");
         resumed.process_batch(&events[offset as usize..]);
         let got = resumed.finish();
         assert!(
@@ -560,49 +513,46 @@ fn strategy_layer_resume_round_trips() {
 #[test]
 fn worker_panic_is_contained_and_reported() {
     for shards in support::shard_counts(&[1, 2, 8]) {
-        for depth in support::pipeline_depths() {
-            for routers in support::router_counts(depth) {
-                let mut catalog = Catalog::new();
-                let events = taxi::generate(
-                    &mut catalog,
-                    &TaxiConfig {
-                        n_events: 2000,
-                        n_streets: 7,
-                        n_vehicles: 40,
-                        ..Default::default()
-                    },
-                );
-                let workload = figure_1_workload(&mut catalog);
-                let plan = sharon_plan(&workload);
-                let options = ShardedOptions {
-                    batch_size: BATCH,
-                    pipeline_depth: depth,
-                    routers,
-                    fault: Some(FaultPlan::PanicWorker {
-                        batch: 2,
-                        shard: shards - 1,
-                    }),
-                    ..ShardedOptions::default()
-                };
-                let mut sharded =
-                    ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
-                        .expect("sharded compiles");
-                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    sharded.process_batch(&events);
-                    sharded.finish()
-                }))
-                .expect_err("a worker panic must fail the run, not vanish");
-                let msg = err
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default();
-                assert!(
-                    msg.contains("worker shard"),
-                    "{shards} shards (pipeline {depth}, routers {routers}): panic message \
-                     must name the failed worker, got: {msg:?}"
-                );
-            }
+        for routers in support::router_counts() {
+            let mut catalog = Catalog::new();
+            let events = taxi::generate(
+                &mut catalog,
+                &TaxiConfig {
+                    n_events: 2000,
+                    n_streets: 7,
+                    n_vehicles: 40,
+                    ..Default::default()
+                },
+            );
+            let workload = figure_1_workload(&mut catalog);
+            let plan = sharon_plan(&workload);
+            let options = ShardedOptions {
+                batch_size: BATCH,
+                routers,
+                fault: Some(FaultPlan::PanicWorker {
+                    batch: 2,
+                    shard: shards - 1,
+                }),
+                ..ShardedOptions::default()
+            };
+            let mut sharded =
+                ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
+                    .expect("sharded compiles");
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                sharded.process_batch(&events);
+                sharded.finish()
+            }))
+            .expect_err("a worker panic must fail the run, not vanish");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(
+                msg.contains("worker shard"),
+                "{shards} shards (routers {routers}): panic message \
+                 must name the failed worker, got: {msg:?}"
+            );
         }
     }
 }
@@ -619,34 +569,31 @@ fn spill_tier_is_result_exact_under_memory_pressure() {
     let want = sequential_reference(&catalog, &workload, &plan, &events);
 
     for shards in support::shard_counts(&[1, 2]) {
-        for depth in support::pipeline_depths() {
-            let dir = test_dir("spill");
-            let spills_before = sharon::metrics::group_spills();
-            let options = ShardedOptions {
-                batch_size: BATCH,
-                pipeline_depth: depth,
-                spill: Some(SpillConfig::new(&dir, 8)),
-                ..ShardedOptions::default()
-            };
-            let mut sharded =
-                ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
-                    .expect("sharded compiles");
-            sharded.process_batch(&events);
-            let got = sharded.finish();
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "{shards} shards (pipeline {depth}): spill tier changed results \
-                 ({} vs {} results)",
-                got.len(),
-                want.len(),
-            );
-            assert!(
-                sharon::metrics::group_spills() > spills_before,
-                "{shards} shards (pipeline {depth}): 500 groups under an \
-                 8-resident budget must spill"
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = test_dir("spill");
+        let spills_before = sharon::metrics::group_spills();
+        let options = ShardedOptions {
+            batch_size: BATCH,
+            spill: Some(SpillConfig::new(&dir, 8)),
+            ..ShardedOptions::default()
+        };
+        let mut sharded =
+            ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
+                .expect("sharded compiles");
+        sharded.process_batch(&events);
+        let got = sharded.finish();
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "{shards} shards: spill tier changed results \
+             ({} vs {} results)",
+            got.len(),
+            want.len(),
+        );
+        assert!(
+            sharon::metrics::group_spills() > spills_before,
+            "{shards} shards: 500 groups under an \
+             8-resident budget must spill"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -2,7 +2,7 @@
 //! subset of the compiled scopes and the workers merge the `R` routed
 //! streams back into ingest order — so the plane size must be purely an
 //! execution detail. These suites pin that down: routers {1, 2, 4}
-//! (`SHARON_ROUTERS` pins one) × shard counts × pipeline depths on all
+//! (`SHARON_ROUTERS` pins one) × shard counts on all
 //! three paper streams (TX, LR, EC) agree **exactly** — not just
 //! semantically — with the single-router and sequential runs, including
 //! under bounded disorder (`SHARON_DISORDER`) where the late-row drop
@@ -65,7 +65,7 @@ fn sharon_plan(workload: &Workload) -> SharingPlan {
     outcome.plan
 }
 
-/// The core drill: sequential reference once, then every (shards, depth,
+/// The core drill: sequential reference once, then every (shards,
 /// routers) combination must reproduce it exactly. `SHARON_DISORDER`
 /// scrambles the stream (covering lateness applied everywhere), and the
 /// late-drop counter must not move — the watermark is the min over all
@@ -91,49 +91,46 @@ fn assert_plane_is_invisible(
     assert!(!want.is_empty(), "{label}: stream must produce matches");
 
     for shards in support::shard_counts(&[2, 4]) {
-        for depth in support::pipeline_depths() {
-            for routers in plane_sizes().into_iter().filter(|&r| depth >= 1 || r == 1) {
-                let options = ShardedOptions {
-                    batch_size: 128,
-                    pipeline_depth: depth,
-                    routers,
-                    lateness,
-                    ..ShardedOptions::default()
-                };
-                let drops_before = sharon::metrics::late_rows_dropped();
-                let mut sharded =
-                    ShardedExecutor::with_options(catalog, workload, plan, shards, options)
-                        .expect("sharded compiles");
-                assert_eq!(sharded.n_routers(), routers, "{label}: plane size");
-                sharded.process_batch(&events);
+        for routers in plane_sizes() {
+            let options = ShardedOptions {
+                batch_size: 128,
+                routers,
+                lateness,
+                ..ShardedOptions::default()
+            };
+            let drops_before = sharon::metrics::late_rows_dropped();
+            let mut sharded =
+                ShardedExecutor::with_options(catalog, workload, plan, shards, options)
+                    .expect("sharded compiles");
+            assert_eq!(sharded.n_routers(), routers, "{label}: plane size");
+            sharded.process_batch(&events);
 
-                // barrier-sync the plane so the counters are complete,
-                // then check every router actually carried traffic
-                let _ = sharded.split_snapshot();
-                let stats = sharded.router_stats();
-                assert_eq!(stats.len(), routers, "{label}: one stats row per router");
-                for (ri, s) in stats.iter().enumerate() {
-                    assert!(
-                        depth == 0 || s.batches_routed > 0,
-                        "{label}: router {ri}/{routers} routed no batches \
-                         (fan-out must reach the whole plane)"
-                    );
-                }
-
-                let got = sharded.finish();
-                assert_eq!(
-                    sharon::metrics::late_rows_dropped() - drops_before,
-                    0,
-                    "{label}: {shards} shards (pipeline {depth}, routers {routers}): \
-                     covering lateness must drop nothing on any plane size"
-                );
-                assert_exact_eq(
-                    &got,
-                    &want,
-                    workload,
-                    &format!("{label}: {shards} shards (pipeline {depth}, routers {routers})"),
+            // barrier-sync the plane so the counters are complete,
+            // then check every router actually carried traffic
+            let _ = sharded.split_snapshot();
+            let stats = sharded.router_stats();
+            assert_eq!(stats.len(), routers, "{label}: one stats row per router");
+            for (ri, s) in stats.iter().enumerate() {
+                assert!(
+                    s.batches_routed > 0,
+                    "{label}: router {ri}/{routers} routed no batches \
+                     (fan-out must reach the whole plane)"
                 );
             }
+
+            let got = sharded.finish();
+            assert_eq!(
+                sharon::metrics::late_rows_dropped() - drops_before,
+                0,
+                "{label}: {shards} shards (routers {routers}): \
+                 covering lateness must drop nothing on any plane size"
+            );
+            assert_exact_eq(
+                &got,
+                &want,
+                workload,
+                &format!("{label}: {shards} shards (routers {routers})"),
+            );
         }
     }
 }
@@ -240,11 +237,9 @@ fn late_drop_counts_are_router_invariant() {
     assert!(want_drops > 0, "below-bound lateness must drop rows");
 
     for shards in support::shard_counts(&[2]) {
-        for routers in plane_sizes().into_iter().filter(|&r| r >= 1) {
-            let depth = 2; // multi-router planes need a pipelined ingest
+        for routers in plane_sizes() {
             let options = ShardedOptions {
                 batch_size: 128,
-                pipeline_depth: depth,
                 routers,
                 lateness: Some(lateness),
                 ..ShardedOptions::default()
@@ -310,7 +305,6 @@ fn two_router_checkpoint_resumes_exactly_and_rejects_mismatch() {
     let crash_batch = 3 * INTERVAL; // past two checkpoints, mid-stream
     let options = ShardedOptions {
         batch_size: BATCH,
-        pipeline_depth: 2,
         routers,
         checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
         fault: Some(FaultPlan::Drop { batch: crash_batch }),
@@ -395,7 +389,6 @@ mod determinism {
                 2,
                 ShardedOptions {
                     batch_size: 128,
-                    pipeline_depth: 2,
                     routers: 1,
                     ..ShardedOptions::default()
                 },
@@ -411,7 +404,6 @@ mod determinism {
                 2,
                 ShardedOptions {
                     batch_size: 128,
-                    pipeline_depth: 2,
                     routers,
                     ..ShardedOptions::default()
                 },
@@ -449,33 +441,4 @@ mod determinism {
             }
         }
     }
-}
-
-/// A multi-router plane without a pipelined ingest stage cannot be built:
-/// the builder says so as a typed error before any thread is spawned, for
-/// the executor and for a session alike.
-#[test]
-fn builder_refuses_a_multi_router_plane_with_inline_routing() {
-    use sharon::executor::CompileError;
-
-    let mut catalog = Catalog::new();
-    let workload = parse_workload(
-        &mut catalog,
-        ["RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10 s SLIDE 1 s"],
-    )
-    .expect("query parses");
-    let rates = RateMap::uniform(100.0);
-    let inline = SharonBuilder::new(&catalog, &workload, &rates)
-        .shards(2)
-        .routers(2)
-        .pipeline_depth(0);
-    let want = CompileError::RoutersNeedPipeline { routers: 2 };
-    assert_eq!(inline.clone().build_executor().err(), Some(want.clone()));
-    assert_eq!(inline.session(SessionConfig::default()).err(), Some(want));
-    // the sequential engine has no routing plane to mis-size
-    SharonBuilder::new(&catalog, &workload, &rates)
-        .routers(2)
-        .pipeline_depth(0)
-        .build_executor()
-        .expect("shards(0) ignores the plane options");
 }

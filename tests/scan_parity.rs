@@ -331,11 +331,9 @@ fn run_mode(
     let stats = sequential.scan_stats();
     out.push(("sequential", sequential.finish(), stats));
 
-    // depth 0 keeps routing synchronous and a small flush threshold forces
-    // mid-stream route-once fan-outs, so the tallies cover routed rows when
-    // read (rows still buffered at the read are excluded identically in
-    // both modes); mode parity of the pipelined path is covered by the
-    // sharded_equivalence suite running under both CI scan modes
+    // a small flush threshold forces mid-stream route-once fan-outs; the
+    // in-band split probe flushes and waits for every router, so the
+    // tallies cover every ingested row when read
     let mut sharded = ShardedExecutor::with_options(
         catalog,
         workload,
@@ -343,11 +341,6 @@ fn run_mode(
         3,
         sharon_executor::ShardedOptions {
             batch_size: 512,
-            split: sharon_executor::SplitConfig::default(),
-            pipeline_depth: 0,
-            // in-line routing has no plane to size (`SHARON_ROUTERS` may
-            // ask for one)
-            routers: 1,
             ..Default::default()
         },
     )
@@ -355,6 +348,7 @@ fn run_mode(
     for b in batches {
         sharded.process_columnar(b);
     }
+    let _ = sharded.split_snapshot();
     let stats = sharded.scan_stats();
     out.push(("sharded", sharded.finish(), stats));
 

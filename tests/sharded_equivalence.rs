@@ -1,16 +1,15 @@
 //! Determinism of the sharded parallel runtime and the columnar batch
-//! path: for every shard count, **every ingest pipeline depth** (in-line
-//! routing and the router-thread pipeline), **and every routing-plane
-//! size** (`SHARON_ROUTERS`; single router and a 2-router plane by
-//! default), [`ShardedExecutor`] produces results `semantically_eq` to
-//! the sequential [`Executor`] — sharding, pipelining, and router
-//! parallelism are pure work partitions, never a semantics change — and
-//! the columnar `process_columnar` path (sequential and
-//! sharded route-once) is equivalent to per-event processing. Checked on
-//! all three paper streams (TX, LR, EC) under both the Sharon plan and
-//! the non-shared plan, and property-tested over random group
-//! cardinalities, pipeline depths, and ragged batch sizes (including
-//! empty and single-event batches).
+//! path: for every shard count **and every routing-plane size**
+//! (`SHARON_ROUTERS`; single router and a 2-router plane by default),
+//! [`ShardedExecutor`] produces results `semantically_eq` to the
+//! sequential [`Executor`] — sharding and router parallelism are pure
+//! work partitions, never a semantics change — and the columnar
+//! `process_columnar` path (sequential and sharded route-once) is
+//! equivalent to per-event processing. Checked on all three paper
+//! streams (TX, LR, EC) under both the Sharon plan and the non-shared
+//! plan, and property-tested over random group cardinalities, plane
+//! sizes, and ragged batch sizes (including empty and single-event
+//! batches).
 //!
 //! With `SHARON_DISORDER=K` set, every configuration additionally runs on
 //! a bounded-disorder shuffle of the stream (each event displaced at most
@@ -37,8 +36,8 @@ fn shard_counts() -> Vec<usize> {
 }
 
 /// Run `events` sequentially (per-event reference) and assert agreement
-/// of: the sequential columnar path, and — per shard count × ingest
-/// pipeline depth — the sharded runtime under mixed row-form ingestion
+/// of: the sequential columnar path, and — per shard count × routing
+/// plane size — the sharded runtime under mixed row-form ingestion
 /// AND under columnar route-once ingestion.
 fn assert_sharded_matches_sequential(
     catalog: &Catalog,
@@ -89,16 +88,13 @@ fn assert_sharded_matches_sequential(
         );
     }
 
-    let build = |shards: usize, depth: usize, routers: usize| {
+    let build = |shards: usize, routers: usize| {
         ShardedExecutor::with_options(
             catalog,
             workload,
             plan,
             shards,
             sharon_executor::ShardedOptions {
-                batch_size: sharon_executor::DEFAULT_BATCH_SIZE,
-                split: sharon_executor::SplitConfig::default(),
-                pipeline_depth: depth,
                 routers,
                 lateness,
                 ..Default::default()
@@ -107,36 +103,34 @@ fn assert_sharded_matches_sequential(
         .expect("sharded compiles")
     };
     for shards in shard_counts() {
-        for depth in support::pipeline_depths() {
-            for routers in support::router_counts(depth) {
-                let mut sharded = build(shards, depth, routers);
-                // mixed ingestion: some per-event, some batched, covering both
-                let (head, tail) = run_events.split_at(run_events.len() / 3);
-                for e in head {
-                    sharded.process(e);
-                }
-                sharded.process_batch(tail);
-                let got = sharded.finish();
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "{label}: {shards} shards (pipeline {depth}, routers {routers}) \
-                     diverge from the sequential engine ({} vs {} results)",
-                    got.len(),
-                    want.len(),
-                );
-
-                // columnar route-once ingestion agrees too
-                let mut sharded = build(shards, depth, routers);
-                sharded.process_columnar(&run_batch);
-                let got = sharded.finish();
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "{label}: {shards} shards (pipeline {depth}, routers {routers}, \
-                     columnar ingest) diverge ({} vs {} results)",
-                    got.len(),
-                    want.len(),
-                );
+        for routers in support::router_counts() {
+            let mut sharded = build(shards, routers);
+            // mixed ingestion: some per-event, some batched, covering both
+            let (head, tail) = run_events.split_at(run_events.len() / 3);
+            for e in head {
+                sharded.process(e);
             }
+            sharded.process_batch(tail);
+            let got = sharded.finish();
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "{label}: {shards} shards (routers {routers}) \
+                 diverge from the sequential engine ({} vs {} results)",
+                got.len(),
+                want.len(),
+            );
+
+            // columnar route-once ingestion agrees too
+            let mut sharded = build(shards, routers);
+            sharded.process_columnar(&run_batch);
+            let got = sharded.finish();
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "{label}: {shards} shards (routers {routers}, columnar ingest) \
+                 diverge ({} vs {} results)",
+                got.len(),
+                want.len(),
+            );
         }
     }
     assert!(!want.is_empty(), "{label}: stream must produce matches");
@@ -271,14 +265,13 @@ fn mixed_global_and_grouped_partitions() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Random group cardinalities, shard counts, pipeline depths,
-    /// routing-plane sizes, and stream shapes: the sharded runtime is
-    /// always `semantically_eq` to the sequential one.
+    /// Random group cardinalities, shard counts, routing-plane sizes,
+    /// and stream shapes: the sharded runtime is always `semantically_eq`
+    /// to the sequential one.
     #[test]
     fn random_group_cardinalities(
         cardinality in 1i64..=64,
         shards in 1usize..=9,
-        depth in 0usize..=2,
         routers in 1usize..=3,
         raw in prop::collection::vec((0usize..3, 0u64..=2, 0i64..=9), 0..=120),
     ) {
@@ -312,17 +305,12 @@ proptest! {
         sequential.process_batch(&events);
         let want = sequential.finish();
 
-        // in-line routing hosts exactly one router; clamp the plane there
-        let routers = if depth == 0 { 1 } else { routers };
         let mut sharded = ShardedExecutor::with_options(
             &catalog,
             &workload,
             &SharingPlan::non_shared(),
             shards,
             sharon_executor::ShardedOptions {
-                batch_size: sharon_executor::DEFAULT_BATCH_SIZE,
-                split: sharon_executor::SplitConfig::default(),
-                pipeline_depth: depth,
                 routers,
                 ..Default::default()
             },
@@ -332,10 +320,9 @@ proptest! {
         let got = sharded.finish();
         proptest::prop_assert!(
             got.semantically_eq(&want, 1e-9),
-            "cardinality {} shards {} pipeline {} routers {}: sharded diverges",
+            "cardinality {} shards {} routers {}: sharded diverges",
             cardinality,
             shards,
-            depth,
             routers
         );
     }
@@ -343,11 +330,10 @@ proptest! {
     /// Ragged columnar batch sizes — empty and single-event batches
     /// included — never change results: chopping the stream into columnar
     /// chunks of arbitrary sizes is equivalent to per-event processing,
-    /// sequentially and under route-once sharding, at any pipeline depth.
+    /// sequentially and under route-once sharding.
     #[test]
     fn ragged_columnar_batches(
         shards in 1usize..=5,
-        depth in 0usize..=2,
         chunk_lens in prop::collection::vec(0usize..=17, 1..=40),
         raw in prop::collection::vec((0usize..3, 0u64..=2, 0i64..=9), 0..=150),
     ) {
@@ -407,16 +393,10 @@ proptest! {
 
         // a small flush threshold forces mid-stream route-once fan-outs
         let plan = SharingPlan::non_shared();
-        let mut options = sharon_executor::ShardedOptions {
+        let options = sharon_executor::ShardedOptions {
             batch_size: 13,
-            pipeline_depth: depth,
             ..Default::default()
         };
-        if depth == 0 {
-            // in-line routing has no plane to size (`SHARON_ROUTERS` may
-            // ask for one)
-            options.routers = 1;
-        }
         let mut sharded =
             ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options).unwrap();
         for b in &batches {
@@ -425,9 +405,8 @@ proptest! {
         let got = sharded.finish();
         proptest::prop_assert!(
             got.semantically_eq(&want, 1e-9),
-            "{} shards (pipeline {}): columnar route-once diverges over ragged batches",
-            shards,
-            depth
+            "{} shards: columnar route-once diverges over ragged batches",
+            shards
         );
     }
 }

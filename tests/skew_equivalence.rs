@@ -9,10 +9,9 @@
 //! warm-up (one window length) completes and the round-robin final-fold
 //! path actually runs; `SplitConfig::eager` lowers the hotness noise
 //! floor so small synthetic streams split. The shard counts honour
-//! `SHARON_SHARDS` (the CI matrix runs 2 and 4 explicitly), the pipeline
-//! depths honour `SHARON_PIPELINE`, and the routing-plane sizes honour
-//! `SHARON_ROUTERS` — splitting stays exact when the hot scope's router
-//! is one of several.
+//! `SHARON_SHARDS` (the CI matrix runs 2 and 4 explicitly) and the
+//! routing-plane sizes honour `SHARON_ROUTERS` — splitting stays exact
+//! when the hot scope's router is one of several.
 //!
 //! With `SHARON_DISORDER=K` set, the split runs additionally ingest a
 //! bounded-disorder shuffle of the stream with a covering lateness — skew
@@ -62,56 +61,50 @@ fn assert_split_sharded_matches_sequential(
     };
     let batch = EventBatch::from_events(&run_events);
     for shards in shard_counts() {
-        for depth in support::pipeline_depths() {
-            for routers in support::router_counts(depth) {
-                // eager thresholds so moderate skew (theta 0.8) splits even
-                // at two shards — correctness never depends on the tuning
-                let split = SplitConfig {
-                    min_rows: 64,
-                    hot_fraction: 0.05,
-                    ..SplitConfig::default()
-                };
-                let mut sharded = ShardedExecutor::with_options(
-                    catalog,
-                    workload,
-                    plan,
-                    shards,
-                    sharon_executor::ShardedOptions {
-                        batch_size: 512,
-                        split,
-                        pipeline_depth: depth,
-                        routers,
-                        lateness,
-                        ..Default::default()
-                    },
-                )
-                .expect("sharded compiles");
-                sharded.process_columnar(&batch);
-                // the routers publish split counts after each batch; with a
-                // pipeline the published count trails ingestion by at most
-                // the in-flight jobs, and the split fires in the first few
-                // hundred rows, so it is visible by end of stream
-                let split_groups = sharded.split_groups();
-                let (got, matched, _state) = sharded.finish_with_stats();
-                assert!(
-                    shards == 1 || split_groups > 0,
-                    "{label}: {shards} shards (pipeline {depth}, routers \
-                     {routers}): the skewed stream must trigger a split"
-                );
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "{label}: {shards} shards (pipeline {depth}, routers \
-                     {routers}) with splitting diverge from sequential \
-                     ({} vs {} results, {split_groups} split groups)",
-                    got.len(),
-                    want.len(),
-                );
-                assert_eq!(
-                    matched, want_matched,
-                    "{label}: {shards} shards (pipeline {depth}, routers \
-                     {routers}): replicated rows must not inflate matched"
-                );
-            }
+        for routers in support::router_counts() {
+            // eager thresholds so moderate skew (theta 0.8) splits even
+            // at two shards — correctness never depends on the tuning
+            let split = SplitConfig {
+                min_rows: 64,
+                hot_fraction: 0.05,
+                ..SplitConfig::default()
+            };
+            let mut sharded = ShardedExecutor::with_options(
+                catalog,
+                workload,
+                plan,
+                shards,
+                sharon_executor::ShardedOptions {
+                    batch_size: 512,
+                    split,
+                    routers,
+                    lateness,
+                    ..Default::default()
+                },
+            )
+            .expect("sharded compiles");
+            sharded.process_columnar(&batch);
+            // exact: covers every batch ingested so far
+            let split_groups = sharded.split_snapshot();
+            let (got, matched, _state) = sharded.finish_with_stats();
+            assert!(
+                shards == 1 || split_groups > 0,
+                "{label}: {shards} shards (routers {routers}): the skewed \
+                 stream must trigger a split"
+            );
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "{label}: {shards} shards (routers {routers}) with splitting \
+                 diverge from sequential ({} vs {} results, {split_groups} \
+                 split groups)",
+                got.len(),
+                want.len(),
+            );
+            assert_eq!(
+                matched, want_matched,
+                "{label}: {shards} shards (routers {routers}): replicated \
+                 rows must not inflate matched"
+            );
         }
     }
 }
@@ -331,56 +324,51 @@ fn global_partition_split_exact_under_disorder() {
     );
 
     for shards in shard_counts() {
-        for depth in support::pipeline_depths() {
-            for routers in support::router_counts(depth) {
-                let mut sharded = ShardedExecutor::with_options(
-                    &catalog,
-                    &workload,
-                    &plan,
-                    shards,
-                    sharon_executor::ShardedOptions {
-                        batch_size: 512,
-                        split: SplitConfig {
-                            min_rows: 64,
-                            hot_fraction: 0.05,
-                            ..SplitConfig::default()
-                        },
-                        pipeline_depth: depth,
-                        routers,
-                        lateness: Some(lateness),
-                        ..Default::default()
+        for routers in support::router_counts() {
+            let mut sharded = ShardedExecutor::with_options(
+                &catalog,
+                &workload,
+                &plan,
+                shards,
+                sharon_executor::ShardedOptions {
+                    batch_size: 512,
+                    split: SplitConfig {
+                        min_rows: 64,
+                        hot_fraction: 0.05,
+                        ..SplitConfig::default()
                     },
-                )
-                .expect("sharded compiles");
-                sharded.process_columnar(&batch);
-                let split_groups = sharded.split_groups();
-                let (got, matched, _state) = sharded.finish_with_stats();
-                assert!(
-                    shards == 1 || split_groups > 0,
-                    "{shards} shards (pipeline {depth}, routers {routers}): \
-                     the global partition must split"
-                );
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "{shards} shards (pipeline {depth}, routers {routers}): \
-                     split + disorder diverge from the in-order sequential \
-                     reference ({} vs {} results)",
-                    got.len(),
-                    want.len(),
-                );
-                assert_eq!(
-                    matched, want_matched,
-                    "{shards} shards (pipeline {depth}, routers {routers}): \
-                     matched counts diverge under disorder (gate-buffered rows \
-                     must drain before stats are read)"
-                );
-            }
+                    routers,
+                    lateness: Some(lateness),
+                    ..Default::default()
+                },
+            )
+            .expect("sharded compiles");
+            sharded.process_columnar(&batch);
+            let split_groups = sharded.split_snapshot();
+            let (got, matched, _state) = sharded.finish_with_stats();
+            assert!(
+                shards == 1 || split_groups > 0,
+                "{shards} shards (routers {routers}): the global partition must split"
+            );
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "{shards} shards (routers {routers}): split + disorder diverge \
+                 from the in-order sequential reference ({} vs {} results)",
+                got.len(),
+                want.len(),
+            );
+            assert_eq!(
+                matched, want_matched,
+                "{shards} shards (routers {routers}): matched counts diverge \
+                 under disorder (gate-buffered rows must drain before stats \
+                 are read)"
+            );
         }
     }
 }
 
-/// All four strategies on skewed input through the uniform
-/// `build_sharded_executor` path (default split tuning): the online
+/// All four strategies on skewed input through the one sharded build
+/// path, [`SharonBuilder`] (default split tuning): the online
 /// strategies may split, the two-step baselines never do, and everyone
 /// still agrees with the sequential reference.
 #[test]
@@ -413,25 +401,21 @@ fn all_strategies_agree_on_skewed_input() {
         Strategy::SpassLike,
     ] {
         for shards in shard_counts() {
-            for depth in support::pipeline_depths() {
-                for routers in support::router_counts(depth) {
-                    let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
-                        .strategy(strategy)
-                        .optimizer_config(cfg.clone())
-                        .shards(shards)
-                        .pipeline_depth(depth)
-                        .routers(routers)
-                        .build_executor()
-                        .unwrap();
-                    sharded.process_columnar(&batch);
-                    let got = sharded.finish();
-                    assert!(
-                        got.semantically_eq(&want, 1e-9),
-                        "{} sharded/{shards} (pipeline {depth}, routers {routers}) \
-                         diverges on skewed input",
-                        strategy.name()
-                    );
-                }
+            for routers in support::router_counts() {
+                let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
+                    .strategy(strategy)
+                    .optimizer_config(cfg.clone())
+                    .shards(shards)
+                    .routers(routers)
+                    .build_executor()
+                    .unwrap();
+                sharded.process_columnar(&batch);
+                let got = sharded.finish();
+                assert!(
+                    got.semantically_eq(&want, 1e-9),
+                    "{} sharded/{shards} (routers {routers}) diverges on skewed input",
+                    strategy.name()
+                );
             }
         }
     }
@@ -475,12 +459,12 @@ fn baseline_matched_counts_agree_across_paths() {
             strategy.name()
         );
 
-        for depth in support::pipeline_depths() {
+        for routers in support::router_counts() {
             let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
                 .strategy(strategy)
                 .optimizer_config(cfg.clone())
                 .shards(3)
-                .pipeline_depth(depth)
+                .routers(routers)
                 .build_executor()
                 .unwrap();
             sharded.process_columnar(&batch);
@@ -488,7 +472,7 @@ fn baseline_matched_counts_agree_across_paths() {
             assert_eq!(
                 matched,
                 sharded_matched,
-                "{} (pipeline {depth}): sharded matched count diverges",
+                "{} ({routers} router(s)): sharded matched count diverges",
                 strategy.name()
             );
         }
@@ -507,7 +491,6 @@ proptest! {
         theta_tenths in 0u32..=16,
         cardinality in 1i64..=24,
         shards in 2usize..=6,
-        depth in 0usize..=2,
         routers in 1usize..=3,
         chunk_lens in prop::collection::vec(0usize..=23, 1..=30),
         seed in 0u64..200,
@@ -552,8 +535,6 @@ proptest! {
         }
         batches.push(EventBatch::from_events(rest));
 
-        // in-line routing hosts exactly one router; clamp the plane there
-        let routers = if depth == 0 { 1 } else { routers };
         let mut sharded = ShardedExecutor::with_options(
             &catalog,
             &workload,
@@ -562,7 +543,6 @@ proptest! {
             sharon_executor::ShardedOptions {
                 batch_size: 16,
                 split: SplitConfig::eager(4),
-                pipeline_depth: depth,
                 routers,
                 ..Default::default()
             },
@@ -574,8 +554,8 @@ proptest! {
         let (got, matched, _) = sharded.finish_with_stats();
         proptest::prop_assert!(
             got.semantically_eq(&want, 1e-9),
-            "theta {} cardinality {} shards {} pipeline {} routers {}: split merge diverges ({} vs {} results)",
-            theta, cardinality, shards, depth, routers, got.len(), want.len()
+            "theta {} cardinality {} shards {} routers {}: split merge diverges ({} vs {} results)",
+            theta, cardinality, shards, routers, got.len(), want.len()
         );
         proptest::prop_assert_eq!(matched, want_matched);
     }

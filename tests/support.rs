@@ -19,33 +19,15 @@ pub fn shard_counts(default: &[usize]) -> Vec<usize> {
     }
 }
 
-/// Ingest pipeline depths under test: `SHARON_PIPELINE` pins one (the CI
-/// matrix crosses it with the shard counts), otherwise both routing modes
-/// — in-line (0) and the double-buffered router thread (2).
-pub fn pipeline_depths() -> Vec<usize> {
-    match runtime_options().pipeline_depth {
-        Some(d) => vec![d],
-        None => vec![0, 2],
-    }
-}
-
-/// Routing-plane sizes under test at ingest pipeline `depth`:
-/// `SHARON_ROUTERS` pins one (the CI matrix crosses it with the shard
-/// counts and pipeline depths), otherwise the single router and a 2-router
-/// plane. In-line routing (`depth == 0`) has no router threads to
-/// multiply, so multi-router entries are dropped there — a pinned
-/// `SHARON_ROUTERS > 1` simply skips the in-line legs rather than running
-/// a configuration the runtime rejects.
+/// Routing-plane sizes under test: `SHARON_ROUTERS` pins one (the CI
+/// matrix crosses it with the shard counts), otherwise the single router
+/// and a 2-router plane.
 #[allow(dead_code)]
-pub fn router_counts(depth: usize) -> Vec<usize> {
-    let spread = match runtime_options().routers {
+pub fn router_counts() -> Vec<usize> {
+    match runtime_options().routers {
         Some(r) => vec![r],
         None => vec![1, 2],
-    };
-    spread
-        .into_iter()
-        .filter(|&r| depth >= 1 || r == 1)
-        .collect()
+    }
 }
 
 /// The `SHARON_DISORDER` knob applied to a suite's event stream: returns
