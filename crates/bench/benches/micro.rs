@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the Sharon kernels — the ablation
 //! benches for the design choices called out in DESIGN.md:
 //!
-//! * per-event cost of the Non-Shared vs Shared executor kernels,
+//! * columnar-batch cost of the Non-Shared vs Shared executor kernels,
 //! * per-prefix-update cost of the segment runner,
 //! * SHARON graph construction, GWMIN, reduction, and level generation
 //!   on the paper's Figure 4 instance and on larger synthetic graphs,
@@ -42,9 +42,10 @@ fn executor_kernels(c: &mut Criterion) {
         // a round-robin stream over the 8 types
         let names = ["A", "B", "C", "D", "E1", "E2", "E3", "E4"];
         let types: Vec<EventTypeId> = names.iter().map(|n| catalog.lookup(n).unwrap()).collect();
-        let events: Vec<Event> = (0..4000u64)
-            .map(|i| Event::new(types[(i % 8) as usize], Timestamp(i * 3)))
-            .collect();
+        let mut batch = EventBatch::new();
+        for i in 0..4000u64 {
+            batch.push_from(types[(i % 8) as usize], Timestamp(i * 3), []);
+        }
         group.bench_function(
             BenchmarkId::new(
                 "stream_4q_len5",
@@ -53,9 +54,7 @@ fn executor_kernels(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-                    for e in &events {
-                        ex.process(black_box(e));
-                    }
+                    ex.process_columnar(black_box(&batch));
                     black_box(ex.finish().len())
                 })
             },

@@ -1,6 +1,6 @@
-//! Events/sec throughput of the execution layer: sequential per-event vs
-//! sequential batched (row-form) vs sequential columnar vs the sharded
-//! route-once runtime at varying shard counts and `GROUP BY`
+//! Events/sec throughput of the execution layer: the sequential columnar
+//! engine vs the sharded route-once runtime at varying shard counts and
+//! `GROUP BY`
 //! cardinalities, on the high-cardinality taxi stream under the Sharon
 //! optimizer's plan — plus an **all-strategy columnar sweep** (Flink,
 //! SPASS, A-Seq, SHARON through `AnyExecutor::process_columnar`) that
@@ -20,14 +20,6 @@
 //! queries sharing one routing scope (dedup collapses them to a single
 //! router scan per batch) × shards ∈ {1, 4, 8}.
 //!
-//! The **selectivity sweep** measures the compiled-scan tentpole: the
-//! same predicate-bearing workload at 0% / ~50% / 100% predicate pass
-//! rates, each run under the scalar per-row interpreter and under the
-//! vectorized bitmap [`ScanKernel`] (`SHARON_SCAN`), sequentially and
-//! 4-way sharded. Every pair of modes is asserted to report identical
-//! result counts — the CI smoke runs this on every change, so a kernel
-//! that drifts from the interpreter cannot land.
-//!
 //! The **routing sweep** measures the parallel routing plane on its
 //! target shape: 64 queries whose predicates all differ (so scope dedup
 //! collapses nothing and every batch costs 64 scope scans) × routers ∈
@@ -44,7 +36,7 @@
 //! host grants more than one CPU; the JSON records
 //! `available_parallelism` so readers can interpret the ratios.
 
-use sharon::executor::{set_scan_mode, ScanMode, ShardedOptions, SplitConfig};
+use sharon::executor::{ShardedOptions, SplitConfig};
 use sharon::prelude::*;
 use sharon::streams::taxi::{self, TaxiConfig};
 use sharon::streams::workload::{figure_1_workload, measured_rates_batch};
@@ -56,7 +48,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const BATCH: usize = 4096;
 
 struct Run {
     label: String,
@@ -103,28 +94,13 @@ fn scenario(n_events: usize, n_vehicles: usize) -> (String, Vec<Run>) {
         &mut catalog,
         &TaxiConfig::high_cardinality(n_events, n_vehicles),
     );
-    let events = batch.to_events();
     let workload = figure_1_workload(&mut catalog);
     let (counts, span) = measured_rates_batch(&batch);
     let rates = RateMap::from_counts(&counts, span);
     let plan = optimize_sharon(&workload, &rates, &OptimizerConfig::default()).plan;
-    let n = events.len();
+    let n = batch.len();
 
     let mut runs = Vec::new();
-    runs.push(measure("sequential/per-event", n, || {
-        let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-        for e in &events {
-            ex.process(e);
-        }
-        ex.finish()
-    }));
-    runs.push(measure("sequential/batched", n, || {
-        let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-        for chunk in events.chunks(BATCH) {
-            ex.process_batch(chunk);
-        }
-        ex.finish()
-    }));
     runs.push(measure("sequential/columnar", n, || {
         let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
         ex.process_columnar(&batch);
@@ -403,152 +379,6 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
     (name, runs)
 }
 
-/// The compiled-scan selectivity sweep: every street type carries a
-/// `speed < threshold` predicate, so `pass_label` of the rows survive the
-/// stateless scan (the taxi generator draws speeds uniformly from
-/// 5.0..70.0). Each configuration runs under the scalar per-row
-/// interpreter and under the vectorized bitmap kernel — the same stream,
-/// workload, and plan, only `SHARON_SCAN` differs — sequentially and
-/// 4-way sharded. Both modes must report identical result counts.
-fn selectivity_sweep(pass_label: &str, threshold: f64) -> (String, Vec<Run>) {
-    let n_events = scaled(200_000, 5_000);
-    let n_vehicles = 512;
-    let name = format!("scan selectivity={pass_label} events={n_events} (speed < {threshold})");
-    let mut catalog = Catalog::new();
-    let batch = taxi::generate_batch(
-        &mut catalog,
-        &TaxiConfig {
-            n_events,
-            n_streets: 5,
-            n_vehicles,
-            ..Default::default()
-        },
-    );
-    let sources = [
-        format!(
-            "RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt, StateSt) WHERE OakSt.speed < {threshold} \
-             AND MainSt.speed < {threshold} AND StateSt.speed < {threshold} AND [vehicle] \
-             WITHIN 10 s SLIDE 2 s"
-        ),
-        format!(
-            "RETURN COUNT(*) PATTERN SEQ(ParkAve, WestSt) WHERE ParkAve.speed < {threshold} \
-             AND WestSt.speed < {threshold} AND [vehicle] WITHIN 10 s SLIDE 2 s"
-        ),
-    ];
-    let workload =
-        parse_workload(&mut catalog, sources.iter().map(String::as_str)).expect("workload parses");
-    let plan = SharingPlan::non_shared();
-    let n = batch.len();
-    let shared = Arc::new(batch);
-
-    // the scan mode is read at executor construction: force it just
-    // around the build, then return control to the environment default
-    let mut runs = Vec::new();
-    for (mode_label, mode) in [
-        ("scalar-scan", ScanMode::Scalar),
-        ("vector-scan", ScanMode::Vector),
-    ] {
-        runs.push(measure(
-            &format!("sequential/columnar/{mode_label}"),
-            n,
-            || {
-                set_scan_mode(Some(mode));
-                let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-                set_scan_mode(None);
-                ex.process_columnar(&shared);
-                ex.finish()
-            },
-        ));
-        runs.push(measure(&format!("sharded/4/{mode_label}"), n, || {
-            set_scan_mode(Some(mode));
-            let mut ex = sharded(&catalog, &workload, &plan, 4);
-            set_scan_mode(None);
-            ex.process_shared(&shared);
-            ex.finish()
-        }));
-    }
-
-    // the kernel is an optimization, never a semantics change: scalar and
-    // vector modes must agree on every configuration
-    let want = runs[0].results;
-    for run in &runs {
-        assert_eq!(run.results, want, "{}: scan modes disagree", run.label);
-    }
-    (name, runs)
-}
-
-/// The scan-stress sweep: the branch-hostile workload the compiled scan
-/// kernels exist for. Three streets and a 3-type query, so **every** row
-/// routes (the scalar interpreter gets no cheap unrouted skip), and each
-/// type carries the same four-clause `speed` range conjunction whose
-/// clauses individually pass 23-77% of rows — unpredictable branches for
-/// the per-row short-circuit interpreter — while the conjunction itself
-/// is empty (`>= 35 AND < 35`), so no row survives and the measurement
-/// isolates the stateless scan. The kernel merges the clauses shared by
-/// all three types into four union-mask clauses over one gathered
-/// column, evaluated branch-free.
-fn scan_stress_sweep() -> (String, Vec<Run>) {
-    let n_events = scaled(200_000, 5_000);
-    let n_vehicles = 512;
-    let name = format!("scan stress events={n_events} (dense routing, empty 4-clause range)");
-    let mut catalog = Catalog::new();
-    let batch = taxi::generate_batch(
-        &mut catalog,
-        &TaxiConfig {
-            n_events,
-            n_streets: 3,
-            n_vehicles,
-            ..Default::default()
-        },
-    );
-    let clauses = |t: &str| {
-        format!("{t}.speed >= 20.0 AND {t}.speed < 50.0 AND {t}.speed >= 35.0 AND {t}.speed < 35.0")
-    };
-    let source = format!(
-        "RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt, StateSt) WHERE {} AND {} AND {} AND \
-         [vehicle] WITHIN 10 s SLIDE 2 s",
-        clauses("OakSt"),
-        clauses("MainSt"),
-        clauses("StateSt"),
-    );
-    let workload = parse_workload(&mut catalog, [source.as_str()]).expect("workload parses");
-    let plan = SharingPlan::non_shared();
-    let n = batch.len();
-    let shared = Arc::new(batch);
-
-    let mut runs = Vec::new();
-    for (mode_label, mode) in [
-        ("scalar-scan", ScanMode::Scalar),
-        ("vector-scan", ScanMode::Vector),
-    ] {
-        runs.push(measure(
-            &format!("sequential/columnar/{mode_label}"),
-            n,
-            || {
-                set_scan_mode(Some(mode));
-                let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-                set_scan_mode(None);
-                ex.process_columnar(&shared);
-                ex.finish()
-            },
-        ));
-        runs.push(measure(&format!("sharded/4/{mode_label}"), n, || {
-            set_scan_mode(Some(mode));
-            let mut ex = sharded(&catalog, &workload, &plan, 4);
-            set_scan_mode(None);
-            ex.process_shared(&shared);
-            ex.finish()
-        }));
-    }
-
-    // an empty conjunction must stay empty in both modes
-    let want = runs[0].results;
-    for run in &runs {
-        assert_eq!(run.results, want, "{}: scan modes disagree", run.label);
-    }
-    (name, runs)
-}
-
 /// All four strategies of Figure 3 through the one columnar trait-dispatch
 /// pipeline (`AnyExecutor::process_columnar`), sequential and 2-way
 /// sharded. Sized smaller than the main scenarios: the two-step baselines
@@ -705,11 +535,6 @@ fn main() {
         query_count_sweep(8),
         query_count_sweep(64),
         routing_sweep(64),
-        // thresholds against the generator's 5.0..70.0 speed range
-        selectivity_sweep("0%", 5.0),
-        selectivity_sweep("50%", 37.5),
-        selectivity_sweep("100%", 70.5),
-        scan_stress_sweep(),
         strategy_sweep(0.0),
         strategy_sweep(1.2),
     ];

@@ -379,7 +379,6 @@ fn main() {
             &events,
             &rates,
             &options,
-            &runtime,
             shards,
             disorder,
         );
@@ -404,9 +403,6 @@ fn main() {
     }
     if let Some(b) = options.lateness {
         builder = builder.lateness(b);
-    }
-    if let Some(mode) = runtime.scan {
-        builder = builder.scan_mode(mode);
     }
     let built = if args.resume {
         builder
@@ -616,7 +612,6 @@ fn run_churn(
     events: &EventBatch,
     rates: &RateMap,
     options: &ShardedOptions,
-    runtime: &RuntimeOptions,
     shards: usize,
     disorder: u32,
 ) {
@@ -660,9 +655,6 @@ fn run_churn(
         .batch_size(options.batch_size);
     if let Some(sp) = options.spill.clone() {
         builder = builder.spill(sp);
-    }
-    if let Some(mode) = runtime.scan {
-        builder = builder.scan_mode(mode);
     }
     let mut session = match builder.session(SessionConfig::default()) {
         Ok(s) => s,

@@ -30,17 +30,18 @@
 
 use crate::framework::SharonFramework;
 use crate::session::{SessionConfig, SharonSession};
-use crate::strategy::{build_executor, build_sharded_any, strategy_plan, AnyExecutor, Strategy};
+use crate::strategy::{build_sharded_any, strategy_plan, AnyExecutor, Strategy};
 use sharon_executor::{
-    set_scan_mode, CheckpointConfig, CheckpointError, CompileError, FaultPlan, RuntimeOptions,
-    ScanMode, ShardedExecutor, ShardedOptions, SpillConfig, SplitConfig,
+    CheckpointConfig, CheckpointError, CompileError, Executor, FaultPlan, RuntimeOptions,
+    ShardedExecutor, ShardedOptions, SpillConfig, SplitConfig,
 };
 use sharon_optimizer::{OptimizeOutcome, OptimizerConfig, RateMap};
 use sharon_query::Workload;
+use sharon_twostep::{FlinkLike, SpassLike};
 use sharon_types::Catalog;
 
 /// Fluent builder for every executor shape: strategy × sharding ×
-/// routing plane × durability × event-time × scan mode, one setter each.
+/// routing plane × durability × event-time, one setter each.
 ///
 /// Unset knobs keep the engine defaults ([`ShardedOptions::default`],
 /// [`Strategy::Sharon`], [`OptimizerConfig::default`]). `shards(0)` (the
@@ -55,7 +56,6 @@ pub struct SharonBuilder<'a> {
     config: OptimizerConfig,
     shards: usize,
     options: ShardedOptions,
-    scan: Option<ScanMode>,
 }
 
 impl<'a> SharonBuilder<'a> {
@@ -70,7 +70,6 @@ impl<'a> SharonBuilder<'a> {
             config: OptimizerConfig::default(),
             shards: 0,
             options: ShardedOptions::default(),
-            scan: None,
         }
     }
 
@@ -118,7 +117,8 @@ impl<'a> SharonBuilder<'a> {
     }
 
     /// Enable event-time processing with `lateness_ms` milliseconds of
-    /// allowed out-of-orderness (drop-and-count beyond).
+    /// allowed out-of-orderness (drop-and-count beyond). Fixed for the
+    /// life of the built executor.
     pub fn lateness(mut self, lateness_ms: u64) -> Self {
         self.options.lateness = Some(lateness_ms);
         self
@@ -145,29 +145,15 @@ impl<'a> SharonBuilder<'a> {
         self
     }
 
-    /// Select the stateless-scan kernel implementation.
-    ///
-    /// **Process-global:** the scan mode is a process-wide override (the
-    /// kernels are selected once per scan site), so this applies to every
-    /// executor in the process from `build` time on, not just the one
-    /// being built — last builder wins.
-    pub fn scan_mode(mut self, mode: ScanMode) -> Self {
-        self.scan = Some(mode);
-        self
-    }
-
     /// Apply every knob parsed from the `SHARON_*` environment surface
-    /// (see [`RuntimeOptions`]): shard count, router count, scan mode,
-    /// lateness, checkpoint spec, and fault plan, each only when set.
+    /// (see [`RuntimeOptions`]): shard count, router count, lateness,
+    /// checkpoint spec, and fault plan, each only when set.
     pub fn runtime_options(mut self, opts: &RuntimeOptions) -> Self {
         if let Some(n) = opts.shards {
             self.shards = n;
         }
         if let Some(n) = opts.routers {
             self.options.routers = n;
-        }
-        if let Some(mode) = opts.scan {
-            self.scan = Some(mode);
         }
         if let Some(ms) = opts.lateness {
             self.options.lateness = Some(ms);
@@ -189,9 +175,6 @@ impl<'a> SharonBuilder<'a> {
     /// the sharded runtime only — and one on a two-step baseline is
     /// [`CompileError::UnsupportedOption`].
     pub fn build_executor(self) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
-        if let Some(mode) = self.scan {
-            set_scan_mode(Some(mode));
-        }
         if self.shards > 0 {
             return build_sharded_any(
                 self.catalog,
@@ -209,16 +192,32 @@ impl<'a> SharonBuilder<'a> {
                 strategy: self.strategy.name(),
             });
         }
-        let (mut ex, outcome) = build_executor(
-            self.catalog,
-            self.workload,
-            self.rates,
-            self.strategy,
-            &self.config,
-        )?;
-        if let Some(ms) = self.options.lateness {
-            ex.set_lateness(ms);
-        }
+        // lateness is fixed on the concrete executor, before it is boxed
+        let (plan, outcome) = strategy_plan(self.workload, self.rates, self.strategy, &self.config);
+        let lateness = self.options.lateness;
+        let ex: AnyExecutor = match self.strategy {
+            Strategy::Sharon | Strategy::Greedy | Strategy::ASeq => {
+                let mut ex = Executor::new(self.catalog, self.workload, &plan)?;
+                if let Some(ms) = lateness {
+                    ex.set_lateness(ms);
+                }
+                ex.into()
+            }
+            Strategy::FlinkLike => {
+                let mut ex = FlinkLike::new(self.catalog, self.workload)?;
+                if let Some(ms) = lateness {
+                    ex.set_lateness(ms);
+                }
+                ex.into()
+            }
+            Strategy::SpassLike => {
+                let mut ex = SpassLike::new(self.catalog, self.workload, &plan)?;
+                if let Some(ms) = lateness {
+                    ex.set_lateness(ms);
+                }
+                ex.into()
+            }
+        };
         Ok((ex, outcome))
     }
 
@@ -252,9 +251,6 @@ impl<'a> SharonBuilder<'a> {
                 "resume requires the sharded runtime (shards >= 1)".into(),
             ));
         }
-        if let Some(mode) = self.scan {
-            set_scan_mode(Some(mode));
-        }
         let (plan, outcome) = strategy_plan(self.workload, self.rates, self.strategy, &self.config);
         let (ex, offset) = ShardedExecutor::resume(
             self.catalog,
@@ -275,9 +271,6 @@ impl<'a> SharonBuilder<'a> {
     /// to one shard) and require an online strategy; see
     /// [`SharonSession`] for the option surface it supports.
     pub fn session(self, session_config: SessionConfig) -> Result<SharonSession, CompileError> {
-        if let Some(mode) = self.scan {
-            set_scan_mode(Some(mode));
-        }
         SharonSession::start(
             self.catalog.clone(),
             self.workload,
@@ -323,6 +316,59 @@ mod tests {
                 strategy: "SHARON"
             }
         );
+    }
+
+    #[test]
+    fn lateness_is_fixed_at_build_for_every_strategy() {
+        use sharon_streams::ecommerce::{generate, EcommerceConfig};
+        use sharon_types::EventBatch;
+        let mut catalog = Catalog::new();
+        let events = generate(
+            &mut catalog,
+            &EcommerceConfig {
+                n_events: 1200,
+                n_items: 8,
+                events_per_sec: 500,
+                ..Default::default()
+            },
+        );
+        let workload = sharon_streams::workload::figure_2_workload(&mut catalog);
+        let rates = RateMap::uniform(100.0);
+        let mut scrambled = events.clone();
+        sharon_streams::scramble_events(&mut scrambled, 32, 0x1A7E);
+        let lateness = sharon_streams::required_lateness(&EventBatch::from_events(&scrambled));
+        assert!(lateness > 0, "the shuffle must disorder the stream");
+
+        for strategy in [
+            Strategy::Sharon,
+            Strategy::Greedy,
+            Strategy::ASeq,
+            Strategy::FlinkLike,
+            Strategy::SpassLike,
+        ] {
+            let builder = SharonBuilder::new(&catalog, &workload, &rates).strategy(strategy);
+            let (mut ungated, _) = builder.clone().build_executor().unwrap();
+            ungated.process_columnar(&EventBatch::from_events(&events));
+            let want = ungated.finish();
+            assert!(!want.is_empty(), "{}: the stream matches", strategy.name());
+            for shards in [0, 2] {
+                let (mut gated, _) = builder
+                    .clone()
+                    .shards(shards)
+                    .lateness(lateness)
+                    .build_executor()
+                    .unwrap();
+                for chunk in scrambled.chunks(100) {
+                    gated.process_columnar(&EventBatch::from_events(chunk));
+                }
+                assert!(
+                    gated.finish().semantically_eq(&want, 1e-9),
+                    "{} at shards({shards}): a covering lateness must reproduce the \
+                     in-order results",
+                    strategy.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::strategy::AnyExecutor;
 use sharon_executor::{Executor, ExecutorResults};
 use sharon_optimizer::OptimizeOutcome;
 use sharon_query::SharingPlan;
-use sharon_types::{Event, EventBatch, EventStream};
+use sharon_types::{EventBatch, EventStream};
 
 /// The end-to-end Sharon system: optimize once, then execute the stream.
 ///
@@ -41,19 +41,9 @@ impl SharonFramework {
         self.outcome.as_ref()
     }
 
-    /// Process one event.
-    pub fn process(&mut self, e: &Event) {
-        self.executor.process(e);
-    }
-
-    /// Process a time-ordered batch of events (amortizes routing and
-    /// predicate dispatch; see [`Executor::process_batch`]).
-    pub fn process_batch(&mut self, events: &[Event]) {
-        self.executor.process_batch(events);
-    }
-
-    /// Process a time-ordered columnar batch — the native form of every
-    /// hot execution path (see [`Executor::process_columnar`]).
+    /// Process a time-ordered columnar batch — the one way rows enter the
+    /// executor (see [`Executor::process_columnar`]; row-form events go
+    /// through [`EventBatch::from_events`]).
     pub fn process_columnar(&mut self, batch: &EventBatch) {
         self.executor.process_columnar(batch);
     }

@@ -31,9 +31,11 @@
 //!     .unwrap();
 //! let (a, b, c) = (catalog.lookup("A").unwrap(), catalog.lookup("B").unwrap(),
 //!                  catalog.lookup("C").unwrap());
-//! for (ty, t) in [(a, 10), (b, 20), (c, 30)] {
-//!     fw.process(&Event::new(ty, Timestamp::from_millis(t)));
-//! }
+//! let events: Vec<Event> = [(a, 10), (b, 20), (c, 30)]
+//!     .into_iter()
+//!     .map(|(ty, t)| Event::new(ty, Timestamp::from_millis(t)))
+//!     .collect();
+//! fw.process_columnar(&EventBatch::from_events(&events));
 //! let results = fw.finish();
 //! assert_eq!(results.total_count(QueryId(0)), 1);
 //! ```

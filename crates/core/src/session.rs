@@ -43,7 +43,7 @@ use sharon_metrics::{
 };
 use sharon_optimizer::{DynamicPlanManager, OptimizerConfig, PlanDecision, RateEstimator, RateMap};
 use sharon_query::{Query, QueryId, QuerySig, SharingPlan, Workload};
-use sharon_types::{Catalog, Event, EventBatch, EventTypeId, FxHashMap, TimeDelta, Timestamp};
+use sharon_types::{Catalog, EventBatch, EventTypeId, FxHashMap, TimeDelta, Timestamp};
 
 /// Tuning for a [`SharonSession`]'s background re-optimizer.
 #[derive(Debug, Clone)]
@@ -439,19 +439,6 @@ impl SharonSession {
         }
     }
 
-    /// Process one event (time-ordered).
-    pub fn process(&mut self, e: &Event) {
-        self.process_batch(std::slice::from_ref(e));
-    }
-
-    /// Process a time-ordered batch of row-form events.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        if events.is_empty() {
-            return;
-        }
-        self.process_columnar(&EventBatch::from_events(events));
-    }
-
     /// Process a time-ordered columnar batch, then run the session's
     /// housekeeping at the batch boundary: rate estimation, drift /
     /// churn-triggered re-optimization (with plan hot-swap), and
@@ -797,6 +784,7 @@ mod tests {
     use super::*;
     use crate::SharonBuilder;
     use sharon_query::{parse_query, parse_workload};
+    use sharon_types::Event;
 
     fn session_over(sources: &[&str], extra: &[&str]) -> (SharonSession, Vec<Query>) {
         let mut catalog = Catalog::new();
@@ -830,7 +818,7 @@ mod tests {
             }
             t += 500;
         }
-        session.process_batch(&events);
+        session.process_columnar(&EventBatch::from_events(&events));
     }
 
     #[test]

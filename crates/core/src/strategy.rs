@@ -4,8 +4,8 @@
 //! Every strategy — online or two-step, sequential or sharded — is a
 //! [`BatchProcessor`], so [`AnyExecutor`] is nothing but a boxed trait
 //! object: one columnar operator pipeline drives the whole taxonomy, with
-//! no per-strategy match arms and no row-form [`Event`] materialization on
-//! any batch path.
+//! no per-strategy match arms. Columnar batches are the only way in;
+//! row-form [`Event`]s are adapted with [`EventBatch::from_events`].
 
 use sharon_executor::{
     BatchProcessor, CompileError, Executor, ExecutorResults, ShardedExecutor, ShardedOptions,
@@ -60,31 +60,12 @@ impl AnyExecutor {
         AnyExecutor { inner }
     }
 
-    /// Process one event.
-    pub fn process(&mut self, e: &Event) {
-        self.inner.process_event(e);
-    }
-
-    /// Process a time-ordered batch of row-form events.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        self.inner.process_events(events);
-    }
-
     /// Process a time-ordered columnar batch — every strategy's native
-    /// stateless-scan → stateful-dispatch pipeline (the online engines'
-    /// columnar hot path, the sharded runtime's route-once fan-out, the
-    /// baselines' per-scope scans). No per-row [`Event`] is materialized.
+    /// compiled-scan → stateful-dispatch pipeline (the online engines'
+    /// columnar path, the sharded runtime's route-once fan-out, the
+    /// baselines' per-scope scans).
     pub fn process_columnar(&mut self, batch: &EventBatch) {
         self.inner.process_columnar(batch);
-    }
-
-    /// Enable event-time processing: tolerate out-of-order input up to
-    /// `lateness_ms` milliseconds (drop-and-count beyond). Must be called
-    /// before any ingestion. Panics for the sharded runtime, whose
-    /// engines are configured at spawn — set
-    /// [`ShardedOptions::lateness`] there instead.
-    pub fn set_lateness(&mut self, lateness_ms: u64) {
-        self.inner.set_lateness(lateness_ms);
     }
 
     /// Late rows dropped by the event-time gate so far (0 when no gate;
@@ -123,7 +104,7 @@ impl AnyExecutor {
 
     /// Per-scope `(rows_scanned, rows_selected)` of the stateless scan —
     /// one entry per routing scope (partition, query, or baseline
-    /// partition), identical across scan modes; empty when untracked.
+    /// partition); empty when untracked.
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
         self.inner.scan_stats()
     }
@@ -153,8 +134,9 @@ impl From<SpassLike> for AnyExecutor {
     }
 }
 
-/// Build the executor (and optimizer outcome, when one runs) for a
-/// strategy.
+/// Build the sequential executor (and optimizer outcome, when one runs)
+/// for a strategy, in arrival-order mode — shorthand for
+/// [`crate::SharonBuilder::build_executor`] with `strategy` and `config`.
 pub fn build_executor(
     catalog: &Catalog,
     workload: &Workload,
@@ -162,34 +144,14 @@ pub fn build_executor(
     strategy: Strategy,
     config: &OptimizerConfig,
 ) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
-    match strategy {
-        Strategy::Sharon => {
-            let outcome = optimize_sharon(workload, rates, config);
-            let ex = Executor::new(catalog, workload, &outcome.plan)?;
-            Ok((ex.into(), Some(outcome)))
-        }
-        Strategy::Greedy => {
-            let outcome = optimize_greedy(workload, rates);
-            let ex = Executor::new(catalog, workload, &outcome.plan)?;
-            Ok((ex.into(), Some(outcome)))
-        }
-        Strategy::ASeq => {
-            let ex = Executor::non_shared(catalog, workload)?;
-            Ok((ex.into(), None))
-        }
-        Strategy::FlinkLike => Ok((FlinkLike::new(catalog, workload)?.into(), None)),
-        Strategy::SpassLike => {
-            // SPASS shares *construction*; give it the same optimal plan so
-            // its shared segments match Sharon's (the paper gives SPASS its
-            // own sharing optimizer for construction)
-            let outcome = optimize_sharon(workload, rates, config);
-            let ex = SpassLike::new(catalog, workload, &outcome.plan)?;
-            Ok((ex.into(), Some(outcome)))
-        }
-    }
+    crate::SharonBuilder::new(catalog, workload, rates)
+        .strategy(strategy)
+        .optimizer_config(config.clone())
+        .build_executor()
 }
 
-/// Convenience: run `events` under `strategy` and return the results.
+/// Convenience: run the time-ordered `events` under `strategy` (as one
+/// columnar batch) and return the results.
 pub fn run_strategy(
     catalog: &Catalog,
     workload: &Workload,
@@ -204,9 +166,7 @@ pub fn run_strategy(
         strategy,
         &OptimizerConfig::default(),
     )?;
-    for e in events {
-        ex.process(e);
-    }
+    ex.process_columnar(&EventBatch::from_events(events));
     Ok(ex.finish())
 }
 

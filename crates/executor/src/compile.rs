@@ -196,7 +196,9 @@ pub struct CompiledPartition {
 
 impl CompiledPartition {
     /// True if `ty` routes into this partition at all (the first check of
-    /// the stateless event prefix).
+    /// the stateless event prefix). With [`CompiledPartition::predicates_pass`]
+    /// and [`CompiledPartition::groupable`], the row-at-a-time oracle the
+    /// tests check [`CompiledPartition::scan_kernel`] against.
     #[inline]
     pub fn routed(&self, ty: EventTypeId) -> bool {
         matches!(self.routes.get(ty.index()), Some(Some(_)))
@@ -205,10 +207,6 @@ impl CompiledPartition {
     /// True if `attrs` pass this partition's predicates on `ty` (a missing
     /// attribute fails). Must only be called for routed types.
     ///
-    /// This is the single definition of predicate semantics shared by the
-    /// per-event path, the columnar pre-pass, and the sharded batch
-    /// router — which must agree exactly, or routed rows would diverge
-    /// from what the engines would have dropped.
     #[inline]
     pub fn predicates_pass(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
         self.predicates[ty.index()]
@@ -218,9 +216,10 @@ impl CompiledPartition {
 
     /// Compile this partition's stateless prefix — routing, predicates,
     /// groupability — into a vectorized [`ScanKernel`] evaluating whole
-    /// batches into u64 selection bitmaps. Selects exactly the rows the
-    /// scalar [`CompiledPartition::routed`] / `predicates_pass` /
-    /// `groupable` chain would.
+    /// batches into u64 selection bitmaps — what the engine's columnar
+    /// path and the sharded batch router select rows with. Selects exactly
+    /// the rows the [`CompiledPartition::routed`] / `predicates_pass` /
+    /// `groupable` chain accepts.
     pub fn scan_kernel(&self) -> ScanKernel {
         let routed = self.routes.iter().map(Option::is_some).collect();
         ScanKernel::new(routed, &self.group_attrs, &self.predicates)
@@ -228,8 +227,7 @@ impl CompiledPartition {
 
     /// True if every `GROUP BY` attribute of `ty` is present in `attrs`
     /// (events missing one are ungroupable and dropped). Must only be
-    /// called for routed types. Shared by the same three paths as
-    /// [`CompiledPartition::predicates_pass`].
+    /// called for routed types.
     #[inline]
     pub fn groupable(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
         self.group_attrs[ty.index()]
@@ -243,10 +241,9 @@ impl CompiledPartition {
     /// `GROUP BY`, writes [`GroupKey::Global`]. Must only be called for
     /// routed types.
     ///
-    /// The single definition of key construction shared by the per-event
-    /// path, the columnar pre-pass, and the sharded batch router — shard
-    /// assignment hashes exactly the key an engine would build, so the
-    /// three paths cannot drift apart.
+    /// The single definition of key construction shared by the engines
+    /// and the sharded batch router — shard assignment hashes exactly the
+    /// key an engine would build, so the two cannot drift apart.
     #[inline]
     pub fn read_group_key(
         &self,

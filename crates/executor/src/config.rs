@@ -10,8 +10,7 @@
 //! |---------------------|--------------------------------|--------|
 //! | `SHARON_SHARDS`     | shard count (≥ 1)              | run the sharded runtime with this many worker shards |
 //! | `SHARON_ROUTERS`    | router threads (≥ 1)           | routing-plane size ([`default_routers`](crate::default_routers)) |
-//! | `SHARON_SCAN`       | `scalar` \| `vector`           | stateless-scan implementation ([`ScanMode`]) |
-//! | `SHARON_LATENESS`   | milliseconds                   | event-time mode with this allowed lateness |
+//! //! | `SHARON_LATENESS`   | milliseconds                   | event-time mode with this allowed lateness |
 //! | `SHARON_DISORDER`   | max displacement `K`           | test harness: scramble streams within `K` positions |
 //! | `SHARON_CHECKPOINT` | `<dir>[:<interval-batches>]`   | periodic consistent checkpoints ([`CheckpointConfig`]) |
 //! | `SHARON_FAULT`      | `drop@N` \| `panic@N:S` \| `abort@N` \| `reorder@N:K` | inject the given fault ([`FaultPlan`]) |
@@ -21,7 +20,6 @@
 //! attributed to a configuration that never ran.
 
 use crate::checkpoint::{parse_checkpoint_spec, CheckpointConfig, FaultPlan};
-use crate::scan::ScanMode;
 use crate::sharded::{ShardedOptions, DEFAULT_ROUTERS};
 use std::fmt;
 
@@ -53,8 +51,6 @@ pub struct RuntimeOptions {
     pub shards: Option<usize>,
     /// `SHARON_ROUTERS`: router threads in the routing plane (≥ 1).
     pub routers: Option<usize>,
-    /// `SHARON_SCAN`: stateless-scan implementation.
-    pub scan: Option<ScanMode>,
     /// `SHARON_LATENESS`: event-time allowed lateness in milliseconds.
     pub lateness: Option<u64>,
     /// `SHARON_DISORDER`: maximum event displacement for the test
@@ -94,7 +90,6 @@ impl RuntimeOptions {
                     .map_err(|e| format!("{s:?} is not a shard count: {e}"))
             })?,
             routers: knob("SHARON_ROUTERS", parse_routers)?,
-            scan: knob("SHARON_SCAN", |s| s.parse())?,
             lateness: knob("SHARON_LATENESS", |s| {
                 s.parse()
                     .map_err(|e| format!("{s:?} is not a lateness in milliseconds: {e}"))
@@ -155,21 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_mode_round_trips() {
-        assert_eq!(
-            parse("SHARON_SCAN", "scalar", str::parse::<ScanMode>).unwrap(),
-            ScanMode::Scalar
-        );
-        assert_eq!(
-            parse("SHARON_SCAN", "vector", str::parse::<ScanMode>).unwrap(),
-            ScanMode::Vector
-        );
-        let err = parse::<ScanMode>("SHARON_SCAN", "simd", |s| s.parse()).unwrap_err();
-        assert_eq!(err.var, "SHARON_SCAN");
-        assert!(err.to_string().contains("simd"), "{err}");
-    }
-
-    #[test]
     fn checkpoint_and_fault_specs_parse() {
         let ck = parse("SHARON_CHECKPOINT", "/tmp/ck:8", parse_checkpoint_spec).unwrap();
         assert_eq!(ck.interval_batches, 8);
@@ -183,7 +163,6 @@ mod tests {
         let opts = RuntimeOptions::default();
         assert!(opts.shards.is_none());
         assert!(opts.routers.is_none());
-        assert!(opts.scan.is_none());
         assert_eq!(opts.disorder, 0);
         let sharded = opts.sharded_options();
         assert!(sharded.checkpoint.is_none());

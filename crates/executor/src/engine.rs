@@ -36,8 +36,8 @@ use crate::spill::{SpillConfig, SpillStore};
 use crate::winvec::WindowPlane;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{
-    fx_hash_one, Catalog, Event, EventBatch, EventStream, EventTypeId, FxHashMap, FxHashSet,
-    GroupKey, Timestamp, Value,
+    fx_hash_one, Catalog, EventBatch, EventStream, EventTypeId, FxHashMap, FxHashSet, GroupKey,
+    Timestamp, Value,
 };
 
 /// Per-group runtime state: one block laid out by the compiled partition.
@@ -294,7 +294,7 @@ pub struct Engine<A: Aggregate> {
     key_scratch: GroupKey,
     /// Reused buffer for the grouping attributes of the current event.
     vals_scratch: Vec<Value>,
-    /// Reused row-selection buffer of the columnar pre-pass.
+    /// Reused row-selection buffer of the scan.
     sel_scratch: Vec<u32>,
     /// Group-space slice owned by this engine (`None` = everything).
     shard: Option<ShardSlice>,
@@ -322,23 +322,19 @@ pub struct Engine<A: Aggregate> {
     /// state is force-closed. Empty on arrival-time engines (no gate —
     /// notices apply immediately).
     deferred_unsplits: Vec<(GroupKey, Timestamp)>,
-    /// Compiled scan kernel of the columnar pre-pass (`None` = the
-    /// scalar interpreter, per [`crate::scan::scan_mode`]).
-    scan: Option<ScanKernel>,
-    /// Rows examined by this engine's columnar pre-pass.
+    /// Compiled scan kernel selecting the rows of
+    /// [`Engine::process_columnar`].
+    scan: ScanKernel,
+    /// Rows examined by this engine's scan.
     rows_scanned: u64,
-    /// Rows that survived routing + predicates + groupability (before
-    /// shard-ownership filtering, so scalar and vector modes agree).
+    /// Rows that survived routing + predicates + groupability.
     rows_selected: u64,
 }
 
 impl<A: Aggregate> Engine<A> {
     /// Build an engine from a compiled partition.
     pub fn new(part: CompiledPartition) -> Self {
-        let scan = match crate::scan::scan_mode() {
-            crate::scan::ScanMode::Vector => Some(part.scan_kernel()),
-            crate::scan::ScanMode::Scalar => None,
-        };
+        let scan = part.scan_kernel();
         Engine {
             part,
             groups: FxHashMap::default(),
@@ -398,8 +394,9 @@ impl<A: Aggregate> Engine<A> {
     }
 
     /// Build an engine that only processes the groups in `slice`
-    /// (see [`ShardSlice`]); all other events are filtered out after
-    /// routing, predicates, and key extraction.
+    /// (see [`ShardSlice`]). Such an engine is fed only through
+    /// [`Engine::process_routed`] / [`Engine::process_routed_split`]: the
+    /// batch router has already selected its rows.
     pub fn with_shard(part: CompiledPartition, slice: ShardSlice) -> Self {
         let mut engine = Self::new(part);
         engine.shard = Some(slice);
@@ -420,34 +417,18 @@ impl<A: Aggregate> Engine<A> {
         }
     }
 
-    /// Process one event (events must arrive in timestamp order, unless
-    /// an event-time gate is configured via [`Engine::set_lateness`]).
+    /// The per-row entry of every selected row: goes straight to the
+    /// in-order path, or — with an event-time gate configured — through
+    /// the reorder gate, which buffers the row for watermark-ordered
+    /// release (or drops and counts it as late). Only rows the scan or
+    /// the batch router selected get here, so an unrouted row is never
+    /// admitted or counted.
     #[inline]
-    pub fn process(&mut self, e: &Event) {
-        self.process_row(e.ty, e.time, &e.attrs, false, false);
-        if self.reorder.is_some() {
-            self.advance_watermark(e.time);
-        }
-    }
-
-    /// The per-row entry of the per-event shim and both columnar entry
-    /// points: goes straight to the in-order path, or — with an
-    /// event-time gate configured — through the reorder gate, which
-    /// buffers the row for watermark-ordered release (or drops and
-    /// counts it as late).
-    #[inline]
-    fn process_row(
-        &mut self,
-        ty: EventTypeId,
-        time: Timestamp,
-        attrs: &[Value],
-        pre_routed: bool,
-        state_only: bool,
-    ) {
+    fn process_row(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value], state_only: bool) {
         match &mut self.reorder {
-            None => self.process_row_inner(ty, time, attrs, pre_routed, state_only),
+            None => self.process_row_inner(ty, time, attrs, state_only),
             Some(gate) => {
-                gate.admit(ty, time, attrs, 0, pre_routed, state_only);
+                gate.admit(ty, time, attrs, 0, true, state_only);
             }
         }
     }
@@ -456,8 +437,8 @@ impl<A: Aggregate> Engine<A> {
     /// (monotone) and release every buffered row the watermark has
     /// passed, in event-time order, into the in-order row path. A no-op
     /// without a configured gate. The sharded runtime calls this with the
-    /// router's merged cross-shard frontier; the sequential paths
-    /// self-advance per event / per batch.
+    /// router's merged cross-shard frontier; the sequential path
+    /// self-advances per batch.
     pub fn advance_watermark(&mut self, frontier: Timestamp) {
         let Some(gate) = &mut self.reorder else {
             return;
@@ -470,7 +451,7 @@ impl<A: Aggregate> Engine<A> {
     /// Drain every gate-buffered row the current watermark has passed.
     fn release_ready(&mut self) {
         while let Some(row) = self.reorder.as_mut().and_then(Reorder::pop_ready) {
-            self.process_row_inner(row.ty, row.time, &row.attrs, row.pre_routed, row.state_only);
+            self.process_row_inner(row.ty, row.time, &row.attrs, row.state_only);
             if let Some(gate) = &mut self.reorder {
                 gate.recycle(row);
             }
@@ -494,52 +475,34 @@ impl<A: Aggregate> Engine<A> {
         self.apply_ripe_unsplits();
     }
 
-    /// The shared in-order row path of every entry point. With
-    /// `pre_routed`, the caller (the columnar pre-pass or the sharded
-    /// batch router) has already evaluated this partition's predicates
-    /// and established that this engine may process the row's group, so
-    /// both checks are skipped. With `state_only`, the row is a broadcast
-    /// replica of a split group: it mutates evaluation state exactly like
-    /// the full copy on its owning shard, but folds nothing into final
-    /// accumulators and is not counted as matched — the split group's
-    /// final folds happen exactly once globally.
+    /// The shared in-order row path of every entry point. Every row here
+    /// was selected by the scan kernel or the sharded batch router:
+    /// routing, this partition's predicates, groupability and shard
+    /// ownership are already established. With `state_only`, the row is
+    /// a broadcast replica of a split group: it mutates evaluation state
+    /// exactly like the full copy on its owning shard, but folds nothing
+    /// into final accumulators and is not counted as matched — the split
+    /// group's final folds happen exactly once globally.
     #[inline]
     fn process_row_inner(
         &mut self,
         ty: EventTypeId,
         time: Timestamp,
         attrs: &[Value],
-        pre_routed: bool,
         state_only: bool,
     ) {
         debug_assert!(time >= self.last_time, "events must be time-ordered");
         self.last_time = time;
 
-        let Some(routes) = self.part.routes.get(ty.index()).and_then(Option::as_ref) else {
-            debug_assert!(!pre_routed, "router selected an unrouted event type");
-            return;
-        };
-        // partition-wide predicates on this type
-        if !pre_routed && !self.part.predicates_pass(ty, attrs) {
-            return;
-        }
+        let routes = self.part.routes.get(ty.index()).and_then(Option::as_ref);
+        debug_assert!(routes.is_some(), "the scan selected an unrouted event type");
+        let Some(routes) = routes else { return };
         // group key — written into the reused scratch key, so the hot path
         // performs no allocation and no clone until a group is first seen
-        if !self
-            .part
-            .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch)
-        {
-            debug_assert!(!pre_routed, "router selected an ungroupable event");
-            return; // ungroupable event
-        }
-        // sharded execution: skip groups another engine owns (rows of
-        // split groups legitimately land off-owner, which the pre-routed
-        // debug assert below accounts for)
-        if let Some(slice) = &self.shard {
-            if !pre_routed && !slice.owns(&self.key_scratch) {
-                return;
-            }
-        }
+        let grouped =
+            self.part
+                .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch);
+        debug_assert!(grouped, "the scan selected an ungroupable event");
         if !state_only {
             self.events_matched += 1;
         }
@@ -588,14 +551,12 @@ impl<A: Aggregate> Engine<A> {
         };
         self.clock += 1;
         grt.last_use = self.clock;
-        if let Some(slice) = &self.shard {
-            if pre_routed {
-                debug_assert!(
-                    grt.split || slice.owns(&self.key_scratch),
-                    "router misrouted a group"
-                );
-            }
-        }
+        // rows of split groups legitimately land off-owner
+        debug_assert!(
+            self.shard
+                .is_none_or(|slice| grt.split || slice.owns(&self.key_scratch)),
+            "router misrouted a group"
+        );
 
         Self::touch(grt, &self.part, time, &mut self.out, &self.key_scratch);
 
@@ -927,110 +888,22 @@ impl<A: Aggregate> Engine<A> {
         self.spill.as_ref().map_or(0, |t| t.store.len())
     }
 
-    /// Process a time-ordered batch of events.
-    ///
-    /// Semantically identical to calling [`Engine::process`] per event;
-    /// batching exists so callers amortize per-event virtual dispatch and
-    /// keep this engine's state hot in cache across the whole slice.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        for e in events {
-            self.process(e);
-        }
-    }
-
-    /// Process a time-ordered columnar batch.
-    ///
-    /// Semantically identical to [`Engine::process`] per row, but split
-    /// into two passes: a **stateless pre-pass** that runs routing over the
-    /// `ty` column, predicate evaluation over the value columns, and
-    /// groupability/ownership checks, collecting the surviving row indexes
-    /// into a reused selection buffer — and a **stateful pass** that
-    /// dispatches only the selected rows into per-group state. The
-    /// pre-pass touches no group state, so it runs as tight column scans;
-    /// the stateful pass never re-evaluates predicates.
+    /// Process a time-ordered columnar batch — the one way rows enter an
+    /// unsharded engine — in two passes: the compiled [`ScanKernel`]
+    /// evaluates routing over the `ty` column, predicates over the value
+    /// columns and groupability into a reused selection buffer, then a
+    /// **stateful pass** dispatches only the selected rows into per-group
+    /// state. The scan touches no group state, and the stateful pass never
+    /// re-evaluates what the scan established.
     pub fn process_columnar(&mut self, batch: &EventBatch) {
+        debug_assert!(
+            self.shard.is_none(),
+            "shard engines are fed through process_routed"
+        );
         let mut sel = std::mem::take(&mut self.sel_scratch);
         sel.clear();
-        let selected = if let Some(kernel) = &mut self.scan {
-            // vectorized pre-pass: the kernel evaluates routing,
-            // predicates, and groupability into a selection bitmap;
-            // only a sharded engine still walks the survivors for
-            // key construction (ownership hashes the actual key)
-            match &self.shard {
-                None => {
-                    kernel.select_into(batch, 0, batch.len(), &mut sel);
-                    sel.len() as u64
-                }
-                Some(slice) => {
-                    let words = kernel.scan(batch, 0, batch.len());
-                    for (w, &word) in words.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let lane = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let row = w * 64 + lane;
-                            let ok = self.part.read_group_key(
-                                batch.ty(row),
-                                batch.attrs(row),
-                                &mut self.vals_scratch,
-                                &mut self.key_scratch,
-                            );
-                            debug_assert!(ok, "kernel-selected row must be groupable");
-                            if ok && slice.owns(&self.key_scratch) {
-                                sel.push(row as u32);
-                            }
-                        }
-                    }
-                    kernel.selected()
-                }
-            }
-        } else {
-            let mut selected = 0u64;
-            let tys = batch.types();
-            for (row, ty) in tys.iter().enumerate() {
-                if !self.part.routed(*ty) {
-                    continue;
-                }
-                let attrs = batch.attrs(row);
-                if !self.part.predicates_pass(*ty, attrs) {
-                    continue;
-                }
-                match &self.shard {
-                    // the unsharded pre-pass only filters on groupability,
-                    // deferring key construction to the stateful pass —
-                    // no second clone of the grouping values
-                    None => {
-                        if !self.part.groupable(*ty, attrs) {
-                            continue; // ungroupable event
-                        }
-                    }
-                    // a sharded engine needs the actual key (hashed for
-                    // ownership); `read_group_key` also filters ungroupables
-                    Some(slice) => {
-                        if !self.part.read_group_key(
-                            *ty,
-                            attrs,
-                            &mut self.vals_scratch,
-                            &mut self.key_scratch,
-                        ) {
-                            continue; // ungroupable event
-                        }
-                        // counted before the ownership filter so scalar and
-                        // vector tallies agree (ownership is a shard-local
-                        // partition of the same selection)
-                        selected += 1;
-                        if !slice.owns(&self.key_scratch) {
-                            continue;
-                        }
-                        sel.push(row as u32);
-                        continue;
-                    }
-                }
-                selected += 1;
-                sel.push(row as u32);
-            }
-            selected
-        };
+        self.scan.select_into(batch, 0, batch.len(), &mut sel);
+        let selected = sel.len() as u64;
         self.rows_scanned += batch.len() as u64;
         self.rows_selected += selected;
         sharon_metrics::record_rows_scanned(batch.len() as u64);
@@ -1081,13 +954,7 @@ impl<A: Aggregate> Engine<A> {
                 j += 1;
                 (state[j - 1] as usize, true)
             };
-            self.process_row(
-                batch.ty(row),
-                batch.time(row),
-                batch.attrs(row),
-                true,
-                state_only,
-            );
+            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row), state_only);
         }
     }
 
@@ -1095,13 +962,7 @@ impl<A: Aggregate> Engine<A> {
     fn process_rows(&mut self, batch: &EventBatch, rows: &[u32]) {
         for &row in rows {
             let row = row as usize;
-            self.process_row(
-                batch.ty(row),
-                batch.time(row),
-                batch.attrs(row),
-                true,
-                false,
-            );
+            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row), false);
         }
     }
 
@@ -1427,9 +1288,8 @@ impl<A: Aggregate> Engine<A> {
         self.events_matched
     }
 
-    /// `(rows_scanned, rows_selected)` of this engine's columnar
-    /// pre-pass — identical in scalar and vector scan modes (selection
-    /// is counted before any shard-ownership filtering).
+    /// `(rows_scanned, rows_selected)` of this engine's scan (zero on
+    /// shard engines, whose rows the batch router selects).
     pub fn scan_stats(&self) -> (u64, u64) {
         (self.rows_scanned, self.rows_selected)
     }
@@ -1475,14 +1335,6 @@ impl EngineKind {
             (true, None) => EngineKind::Count(Engine::new(part)),
             (false, Some(s)) => EngineKind::Stats(Engine::with_shard(part, s)),
             (false, None) => EngineKind::Stats(Engine::new(part)),
-        }
-    }
-
-    /// Process a time-ordered batch of events.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        match self {
-            EngineKind::Count(en) => en.process_batch(events),
-            EngineKind::Stats(en) => en.process_batch(events),
         }
     }
 
@@ -1644,7 +1496,7 @@ impl EngineKind {
         }
     }
 
-    /// `(rows_scanned, rows_selected)` of the columnar pre-pass (see
+    /// `(rows_scanned, rows_selected)` of the scan (see
     /// [`Engine::scan_stats`]).
     pub fn scan_stats(&self) -> (u64, u64) {
         match self {
@@ -1688,31 +1540,10 @@ impl Executor {
         e
     }
 
-    /// Process one event.
-    pub fn process(&mut self, e: &Event) {
-        for engine in self.engines() {
-            match engine {
-                EngineKind::Count(en) => en.process(e),
-                EngineKind::Stats(en) => en.process(e),
-            }
-        }
-    }
-
-    /// Process a time-ordered batch of events.
-    ///
-    /// Equivalent to per-event [`Executor::process`], but iterates engines
-    /// in the outer loop: each partition engine consumes the whole batch
-    /// while its state is hot, instead of every event paying one dispatch
-    /// per engine.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        for engine in self.engines() {
-            engine.process_batch(events);
-        }
-    }
-
     /// Process a time-ordered columnar batch: each partition engine runs
-    /// its columnar pre-pass and stateful pass over the whole batch while
-    /// its state is hot (see [`Engine::process_columnar`]).
+    /// its scan and stateful pass over the whole batch while its state is
+    /// hot (see [`Engine::process_columnar`]). Row-form events enter
+    /// through [`EventBatch::from_events`].
     pub fn process_columnar(&mut self, batch: &EventBatch) {
         for engine in self.engines() {
             engine.process_columnar(batch);
@@ -1808,8 +1639,8 @@ impl Executor {
             .sum()
     }
 
-    /// Per-partition `(rows_scanned, rows_selected)` of the columnar
-    /// pre-pass (one entry per engine, in partition order).
+    /// Per-partition `(rows_scanned, rows_selected)` of the scan (one
+    /// entry per engine, in partition order).
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
         let Executor::__Internal(engines) = self;
         engines.iter().map(EngineKind::scan_stats).collect()
@@ -1817,20 +1648,8 @@ impl Executor {
 }
 
 impl crate::processor::BatchProcessor for Executor {
-    fn process_event(&mut self, e: &Event) {
-        self.process(e);
-    }
-
-    fn process_events(&mut self, events: &[Event]) {
-        self.process_batch(events);
-    }
-
     fn process_columnar(&mut self, batch: &EventBatch) {
         Executor::process_columnar(self, batch);
-    }
-
-    fn set_lateness(&mut self, lateness_ms: u64) {
-        Executor::set_lateness(self, lateness_ms);
     }
 
     fn late_rows_dropped(&self) -> u64 {
@@ -1860,10 +1679,15 @@ mod tests {
     use super::*;
     use sharon_query::aggregate::AggValue;
     use sharon_query::{parse_workload, Pattern, PlanCandidate, QueryId};
-    use sharon_types::EventTypeId;
+    use sharon_types::{Event, EventTypeId};
 
     fn ev(ty: EventTypeId, t: u64) -> Event {
         Event::new(ty, Timestamp(t))
+    }
+
+    /// Feed row-form `events` to `ex` as one columnar batch.
+    fn feed(ex: &mut Executor, events: &[Event]) {
+        ex.process_columnar(&EventBatch::from_events(events));
     }
 
     fn run_queries(
@@ -1874,9 +1698,7 @@ mod tests {
         let mut c = Catalog::new();
         let w = parse_workload(&mut c, sources.iter().copied()).unwrap();
         let mut ex = Executor::new(&c, &w, plan).unwrap();
-        for e in build(&c) {
-            ex.process(&e);
-        }
+        feed(&mut ex, &build(&c));
         (c, ex.finish())
     }
 
@@ -1996,10 +1818,10 @@ mod tests {
         let mut ex = Executor::non_shared(&c, &w).unwrap();
         let mk = |ty, t, v: i64| Event::with_attrs(ty, Timestamp(t), vec![Value::Int(v)]);
         // vehicle 1: a1 b2 ; vehicle 2: a3 ; b4 of vehicle 2 completes only v2
-        ex.process(&mk(a, 1, 1));
-        ex.process(&mk(b, 2, 1));
-        ex.process(&mk(a, 3, 2));
-        ex.process(&mk(b, 4, 2));
+        feed(
+            &mut ex,
+            &[mk(a, 1, 1), mk(b, 2, 1), mk(a, 3, 2), mk(b, 4, 2)],
+        );
         let res = ex.finish();
         let k1 = GroupKey::One(Value::Int(1));
         let k2 = GroupKey::One(Value::Int(2));
@@ -2025,9 +1847,14 @@ mod tests {
         )
         .unwrap();
         let mut ex = Executor::non_shared(&c, &w).unwrap();
-        ex.process(&Event::with_attrs(a, Timestamp(1), vec![Value::Int(40)])); // filtered
-        ex.process(&Event::with_attrs(a, Timestamp(2), vec![Value::Int(60)]));
-        ex.process(&ev(b, 3));
+        feed(
+            &mut ex,
+            &[
+                Event::with_attrs(a, Timestamp(1), vec![Value::Int(40)]), // filtered
+                Event::with_attrs(a, Timestamp(2), vec![Value::Int(60)]),
+                ev(b, 3),
+            ],
+        );
         assert_eq!(ex.events_matched(), 2);
         let res = ex.finish();
         assert_eq!(
@@ -2049,9 +1876,14 @@ mod tests {
         )
         .unwrap();
         let mut ex = Executor::new(&c, &w, &SharingPlan::non_shared()).unwrap();
-        ex.process(&ev(a, 1));
-        ex.process(&Event::with_attrs(b, Timestamp(2), vec![Value::Int(10)]));
-        ex.process(&Event::with_attrs(b, Timestamp(3), vec![Value::Int(5)]));
+        feed(
+            &mut ex,
+            &[
+                ev(a, 1),
+                Event::with_attrs(b, Timestamp(2), vec![Value::Int(10)]),
+                Event::with_attrs(b, Timestamp(3), vec![Value::Int(5)]),
+            ],
+        );
         let res = ex.finish();
         assert_eq!(
             res.get(QueryId(0), &GroupKey::Global, Timestamp(0)),
@@ -2074,9 +1906,14 @@ mod tests {
         )
         .unwrap();
         let mut ex = Executor::new(&c, &w, &SharingPlan::non_shared()).unwrap();
-        ex.process(&Event::with_attrs(a, Timestamp(1), vec![Value::Int(4)]));
-        ex.process(&Event::with_attrs(a, Timestamp(2), vec![Value::Int(8)]));
-        ex.process(&ev(b, 3));
+        feed(
+            &mut ex,
+            &[
+                Event::with_attrs(a, Timestamp(1), vec![Value::Int(4)]),
+                Event::with_attrs(a, Timestamp(2), vec![Value::Int(8)]),
+                ev(b, 3),
+            ],
+        );
         let res = ex.finish();
         let g = GroupKey::Global;
         assert_eq!(
@@ -2110,9 +1947,14 @@ mod tests {
         )
         .unwrap();
         let mut ex = Executor::new(&c, &w, &SharingPlan::non_shared()).unwrap();
-        ex.process(&Event::with_attrs(a, Timestamp(1), vec![Value::Int(4)]));
-        ex.process(&Event::with_attrs(a, Timestamp(6), vec![Value::Int(2)]));
-        ex.process(&ev(b, 9));
+        feed(
+            &mut ex,
+            &[
+                Event::with_attrs(a, Timestamp(1), vec![Value::Int(4)]),
+                Event::with_attrs(a, Timestamp(6), vec![Value::Int(2)]),
+                ev(b, 9),
+            ],
+        );
         let res = ex.finish();
         let g = GroupKey::Global;
         // window 0..12 holds both sequences (min 2), window 4..16 only
@@ -2142,8 +1984,9 @@ mod tests {
         let w = parse_workload(&mut c, queries).unwrap();
         let mut ex = Executor::new(&c, &w, &SharingPlan::non_shared()).unwrap();
         ex.set_lateness(4); // covers the shuffle below (max regression 3)
+                            // one row per batch: the watermark advances after every row
         for e in [ev(b, 3), ev(a, 1), ev(b, 7), ev(a, 4)] {
-            ex.process(&e);
+            feed(&mut ex, &[e]);
         }
         assert_eq!(ex.late_rows_dropped(), 0);
         let got = ex.finish();
@@ -2164,9 +2007,9 @@ mod tests {
         .unwrap();
         let mut ex = Executor::new(&c, &w, &SharingPlan::non_shared()).unwrap();
         ex.set_lateness(2);
-        ex.process(&ev(a, 10)); // watermark 8
-        ex.process(&ev(a, 5)); // 5 < 8: late — dropped and counted
-        ex.process(&ev(a, 8)); // 8 == watermark: admitted
+        feed(&mut ex, &[ev(a, 10)]); // watermark 8
+        feed(&mut ex, &[ev(a, 5)]); // 5 < 8: late — dropped and counted
+        feed(&mut ex, &[ev(a, 8)]); // 8 == watermark: admitted
         assert_eq!(ex.late_rows_dropped(), 1);
         let res = ex.finish();
         assert_eq!(
@@ -2291,65 +2134,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engines_process_columnar_partitions_the_groups() {
-        // engines built with a ShardSlice and fed whole columnar batches
-        // keep only the groups they own; merging the shard results
-        // reproduces the unsharded engine exactly
-        let mut c = Catalog::new();
-        c.register_with_schema("A", sharon_types::Schema::new(["g"]));
-        c.register_with_schema("B", sharon_types::Schema::new(["g"]));
-        let w = parse_workload(
-            &mut c,
-            ["RETURN COUNT(*) PATTERN SEQ(A, B) GROUP BY g WITHIN 10 ms SLIDE 2 ms"],
-        )
-        .unwrap();
-        let a = c.lookup("A").unwrap();
-        let b = c.lookup("B").unwrap();
-        let mut batch = sharon_types::EventBatch::new();
-        for i in 0..600u64 {
-            batch.push_from(
-                if i % 2 == 0 { a } else { b },
-                Timestamp(i),
-                [Value::Int((i / 2) as i64 % 23)],
-            );
-        }
-
-        let mut unsharded = Executor::non_shared(&c, &w).unwrap();
-        unsharded.process_columnar(&batch);
-        let want_matched = unsharded.events_matched();
-        let want = unsharded.finish();
-        assert!(!want.is_empty());
-
-        let parts = compile(&c, &w, &SharingPlan::non_shared()).unwrap();
-        let n_shards = 3u32;
-        let mut got = ExecutorResults::new();
-        let mut matched = 0;
-        for shard in 0..n_shards {
-            let mut engines: Vec<EngineKind> = parts
-                .iter()
-                .enumerate()
-                .map(|(pi, p)| {
-                    let slice = ShardSlice {
-                        index: shard,
-                        of: n_shards,
-                        owns_global: pi as u32 % n_shards == shard,
-                    };
-                    EngineKind::for_partition(p.clone(), Some(slice))
-                })
-                .collect();
-            for engine in &mut engines {
-                engine.process_columnar(&batch);
-            }
-            for engine in engines {
-                matched += engine.events_matched();
-                got.merge(engine.finish());
-            }
-        }
-        assert_eq!(matched, want_matched, "shard ownership partitions rows");
-        assert!(got.semantically_eq(&want, 1e-9));
-    }
-
-    #[test]
     fn events_matched_and_cell_count() {
         let mut c = Catalog::new();
         let w = parse_workload(
@@ -2359,9 +2143,8 @@ mod tests {
         .unwrap();
         let mut ex = Executor::non_shared(&c, &w).unwrap();
         let a = c.lookup("A").unwrap();
-        ex.process(&ev(a, 1));
-        let unknown = EventTypeId(99);
-        ex.process(&ev(unknown, 2)); // ignored entirely
+        let unknown = EventTypeId(99); // ignored entirely
+        feed(&mut ex, &[ev(a, 1), ev(unknown, 2)]);
         assert_eq!(ex.events_matched(), 1);
         assert!(ex.cell_count() >= 1);
     }
@@ -2408,9 +2191,7 @@ mod tests {
                     e.set_spill(cfg, &format!("engine-test-{i}")).unwrap();
                 }
             }
-            for e in &events {
-                ex.process(e);
-            }
+            feed(&mut ex, &events);
             ex.finish()
         };
 
@@ -2442,16 +2223,12 @@ mod tests {
         let cut = events.len() / 2 + 3;
 
         let mut reference = Executor::non_shared(&c, &w).unwrap();
-        for e in &events {
-            reference.process(e);
-        }
+        feed(&mut reference, &events);
         let want_matched = reference.events_matched();
         let want = reference.finish();
 
         let mut first = Executor::non_shared(&c, &w).unwrap();
-        for e in &events[..cut] {
-            first.process(e);
-        }
+        feed(&mut first, &events[..cut]);
         let blobs: Vec<Vec<u8>> = {
             let Executor::__Internal(engines) = &mut first;
             engines
@@ -2474,9 +2251,7 @@ mod tests {
                 assert!(sr.is_exhausted(), "engine state fully consumed");
             }
         }
-        for e in &events[cut..] {
-            resumed.process(e);
-        }
+        feed(&mut resumed, &events[cut..]);
         assert_eq!(resumed.events_matched(), want_matched);
         assert!(
             resumed.finish().semantically_eq(&want, 0.0),
@@ -2508,10 +2283,10 @@ mod tests {
         .unwrap();
         let blob_after = |burst: &str| {
             let mut ex = Executor::non_shared(&c, &w).unwrap();
-            for t in 1..=30 {
-                ex.process(&ev(c.lookup(burst).unwrap(), t));
-            }
-            ex.process(&ev(c.lookup("X").unwrap(), 1_000_000));
+            let mut events: Vec<Event> =
+                (1..=30).map(|t| ev(c.lookup(burst).unwrap(), t)).collect();
+            events.push(ev(c.lookup("X").unwrap(), 1_000_000));
+            feed(&mut ex, &events);
             assert_eq!(ex.cell_count(), 1, "after a burst of {burst}");
             engine_blob(&mut ex)
         };
@@ -2530,9 +2305,7 @@ mod tests {
             .set_spill(&SpillConfig::new(&dir, 4), "embed")
             .unwrap();
         let cut = events.len() / 2;
-        for e in &events[..cut] {
-            ex.process(e);
-        }
+        feed(&mut ex, &events[..cut]);
         let blob = engine_blob(&mut ex);
         let Executor::__Internal(engines) = &mut ex;
         let EngineKind::Count(engine) = &mut engines[0] else {
@@ -2558,8 +2331,8 @@ mod tests {
         let Executor::__Internal(engines) = &mut resumed;
         engines[0].load_state(&mut StateReader::new(&blob)).unwrap();
         let mut reference = Executor::non_shared(&c, &w).unwrap();
-        events.iter().for_each(|e| reference.process(e));
-        events[cut..].iter().for_each(|e| resumed.process(e));
+        feed(&mut reference, &events);
+        feed(&mut resumed, &events[cut..]);
         assert!(resumed.finish().semantically_eq(&reference.finish(), 0.0));
         drop(ex);
         let _ = std::fs::remove_dir_all(&dir);

@@ -55,7 +55,7 @@ pub use router::{
     SplitConfig, SplitSpec,
 };
 pub use runner::SegmentRunner;
-pub use scan::{scan_mode, set_scan_mode, ScanCounters, ScanKernel, ScanMode};
+pub use scan::{ScanCounters, ScanKernel};
 pub use sharded::{
     default_routers, prepare_step, RouterStats, ShardProcessor, ShardReport, ShardedExecutor,
     ShardedOptions, DEFAULT_BATCH_SIZE, DEFAULT_ROUTERS,

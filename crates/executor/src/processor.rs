@@ -2,60 +2,38 @@
 //!
 //! Every strategy in the system — the online Sharon/A-Seq engines, the
 //! sharded parallel runtime, and the two-step baselines — is a *stage
-//! pipeline over [`EventBatch`]*: a *stateless scan* of the batch columns
-//! (routing on the `ty` column, predicate evaluation over the value
-//! buffer, group-key extraction) selects the surviving row indices, and a
+//! pipeline over [`EventBatch`]*: a compiled scan kernel evaluates the
+//! stateless prefix (routing on the `ty` column, predicate evaluation over
+//! the value buffer, groupability) into the surviving row indices, and a
 //! *stateful dispatch* folds only those rows into per-group state.
 //! [`BatchProcessor`] captures that contract behind one trait so callers
 //! (the strategy layer, the framework, the CLI, the benches) drive every
-//! strategy identically — no per-strategy match arms, and no row-form
-//! [`Event`] is ever materialized on a batch path.
+//! strategy identically — no per-strategy match arms. Columnar batches
+//! are the only way rows enter an executor; row-form
+//! [`sharon_types::Event`]s reach it through
+//! [`EventBatch::from_events`].
 //!
 //! Implementors: [`crate::Executor`] (online engines),
 //! [`crate::ShardedExecutor`] (route-once parallel runtime), and the
 //! `sharon-twostep` crate's `FlinkLike` / `SpassLike` baselines.
 
 use crate::results::ExecutorResults;
-use sharon_types::{Event, EventBatch};
+use sharon_types::EventBatch;
 
-/// A columnar operator: consumes time-ordered [`EventBatch`]es (the native
-/// form of every hot path) plus row-form events through a compatibility
-/// shim, and produces [`ExecutorResults`] when finished.
+/// A columnar operator: consumes time-ordered [`EventBatch`]es and
+/// produces [`ExecutorResults`] when finished.
 ///
-/// All ingestion methods require global timestamp order across calls, the
-/// same contract every executor in the system already imposes — unless
-/// the caller enables event-time processing via
-/// [`BatchProcessor::set_lateness`], after which input may carry bounded
-/// disorder: rows buffer behind the watermark `max_time_seen − lateness`
-/// and release in event-time order, and rows behind the watermark are
-/// dropped and counted ([`sharon_metrics::late_rows_dropped`]).
+/// Batches must arrive in global timestamp order across calls, unless
+/// the executor was built with an allowed lateness (event-time mode):
+/// then input may carry bounded disorder, rows buffer behind the
+/// watermark `max_time_seen − lateness` and release in event-time order,
+/// and rows behind the watermark are dropped and counted
+/// ([`sharon_metrics::late_rows_dropped`]). Lateness is fixed when the
+/// executor is built.
 pub trait BatchProcessor: Send {
-    /// Process one row-form event (the per-event compatibility shim).
-    fn process_event(&mut self, e: &Event);
-
-    /// Process a time-ordered slice of row-form events. The default loops
-    /// [`BatchProcessor::process_event`]; implementors override it when
-    /// they can amortize per-event dispatch.
-    fn process_events(&mut self, events: &[Event]) {
-        for e in events {
-            self.process_event(e);
-        }
-    }
-
     /// Process a time-ordered columnar batch: the stateless scan +
-    /// stateful dispatch pipeline. No implementation materializes a
-    /// row-form [`Event`] here.
+    /// stateful dispatch pipeline.
     fn process_columnar(&mut self, batch: &EventBatch);
-
-    /// Enable event-time processing: tolerate out-of-order input up to
-    /// `lateness_ms` milliseconds of timestamp regression (drop-and-count
-    /// beyond). Must be called before any ingestion. Panics for
-    /// strategies without an event-time gate; every strategy in this
-    /// workspace implements it.
-    fn set_lateness(&mut self, lateness_ms: u64) {
-        let _ = lateness_ms;
-        panic!("this strategy does not support event-time (out-of-order) input");
-    }
 
     /// Late rows dropped by the event-time gate so far; zero when no
     /// gate is configured.
@@ -71,8 +49,8 @@ pub trait BatchProcessor: Send {
 
     /// Per-scope `(rows_scanned, rows_selected)` tallies of the stateless
     /// scan so far — one entry per routing scope (partition engine, query,
-    /// or baseline partition), in scope order. Identical in scalar and
-    /// vector scan modes; empty for strategies that do not track it.
+    /// or baseline partition), in scope order; empty for strategies that
+    /// do not track it.
     fn scan_stats(&self) -> Vec<(u64, u64)> {
         Vec::new()
     }

@@ -11,7 +11,7 @@ use crate::runner::SegmentRunner;
 use crate::winvec::{WinVec, WindowPlane};
 use proptest::prelude::*;
 use sharon_query::{parse_workload, Pattern, PlanCandidate, QueryId, SharingPlan};
-use sharon_types::{Catalog, Event, Schema, TimeDelta, Timestamp, Value, WindowSpec};
+use sharon_types::{Catalog, EventBatch, Schema, TimeDelta, Timestamp, Value, WindowSpec};
 use std::collections::BTreeMap;
 
 fn contribution() -> impl Strategy<Value = Contribution> {
@@ -341,9 +341,10 @@ fn codec_round_trip_is_exact(agg: &str, raw: &[(usize, u64, i64, i64)]) {
     for &(ty, dt, g, v) in raw {
         t += dt;
         let ty = c.lookup(["A", "B", "C", "D", "X"][ty]).unwrap();
-        let e = Event::with_attrs(ty, Timestamp(t), [Value::Int(g), Value::Int(v)]);
-        whole.process(&e);
-        cut.process(&e);
+        let mut row = EventBatch::new();
+        row.push_from(ty, Timestamp(t), [Value::Int(g), Value::Int(v)]);
+        whole.process_columnar(&row);
+        cut.process_columnar(&row);
         let mut resumed = Executor::new(&c, &w, &plan).unwrap();
         let (Executor::__Internal(saved), Executor::__Internal(loaded)) = (&mut cut, &mut resumed);
         for (from, to) in saved.iter_mut().zip(loaded.iter_mut()) {

@@ -58,29 +58,18 @@
 
 use crate::checkpoint::{StateError, StateReader, StateWriter};
 use crate::compile::CompiledPartition;
-use crate::scan::{scan_mode, ScanCounters, ScanKernel, ScanMode};
+use crate::scan::{ScanCounters, ScanKernel};
 use sharon_types::{fx_hash_one, EventBatch, EventTypeId, FxHashMap, GroupKey, Timestamp, Value};
 use std::sync::Arc;
 
-/// The stateless per-row prefix of one routing scope: type routing,
-/// predicate evaluation, and group-key extraction. One definition of these
-/// semantics is shared by the per-event path, the columnar pre-pass, and
-/// the batch router, so the three paths cannot drift apart.
+/// The stateless prefix of one routing scope as the batch router sees
+/// it: a compiled [`ScanKernel`] selecting the scope's rows (type
+/// routing, predicates, groupability) and the group-key extraction that
+/// picks each selected row's shard.
 pub trait RowFilter {
-    /// True if `ty` routes into this scope at all.
-    fn routed(&self, ty: EventTypeId) -> bool;
-
-    /// True if `attrs` pass this scope's predicates on `ty` (a missing
-    /// attribute fails). Only called for routed types.
-    fn predicates_pass(&self, ty: EventTypeId, attrs: &[Value]) -> bool;
-
-    /// True if every `GROUP BY` attribute of `ty` is present in `attrs`.
-    /// Only called for routed types.
-    fn groupable(&self, ty: EventTypeId, attrs: &[Value]) -> bool;
-
-    /// Build the group key of a routed row into `key` (reusing the `vals`
-    /// scratch buffer), returning `false` for ungroupable rows. With no
-    /// `GROUP BY`, writes [`GroupKey::Global`].
+    /// Build the group key of a selected row into `key` (reusing the
+    /// `vals` scratch buffer), returning `false` for ungroupable rows.
+    /// With no `GROUP BY`, writes [`GroupKey::Global`].
     fn read_group_key(
         &self,
         ty: EventTypeId,
@@ -96,14 +85,9 @@ pub trait RowFilter {
         None
     }
 
-    /// Compile this scope's stateless prefix into a vectorized
-    /// [`ScanKernel`], if the scope supports it. `None` (the default)
-    /// keeps the scalar per-row interpreter. A kernel must select exactly
-    /// the rows the scalar [`RowFilter::routed`] / `predicates_pass` /
-    /// `groupable` chain would.
-    fn scan_kernel(&self) -> Option<ScanKernel> {
-        None
-    }
+    /// Compile this scope's stateless prefix — type routing, predicates,
+    /// groupability — into the [`ScanKernel`] that selects its rows.
+    fn scan_kernel(&self) -> ScanKernel;
 
     /// Estimated per-batch routing cost of this scope, used to balance
     /// scopes across the routing plane's threads (see
@@ -116,21 +100,6 @@ pub trait RowFilter {
 }
 
 impl RowFilter for CompiledPartition {
-    #[inline]
-    fn routed(&self, ty: EventTypeId) -> bool {
-        CompiledPartition::routed(self, ty)
-    }
-
-    #[inline]
-    fn predicates_pass(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
-        CompiledPartition::predicates_pass(self, ty, attrs)
-    }
-
-    #[inline]
-    fn groupable(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
-        CompiledPartition::groupable(self, ty, attrs)
-    }
-
     #[inline]
     fn read_group_key(
         &self,
@@ -146,8 +115,8 @@ impl RowFilter for CompiledPartition {
         Some(CompiledPartition::split_spec(self))
     }
 
-    fn scan_kernel(&self) -> Option<ScanKernel> {
-        Some(CompiledPartition::scan_kernel(self))
+    fn scan_kernel(&self) -> ScanKernel {
+        CompiledPartition::scan_kernel(self)
     }
 
     fn route_cost(&self) -> f64 {
@@ -655,9 +624,8 @@ pub struct BatchRouter<F = CompiledPartition> {
     /// Hot-group trackers, parallel to `scopes` (`None` when the scope
     /// opted out of splitting or the router is single-shard).
     trackers: Vec<Option<SplitTracker>>,
-    /// Compiled scan kernels, parallel to `scopes` (`None` runs the
-    /// scalar interpreter for that scope, per [`crate::scan::scan_mode`]).
-    kernels: Vec<Option<ScanKernel>>,
+    /// Compiled scan kernels, parallel to `scopes`.
+    kernels: Vec<ScanKernel>,
     /// Reused selection buffer of the stateless pass (phase 1 output /
     /// phase 2 input of [`BatchRouter::route_range_into`]).
     sel_scratch: Vec<u32>,
@@ -731,10 +699,7 @@ impl<F: RowFilter> BatchRouter<F> {
                 }
             })
             .collect();
-        let kernels = match scan_mode() {
-            ScanMode::Vector => scopes.iter().map(RowFilter::scan_kernel).collect(),
-            ScanMode::Scalar => scopes.iter().map(|_| None).collect(),
-        };
+        let kernels = scopes.iter().map(RowFilter::scan_kernel).collect();
         let counters = ScanCounters::new(n_slots);
         BatchRouter {
             scopes,
@@ -805,7 +770,6 @@ impl<F: RowFilter> BatchRouter<F> {
             rows.reset(self.n_slots);
             out.push(rows);
         }
-        let tys = &batch.types()[lo..hi];
         // running event-time maximum per chunk row, seeded from the
         // frontier: the warm-up base of any split registered at row `i`.
         // Every row routed before the registration (earlier chunks are
@@ -823,31 +787,12 @@ impl<F: RowFilter> BatchRouter<F> {
         let mut sel = std::mem::take(&mut self.sel_scratch);
         for (pi, scope) in self.scopes.iter().enumerate() {
             let slot = self.slots[pi] as usize;
-            // phase 1 — stateless selection: routing, predicates, and
-            // groupability over the whole chunk, into the reused
-            // selection buffer. The vectorized kernel and the scalar
-            // interpreter select exactly the same rows (groupability is
-            // precisely `read_group_key` succeeding), so phase 2 below
-            // is mode-independent.
+            // phase 1 — stateless selection: the scope's kernel
+            // evaluates routing, predicates, and groupability over the
+            // whole chunk into the reused selection buffer (groupability
+            // is precisely `read_group_key` succeeding)
             sel.clear();
-            if let Some(kernel) = self.kernels[pi].as_mut() {
-                kernel.select_into(batch, lo, hi, &mut sel);
-            } else {
-                for (i, ty) in tys.iter().enumerate() {
-                    let row = lo + i;
-                    if !scope.routed(*ty) {
-                        continue;
-                    }
-                    let attrs = batch.attrs(row);
-                    if !scope.predicates_pass(*ty, attrs) {
-                        continue;
-                    }
-                    if !scope.groupable(*ty, attrs) {
-                        continue; // ungroupable event
-                    }
-                    sel.push(row as u32);
-                }
-            }
+            self.kernels[pi].select_into(batch, lo, hi, &mut sel);
             self.counters
                 .record(slot, (hi - lo) as u64, sel.len() as u64);
             sharon_metrics::record_rows_scanned((hi - lo) as u64);
@@ -1415,15 +1360,6 @@ mod tests {
     fn scopes_without_spec_stay_pinned() {
         struct NoSpec;
         impl RowFilter for NoSpec {
-            fn routed(&self, _ty: EventTypeId) -> bool {
-                true
-            }
-            fn predicates_pass(&self, _ty: EventTypeId, _attrs: &[Value]) -> bool {
-                true
-            }
-            fn groupable(&self, _ty: EventTypeId, _attrs: &[Value]) -> bool {
-                true
-            }
             fn read_group_key(
                 &self,
                 _ty: EventTypeId,
@@ -1435,6 +1371,10 @@ mod tests {
                 vals.push(attrs[0].clone());
                 key.assign_from_slice(vals);
                 true
+            }
+            fn scan_kernel(&self) -> ScanKernel {
+                // type 0 routes, grouped by its first attribute
+                ScanKernel::new(vec![true], &[Box::new([sharon_types::AttrId(0)])], &[])
             }
         }
         let mut router = BatchRouter::with_split(vec![NoSpec], 4, SplitConfig::eager(4));

@@ -2,10 +2,10 @@
 //! (type routing, predicate clauses, groupability) evaluated over whole
 //! [`EventBatch`]es into **u64 selection bitmaps**, 64 rows per word.
 //!
-//! The per-row interpreter walks every row through `routed` →
-//! `predicates_pass` → `groupable`, paying branchy virtual-ish dispatch
-//! per row per clause. A [`ScanKernel`] compiles the scope's clause list
-//! once and evaluates it column-at-a-time:
+//! A [`ScanKernel`] is the only thing that selects the rows an executor
+//! folds: it compiles the scope's clause list once and evaluates it
+//! column-at-a-time instead of walking every row through branchy
+//! per-clause checks:
 //!
 //! 1. **Routing + groupability pass** — one fused sweep over the `ty` and
 //!    row-offset columns builds the candidate bitmap: a single per-type
@@ -37,75 +37,14 @@
 //! (numeric vs. string, NaN comparisons) satisfies only `!=`, `Int` vs
 //! `Int` compares exactly in `i64` (no precision loss past 2^53), and
 //! mixed numeric comparisons go through `f64` exactly like
-//! [`Value::partial_cmp`]. The scalar interpreter stays available as the
-//! differential-testing oracle behind the `SHARON_SCAN` knob.
+//! [`Value::partial_cmp`]. The per-row clause checks
+//! ([`sharon_query::clause_passes`] and the scopes' `predicates_pass` /
+//! `groupable`) remain as the tests' oracle.
 
 use sharon_query::{clause_passes, CmpOp};
 use sharon_types::{AttrId, EventBatch, Value};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Which stateless-scan implementation the executors run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// The per-row interpreter loop (the differential-testing oracle).
-    Scalar,
-    /// Compiled [`ScanKernel`]s over u64 selection bitmaps (the default).
-    Vector,
-}
-
-impl std::str::FromStr for ScanMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "scalar" => Ok(ScanMode::Scalar),
-            "vector" => Ok(ScanMode::Vector),
-            other => Err(format!("must be `scalar` or `vector`, got `{other}`")),
-        }
-    }
-}
-
-/// Process-wide programmatic override of the scan mode (0 = none,
-/// 1 = scalar, 2 = vector). Tests use [`set_scan_mode`] instead of
-/// mutating the environment, which would race across test threads.
-static MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The scan mode to use when none is forced programmatically: the
-/// `SHARON_SCAN` environment variable if set (`scalar` or `vector`),
-/// [`ScanMode::Vector`] otherwise.
-///
-/// Read at component construction time, never on the hot path. An
-/// unparsable `SHARON_SCAN` panics rather than silently running the
-/// default mode — a bench matrix typo must not record numbers attributed
-/// to a scan mode that never ran.
-pub fn scan_mode() -> ScanMode {
-    match MODE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return ScanMode::Scalar,
-        2 => return ScanMode::Vector,
-        _ => {}
-    }
-    match std::env::var("SHARON_SCAN") {
-        Ok(s) => match s.as_str() {
-            "scalar" => ScanMode::Scalar,
-            "vector" => ScanMode::Vector,
-            other => panic!("SHARON_SCAN must be `scalar` or `vector`, got `{other}`"),
-        },
-        Err(_) => ScanMode::Vector,
-    }
-}
-
-/// Force the scan mode for components constructed from now on (`None`
-/// returns control to the `SHARON_SCAN` environment variable). Tests use
-/// this to build scalar and vector executors side by side in one process.
-pub fn set_scan_mode(mode: Option<ScanMode>) {
-    let v = match mode {
-        None => 0,
-        Some(ScanMode::Scalar) => 1,
-        Some(ScanMode::Vector) => 2,
-    };
-    MODE_OVERRIDE.store(v, Ordering::Relaxed);
-}
 
 /// Per-scope stateless-scan tallies, shared between a [`crate::BatchRouter`]
 /// (which may live on a dedicated router thread) and the
@@ -225,8 +164,7 @@ pub struct ScanKernel {
 
 impl ScanKernel {
     /// Compile a kernel from a scope's routing bitmap, per-type `GROUP BY`
-    /// attributes, and per-type predicate clauses — the exact tables the
-    /// scalar interpreter walks.
+    /// attributes, and per-type predicate clauses.
     pub fn new(
         routed: Vec<bool>,
         group_attrs: &[Box<[AttrId]>],
@@ -309,10 +247,9 @@ impl ScanKernel {
     }
 
     /// Evaluate the scope's stateless prefix over rows `lo..hi` of
-    /// `batch`, returning the selection bitmap: bit `i - lo` of the
-    /// result covers absolute row `i`. The returned slice borrows the
-    /// kernel's reused scratch.
-    pub fn scan(&mut self, batch: &EventBatch, lo: usize, hi: usize) -> &[u64] {
+    /// `batch` into the selection bitmap `words`: bit `i - lo` covers
+    /// absolute row `i`.
+    fn scan(&mut self, batch: &EventBatch, lo: usize, hi: usize) {
         let n = hi - lo;
         let n_words = n.div_ceil(64);
         self.words.clear();
@@ -365,7 +302,7 @@ impl ScanKernel {
             }
         }
         if self.clauses.is_empty() || self.words.iter().all(|&w| w == 0) {
-            return &self.words;
+            return;
         }
 
         // pass 2: predicate clauses, fused with AND/ANDNOT. Each clause's
@@ -416,19 +353,14 @@ impl ScanKernel {
                 n,
             );
         }
-        &self.words
     }
 
-    /// [`ScanKernel::scan`] + extraction: append the surviving absolute
-    /// row indexes to `sel` (ascending).
+    /// Evaluate the scope's stateless prefix over rows `lo..hi` of
+    /// `batch` and append the surviving absolute row indexes to `sel`
+    /// (ascending).
     pub fn select_into(&mut self, batch: &EventBatch, lo: usize, hi: usize, sel: &mut Vec<u32>) {
         self.scan(batch, lo, hi);
         extract_into(&self.words, lo, sel);
-    }
-
-    /// Rows selected by the most recent [`ScanKernel::scan`].
-    pub fn selected(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
     }
 }
 
@@ -610,7 +542,7 @@ mod tests {
     use super::*;
     use sharon_types::{EventTypeId, Timestamp};
 
-    /// The scalar oracle: exactly the interpreter the engines run.
+    /// The scalar oracle: routing, clauses and groupability row by row.
     fn scalar_select(
         routed: &[bool],
         group_attrs: &[Box<[AttrId]>],
@@ -662,7 +594,6 @@ mod tests {
             let mut got = Vec::new();
             kernel.select_into(batch, lo, hi, &mut got);
             assert_eq!(got, want, "rows {lo}..{hi}");
-            assert_eq!(kernel.selected(), want.len() as u64);
         }
     }
 
@@ -771,7 +702,6 @@ mod tests {
         let mut sel = Vec::new();
         kernel.select_into(&b, 0, 0, &mut sel);
         assert!(sel.is_empty());
-        assert_eq!(kernel.selected(), 0);
     }
 
     #[test]
@@ -780,109 +710,6 @@ mod tests {
         let mut sel = Vec::new();
         extract_into(&words, 10, &mut sel);
         assert_eq!(sel, vec![10, 13, 74]);
-    }
-
-    #[test]
-    fn scan_mode_override_wins_over_env() {
-        set_scan_mode(Some(ScanMode::Scalar));
-        assert_eq!(scan_mode(), ScanMode::Scalar);
-        set_scan_mode(Some(ScanMode::Vector));
-        assert_eq!(scan_mode(), ScanMode::Vector);
-        set_scan_mode(None);
-        let _ = scan_mode(); // falls back to env/default without panicking
-    }
-
-    /// Side-by-side timing of the kernel vs the scalar interpreter on a
-    /// taxi-shaped batch (5 types, Int + Float attrs, one Float clause per
-    /// routed type). Not an assertion — run explicitly when tuning:
-    /// `cargo test --release -p sharon-executor --lib scan -- --ignored --nocapture`
-    #[test]
-    #[ignore = "manual perf A/B harness, prints timings"]
-    fn perf_ab_kernel_vs_scalar() {
-        let n = 200_000usize;
-        let mut b = EventBatch::new();
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for i in 0..n {
-            let ty = EventTypeId((next() % 5) as u32);
-            let speed = 5.0 + (next() % 6500) as f64 / 100.0;
-            b.push_from(
-                ty,
-                Timestamp(i as u64),
-                [Value::Int((next() % 512) as i64), Value::Float(speed)],
-            );
-        }
-        let routed = vec![true, true, true, false, false];
-        let group_attrs: Vec<Box<[AttrId]>> = vec![
-            Box::new([AttrId(0)]),
-            Box::new([AttrId(0)]),
-            Box::new([AttrId(0)]),
-        ];
-        {
-            // stage baseline: routing + group width only (no clauses)
-            let mut kernel = ScanKernel::new(routed.clone(), &group_attrs, &[]);
-            let mut sel = Vec::new();
-            let iters = 50;
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                sel.clear();
-                kernel.select_into(&b, 0, n, &mut sel);
-            }
-            let ev = (n * iters) as f64;
-            println!(
-                "pass1+extract only: {:>6.1} Mev/s ({} rows)",
-                ev / t0.elapsed().as_secs_f64() / 1e6,
-                sel.len(),
-            );
-        }
-        type Scenario = (&'static str, Vec<(AttrId, CmpOp, Value)>);
-        let scenarios: [Scenario; 4] = [
-            ("0%   ", vec![(AttrId(1), CmpOp::Lt, Value::Float(5.0))]),
-            ("50%  ", vec![(AttrId(1), CmpOp::Lt, Value::Float(37.5))]),
-            ("100% ", vec![(AttrId(1), CmpOp::Lt, Value::Float(70.5))]),
-            // branch-hostile empty range: each clause passes ~50% of rows
-            // (unpredictable per row), the conjunction passes none
-            (
-                "range",
-                vec![
-                    (AttrId(1), CmpOp::Ge, Value::Float(37.5)),
-                    (AttrId(1), CmpOp::Lt, Value::Float(37.5)),
-                ],
-            ),
-        ];
-        for (label, clauses) in scenarios {
-            let predicates: Vec<Vec<(AttrId, CmpOp, Value)>> =
-                vec![clauses.clone(), clauses.clone(), clauses.clone()];
-            let mut kernel = ScanKernel::new(routed.clone(), &group_attrs, &predicates);
-            let mut sel = Vec::new();
-            let iters = 50;
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                sel.clear();
-                kernel.select_into(&b, 0, n, &mut sel);
-            }
-            let vector = t0.elapsed();
-            let v_rows = sel.len();
-            let t1 = std::time::Instant::now();
-            for _ in 0..iters {
-                sel = scalar_select(&routed, &group_attrs, &predicates, &b, 0, n);
-            }
-            let scalar = t1.elapsed();
-            assert_eq!(sel.len(), v_rows);
-            let ev = (n * iters) as f64;
-            println!(
-                "sel {label}: scalar {:>6.1} Mev/s | vector {:>6.1} Mev/s | {:.2}x ({} rows)",
-                ev / scalar.as_secs_f64() / 1e6,
-                ev / vector.as_secs_f64() / 1e6,
-                scalar.as_secs_f64() / vector.as_secs_f64(),
-                v_rows,
-            );
-        }
     }
 
     #[test]

@@ -127,7 +127,7 @@ use crate::scan::ScanCounters;
 use crate::spill::SpillConfig;
 use crate::spsc;
 use sharon_query::{SharingPlan, Workload};
-use sharon_types::{Catalog, Event, EventBatch, EventStream, Timestamp};
+use sharon_types::{Catalog, EventBatch, EventStream, Timestamp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -869,9 +869,10 @@ fn reorder_burst(batch: &EventBatch, lo: usize, hi: usize, k: u32) -> EventBatch
 /// [`crate::Executor`], [`ShardedExecutor::resume`] rebuilds them from the
 /// latest complete checkpoint, and [`ShardedExecutor::from_parts`] hosts
 /// *any* [`ShardProcessor`] set behind a pre-built routing plane, which
-/// is how the two-step baselines run sharded. Events are accepted one at
-/// a time, in row-form batches, or in columnar batches; router threads
-/// route each buffered batch once and fan the per-shard row lists out
+/// is how the two-step baselines run sharded. Events are accepted as
+/// columnar batches (copied into the fill buffer, or zero-copy through
+/// [`ShardedExecutor::process_shared`]); router threads route each
+/// buffered batch once and fan the per-shard row lists out
 /// over SPSC rings (see the module docs). [`ShardedExecutor::finish`]
 /// drains the pipeline and merges the disjoint shard results.
 pub struct ShardedExecutor {
@@ -1350,24 +1351,6 @@ impl ShardedExecutor {
         Arc::get_mut(&mut self.buffer).expect("fill buffer is uniquely owned between flushes")
     }
 
-    /// Enqueue one event (flushed when the batch threshold is reached).
-    pub fn process(&mut self, e: &Event) {
-        self.buf().push_event(e);
-        if self.buffer.len() >= self.batch_size {
-            self.flush();
-        }
-    }
-
-    /// Enqueue a time-ordered batch of row-form events.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        for e in events {
-            self.buf().push_event(e);
-            if self.buffer.len() >= self.batch_size {
-                self.flush();
-            }
-        }
-    }
-
     /// Enqueue a time-ordered columnar batch (any size; it is re-chunked
     /// to the flush threshold internally). Copies the rows into the
     /// internal buffer; callers that already own an [`Arc`]-shared batch
@@ -1692,14 +1675,6 @@ impl Drop for ShardedExecutor {
 }
 
 impl BatchProcessor for ShardedExecutor {
-    fn process_event(&mut self, e: &Event) {
-        self.process(e);
-    }
-
-    fn process_events(&mut self, events: &[Event]) {
-        self.process_batch(events);
-    }
-
     fn process_columnar(&mut self, batch: &EventBatch) {
         ShardedExecutor::process_columnar(self, batch);
     }
@@ -1710,13 +1685,6 @@ impl BatchProcessor for ShardedExecutor {
 
     fn scan_stats(&self) -> Vec<(u64, u64)> {
         ShardedExecutor::scan_stats(self)
-    }
-
-    /// The engines live on the worker threads and are configured at
-    /// construction — set [`ShardedOptions::lateness`] instead.
-    fn set_lateness(&mut self, lateness_ms: u64) {
-        let _ = lateness_ms;
-        panic!("ShardedExecutor engines are configured at spawn: set ShardedOptions::lateness");
     }
 
     /// Zero mid-run: late-drop counts live on the worker threads; the
@@ -1743,7 +1711,7 @@ mod tests {
     use super::*;
     use crate::engine::Executor;
     use sharon_query::{parse_workload, QueryId};
-    use sharon_types::{GroupKey, Schema, Timestamp, Value};
+    use sharon_types::{Event, GroupKey, Schema, Timestamp, Value};
 
     fn grouped_workload() -> (Catalog, Workload) {
         let mut c = Catalog::new();
@@ -1802,7 +1770,7 @@ mod tests {
         let events = stream(&c, 4000, 37);
 
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&EventBatch::from_events(&events));
         let want_matched = sequential.events_matched();
         let want = sequential.finish();
         assert!(!want.is_empty());
@@ -1810,7 +1778,7 @@ mod tests {
         for shards in [1usize, 2, 3, 8] {
             let mut sharded = non_shared(&c, &w, shards, DEFAULT_BATCH_SIZE);
             for chunk in events.chunks(97) {
-                sharded.process_batch(chunk);
+                sharded.process_columnar(&EventBatch::from_events(chunk));
             }
             let (got, matched, _state) = sharded.finish_with_stats();
             assert!(
@@ -1828,7 +1796,7 @@ mod tests {
         let batch = EventBatch::from_events(&events);
 
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch);
         let want = sequential.finish();
 
         // one oversized columnar push: re-chunked internally
@@ -1837,13 +1805,12 @@ mod tests {
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
 
-        // the zero-copy shared-batch path agrees too (mixed with a few
-        // buffered row-form events first, to cover the order-preserving
-        // pre-flush)
+        // the zero-copy shared-batch path agrees too (after a few
+        // buffered rows, to cover the order-preserving pre-flush)
         let (head, tail) = events.split_at(100);
         let shared = Arc::new(EventBatch::from_events(tail));
         let mut sharded = non_shared(&c, &w, 3, DEFAULT_BATCH_SIZE);
-        sharded.process_batch(head);
+        sharded.process_columnar(&EventBatch::from_events(head));
         sharded.process_shared(&shared);
         let (got, matched, _) = sharded.finish_with_stats();
         assert!(got.semantically_eq(&want, 1e-9));
@@ -1868,11 +1835,11 @@ mod tests {
             .collect();
 
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&EventBatch::from_events(&events));
         let want = sequential.finish();
 
         let mut sharded = non_shared(&c, &w, 4, DEFAULT_BATCH_SIZE);
-        sharded.process_batch(&events);
+        sharded.process_columnar(&EventBatch::from_events(&events));
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
         assert!(got.total_count(QueryId(0)) > 0);
@@ -1889,12 +1856,12 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 500, 5);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&EventBatch::from_events(&events));
         let want = sequential.finish();
 
         let mut sharded = non_shared(&c, &w, 2, 64);
         for e in &events {
-            sharded.process(e);
+            sharded.process_columnar(&EventBatch::from_events(std::slice::from_ref(e)));
         }
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
@@ -1907,7 +1874,7 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 2000, 11);
         let mut sharded = non_shared(&c, &w, 3, 64);
-        sharded.process_batch(&events);
+        sharded.process_columnar(&EventBatch::from_events(&events));
         drop(sharded); // joins; a deadlock here fails the test by timeout
     }
 
@@ -1920,11 +1887,11 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 3000, 7);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&EventBatch::from_events(&events));
         let want = sequential.finish();
 
         let mut sharded = non_shared(&c, &w, 2, 32);
-        sharded.process_batch(&events);
+        sharded.process_columnar(&EventBatch::from_events(&events));
         assert!(
             !sharded.batch_pool.is_empty(),
             "flushed batch bodies are pooled for reuse"
@@ -1958,7 +1925,7 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 5000, 23);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&EventBatch::from_events(&events));
         let want_matched = sequential.events_matched();
         let want = sequential.finish();
 
@@ -1977,7 +1944,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(sharded.n_routers(), routers);
-            sharded.process_batch(&events);
+            sharded.process_columnar(&EventBatch::from_events(&events));
 
             // barrier-sync so the per-router counters cover every batch:
             // ingest fans each batch to the whole plane, so every router
@@ -2010,7 +1977,7 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 4000, 97);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&EventBatch::from_events(&events));
         let want = sequential.finish();
         let tracked = GroupKey::One(Value::Int(0));
 
@@ -2019,7 +1986,7 @@ mod tests {
             let mut drained = ExecutorResults::new();
             let (mut epochs, mut epochs_with_tracked) = (0, 0);
             for batch in events.chunks(64) {
-                sharded.process_batch(batch);
+                sharded.process_columnar(&EventBatch::from_events(batch));
                 let epoch = sharded.harvest_results().expect("harvest");
                 epochs += usize::from(!epoch.is_empty());
                 epochs_with_tracked +=
@@ -2046,7 +2013,7 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 4000, 37);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&EventBatch::from_events(&events));
         let want_matched = sequential.events_matched();
         let want = sequential.finish();
 
@@ -2059,7 +2026,7 @@ mod tests {
         };
         let written_before = sharon_metrics::checkpoints_written();
         let mut sharded = ShardedExecutor::with_options(&c, &w, &plan, 3, options.clone()).unwrap();
-        sharded.process_batch(&events[..2400]);
+        sharded.process_columnar(&EventBatch::from_events(&events[..2400]));
         assert!(
             sharon_metrics::checkpoints_written() >= written_before + 4,
             "periodic checkpoints were taken"
@@ -2072,7 +2039,7 @@ mod tests {
             "latest complete checkpoint is 16 batches of 128"
         );
         assert_eq!(resumed.events_sent(), offset);
-        resumed.process_batch(&events[offset as usize..]);
+        resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
         let (got, matched, _) = resumed.finish_with_stats();
         assert!(
             got.semantically_eq(&want, 1e-9),
@@ -2095,7 +2062,7 @@ mod tests {
             ShardedExecutor::with_options(&c, &w, &SharingPlan::non_shared(), 3, options).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let mut sharded = sharded;
-            sharded.process_batch(&events);
+            sharded.process_columnar(&EventBatch::from_events(&events));
             sharded.finish()
         }));
         let err = result.expect_err("a panicked worker must fail the run");
@@ -2117,7 +2084,7 @@ mod tests {
             ..ShardedOptions::default()
         };
         let mut sharded = ShardedExecutor::with_options(&c, &w, &plan, 2, options).unwrap();
-        sharded.process_batch(&events);
+        sharded.process_columnar(&EventBatch::from_events(&events));
         assert_eq!(
             sharded.events_sent(),
             3 * 64,
@@ -2168,7 +2135,7 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 3000, 53);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&EventBatch::from_events(&events));
         let want = sequential.finish();
 
         let dir = test_dir("spill");
@@ -2180,7 +2147,7 @@ mod tests {
         };
         let spills_before = sharon_metrics::group_spills();
         let mut sharded = ShardedExecutor::with_options(&c, &w, &plan, 2, options).unwrap();
-        sharded.process_batch(&events);
+        sharded.process_columnar(&EventBatch::from_events(&events));
         let got = sharded.finish();
         assert!(
             got.semantically_eq(&want, 1e-9),

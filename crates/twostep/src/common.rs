@@ -130,6 +130,10 @@ impl TypeTable {
     }
 
     /// True if every `GROUP BY` attribute of `ty` is present in `attrs`.
+    /// With [`TypeTable::passes`], the row-at-a-time oracle the tests check
+    /// the compiled scan kernels against (the baselines' own rows either
+    /// come out of a kernel or fail `read_group_key` on release).
+    #[allow(dead_code)]
     pub fn groupable(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
         match self.group_attrs.get(ty.index()) {
             Some(gattrs) => gattrs.iter().all(|a| attrs.get(a.index()).is_some()),
@@ -183,8 +187,8 @@ impl TypeTable {
 
 /// Dense per-type-id routing bitmap: `true` where any of `queries`'
 /// patterns contains the type. The **single** definition used by both the
-/// sequential kernels' pre-passes and the sharded router's scopes, so the
-/// two sides cannot drift apart on what routes.
+/// sequential kernels' scans and the sharded router's scopes, so the two
+/// sides cannot drift apart on what routes.
 pub(crate) fn routed_bitmap(queries: &[&Query]) -> Vec<bool> {
     let max_ty = queries
         .iter()
@@ -226,9 +230,9 @@ impl ScopeFilter {
         })
     }
 
-    /// Compile this scope's stateless prefix into a vectorized
-    /// [`ScanKernel`] (used by the baselines' columnar pre-passes and,
-    /// via [`RowFilter::scan_kernel`], by the sharded batch router).
+    /// Compile this scope's stateless prefix into the [`ScanKernel`] the
+    /// sharded batch router selects its rows with (via
+    /// [`RowFilter::scan_kernel`]).
     pub fn compile_scan(&self) -> ScanKernel {
         ScanKernel::new(
             self.routed.clone(),
@@ -318,21 +322,6 @@ pub(crate) fn dedup_scopes(scopes: Vec<ScopeFilter>) -> (Vec<ScopeFilter>, Vec<V
 
 impl RowFilter for ScopeFilter {
     #[inline]
-    fn routed(&self, ty: EventTypeId) -> bool {
-        self.routed.get(ty.index()).copied().unwrap_or(false)
-    }
-
-    #[inline]
-    fn predicates_pass(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
-        self.table.passes(ty, attrs)
-    }
-
-    #[inline]
-    fn groupable(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
-        self.table.groupable(ty, attrs)
-    }
-
-    #[inline]
     fn read_group_key(
         &self,
         ty: EventTypeId,
@@ -343,8 +332,8 @@ impl RowFilter for ScopeFilter {
         self.table.read_group_key(ty, attrs, vals, key)
     }
 
-    fn scan_kernel(&self) -> Option<ScanKernel> {
-        Some(self.compile_scan())
+    fn scan_kernel(&self) -> ScanKernel {
+        self.compile_scan()
     }
 
     fn route_cost(&self) -> f64 {
@@ -510,8 +499,156 @@ impl<B: ScopeHost> ShardProcessor for ScopeFanShard<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharon_query::parse_workload;
+    use crate::spass_like::signature_partitions;
+    use sharon_query::{parse_workload, Workload};
+    use sharon_streams::ecommerce::{self, EcommerceConfig};
+    use sharon_streams::linear_road::{self, LinearRoadConfig};
+    use sharon_streams::taxi::{self, TaxiConfig};
     use sharon_types::Schema;
+
+    /// Ragged `(lo, hi)` ranges over `n` rows: whole, empty, odd sizes
+    /// (partial 64-row words), and a singleton tail.
+    fn ragged_ranges(n: usize) -> Vec<(usize, usize)> {
+        let mut out = vec![(0, n), (0, 0)];
+        let mut lo = 0;
+        for step in [61usize, 64, 67, 1, 128, 3] {
+            let hi = (lo + step).min(n);
+            out.push((lo, hi));
+            lo = hi;
+        }
+        out.push((n.saturating_sub(1), n));
+        out
+    }
+
+    /// Every scope the baselines route — one per query (Flink-like) and
+    /// one per signature partition (SPASS-like) — compiled to the kernel
+    /// the batch router runs, checked row for row against the scope's own
+    /// routing bitmap, [`TypeTable::passes`] and [`TypeTable::groupable`].
+    fn assert_scope_kernel_parity(
+        catalog: &Catalog,
+        workload: &Workload,
+        batch: &EventBatch,
+        label: &str,
+    ) {
+        let per_query = workload.queries().iter().map(|q| vec![q]);
+        let scopes: Vec<ScopeFilter> = per_query
+            .chain(signature_partitions(workload))
+            .map(|qs| ScopeFilter::build(catalog, &qs).expect("scope builds"))
+            .collect();
+        let (mut selected, mut filtered) = (0usize, 0usize);
+        for (si, scope) in scopes.iter().enumerate() {
+            let mut kernel = RowFilter::scan_kernel(scope);
+            for (lo, hi) in ragged_ranges(batch.len()) {
+                let mut want = Vec::new();
+                for row in lo..hi {
+                    let (ty, attrs) = (batch.ty(row), batch.attrs(row));
+                    if !scope.routed.get(ty.index()).copied().unwrap_or(false) {
+                        continue;
+                    }
+                    if scope.table.passes(ty, attrs) && scope.table.groupable(ty, attrs) {
+                        want.push(row as u32);
+                    } else {
+                        filtered += 1;
+                    }
+                }
+                let mut got = Vec::new();
+                kernel.select_into(batch, lo, hi, &mut got);
+                assert_eq!(
+                    got, want,
+                    "{label}: scope {si} selection diverges on rows {lo}..{hi}"
+                );
+                selected += want.len();
+            }
+        }
+        assert!(
+            selected > 0 && filtered > 0,
+            "{label}: the stream must both pass and fail the scopes' clauses"
+        );
+    }
+
+    #[test]
+    fn taxi_scope_kernels_match_the_row_oracle() {
+        let mut catalog = Catalog::new();
+        let batch = EventBatch::from_events(&taxi::generate(
+            &mut catalog,
+            &TaxiConfig {
+                n_events: 3000,
+                n_streets: 5,
+                n_vehicles: 40,
+                ..Default::default()
+            },
+        ));
+        // the first two queries share a signature (one SPASS partition
+        // over three street types); a string literal against the Float
+        // speed column satisfies only `!=`
+        let workload = parse_workload(
+            &mut catalog,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt) WHERE OakSt.speed > 40.0 AND \
+                 [vehicle] WITHIN 10 min SLIDE 1 min",
+                "RETURN COUNT(*) PATTERN SEQ(OakSt, StateSt) WHERE OakSt.speed > 40.0 AND \
+                 [vehicle] WITHIN 10 min SLIDE 1 min",
+                "RETURN SUM(MainSt.speed) PATTERN SEQ(MainSt, StateSt) WHERE MainSt.speed >= 20.0 \
+                 AND StateSt.speed < 65.0 AND [vehicle] WITHIN 10 min SLIDE 1 min",
+                "RETURN COUNT(*) PATTERN SEQ(ParkAve, WestSt) WHERE ParkAve.speed != 'fast' AND \
+                 [vehicle] WITHIN 10 min SLIDE 1 min",
+            ],
+        )
+        .expect("taxi predicate workload parses");
+        assert_scope_kernel_parity(&catalog, &workload, &batch, "taxi");
+    }
+
+    #[test]
+    fn linear_road_scope_kernels_match_the_row_oracle() {
+        let mut catalog = Catalog::new();
+        let batch = EventBatch::from_events(&linear_road::generate(
+            &mut catalog,
+            &LinearRoadConfig {
+                duration_secs: 30,
+                cars_per_sec: 3.0,
+                n_segments: 6,
+                trip_segments: 40,
+                ..Default::default()
+            },
+        ));
+        let workload = parse_workload(
+            &mut catalog,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(Seg0, Seg1, Seg2) WHERE Seg0.speed >= 60.0 AND \
+                 Seg1.speed >= 60.0 AND [car] WITHIN 10 s SLIDE 2 s",
+                "RETURN COUNT(*) PATTERN SEQ(Seg3, Seg4) WHERE Seg3.pos > 1000.0 AND [car] \
+                 WITHIN 10 s SLIDE 2 s",
+            ],
+        )
+        .expect("linear-road predicate workload parses");
+        assert_scope_kernel_parity(&catalog, &workload, &batch, "linear-road");
+    }
+
+    #[test]
+    fn ecommerce_scope_kernels_match_the_row_oracle() {
+        let mut catalog = Catalog::new();
+        let batch = EventBatch::from_events(&ecommerce::generate(
+            &mut catalog,
+            &EcommerceConfig {
+                n_items: 6,
+                n_customers: 8,
+                events_per_sec: 300,
+                n_events: 2500,
+                ..Default::default()
+            },
+        ));
+        let workload = parse_workload(
+            &mut catalog,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, Adapter) WHERE Laptop.price > 250.0 AND \
+                 [customer] WITHIN 20 min SLIDE 1 min",
+                "RETURN SUM(Case.price) PATTERN SEQ(Case, iPhone) WHERE Case.price <= 400.0 AND \
+                 iPhone.price >= 2.0 AND [customer] WITHIN 20 min SLIDE 1 min",
+            ],
+        )
+        .expect("ecommerce predicate workload parses");
+        assert_scope_kernel_parity(&catalog, &workload, &batch, "ecommerce");
+    }
 
     #[test]
     fn scopes_dedup_by_routing_identity() {

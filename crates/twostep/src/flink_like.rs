@@ -9,10 +9,10 @@
 //!
 //! Like every strategy in the system, the baseline is a
 //! [`BatchProcessor`]: [`FlinkLike::process_columnar`] runs, per query, a
-//! stateless scan of the batch columns (type routing, predicates,
+//! compiled scan kernel over the batch columns (type routing, predicates,
 //! groupability) that selects row indices, then a stateful dispatch that
 //! folds only the selected rows — iterating row indices over the shared
-//! value buffer, never materializing a row-form [`Event`].
+//! value buffer.
 //! [`FlinkLike::sharded`] runs the baseline on the route-once parallel
 //! runtime with groups hash-partitioned across worker threads, exactly
 //! like the online engines: each worker hosts one baseline instance
@@ -26,11 +26,11 @@ use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
 use sharon_executor::{
-    BatchProcessor, ExecutorResults, Reorder, ScanKernel, ShardedExecutor, ShardedOptions,
+    BatchProcessor, Executor, ExecutorResults, Reorder, ScanKernel, ShardedExecutor, ShardedOptions,
 };
 use sharon_query::{AggFunc, Query, QueryId, Workload};
 use sharon_types::{
-    Catalog, Event, EventBatch, EventStream, EventTypeId, GroupKey, Timestamp, Value, WindowSpec,
+    Catalog, EventBatch, EventStream, EventTypeId, GroupKey, Timestamp, Value, WindowSpec,
 };
 use std::collections::HashMap;
 
@@ -57,14 +57,13 @@ struct QueryState<A> {
     /// key; cloning happens only on first sight of a group.
     key_scratch: GroupKey,
     vals_scratch: Vec<Value>,
-    /// Reused row-selection buffer of the columnar pre-pass.
+    /// Reused row-selection buffer of the scan.
     sel_scratch: Vec<u32>,
     /// Reused emission buffer for closing windows.
     emit_scratch: Vec<(u64, A)>,
-    /// Compiled scan kernel of the columnar pre-pass (`None` = the
-    /// scalar interpreter, per [`sharon_executor::scan_mode`]).
-    scan: Option<ScanKernel>,
-    /// Rows examined by this query's columnar pre-pass.
+    /// Compiled scan kernel selecting this query's rows of a batch.
+    scan: ScanKernel,
+    /// Rows examined by this query's scan.
     rows_scanned: u64,
     /// Rows that survived routing + predicates + groupability.
     rows_selected: u64,
@@ -92,14 +91,11 @@ impl<A: Aggregate> QueryState<A> {
             AggFunc::Avg(t, _) => OutputKind::Avg(q.pattern.positions_of(*t).len() as u32),
         };
         let table = TypeTable::build(catalog, q)?;
-        let scan = match sharon_executor::scan_mode() {
-            sharon_executor::ScanMode::Vector => Some(ScanKernel::new(
-                positions.iter().map(|p| !p.is_empty()).collect(),
-                &table.group_attrs,
-                &table.predicates,
-            )),
-            sharon_executor::ScanMode::Scalar => None,
-        };
+        let scan = ScanKernel::new(
+            positions.iter().map(|p| !p.is_empty()).collect(),
+            &table.group_attrs,
+            &table.predicates,
+        );
         Ok(QueryState {
             id: q.id,
             window: q.window,
@@ -120,11 +116,11 @@ impl<A: Aggregate> QueryState<A> {
         })
     }
 
-    /// The shared per-row path of the per-event shim, the columnar
-    /// dispatch, and the sharded routed dispatch. With `pre_routed`, the
-    /// caller (the columnar pre-pass or the batch router) has already
-    /// established routing + predicates + groupability, so those checks
-    /// are skipped.
+    /// The shared per-row path of the columnar dispatch, the sharded
+    /// routed dispatch, and the event-time gate's release. With
+    /// `pre_routed`, the caller (the scan kernel or the batch router) has
+    /// already established routing + predicates + groupability, so those
+    /// checks are skipped; rows the gate admitted raw are checked here.
     fn process_row(
         &mut self,
         ty: EventTypeId,
@@ -211,28 +207,12 @@ impl<A: Aggregate> QueryState<A> {
         }
     }
 
-    /// Columnar pipeline over one batch: stateless scan → stateful
+    /// Columnar pipeline over one batch: compiled scan → stateful
     /// dispatch of the selected row indices.
     fn process_columnar(&mut self, batch: &EventBatch, results: &mut ExecutorResults) {
         let mut sel = std::mem::take(&mut self.sel_scratch);
         sel.clear();
-        if let Some(kernel) = &mut self.scan {
-            kernel.select_into(batch, 0, batch.len(), &mut sel);
-        } else {
-            for (row, ty) in batch.types().iter().enumerate() {
-                if self.positions.get(ty.index()).is_none_or(|p| p.is_empty()) {
-                    continue;
-                }
-                let attrs = batch.attrs(row);
-                if !self.table.passes(*ty, attrs) {
-                    continue;
-                }
-                if !self.table.groupable(*ty, attrs) {
-                    continue;
-                }
-                sel.push(row as u32);
-            }
-        }
+        self.scan.select_into(batch, 0, batch.len(), &mut sel);
         self.rows_scanned += batch.len() as u64;
         self.rows_selected += sel.len() as u64;
         sharon_metrics::record_rows_scanned(batch.len() as u64);
@@ -428,26 +408,12 @@ impl FlinkLike {
         })
     }
 
-    /// Process one event through every query. With an event-time gate the
-    /// row is admitted (or dropped as late) and the watermark advances;
-    /// without one the historical arrival-order contract applies.
-    pub fn process(&mut self, e: &Event) {
-        if let Some(gate) = &mut self.reorder {
-            gate.admit(e.ty, e.time, &e.attrs, 0, false, false);
-            self.advance_watermark(e.time);
-            return;
-        }
-        debug_assert!(e.time >= self.last_time, "events must be time-ordered");
-        self.last_time = e.time;
-        self.dispatch_row(e.ty, e.time, &e.attrs, false);
-    }
-
     /// Process a time-ordered columnar batch: each query runs its
-    /// stateless scan + stateful dispatch over the whole batch while its
-    /// state is hot. No row-form event is materialized. With an event-time
-    /// gate, rows are admitted raw and the watermark advances to the
-    /// batch's maximum timestamp afterwards — released rows run the same
-    /// per-row scan the per-event path uses.
+    /// compiled scan + stateful dispatch over the whole batch while its
+    /// state is hot. With an event-time gate, rows are admitted raw (so
+    /// a late row counts as dropped even if no query routes it) and the
+    /// watermark advances to the batch's maximum timestamp afterwards —
+    /// released rows are checked row by row as they dispatch.
     pub fn process_columnar(&mut self, batch: &EventBatch) {
         if let Some(gate) = &mut self.reorder {
             for row in 0..batch.len() {
@@ -483,10 +449,12 @@ impl FlinkLike {
         }
     }
 
-    /// Drain a stream.
+    /// Drain a stream through the baseline in columnar batches.
     pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
-        while let Some(e) = stream.next_event() {
-            self.process(&e);
+        let mut buf = EventBatch::with_capacity(Executor::RUN_BATCH, 2);
+        while stream.next_batch_columnar(Executor::RUN_BATCH, &mut buf) > 0 {
+            self.process_columnar(&buf);
+            buf.clear();
         }
         self
     }
@@ -538,8 +506,8 @@ impl FlinkLike {
         }
     }
 
-    /// Per-query `(rows_scanned, rows_selected)` of the columnar
-    /// pre-pass, in query order.
+    /// Per-query `(rows_scanned, rows_selected)` of the scan, in query
+    /// order.
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
         match &self.kernel {
             Kernel::Count(qs) => qs
@@ -563,16 +531,8 @@ impl FlinkLike {
 }
 
 impl BatchProcessor for FlinkLike {
-    fn process_event(&mut self, e: &Event) {
-        self.process(e);
-    }
-
     fn process_columnar(&mut self, batch: &EventBatch) {
         FlinkLike::process_columnar(self, batch);
-    }
-
-    fn set_lateness(&mut self, lateness_ms: u64) {
-        FlinkLike::set_lateness(self, lateness_ms);
     }
 
     fn late_rows_dropped(&self) -> u64 {
@@ -633,8 +593,8 @@ impl ScopeHost for FlinkLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharon_executor::Executor;
     use sharon_query::parse_workload;
+    use sharon_types::Event;
 
     fn ev(ty: EventTypeId, t: u64) -> Event {
         Event::new(ty, Timestamp(t))
@@ -650,14 +610,12 @@ mod tests {
         .unwrap();
         let a = c.lookup("A").unwrap();
         let b = c.lookup("B").unwrap();
-        let events = vec![ev(a, 1), ev(b, 2), ev(a, 3), ev(b, 4)];
+        let batch = EventBatch::from_events(&[ev(a, 1), ev(b, 2), ev(a, 3), ev(b, 4)]);
 
         let mut fl = FlinkLike::new(&c, &w).unwrap();
         let mut online = Executor::non_shared(&c, &w).unwrap();
-        for e in &events {
-            fl.process(e);
-            online.process(e);
-        }
+        fl.process_columnar(&batch);
+        online.process_columnar(&batch);
         assert_eq!(fl.sequences_constructed(), 3, "constructs all 3 sequences");
         let fr = fl.finish();
         let or = online.finish();
@@ -679,7 +637,7 @@ mod tests {
         let a = c.lookup("A").unwrap();
         let b = c.lookup("B").unwrap();
         let cc = c.lookup("C").unwrap();
-        let events = vec![
+        let batch = EventBatch::from_events(&[
             ev(a, 1),
             ev(b, 2),
             ev(cc, 3),
@@ -688,13 +646,11 @@ mod tests {
             ev(cc, 6),
             ev(b, 8),
             ev(cc, 11),
-        ];
+        ]);
         let mut fl = FlinkLike::new(&c, &w).unwrap();
         let mut online = Executor::non_shared(&c, &w).unwrap();
-        for e in &events {
-            fl.process(e);
-            online.process(e);
-        }
+        fl.process_columnar(&batch);
+        online.process_columnar(&batch);
         let fr = fl.finish();
         let or = online.finish();
         assert!(
@@ -716,9 +672,8 @@ mod tests {
         .unwrap();
         let a = c.lookup("A").unwrap();
         let mut fl = FlinkLike::new(&c, &w).unwrap();
-        for t in 0..50 {
-            fl.process(&ev(a, t));
-        }
+        let events: Vec<Event> = (0..50).map(|t| ev(a, t)).collect();
+        fl.process_columnar(&EventBatch::from_events(&events));
         assert_eq!(fl.buffered_events(), 50, "two-step retains raw events");
     }
 
@@ -744,9 +699,10 @@ mod tests {
             })
             .collect();
 
+        // one row per batch: the per-event cadence
         let mut per_event = FlinkLike::new(&c, &w).unwrap();
         for e in &events {
-            per_event.process(e);
+            per_event.process_columnar(&EventBatch::from_events(std::slice::from_ref(e)));
         }
         let want = per_event.finish();
         assert!(!want.is_empty());
@@ -794,14 +750,12 @@ mod tests {
             })
             .collect();
 
+        let batch = EventBatch::from_events(&events);
         let mut sequential = FlinkLike::new(&c, &w).unwrap();
-        for e in &events {
-            sequential.process(e);
-        }
+        sequential.process_columnar(&batch);
         let want = sequential.finish();
         assert!(!want.is_empty());
 
-        let batch = EventBatch::from_events(&events);
         for routers in [1usize, 2] {
             let options = ShardedOptions {
                 batch_size: 128,

@@ -14,9 +14,9 @@
 //!
 //! Like every strategy in the system, the baseline is a
 //! [`BatchProcessor`]: [`SpassLike::process_columnar`] runs, per
-//! sharing-signature partition, a stateless scan of the batch columns that
-//! selects row indices, then a stateful dispatch over the shared value
-//! buffer — no row-form [`Event`] is materialized. [`SpassLike::sharded`]
+//! sharing-signature partition, a compiled scan kernel over the batch
+//! columns that selects row indices, then a stateful dispatch over the
+//! shared value buffer. [`SpassLike::sharded`]
 //! runs the baseline on the route-once parallel runtime: one instance per
 //! worker behind a scope-fanning [`sharon_executor::ShardProcessor`]
 //! wrapper, with identical routing scopes deduplicated.
@@ -27,11 +27,11 @@ use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
 use sharon_executor::{
-    BatchProcessor, ExecutorResults, Reorder, ScanKernel, ShardedExecutor, ShardedOptions,
+    BatchProcessor, Executor, ExecutorResults, Reorder, ScanKernel, ShardedExecutor, ShardedOptions,
 };
 use sharon_query::{AggFunc, Query, QueryId, SegmentKind, SharingPlan, Workload};
 use sharon_types::{
-    Catalog, Event, EventBatch, EventStream, EventTypeId, GroupKey, Timestamp, Value, WindowSpec,
+    Catalog, EventBatch, EventStream, EventTypeId, GroupKey, Timestamp, Value, WindowSpec,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -84,16 +84,15 @@ struct Partition<A> {
     /// Reused per-row key storage (clone only on first sight of a group).
     key_scratch: GroupKey,
     vals_scratch: Vec<Value>,
-    /// Reused row-selection buffer of the columnar pre-pass.
+    /// Reused row-selection buffer of the scan.
     sel_scratch: Vec<u32>,
     /// Reused emission buffer for closing windows.
     emit_scratch: Vec<(u64, A)>,
     /// Reused buffer for the segment matches a single END row constructs.
     match_scratch: Vec<Match<A>>,
-    /// Compiled scan kernel of the columnar pre-pass (`None` = the
-    /// scalar interpreter, per [`sharon_executor::scan_mode`]).
-    scan: Option<ScanKernel>,
-    /// Rows examined by this partition's columnar pre-pass.
+    /// Compiled scan kernel selecting this partition's rows of a batch.
+    scan: ScanKernel,
+    /// Rows examined by this partition's scan.
     rows_scanned: u64,
     /// Rows that survived routing + predicates + groupability.
     rows_selected: u64,
@@ -112,7 +111,7 @@ fn output_kind(q: &Query) -> OutputKind {
 
 /// Partition `workload` by sharing signature, preserving id order — the
 /// scope order shared by the sequential kernel and the sharded router.
-fn signature_partitions(workload: &Workload) -> Vec<Vec<&Query>> {
+pub(crate) fn signature_partitions(workload: &Workload) -> Vec<Vec<&Query>> {
     let mut parts: Vec<(Vec<&Query>, sharon_query::query::SharingSignature)> = Vec::new();
     for q in workload.queries() {
         let sig = q.sharing_signature();
@@ -187,14 +186,7 @@ impl<A: Aggregate> Partition<A> {
             finalists[*q.stages.last().expect("patterns are non-empty")].push(qi);
         }
         let routed = crate::common::routed_bitmap(queries);
-        let scan = match sharon_executor::scan_mode() {
-            sharon_executor::ScanMode::Vector => Some(ScanKernel::new(
-                routed.clone(),
-                &table.group_attrs,
-                &table.predicates,
-            )),
-            sharon_executor::ScanMode::Scalar => None,
-        };
+        let scan = ScanKernel::new(routed.clone(), &table.group_attrs, &table.predicates);
         Ok(Partition {
             window,
             table,
@@ -216,9 +208,10 @@ impl<A: Aggregate> Partition<A> {
         })
     }
 
-    /// The shared per-row path of the per-event shim, the columnar
-    /// dispatch, and the sharded routed dispatch (`pre_routed` rows have
-    /// already passed routing + predicates + groupability).
+    /// The shared per-row path of the columnar dispatch, the sharded
+    /// routed dispatch, and the event-time gate's release (`pre_routed`
+    /// rows have already passed routing + predicates + groupability; rows
+    /// the gate admitted raw are checked here).
     fn process_row(
         &mut self,
         ty: EventTypeId,
@@ -337,28 +330,12 @@ impl<A: Aggregate> Partition<A> {
         self.match_scratch = new_matches;
     }
 
-    /// Columnar pipeline over one batch: stateless scan → stateful
+    /// Columnar pipeline over one batch: compiled scan → stateful
     /// dispatch of the selected row indices.
     fn process_columnar(&mut self, batch: &EventBatch, results: &mut ExecutorResults) {
         let mut sel = std::mem::take(&mut self.sel_scratch);
         sel.clear();
-        if let Some(kernel) = &mut self.scan {
-            kernel.select_into(batch, 0, batch.len(), &mut sel);
-        } else {
-            for (row, ty) in batch.types().iter().enumerate() {
-                if !self.routed.get(ty.index()).copied().unwrap_or(false) {
-                    continue;
-                }
-                let attrs = batch.attrs(row);
-                if !self.table.passes(*ty, attrs) {
-                    continue;
-                }
-                if !self.table.groupable(*ty, attrs) {
-                    continue;
-                }
-                sel.push(row as u32);
-            }
-        }
+        self.scan.select_into(batch, 0, batch.len(), &mut sel);
         self.rows_scanned += batch.len() as u64;
         self.rows_selected += sel.len() as u64;
         sharon_metrics::record_rows_scanned(batch.len() as u64);
@@ -620,25 +597,12 @@ impl SpassLike {
         })
     }
 
-    /// Process one event. With an event-time gate the row is admitted (or
-    /// dropped as late) and the watermark advances; without one the
-    /// historical arrival-order contract applies.
-    pub fn process(&mut self, e: &Event) {
-        if let Some(gate) = &mut self.reorder {
-            gate.admit(e.ty, e.time, &e.attrs, 0, false, false);
-            self.advance_watermark(e.time);
-            return;
-        }
-        debug_assert!(e.time >= self.last_time, "events must be time-ordered");
-        self.last_time = e.time;
-        self.dispatch_row(e.ty, e.time, &e.attrs, false);
-    }
-
     /// Process a time-ordered columnar batch: each signature partition
-    /// runs its stateless scan + stateful dispatch over the whole batch
-    /// while its state is hot. No row-form event is materialized. With an
-    /// event-time gate, rows are admitted raw and the watermark advances
-    /// to the batch's maximum timestamp afterwards.
+    /// runs its compiled scan + stateful dispatch over the whole batch
+    /// while its state is hot. With an event-time gate, rows are admitted
+    /// raw (so a late row counts as dropped even if no partition routes
+    /// it) and the watermark advances to the batch's maximum timestamp
+    /// afterwards.
     pub fn process_columnar(&mut self, batch: &EventBatch) {
         if let Some(gate) = &mut self.reorder {
             for row in 0..batch.len() {
@@ -674,10 +638,12 @@ impl SpassLike {
         }
     }
 
-    /// Drain a stream.
+    /// Drain a stream through the baseline in columnar batches.
     pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
-        while let Some(e) = stream.next_event() {
-            self.process(&e);
+        let mut buf = EventBatch::with_capacity(Executor::RUN_BATCH, 2);
+        while stream.next_batch_columnar(Executor::RUN_BATCH, &mut buf) > 0 {
+            self.process_columnar(&buf);
+            buf.clear();
         }
         self
     }
@@ -736,8 +702,8 @@ impl SpassLike {
         }
     }
 
-    /// Per-partition `(rows_scanned, rows_selected)` of the columnar
-    /// pre-pass, in partition order.
+    /// Per-partition `(rows_scanned, rows_selected)` of the scan, in
+    /// partition order.
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
         match &self.kernel {
             Kernel::Count(ps) => ps
@@ -753,16 +719,8 @@ impl SpassLike {
 }
 
 impl BatchProcessor for SpassLike {
-    fn process_event(&mut self, e: &Event) {
-        self.process(e);
-    }
-
     fn process_columnar(&mut self, batch: &EventBatch) {
         SpassLike::process_columnar(self, batch);
-    }
-
-    fn set_lateness(&mut self, lateness_ms: u64) {
-        SpassLike::set_lateness(self, lateness_ms);
     }
 
     fn late_rows_dropped(&self) -> u64 {
@@ -823,8 +781,8 @@ impl ScopeHost for SpassLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharon_executor::Executor;
     use sharon_query::{parse_workload, Pattern, PlanCandidate};
+    use sharon_types::Event;
 
     fn ev(ty: EventTypeId, t: u64) -> Event {
         Event::new(ty, Timestamp(t))
@@ -853,7 +811,7 @@ mod tests {
         let a = c.lookup("A").unwrap();
         let b = c.lookup("B").unwrap();
         let z = c.lookup("Z").unwrap();
-        let events = vec![
+        let batch = EventBatch::from_events(&[
             ev(x, 1),
             ev(y, 2),
             ev(a, 3),
@@ -865,13 +823,11 @@ mod tests {
             ev(a, 10),
             ev(b, 12),
             ev(z, 14),
-        ];
+        ]);
         let mut sp = SpassLike::new(&c, &w, &plan).unwrap();
         let mut online = Executor::new(&c, &w, &plan).unwrap();
-        for e in &events {
-            sp.process(e);
-            online.process(e);
-        }
+        sp.process_columnar(&batch);
+        online.process_columnar(&batch);
         assert!(sp.sequences_constructed() > 0);
         let sr = sp.finish();
         let or = online.finish();
@@ -894,9 +850,12 @@ mod tests {
         let mut sp = SpassLike::new(&c, &w, &plan).unwrap();
         // two (A,B) matches, no prefixes: shared segment constructs 2
         // matches once; no query completes (prefixes missing)
-        for e in [ev(a, 1), ev(b, 2), ev(a, 3), ev(b, 4)] {
-            sp.process(&e);
-        }
+        sp.process_columnar(&EventBatch::from_events(&[
+            ev(a, 1),
+            ev(b, 2),
+            ev(a, 3),
+            ev(b, 4),
+        ]));
         // (a1,b2), (a1,b4), (a3,b4) = 3 shared matches
         assert_eq!(sp.sequences_constructed(), 3);
         assert!(
@@ -918,13 +877,11 @@ mod tests {
         let a = c.lookup("A").unwrap();
         let b = c.lookup("B").unwrap();
         let cc = c.lookup("C").unwrap();
-        let events = vec![ev(a, 1), ev(b, 2), ev(cc, 3), ev(b, 4), ev(cc, 5)];
+        let batch = EventBatch::from_events(&[ev(a, 1), ev(b, 2), ev(cc, 3), ev(b, 4), ev(cc, 5)]);
         let mut sp = SpassLike::new(&c, &w, &SharingPlan::non_shared()).unwrap();
         let mut fl = crate::flink_like::FlinkLike::new(&c, &w).unwrap();
-        for e in &events {
-            sp.process(e);
-            fl.process(e);
-        }
+        sp.process_columnar(&batch);
+        fl.process_columnar(&batch);
         let sr = sp.finish();
         let fr = fl.finish();
         assert!(sr.semantically_eq(&fr, 1e-9));
@@ -938,9 +895,10 @@ mod tests {
             .map(|i| ev(c.lookup(names[(i % 5) as usize]).unwrap(), i))
             .collect();
 
+        // one row per batch: the per-event cadence
         let mut per_event = SpassLike::new(&c, &w, &plan).unwrap();
         for e in &events {
-            per_event.process(e);
+            per_event.process_columnar(&EventBatch::from_events(std::slice::from_ref(e)));
         }
         let want = per_event.finish();
         assert!(!want.is_empty());

@@ -16,9 +16,11 @@
 //!   the values contiguous and ragged rows cheap.
 //!
 //! Batches are reusable: [`EventBatch::clear`] keeps all four buffers, so a
-//! steady-state ingest loop performs no allocation. The row-form
-//! [`Event`] remains as a compatibility shim — [`EventBatch::event`]
-//! materializes one row, [`EventBatch::push_event`] appends one.
+//! steady-state ingest loop performs no allocation. Batches are the only
+//! form executors ingest; the row-form [`Event`] remains as the adapter
+//! tests, examples and stream generators use — [`EventBatch::from_events`]
+//! builds a batch, [`EventBatch::event`] materializes one row,
+//! [`EventBatch::push_event`] appends one.
 
 use crate::catalog::{AttrId, EventTypeId};
 use crate::event::Event;

@@ -1,6 +1,6 @@
 //! Dynamic workloads (§7.4): event rates drift mid-stream, the
 //! DynamicPlanManager detects it and re-optimizes, and the executor
-//! migrates to the new plan at a window boundary without losing results.
+//! migrates to the new plan at a batch boundary without losing results.
 //!
 //! ```sh
 //! cargo run --release --example dynamic_workload
@@ -50,32 +50,38 @@ fn main() {
 
     let mut t = 0u64;
     let mut migrations = 0;
+    let mut batch = EventBatch::new();
     for phase in 0..2 {
         let types = if phase == 0 { &phase1 } else { &phase2 };
         for _ in 0..4000 {
+            // one batch per round: each type once, 5 ms apart
+            batch.clear();
             for &ty in types.iter() {
                 t += 5;
-                let e = Event::new(ty, Timestamp(t));
-                executor.process(&e);
-                if let PlanDecision::Replace(outcome) = manager.observe(&workload, &e) {
-                    migrations += 1;
-                    println!(
-                        "\nrate drift detected at t={t}ms: new plan ({} candidates, score {:.0})",
-                        outcome.plan.len(),
-                        outcome.score
-                    );
-                    for cand in &outcome.plan.candidates {
-                        println!("  share {}", cand.pattern.display(&catalog));
-                    }
-                    // plan migration: drain the old executor (flushing its
-                    // windows), then continue under the new plan — "no
-                    // results are lost or corrupted" (§7.4)
-                    let old = std::mem::replace(
-                        &mut executor,
-                        executor_for_plan(&catalog, &workload, &outcome.plan).expect("compiles"),
-                    );
-                    results.merge(old.finish());
+                batch.push_from(ty, Timestamp(t), []);
+            }
+            executor.process_columnar(&batch);
+            let counts = types.iter().map(|&ty| (ty, 1));
+            if let PlanDecision::Replace(outcome) =
+                manager.observe_counts(&workload, counts, Timestamp(t))
+            {
+                migrations += 1;
+                println!(
+                    "\nrate drift detected at t={t}ms: new plan ({} candidates, score {:.0})",
+                    outcome.plan.len(),
+                    outcome.score
+                );
+                for cand in &outcome.plan.candidates {
+                    println!("  share {}", cand.pattern.display(&catalog));
                 }
+                // plan migration: drain the old executor (flushing its
+                // windows), then continue under the new plan — "no
+                // results are lost or corrupted" (§7.4)
+                let old = std::mem::replace(
+                    &mut executor,
+                    executor_for_plan(&catalog, &workload, &outcome.plan).expect("compiles"),
+                );
+                results.merge(old.finish());
             }
         }
     }

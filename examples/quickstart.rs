@@ -51,8 +51,9 @@ fn main() {
     //    count(A,B) = 1 at the first C and 5 at the second; the D events
     //    complete 2 + 5 = 7 sequences of (A,B,C,D))
     // ---------------------------------------------------------------
+    // (row-form events enter the executor as one columnar batch)
     let t = |n: &str| catalog.lookup(n).unwrap();
-    for (ty, ts) in [
+    let events: Vec<Event> = [
         (t("A"), 1u64),
         (t("B"), 2),
         (t("C"), 3),
@@ -62,9 +63,11 @@ fn main() {
         (t("B"), 7),
         (t("C"), 8),
         (t("D"), 9),
-    ] {
-        fw.process(&Event::new(ty, Timestamp(ts)));
-    }
+    ]
+    .into_iter()
+    .map(|(ty, ts)| Event::new(ty, Timestamp(ts)))
+    .collect();
+    fw.process_columnar(&EventBatch::from_events(&events));
 
     // ---------------------------------------------------------------
     // 4. Collect per-window results

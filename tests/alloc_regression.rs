@@ -18,8 +18,8 @@
 use sharon::prelude::*;
 use sharon::twostep::{FlinkLike, SpassLike};
 use sharon_executor::{
-    compile, set_scan_mode, spsc, BatchRouter, EngineKind, RouteBatch, RoutedRows, ScanMode,
-    ShardSlice, ShardedOptions, SplitConfig,
+    compile, spsc, BatchRouter, EngineKind, RouteBatch, RoutedRows, ShardSlice, ShardedOptions,
+    SplitConfig,
 };
 use sharon_metrics::{alloc, TrackingAllocator};
 use std::sync::{Arc, Mutex};
@@ -197,67 +197,56 @@ fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
 
 #[test]
 fn scan_kernel_path_is_allocation_free_in_both_modes() {
-    // the compiled-scan tentpole's steady-state promise, crossed over
-    // SHARON_SCAN: with a predicate clause in play (so the vector path
-    // runs the full bitmap pipeline — routing pass, gather scratch,
-    // clause fold, extraction — not just the clause-free early return),
-    // both the scalar interpreter and the kernel stay at zero
-    // allocations per batch once warmed up
+    // the compiled scan's steady-state promise: with a predicate clause in
+    // play (so the kernel runs the full bitmap pipeline — routing pass,
+    // gather scratch, clause fold, extraction — not just the clause-free
+    // early return), the scan stays at zero allocations per batch once
+    // warmed up
     let _serial = serial();
-    struct ResetMode;
-    impl Drop for ResetMode {
-        fn drop(&mut self) {
-            set_scan_mode(None);
-        }
-    }
-    let _reset = ResetMode;
-    for mode in [ScanMode::Scalar, ScanMode::Vector] {
-        set_scan_mode(Some(mode));
-        let mut catalog = Catalog::new();
-        catalog.register_with_schema("A", Schema::new(["g", "v"]));
-        let workload = parse_workload(
-            &mut catalog,
-            ["RETURN COUNT(*) PATTERN SEQ(A) WHERE A.v >= 0 GROUP BY g WITHIN 8 ms SLIDE 4 ms"],
-        )
-        .unwrap();
-        let mut executor = Executor::non_shared(&catalog, &workload).unwrap();
+    let mut catalog = Catalog::new();
+    catalog.register_with_schema("A", Schema::new(["g", "v"]));
+    let workload = parse_workload(
+        &mut catalog,
+        ["RETURN COUNT(*) PATTERN SEQ(A) WHERE A.v >= 0 GROUP BY g WITHIN 8 ms SLIDE 4 ms"],
+    )
+    .unwrap();
+    let mut executor = Executor::non_shared(&catalog, &workload).unwrap();
 
-        let (warmup, t) = build_batches(&catalog, WARMUP_BATCHES, 0);
-        let (measured, _) = build_batches(&catalog, MEASURED_BATCHES, t);
-        for batch in &warmup {
+    let (warmup, t) = build_batches(&catalog, WARMUP_BATCHES, 0);
+    let (measured, _) = build_batches(&catalog, MEASURED_BATCHES, t);
+    for batch in &warmup {
+        executor.process_columnar(batch);
+    }
+    let expected_results = (MEASURED_BATCHES * BATCH_ROWS / 4 + 64) * (GROUPS as usize);
+    executor.reserve_results(expected_results);
+
+    let matched_before = executor.events_matched();
+    let (_, allocs) = alloc::measure_allocs(|| {
+        for batch in &measured {
             executor.process_columnar(batch);
         }
-        let expected_results = (MEASURED_BATCHES * BATCH_ROWS / 4 + 64) * (GROUPS as usize);
-        executor.reserve_results(expected_results);
-
-        let matched_before = executor.events_matched();
-        let (_, allocs) = alloc::measure_allocs(|| {
-            for batch in &measured {
-                executor.process_columnar(batch);
-            }
-        });
-        assert_eq!(
-            allocs, 0,
-            "steady-state {mode:?} scan must not allocate \
-             ({MEASURED_BATCHES} batches of {BATCH_ROWS} events performed {allocs} allocations)"
-        );
-        // `v` is always >= 0, so the predicate filters nothing: every
-        // measured row survived the scan and matched
-        assert_eq!(
-            executor.events_matched() - matched_before,
-            (MEASURED_BATCHES * BATCH_ROWS) as u64,
-            "{mode:?}: every measured event passed the scan"
-        );
-        let (scanned, selected) = executor.scan_stats()[0];
-        assert_eq!(
-            (scanned, selected),
-            (
-                ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64,
-                ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64,
-            ),
-            "{mode:?}: scan tallies cover every row"
-        );
-    }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state scan must not allocate \
+         ({MEASURED_BATCHES} batches of {BATCH_ROWS} events performed {allocs} allocations)"
+    );
+    // `v` is always >= 0, so the predicate filters nothing: every
+    // measured row survived the scan and matched
+    assert_eq!(
+        executor.events_matched() - matched_before,
+        (MEASURED_BATCHES * BATCH_ROWS) as u64,
+        "every measured event passed the scan"
+    );
+    let (scanned, selected) = executor.scan_stats()[0];
+    assert_eq!(
+        (scanned, selected),
+        (
+            ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64,
+            ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64,
+        ),
+        "scan tallies cover every row"
+    );
 }
 
 #[test]
@@ -1062,8 +1051,8 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
 #[test]
 fn per_event_shim_stays_inline_for_small_events() {
     let _serial = serial();
-    // the row-form compatibility path: events with <= 4 attributes never
-    // allocate for their attribute storage
+    // the row-form adapter (tests, examples, stream generators): events
+    // with <= 4 attributes never allocate for their attribute storage
     let ((), allocs) = alloc::measure_allocs(|| {
         let mut sink = 0u64;
         for i in 0..1000u64 {

@@ -2,11 +2,12 @@
 //! SPASS-like) and the online executor: all four approaches of Figure 3
 //! answer identically — they differ only in cost.
 //!
-//! Also pins the baselines' *columnar* pipeline (stateless scan + stateful
-//! dispatch over `EventBatch` row indices) and their *sharded* route-once
-//! runs against the per-event reference, on all three paper streams and
-//! over ragged batch sizes (empty and single-event batches included):
-//! neither the batch form nor sharding is ever a semantics change.
+//! Also pins the baselines' *columnar* pipeline (compiled scan + stateful
+//! dispatch over `EventBatch` row indices) fed whole batches and their
+//! *sharded* route-once runs against the same baseline fed one row per
+//! batch (the per-event cadence), on all three paper streams and over
+//! ragged batch sizes (empty and single-event batches included): neither
+//! the batch size nor sharding is ever a semantics change.
 
 use proptest::prelude::*;
 use sharon::executor::ShardedOptions;
@@ -45,6 +46,14 @@ fn build(
     (c, w)
 }
 
+/// `events` one row per batch: the per-event cadence of the one columnar
+/// entry point.
+fn row_batches(events: &[Event]) -> impl Iterator<Item = EventBatch> + '_ {
+    events
+        .iter()
+        .map(|e| EventBatch::from_events(std::slice::from_ref(e)))
+}
+
 fn materialize(c: &Catalog, n_types: usize, raw: &[(usize, u64)]) -> Vec<Event> {
     let mut t = 0u64;
     raw.iter()
@@ -76,14 +85,12 @@ proptest! {
             .map(|(o, l)| (o % n_types, l.min(n_types)))
             .collect();
         let (c, w) = build(n_types, &queries, within, slide);
-        let events = materialize(&c, n_types, &raw);
+        let batch = EventBatch::from_events(&materialize(&c, n_types, &raw));
 
         let mut online = Executor::non_shared(&c, &w).unwrap();
         let mut flink = FlinkLike::new(&c, &w).unwrap();
-        for e in &events {
-            online.process(e);
-            flink.process(e);
-        }
+        online.process_columnar(&batch);
+        flink.process_columnar(&batch);
         let or = online.finish();
         let fr = flink.finish();
         prop_assert!(
@@ -108,17 +115,15 @@ proptest! {
             .map(|(o, l)| (o % n_types, l.min(n_types)))
             .collect();
         let (c, w) = build(n_types, &queries, within, slide);
-        let events = materialize(&c, n_types, &raw);
+        let batch = EventBatch::from_events(&materialize(&c, n_types, &raw));
 
         let rates = RateMap::uniform(50.0);
         let outcome = optimize_sharon(&w, &rates, &OptimizerConfig::default());
 
         let mut online = Executor::new(&c, &w, &outcome.plan).unwrap();
         let mut spass = SpassLike::new(&c, &w, &outcome.plan).unwrap();
-        for e in &events {
-            online.process(e);
-            spass.process(e);
-        }
+        online.process_columnar(&batch);
+        spass.process_columnar(&batch);
         let or = online.finish();
         let sr = spass.finish();
         prop_assert!(
@@ -130,9 +135,9 @@ proptest! {
     }
 }
 
-/// Per-event vs columnar vs sharded route-once for both baselines: the
-/// batch pipeline and the sharded runtime are pure re-arrangements of the
-/// same work.
+/// One row per batch vs one whole batch vs sharded route-once for both
+/// baselines: batch size and the sharded runtime are pure re-arrangements
+/// of the same work.
 fn assert_baseline_forms_agree(
     catalog: &Catalog,
     workload: &Workload,
@@ -143,10 +148,10 @@ fn assert_baseline_forms_agree(
     let plan = optimize_sharon(workload, &rates, &OptimizerConfig::default()).plan;
     let batch = EventBatch::from_events(events);
 
-    // Flink-like: per-event reference, then columnar, then sharded
+    // Flink-like: one-row-batch reference, then whole batch, then sharded
     let mut reference = FlinkLike::new(catalog, workload).unwrap();
-    for e in events {
-        reference.process(e);
+    for row in row_batches(events) {
+        reference.process_columnar(&row);
     }
     let want = reference.finish();
     assert!(!want.is_empty(), "{label}: stream must produce matches");
@@ -156,7 +161,7 @@ fn assert_baseline_forms_agree(
     let got = columnar.finish();
     assert!(
         got.semantically_eq(&want, 1e-9),
-        "{label}: flink columnar diverges from per-event ({} vs {} results)",
+        "{label}: flink whole batch diverges from one row per batch ({} vs {} results)",
         got.len(),
         want.len(),
     );
@@ -173,8 +178,8 @@ fn assert_baseline_forms_agree(
 
     // SPASS-like under the Sharon construction-sharing plan
     let mut reference = SpassLike::new(catalog, workload, &plan).unwrap();
-    for e in events {
-        reference.process(e);
+    for row in row_batches(events) {
+        reference.process_columnar(&row);
     }
     let want = reference.finish();
 
@@ -183,7 +188,7 @@ fn assert_baseline_forms_agree(
     let got = columnar.finish();
     assert!(
         got.semantically_eq(&want, 1e-9),
-        "{label}: spass columnar diverges from per-event ({} vs {} results)",
+        "{label}: spass whole batch diverges from one row per batch ({} vs {} results)",
         got.len(),
         want.len(),
     );
@@ -310,10 +315,9 @@ proptest! {
         }
         batches.push(EventBatch::from_events(rest));
 
+        let whole = EventBatch::from_events(&events);
         let mut reference = FlinkLike::new(&c, &w).unwrap();
-        for e in &events {
-            reference.process(e);
-        }
+        reference.process_columnar(&whole);
         let want = reference.finish();
 
         let mut columnar = FlinkLike::new(&c, &w).unwrap();
@@ -328,9 +332,7 @@ proptest! {
 
         let plan = SharingPlan::non_shared();
         let mut reference = SpassLike::new(&c, &w, &plan).unwrap();
-        for e in &events {
-            reference.process(e);
-        }
+        reference.process_columnar(&whole);
         let spass_want = reference.finish();
 
         // both baselines through their one sharded constructor — and so
@@ -385,17 +387,14 @@ fn two_step_constructs_polynomially_many_sequences() {
     let t = |n: &str| c.lookup(n).unwrap();
     let mut flink = FlinkLike::new(&c, &w).unwrap();
     // 20 As, 20 Bs, then one C: the C constructs 20*20 = 400 sequences
-    let mut ts = 0;
-    for _ in 0..20 {
-        ts += 1;
-        flink.process(&Event::new(t("A"), Timestamp(ts)));
-    }
-    for _ in 0..20 {
-        ts += 1;
-        flink.process(&Event::new(t("B"), Timestamp(ts)));
-    }
-    ts += 1;
-    flink.process(&Event::new(t("C"), Timestamp(ts)));
+    let types = std::iter::repeat_n("A", 20)
+        .chain(std::iter::repeat_n("B", 20))
+        .chain(["C"]);
+    let events: Vec<Event> = types
+        .zip(1..)
+        .map(|(name, ts)| Event::new(t(name), Timestamp(ts)))
+        .collect();
+    flink.process_columnar(&EventBatch::from_events(&events));
     assert_eq!(flink.sequences_constructed(), 400);
     let res = flink.finish();
     assert_eq!(res.total_count(QueryId(0)), 400);

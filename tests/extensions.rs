@@ -15,6 +15,12 @@ fn ev(c: &Catalog, name: &str, t: u64) -> Event {
     Event::new(c.lookup(name).unwrap(), Timestamp(t))
 }
 
+/// Feed `(type name, time)` rows to `ex` as one columnar batch.
+fn feed(ex: &mut Executor, c: &Catalog, rows: &[(&str, u64)]) {
+    let events: Vec<Event> = rows.iter().map(|&(n, t)| ev(c, n, t)).collect();
+    ex.process_columnar(&EventBatch::from_events(&events));
+}
+
 /// §7.3: a pattern with a repeated type, checked by hand.
 /// Pattern (A, B, A): events a1 b2 a3 a4 b5 a6 in one window.
 /// Matches: (a1,b2,a3), (a1,b2,a4), (a1,b2,a6), (a3,b5,a6), (a4,b5,a6),
@@ -28,16 +34,11 @@ fn repeated_type_pattern_by_hand() {
     )
     .unwrap();
     let mut ex = Executor::non_shared(&c, &w).unwrap();
-    for (n, t) in [
-        ("A", 1u64),
-        ("B", 2),
-        ("A", 3),
-        ("A", 4),
-        ("B", 5),
-        ("A", 6),
-    ] {
-        ex.process(&ev(&c, n, t));
-    }
+    feed(
+        &mut ex,
+        &c,
+        &[("A", 1), ("B", 2), ("A", 3), ("A", 4), ("B", 5), ("A", 6)],
+    );
     let res = ex.finish();
     assert_eq!(res.total_count(QueryId(0)), 6);
 }
@@ -55,9 +56,7 @@ fn count_e_with_repeated_type() {
     )
     .unwrap();
     let mut ex = Executor::non_shared(&c, &w).unwrap();
-    for (n, t) in [("A", 1u64), ("B", 2), ("A", 3)] {
-        ex.process(&ev(&c, n, t));
-    }
+    feed(&mut ex, &c, &[("A", 1), ("B", 2), ("A", 3)]);
     let res = ex.finish();
     assert_eq!(res.total_count(QueryId(0)), 1);
     assert_eq!(res.total_count(QueryId(1)), 2, "two A events per sequence");
@@ -85,15 +84,19 @@ proptest! {
             within_x * 2
         );
         let w = Workload::from_queries([parse_query(&mut c, &src).unwrap()]);
+        let mut t = 0u64;
+        let events: Vec<Event> = raw
+            .into_iter()
+            .map(|(ty, dt)| {
+                t += dt;
+                Event::new(c.lookup(&format!("T{ty}")).unwrap(), Timestamp(t))
+            })
+            .collect();
+        let batch = EventBatch::from_events(&events);
         let mut online = Executor::non_shared(&c, &w).unwrap();
         let mut brute = FlinkLike::new(&c, &w).unwrap();
-        let mut t = 0u64;
-        for (ty, dt) in raw {
-            t += dt;
-            let e = Event::new(c.lookup(&format!("T{ty}")).unwrap(), Timestamp(t));
-            online.process(&e);
-            brute.process(&e);
-        }
+        online.process_columnar(&batch);
+        brute.process_columnar(&batch);
         let or = online.finish();
         let br = brute.finish();
         prop_assert!(
@@ -143,19 +146,16 @@ fn mixed_clause_workload_partitions_correctly() {
     // all six together under the Sharon plan
     let rates = RateMap::uniform(50.0);
     let outcome = optimize_sharon(&w, &rates, &OptimizerConfig::default());
+    let batch = EventBatch::from_events(&events);
     let mut together = Executor::new(&c, &w, &outcome.plan).unwrap();
-    for e in &events {
-        together.process(e);
-    }
+    together.process_columnar(&batch);
     let got = together.finish();
 
     // each query alone
     for q in w.queries() {
         let solo_w = Workload::from_queries([q.clone()]);
         let mut solo = Executor::non_shared(&c, &solo_w).unwrap();
-        for e in &events {
-            solo.process(e);
-        }
+        solo.process_columnar(&batch);
         let want = solo.finish();
         for (g, wstart, v) in want.of_query(QueryId(0)) {
             assert_eq!(
@@ -218,12 +218,8 @@ fn window_gaps_are_handled() {
     .unwrap();
     let mut ex = Executor::non_shared(&c, &w).unwrap();
     // burst, long silence, burst
-    for (n, t) in [("A", 1u64), ("B", 2)] {
-        ex.process(&ev(&c, n, t));
-    }
-    for (n, t) in [("A", 1_000_001u64), ("B", 1_000_002)] {
-        ex.process(&ev(&c, n, t));
-    }
+    feed(&mut ex, &c, &[("A", 1), ("B", 2)]);
+    feed(&mut ex, &c, &[("A", 1_000_001), ("B", 1_000_002)]);
     assert!(ex.cell_count() < 100, "state must not accumulate over gaps");
     let res = ex.finish();
     // burst 1: only window [0,10) holds (a1,b2); burst 2: windows starting
@@ -248,15 +244,13 @@ fn starts_that_never_complete_expire_over_gaps() {
     )
     .unwrap();
     let mut ex = Executor::non_shared(&c, &w).unwrap();
-    for t in 1..=50u64 {
-        ex.process(&ev(&c, "A", t));
-    }
+    let burst: Vec<(&str, u64)> = (1..=50).map(|t| ("A", t)).collect();
+    feed(&mut ex, &c, &burst);
     // at t = 50 the STARTs after t = 40 are alive: 10 × 2 prefix cells
     assert_eq!(ex.cell_count(), 20, "dead STARTs must not be counted");
-    ex.process(&ev(&c, "X", 1_000_000));
+    feed(&mut ex, &c, &[("X", 1_000_000)]);
     assert_eq!(ex.cell_count(), 1, "only the X that ended the gap is alive");
-    ex.process(&ev(&c, "C", 1_000_001));
-    ex.process(&ev(&c, "Y", 1_000_002));
+    feed(&mut ex, &c, &[("C", 1_000_001), ("Y", 1_000_002)]);
     // (x, y) sits in the windows starting at 999995 and 1000000
     assert_eq!(ex.cell_count(), 1 + 2);
     let res = ex.finish();

@@ -91,7 +91,7 @@ fn sequential_reference(
     events: &[Event],
 ) -> ExecutorResults {
     let mut sequential = Executor::new(catalog, workload, plan).expect("sequential compiles");
-    sequential.process_batch(events);
+    sequential.process_columnar(&EventBatch::from_events(events));
     sequential.finish()
 }
 
@@ -133,7 +133,7 @@ fn assert_kill_and_resume_is_exact(
             let mut crashing =
                 ShardedExecutor::with_options(catalog, workload, plan, shards, options.clone())
                     .expect("sharded compiles");
-            crashing.process_batch(events);
+            crashing.process_columnar(&EventBatch::from_events(events));
             // simulated crash: everything after the last checkpoint is lost
             drop(crashing);
 
@@ -158,7 +158,7 @@ fn assert_kill_and_resume_is_exact(
                 "{label}: checkpoint at {offset} covers events dropped at batch {crash_batch}"
             );
 
-            resumed.process_batch(&events[offset as usize..]);
+            resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
             let got = resumed.finish();
             assert!(
                 got.semantically_eq(&want, 1e-9),
@@ -308,7 +308,7 @@ fn reorder_fault_kill_and_resume_is_exact() {
             let mut uninterrupted =
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
                     .expect("sharded compiles");
-            uninterrupted.process_batch(&events);
+            uninterrupted.process_columnar(&EventBatch::from_events(&events));
             let got = uninterrupted.finish();
             assert!(
                 got.semantically_eq(&want, 1e-9),
@@ -330,7 +330,9 @@ fn reorder_fault_kill_and_resume_is_exact() {
             let mut crashing =
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
                     .expect("sharded compiles");
-            crashing.process_batch(&events[..(crash_batch * BATCH as u64) as usize]);
+            crashing.process_columnar(&EventBatch::from_events(
+                &events[..(crash_batch * BATCH as u64) as usize],
+            ));
             drop(crashing); // simulated crash: uncheckpointed tail is lost
 
             // a burst at or past the resume offset has to fire again in
@@ -360,7 +362,7 @@ fn reorder_fault_kill_and_resume_is_exact() {
                     .expect("second resume from the same store");
             assert_eq!(offset, offset2, "reorder: resume offset must be stable");
 
-            resumed.process_batch(&events[offset as usize..]);
+            resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
             let got = resumed.finish();
             assert!(
                 got.semantically_eq(&want, 1e-9),
@@ -431,7 +433,7 @@ fn below_bound_lateness_drops_and_counts() {
             let mut sharded =
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
                     .expect("sharded compiles");
-            sharded.process_batch(&shuffled);
+            sharded.process_columnar(&EventBatch::from_events(&shuffled));
             let got = sharded.finish();
             let dropped = sharon::metrics::late_rows_dropped() - before;
             assert_eq!(
@@ -448,6 +450,58 @@ fn below_bound_lateness_drops_and_counts() {
             );
         }
     }
+}
+
+/// The event-time contract of the one columnar entry point: a gated
+/// online engine admits only the rows its scan kernel selected, so a late
+/// row no partition routes is neither admitted nor counted. The sequential
+/// Flink-like baseline admits raw rows before its per-query scans and so
+/// counts that row too — the documented difference.
+#[test]
+fn unrouted_rows_are_never_admitted_or_counted() {
+    let mut catalog = Catalog::new();
+    let workload = parse_workload(
+        &mut catalog,
+        ["RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10 s SLIDE 1 s"],
+    )
+    .unwrap();
+    let x = catalog.register("X"); // registered, routed by no partition
+    let (a, b) = (catalog.lookup("A").unwrap(), catalog.lookup("B").unwrap());
+    // X@100 and A@100 arrive behind the watermark 5000 − 1000 set by X@5000
+    let rows = [
+        (a, 1000),
+        (b, 2000),
+        (x, 5000),
+        (x, 100),
+        (a, 100),
+        (b, 6000),
+    ];
+    let batches: Vec<EventBatch> = rows
+        .iter()
+        .map(|&(ty, t)| EventBatch::from_events(&[Event::new(ty, Timestamp(t))]))
+        .collect();
+
+    let mut online = Executor::non_shared(&catalog, &workload).unwrap();
+    online.set_lateness(1_000);
+    let mut flink = sharon::twostep::FlinkLike::new(&catalog, &workload).unwrap();
+    flink.set_lateness(1_000);
+    for batch in &batches {
+        online.process_columnar(batch);
+        flink.process_columnar(batch);
+    }
+    assert_eq!(
+        online.late_rows_dropped(),
+        1,
+        "only the late A is dropped and counted; the late X is never admitted"
+    );
+    assert_eq!(
+        flink.late_rows_dropped(),
+        2,
+        "the Flink-like gate admits raw rows, the unrouted late X included"
+    );
+    let (online, flink) = (online.finish(), flink.finish());
+    assert!(!online.is_empty(), "A@1000 completes with both Bs");
+    assert!(flink.semantically_eq(&online, 1e-9));
 }
 
 /// The strategy layer round-trips: `SharonBuilder::build_executor`
@@ -479,7 +533,7 @@ fn strategy_layer_resume_round_trips() {
             .shards(2)
             .batch_size(BATCH);
         let (mut plain, _) = builder.clone().build_executor().expect("builds");
-        plain.process_batch(&events);
+        plain.process_columnar(&EventBatch::from_events(&events));
         let want = plain.finish();
 
         let dir = test_dir(strategy.name());
@@ -491,11 +545,11 @@ fn strategy_layer_resume_round_trips() {
             .fault(FaultPlan::Drop { batch: crash_batch })
             .build_executor()
             .expect("builds with durability");
-        crashing.process_batch(&events);
+        crashing.process_columnar(&EventBatch::from_events(&events));
         drop(crashing);
 
         let (mut resumed, _, offset) = builder.resume().expect("resumes");
-        resumed.process_batch(&events[offset as usize..]);
+        resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
         let got = resumed.finish();
         assert!(
             got.semantically_eq(&want, 1e-9),
@@ -539,7 +593,7 @@ fn worker_panic_is_contained_and_reported() {
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
                     .expect("sharded compiles");
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                sharded.process_batch(&events);
+                sharded.process_columnar(&EventBatch::from_events(&events));
                 sharded.finish()
             }))
             .expect_err("a worker panic must fail the run, not vanish");
@@ -579,7 +633,7 @@ fn spill_tier_is_result_exact_under_memory_pressure() {
         let mut sharded =
             ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
                 .expect("sharded compiles");
-        sharded.process_batch(&events);
+        sharded.process_columnar(&EventBatch::from_events(&events));
         let got = sharded.finish();
         assert!(
             got.semantically_eq(&want, 1e-9),

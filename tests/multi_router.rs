@@ -82,11 +82,14 @@ fn assert_plane_is_invisible(
         None => (events.to_vec(), None),
     };
 
+    // a gated reference ingests the sharded runs' batch boundaries
     let mut sequential = Executor::new(catalog, workload, plan).expect("sequential compiles");
     if let Some(l) = lateness {
         sequential.set_lateness(l);
     }
-    sequential.process_batch(&events);
+    for chunk in events.chunks(128) {
+        sequential.process_columnar(&EventBatch::from_events(chunk));
+    }
     let want = sequential.finish();
     assert!(!want.is_empty(), "{label}: stream must produce matches");
 
@@ -103,7 +106,7 @@ fn assert_plane_is_invisible(
                 ShardedExecutor::with_options(catalog, workload, plan, shards, options)
                     .expect("sharded compiles");
             assert_eq!(sharded.n_routers(), routers, "{label}: plane size");
-            sharded.process_batch(&events);
+            sharded.process_columnar(&EventBatch::from_events(&events));
 
             // barrier-sync the plane so the counters are complete,
             // then check every router actually carried traffic
@@ -248,7 +251,7 @@ fn late_drop_counts_are_router_invariant() {
             let mut sharded =
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
                     .expect("sharded compiles");
-            sharded.process_batch(&shuffled);
+            sharded.process_columnar(&EventBatch::from_events(&shuffled));
             let got = sharded.finish();
             assert_eq!(
                 sharon::metrics::late_rows_dropped() - before,
@@ -293,7 +296,7 @@ fn two_router_checkpoint_resumes_exactly_and_rejects_mismatch() {
     let plan = sharon_plan(&workload);
 
     let mut sequential = Executor::new(&catalog, &workload, &plan).expect("sequential compiles");
-    sequential.process_batch(&events);
+    sequential.process_columnar(&EventBatch::from_events(&events));
     let want = sequential.finish();
 
     let routers = support::runtime_options().routers.unwrap_or(2).max(2);
@@ -314,7 +317,7 @@ fn two_router_checkpoint_resumes_exactly_and_rejects_mismatch() {
     let mut crashing =
         ShardedExecutor::with_options(&catalog, &workload, &plan, 2, options.clone())
             .expect("sharded compiles");
-    crashing.process_batch(&events);
+    crashing.process_columnar(&EventBatch::from_events(&events));
     drop(crashing); // simulated crash
 
     // mismatched plane size: must be a loud checkpoint error
@@ -344,7 +347,7 @@ fn two_router_checkpoint_resumes_exactly_and_rejects_mismatch() {
         offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
         "resume offset {offset} is not a checkpoint boundary"
     );
-    resumed.process_batch(&events[offset as usize..]);
+    resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
     let got = resumed.finish();
     assert_exact_eq(&got, &want, &workload, "2-router kill-and-resume");
     std::fs::remove_dir_all(&dir).ok();
@@ -394,7 +397,7 @@ mod determinism {
                 },
             )
             .expect("reference compiles");
-            reference.process_batch(&events);
+            reference.process_columnar(&EventBatch::from_events(&events));
             let want = reference.finish();
 
             let mut sharded = ShardedExecutor::with_options(
@@ -413,7 +416,7 @@ mod determinism {
             let mut i = 0;
             while fed < events.len() {
                 let n = chunks[i % chunks.len()].min(events.len() - fed);
-                sharded.process_batch(&events[fed..fed + n]);
+                sharded.process_columnar(&EventBatch::from_events(&events[fed..fed + n]));
                 fed += n;
                 i += 1;
             }

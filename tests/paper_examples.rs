@@ -134,10 +134,12 @@ fn examples_1_and_2_executor_counts() {
     )
     .unwrap();
     let (a, b) = (c.lookup("A").unwrap(), c.lookup("B").unwrap());
+    let events: Vec<Event> = [(a, 1u64), (b, 2), (a, 3), (b, 4)]
+        .into_iter()
+        .map(|(ty, t)| Event::new(ty, Timestamp(t)))
+        .collect();
     let mut ex = Executor::non_shared(&c, &w).unwrap();
-    for (ty, t) in [(a, 1u64), (b, 2), (a, 3), (b, 4)] {
-        ex.process(&Event::new(ty, Timestamp(t)));
-    }
+    ex.process_columnar(&EventBatch::from_events(&events));
     let res = ex.finish();
     assert_eq!(res.total_count(QueryId(0)), 3, "Example 1: count(A,B) = 3");
 }
@@ -182,12 +184,11 @@ fn example_3_shared_combination() {
         PlanCandidate::new(ab, [QueryId(0), QueryId(1)]),
         PlanCandidate::new(cd, [QueryId(0), QueryId(2)]),
     ]);
+    let batch = EventBatch::from_events(&events);
     let mut shared = Executor::new(&c, &w, &plan).unwrap();
     let mut nonshared = Executor::non_shared(&c, &w).unwrap();
-    for e in &events {
-        shared.process(e);
-        nonshared.process(e);
-    }
+    shared.process_columnar(&batch);
+    nonshared.process_columnar(&batch);
     let sr = shared.finish();
     let nr = nonshared.finish();
     assert_eq!(sr.total_count(QueryId(0)), 7, "paper: count(A,B,C,D) = 7");

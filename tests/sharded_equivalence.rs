@@ -3,9 +3,8 @@
 //! (`SHARON_ROUTERS`; single router and a 2-router plane by default),
 //! [`ShardedExecutor`] produces results `semantically_eq` to the
 //! sequential [`Executor`] — sharding and router parallelism are pure
-//! work partitions, never a semantics change — and the columnar
-//! `process_columnar` path (sequential and sharded route-once) is
-//! equivalent to per-event processing. Checked on all three paper
+//! work partitions, never a semantics change — and how the stream is cut
+//! into columnar batches never matters either. Checked on all three paper
 //! streams (TX, LR, EC) under both the Sharon plan and the non-shared
 //! plan, and property-tested over random group cardinalities, plane
 //! sizes, and ragged batch sizes (including empty and single-event
@@ -35,10 +34,9 @@ fn shard_counts() -> Vec<usize> {
     support::shard_counts(&[1, 2, 8])
 }
 
-/// Run `events` sequentially (per-event reference) and assert agreement
-/// of: the sequential columnar path, and — per shard count × routing
-/// plane size — the sharded runtime under mixed row-form ingestion
-/// AND under columnar route-once ingestion.
+/// Run `events` through the sequential engine (the reference) and assert
+/// agreement of the sharded runtime's columnar route-once ingestion, per
+/// shard count × routing plane size.
 fn assert_sharded_matches_sequential(
     catalog: &Catalog,
     workload: &Workload,
@@ -47,22 +45,8 @@ fn assert_sharded_matches_sequential(
     label: &str,
 ) {
     let mut sequential = Executor::new(catalog, workload, plan).expect("sequential compiles");
-    for e in events {
-        sequential.process(e);
-    }
+    sequential.process_columnar(&EventBatch::from_events(events));
     let want = sequential.finish();
-
-    // the sequential columnar path is equivalent to per-event processing
-    let batch = EventBatch::from_events(events);
-    let mut columnar = Executor::new(catalog, workload, plan).expect("columnar compiles");
-    columnar.process_columnar(&batch);
-    let got = columnar.finish();
-    assert!(
-        got.semantically_eq(&want, 1e-9),
-        "{label}: sequential columnar diverges from per-event ({} vs {} results)",
-        got.len(),
-        want.len(),
-    );
 
     // SHARON_DISORDER: run every configuration below on a bounded-
     // disorder shuffle with a covering lateness instead — the results
@@ -105,29 +89,12 @@ fn assert_sharded_matches_sequential(
     for shards in shard_counts() {
         for routers in support::router_counts() {
             let mut sharded = build(shards, routers);
-            // mixed ingestion: some per-event, some batched, covering both
-            let (head, tail) = run_events.split_at(run_events.len() / 3);
-            for e in head {
-                sharded.process(e);
-            }
-            sharded.process_batch(tail);
+            sharded.process_columnar(&run_batch);
             let got = sharded.finish();
             assert!(
                 got.semantically_eq(&want, 1e-9),
                 "{label}: {shards} shards (routers {routers}) \
                  diverge from the sequential engine ({} vs {} results)",
-                got.len(),
-                want.len(),
-            );
-
-            // columnar route-once ingestion agrees too
-            let mut sharded = build(shards, routers);
-            sharded.process_columnar(&run_batch);
-            let got = sharded.finish();
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "{label}: {shards} shards (routers {routers}, columnar ingest) \
-                 diverge ({} vs {} results)",
                 got.len(),
                 want.len(),
             );
@@ -301,8 +268,9 @@ proptest! {
             })
             .collect();
 
+        let batch = EventBatch::from_events(&events);
         let mut sequential = Executor::non_shared(&catalog, &workload).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch);
         let want = sequential.finish();
 
         let mut sharded = ShardedExecutor::with_options(
@@ -316,7 +284,7 @@ proptest! {
             },
         )
         .unwrap();
-        sharded.process_batch(&events);
+        sharded.process_columnar(&batch);
         let got = sharded.finish();
         proptest::prop_assert!(
             got.semantically_eq(&want, 1e-9),
@@ -329,7 +297,7 @@ proptest! {
 
     /// Ragged columnar batch sizes — empty and single-event batches
     /// included — never change results: chopping the stream into columnar
-    /// chunks of arbitrary sizes is equivalent to per-event processing,
+    /// chunks of arbitrary sizes is equivalent to one whole batch,
     /// sequentially and under route-once sharding.
     #[test]
     fn ragged_columnar_batches(
@@ -375,11 +343,9 @@ proptest! {
         }
         batches.push(EventBatch::from_events(rest));
 
-        let mut per_event = Executor::non_shared(&catalog, &workload).unwrap();
-        for e in &events {
-            per_event.process(e);
-        }
-        let want = per_event.finish();
+        let mut whole = Executor::non_shared(&catalog, &workload).unwrap();
+        whole.process_columnar(&EventBatch::from_events(&events));
+        let want = whole.finish();
 
         let mut columnar = Executor::non_shared(&catalog, &workload).unwrap();
         for b in &batches {

@@ -87,13 +87,11 @@ fn materialize(c: &Catalog, raw: &[(usize, u64, i64, i64)]) -> Vec<Event> {
 
 fn check_equivalence(shape: Shape, raw: Vec<(usize, u64, i64, i64)>, agg: &str) {
     let (c, w) = build(&shape, agg);
-    let events = materialize(&c, &raw);
+    let batch = EventBatch::from_events(&materialize(&c, &raw));
 
     // reference: the Non-Shared method
     let mut nonshared = Executor::non_shared(&c, &w).unwrap();
-    for e in &events {
-        nonshared.process(e);
-    }
+    nonshared.process_columnar(&batch);
     let reference = nonshared.finish();
 
     // the Sharon optimizer's plan (with conflict resolution)
@@ -101,18 +99,14 @@ fn check_equivalence(shape: Shape, raw: Vec<(usize, u64, i64, i64)>, agg: &str) 
     let outcome = optimize_sharon(&w, &rates, &OptimizerConfig::default());
     outcome.plan.validate(&w).unwrap();
     let mut shared = Executor::new(&c, &w, &outcome.plan).unwrap();
-    for e in &events {
-        shared.process(e);
-    }
+    shared.process_columnar(&batch);
     let got = shared.finish();
     prop_assert_custom(&got, &reference, "sharon plan");
 
     // the greedy plan too
     let greedy = optimize_greedy(&w, &rates);
     let mut gex = Executor::new(&c, &w, &greedy.plan).unwrap();
-    for e in &events {
-        gex.process(e);
-    }
+    gex.process_columnar(&batch);
     let got = gex.finish();
     prop_assert_custom(&got, &reference, "greedy plan");
 
@@ -142,9 +136,7 @@ fn check_equivalence(shape: Shape, raw: Vec<(usize, u64, i64, i64)>, agg: &str) 
     let plan = SharingPlan::new(chosen);
     if plan.validate(&w).is_ok() {
         let mut ex = Executor::new(&c, &w, &plan).unwrap();
-        for e in &events {
-            ex.process(e);
-        }
+        ex.process_columnar(&batch);
         let got = ex.finish();
         prop_assert_custom(&got, &reference, "maximal plan");
     }
@@ -225,12 +217,11 @@ fn regression_same_timestamp_chain_through_shared_boundary() {
     .collect();
     let ab = Pattern::from_names(&mut c, ["A", "B"]);
     let plan = SharingPlan::new([PlanCandidate::new(ab, [QueryId(0), QueryId(1)])]);
+    let batch = EventBatch::from_events(&events);
     let mut shared = Executor::new(&c, &w, &plan).unwrap();
     let mut nonshared = Executor::non_shared(&c, &w).unwrap();
-    for e in &events {
-        shared.process(e);
-        nonshared.process(e);
-    }
+    shared.process_columnar(&batch);
+    nonshared.process_columnar(&batch);
     let sr = shared.finish();
     let nr = nonshared.finish();
     assert!(sr.semantically_eq(&nr, 1e-9));

@@ -46,9 +46,7 @@ fn assert_split_sharded_matches_sequential(
     label: &str,
 ) {
     let mut sequential = Executor::new(catalog, workload, plan).expect("sequential compiles");
-    for e in events {
-        sequential.process(e);
-    }
+    sequential.process_columnar(&EventBatch::from_events(events));
     let want_matched = sequential.events_matched();
     let want = sequential.finish();
     assert!(!want.is_empty(), "{label}: stream must produce matches");
@@ -308,9 +306,7 @@ fn global_partition_split_exact_under_disorder() {
     let plan = SharingPlan::non_shared();
 
     let mut sequential = Executor::new(&catalog, &workload, &plan).expect("sequential compiles");
-    for e in &events {
-        sequential.process(e);
-    }
+    sequential.process_columnar(&EventBatch::from_events(&events));
     let want_matched = sequential.events_matched();
     let want = sequential.finish();
 
@@ -520,7 +516,7 @@ proptest! {
         .unwrap();
 
         let mut sequential = Executor::non_shared(&catalog, &workload).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&EventBatch::from_events(&events));
         let want_matched = sequential.events_matched();
         let want = sequential.finish();
 
