@@ -3,7 +3,7 @@
 //!
 //! * columnar-batch cost of the Non-Shared vs Shared executor kernels,
 //! * per-prefix-update cost of the segment runner,
-//! * SHARON graph construction, GWMIN, reduction, and level generation
+//! * SHARON graph construction, GWMIN, reduction, and the plan finder
 //!   on the paper's Figure 4 instance and on larger synthetic graphs,
 //! * modified-CCSpan mining over growing workloads.
 
@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use sharon::optimizer::graph::figure_4_graph;
 use sharon::optimizer::gwmin::gwmin;
 use sharon::optimizer::mining::mine_sharable_patterns;
-use sharon::optimizer::plan_finder::{find_optimal_plan, next_level};
+use sharon::optimizer::plan_finder::find_optimal_plan;
 use sharon::optimizer::reduction::reduce;
 use sharon::prelude::*;
 use sharon::streams::workload::{overlapping_workload, WorkloadConfig};
@@ -74,10 +74,6 @@ fn optimizer_kernels(c: &mut Criterion) {
     group.bench_function("plan_finder_figure4", |b| {
         let red = reduce(&g);
         b.iter(|| black_box(find_optimal_plan(&red.graph, None).score))
-    });
-    group.bench_function("level_generation_figure4", |b| {
-        let singles: Vec<Vec<usize>> = (0..g.len()).map(|v| vec![v]).collect();
-        b.iter(|| black_box(next_level(&g, &singles).len()))
     });
 
     for &n in &[20usize, 60] {

@@ -448,9 +448,10 @@ fn main() {
             }
             let s = &outcome.stats;
             println!(
-                "  candidates mined {} / graph {}v {}e / expanded {} / pruned {} / conflict-free {} / plans considered {}",
+                "  candidates mined {} / graph {}v {}e / expanded {} / pruned {} / conflict-free {} / search nodes {}{}",
                 s.candidates_mined, s.graph_vertices, s.graph_edges,
-                s.expanded_vertices, s.pruned, s.conflict_free, s.plans_considered
+                s.expanded_vertices, s.pruned, s.conflict_free, s.plans_considered,
+                if s.timed_out { " (search budget hit: best-so-far plan)" } else { "" }
             );
         }
     } else {

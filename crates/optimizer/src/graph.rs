@@ -179,10 +179,31 @@ impl SharonGraph {
             .position(|v| v.candidate.pattern == *pattern && v.candidate.queries == *queries)
     }
 
+    /// A graph with the given weights and edges, each vertex standing for
+    /// a placeholder candidate: the plan finder's tests build shapes (long
+    /// paths, cycles) that no small workload produces.
+    #[cfg(test)]
+    pub(crate) fn from_edges(weights: &[f64], edges: &[(usize, usize)]) -> Self {
+        let mut g = SharonGraph::default();
+        for (v, &weight) in weights.iter().enumerate() {
+            let pattern = Pattern::new(vec![sharon_types::EventTypeId(v as u32)]);
+            g.verts.push(GraphVertex {
+                candidate: PlanCandidate::new(pattern, [QueryId(0), QueryId(1)]),
+                weight,
+            });
+            g.adj.push(BTreeSet::new());
+        }
+        for &(a, b) in edges {
+            g.adj[a].insert(b);
+            g.adj[b].insert(a);
+        }
+        g
+    }
+
     /// Connected components of the conflict graph, each a sorted vertex
     /// list. Plans of different components never interact, so the plan
-    /// finder solves each component independently (the lattice over a
-    /// union of components is the product of the component lattices).
+    /// finder solves each component independently and the optimal plan is
+    /// the union of the components' optimal plans.
     pub fn components(&self) -> Vec<Vec<usize>> {
         let mut seen = vec![false; self.verts.len()];
         let mut out = Vec::new();

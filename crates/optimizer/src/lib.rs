@@ -17,8 +17,9 @@
 //! 5. [`gwmin`] + [`reduction`] — GWMIN's guaranteed weight prunes
 //!    conflict-ridden candidates; conflict-free ones are extracted
 //!    (Section 5, Appendix B);
-//! 6. [`plan_finder`] — the apriori-style optimal sharing plan finder
-//!    (Section 6);
+//! 6. [`plan_finder`] — the optimal sharing plan finder (Section 6): a
+//!    branch-and-bound maximum-weight independent set search per conflict
+//!    component, started from GWMIN's plan;
 //! 7. [`dynamic`] — rate monitoring and re-optimization (§7.4).
 //!
 //! The top-level entry points are [`optimize_sharon`],

@@ -4,7 +4,9 @@
 //! * the **exhaustive optimizer** — graph construction + conflict
 //!   resolution (graph expansion) + exhaustive subset search;
 //! * the **Sharon optimizer** — graph construction + expansion + graph
-//!   reduction + the pruned sharing plan finder (Sections 4–7).
+//!   reduction + the sharing plan finder (Sections 4–7), a branch-and-bound
+//!   search per connected component of the reduced graph that starts from
+//!   GWMIN's plan and returns the optimal one (see [`crate::plan_finder`]).
 //!
 //! All three return a [`SharingPlan`] plus per-phase wall-clock timings,
 //! which the Figure 15 benchmark prints.
@@ -29,8 +31,9 @@ pub struct OptimizerConfig {
     pub skip_expansion: bool,
     /// Caps on option generation.
     pub expansion: ExpansionConfig,
-    /// Wall-clock budget for the plan search; on exhaustion the best plan
-    /// found so far is returned (the paper then falls back to GWMIN).
+    /// Wall-clock budget for each component's plan search; on exhaustion
+    /// the best plan found so far is returned and `timed_out` is set. That
+    /// plan never scores below GWMIN's, on its component or overall.
     pub search_budget: Option<Duration>,
 }
 
@@ -58,7 +61,8 @@ pub struct OptimizeStats {
     pub pruned: usize,
     /// Conflict-free candidates extracted by the reduction.
     pub conflict_free: usize,
-    /// Valid plans scored by the plan finder.
+    /// Plans scored by the search: branch-and-bound nodes of the Sharon
+    /// optimizer, subsets enumerated by the exhaustive one.
     pub plans_considered: u64,
     /// True if the search hit its budget.
     pub timed_out: bool,
@@ -118,56 +122,6 @@ fn split_by_signature(
         }
     }
     out
-}
-
-/// Greedy valid-plan builder with *marginal* scoring: Definition 8's
-/// score sums candidate benefits independently, which double-counts a
-/// query's Non-Shared savings once several disjoint sub-patterns of the
-/// same query are shared. On dense workloads (many duplicate or heavily
-/// overlapping queries) that misprices over-sharing, so the fallback
-/// selector recomputes each candidate's benefit counting the Non-Shared
-/// savings only for queries not yet covered by an already-chosen
-/// candidate.
-fn marginal_greedy_plan(
-    workload: &Workload,
-    rates: &RateMap,
-    graph: &SharonGraph,
-) -> (Vec<usize>, f64) {
-    let model = CostModel::new(workload, rates);
-    let mut order: Vec<usize> = (0..graph.len()).collect();
-    order.sort_by(|&a, &b| {
-        graph
-            .vertex(b)
-            .weight
-            .partial_cmp(&graph.vertex(a).weight)
-            .expect("weights are finite")
-    });
-    let mut covered: std::collections::BTreeSet<sharon_query::QueryId> =
-        std::collections::BTreeSet::new();
-    let mut chosen: Vec<usize> = Vec::new();
-    let mut naive_score = 0.0;
-    for v in order {
-        let cand = &graph.vertex(v).candidate;
-        if chosen.iter().any(|&u| graph.has_edge(u, v)) {
-            continue;
-        }
-        let uncovered: std::collections::BTreeSet<_> = cand
-            .queries
-            .iter()
-            .copied()
-            .filter(|q| !covered.contains(q))
-            .collect();
-        // marginal benefit: Non-Shared savings only for uncovered queries
-        let saving: f64 = model.non_shared(&uncovered);
-        let cost = model.shared(&cand.pattern, &cand.queries);
-        if saving - cost <= 0.0 {
-            continue;
-        }
-        covered.extend(cand.queries.iter().copied());
-        naive_score += graph.vertex(v).weight;
-        chosen.push(v);
-    }
-    (chosen, naive_score)
 }
 
 fn graph_from_workload(
@@ -307,48 +261,31 @@ pub fn optimize_sharon(
     let red = reduce(&exp);
     let reduce_time = t_red.elapsed();
     let t = Instant::now();
-    // plans of disjoint conflict components compose independently: solve
-    // the lattice per connected component
-    let mut found = crate::plan_finder::FoundPlan {
-        vertices: Vec::new(),
-        score: 0.0,
-        stats: Default::default(),
-    };
+    // plans of disjoint conflict components compose independently: search
+    // each connected component on its own
+    let mut candidates: Vec<PlanCandidate> = Vec::new();
+    let mut score = 0.0;
+    let mut plans_considered = 0;
+    let mut timed_out = false;
     for comp in red.graph.components() {
         let (sub, new_to_old) = red.graph.subgraph(&comp);
-        let comp_found = find_optimal_plan(&sub, config.search_budget);
-        let mut comp_vertices: Vec<usize> =
-            comp_found.vertices.iter().map(|&v| new_to_old[v]).collect();
-        let mut comp_score = comp_found.score;
-        if comp_found.stats.timed_out {
-            // the paper's fallback (Section 6): when a component's valid
-            // space is too large to finish, fall back to a greedy plan —
-            // here with marginal-aware scoring (see `marginal_greedy_plan`)
-            let (chosen, naive_score) = marginal_greedy_plan(workload, rates, &sub);
-            if naive_score > comp_score {
-                comp_vertices = chosen.iter().map(|&v| new_to_old[v]).collect();
-                comp_score = naive_score;
-            }
-            found.stats.timed_out = true;
-        }
-        found.vertices.extend(comp_vertices);
-        found.score += comp_score;
-        found.stats.plans_considered += comp_found.stats.plans_considered;
-        found.stats.levels = found.stats.levels.max(comp_found.stats.levels);
-        found.stats.widest_level = found.stats.widest_level.max(comp_found.stats.widest_level);
+        let found = find_optimal_plan(&sub, config.search_budget);
+        candidates.extend(
+            found
+                .vertices
+                .iter()
+                .map(|&v| red.graph.vertex(new_to_old[v]).candidate.clone()),
+        );
+        score += found.score;
+        plans_considered += found.stats.plans_considered;
+        timed_out |= found.stats.timed_out;
     }
-    let mut candidates: Vec<PlanCandidate> = found
-        .vertices
-        .iter()
-        .map(|&v| red.graph.vertex(v).candidate.clone())
-        .collect();
-    let mut score = found.score;
     for &v in &red.conflict_free {
         candidates.push(exp.vertex(v).candidate.clone());
         score += exp.vertex(v).weight;
     }
-    if found.stats.timed_out {
-        // second fallback guard: never return less than GWMIN on the
+    if timed_out {
+        // a budget-cut search: never return less than GWMIN on the
         // *original* graph (the greedy optimizer's plan)
         let greedy = gwmin(&graph);
         let greedy_score = set_weight(&graph, &greedy);
@@ -392,8 +329,8 @@ pub fn optimize_sharon(
             expanded_vertices: exp.len(),
             pruned: red.pruned.len(),
             conflict_free: red.conflict_free.len(),
-            plans_considered: found.stats.plans_considered,
-            timed_out: found.stats.timed_out,
+            plans_considered,
+            timed_out,
         },
     }
 }
@@ -531,6 +468,45 @@ mod tests {
             .candidates
             .iter()
             .any(|cand| cand.queries.contains(&QueryId(0)) && cand.queries.contains(&QueryId(2))));
+    }
+
+    /// The TX shape at full size: 30 overlapping length-6 routes
+    /// over 20 streets. Its expanded graph is far too wide for a
+    /// level-by-level walk; the search still finishes exactly.
+    #[test]
+    fn thirty_query_tx_workload_is_solved_exactly() {
+        let mut state = 4u64; // splitmix64
+        let mut below = |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let queries: Vec<String> = (0..30)
+            .map(|_| {
+                let offset = below(20);
+                let streets: Vec<String> =
+                    (0..6).map(|i| format!("S{}", (offset + i) % 20)).collect();
+                format!(
+                    "RETURN COUNT(*) PATTERN SEQ({}) GROUP BY vehicle WITHIN 20 s SLIDE 1 s",
+                    streets.join(", ")
+                )
+            })
+            .collect();
+        let mut c = Catalog::new();
+        let w = parse_workload(&mut c, &queries).unwrap();
+        let rates = RateMap::uniform(100.0);
+        let sharon = optimize_sharon(&w, &rates, &OptimizerConfig::default());
+        let greedy = optimize_greedy(&w, &rates);
+        assert!(!sharon.stats.timed_out);
+        sharon.plan.validate(&w).unwrap();
+        assert!(
+            sharon.score >= greedy.score,
+            "sharon {} < greedy {}",
+            sharon.score,
+            greedy.score
+        );
     }
 
     #[test]

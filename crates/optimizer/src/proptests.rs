@@ -60,6 +60,46 @@ fn graph_of(workload: &Workload, weights: &[u32]) -> SharonGraph {
     SharonGraph::from_weighted(workload, items)
 }
 
+/// The plan the level-wise lattice walk returned: over all valid plans,
+/// the highest score summed in ascending vertex order; among equal scores
+/// the fewest vertices, then the lexicographically smallest vertex list.
+fn tie_rule_oracle(g: &SharonGraph) -> (Vec<usize>, f64) {
+    let n = g.len();
+    let mut best: (Vec<usize>, f64) = (Vec::new(), 0.0);
+    for mask in 1u64..1 << n {
+        let plan: Vec<usize> = (0..n).filter(|&v| mask & (1 << v) != 0).collect();
+        let valid = plan
+            .iter()
+            .enumerate()
+            .all(|(i, &a)| plan[i + 1..].iter().all(|&b| !g.has_edge(a, b)));
+        if !valid {
+            continue;
+        }
+        let score: f64 = plan.iter().map(|&v| g.vertex(v).weight).sum();
+        if score > best.1 || (score == best.1 && (plan.len(), &plan) < (best.0.len(), &best.0)) {
+            best = (plan, score);
+        }
+    }
+    best
+}
+
+/// The plan finder returns exactly the oracle's plan and score, and
+/// matches the exhaustive optimizer's score.
+fn check_plan_identity(g: &SharonGraph) -> Result<(), TestCaseError> {
+    let found = find_optimal_plan(g, None);
+    let (plan, score) = tie_rule_oracle(g);
+    prop_assert_eq!(&found.vertices, &plan);
+    prop_assert_eq!(found.score.to_bits(), score.to_bits());
+    let exh = find_exhaustive(g, None);
+    prop_assert!(
+        (found.score - exh.score).abs() < 1e-9,
+        "finder {} != exhaustive {}",
+        found.score,
+        exh.score
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -69,15 +109,20 @@ proptest! {
         weights in prop::collection::vec(1u32..50, 0..24),
     ) {
         let g = graph_of(&w, &weights);
-        prop_assume!(g.len() <= 14); // keep 2^n enumeration fast
-        let bfs = find_optimal_plan(&g, None);
-        let exh = find_exhaustive(&g, None);
-        prop_assert!(
-            (bfs.score - exh.score).abs() < 1e-9,
-            "bfs {} != exhaustive {}",
-            bfs.score,
-            exh.score
-        );
+        prop_assume!(g.len() <= 16); // keep 2^n enumeration fast
+        check_plan_identity(&g)?;
+    }
+
+    /// As above with weights 1..=3 (`graph_of` maps `w` to `w % 50 + 1`),
+    /// where equal-score plans are common and the tie rule decides.
+    #[test]
+    fn plan_finder_keeps_the_tie_rule(
+        w in workload_strategy(),
+        weights in prop::collection::vec(0u32..=2, 0..24),
+    ) {
+        let g = graph_of(&w, &weights);
+        prop_assume!(g.len() <= 16);
+        check_plan_identity(&g)?;
     }
 
     #[test]

@@ -80,14 +80,33 @@ fn examples_7_8_9_reduction() {
 }
 
 /// Example 10: the valid space has 10 plans (7.87 %); the invalid space
-/// has 21 plans (16.54 %).
+/// has 21 plans (16.54 %). The plan finder visits no more than the valid
+/// space and still returns Example 12's {p2, p4, p6}.
 #[test]
 fn example_10_space_sizes() {
     let mut c = Catalog::new();
     let (_, g) = figure_4_graph(&mut c);
     let red = reduce(&g);
+    let n = red.graph.len();
+    let valid = (1u64..1 << n)
+        .filter(|mask| {
+            let members: Vec<usize> = (0..n).filter(|&v| mask & (1 << v) != 0).collect();
+            members
+                .iter()
+                .enumerate()
+                .all(|(i, &a)| members[i + 1..].iter().all(|&b| !red.graph.has_edge(a, b)))
+        })
+        .count();
+    assert_eq!(valid, 10, "10 valid plans");
     let found = find_optimal_plan(&red.graph, None);
-    assert_eq!(found.stats.plans_considered, 10, "10 valid plans traversed");
+    assert!(found.stats.plans_considered <= 10);
+    let originals: Vec<usize> = found
+        .vertices
+        .iter()
+        .map(|&v| red.mapping.iter().position(|m| *m == Some(v)).unwrap())
+        .collect();
+    assert_eq!(originals, vec![1, 3, 5], "p2, p4, p6");
+    assert_eq!(found.score, 32.0);
     assert!((10.0f64 / 127.0 - 0.0787).abs() < 1e-3);
     let invalid = (1u64 << 5) - 10 - 1;
     assert_eq!(invalid, 21);
