@@ -31,7 +31,7 @@ use crate::event_time::Reorder;
 use crate::partial::PartialResults;
 use crate::results::ExecutorResults;
 use crate::runner::SegmentRunner;
-use crate::scan::ScanKernel;
+use crate::scan::{ScanKernel, TypePass};
 use crate::spill::{SpillConfig, SpillStore};
 use crate::winvec::WindowPlane;
 use sharon_query::{SharingPlan, Workload};
@@ -890,19 +890,21 @@ impl<A: Aggregate> Engine<A> {
 
     /// Process a time-ordered columnar batch — the one way rows enter an
     /// unsharded engine — in two passes: the compiled [`ScanKernel`]
-    /// evaluates routing over the `ty` column, predicates over the value
-    /// columns and groupability into a reused selection buffer, then a
-    /// **stateful pass** dispatches only the selected rows into per-group
-    /// state. The scan touches no group state, and the stateful pass never
-    /// re-evaluates what the scan established.
-    pub fn process_columnar(&mut self, batch: &EventBatch) {
+    /// selects from `pass` (the owner's [`TypePass`], built over all of
+    /// `batch`'s rows and covering this engine's kernel) by routing and
+    /// groupability, then evaluates predicates over the value columns into
+    /// a reused selection buffer; a **stateful pass** dispatches only the
+    /// selected rows into per-group state. The scan touches no group
+    /// state, and the stateful pass never re-evaluates what the scan
+    /// established.
+    pub(crate) fn process_columnar(&mut self, batch: &EventBatch, pass: &TypePass) {
         debug_assert!(
             self.shard.is_none(),
             "shard engines are fed through process_routed"
         );
         let mut sel = std::mem::take(&mut self.sel_scratch);
         sel.clear();
-        self.scan.select_into(batch, 0, batch.len(), &mut sel);
+        self.scan.select_from(pass, batch, &mut sel);
         let selected = sel.len() as u64;
         self.rows_scanned += batch.len() as u64;
         self.rows_selected += selected;
@@ -1294,6 +1296,11 @@ impl<A: Aggregate> Engine<A> {
         (self.rows_scanned, self.rows_selected)
     }
 
+    /// The compiled scan kernel selecting this engine's rows.
+    pub(crate) fn scan_kernel(&self) -> &ScanKernel {
+        &self.scan
+    }
+
     /// Live aggregate cells across all groups (memory proxy).
     pub fn cell_count(&self) -> usize {
         self.groups.values().map(GroupRuntime::cell_count).sum()
@@ -1311,10 +1318,12 @@ impl<A: Aggregate> Engine<A> {
 /// With [`SharingPlan::non_shared`] this *is* the Non-Shared method
 /// (A-Seq per query, Section 3.2); with an optimizer-produced plan it is
 /// the Sharon executor (Section 3.3).
-pub enum Executor {
-    /// All queries are `COUNT`-like: specialized count kernel.
-    #[doc(hidden)]
-    __Internal(Vec<EngineKind>),
+pub struct Executor {
+    /// One engine per partition, in partition order.
+    pub(crate) engines: Vec<EngineKind>,
+    /// The type pass every engine's scan selects from, built once per
+    /// batch and covering all engines' routed types.
+    pass: TypePass,
 }
 
 /// One partition engine, monomorphized on its aggregate kernel.
@@ -1338,12 +1347,12 @@ impl EngineKind {
         }
     }
 
-    /// Process a time-ordered columnar batch (see
-    /// [`Engine::process_columnar`]).
-    pub fn process_columnar(&mut self, batch: &EventBatch) {
+    /// Process a time-ordered columnar batch through the owner's type
+    /// pass (see [`Engine::process_columnar`]).
+    pub(crate) fn process_columnar(&mut self, batch: &EventBatch, pass: &TypePass) {
         match self {
-            EngineKind::Count(en) => en.process_columnar(batch),
-            EngineKind::Stats(en) => en.process_columnar(batch),
+            EngineKind::Count(en) => en.process_columnar(batch, pass),
+            EngineKind::Stats(en) => en.process_columnar(batch, pass),
         }
     }
 
@@ -1505,6 +1514,14 @@ impl EngineKind {
         }
     }
 
+    /// The engine's compiled scan kernel (see [`Engine::scan_kernel`]).
+    pub(crate) fn scan_kernel(&self) -> &ScanKernel {
+        match self {
+            EngineKind::Count(en) => en.scan_kernel(),
+            EngineKind::Stats(en) => en.scan_kernel(),
+        }
+    }
+
     /// End-of-stream gate drain (see [`Engine::flush_pending`]): release
     /// every buffered event-time row so pre-finish stats are final.
     pub fn flush_pending(&mut self) {
@@ -1523,11 +1540,12 @@ impl Executor {
         plan: &SharingPlan,
     ) -> Result<Self, CompileError> {
         let parts = compile(catalog, workload, plan)?;
-        let engines = parts
+        let engines: Vec<EngineKind> = parts
             .into_iter()
             .map(|p| EngineKind::for_partition(p, None))
             .collect();
-        Ok(Executor::__Internal(engines))
+        let pass = TypePass::new(engines.iter().map(EngineKind::scan_kernel));
+        Ok(Executor { engines, pass })
     }
 
     /// The Non-Shared (A-Seq) executor for `workload`.
@@ -1535,18 +1553,17 @@ impl Executor {
         Self::new(catalog, workload, &SharingPlan::non_shared())
     }
 
-    fn engines(&mut self) -> &mut Vec<EngineKind> {
-        let Executor::__Internal(e) = self;
-        e
-    }
-
-    /// Process a time-ordered columnar batch: each partition engine runs
-    /// its scan and stateful pass over the whole batch while its state is
-    /// hot (see [`Engine::process_columnar`]). Row-form events enter
-    /// through [`EventBatch::from_events`].
+    /// Process a time-ordered columnar batch: one [`TypePass`] over the
+    /// batch's type column serves every partition engine; each engine's
+    /// [`ScanKernel`] selects its rows from it (routing, groupability,
+    /// predicates), then the engine dispatches only those rows into its
+    /// group state while that state is hot, and advances its event-time
+    /// gate once. Row-form events enter through
+    /// [`EventBatch::from_events`].
     pub fn process_columnar(&mut self, batch: &EventBatch) {
-        for engine in self.engines() {
-            engine.process_columnar(batch);
+        self.pass.build(batch, 0, batch.len());
+        for engine in &mut self.engines {
+            engine.process_columnar(batch, &self.pass);
         }
     }
 
@@ -1554,7 +1571,7 @@ impl Executor {
     /// further results per query (capacity planning for allocation-free
     /// steady-state emission).
     pub fn reserve_results(&mut self, additional: usize) {
-        for engine in self.engines() {
+        for engine in &mut self.engines {
             engine.reserve_results(additional);
         }
     }
@@ -1565,18 +1582,18 @@ impl Executor {
     /// lateness_ms`, and rows behind the watermark are dropped and
     /// counted.
     pub fn set_lateness(&mut self, lateness_ms: u64) {
-        for engine in self.engines() {
+        for engine in &mut self.engines {
             engine.set_lateness(lateness_ms);
         }
     }
 
     /// Late rows dropped, summed over partitions.
     pub fn late_rows_dropped(&self) -> u64 {
-        let Executor::__Internal(engines) = self;
-        engines.iter().map(EngineKind::late_rows_dropped).sum()
+        self.engines.iter().map(EngineKind::late_rows_dropped).sum()
     }
 
-    /// Default batch size for [`Executor::run`] and the sharded runtime.
+    /// Batch size of [`Executor::run`] and the baselines' `run` (the
+    /// sharded runtime batches by [`crate::DEFAULT_BATCH_SIZE`]).
     pub const RUN_BATCH: usize = 1024;
 
     /// Drain a stream through the executor in columnar batches.
@@ -1595,7 +1612,7 @@ impl Executor {
     /// drain backing the session layer's `drain_results`.
     pub fn take_results(&mut self) -> ExecutorResults {
         let mut out = ExecutorResults::new();
-        for engine in self.engines() {
+        for engine in &mut self.engines {
             out.merge(engine.take_results());
         }
         out
@@ -1603,9 +1620,8 @@ impl Executor {
 
     /// Flush remaining windows and return all results.
     pub fn finish(self) -> ExecutorResults {
-        let Executor::__Internal(engines) = self;
         let mut out = ExecutorResults::new();
-        for engine in engines {
+        for engine in self.engines {
             out.merge(match engine {
                 EngineKind::Count(en) => en.finish(),
                 EngineKind::Stats(en) => en.finish(),
@@ -1617,8 +1633,7 @@ impl Executor {
     /// Events that passed routing, predicates, and grouping, summed over
     /// partitions.
     pub fn events_matched(&self) -> u64 {
-        let Executor::__Internal(engines) = self;
-        engines
+        self.engines
             .iter()
             .map(|e| match e {
                 EngineKind::Count(en) => en.events_matched(),
@@ -1629,8 +1644,7 @@ impl Executor {
 
     /// Live aggregate cells (memory proxy).
     pub fn cell_count(&self) -> usize {
-        let Executor::__Internal(engines) = self;
-        engines
+        self.engines
             .iter()
             .map(|e| match e {
                 EngineKind::Count(en) => en.cell_count(),
@@ -1642,8 +1656,7 @@ impl Executor {
     /// Per-partition `(rows_scanned, rows_selected)` of the scan (one
     /// entry per engine, in partition order).
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
-        let Executor::__Internal(engines) = self;
-        engines.iter().map(EngineKind::scan_stats).collect()
+        self.engines.iter().map(EngineKind::scan_stats).collect()
     }
 }
 
@@ -1861,6 +1874,77 @@ mod tests {
             res.get(QueryId(0), &GroupKey::Global, Timestamp(0)),
             Some(&AggValue::Count(1))
         );
+    }
+
+    #[test]
+    fn scopes_sharing_a_type_pass_keep_their_own_scan_tallies() {
+        // three scopes selecting from one type pass per batch: each still
+        // scans every row of every batch, and selects exactly the rows it
+        // selects alone
+        use sharon_types::Schema;
+        let mut c = Catalog::new();
+        for name in ["A", "B", "C"] {
+            c.register_with_schema(name, Schema::new(["g", "v"]));
+        }
+        let sources = [
+            "RETURN COUNT(*) PATTERN SEQ(A, B) WHERE A.v > 2 GROUP BY g WITHIN 8 ms SLIDE 4 ms",
+            "RETURN COUNT(*) PATTERN SEQ(B, C) WHERE C.v < 3 WITHIN 8 ms SLIDE 4 ms",
+            "RETURN COUNT(*) PATTERN SEQ(C) GROUP BY g WITHIN 8 ms SLIDE 4 ms",
+        ];
+        let w = parse_workload(&mut c, sources).unwrap();
+        let types = ["A", "B", "C"].map(|n| c.lookup(n).unwrap());
+        // row i: type i % 3, v = i % 5; every seventh row has no attributes
+        // (ungroupable, and failing every clause)
+        let batches: Vec<EventBatch> = (0..3u64)
+            .map(|b| {
+                let mut batch = EventBatch::new();
+                for i in b * 40..(b + 1) * 40 {
+                    let attrs = if i.is_multiple_of(7) {
+                        vec![]
+                    } else {
+                        vec![Value::Int(i as i64 % 4), Value::Int(i as i64 % 5)]
+                    };
+                    batch.push_from(types[i as usize % 3], Timestamp(i), attrs);
+                }
+                batch
+            })
+            .collect();
+        let mut ex = Executor::non_shared(&c, &w).unwrap();
+        for batch in &batches {
+            ex.process_columnar(batch);
+        }
+        // A with v > 2, plus every B with g; B rows with or without
+        // attributes (no GROUP BY), plus C with v < 3; C rows with g
+        let want = |i: u64| {
+            let has = !i.is_multiple_of(7);
+            let v = i % 5;
+            match i % 3 {
+                0 => [has && v > 2, false, false],
+                1 => [has, true, false],
+                _ => [false, has && v < 3, has],
+            }
+        };
+        let mut selected = [0u64; 3];
+        for i in 0..120 {
+            for (s, hit) in selected.iter_mut().zip(want(i)) {
+                *s += u64::from(hit);
+            }
+        }
+        assert_eq!(selected, [48, 61, 34]);
+        assert_eq!(
+            ex.scan_stats(),
+            vec![(120, 48), (120, 61), (120, 34)],
+            "every scope scans every row and keeps its own selection count"
+        );
+        for (q, source) in sources.iter().enumerate() {
+            let mut c1 = c.clone();
+            let w1 = parse_workload(&mut c1, [*source]).unwrap();
+            let mut solo = Executor::non_shared(&c1, &w1).unwrap();
+            for batch in &batches {
+                solo.process_columnar(batch);
+            }
+            assert_eq!(solo.scan_stats(), vec![ex.scan_stats()[q]], "query {q}");
+        }
     }
 
     #[test]
@@ -2186,8 +2270,7 @@ mod tests {
         let run = |spill: Option<&SpillConfig>| {
             let mut ex = Executor::non_shared(&c, &w).unwrap();
             if let Some(cfg) = spill {
-                let Executor::__Internal(engines) = &mut ex;
-                for (i, e) in engines.iter_mut().enumerate() {
+                for (i, e) in ex.engines.iter_mut().enumerate() {
                     e.set_spill(cfg, &format!("engine-test-{i}")).unwrap();
                 }
             }
@@ -2230,8 +2313,8 @@ mod tests {
         let mut first = Executor::non_shared(&c, &w).unwrap();
         feed(&mut first, &events[..cut]);
         let blobs: Vec<Vec<u8>> = {
-            let Executor::__Internal(engines) = &mut first;
-            engines
+            first
+                .engines
                 .iter_mut()
                 .map(|e| {
                     let mut sw = crate::checkpoint::StateWriter::new();
@@ -2243,9 +2326,8 @@ mod tests {
 
         let mut resumed = Executor::non_shared(&c, &w).unwrap();
         {
-            let Executor::__Internal(engines) = &mut resumed;
-            assert_eq!(engines.len(), blobs.len());
-            for (e, b) in engines.iter_mut().zip(&blobs) {
+            assert_eq!(resumed.engines.len(), blobs.len());
+            for (e, b) in resumed.engines.iter_mut().zip(&blobs) {
                 let mut sr = crate::checkpoint::StateReader::new(b);
                 e.load_state(&mut sr).unwrap();
                 assert!(sr.is_exhausted(), "engine state fully consumed");
@@ -2260,9 +2342,8 @@ mod tests {
     }
 
     fn engine_blob(ex: &mut Executor) -> Vec<u8> {
-        let Executor::__Internal(engines) = ex;
         let mut sw = StateWriter::new();
-        engines[0].save_state(&mut sw);
+        ex.engines[0].save_state(&mut sw);
         sw.into_bytes()
     }
 
@@ -2300,15 +2381,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sharon-engine-embed-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut ex = Executor::non_shared(&c, &w).unwrap();
-        let Executor::__Internal(engines) = &mut ex;
-        engines[0]
+        ex.engines[0]
             .set_spill(&SpillConfig::new(&dir, 4), "embed")
             .unwrap();
         let cut = events.len() / 2;
         feed(&mut ex, &events[..cut]);
         let blob = engine_blob(&mut ex);
-        let Executor::__Internal(engines) = &mut ex;
-        let EngineKind::Count(engine) = &mut engines[0] else {
+        let EngineKind::Count(engine) = &mut ex.engines[0] else {
             panic!("a COUNT workload runs the count kernel");
         };
         let store = &mut engine.spill.as_mut().unwrap().store;
@@ -2328,8 +2407,9 @@ mod tests {
 
         // and the checkpoint restores into an engine without a spill tier
         let mut resumed = Executor::non_shared(&c, &w).unwrap();
-        let Executor::__Internal(engines) = &mut resumed;
-        engines[0].load_state(&mut StateReader::new(&blob)).unwrap();
+        resumed.engines[0]
+            .load_state(&mut StateReader::new(&blob))
+            .unwrap();
         let mut reference = Executor::non_shared(&c, &w).unwrap();
         feed(&mut reference, &events);
         feed(&mut resumed, &events[cut..]);
@@ -2342,12 +2422,11 @@ mod tests {
     fn engine_load_state_rejects_kind_mismatch() {
         let (c, w, _) = grouped_setup(2);
         let mut ex = Executor::non_shared(&c, &w).unwrap();
-        let Executor::__Internal(engines) = &mut ex;
         let mut sw = crate::checkpoint::StateWriter::new();
-        engines[0].save_state(&mut sw);
+        ex.engines[0].save_state(&mut sw);
         let mut bytes = sw.into_bytes();
         bytes[0] ^= 1; // flip the kernel-kind tag
         let mut sr = crate::checkpoint::StateReader::new(&bytes);
-        assert!(engines[0].load_state(&mut sr).is_err());
+        assert!(ex.engines[0].load_state(&mut sr).is_err());
     }
 }

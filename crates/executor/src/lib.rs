@@ -55,7 +55,7 @@ pub use router::{
     SplitConfig, SplitSpec,
 };
 pub use runner::SegmentRunner;
-pub use scan::{ScanCounters, ScanKernel};
+pub use scan::{ScanCounters, ScanKernel, TypePass};
 pub use sharded::{
     default_routers, prepare_step, RouterStats, ShardProcessor, ShardReport, ShardedExecutor,
     ShardedOptions, DEFAULT_BATCH_SIZE, DEFAULT_ROUTERS,

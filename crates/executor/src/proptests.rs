@@ -346,8 +346,7 @@ fn codec_round_trip_is_exact(agg: &str, raw: &[(usize, u64, i64, i64)]) {
         whole.process_columnar(&row);
         cut.process_columnar(&row);
         let mut resumed = Executor::new(&c, &w, &plan).unwrap();
-        let (Executor::__Internal(saved), Executor::__Internal(loaded)) = (&mut cut, &mut resumed);
-        for (from, to) in saved.iter_mut().zip(loaded.iter_mut()) {
+        for (from, to) in cut.engines.iter_mut().zip(resumed.engines.iter_mut()) {
             let mut sw = StateWriter::new();
             from.save_state(&mut sw);
             let bytes = sw.into_bytes();

@@ -5,8 +5,9 @@
 //! prefix of the per-event path — routing, predicate evaluation, group-key
 //! extraction — for **every** event and dropped the groups it did not own,
 //! duplicating that work `N` times. The [`BatchRouter`] runs the prefix
-//! exactly once per event on the ingest side: for each routing scope it
-//! evaluates routing and predicates column-wise over the batch, hashes
+//! exactly once per event on the ingest side: one [`TypePass`] over the
+//! chunk's type column serves all of the router's scopes, then for each
+//! scope it evaluates routing and predicates column-wise, hashes
 //! the group key, and appends the row index to the owning shard's list.
 //! Workers then consume their lists (`process_routed`) and only ever touch
 //! rows they own.
@@ -58,7 +59,7 @@
 
 use crate::checkpoint::{StateError, StateReader, StateWriter};
 use crate::compile::CompiledPartition;
-use crate::scan::{ScanCounters, ScanKernel};
+use crate::scan::{ScanCounters, ScanKernel, TypePass};
 use sharon_types::{fx_hash_one, EventBatch, EventTypeId, FxHashMap, GroupKey, Timestamp, Value};
 use std::sync::Arc;
 
@@ -626,6 +627,9 @@ pub struct BatchRouter<F = CompiledPartition> {
     trackers: Vec<Option<SplitTracker>>,
     /// Compiled scan kernels, parallel to `scopes`.
     kernels: Vec<ScanKernel>,
+    /// The type pass every kernel selects from, built once per chunk and
+    /// covering this router's scopes only.
+    pass: TypePass,
     /// Reused selection buffer of the stateless pass (phase 1 output /
     /// phase 2 input of [`BatchRouter::route_range_into`]).
     sel_scratch: Vec<u32>,
@@ -699,12 +703,14 @@ impl<F: RowFilter> BatchRouter<F> {
                 }
             })
             .collect();
-        let kernels = scopes.iter().map(RowFilter::scan_kernel).collect();
+        let kernels: Vec<ScanKernel> = scopes.iter().map(RowFilter::scan_kernel).collect();
+        let pass = TypePass::new(&kernels);
         let counters = ScanCounters::new(n_slots);
         BatchRouter {
             scopes,
             trackers,
             kernels,
+            pass,
             sel_scratch: Vec::new(),
             counters,
             n_shards,
@@ -784,15 +790,17 @@ impl<F: RowFilter> BatchRouter<F> {
                 self.runmax_scratch.push(max_ms);
             }
         }
+        // phase 1 — stateless selection: one type pass over the chunk
+        // serves every scope of this router; each scope's kernel selects
+        // from it by routing and groupability, then evaluates its
+        // predicates into the reused selection buffer (groupability is
+        // precisely `read_group_key` succeeding)
+        self.pass.build(batch, lo, hi);
         let mut sel = std::mem::take(&mut self.sel_scratch);
         for (pi, scope) in self.scopes.iter().enumerate() {
             let slot = self.slots[pi] as usize;
-            // phase 1 — stateless selection: the scope's kernel
-            // evaluates routing, predicates, and groupability over the
-            // whole chunk into the reused selection buffer (groupability
-            // is precisely `read_group_key` succeeding)
             sel.clear();
-            self.kernels[pi].select_into(batch, lo, hi, &mut sel);
+            self.kernels[pi].select_from(&self.pass, batch, &mut sel);
             self.counters
                 .record(slot, (hi - lo) as u64, sel.len() as u64);
             sharon_metrics::record_rows_scanned((hi - lo) as u64);

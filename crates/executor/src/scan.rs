@@ -5,31 +5,43 @@
 //! A [`ScanKernel`] is the only thing that selects the rows an executor
 //! folds: it compiles the scope's clause list once and evaluates it
 //! column-at-a-time instead of walking every row through branchy
-//! per-clause checks:
+//! per-clause checks. The work splits into one pass shared by every scope
+//! of an owner and the per-scope rest:
 //!
-//! 1. **Routing + groupability pass** — one fused sweep over the `ty` and
-//!    row-offset columns builds the candidate bitmap: a single per-type
-//!    table lookup yields the row's minimum width (`u32::MAX` for
-//!    unrouted types), so bit `i` is one compare — set iff the row's type
-//!    routes into the scope *and* the row carries every `GROUP BY`
-//!    attribute (grouping attributes are positional, so presence of
-//!    attribute `a` is `row_width > a`). The same sweep scatters each
-//!    clause-bearing type's membership bitmap, so the type column is read
-//!    exactly once per scan no matter how many clauses follow.
-//! 2. **Gather** — identical `(attr, op, lit)` clauses appearing on
+//! 1. **Type pass, shared** — a [`TypePass`] sweeps the `ty` and
+//!    row-offset columns of a chunk once for *all* scopes of its owner
+//!    (an [`crate::Executor`]'s engines, or one [`crate::BatchRouter`]'s
+//!    scopes), building a membership bitmap for every routed type plus
+//!    that type's minimum row width in the chunk. However many scopes
+//!    follow, the type column is read once per chunk.
+//! 2. **Routing + groupability, per scope** — the kernel's candidate
+//!    bitmap is the union of its routed types' bitmaps. A row carries
+//!    every `GROUP BY` attribute iff `row_width > max attr index`
+//!    (grouping attributes are positional), so a type whose chunk-minimum
+//!    width already covers the scope's need joins word-wise; only a type
+//!    with narrower rows is checked bit by bit.
+//! 3. **Gather** — identical `(attr, op, lit)` clauses appearing on
 //!    several types (the signature of a shared workload) are merged at
 //!    compile time into one clause over the union type mask; for each
 //!    distinct `(type set, attribute)` run, the *live* rows' values are
-//!    gathered once into reused typed column scratch (`f64` mirror, exact
-//!    `i64` lane, plus present/int/str bitmaps). Live means still
-//!    selected: rows an earlier clause failed are never gathered again.
-//! 3. **Clause evaluation** — each clause produces a pass bitmap from the
-//!    gathered columns with branch-free 64-lane comparisons, folded into
+//!    gathered once, compacted in row order, into reused typed column
+//!    scratch (`f64` mirror, exact `i64` lane, plus present/int/str
+//!    bitmaps). Live means of the clause's types (read from the shared
+//!    type bitmaps) and still selected: rows an earlier clause failed are
+//!    never gathered again.
+//! 4. **Clause evaluation** — each clause produces pass bits for the
+//!    gathered lanes with branch-free 64-lane comparisons, folded into
 //!    the selection with `R &= !M | P` (rows of other types are
-//!    unaffected; matching rows must pass). String-literal equality falls
-//!    back to a scalar lane over the (few) set bits.
-//! 4. **Extraction** — `trailing_zeros` walks each word's survivors into
+//!    unaffected; gathered rows must pass, so the fold clears the ones
+//!    that fail). Compaction keeps the comparisons to rows the clause can
+//!    affect, not every row of the chunk. String-literal equality falls
+//!    back to a scalar lane over the (few) string lanes.
+//! 5. **Extraction** — `trailing_zeros` walks each word's survivors into
 //!    the existing `Vec<u32>` selection buffers.
+//!
+//! [`ScanKernel::select_from`] runs steps 2–5 over a pass its owner built;
+//! [`ScanKernel::select_into`] is the one-scope form, building a pass that
+//! covers only its own types and then running the same code.
 //!
 //! Exactness is non-negotiable: the kernel reproduces
 //! [`sharon_query::clause_passes`] bit for bit — a missing attribute
@@ -97,32 +109,35 @@ impl ScanCounters {
     }
 }
 
-/// One compiled predicate clause: rows of the types named by `slots`
-/// must satisfy `attrs[attr] <op> lit`. Identical `(attr, op, lit)`
-/// clauses appearing on several routed types — the signature of a shared
+/// One compiled predicate clause: rows of the types in `types` must
+/// satisfy `attrs[attr] <op> lit`. Identical `(attr, op, lit)` clauses
+/// appearing on several routed types — the signature of a shared
 /// workload — are merged into one clause over the *union* of the type
 /// masks, so the comparison sweep runs once, not once per type.
 #[derive(Debug, Clone)]
 struct Clause {
-    /// Slot indexes (into the scattered per-type membership bitmaps) of
-    /// every type carrying this clause, sorted.
-    slots: Box<[u32]>,
+    /// Type ids of every type carrying this clause, sorted.
+    types: Box<[u32]>,
     /// Positional attribute index within the row.
     attr: u32,
     op: CmpOp,
     lit: Value,
 }
 
-/// Reused typed column scratch of the gather stage: one entry per chunk
-/// row (dense; only lanes set in the current type bitmap are live).
+/// Reused typed column scratch of the gather stage: the gathered rows'
+/// values **compacted** in row order, one lane per gathered row, so the
+/// comparisons run over live rows only — not over every row of the chunk.
 #[derive(Debug, Default)]
 struct Gather {
+    /// Chunk-relative row index of each lane.
+    rows: Vec<u32>,
     /// `f64` mirror of every present numeric value (`Int` lanes hold
     /// `i as f64` — exactly [`Value::as_f64`]'s mixed-comparison view).
     f64s: Vec<f64>,
     /// Exact `i64` lane of `Int` values.
     i64s: Vec<i64>,
-    /// Bit set iff the row carries the attribute at all.
+    /// Bit set iff the lane's row carries the attribute at all (64 lanes
+    /// per word).
     present: Vec<u64>,
     /// Bit set iff the attribute is `Value::Int` (⊆ present).
     ints: Vec<u64>,
@@ -130,36 +145,117 @@ struct Gather {
     strs: Vec<u64>,
 }
 
+/// Pass 1 of the scan, shared by every scope of one owner: a single sweep
+/// over the `ty` and row-offset columns of rows `lo..hi` builds, for every
+/// type some covered kernel routes, the type's membership bitmap (bit
+/// `i` covers absolute row `lo + i`) and the minimum width of its rows in
+/// the chunk. Built once per chunk by [`TypePass::build`], then read by
+/// each covered kernel's [`ScanKernel::select_from`]. All storage is
+/// reused, so steady-state passes allocate nothing.
+#[derive(Debug)]
+pub struct TypePass {
+    /// Per type id (dense): the type's slot, 0 for types no covered
+    /// kernel routes. Slot 0 is a sink that unrouted rows write to, so the
+    /// sweep carries no branch on routing.
+    slot_of: Box<[u32]>,
+    /// Per slot: the chunk's membership bitmap, `n_words` words each.
+    members: Vec<u64>,
+    /// Per slot: the narrowest row of the type in the chunk (`u32::MAX`
+    /// when it has none).
+    min_width: Vec<u32>,
+    lo: usize,
+    hi: usize,
+    n_words: usize,
+}
+
+impl TypePass {
+    /// A pass covering every type routed by any of `kernels`.
+    pub fn new<'a>(kernels: impl IntoIterator<Item = &'a ScanKernel>) -> Self {
+        let mut slot_of: Vec<u32> = Vec::new();
+        let mut n_slots = 1u32; // slot 0 is the unrouted sink
+        for kernel in kernels {
+            for &(ty, _) in kernel.types.iter() {
+                let ty = ty as usize;
+                if slot_of.len() <= ty {
+                    slot_of.resize(ty + 1, 0);
+                }
+                if slot_of[ty] == 0 {
+                    slot_of[ty] = n_slots;
+                    n_slots += 1;
+                }
+            }
+        }
+        TypePass {
+            slot_of: slot_of.into_boxed_slice(),
+            members: Vec::new(),
+            min_width: vec![u32::MAX; n_slots as usize],
+            lo: 0,
+            hi: 0,
+            n_words: 0,
+        }
+    }
+
+    /// Sweep rows `lo..hi` of `batch` once: every covered kernel may then
+    /// select from this chunk.
+    pub fn build(&mut self, batch: &EventBatch, lo: usize, hi: usize) {
+        let n = hi - lo;
+        let n_words = n.div_ceil(64);
+        (self.lo, self.hi, self.n_words) = (lo, hi, n_words);
+        self.members.clear();
+        self.members.resize(self.min_width.len() * n_words, 0);
+        self.min_width.fill(u32::MAX);
+        if self.min_width.len() == 1 {
+            return; // covers no type: every kernel selects nothing
+        }
+        let tys = &batch.types()[lo..hi];
+        // chunk-relative offsets view: row i's width is offs[i+1]-offs[i]
+        let offs = &batch.offsets()[lo..hi + 1];
+        for (i, (ty, w)) in tys.iter().zip(offs.windows(2)).enumerate() {
+            let slot = self.slot_of.get(ty.index()).copied().unwrap_or(0) as usize;
+            self.members[slot * n_words + i / 64] |= 1u64 << (i % 64);
+            let min = &mut self.min_width[slot];
+            *min = (*min).min(w[1] - w[0]);
+        }
+    }
+
+    /// Type `ty`'s `(membership bitmap, minimum row width)` in the chunk.
+    ///
+    /// # Panics
+    ///
+    /// If no kernel this pass was built for routes `ty`.
+    fn of(&self, ty: u32) -> (&[u64], u32) {
+        let slot = self.slot_of.get(ty as usize).copied().unwrap_or(0) as usize;
+        assert!(slot != 0, "type {ty} is not covered by this type pass");
+        (
+            &self.members[slot * self.n_words..][..self.n_words],
+            self.min_width[slot],
+        )
+    }
+}
+
 /// A compiled scan kernel for one routing scope. Built once at executor
 /// construction (see [`crate::CompiledPartition::scan_kernel`]); all
 /// scratch is reused, so steady-state scanning allocates nothing.
 #[derive(Debug)]
 pub struct ScanKernel {
-    /// Per type id (dense): `(min_width, 1 + slot)`. `min_width` fuses
-    /// routing and groupability into one compare — `u32::MAX` for
-    /// unrouted types (unreachable by any real row: a row would need
-    /// 2^32 - 1 values to match, more than the u32 offset column can
-    /// index), else `max group-attr index + 1` (0 with no `GROUP BY`).
-    /// The second element is `1 + slot` into
-    /// [`ScanKernel::ty_match_all`] for types carrying clauses, 0
-    /// otherwise — pass 1 scatters every clause type's membership bitmap
-    /// in its single sweep over the type column.
-    ty_table: Box<[(u32, u32)]>,
-    /// Merged predicate clauses, sorted by `(slots, attr)` so the gather
+    /// Routed types, ascending: `(type id, need)`, where `need` is the
+    /// row width that carries every `GROUP BY` attribute of the type
+    /// (`max group-attr index + 1`, 0 with no `GROUP BY`).
+    types: Box<[(u32, u32)]>,
+    /// Merged predicate clauses, sorted by `(types, attr)` so the gather
     /// is built once per distinct `(type set, attr)` run.
     clauses: Box<[Clause]>,
-    /// Number of distinct clause-bearing types (slots).
-    n_slots: usize,
     /// The selection bitmap under construction (64 rows per word).
     words: Vec<u64>,
-    /// Concatenated per-slot type-membership bitmaps (`n_slots × n_words`),
-    /// filled by pass 1.
-    ty_match_all: Vec<u64>,
-    /// The current clause's *live* mask: its type's membership ∧ the
+    /// The current clause's *live* mask: its types' membership ∧ the
     /// selection so far — rows another clause already failed are never
     /// gathered or compared again.
     ty_match: Vec<u64>,
     gather: Gather,
+    /// The pass [`ScanKernel::select_into`] builds over this kernel's own
+    /// types (created on first use; boxed, as most kernels never build
+    /// one).
+    solo: Option<Box<TypePass>>,
 }
 
 impl ScanKernel {
@@ -170,157 +266,138 @@ impl ScanKernel {
         group_attrs: &[Box<[AttrId]>],
         predicates: &[Vec<(AttrId, CmpOp, Value)>],
     ) -> Self {
-        // raw per-type clauses of routed types (others can never matter)
-        let mut raw: Vec<(u32, u32, CmpOp, Value)> = Vec::new();
-        for (ti, is_routed) in routed.iter().enumerate() {
-            if !is_routed {
-                continue;
-            }
-            for (attr, op, lit) in predicates.get(ti).into_iter().flatten() {
-                raw.push((ti as u32, attr.index() as u32, *op, lit.clone()));
-            }
-        }
-        // one scatter slot per clause-bearing type, in type order
-        let mut ty_slot = vec![0u32; routed.len()];
-        let mut n_slots = 0usize;
-        for &(ti, ..) in raw.iter() {
-            let s = &mut ty_slot[ti as usize];
-            if *s == 0 {
-                n_slots += 1;
-                *s = n_slots as u32;
-            }
-        }
-        // merge identical (attr, op, lit) clauses across types: a shared
-        // workload attaches the same comparison to many pattern types, and
-        // one sweep over the union mask serves them all. (NaN float
-        // literals never compare equal, so they simply stay unmerged.)
-        let mut clauses: Vec<Clause> = Vec::new();
-        let mut merged: Vec<Vec<u32>> = Vec::new();
-        for (ti, attr, op, lit) in raw {
-            let slot = ty_slot[ti as usize] - 1;
-            if let Some(i) = clauses
-                .iter()
-                .position(|c| c.attr == attr && c.op == op && c.lit == lit)
-            {
-                if !merged[i].contains(&slot) {
-                    merged[i].push(slot);
-                }
-            } else {
-                clauses.push(Clause {
-                    slots: Box::new([]),
-                    attr,
-                    op,
-                    lit,
-                });
-                merged.push(vec![slot]);
-            }
-        }
-        for (c, mut slots) in clauses.iter_mut().zip(merged) {
-            slots.sort_unstable();
-            c.slots = slots.into_boxed_slice();
-        }
-        clauses.sort_by(|a, b| (&a.slots, a.attr).cmp(&(&b.slots, b.attr)));
-        let ty_table = routed
+        let types: Box<[(u32, u32)]> = routed
             .iter()
             .enumerate()
-            .map(|(ti, &is_routed)| {
-                let need = if is_routed {
-                    group_attrs
-                        .get(ti)
-                        .map(|g| g.iter().map(|a| a.index() as u32 + 1).max().unwrap_or(0))
-                        .unwrap_or(0)
-                } else {
-                    u32::MAX
-                };
-                (need, ty_slot[ti])
+            .filter(|&(_, &is_routed)| is_routed)
+            .map(|(ti, _)| {
+                let need = group_attrs
+                    .get(ti)
+                    .map(|g| g.iter().map(|a| a.index() as u32 + 1).max().unwrap_or(0))
+                    .unwrap_or(0);
+                (ti as u32, need)
             })
             .collect();
+        // merge identical (attr, op, lit) clauses of routed types (others
+        // can never matter) across types: a shared workload attaches the
+        // same comparison to many pattern types, and one sweep over the
+        // union mask serves them all. (NaN float literals never compare
+        // equal, so they simply stay unmerged.)
+        let mut clauses: Vec<Clause> = Vec::new();
+        let mut merged: Vec<Vec<u32>> = Vec::new();
+        for &(ti, _) in types.iter() {
+            for (attr, op, lit) in predicates.get(ti as usize).into_iter().flatten() {
+                let attr = attr.index() as u32;
+                if let Some(i) = clauses
+                    .iter()
+                    .position(|c| c.attr == attr && c.op == *op && c.lit == *lit)
+                {
+                    if !merged[i].contains(&ti) {
+                        merged[i].push(ti);
+                    }
+                } else {
+                    clauses.push(Clause {
+                        types: Box::new([]),
+                        attr,
+                        op: *op,
+                        lit: lit.clone(),
+                    });
+                    merged.push(vec![ti]);
+                }
+            }
+        }
+        for (c, tys) in clauses.iter_mut().zip(merged) {
+            // pushed in ascending type order: already sorted
+            c.types = tys.into_boxed_slice();
+        }
+        clauses.sort_by(|a, b| (&a.types, a.attr).cmp(&(&b.types, b.attr)));
         ScanKernel {
-            ty_table,
+            types,
             clauses: clauses.into_boxed_slice(),
-            n_slots,
             words: Vec::new(),
-            ty_match_all: Vec::new(),
             ty_match: Vec::new(),
             gather: Gather::default(),
+            solo: None,
         }
     }
 
+    /// Select this scope's rows of the chunk `pass` was last built over
+    /// (rows `lo..hi` of `batch`), appending the surviving absolute row
+    /// indexes to `sel` (ascending).
+    ///
+    /// # Panics
+    ///
+    /// If `pass` was not built for this kernel (see [`TypePass::new`]).
+    pub fn select_from(&mut self, pass: &TypePass, batch: &EventBatch, sel: &mut Vec<u32>) {
+        self.scan(pass, batch);
+        extract_into(&self.words, pass.lo, sel);
+    }
+
     /// Evaluate the scope's stateless prefix over rows `lo..hi` of
-    /// `batch` into the selection bitmap `words`: bit `i - lo` covers
-    /// absolute row `i`.
-    fn scan(&mut self, batch: &EventBatch, lo: usize, hi: usize) {
-        let n = hi - lo;
-        let n_words = n.div_ceil(64);
+    /// `batch` and append the surviving absolute row indexes to `sel`
+    /// (ascending): the one-scope form of [`ScanKernel::select_from`],
+    /// over a pass covering only this kernel's types.
+    pub fn select_into(&mut self, batch: &EventBatch, lo: usize, hi: usize, sel: &mut Vec<u32>) {
+        let mut solo = self
+            .solo
+            .take()
+            .unwrap_or_else(|| Box::new(TypePass::new([&*self])));
+        solo.build(batch, lo, hi);
+        self.select_from(&solo, batch, sel);
+        self.solo = Some(solo);
+    }
+
+    /// Evaluate the scope's stateless prefix over the chunk of `pass`
+    /// into the selection bitmap `words`: bit `i` covers absolute row
+    /// `pass.lo + i`.
+    fn scan(&mut self, pass: &TypePass, batch: &EventBatch) {
+        let n_words = pass.n_words;
         self.words.clear();
         self.words.resize(n_words, 0);
-        let tys = &batch.types()[lo..hi];
-        // chunk-relative offsets view: row i's width is offs[i+1]-offs[i]
-        let offs = &batch.offsets()[lo..hi + 1];
+        let offs = &batch.offsets()[pass.lo..pass.hi + 1];
 
-        // pass 1: routing ∧ groupability, fused over the ty and offset
-        // columns (lanes beyond `n` stay 0 in the trailing word): one
-        // table lookup yields the row's minimum width (u32::MAX for
-        // unrouted types), so routing and the GROUP BY width check are a
-        // single compare. The same sweep scatters each clause-bearing
-        // type's membership bitmap into its `ty_match_all` slot, so pass 2
-        // never re-reads the type column — clause-free scopes take the
-        // slot-free loop below.
-        let table = &self.ty_table;
-        if self.n_slots == 0 {
-            for (w, word) in self.words.iter_mut().enumerate() {
-                let base = w * 64;
-                let lanes = (n - base).min(64);
-                let tys_w = &tys[base..base + lanes];
-                let offs_w = &offs[base..base + lanes + 1];
-                let mut bits = 0u64;
-                for (lane, ty) in tys_w.iter().enumerate() {
-                    let (need, _) = table.get(ty.index()).copied().unwrap_or((u32::MAX, 0));
-                    let ok = offs_w[lane + 1] - offs_w[lane] >= need;
-                    bits |= (ok as u64) << lane;
+        // routing ∧ groupability: the union of the routed types' bitmaps,
+        // word-wise where the type's narrowest row in the chunk carries
+        // every GROUP BY attribute, bit by bit only where it does not
+        for &(ty, need) in self.types.iter() {
+            let (members, min_width) = pass.of(ty);
+            if min_width >= need {
+                for (r, &m) in self.words.iter_mut().zip(members) {
+                    *r |= m;
                 }
-                *word = bits;
+                continue;
             }
-        } else {
-            self.ty_match_all.clear();
-            self.ty_match_all.resize(self.n_slots * n_words, 0);
-            for (w, word) in self.words.iter_mut().enumerate() {
-                let base = w * 64;
-                let lanes = (n - base).min(64);
-                let tys_w = &tys[base..base + lanes];
-                let offs_w = &offs[base..base + lanes + 1];
-                let mut bits = 0u64;
-                for (lane, ty) in tys_w.iter().enumerate() {
-                    let (need, slot) = table.get(ty.index()).copied().unwrap_or((u32::MAX, 0));
-                    let ok = offs_w[lane + 1] - offs_w[lane] >= need;
-                    bits |= (ok as u64) << lane;
-                    if slot != 0 {
-                        self.ty_match_all[(slot as usize - 1) * n_words + w] |= 1u64 << lane;
+            for (w, (r, &m)) in self.words.iter_mut().zip(members).enumerate() {
+                let mut bits = m;
+                while bits != 0 {
+                    let lane = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let i = w * 64 + lane;
+                    if offs[i + 1] - offs[i] >= need {
+                        *r |= 1 << lane;
                     }
                 }
-                *word = bits;
             }
         }
         if self.clauses.is_empty() || self.words.iter().all(|&w| w == 0) {
             return;
         }
 
-        // pass 2: predicate clauses, fused with AND/ANDNOT. Each clause's
-        // working mask is the union of its types' membership bitmaps
-        // (scattered by pass 1) ∧ the selection so far, so rows an earlier
-        // clause already failed are neither gathered nor compared again.
-        // Clauses are sorted by (slots, attr): the gather runs once per
-        // distinct (type set, attr) run, and because the selection only
-        // ever shrinks, a gather taken at the first clause of a run covers
-        // every later clause's (smaller) mask.
+        // predicate clauses, fused with AND/ANDNOT. Each clause's working
+        // mask is the union of its types' shared membership bitmaps ∧ the
+        // selection so far, so rows an earlier clause already failed are
+        // neither gathered nor compared again. Clauses are sorted by
+        // (types, attr): the gather runs once per distinct (type set,
+        // attr) run, and because the selection only ever shrinks, a gather
+        // taken at the first clause of a run covers every later clause's
+        // (smaller) mask.
         let mut cur: Option<(&[u32], u32)> = None;
         let values = batch.values();
         for clause in self.clauses.iter() {
             self.ty_match.clear();
             self.ty_match.resize(n_words, 0);
-            for &s in clause.slots.iter() {
-                let sb = &self.ty_match_all[s as usize * n_words..][..n_words];
-                for (m, &t) in self.ty_match.iter_mut().zip(sb) {
+            for &ty in clause.types.iter() {
+                for (m, &t) in self.ty_match.iter_mut().zip(pass.of(ty).0) {
                     *m |= t;
                 }
             }
@@ -332,83 +409,61 @@ impl ScanKernel {
             if live == 0 {
                 continue; // no live rows of these types: clause cannot matter
             }
-            if cur != Some((&clause.slots, clause.attr)) {
-                gather_column(
-                    &mut self.gather,
-                    &self.ty_match,
-                    offs,
-                    values,
-                    clause.attr,
-                    n,
-                );
-                cur = Some((&clause.slots, clause.attr));
+            if cur != Some((&clause.types, clause.attr)) {
+                gather_column(&mut self.gather, &self.ty_match, offs, values, clause.attr);
+                cur = Some((&clause.types, clause.attr));
             }
-            eval_clause(
-                &mut self.words,
-                &self.ty_match,
-                &self.gather,
-                offs,
-                values,
-                clause,
-                n,
-            );
+            eval_clause(&mut self.words, &self.gather, offs, values, clause);
         }
-    }
-
-    /// Evaluate the scope's stateless prefix over rows `lo..hi` of
-    /// `batch` and append the surviving absolute row indexes to `sel`
-    /// (ascending).
-    pub fn select_into(&mut self, batch: &EventBatch, lo: usize, hi: usize, sel: &mut Vec<u32>) {
-        self.scan(batch, lo, hi);
-        extract_into(&self.words, lo, sel);
     }
 }
 
-/// Gather attribute `attr` of every row in `ty_match` into the typed
-/// column scratch. `offs` is the chunk-relative offsets view (`n + 1`
-/// entries indexing the batch-wide `values` buffer).
-fn gather_column(
-    g: &mut Gather,
-    ty_match: &[u64],
-    offs: &[u32],
-    values: &[Value],
-    attr: u32,
-    n: usize,
-) {
-    let n_words = ty_match.len();
-    g.f64s.resize(n, 0.0);
-    g.i64s.resize(n, 0);
+/// Gather attribute `attr` of every row in `ty_match`, compacted in row
+/// order, into the typed column scratch. `offs` is the chunk-relative
+/// offsets view (`n + 1` entries indexing the batch-wide `values` buffer).
+fn gather_column(g: &mut Gather, ty_match: &[u64], offs: &[u32], values: &[Value], attr: u32) {
+    g.rows.clear();
+    g.f64s.clear();
+    g.i64s.clear();
     g.present.clear();
-    g.present.resize(n_words, 0);
     g.ints.clear();
-    g.ints.resize(n_words, 0);
     g.strs.clear();
-    g.strs.resize(n_words, 0);
+    let (mut present, mut ints, mut strs) = (0u64, 0u64, 0u64);
     for (w, &m) in ty_match.iter().enumerate() {
         let mut bits = m;
-        let (mut present, mut ints, mut strs) = (0u64, 0u64, 0u64);
         while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
+            let i = w * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let i = w * 64 + lane;
+            let lane = g.rows.len() % 64;
+            let (mut f, mut k) = (0.0, 0);
             if offs[i + 1] - offs[i] > attr {
                 present |= 1 << lane;
                 match &values[(offs[i] + attr) as usize] {
                     Value::Int(x) => {
                         ints |= 1 << lane;
-                        g.i64s[i] = *x;
+                        k = *x;
                         // the f64 mirror is exactly `Value::as_f64`'s view
                         // of the mixed numeric comparison
-                        g.f64s[i] = *x as f64;
+                        f = *x as f64;
                     }
-                    Value::Float(f) => g.f64s[i] = *f,
+                    Value::Float(x) => f = *x,
                     Value::Str(_) => strs |= 1 << lane,
                 }
             }
+            g.rows.push(i as u32);
+            g.f64s.push(f);
+            g.i64s.push(k);
+            if lane == 63 {
+                g.present.push(std::mem::take(&mut present));
+                g.ints.push(std::mem::take(&mut ints));
+                g.strs.push(std::mem::take(&mut strs));
+            }
         }
-        g.present[w] = present;
-        g.ints[w] = ints;
-        g.strs[w] = strs;
+    }
+    if !g.rows.len().is_multiple_of(64) {
+        g.present.push(present);
+        g.ints.push(ints);
+        g.strs.push(strs);
     }
 }
 
@@ -461,27 +516,19 @@ fn cmp_i64_word(vals: &[i64], lit: i64, op: CmpOp) -> u64 {
     }
 }
 
-/// Fold one clause into the selection: `words[w] &= !M | P` — rows of
-/// other types (`!M`) are unaffected, matching rows survive only where
-/// the clause passes (`P`).
-fn eval_clause(
-    words: &mut [u64],
-    ty_match: &[u64],
-    g: &Gather,
-    offs: &[u32],
-    values: &[Value],
-    clause: &Clause,
-    n: usize,
-) {
+/// Fold one clause into the selection, 64 gathered lanes at a time:
+/// `R &= !M | P` — rows of other types (`!M`) are unaffected, the
+/// gathered rows (`M`) survive only where the clause passes (`P`), so the
+/// fold clears exactly the gathered rows that fail. Gathered rows an
+/// earlier clause of the same run already failed are cleared again, which
+/// changes nothing.
+fn eval_clause(words: &mut [u64], g: &Gather, offs: &[u32], values: &[Value], clause: &Clause) {
     let op = clause.op;
     // a present-but-incomparable value satisfies only `!=`
     let ne_all = if op == CmpOp::Ne { !0u64 } else { 0 };
-    for (w, &m) in ty_match.iter().enumerate() {
-        if m == 0 {
-            continue;
-        }
+    for (w, rows) in g.rows.chunks(64).enumerate() {
         let base = w * 64;
-        let lanes = (n - base).min(64);
+        let lanes = rows.len();
         let present = g.present[w];
         let strs = g.strs[w];
         let pass = match &clause.lit {
@@ -506,11 +553,11 @@ fn eval_clause(
                 // over the (few) string bits through the shared helper;
                 // numeric vs Str is incomparable
                 let mut pass = present & !strs & ne_all;
-                let mut bits = m & present & strs;
+                let mut bits = present & strs;
                 while bits != 0 {
                     let lane = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let i = base + lane;
+                    let i = rows[lane] as usize;
                     let v = &values[(offs[i] + clause.attr) as usize];
                     if clause_passes(op, Some(v), &clause.lit) {
                         pass |= 1 << lane;
@@ -519,7 +566,12 @@ fn eval_clause(
                 pass
             }
         };
-        words[w] &= !m | pass;
+        let mut fail = !pass & (u64::MAX >> (64 - lanes));
+        while fail != 0 {
+            let i = rows[fail.trailing_zeros() as usize] as usize;
+            fail &= fail - 1;
+            words[i / 64] &= !(1u64 << (i % 64));
+        }
     }
 }
 
@@ -693,6 +745,59 @@ mod tests {
             ],
             &b,
         );
+    }
+
+    #[test]
+    fn kernels_sharing_a_type_pass_select_as_they_do_alone() {
+        // one pass, three scopes: GROUP BY widths that every row of a type
+        // covers (word-wise union), that only some rows cover (bit-by-bit
+        // width check), and a clause merged across two types
+        let b = hard_batch(150);
+        type Table = (
+            Vec<bool>,
+            Vec<Box<[AttrId]>>,
+            Vec<Vec<(AttrId, CmpOp, Value)>>,
+        );
+        let tables: Vec<Table> = vec![
+            (vec![true, true, false], vec![], vec![]),
+            (
+                vec![false, true, true],
+                vec![Box::new([]), Box::new([AttrId(1)]), Box::new([AttrId(0)])],
+                vec![],
+            ),
+            (
+                vec![true, false, true],
+                vec![],
+                vec![
+                    vec![(AttrId(0), CmpOp::Gt, Value::Int(0))],
+                    vec![],
+                    vec![(AttrId(0), CmpOp::Gt, Value::Int(0))],
+                ],
+            ),
+        ];
+        let mut kernels: Vec<ScanKernel> = tables
+            .iter()
+            .map(|(r, g, p)| ScanKernel::new(r.clone(), g, p))
+            .collect();
+        let mut pass = TypePass::new(&kernels);
+        for (lo, hi) in [(0, b.len()), (7, 71), (b.len() / 2, b.len() / 2)] {
+            pass.build(&b, lo, hi);
+            for ((r, g, p), kernel) in tables.iter().zip(&mut kernels) {
+                let mut got = Vec::new();
+                kernel.select_from(&pass, &b, &mut got);
+                assert_eq!(got, scalar_select(r, g, p, &b, lo, hi), "rows {lo}..{hi}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not covered")]
+    fn a_pass_rejects_a_kernel_it_was_not_built_for() {
+        let b = hard_batch(10);
+        let mut pass = TypePass::new([&ScanKernel::new(vec![true], &[], &[])]);
+        pass.build(&b, 0, b.len());
+        let mut other = ScanKernel::new(vec![false, true], &[], &[]);
+        other.select_from(&pass, &b, &mut Vec::new());
     }
 
     #[test]

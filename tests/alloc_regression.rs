@@ -195,57 +195,127 @@ fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
     assert!(all.semantically_eq(&oracle.finish(), 0.0));
 }
 
+/// 24 queries alternating `SEQ(A)` / `SEQ(B)` whose predicates are
+/// pairwise distinct (so 24 routing scopes) and never filter: every scope
+/// selects every row of its type.
+fn distinct_predicate_queries() -> Vec<String> {
+    (0..24)
+        .map(|q| {
+            let ty = if q % 2 == 0 { "A" } else { "B" };
+            format!(
+                "RETURN COUNT(*) PATTERN SEQ({ty}) WHERE {ty}.v >= -{q} GROUP BY g \
+                 WITHIN 8 ms SLIDE 4 ms"
+            )
+        })
+        .collect()
+}
+
 #[test]
-fn scan_kernel_path_is_allocation_free_in_both_modes() {
-    // the compiled scan's steady-state promise: with a predicate clause in
-    // play (so the kernel runs the full bitmap pipeline — routing pass,
-    // gather scratch, clause fold, extraction — not just the clause-free
-    // early return), the scan stays at zero allocations per batch once
-    // warmed up
+fn scan_path_is_allocation_free_through_the_shared_type_pass() {
+    // the compiled scan's steady-state promise: with predicate clauses in
+    // play (so every kernel runs the full bitmap pipeline — selection from
+    // the executor's type pass, gather scratch, clause fold, extraction —
+    // not just the clause-free early return), the scan stays at zero
+    // allocations per batch once warmed up, for one scope and for 24
+    // scopes sharing one type pass
     let _serial = serial();
     let mut catalog = Catalog::new();
     catalog.register_with_schema("A", Schema::new(["g", "v"]));
-    let workload = parse_workload(
-        &mut catalog,
-        ["RETURN COUNT(*) PATTERN SEQ(A) WHERE A.v >= 0 GROUP BY g WITHIN 8 ms SLIDE 4 ms"],
-    )
-    .unwrap();
-    let mut executor = Executor::non_shared(&catalog, &workload).unwrap();
+    catalog.register_with_schema("B", Schema::new(["g", "v"]));
+    let one = vec![
+        "RETURN COUNT(*) PATTERN SEQ(A) WHERE A.v >= 0 GROUP BY g WITHIN 8 ms SLIDE 4 ms"
+            .to_string(),
+    ];
+    for (sources, batches) in [
+        (
+            one,
+            build_batches as fn(&Catalog, usize, u64) -> (Vec<EventBatch>, u64),
+        ),
+        (distinct_predicate_queries(), build_pair_batches),
+    ] {
+        let workload = parse_workload(&mut catalog, sources.iter().map(String::as_str)).unwrap();
+        let mut executor = Executor::non_shared(&catalog, &workload).unwrap();
+        let scopes = executor.scan_stats().len();
+        assert_eq!(scopes, sources.len(), "one scope per query");
 
-    let (warmup, t) = build_batches(&catalog, WARMUP_BATCHES, 0);
-    let (measured, _) = build_batches(&catalog, MEASURED_BATCHES, t);
-    for batch in &warmup {
-        executor.process_columnar(batch);
-    }
-    let expected_results = (MEASURED_BATCHES * BATCH_ROWS / 4 + 64) * (GROUPS as usize);
-    executor.reserve_results(expected_results);
-
-    let matched_before = executor.events_matched();
-    let (_, allocs) = alloc::measure_allocs(|| {
-        for batch in &measured {
+        let (warmup, t) = batches(&catalog, WARMUP_BATCHES, 0);
+        let (measured, _) = batches(&catalog, MEASURED_BATCHES, t);
+        for batch in &warmup {
             executor.process_columnar(batch);
+        }
+        let expected_results = (MEASURED_BATCHES * BATCH_ROWS / 4 + 64) * (GROUPS as usize);
+        executor.reserve_results(expected_results);
+
+        let matched_before = executor.events_matched();
+        let (_, allocs) = alloc::measure_allocs(|| {
+            for batch in &measured {
+                executor.process_columnar(batch);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "{scopes} scope(s): steady-state scan must not allocate \
+             ({MEASURED_BATCHES} batches of {BATCH_ROWS} events performed {allocs} allocations)"
+        );
+        // no predicate filters anything: every measured row of a scope's
+        // type survived the scan and matched — all rows for the single
+        // A scope, half of them for each of the 24 A-or-B scopes
+        let types_per_batch = if scopes == 1 { 1 } else { 2 };
+        let rows = ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64;
+        assert_eq!(
+            executor.events_matched() - matched_before,
+            (MEASURED_BATCHES * BATCH_ROWS / types_per_batch * scopes) as u64,
+            "{scopes} scope(s): every measured event of a scope's type passed its scan"
+        );
+        assert_eq!(
+            executor.scan_stats(),
+            vec![(rows, rows / types_per_batch as u64); scopes],
+            "{scopes} scope(s): every scope scanned every row"
+        );
+    }
+}
+
+#[test]
+fn multi_scope_router_is_allocation_free_through_the_shared_type_pass() {
+    // one router, 24 scopes: one type pass per chunk, then each scope
+    // selects from it and fans its rows out to the owning shard
+    let _serial = serial();
+    let mut catalog = Catalog::new();
+    catalog.register_with_schema("A", Schema::new(["g", "v"]));
+    catalog.register_with_schema("B", Schema::new(["g", "v"]));
+    let sources = distinct_predicate_queries();
+    let workload = parse_workload(&mut catalog, sources.iter().map(String::as_str)).unwrap();
+    let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).unwrap();
+    assert_eq!(parts.len(), 24, "one scope per query");
+    let mut router = BatchRouter::with_split(parts, 2, SplitConfig::disabled());
+
+    let (warmup, t) = build_pair_batches(&catalog, WARMUP_BATCHES, 0);
+    let (measured, _) = build_pair_batches(&catalog, MEASURED_BATCHES, t);
+    let mut routed: Vec<RoutedRows> = Vec::new();
+    let mut rows_out = 0u64;
+    for batch in &warmup {
+        router.route_range_into(batch, 0, batch.len(), &mut routed);
+    }
+    let ((), allocs) = alloc::measure_allocs(|| {
+        for batch in &measured {
+            router.route_range_into(batch, 0, batch.len(), &mut routed);
+            for rows in &routed {
+                rows_out += rows.per_part.iter().map(|r| r.len() as u64).sum::<u64>();
+            }
         }
     });
     assert_eq!(
         allocs, 0,
-        "steady-state scan must not allocate \
+        "steady-state routing of 24 scopes must not allocate \
          ({MEASURED_BATCHES} batches of {BATCH_ROWS} events performed {allocs} allocations)"
     );
-    // `v` is always >= 0, so the predicate filters nothing: every
-    // measured row survived the scan and matched
+    // each scope routes one of the two types and filters nothing
+    assert_eq!(rows_out, (24 * MEASURED_BATCHES * BATCH_ROWS / 2) as u64);
+    let rows = ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64;
     assert_eq!(
-        executor.events_matched() - matched_before,
-        (MEASURED_BATCHES * BATCH_ROWS) as u64,
-        "every measured event passed the scan"
-    );
-    let (scanned, selected) = executor.scan_stats()[0];
-    assert_eq!(
-        (scanned, selected),
-        (
-            ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64,
-            ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64,
-        ),
-        "scan tallies cover every row"
+        router.scan_counters().snapshot(),
+        vec![(rows, rows / 2); 24],
+        "every scope scanned every row of every chunk"
     );
 }
 

@@ -3,7 +3,7 @@
 //! exactly the rows the per-row clause semantics accept: not
 //! "equivalent" rows, the *same* rows, row for row.
 //!
-//! Two layers of evidence (the baselines' and the router's scope kernels
+//! Three layers of evidence (the baselines' and the router's scope kernels
 //! have their own row-parity tests in `sharon-twostep`):
 //!
 //! 1. **Property test against a scalar oracle** — random ragged batches
@@ -12,10 +12,18 @@
 //!    string literals), random `GROUP BY` widths, evaluated over random
 //!    sub-ranges (partial trailing words included). The kernel's selection
 //!    must equal the oracle's exactly.
-//! 2. **Row-for-row parity on the paper streams** — every compiled
-//!    partition of predicate-bearing TX / LR / EC workloads, kernel vs
-//!    `CompiledPartition::{routed, predicates_pass, groupable}`,
-//!    over ragged chunkings of the generated stream.
+//! 2. **Shared type pass** — 2–8 random scopes select from one
+//!    [`TypePass`] per chunk: each scope's selection must equal the oracle
+//!    and its own one-scope `select_into`, and a routing plane built by
+//!    `split_router_plane` at `SHARON_ROUTERS` (one pass per router,
+//!    covering only that router's scopes) must route the same rows.
+//! 3. **Row-for-row parity on the paper streams** — every compiled
+//!    partition of predicate-bearing TX / LR / EC workloads (and the 24
+//!    distinct-predicate EC partitions of the benchmark's filter
+//!    workload), kernel vs `CompiledPartition::{routed, predicates_pass,
+//!    groupable}`, over ragged chunkings of the generated stream.
+
+mod support;
 
 use proptest::prelude::{prop, prop_oneof, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as _;
@@ -23,9 +31,12 @@ use sharon::prelude::*;
 use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
 use sharon::streams::taxi::{self, TaxiConfig};
-use sharon_executor::{compile, ScanKernel};
+use sharon_executor::{
+    compile, split_router_plane, CompiledPartition, RoutedRows, RowFilter, ScanKernel, SplitConfig,
+    TypePass,
+};
 use sharon_query::{clause_passes, CmpOp};
-use sharon_types::AttrId;
+use sharon_types::{AttrId, GroupKey};
 
 /// The per-row oracle, spelled out: routing, then every clause through
 /// [`clause_passes`], then groupability.
@@ -152,6 +163,165 @@ proptest! {
     }
 }
 
+/// One random routing scope's tables, as the router sees them.
+#[derive(Debug, Clone)]
+struct Scope {
+    routed: Vec<bool>,
+    group_attrs: Vec<Box<[AttrId]>>,
+    predicates: Vec<Vec<(AttrId, CmpOp, Value)>>,
+}
+
+impl RowFilter for Scope {
+    fn read_group_key(
+        &self,
+        _ty: EventTypeId,
+        _attrs: &[Value],
+        _vals: &mut Vec<Value>,
+        key: &mut GroupKey,
+    ) -> bool {
+        // single-shard routing never asks for a key
+        *key = GroupKey::Global;
+        true
+    }
+
+    fn scan_kernel(&self) -> ScanKernel {
+        ScanKernel::new(self.routed.clone(), &self.group_attrs, &self.predicates)
+    }
+}
+
+/// Route rows `lo..hi` through a single-shard routing plane of `routers`
+/// routers and return every scope's selection (shard 0's per-scope list,
+/// gathered from whichever router owns the scope).
+fn plane_select<F: RowFilter + Clone + Send + 'static>(
+    scopes: &[F],
+    routers: usize,
+    batch: &EventBatch,
+    lo: usize,
+    hi: usize,
+) -> Vec<Vec<u32>> {
+    let mut plane = split_router_plane(scopes.to_vec(), 1, SplitConfig::disabled(), routers);
+    let mut got = vec![Vec::new(); scopes.len()];
+    let mut out: Vec<RoutedRows> = Vec::new();
+    for router in &mut plane {
+        router.route_range_into(batch, lo, hi, &mut out);
+        for (slot, rows) in out[0].per_part.iter().enumerate() {
+            got[slot].extend_from_slice(rows);
+        }
+    }
+    got
+}
+
+/// A random scope over a 3- or 4-type table: routed types, per-type
+/// `GROUP BY` attributes and clauses, plus an optional clause repeated on
+/// every type (identical clauses merge across types at compile time).
+fn scope() -> impl proptest::strategy::Strategy<Value = Scope> {
+    (
+        prop::collection::vec(proptest::strategy::any::<bool>(), 3..=4),
+        prop::collection::vec(prop::collection::vec(0usize..3, 0..=2), 0..=4),
+        prop::collection::vec(
+            prop::collection::vec((0usize..3, ops(), values()), 0..=2),
+            0..=4,
+        ),
+        (
+            proptest::strategy::any::<bool>(),
+            0usize..3,
+            ops(),
+            values(),
+        ),
+    )
+        .prop_map(
+            |(routed, group_raw, preds_raw, (with_common, a, op, lit))| {
+                let n_types = routed.len();
+                let group_attrs = group_raw
+                    .into_iter()
+                    .map(|g| g.into_iter().map(|a| AttrId(a as u16)).collect())
+                    .collect();
+                let mut predicates: Vec<Vec<(AttrId, CmpOp, Value)>> = preds_raw
+                    .into_iter()
+                    .map(|ps| {
+                        ps.into_iter()
+                            .map(|(a, op, lit)| (AttrId(a as u16), op, lit))
+                            .collect()
+                    })
+                    .collect();
+                if with_common {
+                    predicates.resize(n_types, Vec::new());
+                    for ps in &mut predicates {
+                        ps.push((AttrId(a as u16), op, lit.clone()));
+                    }
+                }
+                Scope {
+                    routed,
+                    group_attrs,
+                    predicates,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// 2–8 random scopes × random ragged batches: every scope's selection
+    /// from one shared type pass per chunk equals the row oracle and the
+    /// scope's own `select_into`, and the routing plane at
+    /// `SHARON_ROUTERS` routes the same rows.
+    #[test]
+    fn shared_type_pass_matches_oracle_and_solo_kernels(
+        scopes in prop::collection::vec(scope(), 2..=8),
+        rows in prop::collection::vec(
+            // types 4 and 5 exist in the batch but in no scope's table
+            (0u32..6, prop::collection::vec(values(), 0..=3)),
+            0..=200,
+        ),
+        cuts in prop::collection::vec(0usize..=200, 0..=4),
+    ) {
+        let mut batch = EventBatch::new();
+        for (i, (ty, attrs)) in rows.iter().enumerate() {
+            batch.push_from(EventTypeId(*ty), Timestamp(i as u64), attrs.iter().cloned());
+        }
+        let mut kernels: Vec<ScanKernel> = scopes.iter().map(RowFilter::scan_kernel).collect();
+        let mut pass = TypePass::new(&kernels);
+        let n = batch.len();
+        let mut ranges = vec![(0usize, n)];
+        for c in cuts {
+            let mid = c.min(n);
+            ranges.push((mid, n));
+            ranges.push((0, mid));
+        }
+        let routers = support::router_counts();
+        for (lo, hi) in ranges {
+            pass.build(&batch, lo, hi);
+            let mut want_all = Vec::new();
+            for (si, (scope, kernel)) in scopes.iter().zip(&mut kernels).enumerate() {
+                let want = scalar_select(
+                    &scope.routed, &scope.group_attrs, &scope.predicates, &batch, lo, hi,
+                );
+                let mut shared = Vec::new();
+                kernel.select_from(&pass, &batch, &mut shared);
+                proptest::prop_assert_eq!(
+                    &shared, &want,
+                    "scope {} from the shared pass, rows {}..{} of {}", si, lo, hi, n
+                );
+                let mut solo = Vec::new();
+                kernel.select_into(&batch, lo, hi, &mut solo);
+                proptest::prop_assert_eq!(
+                    &solo, &want,
+                    "scope {} alone, rows {}..{} of {}", si, lo, hi, n
+                );
+                want_all.push(want);
+            }
+            for &r in &routers {
+                let got = plane_select(&scopes, r, &batch, lo, hi);
+                proptest::prop_assert_eq!(
+                    &got, &want_all,
+                    "{}-router plane, rows {}..{} of {}", r, lo, hi, n
+                );
+            }
+        }
+    }
+}
+
 /// Ragged `(lo, hi)` chunkings of an `n`-row batch: whole, empty, odd
 /// primes (partial 64-row words), and a singleton tail.
 fn ragged_ranges(n: usize) -> Vec<(usize, usize)> {
@@ -166,8 +336,27 @@ fn ragged_ranges(n: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// The partition's per-row checks over rows `lo..hi`.
+fn partition_oracle(
+    part: &CompiledPartition,
+    batch: &EventBatch,
+    lo: usize,
+    hi: usize,
+) -> Vec<u32> {
+    (lo..hi)
+        .filter(|&row| {
+            let ty = batch.ty(row);
+            let attrs = batch.attrs(row);
+            part.routed(ty) && part.predicates_pass(ty, attrs) && part.groupable(ty, attrs)
+        })
+        .map(|row| row as u32)
+        .collect()
+}
+
 /// Kernel vs the partition's per-row checks, row for row, on every
-/// compiled partition of a real stream's workload.
+/// compiled partition of a real stream's workload: each kernel alone, all
+/// kernels from one shared type pass, and the routing plane at
+/// `SHARON_ROUTERS`.
 fn assert_stream_kernel_parity(
     catalog: &Catalog,
     workload: &Workload,
@@ -175,25 +364,35 @@ fn assert_stream_kernel_parity(
     label: &str,
 ) {
     let parts = compile(catalog, workload, &SharingPlan::non_shared()).expect("workload compiles");
+    let mut kernels: Vec<ScanKernel> = parts.iter().map(CompiledPartition::scan_kernel).collect();
+    let mut pass = TypePass::new(&kernels);
     let mut selected_any = false;
-    for (pi, part) in parts.iter().enumerate() {
-        let mut kernel = part.scan_kernel();
-        for (lo, hi) in ragged_ranges(batch.len()) {
-            let mut want = Vec::new();
-            for row in lo..hi {
-                let ty = batch.ty(row);
-                let attrs = batch.attrs(row);
-                if part.routed(ty) && part.predicates_pass(ty, attrs) && part.groupable(ty, attrs) {
-                    want.push(row as u32);
-                }
-            }
+    for (lo, hi) in ragged_ranges(batch.len()) {
+        pass.build(batch, lo, hi);
+        let mut want_all = Vec::new();
+        for (pi, (part, kernel)) in parts.iter().zip(&mut kernels).enumerate() {
+            let want = partition_oracle(part, batch, lo, hi);
             let mut got = Vec::new();
             kernel.select_into(batch, lo, hi, &mut got);
             assert_eq!(
                 got, want,
                 "{label}: partition {pi} selection diverges on rows {lo}..{hi}"
             );
+            got.clear();
+            kernel.select_from(&pass, batch, &mut got);
+            assert_eq!(
+                got, want,
+                "{label}: partition {pi} shared-pass selection diverges on rows {lo}..{hi}"
+            );
             selected_any |= !want.is_empty();
+            want_all.push(want);
+        }
+        for routers in support::router_counts() {
+            assert_eq!(
+                plane_select(&parts, routers, batch, lo, hi),
+                want_all,
+                "{label}: {routers}-router plane diverges on rows {lo}..{hi}"
+            );
         }
     }
     assert!(
@@ -281,4 +480,44 @@ fn ecommerce_stream_kernel_row_parity() {
     )
     .expect("ecommerce predicate workload parses");
     assert_stream_kernel_parity(&catalog, &workload, &batch, "ecommerce");
+}
+
+#[test]
+fn ecommerce_filter_workload_partitions_row_parity() {
+    // the benchmark's filter shape: 24 queries over three consecutive of
+    // 12 items, one price clause per item, literals distinct per query —
+    // 24 partitions whose scans share one type pass
+    let mut catalog = Catalog::new();
+    let batch = ecommerce::generate_batch(
+        &mut catalog,
+        &EcommerceConfig {
+            n_items: 12,
+            n_customers: 8,
+            events_per_sec: 3000,
+            n_events: 4000,
+            ..Default::default()
+        },
+    );
+    let items: Vec<String> = catalog.iter().map(|(_, n)| n.to_string()).collect();
+    let queries: Vec<String> = (0..24)
+        .map(|q| {
+            let [a, b, c] = [0, 1, 2].map(|i| &items[(q + i) % items.len()]);
+            format!(
+                "RETURN COUNT(*) PATTERN SEQ({a}, {b}, {c}) WHERE {a}.price > {} AND \
+                 {b}.price < {} AND {c}.price > {} GROUP BY customer WITHIN 5 s SLIDE 1 s",
+                330 + 2 * q,
+                170 - 2 * q,
+                335 + q
+            )
+        })
+        .collect();
+    let workload = parse_workload(&mut catalog, queries.iter().map(String::as_str))
+        .expect("filter workload parses");
+    let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).expect("compiles");
+    assert_eq!(
+        parts.len(),
+        24,
+        "pairwise-distinct predicates: one scope per query"
+    );
+    assert_stream_kernel_parity(&catalog, &workload, &batch, "ecommerce-filter");
 }

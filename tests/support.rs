@@ -12,6 +12,7 @@ pub fn runtime_options() -> RuntimeOptions {
 
 /// Shard counts under test: `SHARON_SHARDS` pins one (the CI matrix runs
 /// 2 and 4 on a multi-core runner), otherwise the suite's default spread.
+#[allow(dead_code)]
 pub fn shard_counts(default: &[usize]) -> Vec<usize> {
     match runtime_options().shards {
         Some(n) => vec![n],
