@@ -8,12 +8,10 @@
 //! 5k-event scale on every change, and the sweep asserts all four
 //! strategies still agree — on uniform **and** on Zipf-skewed input.
 //!
-//! The **skew sweep** measures the hot-group splitting path: taxi streams
-//! at theta ∈ {0, 0.8, 1.2} across 1/2/4/8 shards, including an
-//! 8-shard run with splitting disabled (`pinned`) — the configuration
-//! whose throughput collapses to ≈1-shard speed on skewed input, which
-//! splitting is built to fix. Every row of a sweep must report identical
-//! result counts, so the skewed merge path cannot silently bitrot.
+//! The **skew sweep** measures skewed `GROUP BY` traffic: taxi streams at
+//! theta ∈ {0, 0.8, 1.2} across 1/2/4/8 shards. Every group lives on its
+//! hash owner, so a hot group loads one shard; every row of a sweep must
+//! report identical result counts.
 //!
 //! The **query-count sweep** measures the scope-dedup path on the
 //! workload shape that used to stall the routing core: 1/8/64 Flink-like
@@ -36,7 +34,7 @@
 //! host grants more than one CPU; the JSON records
 //! `available_parallelism` so readers can interpret the ratios.
 
-use sharon::executor::{ShardedOptions, SplitConfig};
+use sharon::executor::ShardedOptions;
 use sharon::prelude::*;
 use sharon::streams::taxi::{self, TaxiConfig};
 use sharon::streams::workload::{figure_1_workload, measured_rates_batch};
@@ -126,8 +124,7 @@ fn scenario(n_events: usize, n_vehicles: usize) -> (String, Vec<Run>) {
 
 /// The paper's traffic patterns with windows sized to the synthetic
 /// stream span (the taxi generator emits ~1 event/ms), so windows close
-/// mid-run and a split group's warm-up (one window) completes — the
-/// regime the skew sweep measures.
+/// mid-run — the regime the skew sweep measures.
 fn short_window_workload(catalog: &mut Catalog) -> Workload {
     parse_workload(
         catalog,
@@ -141,11 +138,8 @@ fn short_window_workload(catalog: &mut Catalog) -> Workload {
     .expect("short-window workload parses")
 }
 
-/// Hot-group splitting under Zipf skew: sequential columnar reference,
-/// the sharded runtime at 1/2/4/8 shards with splitting on (default
-/// tuning), and the 8-shard **pinned** configuration (splitting
-/// disabled) — on skewed input the pinned run degenerates to one busy
-/// worker, which is exactly what splitting removes.
+/// Zipf-skewed groups: the sequential columnar reference and the sharded
+/// runtime at 1/2/4/8 shards.
 fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
     let n_events = scaled(200_000, 5_000);
     let n_vehicles = 512;
@@ -173,61 +167,11 @@ fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
             ex.finish()
         }));
     }
-    runs.push(measure("sharded/8/pinned", n, || {
-        let options = ShardedOptions {
-            split: SplitConfig::disabled(),
-            ..ShardedOptions::default()
-        };
-        let mut ex = ShardedExecutor::with_options(&catalog, &workload, &plan, 8, options).unwrap();
-        ex.process_shared(&shared);
-        ex.finish()
-    }));
-
-    // splitting must never change results — every configuration reports
-    // the identical result count
+    // skew and sharding must never change results — every configuration
+    // reports the identical result count
     let want = runs[0].results;
     for run in &runs {
         assert_eq!(run.results, want, "{}: result count diverged", run.label);
-    }
-
-    // bitrot guard (not measured): on skewed input, an eager-threshold
-    // 8-shard run must actually SPLIT a group and still agree — without
-    // this, tuning or generator drift could silently turn the skewed
-    // legs above into pinned-only runs and the smoke would keep passing
-    // while never exercising the split/merge path. `split_snapshot()`
-    // barriers the routing plane before counting, so the guard holds at
-    // every router count.
-    if theta > 0.0 {
-        for routers in [1usize, 2] {
-            let mut ex = ShardedExecutor::with_options(
-                &catalog,
-                &workload,
-                &plan,
-                8,
-                ShardedOptions {
-                    routers,
-                    split: SplitConfig {
-                        min_rows: 64,
-                        hot_fraction: 0.05,
-                        ..SplitConfig::default()
-                    },
-                    ..ShardedOptions::default()
-                },
-            )
-            .unwrap();
-            ex.process_shared(&shared);
-            assert!(
-                ex.split_snapshot() > 0,
-                "theta={theta} routers={routers}: \
-                 the skewed stream must trigger a split"
-            );
-            assert_eq!(
-                ex.finish().len(),
-                want,
-                "theta={theta} routers={routers}: \
-                 splitting changed the result count"
-            );
-        }
     }
     (name, runs)
 }
@@ -359,9 +303,8 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
     for routers in [2usize, 4] {
         let mut ex = FlinkLike::sharded(&catalog, &workload, 4, &plane(routers)).unwrap();
         ex.process_shared(&shared);
-        // split_snapshot barriers the plane, so the counters cover every
+        // router_stats barriers the plane, so the counters cover every
         // routed batch including the flushed tail
-        let _ = ex.split_snapshot();
         let stats = ex.router_stats();
         assert_eq!(
             ex.finish().len(),
@@ -385,7 +328,7 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
 /// pay the polynomial sequence-construction cost by design. With
 /// `theta > 0` the taxi stream is Zipf-skewed — the CI smoke runs this at
 /// theta=1.2 so the four strategies are asserted to agree on skewed input
-/// (hot-group splitting active for the online pair) on every change.
+/// on every change.
 fn strategy_sweep(theta: f64) -> (String, Vec<Run>) {
     let n_events = scaled(20_000, 2_000);
     let n_vehicles = (n_events / 20).max(50);
@@ -402,7 +345,7 @@ fn strategy_sweep(theta: f64) -> (String, Vec<Run>) {
         &TaxiConfig::high_cardinality(n_events, n_vehicles).with_skew(theta),
     );
     let workload = if theta > 0.0 {
-        // short windows so splitting's warm-up completes on skewed input
+        // short windows, so windows close mid-run on skewed input
         short_window_workload(&mut catalog)
     } else {
         figure_1_workload(&mut catalog)
@@ -489,10 +432,7 @@ fn json_out(path: &std::path::Path, scenarios: &[(String, Vec<Run>)], parallelis
         out.push_str(
             "  \"note\": \"recorded on a 1-CPU host: shard workers (and the router thread) \
              timeshare one core, so sharded/N ratios measure overhead only, not parallel \
-             speedup; in the skew sweep this also means hot-group splitting's broadcast \
-             replication can only cost (sharded/N vs sharded/8/pinned shows the replication \
-             overhead, not the load-balance win) — rerun on a multi-core host to observe \
-             scaling\",\n",
+             speedup — rerun on a multi-core host to observe scaling\",\n",
         );
     }
     out.push_str("  \"scenarios\": [\n");

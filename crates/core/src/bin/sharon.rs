@@ -23,9 +23,8 @@
 //! per-worker rings, and workers merge the R streams in batch-sequence
 //! order (default 1, or the `SHARON_ROUTERS` environment variable).
 //! `--skew THETA` draws the stream's group
-//! dimension (vehicle / car / customer) from a Zipf(THETA) distribution,
-//! the skewed `GROUP BY` shape the sharded runtime's hot-group splitting
-//! targets.
+//! dimension (vehicle / car / customer) from a Zipf(THETA) distribution:
+//! a skewed `GROUP BY`, whose hot group stays on its hash owner.
 //!
 //! Durability (sharded online strategies only): `--checkpoint-dir DIR`
 //! takes a consistent checkpoint every `--checkpoint-interval` ingested

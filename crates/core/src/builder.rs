@@ -33,7 +33,7 @@ use crate::session::{SessionConfig, SharonSession};
 use crate::strategy::{build_sharded_any, strategy_plan, AnyExecutor, Strategy};
 use sharon_executor::{
     CheckpointConfig, CheckpointError, CompileError, Executor, FaultPlan, RuntimeOptions,
-    ShardedExecutor, ShardedOptions, SpillConfig, SplitConfig,
+    ShardedExecutor, ShardedOptions, SpillConfig,
 };
 use sharon_optimizer::{OptimizeOutcome, OptimizerConfig, RateMap};
 use sharon_query::Workload;
@@ -107,12 +107,6 @@ impl<'a> SharonBuilder<'a> {
     /// (default [`sharon_executor::DEFAULT_BATCH_SIZE`]).
     pub fn batch_size(mut self, rows: usize) -> Self {
         self.options.batch_size = rows;
-        self
-    }
-
-    /// Routing split tuning for the sharded runtime (see [`SplitConfig`]).
-    pub fn split(mut self, split: SplitConfig) -> Self {
-        self.options.split = split;
         self
     }
 

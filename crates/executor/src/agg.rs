@@ -20,6 +20,7 @@
 use crate::checkpoint::{StateError, StateReader, StateWriter};
 use serde::{Deserialize, Serialize};
 use sharon_query::aggregate::AggValue;
+use sharon_query::{AggFunc, Query};
 
 /// Per-event input to a cell update: whether the event is of the
 /// aggregate's target type and, if so, the numeric attribute value.
@@ -63,6 +64,22 @@ pub enum OutputKind {
     Max,
     /// `AVG(E.attr)` where `E` occurs `k` times: `sum / (k × count)`.
     Avg(u32),
+}
+
+impl OutputKind {
+    /// The output projection of `q`'s aggregate. `COUNT(E)` and `AVG`
+    /// scale by how often `E` occurs in the pattern.
+    pub fn of(q: &Query) -> Self {
+        let occurrences = |t| q.pattern.positions_of(t).len() as u32;
+        match &q.agg {
+            AggFunc::CountStar => OutputKind::Count,
+            AggFunc::Count(t) => OutputKind::CountTimes(occurrences(*t)),
+            AggFunc::Sum(..) => OutputKind::Sum,
+            AggFunc::Min(..) => OutputKind::Min,
+            AggFunc::Max(..) => OutputKind::Max,
+            AggFunc::Avg(t, _) => OutputKind::Avg(occurrences(*t)),
+        }
+    }
 }
 
 /// An incrementally maintainable aggregate over a set of event sequences.
@@ -109,113 +126,11 @@ pub trait Aggregate: Copy + Clone + PartialEq + std::fmt::Debug + Send + 'static
     /// Project the final output value.
     fn output(&self, kind: OutputKind) -> AggValue;
 
-    /// Box the cell into a kernel-erased [`PartialAgg`] — the sub-aggregate
-    /// form the sharded runtime's hot-group merge step combines across
-    /// shards.
-    fn to_partial(&self) -> PartialAgg;
-
     /// Serialize the cell into a checkpoint segment.
     fn save(&self, w: &mut StateWriter);
 
     /// Decode a cell previously written by [`Aggregate::save`].
     fn load(r: &mut StateReader<'_>) -> Result<Self, StateError>;
-}
-
-/// A kernel-erased per-window **sub-aggregate** of one split (hot) group.
-///
-/// When the sharded runtime splits a skewed group across shards, each shard
-/// accumulates only part of that group's per-window aggregate; the parts
-/// are shipped in this form and combined by [`PartialAgg::merge`] at the
-/// final merge step. The merge is exact for every aggregate kind the
-/// system supports: `COUNT` and `SUM` add, `MIN`/`MAX` take the extremum,
-/// and `AVG` merges via its carried `count + sum` (a [`StatsCell`]), so no
-/// average-of-averages error can occur — the final value is only projected
-/// *after* the merge, by [`PartialAgg::output`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PartialAgg {
-    /// A `COUNT`-kernel sub-aggregate.
-    Count(CountCell),
-    /// A stats-kernel sub-aggregate (`SUM`/`MIN`/`MAX`/`AVG` carry
-    /// count + sum + min + max).
-    Stats(StatsCell),
-}
-
-impl PartialAgg {
-    /// Combine another shard's sub-aggregate of the same
-    /// `(query, group, window)` into this one. Panics on kernel mismatch,
-    /// which would mean two shards compiled the same partition differently.
-    pub fn merge(&mut self, other: &PartialAgg) {
-        match (self, other) {
-            (PartialAgg::Count(a), PartialAgg::Count(b)) => a.merge(b),
-            (PartialAgg::Stats(a), PartialAgg::Stats(b)) => a.merge(b),
-            _ => panic!("sub-aggregate kernel mismatch across shards"),
-        }
-    }
-
-    /// Project the merged value (only meaningful after all shards'
-    /// sub-aggregates were merged).
-    pub fn output(&self, kind: OutputKind) -> AggValue {
-        match self {
-            PartialAgg::Count(c) => c.output(kind),
-            PartialAgg::Stats(s) => s.output(kind),
-        }
-    }
-
-    /// Serialize into a checkpoint segment (tag + cell).
-    pub fn save(&self, w: &mut StateWriter) {
-        match self {
-            PartialAgg::Count(c) => {
-                w.u8(0);
-                c.save(w);
-            }
-            PartialAgg::Stats(s) => {
-                w.u8(1);
-                s.save(w);
-            }
-        }
-    }
-
-    /// Decode a sub-aggregate written by [`PartialAgg::save`].
-    pub fn load(r: &mut StateReader<'_>) -> Result<Self, StateError> {
-        match r.u8()? {
-            0 => Ok(PartialAgg::Count(CountCell::load(r)?)),
-            1 => Ok(PartialAgg::Stats(StatsCell::load(r)?)),
-            _ => Err(StateError::Corrupt("partial aggregate tag")),
-        }
-    }
-}
-
-impl OutputKind {
-    /// Serialize into a checkpoint segment (tag + multiplier).
-    pub fn save(&self, w: &mut StateWriter) {
-        match self {
-            OutputKind::Count => w.u8(0),
-            OutputKind::CountTimes(k) => {
-                w.u8(1);
-                w.u32(*k);
-            }
-            OutputKind::Sum => w.u8(2),
-            OutputKind::Min => w.u8(3),
-            OutputKind::Max => w.u8(4),
-            OutputKind::Avg(k) => {
-                w.u8(5);
-                w.u32(*k);
-            }
-        }
-    }
-
-    /// Decode an output kind written by [`OutputKind::save`].
-    pub fn load(r: &mut StateReader<'_>) -> Result<Self, StateError> {
-        Ok(match r.u8()? {
-            0 => OutputKind::Count,
-            1 => OutputKind::CountTimes(r.u32()?),
-            2 => OutputKind::Sum,
-            3 => OutputKind::Min,
-            4 => OutputKind::Max,
-            5 => OutputKind::Avg(r.u32()?),
-            _ => return Err(StateError::Corrupt("output kind tag")),
-        })
-    }
 }
 
 /// The count-only kernel (A-Seq's counts). Saturating at `u128::MAX`,
@@ -263,11 +178,6 @@ impl Aggregate for CountCell {
             OutputKind::CountTimes(k) => AggValue::Count(self.0.saturating_mul(k as u128)),
             _ => panic!("CountCell cannot produce {kind:?}; use StatsCell"),
         }
-    }
-
-    #[inline]
-    fn to_partial(&self) -> PartialAgg {
-        PartialAgg::Count(*self)
     }
 
     fn save(&self, w: &mut StateWriter) {
@@ -377,11 +287,6 @@ impl Aggregate for StatsCell {
                 None
             }),
         }
-    }
-
-    #[inline]
-    fn to_partial(&self) -> PartialAgg {
-        PartialAgg::Stats(*self)
     }
 
     fn save(&self, w: &mut StateWriter) {
@@ -549,69 +454,20 @@ mod tests {
     }
 
     #[test]
-    fn partial_merge_per_kind() {
-        // COUNT adds
-        let mut p = CountCell(3).to_partial();
-        p.merge(&CountCell(4).to_partial());
-        assert_eq!(p.output(OutputKind::Count), AggValue::Count(7));
-
-        // SUM adds; MIN/MAX take extrema; AVG merges via count+sum — the
-        // sub-aggregate form makes avg-of-avgs impossible
-        let mut a = StatsCell::unit(Contribution::of(4.0)); // 1 seq, sum 4
-        a.merge(&StatsCell::unit(Contribution::of(8.0))); // 2 seqs, sum 12
-        let b = StatsCell::unit(Contribution::of(1.0)); // 1 seq, sum 1
-        let mut p = a.to_partial();
-        p.merge(&b.to_partial());
-        assert_eq!(p.output(OutputKind::Sum), AggValue::Number(Some(13.0)));
-        assert_eq!(p.output(OutputKind::Min), AggValue::Number(Some(1.0)));
-        assert_eq!(p.output(OutputKind::Max), AggValue::Number(Some(8.0)));
-        // avg = 13 / 3, NOT (6 + 1) / 2
-        assert_eq!(
-            p.output(OutputKind::Avg(1)),
-            AggValue::Number(Some(13.0 / 3.0))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "kernel mismatch")]
-    fn partial_merge_rejects_kernel_mismatch() {
-        let mut p = CountCell(1).to_partial();
-        p.merge(&StatsCell::ZERO.to_partial());
-    }
-
-    #[test]
-    fn cells_and_kinds_round_trip_through_codec() {
+    fn cells_round_trip_through_codec() {
         let stats = StatsCell {
             count: u128::MAX / 7,
             sum: -1.25,
             min: f64::NEG_INFINITY,
             max: f64::INFINITY,
         };
-        let kinds = [
-            OutputKind::Count,
-            OutputKind::CountTimes(3),
-            OutputKind::Sum,
-            OutputKind::Min,
-            OutputKind::Max,
-            OutputKind::Avg(2),
-        ];
         let mut w = StateWriter::new();
         CountCell(17).save(&mut w);
         stats.save(&mut w);
-        CountCell(4).to_partial().save(&mut w);
-        stats.to_partial().save(&mut w);
-        for k in &kinds {
-            k.save(&mut w);
-        }
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
         assert_eq!(CountCell::load(&mut r).unwrap(), CountCell(17));
         assert_eq!(StatsCell::load(&mut r).unwrap(), stats);
-        assert_eq!(PartialAgg::load(&mut r).unwrap(), CountCell(4).to_partial());
-        assert_eq!(PartialAgg::load(&mut r).unwrap(), stats.to_partial());
-        for k in &kinds {
-            assert_eq!(&OutputKind::load(&mut r).unwrap(), k);
-        }
         assert!(r.is_exhausted());
     }
 }

@@ -35,7 +35,9 @@ const MANIFEST_MAGIC: &[u8; 8] = b"SHRNCKPT";
 /// v5: a group is one block — window plane, runner rings carrying their
 /// chain offsets, chain logs without a pending buffer (was a forest of
 /// runners, offset deques, logs, mirror and final window vectors).
-const FORMAT_VERSION: u32 = 5;
+/// v6: no hot-group split state — a router segment is its frontier alone,
+/// and engine, group and pending-row images lose their split fields.
+const FORMAT_VERSION: u32 = 6;
 
 // ---------------------------------------------------------------------------
 // errors
@@ -387,9 +389,8 @@ pub struct CheckpointData {
     pub id: u64,
     /// Events ingested before the barrier — the stream replay offset.
     pub events_sent: u64,
-    /// Serialized router state (split tracker counters, hot groups, and
-    /// the watermark frontier), one segment per routing-plane thread in
-    /// router-index order.
+    /// Serialized router state (the watermark frontier), one segment per
+    /// routing-plane thread in router-index order.
     pub routers: Vec<Vec<u8>>,
     /// Serialized engine state, one segment per shard.
     pub shards: Vec<Vec<u8>>,
@@ -712,7 +713,7 @@ fn parse_batch(s: &str) -> Result<u64, String> {
 
 /// The rendezvous behind one checkpoint: the ingest thread injects it into
 /// the pipeline after the last routed batch, every routing-plane thread
-/// deposits its split-tracker state, every worker deposits its serialized
+/// deposits its routing state, every worker deposits its serialized
 /// engine state, and the ingest thread collects the lot once all slots
 /// fill. `S` is what a worker deposits: state bytes for a checkpoint, the
 /// result log itself (moved, never encoded) for a result harvest.
@@ -960,11 +961,10 @@ mod tests {
 
     #[test]
     fn older_format_is_refused_naming_both_versions() {
-        // a v4 directory (a group as runner / offset / chain-log / window
-        // vector forests) must not be read as v5 (a group as one window
-        // plane, runner rings and timestamped chain logs): rewrite a good
-        // manifest's version field and re-seal it
-        let dir = test_dir("v4");
+        // a v5 directory (router segments with hot-group trackers, engine
+        // and group images with split fields) must not be read as v6:
+        // rewrite a good manifest's version field and re-seal it
+        let dir = test_dir("v5");
         let store = CheckpointStore::open(&dir).unwrap();
         store
             .write(0, 50, &[b"r".to_vec()], &[b"seg".to_vec()])
@@ -973,7 +973,7 @@ mod tests {
         let mut bytes = fs::read(&manifest).unwrap();
         let at = MANIFEST_MAGIC.len();
         assert_eq!(bytes[at..at + 4], FORMAT_VERSION.to_le_bytes());
-        bytes[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&5u32.to_le_bytes());
         let body = bytes.len() - 8;
         let digest = fnv1a(&bytes[..body]);
         bytes[body..].copy_from_slice(&digest.to_le_bytes());
@@ -982,7 +982,7 @@ mod tests {
         for refused in [store.load(0), store.latest()] {
             match refused {
                 Err(CheckpointError::Mismatch(msg)) => {
-                    assert!(msg.contains("v4") && msg.contains("v5"), "{msg}");
+                    assert!(msg.contains("v5") && msg.contains("v6"), "{msg}");
                 }
                 other => panic!("expected a format mismatch, got {other:?}"),
             }

@@ -17,11 +17,8 @@
 //!   stateless length-1 segment the type participates in.
 
 use crate::agg::OutputKind;
-use crate::router::SplitSpec;
 use crate::scan::ScanKernel;
-use sharon_query::{
-    clause_passes, AggFunc, CmpOp, Query, QueryId, SegmentKind, SharingPlan, Workload,
-};
+use sharon_query::{clause_passes, CmpOp, Query, QueryId, SegmentKind, SharingPlan, Workload};
 use sharon_types::{AttrId, Catalog, EventTypeId, FxHashMap, GroupKey, Value, WindowSpec};
 use std::fmt;
 
@@ -267,53 +264,6 @@ impl CompiledPartition {
         key.assign_from_slice(vals);
         true
     }
-
-    /// Classify this partition's routed types for hot-group splitting (see
-    /// [`crate::router::SplitSpec`]).
-    ///
-    /// A type is **final-only** when every role it plays writes *only* the
-    /// final per-window accumulators and never mutates shared evaluation
-    /// state: END of a segment whose completions all fold into a last
-    /// stage, or a stateless unit segment that is a query's last stage.
-    /// Rows of such types can be round-robined across the shards of a
-    /// split group, because their processing reads runner/chain state but
-    /// writes nothing later rows depend on. Every other routed type
-    /// (STARTs, mids, intermediate-stage ENDs, chain-writing units) must be
-    /// *broadcast* to all shards of a split group so the replicated state
-    /// trajectories stay identical.
-    pub fn split_spec(&self) -> SplitSpec {
-        let mut final_only = vec![false; self.routes.len()];
-        for (ti, routes) in self.routes.iter().enumerate() {
-            let Some(r) = routes else { continue };
-            let runners_final = r.runner_roles.iter().all(|&(ri, pos)| {
-                pos + 1 == self.runners[ri].len
-                    && self.runners[ri]
-                        .completion_subs
-                        .iter()
-                        .all(|&(q, stage)| stage + 1 == self.queries[q].n_stages)
-            });
-            let units_final = r
-                .unit_roles
-                .iter()
-                .all(|&(q, stage)| stage + 1 == self.queries[q].n_stages);
-            final_only[ti] = runners_final && units_final;
-        }
-        SplitSpec {
-            final_only,
-            warmup_ms: self.window.within.millis(),
-        }
-    }
-}
-
-fn output_kind(q: &Query) -> OutputKind {
-    match &q.agg {
-        AggFunc::CountStar => OutputKind::Count,
-        AggFunc::Count(t) => OutputKind::CountTimes(q.pattern.positions_of(*t).len() as u32),
-        AggFunc::Sum(..) => OutputKind::Sum,
-        AggFunc::Min(..) => OutputKind::Min,
-        AggFunc::Max(..) => OutputKind::Max,
-        AggFunc::Avg(t, _) => OutputKind::Avg(q.pattern.positions_of(*t).len() as u32),
-    }
 }
 
 /// Split `workload` into sharing-signature partitions and compile each.
@@ -504,7 +454,7 @@ fn compile_partition(
             id: q.id,
             n_stages,
             chain_base,
-            output: output_kind(q),
+            output: OutputKind::of(q),
         });
     }
 

@@ -105,8 +105,8 @@ impl RuntimeOptions {
     }
 
     /// Lower these options onto a [`ShardedOptions`] for the sharded
-    /// runtime (batch size, split tuning, and spill stay at their
-    /// defaults — they have no env knobs).
+    /// runtime (batch size and spill stay at their defaults — they have
+    /// no env knobs).
     pub fn sharded_options(&self) -> ShardedOptions {
         ShardedOptions {
             routers: self.routers.unwrap_or(DEFAULT_ROUTERS),

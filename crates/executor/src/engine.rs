@@ -28,7 +28,6 @@ use crate::chainlog::ChainLog;
 use crate::checkpoint::{StateError, StateReader, StateWriter};
 use crate::compile::{compile, CompileError, CompiledPartition, Routes};
 use crate::event_time::Reorder;
-use crate::partial::PartialResults;
 use crate::results::ExecutorResults;
 use crate::runner::SegmentRunner;
 use crate::scan::{ScanKernel, TypePass};
@@ -36,17 +35,12 @@ use crate::spill::{SpillConfig, SpillStore};
 use crate::winvec::WindowPlane;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{
-    fx_hash_one, Catalog, EventBatch, EventStream, EventTypeId, FxHashMap, FxHashSet, GroupKey,
-    Timestamp, Value,
+    fx_hash_one, Catalog, EventBatch, EventStream, EventTypeId, FxHashMap, GroupKey, Timestamp,
+    Value,
 };
 
 /// Per-group runtime state: one block laid out by the compiled partition.
 struct GroupRuntime<A> {
-    /// True once the sharded router split this (hot) group across shards:
-    /// window closes then emit per-window **sub-aggregates** into the
-    /// engine's [`PartialResults`] instead of final values, and the
-    /// sharded merge step combines the shards' parts.
-    split: bool,
     /// Recency stamp from the engine's access clock, read by the spill
     /// tier's eviction sweep (not persisted — recency is run-local).
     last_use: u64,
@@ -66,14 +60,11 @@ struct GroupRuntime<A> {
 /// Where an engine's closing windows go.
 struct Output {
     /// Final values: the result log, handed out by move at
-    /// [`Engine::take_results`] / [`Engine::finish_parts`].
+    /// [`Engine::take_results`] / [`Engine::finish`].
     results: ExecutorResults,
     /// Result epoch: bumped whenever `results` is handed away (see
     /// [`ResultId`]).
     epoch: u64,
-    /// Per-window sub-aggregates of split groups, merged across shards by
-    /// the sharded runtime at the end of the run.
-    partials: PartialResults,
 }
 
 /// A group's id in its engine's result log, valid for one result epoch:
@@ -101,7 +92,6 @@ impl ResultId {
 impl<A: Aggregate> GroupRuntime<A> {
     fn new(part: &CompiledPartition) -> Self {
         GroupRuntime {
-            split: false,
             last_use: 0,
             result_id: ResultId::default(),
             plane: WindowPlane::new(part.window.max_open(), part.n_cols),
@@ -119,7 +109,6 @@ impl<A: Aggregate> GroupRuntime<A> {
     /// segments (which embed spilled groups' bytes verbatim) — one format,
     /// so spilled state checkpoints without a decode/re-encode cycle.
     fn save_state(&self, w: &mut StateWriter) {
-        w.bool(self.split);
         self.plane.save_state(w);
         w.seq_len(self.runners.len());
         for r in self.runners.iter() {
@@ -135,7 +124,6 @@ impl<A: Aggregate> GroupRuntime<A> {
     /// every dimension against the compiled partition the state claims to
     /// belong to.
     fn load_state(r: &mut StateReader<'_>, part: &CompiledPartition) -> Result<Self, StateError> {
-        let split = r.bool()?;
         let plane = WindowPlane::load_state(r, part.window.max_open(), part.n_cols)?;
         if r.seq_len()? != part.runners.len() {
             return Err(StateError::Corrupt("group runner count"));
@@ -154,7 +142,6 @@ impl<A: Aggregate> GroupRuntime<A> {
             .map(|_| ChainLog::load_state(r))
             .collect::<Result<_, _>>()?;
         Ok(GroupRuntime {
-            split,
             last_use: 0,
             result_id: ResultId::default(),
             plane,
@@ -298,11 +285,6 @@ pub struct Engine<A: Aggregate> {
     sel_scratch: Vec<u32>,
     /// Group-space slice owned by this engine (`None` = everything).
     shard: Option<ShardSlice>,
-    /// Hashes of split (hot) groups the router announced to this shard
-    /// (their rows may arrive regardless of [`ShardSlice::owns`]).
-    split_hashes: FxHashSet<u64>,
-    /// Whether the global (no `GROUP BY`) partition is split.
-    split_global: bool,
     /// Paging tier for cold groups (`None` = everything stays resident;
     /// the disabled hot path pays exactly one branch).
     spill: Option<SpillTier>,
@@ -316,12 +298,6 @@ pub struct Engine<A: Aggregate> {
     /// `max_time_seen − lateness` and release in event-time order; rows
     /// behind the watermark are dropped and counted.
     reorder: Option<Reorder>,
-    /// Unsplit notices deferred behind the reorder gate: each waits until
-    /// the watermark passes the gate frontier observed at notice time, so
-    /// every buffered row of the cooled group releases before its replica
-    /// state is force-closed. Empty on arrival-time engines (no gate —
-    /// notices apply immediately).
-    deferred_unsplits: Vec<(GroupKey, Timestamp)>,
     /// Compiled scan kernel selecting the rows of
     /// [`Engine::process_columnar`].
     scan: ScanKernel,
@@ -341,21 +317,17 @@ impl<A: Aggregate> Engine<A> {
             out: Output {
                 results: ExecutorResults::new(),
                 epoch: 1,
-                partials: PartialResults::new(),
             },
             scratch: FoldScratch::new(),
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
             sel_scratch: Vec::new(),
             shard: None,
-            split_hashes: FxHashSet::default(),
-            split_global: false,
             spill: None,
             clock: 0,
             last_time: Timestamp::ZERO,
             events_matched: 0,
             reorder: None,
-            deferred_unsplits: Vec::new(),
             scan,
             rows_scanned: 0,
             rows_selected: 0,
@@ -395,8 +367,8 @@ impl<A: Aggregate> Engine<A> {
 
     /// Build an engine that only processes the groups in `slice`
     /// (see [`ShardSlice`]). Such an engine is fed only through
-    /// [`Engine::process_routed`] / [`Engine::process_routed_split`]: the
-    /// batch router has already selected its rows.
+    /// [`Engine::process_routed`]: the batch router has already selected
+    /// its rows.
     pub fn with_shard(part: CompiledPartition, slice: ShardSlice) -> Self {
         let mut engine = Self::new(part);
         engine.shard = Some(slice);
@@ -424,11 +396,11 @@ impl<A: Aggregate> Engine<A> {
     /// the batch router selected get here, so an unrouted row is never
     /// admitted or counted.
     #[inline]
-    fn process_row(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value], state_only: bool) {
+    fn process_row(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
         match &mut self.reorder {
-            None => self.process_row_inner(ty, time, attrs, state_only),
+            None => self.process_row_inner(ty, time, attrs),
             Some(gate) => {
-                gate.admit(ty, time, attrs, 0, true, state_only);
+                gate.admit(ty, time, attrs, 0, true, false);
             }
         }
     }
@@ -445,52 +417,37 @@ impl<A: Aggregate> Engine<A> {
         };
         gate.advance(frontier);
         self.release_ready();
-        self.apply_ripe_unsplits();
     }
 
     /// Drain every gate-buffered row the current watermark has passed.
     fn release_ready(&mut self) {
         while let Some(row) = self.reorder.as_mut().and_then(Reorder::pop_ready) {
-            self.process_row_inner(row.ty, row.time, &row.attrs, row.state_only);
+            self.process_row_inner(row.ty, row.time, &row.attrs);
             if let Some(gate) = &mut self.reorder {
                 gate.recycle(row);
             }
         }
     }
 
-    /// End-of-stream: open the gate and release everything still buffered
-    /// (and apply any deferred unsplit hand-backs). Idempotent, and a
-    /// no-op on arrival-time engines; [`Engine::finish_parts`] calls it,
-    /// but callers that read pre-finish stats ([`Engine::events_matched`],
-    /// [`Engine::cell_count`]) must call it first — buffered rows still
-    /// count toward both.
+    /// End-of-stream: open the gate and release everything still
+    /// buffered. Idempotent, and a no-op on arrival-time engines;
+    /// [`Engine::finish`] calls it, but callers that read pre-finish stats
+    /// ([`Engine::events_matched`], [`Engine::cell_count`]) must call it
+    /// first — buffered rows still count toward both.
     pub fn flush_pending(&mut self) {
         let Some(gate) = &mut self.reorder else {
             return;
         };
         gate.open();
         self.release_ready();
-        // an open gate's watermark passed every deadline: all deferred
-        // hand-backs apply before results are reported
-        self.apply_ripe_unsplits();
     }
 
     /// The shared in-order row path of every entry point. Every row here
     /// was selected by the scan kernel or the sharded batch router:
     /// routing, this partition's predicates, groupability and shard
-    /// ownership are already established. With `state_only`, the row is
-    /// a broadcast replica of a split group: it mutates evaluation state
-    /// exactly like the full copy on its owning shard, but folds nothing
-    /// into final accumulators and is not counted as matched — the split
-    /// group's final folds happen exactly once globally.
+    /// ownership are already established.
     #[inline]
-    fn process_row_inner(
-        &mut self,
-        ty: EventTypeId,
-        time: Timestamp,
-        attrs: &[Value],
-        state_only: bool,
-    ) {
+    fn process_row_inner(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
         debug_assert!(time >= self.last_time, "events must be time-ordered");
         self.last_time = time;
 
@@ -503,29 +460,19 @@ impl<A: Aggregate> Engine<A> {
             self.part
                 .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch);
         debug_assert!(grouped, "the scan selected an ungroupable event");
-        if !state_only {
-            self.events_matched += 1;
-        }
+        debug_assert!(
+            self.shard.is_none_or(|slice| slice.owns(&self.key_scratch)),
+            "router misrouted a group"
+        );
+        self.events_matched += 1;
 
         // one probe per row: the hit path is a single `get_mut`; only the
         // first sight of a group pays the insert and a second probe.
         // `key_scratch.clone()` (the only remaining allocation) happens
-        // exactly once per distinct group. Split membership is resolved
-        // ONCE there — split notices always precede the split group's
-        // rows, and `mark_split` upgrades groups that already exist — so
-        // the per-row hot path never re-hashes the key to probe the split
-        // set.
+        // exactly once per distinct group.
         let grt = match self.groups.get_mut(&self.key_scratch) {
             Some(grt) => grt,
             None => {
-                let split_now = self.shard.is_some()
-                    && match &self.key_scratch {
-                        GroupKey::Global => self.split_global,
-                        key => {
-                            !self.split_hashes.is_empty()
-                                && self.split_hashes.contains(&fx_hash_one(key))
-                        }
-                    };
                 // a "new" group may in fact be paged out — the spill
                 // tier's reload path (cold, never taken when spilling is
                 // off) brings it back before any fresh state is created
@@ -533,11 +480,7 @@ impl<A: Aggregate> Engine<A> {
                     Some(tier) => Self::reload_spilled(tier, &self.part, &self.key_scratch),
                     None => None,
                 };
-                let mut grt = reloaded.unwrap_or_else(|| GroupRuntime::new(&self.part));
-                // split membership is resolved once per residency: a
-                // notice that arrived while the group was spilled is
-                // applied here
-                grt.split |= split_now;
+                let grt = reloaded.unwrap_or_else(|| GroupRuntime::new(&self.part));
                 self.groups.insert(self.key_scratch.clone(), grt);
                 if let Some(tier) = &mut self.spill {
                     if self.groups.len() > tier.max_resident {
@@ -551,126 +494,11 @@ impl<A: Aggregate> Engine<A> {
         };
         self.clock += 1;
         grt.last_use = self.clock;
-        // rows of split groups legitimately land off-owner
-        debug_assert!(
-            self.shard
-                .is_none_or(|slice| grt.split || slice.owns(&self.key_scratch)),
-            "router misrouted a group"
-        );
 
         Self::touch(grt, &self.part, time, &mut self.out, &self.key_scratch);
 
         let c = Self::contribution(&self.part, ty, attrs);
-        Self::dispatch(
-            grt,
-            &self.part,
-            routes,
-            time,
-            c,
-            !state_only,
-            &mut self.scratch,
-        );
-    }
-
-    /// Mark a group as split across shards (a router notice): its rows may
-    /// arrive off-owner from now on, and its window closes emit per-window
-    /// sub-aggregates instead of final values.
-    pub fn mark_split(&mut self, key: &GroupKey) {
-        // a re-heat can re-split a group whose deferred unsplit has not
-        // ripened yet: cancel the hand-back — the replica state is live
-        // again and force-closing it would lose the new split's history
-        self.deferred_unsplits.retain(|(k, _)| k != key);
-        match key {
-            GroupKey::Global => self.split_global = true,
-            key => {
-                self.split_hashes.insert(fx_hash_one(key));
-            }
-        }
-        if let Some(grt) = self.groups.get_mut(key) {
-            grt.split = true;
-        }
-        // pre-size the sub-aggregate buffer at split time so the split
-        // path starts from real capacity instead of growing from zero
-        // (beyond this, growth is amortized doubling; callers with a
-        // results budget use `reserve_results` for exact planning)
-        self.out.partials.reserve(256);
-    }
-
-    /// Revert a split notice (the router cooled the group back down).
-    ///
-    /// The **owner** shard keeps the group marked split: its remaining
-    /// windows still emit sub-aggregates, and the merge step is
-    /// insensitive to the replica set shrinking back to one — keeping the
-    /// flag avoids a final-vs-partial emission conflict on windows that
-    /// straddle the hand-off. Every **replica** shard force-closes its
-    /// copy's remaining windows into sub-aggregates and drops the replica
-    /// state, reclaiming its memory.
-    ///
-    /// Event-time engines defer the hand-back while the reorder gate
-    /// still buffers rows: it applies once the watermark passes the gate
-    /// frontier observed here, i.e. after every row admitted before the
-    /// notice — the group's round-robined full copies included — has been
-    /// released.
-    pub fn mark_unsplit(&mut self, key: &GroupKey) {
-        if let Some(gate) = &self.reorder {
-            if gate.pending_len() > 0 {
-                self.deferred_unsplits.push((key.clone(), gate.frontier()));
-                return;
-            }
-        }
-        self.unsplit_now(key);
-    }
-
-    /// Apply every deferred unsplit whose gate-frontier deadline the
-    /// watermark has passed (all of their buffered rows are released).
-    fn apply_ripe_unsplits(&mut self) {
-        if self.deferred_unsplits.is_empty() {
-            return;
-        }
-        let Some(gate) = &self.reorder else {
-            return;
-        };
-        let wm = gate.watermark();
-        let mut i = 0;
-        while i < self.deferred_unsplits.len() {
-            if self.deferred_unsplits[i].1 <= wm {
-                let (key, _) = self.deferred_unsplits.swap_remove(i);
-                self.unsplit_now(&key);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// The immediate half of [`Engine::mark_unsplit`].
-    fn unsplit_now(&mut self, key: &GroupKey) {
-        let owner = match &self.shard {
-            None => true,
-            Some(slice) => slice.owns(key),
-        };
-        if owner {
-            return;
-        }
-        if let Some(mut grt) = self.groups.remove(key) {
-            Self::drain_group(&self.part, key, &mut grt, &mut self.out);
-        }
-        // a replica copy is never evicted while split (eviction skips
-        // split groups), but stay defensive: drain any paged-out bytes
-        // rather than silently dropping window state
-        let spilled = match &mut self.spill {
-            Some(tier) => tier
-                .store
-                .take(key)
-                .unwrap_or_else(|e| panic!("spill read failed: {e}")),
-            None => None,
-        };
-        if let Some(bytes) = spilled {
-            let mut r = StateReader::new(&bytes);
-            let mut grt = GroupRuntime::load_state(&mut r, &self.part)
-                .unwrap_or_else(|e| panic!("spilled group state corrupt: {e}"));
-            grt.split = true;
-            Self::drain_group(&self.part, key, &mut grt, &mut self.out);
-        }
+        Self::dispatch(grt, &self.part, routes, time, c, &mut self.scratch);
     }
 
     /// Page `key` back in from the spill log, or `None` if it was never
@@ -693,10 +521,8 @@ impl<A: Aggregate> Engine<A> {
 
     /// Page out the coldest quarter of the resident groups (by
     /// [`GroupRuntime::last_use`]), so one eviction sweep buys
-    /// `max_resident / 4` insertions before the budget binds again.
-    /// Split groups are skipped — they are hot by definition and their
-    /// sub-aggregate flow assumes residency — as is the group that
-    /// triggered the sweep.
+    /// `max_resident / 4` insertions before the budget binds again. The
+    /// group that triggered the sweep stays.
     #[cold]
     fn evict_coldest(
         tier: &mut SpillTier,
@@ -706,7 +532,7 @@ impl<A: Aggregate> Engine<A> {
         let n_evict = (tier.max_resident / 4).max(1);
         let mut order: Vec<(u64, GroupKey)> = groups
             .iter()
-            .filter(|(k, g)| !g.split && *k != keep)
+            .filter(|(k, _)| *k != keep)
             .map(|(k, g)| (g.last_use, k.clone()))
             .collect();
         order.sort_unstable_by_key(|a| a.0);
@@ -722,8 +548,7 @@ impl<A: Aggregate> Engine<A> {
     }
 
     /// Close every window of one group before `close_seq`, oldest first,
-    /// into `results` (or `partials` for split groups); zero finals are
-    /// not results.
+    /// into the result log; zero finals are not results.
     fn close_windows(
         part: &CompiledPartition,
         key: &GroupKey,
@@ -732,10 +557,7 @@ impl<A: Aggregate> Engine<A> {
         close_seq: u64,
     ) {
         let GroupRuntime {
-            split,
-            result_id,
-            plane,
-            ..
+            result_id, plane, ..
         } = grt;
         let slide = part.window.slide.millis();
         plane.close_before(close_seq, |seq, cells| {
@@ -744,21 +566,16 @@ impl<A: Aggregate> Engine<A> {
                 if v.is_zero() {
                     continue;
                 }
-                if *split {
-                    out.partials
-                        .push(q.id, key.clone(), window, v.to_partial(), q.output);
-                } else {
-                    let gid = result_id.resolve(out.epoch, key, &mut out.results);
-                    out.results
-                        .emit_interned(q.id, gid, window, v.output(q.output));
-                }
+                let gid = result_id.resolve(out.epoch, key, &mut out.results);
+                out.results
+                    .emit_interned(q.id, gid, window, v.output(q.output));
             }
         });
     }
 
     /// Drain every remaining window of one group — the shared tail of
-    /// `finish_parts`, spilled-group finalization, and replica eviction.
-    /// The group is dropped afterwards.
+    /// [`Engine::finish`] for resident and spilled groups. The group is
+    /// dropped afterwards.
     fn drain_group(
         part: &CompiledPartition,
         key: &GroupKey,
@@ -776,16 +593,7 @@ impl<A: Aggregate> Engine<A> {
     pub fn save_state(&mut self, w: &mut StateWriter) {
         w.time(self.last_time);
         w.u64(self.events_matched);
-        w.bool(self.split_global);
-        // deterministic order: identical state must yield identical bytes
-        let mut hashes: Vec<u64> = self.split_hashes.iter().copied().collect();
-        hashes.sort_unstable();
-        w.seq_len(hashes.len());
-        for h in hashes {
-            w.u64(h);
-        }
         self.out.results.save_state(w);
-        self.out.partials.save_state(w);
         let spilled = self.spill.as_ref().map_or(0, |t| t.store.len());
         w.seq_len(self.groups.len() + spilled);
         for (key, grt) in &self.groups {
@@ -807,11 +615,6 @@ impl<A: Aggregate> Engine<A> {
         w.bool(self.reorder.is_some());
         if let Some(gate) = &self.reorder {
             gate.save_state(w);
-            w.seq_len(self.deferred_unsplits.len());
-            for (key, deadline) in &self.deferred_unsplits {
-                w.group_key(key);
-                w.time(*deadline);
-            }
         }
     }
 
@@ -822,15 +625,7 @@ impl<A: Aggregate> Engine<A> {
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         self.last_time = r.time()?;
         self.events_matched = r.u64()?;
-        self.split_global = r.bool()?;
-        let n_hashes = r.seq_len()?;
-        self.split_hashes.clear();
-        self.split_hashes.reserve(n_hashes);
-        for _ in 0..n_hashes {
-            self.split_hashes.insert(r.u64()?);
-        }
         self.out.results = ExecutorResults::load_state(r)?;
-        self.out.partials = PartialResults::load_state(r)?;
         let n_groups = r.seq_len()?;
         self.groups.clear();
         for _ in 0..n_groups {
@@ -858,16 +653,7 @@ impl<A: Aggregate> Engine<A> {
         // both directions rather than guess
         let had_gate = r.bool()?;
         match (&mut self.reorder, had_gate) {
-            (Some(gate), true) => {
-                gate.load_state(r)?;
-                let n = r.seq_len()?;
-                self.deferred_unsplits.clear();
-                for _ in 0..n {
-                    let key = r.group_key()?;
-                    let deadline = r.time()?;
-                    self.deferred_unsplits.push((key, deadline));
-                }
-            }
+            (Some(gate), true) => gate.load_state(r)?,
             (None, false) => {}
             (Some(_), false) => {
                 return Err(StateError::Corrupt(
@@ -933,55 +719,20 @@ impl<A: Aggregate> Engine<A> {
         self.process_rows(batch, rows);
     }
 
-    /// [`Engine::process_routed`] for a shard of a split group: `full`
-    /// rows are processed normally, `state` rows are broadcast replicas
-    /// whose final folds and matched counting are suppressed. Both lists
-    /// are ascending; they are merged on the fly so the engine sees the
-    /// rows in batch order.
-    pub fn process_routed_split(&mut self, batch: &EventBatch, full: &[u32], state: &[u32]) {
-        if state.is_empty() {
-            return self.process_rows(batch, full);
-        }
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < full.len() || j < state.len() {
-            let take_full = match (full.get(i), state.get(j)) {
-                (Some(&f), Some(&s)) => f < s, // a row is never in both lists
-                (Some(_), None) => true,
-                _ => false,
-            };
-            let (row, state_only) = if take_full {
-                i += 1;
-                (full[i - 1] as usize, false)
-            } else {
-                j += 1;
-                (state[j - 1] as usize, true)
-            };
-            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row), state_only);
-        }
-    }
-
     #[inline]
     fn process_rows(&mut self, batch: &EventBatch, rows: &[u32]) {
         for &row in rows {
             let row = row as usize;
-            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row), false);
+            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row));
         }
     }
 
     /// Pre-size the result store for about `additional` further results
-    /// per query, so steady-state window emission does not reallocate
-    /// (sub-aggregate entries of split groups included).
+    /// per query, so steady-state window emission does not reallocate.
     pub fn reserve_results(&mut self, additional: usize) {
         self.out
             .results
             .reserve(additional * self.part.queries.len());
-        // sharded engines can be handed split groups at any point; size
-        // their sub-aggregate buffer with the same budget
-        if self.shard.is_some() {
-            self.out
-                .partials
-                .reserve(additional * self.part.queries.len());
-        }
     }
 
     /// Bring one group up to `now` before a row at `now` is dispatched:
@@ -1005,10 +756,8 @@ impl<A: Aggregate> Engine<A> {
     }
 
     /// The per-slide maintenance of one group: close the windows that
-    /// ended by `now` (split groups emit per-window sub-aggregate cells
-    /// into `partials`, merged across shards later), expire the START
-    /// events no open window can hold, and drop the chain-log entries
-    /// that only fed closed windows.
+    /// ended by `now`, expire the START events no open window can hold,
+    /// and drop the chain-log entries that only fed closed windows.
     fn slide_group(
         grt: &mut GroupRuntime<A>,
         part: &CompiledPartition,
@@ -1074,20 +823,12 @@ impl<A: Aggregate> Engine<A> {
     }
 
     /// Route one in-group event through all its runner and unit roles.
-    ///
-    /// With `fold_finals` false (the state-only replica path of split
-    /// groups), every fold whose target is a final accumulator is
-    /// suppressed: state-writing roles — runner STARTs/mids, chain-stage
-    /// completions, chain-writing units — proceed identically, so all
-    /// shards of a split group evolve the same evaluation state while
-    /// final contributions happen exactly once globally.
     fn dispatch(
         grt: &mut GroupRuntime<A>,
         part: &CompiledPartition,
         routes: &Routes,
         t: Timestamp,
         c: Contribution,
-        fold_finals: bool,
         scratch: &mut FoldScratch<A>,
     ) {
         let GroupRuntime {
@@ -1105,7 +846,6 @@ impl<A: Aggregate> Engine<A> {
             part.window.first_start_covering(t).millis()
         );
         let width = (last_seq - min_seq + 1) as usize;
-        let is_final = |&(q, stage): &(usize, usize)| stage + 1 == part.queries[q].n_stages;
         let dead_before = Self::dead_before(part, t);
 
         for &(ri, pos) in &routes.runner_roles {
@@ -1125,13 +865,7 @@ impl<A: Aggregate> Engine<A> {
                 runner.on_mid(pos, t, c);
                 continue;
             }
-            // END of the segment. State-only replicas skip ENDs whose every
-            // completion folds into a final accumulator — nothing they may
-            // write
-            if !fold_finals && rspec.completion_subs.iter().all(is_final) {
-                continue;
-            }
-            // collect per-START completion deltas
+            // END of the segment: collect per-START completion deltas
             scratch.completions.clear();
             runner.on_end(t, c, |idx, st, d| {
                 scratch.completions.push((idx, st, d));
@@ -1160,9 +894,6 @@ impl<A: Aggregate> Engine<A> {
                 let (q, stage) = *sub;
                 let slot = k;
                 k += usize::from(stage > 0);
-                if !fold_finals && is_final(sub) {
-                    continue; // replica: final folds happen elsewhere
-                }
                 if stage > 0 {
                     // chain fold: Σᵢ R(tᵢ) × δᵢ over the log
                     // (two-pointer over entries and START offsets)
@@ -1209,9 +940,6 @@ impl<A: Aggregate> Engine<A> {
 
         // stateless length-1 segments: START and END coincide
         for sub in &routes.unit_roles {
-            if !fold_finals && is_final(sub) {
-                continue; // replica: final folds happen elsewhere
-            }
             let (q, stage) = *sub;
             let delta = A::unit(c);
             scratch.totals.clear();
@@ -1231,27 +959,7 @@ impl<A: Aggregate> Engine<A> {
     }
 
     /// Flush all remaining windows and return the results.
-    ///
-    /// Only valid on engines that never had a group split (the sequential
-    /// paths): split groups produce sub-aggregates, which require the
-    /// sharded runtime's merge step — use [`Engine::finish_parts`] there.
-    pub fn finish(self) -> ExecutorResults {
-        let (results, partials) = self.finish_parts();
-        // a hard assert: silently dropping a split group's entire result
-        // set would be far worse than aborting (the check is one
-        // `Vec::is_empty`)
-        assert!(
-            partials.is_empty(),
-            "split-group sub-aggregates require the sharded merge step — \
-             use Engine::finish_parts"
-        );
-        results
-    }
-
-    /// Flush all remaining windows and return the final results plus this
-    /// shard's per-window sub-aggregates of split groups (combined across
-    /// shards by [`crate::PartialResults::finalize_into`]).
-    pub fn finish_parts(mut self) -> (ExecutorResults, PartialResults) {
+    pub fn finish(mut self) -> ExecutorResults {
         // end of stream: release every row still buffered in the
         // event-time gate before any window is force-closed
         self.flush_pending();
@@ -1272,7 +980,7 @@ impl<A: Aggregate> Engine<A> {
         for (key, grt) in self.groups.iter_mut() {
             Self::drain_group(&self.part, key, grt, &mut self.out);
         }
-        (self.out.results, self.out.partials)
+        self.out.results
     }
 
     /// Take the results emitted so far, leaving the store empty. Windows
@@ -1362,31 +1070,6 @@ impl EngineKind {
         match self {
             EngineKind::Count(en) => en.process_routed(batch, rows),
             EngineKind::Stats(en) => en.process_routed(batch, rows),
-        }
-    }
-
-    /// Process pre-routed full rows interleaved with state-only replica
-    /// rows of split groups (see [`Engine::process_routed_split`]).
-    pub fn process_routed_split(&mut self, batch: &EventBatch, full: &[u32], state: &[u32]) {
-        match self {
-            EngineKind::Count(en) => en.process_routed_split(batch, full, state),
-            EngineKind::Stats(en) => en.process_routed_split(batch, full, state),
-        }
-    }
-
-    /// Mark a group as split across shards (see [`Engine::mark_split`]).
-    pub fn mark_split(&mut self, key: &GroupKey) {
-        match self {
-            EngineKind::Count(en) => en.mark_split(key),
-            EngineKind::Stats(en) => en.mark_split(key),
-        }
-    }
-
-    /// Revert a split notice (see [`Engine::mark_unsplit`]).
-    pub fn mark_unsplit(&mut self, key: &GroupKey) {
-        match self {
-            EngineKind::Count(en) => en.mark_unsplit(key),
-            EngineKind::Stats(en) => en.mark_unsplit(key),
         }
     }
 
@@ -1484,15 +1167,6 @@ impl EngineKind {
         match self {
             EngineKind::Count(en) => en.finish(),
             EngineKind::Stats(en) => en.finish(),
-        }
-    }
-
-    /// Flush remaining windows and return the results plus split-group
-    /// sub-aggregates (see [`Engine::finish_parts`]).
-    pub fn finish_parts(self) -> (ExecutorResults, PartialResults) {
-        match self {
-            EngineKind::Count(en) => en.finish_parts(),
-            EngineKind::Stats(en) => en.finish_parts(),
         }
     }
 

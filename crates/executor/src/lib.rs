@@ -25,7 +25,6 @@ pub mod compile;
 pub mod config;
 pub mod engine;
 pub mod event_time;
-pub mod partial;
 pub mod processor;
 mod proptests;
 pub mod results;
@@ -37,7 +36,7 @@ pub mod spill;
 pub mod spsc;
 pub mod winvec;
 
-pub use agg::{Aggregate, Contribution, CountCell, OutputKind, PartialAgg, StatsCell};
+pub use agg::{Aggregate, Contribution, CountCell, OutputKind, StatsCell};
 pub use chainlog::ChainLog;
 pub use checkpoint::{
     default_checkpoint_config, CheckpointConfig, CheckpointData, CheckpointError, CheckpointStore,
@@ -47,12 +46,10 @@ pub use compile::{compile, CompileError, CompiledPartition};
 pub use config::{EnvError, RuntimeOptions};
 pub use engine::{Engine, EngineKind, Executor, ShardSlice};
 pub use event_time::{PendingRow, Reorder};
-pub use partial::{PartialEntry, PartialResults};
 pub use processor::BatchProcessor;
 pub use results::ExecutorResults;
 pub use router::{
     partition_scopes, split_router_plane, BatchRouter, RouteBatch, RoutedRows, RowFilter,
-    SplitConfig, SplitSpec,
 };
 pub use runner::SegmentRunner;
 pub use scan::{ScanCounters, ScanKernel, TypePass};

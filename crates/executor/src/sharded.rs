@@ -54,20 +54,18 @@
 //! [`default_routers`]) the compiled scopes are partitioned across `R`
 //! router threads by a **cost estimate** (clause count × routed-type
 //! density, see [`crate::router::split_router_plane`]) — not naive
-//! round-robin — and each router owns its own [`RouteBatch`] state
-//! (hotness counters, split set, watermark frontier) plus its own
-//! per-worker SPSC rings. The ingest stage fans every filled
-//! [`Arc<EventBatch>`] range to *all* routers over per-router job rings;
+//! round-robin — and each router owns its own [`RouteBatch`] state (its
+//! watermark frontier) plus its own per-worker SPSC rings. The ingest
+//! stage fans every filled [`Arc<EventBatch>`] range to *all* routers over per-router job rings;
 //! each [`RoutedRows`] chunk carries the ingest **batch sequence number**
 //! ([`RoutedRows::seq`]), and every worker reads its `R` lanes in
 //! lockstep — one chunk per lane per batch (multi-router planes send
 //! empty chunks too, precisely so the lanes never skew) — merging them
 //! with [`prepare_step`] so the applied union is indistinguishable from
-//! a single router's chunk: split notices first, rows in lane order, the
-//! watermark advanced exactly once with the **min over the per-router
-//! frontiers**, unsplit hand-backs last. Results are bit-identical to
-//! `R = 1`. Checkpoint barriers fan out to every router and the manifest
-//! carries `R` router-state segments; resume rebuilds the identical
+//! a single router's chunk: rows in lane order, the watermark advanced
+//! exactly once with the **min over the per-router frontiers**. Results
+//! are bit-identical to `R = 1`. Checkpoint barriers fan out to every
+//! router and the manifest carries `R` router-state segments; resume rebuilds the identical
 //! scope assignment (the cost partition is a pure function of the
 //! compiled scopes).
 //!
@@ -89,8 +87,8 @@
 //! rings as the data — ingest→router job ring first, then every worker
 //! ring — so each shard deposits its serialized engine state after
 //! exactly the batches routed before the barrier. No pause, no global
-//! lock: the barrier rides the pipeline. The router deposits its own
-//! split-tracker state, and the ingest thread writes the segments plus a
+//! lock: the barrier rides the pipeline. Each router deposits its own
+//! frontier, and the ingest thread writes the segments plus a
 //! checksummed manifest through [`CheckpointStore`] (segments first,
 //! manifest renamed into place last, so a torn checkpoint is never
 //! *latest*). [`ShardedExecutor::resume`] rebuilds the runtime from the
@@ -119,17 +117,16 @@ use crate::checkpoint::{
 };
 use crate::compile::{compile, CompileError, CompiledPartition};
 use crate::engine::{EngineKind, ShardSlice};
-use crate::partial::PartialResults;
 use crate::processor::BatchProcessor;
 use crate::results::ExecutorResults;
-use crate::router::{split_router_plane, RouteBatch, RoutedRows, SplitConfig};
+use crate::router::{split_router_plane, RouteBatch, RoutedRows};
 use crate::scan::ScanCounters;
 use crate::spill::SpillConfig;
 use crate::spsc;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{Catalog, EventBatch, EventStream, Timestamp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Default number of events buffered before a batch is routed and fanned
@@ -207,53 +204,53 @@ enum RouterMsg {
     Route(RouteJob),
     Barrier(BarrierRef),
     Harvest(HarvestRef),
-    /// A synchronized state probe: the router deposits its live
-    /// split-group count into its slot without touching the worker rings
-    /// (backs [`ShardedExecutor::split_snapshot`]).
-    Sync(Arc<SplitProbe>),
+    /// A plane barrier: the router counts the latch down once every job
+    /// queued before it is routed, without touching the worker rings
+    /// (backs [`ShardedExecutor::router_stats`]).
+    Sync(Arc<PlaneSync>),
 }
 
-/// A synchronized probe of the routing plane's split-group counts: every
-/// router thread deposits its count in its own slot, in-band behind all
-/// previously queued jobs, and the ingest thread sums once all slots are
-/// filled.
-struct SplitProbe {
-    slots: Mutex<Vec<Option<usize>>>,
-    filled: Condvar,
+/// A count-down latch over the routing plane: every router thread counts
+/// it down in-band, behind all previously queued jobs, and the ingest
+/// thread waits until all have.
+struct PlaneSync {
+    remaining: Mutex<usize>,
+    done: Condvar,
 }
 
-impl SplitProbe {
+impl PlaneSync {
     fn new(n_routers: usize) -> Self {
-        SplitProbe {
-            slots: Mutex::new(vec![None; n_routers]),
-            filled: Condvar::new(),
+        PlaneSync {
+            remaining: Mutex::new(n_routers),
+            done: Condvar::new(),
         }
     }
 
-    /// Deposit router `index`'s live count.
-    fn fill(&self, index: usize, count: usize) {
-        let mut slots = self.slots.lock().unwrap();
-        slots[index] = Some(count);
-        self.filled.notify_all();
+    /// One router has routed everything queued before the latch.
+    fn count_down(&self) {
+        // the count is valid at every step, so a poisoned lock is taken over
+        let mut remaining = self
+            .remaining
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *remaining = remaining.saturating_sub(1);
+        self.done.notify_all();
     }
 
-    /// Sum the deposited counts once every router answered. A cancelled
-    /// run returns the sum of whatever was deposited — a dead router
-    /// will never answer, and a probe must not hang a failing run.
-    fn wait_sum(&self, cancel: &AtomicBool) -> usize {
-        let mut slots = self.slots.lock().unwrap();
-        loop {
-            if slots.iter().all(Option::is_some) {
-                return slots.iter().map(|s| s.unwrap_or(0)).sum();
-            }
-            if cancel.load(Ordering::Relaxed) {
-                return slots.iter().flatten().sum();
-            }
-            let (guard, _timeout) = self
-                .filled
-                .wait_timeout(slots, std::time::Duration::from_millis(20))
-                .unwrap();
-            slots = guard;
+    /// Block until every router counted down. A cancelled run returns
+    /// early — a dead router will never answer, and a barrier must not
+    /// hang a failing run.
+    fn wait(&self, cancel: &AtomicBool) {
+        let mut remaining = self
+            .remaining
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        while *remaining > 0 && !cancel.load(Ordering::Relaxed) {
+            remaining = self
+                .done
+                .wait_timeout(remaining, std::time::Duration::from_millis(20))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }
@@ -303,10 +300,6 @@ impl Drop for CancelOnPanic {
 pub struct ShardReport {
     /// This shard's (disjoint) slice of the results.
     pub results: ExecutorResults,
-    /// Per-window sub-aggregates of split (hot) groups — this shard's
-    /// share only; [`ShardedExecutor::finish`] merges them across shards
-    /// (see [`PartialResults`]). Empty for strategies that never split.
-    pub partials: PartialResults,
     /// Events this shard matched, exact at drain time.
     pub events_matched: u64,
     /// Final state-size proxy (live cells / buffered events / matches).
@@ -323,12 +316,6 @@ pub struct ShardReport {
 /// owns — the processor never re-evaluates that prefix.
 pub trait ShardProcessor: Send {
     /// Process the pre-routed rows of `batch`, in row order per scope.
-    /// Implementations hosting split groups must apply
-    /// [`RoutedRows::splits`] notices before the rows, interleave
-    /// [`RoutedRows::state_rows`] replicas in row order, and apply
-    /// [`RoutedRows::unsplits`] hand-backs after the rows; processors that
-    /// never split (the two-step baselines) receive empty notice and
-    /// replica lists and can ignore all three.
     fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows);
 
     /// Events matched so far (published to the ingest side after every
@@ -364,11 +351,7 @@ pub trait ShardProcessor: Send {
         None
     }
 
-    /// Flush remaining windows and report this shard's results. Split
-    /// groups' per-window sub-aggregates travel in
-    /// [`ShardReport::partials`] (the drain half of the drain/merge
-    /// contract); the default-empty field keeps non-splitting processors
-    /// unchanged.
+    /// Flush remaining windows and report this shard's results.
     fn finish(self: Box<Self>) -> ShardReport;
 }
 
@@ -380,29 +363,17 @@ struct EngineShard {
 
 impl ShardProcessor for EngineShard {
     fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        // apply split notices before any of the batch's rows, so the
-        // owner's window closes switch to sub-aggregates in time
-        for (scope, key) in &rows.splits {
-            self.engines[*scope as usize].mark_split(key);
-        }
-        for (pi, engine) in self.engines.iter_mut().enumerate() {
-            let full = &rows.per_part[pi];
-            let state = &rows.state_rows[pi];
-            if !full.is_empty() || !state.is_empty() {
-                engine.process_routed_split(batch, full, state);
+        for (engine, list) in self.engines.iter_mut().zip(&rows.per_part) {
+            if !list.is_empty() {
+                engine.process_routed(batch, list);
             }
         }
         // event-time mode: the router stamped every chunk with the merged
         // cross-shard frontier, so each engine's watermark advances here —
-        // after the chunk's rows were admitted, before the hand-backs (a
-        // no-op for arrival-time runs, where no gate is configured)
+        // after the chunk's rows were admitted (a no-op for arrival-time
+        // runs, where no gate is configured)
         for engine in &mut self.engines {
             engine.advance_watermark(rows.frontier);
-        }
-        // cool-down hand-backs apply after the rows: the batch was still
-        // routed split, the next one no longer is
-        for (scope, key) in &rows.unsplits {
-            self.engines[*scope as usize].mark_unsplit(key);
         }
     }
 
@@ -457,15 +428,11 @@ impl ShardProcessor for EngineShard {
             })
             .sum();
         let mut results = ExecutorResults::new();
-        let mut partials = PartialResults::new();
         for engine in self.engines {
-            let (r, p) = engine.finish_parts();
-            results.merge(r);
-            partials.absorb(p);
+            results.merge(engine.finish());
         }
         ShardReport {
             results,
-            partials,
             events_matched,
             state_size,
         }
@@ -628,59 +595,26 @@ impl Fanout {
 /// applying them one after another through
 /// [`ShardProcessor::process_routed`] is indistinguishable from applying
 /// their union as a single chunk — the heart of the deterministic
-/// sequence-number merge:
+/// sequence-number merge: the **watermark advances exactly once**. Every
+/// non-last chunk's frontier is zeroed (a no-op — the event-time gate's
+/// `advance` is a monotone max) and the last non-empty chunk carries the
+/// **min over the stamped per-router frontiers**, the only bound every
+/// router has published for this batch.
 ///
-/// * **split notices** migrate to the *first* non-empty chunk: in the
-///   union, every notice applies before any of the batch's rows;
-/// * **unsplit hand-backs** migrate to the *last* non-empty chunk: in
-///   the union they apply after every row, and `mark_unsplit`'s deferral
-///   decision depends on the watermark at notice time;
-/// * the **watermark advances exactly once**: every non-last chunk's
-///   frontier is zeroed (a no-op — the event-time gate's `advance` is a
-///   monotone max) and the last non-empty chunk carries the **min over
-///   the stamped per-router frontiers**, the only bound every router has
-///   published for this batch.
-///
-/// Steps with fewer than two non-empty chunks are returned untouched, so
-/// a single-router plane reproduces the classic path bit for bit.
-/// Allocation-free except when notices actually migrate (split churn is
-/// never the steady state). Public so the merge-determinism suites can
-/// drive it directly against adversarial chunk layouts.
+/// A step with one non-empty chunk keeps its frontier, so a
+/// single-router plane reproduces the classic path bit for bit.
+/// Allocation-free. Public so the merge-determinism suites can drive it
+/// directly against adversarial chunk layouts.
 pub fn prepare_step(chunks: &mut [RoutedRows]) {
-    let mut first = 0usize;
-    let mut last = 0usize;
-    let mut n_nonempty = 0usize;
-    for (i, c) in chunks.iter().enumerate() {
-        if !c.is_empty() {
-            if n_nonempty == 0 {
-                first = i;
-            }
-            last = i;
-            n_nonempty += 1;
-        }
-    }
-    if n_nonempty < 2 {
+    let Some(last) = chunks.iter().rposition(|c| !c.is_empty()) else {
         return;
-    }
-    let mut merged = chunks[first].frontier;
-    for c in &chunks[first + 1..=last] {
+    };
+    let mut merged = chunks[last].frontier;
+    for c in &mut chunks[..last] {
         if !c.is_empty() {
             merged = merged.min(c.frontier);
+            c.frontier = Timestamp::ZERO;
         }
-    }
-    for i in first..=last {
-        if chunks[i].is_empty() {
-            continue;
-        }
-        if i > first && !chunks[i].splits.is_empty() {
-            let (head, tail) = chunks.split_at_mut(i);
-            head[first].splits.append(&mut tail[0].splits);
-        }
-        if i < last && !chunks[i].unsplits.is_empty() {
-            let (head, tail) = chunks.split_at_mut(last);
-            tail[0].unsplits.append(&mut head[i].unsplits);
-        }
-        chunks[i].frontier = Timestamp::ZERO;
     }
     chunks[last].frontier = merged;
 }
@@ -719,8 +653,6 @@ fn join_routers(threads: Vec<RouterThread>) -> Vec<usize> {
 pub struct ShardedOptions {
     /// Events buffered before a batch is routed ([`DEFAULT_BATCH_SIZE`]).
     pub batch_size: usize,
-    /// Hot-group splitting tuning (see [`SplitConfig`]).
-    pub split: SplitConfig,
     /// Router threads in the routing plane (`1` = the classic single
     /// router; defaults to [`default_routers`], which honours
     /// `SHARON_ROUTERS`).
@@ -749,7 +681,6 @@ impl Default for ShardedOptions {
     fn default() -> Self {
         ShardedOptions {
             batch_size: DEFAULT_BATCH_SIZE,
-            split: SplitConfig::default(),
             routers: default_routers(),
             spill: None,
             checkpoint: None,
@@ -921,7 +852,7 @@ pub struct ShardedExecutor {
 
 impl ShardedExecutor {
     /// Compile `workload` under `plan` and spawn `n_shards` online engine
-    /// shards configured by `options` (batching, splitting, routing plane,
+    /// shards configured by `options` (batching, routing plane,
     /// spill tier, checkpoints, fault injection, lateness). Zero shards is
     /// [`CompileError::ZeroShards`].
     pub fn with_options(
@@ -938,7 +869,7 @@ impl ShardedExecutor {
         }
         let parts = compile(catalog, workload, plan)?;
         let shards = engine_shards(&parts, n_shards, options.spill.as_ref(), options.lateness);
-        let routers = split_router_plane(parts, n_shards, options.split, options.routers);
+        let routers = split_router_plane(parts, n_shards, options.routers);
         Ok(Self::build_with(routers, shards, &options, 0))
     }
 
@@ -946,9 +877,9 @@ impl ShardedExecutor {
     /// `options.checkpoint` (which must be set) and return it together
     /// with the stream offset to replay from: re-ingest every event from
     /// that offset on and the results are identical to an uninterrupted
-    /// run. The compiled workload, shard count, and split configuration
-    /// must match the checkpointing run — mismatches are reported, never
-    /// guessed around.
+    /// run. The compiled workload, shard count and router count must match
+    /// the checkpointing run — mismatches are reported, never guessed
+    /// around.
     pub fn resume(
         catalog: &Catalog,
         workload: &Workload,
@@ -983,7 +914,7 @@ impl ShardedExecutor {
         // and the router count, so this rebuilds the checkpointing run's
         // scope→router assignment exactly — segment `ri` restores the
         // same scope subset it was saved from
-        let mut routers = split_router_plane(parts, n_shards, options.split, options.routers);
+        let mut routers = split_router_plane(parts, n_shards, options.routers);
         for (ri, router) in routers.iter_mut().enumerate() {
             let mut r = StateReader::new(&data.routers[ri]);
             router.load_state(&mut r)?;
@@ -1012,8 +943,8 @@ impl ShardedExecutor {
     ///
     /// The plane size is `routers.len()` — [`ShardedOptions::routers`] is
     /// not consulted, so a caller-built plane is never silently resized
-    /// by the environment; the engine-side options (`split`, `spill`,
-    /// `lateness`) are the processors' business too. Panics on an empty
+    /// by the environment; the engine-side options (`spill`, `lateness`)
+    /// are the processors' business too. Panics on an empty
     /// plane or shard set, or when routers and processors disagree on
     /// the shard or slot count.
     pub fn from_parts(
@@ -1244,9 +1175,7 @@ impl ShardedExecutor {
                                 RouterMsg::Harvest(barrier) => {
                                     fanout.send_harvest(&barrier, &cancelled);
                                 }
-                                RouterMsg::Sync(probe) => {
-                                    probe.fill(ri, fanout.router.split_groups());
-                                }
+                                RouterMsg::Sync(sync) => sync.count_down(),
                             }
                         }
                         // end of stream: hand the fan-out back so
@@ -1291,10 +1220,16 @@ impl ShardedExecutor {
 
     /// Per-router work tallies, in router order: batches routed, stalls
     /// on full worker rings, and scope scans (local scopes × batches).
-    /// Live mid-run; exact once ingestion is flushed. The
-    /// many-distinct-scope bench uses the scan spread to assert the cost
-    /// partition balances the plane.
-    pub fn router_stats(&self) -> Vec<RouterStats> {
+    /// Exact: flushes the ingest buffer, then waits until every router
+    /// thread has passed a barrier sent in-band behind everything queued
+    /// so far, so the tallies cover every batch ingested before the call.
+    /// The many-distinct-scope bench uses the scan spread to assert the
+    /// cost partition balances the plane.
+    pub fn router_stats(&mut self) -> Vec<RouterStats> {
+        self.flush();
+        let sync = Arc::new(PlaneSync::new(self.n_routers));
+        self.broadcast(|| RouterMsg::Sync(Arc::clone(&sync)));
+        sync.wait(&self.cancel);
         self.router_counters
             .iter()
             .map(|c| RouterStats {
@@ -1574,11 +1509,7 @@ impl ShardedExecutor {
 
     /// Flush remaining events, stop the workers, and merge their results
     /// in deterministic shard order. Shard result sets are disjoint (each
-    /// non-split group is owned by exactly one shard), so that merge is
-    /// exact; split (hot) groups report per-window **sub-aggregates**
-    /// instead, which the merge step combines with the aggregate-kind
-    /// merge before projecting final values (see
-    /// [`crate::PartialResults`]).
+    /// group is owned by exactly one shard), so that merge is exact.
     pub fn finish(self) -> ExecutorResults {
         self.finish_with_stats().0
     }
@@ -1607,7 +1538,6 @@ impl ShardedExecutor {
         // all rings are closed: join the shards in deterministic order
         let workers = std::mem::take(&mut self.workers);
         let mut results = ExecutorResults::new();
-        let mut partials = PartialResults::new();
         let mut matched = 0u64;
         let mut state = 0usize;
         let mut failed_shards = Vec::new();
@@ -1615,7 +1545,6 @@ impl ShardedExecutor {
             match worker.handle.join() {
                 Ok(report) => {
                     results.merge(report.results);
-                    partials.absorb(report.partials);
                     matched += report.events_matched;
                     state += report.state_size;
                 }
@@ -1635,23 +1564,7 @@ impl ShardedExecutor {
                 parts.join("; ")
             );
         }
-        // the merge step: combine split groups' sub-aggregates across
-        // shards, then project them into the final result set
-        partials.finalize_into(&mut results);
         (results, matched, state)
-    }
-
-    /// Number of groups the routing plane has split across shards,
-    /// exactly: flushes the ingest buffer, then waits until every router
-    /// thread has answered a probe sent in-band behind everything queued
-    /// so far — so the count covers every batch ingested before the call.
-    /// Each group's scope lives on exactly one router, so the per-router
-    /// counts sum exactly.
-    pub fn split_snapshot(&mut self) -> usize {
-        self.flush();
-        let probe = Arc::new(SplitProbe::new(self.n_routers));
-        self.broadcast(|| RouterMsg::Sync(Arc::clone(&probe)));
-        probe.wait_sum(&self.cancel)
     }
 }
 
@@ -1946,10 +1859,8 @@ mod tests {
             assert_eq!(sharded.n_routers(), routers);
             sharded.process_columnar(&EventBatch::from_events(&events));
 
-            // barrier-sync so the per-router counters cover every batch:
-            // ingest fans each batch to the whole plane, so every router
-            // routes the same batch count
-            let _ = sharded.split_snapshot();
+            // the stats barrier covers every batch: ingest fans each batch
+            // to the whole plane, so every router routes the same count
             let stats = sharded.router_stats();
             assert_eq!(stats.len(), routers);
             let batches = stats[0].batches_routed;

@@ -109,8 +109,8 @@ impl SpillStore {
     }
 
     /// Drain every spilled group as `(key, bytes)`, emptying the index
-    /// (used by `finish`, which must close all remaining windows, and by
-    /// replica eviction). Order is unspecified.
+    /// (used by `finish`, which must close all remaining windows). Order
+    /// is unspecified.
     pub fn drain_all(&mut self) -> io::Result<Vec<(GroupKey, Vec<u8>)>> {
         let keys: Vec<GroupKey> = self.index.keys().cloned().collect();
         let mut out = Vec::with_capacity(keys.len());

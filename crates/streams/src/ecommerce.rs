@@ -24,8 +24,7 @@ pub struct EcommerceConfig {
     pub n_events: usize,
     /// Zipf exponent of the customer distribution (`0.0` = uniform, the
     /// paper's spec; `> 0` concentrates purchases on a few hot customers,
-    /// the flash-sale shape the sharded runtime's hot-group splitting
-    /// targets).
+    /// the flash-sale shape).
     pub skew: f64,
     /// Bounded-disorder knob: permute the finished stream within blocks
     /// of `disorder + 1` rows ([`crate::disorder::scramble_batch`]), so no

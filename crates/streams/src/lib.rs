@@ -17,8 +17,8 @@
 //! All generators are seeded and deterministic, and all three stream
 //! generators expose a Zipfian `skew` knob ([`zipf`]) on their group
 //! dimension (vehicle / car / customer) so skewed `GROUP BY`
-//! distributions — the workload the sharded runtime's hot-group splitting
-//! targets — are reachable everywhere the streams are. A `disorder` knob
+//! distributions — where one hot group loads its shard more than the
+//! rest — are reachable everywhere the streams are. A `disorder` knob
 //! ([`disorder`]) applies a seeded *bounded* shuffle to any generated
 //! stream, simulating late arrivals while keeping the displacement bound
 //! the event-time exactness guarantee is stated against.

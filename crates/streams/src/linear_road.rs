@@ -31,8 +31,7 @@ pub struct LinearRoadConfig {
     /// car gets a fresh id, the historical behaviour). With `skew > 0`,
     /// admitted cars draw their reported id Zipf(theta) from a fixed id
     /// space, so the `GROUP BY car` groups are skewed — several physical
-    /// cars report as the same hot id, the fleet-vehicle shape the sharded
-    /// runtime's hot-group splitting targets.
+    /// cars report as the same hot id, the fleet-vehicle shape.
     pub skew: f64,
     /// Bounded-disorder knob: permute the finished stream within blocks
     /// of `disorder + 1` rows ([`crate::disorder::scramble_batch`]), so no

@@ -26,9 +26,8 @@ pub struct TaxiConfig {
     /// Average event arrival interval in milliseconds.
     pub mean_interarrival_ms: u64,
     /// Zipf exponent of the vehicle distribution (`0.0` = uniform, the
-    /// historical behaviour; `1.2` pins a few hot vehicles — the skewed
-    /// `GROUP BY` shape the sharded runtime's hot-group splitting
-    /// targets).
+    /// historical behaviour; `1.2` pins a few hot vehicles — a skewed
+    /// `GROUP BY`).
     pub skew: f64,
     /// Bounded-disorder knob: permute the finished stream within blocks
     /// of `disorder + 1` rows ([`crate::disorder::scramble_batch`]), so no

@@ -4,8 +4,8 @@
 //! zones, purchases in flash-sale SKUs. All three stream generators expose
 //! a `skew` knob (the Zipf exponent theta) that draws the group dimension
 //! (vehicle / customer / car) from this sampler instead of a uniform
-//! range, so the sharded runtime's hot-group splitting is reachable from
-//! the CLI, the benchmarks, and the property tests.
+//! range, so skewed `GROUP BY` traffic is reachable from the CLI, the
+//! benchmarks, and the property tests.
 //!
 //! Implemented as a precomputed normalized CDF with binary-search
 //! sampling — deterministic, allocation-free per sample, and independent

@@ -394,7 +394,7 @@ pub(crate) fn sharded<B: ScopeHost>(
         return Err(CompileError::ZeroShards { strategy: B::NAME });
     }
     let (scopes, subscribers) = dedup_scopes(scopes);
-    let plane = split_router_plane(scopes, n_shards, options.split, options.routers);
+    let plane = split_router_plane(scopes, n_shards, options.routers);
     let shards = (0..n_shards)
         .map(|_| {
             build().map(|inner| {
@@ -412,8 +412,7 @@ pub(crate) fn sharded<B: ScopeHost>(
 /// The shard worker of both baselines: `rows.per_part` is parallel to the
 /// router's *distinct* (deduplicated) routing scopes, and each scope's
 /// row selection is dispatched to every subscriber — the worker-side half
-/// of routing each scope once per batch. The baselines never host split
-/// groups, so replica lists and split notices are always empty here.
+/// of routing each scope once per batch.
 pub(crate) struct ScopeFanShard<B> {
     inner: B,
     /// Per distinct scope: the subscriber indexes fanned out to.
@@ -442,10 +441,6 @@ impl<B: ScopeHost> ScopeFanShard<B> {
 
 impl<B: ScopeHost> ShardProcessor for ScopeFanShard<B> {
     fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        debug_assert!(
-            rows.splits.is_empty() && rows.state_rows.iter().all(Vec::is_empty),
-            "baseline scopes never split groups"
-        );
         if let Some(gate) = &mut self.gate {
             // event-time mode: buffer each scope's rows behind the
             // router's merged frontier and release in event-time order
@@ -491,7 +486,6 @@ impl<B: ScopeHost> ShardProcessor for ScopeFanShard<B> {
             results: self.inner.finish(),
             events_matched,
             state_size,
-            ..Default::default()
         }
     }
 }

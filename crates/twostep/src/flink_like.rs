@@ -28,7 +28,7 @@ use sharon_executor::winvec::WinVec;
 use sharon_executor::{
     BatchProcessor, Executor, ExecutorResults, Reorder, ScanKernel, ShardedExecutor, ShardedOptions,
 };
-use sharon_query::{AggFunc, Query, QueryId, Workload};
+use sharon_query::{Query, QueryId, Workload};
 use sharon_types::{
     Catalog, EventBatch, EventStream, EventTypeId, GroupKey, Timestamp, Value, WindowSpec,
 };
@@ -82,14 +82,7 @@ impl<A: Aggregate> QueryState<A> {
         for (i, t) in q.pattern.types().iter().enumerate() {
             positions[t.index()].push(i);
         }
-        let output = match &q.agg {
-            AggFunc::CountStar => OutputKind::Count,
-            AggFunc::Count(t) => OutputKind::CountTimes(q.pattern.positions_of(*t).len() as u32),
-            AggFunc::Sum(..) => OutputKind::Sum,
-            AggFunc::Min(..) => OutputKind::Min,
-            AggFunc::Max(..) => OutputKind::Max,
-            AggFunc::Avg(t, _) => OutputKind::Avg(q.pattern.positions_of(*t).len() as u32),
-        };
+        let output = OutputKind::of(q);
         let table = TypeTable::build(catalog, q)?;
         let scan = ScanKernel::new(
             positions.iter().map(|p| !p.is_empty()).collect(),

@@ -29,7 +29,7 @@ use sharon_executor::winvec::WinVec;
 use sharon_executor::{
     BatchProcessor, Executor, ExecutorResults, Reorder, ScanKernel, ShardedExecutor, ShardedOptions,
 };
-use sharon_query::{AggFunc, Query, QueryId, SegmentKind, SharingPlan, Workload};
+use sharon_query::{Query, QueryId, SegmentKind, SharingPlan, Workload};
 use sharon_types::{
     Catalog, EventBatch, EventStream, EventTypeId, GroupKey, Timestamp, Value, WindowSpec,
 };
@@ -96,17 +96,6 @@ struct Partition<A> {
     rows_scanned: u64,
     /// Rows that survived routing + predicates + groupability.
     rows_selected: u64,
-}
-
-fn output_kind(q: &Query) -> OutputKind {
-    match &q.agg {
-        AggFunc::CountStar => OutputKind::Count,
-        AggFunc::Count(t) => OutputKind::CountTimes(q.pattern.positions_of(*t).len() as u32),
-        AggFunc::Sum(..) => OutputKind::Sum,
-        AggFunc::Min(..) => OutputKind::Min,
-        AggFunc::Max(..) => OutputKind::Max,
-        AggFunc::Avg(t, _) => OutputKind::Avg(q.pattern.positions_of(*t).len() as u32),
-    }
 }
 
 /// Partition `workload` by sharing signature, preserving id order — the
@@ -177,7 +166,7 @@ impl<A: Aggregate> Partition<A> {
             }
             qdefs.push(QueryDef {
                 id: q.id,
-                output: output_kind(q),
+                output: OutputKind::of(q),
                 stages,
             });
         }

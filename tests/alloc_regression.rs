@@ -19,7 +19,6 @@ use sharon::prelude::*;
 use sharon::twostep::{FlinkLike, SpassLike};
 use sharon_executor::{
     compile, spsc, BatchRouter, EngineKind, RouteBatch, RoutedRows, ShardSlice, ShardedOptions,
-    SplitConfig,
 };
 use sharon_metrics::{alloc, TrackingAllocator};
 use std::sync::{Arc, Mutex};
@@ -287,7 +286,7 @@ fn multi_scope_router_is_allocation_free_through_the_shared_type_pass() {
     let workload = parse_workload(&mut catalog, sources.iter().map(String::as_str)).unwrap();
     let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).unwrap();
     assert_eq!(parts.len(), 24, "one scope per query");
-    let mut router = BatchRouter::with_split(parts, 2, SplitConfig::disabled());
+    let mut router = BatchRouter::new(parts, 2);
 
     let (warmup, t) = build_pair_batches(&catalog, WARMUP_BATCHES, 0);
     let (measured, _) = build_pair_batches(&catalog, MEASURED_BATCHES, t);
@@ -593,139 +592,6 @@ fn spass_like_columnar_path_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn split_group_path_is_allocation_free_after_warmup() {
-    // the hot-group split path, end to end but single-threaded for
-    // determinism: an eager router splits the one (maximally skewed)
-    // group, broadcasting A rows as state replicas and round-robining B
-    // rows, and every shard's engine accumulates per-window
-    // sub-aggregates. After warm-up — split registered, counters stable,
-    // partial stores reserved — routing + routed processing must not
-    // allocate.
-    let _serial = serial();
-    let mut catalog = Catalog::new();
-    catalog.register_with_schema("A", Schema::new(["g", "v"]));
-    catalog.register_with_schema("B", Schema::new(["g", "v"]));
-    let workload = parse_workload(
-        &mut catalog,
-        ["RETURN COUNT(*) PATTERN SEQ(A, B) GROUP BY g WITHIN 8 ms SLIDE 4 ms"],
-    )
-    .unwrap();
-
-    // one hot group: every pair shares g = 0
-    let build = |n: usize, first_time: u64| -> (Vec<EventBatch>, u64) {
-        let a = catalog.lookup("A").unwrap();
-        let b = catalog.lookup("B").unwrap();
-        let mut out = Vec::with_capacity(n);
-        let mut t = first_time;
-        for _ in 0..n {
-            let mut batch = EventBatch::with_capacity(BATCH_ROWS, 2);
-            for _ in 0..BATCH_ROWS {
-                t += 1;
-                batch.push_from(
-                    if t.is_multiple_of(2) { a } else { b },
-                    Timestamp(t),
-                    [Value::Int(0), Value::Int(t as i64 % 7)],
-                );
-            }
-            out.push(batch);
-        }
-        (out, t)
-    };
-
-    let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).unwrap();
-    let n_shards = 3usize;
-    let mut router = BatchRouter::with_split(parts.clone(), n_shards, SplitConfig::eager(16));
-    let mut shards: Vec<Vec<EngineKind>> = (0..n_shards)
-        .map(|shard| {
-            parts
-                .iter()
-                .enumerate()
-                .map(|(pi, part)| {
-                    let slice = ShardSlice {
-                        index: shard as u32,
-                        of: n_shards as u32,
-                        owns_global: pi % n_shards == shard,
-                    };
-                    EngineKind::for_partition(part.clone(), Some(slice))
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut routed: Vec<RoutedRows> = Vec::new();
-    let drive = |router: &mut BatchRouter,
-                 shards: &mut Vec<Vec<EngineKind>>,
-                 routed: &mut Vec<RoutedRows>,
-                 batch: &EventBatch| {
-        router.route_range_into(batch, 0, batch.len(), routed);
-        for (engines, rows) in shards.iter_mut().zip(routed.iter()) {
-            for (scope, key) in &rows.splits {
-                engines[*scope as usize].mark_split(key);
-            }
-            for (pi, engine) in engines.iter_mut().enumerate() {
-                if !rows.per_part[pi].is_empty() || !rows.state_rows[pi].is_empty() {
-                    engine.process_routed_split(batch, &rows.per_part[pi], &rows.state_rows[pi]);
-                }
-            }
-        }
-    };
-
-    let (warmup, t) = build(WARMUP_BATCHES, 0);
-    let (measured, _) = build(MEASURED_BATCHES, t);
-    for batch in &warmup {
-        drive(&mut router, &mut shards, &mut routed, batch);
-    }
-    assert_eq!(
-        router.split_groups(),
-        1,
-        "the hot group split during warm-up"
-    );
-    // capacity planning: sub-aggregate entries append per window close
-    let expected = MEASURED_BATCHES * BATCH_ROWS / 4 + 64;
-    for engines in &mut shards {
-        for engine in engines.iter_mut() {
-            engine.reserve_results(expected);
-        }
-    }
-
-    let ((), allocs) = alloc::measure_allocs(|| {
-        for batch in &measured {
-            drive(&mut router, &mut shards, &mut routed, batch);
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "steady-state split-group routing + processing must not allocate \
-         ({MEASURED_BATCHES} batches of {BATCH_ROWS} events performed {allocs} allocations)"
-    );
-
-    // the split really did the work: merging the shards' sub-aggregates
-    // reproduces real per-window results
-    let mut results = ExecutorResults::new();
-    let mut partials = sharon_executor::PartialResults::new();
-    let mut matched = 0u64;
-    for engines in shards {
-        for engine in engines {
-            matched += engine.events_matched();
-            let (r, p) = engine.finish_parts();
-            results.merge(r);
-            partials.absorb(p);
-        }
-    }
-    assert!(
-        partials.len() > 100,
-        "sub-aggregates accumulated per window"
-    );
-    partials.finalize_into(&mut results);
-    assert!(!results.is_empty());
-    assert_eq!(
-        matched,
-        ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64,
-        "every row matched exactly once globally (replicas uncounted)"
-    );
-}
-
-#[test]
 fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
     // the pipelined ingest hand-off, end to end but single-threaded for
     // determinism: batches travel ingest → job ring → router → per-shard
@@ -753,7 +619,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
 
     let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).unwrap();
     let n_shards = 2usize;
-    let mut router = BatchRouter::with_split(parts.clone(), n_shards, SplitConfig::disabled());
+    let mut router = BatchRouter::new(parts.clone(), n_shards);
     let mut shards: Vec<Vec<EngineKind>> = (0..n_shards)
         .map(|shard| {
             parts
@@ -809,7 +675,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
             let engines = &mut shards[shard];
             for (pi, engine) in engines.iter_mut().enumerate() {
                 if !rows.per_part[pi].is_empty() {
-                    engine.process_routed_split(&batch, &rows.per_part[pi], &rows.state_rows[pi]);
+                    engine.process_routed(&batch, &rows.per_part[pi]);
                 }
             }
             drop(batch);
@@ -861,8 +727,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
     for engines in shards {
         for engine in engines {
             matched += engine.events_matched();
-            let (r, _) = engine.finish_parts();
-            results.merge(r);
+            results.merge(engine.finish());
         }
     }
     assert_eq!(
@@ -910,8 +775,7 @@ fn two_router_plane_is_allocation_free_after_warmup() {
     assert_eq!(n_parts, 4, "four queries, four scopes");
     let n_shards = 2usize;
     const N_ROUTERS: usize = 2;
-    let mut plane =
-        sharon_executor::split_router_plane(parts.clone(), n_shards, SplitConfig::disabled(), 2);
+    let mut plane = sharon_executor::split_router_plane(parts.clone(), n_shards, N_ROUTERS);
     assert_eq!(plane.len(), N_ROUTERS);
     for router in &plane {
         assert_eq!(router.n_scopes(), n_parts, "plane-wide slot count");
@@ -982,12 +846,8 @@ fn two_router_plane_is_allocation_free_after_warmup() {
             for ri in 0..N_ROUTERS {
                 let (batch, mut rows) = shard_rings[ri][shard].1.recv().unwrap();
                 for (pi, engine) in engines.iter_mut().enumerate() {
-                    if !rows.per_part[pi].is_empty() || !rows.state_rows[pi].is_empty() {
-                        engine.process_routed_split(
-                            &batch,
-                            &rows.per_part[pi],
-                            &rows.state_rows[pi],
-                        );
+                    if !rows.per_part[pi].is_empty() {
+                        engine.process_routed(&batch, &rows.per_part[pi]);
                     }
                 }
                 drop(batch);
@@ -1010,7 +870,7 @@ fn two_router_plane_is_allocation_free_after_warmup() {
     }
     // four windows of up to 20 ms close every 4 ms over the measured
     // 8192 ms span, for ~2k closes x 8 resident groups per shard of
-    // sub-aggregate entries per engine
+    // results per engine
     let expected = 2 * MEASURED_BATCHES * BATCH_ROWS;
     for engines in &mut shards {
         for engine in engines.iter_mut() {
@@ -1043,8 +903,7 @@ fn two_router_plane_is_allocation_free_after_warmup() {
     for engines in shards {
         for engine in engines {
             matched += engine.events_matched();
-            let (r, _) = engine.finish_parts();
-            results.merge(r);
+            results.merge(engine.finish());
         }
     }
     assert_eq!(

@@ -7,7 +7,8 @@
 //! *sharded* route-once runs against the same baseline fed one row per
 //! batch (the per-event cadence), on all three paper streams and over
 //! ragged batch sizes (empty and single-event batches included): neither
-//! the batch size nor sharding is ever a semantics change.
+//! the batch size nor sharding is ever a semantics change — not even on a
+//! Zipf-skewed stream, where every strategy still agrees.
 
 use proptest::prelude::*;
 use sharon::executor::ShardedOptions;
@@ -19,6 +20,10 @@ use sharon::streams::workload::{
     figure_1_workload, figure_2_workload, overlapping_workload, WorkloadConfig,
 };
 use sharon::twostep::{FlinkLike, SpassLike};
+use sharon::{build_executor, Strategy};
+
+#[path = "support.rs"]
+mod support;
 
 fn build(
     n_types: usize,
@@ -398,4 +403,115 @@ fn two_step_constructs_polynomially_many_sequences() {
     assert_eq!(flink.sequences_constructed(), 400);
     let res = flink.finish();
     assert_eq!(res.total_count(QueryId(0)), 400);
+}
+
+/// All four strategies on a Zipf-skewed stream through the one sharded
+/// build path, [`SharonBuilder`]: everyone agrees with the sequential
+/// reference at every shard count and routing-plane size.
+#[test]
+fn all_strategies_agree_on_skewed_input() {
+    let mut catalog = Catalog::new();
+    let batch = taxi::generate_batch(
+        &mut catalog,
+        &TaxiConfig {
+            n_events: 6000,
+            n_streets: 7,
+            n_vehicles: 40,
+            skew: 1.2,
+            ..Default::default()
+        },
+    );
+    let workload = support::short_window_taxi_workload(&mut catalog);
+    let rates = RateMap::uniform(100.0);
+    let cfg = OptimizerConfig::default();
+
+    let (mut reference, _) =
+        build_executor(&catalog, &workload, &rates, Strategy::ASeq, &cfg).unwrap();
+    reference.process_columnar(&batch);
+    let want = reference.finish();
+    assert!(!want.is_empty());
+
+    for strategy in [
+        Strategy::Sharon,
+        Strategy::ASeq,
+        Strategy::FlinkLike,
+        Strategy::SpassLike,
+    ] {
+        for shards in support::shard_counts(&[2, 3, 8]) {
+            for routers in support::router_counts() {
+                let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
+                    .strategy(strategy)
+                    .optimizer_config(cfg.clone())
+                    .shards(shards)
+                    .routers(routers)
+                    .build_executor()
+                    .unwrap();
+                sharded.process_columnar(&batch);
+                let got = sharded.finish();
+                assert!(
+                    got.semantically_eq(&want, 1e-9),
+                    "{} sharded/{shards} (routers {routers}) diverges on skewed input",
+                    strategy.name()
+                );
+            }
+        }
+    }
+}
+
+/// The baselines count their stateless-scan survivors: sequential,
+/// columnar, and sharded paths all report the same matched total.
+#[test]
+fn baseline_matched_counts_agree_across_paths() {
+    let mut catalog = Catalog::new();
+    let batch = ecommerce::generate_batch(
+        &mut catalog,
+        &EcommerceConfig {
+            n_items: 8,
+            n_customers: 10,
+            events_per_sec: 500,
+            n_events: 3000,
+            skew: 1.2,
+            ..Default::default()
+        },
+    );
+    let workload = parse_workload(
+        &mut catalog,
+        [
+            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case) WHERE [customer] WITHIN 2 s SLIDE 1 s",
+            "RETURN COUNT(*) PATTERN SEQ(Case, Adapter) WHERE [customer] WITHIN 2 s SLIDE 1 s",
+        ],
+    )
+    .unwrap();
+    let rates = RateMap::uniform(100.0);
+    let cfg = OptimizerConfig::default();
+
+    for strategy in [Strategy::FlinkLike, Strategy::SpassLike] {
+        let (mut sequential, _) =
+            build_executor(&catalog, &workload, &rates, strategy, &cfg).unwrap();
+        sequential.process_columnar(&batch);
+        let (_, matched) = sequential.finish_with_matched();
+        assert!(
+            matched > 0,
+            "{}: matched events are counted",
+            strategy.name()
+        );
+
+        for routers in support::router_counts() {
+            let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
+                .strategy(strategy)
+                .optimizer_config(cfg.clone())
+                .shards(3)
+                .routers(routers)
+                .build_executor()
+                .unwrap();
+            sharded.process_columnar(&batch);
+            let (_, sharded_matched) = sharded.finish_with_matched();
+            assert_eq!(
+                matched,
+                sharded_matched,
+                "{} ({routers} router(s)): sharded matched count diverges",
+                strategy.name()
+            );
+        }
+    }
 }

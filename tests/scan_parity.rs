@@ -32,8 +32,7 @@ use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
 use sharon::streams::taxi::{self, TaxiConfig};
 use sharon_executor::{
-    compile, split_router_plane, CompiledPartition, RoutedRows, RowFilter, ScanKernel, SplitConfig,
-    TypePass,
+    compile, split_router_plane, CompiledPartition, RoutedRows, RowFilter, ScanKernel, TypePass,
 };
 use sharon_query::{clause_passes, CmpOp};
 use sharon_types::{AttrId, GroupKey};
@@ -199,7 +198,7 @@ fn plane_select<F: RowFilter + Clone + Send + 'static>(
     lo: usize,
     hi: usize,
 ) -> Vec<Vec<u32>> {
-    let mut plane = split_router_plane(scopes.to_vec(), 1, SplitConfig::disabled(), routers);
+    let mut plane = split_router_plane(scopes.to_vec(), 1, routers);
     let mut got = vec![Vec::new(); scopes.len()];
     let mut out: Vec<RoutedRows> = Vec::new();
     for router in &mut plane {

@@ -6,9 +6,14 @@
 //! work partitions, never a semantics change — and how the stream is cut
 //! into columnar batches never matters either. Checked on all three paper
 //! streams (TX, LR, EC) under both the Sharon plan and the non-shared
-//! plan, and property-tested over random group cardinalities, plane
-//! sizes, and ragged batch sizes (including empty and single-event
-//! batches).
+//! plan, and property-tested over random group cardinalities, Zipf group
+//! skew, plane sizes, and ragged batch sizes (including empty and
+//! single-event batches). Matched-event counts agree too.
+//!
+//! Every stream also runs with Zipf-skewed groups (theta 0.8 and 1.2),
+//! and the global (no `GROUP BY`) partition is the extreme case: one
+//! group carries a whole scope. Every group lives on its hash owner, so
+//! skew moves load between shards and never changes a result.
 //!
 //! With `SHARON_DISORDER=K` set, every configuration additionally runs on
 //! a bounded-disorder shuffle of the stream (each event displaced at most
@@ -46,6 +51,7 @@ fn assert_sharded_matches_sequential(
 ) {
     let mut sequential = Executor::new(catalog, workload, plan).expect("sequential compiles");
     sequential.process_columnar(&EventBatch::from_events(events));
+    let want_matched = sequential.events_matched();
     let want = sequential.finish();
 
     // SHARON_DISORDER: run every configuration below on a bounded-
@@ -90,13 +96,17 @@ fn assert_sharded_matches_sequential(
         for routers in support::router_counts() {
             let mut sharded = build(shards, routers);
             sharded.process_columnar(&run_batch);
-            let got = sharded.finish();
+            let (got, matched, _state) = sharded.finish_with_stats();
             assert!(
                 got.semantically_eq(&want, 1e-9),
                 "{label}: {shards} shards (routers {routers}) \
                  diverge from the sequential engine ({} vs {} results)",
                 got.len(),
                 want.len(),
+            );
+            assert_eq!(
+                matched, want_matched,
+                "{label}: {shards} shards (routers {routers}): matched count"
             );
         }
     }
@@ -132,6 +142,36 @@ fn taxi_stream_all_shard_counts() {
         &events,
         "taxi/non-shared",
     );
+
+    for theta in [0.8, 1.2] {
+        let mut catalog = Catalog::new();
+        let events = taxi::generate(
+            &mut catalog,
+            &TaxiConfig {
+                n_events: 8000,
+                n_streets: 7,
+                n_vehicles: 50,
+                skew: theta,
+                ..Default::default()
+            },
+        );
+        let workload = support::short_window_taxi_workload(&mut catalog);
+        let plan = sharon_plan(&workload);
+        assert_sharded_matches_sequential(
+            &catalog,
+            &workload,
+            &plan,
+            &events,
+            &format!("taxi/theta={theta}/sharon"),
+        );
+        assert_sharded_matches_sequential(
+            &catalog,
+            &workload,
+            &SharingPlan::non_shared(),
+            &events,
+            &format!("taxi/theta={theta}/non-shared"),
+        );
+    }
 }
 
 #[test]
@@ -171,6 +211,38 @@ fn linear_road_stream_all_shard_counts() {
     );
     let plan = sharon_plan(&workload);
     assert_sharded_matches_sequential(&catalog, &workload, &plan, &events, "linear-road");
+
+    for theta in [0.8, 1.2] {
+        let mut catalog = Catalog::new();
+        let events = linear_road::generate(
+            &mut catalog,
+            &LinearRoadConfig {
+                duration_secs: 40,
+                cars_per_sec: 3.0,
+                n_segments: 8,
+                trip_segments: 80,
+                report_every_ms: 100,
+                skew: theta,
+                ..Default::default()
+            },
+        );
+        let workload = parse_workload(
+            &mut catalog,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(Seg0, Seg1, Seg2) WHERE [car] WITHIN 3 s SLIDE 1 s",
+                "RETURN COUNT(*) PATTERN SEQ(Seg1, Seg2) WHERE [car] WITHIN 3 s SLIDE 1 s",
+                "RETURN SUM(Seg2.speed) PATTERN SEQ(Seg1, Seg2) WHERE [car] WITHIN 3 s SLIDE 1 s",
+            ],
+        )
+        .unwrap();
+        assert_sharded_matches_sequential(
+            &catalog,
+            &workload,
+            &SharingPlan::non_shared(),
+            &events,
+            &format!("linear-road/theta={theta}"),
+        );
+    }
 }
 
 #[test]
@@ -189,12 +261,43 @@ fn ecommerce_stream_all_shard_counts() {
     let workload = figure_2_workload(&mut catalog);
     let plan = sharon_plan(&workload);
     assert_sharded_matches_sequential(&catalog, &workload, &plan, &events, "ecommerce");
+
+    for theta in [0.8, 1.2] {
+        let mut catalog = Catalog::new();
+        let events = ecommerce::generate(
+            &mut catalog,
+            &EcommerceConfig {
+                n_items: 8,
+                n_customers: 12,
+                events_per_sec: 1000,
+                n_events: 8000,
+                skew: theta,
+                ..Default::default()
+            },
+        );
+        let workload = parse_workload(
+            &mut catalog,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, Adapter) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+                "RETURN COUNT(*) PATTERN SEQ(Laptop, Case) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+                "RETURN MIN(Case.price) PATTERN SEQ(Laptop, Case) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+            ],
+        )
+        .unwrap();
+        assert_sharded_matches_sequential(
+            &catalog,
+            &workload,
+            &SharingPlan::non_shared(),
+            &events,
+            &format!("ecommerce/theta={theta}"),
+        );
+    }
 }
 
 #[test]
 fn mixed_global_and_grouped_partitions() {
     // one workload containing grouped and ungrouped partitions: shards
-    // must split groups AND distribute whole global partitions
+    // must partition groups AND distribute whole global partitions
     let mut catalog = Catalog::new();
     for n in ["A", "B", "C"] {
         catalog.register_with_schema(n, Schema::new(["g", "v"]));
@@ -227,20 +330,53 @@ fn mixed_global_and_grouped_partitions() {
         &events,
         "mixed-partitions",
     );
+
+    // global partitions only: each scope's whole stream is one group on
+    // one shard
+    let mut catalog = Catalog::new();
+    catalog.register_with_schema("A", Schema::new(["v"]));
+    catalog.register_with_schema("B", Schema::new(["v"]));
+    let workload = parse_workload(
+        &mut catalog,
+        [
+            "RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 40 ms SLIDE 8 ms",
+            "RETURN SUM(B.v) PATTERN SEQ(A, B) WITHIN 40 ms SLIDE 8 ms",
+        ],
+    )
+    .unwrap();
+    let a = catalog.lookup("A").unwrap();
+    let b = catalog.lookup("B").unwrap();
+    let events: Vec<Event> = (0..4000u64)
+        .map(|i| {
+            Event::with_attrs(
+                if i % 2 == 0 { a } else { b },
+                Timestamp(i),
+                vec![Value::Int((i % 9) as i64)],
+            )
+        })
+        .collect();
+    assert_sharded_matches_sequential(
+        &catalog,
+        &workload,
+        &SharingPlan::non_shared(),
+        &events,
+        "global-partition",
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Random group cardinalities, shard counts, routing-plane sizes,
-    /// and stream shapes: the sharded runtime is always `semantically_eq`
-    /// to the sequential one.
+    /// Random group cardinalities, Zipf group skew, shard counts,
+    /// routing-plane sizes, and stream shapes: the sharded runtime is
+    /// always `semantically_eq` to the sequential one.
     #[test]
     fn random_group_cardinalities(
         cardinality in 1i64..=64,
+        theta_tenths in 0u32..=16,
         shards in 1usize..=9,
         routers in 1usize..=3,
-        raw in prop::collection::vec((0usize..3, 0u64..=2, 0i64..=9), 0..=120),
+        raw in prop::collection::vec((0usize..3, 0u64..=2, 0i64..=9, 0u32..1000), 0..=120),
     ) {
         let mut catalog = Catalog::new();
         for n in ["A", "B", "C"] {
@@ -254,16 +390,29 @@ proptest! {
             ],
         )
         .unwrap();
+        // the group of each row is Zipf(theta) over `cardinality` ranks,
+        // drawn from its uniform `u`: rank r weighs 1 / (r + 1)^theta
+        let theta = theta_tenths as f64 / 10.0;
+        let weights: Vec<f64> = (0..cardinality).map(|r| ((r + 1) as f64).powf(-theta)).collect();
+        let total: f64 = weights.iter().sum();
+        let zipf = |u: u32| {
+            let mut left = (u as f64 + 0.5) / 1000.0 * total;
+            let rank = weights.iter().position(|w| {
+                left -= w;
+                left <= 0.0
+            });
+            rank.unwrap_or(weights.len() - 1) as i64
+        };
         let names = ["A", "B", "C"];
         let mut t = 0u64;
         let events: Vec<Event> = raw
             .into_iter()
-            .map(|(ty, dt, v)| {
+            .map(|(ty, dt, v, u)| {
                 t += dt;
                 Event::with_attrs(
                     catalog.lookup(names[ty]).unwrap(),
                     Timestamp(t),
-                    vec![Value::Int(v % cardinality), Value::Int(v)],
+                    vec![Value::Int(zipf(u)), Value::Int(v)],
                 )
             })
             .collect();
@@ -271,6 +420,7 @@ proptest! {
         let batch = EventBatch::from_events(&events);
         let mut sequential = Executor::non_shared(&catalog, &workload).unwrap();
         sequential.process_columnar(&batch);
+        let want_matched = sequential.events_matched();
         let want = sequential.finish();
 
         let mut sharded = ShardedExecutor::with_options(
@@ -285,14 +435,16 @@ proptest! {
         )
         .unwrap();
         sharded.process_columnar(&batch);
-        let got = sharded.finish();
+        let (got, matched, _) = sharded.finish_with_stats();
         proptest::prop_assert!(
             got.semantically_eq(&want, 1e-9),
-            "cardinality {} shards {} routers {}: sharded diverges",
+            "cardinality {} theta {} shards {} routers {}: sharded diverges",
             cardinality,
+            theta,
             shards,
             routers
         );
+        proptest::prop_assert_eq!(matched, want_matched);
     }
 
     /// Ragged columnar batch sizes — empty and single-event batches

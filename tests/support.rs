@@ -48,3 +48,21 @@ pub fn disordered(events: &[sharon::types::Event]) -> Option<(Vec<sharon::types:
         sharon::streams::required_lateness(&sharon::types::EventBatch::from_events(&shuffled));
     Some((shuffled, lateness))
 }
+
+/// A short-window traffic workload over the taxi street types: the pattern
+/// shapes of Figure 1 with windows short against the synthetic stream
+/// span, and mixed aggregate kinds (the COUNT kernel and the stats
+/// kernel's AVG and MAX).
+#[allow(dead_code)]
+pub fn short_window_taxi_workload(catalog: &mut sharon::types::Catalog) -> sharon::query::Workload {
+    sharon::query::parse_workload(
+        catalog,
+        [
+            "RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt, StateSt) WHERE [vehicle] WITHIN 2 s SLIDE 500 ms",
+            "RETURN COUNT(*) PATTERN SEQ(MainSt, StateSt) WHERE [vehicle] WITHIN 2 s SLIDE 500 ms",
+            "RETURN AVG(MainSt.speed) PATTERN SEQ(OakSt, MainSt) WHERE [vehicle] WITHIN 2 s SLIDE 500 ms",
+            "RETURN MAX(ParkAve.speed) PATTERN SEQ(ElmSt, ParkAve) WHERE [vehicle] WITHIN 2 s SLIDE 500 ms",
+        ],
+    )
+    .expect("short-window taxi workload parses")
+}
