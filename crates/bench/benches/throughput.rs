@@ -42,7 +42,6 @@ use sharon::twostep::{FlinkLike, SpassLike};
 use sharon::{AnyExecutor, Strategy};
 use sharon_bench::{scale, scaled};
 use sharon_metrics::Table;
-use std::sync::Arc;
 use std::time::Instant;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -104,12 +103,10 @@ fn scenario(n_events: usize, n_vehicles: usize) -> (String, Vec<Run>) {
         ex.process_columnar(&batch);
         ex.finish()
     }));
-    // the sharded runtime's zero-copy ingest shares one Arc'd batch
-    let shared = Arc::new(batch.clone());
     for shards in SHARD_COUNTS {
         runs.push(measure(&format!("sharded/{shards}"), n, || {
             let mut ex = sharded(&catalog, &workload, &plan, shards);
-            ex.process_shared(&shared);
+            ex.process_columnar(&batch);
             ex.finish()
         }));
     }
@@ -152,18 +149,17 @@ fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
     let workload = short_window_workload(&mut catalog);
     let plan = SharingPlan::non_shared();
     let n = batch.len();
-    let shared = Arc::new(batch);
 
     let mut runs = Vec::new();
     runs.push(measure("sequential/columnar", n, || {
         let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-        ex.process_columnar(&shared);
+        ex.process_columnar(&batch);
         ex.finish()
     }));
     for shards in SHARD_COUNTS {
         runs.push(measure(&format!("sharded/{shards}"), n, || {
             let mut ex = sharded(&catalog, &workload, &plan, shards);
-            ex.process_shared(&shared);
+            ex.process_columnar(&batch);
             ex.finish()
         }));
     }
@@ -202,12 +198,11 @@ fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
     let workload =
         parse_workload(&mut catalog, sources.iter().map(String::as_str)).expect("workload parses");
     let n = batch.len();
-    let shared = Arc::new(batch);
 
     let mut runs = Vec::new();
     runs.push(measure("flink/sequential", n, || {
         let mut ex = FlinkLike::new(&catalog, &workload).unwrap();
-        ex.process_columnar(&shared);
+        ex.process_columnar(&batch);
         ex.finish()
     }));
     for shards in [1usize, 4, 8] {
@@ -215,7 +210,7 @@ fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
             let mut ex =
                 FlinkLike::sharded(&catalog, &workload, shards, &ShardedOptions::default())
                     .unwrap();
-            ex.process_shared(&shared);
+            ex.process_columnar(&batch);
             ex.finish()
         }));
     }
@@ -265,7 +260,6 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
     let workload =
         parse_workload(&mut catalog, sources.iter().map(String::as_str)).expect("workload parses");
     let n = batch.len();
-    let shared = Arc::new(batch);
     let plane = |routers: usize| ShardedOptions {
         routers,
         ..ShardedOptions::default()
@@ -274,7 +268,7 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
     let mut runs = Vec::new();
     runs.push(measure("flink/sequential", n, || {
         let mut ex = FlinkLike::new(&catalog, &workload).unwrap();
-        ex.process_columnar(&shared);
+        ex.process_columnar(&batch);
         ex.finish()
     }));
     for shards in [4usize, 8] {
@@ -285,7 +279,7 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
                 || {
                     let mut ex =
                         FlinkLike::sharded(&catalog, &workload, shards, &plane(routers)).unwrap();
-                    ex.process_shared(&shared);
+                    ex.process_columnar(&batch);
                     ex.finish()
                 },
             ));
@@ -302,7 +296,7 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
     // per-router scope scans within 2× of each other
     for routers in [2usize, 4] {
         let mut ex = FlinkLike::sharded(&catalog, &workload, 4, &plane(routers)).unwrap();
-        ex.process_shared(&shared);
+        ex.process_columnar(&batch);
         // router_stats barriers the plane, so the counters cover every
         // routed batch including the flushed tail
         let stats = ex.router_stats();

@@ -14,7 +14,7 @@ use sharon_optimizer::{
     optimize_greedy, optimize_sharon, OptimizeOutcome, OptimizerConfig, RateMap,
 };
 use sharon_query::{SharingPlan, Workload};
-use sharon_twostep::{FlinkLike, SpassLike};
+use sharon_twostep::{Family, FlinkLike, SpassLike, TwoStep};
 use sharon_types::{Catalog, Event, EventBatch};
 
 /// Which event sequence aggregation approach to run (Figure 3).
@@ -87,10 +87,9 @@ impl AnyExecutor {
         self.inner.finish()
     }
 
-    /// Events that passed routing/predicates/grouping (online engines;
-    /// the sharded runtime reports the workers' last published counts,
-    /// which trail ingestion by at most the in-flight batches) or zero
-    /// for the two-step baselines, which do not track it.
+    /// Events that passed routing/predicates/grouping (the sharded
+    /// runtime reports the workers' last published counts, which trail
+    /// ingestion by at most the in-flight batches).
     pub fn events_matched(&self) -> u64 {
         self.inner.events_matched()
     }
@@ -122,14 +121,8 @@ impl From<ShardedExecutor> for AnyExecutor {
     }
 }
 
-impl From<FlinkLike> for AnyExecutor {
-    fn from(ex: FlinkLike) -> Self {
-        AnyExecutor::new(Box::new(ex))
-    }
-}
-
-impl From<SpassLike> for AnyExecutor {
-    fn from(ex: SpassLike) -> Self {
+impl<F: Family> From<TwoStep<F>> for AnyExecutor {
+    fn from(ex: TwoStep<F>) -> Self {
         AnyExecutor::new(Box::new(ex))
     }
 }
@@ -208,10 +201,10 @@ pub(crate) fn strategy_plan(
 /// injection — see [`ShardedOptions`]). The single sharded construction
 /// path behind [`crate::SharonBuilder`].
 ///
-/// Every strategy shards: the online engines run one engine set per
-/// worker ([`ShardedExecutor::with_options`]), and the two-step baselines
-/// run one full baseline instance per worker behind their own route-once,
-/// scope-deduplicated routing ([`FlinkLike::sharded`] /
+/// Every strategy shards: the online engines run one [`Executor`] over
+/// shard-slice engines per worker ([`ShardedExecutor::with_options`]), and
+/// the two-step baselines run one baseline driver per worker behind their
+/// own route-once, scope-deduplicated routing ([`FlinkLike::sharded`] /
 /// [`SpassLike::sharded`]) — making figure-13 comparisons
 /// apples-to-apples columnar at any shard count.
 ///

@@ -10,7 +10,7 @@
 //! |---------------------|--------------------------------|--------|
 //! | `SHARON_SHARDS`     | shard count (≥ 1)              | run the sharded runtime with this many worker shards |
 //! | `SHARON_ROUTERS`    | router threads (≥ 1)           | routing-plane size ([`default_routers`](crate::default_routers)) |
-//! //! | `SHARON_LATENESS`   | milliseconds                   | event-time mode with this allowed lateness |
+//! | `SHARON_LATENESS`   | milliseconds                   | event-time mode with this allowed lateness |
 //! | `SHARON_DISORDER`   | max displacement `K`           | test harness: scramble streams within `K` positions |
 //! | `SHARON_CHECKPOINT` | `<dir>[:<interval-batches>]`   | periodic consistent checkpoints ([`CheckpointConfig`]) |
 //! | `SHARON_FAULT`      | `drop@N` \| `panic@N:S` \| `abort@N` \| `reorder@N:K` | inject the given fault ([`FaultPlan`]) |
@@ -89,7 +89,7 @@ impl RuntimeOptions {
                 s.parse()
                     .map_err(|e| format!("{s:?} is not a shard count: {e}"))
             })?,
-            routers: knob("SHARON_ROUTERS", parse_routers)?,
+            routers: routers_from_env()?,
             lateness: knob("SHARON_LATENESS", |s| {
                 s.parse()
                     .map_err(|e| format!("{s:?} is not a lateness in milliseconds: {e}"))
@@ -116,6 +116,12 @@ impl RuntimeOptions {
             ..ShardedOptions::default()
         }
     }
+}
+
+/// The `SHARON_ROUTERS` knob alone (`None` when unset) — shared by
+/// [`RuntimeOptions::from_env`] and [`crate::default_routers`].
+pub(crate) fn routers_from_env() -> Result<Option<usize>, EnvError> {
+    knob("SHARON_ROUTERS", parse_routers)
 }
 
 /// Parse a `SHARON_ROUTERS` value: a router-thread count of at least 1

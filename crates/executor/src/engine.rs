@@ -30,14 +30,15 @@ use crate::checkpoint::{StateError, StateReader, StateWriter};
 use crate::compile::{compile, CompileError, CompiledPartition, Routes};
 use crate::event_time::Reorder;
 use crate::results::ExecutorResults;
+use crate::router::RoutedRows;
 use crate::runner::SegmentRunner;
 use crate::scan::{ScanKernel, TypePass};
+use crate::sharded::{ShardProcessor, ShardReport};
 use crate::spill::{SpillConfig, SpillStore};
 use crate::winvec::WindowPlane;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{
-    fx_hash_one, Catalog, EventBatch, EventStream, EventTypeId, FxHashMap, GroupKey, Timestamp,
-    Value,
+    fx_hash_one, Catalog, EventBatch, EventTypeId, FxHashMap, GroupKey, Timestamp, Value,
 };
 
 /// Per-group runtime state: one block laid out by the compiled partition.
@@ -1036,11 +1037,16 @@ impl<A: Aggregate> Engine<A> {
 /// With [`SharingPlan::non_shared`] this *is* the Non-Shared method
 /// (A-Seq per query, Section 3.2); with an optimizer-produced plan it is
 /// the Sharon executor (Section 3.3).
+///
+/// The same type is the sharded runtime's online shard worker (its
+/// [`ShardProcessor`] impl): there its engines own one [`ShardSlice`] each
+/// and take the router's row lists instead of scanning.
 pub struct Executor {
     /// One engine per partition, in partition order.
     pub(crate) engines: Vec<EngineKind>,
     /// The type pass every engine's scan selects from, built once per
-    /// batch and covering all engines' routed types.
+    /// batch and covering all engines' routed types (unused by a shard
+    /// worker).
     pass: TypePass,
 }
 
@@ -1114,6 +1120,14 @@ impl EngineKind {
         match self {
             EngineKind::Count(en) => en.late_rows_dropped(),
             EngineKind::Stats(en) => en.late_rows_dropped(),
+        }
+    }
+
+    /// Live aggregate cells (see [`Engine::cell_count`]).
+    pub fn cell_count(&self) -> usize {
+        match self {
+            EngineKind::Count(en) => en.cell_count(),
+            EngineKind::Stats(en) => en.cell_count(),
         }
     }
 
@@ -1224,12 +1238,20 @@ impl Executor {
         plan: &SharingPlan,
     ) -> Result<Self, CompileError> {
         let parts = compile(catalog, workload, plan)?;
-        let engines: Vec<EngineKind> = parts
-            .into_iter()
-            .map(|p| EngineKind::for_partition(p, None))
-            .collect();
+        Ok(Self::from_engines(
+            parts
+                .into_iter()
+                .map(|p| EngineKind::for_partition(p, None))
+                .collect(),
+        ))
+    }
+
+    /// An executor over `engines`, in partition order: unrestricted
+    /// engines for the sequential executor, one shard's [`ShardSlice`]
+    /// engines for a sharded runtime worker.
+    pub(crate) fn from_engines(engines: Vec<EngineKind>) -> Self {
         let pass = TypePass::new(engines.iter().map(EngineKind::scan_kernel));
-        Ok(Executor { engines, pass })
+        Executor { engines, pass }
     }
 
     /// The Non-Shared (A-Seq) executor for `workload`.
@@ -1276,18 +1298,17 @@ impl Executor {
         self.engines.iter().map(EngineKind::late_rows_dropped).sum()
     }
 
-    /// Batch size of [`Executor::run`] and the baselines' `run` (the
+    /// Batch size in which stream drivers feed a sequential executor (the
     /// sharded runtime batches by [`crate::DEFAULT_BATCH_SIZE`]).
     pub const RUN_BATCH: usize = 1024;
 
-    /// Drain a stream through the executor in columnar batches.
-    pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
-        let mut buf = EventBatch::with_capacity(Self::RUN_BATCH, 2);
-        while stream.next_batch_columnar(Self::RUN_BATCH, &mut buf) > 0 {
-            self.process_columnar(&buf);
-            buf.clear();
+    /// End-of-stream drain of every engine's event-time gate (see
+    /// [`Engine::flush_pending`]): the matched and cell counts read after
+    /// it include every buffered row.
+    fn flush_pending(&mut self) {
+        for engine in &mut self.engines {
+            engine.flush_pending();
         }
-        self
     }
 
     /// Take the results emitted so far across all partition engines,
@@ -1306,10 +1327,7 @@ impl Executor {
     pub fn finish(self) -> ExecutorResults {
         let mut out = ExecutorResults::new();
         for engine in self.engines {
-            out.merge(match engine {
-                EngineKind::Count(en) => en.finish(),
-                EngineKind::Stats(en) => en.finish(),
-            });
+            out.merge(engine.finish());
         }
         out
     }
@@ -1317,24 +1335,12 @@ impl Executor {
     /// Events that passed routing, predicates, and grouping, summed over
     /// partitions.
     pub fn events_matched(&self) -> u64 {
-        self.engines
-            .iter()
-            .map(|e| match e {
-                EngineKind::Count(en) => en.events_matched(),
-                EngineKind::Stats(en) => en.events_matched(),
-            })
-            .sum()
+        self.engines.iter().map(EngineKind::events_matched).sum()
     }
 
     /// Live aggregate cells (memory proxy).
     pub fn cell_count(&self) -> usize {
-        self.engines
-            .iter()
-            .map(|e| match e {
-                EngineKind::Count(en) => en.cell_count(),
-                EngineKind::Stats(en) => en.cell_count(),
-            })
-            .sum()
+        self.engines.iter().map(EngineKind::cell_count).sum()
     }
 
     /// Per-partition `(rows_scanned, rows_selected)` of the scan (one
@@ -1365,9 +1371,70 @@ impl crate::processor::BatchProcessor for Executor {
         self.cell_count()
     }
 
-    fn finish(self: Box<Self>) -> (ExecutorResults, u64) {
+    fn finish(mut self: Box<Self>) -> (ExecutorResults, u64) {
+        self.flush_pending();
         let matched = Executor::events_matched(&self);
         ((*self).finish(), matched)
+    }
+}
+
+/// The sharded runtime's online worker: an executor over one shard's
+/// [`ShardSlice`] engines, fed the router's row lists instead of scanning.
+impl ShardProcessor for Executor {
+    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
+        for (engine, list) in self.engines.iter_mut().zip(&rows.per_part) {
+            if !list.is_empty() {
+                engine.process_routed(batch, list);
+            }
+        }
+        // event-time mode: the router stamped every chunk with the merged
+        // cross-shard frontier, so each engine's watermark advances here,
+        // after the chunk's rows were admitted (a no-op without a gate)
+        for engine in &mut self.engines {
+            engine.advance_watermark(rows.frontier);
+        }
+    }
+
+    fn events_matched(&self) -> u64 {
+        Executor::events_matched(self)
+    }
+
+    fn save_state(&mut self) -> Option<Vec<u8>> {
+        let mut w = StateWriter::new();
+        w.seq_len(self.engines.len());
+        for engine in &mut self.engines {
+            engine.save_state(&mut w);
+        }
+        Some(w.into_bytes())
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        let mut r = StateReader::new(bytes);
+        if r.seq_len()? != self.engines.len() {
+            return Err(StateError::Corrupt("engine count per shard"));
+        }
+        for engine in &mut self.engines {
+            engine.load_state(&mut r)?;
+        }
+        if !r.is_exhausted() {
+            return Err(StateError::Corrupt("trailing engine state bytes"));
+        }
+        Ok(())
+    }
+
+    fn take_results(&mut self) -> Option<ExecutorResults> {
+        Some(Executor::take_results(self))
+    }
+
+    fn finish(mut self: Box<Self>) -> ShardReport {
+        self.flush_pending();
+        let events_matched = Executor::events_matched(&self);
+        let state_size = self.cell_count();
+        ShardReport {
+            results: (*self).finish(),
+            events_matched,
+            state_size,
+        }
     }
 }
 

@@ -31,10 +31,9 @@ use std::collections::BinaryHeap;
 
 /// A buffered row awaiting its watermark release.
 ///
-/// The payload unifies the engines' row path (the `pre_routed` flag)
-/// with the two-step baselines' scope-fan path (the `scope` index); each
-/// consumer uses the fields it dispatches on and leaves the rest at their
-/// defaults.
+/// Every gate admits only rows a scan or the batch router selected. The
+/// two-step driver tags each row with its routing scope (`scope`), whose
+/// subscribers the release fans out to; the engines leave it at 0.
 #[derive(Debug, Clone)]
 pub struct PendingRow {
     /// Event time of the row.
@@ -44,9 +43,12 @@ pub struct PendingRow {
     pub seq: u64,
     /// Event type of the row.
     pub ty: EventTypeId,
-    /// Routing-scope index (two-step scope-fan consumers; engines: 0).
+    /// Routing-scope index (the two-step driver's distinct scope;
+    /// engines: 0).
     pub scope: u32,
-    /// The stateless prefix (routing/predicates/ownership) already ran.
+    /// The stateless prefix (routing/predicates/ownership) already ran;
+    /// every caller admits selected rows, so this is always `true`. Kept
+    /// for the checkpoint layout.
     pub pre_routed: bool,
     /// The row's attribute values (pooled buffer).
     pub attrs: Vec<Value>,

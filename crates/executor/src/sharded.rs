@@ -17,9 +17,10 @@
 //!   shards.
 //!
 //! The runtime is generic over *what* the workers run: each worker hosts
-//! one [`ShardProcessor`] — a vector of online [`Engine`]s for the
-//! Sharon/Greedy/A-Seq strategies, or a whole two-step baseline
-//! (Flink-like, SPASS-like) for the figure-13 comparisons — so sharding is
+//! one [`ShardProcessor`] — an [`Executor`] over shard-slice online
+//! [`Engine`]s for the Sharon/Greedy/A-Seq strategies, or a two-step
+//! baseline (Flink-like, SPASS-like) for the figure-13 comparisons; both
+//! are the same objects that run sequentially — so sharding is
 //! a pure work partition for *any* strategy: shard results are disjoint
 //! and merge exactly. [`ShardedExecutor::finish`] merges them in
 //! deterministic shard order; determinism tests assert `semantically_eq`
@@ -116,7 +117,7 @@ use crate::checkpoint::{
     HarvestRef, StateError, StateReader, StateWriter,
 };
 use crate::compile::{compile, CompileError, CompiledPartition};
-use crate::engine::{EngineKind, ShardSlice};
+use crate::engine::{EngineKind, Executor, ShardSlice};
 use crate::processor::BatchProcessor;
 use crate::results::ExecutorResults;
 use crate::router::{split_router_plane, RouteBatch, RoutedRows};
@@ -124,7 +125,7 @@ use crate::scan::ScanCounters;
 use crate::spill::SpillConfig;
 use crate::spsc;
 use sharon_query::{SharingPlan, Workload};
-use sharon_types::{Catalog, EventBatch, EventStream, Timestamp};
+use sharon_types::{Catalog, EventBatch, Timestamp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -152,19 +153,9 @@ pub const DEFAULT_ROUTERS: usize = 1;
 /// running a different plane (a bench matrix typo must not record
 /// numbers attributed to a routing plane that never ran).
 pub fn default_routers() -> usize {
-    match std::env::var("SHARON_ROUTERS") {
-        Ok(s) => {
-            let n: usize = s
-                .parse()
-                .expect("SHARON_ROUTERS must be a router-thread count (>= 1)");
-            assert!(
-                n >= 1,
-                "SHARON_ROUTERS must be >= 1 (a plane needs a router)"
-            );
-            n
-        }
-        Err(_) => DEFAULT_ROUTERS,
-    }
+    crate::config::routers_from_env()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or(DEFAULT_ROUTERS)
 }
 
 /// One routed batch in flight to one worker: the shared columnar batch
@@ -308,7 +299,9 @@ pub struct ShardReport {
 
 /// The stateful half of a shardable strategy, as run by one worker thread:
 /// consumes pre-routed row lists of shared batches and reports its slice
-/// of the results when the ring closes.
+/// of the results when the ring closes. Implemented by [`Executor`] (over
+/// shard-slice engines) and by the two-step baselines' driver — the same
+/// objects that run sequentially.
 ///
 /// The routing side (a [`RouteBatch`] built from the same stateless
 /// filters the processor applies) guarantees every listed row routes into
@@ -353,90 +346,6 @@ pub trait ShardProcessor: Send {
 
     /// Flush remaining windows and report this shard's results.
     fn finish(self: Box<Self>) -> ShardReport;
-}
-
-/// The online strategies' shard worker: one [`EngineKind`] per compiled
-/// partition, each restricted to this shard's [`ShardSlice`].
-struct EngineShard {
-    engines: Vec<EngineKind>,
-}
-
-impl ShardProcessor for EngineShard {
-    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        for (engine, list) in self.engines.iter_mut().zip(&rows.per_part) {
-            if !list.is_empty() {
-                engine.process_routed(batch, list);
-            }
-        }
-        // event-time mode: the router stamped every chunk with the merged
-        // cross-shard frontier, so each engine's watermark advances here —
-        // after the chunk's rows were admitted (a no-op for arrival-time
-        // runs, where no gate is configured)
-        for engine in &mut self.engines {
-            engine.advance_watermark(rows.frontier);
-        }
-    }
-
-    fn events_matched(&self) -> u64 {
-        self.engines.iter().map(EngineKind::events_matched).sum()
-    }
-
-    fn save_state(&mut self) -> Option<Vec<u8>> {
-        let mut w = StateWriter::new();
-        w.seq_len(self.engines.len());
-        for engine in &mut self.engines {
-            engine.save_state(&mut w);
-        }
-        Some(w.into_bytes())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        if r.seq_len()? != self.engines.len() {
-            return Err(StateError::Corrupt("engine count per shard"));
-        }
-        for engine in &mut self.engines {
-            engine.load_state(&mut r)?;
-        }
-        if !r.is_exhausted() {
-            return Err(StateError::Corrupt("trailing engine state bytes"));
-        }
-        Ok(())
-    }
-
-    fn take_results(&mut self) -> Option<ExecutorResults> {
-        let mut out = ExecutorResults::new();
-        for engine in &mut self.engines {
-            out.merge(engine.take_results());
-        }
-        Some(out)
-    }
-
-    fn finish(mut self: Box<Self>) -> ShardReport {
-        // drain the event-time gates first: buffered rows still count
-        // toward the matched and state-size stats read below
-        for engine in &mut self.engines {
-            engine.flush_pending();
-        }
-        let events_matched = self.engines.iter().map(EngineKind::events_matched).sum();
-        let state_size = self
-            .engines
-            .iter()
-            .map(|e| match e {
-                EngineKind::Count(en) => en.cell_count(),
-                EngineKind::Stats(en) => en.cell_count(),
-            })
-            .sum();
-        let mut results = ExecutorResults::new();
-        for engine in self.engines {
-            results.merge(engine.finish());
-        }
-        ShardReport {
-            results,
-            events_matched,
-            state_size,
-        }
-    }
 }
 
 /// The routing side's endpoints of one worker lane: the routed-batch
@@ -727,9 +636,9 @@ struct Checkpointer {
     interval_batches: u64,
 }
 
-/// Build the online engine shards for `parts`: one [`EngineKind`] per
-/// compiled partition per shard, each restricted to its [`ShardSlice`],
-/// with the spill tier armed when configured.
+/// Build the online shard workers for `parts`: one [`Executor`] per
+/// shard, holding one [`EngineKind`] per compiled partition restricted to
+/// the shard's [`ShardSlice`], with the spill tier armed when configured.
 fn engine_shards(
     parts: &[CompiledPartition],
     n_shards: usize,
@@ -759,7 +668,7 @@ fn engine_shards(
                     engine
                 })
                 .collect();
-            Box::new(EngineShard { engines }) as Box<dyn ShardProcessor>
+            Box::new(Executor::from_engines(engines)) as Box<dyn ShardProcessor>
         })
         .collect()
 }
@@ -801,8 +710,7 @@ fn reorder_burst(batch: &EventBatch, lo: usize, hi: usize, k: u32) -> EventBatch
 /// latest complete checkpoint, and [`ShardedExecutor::from_parts`] hosts
 /// *any* [`ShardProcessor`] set behind a pre-built routing plane, which
 /// is how the two-step baselines run sharded. Events are accepted as
-/// columnar batches (copied into the fill buffer, or zero-copy through
-/// [`ShardedExecutor::process_shared`]); router threads route each
+/// columnar batches copied into the fill buffer; router threads route each
 /// buffered batch once and fan the per-shard row lists out
 /// over SPSC rings (see the module docs). [`ShardedExecutor::finish`]
 /// drains the pipeline and merges the disjoint shard results.
@@ -1288,8 +1196,7 @@ impl ShardedExecutor {
 
     /// Enqueue a time-ordered columnar batch (any size; it is re-chunked
     /// to the flush threshold internally). Copies the rows into the
-    /// internal buffer; callers that already own an [`Arc`]-shared batch
-    /// should prefer the zero-copy [`ShardedExecutor::process_shared`].
+    /// internal buffer — the one way rows enter the sharded runtime.
     pub fn process_columnar(&mut self, batch: &EventBatch) {
         let mut lo = 0;
         while lo < batch.len() {
@@ -1301,37 +1208,6 @@ impl ShardedExecutor {
                 self.flush();
             }
         }
-    }
-
-    /// Zero-copy ingestion of an [`Arc`]-shared columnar batch: routes
-    /// consecutive row ranges of `batch` directly (one flush-threshold
-    /// chunk at a time, preserving pipelining) and ships workers the
-    /// shared batch plus absolute row indexes — the batch is never copied.
-    ///
-    /// Events must be time-ordered relative to everything already
-    /// ingested; any buffered rows are flushed first to preserve order.
-    pub fn process_shared(&mut self, batch: &Arc<EventBatch>) {
-        self.flush();
-        let mut lo = 0;
-        while lo < batch.len() {
-            let hi = (lo + self.batch_size).min(batch.len());
-            self.dispatch_range(batch, lo, hi);
-            lo = hi;
-        }
-    }
-
-    /// Drain a stream through the executor.
-    pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
-        loop {
-            let free = self.batch_size.saturating_sub(self.buffer.len()).max(1);
-            if stream.next_batch_columnar(free, self.buf()) == 0 {
-                break;
-            }
-            if self.buffer.len() >= self.batch_size {
-                self.flush();
-            }
-        }
-        self
     }
 
     /// A cleared batch body for the next fill: a drained in-flight batch
@@ -1622,7 +1498,6 @@ impl BatchProcessor for ShardedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Executor;
     use sharon_query::{parse_workload, QueryId};
     use sharon_types::{Event, GroupKey, Schema, Timestamp, Value};
 
@@ -1718,13 +1593,12 @@ mod tests {
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
 
-        // the zero-copy shared-batch path agrees too (after a few
-        // buffered rows, to cover the order-preserving pre-flush)
+        // a few buffered rows first, then a push that straddles the
+        // flush threshold: the buffered rows route ahead of the rest
         let (head, tail) = events.split_at(100);
-        let shared = Arc::new(EventBatch::from_events(tail));
         let mut sharded = non_shared(&c, &w, 3, DEFAULT_BATCH_SIZE);
         sharded.process_columnar(&EventBatch::from_events(head));
-        sharded.process_shared(&shared);
+        sharded.process_columnar(&EventBatch::from_events(tail));
         let (got, matched, _) = sharded.finish_with_stats();
         assert!(got.semantically_eq(&want, 1e-9));
         assert!(matched > 0);

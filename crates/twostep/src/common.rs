@@ -9,18 +9,23 @@
 //! baseline routing scope (a query for Flink-like, a sharing-signature
 //! partition for SPASS-like) as a [`RowFilter`], which is what lets the
 //! sharded runtime's route-once [`sharon_executor::BatchRouter`] fan
-//! baseline work out across shards; [`sharded`] and [`ScopeFanShard`]
-//! are the one sharded build path and shard worker both baselines use.
+//! baseline work out across shards.
+//!
+//! [`TwoStep`] is the one driver of both baselines — scan, event-time
+//! gate and fan-out to the [`Subscriber`]s — in both roles: the
+//! sequential executor and the sharded runtime's shard worker
+//! ([`sharded`] is the one sharded build path).
 
 use sharon_executor::agg::Contribution;
 use sharon_executor::compile::CompileError;
 use sharon_executor::{
-    split_router_plane, ExecutorResults, Reorder, RoutedRows, RowFilter, ScanKernel,
-    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions,
+    split_router_plane, BatchProcessor, ExecutorResults, Reorder, RoutedRows, RowFilter,
+    ScanKernel, ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions, TypePass,
 };
-use sharon_query::{clause_passes, CmpOp, Query};
+use sharon_query::{CmpOp, Query};
 use sharon_types::{AttrId, Catalog, EventBatch, EventTypeId, GroupKey, Timestamp, Value};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 /// Per-event-type resolved clauses for one query or partition.
 #[derive(Debug, Clone, Default)]
@@ -120,20 +125,21 @@ impl TypeTable {
 
     /// Evaluate this table's predicates on a `(type, attrs)` row
     /// (vacuously true for unconstrained types).
+    #[cfg(test)]
     pub fn passes(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
         match self.predicates.get(ty.index()) {
-            Some(preds) => preds
-                .iter()
-                .all(|(attr, op, lit)| clause_passes(*op, attrs.get(attr.index()), lit)),
+            Some(preds) => preds.iter().all(|(attr, op, lit)| {
+                sharon_query::clause_passes(*op, attrs.get(attr.index()), lit)
+            }),
             None => true,
         }
     }
 
     /// True if every `GROUP BY` attribute of `ty` is present in `attrs`.
     /// With [`TypeTable::passes`], the row-at-a-time oracle the tests check
-    /// the compiled scan kernels against (the baselines' own rows either
-    /// come out of a kernel or fail `read_group_key` on release).
-    #[allow(dead_code)]
+    /// the compiled scan kernels against (the baselines' own rows always
+    /// come out of a kernel).
+    #[cfg(test)]
     pub fn groupable(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
         match self.group_attrs.get(ty.index()) {
             Some(gattrs) => gattrs.iter().all(|a| attrs.get(a.index()).is_some()),
@@ -185,26 +191,6 @@ impl TypeTable {
     }
 }
 
-/// Dense per-type-id routing bitmap: `true` where any of `queries`'
-/// patterns contains the type. The **single** definition used by both the
-/// sequential kernels' scans and the sharded router's scopes, so the two
-/// sides cannot drift apart on what routes.
-pub(crate) fn routed_bitmap(queries: &[&Query]) -> Vec<bool> {
-    let max_ty = queries
-        .iter()
-        .flat_map(|q| q.pattern.types())
-        .map(|t| t.index())
-        .max()
-        .unwrap_or(0);
-    let mut routed = vec![false; max_ty + 1];
-    for q in queries {
-        for t in q.pattern.types() {
-            routed[t.index()] = true;
-        }
-    }
-    routed
-}
-
 /// One baseline routing scope as seen by the batch router: a type-routing
 /// bitmap plus the scope's [`TypeTable`]. The stateless prefix it encodes
 /// is exactly the one the baseline's stateful side applies, so routed rows
@@ -224,21 +210,12 @@ impl ScopeFilter {
         for q in &queries[1..] {
             table.absorb(TypeTable::build(catalog, q)?);
         }
-        Ok(ScopeFilter {
-            routed: routed_bitmap(queries),
-            table,
-        })
-    }
-
-    /// Compile this scope's stateless prefix into the [`ScanKernel`] the
-    /// sharded batch router selects its rows with (via
-    /// [`RowFilter::scan_kernel`]).
-    pub fn compile_scan(&self) -> ScanKernel {
-        ScanKernel::new(
-            self.routed.clone(),
-            &self.table.group_attrs,
-            &self.table.predicates,
-        )
+        let types = || queries.iter().flat_map(|q| q.pattern.types());
+        let mut routed = vec![false; types().map(|t| t.index() + 1).max().unwrap_or(1)];
+        for t in types() {
+            routed[t.index()] = true;
+        }
+        Ok(ScopeFilter { routed, table })
     }
 
     /// The routing identity of this filter (see [`ScopeKey`]).
@@ -332,8 +309,14 @@ impl RowFilter for ScopeFilter {
         self.table.read_group_key(ty, attrs, vals, key)
     }
 
+    /// This scope's stateless prefix, compiled: the kernel both the
+    /// driver's own scan and the sharded batch router select rows with.
     fn scan_kernel(&self) -> ScanKernel {
-        self.compile_scan()
+        ScanKernel::new(
+            self.routed.clone(),
+            &self.table.group_attrs,
+            &self.table.predicates,
+        )
     }
 
     fn route_cost(&self) -> f64 {
@@ -344,150 +327,310 @@ impl RowFilter for ScopeFilter {
     }
 }
 
-/// What a two-step baseline exposes to its shard worker: the stateful
-/// dispatch of one routing scope's pre-routed rows to one subscriber (a
-/// query for Flink-like, a signature partition for SPASS-like) and its
-/// end-of-stream report.
-pub(crate) trait ScopeHost: Send + Sized + 'static {
-    /// Display name of the strategy, for build errors.
-    const NAME: &'static str;
+/// One subscriber of a routing scope: Flink-like's per-query state or
+/// SPASS-like's per-signature partition. It only ever sees rows its
+/// scope selected (by the driver's scan or the sharded router), in
+/// event-time order.
+pub(crate) trait Subscriber: Send {
+    /// Fold the selected `rows` of `batch`, in row order.
+    fn rows(&mut self, batch: &EventBatch, rows: &[u32], results: &mut ExecutorResults) {
+        for &row in rows {
+            let row = row as usize;
+            self.row(batch.ty(row), batch.time(row), batch.attrs(row), results);
+        }
+    }
 
-    /// Dispatch pre-routed `rows` of `batch` to subscriber `sub`.
-    fn process_scope_rows(&mut self, sub: usize, batch: &EventBatch, rows: &[u32]);
+    /// Fold one selected row (the event-time gate's release path).
+    fn row(
+        &mut self,
+        ty: EventTypeId,
+        time: Timestamp,
+        attrs: &[Value],
+        results: &mut ExecutorResults,
+    );
 
-    /// Row form of [`ScopeHost::process_scope_rows`] — the release path
-    /// of the event-time gate, which re-dispatches buffered rows one at a
-    /// time.
-    fn process_scope_row(&mut self, sub: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]);
+    /// Flush every open window into `results`.
+    fn finish(&mut self, results: &mut ExecutorResults);
 
-    /// Rows that survived the stateless scans so far.
-    fn events_matched(&self) -> u64;
+    /// Rows folded so far.
+    fn matched(&self) -> u64;
 
-    /// The baseline's memory proxy (buffered events or materialized
-    /// matches).
+    /// The memory proxy: buffered events or materialized matches.
     fn state_size(&self) -> usize;
 
-    /// Flush every open window and return all results.
-    fn finish(self) -> ExecutorResults;
+    /// Sequences (and segment matches) constructed so far.
+    fn sequences(&self) -> u64;
 }
 
-/// Run a baseline on the sharded runtime: `scopes` (one per subscriber,
-/// in subscriber order) are deduplicated — the router scans each
-/// *distinct* scope once per batch — and cost-partitioned across
-/// `options.routers` router threads, and each of the `n_shards` workers
-/// hosts one `build()` instance behind a [`ScopeFanShard`]. Durability
-/// options are [`CompileError::UnsupportedOption`] (a baseline cannot
-/// serialize its state) and zero shards is [`CompileError::ZeroShards`].
-pub(crate) fn sharded<B: ScopeHost>(
+/// A two-step strategy family, as named in build errors. Implemented by
+/// the uninhabited markers [`crate::Flink`] and [`crate::Spass`], which
+/// tell [`TwoStep`] which family's constructors and accessors it has.
+pub trait Family: Send + 'static {
+    /// Display name of the strategy.
+    const NAME: &'static str;
+}
+
+/// The one driver of both two-step baselines ([`crate::FlinkLike`],
+/// [`crate::SpassLike`]): the sequential executor and, unchanged, the
+/// sharded runtime's shard worker.
+///
+/// It owns the *distinct* routing scopes (deduplicated by `ScopeKey`)
+/// with their subscriber lists, one [`TypePass`] over their scan kernels
+/// with a `(scanned, selected)` tally per distinct scope, an optional
+/// event-time gate, the result log and the subscribers. Sequentially,
+/// [`TwoStep::process_columnar`] selects each distinct scope's rows once
+/// per batch; sharded, the router hands over the same per-scope lists.
+/// Both then take one dispatch path: straight to every subscriber of the
+/// scope, or through the gate, which admits only selected rows (tagged
+/// with their scope), advances to the batch maximum (sequential) or the
+/// chunk frontier (sharded), and fans each released row out to the
+/// scope's subscribers. A late row counts once per distinct scope that
+/// selected it.
+pub struct TwoStep<F> {
+    /// Distinct routing scopes, first-seen order.
     scopes: Vec<ScopeFilter>,
-    n_shards: usize,
-    options: &ShardedOptions,
-    mut build: impl FnMut() -> Result<B, CompileError>,
-) -> Result<ShardedExecutor, CompileError> {
-    if let Some(option) = options.durability_option() {
-        return Err(CompileError::UnsupportedOption {
-            option,
-            strategy: B::NAME,
-        });
-    }
-    if n_shards == 0 {
-        return Err(CompileError::ZeroShards { strategy: B::NAME });
-    }
-    let (scopes, subscribers) = dedup_scopes(scopes);
-    let plane = split_router_plane(scopes, n_shards, options.routers);
-    let shards = (0..n_shards)
-        .map(|_| {
-            build().map(|inner| {
-                Box::new(ScopeFanShard {
-                    inner,
-                    subscribers: subscribers.clone(),
-                    gate: options.lateness.map(Reorder::new),
-                }) as Box<dyn ShardProcessor>
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ShardedExecutor::from_parts(plane, shards, options))
-}
-
-/// The shard worker of both baselines: `rows.per_part` is parallel to the
-/// router's *distinct* (deduplicated) routing scopes, and each scope's
-/// row selection is dispatched to every subscriber — the worker-side half
-/// of routing each scope once per batch.
-pub(crate) struct ScopeFanShard<B> {
-    inner: B,
-    /// Per distinct scope: the subscriber indexes fanned out to.
-    subscribers: Vec<Vec<usize>>,
-    /// Event-time gate over the pre-routed rows: admission records the
-    /// scope in [`sharon_executor::PendingRow::scope`], release fans the
-    /// row back out to the scope's subscribers. `None` keeps the
-    /// arrival-order contract.
+    /// Per distinct scope: the subscribers its rows fan out to.
+    fan: Vec<Vec<usize>>,
+    /// Per distinct scope: its compiled scan kernel.
+    kernels: Vec<ScanKernel>,
+    /// The type pass every kernel selects from, built once per batch.
+    pass: TypePass,
+    /// Per distinct scope: `(rows scanned, rows selected)`.
+    tallies: Vec<(u64, u64)>,
+    /// Reused per-scope selection lists.
+    sel: Vec<Vec<u32>>,
+    /// Event-time gate; `None` keeps the arrival-order contract.
     gate: Option<Reorder>,
+    results: ExecutorResults,
+    subs: Vec<Box<dyn Subscriber>>,
+    /// Queries answered, for [`TwoStep::reserve_results`].
+    n_queries: usize,
+    family: PhantomData<F>,
 }
 
-impl<B: ScopeHost> ScopeFanShard<B> {
-    /// Dispatch every gate-released row to its scope's subscribers.
+impl<F: Family> TwoStep<F> {
+    /// A driver over `subs`, where `scopes[i]` routes subscriber `i`.
+    pub(crate) fn new_driver(
+        scopes: Vec<ScopeFilter>,
+        subs: Vec<Box<dyn Subscriber>>,
+        n_queries: usize,
+    ) -> Self {
+        let (scopes, fan) = dedup_scopes(scopes);
+        let kernels: Vec<ScanKernel> = scopes.iter().map(RowFilter::scan_kernel).collect();
+        TwoStep {
+            pass: TypePass::new(&kernels),
+            tallies: vec![(0, 0); scopes.len()],
+            sel: vec![Vec::new(); scopes.len()],
+            scopes,
+            fan,
+            kernels,
+            gate: None,
+            results: ExecutorResults::new(),
+            subs,
+            n_queries,
+            family: PhantomData,
+        }
+    }
+
+    /// Enable event-time processing: input may carry bounded disorder,
+    /// selected rows buffer behind the watermark `max_time_seen −
+    /// lateness_ms` and release in event-time order; rows behind the
+    /// watermark are dropped and counted. Must be called before any
+    /// ingestion.
+    pub fn set_lateness(&mut self, lateness_ms: u64) {
+        self.gate = Some(Reorder::new(lateness_ms));
+    }
+
+    /// Late rows dropped by the event-time gate (0 when no gate).
+    pub fn late_rows_dropped(&self) -> u64 {
+        self.gate.as_ref().map_or(0, Reorder::late_rows_dropped)
+    }
+
+    /// Process a time-ordered columnar batch: one type pass serves every
+    /// distinct scope's kernel, then the selections are dispatched.
+    pub fn process_columnar(&mut self, batch: &EventBatch) {
+        self.pass.build(batch, 0, batch.len());
+        let mut sel = std::mem::take(&mut self.sel);
+        for ((kernel, list), tally) in self.kernels.iter_mut().zip(&mut sel).zip(&mut self.tallies)
+        {
+            list.clear();
+            kernel.select_from(&self.pass, batch, list);
+            tally.0 += batch.len() as u64;
+            tally.1 += list.len() as u64;
+            sharon_metrics::record_rows_scanned(batch.len() as u64);
+            sharon_metrics::record_rows_selected(list.len() as u64);
+        }
+        self.dispatch(batch, &sel, batch.max_time().unwrap_or(Timestamp::ZERO));
+        self.sel = sel;
+    }
+
+    /// The one dispatch path: `lists` (parallel to the distinct scopes)
+    /// go to every subscriber of their scope, or through the gate, whose
+    /// watermark then advances to `frontier`.
+    fn dispatch(&mut self, batch: &EventBatch, lists: &[Vec<u32>], frontier: Timestamp) {
+        let Some(gate) = &mut self.gate else {
+            for (list, fan) in lists.iter().zip(&self.fan) {
+                if list.is_empty() {
+                    continue;
+                }
+                for &sub in fan {
+                    self.subs[sub].rows(batch, list, &mut self.results);
+                }
+            }
+            return;
+        };
+        for (scope, list) in lists.iter().enumerate() {
+            for &row in list {
+                let row = row as usize;
+                let (ty, time, attrs) = (batch.ty(row), batch.time(row), batch.attrs(row));
+                gate.admit(ty, time, attrs, scope as u32, true, false);
+            }
+        }
+        gate.advance(frontier);
+        self.release_ready();
+    }
+
+    /// Fan every row the watermark has passed out to its scope's
+    /// subscribers.
     fn release_ready(&mut self) {
         while let Some(row) = self.gate.as_mut().and_then(Reorder::pop_ready) {
-            for &sub in &self.subscribers[row.scope as usize] {
-                self.inner
-                    .process_scope_row(sub, row.ty, row.time, &row.attrs);
+            for &sub in &self.fan[row.scope as usize] {
+                self.subs[sub].row(row.ty, row.time, &row.attrs, &mut self.results);
             }
             if let Some(gate) = &mut self.gate {
                 gate.recycle(row);
             }
         }
     }
-}
 
-impl<B: ScopeHost> ShardProcessor for ScopeFanShard<B> {
-    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        if let Some(gate) = &mut self.gate {
-            // event-time mode: buffer each scope's rows behind the
-            // router's merged frontier and release in event-time order
-            for (scope, list) in rows.per_part.iter().enumerate() {
-                for &row in list {
-                    let row = row as usize;
-                    gate.admit(
-                        batch.ty(row),
-                        batch.time(row),
-                        batch.attrs(row),
-                        scope as u32,
-                        true,
-                        false,
-                    );
-                }
-            }
-            gate.advance(rows.frontier);
-            self.release_ready();
-            return;
-        }
-        for (scope, list) in rows.per_part.iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            for &sub in &self.subscribers[scope] {
-                self.inner.process_scope_rows(sub, batch, list);
-            }
-        }
+    /// Pre-size the result store for about `additional` further results
+    /// per query (capacity planning for allocation-free steady-state
+    /// emission).
+    pub fn reserve_results(&mut self, additional: usize) {
+        self.results.reserve(additional * self.n_queries);
     }
 
-    fn events_matched(&self) -> u64 {
-        self.inner.events_matched()
+    /// Total sequences explicitly constructed so far — the two-step cost
+    /// the online approaches avoid.
+    pub fn sequences_constructed(&self) -> u64 {
+        self.subs.iter().map(|s| s.sequences()).sum()
     }
 
-    fn finish(mut self: Box<Self>) -> ShardReport {
+    /// Rows that survived the stateless scans, summed over subscribers —
+    /// comparable to the online engines' per-partition matched counts.
+    pub fn events_matched(&self) -> u64 {
+        self.subs.iter().map(|s| s.matched()).sum()
+    }
+
+    /// The family's memory proxy, summed over subscribers.
+    pub(crate) fn state_size(&self) -> usize {
+        self.subs.iter().map(|s| s.state_size()).sum()
+    }
+
+    /// End of stream: release every gated row, then report the matched
+    /// and state counts and flush every open window.
+    fn report(mut self) -> ShardReport {
         if let Some(gate) = &mut self.gate {
             gate.open();
         }
         self.release_ready();
-        let state_size = self.inner.state_size();
-        let events_matched = self.inner.events_matched();
+        let events_matched = self.events_matched();
+        let state_size = self.state_size();
+        for sub in &mut self.subs {
+            sub.finish(&mut self.results);
+        }
         ShardReport {
-            results: self.inner.finish(),
+            results: self.results,
             events_matched,
             state_size,
         }
     }
+
+    /// Flush and return all results.
+    pub fn finish(self) -> ExecutorResults {
+        self.report().results
+    }
+}
+
+impl<F: Family> BatchProcessor for TwoStep<F> {
+    fn process_columnar(&mut self, batch: &EventBatch) {
+        TwoStep::process_columnar(self, batch);
+    }
+
+    fn late_rows_dropped(&self) -> u64 {
+        TwoStep::late_rows_dropped(self)
+    }
+
+    fn events_matched(&self) -> u64 {
+        TwoStep::events_matched(self)
+    }
+
+    /// One entry per distinct scope, in scope order.
+    fn scan_stats(&self) -> Vec<(u64, u64)> {
+        self.tallies.clone()
+    }
+
+    fn state_size(&self) -> usize {
+        TwoStep::state_size(self)
+    }
+
+    fn finish(self: Box<Self>) -> (ExecutorResults, u64) {
+        let report = (*self).report();
+        (report.results, report.events_matched)
+    }
+}
+
+/// The sharded role: `rows.per_part` is parallel to the distinct scopes,
+/// exactly the lists [`TwoStep::process_columnar`] selects itself.
+impl<F: Family> ShardProcessor for TwoStep<F> {
+    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
+        self.dispatch(batch, &rows.per_part, rows.frontier);
+    }
+
+    fn events_matched(&self) -> u64 {
+        TwoStep::events_matched(self)
+    }
+
+    fn finish(self: Box<Self>) -> ShardReport {
+        (*self).report()
+    }
+}
+
+/// Run a baseline on the sharded runtime: each of the `n_shards` workers
+/// is one `build()` driver (gated when `options.lateness` is set), and
+/// its distinct scopes, cost-partitioned across `options.routers` router
+/// threads, are the routing plane — the router scans each distinct scope
+/// once per batch. Durability options are
+/// [`CompileError::UnsupportedOption`] (a baseline cannot serialize its
+/// state) and zero shards is [`CompileError::ZeroShards`].
+pub(crate) fn sharded<F: Family>(
+    n_shards: usize,
+    options: &ShardedOptions,
+    mut build: impl FnMut() -> Result<TwoStep<F>, CompileError>,
+) -> Result<ShardedExecutor, CompileError> {
+    if let Some(option) = options.durability_option() {
+        return Err(CompileError::UnsupportedOption {
+            option,
+            strategy: F::NAME,
+        });
+    }
+    if n_shards == 0 {
+        return Err(CompileError::ZeroShards { strategy: F::NAME });
+    }
+    let mut shards = Vec::with_capacity(n_shards);
+    for _ in 0..n_shards {
+        let mut shard = build()?;
+        if let Some(ms) = options.lateness {
+            shard.set_lateness(ms);
+        }
+        shards.push(shard);
+    }
+    let plane = split_router_plane(shards[0].scopes.clone(), n_shards, options.routers);
+    let shards = shards
+        .into_iter()
+        .map(|shard| Box::new(shard) as Box<dyn ShardProcessor>)
+        .collect();
+    Ok(ShardedExecutor::from_parts(plane, shards, options))
 }
 
 #[cfg(test)]

@@ -7,31 +7,20 @@
 //! aggregated into the open windows. Latency grows polynomially in the
 //! number of events per window — reproducing Figure 13's blow-up.
 //!
-//! Like every strategy in the system, the baseline is a
-//! [`BatchProcessor`]: [`FlinkLike::process_columnar`] runs, per query, a
-//! compiled scan kernel over the batch columns (type routing, predicates,
-//! groupability) that selects row indices, then a stateful dispatch that
-//! folds only the selected rows — iterating row indices over the shared
-//! value buffer.
-//! [`FlinkLike::sharded`] runs the baseline on the route-once parallel
-//! runtime with groups hash-partitioned across worker threads, exactly
-//! like the online engines: each worker hosts one baseline instance
-//! behind a scope-fanning [`sharon_executor::ShardProcessor`] wrapper,
-//! and identical routing scopes are deduplicated so the router scans each
-//! distinct scope once per batch.
+//! [`FlinkLike`] is the two-step driver ([`TwoStep`]) with one subscriber
+//! per query, each routed by the query's own scope: the driver's scan,
+//! event-time gate and fan-out are shared with SPASS-like, and queries
+//! whose scopes coincide share one scan. [`FlinkLike::sharded`] runs the
+//! same driver as the shard worker of the route-once parallel runtime.
 
-use crate::common::{self, ScopeFilter, ScopeHost, TypeTable};
+use crate::common::{self, Family, ScopeFilter, Subscriber, TwoStep, TypeTable};
 use crate::construct::SeqBuffers;
 use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
-use sharon_executor::{
-    BatchProcessor, Executor, ExecutorResults, Reorder, ScanKernel, ShardedExecutor, ShardedOptions,
-};
+use sharon_executor::{ExecutorResults, ShardedExecutor, ShardedOptions};
 use sharon_query::{Query, QueryId, Workload};
-use sharon_types::{
-    Catalog, EventBatch, EventStream, EventTypeId, GroupKey, Timestamp, Value, WindowSpec,
-};
+use sharon_types::{Catalog, EventTypeId, GroupKey, Timestamp, Value, WindowSpec};
 use std::collections::HashMap;
 
 struct GroupState<A> {
@@ -49,24 +38,15 @@ struct QueryState<A> {
     pattern_len: usize,
     groups: HashMap<GroupKey, GroupState<A>>,
     sequences_constructed: u64,
-    /// Rows that survived this query's stateless scan (routing,
-    /// predicates, grouping) — the same notion of "matched" the online
-    /// engines report per partition.
+    /// Rows this query folded — the rows its scope selected, the same
+    /// notion of "matched" the online engines report per partition.
     events_matched: u64,
     /// Reused per-row key storage — the hot path never allocates a fresh
     /// key; cloning happens only on first sight of a group.
     key_scratch: GroupKey,
     vals_scratch: Vec<Value>,
-    /// Reused row-selection buffer of the scan.
-    sel_scratch: Vec<u32>,
     /// Reused emission buffer for closing windows.
     emit_scratch: Vec<(u64, A)>,
-    /// Compiled scan kernel selecting this query's rows of a batch.
-    scan: ScanKernel,
-    /// Rows examined by this query's scan.
-    rows_scanned: u64,
-    /// Rows that survived routing + predicates + groupability.
-    rows_selected: u64,
 }
 
 impl<A: Aggregate> QueryState<A> {
@@ -82,62 +62,44 @@ impl<A: Aggregate> QueryState<A> {
         for (i, t) in q.pattern.types().iter().enumerate() {
             positions[t.index()].push(i);
         }
-        let output = OutputKind::of(q);
-        let table = TypeTable::build(catalog, q)?;
-        let scan = ScanKernel::new(
-            positions.iter().map(|p| !p.is_empty()).collect(),
-            &table.group_attrs,
-            &table.predicates,
-        );
         Ok(QueryState {
             id: q.id,
             window: q.window,
             positions,
-            table,
-            output,
+            table: TypeTable::build(catalog, q)?,
+            output: OutputKind::of(q),
             pattern_len: q.pattern.len(),
             groups: HashMap::new(),
             sequences_constructed: 0,
             events_matched: 0,
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
-            sel_scratch: Vec::new(),
             emit_scratch: Vec::new(),
-            scan,
-            rows_scanned: 0,
-            rows_selected: 0,
         })
     }
+}
 
-    /// The shared per-row path of the columnar dispatch, the sharded
-    /// routed dispatch, and the event-time gate's release. With
-    /// `pre_routed`, the caller (the scan kernel or the batch router) has
-    /// already established routing + predicates + groupability, so those
-    /// checks are skipped; rows the gate admitted raw are checked here.
-    fn process_row(
+impl<A: Aggregate> Subscriber for QueryState<A> {
+    /// The per-row path of every dispatch. The query's scope selected the
+    /// row: routing, predicates and groupability are established.
+    fn row(
         &mut self,
         ty: EventTypeId,
         time: Timestamp,
         attrs: &[Value],
-        pre_routed: bool,
         results: &mut ExecutorResults,
     ) {
-        let Some(positions) = self.positions.get(ty.index()).filter(|p| !p.is_empty()) else {
-            debug_assert!(!pre_routed, "router selected an unrouted event type");
-            return;
-        };
-        if !pre_routed && !self.table.passes(ty, attrs) {
-            return;
-        }
+        let positions = &self.positions[ty.index()];
+        debug_assert!(
+            !positions.is_empty(),
+            "the scope selected an unrouted event type"
+        );
         // group key — written into the reused scratch key; the clone into
         // the map happens exactly once per distinct group
-        if !self
-            .table
-            .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch)
-        {
-            debug_assert!(!pre_routed, "router selected an ungroupable event");
-            return;
-        }
+        let grouped =
+            self.table
+                .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch);
+        debug_assert!(grouped, "the scope selected an ungroupable event");
         self.events_matched += 1;
         let spec = self.window;
         let slide = spec.slide.millis();
@@ -200,34 +162,6 @@ impl<A: Aggregate> QueryState<A> {
         }
     }
 
-    /// Columnar pipeline over one batch: compiled scan → stateful
-    /// dispatch of the selected row indices.
-    fn process_columnar(&mut self, batch: &EventBatch, results: &mut ExecutorResults) {
-        let mut sel = std::mem::take(&mut self.sel_scratch);
-        sel.clear();
-        self.scan.select_into(batch, 0, batch.len(), &mut sel);
-        self.rows_scanned += batch.len() as u64;
-        self.rows_selected += sel.len() as u64;
-        sharon_metrics::record_rows_scanned(batch.len() as u64);
-        sharon_metrics::record_rows_selected(sel.len() as u64);
-        self.process_rows(batch, &sel, results);
-        self.sel_scratch = sel;
-    }
-
-    /// Stateful dispatch of pre-selected rows.
-    fn process_rows(&mut self, batch: &EventBatch, rows: &[u32], results: &mut ExecutorResults) {
-        for &row in rows {
-            let row = row as usize;
-            self.process_row(
-                batch.ty(row),
-                batch.time(row),
-                batch.attrs(row),
-                true,
-                results,
-            );
-        }
-    }
-
     fn finish(&mut self, results: &mut ExecutorResults) {
         for (key, group) in self.groups.iter_mut() {
             let slide = self.window.slide.millis();
@@ -242,29 +176,32 @@ impl<A: Aggregate> QueryState<A> {
         }
     }
 
-    fn buffered_events(&self) -> usize {
+    fn matched(&self) -> u64 {
+        self.events_matched
+    }
+
+    fn state_size(&self) -> usize {
         self.groups
             .values()
             .map(|g| g.buffers.buffered_events())
             .sum()
     }
+
+    fn sequences(&self) -> u64 {
+        self.sequences_constructed
+    }
 }
 
-enum Kernel {
-    Count(Vec<QueryState<CountCell>>),
-    Stats(Vec<QueryState<StatsCell>>),
+/// The Flink-like strategy family (see [`FlinkLike`]).
+pub enum Flink {}
+
+impl Family for Flink {
+    const NAME: &'static str = "Flink";
 }
 
 /// The non-shared two-step executor: independent sequence construction and
 /// aggregation per query.
-pub struct FlinkLike {
-    kernel: Kernel,
-    results: ExecutorResults,
-    last_time: Timestamp,
-    /// Event-time reorder gate (see [`Reorder`]); `None` keeps the
-    /// historical arrival-order contract.
-    reorder: Option<Reorder>,
-}
+pub type FlinkLike = TwoStep<Flink>;
 
 impl FlinkLike {
     /// Compile the workload (each query fully independent).
@@ -272,114 +209,34 @@ impl FlinkLike {
         if workload.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
-        let kernel = if workload.queries().iter().all(|q| q.agg.is_count_like()) {
-            Kernel::Count(
-                workload
-                    .queries()
-                    .iter()
-                    .map(|q| QueryState::new(catalog, q))
-                    .collect::<Result<_, _>>()?,
-            )
-        } else {
-            Kernel::Stats(
-                workload
-                    .queries()
-                    .iter()
-                    .map(|q| QueryState::new(catalog, q))
-                    .collect::<Result<_, _>>()?,
-            )
-        };
-        Ok(FlinkLike {
-            kernel,
-            results: ExecutorResults::new(),
-            last_time: Timestamp::ZERO,
-            reorder: None,
-        })
-    }
-
-    /// Enable event-time processing: input may carry bounded disorder,
-    /// rows buffer behind the watermark `max_time_seen − lateness_ms` and
-    /// release in event-time order; rows behind the watermark are dropped
-    /// and counted. Must be called before any ingestion.
-    pub fn set_lateness(&mut self, lateness_ms: u64) {
-        self.reorder = Some(Reorder::new(lateness_ms));
-    }
-
-    /// Late rows dropped by the event-time gate (0 when no gate).
-    pub fn late_rows_dropped(&self) -> u64 {
-        self.reorder.as_ref().map_or(0, Reorder::late_rows_dropped)
-    }
-
-    /// Dispatch one in-order row to every query (the release half of the
-    /// gated paths; `pre_routed` as recorded at admission).
-    fn dispatch_row(
-        &mut self,
-        ty: EventTypeId,
-        time: Timestamp,
-        attrs: &[Value],
-        pre_routed: bool,
-    ) {
-        match &mut self.kernel {
-            Kernel::Count(qs) => {
-                for q in qs {
-                    q.process_row(ty, time, attrs, pre_routed, &mut self.results);
-                }
-            }
-            Kernel::Stats(qs) => {
-                for q in qs {
-                    q.process_row(ty, time, attrs, pre_routed, &mut self.results);
-                }
-            }
+        let mut scopes = Vec::with_capacity(workload.len());
+        let mut subs: Vec<Box<dyn Subscriber>> = Vec::with_capacity(workload.len());
+        for q in workload.queries() {
+            scopes.push(ScopeFilter::build(catalog, &[q])?);
+            subs.push(if q.agg.is_count_like() {
+                Box::new(QueryState::<CountCell>::new(catalog, q)?)
+            } else {
+                Box::new(QueryState::<StatsCell>::new(catalog, q)?)
+            });
         }
-    }
-
-    /// Advance the gate's watermark and dispatch every released row.
-    fn advance_watermark(&mut self, frontier: Timestamp) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.advance(frontier);
-        self.release_ready();
-    }
-
-    fn release_ready(&mut self) {
-        while let Some(row) = self.reorder.as_mut().and_then(Reorder::pop_ready) {
-            self.dispatch_row(row.ty, row.time, &row.attrs, row.pre_routed);
-            if let Some(gate) = &mut self.reorder {
-                gate.recycle(row);
-            }
-        }
-    }
-
-    /// End-of-stream: open the gate and release everything still buffered.
-    fn flush_pending(&mut self) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.open();
-        self.release_ready();
+        Ok(TwoStep::new_driver(scopes, subs, workload.len()))
     }
 
     /// Run the baseline on the sharded parallel runtime: the batch router
-    /// fans each query's rows out by group hash, one full [`FlinkLike`]
-    /// instance per worker consumes only the rows it owns. Results are
-    /// identical to the sequential baseline — sharding is a pure work
+    /// fans each distinct scope's rows out by group hash, and one
+    /// [`FlinkLike`] per worker consumes only the rows it owns. Results
+    /// are identical to the sequential baseline — sharding is a pure work
     /// partition here too.
     ///
-    /// Routing scopes are **deduplicated**: queries whose pattern types,
-    /// predicates, and `GROUP BY` clauses coincide (a `ScopeKey` match)
-    /// share one routing scope, so the router scans the batch once
-    /// per *distinct* scope — not once per query — and each worker fans
-    /// the shared row selection out to every subscribing query. This is
-    /// what keeps the routing stage from becoming the serial bottleneck
-    /// on many-query workloads (the shape the paper's Flink baseline
-    /// degrades on: per-query work where shared work would do).
+    /// Queries whose pattern types, predicates, and `GROUP BY` clauses
+    /// coincide (a `ScopeKey` match) share one routing scope, so the
+    /// router scans the batch once per *distinct* scope — not once per
+    /// query — and each worker fans the shared selection out to every
+    /// subscribing query, exactly as the sequential driver does.
     ///
     /// `options` sizes the batches and the routing plane; with a
-    /// lateness set, each shard worker gates its pre-routed rows behind
-    /// the router's merged cross-shard frontier, so bounded disorder up
-    /// to the lateness is absorbed exactly and later rows are dropped and
-    /// counted. Durability options are
+    /// lateness set, each worker gates its routed rows behind the
+    /// router's merged cross-shard frontier. Durability options are
     /// [`CompileError::UnsupportedOption`].
     pub fn sharded(
         catalog: &Catalog,
@@ -387,207 +244,21 @@ impl FlinkLike {
         n_shards: usize,
         options: &ShardedOptions,
     ) -> Result<ShardedExecutor, CompileError> {
-        if workload.is_empty() {
-            return Err(CompileError::EmptyWorkload);
-        }
-        // one routing scope per query
-        let scopes = workload
-            .queries()
-            .iter()
-            .map(|q| ScopeFilter::build(catalog, &[q]))
-            .collect::<Result<Vec<_>, _>>()?;
-        common::sharded(scopes, n_shards, options, || {
-            FlinkLike::new(catalog, workload)
-        })
-    }
-
-    /// Process a time-ordered columnar batch: each query runs its
-    /// compiled scan + stateful dispatch over the whole batch while its
-    /// state is hot. With an event-time gate, rows are admitted raw (so
-    /// a late row counts as dropped even if no query routes it) and the
-    /// watermark advances to the batch's maximum timestamp afterwards —
-    /// released rows are checked row by row as they dispatch.
-    pub fn process_columnar(&mut self, batch: &EventBatch) {
-        if let Some(gate) = &mut self.reorder {
-            for row in 0..batch.len() {
-                gate.admit(
-                    batch.ty(row),
-                    batch.time(row),
-                    batch.attrs(row),
-                    0,
-                    false,
-                    false,
-                );
-            }
-            if let Some(max) = batch.max_time() {
-                self.advance_watermark(max);
-            }
-            return;
-        }
-        if let Some(&t) = batch.times().last() {
-            debug_assert!(t >= self.last_time, "batches must be time-ordered");
-            self.last_time = t;
-        }
-        match &mut self.kernel {
-            Kernel::Count(qs) => {
-                for q in qs {
-                    q.process_columnar(batch, &mut self.results);
-                }
-            }
-            Kernel::Stats(qs) => {
-                for q in qs {
-                    q.process_columnar(batch, &mut self.results);
-                }
-            }
-        }
-    }
-
-    /// Drain a stream through the baseline in columnar batches.
-    pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
-        let mut buf = EventBatch::with_capacity(Executor::RUN_BATCH, 2);
-        while stream.next_batch_columnar(Executor::RUN_BATCH, &mut buf) > 0 {
-            self.process_columnar(&buf);
-            buf.clear();
-        }
-        self
-    }
-
-    /// Pre-size the result store for about `additional` further results
-    /// per query (capacity planning for allocation-free steady-state
-    /// emission).
-    pub fn reserve_results(&mut self, additional: usize) {
-        let queries = match &self.kernel {
-            Kernel::Count(qs) => qs.len(),
-            Kernel::Stats(qs) => qs.len(),
-        };
-        self.results.reserve(additional * queries);
-    }
-
-    /// Flush and return all results.
-    pub fn finish(mut self) -> ExecutorResults {
-        self.flush_pending();
-        match &mut self.kernel {
-            Kernel::Count(qs) => {
-                for q in qs {
-                    q.finish(&mut self.results);
-                }
-            }
-            Kernel::Stats(qs) => {
-                for q in qs {
-                    q.finish(&mut self.results);
-                }
-            }
-        }
-        self.results
-    }
-
-    /// Total sequences explicitly constructed so far — the two-step cost
-    /// the online approaches avoid.
-    pub fn sequences_constructed(&self) -> u64 {
-        match &self.kernel {
-            Kernel::Count(qs) => qs.iter().map(|q| q.sequences_constructed).sum(),
-            Kernel::Stats(qs) => qs.iter().map(|q| q.sequences_constructed).sum(),
-        }
-    }
-
-    /// Rows that survived the stateless scans, summed over queries —
-    /// comparable to the online engines' per-partition matched counts.
-    pub fn events_matched(&self) -> u64 {
-        match &self.kernel {
-            Kernel::Count(qs) => qs.iter().map(|q| q.events_matched).sum(),
-            Kernel::Stats(qs) => qs.iter().map(|q| q.events_matched).sum(),
-        }
-    }
-
-    /// Per-query `(rows_scanned, rows_selected)` of the scan, in query
-    /// order.
-    pub fn scan_stats(&self) -> Vec<(u64, u64)> {
-        match &self.kernel {
-            Kernel::Count(qs) => qs
-                .iter()
-                .map(|q| (q.rows_scanned, q.rows_selected))
-                .collect(),
-            Kernel::Stats(qs) => qs
-                .iter()
-                .map(|q| (q.rows_scanned, q.rows_selected))
-                .collect(),
-        }
+        common::sharded(n_shards, options, || FlinkLike::new(catalog, workload))
     }
 
     /// Raw events currently buffered across all queries (memory proxy).
     pub fn buffered_events(&self) -> usize {
-        match &self.kernel {
-            Kernel::Count(qs) => qs.iter().map(QueryState::buffered_events).sum(),
-            Kernel::Stats(qs) => qs.iter().map(QueryState::buffered_events).sum(),
-        }
-    }
-}
-
-impl BatchProcessor for FlinkLike {
-    fn process_columnar(&mut self, batch: &EventBatch) {
-        FlinkLike::process_columnar(self, batch);
-    }
-
-    fn late_rows_dropped(&self) -> u64 {
-        FlinkLike::late_rows_dropped(self)
-    }
-
-    fn events_matched(&self) -> u64 {
-        FlinkLike::events_matched(self)
-    }
-
-    fn scan_stats(&self) -> Vec<(u64, u64)> {
-        FlinkLike::scan_stats(self)
-    }
-
-    fn state_size(&self) -> usize {
-        self.buffered_events()
-    }
-
-    fn finish(mut self: Box<Self>) -> (ExecutorResults, u64) {
-        // drain the gate first so the matched count includes released rows
-        self.flush_pending();
-        let matched = FlinkLike::events_matched(&self);
-        ((*self).finish(), matched)
-    }
-}
-
-/// The sharded fan-out path: a subscriber is a query index.
-impl ScopeHost for FlinkLike {
-    const NAME: &'static str = "Flink";
-
-    fn process_scope_rows(&mut self, qi: usize, batch: &EventBatch, rows: &[u32]) {
-        match &mut self.kernel {
-            Kernel::Count(qs) => qs[qi].process_rows(batch, rows, &mut self.results),
-            Kernel::Stats(qs) => qs[qi].process_rows(batch, rows, &mut self.results),
-        }
-    }
-
-    fn process_scope_row(&mut self, qi: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
-        match &mut self.kernel {
-            Kernel::Count(qs) => qs[qi].process_row(ty, time, attrs, true, &mut self.results),
-            Kernel::Stats(qs) => qs[qi].process_row(ty, time, attrs, true, &mut self.results),
-        }
-    }
-
-    fn events_matched(&self) -> u64 {
-        FlinkLike::events_matched(self)
-    }
-
-    fn state_size(&self) -> usize {
-        self.buffered_events()
-    }
-
-    fn finish(self) -> ExecutorResults {
-        FlinkLike::finish(self)
+        self.state_size()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sharon_executor::Executor;
     use sharon_query::parse_workload;
-    use sharon_types::Event;
+    use sharon_types::{Event, EventBatch};
 
     fn ev(ty: EventTypeId, t: u64) -> Event {
         Event::new(ty, Timestamp(t))

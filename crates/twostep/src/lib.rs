@@ -17,15 +17,17 @@
 //! profile the paper reports: latency polynomial in events/window and
 //! memory proportional to the materialized sequences.
 //!
-//! Both baselines implement [`sharon_executor::BatchProcessor`] — they
-//! consume columnar [`sharon_types::EventBatch`]es natively (stateless
-//! scan → stateful dispatch over row indices, no per-row `Event`
-//! materialization) — and [`FlinkLike::sharded`] / [`SpassLike::sharded`]
-//! run them on the route-once sharded runtime (one
-//! [`sharon_executor::ShardProcessor`] wrapper per worker, fanning each
-//! deduplicated routing scope's selection out to its subscribing
-//! queries) for apples-to-apples comparisons with the online engines at
-//! any shard count.
+//! Both baselines are one driver, [`TwoStep`], over different
+//! subscribers (per-query state for Flink-like, per-signature partitions
+//! for SPASS-like): it consumes columnar [`sharon_types::EventBatch`]es
+//! natively (one stateless scan per distinct routing scope → stateful
+//! dispatch over row indices, no per-row `Event` materialization), owns the
+//! event-time gate, and is a [`sharon_executor::BatchProcessor`] as well
+//! as the [`sharon_executor::ShardProcessor`] that [`FlinkLike::sharded`] /
+//! [`SpassLike::sharded`] run on every worker of the route-once sharded
+//! runtime — for apples-to-apples comparisons with the online engines at
+//! any shard count. Sequence construction stays per baseline, so the
+//! baselines share no stateful code with the online runner.
 
 #![warn(missing_docs)]
 
@@ -34,6 +36,7 @@ pub mod construct;
 pub mod flink_like;
 pub mod spass_like;
 
+pub use common::{Family, TwoStep};
 pub use construct::SeqBuffers;
-pub use flink_like::FlinkLike;
-pub use spass_like::SpassLike;
+pub use flink_like::{Flink, FlinkLike};
+pub use spass_like::{Spass, SpassLike};

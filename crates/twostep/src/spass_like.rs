@@ -12,27 +12,20 @@
 //! two-step family remains (Figure 13), with high memory from the
 //! materialized match sets.
 //!
-//! Like every strategy in the system, the baseline is a
-//! [`BatchProcessor`]: [`SpassLike::process_columnar`] runs, per
-//! sharing-signature partition, a compiled scan kernel over the batch
-//! columns that selects row indices, then a stateful dispatch over the
-//! shared value buffer. [`SpassLike::sharded`]
-//! runs the baseline on the route-once parallel runtime: one instance per
-//! worker behind a scope-fanning [`sharon_executor::ShardProcessor`]
-//! wrapper, with identical routing scopes deduplicated.
+//! [`SpassLike`] is the two-step driver ([`TwoStep`]) with one subscriber
+//! per sharing-signature partition, routed by the partition's merged
+//! scope: the driver's scan, event-time gate and fan-out are shared with
+//! Flink-like. [`SpassLike::sharded`] runs the same driver as the shard
+//! worker of the route-once parallel runtime.
 
-use crate::common::{self, ScopeFilter, ScopeHost, TypeTable};
+use crate::common::{self, Family, ScopeFilter, Subscriber, TwoStep, TypeTable};
 use crate::construct::SeqBuffers;
 use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
-use sharon_executor::{
-    BatchProcessor, Executor, ExecutorResults, Reorder, ScanKernel, ShardedExecutor, ShardedOptions,
-};
+use sharon_executor::{ExecutorResults, ShardedExecutor, ShardedOptions};
 use sharon_query::{Query, QueryId, SegmentKind, SharingPlan, Workload};
-use sharon_types::{
-    Catalog, EventBatch, EventStream, EventTypeId, GroupKey, Timestamp, Value, WindowSpec,
-};
+use sharon_types::{Catalog, EventTypeId, GroupKey, Timestamp, Value, WindowSpec};
 use std::collections::{HashMap, VecDeque};
 
 /// A materialized segment match (a constructed sub-sequence).
@@ -69,37 +62,26 @@ struct QueryDef {
 struct Partition<A> {
     window: WindowSpec,
     table: TypeTable,
-    /// Per type id (dense): does any segment route the type?
-    routed: Vec<bool>,
     segs: Vec<SegDef>,
     queries: Vec<QueryDef>,
     /// queries whose *final* stage is each segment
     finalists: Vec<Vec<usize>>,
     groups: HashMap<GroupKey, GroupState<A>>,
     sequences_constructed: u64,
-    /// Rows that survived this partition's stateless scan (routing,
-    /// predicates, grouping) — the same notion of "matched" the online
-    /// engines report per partition.
+    /// Rows this partition folded — the rows its scope selected, the
+    /// same notion of "matched" the online engines report per partition.
     events_matched: u64,
     /// Reused per-row key storage (clone only on first sight of a group).
     key_scratch: GroupKey,
     vals_scratch: Vec<Value>,
-    /// Reused row-selection buffer of the scan.
-    sel_scratch: Vec<u32>,
     /// Reused emission buffer for closing windows.
     emit_scratch: Vec<(u64, A)>,
     /// Reused buffer for the segment matches a single END row constructs.
     match_scratch: Vec<Match<A>>,
-    /// Compiled scan kernel selecting this partition's rows of a batch.
-    scan: ScanKernel,
-    /// Rows examined by this partition's scan.
-    rows_scanned: u64,
-    /// Rows that survived routing + predicates + groupability.
-    rows_selected: u64,
 }
 
-/// Partition `workload` by sharing signature, preserving id order — the
-/// scope order shared by the sequential kernel and the sharded router.
+/// Partition `workload` by sharing signature, preserving id order — one
+/// subscriber (and routing scope) per partition.
 pub(crate) fn signature_partitions(workload: &Workload) -> Vec<Vec<&Query>> {
     let mut parts: Vec<(Vec<&Query>, sharon_query::query::SharingSignature)> = Vec::new();
     for q in workload.queries() {
@@ -174,12 +156,9 @@ impl<A: Aggregate> Partition<A> {
         for (qi, q) in qdefs.iter().enumerate() {
             finalists[*q.stages.last().expect("patterns are non-empty")].push(qi);
         }
-        let routed = crate::common::routed_bitmap(queries);
-        let scan = ScanKernel::new(routed.clone(), &table.group_attrs, &table.predicates);
         Ok(Partition {
             window,
             table,
-            routed,
             segs,
             queries: qdefs,
             finalists,
@@ -188,42 +167,27 @@ impl<A: Aggregate> Partition<A> {
             events_matched: 0,
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
-            sel_scratch: Vec::new(),
             emit_scratch: Vec::new(),
             match_scratch: Vec::new(),
-            scan,
-            rows_scanned: 0,
-            rows_selected: 0,
         })
     }
+}
 
-    /// The shared per-row path of the columnar dispatch, the sharded
-    /// routed dispatch, and the event-time gate's release (`pre_routed`
-    /// rows have already passed routing + predicates + groupability; rows
-    /// the gate admitted raw are checked here).
-    fn process_row(
+impl<A: Aggregate> Subscriber for Partition<A> {
+    /// The per-row path of every dispatch. The partition's scope
+    /// selected the row: routing, predicates and groupability are
+    /// established.
+    fn row(
         &mut self,
         ty: EventTypeId,
         time: Timestamp,
         attrs: &[Value],
-        pre_routed: bool,
         results: &mut ExecutorResults,
     ) {
-        if !pre_routed {
-            if !self.routed.get(ty.index()).copied().unwrap_or(false) {
-                return;
-            }
-            if !self.table.passes(ty, attrs) {
-                return;
-            }
-        }
-        if !self
-            .table
-            .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch)
-        {
-            debug_assert!(!pre_routed, "router selected an ungroupable event");
-            return;
-        }
+        let grouped =
+            self.table
+                .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch);
+        debug_assert!(grouped, "the scope selected an ungroupable event");
         self.events_matched += 1;
         let spec = self.window;
         let slide = spec.slide.millis();
@@ -319,34 +283,6 @@ impl<A: Aggregate> Partition<A> {
         self.match_scratch = new_matches;
     }
 
-    /// Columnar pipeline over one batch: compiled scan → stateful
-    /// dispatch of the selected row indices.
-    fn process_columnar(&mut self, batch: &EventBatch, results: &mut ExecutorResults) {
-        let mut sel = std::mem::take(&mut self.sel_scratch);
-        sel.clear();
-        self.scan.select_into(batch, 0, batch.len(), &mut sel);
-        self.rows_scanned += batch.len() as u64;
-        self.rows_selected += sel.len() as u64;
-        sharon_metrics::record_rows_scanned(batch.len() as u64);
-        sharon_metrics::record_rows_selected(sel.len() as u64);
-        self.process_rows(batch, &sel, results);
-        self.sel_scratch = sel;
-    }
-
-    /// Stateful dispatch of pre-selected rows.
-    fn process_rows(&mut self, batch: &EventBatch, rows: &[u32], results: &mut ExecutorResults) {
-        for &row in rows {
-            let row = row as usize;
-            self.process_row(
-                batch.ty(row),
-                batch.time(row),
-                batch.attrs(row),
-                true,
-                results,
-            );
-        }
-    }
-
     fn finish(&mut self, results: &mut ExecutorResults) {
         let slide = self.window.slide.millis();
         for (key, group) in self.groups.iter_mut() {
@@ -363,7 +299,15 @@ impl<A: Aggregate> Partition<A> {
         }
     }
 
-    fn materialized_matches(&self) -> usize {
+    fn matched(&self) -> u64 {
+        self.events_matched
+    }
+
+    fn sequences(&self) -> u64 {
+        self.sequences_constructed
+    }
+
+    fn state_size(&self) -> usize {
         self.groups
             .values()
             .map(|g| {
@@ -427,21 +371,16 @@ fn join_backward<A: Aggregate>(
     count
 }
 
-enum Kernel {
-    Count(Vec<Partition<CountCell>>),
-    Stats(Vec<Partition<StatsCell>>),
+/// The SPASS-like strategy family (see [`SpassLike`]).
+pub enum Spass {}
+
+impl Family for Spass {
+    const NAME: &'static str = "SPASS";
 }
 
 /// The shared two-step executor: shared sequence construction per plan
 /// candidate, per-query join + aggregation afterwards.
-pub struct SpassLike {
-    kernel: Kernel,
-    results: ExecutorResults,
-    last_time: Timestamp,
-    /// Event-time reorder gate (see [`Reorder`]); `None` keeps the
-    /// historical arrival-order contract.
-    reorder: Option<Reorder>,
-}
+pub type SpassLike = TwoStep<Spass>;
 
 impl SpassLike {
     /// Compile `workload` under `plan` (candidates decide which segment
@@ -468,96 +407,22 @@ impl SpassLike {
                 });
             }
         }
-        let count_only = workload.queries().iter().all(|q| q.agg.is_count_like());
-        let kernel = if count_only {
-            Kernel::Count(
-                parts
-                    .iter()
-                    .map(|qs| Partition::new(catalog, qs, plan))
-                    .collect::<Result<_, _>>()?,
-            )
-        } else {
-            Kernel::Stats(
-                parts
-                    .iter()
-                    .map(|qs| Partition::new(catalog, qs, plan))
-                    .collect::<Result<_, _>>()?,
-            )
-        };
-        Ok(SpassLike {
-            kernel,
-            results: ExecutorResults::new(),
-            last_time: Timestamp::ZERO,
-            reorder: None,
-        })
-    }
-
-    /// Enable event-time processing: input may carry bounded disorder,
-    /// rows buffer behind the watermark `max_time_seen − lateness_ms` and
-    /// release in event-time order; rows behind the watermark are dropped
-    /// and counted. Must be called before any ingestion.
-    pub fn set_lateness(&mut self, lateness_ms: u64) {
-        self.reorder = Some(Reorder::new(lateness_ms));
-    }
-
-    /// Late rows dropped by the event-time gate (0 when no gate).
-    pub fn late_rows_dropped(&self) -> u64 {
-        self.reorder.as_ref().map_or(0, Reorder::late_rows_dropped)
-    }
-
-    /// Dispatch one in-order row to every signature partition (the
-    /// release half of the gated paths).
-    fn dispatch_row(
-        &mut self,
-        ty: EventTypeId,
-        time: Timestamp,
-        attrs: &[Value],
-        pre_routed: bool,
-    ) {
-        match &mut self.kernel {
-            Kernel::Count(ps) => {
-                for p in ps {
-                    p.process_row(ty, time, attrs, pre_routed, &mut self.results);
-                }
-            }
-            Kernel::Stats(ps) => {
-                for p in ps {
-                    p.process_row(ty, time, attrs, pre_routed, &mut self.results);
-                }
-            }
+        let mut scopes = Vec::with_capacity(parts.len());
+        let mut subs: Vec<Box<dyn Subscriber>> = Vec::with_capacity(parts.len());
+        for qs in &parts {
+            scopes.push(ScopeFilter::build(catalog, qs)?);
+            subs.push(if qs.iter().all(|q| q.agg.is_count_like()) {
+                Box::new(Partition::<CountCell>::new(catalog, qs, plan)?)
+            } else {
+                Box::new(Partition::<StatsCell>::new(catalog, qs, plan)?)
+            });
         }
-    }
-
-    /// Advance the gate's watermark and dispatch every released row.
-    fn advance_watermark(&mut self, frontier: Timestamp) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.advance(frontier);
-        self.release_ready();
-    }
-
-    fn release_ready(&mut self) {
-        while let Some(row) = self.reorder.as_mut().and_then(Reorder::pop_ready) {
-            self.dispatch_row(row.ty, row.time, &row.attrs, row.pre_routed);
-            if let Some(gate) = &mut self.reorder {
-                gate.recycle(row);
-            }
-        }
-    }
-
-    /// End-of-stream: open the gate and release everything still buffered.
-    fn flush_pending(&mut self) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.open();
-        self.release_ready();
+        Ok(TwoStep::new_driver(scopes, subs, workload.len()))
     }
 
     /// Run the baseline on the sharded parallel runtime: the batch router
-    /// fans each signature partition's rows out by group hash; one full
-    /// [`SpassLike`] instance per worker consumes only the rows it owns.
+    /// fans each distinct scope's rows out by group hash; one
+    /// [`SpassLike`] per worker consumes only the rows it owns.
     ///
     /// Routing scopes are **deduplicated** like [`crate::FlinkLike::sharded`]'s:
     /// signature partitions whose pattern types, predicates, and
@@ -572,206 +437,23 @@ impl SpassLike {
         n_shards: usize,
         options: &ShardedOptions,
     ) -> Result<ShardedExecutor, CompileError> {
-        if workload.is_empty() {
-            return Err(CompileError::EmptyWorkload);
-        }
-        // one routing scope per signature partition, in the same order the
-        // sequential kernel builds them
-        let scopes = signature_partitions(workload)
-            .iter()
-            .map(|qs| ScopeFilter::build(catalog, qs))
-            .collect::<Result<Vec<_>, _>>()?;
-        common::sharded(scopes, n_shards, options, || {
+        common::sharded(n_shards, options, || {
             SpassLike::new(catalog, workload, plan)
         })
     }
 
-    /// Process a time-ordered columnar batch: each signature partition
-    /// runs its compiled scan + stateful dispatch over the whole batch
-    /// while its state is hot. With an event-time gate, rows are admitted
-    /// raw (so a late row counts as dropped even if no partition routes
-    /// it) and the watermark advances to the batch's maximum timestamp
-    /// afterwards.
-    pub fn process_columnar(&mut self, batch: &EventBatch) {
-        if let Some(gate) = &mut self.reorder {
-            for row in 0..batch.len() {
-                gate.admit(
-                    batch.ty(row),
-                    batch.time(row),
-                    batch.attrs(row),
-                    0,
-                    false,
-                    false,
-                );
-            }
-            if let Some(max) = batch.max_time() {
-                self.advance_watermark(max);
-            }
-            return;
-        }
-        if let Some(&t) = batch.times().last() {
-            debug_assert!(t >= self.last_time, "batches must be time-ordered");
-            self.last_time = t;
-        }
-        match &mut self.kernel {
-            Kernel::Count(ps) => {
-                for p in ps {
-                    p.process_columnar(batch, &mut self.results);
-                }
-            }
-            Kernel::Stats(ps) => {
-                for p in ps {
-                    p.process_columnar(batch, &mut self.results);
-                }
-            }
-        }
-    }
-
-    /// Drain a stream through the baseline in columnar batches.
-    pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
-        let mut buf = EventBatch::with_capacity(Executor::RUN_BATCH, 2);
-        while stream.next_batch_columnar(Executor::RUN_BATCH, &mut buf) > 0 {
-            self.process_columnar(&buf);
-            buf.clear();
-        }
-        self
-    }
-
-    /// Pre-size the result store for about `additional` further results
-    /// per query (capacity planning for allocation-free steady-state
-    /// emission).
-    pub fn reserve_results(&mut self, additional: usize) {
-        let queries: usize = match &self.kernel {
-            Kernel::Count(ps) => ps.iter().map(|p| p.queries.len()).sum(),
-            Kernel::Stats(ps) => ps.iter().map(|p| p.queries.len()).sum(),
-        };
-        self.results.reserve(additional * queries);
-    }
-
-    /// Flush and return all results.
-    pub fn finish(mut self) -> ExecutorResults {
-        self.flush_pending();
-        match &mut self.kernel {
-            Kernel::Count(ps) => {
-                for p in ps {
-                    p.finish(&mut self.results);
-                }
-            }
-            Kernel::Stats(ps) => {
-                for p in ps {
-                    p.finish(&mut self.results);
-                }
-            }
-        }
-        self.results
-    }
-
-    /// Segment matches plus joined sequences constructed so far.
-    pub fn sequences_constructed(&self) -> u64 {
-        match &self.kernel {
-            Kernel::Count(ps) => ps.iter().map(|p| p.sequences_constructed).sum(),
-            Kernel::Stats(ps) => ps.iter().map(|p| p.sequences_constructed).sum(),
-        }
-    }
-
     /// Materialized matches + buffered events (memory proxy).
     pub fn materialized_matches(&self) -> usize {
-        match &self.kernel {
-            Kernel::Count(ps) => ps.iter().map(Partition::materialized_matches).sum(),
-            Kernel::Stats(ps) => ps.iter().map(Partition::materialized_matches).sum(),
-        }
-    }
-
-    /// Rows that survived the stateless scans, summed over signature
-    /// partitions — comparable to the online engines' matched counts.
-    pub fn events_matched(&self) -> u64 {
-        match &self.kernel {
-            Kernel::Count(ps) => ps.iter().map(|p| p.events_matched).sum(),
-            Kernel::Stats(ps) => ps.iter().map(|p| p.events_matched).sum(),
-        }
-    }
-
-    /// Per-partition `(rows_scanned, rows_selected)` of the scan, in
-    /// partition order.
-    pub fn scan_stats(&self) -> Vec<(u64, u64)> {
-        match &self.kernel {
-            Kernel::Count(ps) => ps
-                .iter()
-                .map(|p| (p.rows_scanned, p.rows_selected))
-                .collect(),
-            Kernel::Stats(ps) => ps
-                .iter()
-                .map(|p| (p.rows_scanned, p.rows_selected))
-                .collect(),
-        }
-    }
-}
-
-impl BatchProcessor for SpassLike {
-    fn process_columnar(&mut self, batch: &EventBatch) {
-        SpassLike::process_columnar(self, batch);
-    }
-
-    fn late_rows_dropped(&self) -> u64 {
-        SpassLike::late_rows_dropped(self)
-    }
-
-    fn events_matched(&self) -> u64 {
-        SpassLike::events_matched(self)
-    }
-
-    fn scan_stats(&self) -> Vec<(u64, u64)> {
-        SpassLike::scan_stats(self)
-    }
-
-    fn state_size(&self) -> usize {
-        self.materialized_matches()
-    }
-
-    fn finish(mut self: Box<Self>) -> (ExecutorResults, u64) {
-        // drain the gate first so the matched count includes released rows
-        self.flush_pending();
-        let matched = SpassLike::events_matched(&self);
-        ((*self).finish(), matched)
-    }
-}
-
-/// The sharded fan-out path: a subscriber is a signature-partition index.
-impl ScopeHost for SpassLike {
-    const NAME: &'static str = "SPASS";
-
-    fn process_scope_rows(&mut self, pi: usize, batch: &EventBatch, rows: &[u32]) {
-        match &mut self.kernel {
-            Kernel::Count(ps) => ps[pi].process_rows(batch, rows, &mut self.results),
-            Kernel::Stats(ps) => ps[pi].process_rows(batch, rows, &mut self.results),
-        }
-    }
-
-    fn process_scope_row(&mut self, pi: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
-        match &mut self.kernel {
-            Kernel::Count(ps) => ps[pi].process_row(ty, time, attrs, true, &mut self.results),
-            Kernel::Stats(ps) => ps[pi].process_row(ty, time, attrs, true, &mut self.results),
-        }
-    }
-
-    fn events_matched(&self) -> u64 {
-        SpassLike::events_matched(self)
-    }
-
-    fn state_size(&self) -> usize {
-        self.materialized_matches()
-    }
-
-    fn finish(self) -> ExecutorResults {
-        SpassLike::finish(self)
+        self.state_size()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sharon_executor::Executor;
     use sharon_query::{parse_workload, Pattern, PlanCandidate};
-    use sharon_types::Event;
+    use sharon_types::{Event, EventBatch};
 
     fn ev(ty: EventTypeId, t: u64) -> Event {
         Event::new(ty, Timestamp(t))

@@ -1075,16 +1075,10 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
     let workload = parse_workload(&mut catalog, sources.iter().map(String::as_str)).unwrap();
 
     const BATCHES: usize = 8;
-    // flush threshold = the generator's batch size, so `process_shared`
-    // dispatches exactly BATCHES chunks
+    // flush threshold = the generator's batch size, so one pushed batch is
+    // exactly one routed chunk
     const BATCH_SIZE: usize = BATCH_ROWS;
     let (batches, _) = build_pair_batches(&catalog, BATCHES, 0);
-    let mut whole = EventBatch::with_capacity(BATCHES * BATCH_SIZE, 2);
-    for b in &batches {
-        whole.extend_from_range(b, 0, b.len());
-    }
-    assert_eq!(whole.len(), BATCHES * BATCH_SIZE);
-    let shared = Arc::new(whole);
 
     let mut sequential = FlinkLike::new(&catalog, &workload).unwrap();
     for b in &batches {
@@ -1101,7 +1095,9 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
         };
         let mut sharded = FlinkLike::sharded(&catalog, &workload, 3, &options).unwrap();
         let scans_before = sharon_metrics::router_scope_scans();
-        sharded.process_shared(&shared);
+        for b in &batches {
+            sharded.process_columnar(b);
+        }
         let got = sharded.finish(); // drains the pipeline: all chunks routed
         let scans = sharon_metrics::router_scope_scans() - scans_before;
         assert_eq!(

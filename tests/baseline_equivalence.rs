@@ -8,7 +8,8 @@
 //! batch (the per-event cadence), on all three paper streams and over
 //! ragged batch sizes (empty and single-event batches included): neither
 //! the batch size nor sharding is ever a semantics change — not even on a
-//! Zipf-skewed stream, where every strategy still agrees.
+//! Zipf-skewed stream, where every strategy still agrees, nor under
+//! below-bound disorder, where both forms drop the same late rows.
 
 use proptest::prelude::*;
 use sharon::executor::ShardedOptions;
@@ -408,7 +409,7 @@ proptest! {
         let spass_want = reference.finish();
 
         // both baselines through their one sharded constructor — and so
-        // through the one shared `ScopeFanShard` — on one router and two,
+        // through the one two-step driver as shard worker — on one router and two,
         // arrival order and event time (the stream is in order, so any
         // lateness covers it); a small flush threshold forces mid-stream
         // route-once fan-outs
@@ -579,6 +580,77 @@ fn baseline_matched_counts_agree_across_paths() {
                 "{} ({routers} router(s)): sharded matched count diverges",
                 strategy.name()
             );
+        }
+    }
+}
+
+/// Below-bound disorder: the lateness covers only part of the shuffle, so
+/// late rows are dropped. A sequential baseline and a sharded one gate the
+/// same selected rows against the same per-batch watermark, so they agree
+/// on the results and on the drop count — one per selected row and
+/// distinct scope — at every shard count and plane size.
+#[test]
+fn baselines_drop_late_rows_alike_sequential_and_sharded() {
+    const BATCH: usize = 128;
+    let mut catalog = Catalog::new();
+    let mut events = taxi::generate(
+        &mut catalog,
+        &TaxiConfig {
+            n_events: 3000,
+            n_streets: 7,
+            n_vehicles: 40,
+            ..Default::default()
+        },
+    );
+    let workload = figure_1_workload(&mut catalog);
+    sharon::streams::scramble_events(&mut events, 64, 0x0DD5_EED5);
+    let required = sharon::streams::required_lateness(&EventBatch::from_events(&events));
+    let lateness = required / 8; // deliberately below the bound
+    let rates = RateMap::uniform(100.0);
+    let build = |strategy: Strategy, shards: usize, routers: usize| {
+        SharonBuilder::new(&catalog, &workload, &rates)
+            .strategy(strategy)
+            .shards(shards)
+            .routers(routers)
+            .batch_size(BATCH)
+            .lateness(lateness)
+            .build_executor()
+            .expect("workload compiles")
+            .0
+    };
+
+    for strategy in [Strategy::FlinkLike, Strategy::SpassLike] {
+        // sequential, over the ingest-batch boundaries the sharded
+        // runtime flushes at (the watermark advances once per batch)
+        let mut sequential = build(strategy, 0, 1);
+        for chunk in events.chunks(BATCH) {
+            sequential.process_columnar(&EventBatch::from_events(chunk));
+        }
+        let want_drops = sequential.late_rows_dropped();
+        let want = sequential.finish();
+        assert!(
+            want_drops > 0,
+            "{}: lateness {lateness} below {required} must drop rows",
+            strategy.name()
+        );
+
+        let batch = EventBatch::from_events(&events);
+        for shards in support::shard_counts(&[1, 2, 8]) {
+            for routers in support::router_counts() {
+                let before = sharon::metrics::late_rows_dropped();
+                let mut sharded = build(strategy, shards, routers);
+                sharded.process_columnar(&batch);
+                let got = sharded.finish();
+                let dropped = sharon::metrics::late_rows_dropped() - before;
+                let label = format!("{} {shards} shards, {routers} router(s)", strategy.name());
+                assert_eq!(dropped, want_drops, "{label}: late-drop count");
+                assert!(
+                    got.semantically_eq(&want, 1e-9),
+                    "{label}: results diverge ({} vs {})",
+                    got.len(),
+                    want.len()
+                );
+            }
         }
     }
 }

@@ -452,11 +452,10 @@ fn below_bound_lateness_drops_and_counts() {
     }
 }
 
-/// The event-time contract of the one columnar entry point: a gated
-/// online engine admits only the rows its scan kernel selected, so a late
-/// row no partition routes is neither admitted nor counted. The sequential
-/// Flink-like baseline admits raw rows before its per-query scans and so
-/// counts that row too — the documented difference.
+/// The event-time contract of the one columnar entry point: every gated
+/// executor admits only the rows its scans selected, so a late row no
+/// scope routes is neither admitted nor counted — the online engines and
+/// both two-step baselines drop exactly the late routed row.
 #[test]
 fn unrouted_rows_are_never_admitted_or_counted() {
     let mut catalog = Catalog::new();
@@ -485,23 +484,28 @@ fn unrouted_rows_are_never_admitted_or_counted() {
     online.set_lateness(1_000);
     let mut flink = sharon::twostep::FlinkLike::new(&catalog, &workload).unwrap();
     flink.set_lateness(1_000);
+    let plan = SharingPlan::non_shared();
+    let mut spass = sharon::twostep::SpassLike::new(&catalog, &workload, &plan).unwrap();
+    spass.set_lateness(1_000);
     for batch in &batches {
         online.process_columnar(batch);
         flink.process_columnar(batch);
+        spass.process_columnar(batch);
     }
-    assert_eq!(
-        online.late_rows_dropped(),
-        1,
-        "only the late A is dropped and counted; the late X is never admitted"
-    );
-    assert_eq!(
-        flink.late_rows_dropped(),
-        2,
-        "the Flink-like gate admits raw rows, the unrouted late X included"
-    );
-    let (online, flink) = (online.finish(), flink.finish());
+    for (name, dropped) in [
+        ("online", online.late_rows_dropped()),
+        ("flink", flink.late_rows_dropped()),
+        ("spass", spass.late_rows_dropped()),
+    ] {
+        assert_eq!(
+            dropped, 1,
+            "{name}: only the late A is dropped and counted; the late X is never admitted"
+        );
+    }
+    let online = online.finish();
     assert!(!online.is_empty(), "A@1000 completes with both Bs");
-    assert!(flink.semantically_eq(&online, 1e-9));
+    assert!(flink.finish().semantically_eq(&online, 1e-9));
+    assert!(spass.finish().semantically_eq(&online, 1e-9));
 }
 
 /// The strategy layer round-trips: `SharonBuilder::build_executor`

@@ -528,3 +528,47 @@ proptest! {
         );
     }
 }
+
+/// A gated run reads its matched count after draining its event-time
+/// gate, sequentially as sharded: under a lateness that covers the
+/// stream's disorder, the rows still buffered when the stream ends count
+/// too, so `shards(0)` and every shard count report the same total.
+#[test]
+fn gated_matched_counts_agree_across_shard_counts() {
+    let mut catalog = Catalog::new();
+    let mut events = taxi::generate(
+        &mut catalog,
+        &TaxiConfig {
+            n_events: 5000,
+            ..Default::default()
+        },
+    );
+    let workload = figure_1_workload(&mut catalog);
+    sharon::streams::scramble_events(&mut events, 16, 0x6A7E_D0C5);
+    let batch = EventBatch::from_events(&events);
+    let lateness = sharon::streams::required_lateness(&batch);
+    assert!(lateness > 0, "the shuffle must introduce disorder");
+    let rates = RateMap::uniform(100.0);
+    let run = |shards: usize| {
+        let (mut ex, _) = SharonBuilder::new(&catalog, &workload, &rates)
+            .shards(shards)
+            .lateness(lateness)
+            .build_executor()
+            .expect("workload compiles");
+        ex.process_columnar(&batch);
+        ex.finish_with_matched()
+    };
+    let (want, want_matched) = run(0);
+    assert!(!want.is_empty());
+    for shards in shard_counts() {
+        let (got, matched) = run(shards);
+        assert_eq!(
+            matched, want_matched,
+            "{shards} shards: matched count differs from the sequential run"
+        );
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "{shards} shards: gated results diverge"
+        );
+    }
+}
