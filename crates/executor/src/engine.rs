@@ -300,10 +300,11 @@ pub struct Engine<A: Aggregate> {
     events_matched: u64,
     /// Event-time reorder gate (`None` = arrival order is event-time
     /// order, the historical contract; the disabled hot path pays one
-    /// branch). When set, rows buffer behind the watermark
-    /// `max_time_seen − lateness` and release in event-time order; rows
-    /// behind the watermark are dropped and counted.
-    reorder: Option<Reorder>,
+    /// branch, and boxing keeps it one word). When set, rows buffer
+    /// behind the watermark `max_time_seen − lateness` and release in
+    /// event-time order; rows behind the watermark are dropped and
+    /// counted.
+    reorder: Option<Box<Reorder>>,
     /// Compiled scan kernel selecting the rows of
     /// [`Engine::process_columnar`].
     scan: ScanKernel,
@@ -347,17 +348,17 @@ impl<A: Aggregate> Engine<A> {
     /// counted ([`sharon_metrics::late_rows_dropped`]). Exact whenever
     /// `lateness` covers the stream's disorder bound.
     pub fn set_lateness(&mut self, lateness_ms: u64) {
-        self.reorder = Some(Reorder::new(lateness_ms));
+        self.reorder = Some(Box::new(Reorder::new(lateness_ms)));
     }
 
     /// Late rows this engine dropped (0 when no gate is configured).
     pub fn late_rows_dropped(&self) -> u64 {
-        self.reorder.as_ref().map_or(0, Reorder::late_rows_dropped)
+        self.reorder.as_ref().map_or(0, |g| g.late_rows_dropped())
     }
 
     /// The engine's current watermark (`None` when no gate is configured).
     pub fn watermark(&self) -> Option<Timestamp> {
-        self.reorder.as_ref().map(Reorder::watermark)
+        self.reorder.as_ref().map(|g| g.watermark())
     }
 
     /// Enable the LRU spill tier: at most `config.max_resident` groups
@@ -395,44 +396,27 @@ impl<A: Aggregate> Engine<A> {
         }
     }
 
-    /// The per-row entry of every selected row: goes straight to the
-    /// in-order path, or — with an event-time gate configured — through
-    /// the reorder gate, which buffers the row for watermark-ordered
-    /// release (or drops and counts it as late). Only rows the scan or
-    /// the batch router selected get here, so an unrouted row is never
+    /// The entry of a batch's selected `rows`: straight to the in-order
+    /// row path, or — with an event-time gate configured — through the
+    /// gate in one call that admits them (dropping and counting late
+    /// ones), advances its watermark to `frontier − lateness` and
+    /// releases every row the watermark passed, in event-time order,
+    /// while `batch` is alive to lend their attributes. Only rows the scan
+    /// or the batch router selected get here, so an unrouted row is never
     /// admitted or counted.
     #[inline]
-    fn process_row(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
-        match &mut self.reorder {
-            None => self.process_row_inner(ty, time, attrs),
-            Some(gate) => {
-                gate.admit(ty, time, attrs, 0, true, false);
+    fn process_rows(&mut self, batch: &EventBatch, rows: &[u32], frontier: Timestamp) {
+        let Some(mut gate) = self.reorder.take() else {
+            for &row in rows {
+                let row = row as usize;
+                self.process_row(batch.ty(row), batch.time(row), batch.attrs(row));
             }
-        }
-    }
-
-    /// Advance the event-time watermark to `frontier − lateness`
-    /// (monotone) and release every buffered row the watermark has
-    /// passed, in event-time order, into the in-order row path. A no-op
-    /// without a configured gate. The sharded runtime calls this with the
-    /// router's merged cross-shard frontier; the sequential path
-    /// self-advances per batch.
-    pub fn advance_watermark(&mut self, frontier: Timestamp) {
-        let Some(gate) = &mut self.reorder else {
             return;
         };
-        gate.advance(frontier);
-        self.release_ready();
-    }
-
-    /// Drain every gate-buffered row the current watermark has passed.
-    fn release_ready(&mut self) {
-        while let Some(row) = self.reorder.as_mut().and_then(Reorder::pop_ready) {
-            self.process_row_inner(row.ty, row.time, &row.attrs);
-            if let Some(gate) = &mut self.reorder {
-                gate.recycle(row);
-            }
-        }
+        gate.process(batch, [rows], frontier, |ty, time, attrs, _| {
+            self.process_row(ty, time, attrs)
+        });
+        self.reorder = Some(gate);
     }
 
     /// End-of-stream: open the gate and release everything still
@@ -441,11 +425,10 @@ impl<A: Aggregate> Engine<A> {
     /// ([`Engine::events_matched`], [`Engine::cell_count`]) must call it
     /// first — buffered rows still count toward both.
     pub fn flush_pending(&mut self) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.open();
-        self.release_ready();
+        if let Some(mut gate) = self.reorder.take() {
+            gate.flush(|ty, time, attrs, _| self.process_row(ty, time, attrs));
+            self.reorder = Some(gate);
+        }
     }
 
     /// The shared in-order row path of every entry point. Every row here
@@ -453,7 +436,7 @@ impl<A: Aggregate> Engine<A> {
     /// routing, this partition's predicates, groupability and shard
     /// ownership are already established.
     #[inline]
-    fn process_row_inner(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
+    fn process_row(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
         debug_assert!(time >= self.last_time, "events must be time-ordered");
         self.last_time = time;
 
@@ -619,7 +602,7 @@ impl<A: Aggregate> Engine<A> {
         // event-time state: watermark + pending (not-yet-released) rows,
         // so a resume under disorder is crash-exact
         w.bool(self.reorder.is_some());
-        if let Some(gate) = &self.reorder {
+        if let Some(gate) = &mut self.reorder {
             gate.save_state(w);
         }
     }
@@ -702,35 +685,24 @@ impl<A: Aggregate> Engine<A> {
         self.rows_selected += selected;
         sharon_metrics::record_rows_scanned(batch.len() as u64);
         sharon_metrics::record_rows_selected(selected);
-        self.process_rows(batch, &sel);
+        // event-time mode: the batch's time-column max (tracked on append
+        // by `EventBatch::push_from`) is this engine's frontier
+        let frontier = batch.max_time().unwrap_or(Timestamp::ZERO);
+        self.process_rows(batch, &sel, frontier);
         self.sel_scratch = sel;
-        // event-time mode: the batch's time-column max (tracked by the
-        // stateless scan in `EventBatch::push_from`) is this engine's
-        // frontier — advance once per batch, after admitting its rows
-        if self.reorder.is_some() {
-            if let Some(max) = batch.max_time() {
-                self.advance_watermark(max);
-            }
-        }
     }
 
-    /// Process the pre-routed rows `rows` of `batch`, in order.
+    /// Process the pre-routed rows `rows` of `batch`, in order, with the
+    /// event-time gate (if any) advancing to `frontier` — the router's
+    /// merged cross-shard frontier stamped on the chunk.
     ///
     /// The caller asserts that every listed row routes into this
     /// partition, passes its predicates, and belongs to a group this
     /// engine owns — the sharded runtime's batch router establishes
     /// exactly this once per batch, so shard workers never re-evaluate
     /// the stateless prefix for rows they do not own.
-    pub fn process_routed(&mut self, batch: &EventBatch, rows: &[u32]) {
-        self.process_rows(batch, rows);
-    }
-
-    #[inline]
-    fn process_rows(&mut self, batch: &EventBatch, rows: &[u32]) {
-        for &row in rows {
-            let row = row as usize;
-            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row));
-        }
+    pub fn process_routed(&mut self, batch: &EventBatch, rows: &[u32], frontier: Timestamp) {
+        self.process_rows(batch, rows, frontier);
     }
 
     /// Pre-size the result store for about `additional` further results
@@ -1082,10 +1054,10 @@ impl EngineKind {
 
     /// Process pre-routed rows of a columnar batch (see
     /// [`Engine::process_routed`]).
-    pub fn process_routed(&mut self, batch: &EventBatch, rows: &[u32]) {
+    pub fn process_routed(&mut self, batch: &EventBatch, rows: &[u32], frontier: Timestamp) {
         match self {
-            EngineKind::Count(en) => en.process_routed(batch, rows),
-            EngineKind::Stats(en) => en.process_routed(batch, rows),
+            EngineKind::Count(en) => en.process_routed(batch, rows, frontier),
+            EngineKind::Stats(en) => en.process_routed(batch, rows, frontier),
         }
     }
 
@@ -1102,15 +1074,6 @@ impl EngineKind {
         match self {
             EngineKind::Count(en) => en.set_lateness(lateness_ms),
             EngineKind::Stats(en) => en.set_lateness(lateness_ms),
-        }
-    }
-
-    /// Advance the event-time watermark and release ready rows (see
-    /// [`Engine::advance_watermark`]).
-    pub fn advance_watermark(&mut self, frontier: Timestamp) {
-        match self {
-            EngineKind::Count(en) => en.advance_watermark(frontier),
-            EngineKind::Stats(en) => en.advance_watermark(frontier),
         }
     }
 
@@ -1382,16 +1345,11 @@ impl crate::processor::BatchProcessor for Executor {
 /// [`ShardSlice`] engines, fed the router's row lists instead of scanning.
 impl ShardProcessor for Executor {
     fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        for (engine, list) in self.engines.iter_mut().zip(&rows.per_part) {
-            if !list.is_empty() {
-                engine.process_routed(batch, list);
-            }
-        }
         // event-time mode: the router stamped every chunk with the merged
-        // cross-shard frontier, so each engine's watermark advances here,
-        // after the chunk's rows were admitted (a no-op without a gate)
-        for engine in &mut self.engines {
-            engine.advance_watermark(rows.frontier);
+        // cross-shard frontier, and a gated engine advances to it even
+        // when the chunk holds none of its rows
+        for (engine, list) in self.engines.iter_mut().zip(&rows.per_part) {
+            engine.process_routed(batch, list, rows.frontier);
         }
     }
 

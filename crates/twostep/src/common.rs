@@ -465,42 +465,24 @@ impl<F: Family> TwoStep<F> {
     }
 
     /// The one dispatch path: `lists` (parallel to the distinct scopes)
-    /// go to every subscriber of their scope, or through the gate, whose
-    /// watermark then advances to `frontier`.
+    /// go to every subscriber of their scope, or through the gate, which
+    /// admits them, advances to `frontier` and fans every row it releases
+    /// out to that row's scope.
     fn dispatch(&mut self, batch: &EventBatch, lists: &[Vec<u32>], frontier: Timestamp) {
+        let (fan, subs, results) = (&self.fan, &mut self.subs, &mut self.results);
         let Some(gate) = &mut self.gate else {
-            for (list, fan) in lists.iter().zip(&self.fan) {
+            for (list, fan) in lists.iter().zip(fan) {
                 if list.is_empty() {
                     continue;
                 }
                 for &sub in fan {
-                    self.subs[sub].rows(batch, list, &mut self.results);
+                    subs[sub].rows(batch, list, results);
                 }
             }
             return;
         };
-        for (scope, list) in lists.iter().enumerate() {
-            for &row in list {
-                let row = row as usize;
-                let (ty, time, attrs) = (batch.ty(row), batch.time(row), batch.attrs(row));
-                gate.admit(ty, time, attrs, scope as u32, true, false);
-            }
-        }
-        gate.advance(frontier);
-        self.release_ready();
-    }
-
-    /// Fan every row the watermark has passed out to its scope's
-    /// subscribers.
-    fn release_ready(&mut self) {
-        while let Some(row) = self.gate.as_mut().and_then(Reorder::pop_ready) {
-            for &sub in &self.fan[row.scope as usize] {
-                self.subs[sub].row(row.ty, row.time, &row.attrs, &mut self.results);
-            }
-            if let Some(gate) = &mut self.gate {
-                gate.recycle(row);
-            }
-        }
+        let lists = lists.iter().map(Vec::as_slice);
+        gate.process(batch, lists, frontier, fan_out(fan, subs, results));
     }
 
     /// Pre-size the result store for about `additional` further results
@@ -531,9 +513,8 @@ impl<F: Family> TwoStep<F> {
     /// and state counts and flush every open window.
     fn report(mut self) -> ShardReport {
         if let Some(gate) = &mut self.gate {
-            gate.open();
+            gate.flush(fan_out(&self.fan, &mut self.subs, &mut self.results));
         }
-        self.release_ready();
         let events_matched = self.events_matched();
         let state_size = self.state_size();
         for sub in &mut self.subs {
@@ -593,6 +574,20 @@ impl<F: Family> ShardProcessor for TwoStep<F> {
 
     fn finish(self: Box<Self>) -> ShardReport {
         (*self).report()
+    }
+}
+
+/// The gate's release path: every released row goes to each subscriber
+/// of its scope.
+fn fan_out<'a>(
+    fan: &'a [Vec<usize>],
+    subs: &'a mut [Box<dyn Subscriber>],
+    results: &'a mut ExecutorResults,
+) -> impl FnMut(EventTypeId, Timestamp, &[Value], u32) + 'a {
+    move |ty, time, attrs, scope| {
+        for &sub in &fan[scope as usize] {
+            subs[sub].row(ty, time, attrs, results);
+        }
     }
 }
 

@@ -318,13 +318,26 @@ fn multi_scope_router_is_allocation_free_through_the_shared_type_pass() {
     );
 }
 
+/// Scramble every batch with a bounded shuffle; returns the lateness that
+/// covers the disorder within each batch.
+fn scramble(warmup: &mut [EventBatch], measured: &mut [EventBatch]) -> u64 {
+    const DISORDER: u32 = 32;
+    let mut need = 0u64;
+    for (i, batch) in warmup.iter_mut().chain(measured).enumerate() {
+        sharon::streams::scramble_batch(batch, DISORDER, 0xA110_C000 + i as u64);
+        need = need.max(sharon::streams::required_lateness(batch));
+    }
+    assert!(need > 0, "the shuffle must actually disorder the stream");
+    need
+}
+
 #[test]
 fn watermark_tracking_is_allocation_free_after_warmup() {
     let _serial = serial();
     // event-time gating: a bounded-disorder stream through a gated engine
-    // reuses the reorder gate's pooled row buffers and warmed heap — the
-    // steady-state cost of watermark tracking is zero allocations
-    const DISORDER: u32 = 32;
+    // — the gate borrows released rows from the batch and copies only the
+    // rows that wait into a carry whose buffers swap, so the steady-state
+    // cost of watermark tracking is zero allocations
     let mut catalog = Catalog::new();
     catalog.register_with_schema("A", Schema::new(["g", "v"]));
     let workload = parse_workload(
@@ -336,16 +349,11 @@ fn watermark_tracking_is_allocation_free_after_warmup() {
 
     let (mut warmup, t) = build_batches(&catalog, WARMUP_BATCHES, 0);
     let (mut measured, _) = build_batches(&catalog, MEASURED_BATCHES, t);
-    let mut need = 0u64;
-    for (i, batch) in warmup.iter_mut().chain(measured.iter_mut()).enumerate() {
-        sharon::streams::scramble_batch(batch, DISORDER, 0xA110_C000 + i as u64);
-        need = need.max(sharon::streams::required_lateness(batch));
-    }
-    assert!(need > 0, "the shuffle must actually disorder the stream");
+    let need = scramble(&mut warmup, &mut measured);
     executor.set_lateness(need);
 
-    // warm up: groups, scratch buffers, the gate's pending heap, and its
-    // row-buffer pool all reach steady-state capacity
+    // warm up: groups, scratch buffers and the gate's fresh list, carry
+    // and spare carry all reach steady-state capacity
     for batch in &warmup {
         executor.process_columnar(batch);
     }
@@ -377,6 +385,106 @@ fn watermark_tracking_is_allocation_free_after_warmup() {
     );
     let results = executor.finish();
     assert!(results.len() > 1000, "windows closed and emitted");
+
+    // the same gate in the two-step driver, fanning released rows out to
+    // a Flink-like query that constructs SEQ(A, B) sequences
+    catalog.register_with_schema("B", Schema::new(["g", "v"]));
+    let pairs = parse_workload(
+        &mut catalog,
+        ["RETURN COUNT(*) PATTERN SEQ(A, B) GROUP BY g WITHIN 8 ms SLIDE 4 ms"],
+    )
+    .unwrap();
+    let mut flink = FlinkLike::new(&catalog, &pairs).unwrap();
+    let (mut warmup, t) = build_pair_batches(&catalog, WARMUP_BATCHES, 0);
+    let (mut measured, _) = build_pair_batches(&catalog, MEASURED_BATCHES, t);
+    flink.set_lateness(scramble(&mut warmup, &mut measured));
+    for batch in &warmup {
+        flink.process_columnar(batch);
+    }
+    flink.reserve_results(expected_results);
+    let constructed_before = flink.sequences_constructed();
+    let (_, allocs) = alloc::measure_allocs(|| {
+        for batch in &measured {
+            flink.process_columnar(batch);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "a gated Flink-like driver must not allocate in steady state \
+         ({MEASURED_BATCHES} disordered batches performed {allocs} allocations)"
+    );
+    assert!(flink.sequences_constructed() > constructed_before);
+    assert_eq!(flink.late_rows_dropped(), 0);
+
+    // the gate behind `.shards(1)`: ingest copy, router thread, worker
+    // ring and the worker's gated engine. `measure_allocs` sees only the
+    // calling thread, so this phase reads the process-wide count while
+    // `serial()` keeps every other test of this binary idle, and feeds one
+    // batch at a time, waiting for the worker to release its rows: how
+    // many row lists the full rings hold back depends on thread timing,
+    // and a pool that takes more of them back than ever before grows.
+    // The runtime cannot reserve result space, so a window longer than
+    // the stream keeps result emission out of the measured phase.
+    let long = parse_workload(
+        &mut catalog,
+        ["RETURN COUNT(*) PATTERN SEQ(A) GROUP BY g WITHIN 60 s SLIDE 60 s"],
+    )
+    .unwrap();
+    let (mut warmup, t) = build_batches(&catalog, WARMUP_BATCHES, 0);
+    let (mut measured, _) = build_batches(&catalog, MEASURED_BATCHES, t);
+    let need = scramble(&mut warmup, &mut measured);
+    // the rows the worker has released after each batch: a sequential
+    // gated engine fed the same batches releases the same rows
+    let mut reference = Executor::non_shared(&catalog, &long).unwrap();
+    reference.set_lateness(need);
+    let released: Vec<u64> = warmup
+        .iter()
+        .chain(&measured)
+        .map(|batch| {
+            reference.process_columnar(batch);
+            reference.events_matched()
+        })
+        .collect();
+    let options = ShardedOptions {
+        batch_size: BATCH_ROWS,
+        routers: 1,
+        lateness: Some(need),
+        ..ShardedOptions::default()
+    };
+    let plan = SharingPlan::non_shared();
+    let mut sharded = ShardedExecutor::with_options(&catalog, &long, &plan, 1, options).unwrap();
+    let caught_up = |sharded: &ShardedExecutor, want: u64| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while sharded.events_matched() < want {
+            assert!(std::time::Instant::now() < deadline, "the worker stalled");
+            std::thread::yield_now();
+        }
+    };
+    // the last warm-up batches go one at a time too, so the router's row
+    // list pool has taken back every list the full rings held
+    for (i, batch) in warmup.iter().enumerate() {
+        sharded.process_columnar(batch);
+        if i + 8 >= WARMUP_BATCHES {
+            caught_up(&sharded, released[i]);
+        }
+    }
+    let before = alloc::alloc_count();
+    for (batch, &want) in measured.iter().zip(&released[WARMUP_BATCHES..]) {
+        sharded.process_columnar(batch);
+        caught_up(&sharded, want);
+    }
+    let allocs = alloc::alloc_count() - before;
+    assert_eq!(
+        allocs, 0,
+        "a gated `.shards(1)` runtime must not allocate in steady state \
+         ({MEASURED_BATCHES} disordered batches performed {allocs} allocations)"
+    );
+    let (got, matched, _) = sharded.finish_with_stats();
+    assert_eq!(
+        matched,
+        (WARMUP_BATCHES + MEASURED_BATCHES) as u64 * BATCH_ROWS as u64
+    );
+    assert!(got.semantically_eq(&reference.finish(), 0.0));
 }
 
 #[test]
@@ -814,7 +922,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
             let engines = &mut shards[shard];
             for (pi, engine) in engines.iter_mut().enumerate() {
                 if !rows.per_part[pi].is_empty() {
-                    engine.process_routed(&batch, &rows.per_part[pi]);
+                    engine.process_routed(&batch, &rows.per_part[pi], rows.frontier);
                 }
             }
             drop(batch);
@@ -986,7 +1094,7 @@ fn two_router_plane_is_allocation_free_after_warmup() {
                 let (batch, mut rows) = shard_rings[ri][shard].1.recv().unwrap();
                 for (pi, engine) in engines.iter_mut().enumerate() {
                     if !rows.per_part[pi].is_empty() {
-                        engine.process_routed(&batch, &rows.per_part[pi]);
+                        engine.process_routed(&batch, &rows.per_part[pi], rows.frontier);
                     }
                 }
                 drop(batch);

@@ -100,6 +100,10 @@ fn sequential_reference(
 /// crash), discard the runtime without finishing, resume from the latest
 /// checkpoint, replay the stream from the returned offset, and require
 /// results semantically identical to an uninterrupted sequential run.
+/// Under `SHARON_DISORDER` the runtime ingests the bounded-disorder
+/// shuffle with a covering lateness, so every checkpoint carries the
+/// event-time gates' waiting rows, and must still match the in-order
+/// reference.
 fn assert_kill_and_resume_is_exact(
     catalog: &Catalog,
     workload: &Workload,
@@ -110,6 +114,10 @@ fn assert_kill_and_resume_is_exact(
 ) {
     let want = sequential_reference(catalog, workload, plan, events);
     assert!(!want.is_empty(), "{label}: stream must produce matches");
+    let (events, lateness) = match support::disordered(events) {
+        Some((shuffled, need)) => (shuffled, Some(need)),
+        None => (events.to_vec(), None),
+    };
 
     let n_batches = (events.len() as u64).div_ceil(BATCH as u64);
     assert!(
@@ -125,6 +133,7 @@ fn assert_kill_and_resume_is_exact(
             let options = ShardedOptions {
                 batch_size: BATCH,
                 routers,
+                lateness,
                 checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
                 fault: Some(FaultPlan::Drop { batch: crash_batch }),
                 ..ShardedOptions::default()
@@ -133,7 +142,7 @@ fn assert_kill_and_resume_is_exact(
             let mut crashing =
                 ShardedExecutor::with_options(catalog, workload, plan, shards, options.clone())
                     .expect("sharded compiles");
-            crashing.process_columnar(&EventBatch::from_events(events));
+            crashing.process_columnar(&EventBatch::from_events(&events));
             // simulated crash: everything after the last checkpoint is lost
             drop(crashing);
 
@@ -272,9 +281,13 @@ fn reorder_fault_kill_and_resume_is_exact() {
     let plan = sharon_plan(&workload);
     let want = sequential_reference(&catalog, &workload, &plan, &events);
     assert!(!want.is_empty(), "reorder: stream must produce matches");
+    // under `SHARON_DISORDER` the burst lands on an already disordered
+    // stream, whose own covering lateness then joins the bound below
+    let (events, stream_need) = support::disordered(&events).unwrap_or((events, 0));
 
     // the burst only displaces rows inside a single ingest batch, so the
-    // largest within-batch time spread is a covering lateness bound
+    // largest within-batch time spread covers it: a row's regression is
+    // at most that spread or the stream's own
     let need = events
         .chunks(BATCH)
         .map(|chunk| {
@@ -283,7 +296,8 @@ fn reorder_fault_kill_and_resume_is_exact() {
             hi - lo
         })
         .max()
-        .unwrap();
+        .unwrap()
+        .max(stream_need);
     assert!(need > 0, "reorder: batches must span event time");
 
     let n_batches = (events.len() as u64).div_ceil(BATCH as u64);
