@@ -18,12 +18,6 @@
 //! queries sharing one routing scope (dedup collapses them to a single
 //! router scan per batch) × shards ∈ {1, 4, 8}.
 //!
-//! The **routing sweep** measures the parallel routing plane on its
-//! target shape: 64 queries whose predicates all differ (so scope dedup
-//! collapses nothing and every batch costs 64 scope scans) × routers ∈
-//! {1, 2, 4} × shards ∈ {4, 8}. It also asserts the LPT cost
-//! partition keeps per-router scope scans within 2× of each other.
-//!
 //! Prints one table per scenario and writes a machine-readable baseline to
 //! `BENCH_PR10.json` at the workspace root (override with
 //! `SHARON_BENCH_OUT`), so future optimization PRs have a perf trajectory
@@ -223,99 +217,6 @@ fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
     (name, runs)
 }
 
-/// The routing-plane sweep: the workload shape the parallel routing plane
-/// exists for — `n_queries` Flink-like queries whose predicates all
-/// differ, so scope dedup collapses **nothing** and the router must scan
-/// every scope on every batch. Swept over routers ∈ {1, 2, 4} × shards ∈
-/// {4, 8}: with one router the scope scans
-/// serialize on a single routing thread; a plane of R routers splits them
-/// R ways. A sequential columnar run anchors the results, and every
-/// configuration must report the identical result count.
-///
-/// Doubles as the load-balance guard: per-router `scope_scans` must stay
-/// within 2× of each other (the LPT cost partition over 64 equal-cost
-/// scopes is near-uniform), asserted on an unmeasured run per plane size.
-fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
-    let n_events = scaled(60_000, 3_000);
-    let n_vehicles = 512;
-    let name = format!("routers n={n_queries} distinct-scope events={n_events} (flink)");
-    let mut catalog = Catalog::new();
-    let batch = taxi::generate_batch(
-        &mut catalog,
-        &TaxiConfig::high_cardinality(n_events, n_vehicles),
-    );
-    // distinct speed threshold per query: distinct predicate => distinct
-    // routing scope (dedup keeps all of them), spread over 10..66 so each
-    // scope also selects a different row subset
-    let sources: Vec<String> = (0..n_queries)
-        .map(|i| {
-            format!(
-                "RETURN COUNT(*) PATTERN SEQ(MainSt, StateSt) WHERE MainSt.speed < {:.3} \
-                 AND [vehicle] WITHIN {} s SLIDE 2 s",
-                10.0 + 56.0 * (i as f64) / (n_queries.max(2) - 1) as f64,
-                8 + 2 * (i % 8)
-            )
-        })
-        .collect();
-    let workload =
-        parse_workload(&mut catalog, sources.iter().map(String::as_str)).expect("workload parses");
-    let n = batch.len();
-    let plane = |routers: usize| ShardedOptions {
-        routers,
-        ..ShardedOptions::default()
-    };
-
-    let mut runs = Vec::new();
-    runs.push(measure("flink/sequential", n, || {
-        let mut ex = FlinkLike::new(&catalog, &workload).unwrap();
-        ex.process_columnar(&batch);
-        ex.finish()
-    }));
-    for shards in [4usize, 8] {
-        for routers in [1usize, 2, 4] {
-            runs.push(measure(
-                &format!("flink/sharded/{shards}/routers-{routers}"),
-                n,
-                || {
-                    let mut ex =
-                        FlinkLike::sharded(&catalog, &workload, shards, &plane(routers)).unwrap();
-                    ex.process_columnar(&batch);
-                    ex.finish()
-                },
-            ));
-        }
-    }
-
-    // routing-plane size and shard count must never change results
-    let want = runs[0].results;
-    for run in &runs {
-        assert_eq!(run.results, want, "{}: result count diverged", run.label);
-    }
-
-    // load-balance guard (not measured): the LPT cost partition must keep
-    // per-router scope scans within 2× of each other
-    for routers in [2usize, 4] {
-        let mut ex = FlinkLike::sharded(&catalog, &workload, 4, &plane(routers)).unwrap();
-        ex.process_columnar(&batch);
-        // router_stats barriers the plane, so the counters cover every
-        // routed batch including the flushed tail
-        let stats = ex.router_stats();
-        assert_eq!(
-            ex.finish().len(),
-            want,
-            "routers={routers}: guard run diverged"
-        );
-        let max = stats.iter().map(|s| s.scope_scans).max().unwrap_or(0);
-        let min = stats.iter().map(|s| s.scope_scans).min().unwrap_or(0);
-        assert!(
-            max <= 2 * min.max(1),
-            "routers={routers}: scope scans unbalanced across the plane \
-             (min {min}, max {max}, stats {stats:?})"
-        );
-    }
-    (name, runs)
-}
-
 /// All four strategies of Figure 3 through the one columnar trait-dispatch
 /// pipeline (`AnyExecutor::process_columnar`), sequential and 2-way
 /// sharded. Sized smaller than the main scenarios: the two-step baselines
@@ -468,7 +369,6 @@ fn main() {
         query_count_sweep(1),
         query_count_sweep(8),
         query_count_sweep(64),
-        routing_sweep(64),
         strategy_sweep(0.0),
         strategy_sweep(1.2),
     ];

@@ -38,13 +38,6 @@ pub fn shards() -> usize {
         .unwrap_or(0)
 }
 
-/// The sharded runtime's routing-plane size for the figure sweeps:
-/// `SHARON_ROUTERS` if set (`1` = the classic single router thread), else
-/// 1 — see [`sharon::executor::default_routers`].
-pub fn routers() -> usize {
-    sharon::executor::default_routers()
-}
-
 /// Scale an integer parameter, keeping it at least `min`.
 pub fn scaled(base: usize, min: usize) -> usize {
     ((base as f64 * scale()) as usize).max(min)
@@ -162,7 +155,6 @@ pub fn run_measured(
         .strategy(strategy)
         .optimizer_config(cfg)
         .shards(n_shards)
-        .routers(routers())
         .build_executor()
         .expect("executor compiles");
 

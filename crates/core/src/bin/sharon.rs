@@ -8,7 +8,7 @@
 //! USAGE:
 //!   sharon [--queries FILE] [--stream taxi|lr|ec] [--events N]
 //!          [--strategy sharon|greedy|aseq|flink|spass] [--shards N]
-//!          [--routers R] [--skew THETA] [--explain]
+//!          [--skew THETA] [--explain]
 //!          [--results N] [--checkpoint-dir DIR] [--checkpoint-interval N]
 //!          [--resume] [--spill-max N] [--disorder K] [--lateness B]
 //!          [--churn FILE]
@@ -17,11 +17,9 @@
 //! Figure 2 purchase workload (ec) is used. `--shards N` runs *any*
 //! strategy — online or two-step — on the sharded parallel runtime with N
 //! worker threads (every strategy is a columnar `BatchProcessor` the
-//! route-once runtime can host); routing overlaps execution on dedicated
-//! router threads. `--routers R` sizes that routing plane: the compiled
-//! scopes are cost-partitioned across R router threads, each with its own
-//! per-worker rings, and workers merge the R streams in batch-sequence
-//! order (default 1, or the `SHARON_ROUTERS` environment variable).
+//! route-once runtime can host); routing overlaps execution on one
+//! dedicated router thread. The per-scope `scan:` tallies are read after
+//! the run finishes, so they cover the whole stream at any shard count.
 //! `--skew THETA` draws the stream's group
 //! dimension (vehicle / car / customer) from a Zipf(THETA) distribution:
 //! a skewed `GROUP BY`, whose hot group stays on its hash owner.
@@ -79,7 +77,6 @@ struct Args {
     events: usize,
     strategy: Strategy,
     shards: usize,
-    routers: Option<usize>,
     skew: f64,
     explain: bool,
     results: usize,
@@ -99,7 +96,6 @@ fn parse_args() -> Result<Args, String> {
         events: 50_000,
         strategy: Strategy::Sharon,
         shards: 0,
-        routers: None,
         skew: 0.0,
         explain: false,
         results: 5,
@@ -141,15 +137,6 @@ fn parse_args() -> Result<Args, String> {
                 args.shards = value("--shards")?
                     .parse()
                     .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--routers" => {
-                let n: usize = value("--routers")?
-                    .parse()
-                    .map_err(|e| format!("--routers: {e}"))?;
-                if n == 0 {
-                    return Err("--routers must be >= 1 (1 = the classic single router)".into());
-                }
-                args.routers = Some(n);
             }
             "--skew" => {
                 args.skew = value("--skew")?
@@ -198,7 +185,7 @@ fn parse_args() -> Result<Args, String> {
                     "sharon — shared online event sequence aggregation (ICDE 2018)\n\n\
                      USAGE:\n  sharon [--queries FILE] [--stream taxi|lr|ec] [--events N]\n\
                      \x20        [--strategy sharon|greedy|aseq|flink|spass] [--shards N]\n\
-                     \x20        [--routers R] [--skew THETA] [--explain]\n\
+                     \x20        [--skew THETA] [--explain]\n\
                      \x20        [--results N] [--checkpoint-dir DIR] [--checkpoint-interval N]\n\
                      \x20        [--resume] [--spill-max N] [--disorder K] [--lateness B]\n\
                      \x20        [--churn FILE]"
@@ -317,9 +304,6 @@ fn main() {
     // SHARON_FAULT environment knobs that RuntimeOptions picked up; the
     // builder refuses the combinations its runtime cannot host
     let mut options = runtime.sharded_options();
-    if let Some(n) = args.routers {
-        options.routers = n;
-    }
     if let Some(dir) = &args.checkpoint_dir {
         options.checkpoint = Some(CheckpointConfig::every(
             dir,
@@ -384,12 +368,10 @@ fn main() {
         return;
     }
     let t0 = Instant::now();
-    let n_routers = options.routers;
     let mut replay_offset: u64 = 0;
     let mut builder = SharonBuilder::new(&catalog, &workload, &rates)
         .strategy(args.strategy)
         .shards(shards)
-        .routers(options.routers)
         .batch_size(options.batch_size);
     if let Some(ck) = options.checkpoint.clone() {
         builder = builder.checkpoint(ck);
@@ -423,7 +405,7 @@ fn main() {
     };
     let optimize_time = t0.elapsed();
     if shards > 0 {
-        eprintln!("runtime: sharded across {shards} worker threads, {n_routers} router thread(s)");
+        eprintln!("runtime: sharded across {shards} worker threads and one router thread");
     }
 
     if let Some(outcome) = &outcome {
@@ -476,11 +458,9 @@ fn main() {
         tail.extend_from_range(&events, offset, events.len());
         executor.process_columnar(&tail);
     }
-    // read before finish_with_matched consumes the executor; exact for
-    // sequential strategies, and for the sharded runtime too once its
-    // ingest flushed (which process_columnar + the finish below ensure)
-    let scan_stats = executor.scan_stats();
-    let (results, matched) = executor.finish_with_matched();
+    // the scan tallies come back from finish: the sharded runtime's
+    // router is still routing queued batches until then
+    let (results, matched, scan_stats) = executor.finish_with_stats();
     let run_time = t1.elapsed();
     let processed = events.len() - offset;
     let throughput = processed as f64 / run_time.as_secs_f64().max(1e-12);
@@ -651,7 +631,6 @@ fn run_churn(
     let mut builder = SharonBuilder::new(catalog, workload, rates)
         .strategy(args.strategy)
         .shards(shards)
-        .routers(options.routers)
         .batch_size(options.batch_size);
     if let Some(sp) = options.spill.clone() {
         builder = builder.spill(sp);
@@ -664,11 +643,10 @@ fn run_churn(
         }
     };
     eprintln!(
-        "session: {} initial queries ({}) on {} shard(s), {} router thread(s), {} scripted op(s)",
+        "session: {} initial queries ({}) on {} shard(s), {} scripted op(s)",
         workload.len(),
         args.strategy.name(),
         shards,
-        options.routers,
         ops.len()
     );
 

@@ -1,8 +1,8 @@
 //! Fluent construction of every Sharon runtime shape.
 //!
 //! [`SharonBuilder`] is the one way to build: a single chain that scales
-//! from "defaults, sequential" to "sharded, multi-router, checkpointed,
-//! spilling, fault-injected":
+//! from "defaults, sequential" to "sharded, checkpointed, spilling,
+//! fault-injected":
 //!
 //! ```
 //! use sharon::prelude::*;
@@ -15,7 +15,6 @@
 //!
 //! let mut fw = SharonBuilder::new(&catalog, &workload, &rates)
 //!     .shards(2)
-//!     .routers(1)
 //!     .build()
 //!     .unwrap();
 //! # let _ = fw.finish();
@@ -41,7 +40,7 @@ use sharon_twostep::{FlinkLike, SpassLike};
 use sharon_types::Catalog;
 
 /// Fluent builder for every executor shape: strategy × sharding ×
-/// routing plane × durability × event-time, one setter each.
+/// durability × event-time, one setter each.
 ///
 /// Unset knobs keep the engine defaults ([`ShardedOptions::default`],
 /// [`Strategy::Sharon`], [`OptimizerConfig::default`]). `shards(0)` (the
@@ -93,16 +92,6 @@ impl<'a> SharonBuilder<'a> {
         self
     }
 
-    /// Router threads in the sharded runtime's routing plane: `1` (the
-    /// default) is the classic single router, `n ≥ 2` partitions the
-    /// compiled scopes across `n` router threads by cost estimate.
-    /// Default: [`sharon_executor::default_routers`] (honours
-    /// `SHARON_ROUTERS`).
-    pub fn routers(mut self, n: usize) -> Self {
-        self.options.routers = n;
-        self
-    }
-
     /// Columnar batch size for the sharded runtime's internal rings
     /// (default [`sharon_executor::DEFAULT_BATCH_SIZE`]).
     pub fn batch_size(mut self, rows: usize) -> Self {
@@ -140,14 +129,11 @@ impl<'a> SharonBuilder<'a> {
     }
 
     /// Apply every knob parsed from the `SHARON_*` environment surface
-    /// (see [`RuntimeOptions`]): shard count, router count, lateness,
+    /// (see [`RuntimeOptions`]): shard count, lateness,
     /// checkpoint spec, and fault plan, each only when set.
     pub fn runtime_options(mut self, opts: &RuntimeOptions) -> Self {
         if let Some(n) = opts.shards {
             self.shards = n;
-        }
-        if let Some(n) = opts.routers {
-            self.options.routers = n;
         }
         if let Some(ms) = opts.lateness {
             self.options.lateness = Some(ms);

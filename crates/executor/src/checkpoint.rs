@@ -29,7 +29,8 @@ use std::time::Duration;
 const MANIFEST_MAGIC: &[u8; 8] = b"SHRNCKPT";
 /// Checkpoint format version; bump on any codec change.
 /// v2: event-time sections (router frontier, per-engine reorder gate).
-/// v3: one router-state segment per routing-plane thread (`R ≥ 1`).
+/// v3: a counted list of router-state segments (today always one: the
+/// runtime has one router thread).
 /// v4: results image is a key table plus rows by group id (was a nested
 /// key → value map with a key per row).
 /// v5: a group is one block — window plane, runner rings carrying their
@@ -75,6 +76,10 @@ pub enum CheckpointError {
     /// The checkpoint was taken under a different configuration (e.g. a
     /// different shard count) and cannot restore into this executor.
     Mismatch(String),
+    /// The manifest carries this many router segments; the runtime has
+    /// one router thread and restores exactly one (a multi-router build
+    /// wrote the others).
+    RouterSegments(usize),
 }
 
 impl fmt::Display for CheckpointError {
@@ -84,6 +89,10 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Corrupt(what) => write!(f, "checkpoint corrupt: {what}"),
             CheckpointError::Missing => write!(f, "no complete checkpoint found"),
             CheckpointError::Mismatch(what) => write!(f, "checkpoint mismatch: {what}"),
+            CheckpointError::RouterSegments(n) => write!(
+                f,
+                "checkpoint carries {n} router segment(s); this runtime restores exactly one"
+            ),
         }
     }
 }
@@ -389,9 +398,8 @@ pub struct CheckpointData {
     pub id: u64,
     /// Events ingested before the barrier — the stream replay offset.
     pub events_sent: u64,
-    /// Serialized router state (the watermark frontier), one segment per
-    /// routing-plane thread in router-index order.
-    pub routers: Vec<Vec<u8>>,
+    /// Serialized router state (the watermark frontier).
+    pub router: Vec<u8>,
     /// Serialized engine state, one segment per shard.
     pub shards: Vec<Vec<u8>>,
 }
@@ -444,12 +452,14 @@ impl CheckpointStore {
     }
 
     /// Write checkpoint `id`: per-shard segments, then the manifest
-    /// (atomically, via rename). Returns the total bytes written.
+    /// (atomically, via rename). The manifest keeps the counted router
+    /// list of the v6 layout, holding the one `router` segment. Returns
+    /// the total bytes written.
     pub fn write(
         &self,
         id: u64,
         events_sent: u64,
-        routers: &[Vec<u8>],
+        router: &[u8],
         shards: &[Vec<u8>],
     ) -> io::Result<u64> {
         let dir = self.ckpt_dir(id);
@@ -470,10 +480,8 @@ impl CheckpointStore {
         m.u32(FORMAT_VERSION);
         m.u64(id);
         m.u64(events_sent);
-        m.seq_len(routers.len());
-        for router in routers {
-            m.bytes(router);
-        }
+        m.seq_len(1);
+        m.bytes(router);
         m.seq_len(shards.len());
         for (len, digest) in &digests {
             m.u64(*len);
@@ -508,7 +516,8 @@ impl CheckpointStore {
         Err(CheckpointError::Missing)
     }
 
-    /// Load and verify checkpoint `id`.
+    /// Load and verify checkpoint `id`. A manifest with any number of
+    /// router segments but one is [`CheckpointError::RouterSegments`].
     pub fn load(&self, id: u64) -> Result<CheckpointData, CheckpointError> {
         let dir = self.ckpt_dir(id);
         let bytes = fs::read(dir.join("MANIFEST"))?;
@@ -535,11 +544,11 @@ impl CheckpointStore {
             return Err(CheckpointError::Corrupt("manifest id".into()));
         }
         let events_sent = r.u64()?;
-        let n_routers = r.seq_len()?;
-        let mut routers = Vec::with_capacity(n_routers);
-        for _ in 0..n_routers {
-            routers.push(r.bytes()?.to_vec());
+        let n_segments = r.seq_len()?;
+        if n_segments != 1 {
+            return Err(CheckpointError::RouterSegments(n_segments));
         }
+        let router = r.bytes()?.to_vec();
         let n_shards = r.seq_len()?;
         let mut shards = Vec::with_capacity(n_shards);
         for i in 0..n_shards {
@@ -558,7 +567,7 @@ impl CheckpointStore {
         Ok(CheckpointData {
             id,
             events_sent,
-            routers,
+            router,
             shards,
         })
     }
@@ -587,16 +596,8 @@ impl CheckpointConfig {
     }
 }
 
-/// Read the `SHARON_CHECKPOINT` environment knob: `<dir>` or
-/// `<dir>:<interval-batches>` (default interval 64). Returns `None` when
-/// unset; an unparsable value is fatal — misconfigured durability must
-/// never silently degrade to "no checkpoints".
-pub fn default_checkpoint_config() -> Option<CheckpointConfig> {
-    let raw = std::env::var("SHARON_CHECKPOINT").ok()?;
-    Some(parse_checkpoint_spec(&raw).unwrap_or_else(|e| panic!("SHARON_CHECKPOINT: {e}")))
-}
-
-/// Parse a `<dir>[:<interval-batches>]` checkpoint spec.
+/// Parse a `<dir>[:<interval-batches>]` checkpoint spec (the
+/// `SHARON_CHECKPOINT` knob; default interval 64).
 pub fn parse_checkpoint_spec(raw: &str) -> Result<CheckpointConfig, String> {
     let (dir, interval) = match raw.rsplit_once(':') {
         Some((dir, n)) if !dir.is_empty() => {
@@ -654,16 +655,6 @@ pub enum FaultPlan {
     },
 }
 
-impl FaultPlan {
-    /// Read the `SHARON_FAULT` knob (`drop@N`, `panic@N:S`, `abort@N`,
-    /// `reorder@N:K`). Returns `None` when unset; an unparsable value is
-    /// fatal.
-    pub fn from_env() -> Option<FaultPlan> {
-        let raw = std::env::var("SHARON_FAULT").ok()?;
-        Some(raw.parse().unwrap_or_else(|e| panic!("SHARON_FAULT: {e}")))
-    }
-}
-
 impl std::str::FromStr for FaultPlan {
     type Err = String;
 
@@ -712,8 +703,8 @@ fn parse_batch(s: &str) -> Result<u64, String> {
 // ---------------------------------------------------------------------------
 
 /// The rendezvous behind one checkpoint: the ingest thread injects it into
-/// the pipeline after the last routed batch, every routing-plane thread
-/// deposits its routing state, every worker deposits its serialized
+/// the pipeline after the last routed batch, the router thread deposits
+/// its routing state, every worker deposits its serialized
 /// engine state, and the ingest thread collects the lot once all slots
 /// fill. `S` is what a worker deposits: state bytes for a checkpoint, the
 /// result log itself (moved, never encoded) for a result harvest.
@@ -723,13 +714,13 @@ pub struct CheckpointBarrier<S = Vec<u8>> {
     filled: Condvar,
 }
 
-/// The harvest a filled barrier yields: one serialized segment per
-/// routing-plane thread, then one deposit per worker shard.
-pub type BarrierHarvest<S = Vec<u8>> = (Vec<Vec<u8>>, Vec<S>);
+/// The harvest a filled barrier yields: the router's serialized segment,
+/// then one deposit per worker shard.
+pub type BarrierHarvest<S = Vec<u8>> = (Vec<u8>, Vec<S>);
 
 #[derive(Debug)]
 struct BarrierSlots<S> {
-    routers: Vec<Option<Vec<u8>>>,
+    router: Option<Vec<u8>>,
     shards: Vec<Option<S>>,
     /// Set when a participant cannot serialize (processor without
     /// checkpoint support) — the waiter surfaces this as an error.
@@ -737,12 +728,12 @@ struct BarrierSlots<S> {
 }
 
 impl<S> CheckpointBarrier<S> {
-    /// A barrier awaiting `n_routers` router deposits and `n_shards`
-    /// worker deposits.
-    pub fn new(n_routers: usize, n_shards: usize) -> Self {
+    /// A barrier awaiting the router's deposit and `n_shards` worker
+    /// deposits.
+    pub fn new(n_shards: usize) -> Self {
         CheckpointBarrier {
             slots: Mutex::new(BarrierSlots {
-                routers: vec![None; n_routers],
+                router: None,
                 shards: std::iter::repeat_with(|| None).take(n_shards).collect(),
                 unsupported: false,
             }),
@@ -750,10 +741,10 @@ impl<S> CheckpointBarrier<S> {
         }
     }
 
-    /// Deposit routing-plane thread `router`'s serialized state.
-    pub fn fill_router(&self, router: usize, bytes: Vec<u8>) {
+    /// Deposit the router thread's serialized state.
+    pub fn fill_router(&self, bytes: Vec<u8>) {
         let mut s = self.slots.lock().expect("barrier poisoned");
-        s.routers[router] = Some(bytes);
+        s.router = Some(bytes);
         self.filled.notify_all();
     }
 
@@ -768,7 +759,7 @@ impl<S> CheckpointBarrier<S> {
         self.filled.notify_all();
     }
 
-    /// Wait until every slot is filled and return `(routers, shards)`.
+    /// Wait until every slot is filled and return `(router, shards)`.
     ///
     /// Checks `cancel` periodically so a worker that died mid-checkpoint
     /// fails the barrier instead of hanging the ingest thread forever.
@@ -780,18 +771,14 @@ impl<S> CheckpointBarrier<S> {
                     "shard processor does not support checkpointing".into(),
                 ));
             }
-            if s.routers.iter().all(|x| x.is_some()) && s.shards.iter().all(|x| x.is_some()) {
-                let routers = s
-                    .routers
-                    .iter_mut()
-                    .map(|x| x.take().expect("checked"))
-                    .collect();
+            if s.router.is_some() && s.shards.iter().all(|x| x.is_some()) {
+                let router = s.router.take().expect("checked");
                 let shards = s
                     .shards
                     .iter_mut()
                     .map(|x| x.take().expect("checked"))
                     .collect();
-                return Ok((routers, shards));
+                return Ok((router, shards));
             }
             if cancel.load(Ordering::Acquire) {
                 return Err(CheckpointError::Corrupt(
@@ -902,28 +889,15 @@ mod tests {
         let store = CheckpointStore::open(&dir).unwrap();
         assert!(matches!(store.latest(), Err(CheckpointError::Missing)));
         store
-            .write(
-                0,
-                100,
-                &[b"router-a".to_vec()],
-                &[b"s0".to_vec(), b"s1".to_vec()],
-            )
+            .write(0, 100, b"router-a", &[b"s0".to_vec(), b"s1".to_vec()])
             .unwrap();
         store
-            .write(
-                1,
-                200,
-                &[b"router-b".to_vec(), b"router-c".to_vec()],
-                &[b"t0".to_vec(), b"t1".to_vec()],
-            )
+            .write(1, 200, b"router-b", &[b"t0".to_vec(), b"t1".to_vec()])
             .unwrap();
         let got = store.latest().unwrap();
         assert_eq!(got.id, 1);
         assert_eq!(got.events_sent, 200);
-        assert_eq!(
-            got.routers,
-            vec![b"router-b".to_vec(), b"router-c".to_vec()]
-        );
+        assert_eq!(got.router, b"router-b".to_vec());
         assert_eq!(got.shards, vec![b"t0".to_vec(), b"t1".to_vec()]);
         assert_eq!(store.next_id().unwrap(), 2);
         fs::remove_dir_all(&dir).unwrap();
@@ -933,9 +907,7 @@ mod tests {
     fn store_skips_incomplete_and_corrupt_checkpoints() {
         let dir = test_dir("skip");
         let store = CheckpointStore::open(&dir).unwrap();
-        store
-            .write(0, 50, &[b"r".to_vec()], &[b"good".to_vec()])
-            .unwrap();
+        store.write(0, 50, b"r", &[b"good".to_vec()]).unwrap();
 
         // checkpoint 1: segments written but no manifest (crash mid-write)
         let half = dir.join("ckpt-0000000000000001");
@@ -943,9 +915,7 @@ mod tests {
         fs::write(half.join("shard-0.seg"), b"half").unwrap();
 
         // checkpoint 2: manifest present but a segment is corrupt
-        store
-            .write(2, 70, &[b"r".to_vec()], &[b"zap".to_vec()])
-            .unwrap();
+        store.write(2, 70, b"r", &[b"zap".to_vec()]).unwrap();
         fs::write(
             dir.join("ckpt-0000000000000002").join("shard-0.seg"),
             b"flipped",
@@ -966,9 +936,7 @@ mod tests {
         // rewrite a good manifest's version field and re-seal it
         let dir = test_dir("v5");
         let store = CheckpointStore::open(&dir).unwrap();
-        store
-            .write(0, 50, &[b"r".to_vec()], &[b"seg".to_vec()])
-            .unwrap();
+        store.write(0, 50, b"r", &[b"seg".to_vec()]).unwrap();
         let manifest = dir.join("ckpt-0000000000000000").join("MANIFEST");
         let mut bytes = fs::read(&manifest).unwrap();
         let at = MANIFEST_MAGIC.len();
@@ -1016,29 +984,28 @@ mod tests {
 
     #[test]
     fn barrier_collects_all_slots() {
-        let b = Arc::new(CheckpointBarrier::new(2, 2));
+        let b = Arc::new(CheckpointBarrier::new(2));
         let cancel = AtomicBool::new(false);
         let b2 = Arc::clone(&b);
         let t = std::thread::spawn(move || {
-            b2.fill_router(1, vec![9]);
-            b2.fill_router(0, vec![1]);
-            b2.fill_shard(0, Some(vec![2]));
             b2.fill_shard(1, Some(vec![3]));
+            b2.fill_router(vec![1]);
+            b2.fill_shard(0, Some(vec![2]));
         });
-        let (routers, shards) = b.wait(&cancel).unwrap();
-        assert_eq!(routers, vec![vec![1], vec![9]]);
+        let (router, shards) = b.wait(&cancel).unwrap();
+        assert_eq!(router, vec![1]);
         assert_eq!(shards, vec![vec![2], vec![3]]);
         t.join().unwrap();
     }
 
     #[test]
     fn barrier_fails_on_cancel_and_unsupported() {
-        let b: CheckpointBarrier = CheckpointBarrier::new(1, 1);
+        let b: CheckpointBarrier = CheckpointBarrier::new(1);
         let cancel = AtomicBool::new(true);
         assert!(b.wait(&cancel).is_err());
 
-        let b: CheckpointBarrier = CheckpointBarrier::new(1, 1);
-        b.fill_router(0, vec![]);
+        let b: CheckpointBarrier = CheckpointBarrier::new(1);
+        b.fill_router(vec![]);
         b.fill_shard(0, None);
         let cancel = AtomicBool::new(false);
         assert!(matches!(b.wait(&cancel), Err(CheckpointError::Mismatch(_))));

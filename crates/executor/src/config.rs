@@ -1,15 +1,14 @@
 //! One surface for every `SHARON_*` runtime environment knob.
 //!
-//! Historically each knob was parsed where it was consumed (core,
-//! executor, streams), each with its own error style. [`RuntimeOptions`]
-//! consolidates them: one `from_env()` call, one error type
-//! ([`EnvError`]) naming the offending variable, one table documenting
-//! the whole surface. The CLI and the test harness both go through it.
+//! [`RuntimeOptions::from_env`] is the only place the environment is
+//! read: one call, one error type ([`EnvError`]) naming the offending
+//! variable, one table documenting the whole surface. The CLI and the
+//! test harness both go through it; library defaults
+//! ([`ShardedOptions::default`]) read no environment variable.
 //!
 //! | Variable            | Value                          | Effect |
 //! |---------------------|--------------------------------|--------|
 //! | `SHARON_SHARDS`     | shard count (≥ 1)              | run the sharded runtime with this many worker shards |
-//! | `SHARON_ROUTERS`    | router threads (≥ 1)           | routing-plane size ([`default_routers`](crate::default_routers)) |
 //! | `SHARON_LATENESS`   | milliseconds                   | event-time mode with this allowed lateness |
 //! | `SHARON_DISORDER`   | max displacement `K`           | test harness: scramble streams within `K` positions |
 //! | `SHARON_CHECKPOINT` | `<dir>[:<interval-batches>]`   | periodic consistent checkpoints ([`CheckpointConfig`]) |
@@ -20,7 +19,7 @@
 //! attributed to a configuration that never ran.
 
 use crate::checkpoint::{parse_checkpoint_spec, CheckpointConfig, FaultPlan};
-use crate::sharded::{ShardedOptions, DEFAULT_ROUTERS};
+use crate::sharded::ShardedOptions;
 use std::fmt;
 
 /// A `SHARON_*` environment variable held an unparsable value.
@@ -49,8 +48,6 @@ impl std::error::Error for EnvError {}
 pub struct RuntimeOptions {
     /// `SHARON_SHARDS`: worker shard count for the sharded runtime.
     pub shards: Option<usize>,
-    /// `SHARON_ROUTERS`: router threads in the routing plane (≥ 1).
-    pub routers: Option<usize>,
     /// `SHARON_LATENESS`: event-time allowed lateness in milliseconds.
     pub lateness: Option<u64>,
     /// `SHARON_DISORDER`: maximum event displacement for the test
@@ -89,7 +86,6 @@ impl RuntimeOptions {
                 s.parse()
                     .map_err(|e| format!("{s:?} is not a shard count: {e}"))
             })?,
-            routers: routers_from_env()?,
             lateness: knob("SHARON_LATENESS", |s| {
                 s.parse()
                     .map_err(|e| format!("{s:?} is not a lateness in milliseconds: {e}"))
@@ -109,35 +105,12 @@ impl RuntimeOptions {
     /// no env knobs).
     pub fn sharded_options(&self) -> ShardedOptions {
         ShardedOptions {
-            routers: self.routers.unwrap_or(DEFAULT_ROUTERS),
             checkpoint: self.checkpoint.clone(),
             fault: self.fault,
             lateness: self.lateness,
             ..ShardedOptions::default()
         }
     }
-}
-
-/// The `SHARON_ROUTERS` knob alone (`None` when unset) — shared by
-/// [`RuntimeOptions::from_env`] and [`crate::default_routers`].
-pub(crate) fn routers_from_env() -> Result<Option<usize>, EnvError> {
-    knob("SHARON_ROUTERS", parse_routers)
-}
-
-/// Parse a `SHARON_ROUTERS` value: a router-thread count of at least 1
-/// (`0` is rejected — a routing plane with no routers routes nothing,
-/// and clamping it up would silently run a configuration the matrix
-/// never asked for).
-fn parse_routers(s: &str) -> Result<usize, String> {
-    let n: usize = s
-        .parse()
-        .map_err(|e| format!("{s:?} is not a router-thread count: {e}"))?;
-    if n == 0 {
-        return Err(format!(
-            "{s:?}: a routing plane needs at least one router (use 1 for the classic pipeline)"
-        ));
-    }
-    Ok(n)
 }
 
 #[cfg(test)]
@@ -168,22 +141,10 @@ mod tests {
     fn defaults_are_all_unset() {
         let opts = RuntimeOptions::default();
         assert!(opts.shards.is_none());
-        assert!(opts.routers.is_none());
         assert_eq!(opts.disorder, 0);
         let sharded = opts.sharded_options();
         assert!(sharded.checkpoint.is_none());
         assert!(sharded.fault.is_none());
         assert!(sharded.lateness.is_none());
-        assert_eq!(sharded.routers, DEFAULT_ROUTERS);
-    }
-
-    #[test]
-    fn routers_knob_parses_and_rejects_zero() {
-        assert_eq!(parse("SHARON_ROUTERS", "1", parse_routers).unwrap(), 1);
-        assert_eq!(parse("SHARON_ROUTERS", "4", parse_routers).unwrap(), 4);
-        let err = parse("SHARON_ROUTERS", "0", parse_routers).unwrap_err();
-        assert_eq!(err.var, "SHARON_ROUTERS");
-        assert!(err.to_string().contains("at least one router"), "{err}");
-        assert!(parse("SHARON_ROUTERS", "many", parse_routers).is_err());
     }
 }

@@ -1334,10 +1334,11 @@ impl crate::processor::BatchProcessor for Executor {
         self.cell_count()
     }
 
-    fn finish(mut self: Box<Self>) -> (ExecutorResults, u64) {
+    fn finish(mut self: Box<Self>) -> (ExecutorResults, u64, Vec<(u64, u64)>) {
         self.flush_pending();
         let matched = Executor::events_matched(&self);
-        ((*self).finish(), matched)
+        let scan = Executor::scan_stats(&self);
+        ((*self).finish(), matched, scan)
     }
 }
 
@@ -1387,11 +1388,9 @@ impl ShardProcessor for Executor {
     fn finish(mut self: Box<Self>) -> ShardReport {
         self.flush_pending();
         let events_matched = Executor::events_matched(&self);
-        let state_size = self.cell_count();
         ShardReport {
             results: (*self).finish(),
             events_matched,
-            state_size,
         }
     }
 }

@@ -41,8 +41,8 @@ pub mod winvec;
 pub use agg::{Aggregate, Contribution, CountCell, OutputKind, StatsCell};
 pub use chainlog::ChainLog;
 pub use checkpoint::{
-    default_checkpoint_config, CheckpointConfig, CheckpointData, CheckpointError, CheckpointStore,
-    FaultPlan, StateError, StateReader, StateWriter,
+    CheckpointConfig, CheckpointData, CheckpointError, CheckpointStore, FaultPlan, StateError,
+    StateReader, StateWriter,
 };
 pub use compile::{compile, CompileError, CompiledPartition};
 pub use config::{EnvError, RuntimeOptions};
@@ -50,14 +50,11 @@ pub use engine::{Engine, EngineKind, Executor, ShardSlice};
 pub use event_time::{PendingRow, Reorder};
 pub use processor::BatchProcessor;
 pub use results::ExecutorResults;
-pub use router::{
-    partition_scopes, split_router_plane, BatchRouter, RouteBatch, RoutedRows, RowFilter,
-};
+pub use router::{BatchRouter, RouteBatch, RoutedRows, RowFilter};
 pub use runner::SegmentRunner;
 pub use scan::{ScanCounters, ScanKernel, TypePass};
 pub use sharded::{
-    default_routers, prepare_step, RouterStats, ShardProcessor, ShardReport, ShardedExecutor,
-    ShardedOptions, DEFAULT_BATCH_SIZE, DEFAULT_ROUTERS,
+    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions, DEFAULT_BATCH_SIZE,
 };
 pub use spill::SpillConfig;
 pub use winvec::{WinVec, WindowPlane};

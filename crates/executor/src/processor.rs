@@ -63,7 +63,9 @@ pub trait BatchProcessor: Send {
     }
 
     /// Flush all remaining windows and return
-    /// `(results, events_matched)`. The matched count here is exact even
-    /// for the sharded runtime, whose workers drain before reporting.
-    fn finish(self: Box<Self>) -> (ExecutorResults, u64);
+    /// `(results, events_matched, scan_stats)`. The matched count and the
+    /// per-scope scan tallies (as [`BatchProcessor::scan_stats`]) are
+    /// exact even for the sharded runtime: they are read after its
+    /// router and workers drain.
+    fn finish(self: Box<Self>) -> (ExecutorResults, u64, Vec<(u64, u64)>);
 }

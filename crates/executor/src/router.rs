@@ -4,9 +4,9 @@
 //! prefix of the per-event path — routing, predicate evaluation, group-key
 //! extraction — for **every** event and dropped the groups it did not own,
 //! duplicating that work `N` times. The [`BatchRouter`] runs the prefix
-//! exactly once per event on the ingest side: one [`TypePass`] over the
-//! chunk's type column serves all of the router's scopes, then for each
-//! scope it evaluates routing and predicates column-wise, hashes
+//! exactly once per event, on the sharded runtime's one router thread:
+//! one [`TypePass`] over the chunk's type column serves every scope, then
+//! for each scope it evaluates routing and predicates column-wise, hashes
 //! the group key, and appends the row index to the owning shard's list.
 //! Workers then consume their lists (`process_routed`) and only ever touch
 //! rows they own.
@@ -44,15 +44,6 @@ pub trait RowFilter {
     /// Compile this scope's stateless prefix — type routing, predicates,
     /// groupability — into the [`ScanKernel`] that selects its rows.
     fn scan_kernel(&self) -> ScanKernel;
-
-    /// Estimated per-batch routing cost of this scope, used to balance
-    /// scopes across the routing plane's threads (see
-    /// [`partition_scopes`]): predicate clause count × routed-type
-    /// density. Only relative magnitudes matter; the default weighs every
-    /// scope equally.
-    fn route_cost(&self) -> f64 {
-        1.0
-    }
 }
 
 impl RowFilter for CompiledPartition {
@@ -69,13 +60,6 @@ impl RowFilter for CompiledPartition {
 
     fn scan_kernel(&self) -> ScanKernel {
         CompiledPartition::scan_kernel(self)
-    }
-
-    fn route_cost(&self) -> f64 {
-        let total_types = self.routes.len().max(1);
-        let routed_types = self.routes.iter().filter(|r| r.is_some()).count();
-        let clauses: usize = self.predicates.iter().map(Vec::len).sum();
-        (1.0 + clauses as f64) * (routed_types as f64 / total_types as f64).max(f64::MIN_POSITIVE)
     }
 }
 
@@ -95,11 +79,6 @@ pub struct RoutedRows {
     /// window close only once the global minimum watermark passed it.
     /// Ignored by arrival-time (no-lateness) runs.
     pub frontier: Timestamp,
-    /// Ingest batch sequence number, stamped by the dispatching stage.
-    /// With a multi-router plane every router emits one chunk per worker
-    /// per batch, and workers use the sequence number to merge the `R`
-    /// ring streams in deterministic ingest order.
-    pub seq: u64,
 }
 
 impl RoutedRows {
@@ -131,17 +110,9 @@ pub trait RouteBatch: Send {
     /// Number of shards this router fans out to.
     fn n_shards(&self) -> usize;
 
-    /// Number of routing slots (the length of every
-    /// [`RoutedRows::per_part`]). For a router owning a subset of a
-    /// routing plane's scopes this is the **plane-wide** scope count,
-    /// not the subset size.
+    /// Number of routing scopes (the length of every
+    /// [`RoutedRows::per_part`]).
     fn n_scopes(&self) -> usize;
-
-    /// Number of scopes this router actually scans per chunk (its local
-    /// subset; equals [`RouteBatch::n_scopes`] for a whole-plane router).
-    fn n_local_scopes(&self) -> usize {
-        self.n_scopes()
-    }
 
     /// Compute, for every shard, the per-scope row lists of rows
     /// `lo..hi` of `batch` (absolute row indexes). `out` arrives holding
@@ -192,28 +163,16 @@ pub struct BatchRouter<F = CompiledPartition> {
     scopes: Vec<F>,
     /// Compiled scan kernels, parallel to `scopes`.
     kernels: Vec<ScanKernel>,
-    /// The type pass every kernel selects from, built once per chunk and
-    /// covering this router's scopes only.
+    /// The type pass every kernel selects from, built once per chunk.
     pass: TypePass,
     /// Reused selection buffer of the stateless pass (phase 1 output /
     /// phase 2 input of [`BatchRouter::route_range_into`]).
     sel_scratch: Vec<u32>,
     /// Per-scope scan tallies, shared with the executor handle that
-    /// reports selectivity (the router itself may live on a dedicated
-    /// ingest thread). Sized and indexed by **global slot**, so the
-    /// executor can sum the counters of a whole routing plane
-    /// element-wise.
+    /// reports selectivity (the router itself lives on the router
+    /// thread).
     counters: Arc<ScanCounters>,
     n_shards: usize,
-    /// Global routing-slot index of each local scope (identity for a
-    /// whole-plane router). Slots index [`RoutedRows::per_part`] and pick
-    /// the global-partition owner shard, so a plane of routers with
-    /// disjoint scope subsets emits chunks that line up with the engines'
-    /// global scope numbering.
-    slots: Vec<u32>,
-    /// Total routing slots across the whole plane (= the global scope
-    /// count); every emitted [`RoutedRows`] is sized to this.
-    n_slots: usize,
     /// Reused scratch key (clone-free group-key hashing).
     key_scratch: GroupKey,
     vals_scratch: Vec<Value>,
@@ -225,25 +184,10 @@ pub struct BatchRouter<F = CompiledPartition> {
 impl<F: RowFilter> BatchRouter<F> {
     /// A router for `scopes` fanning out across `n_shards` shards.
     pub fn new(scopes: Vec<F>, n_shards: usize) -> Self {
-        let slots = (0..scopes.len() as u32).collect();
-        let n_slots = scopes.len();
-        Self::with_slots(scopes, n_shards, slots, n_slots)
-    }
-
-    /// [`BatchRouter::new`] for a router owning a **subset** of a routing
-    /// plane's scopes: `slots[i]` is the global slot of local scope `i`,
-    /// and every emitted [`RoutedRows`] is sized to `n_slots` (the
-    /// plane-wide scope count). Built by [`split_router_plane`].
-    pub fn with_slots(scopes: Vec<F>, n_shards: usize, slots: Vec<u32>, n_slots: usize) -> Self {
         assert!(n_shards >= 1);
-        assert_eq!(slots.len(), scopes.len(), "one slot per scope");
-        assert!(
-            slots.iter().all(|&s| (s as usize) < n_slots),
-            "slot out of range"
-        );
         let kernels: Vec<ScanKernel> = scopes.iter().map(RowFilter::scan_kernel).collect();
         let pass = TypePass::new(&kernels);
-        let counters = ScanCounters::new(n_slots);
+        let counters = ScanCounters::new(scopes.len());
         BatchRouter {
             scopes,
             kernels,
@@ -251,8 +195,6 @@ impl<F: RowFilter> BatchRouter<F> {
             sel_scratch: Vec::new(),
             counters,
             n_shards,
-            slots,
-            n_slots,
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
             frontier: Timestamp::ZERO,
@@ -302,29 +244,28 @@ impl<F: RowFilter> BatchRouter<F> {
         // work. With scope dedup upstream, Q same-scope queries advance
         // the counter by 1 per batch, not Q (asserted by regression
         // tests via `sharon_metrics::router_scope_scans`).
-        sharon_metrics::record_router_scope_scans(self.scopes.len() as u64);
+        let n_scopes = self.scopes.len();
+        sharon_metrics::record_router_scope_scans(n_scopes as u64);
         out.truncate(self.n_shards);
         for rows in out.iter_mut() {
-            rows.reset(self.n_slots);
+            rows.reset(n_scopes);
         }
         while out.len() < self.n_shards {
             let mut rows = RoutedRows::default();
-            rows.reset(self.n_slots);
+            rows.reset(n_scopes);
             out.push(rows);
         }
         // phase 1 — stateless selection: one type pass over the chunk
-        // serves every scope of this router; each scope's kernel selects
+        // serves every scope; each scope's kernel selects
         // from it by routing and groupability, then evaluates its
         // predicates into the reused selection buffer (groupability is
         // precisely `read_group_key` succeeding)
         self.pass.build(batch, lo, hi);
         let mut sel = std::mem::take(&mut self.sel_scratch);
         for (pi, scope) in self.scopes.iter().enumerate() {
-            let slot = self.slots[pi] as usize;
             sel.clear();
             self.kernels[pi].select_from(&self.pass, batch, &mut sel);
-            self.counters
-                .record(slot, (hi - lo) as u64, sel.len() as u64);
+            self.counters.record(pi, (hi - lo) as u64, sel.len() as u64);
             sharon_metrics::record_rows_scanned((hi - lo) as u64);
             sharon_metrics::record_rows_selected(sel.len() as u64);
 
@@ -332,12 +273,12 @@ impl<F: RowFilter> BatchRouter<F> {
             // owner hashing. Single-shard routers skip it entirely: every
             // selected row lands on shard 0.
             if self.n_shards == 1 {
-                out[0].per_part[slot].extend_from_slice(&sel);
+                out[0].per_part[pi].extend_from_slice(&sel);
                 continue;
             }
-            // the global (no GROUP BY) partition owner is a function of
-            // the *global* slot, matching the engines' `owns_global`
-            let global_owner = slot % self.n_shards;
+            // the global (no GROUP BY) partition owner, matching the
+            // engines' `owns_global`
+            let global_owner = pi % self.n_shards;
             for &row in &sel {
                 let r = row as usize;
                 // cannot fail: phase 1 already established groupability
@@ -357,7 +298,7 @@ impl<F: RowFilter> BatchRouter<F> {
                     // low bits index the owning shard's hash-map buckets)
                     key => ((fx_hash_one(key) >> 32) % self.n_shards as u64) as usize,
                 };
-                out[owner].per_part[slot].push(row);
+                out[owner].per_part[pi].push(row);
             }
         }
         self.sel_scratch = sel;
@@ -394,10 +335,6 @@ impl<F: RowFilter + Send> RouteBatch for BatchRouter<F> {
     }
 
     fn n_scopes(&self) -> usize {
-        self.n_slots
-    }
-
-    fn n_local_scopes(&self) -> usize {
         self.scopes.len()
     }
 
@@ -422,72 +359,6 @@ impl<F: RowFilter + Send> RouteBatch for BatchRouter<F> {
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         BatchRouter::load_state(self, r)
     }
-}
-
-/// Assign scopes (by their [`RowFilter::route_cost`] estimates) to
-/// `n_routers` routing-plane threads with deterministic longest-
-/// processing-time scheduling: scopes are taken in descending cost order
-/// (index ascending on ties) and each goes to the least-loaded router
-/// (lowest index on ties). Returns exactly `n_routers` lists of global
-/// scope indexes, each sorted ascending; trailing routers may own no
-/// scopes when there are fewer scopes than routers.
-///
-/// The assignment is a pure function of `(costs, n_routers)`, so a
-/// resumed executor rebuilding its plane from the same compiled workload
-/// reproduces the checkpointing run's scope→router mapping exactly.
-pub fn partition_scopes(costs: &[f64], n_routers: usize) -> Vec<Vec<usize>> {
-    assert!(n_routers >= 1, "a routing plane needs at least one router");
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by(|&a, &b| {
-        costs[b]
-            .partial_cmp(&costs[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); n_routers];
-    let mut loads = vec![0.0f64; n_routers];
-    for pi in order {
-        let router = loads
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(r, _)| r)
-            .expect("n_routers >= 1");
-        assignment[router].push(pi);
-        loads[router] += costs[pi].max(0.0);
-    }
-    for scopes in &mut assignment {
-        scopes.sort_unstable();
-    }
-    assignment
-}
-
-/// Split `scopes` into a routing plane of `n_routers` [`BatchRouter`]s,
-/// each owning a disjoint, cost-balanced subset (see
-/// [`partition_scopes`]) while emitting [`RoutedRows`] sized to the full
-/// scope count. `n_routers == 1` moves the scopes into a single router —
-/// exactly [`BatchRouter::new`], so the single-router plane is
-/// bit-identical to the pre-plane behaviour.
-pub fn split_router_plane<F: RowFilter + Clone + Send + 'static>(
-    scopes: Vec<F>,
-    n_shards: usize,
-    n_routers: usize,
-) -> Vec<Box<dyn RouteBatch>> {
-    assert!(n_routers >= 1, "a routing plane needs at least one router");
-    if n_routers == 1 {
-        return vec![Box::new(BatchRouter::new(scopes, n_shards))];
-    }
-    let n_slots = scopes.len();
-    let costs: Vec<f64> = scopes.iter().map(RowFilter::route_cost).collect();
-    partition_scopes(&costs, n_routers)
-        .into_iter()
-        .map(|owned| {
-            let subset: Vec<F> = owned.iter().map(|&pi| scopes[pi].clone()).collect();
-            let slots: Vec<u32> = owned.iter().map(|&pi| pi as u32).collect();
-            Box::new(BatchRouter::with_slots(subset, n_shards, slots, n_slots))
-                as Box<dyn RouteBatch>
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -638,71 +509,5 @@ mod tests {
             assert_eq!(w_rows.frontier, g_rows.frontier);
         }
         assert_eq!(got[0].frontier, Timestamp(499));
-    }
-
-    #[test]
-    fn scope_partitioning_is_deterministic_and_total() {
-        let costs = [5.0, 1.0, 4.0, 2.0, 3.0, 1.0];
-        let a = partition_scopes(&costs, 2);
-        assert_eq!(a, partition_scopes(&costs, 2));
-        let mut all: Vec<usize> = a.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..costs.len()).collect::<Vec<_>>());
-        // LPT keeps the two loads within the largest single cost
-        let load = |r: &Vec<usize>| -> f64 { r.iter().map(|&i| costs[i]).sum() };
-        assert!((load(&a[0]) - load(&a[1])).abs() <= 5.0);
-        // more routers than scopes leaves the tail empty, never panics
-        let wide = partition_scopes(&[1.0], 3);
-        assert_eq!(wide.len(), 3);
-        assert_eq!(wide.iter().map(Vec::len).sum::<usize>(), 1);
-    }
-
-    /// A plane of `R` routers over disjoint scope subsets routes exactly
-    /// what the single router routes: per shard and slot, one router
-    /// contributes the identical row list and all stamp the identical
-    /// full-stream frontier.
-    #[test]
-    fn router_plane_matches_single_router_routing() {
-        let (c, parts) = setup();
-        let n_shards = 3;
-        let b = batch(&c, 500);
-        let mut single = BatchRouter::new(parts.clone(), n_shards);
-        let want = single.route(&b);
-        for n_routers in [2usize, 4] {
-            let mut plane = split_router_plane(parts.clone(), n_shards, n_routers);
-            assert_eq!(plane.len(), n_routers);
-            let outs: Vec<Vec<RoutedRows>> = plane
-                .iter_mut()
-                .map(|r| {
-                    assert_eq!(r.n_scopes(), parts.len(), "chunks span the whole plane");
-                    assert!(r.n_local_scopes() <= parts.len());
-                    let mut o = Vec::new();
-                    r.route_range_into(&b, 0, b.len(), &mut o);
-                    o
-                })
-                .collect();
-            for shard in 0..n_shards {
-                for slot in 0..parts.len() {
-                    let contributors: Vec<&Vec<u32>> = outs
-                        .iter()
-                        .map(|o| &o[shard].per_part[slot])
-                        .filter(|rows| !rows.is_empty())
-                        .collect();
-                    assert!(contributors.len() <= 1, "slot {slot} routed by two routers");
-                    let got: &[u32] = contributors.first().map(|r| r.as_slice()).unwrap_or(&[]);
-                    assert_eq!(
-                        got,
-                        want[shard].per_part[slot].as_slice(),
-                        "plane x{n_routers}, shard {shard}, slot {slot}"
-                    );
-                }
-                for o in &outs {
-                    assert_eq!(
-                        o[shard].frontier, want[shard].frontier,
-                        "every router stamps the full-stream frontier"
-                    );
-                }
-            }
-        }
     }
 }

@@ -45,33 +45,12 @@
 //! the backpressure): the router routes batch `k + 1` while the shard
 //! workers execute batch `k` and the ingest thread buffers batch `k + 2`.
 //!
-//! # The routing plane
-//!
-//! At high shard counts and many *distinct* scopes the one router thread
-//! becomes the new serial stage. Scopes are independent by construction
-//! (per-scope selection bitmaps, per-scope row-index lists), so routing
-//! parallelizes cleanly along the scope axis: with `R > 1` routers
-//! ([`ShardedOptions::routers`], the `SHARON_ROUTERS` knob, see
-//! [`default_routers`]) the compiled scopes are partitioned across `R`
-//! router threads by a **cost estimate** (clause count × routed-type
-//! density, see [`crate::router::split_router_plane`]) — not naive
-//! round-robin — and each router owns its own [`RouteBatch`] state (its
-//! watermark frontier) plus its own per-worker SPSC rings. The ingest
-//! stage fans every filled [`Arc<EventBatch>`] range to *all* routers over per-router job rings;
-//! each [`RoutedRows`] chunk carries the ingest **batch sequence number**
-//! ([`RoutedRows::seq`]), and every worker reads its `R` lanes in
-//! lockstep — one chunk per lane per batch (multi-router planes send
-//! empty chunks too, precisely so the lanes never skew) — merging them
-//! with [`prepare_step`] so the applied union is indistinguishable from
-//! a single router's chunk: rows in lane order, the watermark advanced
-//! exactly once with the **min over the per-router frontiers**. Results
-//! are bit-identical to `R = 1`. Checkpoint barriers fan out to every
-//! router and the manifest carries `R` router-state segments; resume rebuilds the identical
-//! scope assignment (the cost partition is a pure function of the
-//! compiled scopes).
+//! There is exactly one router thread. Its per-event cost is a type pass
+//! plus one kernel per scope; README ("One router thread") records why a
+//! multi-router plane was tried and deleted, and what would justify it.
 //!
 //! Every hand-off buffer is **recycled**: each worker returns its consumed
-//! row-index lists through a return ring drained by the routing side, and
+//! row-index lists through a return ring drained by the router, and
 //! batch bodies — kept in [`Arc`]s end to end, including the fill buffer —
 //! return to an ingest-side pool once their `Arc` count drains, so the
 //! pipelined steady state performs no batch-, list-, or `Arc`-granular
@@ -82,13 +61,14 @@
 //! # Durability
 //!
 //! With a [`CheckpointConfig`] (see [`ShardedOptions::checkpoint`], or the
-//! `SHARON_CHECKPOINT` knob via [`ShardedOptions::from_env`]) the runtime
+//! `SHARON_CHECKPOINT` knob via
+//! [`RuntimeOptions::from_env`](crate::config::RuntimeOptions::from_env)) the runtime
 //! takes a **consistent checkpoint** every `interval_batches` ingested
 //! batches: a [`CheckpointBarrier`] message flows through the *same*
 //! rings as the data — ingest→router job ring first, then every worker
 //! ring — so each shard deposits its serialized engine state after
 //! exactly the batches routed before the barrier. No pause, no global
-//! lock: the barrier rides the pipeline. Each router deposits its own
+//! lock: the barrier rides the pipeline. The router deposits its
 //! frontier, and the ingest thread writes the segments plus a
 //! checksummed manifest through [`CheckpointStore`] (segments first,
 //! manifest renamed into place last, so a torn checkpoint is never
@@ -120,14 +100,14 @@ use crate::compile::{compile, CompileError, CompiledPartition};
 use crate::engine::{EngineKind, Executor, ShardSlice};
 use crate::processor::BatchProcessor;
 use crate::results::ExecutorResults;
-use crate::router::{split_router_plane, RouteBatch, RoutedRows};
+use crate::router::{BatchRouter, RouteBatch, RoutedRows};
 use crate::scan::ScanCounters;
 use crate::spill::SpillConfig;
 use crate::spsc;
 use sharon_query::{SharingPlan, Workload};
-use sharon_types::{Catalog, EventBatch, Timestamp};
+use sharon_types::{Catalog, EventBatch};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Default number of events buffered before a batch is routed and fanned
@@ -137,43 +117,15 @@ pub const DEFAULT_BATCH_SIZE: usize = 4096;
 /// Bounded depth of each worker's ring buffer (backpressure).
 const RING_DEPTH: usize = 4;
 
-/// Depth of each ingest→router job ring: double-buffered hand-off (the
+/// Depth of the ingest→router job ring: double-buffered hand-off (the
 /// router routes one batch while the ingest thread fills the next).
 const JOB_RING_DEPTH: usize = 2;
-
-/// Default number of router threads in the routing plane: one — the
-/// classic single-router pipeline.
-pub const DEFAULT_ROUTERS: usize = 1;
-
-/// The router-thread count to use when none is given explicitly: the
-/// `SHARON_ROUTERS` environment variable if set, [`DEFAULT_ROUTERS`]
-/// otherwise.
-///
-/// An unparsable or zero `SHARON_ROUTERS` panics rather than silently
-/// running a different plane (a bench matrix typo must not record
-/// numbers attributed to a routing plane that never ran).
-pub fn default_routers() -> usize {
-    crate::config::routers_from_env()
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(DEFAULT_ROUTERS)
-}
 
 /// One routed batch in flight to one worker: the shared columnar batch
 /// plus this worker's per-scope row lists.
 struct RoutedBatch {
     batch: Arc<EventBatch>,
     rows: RoutedRows,
-}
-
-/// One filled batch range in flight from the ingest thread to a router
-/// thread (absolute rows `lo..hi` of the shared batch). `seq` is the
-/// ingest batch sequence number, stamped onto every [`RoutedRows`] chunk
-/// so workers can merge the plane's ring streams deterministically.
-struct RouteJob {
-    batch: Arc<EventBatch>,
-    lo: usize,
-    hi: usize,
-    seq: u64,
 }
 
 /// What a worker ring carries: routed data, or a checkpoint barrier that
@@ -188,89 +140,16 @@ enum WorkerMsg {
     Harvest(HarvestRef),
 }
 
-/// What the ingest→router job rings carry (same in-band ordering; the
-/// ingest thread sends every message to **every** router's ring, so all
-/// lanes of a worker observe the same message sequence).
+/// What the ingest→router job ring carries (same in-band ordering).
 enum RouterMsg {
-    Route(RouteJob),
+    /// Route absolute rows `lo..hi` of the shared batch.
+    Route {
+        batch: Arc<EventBatch>,
+        lo: usize,
+        hi: usize,
+    },
     Barrier(BarrierRef),
     Harvest(HarvestRef),
-    /// A plane barrier: the router counts the latch down once every job
-    /// queued before it is routed, without touching the worker rings
-    /// (backs [`ShardedExecutor::router_stats`]).
-    Sync(Arc<PlaneSync>),
-}
-
-/// A count-down latch over the routing plane: every router thread counts
-/// it down in-band, behind all previously queued jobs, and the ingest
-/// thread waits until all have.
-struct PlaneSync {
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
-impl PlaneSync {
-    fn new(n_routers: usize) -> Self {
-        PlaneSync {
-            remaining: Mutex::new(n_routers),
-            done: Condvar::new(),
-        }
-    }
-
-    /// One router has routed everything queued before the latch.
-    fn count_down(&self) {
-        // the count is valid at every step, so a poisoned lock is taken over
-        let mut remaining = self
-            .remaining
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *remaining = remaining.saturating_sub(1);
-        self.done.notify_all();
-    }
-
-    /// Block until every router counted down. A cancelled run returns
-    /// early — a dead router will never answer, and a barrier must not
-    /// hang a failing run.
-    fn wait(&self, cancel: &AtomicBool) {
-        let mut remaining = self
-            .remaining
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while *remaining > 0 && !cancel.load(Ordering::Relaxed) {
-            remaining = self
-                .done
-                .wait_timeout(remaining, std::time::Duration::from_millis(20))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-    }
-}
-
-/// Live work tallies of one router thread, shared with the ingest side
-/// (see [`ShardedExecutor::router_stats`]).
-#[derive(Default)]
-struct RouterCounters {
-    batches_routed: AtomicU64,
-    stall_waits: AtomicU64,
-    scope_scans: AtomicU64,
-}
-
-/// A snapshot of one router thread's work tallies (see
-/// [`ShardedExecutor::router_stats`]). The many-distinct-scope bench
-/// asserts the plane is balanced by comparing `scope_scans` across
-/// routers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Batches this router routed. Every router routes every batch, so
-    /// the counts agree across the plane once ingestion is flushed.
-    pub batches_routed: u64,
-    /// Times this router found a worker ring full and blocked until the
-    /// worker drained it.
-    pub stall_waits: u64,
-    /// Scope scans performed: this router's *local* scope count × its
-    /// routed batches — the per-router share of the plane-wide
-    /// [`sharon_metrics::router_scope_scans`] dedup invariant.
-    pub scope_scans: u64,
 }
 
 /// Armed at the top of every runtime thread: if the thread unwinds, flip
@@ -293,8 +172,6 @@ pub struct ShardReport {
     pub results: ExecutorResults,
     /// Events this shard matched, exact at drain time.
     pub events_matched: u64,
-    /// Final state-size proxy (live cells / buffered events / matches).
-    pub state_size: usize,
 }
 
 /// The stateful half of a shardable strategy, as run by one worker thread:
@@ -348,17 +225,15 @@ pub trait ShardProcessor: Send {
     fn finish(self: Box<Self>) -> ShardReport;
 }
 
-/// The routing side's endpoints of one worker lane: the routed-batch
-/// ring in, the recycled row lists out.
+/// The router's endpoints of one worker lane: the routed-batch ring in,
+/// the recycled row lists out.
 struct WorkerChannel {
     sender: spsc::Sender<WorkerMsg>,
     returns: spsc::Receiver<RoutedRows>,
 }
 
-/// The worker side's endpoints of one router's lane: the routed-batch
-/// ring out of that router, and the return ring its consumed row lists
-/// recycle through. A worker holds one lane per router, in router
-/// order, and reads them in lockstep (one message per lane per step).
+/// The worker's endpoints of its lane: the routed-batch ring out of the
+/// router, and the return ring its consumed row lists recycle through.
 struct WorkerLane {
     rx: spsc::Receiver<WorkerMsg>,
     ret: spsc::Sender<RoutedRows>,
@@ -372,51 +247,30 @@ struct WorkerHandle {
     matched: Arc<AtomicU64>,
 }
 
-/// One router's complete routing stage: its [`RouteBatch`] (owning a
-/// disjoint subset of the compiled scopes), its own worker rings (one
-/// lane per worker), and its recycling pools. Moved wholesale onto a
-/// dedicated router thread; dropping it closes this router's lane of
-/// every worker.
+/// The complete routing stage: the [`RouteBatch`], the worker rings (one
+/// lane per worker), and the recycling pools. Moved wholesale onto the
+/// router thread; dropping it closes every worker lane.
 struct Fanout {
     router: Box<dyn RouteBatch>,
-    /// This router's index within the routing plane — its lane order at
-    /// the workers and its slot in checkpoint barriers.
-    router_index: usize,
-    /// `true` in a multi-router plane: every worker receives one chunk
-    /// per batch — even an empty one — so the per-worker lanes stay in
-    /// lockstep for the sequence-number merge. A single router keeps the
-    /// classic skip-empty fast path (bit-identical to the pre-plane
-    /// runtime).
-    always_send: bool,
     channels: Vec<WorkerChannel>,
     /// Recycled row lists (refilled from the workers' return rings).
     rows_pool: Vec<RoutedRows>,
     /// Reused output slots of `route_range_into`.
     route_scratch: Vec<RoutedRows>,
-    /// Work tallies shared with the ingest side.
-    counters: Arc<RouterCounters>,
 }
 
 impl Fanout {
-    /// Route rows `lo..hi` of `batch` once against this router's scopes
-    /// and send each worker the shared batch plus its owned row-index
-    /// lists, stamped with the ingest sequence number `seq`. A worker
-    /// whose ring closed early (its thread panicked) flips `cancel`
-    /// instead of cascading the panic into the routing side — `finish`
-    /// reports the dead shard.
+    /// Route rows `lo..hi` of `batch` once and send each worker the
+    /// shared batch plus its owned row-index lists; a worker with no
+    /// owned rows is not woken at all. A worker whose ring closed early
+    /// (its thread panicked) flips `cancel` instead of cascading the
+    /// panic into the router — `finish` reports the dead shard.
     ///
     /// NOTE: `tests/alloc_regression.rs` (the pipelined steady-state
     /// test) mirrors this recycling protocol step by step on one thread
     /// to pin it at zero allocations deterministically — keep the two in
     /// sync when changing the pool/scratch handling here.
-    fn dispatch(
-        &mut self,
-        batch: &Arc<EventBatch>,
-        lo: usize,
-        hi: usize,
-        seq: u64,
-        cancel: &AtomicBool,
-    ) {
+    fn dispatch(&mut self, batch: &Arc<EventBatch>, lo: usize, hi: usize, cancel: &AtomicBool) {
         let n_shards = self.channels.len();
         // drain the return rings: consumed row lists become routing slots
         let rows_cap = n_shards * (RING_DEPTH + 2);
@@ -428,12 +282,8 @@ impl Fanout {
             out.push(self.rows_pool.pop().unwrap_or_default());
         }
         self.router.route_range_into(batch, lo, hi, &mut out);
-        for (ch, mut rows) in self.channels.iter_mut().zip(out.drain(..)) {
-            rows.seq = seq;
-            // single-router mode: a worker with no owned rows is not
-            // woken at all; in a plane every lane must see every batch
-            // to stay in step
-            if !self.always_send && rows.is_empty() {
+        for (ch, rows) in self.channels.iter_mut().zip(out.drain(..)) {
+            if rows.is_empty() {
                 if self.rows_pool.len() < rows_cap {
                     self.rows_pool.push(rows);
                 }
@@ -446,7 +296,6 @@ impl Fanout {
             if let Err(msg) = ch.sender.try_send(msg) {
                 // ring full (or closed): count the stall, then fall back
                 // to the blocking send — that wait is the backpressure
-                self.counters.stall_waits.fetch_add(1, Ordering::Relaxed);
                 sharon_metrics::record_router_stall_waits(1);
                 if ch.sender.send(msg).is_err() {
                     cancel.store(true, Ordering::Release);
@@ -454,118 +303,70 @@ impl Fanout {
             }
         }
         self.route_scratch = out;
-        self.counters.batches_routed.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .scope_scans
-            .fetch_add(self.router.n_local_scopes() as u64, Ordering::Relaxed);
         sharon_metrics::record_router_batches_routed(1);
     }
 
-    /// Inject a checkpoint barrier: serialize this router's own state,
-    /// send the barrier down **every** worker lane (in-band, behind all
-    /// previously routed batches), and deposit the router segment into
-    /// this router's barrier slot. Dead rings flip `cancel` — the
-    /// barrier wait then fails instead of hanging.
-    fn send_barrier(&mut self, barrier: &BarrierRef, cancel: &AtomicBool) {
-        let mut w = StateWriter::new();
-        self.router.save_state(&mut w);
+    /// Send `msg()` down every worker lane, in-band behind all previously
+    /// routed batches. Dead rings flip `cancel` — the barrier wait then
+    /// fails instead of hanging.
+    fn send_all(&mut self, msg: impl Fn() -> WorkerMsg, cancel: &AtomicBool) {
         for ch in &mut self.channels {
-            if ch
-                .sender
-                .send(WorkerMsg::Barrier(Arc::clone(barrier)))
-                .is_err()
-            {
+            if ch.sender.send(msg()).is_err() {
                 cancel.store(true, Ordering::Release);
             }
         }
-        barrier.fill_router(self.router_index, w.into_bytes());
+    }
+
+    /// Inject a checkpoint barrier: serialize the router's own state,
+    /// send the barrier down every worker lane, and deposit the router
+    /// segment into the barrier.
+    fn send_barrier(&mut self, barrier: &BarrierRef, cancel: &AtomicBool) {
+        let mut w = StateWriter::new();
+        self.router.save_state(&mut w);
+        self.send_all(|| WorkerMsg::Barrier(Arc::clone(barrier)), cancel);
+        barrier.fill_router(w.into_bytes());
     }
 
     /// Inject a result-harvest barrier: same in-band ordering as
     /// [`Fanout::send_barrier`], but workers deposit (and clear) their
-    /// emitted results instead of their engine state. Routers have no
-    /// results of their own, so their segments are empty.
+    /// emitted results instead of their engine state. The router has no
+    /// results of its own, so its segment is empty.
     fn send_harvest(&mut self, barrier: &HarvestRef, cancel: &AtomicBool) {
-        for ch in &mut self.channels {
-            if ch
-                .sender
-                .send(WorkerMsg::Harvest(Arc::clone(barrier)))
-                .is_err()
-            {
-                cancel.store(true, Ordering::Release);
-            }
-        }
-        barrier.fill_router(self.router_index, Vec::new());
+        self.send_all(|| WorkerMsg::Harvest(Arc::clone(barrier)), cancel);
+        barrier.fill_router(Vec::new());
     }
 }
 
-/// Rewrite the `R` per-router chunks of one merged worker step (lane
-/// order, all carrying the same batch and sequence number) so that
-/// applying them one after another through
-/// [`ShardProcessor::process_routed`] is indistinguishable from applying
-/// their union as a single chunk — the heart of the deterministic
-/// sequence-number merge: the **watermark advances exactly once**. Every
-/// non-last chunk's frontier is zeroed (a no-op — the event-time gate's
-/// `advance` is a monotone max) and the last non-empty chunk carries the
-/// **min over the stamped per-router frontiers**, the only bound every
-/// router has published for this batch.
-///
-/// A step with one non-empty chunk keeps its frontier, so a
-/// single-router plane reproduces the classic path bit for bit.
-/// Allocation-free. Public so the merge-determinism suites can drive it
-/// directly against adversarial chunk layouts.
-pub fn prepare_step(chunks: &mut [RoutedRows]) {
-    let Some(last) = chunks.iter().rposition(|c| !c.is_empty()) else {
-        return;
-    };
-    let mut merged = chunks[last].frontier;
-    for c in &mut chunks[..last] {
-        if !c.is_empty() {
-            merged = merged.min(c.frontier);
-            c.frontier = Timestamp::ZERO;
-        }
-    }
-    chunks[last].frontier = merged;
-}
-
-/// The ingest thread's handle on one dedicated router thread.
+/// The ingest thread's handle on the router thread.
 struct RouterThread {
     jobs: spsc::Sender<RouterMsg>,
     /// Returns the [`Fanout`] at end-of-stream so `finish` controls when
-    /// this router's worker lanes close (after all in-flight jobs
-    /// routed).
+    /// the worker lanes close (after all in-flight jobs routed).
     handle: JoinHandle<Fanout>,
 }
 
-/// Close every job ring first, then join the routers in router order,
-/// dropping each returned fan-out as its thread returns — which closes
-/// that router's worker lanes, releasing any worker blocked on it before
-/// the next join (close-then-drain is the poison message: each router
-/// routes every queued job first). Returns the routers that panicked; a
-/// panicked router already dropped its fan-out during unwind.
-fn join_routers(threads: Vec<RouterThread>) -> Vec<usize> {
-    let handles: Vec<_> = threads.into_iter().map(|rt| rt.handle).collect();
-    handles
-        .into_iter()
-        .enumerate()
-        .filter_map(|(ri, handle)| handle.join().is_err().then_some(ri))
-        .collect()
+impl RouterThread {
+    /// Close the job ring, then join the thread, dropping the returned
+    /// fan-out — which closes the worker lanes (close-then-drain is the
+    /// poison message: the router routes every queued job first).
+    /// Returns `false` if the router panicked; it then already dropped
+    /// its fan-out during unwind.
+    fn join(self) -> bool {
+        drop(self.jobs);
+        self.handle.join().is_ok()
+    }
 }
 
 /// Every tuning and durability knob of the sharded runtime in one place;
 /// every [`ShardedExecutor`] constructor takes it whole.
 /// [`ShardedOptions::default`] is the plain runtime (no spill, no
-/// checkpoints, no faults, arrival order);
-/// [`ShardedOptions::from_env`] additionally honors the
-/// `SHARON_CHECKPOINT` and `SHARON_FAULT` environment knobs.
+/// checkpoints, no faults, arrival order); the `SHARON_*` environment
+/// knobs reach it only through
+/// [`RuntimeOptions::sharded_options`](crate::config::RuntimeOptions::sharded_options).
 #[derive(Debug, Clone)]
 pub struct ShardedOptions {
     /// Events buffered before a batch is routed ([`DEFAULT_BATCH_SIZE`]).
     pub batch_size: usize,
-    /// Router threads in the routing plane (`1` = the classic single
-    /// router; defaults to [`default_routers`], which honours
-    /// `SHARON_ROUTERS`).
-    pub routers: usize,
     /// When set, every engine pages cold groups out to a spill log under
     /// this configuration — bounded memory for huge `GROUP BY`
     /// cardinalities (see [`SpillConfig`]).
@@ -590,7 +391,6 @@ impl Default for ShardedOptions {
     fn default() -> Self {
         ShardedOptions {
             batch_size: DEFAULT_BATCH_SIZE,
-            routers: default_routers(),
             spill: None,
             checkpoint: None,
             fault: None,
@@ -600,20 +400,6 @@ impl Default for ShardedOptions {
 }
 
 impl ShardedOptions {
-    /// The defaults plus the durability environment knobs:
-    /// `SHARON_CHECKPOINT=<dir>[:<interval>]` enables periodic
-    /// checkpoints, `SHARON_FAULT=<plan>` arms fault injection, and
-    /// `SHARON_LATENESS=<ms>` enables event-time mode (all panic on
-    /// unparsable values — a typo must not silently run a different
-    /// configuration). Delegates to the consolidated
-    /// [`RuntimeOptions::from_env`](crate::config::RuntimeOptions::from_env)
-    /// surface.
-    pub fn from_env() -> Self {
-        crate::config::RuntimeOptions::from_env()
-            .unwrap_or_else(|e| panic!("{e}"))
-            .sharded_options()
-    }
-
     /// The first durability option that is set (`checkpoint`, `spill`,
     /// `fault`), by name — what a build without the durability tier
     /// must refuse.
@@ -708,16 +494,16 @@ fn reorder_burst(batch: &EventBatch, lo: usize, hi: usize, k: u32) -> EventBatch
 /// compiles a workload into online engine shards exactly like
 /// [`crate::Executor`], [`ShardedExecutor::resume`] rebuilds them from the
 /// latest complete checkpoint, and [`ShardedExecutor::from_parts`] hosts
-/// *any* [`ShardProcessor`] set behind a pre-built routing plane, which
+/// *any* [`ShardProcessor`] set behind a pre-built router, which
 /// is how the two-step baselines run sharded. Events are accepted as
-/// columnar batches copied into the fill buffer; router threads route each
-/// buffered batch once and fan the per-shard row lists out
+/// columnar batches copied into the fill buffer; the router thread routes
+/// each buffered batch once and fans the per-shard row lists out
 /// over SPSC rings (see the module docs). [`ShardedExecutor::finish`]
 /// drains the pipeline and merges the disjoint shard results.
 pub struct ShardedExecutor {
-    /// The routing plane's threads, in router order; `None` only after
-    /// `finish`/`Drop` tore them down.
-    routers: Option<Vec<RouterThread>>,
+    /// The router thread; `None` only after `finish`/`Drop` tore it
+    /// down.
+    router: Option<RouterThread>,
     workers: Vec<WorkerHandle>,
     /// The fill buffer. Kept in an [`Arc`] (uniquely owned between
     /// flushes) so a flush moves it into the pipeline without re-wrapping
@@ -731,8 +517,6 @@ pub struct ShardedExecutor {
     /// Batches fanned out so far — the clock of the periodic
     /// checkpointer and the fault plans.
     batches_sent: u64,
-    /// Router threads in the routing plane (`1` = classic pipeline).
-    n_routers: usize,
     /// In-flight batch bodies; entries whose `Arc` count drains back to 1
     /// are cleared and reused by the next flush.
     batch_pool: Vec<Arc<EventBatch>>,
@@ -749,18 +533,15 @@ pub struct ShardedExecutor {
     /// Set once a `Drop`-fault fired: ingest stops and `finish` panics,
     /// simulating a crash with unflushed state.
     fault_tripped: Option<u64>,
-    /// Each router's per-slot scan tallies, cloned out before the
-    /// routers moved onto their threads (empty when the
-    /// routers do not track them). Routers fill disjoint slots, so the
-    /// plane-wide view is the slot-wise sum.
-    scan_counters: Vec<Arc<ScanCounters>>,
-    /// Each router's live work tallies, in router order.
-    router_counters: Vec<Arc<RouterCounters>>,
+    /// The router's per-scope scan tallies, cloned out before the router
+    /// moved onto its thread (`None` when the router does not track
+    /// them).
+    scan_counters: Option<Arc<ScanCounters>>,
 }
 
 impl ShardedExecutor {
     /// Compile `workload` under `plan` and spawn `n_shards` online engine
-    /// shards configured by `options` (batching, routing plane,
+    /// shards configured by `options` (batching,
     /// spill tier, checkpoints, fault injection, lateness). Zero shards is
     /// [`CompileError::ZeroShards`].
     pub fn with_options(
@@ -777,17 +558,16 @@ impl ShardedExecutor {
         }
         let parts = compile(catalog, workload, plan)?;
         let shards = engine_shards(&parts, n_shards, options.spill.as_ref(), options.lateness);
-        let routers = split_router_plane(parts, n_shards, options.routers);
-        Ok(Self::build_with(routers, shards, &options, 0))
+        let router = Box::new(BatchRouter::new(parts, n_shards));
+        Ok(Self::build_with(router, shards, &options, 0))
     }
 
     /// Rebuild the runtime from the **latest complete checkpoint** in
     /// `options.checkpoint` (which must be set) and return it together
     /// with the stream offset to replay from: re-ingest every event from
     /// that offset on and the results are identical to an uninterrupted
-    /// run. The compiled workload, shard count and router count must match
-    /// the checkpointing run — mismatches are reported, never guessed
-    /// around.
+    /// run. The compiled workload and shard count must match the
+    /// checkpointing run — mismatches are reported, never guessed around.
     pub fn resume(
         catalog: &Catalog,
         workload: &Workload,
@@ -808,29 +588,16 @@ impl ShardedExecutor {
                 data.shards.len()
             )));
         }
-        if data.routers.len() != options.routers {
-            return Err(CheckpointError::Mismatch(format!(
-                "checkpoint has {} router segment(s), runtime has {} router(s)",
-                data.routers.len(),
-                options.routers
-            )));
-        }
         let parts = compile(catalog, workload, plan)
             .map_err(|e| CheckpointError::Mismatch(format!("workload does not compile: {e}")))?;
         let mut shards = engine_shards(&parts, n_shards, options.spill.as_ref(), options.lateness);
-        // the cost partition is a pure function of the compiled scopes
-        // and the router count, so this rebuilds the checkpointing run's
-        // scope→router assignment exactly — segment `ri` restores the
-        // same scope subset it was saved from
-        let mut routers = split_router_plane(parts, n_shards, options.routers);
-        for (ri, router) in routers.iter_mut().enumerate() {
-            let mut r = StateReader::new(&data.routers[ri]);
-            router.load_state(&mut r)?;
-            if !r.is_exhausted() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "trailing router {ri} state bytes"
-                )));
-            }
+        let mut router = Box::new(BatchRouter::new(parts, n_shards));
+        let mut r = StateReader::new(&data.router);
+        router.load_state(&mut r)?;
+        if !r.is_exhausted() {
+            return Err(CheckpointError::Corrupt(
+                "trailing router state bytes".into(),
+            ));
         }
         for (shard, processor) in shards.iter_mut().enumerate() {
             processor
@@ -838,68 +605,45 @@ impl ShardedExecutor {
                 .map_err(|e| CheckpointError::Corrupt(format!("shard {shard} state: {e}")))?;
         }
         let offset = data.events_sent;
-        Ok((Self::build_with(routers, shards, &options, offset), offset))
+        Ok((Self::build_with(router, shards, &options, offset), offset))
     }
 
-    /// Host any strategy: a pre-built **routing plane** — one
-    /// [`RouteBatch`] per router thread, each owning a disjoint subset of
-    /// the plane-wide routing slots (see [`split_router_plane`]) — plus
-    /// one processor per shard (the two-step baselines run sharded this
-    /// way). The routers' shard assignment must agree with how the
-    /// processors partition their group state; both sides deriving from
-    /// the same [`crate::RowFilter`] scopes guarantees that.
-    ///
-    /// The plane size is `routers.len()` — [`ShardedOptions::routers`] is
-    /// not consulted, so a caller-built plane is never silently resized
-    /// by the environment; the engine-side options (`spill`, `lateness`)
-    /// are the processors' business too. Panics on an empty
-    /// plane or shard set, or when routers and processors disagree on
-    /// the shard or slot count.
+    /// Host any strategy: a pre-built [`RouteBatch`] plus one processor
+    /// per shard (the two-step baselines run sharded this way). The
+    /// router's shard assignment must agree with how the processors
+    /// partition their group state; both sides deriving from the same
+    /// [`crate::RowFilter`] scopes guarantees that. The engine-side
+    /// options (`spill`, `lateness`) are the processors' business. Panics
+    /// on an empty shard set, or when router and processors disagree on
+    /// the shard count.
     pub fn from_parts(
-        routers: Vec<Box<dyn RouteBatch>>,
+        router: Box<dyn RouteBatch>,
         shards: Vec<Box<dyn ShardProcessor>>,
         options: &ShardedOptions,
     ) -> Self {
-        Self::build_with(routers, shards, options, 0)
+        Self::build_with(router, shards, options, 0)
     }
 
-    /// Spawn the worker and router threads around the routing plane
-    /// `routers` + `shards`. `events_sent` seeds the ingest counter —
-    /// zero for fresh runs, the checkpoint's replay offset for resumed
-    /// ones.
+    /// Spawn the worker and router threads around `router` + `shards`.
+    /// `events_sent` seeds the ingest counter — zero for fresh runs, the
+    /// checkpoint's replay offset for resumed ones.
     fn build_with(
-        routers: Vec<Box<dyn RouteBatch>>,
+        router: Box<dyn RouteBatch>,
         shards: Vec<Box<dyn ShardProcessor>>,
         options: &ShardedOptions,
         events_sent: u64,
     ) -> Self {
         let n_shards = shards.len();
-        let n_routers = routers.len();
         assert!(n_shards >= 1, "need at least one shard");
-        assert!(n_routers >= 1, "a routing plane needs at least one router");
+        assert_eq!(
+            router.n_shards(),
+            n_shards,
+            "router and processor shard counts must agree"
+        );
         let batch_size = options.batch_size.max(1);
-        for router in &routers {
-            assert_eq!(
-                router.n_shards(),
-                n_shards,
-                "router and processor shard counts must agree"
-            );
-        }
-        let n_scopes = routers[0].n_scopes();
-        for router in &routers {
-            assert_eq!(
-                router.n_scopes(),
-                n_scopes,
-                "every router of a plane must address the same plane-wide slot space"
-            );
-        }
-        // cloned now: the routers move onto their own threads, but selectivity stays reportable through the shared
-        // counters (summed slot-wise across the plane)
-        let scan_counters: Vec<Arc<ScanCounters>> =
-            routers.iter().filter_map(|r| r.scan_counters()).collect();
-        let router_counters: Vec<Arc<RouterCounters>> = (0..n_routers)
-            .map(|_| Arc::new(RouterCounters::default()))
-            .collect();
+        // cloned now: the router moves onto its own thread, but
+        // selectivity stays reportable through the shared counters
+        let scan_counters = router.scan_counters();
         let cancel = Arc::new(AtomicBool::new(false));
         let checkpointer = options.checkpoint.as_ref().map(|cfg| Checkpointer {
             store: CheckpointStore::open(&cfg.dir)
@@ -907,35 +651,26 @@ impl ShardedExecutor {
             interval_batches: cfg.interval_batches.max(1),
         });
 
-        // one lane (worker ring + return ring) per router per worker
-        let mut worker_lanes: Vec<Vec<WorkerLane>> = (0..n_shards)
-            .map(|_| Vec::with_capacity(n_routers))
-            .collect();
-        let mut fanouts = Vec::with_capacity(n_routers);
-        for (ri, router) in routers.into_iter().enumerate() {
-            let mut channels = Vec::with_capacity(n_shards);
-            for lanes in worker_lanes.iter_mut() {
-                let (sender, rx) = spsc::ring::<WorkerMsg>(RING_DEPTH);
-                // the return ring is sized so a worker's try_send can
-                // only hit a full ring if the routing side stopped
-                // draining it
-                let (ret, returns) = spsc::ring::<RoutedRows>(RING_DEPTH + 2);
-                channels.push(WorkerChannel { sender, returns });
-                lanes.push(WorkerLane { rx, ret });
-            }
-            fanouts.push(Fanout {
-                router,
-                router_index: ri,
-                always_send: n_routers > 1,
-                channels,
-                rows_pool: Vec::new(),
-                route_scratch: Vec::new(),
-                counters: Arc::clone(&router_counters[ri]),
-            });
+        // one lane (worker ring + return ring) per worker
+        let mut channels = Vec::with_capacity(n_shards);
+        let mut lanes = Vec::with_capacity(n_shards);
+        for _ in 0..n_shards {
+            let (sender, rx) = spsc::ring::<WorkerMsg>(RING_DEPTH);
+            // the return ring is sized so a worker's try_send can only
+            // hit a full ring if the router stopped draining it
+            let (ret, returns) = spsc::ring::<RoutedRows>(RING_DEPTH + 2);
+            channels.push(WorkerChannel { sender, returns });
+            lanes.push(WorkerLane { rx, ret });
         }
+        let fanout = Fanout {
+            router,
+            channels,
+            rows_pool: Vec::new(),
+            route_scratch: Vec::new(),
+        };
 
         let mut workers = Vec::with_capacity(n_shards);
-        for ((shard, processor), lanes) in shards.into_iter().enumerate().zip(worker_lanes) {
+        for ((shard, processor), lane) in shards.into_iter().enumerate().zip(lanes) {
             let matched = Arc::new(AtomicU64::new(0));
             let matched_pub = Arc::clone(&matched);
             let cancelled = Arc::clone(&cancel);
@@ -948,107 +683,37 @@ impl ShardedExecutor {
                 .spawn(move || {
                     let _guard = CancelOnPanic(Arc::clone(&cancelled));
                     let mut processor = processor;
-                    let mut lanes = lanes;
+                    let WorkerLane { mut rx, mut ret } = lane;
                     let mut processed: u64 = 0;
-                    // hoisted step buffers: the merge loop allocates
-                    // nothing in steady state
-                    let mut step: Vec<WorkerMsg> = Vec::with_capacity(lanes.len());
-                    let mut bodies: Vec<Arc<EventBatch>> = Vec::with_capacity(lanes.len());
-                    let mut chunks: Vec<RoutedRows> = Vec::with_capacity(lanes.len());
-                    'stream: loop {
-                        // the sequence-number merge: one in-band message
-                        // per lane, in router order — every router sends
-                        // every worker the same message sequence (planes
-                        // send empty chunks too), so step `k` of every
-                        // lane refers to the same batch or barrier
-                        step.clear();
-                        for lane in &mut lanes {
-                            match lane.rx.recv() {
-                                Some(msg) => step.push(msg),
-                                // lanes close together at teardown: any
-                                // closed lane ends the stream
-                                None => break 'stream,
-                            }
-                        }
-                        let kind = std::mem::discriminant(&step[0]);
-                        if step.iter().any(|m| std::mem::discriminant(m) != kind) {
-                            // only reachable when a cancel tore the
-                            // plane down mid-sequence — an orderly plane
-                            // keeps every lane in lockstep
-                            assert!(
-                                cancelled.load(Ordering::Relaxed),
-                                "router lanes desynchronized on shard {shard}"
-                            );
-                            break 'stream;
-                        }
-                        match &step[0] {
-                            WorkerMsg::Batch(_) => {
-                                bodies.clear();
-                                chunks.clear();
-                                for msg in step.drain(..) {
-                                    if let WorkerMsg::Batch(rb) = msg {
-                                        bodies.push(rb.batch);
-                                        chunks.push(rb.rows);
+                    while let Some(msg) = rx.recv() {
+                        match msg {
+                            WorkerMsg::Batch(RoutedBatch { batch, mut rows }) => {
+                                // an aborted run recycles without processing
+                                if !cancelled.load(Ordering::Relaxed) {
+                                    if fault_at == Some(processed) {
+                                        panic!(
+                                            "injected fault: worker shard {shard} \
+                                             panicking at its batch {processed}"
+                                        );
                                     }
+                                    processed += 1;
+                                    processor.process_routed(&batch, &rows);
+                                    matched_pub
+                                        .store(processor.events_matched(), Ordering::Relaxed);
                                 }
-                                if cancelled.load(Ordering::Relaxed)
-                                    || chunks.iter().all(RoutedRows::is_empty)
-                                {
-                                    // aborted — or no lane owns rows of
-                                    // this batch (single routers skip
-                                    // such sends entirely, so the step
-                                    // is not counted here either)
-                                    bodies.clear();
-                                    for (lane, mut rows) in lanes.iter_mut().zip(chunks.drain(..)) {
-                                        rows.clear();
-                                        let _ = lane.ret.try_send(rows);
-                                    }
-                                    continue;
-                                }
-                                debug_assert!(
-                                    chunks.iter().all(|c| c.seq == chunks[0].seq)
-                                        && bodies.iter().all(|b| Arc::ptr_eq(b, &bodies[0])),
-                                    "lanes merged chunks of different batches"
-                                );
-                                if fault_at == Some(processed) {
-                                    panic!(
-                                        "injected fault: worker shard {shard} \
-                                         panicking at its batch {processed}"
-                                    );
-                                }
-                                processed += 1;
-                                prepare_step(&mut chunks);
-                                for (body, rows) in bodies.iter().zip(&chunks) {
-                                    if !rows.is_empty() {
-                                        processor.process_routed(body, rows);
-                                    }
-                                }
-                                matched_pub.store(processor.events_matched(), Ordering::Relaxed);
-                                bodies.clear(); // release the body before recycling rows
-                                for (lane, mut rows) in lanes.iter_mut().zip(chunks.drain(..)) {
-                                    rows.clear();
-                                    // recycle the row lists into their own
-                                    // lane; dropping them is fine if the
-                                    // return ring is (transiently) full
-                                    let _ = lane.ret.try_send(rows);
-                                }
+                                drop(batch); // release the body before recycling rows
+                                rows.clear();
+                                // dropping the lists is fine if the return
+                                // ring is (transiently) full
+                                let _ = ret.try_send(rows);
                             }
-                            WorkerMsg::Barrier(_) => {
-                                // in-band: state covers exactly the batches
-                                // routed before the barrier; every lane
-                                // carries the same barrier, deposit once
-                                let state = processor.save_state();
-                                if let Some(WorkerMsg::Barrier(barrier)) = step.drain(..).next() {
-                                    barrier.fill_shard(shard, state);
-                                }
+                            // in-band: state and results cover exactly the
+                            // batches routed before the barrier
+                            WorkerMsg::Barrier(barrier) => {
+                                barrier.fill_shard(shard, processor.save_state());
                             }
-                            WorkerMsg::Harvest(_) => {
-                                // in-band: results cover exactly the batches
-                                // routed before the barrier; take once
-                                let results = processor.take_results();
-                                if let Some(WorkerMsg::Harvest(barrier)) = step.drain(..).next() {
-                                    barrier.fill_shard(shard, results);
-                                }
+                            WorkerMsg::Harvest(barrier) => {
+                                barrier.fill_shard(shard, processor.take_results());
                             }
                         }
                     }
@@ -1058,51 +723,37 @@ impl ShardedExecutor {
             workers.push(WorkerHandle { handle, matched });
         }
 
-        let threads = fanouts
-            .into_iter()
-            .enumerate()
-            .map(|(ri, fanout)| {
-                let (jobs, mut job_rx) = spsc::ring::<RouterMsg>(JOB_RING_DEPTH);
-                let cancelled = Arc::clone(&cancel);
-                let handle = std::thread::Builder::new()
-                    .name(format!("sharon-router-{ri}"))
-                    .spawn(move || {
-                        let _guard = CancelOnPanic(Arc::clone(&cancelled));
-                        let mut fanout = fanout;
-                        while let Some(msg) = job_rx.recv() {
-                            match msg {
-                                RouterMsg::Route(RouteJob { batch, lo, hi, seq }) => {
-                                    if cancelled.load(Ordering::Relaxed) {
-                                        continue; // aborted: drain jobs without routing
-                                    }
-                                    fanout.dispatch(&batch, lo, hi, seq, &cancelled);
-                                }
-                                RouterMsg::Barrier(barrier) => {
-                                    fanout.send_barrier(&barrier, &cancelled);
-                                }
-                                RouterMsg::Harvest(barrier) => {
-                                    fanout.send_harvest(&barrier, &cancelled);
-                                }
-                                RouterMsg::Sync(sync) => sync.count_down(),
+        let (jobs, mut job_rx) = spsc::ring::<RouterMsg>(JOB_RING_DEPTH);
+        let cancelled = Arc::clone(&cancel);
+        let handle = std::thread::Builder::new()
+            .name("sharon-router".into())
+            .spawn(move || {
+                let _guard = CancelOnPanic(Arc::clone(&cancelled));
+                let mut fanout = fanout;
+                while let Some(msg) = job_rx.recv() {
+                    match msg {
+                        RouterMsg::Route { batch, lo, hi } => {
+                            if cancelled.load(Ordering::Relaxed) {
+                                continue; // aborted: drain jobs without routing
                             }
+                            fanout.dispatch(&batch, lo, hi, &cancelled);
                         }
-                        // end of stream: hand the fan-out back so
-                        // `finish` closes this router's worker lanes
-                        // only after every queued job was routed
-                        fanout
-                    })
-                    .expect("spawn router thread");
-                RouterThread { jobs, handle }
+                        RouterMsg::Barrier(barrier) => fanout.send_barrier(&barrier, &cancelled),
+                        RouterMsg::Harvest(barrier) => fanout.send_harvest(&barrier, &cancelled),
+                    }
+                }
+                // end of stream: hand the fan-out back so `finish` closes
+                // the worker lanes only after every queued job was routed
+                fanout
             })
-            .collect();
+            .expect("spawn router thread");
 
         ShardedExecutor {
-            routers: Some(threads),
+            router: Some(RouterThread { jobs, handle }),
             workers,
             buffer: Arc::new(EventBatch::with_capacity(batch_size, 2)),
             batch_size,
             n_shards,
-            n_routers,
             events_sent,
             batches_sent: 0,
             batch_pool: Vec::new(),
@@ -1111,41 +762,12 @@ impl ShardedExecutor {
             fault: options.fault,
             fault_tripped: None,
             scan_counters,
-            router_counters,
         }
     }
 
     /// Number of worker shards.
     pub fn n_shards(&self) -> usize {
         self.n_shards
-    }
-
-    /// Router threads in the routing plane (`1` = the classic single
-    /// router).
-    pub fn n_routers(&self) -> usize {
-        self.n_routers
-    }
-
-    /// Per-router work tallies, in router order: batches routed, stalls
-    /// on full worker rings, and scope scans (local scopes × batches).
-    /// Exact: flushes the ingest buffer, then waits until every router
-    /// thread has passed a barrier sent in-band behind everything queued
-    /// so far, so the tallies cover every batch ingested before the call.
-    /// The many-distinct-scope bench uses the scan spread to assert the
-    /// cost partition balances the plane.
-    pub fn router_stats(&mut self) -> Vec<RouterStats> {
-        self.flush();
-        let sync = Arc::new(PlaneSync::new(self.n_routers));
-        self.broadcast(|| RouterMsg::Sync(Arc::clone(&sync)));
-        sync.wait(&self.cancel);
-        self.router_counters
-            .iter()
-            .map(|c| RouterStats {
-                batches_routed: c.batches_routed.load(Ordering::Relaxed),
-                stall_waits: c.stall_waits.load(Ordering::Relaxed),
-                scope_scans: c.scope_scans.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 
     /// Events fanned out to the routing stage so far (excluding the
@@ -1168,25 +790,17 @@ impl ShardedExecutor {
             .sum()
     }
 
-    /// Per-scope `(rows_scanned, rows_selected)` of the routing plane's
-    /// stateless pass so far (empty when the routers do not track it).
-    /// Every router tallies into the plane-wide slot space — each slot
-    /// owned by exactly one router — so the slot-wise sum reproduces the
-    /// single-router view exactly. Live; exact once ingestion is
-    /// flushed.
+    /// Per-scope `(rows_scanned, rows_selected)` of the router's
+    /// stateless pass so far (empty when the router does not track it).
+    /// Live: rows still buffered or queued for the router are not
+    /// counted yet. The tallies [`BatchProcessor::finish`] returns are
+    /// read after the router thread is joined, so they cover the whole
+    /// stream.
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        for counters in &self.scan_counters {
-            let snap = counters.snapshot();
-            if out.len() < snap.len() {
-                out.resize(snap.len(), (0, 0));
-            }
-            for (acc, s) in out.iter_mut().zip(snap) {
-                acc.0 += s.0;
-                acc.1 += s.1;
-            }
-        }
-        out
+        self.scan_counters
+            .as_ref()
+            .map(|c| c.snapshot())
+            .unwrap_or_default()
     }
 
     /// The fill buffer (uniquely owned between flushes).
@@ -1224,7 +838,7 @@ impl ShardedExecutor {
         Arc::new(EventBatch::with_capacity(self.batch_size, 2))
     }
 
-    /// Hand the buffered batch to the router threads.
+    /// Hand the buffered batch to the router thread.
     fn flush(&mut self) {
         if self.buffer.is_empty() {
             return;
@@ -1241,19 +855,17 @@ impl ShardedExecutor {
         }
     }
 
-    /// Send one message to every router's job ring, in router order, so
-    /// every lane of every worker observes the same message sequence. A
-    /// full ring blocks — the pipeline's backpressure — and a dead router
-    /// thread flips `cancel` so `finish` reports it.
-    fn broadcast(&mut self, msg: impl Fn() -> RouterMsg) {
-        for rt in self.routers.as_mut().expect("executor is active") {
-            if rt.jobs.send(msg()).is_err() {
-                self.cancel.store(true, Ordering::Release);
-            }
+    /// Send one message to the router's job ring. A full ring blocks —
+    /// the pipeline's backpressure — and a dead router thread flips
+    /// `cancel` so `finish` reports it.
+    fn send_job(&mut self, msg: RouterMsg) {
+        let router = self.router.as_mut().expect("executor is active");
+        if router.jobs.send(msg).is_err() {
+            self.cancel.store(true, Ordering::Release);
         }
     }
 
-    /// Send rows `lo..hi` of `batch` to the router threads, then run
+    /// Send rows `lo..hi` of `batch` to the router thread, then run
     /// the per-batch durability hooks (fault injection, periodic
     /// checkpoints). With both disabled the hooks cost two integer
     /// checks — the zero-allocation steady state is untouched.
@@ -1273,15 +885,10 @@ impl ShardedExecutor {
             _ => batch,
         };
         self.events_sent += (hi - lo) as u64;
-        let seq = self.batches_sent;
-        // every router routes every batch, each against its own scopes
-        self.broadcast(|| {
-            RouterMsg::Route(RouteJob {
-                batch: Arc::clone(batch),
-                lo,
-                hi,
-                seq,
-            })
+        self.send_job(RouterMsg::Route {
+            batch: Arc::clone(batch),
+            lo,
+            hi,
         });
         self.batches_sent += 1;
         self.maybe_checkpoint();
@@ -1330,18 +937,18 @@ impl ShardedExecutor {
     /// Inject a barrier behind everything sent so far, wait for every
     /// shard's state deposit, and persist the checkpoint.
     fn take_checkpoint(&mut self) -> Result<u64, CheckpointError> {
-        let barrier: BarrierRef = Arc::new(CheckpointBarrier::new(self.n_routers, self.n_shards));
-        // the barrier rides every router's job ring in-band, so each
-        // router segment (and each shard's lane barrier) covers exactly
-        // the batches routed before it
-        self.broadcast(|| RouterMsg::Barrier(Arc::clone(&barrier)));
-        let (routers, shards) = barrier.wait(&self.cancel)?;
+        let barrier: BarrierRef = Arc::new(CheckpointBarrier::new(self.n_shards));
+        // the barrier rides the job ring in-band, so the router segment
+        // (and each shard's lane barrier) covers exactly the batches
+        // routed before it
+        self.send_job(RouterMsg::Barrier(Arc::clone(&barrier)));
+        let (router, shards) = barrier.wait(&self.cancel)?;
         let ck = self
             .checkpointer
             .as_ref()
             .expect("checkpoint requires a configured store");
         let id = ck.store.next_id()?;
-        ck.store.write(id, self.events_sent, &routers, &shards)?;
+        ck.store.write(id, self.events_sent, &router, &shards)?;
         sharon_metrics::record_checkpoints_written(1);
         Ok(id)
     }
@@ -1373,9 +980,9 @@ impl ShardedExecutor {
     /// [`CheckpointError::Corrupt`] if a runtime thread died.
     pub fn harvest_results(&mut self) -> Result<ExecutorResults, CheckpointError> {
         self.flush();
-        let barrier: HarvestRef = Arc::new(CheckpointBarrier::new(self.n_routers, self.n_shards));
-        self.broadcast(|| RouterMsg::Harvest(Arc::clone(&barrier)));
-        let (_routers, shards) = barrier.wait(&self.cancel)?;
+        let barrier: HarvestRef = Arc::new(CheckpointBarrier::new(self.n_shards));
+        self.send_job(RouterMsg::Harvest(Arc::clone(&barrier)));
+        let (_router, shards) = barrier.wait(&self.cancel)?;
         let mut out = ExecutorResults::new();
         for results in shards {
             out.merge(results);
@@ -1391,13 +998,14 @@ impl ShardedExecutor {
     }
 
     /// [`ShardedExecutor::finish`] plus runtime statistics:
-    /// `(results, events_matched, summed state-size proxy)`.
+    /// `(results, events_matched, scan_stats)`, all read after the router
+    /// and the workers drain (see [`ShardedExecutor::scan_stats`]).
     ///
     /// Fails fast — panics with an error naming the dead thread — when
     /// any worker or the router thread panicked mid-run (including
     /// injected faults): partial results are discarded, never merged, so
     /// a half-dead run can never masquerade as a complete one.
-    pub fn finish_with_stats(mut self) -> (ExecutorResults, u64, usize) {
+    pub fn finish_with_stats(mut self) -> (ExecutorResults, u64, Vec<(u64, u64)>) {
         self.flush();
         if let Some(batch) = self.fault_tripped {
             // a Drop-fault is a simulated crash: the Drop impl tears the
@@ -1406,31 +1014,29 @@ impl ShardedExecutor {
                 "injected fault: simulated crash at ingested batch {batch} (buffered state lost)"
             );
         }
-        // teardown order is the flush contract: the routers drain every
-        // queued job and close their worker lanes before the shards are
+        // teardown order is the flush contract: the router drains every
+        // queued job and closes the worker lanes before the shards are
         // joined, so no routed batch is lost and every ShardReport is
         // complete
-        let failed_routers = join_routers(self.routers.take().expect("finish runs once"));
+        let router_ok = self.router.take().expect("finish runs once").join();
         // all rings are closed: join the shards in deterministic order
         let workers = std::mem::take(&mut self.workers);
         let mut results = ExecutorResults::new();
         let mut matched = 0u64;
-        let mut state = 0usize;
         let mut failed_shards = Vec::new();
         for (shard, worker) in workers.into_iter().enumerate() {
             match worker.handle.join() {
                 Ok(report) => {
                     results.merge(report.results);
                     matched += report.events_matched;
-                    state += report.state_size;
                 }
                 Err(_) => failed_shards.push(shard),
             }
         }
-        if !failed_routers.is_empty() || !failed_shards.is_empty() {
+        if !router_ok || !failed_shards.is_empty() {
             let mut parts = Vec::new();
-            if !failed_routers.is_empty() {
-                parts.push(format!("router thread(s) {failed_routers:?} panicked"));
+            if !router_ok {
+                parts.push("the router thread panicked".to_string());
             }
             if !failed_shards.is_empty() {
                 parts.push(format!("worker shard(s) {failed_shards:?} panicked"));
@@ -1440,7 +1046,7 @@ impl ShardedExecutor {
                 parts.join("; ")
             );
         }
-        (results, matched, state)
+        (results, matched, self.scan_stats())
     }
 }
 
@@ -1452,11 +1058,11 @@ impl Drop for ShardedExecutor {
     /// never leaves detached threads grinding through polynomial two-step
     /// work behind the next measurement.
     fn drop(&mut self) {
-        let Some(threads) = self.routers.take() else {
+        let Some(router) = self.router.take() else {
             return; // finished normally: threads already joined
         };
         self.cancel.store(true, Ordering::Relaxed);
-        join_routers(threads);
+        router.join();
         for worker in std::mem::take(&mut self.workers) {
             let _ = worker.handle.join();
         }
@@ -1483,15 +1089,13 @@ impl BatchProcessor for ShardedExecutor {
         0
     }
 
-    /// Zero: the state lives on the worker threads (the exact total is
-    /// reported by [`ShardedExecutor::finish_with_stats`]).
+    /// Zero: the state lives on the worker threads.
     fn state_size(&self) -> usize {
         0
     }
 
-    fn finish(self: Box<Self>) -> (ExecutorResults, u64) {
-        let (results, matched, _state) = (*self).finish_with_stats();
-        (results, matched)
+    fn finish(self: Box<Self>) -> (ExecutorResults, u64, Vec<(u64, u64)>) {
+        (*self).finish_with_stats()
     }
 }
 
@@ -1568,7 +1172,7 @@ mod tests {
             for chunk in events.chunks(97) {
                 sharded.process_columnar(&EventBatch::from_events(chunk));
             }
-            let (got, matched, _state) = sharded.finish_with_stats();
+            let (got, matched, _) = sharded.finish_with_stats();
             assert!(
                 got.semantically_eq(&want, 1e-9),
                 "{shards} shards diverge from sequential"
@@ -1705,52 +1309,6 @@ mod tests {
                 strategy: "online engine"
             }
         );
-    }
-
-    #[test]
-    fn multi_router_plane_matches_sequential() {
-        let (c, w) = grouped_workload();
-        let events = stream(&c, 5000, 23);
-        let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_columnar(&EventBatch::from_events(&events));
-        let want_matched = sequential.events_matched();
-        let want = sequential.finish();
-
-        let plan = SharingPlan::non_shared();
-        for routers in [2usize, 4] {
-            let mut sharded = ShardedExecutor::with_options(
-                &c,
-                &w,
-                &plan,
-                3,
-                ShardedOptions {
-                    batch_size: 128,
-                    routers,
-                    ..ShardedOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(sharded.n_routers(), routers);
-            sharded.process_columnar(&EventBatch::from_events(&events));
-
-            // the stats barrier covers every batch: ingest fans each batch
-            // to the whole plane, so every router routes the same count
-            let stats = sharded.router_stats();
-            assert_eq!(stats.len(), routers);
-            let batches = stats[0].batches_routed;
-            assert!(batches > 0, "routers saw traffic");
-            assert!(
-                stats.iter().all(|s| s.batches_routed == batches),
-                "fan-out reaches every router equally: {stats:?}"
-            );
-
-            let (got, matched, _) = sharded.finish_with_stats();
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "{routers}-router plane diverges from sequential"
-            );
-            assert_eq!(matched, want_matched, "{routers} routers: matched count");
-        }
     }
 
     #[test]

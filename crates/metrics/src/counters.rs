@@ -8,7 +8,7 @@
 //! (and operators) verify that promise instead of trusting it.
 //!
 //! Counters are process-global atomics, so they aggregate over every
-//! router instance and every router thread in the process. Tests that
+//! router instance in the process. Tests that
 //! assert exact deltas must serialize against other counter users in the
 //! same process (the regression suites do).
 
@@ -34,14 +34,11 @@ pub fn router_scope_scans() -> u64 {
     ROUTER_SCOPE_SCANS.load(Ordering::Relaxed)
 }
 
-/// Total batches routed by router threads: one unit per router per
-/// routed batch. With a routing plane of `R` routers this advances by
-/// `R` per ingested batch — every router scans every batch against its
-/// own scope subset.
+/// Total batches routed by router threads: one unit per routed batch.
 static ROUTER_BATCHES_ROUTED: AtomicU64 = AtomicU64::new(0);
 
-/// Record `n` routed batches (called by each router once per dispatched
-/// batch chunk).
+/// Record `n` routed batches (called by the router thread once per
+/// dispatched batch chunk).
 #[inline]
 pub fn record_router_batches_routed(n: u64) {
     ROUTER_BATCHES_ROUTED.fetch_add(n, Ordering::Relaxed);
@@ -53,7 +50,7 @@ pub fn router_batches_routed() -> u64 {
 }
 
 /// Total router stalls: a router found a worker ring full and had to
-/// block until the worker drained it. A routing plane that stalls often
+/// block until the worker drained it. A router that stalls often
 /// is fanning out faster than the shards execute — the backpressure is
 /// working, but the bottleneck has moved back to the workers.
 static ROUTER_STALL_WAITS: AtomicU64 = AtomicU64::new(0);

@@ -60,19 +60,6 @@ pub fn required_lateness(batch: &EventBatch) -> u64 {
     worst
 }
 
-/// The `SHARON_DISORDER` environment knob: a displacement bound the test
-/// suites and benches apply to their generated streams (`0` / unset =
-/// in-order, the historical behaviour). Unparsable values are fatal,
-/// never ignored.
-pub fn disorder_from_env() -> u32 {
-    match std::env::var("SHARON_DISORDER") {
-        Ok(s) => s
-            .parse()
-            .expect("SHARON_DISORDER must be a displacement bound (u32)"),
-        Err(_) => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

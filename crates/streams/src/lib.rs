@@ -32,7 +32,7 @@ pub mod taxi;
 pub mod workload;
 pub mod zipf;
 
-pub use disorder::{disorder_from_env, required_lateness, scramble_batch, scramble_events};
+pub use disorder::{required_lateness, scramble_batch, scramble_events};
 pub use ecommerce::EcommerceConfig;
 pub use linear_road::LinearRoadConfig;
 pub use taxi::TaxiConfig;

@@ -19,8 +19,8 @@
 use sharon_executor::agg::Contribution;
 use sharon_executor::compile::CompileError;
 use sharon_executor::{
-    split_router_plane, BatchProcessor, ExecutorResults, Reorder, RoutedRows, RowFilter,
-    ScanKernel, ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions, TypePass,
+    BatchProcessor, BatchRouter, ExecutorResults, Reorder, RoutedRows, RowFilter, ScanKernel,
+    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions, TypePass,
 };
 use sharon_query::{CmpOp, Query};
 use sharon_types::{AttrId, Catalog, EventBatch, EventTypeId, GroupKey, Timestamp, Value};
@@ -318,13 +318,6 @@ impl RowFilter for ScopeFilter {
             &self.table.predicates,
         )
     }
-
-    fn route_cost(&self) -> f64 {
-        let total_types = self.routed.len().max(1);
-        let routed_types = self.routed.iter().filter(|&&r| r).count();
-        let clauses: usize = self.table.predicates.iter().map(Vec::len).sum();
-        (1.0 + clauses as f64) * (routed_types as f64 / total_types as f64).max(f64::MIN_POSITIVE)
-    }
 }
 
 /// One subscriber of a routing scope: Flink-like's per-query state or
@@ -510,20 +503,18 @@ impl<F: Family> TwoStep<F> {
     }
 
     /// End of stream: release every gated row, then report the matched
-    /// and state counts and flush every open window.
+    /// count and flush every open window.
     fn report(mut self) -> ShardReport {
         if let Some(gate) = &mut self.gate {
             gate.flush(fan_out(&self.fan, &mut self.subs, &mut self.results));
         }
         let events_matched = self.events_matched();
-        let state_size = self.state_size();
         for sub in &mut self.subs {
             sub.finish(&mut self.results);
         }
         ShardReport {
             results: self.results,
             events_matched,
-            state_size,
         }
     }
 
@@ -555,9 +546,10 @@ impl<F: Family> BatchProcessor for TwoStep<F> {
         TwoStep::state_size(self)
     }
 
-    fn finish(self: Box<Self>) -> (ExecutorResults, u64) {
+    fn finish(self: Box<Self>) -> (ExecutorResults, u64, Vec<(u64, u64)>) {
+        let scan = self.tallies.clone();
         let report = (*self).report();
-        (report.results, report.events_matched)
+        (report.results, report.events_matched, scan)
     }
 }
 
@@ -593,9 +585,8 @@ fn fan_out<'a>(
 
 /// Run a baseline on the sharded runtime: each of the `n_shards` workers
 /// is one `build()` driver (gated when `options.lateness` is set), and
-/// its distinct scopes, cost-partitioned across `options.routers` router
-/// threads, are the routing plane — the router scans each distinct scope
-/// once per batch. Durability options are
+/// the router is built over its distinct scopes — it scans each distinct
+/// scope once per batch. Durability options are
 /// [`CompileError::UnsupportedOption`] (a baseline cannot serialize its
 /// state) and zero shards is [`CompileError::ZeroShards`].
 pub(crate) fn sharded<F: Family>(
@@ -620,12 +611,12 @@ pub(crate) fn sharded<F: Family>(
         }
         shards.push(shard);
     }
-    let plane = split_router_plane(shards[0].scopes.clone(), n_shards, options.routers);
+    let router = Box::new(BatchRouter::new(shards[0].scopes.clone(), n_shards));
     let shards = shards
         .into_iter()
         .map(|shard| Box::new(shard) as Box<dyn ShardProcessor>)
         .collect();
-    Ok(ShardedExecutor::from_parts(plane, shards, options))
+    Ok(ShardedExecutor::from_parts(router, shards, options))
 }
 
 #[cfg(test)]

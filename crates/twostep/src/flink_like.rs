@@ -234,7 +234,7 @@ impl FlinkLike {
     /// query — and each worker fans the shared selection out to every
     /// subscribing query, exactly as the sequential driver does.
     ///
-    /// `options` sizes the batches and the routing plane; with a
+    /// `options` sizes the batches; with a
     /// lateness set, each worker gates its routed rows behind the
     /// router's merged cross-shard frontier. Durability options are
     /// [`CompileError::UnsupportedOption`].
@@ -420,25 +420,22 @@ mod tests {
         let want = sequential.finish();
         assert!(!want.is_empty());
 
-        for routers in [1usize, 2] {
-            let options = ShardedOptions {
-                batch_size: 128,
-                routers,
-                ..ShardedOptions::default()
-            };
-            let mut sharded = FlinkLike::sharded(&c, &w, 3, &options).unwrap();
-            sharded.process_columnar(&batch);
-            let got = sharded.finish();
+        let options = ShardedOptions {
+            batch_size: 128,
+            ..ShardedOptions::default()
+        };
+        let mut sharded = FlinkLike::sharded(&c, &w, 3, &options).unwrap();
+        sharded.process_columnar(&batch);
+        let got = sharded.finish();
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "deduplicated sharded baseline diverges"
+        );
+        for q in w.ids() {
             assert!(
-                got.semantically_eq(&want, 1e-9),
-                "{routers} router(s): deduplicated sharded baseline diverges"
+                got.total_count(q) > 0,
+                "query {q} received its fanned-out selection"
             );
-            for q in w.ids() {
-                assert!(
-                    got.total_count(q) > 0,
-                    "{routers} router(s): query {q} received its fanned-out selection"
-                );
-            }
         }
     }
 }

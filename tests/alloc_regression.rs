@@ -18,7 +18,7 @@
 use sharon::prelude::*;
 use sharon::twostep::{FlinkLike, SpassLike};
 use sharon_executor::{
-    compile, spsc, BatchRouter, EngineKind, RouteBatch, RoutedRows, ShardSlice, ShardedOptions,
+    compile, spsc, BatchRouter, EngineKind, RoutedRows, ShardSlice, ShardedOptions,
 };
 use sharon_metrics::{alloc, TrackingAllocator};
 use std::sync::{Arc, Mutex};
@@ -447,7 +447,6 @@ fn watermark_tracking_is_allocation_free_after_warmup() {
         .collect();
     let options = ShardedOptions {
         batch_size: BATCH_ROWS,
-        routers: 1,
         lateness: Some(need),
         ..ShardedOptions::default()
     };
@@ -846,7 +845,8 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
     // return rings — exactly the rings and pools the threaded runtime
     // uses (the routing/recycling steps below mirror the runtime's
     // `Fanout::dispatch`, which cross-references this test; keep them in
-    // sync). After warm-up the whole cycle (route + hand-off + execute +
+    // sync; the runtime also pools a shard's empty lists instead of
+    // sending them, which this mirror does not model). After warm-up the whole cycle (route + hand-off + execute +
     // recycle) must not allocate: ring slots are pre-allocated, RoutedRows
     // circulate, and batch bodies are Arc-shared without re-wrapping.
     let _serial = serial();
@@ -986,188 +986,12 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn two_router_plane_is_allocation_free_after_warmup() {
-    // the PR's routing plane, end to end but single-threaded for
-    // determinism: ingest fans every batch to BOTH routers over
-    // per-router job rings, each router scans only its own scope subset
-    // into its own recycled RoutedRows, and each worker consumes one lane
-    // per router per batch — the same fan-out, per-lane recycling, and
-    // lane-merge step the threaded runtime runs (see `Fanout::dispatch`
-    // and the worker's lane merge; keep in sync). The scopes a router
-    // does not own stay empty in its lists, so merging lanes is pure
-    // iteration. After warm-up the whole cycle must not allocate.
-    let _serial = serial();
-    let mut catalog = Catalog::new();
-    catalog.register_with_schema("A", Schema::new(["g", "v"]));
-    catalog.register_with_schema("B", Schema::new(["g", "v"]));
-    // four distinct windows -> four compiled scopes under a non-shared
-    // plan, so a 2-router plane owns two scopes each (LPT on equal costs)
-    let sources: Vec<String> = (0..4)
-        .map(|i| {
-            format!(
-                "RETURN COUNT(*) PATTERN SEQ(A, B) GROUP BY g WITHIN {} ms SLIDE 4 ms",
-                8 + 4 * i
-            )
-        })
-        .collect();
-    let workload = parse_workload(&mut catalog, sources.iter().map(String::as_str)).unwrap();
-
-    let build = |n: usize, first_time: u64| -> (Vec<Arc<EventBatch>>, u64) {
-        let (batches, t) = build_pair_batches(&catalog, n, first_time);
-        (batches.into_iter().map(Arc::new).collect(), t)
-    };
-
-    let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).unwrap();
-    let n_parts = parts.len();
-    assert_eq!(n_parts, 4, "four queries, four scopes");
-    let n_shards = 2usize;
-    const N_ROUTERS: usize = 2;
-    let mut plane = sharon_executor::split_router_plane(parts.clone(), n_shards, N_ROUTERS);
-    assert_eq!(plane.len(), N_ROUTERS);
-    for router in &plane {
-        assert_eq!(router.n_scopes(), n_parts, "plane-wide slot count");
-        assert_eq!(router.n_local_scopes(), 2, "LPT halves equal costs");
-    }
-    let mut shards: Vec<Vec<EngineKind>> = (0..n_shards)
-        .map(|shard| {
-            parts
-                .iter()
-                .enumerate()
-                .map(|(pi, part)| {
-                    let slice = ShardSlice {
-                        index: shard as u32,
-                        of: n_shards as u32,
-                        owns_global: pi % n_shards == shard,
-                    };
-                    EngineKind::for_partition(part.clone(), Some(slice))
-                })
-                .collect()
-        })
-        .collect();
-
-    // per-router job rings (the ingest fan-out) and per-router, per-shard
-    // routed/return rings — each lane recycles its own RoutedRows
-    type Routed = (Arc<EventBatch>, RoutedRows);
-    type Ring<T> = (spsc::Sender<T>, spsc::Receiver<T>);
-    let mut job_rings: Vec<Ring<Arc<EventBatch>>> = (0..N_ROUTERS).map(|_| spsc::ring(2)).collect();
-    let mut shard_rings: Vec<Vec<Ring<Routed>>> = (0..N_ROUTERS)
-        .map(|_| (0..n_shards).map(|_| spsc::ring(4)).collect())
-        .collect();
-    let mut return_rings: Vec<Vec<Ring<RoutedRows>>> = (0..N_ROUTERS)
-        .map(|_| (0..n_shards).map(|_| spsc::ring(6)).collect())
-        .collect();
-
-    let mut rows_pools: Vec<Vec<RoutedRows>> = (0..N_ROUTERS).map(|_| Vec::new()).collect();
-    let mut route_scratch: Vec<Vec<RoutedRows>> = (0..N_ROUTERS).map(|_| Vec::new()).collect();
-    let rows_cap = n_shards * 6;
-    let mut drive = |plane: &mut Vec<Box<dyn RouteBatch>>,
-                     shards: &mut Vec<Vec<EngineKind>>,
-                     rows_pools: &mut Vec<Vec<RoutedRows>>,
-                     route_scratch: &mut Vec<Vec<RoutedRows>>,
-                     batch: &Arc<EventBatch>| {
-        // ingest: fan the shared batch to every router's job ring
-        for (tx, _) in job_rings.iter_mut() {
-            tx.send(Arc::clone(batch)).unwrap();
-        }
-        // routers: each dequeues, recycles its returned lists, scans its
-        // scope subset, fans out to its per-shard lane
-        for (ri, router) in plane.iter_mut().enumerate() {
-            let batch = job_rings[ri].1.recv().unwrap();
-            let pool = &mut rows_pools[ri];
-            for (_, rx) in return_rings[ri].iter_mut() {
-                rx.drain_into(pool, rows_cap);
-            }
-            let mut out = std::mem::take(&mut route_scratch[ri]);
-            while out.len() < n_shards {
-                out.push(pool.pop().unwrap_or_default());
-            }
-            router.route_range_into(&batch, 0, batch.len(), &mut out);
-            for ((tx, _), rows) in shard_rings[ri].iter_mut().zip(out.drain(..)) {
-                tx.send((Arc::clone(&batch), rows)).unwrap();
-            }
-            route_scratch[ri] = out;
-        }
-        // workers: merge the two lanes of the same batch — disjoint scope
-        // ownership means per-slot iteration order across lanes is free
-        for (shard, engines) in shards.iter_mut().enumerate() {
-            for ri in 0..N_ROUTERS {
-                let (batch, mut rows) = shard_rings[ri][shard].1.recv().unwrap();
-                for (pi, engine) in engines.iter_mut().enumerate() {
-                    if !rows.per_part[pi].is_empty() {
-                        engine.process_routed(&batch, &rows.per_part[pi], rows.frontier);
-                    }
-                }
-                drop(batch);
-                rows.clear();
-                let _ = return_rings[ri][shard].0.try_send(rows);
-            }
-        }
-    };
-
-    let (warmup, t) = build(WARMUP_BATCHES, 0);
-    let (measured, _) = build(MEASURED_BATCHES, t);
-    for batch in &warmup {
-        drive(
-            &mut plane,
-            &mut shards,
-            &mut rows_pools,
-            &mut route_scratch,
-            batch,
-        );
-    }
-    // four windows of up to 20 ms close every 4 ms over the measured
-    // 8192 ms span, for ~2k closes x 8 resident groups per shard of
-    // results per engine
-    let expected = 2 * MEASURED_BATCHES * BATCH_ROWS;
-    for engines in &mut shards {
-        for engine in engines.iter_mut() {
-            engine.reserve_results(expected);
-        }
-    }
-
-    let ((), allocs) = alloc::measure_allocs(|| {
-        for batch in &measured {
-            drive(
-                &mut plane,
-                &mut shards,
-                &mut rows_pools,
-                &mut route_scratch,
-                batch,
-            );
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "two-router plane fan-out + routing + lane merge + recycling steady state must \
-         not allocate ({MEASURED_BATCHES} batches of {BATCH_ROWS} events performed \
-         {allocs} allocations)"
-    );
-
-    // every row matched once per scope globally: the plane partitions the
-    // scopes, it never drops or duplicates work
-    let mut matched = 0u64;
-    let mut results = ExecutorResults::new();
-    for engines in shards {
-        for engine in engines {
-            matched += engine.events_matched();
-            results.merge(engine.finish());
-        }
-    }
-    assert_eq!(
-        matched,
-        (n_parts * (WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64,
-        "each of the {n_parts} scopes matched every row exactly once across the plane"
-    );
-    assert!(!results.is_empty());
-}
-
-#[test]
 fn dedup_router_scans_each_distinct_scope_once_per_batch() {
     // 64 queries sharing one routing scope (same SEQ(A, B) + GROUP BY,
     // windows differ): scope dedup collapses them to ONE router scope, so
     // the router performs exactly 1 scope scan per batch — not 64 —
-    // measured via the metrics scan counter, in both routing modes, with
-    // results still identical to the sequential baseline.
+    // measured via the metrics scan counter, with results still identical
+    // to the sequential baseline.
     let _serial = serial();
     let mut catalog = Catalog::new();
     catalog.register_with_schema("A", Schema::new(["g", "v"]));
@@ -1195,29 +1019,26 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
     let want = sequential.finish();
     assert!(!want.is_empty());
 
-    for routers in [1usize, 2] {
-        let options = ShardedOptions {
-            batch_size: BATCH_SIZE,
-            routers,
-            ..ShardedOptions::default()
-        };
-        let mut sharded = FlinkLike::sharded(&catalog, &workload, 3, &options).unwrap();
-        let scans_before = sharon_metrics::router_scope_scans();
-        for b in &batches {
-            sharded.process_columnar(b);
-        }
-        let got = sharded.finish(); // drains the pipeline: all chunks routed
-        let scans = sharon_metrics::router_scope_scans() - scans_before;
-        assert_eq!(
-            scans, BATCHES as u64,
-            "{routers} router(s): 64 identical-scope queries must cost exactly one \
-             scope scan per batch ({BATCHES} batches performed {scans} scans)"
-        );
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{routers} router(s): deduplicated routing changed the results"
-        );
+    let options = ShardedOptions {
+        batch_size: BATCH_SIZE,
+        ..ShardedOptions::default()
+    };
+    let mut sharded = FlinkLike::sharded(&catalog, &workload, 3, &options).unwrap();
+    let scans_before = sharon_metrics::router_scope_scans();
+    for b in &batches {
+        sharded.process_columnar(b);
     }
+    let got = sharded.finish(); // drains the pipeline: all chunks routed
+    let scans = sharon_metrics::router_scope_scans() - scans_before;
+    assert_eq!(
+        scans, BATCHES as u64,
+        "64 identical-scope queries must cost exactly one scope scan per batch \
+         ({BATCHES} batches performed {scans} scans)"
+    );
+    assert!(
+        got.semantically_eq(&want, 1e-9),
+        "deduplicated routing changed the results"
+    );
 }
 
 #[test]

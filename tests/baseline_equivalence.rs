@@ -409,39 +409,34 @@ proptest! {
         let spass_want = reference.finish();
 
         // both baselines through their one sharded constructor — and so
-        // through the one two-step driver as shard worker — on one router and two,
-        // arrival order and event time (the stream is in order, so any
-        // lateness covers it); a small flush threshold forces mid-stream
-        // route-once fan-outs
-        for routers in [1usize, 2] {
-            for lateness in [None, Some(5)] {
-                let options = ShardedOptions {
-                    batch_size: 13,
-                    routers,
-                    lateness,
-                    ..ShardedOptions::default()
-                };
-                let mut flink = FlinkLike::sharded(&c, &w, shards, &options).unwrap();
-                let mut spass = SpassLike::sharded(&c, &w, &plan, shards, &options).unwrap();
-                for b in &batches {
-                    flink.process_columnar(b);
-                    spass.process_columnar(b);
-                }
-                prop_assert!(
-                    flink.finish().semantically_eq(&want, 1e-9),
-                    "flink {} shards, {} router(s), lateness {:?}: ragged route-once diverges",
-                    shards,
-                    routers,
-                    lateness
-                );
-                prop_assert!(
-                    spass.finish().semantically_eq(&spass_want, 1e-9),
-                    "spass {} shards, {} router(s), lateness {:?}: ragged route-once diverges",
-                    shards,
-                    routers,
-                    lateness
-                );
+        // through the one two-step driver as shard worker — in arrival
+        // order and event time (the stream is in order, so any lateness
+        // covers it); a small flush threshold forces mid-stream route-once
+        // fan-outs
+        for lateness in [None, Some(5)] {
+            let options = ShardedOptions {
+                batch_size: 13,
+                lateness,
+                ..ShardedOptions::default()
+            };
+            let mut flink = FlinkLike::sharded(&c, &w, shards, &options).unwrap();
+            let mut spass = SpassLike::sharded(&c, &w, &plan, shards, &options).unwrap();
+            for b in &batches {
+                flink.process_columnar(b);
+                spass.process_columnar(b);
             }
+            prop_assert!(
+                flink.finish().semantically_eq(&want, 1e-9),
+                "flink {} shards, lateness {:?}: ragged route-once diverges",
+                shards,
+                lateness
+            );
+            prop_assert!(
+                spass.finish().semantically_eq(&spass_want, 1e-9),
+                "spass {} shards, lateness {:?}: ragged route-once diverges",
+                shards,
+                lateness
+            );
         }
     }
 }
@@ -475,7 +470,7 @@ fn two_step_constructs_polynomially_many_sequences() {
 
 /// All four strategies on a Zipf-skewed stream through the one sharded
 /// build path, [`SharonBuilder`]: everyone agrees with the sequential
-/// reference at every shard count and routing-plane size.
+/// reference at every shard count.
 #[test]
 fn all_strategies_agree_on_skewed_input() {
     let mut catalog = Catalog::new();
@@ -506,22 +501,19 @@ fn all_strategies_agree_on_skewed_input() {
         Strategy::SpassLike,
     ] {
         for shards in support::shard_counts(&[2, 3, 8]) {
-            for routers in support::router_counts() {
-                let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
-                    .strategy(strategy)
-                    .optimizer_config(cfg.clone())
-                    .shards(shards)
-                    .routers(routers)
-                    .build_executor()
-                    .unwrap();
-                sharded.process_columnar(&batch);
-                let got = sharded.finish();
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "{} sharded/{shards} (routers {routers}) diverges on skewed input",
-                    strategy.name()
-                );
-            }
+            let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
+                .strategy(strategy)
+                .optimizer_config(cfg.clone())
+                .shards(shards)
+                .build_executor()
+                .unwrap();
+            sharded.process_columnar(&batch);
+            let got = sharded.finish();
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "{} sharded/{shards} diverges on skewed input",
+                strategy.name()
+            );
         }
     }
 }
@@ -557,30 +549,27 @@ fn baseline_matched_counts_agree_across_paths() {
         let (mut sequential, _) =
             build_executor(&catalog, &workload, &rates, strategy, &cfg).unwrap();
         sequential.process_columnar(&batch);
-        let (_, matched) = sequential.finish_with_matched();
+        let (_, matched, _) = sequential.finish_with_stats();
         assert!(
             matched > 0,
             "{}: matched events are counted",
             strategy.name()
         );
 
-        for routers in support::router_counts() {
-            let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
-                .strategy(strategy)
-                .optimizer_config(cfg.clone())
-                .shards(3)
-                .routers(routers)
-                .build_executor()
-                .unwrap();
-            sharded.process_columnar(&batch);
-            let (_, sharded_matched) = sharded.finish_with_matched();
-            assert_eq!(
-                matched,
-                sharded_matched,
-                "{} ({routers} router(s)): sharded matched count diverges",
-                strategy.name()
-            );
-        }
+        let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
+            .strategy(strategy)
+            .optimizer_config(cfg.clone())
+            .shards(3)
+            .build_executor()
+            .unwrap();
+        sharded.process_columnar(&batch);
+        let (_, sharded_matched, _) = sharded.finish_with_stats();
+        assert_eq!(
+            matched,
+            sharded_matched,
+            "{}: sharded matched count diverges",
+            strategy.name()
+        );
     }
 }
 
@@ -588,7 +577,7 @@ fn baseline_matched_counts_agree_across_paths() {
 /// late rows are dropped. A sequential baseline and a sharded one gate the
 /// same selected rows against the same per-batch watermark, so they agree
 /// on the results and on the drop count — one per selected row and
-/// distinct scope — at every shard count and plane size.
+/// distinct scope — at every shard count.
 #[test]
 fn baselines_drop_late_rows_alike_sequential_and_sharded() {
     const BATCH: usize = 128;
@@ -607,11 +596,10 @@ fn baselines_drop_late_rows_alike_sequential_and_sharded() {
     let required = sharon::streams::required_lateness(&EventBatch::from_events(&events));
     let lateness = required / 8; // deliberately below the bound
     let rates = RateMap::uniform(100.0);
-    let build = |strategy: Strategy, shards: usize, routers: usize| {
+    let build = |strategy: Strategy, shards: usize| {
         SharonBuilder::new(&catalog, &workload, &rates)
             .strategy(strategy)
             .shards(shards)
-            .routers(routers)
             .batch_size(BATCH)
             .lateness(lateness)
             .build_executor()
@@ -622,7 +610,7 @@ fn baselines_drop_late_rows_alike_sequential_and_sharded() {
     for strategy in [Strategy::FlinkLike, Strategy::SpassLike] {
         // sequential, over the ingest-batch boundaries the sharded
         // runtime flushes at (the watermark advances once per batch)
-        let mut sequential = build(strategy, 0, 1);
+        let mut sequential = build(strategy, 0);
         for chunk in events.chunks(BATCH) {
             sequential.process_columnar(&EventBatch::from_events(chunk));
         }
@@ -636,21 +624,19 @@ fn baselines_drop_late_rows_alike_sequential_and_sharded() {
 
         let batch = EventBatch::from_events(&events);
         for shards in support::shard_counts(&[1, 2, 8]) {
-            for routers in support::router_counts() {
-                let before = sharon::metrics::late_rows_dropped();
-                let mut sharded = build(strategy, shards, routers);
-                sharded.process_columnar(&batch);
-                let got = sharded.finish();
-                let dropped = sharon::metrics::late_rows_dropped() - before;
-                let label = format!("{} {shards} shards, {routers} router(s)", strategy.name());
-                assert_eq!(dropped, want_drops, "{label}: late-drop count");
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "{label}: results diverge ({} vs {})",
-                    got.len(),
-                    want.len()
-                );
-            }
+            let before = sharon::metrics::late_rows_dropped();
+            let mut sharded = build(strategy, shards);
+            sharded.process_columnar(&batch);
+            let got = sharded.finish();
+            let dropped = sharon::metrics::late_rows_dropped() - before;
+            let label = format!("{} {shards} shards", strategy.name());
+            assert_eq!(dropped, want_drops, "{label}: late-drop count");
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "{label}: results diverge ({} vs {})",
+                got.len(),
+                want.len()
+            );
         }
     }
 }

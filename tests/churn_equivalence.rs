@@ -12,8 +12,8 @@
 //! - the initial workload's handles own every window, across any number
 //!   of plan hot-swaps.
 //!
-//! Checked on all three paper streams (TX, LR, EC), across shard counts
-//! and routing-plane sizes (`SHARON_ROUTERS`), for: forced hot-swap mid-stream, attach at
+//! Checked on all three paper streams (TX, LR, EC), across shard counts,
+//! for: forced hot-swap mid-stream, attach at
 //! an offset (fresh signature → sidecar, equal signature → alias fast
 //! path), detach (sidecar state freed immediately, shared queries keep
 //! their closed windows), a fully scripted churn scenario with metric
@@ -220,27 +220,24 @@ fn hot_swap_mid_stream_matches_uninterrupted() {
         let want = static_run(&s.catalog, &s.workload, &s.rates, &s.events);
         assert!(!want.is_empty(), "{}: reference produces results", s.label);
         for &shards in &support::shard_counts(&[1, 2]) {
-            for routers in support::router_counts() {
-                let ctx = format!("{}/shards{shards}/routers{routers}", s.label);
-                let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
-                    .shards(shards)
-                    .routers(routers)
-                    .session(SessionConfig::default())
-                    .expect("session starts");
-                let half = s.events.len() / 2;
-                feed(&mut session, &s.events, 0, half);
-                session.reoptimize_now();
-                feed(&mut session, &s.events, half, s.events.len());
-                assert!(session.reoptimizations() >= 1, "{ctx}: re-optimized");
-                assert!(session.plan_swaps() >= 1, "{ctx}: plan hot-swapped");
-                let got = session.finish();
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "{ctx}: swapped run diverges from uninterrupted ({} vs {} results)",
-                    got.len(),
-                    want.len(),
-                );
-            }
+            let ctx = format!("{}/shards{shards}", s.label);
+            let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
+                .shards(shards)
+                .session(SessionConfig::default())
+                .expect("session starts");
+            let half = s.events.len() / 2;
+            feed(&mut session, &s.events, 0, half);
+            session.reoptimize_now();
+            feed(&mut session, &s.events, half, s.events.len());
+            assert!(session.reoptimizations() >= 1, "{ctx}: re-optimized");
+            assert!(session.plan_swaps() >= 1, "{ctx}: plan hot-swapped");
+            let got = session.finish();
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "{ctx}: swapped run diverges from uninterrupted ({} vs {} results)",
+                got.len(),
+                want.len(),
+            );
         }
     }
 }

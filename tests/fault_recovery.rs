@@ -2,10 +2,8 @@
 //! boundaries, a simulated crash (ingest cut off mid-stream, buffered
 //! state discarded) followed by [`ShardedExecutor::resume`] + replay from
 //! the returned offset reproduces the uninterrupted run **exactly** — on
-//! all three paper streams (TX, LR, EC), across shard counts and
-//! routing-plane sizes (`SHARON_ROUTERS`; a multi-router checkpoint
-//! harvests one segment per router and resume rebuilds the same scope
-//! assignment), at a *randomized* crash batch (seed printed,
+//! all three paper streams (TX, LR, EC), across shard counts, at a
+//! *randomized* crash batch (seed printed,
 //! `SHARON_FAULT_SEED` pins it). Also covered: the LRU spill tier is
 //! result-exact under memory pressure, worker panics are contained and
 //! reported (never a hang, never silent partial results), and the
@@ -15,7 +13,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use sharon::executor::{CheckpointConfig, FaultPlan, ShardedOptions, SpillConfig};
+use sharon::executor::{
+    CheckpointConfig, CheckpointError, CheckpointStore, FaultPlan, ShardedOptions, SpillConfig,
+};
 use sharon::prelude::*;
 use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
@@ -126,59 +126,56 @@ fn assert_kill_and_resume_is_exact(
     );
 
     for shards in support::shard_counts(&[1, 2, 8]) {
-        for routers in support::router_counts() {
-            // crash after the first checkpoint but before ingest completes
-            let crash_batch = rng.range(INTERVAL, n_batches);
-            let dir = test_dir(label);
-            let options = ShardedOptions {
-                batch_size: BATCH,
-                routers,
-                lateness,
-                checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
-                fault: Some(FaultPlan::Drop { batch: crash_batch }),
-                ..ShardedOptions::default()
-            };
+        // crash after the first checkpoint but before ingest completes
+        let crash_batch = rng.range(INTERVAL, n_batches);
+        let dir = test_dir(label);
+        let options = ShardedOptions {
+            batch_size: BATCH,
+            lateness,
+            checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
+            fault: Some(FaultPlan::Drop { batch: crash_batch }),
+            ..ShardedOptions::default()
+        };
 
-            let mut crashing =
-                ShardedExecutor::with_options(catalog, workload, plan, shards, options.clone())
-                    .expect("sharded compiles");
-            crashing.process_columnar(&EventBatch::from_events(&events));
-            // simulated crash: everything after the last checkpoint is lost
-            drop(crashing);
+        let mut crashing =
+            ShardedExecutor::with_options(catalog, workload, plan, shards, options.clone())
+                .expect("sharded compiles");
+        crashing.process_columnar(&EventBatch::from_events(&events));
+        // simulated crash: everything after the last checkpoint is lost
+        drop(crashing);
 
-            let resume_options = ShardedOptions {
-                fault: None,
-                ..options
-            };
-            let (mut resumed, offset) =
-                ShardedExecutor::resume(catalog, workload, plan, shards, resume_options)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "{label}: {shards} shards (routers {routers}) \
-                             crash@{crash_batch}: resume failed: {e}"
-                        )
-                    });
-            assert!(
-                offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
-                "{label}: resume offset {offset} is not a checkpoint boundary"
-            );
-            assert!(
-                offset <= crash_batch * BATCH as u64,
-                "{label}: checkpoint at {offset} covers events dropped at batch {crash_batch}"
-            );
+        let resume_options = ShardedOptions {
+            fault: None,
+            ..options
+        };
+        let (mut resumed, offset) =
+            ShardedExecutor::resume(catalog, workload, plan, shards, resume_options)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "{label}: {shards} shards \
+                         crash@{crash_batch}: resume failed: {e}"
+                    )
+                });
+        assert!(
+            offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
+            "{label}: resume offset {offset} is not a checkpoint boundary"
+        );
+        assert!(
+            offset <= crash_batch * BATCH as u64,
+            "{label}: checkpoint at {offset} covers events dropped at batch {crash_batch}"
+        );
 
-            resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
-            let got = resumed.finish();
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "{label}: {shards} shards (routers {routers}) \
-                 crash@{crash_batch} resume@{offset} diverges from the uninterrupted run \
-                 ({} vs {} results)",
-                got.len(),
-                want.len(),
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
+        let got = resumed.finish();
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "{label}: {shards} shards \
+             crash@{crash_batch} resume@{offset} diverges from the uninterrupted run \
+             ({} vs {} results)",
+            got.len(),
+            want.len(),
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -304,90 +301,87 @@ fn reorder_fault_kill_and_resume_is_exact() {
     const K: u32 = 96;
 
     for shards in support::shard_counts(&[1, 2, 8]) {
-        for routers in support::router_counts() {
-            let burst_at = rng.range(1, n_batches - 1);
+        let burst_at = rng.range(1, n_batches - 1);
 
-            // uninterrupted disordered run: the covering lateness must
-            // absorb the burst exactly
-            let options = ShardedOptions {
-                batch_size: BATCH,
-                routers,
-                lateness: Some(need),
-                fault: Some(FaultPlan::Reorder {
-                    batch: burst_at,
-                    k: K,
-                }),
-                ..ShardedOptions::default()
-            };
-            let mut uninterrupted =
-                ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
-                    .expect("sharded compiles");
-            uninterrupted.process_columnar(&EventBatch::from_events(&events));
-            let got = uninterrupted.finish();
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "reorder: {shards} shards (routers {routers}) \
-                 burst@{burst_at}:{K} with covering lateness {need} diverges from the \
-                 in-order run ({} vs {} results)",
-                got.len(),
-                want.len(),
-            );
+        // uninterrupted disordered run: the covering lateness must
+        // absorb the burst exactly
+        let options = ShardedOptions {
+            batch_size: BATCH,
+            lateness: Some(need),
+            fault: Some(FaultPlan::Reorder {
+                batch: burst_at,
+                k: K,
+            }),
+            ..ShardedOptions::default()
+        };
+        let mut uninterrupted =
+            ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
+                .expect("sharded compiles");
+        uninterrupted.process_columnar(&EventBatch::from_events(&events));
+        let got = uninterrupted.finish();
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "reorder: {shards} shards \
+             burst@{burst_at}:{K} with covering lateness {need} diverges from the \
+             in-order run ({} vs {} results)",
+            got.len(),
+            want.len(),
+        );
 
-            // kill-and-resume: crash at a checkpointed run mid-stream
-            // (ingest past the crash batch is lost), resume, replay
-            let crash_batch = rng.range(INTERVAL, n_batches);
-            let dir = test_dir("reorder");
-            let options = ShardedOptions {
-                checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
-                ..options
-            };
-            let mut crashing =
-                ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
-                    .expect("sharded compiles");
-            crashing.process_columnar(&EventBatch::from_events(
-                &events[..(crash_batch * BATCH as u64) as usize],
-            ));
-            drop(crashing); // simulated crash: uncheckpointed tail is lost
+        // kill-and-resume: crash at a checkpointed run mid-stream
+        // (ingest past the crash batch is lost), resume, replay
+        let crash_batch = rng.range(INTERVAL, n_batches);
+        let dir = test_dir("reorder");
+        let options = ShardedOptions {
+            checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
+            ..options
+        };
+        let mut crashing =
+            ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
+                .expect("sharded compiles");
+        crashing.process_columnar(&EventBatch::from_events(
+            &events[..(crash_batch * BATCH as u64) as usize],
+        ));
+        drop(crashing); // simulated crash: uncheckpointed tail is lost
 
-            // a burst at or past the resume offset has to fire again in
-            // the replay (shifted to the replayed batch index); a burst
-            // the checkpoint already covers must not
-            let resume_options = |offset: u64| ShardedOptions {
-                fault: (burst_at >= offset / BATCH as u64).then(|| FaultPlan::Reorder {
-                    batch: burst_at - offset / BATCH as u64,
-                    k: K,
-                }),
-                ..options.clone()
-            };
-            let (_, offset) =
-                ShardedExecutor::resume(&catalog, &workload, &plan, shards, options.clone())
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "reorder: {shards} shards (routers {routers}) \
-                             crash@{crash_batch}: resume failed: {e}"
-                        )
-                    });
-            assert!(
-                offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
-                "reorder: resume offset {offset} is not a checkpoint boundary"
-            );
-            let (mut resumed, offset2) =
-                ShardedExecutor::resume(&catalog, &workload, &plan, shards, resume_options(offset))
-                    .expect("second resume from the same store");
-            assert_eq!(offset, offset2, "reorder: resume offset must be stable");
+        // a burst at or past the resume offset has to fire again in
+        // the replay (shifted to the replayed batch index); a burst
+        // the checkpoint already covers must not
+        let resume_options = |offset: u64| ShardedOptions {
+            fault: (burst_at >= offset / BATCH as u64).then(|| FaultPlan::Reorder {
+                batch: burst_at - offset / BATCH as u64,
+                k: K,
+            }),
+            ..options.clone()
+        };
+        let (_, offset) =
+            ShardedExecutor::resume(&catalog, &workload, &plan, shards, options.clone())
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "reorder: {shards} shards \
+                         crash@{crash_batch}: resume failed: {e}"
+                    )
+                });
+        assert!(
+            offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
+            "reorder: resume offset {offset} is not a checkpoint boundary"
+        );
+        let (mut resumed, offset2) =
+            ShardedExecutor::resume(&catalog, &workload, &plan, shards, resume_options(offset))
+                .expect("second resume from the same store");
+        assert_eq!(offset, offset2, "reorder: resume offset must be stable");
 
-            resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
-            let got = resumed.finish();
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "reorder: {shards} shards (routers {routers}) \
-                 burst@{burst_at}:{K} crash@{crash_batch} resume@{offset} diverges from \
-                 the uninterrupted run ({} vs {} results)",
-                got.len(),
-                want.len(),
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
+        let got = resumed.finish();
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "reorder: {shards} shards \
+             burst@{burst_at}:{K} crash@{crash_batch} resume@{offset} diverges from \
+             the uninterrupted run ({} vs {} results)",
+            got.len(),
+            want.len(),
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -436,33 +430,30 @@ fn below_bound_lateness_drops_and_counts() {
     );
 
     for shards in support::shard_counts(&[1, 2, 8]) {
-        for routers in support::router_counts() {
-            let options = ShardedOptions {
-                batch_size: BATCH,
-                routers,
-                lateness: Some(lateness),
-                ..ShardedOptions::default()
-            };
-            let before = sharon::metrics::late_rows_dropped();
-            let mut sharded =
-                ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
-                    .expect("sharded compiles");
-            sharded.process_columnar(&EventBatch::from_events(&shuffled));
-            let got = sharded.finish();
-            let dropped = sharon::metrics::late_rows_dropped() - before;
-            assert_eq!(
-                dropped, want_drops,
-                "{shards} shards (routers {routers}): every late row \
-                 must be counted exactly once (owner copies only)"
-            );
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "{shards} shards (routers {routers}): drop-and-count \
-                 must be shard- and router-invariant ({} vs {} results)",
-                got.len(),
-                want.len(),
-            );
-        }
+        let options = ShardedOptions {
+            batch_size: BATCH,
+            lateness: Some(lateness),
+            ..ShardedOptions::default()
+        };
+        let before = sharon::metrics::late_rows_dropped();
+        let mut sharded =
+            ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
+                .expect("sharded compiles");
+        sharded.process_columnar(&EventBatch::from_events(&shuffled));
+        let got = sharded.finish();
+        let dropped = sharon::metrics::late_rows_dropped() - before;
+        assert_eq!(
+            dropped, want_drops,
+            "{shards} shards: every late row \
+             must be counted exactly once (owner copies only)"
+        );
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "{shards} shards: drop-and-count \
+             must be shard-invariant ({} vs {} results)",
+            got.len(),
+            want.len(),
+        );
     }
 }
 
@@ -578,6 +569,116 @@ fn strategy_layer_resume_round_trips() {
     }
 }
 
+/// FNV-1a, the manifest checksum, spelled out for [`v6_manifest`].
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A format-v6 manifest, encoded here independently of the store: magic,
+/// version, id, replay offset, a counted list of router segments, a
+/// counted list of shard segment `(length, digest)` pairs, then the
+/// checksum of everything before it. Integers are little-endian, counts
+/// and lengths `u64`.
+fn v6_manifest(id: u64, events_sent: u64, routers: &[&[u8]], shards: &[Vec<u8>]) -> Vec<u8> {
+    let mut m = b"SHRNCKPT".to_vec();
+    m.extend_from_slice(&6u32.to_le_bytes());
+    m.extend_from_slice(&id.to_le_bytes());
+    m.extend_from_slice(&events_sent.to_le_bytes());
+    m.extend_from_slice(&(routers.len() as u64).to_le_bytes());
+    for router in routers {
+        m.extend_from_slice(&(router.len() as u64).to_le_bytes());
+        m.extend_from_slice(router);
+    }
+    m.extend_from_slice(&(shards.len() as u64).to_le_bytes());
+    for seg in shards {
+        m.extend_from_slice(&(seg.len() as u64).to_le_bytes());
+        m.extend_from_slice(&fnv1a(seg).to_le_bytes());
+    }
+    let digest = fnv1a(&m);
+    m.extend_from_slice(&digest.to_le_bytes());
+    m
+}
+
+/// The runtime has one router thread, and its manifests keep the v6
+/// layout: a counted router list holding one segment, byte for byte. A
+/// manifest carrying two router segments (as a two-router build wrote
+/// them) is refused with a typed error naming the count — by the store
+/// and by `resume` — and never restored into one router.
+#[test]
+fn manifest_router_segments_round_trip_or_are_refused() {
+    let mut catalog = Catalog::new();
+    let events = taxi::generate(
+        &mut catalog,
+        &TaxiConfig {
+            n_events: 2000,
+            n_streets: 7,
+            n_vehicles: 40,
+            ..Default::default()
+        },
+    );
+    let workload = figure_1_workload(&mut catalog);
+    let plan = sharon_plan(&workload);
+    let dir = test_dir("router-segments");
+    let options = ShardedOptions {
+        batch_size: BATCH,
+        checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
+        ..ShardedOptions::default()
+    };
+    let mut ex = ShardedExecutor::with_options(&catalog, &workload, &plan, 2, options.clone())
+        .expect("sharded compiles");
+    ex.process_columnar(&EventBatch::from_events(&events));
+    let want = ex.finish();
+
+    let store = CheckpointStore::open(&dir).unwrap();
+    let data = store.latest().expect("periodic checkpoints were written");
+    let manifest =
+        std::fs::read(dir.join(format!("ckpt-{:016}", data.id)).join("MANIFEST")).unwrap();
+    assert_eq!(
+        manifest,
+        v6_manifest(data.id, data.events_sent, &[&data.router], &data.shards),
+        "a one-router manifest is the v6 layout, byte for byte"
+    );
+
+    let id = data.id + 1;
+    let forged = dir.join(format!("ckpt-{id:016}"));
+    std::fs::create_dir_all(&forged).unwrap();
+    for (i, seg) in data.shards.iter().enumerate() {
+        std::fs::write(forged.join(format!("shard-{i}.seg")), seg).unwrap();
+    }
+    let two = v6_manifest(
+        id,
+        data.events_sent,
+        &[&data.router, &data.router],
+        &data.shards,
+    );
+    std::fs::write(forged.join("MANIFEST"), two).unwrap();
+    match store.load(id) {
+        Err(CheckpointError::RouterSegments(2)) => {}
+        other => panic!("two router segments must be refused, got {other:?}"),
+    }
+    match ShardedExecutor::resume(&catalog, &workload, &plan, 2, options.clone()) {
+        Err(e @ CheckpointError::RouterSegments(2)) => {
+            assert!(e.to_string().contains("2 router segment"), "{e}");
+        }
+        Err(e) => panic!("expected the router-segment count error, got {e}"),
+        Ok(_) => panic!("a two-router manifest must not resume"),
+    }
+
+    // without the forged manifest, the latest one resumes exactly
+    std::fs::remove_dir_all(&forged).unwrap();
+    let (mut resumed, offset) =
+        ShardedExecutor::resume(&catalog, &workload, &plan, 2, options).expect("resumes");
+    assert_eq!(offset, data.events_sent);
+    resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
+    assert!(
+        resumed.finish().semantically_eq(&want, 1e-9),
+        "resumed run diverges from the uninterrupted one"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A worker panic mid-stream is contained: the runtime cancels, ingest
 /// stops feeding dead rings, and `finish` fails fast with a message
 /// naming the failed shard — it never hangs and never returns partial
@@ -585,47 +686,44 @@ fn strategy_layer_resume_round_trips() {
 #[test]
 fn worker_panic_is_contained_and_reported() {
     for shards in support::shard_counts(&[1, 2, 8]) {
-        for routers in support::router_counts() {
-            let mut catalog = Catalog::new();
-            let events = taxi::generate(
-                &mut catalog,
-                &TaxiConfig {
-                    n_events: 2000,
-                    n_streets: 7,
-                    n_vehicles: 40,
-                    ..Default::default()
-                },
-            );
-            let workload = figure_1_workload(&mut catalog);
-            let plan = sharon_plan(&workload);
-            let options = ShardedOptions {
-                batch_size: BATCH,
-                routers,
-                fault: Some(FaultPlan::PanicWorker {
-                    batch: 2,
-                    shard: shards - 1,
-                }),
-                ..ShardedOptions::default()
-            };
-            let mut sharded =
-                ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
-                    .expect("sharded compiles");
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                sharded.process_columnar(&EventBatch::from_events(&events));
-                sharded.finish()
-            }))
-            .expect_err("a worker panic must fail the run, not vanish");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            assert!(
-                msg.contains("worker shard"),
-                "{shards} shards (routers {routers}): panic message \
-                 must name the failed worker, got: {msg:?}"
-            );
-        }
+        let mut catalog = Catalog::new();
+        let events = taxi::generate(
+            &mut catalog,
+            &TaxiConfig {
+                n_events: 2000,
+                n_streets: 7,
+                n_vehicles: 40,
+                ..Default::default()
+            },
+        );
+        let workload = figure_1_workload(&mut catalog);
+        let plan = sharon_plan(&workload);
+        let options = ShardedOptions {
+            batch_size: BATCH,
+            fault: Some(FaultPlan::PanicWorker {
+                batch: 2,
+                shard: shards - 1,
+            }),
+            ..ShardedOptions::default()
+        };
+        let mut sharded =
+            ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
+                .expect("sharded compiles");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            sharded.process_columnar(&EventBatch::from_events(&events));
+            sharded.finish()
+        }))
+        .expect_err("a worker panic must fail the run, not vanish");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            msg.contains("worker shard"),
+            "{shards} shards: panic message \
+             must name the failed worker, got: {msg:?}"
+        );
     }
 }
 

@@ -14,16 +14,13 @@
 //!    must equal the oracle's exactly.
 //! 2. **Shared type pass** — 2–8 random scopes select from one
 //!    [`TypePass`] per chunk: each scope's selection must equal the oracle
-//!    and its own one-scope `select_into`, and a routing plane built by
-//!    `split_router_plane` at `SHARON_ROUTERS` (one pass per router,
-//!    covering only that router's scopes) must route the same rows.
+//!    and its own one-scope `select_into`, and a [`BatchRouter`] over the
+//!    same scopes must route the same rows.
 //! 3. **Row-for-row parity on the paper streams** — every compiled
 //!    partition of predicate-bearing TX / LR / EC workloads (and the 24
 //!    distinct-predicate EC partitions of the benchmark's filter
 //!    workload), kernel vs `CompiledPartition::{routed, predicates_pass,
 //!    groupable}`, over ragged chunkings of the generated stream.
-
-mod support;
 
 use proptest::prelude::{prop, prop_oneof, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as _;
@@ -32,7 +29,7 @@ use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
 use sharon::streams::taxi::{self, TaxiConfig};
 use sharon_executor::{
-    compile, split_router_plane, CompiledPartition, RoutedRows, RowFilter, ScanKernel, TypePass,
+    compile, BatchRouter, CompiledPartition, RoutedRows, RowFilter, ScanKernel, TypePass,
 };
 use sharon_query::{clause_passes, CmpOp};
 use sharon_types::{AttrId, GroupKey};
@@ -188,26 +185,18 @@ impl RowFilter for Scope {
     }
 }
 
-/// Route rows `lo..hi` through a single-shard routing plane of `routers`
-/// routers and return every scope's selection (shard 0's per-scope list,
-/// gathered from whichever router owns the scope).
-fn plane_select<F: RowFilter + Clone + Send + 'static>(
+/// Route rows `lo..hi` through a single-shard [`BatchRouter`] and return
+/// every scope's selection (shard 0's per-scope lists).
+fn router_select<F: RowFilter + Clone>(
     scopes: &[F],
-    routers: usize,
     batch: &EventBatch,
     lo: usize,
     hi: usize,
 ) -> Vec<Vec<u32>> {
-    let mut plane = split_router_plane(scopes.to_vec(), 1, routers);
-    let mut got = vec![Vec::new(); scopes.len()];
+    let mut router = BatchRouter::new(scopes.to_vec(), 1);
     let mut out: Vec<RoutedRows> = Vec::new();
-    for router in &mut plane {
-        router.route_range_into(batch, lo, hi, &mut out);
-        for (slot, rows) in out[0].per_part.iter().enumerate() {
-            got[slot].extend_from_slice(rows);
-        }
-    }
-    got
+    router.route_range_into(batch, lo, hi, &mut out);
+    std::mem::take(&mut out[0].per_part)
 }
 
 /// A random scope over a 3- or 4-type table: routed types, per-type
@@ -263,8 +252,8 @@ proptest! {
 
     /// 2–8 random scopes × random ragged batches: every scope's selection
     /// from one shared type pass per chunk equals the row oracle and the
-    /// scope's own `select_into`, and the routing plane at
-    /// `SHARON_ROUTERS` routes the same rows.
+    /// scope's own `select_into`, and the batch router routes the same
+    /// rows.
     #[test]
     fn shared_type_pass_matches_oracle_and_solo_kernels(
         scopes in prop::collection::vec(scope(), 2..=8),
@@ -288,7 +277,6 @@ proptest! {
             ranges.push((mid, n));
             ranges.push((0, mid));
         }
-        let routers = support::router_counts();
         for (lo, hi) in ranges {
             pass.build(&batch, lo, hi);
             let mut want_all = Vec::new();
@@ -310,13 +298,11 @@ proptest! {
                 );
                 want_all.push(want);
             }
-            for &r in &routers {
-                let got = plane_select(&scopes, r, &batch, lo, hi);
-                proptest::prop_assert_eq!(
-                    &got, &want_all,
-                    "{}-router plane, rows {}..{} of {}", r, lo, hi, n
-                );
-            }
+            let got = router_select(&scopes, &batch, lo, hi);
+            proptest::prop_assert_eq!(
+                &got, &want_all,
+                "batch router, rows {}..{} of {}", lo, hi, n
+            );
         }
     }
 }
@@ -354,8 +340,7 @@ fn partition_oracle(
 
 /// Kernel vs the partition's per-row checks, row for row, on every
 /// compiled partition of a real stream's workload: each kernel alone, all
-/// kernels from one shared type pass, and the routing plane at
-/// `SHARON_ROUTERS`.
+/// kernels from one shared type pass, and the batch router.
 fn assert_stream_kernel_parity(
     catalog: &Catalog,
     workload: &Workload,
@@ -386,13 +371,11 @@ fn assert_stream_kernel_parity(
             selected_any |= !want.is_empty();
             want_all.push(want);
         }
-        for routers in support::router_counts() {
-            assert_eq!(
-                plane_select(&parts, routers, batch, lo, hi),
-                want_all,
-                "{label}: {routers}-router plane diverges on rows {lo}..{hi}"
-            );
-        }
+        assert_eq!(
+            router_select(&parts, batch, lo, hi),
+            want_all,
+            "{label}: the batch router diverges on rows {lo}..{hi}"
+        );
     }
     assert!(
         selected_any,

@@ -1,14 +1,12 @@
 //! Determinism of the sharded parallel runtime and the columnar batch
-//! path: for every shard count **and every routing-plane size**
-//! (`SHARON_ROUTERS`; single router and a 2-router plane by default),
-//! [`ShardedExecutor`] produces results `semantically_eq` to the
-//! sequential [`Executor`] — sharding and router parallelism are pure
-//! work partitions, never a semantics change — and how the stream is cut
+//! path: for every shard count, [`ShardedExecutor`] produces results
+//! `semantically_eq` to the sequential [`Executor`] — sharding is a pure
+//! work partition, never a semantics change — and how the stream is cut
 //! into columnar batches never matters either. Checked on all three paper
 //! streams (TX, LR, EC) under both the Sharon plan and the non-shared
 //! plan, and property-tested over random group cardinalities, Zipf group
-//! skew, plane sizes, and ragged batch sizes (including empty and
-//! single-event batches). Matched-event counts agree too.
+//! skew, and ragged batch sizes (including empty and single-event
+//! batches). Matched-event counts and per-scope scan tallies agree too.
 //!
 //! Every stream also runs with Zipf-skewed groups (theta 0.8 and 1.2),
 //! and the global (no `GROUP BY`) partition is the extreme case: one
@@ -41,7 +39,7 @@ fn shard_counts() -> Vec<usize> {
 
 /// Run `events` through the sequential engine (the reference) and assert
 /// agreement of the sharded runtime's columnar route-once ingestion, per
-/// shard count × routing plane size.
+/// shard count.
 fn assert_sharded_matches_sequential(
     catalog: &Catalog,
     workload: &Workload,
@@ -78,37 +76,31 @@ fn assert_sharded_matches_sequential(
         );
     }
 
-    let build = |shards: usize, routers: usize| {
-        ShardedExecutor::with_options(
+    for shards in shard_counts() {
+        let mut sharded = ShardedExecutor::with_options(
             catalog,
             workload,
             plan,
             shards,
             sharon_executor::ShardedOptions {
-                routers,
                 lateness,
                 ..Default::default()
             },
         )
-        .expect("sharded compiles")
-    };
-    for shards in shard_counts() {
-        for routers in support::router_counts() {
-            let mut sharded = build(shards, routers);
-            sharded.process_columnar(&run_batch);
-            let (got, matched, _state) = sharded.finish_with_stats();
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "{label}: {shards} shards (routers {routers}) \
-                 diverge from the sequential engine ({} vs {} results)",
-                got.len(),
-                want.len(),
-            );
-            assert_eq!(
-                matched, want_matched,
-                "{label}: {shards} shards (routers {routers}): matched count"
-            );
-        }
+        .expect("sharded compiles");
+        sharded.process_columnar(&run_batch);
+        let (got, matched, _) = sharded.finish_with_stats();
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "{label}: {shards} shards diverge from the sequential engine \
+             ({} vs {} results)",
+            got.len(),
+            want.len(),
+        );
+        assert_eq!(
+            matched, want_matched,
+            "{label}: {shards} shards: matched count"
+        );
     }
     assert!(!want.is_empty(), "{label}: stream must produce matches");
 }
@@ -367,15 +359,14 @@ fn mixed_global_and_grouped_partitions() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Random group cardinalities, Zipf group skew, shard counts,
-    /// routing-plane sizes, and stream shapes: the sharded runtime is
-    /// always `semantically_eq` to the sequential one.
+    /// Random group cardinalities, Zipf group skew, shard counts, and
+    /// stream shapes: the sharded runtime is always `semantically_eq` to
+    /// the sequential one.
     #[test]
     fn random_group_cardinalities(
         cardinality in 1i64..=64,
         theta_tenths in 0u32..=16,
         shards in 1usize..=9,
-        routers in 1usize..=3,
         raw in prop::collection::vec((0usize..3, 0u64..=2, 0i64..=9, 0u32..1000), 0..=120),
     ) {
         let mut catalog = Catalog::new();
@@ -428,21 +419,17 @@ proptest! {
             &workload,
             &SharingPlan::non_shared(),
             shards,
-            sharon_executor::ShardedOptions {
-                routers,
-                ..Default::default()
-            },
+            sharon_executor::ShardedOptions::default(),
         )
         .unwrap();
         sharded.process_columnar(&batch);
         let (got, matched, _) = sharded.finish_with_stats();
         proptest::prop_assert!(
             got.semantically_eq(&want, 1e-9),
-            "cardinality {} theta {} shards {} routers {}: sharded diverges",
+            "cardinality {} theta {} shards {}: sharded diverges",
             cardinality,
             theta,
-            shards,
-            routers
+            shards
         );
         proptest::prop_assert_eq!(matched, want_matched);
     }
@@ -556,12 +543,12 @@ fn gated_matched_counts_agree_across_shard_counts() {
             .build_executor()
             .expect("workload compiles");
         ex.process_columnar(&batch);
-        ex.finish_with_matched()
+        ex.finish_with_stats()
     };
-    let (want, want_matched) = run(0);
+    let (want, want_matched, _) = run(0);
     assert!(!want.is_empty());
     for shards in shard_counts() {
-        let (got, matched) = run(shards);
+        let (got, matched, _) = run(shards);
         assert_eq!(
             matched, want_matched,
             "{shards} shards: matched count differs from the sequential run"
@@ -571,4 +558,40 @@ fn gated_matched_counts_agree_across_shard_counts() {
             "{shards} shards: gated results diverge"
         );
     }
+}
+
+/// The per-scope scan tallies `finish_with_stats` returns are read after
+/// the sharded runtime's router thread is joined: they cover the whole
+/// stream and equal the sequential engine's, scope for scope. Read before
+/// the router drained (as `scan_stats` on a live executor can be), a
+/// taxi 20k run at two shards once reported 8192 of 20000 rows scanned.
+#[test]
+fn scan_tallies_after_finish_cover_the_whole_stream() {
+    let mut catalog = Catalog::new();
+    let batch = taxi::generate_batch(
+        &mut catalog,
+        &TaxiConfig {
+            n_events: 20_000,
+            ..Default::default()
+        },
+    );
+    let workload = figure_1_workload(&mut catalog);
+    let rates = RateMap::uniform(100.0);
+    let run = |shards: usize| {
+        let (mut ex, _) = SharonBuilder::new(&catalog, &workload, &rates)
+            .shards(shards)
+            .build_executor()
+            .expect("workload compiles");
+        ex.process_columnar(&batch);
+        let (_, _, scan) = ex.finish_with_stats();
+        scan
+    };
+    let want = run(0);
+    assert!(!want.is_empty(), "the sequential engine tracks its scan");
+    assert!(
+        want.iter()
+            .all(|&(scanned, _)| scanned == batch.len() as u64),
+        "every scope scans every row: {want:?}"
+    );
+    assert_eq!(run(2), want, "sharded tallies after finish");
 }

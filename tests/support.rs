@@ -20,17 +20,6 @@ pub fn shard_counts(default: &[usize]) -> Vec<usize> {
     }
 }
 
-/// Routing-plane sizes under test: `SHARON_ROUTERS` pins one (the CI
-/// matrix crosses it with the shard counts), otherwise the single router
-/// and a 2-router plane.
-#[allow(dead_code)]
-pub fn router_counts() -> Vec<usize> {
-    match runtime_options().routers {
-        Some(r) => vec![r],
-        None => vec![1, 2],
-    }
-}
-
 /// The `SHARON_DISORDER` knob applied to a suite's event stream: returns
 /// the bounded-disorder shuffle of `events` plus the smallest lateness
 /// (ms) that absorbs it exactly, or `None` when the knob is unset/zero
