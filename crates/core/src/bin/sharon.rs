@@ -458,9 +458,10 @@ fn main() {
         tail.extend_from_range(&events, offset, events.len());
         executor.process_columnar(&tail);
     }
-    // the scan tallies come back from finish: the sharded runtime's
-    // router is still routing queued batches until then
-    let (results, matched, scan_stats) = executor.finish_with_stats();
+    // the counts come back from finish: the sharded runtime's router and
+    // workers are still processing queued batches until then
+    let report = executor.finish_with_stats();
+    let (results, matched, scan_stats) = (report.results, report.events_matched, report.scan_stats);
     let run_time = t1.elapsed();
     let processed = events.len() - offset;
     let throughput = processed as f64 / run_time.as_secs_f64().max(1e-12);
@@ -475,7 +476,7 @@ fn main() {
     if lateness.is_some() {
         eprintln!(
             "event time: {} late row(s) dropped",
-            sharon::metrics::late_rows_dropped()
+            report.late_rows_dropped
         );
     }
     if !scan_stats.is_empty() {

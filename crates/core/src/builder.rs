@@ -375,4 +375,30 @@ mod tests {
             );
         }
     }
+
+    /// The error `session` refuses `builder` with.
+    fn session_refusal(builder: SharonBuilder<'_>) -> CompileError {
+        let session = builder.session(SessionConfig::default());
+        session.err().expect("the session must be refused")
+    }
+
+    #[test]
+    fn a_session_on_a_baseline_is_a_typed_error() {
+        let (catalog, workload) = workload();
+        let rates = RateMap::uniform(100.0);
+        let builder = SharonBuilder::new(&catalog, &workload, &rates).strategy(Strategy::SpassLike);
+        let (option, strategy) = ("session", "SPASS");
+        let want = CompileError::UnsupportedOption { option, strategy };
+        assert_eq!(session_refusal(builder), want);
+    }
+
+    #[test]
+    fn a_session_with_lateness_is_a_typed_error() {
+        let (catalog, workload) = workload();
+        let rates = RateMap::uniform(100.0);
+        let builder = SharonBuilder::new(&catalog, &workload, &rates).lateness(1_000);
+        let (option, strategy) = ("lateness", "SHARON");
+        let want = CompileError::UnsupportedOption { option, strategy };
+        assert_eq!(session_refusal(builder), want);
+    }
 }

@@ -220,7 +220,8 @@ impl Tracker {
 /// the online strategies (Sharon / Greedy / A-Seq); checkpoint, fault,
 /// and lateness options are rejected for now (they do not yet compose
 /// with plan hot-swaps), and the spill tier applies to the shared plan
-/// only (sidecars are short-lived by design).
+/// only (sidecars are short-lived by design). Both refusals are
+/// [`CompileError::UnsupportedOption`].
 ///
 /// Input must be time-ordered, like every Sharon ingest path. All event
 /// types must be registered in the catalog before the session starts —
@@ -256,7 +257,10 @@ pub struct SharonSession {
 
 impl SharonSession {
     /// Start a session hosting `workload` as the initially attached
-    /// queries (handles `0..n` in order).
+    /// queries (handles `0..n` in order). A two-step strategy (option
+    /// `session`: its processors cannot surface results mid-stream) and a
+    /// checkpoint, fault or lateness option are
+    /// [`CompileError::UnsupportedOption`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         catalog: Catalog,
@@ -268,19 +272,23 @@ impl SharonSession {
         options: ShardedOptions,
         cfg: SessionConfig,
     ) -> Result<SharonSession, CompileError> {
-        assert!(
-            matches!(
-                strategy,
-                Strategy::Sharon | Strategy::Greedy | Strategy::ASeq
-            ),
-            "the {} two-step baseline cannot host a live session \
-             (its processors cannot surface results mid-stream)",
-            strategy.name()
-        );
-        assert!(
-            options.checkpoint.is_none() && options.fault.is_none() && options.lateness.is_none(),
-            "sessions do not yet compose with checkpoint/fault/lateness options"
-        );
+        let refused = if matches!(strategy, Strategy::FlinkLike | Strategy::SpassLike) {
+            Some("session")
+        } else if options.checkpoint.is_some() {
+            Some("checkpoint")
+        } else if options.fault.is_some() {
+            Some("fault")
+        } else if options.lateness.is_some() {
+            Some("lateness")
+        } else {
+            None
+        };
+        if let Some(option) = refused {
+            return Err(CompileError::UnsupportedOption {
+                option,
+                strategy: strategy.name(),
+            });
+        }
         let rate_horizon = cfg.rate_horizon;
         let mut session = SharonSession {
             catalog,

@@ -8,7 +8,8 @@
 //! row-form [`Event`]s are adapted with [`EventBatch::from_events`].
 
 use sharon_executor::{
-    BatchProcessor, CompileError, Executor, ExecutorResults, ShardedExecutor, ShardedOptions,
+    BatchProcessor, CompileError, Executor, ExecutorResults, RunReport, ShardedExecutor,
+    ShardedOptions,
 };
 use sharon_optimizer::{
     optimize_greedy, optimize_sharon, OptimizeOutcome, OptimizerConfig, RateMap,
@@ -69,23 +70,23 @@ impl AnyExecutor {
     }
 
     /// Late rows dropped by the event-time gate so far (0 when no gate;
-    /// the sharded runtime reports through the global
-    /// [`sharon_metrics::late_rows_dropped`] counter instead).
+    /// the sharded runtime reports its count at
+    /// [`AnyExecutor::finish_with_stats`] instead).
     pub fn late_rows_dropped(&self) -> u64 {
         self.inner.late_rows_dropped()
     }
 
     /// Flush and return results.
     pub fn finish(self) -> ExecutorResults {
-        self.inner.finish().0
+        self.inner.finish().results
     }
 
-    /// Flush and return `(results, events_matched, scan_stats)`. Unlike
-    /// [`AnyExecutor::events_matched`] and [`AnyExecutor::scan_stats`],
-    /// the count and the per-scope tallies here are exact for the
-    /// sharded runtime too — they are read after its router and workers
-    /// drain.
-    pub fn finish_with_stats(self) -> (ExecutorResults, u64, Vec<(u64, u64)>) {
+    /// Flush and report the run (see [`RunReport`]). Unlike
+    /// [`AnyExecutor::events_matched`], [`AnyExecutor::late_rows_dropped`]
+    /// and [`AnyExecutor::scan_stats`], the counts and the per-scope
+    /// tallies here are exact for the sharded runtime too — they are read
+    /// after its router and workers drain.
+    pub fn finish_with_stats(self) -> RunReport {
         self.inner.finish()
     }
 

@@ -15,6 +15,16 @@
 //! internal detail of this crate — both ends of it are compiled from the
 //! same source — but it is versioned so a stale checkpoint directory fails
 //! loudly instead of deserializing garbage.
+//!
+//! Layout (v7). The manifest holds the replay offset, one router segment
+//! (the router's event-time frontier) and a `(length, digest)` pair per
+//! shard segment. A shard segment is written by its worker: the count of
+//! engine images, each engine image in partition order (kernel tag, last
+//! row time, matched count, result log, then its groups — spilled ones
+//! embedded verbatim), then the worker's one gate block: a present flag
+//! and, when set, the gate's state (its bytes unchanged since v6: the
+//! lateness, frontier, watermark, admission counter, late-drop count and
+//! the rows still waiting, each tagged with its engine's index).
 
 use sharon_types::{GroupKey, Timestamp, Value};
 use std::fmt;
@@ -38,7 +48,9 @@ const MANIFEST_MAGIC: &[u8; 8] = b"SHRNCKPT";
 /// runners, offset deques, logs, mirror and final window vectors).
 /// v6: no hot-group split state — a router segment is its frontier alone,
 /// and engine, group and pending-row images lose their split fields.
-const FORMAT_VERSION: u32 = 6;
+/// v7: one event-time gate block per shard segment, after the engine
+/// images (each used to end in a gate block of its own).
+const FORMAT_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------------
 // errors
@@ -452,8 +464,8 @@ impl CheckpointStore {
     }
 
     /// Write checkpoint `id`: per-shard segments, then the manifest
-    /// (atomically, via rename). The manifest keeps the counted router
-    /// list of the v6 layout, holding the one `router` segment. Returns
+    /// (atomically, via rename). The manifest keeps a counted router
+    /// list (since v3), holding the one `router` segment. Returns
     /// the total bytes written.
     pub fn write(
         &self,
@@ -931,17 +943,17 @@ mod tests {
 
     #[test]
     fn older_format_is_refused_naming_both_versions() {
-        // a v5 directory (router segments with hot-group trackers, engine
-        // and group images with split fields) must not be read as v6:
-        // rewrite a good manifest's version field and re-seal it
-        let dir = test_dir("v5");
+        // a v6 directory (shard segments with a gate block per engine)
+        // must not be read as v7: rewrite a good manifest's version field
+        // and re-seal it
+        let dir = test_dir("v6");
         let store = CheckpointStore::open(&dir).unwrap();
         store.write(0, 50, b"r", &[b"seg".to_vec()]).unwrap();
         let manifest = dir.join("ckpt-0000000000000000").join("MANIFEST");
         let mut bytes = fs::read(&manifest).unwrap();
         let at = MANIFEST_MAGIC.len();
         assert_eq!(bytes[at..at + 4], FORMAT_VERSION.to_le_bytes());
-        bytes[at..at + 4].copy_from_slice(&5u32.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&6u32.to_le_bytes());
         let body = bytes.len() - 8;
         let digest = fnv1a(&bytes[..body]);
         bytes[body..].copy_from_slice(&digest.to_le_bytes());
@@ -950,7 +962,7 @@ mod tests {
         for refused in [store.load(0), store.latest()] {
             match refused {
                 Err(CheckpointError::Mismatch(msg)) => {
-                    assert!(msg.contains("v5") && msg.contains("v6"), "{msg}");
+                    assert!(msg.contains("v6") && msg.contains("v7"), "{msg}");
                 }
                 other => panic!("expected a format mismatch, got {other:?}"),
             }

@@ -70,7 +70,8 @@ pub enum CompileError {
     },
     /// The strategy cannot honour a runtime option (the two-step
     /// baselines cannot serialize their state, so they host no
-    /// checkpoint, spill or fault injection).
+    /// checkpoint, spill or fault injection, nor a live session; a
+    /// session hosts no checkpoint, fault or lateness option).
     UnsupportedOption {
         /// The option that was set.
         option: &'static str,

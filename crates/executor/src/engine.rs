@@ -23,17 +23,25 @@
 //!
 //! A row pays for the roles its type plays; closing windows, expiring
 //! records and trimming logs are paid once per group and slide.
+//!
+//! An engine keeps only group state. It selects nothing and gates
+//! nothing: its owner — the [`Executor`], sequential or as a shard worker
+//! — runs the stateless front end (scan, tallies, event-time gate; see
+//! [`crate::front`]) and hands it rows already selected, in event-time
+//! order, through [`Engine::process_rows`] (a batch's selected rows) or
+//! [`Engine::process_row`] (one row the gate released).
 
 use crate::agg::{Aggregate, Contribution, CountCell, StatsCell};
 use crate::chainlog::ChainLog;
 use crate::checkpoint::{StateError, StateReader, StateWriter};
 use crate::compile::{compile, CompileError, CompiledPartition, Routes};
 use crate::event_time::Reorder;
+use crate::front::{self, ScanFront, ScopeSink};
+use crate::processor::RunReport;
 use crate::results::ExecutorResults;
 use crate::router::RoutedRows;
 use crate::runner::SegmentRunner;
-use crate::scan::{ScanKernel, TypePass};
-use crate::sharded::{ShardProcessor, ShardReport};
+use crate::sharded::ShardProcessor;
 use crate::spill::{SpillConfig, SpillStore};
 use crate::winvec::WindowPlane;
 use sharon_query::{SharingPlan, Workload};
@@ -287,8 +295,6 @@ pub struct Engine<A: Aggregate> {
     key_scratch: GroupKey,
     /// Reused buffer for the grouping attributes of the current event.
     vals_scratch: Vec<Value>,
-    /// Reused row-selection buffer of the scan.
-    sel_scratch: Vec<u32>,
     /// Group-space slice owned by this engine (`None` = everything).
     shard: Option<ShardSlice>,
     /// Paging tier for cold groups (`None` = everything stays resident;
@@ -298,26 +304,14 @@ pub struct Engine<A: Aggregate> {
     clock: u64,
     last_time: Timestamp,
     events_matched: u64,
-    /// Event-time reorder gate (`None` = arrival order is event-time
-    /// order, the historical contract; the disabled hot path pays one
-    /// branch, and boxing keeps it one word). When set, rows buffer
-    /// behind the watermark `max_time_seen − lateness` and release in
-    /// event-time order; rows behind the watermark are dropped and
-    /// counted.
-    reorder: Option<Box<Reorder>>,
-    /// Compiled scan kernel selecting the rows of
-    /// [`Engine::process_columnar`].
-    scan: ScanKernel,
-    /// Rows examined by this engine's scan.
-    rows_scanned: u64,
-    /// Rows that survived routing + predicates + groupability.
-    rows_selected: u64,
 }
 
 impl<A: Aggregate> Engine<A> {
-    /// Build an engine from a compiled partition.
-    pub fn new(part: CompiledPartition) -> Self {
-        let scan = part.scan_kernel();
+    /// Build an engine for a compiled partition, owning every group, or
+    /// — under sharded execution — only the groups in `shard` (see
+    /// [`ShardSlice`]: the batch router sends it only rows of groups it
+    /// owns).
+    pub fn new(part: CompiledPartition, shard: Option<ShardSlice>) -> Self {
         Engine {
             part,
             groups: FxHashMap::default(),
@@ -328,37 +322,12 @@ impl<A: Aggregate> Engine<A> {
             scratch: FoldScratch::new(),
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
-            sel_scratch: Vec::new(),
-            shard: None,
+            shard,
             spill: None,
             clock: 0,
             last_time: Timestamp::ZERO,
             events_matched: 0,
-            reorder: None,
-            scan,
-            rows_scanned: 0,
-            rows_selected: 0,
         }
-    }
-
-    /// Enable event-time processing with the given allowed lateness (in
-    /// milliseconds): rows buffer in the reorder gate and release in
-    /// event-time order once the watermark `max_time_seen − lateness`
-    /// passes them; rows arriving behind the watermark are dropped and
-    /// counted ([`sharon_metrics::late_rows_dropped`]). Exact whenever
-    /// `lateness` covers the stream's disorder bound.
-    pub fn set_lateness(&mut self, lateness_ms: u64) {
-        self.reorder = Some(Box::new(Reorder::new(lateness_ms)));
-    }
-
-    /// Late rows this engine dropped (0 when no gate is configured).
-    pub fn late_rows_dropped(&self) -> u64 {
-        self.reorder.as_ref().map_or(0, |g| g.late_rows_dropped())
-    }
-
-    /// The engine's current watermark (`None` when no gate is configured).
-    pub fn watermark(&self) -> Option<Timestamp> {
-        self.reorder.as_ref().map(|g| g.watermark())
     }
 
     /// Enable the LRU spill tier: at most `config.max_resident` groups
@@ -370,16 +339,6 @@ impl<A: Aggregate> Engine<A> {
             max_resident: config.max_resident,
         });
         Ok(())
-    }
-
-    /// Build an engine that only processes the groups in `slice`
-    /// (see [`ShardSlice`]). Such an engine is fed only through
-    /// [`Engine::process_routed`]: the batch router has already selected
-    /// its rows.
-    pub fn with_shard(part: CompiledPartition, slice: ShardSlice) -> Self {
-        let mut engine = Self::new(part);
-        engine.shard = Some(slice);
-        engine
     }
 
     #[inline]
@@ -396,47 +355,23 @@ impl<A: Aggregate> Engine<A> {
         }
     }
 
-    /// The entry of a batch's selected `rows`: straight to the in-order
-    /// row path, or — with an event-time gate configured — through the
-    /// gate in one call that admits them (dropping and counting late
-    /// ones), advances its watermark to `frontier − lateness` and
-    /// releases every row the watermark passed, in event-time order,
-    /// while `batch` is alive to lend their attributes. Only rows the scan
-    /// or the batch router selected get here, so an unrouted row is never
-    /// admitted or counted.
+    /// The entry of a batch's selected `rows` (the ungated path): each
+    /// goes through [`Engine::process_row`] in row order.
     #[inline]
-    fn process_rows(&mut self, batch: &EventBatch, rows: &[u32], frontier: Timestamp) {
-        let Some(mut gate) = self.reorder.take() else {
-            for &row in rows {
-                let row = row as usize;
-                self.process_row(batch.ty(row), batch.time(row), batch.attrs(row));
-            }
-            return;
-        };
-        gate.process(batch, [rows], frontier, |ty, time, attrs, _| {
-            self.process_row(ty, time, attrs)
-        });
-        self.reorder = Some(gate);
-    }
-
-    /// End-of-stream: open the gate and release everything still
-    /// buffered. Idempotent, and a no-op on arrival-time engines;
-    /// [`Engine::finish`] calls it, but callers that read pre-finish stats
-    /// ([`Engine::events_matched`], [`Engine::cell_count`]) must call it
-    /// first — buffered rows still count toward both.
-    pub fn flush_pending(&mut self) {
-        if let Some(mut gate) = self.reorder.take() {
-            gate.flush(|ty, time, attrs, _| self.process_row(ty, time, attrs));
-            self.reorder = Some(gate);
+    pub fn process_rows(&mut self, batch: &EventBatch, rows: &[u32]) {
+        for &row in rows {
+            let row = row as usize;
+            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row));
         }
     }
 
-    /// The shared in-order row path of every entry point. Every row here
-    /// was selected by the scan kernel or the sharded batch router:
-    /// routing, this partition's predicates, groupability and shard
-    /// ownership are already established.
+    /// The in-order row path, and the entry of one row an owner's
+    /// event-time gate released. Every row here was selected by the
+    /// owner's scan or the sharded batch router: routing, this
+    /// partition's predicates, groupability and shard ownership are
+    /// already established, and rows arrive in event-time order.
     #[inline]
-    fn process_row(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
+    pub fn process_row(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
         debug_assert!(time >= self.last_time, "events must be time-ordered");
         self.last_time = time;
 
@@ -599,12 +534,6 @@ impl<A: Aggregate> Engine<A> {
                 })
                 .unwrap_or_else(|e| panic!("spill read during checkpoint failed: {e}"));
         }
-        // event-time state: watermark + pending (not-yet-released) rows,
-        // so a resume under disorder is crash-exact
-        w.bool(self.reorder.is_some());
-        if let Some(gate) = &mut self.reorder {
-            gate.save_state(w);
-        }
     }
 
     /// Restore the state written by [`Engine::save_state`] into a freshly
@@ -637,72 +566,7 @@ impl<A: Aggregate> Engine<A> {
                     .map_err(|_| StateError::Corrupt("spill write during restore"))?;
             }
         }
-        // a lateness mismatch between the checkpoint and the rebuilt
-        // engine would silently change which rows count as late — refuse
-        // both directions rather than guess
-        let had_gate = r.bool()?;
-        match (&mut self.reorder, had_gate) {
-            (Some(gate), true) => gate.load_state(r)?,
-            (None, false) => {}
-            (Some(_), false) => {
-                return Err(StateError::Corrupt(
-                    "checkpoint has no event-time state but lateness is configured",
-                ));
-            }
-            (None, true) => {
-                return Err(StateError::Corrupt(
-                    "checkpoint has event-time state but no lateness is configured",
-                ));
-            }
-        }
         Ok(())
-    }
-
-    /// Number of groups currently paged out to the spill log.
-    pub fn spilled_group_count(&self) -> usize {
-        self.spill.as_ref().map_or(0, |t| t.store.len())
-    }
-
-    /// Process a time-ordered columnar batch — the one way rows enter an
-    /// unsharded engine — in two passes: the compiled [`ScanKernel`]
-    /// selects from `pass` (the owner's [`TypePass`], built over all of
-    /// `batch`'s rows and covering this engine's kernel) by routing and
-    /// groupability, then evaluates predicates over the value columns into
-    /// a reused selection buffer; a **stateful pass** dispatches only the
-    /// selected rows into per-group state. The scan touches no group
-    /// state, and the stateful pass never re-evaluates what the scan
-    /// established.
-    pub(crate) fn process_columnar(&mut self, batch: &EventBatch, pass: &TypePass) {
-        debug_assert!(
-            self.shard.is_none(),
-            "shard engines are fed through process_routed"
-        );
-        let mut sel = std::mem::take(&mut self.sel_scratch);
-        sel.clear();
-        self.scan.select_from(pass, batch, &mut sel);
-        let selected = sel.len() as u64;
-        self.rows_scanned += batch.len() as u64;
-        self.rows_selected += selected;
-        sharon_metrics::record_rows_scanned(batch.len() as u64);
-        sharon_metrics::record_rows_selected(selected);
-        // event-time mode: the batch's time-column max (tracked on append
-        // by `EventBatch::push_from`) is this engine's frontier
-        let frontier = batch.max_time().unwrap_or(Timestamp::ZERO);
-        self.process_rows(batch, &sel, frontier);
-        self.sel_scratch = sel;
-    }
-
-    /// Process the pre-routed rows `rows` of `batch`, in order, with the
-    /// event-time gate (if any) advancing to `frontier` — the router's
-    /// merged cross-shard frontier stamped on the chunk.
-    ///
-    /// The caller asserts that every listed row routes into this
-    /// partition, passes its predicates, and belongs to a group this
-    /// engine owns — the sharded runtime's batch router establishes
-    /// exactly this once per batch, so shard workers never re-evaluate
-    /// the stateless prefix for rows they do not own.
-    pub fn process_routed(&mut self, batch: &EventBatch, rows: &[u32], frontier: Timestamp) {
-        self.process_rows(batch, rows, frontier);
     }
 
     /// Pre-size the result store for about `additional` further results
@@ -943,9 +807,6 @@ impl<A: Aggregate> Engine<A> {
 
     /// Flush all remaining windows and return the results.
     pub fn finish(mut self) -> ExecutorResults {
-        // end of stream: release every row still buffered in the
-        // event-time gate before any window is force-closed
-        self.flush_pending();
         // spilled groups first, decoded and drained one at a time — the
         // end of a spilling run never re-materializes the whole group map
         if let Some(mut tier) = self.spill.take() {
@@ -981,25 +842,9 @@ impl<A: Aggregate> Engine<A> {
         self.events_matched
     }
 
-    /// `(rows_scanned, rows_selected)` of this engine's scan (zero on
-    /// shard engines, whose rows the batch router selects).
-    pub fn scan_stats(&self) -> (u64, u64) {
-        (self.rows_scanned, self.rows_selected)
-    }
-
-    /// The compiled scan kernel selecting this engine's rows.
-    pub(crate) fn scan_kernel(&self) -> &ScanKernel {
-        &self.scan
-    }
-
     /// Live aggregate cells across all groups (memory proxy).
     pub fn cell_count(&self) -> usize {
         self.groups.values().map(GroupRuntime::cell_count).sum()
-    }
-
-    /// Number of groups with live state.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
     }
 }
 
@@ -1010,16 +855,25 @@ impl<A: Aggregate> Engine<A> {
 /// (A-Seq per query, Section 3.2); with an optimizer-produced plan it is
 /// the Sharon executor (Section 3.3).
 ///
-/// The same type is the sharded runtime's online shard worker (its
-/// [`ShardProcessor`] impl): there its engines own one [`ShardSlice`] each
-/// and take the router's row lists instead of scanning.
+/// The executor owns the stateless front end of its partitions (see
+/// [`crate::front`]): one scan kernel per engine behind a shared type
+/// pass, and one event-time gate for all engines. The engines keep only
+/// group state. The same type is the sharded runtime's online shard
+/// worker (its [`ShardProcessor`] impl): there its engines own one
+/// [`ShardSlice`] each and it dispatches the router's row lists instead
+/// of scanning.
 pub struct Executor {
     /// One engine per partition, in partition order.
     pub(crate) engines: Vec<EngineKind>,
-    /// The type pass every engine's scan selects from, built once per
-    /// batch and covering all engines' routed types (unused by a shard
-    /// worker).
-    pass: TypePass,
+    /// The select stage, one scope per engine (empty on a shard worker,
+    /// whose rows the router selects).
+    front: ScanFront,
+    /// The event-time gate of every engine (`None` = arrival order is
+    /// event-time order, the historical contract). When set, rows buffer
+    /// behind the watermark `max_time_seen − lateness` and release in
+    /// event-time order; rows behind the watermark are dropped and
+    /// counted. Boxed: an ungated executor carries one word.
+    gate: Option<Box<Reorder>>,
 }
 
 /// One partition engine, monomorphized on its aggregate kernel.
@@ -1030,166 +884,98 @@ pub enum EngineKind {
     Stats(Engine<StatsCell>),
 }
 
+/// Run `$body` on the engine inside `$kind`, whichever its kernel.
+macro_rules! on_engine {
+    ($kind:expr, $en:ident => $body:expr) => {
+        match $kind {
+            EngineKind::Count($en) => $body,
+            EngineKind::Stats($en) => $body,
+        }
+    };
+}
+
 impl EngineKind {
     /// Build the right kernel for `part`, optionally restricted to a
     /// group-space [`ShardSlice`].
     pub fn for_partition(part: CompiledPartition, shard: Option<ShardSlice>) -> Self {
-        let count_only = part.count_only;
-        match (count_only, shard) {
-            (true, Some(s)) => EngineKind::Count(Engine::with_shard(part, s)),
-            (true, None) => EngineKind::Count(Engine::new(part)),
-            (false, Some(s)) => EngineKind::Stats(Engine::with_shard(part, s)),
-            (false, None) => EngineKind::Stats(Engine::new(part)),
+        if part.count_only {
+            EngineKind::Count(Engine::new(part, shard))
+        } else {
+            EngineKind::Stats(Engine::new(part, shard))
         }
     }
 
-    /// Process a time-ordered columnar batch through the owner's type
-    /// pass (see [`Engine::process_columnar`]).
-    pub(crate) fn process_columnar(&mut self, batch: &EventBatch, pass: &TypePass) {
-        match self {
-            EngineKind::Count(en) => en.process_columnar(batch, pass),
-            EngineKind::Stats(en) => en.process_columnar(batch, pass),
-        }
-    }
-
-    /// Process pre-routed rows of a columnar batch (see
-    /// [`Engine::process_routed`]).
-    pub fn process_routed(&mut self, batch: &EventBatch, rows: &[u32], frontier: Timestamp) {
-        match self {
-            EngineKind::Count(en) => en.process_routed(batch, rows, frontier),
-            EngineKind::Stats(en) => en.process_routed(batch, rows, frontier),
-        }
+    /// Process a batch's selected rows (see [`Engine::process_rows`]).
+    pub fn process_rows(&mut self, batch: &EventBatch, rows: &[u32]) {
+        on_engine!(self, en => en.process_rows(batch, rows))
     }
 
     /// Enable the LRU spill tier (see [`Engine::set_spill`]).
     pub fn set_spill(&mut self, config: &SpillConfig, label: &str) -> std::io::Result<()> {
-        match self {
-            EngineKind::Count(en) => en.set_spill(config, label),
-            EngineKind::Stats(en) => en.set_spill(config, label),
-        }
-    }
-
-    /// Enable event-time processing (see [`Engine::set_lateness`]).
-    pub fn set_lateness(&mut self, lateness_ms: u64) {
-        match self {
-            EngineKind::Count(en) => en.set_lateness(lateness_ms),
-            EngineKind::Stats(en) => en.set_lateness(lateness_ms),
-        }
-    }
-
-    /// Late rows dropped by this engine's gate (see
-    /// [`Engine::late_rows_dropped`]).
-    pub fn late_rows_dropped(&self) -> u64 {
-        match self {
-            EngineKind::Count(en) => en.late_rows_dropped(),
-            EngineKind::Stats(en) => en.late_rows_dropped(),
-        }
+        on_engine!(self, en => en.set_spill(config, label))
     }
 
     /// Live aggregate cells (see [`Engine::cell_count`]).
     pub fn cell_count(&self) -> usize {
-        match self {
-            EngineKind::Count(en) => en.cell_count(),
-            EngineKind::Stats(en) => en.cell_count(),
-        }
+        on_engine!(self, en => en.cell_count())
     }
 
     /// Serialize the full evaluation state, tagged with the kernel kind
     /// (see [`Engine::save_state`]).
-    pub fn save_state(&mut self, w: &mut crate::checkpoint::StateWriter) {
-        match self {
-            EngineKind::Count(en) => {
-                w.u8(0);
-                en.save_state(w);
-            }
-            EngineKind::Stats(en) => {
-                w.u8(1);
-                en.save_state(w);
-            }
-        }
+    pub fn save_state(&mut self, w: &mut StateWriter) {
+        let tag = match self {
+            EngineKind::Count(_) => 0,
+            EngineKind::Stats(_) => 1,
+        };
+        w.u8(tag);
+        on_engine!(self, en => en.save_state(w))
     }
 
     /// Restore state written by [`EngineKind::save_state`]; the kernel
     /// kind must match the one this engine was compiled with.
-    pub fn load_state(
-        &mut self,
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<(), crate::checkpoint::StateError> {
+    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let tag = r.u8()?;
         match (self, tag) {
             (EngineKind::Count(en), 0) => en.load_state(r),
             (EngineKind::Stats(en), 1) => en.load_state(r),
-            _ => Err(crate::checkpoint::StateError::Corrupt("engine kind tag")),
-        }
-    }
-
-    /// Number of groups currently paged out to the spill log (see
-    /// [`Engine::spilled_group_count`]).
-    pub fn spilled_group_count(&self) -> usize {
-        match self {
-            EngineKind::Count(en) => en.spilled_group_count(),
-            EngineKind::Stats(en) => en.spilled_group_count(),
+            _ => Err(StateError::Corrupt("engine kind tag")),
         }
     }
 
     /// Pre-size the result store (see [`Engine::reserve_results`]).
     pub fn reserve_results(&mut self, additional: usize) {
-        match self {
-            EngineKind::Count(en) => en.reserve_results(additional),
-            EngineKind::Stats(en) => en.reserve_results(additional),
-        }
+        on_engine!(self, en => en.reserve_results(additional))
     }
 
     /// Take the results emitted so far without finishing (see
     /// [`Engine::take_results`]).
     pub fn take_results(&mut self) -> ExecutorResults {
-        match self {
-            EngineKind::Count(en) => en.take_results(),
-            EngineKind::Stats(en) => en.take_results(),
-        }
+        on_engine!(self, en => en.take_results())
     }
 
     /// Flush remaining windows and return the results.
     pub fn finish(self) -> ExecutorResults {
-        match self {
-            EngineKind::Count(en) => en.finish(),
-            EngineKind::Stats(en) => en.finish(),
-        }
+        on_engine!(self, en => en.finish())
     }
 
     /// Events that passed routing, predicates, grouping, and shard
     /// ownership.
     pub fn events_matched(&self) -> u64 {
-        match self {
-            EngineKind::Count(en) => en.events_matched(),
-            EngineKind::Stats(en) => en.events_matched(),
-        }
+        on_engine!(self, en => en.events_matched())
+    }
+}
+
+/// An executor's engines as the dispatch stage feeds them: scope `p` is
+/// engine `p`.
+impl ScopeSink for [EngineKind] {
+    #[inline]
+    fn rows(&mut self, scope: usize, batch: &EventBatch, rows: &[u32]) {
+        self[scope].process_rows(batch, rows);
     }
 
-    /// `(rows_scanned, rows_selected)` of the scan (see
-    /// [`Engine::scan_stats`]).
-    pub fn scan_stats(&self) -> (u64, u64) {
-        match self {
-            EngineKind::Count(en) => en.scan_stats(),
-            EngineKind::Stats(en) => en.scan_stats(),
-        }
-    }
-
-    /// The engine's compiled scan kernel (see [`Engine::scan_kernel`]).
-    pub(crate) fn scan_kernel(&self) -> &ScanKernel {
-        match self {
-            EngineKind::Count(en) => en.scan_kernel(),
-            EngineKind::Stats(en) => en.scan_kernel(),
-        }
-    }
-
-    /// End-of-stream gate drain (see [`Engine::flush_pending`]): release
-    /// every buffered event-time row so pre-finish stats are final.
-    pub fn flush_pending(&mut self) {
-        match self {
-            EngineKind::Count(en) => en.flush_pending(),
-            EngineKind::Stats(en) => en.flush_pending(),
-        }
+    #[inline]
+    fn row(&mut self, scope: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
+        on_engine!(&mut self[scope], en => en.process_row(ty, time, attrs))
     }
 }
 
@@ -1201,20 +987,24 @@ impl Executor {
         plan: &SharingPlan,
     ) -> Result<Self, CompileError> {
         let parts = compile(catalog, workload, plan)?;
-        Ok(Self::from_engines(
-            parts
-                .into_iter()
-                .map(|p| EngineKind::for_partition(p, None))
-                .collect(),
-        ))
+        let front = ScanFront::new(parts.iter().map(CompiledPartition::scan_kernel).collect());
+        let engines = parts
+            .into_iter()
+            .map(|p| EngineKind::for_partition(p, None))
+            .collect();
+        Ok(Self::from_parts(engines, front))
     }
 
-    /// An executor over `engines`, in partition order: unrestricted
-    /// engines for the sequential executor, one shard's [`ShardSlice`]
-    /// engines for a sharded runtime worker.
-    pub(crate) fn from_engines(engines: Vec<EngineKind>) -> Self {
-        let pass = TypePass::new(engines.iter().map(EngineKind::scan_kernel));
-        Executor { engines, pass }
+    /// An executor over `engines`, in partition order, selecting with
+    /// `front`: unrestricted engines and their kernels for the sequential
+    /// executor, one shard's [`ShardSlice`] engines and an empty front end
+    /// for a sharded runtime worker.
+    pub(crate) fn from_parts(engines: Vec<EngineKind>, front: ScanFront) -> Self {
+        Executor {
+            engines,
+            front,
+            gate: None,
+        }
     }
 
     /// The Non-Shared (A-Seq) executor for `workload`.
@@ -1222,18 +1012,16 @@ impl Executor {
         Self::new(catalog, workload, &SharingPlan::non_shared())
     }
 
-    /// Process a time-ordered columnar batch: one [`TypePass`] over the
-    /// batch's type column serves every partition engine; each engine's
-    /// [`ScanKernel`] selects its rows from it (routing, groupability,
-    /// predicates), then the engine dispatches only those rows into its
-    /// group state while that state is hot, and advances its event-time
-    /// gate once. Row-form events enter through
-    /// [`EventBatch::from_events`].
+    /// Process a time-ordered columnar batch: the front end selects every
+    /// partition's rows (one type pass, one kernel per engine), then
+    /// dispatches them — straight into each engine's group state, or
+    /// through the gate at the batch's maximum event time. Row-form
+    /// events enter through [`EventBatch::from_events`].
     pub fn process_columnar(&mut self, batch: &EventBatch) {
-        self.pass.build(batch, 0, batch.len());
-        for engine in &mut self.engines {
-            engine.process_columnar(batch, &self.pass);
-        }
+        let lists = self.front.select(batch, 0, batch.len());
+        let frontier = batch.max_time().unwrap_or(Timestamp::ZERO);
+        let gate = self.gate.as_deref_mut();
+        front::dispatch(&mut self.engines[..], gate, batch, lists, frontier);
     }
 
     /// Pre-size every partition's result store for about `additional`
@@ -1245,34 +1033,24 @@ impl Executor {
         }
     }
 
-    /// Enable event-time processing on every partition engine (see
-    /// [`Engine::set_lateness`]): input may arrive out of timestamp
-    /// order, rows release behind the watermark `max_time_seen −
-    /// lateness_ms`, and rows behind the watermark are dropped and
-    /// counted.
+    /// Enable event-time processing with the given allowed lateness (in
+    /// milliseconds): input may arrive out of timestamp order, rows
+    /// release in event-time order behind the watermark `max_time_seen −
+    /// lateness_ms`, and rows behind the watermark are dropped and counted
+    /// (once per partition that selected them). Exact whenever the
+    /// lateness covers the stream's disorder bound.
     pub fn set_lateness(&mut self, lateness_ms: u64) {
-        for engine in &mut self.engines {
-            engine.set_lateness(lateness_ms);
-        }
+        self.gate = Some(Box::new(Reorder::new(lateness_ms)));
     }
 
-    /// Late rows dropped, summed over partitions.
+    /// Late rows the gate dropped (0 when no gate is configured).
     pub fn late_rows_dropped(&self) -> u64 {
-        self.engines.iter().map(EngineKind::late_rows_dropped).sum()
+        self.gate.as_ref().map_or(0, |g| g.late_rows_dropped())
     }
 
     /// Batch size in which stream drivers feed a sequential executor (the
     /// sharded runtime batches by [`crate::DEFAULT_BATCH_SIZE`]).
     pub const RUN_BATCH: usize = 1024;
-
-    /// End-of-stream drain of every engine's event-time gate (see
-    /// [`Engine::flush_pending`]): the matched and cell counts read after
-    /// it include every buffered row.
-    fn flush_pending(&mut self) {
-        for engine in &mut self.engines {
-            engine.flush_pending();
-        }
-    }
 
     /// Take the results emitted so far across all partition engines,
     /// leaving every store empty. Open windows keep their state and
@@ -1288,11 +1066,25 @@ impl Executor {
 
     /// Flush remaining windows and return all results.
     pub fn finish(self) -> ExecutorResults {
-        let mut out = ExecutorResults::new();
+        self.report().results
+    }
+
+    /// End of stream: release every row the gate holds, read the matched
+    /// and late-drop counts, then flush every engine's windows.
+    fn report(mut self) -> RunReport {
+        front::release_all(&mut self.engines[..], self.gate.as_deref_mut());
+        let events_matched = self.events_matched();
+        let late_rows_dropped = self.late_rows_dropped();
+        let mut results = ExecutorResults::new();
         for engine in self.engines {
-            out.merge(engine.finish());
+            results.merge(engine.finish());
         }
-        out
+        RunReport {
+            results,
+            events_matched,
+            late_rows_dropped,
+            scan_stats: self.front.counters().snapshot(),
+        }
     }
 
     /// Events that passed routing, predicates, and grouping, summed over
@@ -1309,7 +1101,7 @@ impl Executor {
     /// Per-partition `(rows_scanned, rows_selected)` of the scan (one
     /// entry per engine, in partition order).
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
-        self.engines.iter().map(EngineKind::scan_stats).collect()
+        self.front.counters().snapshot()
     }
 }
 
@@ -1334,35 +1126,38 @@ impl crate::processor::BatchProcessor for Executor {
         self.cell_count()
     }
 
-    fn finish(mut self: Box<Self>) -> (ExecutorResults, u64, Vec<(u64, u64)>) {
-        self.flush_pending();
-        let matched = Executor::events_matched(&self);
-        let scan = Executor::scan_stats(&self);
-        ((*self).finish(), matched, scan)
+    fn finish(self: Box<Self>) -> RunReport {
+        (*self).report()
     }
 }
 
 /// The sharded runtime's online worker: an executor over one shard's
-/// [`ShardSlice`] engines, fed the router's row lists instead of scanning.
+/// [`ShardSlice`] engines, dispatching the router's row lists.
 impl ShardProcessor for Executor {
     fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        // event-time mode: the router stamped every chunk with the merged
-        // cross-shard frontier, and a gated engine advances to it even
-        // when the chunk holds none of its rows
-        for (engine, list) in self.engines.iter_mut().zip(&rows.per_part) {
-            engine.process_routed(batch, list, rows.frontier);
-        }
+        // the router stamped every chunk with the merged cross-shard
+        // frontier: the gate advances to it whichever engines have rows
+        let (engines, gate) = (&mut self.engines[..], self.gate.as_deref_mut());
+        front::dispatch(engines, gate, batch, &rows.per_part, rows.frontier);
     }
 
     fn events_matched(&self) -> u64 {
         Executor::events_matched(self)
     }
 
+    /// The shard's segment: its engines in partition order, then the
+    /// gate block — a present flag and, if set, the gate's own state
+    /// (watermark and the rows still waiting, so a resume under
+    /// disorder is crash-exact).
     fn save_state(&mut self) -> Option<Vec<u8>> {
         let mut w = StateWriter::new();
         w.seq_len(self.engines.len());
         for engine in &mut self.engines {
             engine.save_state(&mut w);
+        }
+        w.bool(self.gate.is_some());
+        if let Some(gate) = &mut self.gate {
+            gate.save_state(&mut w);
         }
         Some(w.into_bytes())
     }
@@ -1375,6 +1170,24 @@ impl ShardProcessor for Executor {
         for engine in &mut self.engines {
             engine.load_state(&mut r)?;
         }
+        // a lateness mismatch between the checkpoint and the rebuilt
+        // worker would silently change which rows count as late — refuse
+        // both directions rather than guess
+        let had_gate = r.bool()?;
+        match (&mut self.gate, had_gate) {
+            (Some(gate), true) => gate.load_state(&mut r)?,
+            (None, false) => {}
+            (Some(_), false) => {
+                return Err(StateError::Corrupt(
+                    "checkpoint has no event-time state but lateness is configured",
+                ));
+            }
+            (None, true) => {
+                return Err(StateError::Corrupt(
+                    "checkpoint has event-time state but no lateness is configured",
+                ));
+            }
+        }
         if !r.is_exhausted() {
             return Err(StateError::Corrupt("trailing engine state bytes"));
         }
@@ -1385,13 +1198,8 @@ impl ShardProcessor for Executor {
         Some(Executor::take_results(self))
     }
 
-    fn finish(mut self: Box<Self>) -> ShardReport {
-        self.flush_pending();
-        let events_matched = Executor::events_matched(&self);
-        ShardReport {
-            results: (*self).finish(),
-            events_matched,
-        }
+    fn finish(self: Box<Self>) -> RunReport {
+        (*self).report()
     }
 }
 

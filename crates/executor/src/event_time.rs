@@ -1,14 +1,16 @@
 //! Event-time machinery: the bounded-disorder reorder gate.
 //!
 //! Arrival order is not event-time order the moment a stream carries
-//! disorder. Every executor in this workspace shares one gate type to
-//! cope: selected rows are *admitted*, a monotone **watermark**
-//! `max_time_seen − lateness` advances once per batch/chunk, and rows are
-//! *released* into the caller's in-order row path only once the watermark
-//! passes them. Rows that arrive with a timestamp already behind the
-//! watermark are **late**: the policy is drop-and-count
-//! ([`sharon_metrics::late_rows_dropped`]), never a silent fold into
-//! closed windows.
+//! disorder. Every owner that folds rows — the online executor and the
+//! two-step driver, sequentially or as a shard worker — holds one gate of
+//! this type for all its scopes, in its front end's dispatch stage
+//! ([`crate::front`]): selected rows are *admitted*, a monotone
+//! **watermark** `max_time_seen − lateness` advances once per
+//! batch/chunk, and rows are *released* into the caller's in-order row
+//! path only once the watermark passes them. Rows that arrive with a
+//! timestamp already behind the watermark are **late**: the policy is
+//! drop-and-count ([`sharon_metrics::late_rows_dropped`]), never a silent
+//! fold into closed windows.
 //!
 //! Exactness: the stream generators' disorder knob displaces a row at
 //! most `K` positions ([`sharon-streams`' bounded block shuffle]), so any
@@ -47,8 +49,8 @@ pub struct PendingRow {
     pub seq: u64,
     /// Event type of the row.
     pub ty: EventTypeId,
-    /// Routing-scope index (the two-step driver's distinct scope;
-    /// engines: 0).
+    /// Routing-scope index in the owner: an executor's engine, or the
+    /// two-step driver's distinct scope.
     pub scope: u32,
     /// Index of the row in the carry.
     slot: usize,
@@ -230,12 +232,6 @@ impl Reorder {
         self.watermark
     }
 
-    /// The highest event time admitted so far — an upper bound on the
-    /// event time of every row currently buffered.
-    pub fn frontier(&self) -> Timestamp {
-        self.frontier
-    }
-
     /// Late rows this gate has dropped (crash-exact: serialized into
     /// checkpoints).
     pub fn late_rows_dropped(&self) -> u64 {
@@ -334,7 +330,7 @@ impl Reorder {
     /// Admit one row, copying it into the gate, or — if its event time is
     /// already behind the watermark — drop and count it. Returns `true` if
     /// the row was buffered. The row-at-a-time form over the same carry
-    /// as [`Reorder::process`], which every executor uses; it is kept for
+    /// as [`Reorder::process`], which every owner uses; it is kept for
     /// the benchmark rig's gate probe, as are the two ignored flags.
     pub fn admit(
         &mut self,

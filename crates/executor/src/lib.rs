@@ -27,6 +27,7 @@ pub mod compile;
 pub mod config;
 pub mod engine;
 pub mod event_time;
+pub mod front;
 pub mod processor;
 mod proptests;
 pub mod results;
@@ -48,13 +49,12 @@ pub use compile::{compile, CompileError, CompiledPartition};
 pub use config::{EnvError, RuntimeOptions};
 pub use engine::{Engine, EngineKind, Executor, ShardSlice};
 pub use event_time::{PendingRow, Reorder};
-pub use processor::BatchProcessor;
+pub use front::{ScanFront, ScopeSink};
+pub use processor::{BatchProcessor, RunReport};
 pub use results::ExecutorResults;
 pub use router::{BatchRouter, RouteBatch, RoutedRows, RowFilter};
 pub use runner::SegmentRunner;
 pub use scan::{ScanCounters, ScanKernel, TypePass};
-pub use sharded::{
-    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions, DEFAULT_BATCH_SIZE,
-};
+pub use sharded::{ShardProcessor, ShardedExecutor, ShardedOptions, DEFAULT_BATCH_SIZE};
 pub use spill::SpillConfig;
 pub use winvec::{WinVec, WindowPlane};

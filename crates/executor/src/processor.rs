@@ -2,10 +2,12 @@
 //!
 //! Every strategy in the system — the online Sharon/A-Seq engines, the
 //! sharded parallel runtime, and the two-step baselines — is a *stage
-//! pipeline over [`EventBatch`]*: a compiled scan kernel evaluates the
-//! stateless prefix (routing on the `ty` column, predicate evaluation over
-//! the value buffer, groupability) into the surviving row indices, and a
-//! *stateful dispatch* folds only those rows into per-group state.
+//! pipeline over [`EventBatch`]*: one front end per owner of routing
+//! scopes ([`crate::front`]) selects each scope's rows with compiled scan
+//! kernels (routing on the `ty` column, predicate evaluation over the
+//! value buffer, groupability) and dispatches them, directly or through
+//! the owner's event-time gate, to a *stateful* side that folds only
+//! those rows into per-group state.
 //! [`BatchProcessor`] captures that contract behind one trait so callers
 //! (the strategy layer, the framework, the CLI, the benches) drive every
 //! strategy identically — no per-strategy match arms. Columnar batches
@@ -19,6 +21,27 @@
 
 use crate::results::ExecutorResults;
 use sharon_types::EventBatch;
+
+/// What a finished run reports — a whole run's, or one shard worker's
+/// slice of it. Every count is read after the event-time gates released
+/// their last rows and, for the sharded runtime, after its router and
+/// workers drained, so all are exact.
+#[derive(Debug, Default)]
+pub struct RunReport {
+    /// The run's results (a shard's are disjoint from every other
+    /// shard's).
+    pub results: ExecutorResults,
+    /// Events that passed the stateless prefix (routing, predicates,
+    /// grouping); zero for strategies that do not track it.
+    pub events_matched: u64,
+    /// Late rows this run's gates dropped, once per scope that selected
+    /// them; zero without a gate.
+    pub late_rows_dropped: u64,
+    /// Per-scope `(rows_scanned, rows_selected)` tallies, as
+    /// [`BatchProcessor::scan_stats`] (a shard worker's are unused: the
+    /// router selects its rows).
+    pub scan_stats: Vec<(u64, u64)>,
+}
 
 /// A columnar operator: consumes time-ordered [`EventBatch`]es and
 /// produces [`ExecutorResults`] when finished.
@@ -36,7 +59,9 @@ pub trait BatchProcessor: Send {
     fn process_columnar(&mut self, batch: &EventBatch);
 
     /// Late rows dropped by the event-time gate so far; zero when no
-    /// gate is configured.
+    /// gate is configured, and zero mid-run for the sharded runtime,
+    /// whose gates live on its worker threads (its [`RunReport`] sums
+    /// them).
     fn late_rows_dropped(&self) -> u64 {
         0
     }
@@ -62,10 +87,7 @@ pub trait BatchProcessor: Send {
         0
     }
 
-    /// Flush all remaining windows and return
-    /// `(results, events_matched, scan_stats)`. The matched count and the
-    /// per-scope scan tallies (as [`BatchProcessor::scan_stats`]) are
-    /// exact even for the sharded runtime: they are read after its
-    /// router and workers drain.
-    fn finish(self: Box<Self>) -> (ExecutorResults, u64, Vec<(u64, u64)>);
+    /// Flush all remaining windows and report the run (see
+    /// [`RunReport`]).
+    fn finish(self: Box<Self>) -> RunReport;
 }

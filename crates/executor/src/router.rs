@@ -5,11 +5,12 @@
 //! extraction — for **every** event and dropped the groups it did not own,
 //! duplicating that work `N` times. The [`BatchRouter`] runs the prefix
 //! exactly once per event, on the sharded runtime's one router thread:
-//! one [`TypePass`] over the chunk's type column serves every scope, then
-//! for each scope it evaluates routing and predicates column-wise, hashes
-//! the group key, and appends the row index to the owning shard's list.
-//! Workers then consume their lists (`process_routed`) and only ever touch
-//! rows they own.
+//! its front end ([`ScanFront`], the same select stage the sequential
+//! owners run) selects every scope's rows of the chunk through one shared
+//! type pass, then the router hashes each selected row's group key and
+//! appends the row index to the owning shard's list. Workers then
+//! dispatch their lists (`process_routed`) and only ever touch rows they
+//! own.
 //!
 //! Every group lives on its hash owner, and the assignment must agree
 //! exactly with [`crate::engine::ShardSlice::owns`], which the online
@@ -21,7 +22,8 @@
 
 use crate::checkpoint::{StateError, StateReader, StateWriter};
 use crate::compile::CompiledPartition;
-use crate::scan::{ScanCounters, ScanKernel, TypePass};
+use crate::front::ScanFront;
+use crate::scan::{ScanCounters, ScanKernel};
 use sharon_types::{fx_hash_one, EventBatch, EventTypeId, GroupKey, Timestamp, Value};
 use std::sync::Arc;
 
@@ -161,17 +163,10 @@ pub trait RouteBatch: Send {
 /// two-step strategies.
 pub struct BatchRouter<F = CompiledPartition> {
     scopes: Vec<F>,
-    /// Compiled scan kernels, parallel to `scopes`.
-    kernels: Vec<ScanKernel>,
-    /// The type pass every kernel selects from, built once per chunk.
-    pass: TypePass,
-    /// Reused selection buffer of the stateless pass (phase 1 output /
-    /// phase 2 input of [`BatchRouter::route_range_into`]).
-    sel_scratch: Vec<u32>,
-    /// Per-scope scan tallies, shared with the executor handle that
-    /// reports selectivity (the router itself lives on the router
-    /// thread).
-    counters: Arc<ScanCounters>,
+    /// The select stage over the scopes' kernels. Its tallies are shared
+    /// with the executor handle that reports selectivity (the router
+    /// itself lives on the router thread).
+    front: ScanFront,
     n_shards: usize,
     /// Reused scratch key (clone-free group-key hashing).
     key_scratch: GroupKey,
@@ -185,15 +180,9 @@ impl<F: RowFilter> BatchRouter<F> {
     /// A router for `scopes` fanning out across `n_shards` shards.
     pub fn new(scopes: Vec<F>, n_shards: usize) -> Self {
         assert!(n_shards >= 1);
-        let kernels: Vec<ScanKernel> = scopes.iter().map(RowFilter::scan_kernel).collect();
-        let pass = TypePass::new(&kernels);
-        let counters = ScanCounters::new(scopes.len());
         BatchRouter {
+            front: ScanFront::new(scopes.iter().map(RowFilter::scan_kernel).collect()),
             scopes,
-            kernels,
-            pass,
-            sel_scratch: Vec::new(),
-            counters,
             n_shards,
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
@@ -201,30 +190,18 @@ impl<F: RowFilter> BatchRouter<F> {
         }
     }
 
-    /// The routing scopes this router serves.
-    pub fn scopes(&self) -> &[F] {
-        &self.scopes
-    }
-
     /// Per-scope `(rows_scanned, rows_selected)` tallies of the stateless
     /// pass, shared with whoever holds a clone (see
     /// [`RouteBatch::scan_counters`]).
     pub fn scan_counters(&self) -> Arc<ScanCounters> {
-        Arc::clone(&self.counters)
+        Arc::clone(self.front.counters())
     }
 
     /// Compute, for every shard, the per-scope row lists of `batch`
     /// (convenience wrapper over [`RouteBatch::route_range_into`]).
     pub fn route(&mut self, batch: &EventBatch) -> Vec<RoutedRows> {
-        self.route_range(batch, 0, batch.len())
-    }
-
-    /// [`BatchRouter::route`] restricted to rows `lo..hi` — the zero-copy
-    /// ingest path routes consecutive chunks of one shared batch without
-    /// ever copying it. Row indexes in the result are absolute.
-    pub fn route_range(&mut self, batch: &EventBatch, lo: usize, hi: usize) -> Vec<RoutedRows> {
         let mut out = Vec::new();
-        self.route_range_into(batch, lo, hi, &mut out);
+        self.route_range_into(batch, 0, batch.len(), &mut out);
         out
     }
 
@@ -255,33 +232,23 @@ impl<F: RowFilter> BatchRouter<F> {
             rows.reset(n_scopes);
             out.push(rows);
         }
-        // phase 1 — stateless selection: one type pass over the chunk
-        // serves every scope; each scope's kernel selects
-        // from it by routing and groupability, then evaluates its
-        // predicates into the reused selection buffer (groupability is
-        // precisely `read_group_key` succeeding)
-        self.pass.build(batch, lo, hi);
-        let mut sel = std::mem::take(&mut self.sel_scratch);
-        for (pi, scope) in self.scopes.iter().enumerate() {
-            sel.clear();
-            self.kernels[pi].select_from(&self.pass, batch, &mut sel);
-            self.counters.record(pi, (hi - lo) as u64, sel.len() as u64);
-            sharon_metrics::record_rows_scanned((hi - lo) as u64);
-            sharon_metrics::record_rows_selected(sel.len() as u64);
-
-            // phase 2 — fan-out over the survivors: key construction and
-            // owner hashing. Single-shard routers skip it entirely: every
+        // the front end selects every scope's rows (routing, predicates,
+        // groupability — which is precisely `read_group_key` succeeding)
+        let lists = self.front.select(batch, lo, hi);
+        for (pi, (scope, sel)) in self.scopes.iter().zip(lists).enumerate() {
+            // fan-out over the survivors: key construction and owner
+            // hashing. Single-shard routers skip it entirely: every
             // selected row lands on shard 0.
             if self.n_shards == 1 {
-                out[0].per_part[pi].extend_from_slice(&sel);
+                out[0].per_part[pi].extend_from_slice(sel);
                 continue;
             }
             // the global (no GROUP BY) partition owner, matching the
             // engines' `owns_global`
             let global_owner = pi % self.n_shards;
-            for &row in &sel {
+            for &row in sel {
                 let r = row as usize;
-                // cannot fail: phase 1 already established groupability
+                // cannot fail: the scan already established groupability
                 let ok = scope.read_group_key(
                     batch.ty(r),
                     batch.attrs(r),
@@ -301,7 +268,6 @@ impl<F: RowFilter> BatchRouter<F> {
                 out[owner].per_part[pi].push(row);
             }
         }
-        self.sel_scratch = sel;
         // advance the event-time frontier over the chunk's time column
         // (a plain max scan: disordered input makes no row position
         // authoritative) and stamp it onto every shard's rows — in-band

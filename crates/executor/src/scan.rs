@@ -10,10 +10,12 @@
 //!
 //! 1. **Type pass, shared** — a [`TypePass`] sweeps the `ty` and
 //!    row-offset columns of a chunk once for *all* scopes of its owner
-//!    (an [`crate::Executor`]'s engines, or one [`crate::BatchRouter`]'s
-//!    scopes), building a membership bitmap for every routed type plus
-//!    that type's minimum row width in the chunk. However many scopes
-//!    follow, the type column is read once per chunk.
+//!    (an [`crate::Executor`]'s engines, a two-step driver's distinct
+//!    scopes, or a [`crate::BatchRouter`]'s scopes — each owner's
+//!    [`crate::ScanFront`]), building a membership bitmap for every
+//!    routed type plus that type's minimum row width in the chunk.
+//!    However many scopes follow, the type column is read once per
+//!    chunk.
 //! 2. **Routing + groupability, per scope** — the kernel's candidate
 //!    bitmap is the union of its routed types' bitmaps. A row carries
 //!    every `GROUP BY` attribute iff `row_width > max attr index`
@@ -58,10 +60,10 @@ use sharon_types::{AttrId, EventBatch, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Per-scope stateless-scan tallies, shared between a [`crate::BatchRouter`]
-/// (which may live on a dedicated router thread) and the
-/// [`crate::ShardedExecutor`] handle that reports them: `scanned` counts
-/// rows examined, `selected` rows that survived routing + predicates +
+/// Per-scope stateless-scan tallies of one front end
+/// ([`crate::ScanFront`]), shareable with a handle on another thread (the
+/// sharded runtime's router lives on its own): `scanned` counts rows
+/// examined, `selected` rows that survived routing + predicates +
 /// groupability.
 #[derive(Debug)]
 pub struct ScanCounters {
@@ -85,27 +87,14 @@ impl ScanCounters {
         self.selected[scope].fetch_add(selected, Ordering::Relaxed);
     }
 
-    /// Number of scopes tracked.
-    pub fn len(&self) -> usize {
-        self.scanned.len()
-    }
-
-    /// True if no scopes are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.scanned.is_empty()
-    }
-
-    /// `(rows_scanned, rows_selected)` of `scope` so far.
-    pub fn get(&self, scope: usize) -> (u64, u64) {
-        (
-            self.scanned[scope].load(Ordering::Relaxed),
-            self.selected[scope].load(Ordering::Relaxed),
-        )
-    }
-
-    /// All scopes' `(rows_scanned, rows_selected)` pairs.
+    /// Every scope's `(rows_scanned, rows_selected)` so far.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        (0..self.len()).map(|i| self.get(i)).collect()
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        self.scanned
+            .iter()
+            .map(load)
+            .zip(self.selected.iter().map(load))
+            .collect()
     }
 }
 
@@ -823,9 +812,6 @@ mod tests {
         c.record(0, 100, 10);
         c.record(0, 50, 5);
         c.record(1, 7, 7);
-        assert_eq!(c.get(0), (150, 15));
         assert_eq!(c.snapshot(), vec![(150, 15), (7, 7)]);
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
     }
 }

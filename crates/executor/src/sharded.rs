@@ -88,7 +88,7 @@
 //! ingest→router ring *first* — the ring's close-then-drain semantics are
 //! the poison/flush message, so the router thread routes every in-flight
 //! job before returning — and only then closes the worker rings, so every
-//! [`ShardReport`] covers the complete stream.
+//! worker's [`RunReport`] covers the complete stream.
 //!
 //! [`Engine`]: crate::engine::Engine
 
@@ -98,7 +98,8 @@ use crate::checkpoint::{
 };
 use crate::compile::{compile, CompileError, CompiledPartition};
 use crate::engine::{EngineKind, Executor, ShardSlice};
-use crate::processor::BatchProcessor;
+use crate::front::ScanFront;
+use crate::processor::{BatchProcessor, RunReport};
 use crate::results::ExecutorResults;
 use crate::router::{BatchRouter, RouteBatch, RoutedRows};
 use crate::scan::ScanCounters;
@@ -165,15 +166,6 @@ impl Drop for CancelOnPanic {
     }
 }
 
-/// What each worker reports back when its ring closes.
-#[derive(Debug, Default)]
-pub struct ShardReport {
-    /// This shard's (disjoint) slice of the results.
-    pub results: ExecutorResults,
-    /// Events this shard matched, exact at drain time.
-    pub events_matched: u64,
-}
-
 /// The stateful half of a shardable strategy, as run by one worker thread:
 /// consumes pre-routed row lists of shared batches and reports its slice
 /// of the results when the ring closes. Implemented by [`Executor`] (over
@@ -221,8 +213,11 @@ pub trait ShardProcessor: Send {
         None
     }
 
-    /// Flush remaining windows and report this shard's results.
-    fn finish(self: Box<Self>) -> ShardReport;
+    /// Flush remaining windows and report this shard's slice of the run:
+    /// its results, matched count and gate's late drops. A row routes to
+    /// one shard per scope, so the shards' counts sum to the sequential
+    /// owner's.
+    fn finish(self: Box<Self>) -> RunReport;
 }
 
 /// The router's endpoints of one worker lane: the routed-batch ring in,
@@ -241,7 +236,7 @@ struct WorkerLane {
 
 /// The ingest side's handle on one worker thread.
 struct WorkerHandle {
-    handle: JoinHandle<ShardReport>,
+    handle: JoinHandle<RunReport>,
     /// Events this shard has matched so far, published after every batch
     /// so [`ShardedExecutor::events_matched`] can report live progress.
     matched: Arc<AtomicU64>,
@@ -377,13 +372,13 @@ pub struct ShardedOptions {
     /// When set, inject the given fault mid-stream (recovery testing —
     /// see [`FaultPlan`]).
     pub fault: Option<FaultPlan>,
-    /// When set, run the online engines in **event-time** mode with this
+    /// When set, run the shard workers in **event-time** mode with this
     /// allowed lateness (milliseconds): input may carry bounded disorder;
-    /// each engine buffers rows behind the watermark derived from the
-    /// router's merged cross-shard frontier ([`RoutedRows::frontier`])
-    /// and drops-and-counts rows behind it. Exact whenever the lateness
-    /// covers the stream's disorder bound. `None` (the default) keeps the
-    /// historical arrival-order contract.
+    /// each worker's one gate buffers rows behind the watermark derived
+    /// from the router's merged cross-shard frontier
+    /// ([`RoutedRows::frontier`]) and drops-and-counts rows behind it.
+    /// Exact whenever the lateness covers the stream's disorder bound.
+    /// `None` (the default) keeps the historical arrival-order contract.
     pub lateness: Option<u64>,
 }
 
@@ -424,7 +419,9 @@ struct Checkpointer {
 
 /// Build the online shard workers for `parts`: one [`Executor`] per
 /// shard, holding one [`EngineKind`] per compiled partition restricted to
-/// the shard's [`ShardSlice`], with the spill tier armed when configured.
+/// the shard's [`ShardSlice`] and one event-time gate when a lateness is
+/// set, with the spill tier armed when configured. A worker selects
+/// nothing itself, so its front end is empty.
 fn engine_shards(
     parts: &[CompiledPartition],
     n_shards: usize,
@@ -448,13 +445,14 @@ fn engine_shards(
                             .set_spill(cfg, &format!("{shard}-{pi}"))
                             .unwrap_or_else(|e| panic!("spill tier init failed: {e}"));
                     }
-                    if let Some(ms) = lateness {
-                        engine.set_lateness(ms);
-                    }
                     engine
                 })
                 .collect();
-            Box::new(Executor::from_engines(engines)) as Box<dyn ShardProcessor>
+            let mut worker = Executor::from_parts(engines, ScanFront::new(Vec::new()));
+            if let Some(ms) = lateness {
+                worker.set_lateness(ms);
+            }
+            Box::new(worker) as Box<dyn ShardProcessor>
         })
         .collect()
 }
@@ -781,8 +779,7 @@ impl ShardedExecutor {
     /// Events that passed routing, predicates, grouping, and shard
     /// ownership, summed over shards. Workers publish after each batch,
     /// so this trails ingestion by at most the in-flight batches (it is
-    /// exact after [`ShardedExecutor::finish_with_stats`], which reports
-    /// the final count).
+    /// exact in the report of [`ShardedExecutor::finish_with_stats`]).
     pub fn events_matched(&self) -> u64 {
         self.workers
             .iter()
@@ -953,20 +950,6 @@ impl ShardedExecutor {
         Ok(id)
     }
 
-    /// Flush the ingest buffer and take a checkpoint **now**, regardless
-    /// of the periodic interval. Returns the new checkpoint's id.
-    ///
-    /// Panics if the runtime was built without
-    /// [`ShardedOptions::checkpoint`].
-    pub fn checkpoint_now(&mut self) -> Result<u64, CheckpointError> {
-        assert!(
-            self.checkpointer.is_some(),
-            "checkpoint_now requires a configured checkpoint store"
-        );
-        self.flush();
-        self.take_checkpoint()
-    }
-
     /// Flush the ingest buffer and harvest every shard's results emitted
     /// so far, **without** stopping the runtime: open windows keep their
     /// state and surface in a later harvest or at
@@ -994,18 +977,19 @@ impl ShardedExecutor {
     /// in deterministic shard order. Shard result sets are disjoint (each
     /// group is owned by exactly one shard), so that merge is exact.
     pub fn finish(self) -> ExecutorResults {
-        self.finish_with_stats().0
+        self.finish_with_stats().results
     }
 
-    /// [`ShardedExecutor::finish`] plus runtime statistics:
-    /// `(results, events_matched, scan_stats)`, all read after the router
-    /// and the workers drain (see [`ShardedExecutor::scan_stats`]).
+    /// [`ShardedExecutor::finish`] plus runtime statistics: the matched
+    /// and late-drop counts summed over the shards' reports, and the
+    /// router's scan tallies, all read after the router and the workers
+    /// drain (see [`ShardedExecutor::scan_stats`]).
     ///
     /// Fails fast — panics with an error naming the dead thread — when
     /// any worker or the router thread panicked mid-run (including
     /// injected faults): partial results are discarded, never merged, so
     /// a half-dead run can never masquerade as a complete one.
-    pub fn finish_with_stats(mut self) -> (ExecutorResults, u64, Vec<(u64, u64)>) {
+    pub fn finish_with_stats(mut self) -> RunReport {
         self.flush();
         if let Some(batch) = self.fault_tripped {
             // a Drop-fault is a simulated crash: the Drop impl tears the
@@ -1016,19 +1000,19 @@ impl ShardedExecutor {
         }
         // teardown order is the flush contract: the router drains every
         // queued job and closes the worker lanes before the shards are
-        // joined, so no routed batch is lost and every ShardReport is
+        // joined, so no routed batch is lost and every shard report is
         // complete
         let router_ok = self.router.take().expect("finish runs once").join();
         // all rings are closed: join the shards in deterministic order
         let workers = std::mem::take(&mut self.workers);
-        let mut results = ExecutorResults::new();
-        let mut matched = 0u64;
+        let mut run = RunReport::default();
         let mut failed_shards = Vec::new();
         for (shard, worker) in workers.into_iter().enumerate() {
             match worker.handle.join() {
                 Ok(report) => {
-                    results.merge(report.results);
-                    matched += report.events_matched;
+                    run.results.merge(report.results);
+                    run.events_matched += report.events_matched;
+                    run.late_rows_dropped += report.late_rows_dropped;
                 }
                 Err(_) => failed_shards.push(shard),
             }
@@ -1046,7 +1030,8 @@ impl ShardedExecutor {
                 parts.join("; ")
             );
         }
-        (results, matched, self.scan_stats())
+        run.scan_stats = self.scan_stats();
+        run
     }
 }
 
@@ -1082,19 +1067,7 @@ impl BatchProcessor for ShardedExecutor {
         ShardedExecutor::scan_stats(self)
     }
 
-    /// Zero mid-run: late-drop counts live on the worker threads; the
-    /// global [`sharon_metrics::late_rows_dropped`] counter carries the
-    /// exact total (every owner-copy drop records there once).
-    fn late_rows_dropped(&self) -> u64 {
-        0
-    }
-
-    /// Zero: the state lives on the worker threads.
-    fn state_size(&self) -> usize {
-        0
-    }
-
-    fn finish(self: Box<Self>) -> (ExecutorResults, u64, Vec<(u64, u64)>) {
+    fn finish(self: Box<Self>) -> RunReport {
         (*self).finish_with_stats()
     }
 }
@@ -1172,12 +1145,15 @@ mod tests {
             for chunk in events.chunks(97) {
                 sharded.process_columnar(&EventBatch::from_events(chunk));
             }
-            let (got, matched, _) = sharded.finish_with_stats();
+            let report = sharded.finish_with_stats();
             assert!(
-                got.semantically_eq(&want, 1e-9),
+                report.results.semantically_eq(&want, 1e-9),
                 "{shards} shards diverge from sequential"
             );
-            assert_eq!(matched, want_matched, "{shards} shards: matched count");
+            assert_eq!(
+                report.events_matched, want_matched,
+                "{shards} shards: matched count"
+            );
         }
     }
 
@@ -1203,9 +1179,9 @@ mod tests {
         let mut sharded = non_shared(&c, &w, 3, DEFAULT_BATCH_SIZE);
         sharded.process_columnar(&EventBatch::from_events(head));
         sharded.process_columnar(&EventBatch::from_events(tail));
-        let (got, matched, _) = sharded.finish_with_stats();
-        assert!(got.semantically_eq(&want, 1e-9));
-        assert!(matched > 0);
+        let report = sharded.finish_with_stats();
+        assert!(report.results.semantically_eq(&want, 1e-9));
+        assert!(report.events_matched > 0);
     }
 
     #[test]
@@ -1383,12 +1359,12 @@ mod tests {
         );
         assert_eq!(resumed.events_sent(), offset);
         resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
-        let (got, matched, _) = resumed.finish_with_stats();
+        let report = resumed.finish_with_stats();
         assert!(
-            got.semantically_eq(&want, 1e-9),
+            report.results.semantically_eq(&want, 1e-9),
             "resumed run diverges from uninterrupted"
         );
-        assert_eq!(matched, want_matched, "matched count");
+        assert_eq!(report.events_matched, want_matched, "matched count");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,16 +11,20 @@
 //! sharded runtime's route-once [`sharon_executor::BatchRouter`] fan
 //! baseline work out across shards.
 //!
-//! [`TwoStep`] is the one driver of both baselines — scan, event-time
-//! gate and fan-out to the [`Subscriber`]s — in both roles: the
+//! [`TwoStep`] is the one driver of both baselines in both roles — the
 //! sequential executor and the sharded runtime's shard worker
-//! ([`sharded`] is the one sharded build path).
+//! ([`sharded`] is the one sharded build path). Its stateless prefix is
+//! the executor crate's front end ([`sharon_executor::front`]: select and
+//! tally, then dispatch through an optional event-time gate); what is
+//! its own is the fan-out of each distinct scope's rows to the
+//! [`Subscriber`]s.
 
 use sharon_executor::agg::Contribution;
 use sharon_executor::compile::CompileError;
+use sharon_executor::front::{self, ScanFront, ScopeSink};
 use sharon_executor::{
-    BatchProcessor, BatchRouter, ExecutorResults, Reorder, RoutedRows, RowFilter, ScanKernel,
-    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions, TypePass,
+    BatchProcessor, BatchRouter, ExecutorResults, Reorder, RoutedRows, RowFilter, RunReport,
+    ScanKernel, ShardProcessor, ShardedExecutor, ShardedOptions,
 };
 use sharon_query::{CmpOp, Query};
 use sharon_types::{AttrId, Catalog, EventBatch, EventTypeId, GroupKey, Timestamp, Value};
@@ -367,38 +371,52 @@ pub trait Family: Send + 'static {
 /// [`crate::SpassLike`]): the sequential executor and, unchanged, the
 /// sharded runtime's shard worker.
 ///
-/// It owns the *distinct* routing scopes (deduplicated by `ScopeKey`)
-/// with their subscriber lists, one [`TypePass`] over their scan kernels
-/// with a `(scanned, selected)` tally per distinct scope, an optional
-/// event-time gate, the result log and the subscribers. Sequentially,
-/// [`TwoStep::process_columnar`] selects each distinct scope's rows once
-/// per batch; sharded, the router hands over the same per-scope lists.
-/// Both then take one dispatch path: straight to every subscriber of the
-/// scope, or through the gate, which admits only selected rows (tagged
-/// with their scope), advances to the batch maximum (sequential) or the
-/// chunk frontier (sharded), and fans each released row out to the
-/// scope's subscribers. A late row counts once per distinct scope that
-/// selected it.
+/// It owns the *distinct* routing scopes (deduplicated by `ScopeKey`),
+/// the executor crate's stateless front end over their scan kernels
+/// ([`sharon_executor::front`]: select and tally, then dispatch), an
+/// optional event-time gate, and the subscribers with their result log.
+/// Sequentially, [`TwoStep::process_columnar`] selects each distinct
+/// scope's rows once per batch and dispatches them at the batch maximum;
+/// sharded, it dispatches the router's per-scope lists at the chunk
+/// frontier. Either way each row reaches every subscriber of its scope —
+/// directly, or once the gate releases it. A late row counts once per
+/// distinct scope that selected it.
 pub struct TwoStep<F> {
     /// Distinct routing scopes, first-seen order.
     scopes: Vec<ScopeFilter>,
-    /// Per distinct scope: the subscribers its rows fan out to.
-    fan: Vec<Vec<usize>>,
-    /// Per distinct scope: its compiled scan kernel.
-    kernels: Vec<ScanKernel>,
-    /// The type pass every kernel selects from, built once per batch.
-    pass: TypePass,
-    /// Per distinct scope: `(rows scanned, rows selected)`.
-    tallies: Vec<(u64, u64)>,
-    /// Reused per-scope selection lists.
-    sel: Vec<Vec<u32>>,
+    /// The select stage over the distinct scopes' kernels.
+    front: ScanFront,
     /// Event-time gate; `None` keeps the arrival-order contract.
     gate: Option<Reorder>,
-    results: ExecutorResults,
-    subs: Vec<Box<dyn Subscriber>>,
+    /// Where each distinct scope's rows go.
+    subs: Subscribers,
     /// Queries answered, for [`TwoStep::reserve_results`].
     n_queries: usize,
     family: PhantomData<F>,
+}
+
+/// The stateful side of a [`TwoStep`] driver: the subscribers, the
+/// subscribers of each distinct scope, and the result log they emit into.
+struct Subscribers {
+    /// Per distinct scope: the subscribers its rows fan out to.
+    fan: Vec<Vec<usize>>,
+    subs: Vec<Box<dyn Subscriber>>,
+    results: ExecutorResults,
+}
+
+/// Every row of a distinct scope goes to each subscriber of that scope.
+impl ScopeSink for Subscribers {
+    fn rows(&mut self, scope: usize, batch: &EventBatch, rows: &[u32]) {
+        for &sub in &self.fan[scope] {
+            self.subs[sub].rows(batch, rows, &mut self.results);
+        }
+    }
+
+    fn row(&mut self, scope: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
+        for &sub in &self.fan[scope] {
+            self.subs[sub].row(ty, time, attrs, &mut self.results);
+        }
+    }
 }
 
 impl<F: Family> TwoStep<F> {
@@ -409,17 +427,15 @@ impl<F: Family> TwoStep<F> {
         n_queries: usize,
     ) -> Self {
         let (scopes, fan) = dedup_scopes(scopes);
-        let kernels: Vec<ScanKernel> = scopes.iter().map(RowFilter::scan_kernel).collect();
         TwoStep {
-            pass: TypePass::new(&kernels),
-            tallies: vec![(0, 0); scopes.len()],
-            sel: vec![Vec::new(); scopes.len()],
+            front: ScanFront::new(scopes.iter().map(RowFilter::scan_kernel).collect()),
             scopes,
-            fan,
-            kernels,
             gate: None,
-            results: ExecutorResults::new(),
-            subs,
+            subs: Subscribers {
+                fan,
+                subs,
+                results: ExecutorResults::new(),
+            },
             n_queries,
             family: PhantomData,
         }
@@ -439,82 +455,52 @@ impl<F: Family> TwoStep<F> {
         self.gate.as_ref().map_or(0, Reorder::late_rows_dropped)
     }
 
-    /// Process a time-ordered columnar batch: one type pass serves every
-    /// distinct scope's kernel, then the selections are dispatched.
+    /// Process a time-ordered columnar batch: select every distinct
+    /// scope's rows, then dispatch them at the batch's maximum event time.
     pub fn process_columnar(&mut self, batch: &EventBatch) {
-        self.pass.build(batch, 0, batch.len());
-        let mut sel = std::mem::take(&mut self.sel);
-        for ((kernel, list), tally) in self.kernels.iter_mut().zip(&mut sel).zip(&mut self.tallies)
-        {
-            list.clear();
-            kernel.select_from(&self.pass, batch, list);
-            tally.0 += batch.len() as u64;
-            tally.1 += list.len() as u64;
-            sharon_metrics::record_rows_scanned(batch.len() as u64);
-            sharon_metrics::record_rows_selected(list.len() as u64);
-        }
-        self.dispatch(batch, &sel, batch.max_time().unwrap_or(Timestamp::ZERO));
-        self.sel = sel;
-    }
-
-    /// The one dispatch path: `lists` (parallel to the distinct scopes)
-    /// go to every subscriber of their scope, or through the gate, which
-    /// admits them, advances to `frontier` and fans every row it releases
-    /// out to that row's scope.
-    fn dispatch(&mut self, batch: &EventBatch, lists: &[Vec<u32>], frontier: Timestamp) {
-        let (fan, subs, results) = (&self.fan, &mut self.subs, &mut self.results);
-        let Some(gate) = &mut self.gate else {
-            for (list, fan) in lists.iter().zip(fan) {
-                if list.is_empty() {
-                    continue;
-                }
-                for &sub in fan {
-                    subs[sub].rows(batch, list, results);
-                }
-            }
-            return;
-        };
-        let lists = lists.iter().map(Vec::as_slice);
-        gate.process(batch, lists, frontier, fan_out(fan, subs, results));
+        let lists = self.front.select(batch, 0, batch.len());
+        let frontier = batch.max_time().unwrap_or(Timestamp::ZERO);
+        front::dispatch(&mut self.subs, self.gate.as_mut(), batch, lists, frontier);
     }
 
     /// Pre-size the result store for about `additional` further results
     /// per query (capacity planning for allocation-free steady-state
     /// emission).
     pub fn reserve_results(&mut self, additional: usize) {
-        self.results.reserve(additional * self.n_queries);
+        self.subs.results.reserve(additional * self.n_queries);
     }
 
     /// Total sequences explicitly constructed so far — the two-step cost
     /// the online approaches avoid.
     pub fn sequences_constructed(&self) -> u64 {
-        self.subs.iter().map(|s| s.sequences()).sum()
+        self.subs.subs.iter().map(|s| s.sequences()).sum()
     }
 
     /// Rows that survived the stateless scans, summed over subscribers —
     /// comparable to the online engines' per-partition matched counts.
     pub fn events_matched(&self) -> u64 {
-        self.subs.iter().map(|s| s.matched()).sum()
+        self.subs.subs.iter().map(|s| s.matched()).sum()
     }
 
     /// The family's memory proxy, summed over subscribers.
     pub(crate) fn state_size(&self) -> usize {
-        self.subs.iter().map(|s| s.state_size()).sum()
+        self.subs.subs.iter().map(|s| s.state_size()).sum()
     }
 
     /// End of stream: release every gated row, then report the matched
-    /// count and flush every open window.
-    fn report(mut self) -> ShardReport {
-        if let Some(gate) = &mut self.gate {
-            gate.flush(fan_out(&self.fan, &mut self.subs, &mut self.results));
-        }
+    /// and late-drop counts and flush every open window.
+    fn report(mut self) -> RunReport {
+        front::release_all(&mut self.subs, self.gate.as_mut());
         let events_matched = self.events_matched();
-        for sub in &mut self.subs {
-            sub.finish(&mut self.results);
+        let late_rows_dropped = self.late_rows_dropped();
+        for sub in &mut self.subs.subs {
+            sub.finish(&mut self.subs.results);
         }
-        ShardReport {
-            results: self.results,
+        RunReport {
+            results: self.subs.results,
             events_matched,
+            late_rows_dropped,
+            scan_stats: self.front.counters().snapshot(),
         }
     }
 
@@ -539,17 +525,15 @@ impl<F: Family> BatchProcessor for TwoStep<F> {
 
     /// One entry per distinct scope, in scope order.
     fn scan_stats(&self) -> Vec<(u64, u64)> {
-        self.tallies.clone()
+        self.front.counters().snapshot()
     }
 
     fn state_size(&self) -> usize {
         TwoStep::state_size(self)
     }
 
-    fn finish(self: Box<Self>) -> (ExecutorResults, u64, Vec<(u64, u64)>) {
-        let scan = self.tallies.clone();
-        let report = (*self).report();
-        (report.results, report.events_matched, scan)
+    fn finish(self: Box<Self>) -> RunReport {
+        (*self).report()
     }
 }
 
@@ -557,29 +541,16 @@ impl<F: Family> BatchProcessor for TwoStep<F> {
 /// exactly the lists [`TwoStep::process_columnar`] selects itself.
 impl<F: Family> ShardProcessor for TwoStep<F> {
     fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        self.dispatch(batch, &rows.per_part, rows.frontier);
+        let (subs, gate) = (&mut self.subs, self.gate.as_mut());
+        front::dispatch(subs, gate, batch, &rows.per_part, rows.frontier);
     }
 
     fn events_matched(&self) -> u64 {
         TwoStep::events_matched(self)
     }
 
-    fn finish(self: Box<Self>) -> ShardReport {
+    fn finish(self: Box<Self>) -> RunReport {
         (*self).report()
-    }
-}
-
-/// The gate's release path: every released row goes to each subscriber
-/// of its scope.
-fn fan_out<'a>(
-    fan: &'a [Vec<usize>],
-    subs: &'a mut [Box<dyn Subscriber>],
-    results: &'a mut ExecutorResults,
-) -> impl FnMut(EventTypeId, Timestamp, &[Value], u32) + 'a {
-    move |ty, time, attrs, scope| {
-        for &sub in &fan[scope as usize] {
-            subs[sub].row(ty, time, attrs, results);
-        }
     }
 }
 

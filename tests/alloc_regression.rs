@@ -478,7 +478,8 @@ fn watermark_tracking_is_allocation_free_after_warmup() {
         "a gated `.shards(1)` runtime must not allocate in steady state \
          ({MEASURED_BATCHES} disordered batches performed {allocs} allocations)"
     );
-    let (got, matched, _) = sharded.finish_with_stats();
+    let report = sharded.finish_with_stats();
+    let (got, matched) = (report.results, report.events_matched);
     assert_eq!(
         matched,
         (WARMUP_BATCHES + MEASURED_BATCHES) as u64 * BATCH_ROWS as u64
@@ -922,7 +923,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
             let engines = &mut shards[shard];
             for (pi, engine) in engines.iter_mut().enumerate() {
                 if !rows.per_part[pi].is_empty() {
-                    engine.process_routed(&batch, &rows.per_part[pi], rows.frontier);
+                    engine.process_rows(&batch, &rows.per_part[pi]);
                 }
             }
             drop(batch);

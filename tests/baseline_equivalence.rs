@@ -549,7 +549,7 @@ fn baseline_matched_counts_agree_across_paths() {
         let (mut sequential, _) =
             build_executor(&catalog, &workload, &rates, strategy, &cfg).unwrap();
         sequential.process_columnar(&batch);
-        let (_, matched, _) = sequential.finish_with_stats();
+        let matched = sequential.finish_with_stats().events_matched;
         assert!(
             matched > 0,
             "{}: matched events are counted",
@@ -563,7 +563,7 @@ fn baseline_matched_counts_agree_across_paths() {
             .build_executor()
             .unwrap();
         sharded.process_columnar(&batch);
-        let (_, sharded_matched, _) = sharded.finish_with_stats();
+        let sharded_matched = sharded.finish_with_stats().events_matched;
         assert_eq!(
             matched,
             sharded_matched,
@@ -624,11 +624,10 @@ fn baselines_drop_late_rows_alike_sequential_and_sharded() {
 
         let batch = EventBatch::from_events(&events);
         for shards in support::shard_counts(&[1, 2, 8]) {
-            let before = sharon::metrics::late_rows_dropped();
             let mut sharded = build(strategy, shards);
             sharded.process_columnar(&batch);
-            let got = sharded.finish();
-            let dropped = sharon::metrics::late_rows_dropped() - before;
+            let report = sharded.finish_with_stats();
+            let (got, dropped) = (report.results, report.late_rows_dropped);
             let label = format!("{} {shards} shards", strategy.name());
             assert_eq!(dropped, want_drops, "{label}: late-drop count");
             assert!(

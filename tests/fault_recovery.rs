@@ -390,8 +390,8 @@ fn reorder_fault_kill_and_resume_is_exact() {
 /// silently folded into already-closed windows. The sharded run must
 /// agree exactly with a sequential gated run over the same batch
 /// boundaries (the drop policy is deterministic and shard-invariant),
-/// and every owner-copy drop must land in the global
-/// [`sharon::metrics::late_rows_dropped`] counter exactly once.
+/// and the run's late-drop count — summed over the shards' reports —
+/// must count every late row exactly once per partition.
 #[test]
 fn below_bound_lateness_drops_and_counts() {
     let mut catalog = Catalog::new();
@@ -435,13 +435,12 @@ fn below_bound_lateness_drops_and_counts() {
             lateness: Some(lateness),
             ..ShardedOptions::default()
         };
-        let before = sharon::metrics::late_rows_dropped();
         let mut sharded =
             ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
                 .expect("sharded compiles");
         sharded.process_columnar(&EventBatch::from_events(&shuffled));
-        let got = sharded.finish();
-        let dropped = sharon::metrics::late_rows_dropped() - before;
+        let report = sharded.finish_with_stats();
+        let (got, dropped) = (report.results, report.late_rows_dropped);
         assert_eq!(
             dropped, want_drops,
             "{shards} shards: every late row \
@@ -454,6 +453,101 @@ fn below_bound_lateness_drops_and_counts() {
             got.len(),
             want.len(),
         );
+    }
+}
+
+/// Kill-and-resume through a gated worker that holds more than one
+/// engine: two queries that differ only in `WITHIN` compile to two
+/// partitions, so every shard's one gate interleaves the rows of two
+/// engines, and every checkpoint carries that gate's waiting rows of both.
+/// Under a covering and a below-bound lateness alike, the resumed run's
+/// results and late-drop count equal the uninterrupted run's.
+#[test]
+fn gated_kill_and_resume_over_two_partitions() {
+    let mut rng = Rng::new("two-partitions");
+    let mut catalog = Catalog::new();
+    let events = taxi::generate(
+        &mut catalog,
+        &TaxiConfig {
+            n_events: 4000,
+            n_streets: 7,
+            n_vehicles: 40,
+            ..Default::default()
+        },
+    );
+    let workload = parse_workload(
+        &mut catalog,
+        [
+            "RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt, StateSt) WHERE [vehicle] WITHIN 4 s SLIDE 1 s",
+            "RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt, StateSt) WHERE [vehicle] WITHIN 2 s SLIDE 1 s",
+        ],
+    )
+    .unwrap();
+    let plan = sharon_plan(&workload);
+    let parts = sharon::executor::compile(&catalog, &workload, &plan).unwrap();
+    assert_eq!(parts.len(), 2, "one partition per window");
+
+    let mut shuffled = events.clone();
+    sharon::streams::scramble_events(&mut shuffled, 64, 0x7E0_5C0E);
+    let covering = sharon::streams::required_lateness(&EventBatch::from_events(&shuffled));
+    let n_batches = (shuffled.len() as u64).div_ceil(BATCH as u64);
+
+    for lateness in [covering, covering / 8] {
+        // the uninterrupted run: a sequential gated run over the ingest
+        // batches the sharded runtime flushes at
+        let mut sequential = Executor::new(&catalog, &workload, &plan).unwrap();
+        sequential.set_lateness(lateness);
+        for chunk in shuffled.chunks(BATCH) {
+            sequential.process_columnar(&EventBatch::from_events(chunk));
+        }
+        let want_drops = sequential.late_rows_dropped();
+        let want = sequential.finish();
+        assert!(!want.is_empty(), "lateness {lateness}: the stream matches");
+        assert_eq!(
+            want_drops == 0,
+            lateness == covering,
+            "lateness {lateness} of required {covering}: drops {want_drops}"
+        );
+
+        for shards in support::shard_counts(&[1, 2, 8]) {
+            let crash_batch = rng.range(INTERVAL, n_batches);
+            let label = format!("lateness {lateness}, {shards} shards, crash@{crash_batch}");
+            let dir = test_dir("two-partitions");
+            let options = ShardedOptions {
+                batch_size: BATCH,
+                lateness: Some(lateness),
+                checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
+                fault: Some(FaultPlan::Drop { batch: crash_batch }),
+                ..ShardedOptions::default()
+            };
+            let mut crashing =
+                ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
+                    .expect("sharded compiles");
+            crashing.process_columnar(&EventBatch::from_events(&shuffled));
+            drop(crashing); // simulated crash: everything after the last checkpoint is lost
+
+            let options = ShardedOptions {
+                fault: None,
+                ..options
+            };
+            let (mut resumed, offset) =
+                ShardedExecutor::resume(&catalog, &workload, &plan, shards, options)
+                    .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
+            assert!(offset > 0, "{label}: a checkpoint was written");
+            resumed.process_columnar(&EventBatch::from_events(&shuffled[offset as usize..]));
+            let report = resumed.finish_with_stats();
+            assert!(
+                report.results.semantically_eq(&want, 1e-9),
+                "{label}: resume@{offset} diverges from the uninterrupted run ({} vs {} results)",
+                report.results.len(),
+                want.len(),
+            );
+            assert_eq!(
+                report.late_rows_dropped, want_drops,
+                "{label}: resume@{offset} late-drop count"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 
@@ -569,21 +663,21 @@ fn strategy_layer_resume_round_trips() {
     }
 }
 
-/// FNV-1a, the manifest checksum, spelled out for [`v6_manifest`].
+/// FNV-1a, the manifest checksum, spelled out for [`v7_manifest`].
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
-/// A format-v6 manifest, encoded here independently of the store: magic,
+/// A format-v7 manifest, encoded here independently of the store: magic,
 /// version, id, replay offset, a counted list of router segments, a
 /// counted list of shard segment `(length, digest)` pairs, then the
 /// checksum of everything before it. Integers are little-endian, counts
 /// and lengths `u64`.
-fn v6_manifest(id: u64, events_sent: u64, routers: &[&[u8]], shards: &[Vec<u8>]) -> Vec<u8> {
+fn v7_manifest(id: u64, events_sent: u64, routers: &[&[u8]], shards: &[Vec<u8>]) -> Vec<u8> {
     let mut m = b"SHRNCKPT".to_vec();
-    m.extend_from_slice(&6u32.to_le_bytes());
+    m.extend_from_slice(&7u32.to_le_bytes());
     m.extend_from_slice(&id.to_le_bytes());
     m.extend_from_slice(&events_sent.to_le_bytes());
     m.extend_from_slice(&(routers.len() as u64).to_le_bytes());
@@ -601,7 +695,7 @@ fn v6_manifest(id: u64, events_sent: u64, routers: &[&[u8]], shards: &[Vec<u8>])
     m
 }
 
-/// The runtime has one router thread, and its manifests keep the v6
+/// The runtime has one router thread, and its manifests keep the v7
 /// layout: a counted router list holding one segment, byte for byte. A
 /// manifest carrying two router segments (as a two-router build wrote
 /// them) is refused with a typed error naming the count — by the store
@@ -637,8 +731,8 @@ fn manifest_router_segments_round_trip_or_are_refused() {
         std::fs::read(dir.join(format!("ckpt-{:016}", data.id)).join("MANIFEST")).unwrap();
     assert_eq!(
         manifest,
-        v6_manifest(data.id, data.events_sent, &[&data.router], &data.shards),
-        "a one-router manifest is the v6 layout, byte for byte"
+        v7_manifest(data.id, data.events_sent, &[&data.router], &data.shards),
+        "a one-router manifest is the v7 layout, byte for byte"
     );
 
     let id = data.id + 1;
@@ -647,7 +741,7 @@ fn manifest_router_segments_round_trip_or_are_refused() {
     for (i, seg) in data.shards.iter().enumerate() {
         std::fs::write(forged.join(format!("shard-{i}.seg")), seg).unwrap();
     }
-    let two = v6_manifest(
+    let two = v7_manifest(
         id,
         data.events_sent,
         &[&data.router, &data.router],

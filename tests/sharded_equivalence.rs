@@ -89,7 +89,8 @@ fn assert_sharded_matches_sequential(
         )
         .expect("sharded compiles");
         sharded.process_columnar(&run_batch);
-        let (got, matched, _) = sharded.finish_with_stats();
+        let report = sharded.finish_with_stats();
+        let (got, matched) = (report.results, report.events_matched);
         assert!(
             got.semantically_eq(&want, 1e-9),
             "{label}: {shards} shards diverge from the sequential engine \
@@ -423,7 +424,8 @@ proptest! {
         )
         .unwrap();
         sharded.process_columnar(&batch);
-        let (got, matched, _) = sharded.finish_with_stats();
+        let report = sharded.finish_with_stats();
+        let (got, matched) = (report.results, report.events_matched);
         proptest::prop_assert!(
             got.semantically_eq(&want, 1e-9),
             "cardinality {} theta {} shards {}: sharded diverges",
@@ -545,10 +547,12 @@ fn gated_matched_counts_agree_across_shard_counts() {
         ex.process_columnar(&batch);
         ex.finish_with_stats()
     };
-    let (want, want_matched, _) = run(0);
+    let report = run(0);
+    let (want, want_matched) = (report.results, report.events_matched);
     assert!(!want.is_empty());
     for shards in shard_counts() {
-        let (got, matched, _) = run(shards);
+        let report = run(shards);
+        let (got, matched) = (report.results, report.events_matched);
         assert_eq!(
             matched, want_matched,
             "{shards} shards: matched count differs from the sequential run"
@@ -583,8 +587,7 @@ fn scan_tallies_after_finish_cover_the_whole_stream() {
             .build_executor()
             .expect("workload compiles");
         ex.process_columnar(&batch);
-        let (_, _, scan) = ex.finish_with_stats();
-        scan
+        ex.finish_with_stats().scan_stats
     };
     let want = run(0);
     assert!(!want.is_empty(), "the sequential engine tracks its scan");
