@@ -2,12 +2,16 @@
 //!
 //! Results are an **append-only columnar log**. A row is `(query, group
 //! id, window start, value)`; the group id indexes a per-set key table, so
-//! a [`GroupKey`] is stored once per group and never per result. Columns
-//! grow in fixed-size segments — no multi-MiB buffer is ever reallocated
-//! and copied — and every hop from window close to the caller is an
-//! append or a move: engines emit with the id they interned for a group,
+//! a [`GroupKey`] is stored once per group and never per result. An engine
+//! emits one group's window close at a time, so consecutive rows share a
+//! group id and window: the log stores each such **run** once (16 bytes)
+//! and a row as its query and an 8-byte value (13 bytes). Columns grow in
+//! fixed-size segments — no multi-MiB buffer is ever reallocated and
+//! copied — and every hop from window close to the caller is an append or
+//! a move: engines emit with the id they interned for a group,
 //! [`ExecutorResults::merge`] moves whole segments and rewrites only the
-//! group-id column (one key lookup per *distinct group*, none per row).
+//! runs' group ids (one key lookup per *distinct group*, one write per
+//! run, none per row).
 //!
 //! The hash index behind [`ExecutorResults::get`] and
 //! [`ExecutorResults::semantically_eq`] is built on first use and serves
@@ -24,53 +28,41 @@ use std::sync::OnceLock;
 /// allocated whole.
 const SEGMENT_ROWS: usize = 4096;
 
-/// The 16-byte value lane. An [`AggValue`] is 32 bytes only because of
-/// `u128` alignment; its payload is a `u128` count or an `f64`.
-type Lane = [u64; 2];
-
 const KIND_COUNT: u8 = 0;
 const KIND_NULL: u8 = 1;
 const KIND_NUMBER: u8 = 2;
+/// A count above `u64::MAX`: the lane indexes the segment's wide table.
+/// Checkpoints never hold this kind (they write every count in 16 bytes).
+const KIND_WIDE: u8 = 3;
 
-#[inline]
-fn encode(value: AggValue) -> (Lane, u8) {
-    match value {
-        AggValue::Count(c) => ([c as u64, (c >> 64) as u64], KIND_COUNT),
-        AggValue::Number(None) => ([0, 0], KIND_NULL),
-        AggValue::Number(Some(x)) => ([x.to_bits(), 0], KIND_NUMBER),
-    }
+/// Consecutive rows of one segment that share a group id and window.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    group: u32,
+    /// Rows in the run (at most [`SEGMENT_ROWS`]: a run never spans two
+    /// segments).
+    len: u32,
+    window: Timestamp,
 }
 
-#[inline]
-fn decode(lane: Lane, kind: u8) -> AggValue {
-    match kind {
-        KIND_COUNT => AggValue::Count(lane[0] as u128 | (lane[1] as u128) << 64),
-        KIND_NULL => AggValue::Number(None),
-        _ => AggValue::Number(Some(f64::from_bits(lane[0]))),
-    }
-}
-
-/// One run of rows, stored column-wise (33 bytes per row).
+/// A slice of the log, stored column-wise: 13 bytes per row (`query`, an
+/// 8-byte value lane, the value kind) plus 16 bytes per run.
 #[derive(Debug, Clone, Default)]
 struct Segment {
     query: Vec<u32>,
-    group: Vec<u32>,
-    window: Vec<Timestamp>,
-    value: Vec<Lane>,
+    /// A count that fits 64 bits, an `f64`'s bits, 0 for null, or an
+    /// index into `wide`.
+    value: Vec<u64>,
     kind: Vec<u8>,
+    /// Starts at the previous segment's run count (plus a sixteenth) and
+    /// grows by doubling; only [`ExecutorResults::reserve`] sizes it for
+    /// one run per row.
+    runs: Vec<Run>,
+    /// Counts above `u64::MAX`, in row order.
+    wide: Vec<u128>,
 }
 
 impl Segment {
-    fn with_capacity(rows: usize) -> Self {
-        Segment {
-            query: Vec::with_capacity(rows),
-            group: Vec::with_capacity(rows),
-            window: Vec::with_capacity(rows),
-            value: Vec::with_capacity(rows),
-            kind: Vec::with_capacity(rows),
-        }
-    }
-
     #[inline]
     fn len(&self) -> usize {
         self.query.len()
@@ -78,35 +70,92 @@ impl Segment {
 
     #[inline]
     fn push(&mut self, query: u32, group: u32, window: Timestamp, value: AggValue) {
-        let (lane, kind) = encode(value);
+        match self.runs.last_mut() {
+            Some(run) if run.group == group && run.window == window => run.len += 1,
+            _ => self.runs.push(Run {
+                group,
+                len: 1,
+                window,
+            }),
+        }
+        let (lane, kind) = match value {
+            AggValue::Count(c) => match u64::try_from(c) {
+                Ok(c) => (c, KIND_COUNT),
+                Err(_) => (self.push_wide(c), KIND_WIDE),
+            },
+            AggValue::Number(None) => (0, KIND_NULL),
+            AggValue::Number(Some(x)) => (x.to_bits(), KIND_NUMBER),
+        };
         self.query.push(query);
-        self.group.push(group);
-        self.window.push(window);
         self.value.push(lane);
         self.kind.push(kind);
     }
 
-    fn append(&mut self, other: &Segment) {
-        self.query.extend_from_slice(&other.query);
-        self.group.extend_from_slice(&other.group);
-        self.window.extend_from_slice(&other.window);
-        self.value.extend_from_slice(&other.value);
-        self.kind.extend_from_slice(&other.kind);
+    #[cold]
+    fn push_wide(&mut self, count: u128) -> u64 {
+        self.wide.push(count);
+        (self.wide.len() - 1) as u64
     }
 
-    /// Grow every column to a whole segment's capacity.
-    fn reserve_whole(&mut self) {
+    /// Copy `other`'s rows and runs behind this segment's, re-indexing its
+    /// wide lanes into this segment's table.
+    fn append(&mut self, other: &Segment) {
+        self.query.extend_from_slice(&other.query);
+        self.kind.extend_from_slice(&other.kind);
+        self.runs.extend_from_slice(&other.runs);
+        if other.wide.is_empty() {
+            self.value.extend_from_slice(&other.value);
+        } else {
+            let base = self.wide.len() as u64;
+            let lanes = other.value.iter().zip(&other.kind);
+            self.value.extend(
+                lanes.map(|(&lane, &kind)| if kind == KIND_WIDE { base + lane } else { lane }),
+            );
+            self.wide.extend_from_slice(&other.wide);
+        }
+    }
+
+    /// Grow the row columns to a whole segment's capacity.
+    fn reserve_rows(&mut self) {
         let room = SEGMENT_ROWS - self.len();
         self.query.reserve_exact(room);
-        self.group.reserve_exact(room);
-        self.window.reserve_exact(room);
         self.value.reserve_exact(room);
         self.kind.reserve_exact(room);
     }
 
+    /// Grow the row columns to a whole segment's capacity, and the runs
+    /// to one per row of room: every further row fits without allocating.
+    fn reserve_whole(&mut self) {
+        self.runs.reserve_exact(SEGMENT_ROWS - self.len());
+        self.reserve_rows();
+    }
+
     #[inline]
     fn value_at(&self, row: usize) -> AggValue {
-        decode(self.value[row], self.kind[row])
+        let lane = self.value[row];
+        match self.kind[row] {
+            KIND_COUNT => AggValue::Count(lane.into()),
+            KIND_NULL => AggValue::Number(None),
+            KIND_NUMBER => AggValue::Number(Some(f64::from_bits(lane))),
+            _ => AggValue::Count(self.wide[lane as usize]),
+        }
+    }
+
+    /// The segment's rows, in order: `(query, group id, window, value)`.
+    fn rows(&self) -> impl Iterator<Item = (QueryId, u32, Timestamp, AggValue)> + '_ {
+        let mut end = 0;
+        self.runs.iter().flat_map(move |run| {
+            let start = end;
+            end += run.len as usize;
+            (start..end).map(move |i| {
+                (
+                    QueryId(self.query[i]),
+                    run.group,
+                    run.window,
+                    self.value_at(i),
+                )
+            })
+        })
     }
 }
 
@@ -188,7 +237,9 @@ impl ExecutorResults {
 
     /// Record a result for a group id handed out by this set's
     /// [`ExecutorResults::add_group`] or [`ExecutorResults::intern`]: one
-    /// append per column, no key clone, no hash.
+    /// append per row column, no key clone, no hash. A row with the
+    /// previous row's group id and window extends its run; any other row
+    /// opens one.
     #[inline]
     pub fn emit_interned(
         &mut self,
@@ -210,11 +261,16 @@ impl ExecutorResults {
     #[cold]
     fn open_segment(&mut self) {
         let seg = self.spare.pop().unwrap_or_else(|| {
-            if self.segs.is_empty() {
-                Segment::default()
-            } else {
-                Segment::with_capacity(SEGMENT_ROWS)
+            let mut seg = Segment::default();
+            if let Some(last) = self.segs.last() {
+                seg.reserve_rows();
+                // a log's run length barely moves from one segment to the
+                // next: start at the last one's run count and a sixteenth
+                // more, so the runs seldom double and waste little
+                let runs = last.runs.len();
+                seg.runs.reserve_exact((runs + runs / 16).min(SEGMENT_ROWS));
             }
+            seg
         });
         self.segs.push(seg);
     }
@@ -261,8 +317,9 @@ impl ExecutorResults {
         self.keys.len()
     }
 
-    /// Reserve column capacity for at least `additional` further rows, so
-    /// a steady-state emission phase performs no allocation.
+    /// Reserve column capacity for at least `additional` further rows (and
+    /// as many runs), so a steady-state emission phase performs no
+    /// allocation.
     pub fn reserve(&mut self, additional: usize) {
         let mut room = self.spare.len() * SEGMENT_ROWS;
         if let Some(last) = self.segs.last_mut() {
@@ -270,14 +327,17 @@ impl ExecutorResults {
             room += SEGMENT_ROWS - last.len();
         }
         let whole = additional.saturating_sub(room).div_ceil(SEGMENT_ROWS);
-        self.spare
-            .extend((0..whole).map(|_| Segment::with_capacity(SEGMENT_ROWS)));
+        self.spare.extend((0..whole).map(|_| {
+            let mut seg = Segment::default();
+            seg.reserve_whole();
+            seg
+        }));
         self.segs.reserve(self.spare.len());
     }
 
     /// Merge another result set into this one. Into an empty set this is a
     /// move. Otherwise `other`'s group ids are translated once per distinct
-    /// group, its group-id column is rewritten in place, and its segments
+    /// group, its runs' group ids are rewritten in place, and its segments
     /// are moved over (a short one is copied into the room the last
     /// segment has left, so short merges do not strand capacity).
     pub fn merge(&mut self, other: ExecutorResults) {
@@ -291,8 +351,8 @@ impl ExecutorResults {
         self.index.take();
         let remap: Vec<u32> = other.keys.iter().map(|key| self.intern(key)).collect();
         for mut seg in other.segs {
-            for gid in &mut seg.group {
-                *gid = remap[*gid as usize];
+            for run in &mut seg.runs {
+                run.group = remap[run.group as usize];
             }
             match self.segs.last_mut() {
                 Some(last) if last.len() + seg.len() <= SEGMENT_ROWS => last.append(&seg),
@@ -306,16 +366,7 @@ impl ExecutorResults {
     /// start, value)`. Resolve ids with [`ExecutorResults::group`]. Unlike
     /// [`ExecutorResults::iter`] this builds nothing.
     pub fn rows(&self) -> impl Iterator<Item = (QueryId, u32, Timestamp, AggValue)> + '_ {
-        self.segs.iter().flat_map(|seg| {
-            (0..seg.len()).map(move |i| {
-                (
-                    QueryId(seg.query[i]),
-                    seg.group[i],
-                    seg.window[i],
-                    seg.value_at(i),
-                )
-            })
-        })
+        self.segs.iter().flat_map(Segment::rows)
     }
 
     fn index(&self) -> &Index {
@@ -398,12 +449,13 @@ impl ExecutorResults {
     }
 
     /// Sum of all counts of one query across groups and windows — a quick
-    /// scalar fingerprint used by tests and benchmarks.
+    /// scalar fingerprint used by tests and benchmarks. Saturates at
+    /// `u128::MAX`, as a count cell does.
     pub fn total_count(&self, query: QueryId) -> u128 {
         self.rows()
             .filter(|row| row.0 == query)
             .filter_map(|row| row.3.as_count())
-            .sum()
+            .fold(0, u128::saturating_add)
     }
 
     /// Compare two result sets for semantic equality: same keys, counts
@@ -436,22 +488,28 @@ impl ExecutorResults {
     /// Serialize the full result set into a checkpoint segment (the
     /// engines hold emitted results until `finish`, so a resume must carry
     /// them to reproduce an uninterrupted run's output exactly): the key
-    /// table once, then the rows by group id.
+    /// table once, then one record per row: query, group id, window, kind
+    /// and the value as two `u64` halves of a `u128` (a count in full, an
+    /// `f64`'s bits in the low half). Runs are not written; `load_state`
+    /// rebuilds them.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.seq_len(self.keys.len());
         for key in &self.keys {
             w.group_key(key);
         }
         w.seq_len(self.len);
-        for seg in &self.segs {
-            for i in 0..seg.len() {
-                w.u32(seg.query[i]);
-                w.u32(seg.group[i]);
-                w.time(seg.window[i]);
-                w.u8(seg.kind[i]);
-                w.u64(seg.value[i][0]);
-                w.u64(seg.value[i][1]);
-            }
+        for (query, gid, window, value) in self.rows() {
+            let (kind, lane) = match value {
+                AggValue::Count(c) => (KIND_COUNT, c),
+                AggValue::Number(None) => (KIND_NULL, 0),
+                AggValue::Number(Some(x)) => (KIND_NUMBER, x.to_bits().into()),
+            };
+            w.u32(query.0);
+            w.u32(gid);
+            w.time(window);
+            w.u8(kind);
+            w.u64(lane as u64);
+            w.u64((lane >> 64) as u64);
         }
     }
 
@@ -475,8 +533,14 @@ impl ExecutorResults {
             if kind > KIND_NUMBER {
                 return Err(StateError::Corrupt("result row value kind"));
             }
-            let lane = [r.u64()?, r.u64()?];
-            out.emit_interned(query, gid, window, decode(lane, kind));
+            let (low, high) = (r.u64()?, r.u64()?);
+            let lane = u128::from(low) | u128::from(high) << 64;
+            let value = match kind {
+                KIND_COUNT => AggValue::Count(lane),
+                KIND_NULL => AggValue::Number(None),
+                _ => AggValue::Number(Some(f64::from_bits(lane as u64))),
+            };
+            out.emit_interned(query, gid, window, value);
         }
         Ok(out)
     }
@@ -520,19 +584,93 @@ mod tests {
     }
 
     #[test]
-    fn values_survive_the_16_byte_lane() {
-        for v in [
+    fn values_survive_the_8_byte_lane_and_wide_table() {
+        let values = [
             AggValue::Count(0),
             AggValue::Count(u128::MAX),
+            AggValue::Count(u64::MAX.into()),
             AggValue::Count(1 << 64),
             AggValue::Number(None),
             AggValue::Number(Some(-0.0)),
             AggValue::Number(Some(f64::INFINITY)),
             AggValue::Number(Some(1.5e-300)),
-        ] {
-            let (lane, kind) = encode(v);
-            assert_eq!(decode(lane, kind), v);
+        ];
+        let mut seg = Segment::default();
+        for (q, v) in (0..).zip(values) {
+            seg.push(q, 0, Timestamp(0), v);
         }
+        assert_eq!(seg.wide, [u128::MAX, 1 << 64], "only counts past 64 bits");
+        let read = |seg: &Segment| seg.rows().map(|row| row.3).collect::<Vec<_>>();
+        assert_eq!(read(&seg), values);
+        // appended behind a segment with a wide count of its own, the wide
+        // lanes point past that segment's table
+        let mut front = Segment::default();
+        front.push(9, 1, Timestamp(4), AggValue::Count(u128::MAX - 1));
+        front.append(&seg);
+        assert_eq!(front.wide.len(), 3);
+        assert_eq!(read(&front)[1..], values);
+        assert_eq!(read(&front)[0], AggValue::Count(u128::MAX - 1));
+    }
+
+    #[test]
+    fn a_window_close_is_one_run() {
+        // an engine's close: every query of one group and window in a row
+        let mut r = ExecutorResults::new();
+        let gids = [r.add_group(key(1)), r.add_group(key(2))];
+        for w in 0..SEGMENT_ROWS as u64 / 4 {
+            for &gid in &gids {
+                for q in 0..5 {
+                    r.emit_interned(QueryId(q), gid, Timestamp(w), AggValue::Count(q.into()));
+                }
+            }
+        }
+        // 10 240 rows: two whole segments and a tail; a run never spans two
+        assert_eq!(r.segs.len(), 3);
+        let runs: Vec<usize> = r.segs.iter().map(|s| s.runs.len()).collect();
+        assert_eq!(runs, [820, 820, 410]);
+        // a later segment's runs start at the previous count and a
+        // sixteenth more: at an even run length they never double
+        assert!(r.segs[1..]
+            .iter()
+            .all(|s| s.runs.capacity() == 820 + 820 / 16));
+        let lens = |s: &Segment| s.runs.iter().map(|run| run.len as usize).sum::<usize>();
+        assert!(r.segs.iter().all(|s| lens(s) == s.len()));
+        assert_eq!(r.rows().count(), r.len());
+        assert!(r
+            .rows()
+            .enumerate()
+            .all(|(i, (q, gid, w, v))| q.0 == i as u32 % 5
+                && gid == gids[i / 5 % 2]
+                && w.millis() == (i / 10) as u64
+                && v == AggValue::Count((i % 5) as u128)));
+        // a remapping merge rewrites one group id per run
+        let mut into = ExecutorResults::new();
+        into.emit(QueryId(7), key(2), Timestamp(0), AggValue::Count(1));
+        into.merge(r.clone());
+        assert_eq!(into.len(), r.len() + 1);
+        let moved = &into.segs[1].runs;
+        assert_eq!((moved[0].group, moved[0].len), (1, 5), "key 1 is id 1 here");
+        assert_eq!(moved[1].group, 0, "key 2 is id 0 here");
+        for (q, g, w, v) in r.iter() {
+            assert_eq!(into.get(q, g, w), Some(v));
+        }
+    }
+
+    #[test]
+    fn total_count_saturates() {
+        let mut r = ExecutorResults::new();
+        r.emit(QueryId(0), key(1), Timestamp(0), AggValue::Count(u128::MAX));
+        r.emit(QueryId(0), key(1), Timestamp(4), AggValue::Count(u128::MAX));
+        r.emit(QueryId(1), key(1), Timestamp(0), AggValue::Count(u128::MAX));
+        r.emit(
+            QueryId(1),
+            key(2),
+            Timestamp(0),
+            AggValue::Number(Some(1.0)),
+        );
+        assert_eq!(r.total_count(QueryId(0)), u128::MAX);
+        assert_eq!(r.total_count(QueryId(1)), u128::MAX);
+        assert_eq!(r.total_count(QueryId(2)), 0);
     }
 
     #[test]
@@ -565,10 +703,11 @@ mod tests {
         for w in 0..10 {
             src.emit_interned(QueryId(0), gid, Timestamp(w), AggValue::Count(1));
         }
-        let column = src.segs[0].value.as_ptr();
+        let (column, runs) = (src.segs[0].value.as_ptr(), src.segs[0].runs.as_ptr());
         let mut dst = ExecutorResults::new();
         dst.merge(src);
         assert_eq!(dst.segs[0].value.as_ptr(), column, "moved, not copied");
+        assert_eq!(dst.segs[0].runs.as_ptr(), runs);
         assert!(dst.by_key.is_none(), "a move needs no key lookup");
         assert_eq!(dst.len(), 10);
     }
@@ -627,12 +766,16 @@ mod tests {
             + r.spare.iter().map(|s| s.value.capacity()).sum::<usize>();
         assert!(reserved >= 2 * SEGMENT_ROWS);
         let (segs_cap, first) = (r.segs.capacity(), r.segs[0].kind.as_ptr());
+        let first_runs = r.segs[0].runs.as_ptr();
+        // a window per row: the worst case, one run per row
         for w in 0..2 * SEGMENT_ROWS as u64 {
             r.emit_interned(QueryId(0), 0, Timestamp(100 + w), AggValue::Count(1));
         }
         assert_eq!(r.segs.capacity(), segs_cap);
         assert_eq!(r.segs[0].kind.as_ptr(), first, "no column was reallocated");
+        assert_eq!(r.segs[0].runs.as_ptr(), first_runs);
         assert!(r.segs.iter().all(|s| s.value.capacity() == SEGMENT_ROWS));
+        assert!(r.segs.iter().all(|s| s.runs.capacity() == SEGMENT_ROWS));
     }
 
     #[test]
@@ -765,6 +908,56 @@ mod tests {
         assert_eq!(got.group_slots(), 3);
     }
 
+    /// The checkpoint image of a count, a count past 64 bits, a null and a
+    /// number: one 16-byte value record per row, whatever the log's layout.
+    #[rustfmt::skip]
+    const GOLDEN: &[u8] = &[
+        2, 0, 0, 0, 0, 0, 0, 0, // two keys
+        1, 0, 1, 0, 0, 0, 0, 0, 0, 0, // key(1)
+        0, // global
+        4, 0, 0, 0, 0, 0, 0, 0, // four rows
+        0, 0, 0, 0, 0, 0, 0, 0, 60, 0, 0, 0, 0, 0, 0, 0, KIND_COUNT,
+        3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        1, 0, 0, 0, 0, 0, 0, 0, 60, 0, 0, 0, 0, 0, 0, 0, KIND_COUNT,
+        0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 1, 0, 0, 0, 120, 0, 0, 0, 0, 0, 0, 0, KIND_NULL,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        3, 0, 0, 0, 1, 0, 0, 0, 120, 0, 0, 0, 0, 0, 0, 0, KIND_NUMBER,
+        0, 0, 0, 0, 0, 0, 0x04, 0x40, 0, 0, 0, 0, 0, 0, 0, 0,
+    ];
+
+    #[test]
+    fn state_bytes_are_pinned() {
+        let mut r = ExecutorResults::new();
+        r.emit(QueryId(0), key(1), Timestamp(60), AggValue::Count(3));
+        r.emit(QueryId(1), key(1), Timestamp(60), AggValue::Count(1 << 64));
+        r.emit(
+            QueryId(2),
+            GroupKey::Global,
+            Timestamp(120),
+            AggValue::Number(None),
+        );
+        r.emit(
+            QueryId(3),
+            GroupKey::Global,
+            Timestamp(120),
+            AggValue::Number(Some(2.5)),
+        );
+        assert_eq!(r.segs[0].runs.len(), 2);
+        let mut w = crate::checkpoint::StateWriter::new();
+        r.save_state(&mut w);
+        assert_eq!(w.into_bytes(), GOLDEN);
+        let mut rd = crate::checkpoint::StateReader::new(GOLDEN);
+        let back = ExecutorResults::load_state(&mut rd).unwrap();
+        assert!(rd.is_exhausted());
+        assert_eq!(
+            back.rows().collect::<Vec<_>>(),
+            r.rows().collect::<Vec<_>>()
+        );
+        assert_eq!(back.segs[0].runs.len(), 2, "loading rebuilds the runs");
+        assert_eq!(back.segs[0].wide, [1 << 64]);
+    }
+
     #[test]
     fn load_state_rejects_rows_that_point_nowhere() {
         let image = |gid: u32, kind: u8| {
@@ -828,7 +1021,21 @@ mod tests {
         /// behind `.1` fresh rows.
         TakeAndRemerge(usize, usize),
         Reserve(usize, usize),
+        /// An engine's window close: one `add_group`, then queries
+        /// `0..=.2` by id under one group and window.
+        Run(usize, ModelKey, usize, u64),
+        /// A count at or past the 64-bit lane: `EXTREME[.2]`.
+        Extreme(usize, ModelKey, usize),
+        /// Engine-style runs of `.2` queries over fresh windows until the
+        /// set's open segment is full, then `.3` rows more. The first burst
+        /// of a case runs; later ones are no-ops (a checked row costs).
+        Burst(usize, i64, usize, usize),
     }
+
+    const EXTREME: [u128; 3] = [u64::MAX as u128, u64::MAX as u128 + 1, u128::MAX];
+
+    /// Queries an op can emit under: `0..QUERIES`.
+    const QUERIES: u32 = 8;
 
     const SETS: usize = 3;
 
@@ -847,6 +1054,11 @@ mod tests {
             (set(), set()).prop_map(|(a, b)| Op::Merge(a, b)),
             (set(), 0usize..4).prop_map(|(s, n)| Op::TakeAndRemerge(s, n)),
             (set(), 0usize..3 * SEGMENT_ROWS).prop_map(|(s, n)| Op::Reserve(s, n)),
+            (set(), model_key(), 0usize..8, 0u64..100).prop_map(|(s, k, n, v)| Op::Run(s, k, n, v)),
+            (set(), model_key(), 0usize..8, 0u64..100).prop_map(|(s, k, n, v)| Op::Run(s, k, n, v)),
+            (set(), model_key(), 0usize..3).prop_map(|(s, k, i)| Op::Extreme(s, k, i)),
+            (set(), -1i64..5, 1usize..=8, 1usize..64)
+                .prop_map(|(s, g, r, n)| Op::Burst(s, g, r, n)),
         ]
     }
 
@@ -856,6 +1068,16 @@ mod tests {
     fn check(set: &ExecutorResults, model: &Model) -> Result<(), TestCaseError> {
         prop_assert_eq!(set.len(), model.len());
         prop_assert_eq!(set.is_empty(), model.is_empty());
+        // the layout: runs partition each segment's rows; wide lanes index
+        // the segment's own table
+        for seg in &set.segs {
+            prop_assert!(seg.len() <= SEGMENT_ROWS);
+            prop_assert!(seg.runs.iter().all(|run| run.len > 0));
+            let run_rows: usize = seg.runs.iter().map(|run| run.len as usize).sum();
+            prop_assert_eq!(run_rows, seg.len());
+            let wide = seg.kind.iter().filter(|&&k| k == KIND_WIDE).count();
+            prop_assert_eq!(wide, seg.wide.len());
+        }
         let mut by_key: BTreeMap<ModelKey, Vec<AggValue>> = BTreeMap::new();
         for (k, v) in model {
             by_key.entry(*k).or_default().push(*v);
@@ -863,16 +1085,27 @@ mod tests {
         let duplicates = by_key.values().any(|vs| vs.len() > 1);
         prop_assert_eq!(set.index().duplicates, duplicates);
         // iter and rows: the same multiset as the model
-        let show = |q: u32, g: &GroupKey, w: u64, v: &AggValue| format!("{q} {g} {w} {v:?}");
-        let mut want: Vec<String> = model
+        let show = |q: u32, g: &GroupKey, w: u64, v: &AggValue| {
+            let g = match g {
+                GroupKey::Global => -1,
+                GroupKey::One(sharon_types::Value::Int(g)) => *g,
+                other => panic!("not a model group: {other}"),
+            };
+            let v = match v {
+                AggValue::Count(c) => (0, *c),
+                AggValue::Number(x) => (1, x.map_or(u128::MAX, |x| x.to_bits().into())),
+            };
+            (q, g, w, v)
+        };
+        let mut want: Vec<_> = model
             .iter()
             .map(|((q, g, w), v)| show(*q, &model_group(*g), *w, v))
             .collect();
-        let mut iter: Vec<String> = set
+        let mut iter: Vec<_> = set
             .iter()
             .map(|(q, g, w, v)| show(q.0, g, w.millis(), v))
             .collect();
-        let mut rows: Vec<String> = set
+        let mut rows: Vec<_> = set
             .rows()
             .map(|(q, gid, w, v)| show(q.0, set.group(gid), w.millis(), &v))
             .collect();
@@ -886,13 +1119,19 @@ mod tests {
             let got = set.get(QueryId(*q), &model_group(*g), Timestamp(*w));
             prop_assert!(got.is_some_and(|v| vs.contains(v)), "{:?}", (q, g, w));
             prop_assert!(set
-                .get(QueryId(*q + 3), &model_group(*g), Timestamp(*w))
+                .get(QueryId(*q + QUERIES), &model_group(*g), Timestamp(*w))
                 .is_none());
         }
-        for q in 0..3 {
-            let n = model.iter().filter(|(k, _)| k.0 == q).count();
+        let mut per_query = [(0, 0u128); QUERIES as usize];
+        for ((q, _, _), v) in model {
+            let (n, total) = &mut per_query[*q as usize];
+            *n += 1;
+            *total = total.saturating_add(v.as_count().unwrap_or(0));
+        }
+        for (q, (n, total)) in (0..).zip(per_query) {
             prop_assert_eq!(set.of_query(QueryId(q)).count(), n);
             prop_assert_eq!(set.of_query_sorted(QueryId(q)).len(), n);
+            prop_assert_eq!(set.total_count(QueryId(q)), total);
         }
         if !duplicates {
             // rebuilt by key, in reverse: equal; one value off: not equal
@@ -920,6 +1159,9 @@ mod tests {
         fn log_agrees_with_a_plain_model(ops in prop::collection::vec(op(), 0..=60)) {
             let mut sets: Vec<ExecutorResults> = vec![ExecutorResults::new(); SETS];
             let mut models: Vec<Model> = vec![Model::new(); SETS];
+            // burst windows: past every other op's, never a duplicate
+            let mut fresh = 1_000_000u64;
+            let mut burst = true;
             for op in ops {
                 match op {
                     Op::Emit(s, k, n) => {
@@ -956,6 +1198,37 @@ mod tests {
                         sets[s].merge(taken);
                     }
                     Op::Reserve(s, n) => sets[s].reserve(n),
+                    Op::Run(s, k, last, n) => {
+                        let gid = sets[s].add_group(model_group(k.1));
+                        for q in 0..=last as u32 {
+                            let v = value_of(n + u64::from(q));
+                            sets[s].emit_interned(QueryId(q), gid, Timestamp(k.2), v);
+                            models[s].push(((q, k.1, k.2), v));
+                        }
+                    }
+                    Op::Extreme(s, k, i) => {
+                        let v = AggValue::Count(EXTREME[i]);
+                        sets[s].emit(QueryId(k.0), model_group(k.1), Timestamp(k.2), v);
+                        models[s].push((k, v));
+                    }
+                    Op::Burst(s, g, run, extra) if std::mem::take(&mut burst) => {
+                        let open = sets[s].segs.last().map_or(0, |seg| seg.len());
+                        let gid = sets[s].add_group(model_group(g));
+                        for i in 0..SEGMENT_ROWS - open + extra {
+                            let q = (i % run) as u32;
+                            if q == 0 {
+                                fresh += 1;
+                            }
+                            let v = if i % 97 == 0 {
+                                AggValue::Count(EXTREME[i % 3])
+                            } else {
+                                value_of(i as u64)
+                            };
+                            sets[s].emit_interned(QueryId(q), gid, Timestamp(fresh), v);
+                            models[s].push(((q, g, fresh), v));
+                        }
+                    }
+                    Op::Burst(..) => {}
                 }
                 // lookups between mutations: the index must never go stale
                 let _ = sets[0].get(QueryId(0), &GroupKey::Global, Timestamp(0));

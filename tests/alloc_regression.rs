@@ -1062,3 +1062,34 @@ fn per_event_shim_stays_inline_for_small_events() {
     });
     assert_eq!(allocs, 0, "small events must not touch the allocator");
 }
+
+#[test]
+fn result_log_stores_a_window_close_as_one_run() {
+    let _serial = serial();
+    // rows by interned id, the way an engine closes windows: `run` queries
+    // of one group and window in a row. A row is 13 bytes and a run 16, so
+    // runs of 8 cost 15 bytes a row (15.15 with the run column's slack) and
+    // runs of 1 cost 29 (the log stored 33 bytes a row before runs)
+    const ROWS: usize = 64 * 4096;
+    let bytes_per_row = |run: usize| {
+        let before = alloc::current_bytes();
+        let mut log = ExecutorResults::new();
+        let gid = log.add_group(GroupKey::Global);
+        for i in 0..ROWS {
+            log.emit_interned(
+                QueryId((i % run) as u32),
+                gid,
+                Timestamp((i / run) as u64),
+                sharon::query::aggregate::AggValue::Count(i as u128),
+            );
+        }
+        let grown = alloc::current_bytes() - before;
+        assert_eq!(log.len(), ROWS);
+        grown as f64 / ROWS as f64
+    };
+    let eight = bytes_per_row(8);
+    let one = bytes_per_row(1);
+    eprintln!("result log: {eight:.3} B/row in runs of 8, {one:.3} B/row in runs of 1");
+    assert!(eight <= 15.2, "runs of 8 cost {eight:.3} bytes a row");
+    assert!(one <= 29.1, "runs of 1 cost {one:.3} bytes a row");
+}
