@@ -10,14 +10,15 @@
 //!          [--strategy sharon|greedy|aseq|flink|spass] [--shards N]
 //!          [--skew THETA] [--explain]
 //!          [--results N] [--checkpoint-dir DIR] [--checkpoint-interval N]
-//!          [--resume] [--spill-max N] [--disorder K] [--lateness B]
-//!          [--churn FILE]
+//!          [--resume] [--disorder K] [--lateness B] [--churn FILE]
 //!
-//! Without --queries, the paper's Figure 1 traffic workload (taxi/lr) or
-//! Figure 2 purchase workload (ec) is used. `--shards N` runs *any*
-//! strategy — online or two-step — on the sharded parallel runtime with N
-//! worker threads (every strategy is a columnar `BatchProcessor` the
-//! route-once runtime can host); routing overlaps execution on one
+//! Without --queries, taxi runs the paper's Figure 1 traffic workload, lr
+//! six overlapping length-4 routes over its `Seg*` types grouped by car
+//! (`WITHIN 10 s SLIDE 1 s`), and ec the Figure 2 purchase workload.
+//! `--shards N` runs *any* strategy — online or two-step — on the
+//! sharded parallel runtime with N worker threads (every strategy is a
+//! columnar `BatchProcessor` the route-once runtime can host); routing
+//! overlaps execution on one
 //! dedicated router thread. The per-scope `scan:` tallies are read after
 //! the run finishes, so they cover the whole stream at any shard count.
 //! `--skew THETA` draws the stream's group
@@ -28,9 +29,8 @@
 //! takes a consistent checkpoint every `--checkpoint-interval` ingested
 //! batches (default 64); `--resume` restarts from the latest complete
 //! checkpoint in that directory and replays the stream from the recorded
-//! offset; `--spill-max N` pages cold groups to disk, keeping at most N
-//! groups resident per engine. The `SHARON_CHECKPOINT=<dir>[:<interval>]`
-//! and `SHARON_FAULT=<drop@N|panic@N:S|abort@N|reorder@N:K>` environment
+//! offset. The `SHARON_CHECKPOINT=<dir>[:<interval>]` and
+//! `SHARON_FAULT=<drop@N|panic@N:S|abort@N|reorder@N:K>` environment
 //! knobs are honored too (unparsable values are fatal, never ignored).
 //! A durability knob without `--shards`, or on a two-step baseline, is
 //! refused with the builder's error.
@@ -64,9 +64,12 @@
 //! checkpoint/fault/resume; `--shards 0` is promoted to one shard.
 //! ```
 
-use sharon::executor::{CheckpointConfig, ShardedOptions, SpillConfig};
+use sharon::executor::{CheckpointConfig, ShardedOptions};
 use sharon::prelude::*;
-use sharon::streams::workload::{figure_1_workload, figure_2_workload, measured_rates_batch};
+use sharon::streams::workload::{
+    figure_1_workload, figure_2_workload, measured_rates_batch, overlapping_workload,
+    WorkloadConfig,
+};
 use sharon::streams::{ecommerce, linear_road, taxi};
 use sharon::Strategy;
 use std::time::Instant;
@@ -83,7 +86,6 @@ struct Args {
     checkpoint_dir: Option<String>,
     checkpoint_interval: Option<u64>,
     resume: bool,
-    spill_max: Option<usize>,
     disorder: Option<u32>,
     lateness: Option<u64>,
     churn: Option<String>,
@@ -102,7 +104,6 @@ fn parse_args() -> Result<Args, String> {
         checkpoint_dir: None,
         checkpoint_interval: None,
         resume: false,
-        spill_max: None,
         disorder: None,
         lateness: None,
         churn: None,
@@ -157,13 +158,6 @@ fn parse_args() -> Result<Args, String> {
                 args.checkpoint_interval = Some(n);
             }
             "--resume" => args.resume = true,
-            "--spill-max" => {
-                args.spill_max = Some(
-                    value("--spill-max")?
-                        .parse()
-                        .map_err(|e| format!("--spill-max: {e}"))?,
-                )
-            }
             "--disorder" => {
                 args.disorder = Some(
                     value("--disorder")?
@@ -187,8 +181,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20        [--strategy sharon|greedy|aseq|flink|spass] [--shards N]\n\
                      \x20        [--skew THETA] [--explain]\n\
                      \x20        [--results N] [--checkpoint-dir DIR] [--checkpoint-interval N]\n\
-                     \x20        [--resume] [--spill-max N] [--disorder K] [--lateness B]\n\
-                     \x20        [--churn FILE]"
+                     \x20        [--resume] [--disorder K] [--lateness B] [--churn FILE]"
                 );
                 std::process::exit(0);
             }
@@ -296,6 +289,7 @@ fn main() {
             }
         }
         None if args.stream == "ec" => figure_2_workload(&mut catalog),
+        None if args.stream == "lr" => lr_workload(&mut catalog),
         None => figure_1_workload(&mut catalog),
     };
     eprintln!("workload: {} queries", workload.len());
@@ -320,16 +314,6 @@ fn main() {
             }
         }
     }
-    if let Some(max_resident) = args.spill_max {
-        // spill logs are run-scoped scratch: co-locate them with the
-        // checkpoint store when one exists, under the temp dir otherwise
-        let dir = match &options.checkpoint {
-            Some(cfg) => cfg.dir.join("spill"),
-            None => std::env::temp_dir().join(format!("sharon-spill-{}", std::process::id())),
-        };
-        options.spill = Some(SpillConfig::new(dir, max_resident));
-    }
-    let durability = options.checkpoint.is_some() || options.spill.is_some();
     if args.resume && options.checkpoint.is_none() {
         eprintln!("error: --resume needs --checkpoint-dir (or SHARON_CHECKPOINT)");
         std::process::exit(2);
@@ -375,9 +359,6 @@ fn main() {
         .batch_size(options.batch_size);
     if let Some(ck) = options.checkpoint.clone() {
         builder = builder.checkpoint(ck);
-    }
-    if let Some(sp) = options.spill.clone() {
-        builder = builder.spill(sp);
     }
     if let Some(fault) = options.fault {
         builder = builder.fault(fault);
@@ -465,12 +446,10 @@ fn main() {
     let run_time = t1.elapsed();
     let processed = events.len() - offset;
     let throughput = processed as f64 / run_time.as_secs_f64().max(1e-12);
-    if durability {
+    if options.checkpoint.is_some() {
         eprintln!(
-            "durability: {} checkpoint(s) written, {} group spill(s), {} reload(s)",
-            sharon::metrics::checkpoints_written(),
-            sharon::metrics::group_spills(),
-            sharon::metrics::group_reloads()
+            "durability: {} checkpoint(s) written",
+            sharon::metrics::checkpoints_written()
         );
     }
     if lateness.is_some() {
@@ -519,6 +498,24 @@ fn main() {
             println!("      group={group} window@{window}: {value}");
         }
     }
+}
+
+/// The LR default workload: six overlapping length-4 routes over the
+/// stream's own `Seg*` types, grouped by car (seed 1 draws six distinct
+/// routes, starting at `Seg5` to `Seg9` and `Seg11`).
+fn lr_workload(catalog: &mut Catalog) -> Workload {
+    let n_segments = linear_road::LinearRoadConfig::default().n_segments;
+    overlapping_workload(
+        catalog,
+        &WorkloadConfig {
+            n_queries: 6,
+            pattern_len: 4,
+            alphabet: (0..n_segments).map(|i| format!("Seg{i}")).collect(),
+            window: WindowSpec::new(TimeDelta::from_secs(10), TimeDelta::from_secs(1)),
+            group_by: Some("car".into()),
+            seed: 1,
+        },
+    )
 }
 
 /// One scripted workload mutation, applied once the stream has been fed
@@ -629,13 +626,10 @@ fn run_churn(
     };
 
     let shards = shards.max(1);
-    let mut builder = SharonBuilder::new(catalog, workload, rates)
+    let builder = SharonBuilder::new(catalog, workload, rates)
         .strategy(args.strategy)
         .shards(shards)
         .batch_size(options.batch_size);
-    if let Some(sp) = options.spill.clone() {
-        builder = builder.spill(sp);
-    }
     let mut session = match builder.session(SessionConfig::default()) {
         Ok(s) => s,
         Err(e) => {

@@ -1,7 +1,7 @@
 //! Fluent construction of every Sharon runtime shape.
 //!
 //! [`SharonBuilder`] is the one way to build: a single chain that scales
-//! from "defaults, sequential" to "sharded, checkpointed, spilling,
+//! from "defaults, sequential" to "sharded, checkpointed,
 //! fault-injected":
 //!
 //! ```
@@ -32,7 +32,7 @@ use crate::session::{SessionConfig, SharonSession};
 use crate::strategy::{build_sharded_any, strategy_plan, AnyExecutor, Strategy};
 use sharon_executor::{
     CheckpointConfig, CheckpointError, CompileError, Executor, FaultPlan, RuntimeOptions,
-    ShardedExecutor, ShardedOptions, SpillConfig,
+    ShardedExecutor, ShardedOptions,
 };
 use sharon_optimizer::{OptimizeOutcome, OptimizerConfig, RateMap};
 use sharon_query::Workload;
@@ -121,13 +121,6 @@ impl<'a> SharonBuilder<'a> {
         self
     }
 
-    /// Spill cold group state to disk beyond a budget (sharded online
-    /// strategies only; see [`SpillConfig`]).
-    pub fn spill(mut self, config: SpillConfig) -> Self {
-        self.options.spill = Some(config);
-        self
-    }
-
     /// Apply every knob parsed from the `SHARON_*` environment surface
     /// (see [`RuntimeOptions`]): shard count, lateness,
     /// checkpoint spec, and fault plan, each only when set.
@@ -150,7 +143,7 @@ impl<'a> SharonBuilder<'a> {
     /// Build the executor and the optimizer outcome (when an optimizer
     /// runs for the chosen strategy).
     ///
-    /// A durability option (checkpoint / spill / fault) with `shards(0)`
+    /// A durability option (checkpoint / fault) with `shards(0)`
     /// is [`CompileError::ShardsRequired`] — the durability tier lives in
     /// the sharded runtime only — and one on a two-step baseline is
     /// [`CompileError::UnsupportedOption`].

@@ -62,7 +62,7 @@ pub mod strategy;
 pub use builder::SharonBuilder;
 pub use framework::SharonFramework;
 pub use session::{QueryHandle, SessionConfig, SharonSession};
-pub use strategy::{build_executor, executor_for_plan, run_strategy, AnyExecutor, Strategy};
+pub use strategy::{build_executor, run_strategy, AnyExecutor, Strategy};
 
 // Re-export the component crates under stable names.
 pub use sharon_executor as executor;

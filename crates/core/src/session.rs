@@ -219,9 +219,7 @@ impl Tracker {
 /// always runs the sharded runtime for its shared plan and accepts only
 /// the online strategies (Sharon / Greedy / A-Seq); checkpoint, fault,
 /// and lateness options are rejected for now (they do not yet compose
-/// with plan hot-swaps), and the spill tier applies to the shared plan
-/// only (sidecars are short-lived by design). Both refusals are
-/// [`CompileError::UnsupportedOption`].
+/// with plan hot-swaps) as [`CompileError::UnsupportedOption`].
 ///
 /// Input must be time-ordered, like every Sharon ingest path. All event
 /// types must be registered in the catalog before the session starts —

@@ -166,16 +166,6 @@ pub fn run_strategy(
     Ok(ex.finish())
 }
 
-/// Build an online executor for an explicit, externally produced plan
-/// (used by dynamic plan migration and the Figure 16 bench).
-pub fn executor_for_plan(
-    catalog: &Catalog,
-    workload: &Workload,
-    plan: &SharingPlan,
-) -> Result<Executor, CompileError> {
-    Executor::new(catalog, workload, plan)
-}
-
 /// The sharing plan a strategy executes under (and the optimizer outcome
 /// that produced it, when an optimizer runs): the single source of truth
 /// shared by the build and resume paths, so a resumed run always compiles
@@ -200,8 +190,8 @@ pub(crate) fn strategy_plan(
 }
 
 /// Build a sharded parallel executor under `strategy` with the full
-/// durability-capable option set (spill tier, periodic checkpoints, fault
-/// injection — see [`ShardedOptions`]). The single sharded construction
+/// durability-capable option set (periodic checkpoints, fault injection —
+/// see [`ShardedOptions`]). The single sharded construction
 /// path behind [`crate::SharonBuilder`].
 ///
 /// Every strategy shards: the online engines run one [`Executor`] over
@@ -212,7 +202,7 @@ pub(crate) fn strategy_plan(
 /// apples-to-apples columnar at any shard count.
 ///
 /// Only the online strategies (Sharon / Greedy / A-Seq) host the
-/// durability tier; checkpoint, spill, or fault options with a two-step
+/// durability tier; checkpoint or fault options with a two-step
 /// baseline are [`CompileError::UnsupportedOption`] — the baselines'
 /// processors cannot serialize their state, and silently running without
 /// durability would be worse.

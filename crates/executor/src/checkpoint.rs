@@ -20,11 +20,11 @@
 //! (the router's event-time frontier) and a `(length, digest)` pair per
 //! shard segment. A shard segment is written by its worker: the count of
 //! engine images, each engine image in partition order (kernel tag, last
-//! row time, matched count, result log, then its groups — spilled ones
-//! embedded verbatim), then the worker's one gate block: a present flag
-//! and, when set, the gate's state (its bytes unchanged since v6: the
-//! lateness, frontier, watermark, admission counter, late-drop count and
-//! the rows still waiting, each tagged with its engine's index).
+//! row time, matched count, result log, then its groups, each a key and
+//! a length-prefixed block), then the worker's one gate block: a present
+//! flag and, when set, the gate's state (its bytes unchanged since v6:
+//! the lateness, frontier, watermark, admission counter, late-drop count
+//! and the rows still waiting, each tagged with its engine's index).
 
 use sharon_types::{GroupKey, Timestamp, Value};
 use std::fmt;

@@ -21,6 +21,7 @@ use crate::scan::ScanKernel;
 use sharon_query::{clause_passes, CmpOp, Query, QueryId, SegmentKind, SharingPlan, Workload};
 use sharon_types::{AttrId, Catalog, EventTypeId, FxHashMap, GroupKey, Value, WindowSpec};
 use std::fmt;
+use std::path::PathBuf;
 
 /// Errors raised while compiling a workload and plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,18 +60,18 @@ pub enum CompileError {
     },
     /// The workload is empty.
     EmptyWorkload,
-    /// A durability option (checkpoint, spill, fault) was set on a build
-    /// that runs the sequential engine: the durability tier lives in the
+    /// A durability option (checkpoint, fault) was set on a build that
+    /// runs the sequential engine: the durability tier lives in the
     /// sharded runtime only.
     ShardsRequired {
-        /// The option that was set (`checkpoint`, `spill` or `fault`).
+        /// The option that was set (`checkpoint` or `fault`).
         option: &'static str,
         /// Display name of the strategy being built.
         strategy: &'static str,
     },
     /// The strategy cannot honour a runtime option (the two-step
     /// baselines cannot serialize their state, so they host no
-    /// checkpoint, spill or fault injection, nor a live session; a
+    /// checkpoint or fault injection, nor a live session; a
     /// session hosts no checkpoint, fault or lateness option).
     UnsupportedOption {
         /// The option that was set.
@@ -82,6 +83,13 @@ pub enum CompileError {
     ZeroShards {
         /// Display name of the strategy being built.
         strategy: &'static str,
+    },
+    /// The checkpoint directory could not be opened or created.
+    CheckpointDir {
+        /// The configured directory.
+        dir: PathBuf,
+        /// The filesystem error.
+        reason: String,
     },
 }
 
@@ -112,6 +120,9 @@ impl fmt::Display for CompileError {
             }
             CompileError::ZeroShards { strategy } => {
                 write!(f, "{strategy}: the sharded runtime needs at least one shard")
+            }
+            CompileError::CheckpointDir { dir, reason } => {
+                write!(f, "cannot open checkpoint directory {}: {reason}", dir.display())
             }
         }
     }

@@ -101,8 +101,8 @@ impl RuntimeOptions {
     }
 
     /// Lower these options onto a [`ShardedOptions`] for the sharded
-    /// runtime (batch size and spill stay at their defaults — they have
-    /// no env knobs).
+    /// runtime (the batch size stays at its default — it has no env
+    /// knob).
     pub fn sharded_options(&self) -> ShardedOptions {
         ShardedOptions {
             checkpoint: self.checkpoint.clone(),

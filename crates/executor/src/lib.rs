@@ -35,7 +35,6 @@ pub mod router;
 pub mod runner;
 pub mod scan;
 pub mod sharded;
-pub mod spill;
 pub mod spsc;
 pub mod winvec;
 
@@ -56,5 +55,4 @@ pub use router::{BatchRouter, RouteBatch, RoutedRows, RowFilter};
 pub use runner::SegmentRunner;
 pub use scan::{ScanCounters, ScanKernel, TypePass};
 pub use sharded::{ShardProcessor, ShardedExecutor, ShardedOptions, DEFAULT_BATCH_SIZE};
-pub use spill::SpillConfig;
 pub use winvec::{WinVec, WindowPlane};

@@ -165,8 +165,8 @@ impl Segment {
 #[derive(Debug, Clone)]
 struct Index {
     /// Group key → canonical group id (the first table slot holding the
-    /// key; the table may hold a key twice, e.g. after a spilled group
-    /// was paged back in).
+    /// key; the table may hold a key twice, e.g. after a group restored
+    /// from a checkpoint interned again).
     gid_of: FxHashMap<GroupKey, u32>,
     /// `(query, canonical group id, window)` → row number.
     row_of: FxHashMap<(u32, u32, Timestamp), usize>,

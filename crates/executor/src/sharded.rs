@@ -103,7 +103,6 @@ use crate::processor::{BatchProcessor, RunReport};
 use crate::results::ExecutorResults;
 use crate::router::{BatchRouter, RouteBatch, RoutedRows};
 use crate::scan::ScanCounters;
-use crate::spill::SpillConfig;
 use crate::spsc;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{Catalog, EventBatch};
@@ -354,18 +353,14 @@ impl RouterThread {
 
 /// Every tuning and durability knob of the sharded runtime in one place;
 /// every [`ShardedExecutor`] constructor takes it whole.
-/// [`ShardedOptions::default`] is the plain runtime (no spill, no
-/// checkpoints, no faults, arrival order); the `SHARON_*` environment
-/// knobs reach it only through
+/// [`ShardedOptions::default`] is the plain runtime (no checkpoints, no
+/// faults, arrival order); the `SHARON_*` environment knobs reach it only
+/// through
 /// [`RuntimeOptions::sharded_options`](crate::config::RuntimeOptions::sharded_options).
 #[derive(Debug, Clone)]
 pub struct ShardedOptions {
     /// Events buffered before a batch is routed ([`DEFAULT_BATCH_SIZE`]).
     pub batch_size: usize,
-    /// When set, every engine pages cold groups out to a spill log under
-    /// this configuration — bounded memory for huge `GROUP BY`
-    /// cardinalities (see [`SpillConfig`]).
-    pub spill: Option<SpillConfig>,
     /// When set, take a consistent checkpoint every
     /// `interval_batches` ingested batches into this store.
     pub checkpoint: Option<CheckpointConfig>,
@@ -386,7 +381,6 @@ impl Default for ShardedOptions {
     fn default() -> Self {
         ShardedOptions {
             batch_size: DEFAULT_BATCH_SIZE,
-            spill: None,
             checkpoint: None,
             fault: None,
             lateness: None,
@@ -395,20 +389,30 @@ impl Default for ShardedOptions {
 }
 
 impl ShardedOptions {
-    /// The first durability option that is set (`checkpoint`, `spill`,
-    /// `fault`), by name — what a build without the durability tier
-    /// must refuse.
+    /// The first durability option that is set (`checkpoint`, `fault`),
+    /// by name — what a build without the durability tier must refuse.
     pub fn durability_option(&self) -> Option<&'static str> {
         if self.checkpoint.is_some() {
             Some("checkpoint")
-        } else if self.spill.is_some() {
-            Some("spill")
         } else if self.fault.is_some() {
             Some("fault")
         } else {
             None
         }
     }
+}
+
+/// Open the checkpoint store `options` names, if any.
+fn open_store(options: &ShardedOptions) -> Result<Option<CheckpointStore>, CompileError> {
+    let Some(cfg) = &options.checkpoint else {
+        return Ok(None);
+    };
+    CheckpointStore::open(&cfg.dir)
+        .map(Some)
+        .map_err(|e| CompileError::CheckpointDir {
+            dir: cfg.dir.clone(),
+            reason: e.to_string(),
+        })
 }
 
 /// The ingest side's periodic-checkpoint state.
@@ -420,12 +424,10 @@ struct Checkpointer {
 /// Build the online shard workers for `parts`: one [`Executor`] per
 /// shard, holding one [`EngineKind`] per compiled partition restricted to
 /// the shard's [`ShardSlice`] and one event-time gate when a lateness is
-/// set, with the spill tier armed when configured. A worker selects
-/// nothing itself, so its front end is empty.
+/// set. A worker selects nothing itself, so its front end is empty.
 fn engine_shards(
     parts: &[CompiledPartition],
     n_shards: usize,
-    spill: Option<&SpillConfig>,
     lateness: Option<u64>,
 ) -> Vec<Box<dyn ShardProcessor>> {
     (0..n_shards)
@@ -439,13 +441,7 @@ fn engine_shards(
                         of: n_shards as u32,
                         owns_global: pi % n_shards == shard,
                     };
-                    let mut engine = EngineKind::for_partition(part.clone(), Some(slice));
-                    if let Some(cfg) = spill {
-                        engine
-                            .set_spill(cfg, &format!("{shard}-{pi}"))
-                            .unwrap_or_else(|e| panic!("spill tier init failed: {e}"));
-                    }
-                    engine
+                    EngineKind::for_partition(part.clone(), Some(slice))
                 })
                 .collect();
             let mut worker = Executor::from_parts(engines, ScanFront::new(Vec::new()));
@@ -539,9 +535,10 @@ pub struct ShardedExecutor {
 
 impl ShardedExecutor {
     /// Compile `workload` under `plan` and spawn `n_shards` online engine
-    /// shards configured by `options` (batching,
-    /// spill tier, checkpoints, fault injection, lateness). Zero shards is
-    /// [`CompileError::ZeroShards`].
+    /// shards configured by `options` (batching, checkpoints, fault
+    /// injection, lateness). Zero shards is [`CompileError::ZeroShards`],
+    /// and a checkpoint directory that cannot be opened is
+    /// [`CompileError::CheckpointDir`].
     pub fn with_options(
         catalog: &Catalog,
         workload: &Workload,
@@ -555,9 +552,10 @@ impl ShardedExecutor {
             });
         }
         let parts = compile(catalog, workload, plan)?;
-        let shards = engine_shards(&parts, n_shards, options.spill.as_ref(), options.lateness);
+        let store = open_store(&options)?;
+        let shards = engine_shards(&parts, n_shards, options.lateness);
         let router = Box::new(BatchRouter::new(parts, n_shards));
-        Ok(Self::build_with(router, shards, &options, 0))
+        Ok(Self::build_with(router, shards, &options, store, 0))
     }
 
     /// Rebuild the runtime from the **latest complete checkpoint** in
@@ -588,7 +586,7 @@ impl ShardedExecutor {
         }
         let parts = compile(catalog, workload, plan)
             .map_err(|e| CheckpointError::Mismatch(format!("workload does not compile: {e}")))?;
-        let mut shards = engine_shards(&parts, n_shards, options.spill.as_ref(), options.lateness);
+        let mut shards = engine_shards(&parts, n_shards, options.lateness);
         let mut router = Box::new(BatchRouter::new(parts, n_shards));
         let mut r = StateReader::new(&data.router);
         router.load_state(&mut r)?;
@@ -603,7 +601,10 @@ impl ShardedExecutor {
                 .map_err(|e| CheckpointError::Corrupt(format!("shard {shard} state: {e}")))?;
         }
         let offset = data.events_sent;
-        Ok((Self::build_with(router, shards, &options, offset), offset))
+        Ok((
+            Self::build_with(router, shards, &options, Some(store), offset),
+            offset,
+        ))
     }
 
     /// Host any strategy: a pre-built [`RouteBatch`] plus one processor
@@ -611,24 +612,28 @@ impl ShardedExecutor {
     /// router's shard assignment must agree with how the processors
     /// partition their group state; both sides deriving from the same
     /// [`crate::RowFilter`] scopes guarantees that. The engine-side
-    /// options (`spill`, `lateness`) are the processors' business. Panics
-    /// on an empty shard set, or when router and processors disagree on
-    /// the shard count.
+    /// option (`lateness`) is the processors' business. A checkpoint
+    /// directory that cannot be opened is [`CompileError::CheckpointDir`].
+    /// Panics on an empty shard set, or when router and processors
+    /// disagree on the shard count.
     pub fn from_parts(
         router: Box<dyn RouteBatch>,
         shards: Vec<Box<dyn ShardProcessor>>,
         options: &ShardedOptions,
-    ) -> Self {
-        Self::build_with(router, shards, options, 0)
+    ) -> Result<Self, CompileError> {
+        let store = open_store(options)?;
+        Ok(Self::build_with(router, shards, options, store, 0))
     }
 
-    /// Spawn the worker and router threads around `router` + `shards`.
+    /// Spawn the worker and router threads around `router` + `shards`,
+    /// checkpointing into `store` (opened from `options.checkpoint`).
     /// `events_sent` seeds the ingest counter — zero for fresh runs, the
     /// checkpoint's replay offset for resumed ones.
     fn build_with(
         router: Box<dyn RouteBatch>,
         shards: Vec<Box<dyn ShardProcessor>>,
         options: &ShardedOptions,
+        store: Option<CheckpointStore>,
         events_sent: u64,
     ) -> Self {
         let n_shards = shards.len();
@@ -643,11 +648,13 @@ impl ShardedExecutor {
         // selectivity stays reportable through the shared counters
         let scan_counters = router.scan_counters();
         let cancel = Arc::new(AtomicBool::new(false));
-        let checkpointer = options.checkpoint.as_ref().map(|cfg| Checkpointer {
-            store: CheckpointStore::open(&cfg.dir)
-                .unwrap_or_else(|e| panic!("checkpoint store {}: {e}", cfg.dir.display())),
-            interval_batches: cfg.interval_batches.max(1),
-        });
+        let checkpointer =
+            store
+                .zip(options.checkpoint.as_ref())
+                .map(|(store, cfg)| Checkpointer {
+                    store,
+                    interval_batches: cfg.interval_batches.max(1),
+                });
 
         // one lane (worker ring + return ring) per worker
         let mut channels = Vec::with_capacity(n_shards);
@@ -1450,32 +1457,24 @@ mod tests {
     }
 
     #[test]
-    fn spill_tier_keeps_sharded_results_exact() {
+    fn an_unusable_checkpoint_dir_is_an_error_naming_it() {
         let (c, w) = grouped_workload();
-        let events = stream(&c, 3000, 53);
-        let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_columnar(&EventBatch::from_events(&events));
-        let want = sequential.finish();
-
-        let dir = test_dir("spill");
-        let plan = SharingPlan::non_shared();
+        // a directory cannot be created under a regular file
+        let file = test_dir("not-a-dir");
+        std::fs::write(&file, b"").unwrap();
+        let dir = file.join("ck");
         let options = ShardedOptions {
-            batch_size: 128,
-            spill: Some(SpillConfig::new(&dir, 8)),
+            checkpoint: Some(CheckpointConfig::every(&dir, 8)),
             ..ShardedOptions::default()
         };
-        let spills_before = sharon_metrics::group_spills();
-        let mut sharded = ShardedExecutor::with_options(&c, &w, &plan, 2, options).unwrap();
-        sharded.process_columnar(&EventBatch::from_events(&events));
-        let got = sharded.finish();
+        let err = ShardedExecutor::with_options(&c, &w, &SharingPlan::non_shared(), 2, options)
+            .err()
+            .expect("an unusable checkpoint directory must fail the build");
         assert!(
-            got.semantically_eq(&want, 1e-9),
-            "spilled run diverges from sequential"
+            matches!(&err, CompileError::CheckpointDir { dir: d, .. } if *d == dir),
+            "expected CheckpointDir, got {err:?}"
         );
-        assert!(
-            sharon_metrics::group_spills() > spills_before,
-            "cold groups actually paged out"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(err.to_string().contains(&dir.display().to_string()));
+        let _ = std::fs::remove_file(&file);
     }
 }

@@ -117,34 +117,6 @@ pub fn checkpoints_written() -> u64 {
     CHECKPOINTS_WRITTEN.load(Ordering::Relaxed)
 }
 
-/// Total group-state spills: cold groups paged out to a spill log.
-static GROUP_SPILLS: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` group spills (called by the engines' spill tier).
-#[inline]
-pub fn record_group_spills(n: u64) {
-    GROUP_SPILLS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total group spills recorded so far in this process.
-pub fn group_spills() -> u64 {
-    GROUP_SPILLS.load(Ordering::Relaxed)
-}
-
-/// Total group-state reloads: spilled groups paged back in on access.
-static GROUP_RELOADS: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` group reloads (called by the engines' spill tier).
-#[inline]
-pub fn record_group_reloads(n: u64) {
-    GROUP_RELOADS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total group reloads recorded so far in this process.
-pub fn group_reloads() -> u64 {
-    GROUP_RELOADS.load(Ordering::Relaxed)
-}
-
 /// Total late rows dropped: rows whose event time had already been passed
 /// by the watermark (`max_time_seen − lateness`) when they arrived.
 static LATE_ROWS_DROPPED: AtomicU64 = AtomicU64::new(0);
@@ -307,12 +279,8 @@ mod tests {
 
     #[test]
     fn durability_counters_accumulate() {
-        let (c0, s0, r0) = (checkpoints_written(), group_spills(), group_reloads());
+        let c0 = checkpoints_written();
         record_checkpoints_written(1);
-        record_group_spills(2);
-        record_group_reloads(3);
         assert!(checkpoints_written() > c0);
-        assert!(group_spills() >= s0 + 2);
-        assert!(group_reloads() >= r0 + 3);
     }
 }

@@ -587,7 +587,7 @@ pub(crate) fn sharded<F: Family>(
         .into_iter()
         .map(|shard| Box::new(shard) as Box<dyn ShardProcessor>)
         .collect();
-    Ok(ShardedExecutor::from_parts(router, shards, options))
+    ShardedExecutor::from_parts(router, shards, options)
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@
 //! cargo run --release --example dynamic_workload
 //! ```
 
-use sharon::executor_for_plan;
 use sharon::optimizer::{DynamicPlanManager, PlanDecision};
 use sharon::prelude::*;
 
@@ -37,7 +36,7 @@ fn main() {
     }
 
     let mut manager = DynamicPlanManager::new(TimeDelta::from_secs(2), 0.05, cfg, &initial);
-    let mut executor = executor_for_plan(&catalog, &workload, &initial.plan).expect("compiles");
+    let mut executor = Executor::new(&catalog, &workload, &initial.plan).expect("compiles");
     let mut results = ExecutorResultsAccumulator::new();
 
     let names_phase1 = ["A", "B", "C", "D", "X"];
@@ -79,7 +78,7 @@ fn main() {
                 // results are lost or corrupted" (§7.4)
                 let old = std::mem::replace(
                     &mut executor,
-                    executor_for_plan(&catalog, &workload, &outcome.plan).expect("compiles"),
+                    Executor::new(&catalog, &workload, &outcome.plan).expect("compiles"),
                 );
                 results.merge(old.finish());
             }

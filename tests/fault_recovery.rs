@@ -4,17 +4,17 @@
 //! the returned offset reproduces the uninterrupted run **exactly** — on
 //! all three paper streams (TX, LR, EC), across shard counts, at a
 //! *randomized* crash batch (seed printed,
-//! `SHARON_FAULT_SEED` pins it). Also covered: the LRU spill tier is
-//! result-exact under memory pressure, worker panics are contained and
-//! reported (never a hang, never silent partial results), and the
-//! strategy layer's build/resume pair round-trips through the optimizer.
+//! `SHARON_FAULT_SEED` pins it). Also covered: worker panics are
+//! contained and reported (never a hang, never silent partial results),
+//! and the strategy layer's build/resume pair round-trips through the
+//! optimizer.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use sharon::executor::{
-    CheckpointConfig, CheckpointError, CheckpointStore, FaultPlan, ShardedOptions, SpillConfig,
+    CheckpointConfig, CheckpointError, CheckpointStore, FaultPlan, ShardedOptions,
 };
 use sharon::prelude::*;
 use sharon::streams::ecommerce::{self, EcommerceConfig};
@@ -36,7 +36,7 @@ const INTERVAL: u64 = 4;
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
-/// A fresh scratch directory per checkpoint/spill store — unique across
+/// A fresh scratch directory per checkpoint store — unique across
 /// concurrently running test binaries and within this one.
 fn test_dir(tag: &str) -> PathBuf {
     let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -134,7 +134,6 @@ fn assert_kill_and_resume_is_exact(
             lateness,
             checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
             fault: Some(FaultPlan::Drop { batch: crash_batch }),
-            ..ShardedOptions::default()
         };
 
         let mut crashing =
@@ -518,7 +517,6 @@ fn gated_kill_and_resume_over_two_partitions() {
                 lateness: Some(lateness),
                 checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
                 fault: Some(FaultPlan::Drop { batch: crash_batch }),
-                ..ShardedOptions::default()
             };
             let mut crashing =
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
@@ -819,119 +817,4 @@ fn worker_panic_is_contained_and_reported() {
              must name the failed worker, got: {msg:?}"
         );
     }
-}
-
-/// The LRU spill tier pages cold groups to disk under a tiny residency
-/// budget and the results stay exact — and the spill/reload counters
-/// prove it actually paged.
-#[test]
-fn spill_tier_is_result_exact_under_memory_pressure() {
-    let mut catalog = Catalog::new();
-    let events = taxi::generate(&mut catalog, &TaxiConfig::high_cardinality(6000, 500));
-    let workload = figure_1_workload(&mut catalog);
-    let plan = sharon_plan(&workload);
-    let want = sequential_reference(&catalog, &workload, &plan, &events);
-
-    for shards in support::shard_counts(&[1, 2]) {
-        let dir = test_dir("spill");
-        let spills_before = sharon::metrics::group_spills();
-        let options = ShardedOptions {
-            batch_size: BATCH,
-            spill: Some(SpillConfig::new(&dir, 8)),
-            ..ShardedOptions::default()
-        };
-        let mut sharded =
-            ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
-                .expect("sharded compiles");
-        sharded.process_columnar(&EventBatch::from_events(&events));
-        let got = sharded.finish();
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{shards} shards: spill tier changed results \
-             ({} vs {} results)",
-            got.len(),
-            want.len(),
-        );
-        assert!(
-            sharon::metrics::group_spills() > spills_before,
-            "{shards} shards: 500 groups under an \
-             8-resident budget must spill"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-/// Large-scale spill stress: ten million distinct groups through a
-/// 65 536-resident budget stay result-exact (each group's tumbling-window
-/// count is analytically 1, so the ground truth needs no second run).
-/// Run explicitly — it writes and re-reads millions of spill records:
-/// `cargo test -p sharon --test fault_recovery -- --ignored`.
-#[test]
-#[ignore = "multi-minute spill stress; run with -- --ignored"]
-fn spill_tier_holds_ten_million_groups() {
-    const N_GROUPS: u64 = 10_000_000;
-    const CHUNK: u64 = 8192;
-
-    let mut catalog = Catalog::new();
-    for n in ["A", "B"] {
-        catalog.register_with_schema(n, Schema::new(["g"]));
-    }
-    let workload = parse_workload(
-        &mut catalog,
-        ["RETURN COUNT(*) PATTERN SEQ(A, B) GROUP BY g WITHIN 2 ms SLIDE 2 ms"],
-    )
-    .unwrap();
-    let (a, b) = (catalog.lookup("A").unwrap(), catalog.lookup("B").unwrap());
-
-    let dir = test_dir("spill-10m");
-    let options = ShardedOptions {
-        spill: Some(SpillConfig::new(&dir, 1 << 16)),
-        ..ShardedOptions::default()
-    };
-    let mut sharded =
-        ShardedExecutor::with_options(&catalog, &workload, &SharingPlan::non_shared(), 2, options)
-            .expect("sharded compiles");
-
-    // group i contributes A@2i then B@2i+1 — both inside tumbling window
-    // [2i, 2i+2), so every group's COUNT is exactly 1. Stream in chunks:
-    // the full event vector would dwarf the memory the spill tier saves.
-    let mut g = 0u64;
-    while g < N_GROUPS {
-        let hi = (g + CHUNK).min(N_GROUPS);
-        let mut chunk: Vec<Event> = Vec::with_capacity(((hi - g) * 2) as usize);
-        for i in g..hi {
-            chunk.push(Event::with_attrs(
-                a,
-                Timestamp(2 * i),
-                vec![Value::Int(i as i64)],
-            ));
-            chunk.push(Event::with_attrs(
-                b,
-                Timestamp(2 * i + 1),
-                vec![Value::Int(i as i64)],
-            ));
-        }
-        let batch = EventBatch::from_events(&chunk);
-        sharded.process_columnar(&batch);
-        g = hi;
-    }
-
-    let spilled = sharon::metrics::group_spills();
-    let results = sharded.finish();
-    assert!(
-        spilled > 0,
-        "ten million groups through a 2^16-resident budget must spill"
-    );
-    assert_eq!(
-        results.len() as u64,
-        N_GROUPS,
-        "one (group, window) result row per group"
-    );
-    let q = workload.ids().next().expect("one query");
-    assert_eq!(
-        results.total_count(q),
-        u128::from(N_GROUPS),
-        "every group's tumbling-window count is exactly 1"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
