@@ -714,6 +714,8 @@ fn run_churn(
     feed_to(&mut session, &mut pos, total);
 
     let handles = session.handle_count();
+    let attaches = handles as usize - workload.len();
+    let detaches = handles as usize - session.attached_count();
     let (reopts, swaps) = (session.reoptimizations(), session.plan_swaps());
     let results = session.finish();
     let run_time = t1.elapsed();
@@ -728,8 +730,8 @@ fn run_churn(
     );
     println!(
         "churn: {} attach(es), {} detach(es), {} re-optimization(s), {} plan swap(s), {} window(s) lost",
-        sharon::metrics::queries_attached(),
-        sharon::metrics::queries_detached(),
+        attaches,
+        detaches,
         reopts,
         swaps,
         sharon::metrics::swap_windows_lost()

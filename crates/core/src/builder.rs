@@ -31,8 +31,8 @@ use crate::framework::SharonFramework;
 use crate::session::{SessionConfig, SharonSession};
 use crate::strategy::{build_sharded_any, strategy_plan, AnyExecutor, Strategy};
 use sharon_executor::{
-    CheckpointConfig, CheckpointError, CompileError, Executor, FaultPlan, RuntimeOptions,
-    ShardedExecutor, ShardedOptions,
+    CheckpointConfig, CheckpointError, CompileError, Executor, FaultPlan, ShardedExecutor,
+    ShardedOptions,
 };
 use sharon_optimizer::{OptimizeOutcome, OptimizerConfig, RateMap};
 use sharon_query::Workload;
@@ -118,25 +118,6 @@ impl<'a> SharonBuilder<'a> {
     /// [`FaultPlan`]).
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.options.fault = Some(plan);
-        self
-    }
-
-    /// Apply every knob parsed from the `SHARON_*` environment surface
-    /// (see [`RuntimeOptions`]): shard count, lateness,
-    /// checkpoint spec, and fault plan, each only when set.
-    pub fn runtime_options(mut self, opts: &RuntimeOptions) -> Self {
-        if let Some(n) = opts.shards {
-            self.shards = n;
-        }
-        if let Some(ms) = opts.lateness {
-            self.options.lateness = Some(ms);
-        }
-        if let Some(ck) = &opts.checkpoint {
-            self.options.checkpoint = Some(ck.clone());
-        }
-        if let Some(fault) = opts.fault {
-            self.options.fault = Some(fault);
-        }
         self
     }
 

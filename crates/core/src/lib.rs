@@ -52,6 +52,7 @@
 //! | [`sharon_streams`] | TX / LR / EC stream + workload generators |
 //! | [`sharon_metrics`] | peak-memory allocator, latency/throughput tables |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;
@@ -62,7 +63,7 @@ pub mod strategy;
 pub use builder::SharonBuilder;
 pub use framework::SharonFramework;
 pub use session::{QueryHandle, SessionConfig, SharonSession};
-pub use strategy::{build_executor, run_strategy, AnyExecutor, Strategy};
+pub use strategy::{AnyExecutor, Strategy};
 
 // Re-export the component crates under stable names.
 pub use sharon_executor as executor;
@@ -78,7 +79,7 @@ pub mod prelude {
     pub use crate::builder::SharonBuilder;
     pub use crate::framework::SharonFramework;
     pub use crate::session::{QueryHandle, SessionConfig, SharonSession};
-    pub use crate::strategy::{run_strategy, Strategy};
+    pub use crate::strategy::Strategy;
     pub use sharon_executor::{Executor, ExecutorResults, RuntimeOptions, ShardedExecutor};
     pub use sharon_optimizer::{
         optimize_exhaustive, optimize_greedy, optimize_sharon, OptimizerConfig, RateMap,

@@ -37,10 +37,7 @@
 
 use crate::strategy::{strategy_plan, Strategy};
 use sharon_executor::{CompileError, Executor, ExecutorResults, ShardedExecutor, ShardedOptions};
-use sharon_metrics::{
-    record_plan_reoptimizations, record_plan_swaps, record_queries_attached,
-    record_queries_detached, record_swap_windows_lost,
-};
+use sharon_metrics::record_swap_windows_lost;
 use sharon_optimizer::{DynamicPlanManager, OptimizerConfig, PlanDecision, RateEstimator, RateMap};
 use sharon_query::{Query, QueryId, QuerySig, SharingPlan, Workload};
 use sharon_types::{Catalog, EventBatch, EventTypeId, FxHashMap, TimeDelta, Timestamp};
@@ -333,7 +330,6 @@ impl SharonSession {
                 detached_at: None,
                 within,
             });
-            record_queries_attached(1);
         }
         let (wl, map) = session.rebuild();
         let (plan, outcome) =
@@ -413,7 +409,6 @@ impl SharonSession {
             detached_at: None,
             within,
         });
-        record_queries_attached(1);
         Ok(handle)
     }
 
@@ -429,7 +424,6 @@ impl SharonSession {
         slot.detached_at = Some(self.frontier.unwrap_or(Timestamp::ZERO));
         let s = slot.sig;
         self.sigs[s].refs -= 1;
-        record_queries_detached(1);
         if self.sigs[s].refs == 0 {
             if let Some(pos) = self
                 .sidecars
@@ -490,7 +484,6 @@ impl SharonSession {
         }
         if let Some(plan) = drift_plan {
             self.reopt_count += 1;
-            record_plan_reoptimizations(1);
             if self.churn == 0 {
                 // same query set: adopt the manager's re-planned graph
                 let (wl, map) = self.rebuild();
@@ -512,7 +505,6 @@ impl SharonSession {
     /// engines retire only after every window they own has closed.
     pub fn reoptimize_now(&mut self) {
         self.reopt_count += 1;
-        record_plan_reoptimizations(1);
         self.replan_and_swap();
     }
 
@@ -702,7 +694,6 @@ impl SharonSession {
         self.plan = plan;
         self.churn = 0;
         self.swap_count += 1;
-        record_plan_swaps(1);
     }
 
     /// Longest window of the sig slots hosted by an incarnation: rows up

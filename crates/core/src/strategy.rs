@@ -5,7 +5,8 @@
 //! [`BatchProcessor`], so [`AnyExecutor`] is nothing but a boxed trait
 //! object: one columnar operator pipeline drives the whole taxonomy, with
 //! no per-strategy match arms. Columnar batches are the only way in;
-//! row-form [`Event`]s are adapted with [`EventBatch::from_events`].
+//! row-form [`Event`](sharon_types::Event)s are adapted with
+//! [`EventBatch::from_events`].
 
 use sharon_executor::{
     BatchProcessor, CompileError, Executor, ExecutorResults, RunReport, ShardedExecutor,
@@ -16,7 +17,7 @@ use sharon_optimizer::{
 };
 use sharon_query::{SharingPlan, Workload};
 use sharon_twostep::{Family, FlinkLike, SpassLike, TwoStep};
-use sharon_types::{Catalog, Event, EventBatch};
+use sharon_types::{Catalog, EventBatch};
 
 /// Which event sequence aggregation approach to run (Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,42 +131,6 @@ impl<F: Family> From<TwoStep<F>> for AnyExecutor {
     }
 }
 
-/// Build the sequential executor (and optimizer outcome, when one runs)
-/// for a strategy, in arrival-order mode — shorthand for
-/// [`crate::SharonBuilder::build_executor`] with `strategy` and `config`.
-pub fn build_executor(
-    catalog: &Catalog,
-    workload: &Workload,
-    rates: &RateMap,
-    strategy: Strategy,
-    config: &OptimizerConfig,
-) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
-    crate::SharonBuilder::new(catalog, workload, rates)
-        .strategy(strategy)
-        .optimizer_config(config.clone())
-        .build_executor()
-}
-
-/// Convenience: run the time-ordered `events` under `strategy` (as one
-/// columnar batch) and return the results.
-pub fn run_strategy(
-    catalog: &Catalog,
-    workload: &Workload,
-    rates: &RateMap,
-    strategy: Strategy,
-    events: &[Event],
-) -> Result<ExecutorResults, CompileError> {
-    let (mut ex, _) = build_executor(
-        catalog,
-        workload,
-        rates,
-        strategy,
-        &OptimizerConfig::default(),
-    )?;
-    ex.process_columnar(&EventBatch::from_events(events));
-    Ok(ex.finish())
-}
-
 /// The sharing plan a strategy executes under (and the optimizer outcome
 /// that produced it, when an optimizer runs): the single source of truth
 /// shared by the build and resume paths, so a resumed run always compiles
@@ -239,6 +204,22 @@ mod tests {
     use sharon_streams::ecommerce::{generate, EcommerceConfig};
     use sharon_streams::workload::{figure_2_workload, measured_rates};
 
+    /// Run `batch` sequentially under `strategy` and return the results.
+    fn run(
+        catalog: &Catalog,
+        workload: &Workload,
+        rates: &RateMap,
+        strategy: Strategy,
+        batch: &EventBatch,
+    ) -> ExecutorResults {
+        let (mut ex, _) = crate::SharonBuilder::new(catalog, workload, rates)
+            .strategy(strategy)
+            .build_executor()
+            .unwrap();
+        ex.process_columnar(batch);
+        ex.finish()
+    }
+
     #[test]
     fn all_strategies_agree_on_results() {
         let mut catalog = Catalog::new();
@@ -254,8 +235,9 @@ mod tests {
         let workload = figure_2_workload(&mut catalog);
         let (counts, span) = measured_rates(&events);
         let rates = RateMap::from_counts(&counts, span);
+        let batch = EventBatch::from_events(&events);
 
-        let reference = run_strategy(&catalog, &workload, &rates, Strategy::ASeq, &events).unwrap();
+        let reference = run(&catalog, &workload, &rates, Strategy::ASeq, &batch);
         assert!(!reference.is_empty(), "EC stream must produce matches");
         for strategy in [
             Strategy::Sharon,
@@ -263,7 +245,7 @@ mod tests {
             Strategy::FlinkLike,
             Strategy::SpassLike,
         ] {
-            let got = run_strategy(&catalog, &workload, &rates, strategy, &events).unwrap();
+            let got = run(&catalog, &workload, &rates, strategy, &batch);
             assert!(
                 got.semantically_eq(&reference, 1e-9),
                 "{} diverges from A-Seq",
@@ -289,10 +271,10 @@ mod tests {
         let workload = figure_2_workload(&mut catalog);
         let (counts, span) = measured_rates(&events);
         let rates = RateMap::from_counts(&counts, span);
-        let batch = sharon_types::EventBatch::from_events(&events);
+        let batch = EventBatch::from_events(&events);
         let cfg = OptimizerConfig::default();
 
-        let reference = run_strategy(&catalog, &workload, &rates, Strategy::ASeq, &events).unwrap();
+        let reference = run(&catalog, &workload, &rates, Strategy::ASeq, &batch);
         for strategy in [
             Strategy::Sharon,
             Strategy::Greedy,
@@ -300,10 +282,7 @@ mod tests {
             Strategy::FlinkLike,
             Strategy::SpassLike,
         ] {
-            let (mut sequential, _) =
-                build_executor(&catalog, &workload, &rates, strategy, &cfg).unwrap();
-            sequential.process_columnar(&batch);
-            let got = sequential.finish();
+            let got = run(&catalog, &workload, &rates, strategy, &batch);
             assert!(
                 got.semantically_eq(&reference, 1e-9),
                 "{} columnar diverges",

@@ -18,6 +18,7 @@
 //! property that separates Sharon and A-Seq from the two-step approaches
 //! (Flink, SPASS; see the `sharon-twostep` crate for those baselines).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agg;
@@ -35,7 +36,6 @@ pub mod router;
 pub mod runner;
 pub mod scan;
 pub mod sharded;
-pub mod spsc;
 pub mod winvec;
 
 pub use agg::{Aggregate, Contribution, CountCell, OutputKind, StatsCell};

@@ -32,17 +32,17 @@
 //! [`crate::router::BatchRouter`]) and ships each worker the [`Arc`]-shared
 //! batch plus the row-index lists it owns. Workers consume their routed
 //! rows and never evaluate predicates or extract keys for rows they do not
-//! own. Transfers ride bounded SPSC ring buffers ([`crate::spsc`]) — one
-//! per worker, no shared channel state — giving backpressure against slow
-//! shards without cross-thread contention.
+//! own. Transfers ride bounded [`std::sync::mpsc::sync_channel`]s, one
+//! per worker (the *worker rings*); a full one blocks its sender, which is
+//! the backpressure against slow shards.
 //!
 //! # Pipelined ingest
 //!
 //! Routing is the serial stage of the runtime, so it never runs on the
 //! ingest thread: a dedicated *router thread* owns the [`RouteBatch`] and
 //! the worker rings, and the ingest thread hands it filled batches over
-//! one more bounded SPSC job ring (double-buffered — the ring itself is
-//! the backpressure): the router routes batch `k + 1` while the shard
+//! one more bounded channel, the *job ring* (double-buffered — its depth
+//! is the backpressure): the router routes batch `k + 1` while the shard
 //! workers execute batch `k` and the ingest thread buffers batch `k + 2`.
 //!
 //! There is exactly one router thread. Its per-event cost is a type pass
@@ -103,10 +103,10 @@ use crate::processor::{BatchProcessor, RunReport};
 use crate::results::ExecutorResults;
 use crate::router::{BatchRouter, RouteBatch, RoutedRows};
 use crate::scan::ScanCounters;
-use crate::spsc;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{Catalog, EventBatch};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -114,7 +114,8 @@ use std::thread::JoinHandle;
 /// out.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
-/// Bounded depth of each worker's ring buffer (backpressure).
+/// Bounded depth of each worker's channel: a router `send` into a full
+/// one blocks until the worker catches up (backpressure).
 const RING_DEPTH: usize = 4;
 
 /// Depth of the ingest→router job ring: double-buffered hand-off (the
@@ -222,15 +223,15 @@ pub trait ShardProcessor: Send {
 /// The router's endpoints of one worker lane: the routed-batch ring in,
 /// the recycled row lists out.
 struct WorkerChannel {
-    sender: spsc::Sender<WorkerMsg>,
-    returns: spsc::Receiver<RoutedRows>,
+    sender: SyncSender<WorkerMsg>,
+    returns: Receiver<RoutedRows>,
 }
 
 /// The worker's endpoints of its lane: the routed-batch ring out of the
 /// router, and the return ring its consumed row lists recycle through.
 struct WorkerLane {
-    rx: spsc::Receiver<WorkerMsg>,
-    ret: spsc::Sender<RoutedRows>,
+    rx: Receiver<WorkerMsg>,
+    ret: SyncSender<RoutedRows>,
 }
 
 /// The ingest side's handle on one worker thread.
@@ -268,15 +269,19 @@ impl Fanout {
         let n_shards = self.channels.len();
         // drain the return rings: consumed row lists become routing slots
         let rows_cap = n_shards * (RING_DEPTH + 2);
-        for ch in &mut self.channels {
-            ch.returns.drain_into(&mut self.rows_pool, rows_cap);
+        for ch in &self.channels {
+            for rows in ch.returns.try_iter() {
+                if self.rows_pool.len() < rows_cap {
+                    self.rows_pool.push(rows);
+                }
+            }
         }
         let mut out = std::mem::take(&mut self.route_scratch);
         while out.len() < n_shards {
             out.push(self.rows_pool.pop().unwrap_or_default());
         }
         self.router.route_range_into(batch, lo, hi, &mut out);
-        for (ch, rows) in self.channels.iter_mut().zip(out.drain(..)) {
+        for (ch, rows) in self.channels.iter().zip(out.drain(..)) {
             if rows.is_empty() {
                 if self.rows_pool.len() < rows_cap {
                     self.rows_pool.push(rows);
@@ -287,13 +292,18 @@ impl Fanout {
                 batch: Arc::clone(batch),
                 rows,
             });
-            if let Err(msg) = ch.sender.try_send(msg) {
-                // ring full (or closed): count the stall, then fall back
-                // to the blocking send — that wait is the backpressure
-                sharon_metrics::record_router_stall_waits(1);
-                if ch.sender.send(msg).is_err() {
-                    cancel.store(true, Ordering::Release);
+            match ch.sender.try_send(msg) {
+                Ok(()) => {}
+                Err(TrySendError::Full(msg)) => {
+                    // count the stall, then block: that wait is the
+                    // backpressure
+                    sharon_metrics::record_router_stall_waits(1);
+                    if ch.sender.send(msg).is_err() {
+                        cancel.store(true, Ordering::Release);
+                    }
                 }
+                // a dead lane is not backpressure
+                Err(TrySendError::Disconnected(_)) => cancel.store(true, Ordering::Release),
             }
         }
         self.route_scratch = out;
@@ -303,8 +313,8 @@ impl Fanout {
     /// Send `msg()` down every worker lane, in-band behind all previously
     /// routed batches. Dead rings flip `cancel` — the barrier wait then
     /// fails instead of hanging.
-    fn send_all(&mut self, msg: impl Fn() -> WorkerMsg, cancel: &AtomicBool) {
-        for ch in &mut self.channels {
+    fn send_all(&self, msg: impl Fn() -> WorkerMsg, cancel: &AtomicBool) {
+        for ch in &self.channels {
             if ch.sender.send(msg()).is_err() {
                 cancel.store(true, Ordering::Release);
             }
@@ -325,7 +335,7 @@ impl Fanout {
     /// [`Fanout::send_barrier`], but workers deposit (and clear) their
     /// emitted results instead of their engine state. The router has no
     /// results of its own, so its segment is empty.
-    fn send_harvest(&mut self, barrier: &HarvestRef, cancel: &AtomicBool) {
+    fn send_harvest(&self, barrier: &HarvestRef, cancel: &AtomicBool) {
         self.send_all(|| WorkerMsg::Harvest(Arc::clone(barrier)), cancel);
         barrier.fill_router(Vec::new());
     }
@@ -333,7 +343,7 @@ impl Fanout {
 
 /// The ingest thread's handle on the router thread.
 struct RouterThread {
-    jobs: spsc::Sender<RouterMsg>,
+    jobs: SyncSender<RouterMsg>,
     /// Returns the [`Fanout`] at end-of-stream so `finish` controls when
     /// the worker lanes close (after all in-flight jobs routed).
     handle: JoinHandle<Fanout>,
@@ -492,7 +502,7 @@ fn reorder_burst(batch: &EventBatch, lo: usize, hi: usize, k: u32) -> EventBatch
 /// is how the two-step baselines run sharded. Events are accepted as
 /// columnar batches copied into the fill buffer; the router thread routes
 /// each buffered batch once and fans the per-shard row lists out
-/// over SPSC rings (see the module docs). [`ShardedExecutor::finish`]
+/// over bounded channels (see the module docs). [`ShardedExecutor::finish`]
 /// drains the pipeline and merges the disjoint shard results.
 pub struct ShardedExecutor {
     /// The router thread; `None` only after `finish`/`Drop` tore it
@@ -660,10 +670,10 @@ impl ShardedExecutor {
         let mut channels = Vec::with_capacity(n_shards);
         let mut lanes = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
-            let (sender, rx) = spsc::ring::<WorkerMsg>(RING_DEPTH);
+            let (sender, rx) = sync_channel::<WorkerMsg>(RING_DEPTH);
             // the return ring is sized so a worker's try_send can only
             // hit a full ring if the router stopped draining it
-            let (ret, returns) = spsc::ring::<RoutedRows>(RING_DEPTH + 2);
+            let (ret, returns) = sync_channel::<RoutedRows>(RING_DEPTH + 2);
             channels.push(WorkerChannel { sender, returns });
             lanes.push(WorkerLane { rx, ret });
         }
@@ -688,9 +698,9 @@ impl ShardedExecutor {
                 .spawn(move || {
                     let _guard = CancelOnPanic(Arc::clone(&cancelled));
                     let mut processor = processor;
-                    let WorkerLane { mut rx, mut ret } = lane;
+                    let WorkerLane { rx, ret } = lane;
                     let mut processed: u64 = 0;
-                    while let Some(msg) = rx.recv() {
+                    while let Ok(msg) = rx.recv() {
                         match msg {
                             WorkerMsg::Batch(RoutedBatch { batch, mut rows }) => {
                                 // an aborted run recycles without processing
@@ -728,14 +738,14 @@ impl ShardedExecutor {
             workers.push(WorkerHandle { handle, matched });
         }
 
-        let (jobs, mut job_rx) = spsc::ring::<RouterMsg>(JOB_RING_DEPTH);
+        let (jobs, job_rx) = sync_channel::<RouterMsg>(JOB_RING_DEPTH);
         let cancelled = Arc::clone(&cancel);
         let handle = std::thread::Builder::new()
             .name("sharon-router".into())
             .spawn(move || {
                 let _guard = CancelOnPanic(Arc::clone(&cancelled));
                 let mut fanout = fanout;
-                while let Some(msg) = job_rx.recv() {
+                while let Ok(msg) = job_rx.recv() {
                     match msg {
                         RouterMsg::Route { batch, lo, hi } => {
                             if cancelled.load(Ordering::Relaxed) {
@@ -863,7 +873,7 @@ impl ShardedExecutor {
     /// the pipeline's backpressure — and a dead router thread flips
     /// `cancel` so `finish` reports it.
     fn send_job(&mut self, msg: RouterMsg) {
-        let router = self.router.as_mut().expect("executor is active");
+        let router = self.router.as_ref().expect("executor is active");
         if router.jobs.send(msg).is_err() {
             self.cancel.store(true, Ordering::Release);
         }
@@ -1378,25 +1388,36 @@ mod tests {
     #[test]
     fn worker_panic_cancels_the_run_and_finish_fails_fast() {
         let (c, w) = grouped_workload();
-        let events = stream(&c, 2000, 11);
-        let options = ShardedOptions {
-            batch_size: 64,
-            fault: Some(FaultPlan::PanicWorker { batch: 2, shard: 1 }),
-            ..ShardedOptions::default()
-        };
-        let sharded =
-            ShardedExecutor::with_options(&c, &w, &SharingPlan::non_shared(), 3, options).unwrap();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let mut sharded = sharded;
-            sharded.process_columnar(&EventBatch::from_events(&events));
-            sharded.finish()
-        }));
-        let err = result.expect_err("a panicked worker must fail the run");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("worker shard"),
-            "unexpected panic message: {msg:?}"
-        );
+        // (shards, batch size, rows, fault): the second case kills the only
+        // worker on its first batch and then routes far more one-row
+        // batches than its lane holds, so the router's blocked send must
+        // fail once the worker's end of the lane is gone
+        let cases = [
+            (3, 64, 2000, FaultPlan::PanicWorker { batch: 2, shard: 1 }),
+            (1, 1, 256, FaultPlan::PanicWorker { batch: 0, shard: 0 }),
+        ];
+        for (shards, batch_size, rows, fault) in cases {
+            let events = stream(&c, rows, 11);
+            let options = ShardedOptions {
+                batch_size,
+                fault: Some(fault),
+                ..ShardedOptions::default()
+            };
+            let sharded =
+                ShardedExecutor::with_options(&c, &w, &SharingPlan::non_shared(), shards, options)
+                    .unwrap();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                let mut sharded = sharded;
+                sharded.process_columnar(&EventBatch::from_events(&events));
+                sharded.finish()
+            }));
+            let err = result.expect_err("a panicked worker must fail the run");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("worker shard"),
+                "{fault:?}: unexpected panic message: {msg:?}"
+            );
+        }
     }
 
     #[test]

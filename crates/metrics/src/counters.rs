@@ -137,66 +137,6 @@ pub fn late_rows_dropped() -> u64 {
     LATE_ROWS_DROPPED.load(Ordering::Relaxed)
 }
 
-/// Total queries attached to a live session at runtime.
-static QUERIES_ATTACHED: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` runtime query attachments (called by the session layer).
-#[inline]
-pub fn record_queries_attached(n: u64) {
-    QUERIES_ATTACHED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total runtime query attachments so far in this process.
-pub fn queries_attached() -> u64 {
-    QUERIES_ATTACHED.load(Ordering::Relaxed)
-}
-
-/// Total queries detached from a live session at runtime.
-static QUERIES_DETACHED: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` runtime query detachments (called by the session layer).
-#[inline]
-pub fn record_queries_detached(n: u64) {
-    QUERIES_DETACHED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total runtime query detachments so far in this process.
-pub fn queries_detached() -> u64 {
-    QUERIES_DETACHED.load(Ordering::Relaxed)
-}
-
-/// Total plan re-optimizations: the dynamic plan manager recomputed the
-/// sharing plan (whether or not the recomputed plan was then adopted).
-static PLAN_REOPTIMIZATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` plan re-optimizations (called by the session layer when the
-/// sharing plan is recomputed on churn or rate drift).
-#[inline]
-pub fn record_plan_reoptimizations(n: u64) {
-    PLAN_REOPTIMIZATIONS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total plan re-optimizations so far in this process.
-pub fn plan_reoptimizations() -> u64 {
-    PLAN_REOPTIMIZATIONS.load(Ordering::Relaxed)
-}
-
-/// Total plan hot-swaps: a recompiled plan replaced the live one at a
-/// batch boundary.
-static PLAN_SWAPS: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` plan hot-swaps (called by the session layer after the new
-/// incarnation takes over the stream).
-#[inline]
-pub fn record_plan_swaps(n: u64) {
-    PLAN_SWAPS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total plan hot-swaps so far in this process.
-pub fn plan_swaps() -> u64 {
-    PLAN_SWAPS.load(Ordering::Relaxed)
-}
-
 /// Total windows of state lost across plan swaps. The hot-swap protocol
 /// promises **zero**: a retiring plan incarnation is drained to completion
 /// and every window it owned is settled before its state is dropped. This
@@ -258,22 +198,8 @@ mod tests {
 
     #[test]
     fn churn_counters_accumulate() {
-        let (a0, d0, r0, s0, l0) = (
-            queries_attached(),
-            queries_detached(),
-            plan_reoptimizations(),
-            plan_swaps(),
-            swap_windows_lost(),
-        );
-        record_queries_attached(2);
-        record_queries_detached(1);
-        record_plan_reoptimizations(1);
-        record_plan_swaps(1);
+        let l0 = swap_windows_lost();
         record_swap_windows_lost(4);
-        assert!(queries_attached() >= a0 + 2);
-        assert!(queries_detached() > d0);
-        assert!(plan_reoptimizations() > r0);
-        assert!(plan_swaps() > s0);
         assert!(swap_windows_lost() >= l0 + 4);
     }
 

@@ -26,6 +26,7 @@
 //! [`optimize_greedy`], and [`optimize_exhaustive`] — the three optimizers
 //! compared in Section 8.3 (Figure 15).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

@@ -19,6 +19,7 @@
 //!   `RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt) GROUP BY vehicle WITHIN 10
 //!   min SLIDE 1 min`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

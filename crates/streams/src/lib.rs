@@ -23,6 +23,7 @@
 //! stream, simulating late arrivals while keeping the displacement bound
 //! the event-time exactness guarantee is stated against.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod disorder;

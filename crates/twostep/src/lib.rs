@@ -29,6 +29,7 @@
 //! any shard count. Sequence construction stays per baseline, so the
 //! baselines share no stateful code with the online runner.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod common;

@@ -94,8 +94,16 @@ fn main() {
     // ---------------------------------------------------------------
     // execute under the optimal plan; report route popularity
     // ---------------------------------------------------------------
-    let results =
-        sharon::run_strategy(&catalog, &workload, &rates, Strategy::Sharon, &events).unwrap();
+    let batch = EventBatch::from_events(&events);
+    let run = |strategy| {
+        let (mut ex, _) = SharonBuilder::new(&catalog, &workload, &rates)
+            .strategy(strategy)
+            .build_executor()
+            .unwrap();
+        ex.process_columnar(&batch);
+        ex.finish()
+    };
+    let results = run(Strategy::Sharon);
     println!("\nper-query totals (trips across all vehicles and windows):");
     for q in workload.ids() {
         println!(
@@ -107,8 +115,7 @@ fn main() {
     }
 
     // sanity: A-Seq agrees
-    let reference =
-        sharon::run_strategy(&catalog, &workload, &rates, Strategy::ASeq, &events).unwrap();
+    let reference = run(Strategy::ASeq);
     assert!(results.semantically_eq(&reference, 1e-9));
     println!("\nverified: SHARON results identical to A-Seq (non-shared) results");
 }

@@ -17,10 +17,9 @@
 
 use sharon::prelude::*;
 use sharon::twostep::{FlinkLike, SpassLike};
-use sharon_executor::{
-    compile, spsc, BatchRouter, EngineKind, RoutedRows, ShardSlice, ShardedOptions,
-};
+use sharon_executor::{compile, BatchRouter, EngineKind, RoutedRows, ShardSlice, ShardedOptions};
 use sharon_metrics::{alloc, TrackingAllocator};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
 #[global_allocator]
@@ -848,7 +847,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
     // `Fanout::dispatch`, which cross-references this test; keep them in
     // sync; the runtime also pools a shard's empty lists instead of
     // sending them, which this mirror does not model). After warm-up the whole cycle (route + hand-off + execute +
-    // recycle) must not allocate: ring slots are pre-allocated, RoutedRows
+    // recycle) must not allocate: channel slots are pre-allocated, RoutedRows
     // circulate, and batch bodies are Arc-shared without re-wrapping.
     let _serial = serial();
     let mut catalog = Catalog::new();
@@ -885,40 +884,44 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
         })
         .collect();
 
-    // the pipeline's rings, at the runtime's shapes: a depth-2 job ring
-    // (ingest → router) and per-shard routed/return rings
+    // the pipeline's channels, at the runtime's depths: a depth-2 job
+    // ring (ingest → router) and per-shard routed/return rings
     type Routed = (Arc<EventBatch>, RoutedRows);
-    type Ring<T> = (spsc::Sender<T>, spsc::Receiver<T>);
-    let (mut job_tx, mut job_rx) = spsc::ring::<Arc<EventBatch>>(2);
-    let mut shard_rings: Vec<Ring<Routed>> = (0..n_shards).map(|_| spsc::ring(4)).collect();
-    let mut return_rings: Vec<Ring<RoutedRows>> = (0..n_shards).map(|_| spsc::ring(6)).collect();
+    type Ring<T> = (SyncSender<T>, Receiver<T>);
+    let (job_tx, job_rx) = sync_channel::<Arc<EventBatch>>(2);
+    let shard_rings: Vec<Ring<Routed>> = (0..n_shards).map(|_| sync_channel(4)).collect();
+    let return_rings: Vec<Ring<RoutedRows>> = (0..n_shards).map(|_| sync_channel(6)).collect();
 
     let mut rows_pool: Vec<RoutedRows> = Vec::new();
     let mut route_scratch: Vec<RoutedRows> = Vec::new();
     let rows_cap = n_shards * 6;
-    let mut drive = |router: &mut BatchRouter,
-                     shards: &mut Vec<Vec<EngineKind>>,
-                     rows_pool: &mut Vec<RoutedRows>,
-                     route_scratch: &mut Vec<RoutedRows>,
-                     batch: &Arc<EventBatch>| {
+    let drive = |router: &mut BatchRouter,
+                 shards: &mut Vec<Vec<EngineKind>>,
+                 rows_pool: &mut Vec<RoutedRows>,
+                 route_scratch: &mut Vec<RoutedRows>,
+                 batch: &Arc<EventBatch>| {
         // ingest: enqueue the filled batch
         job_tx.send(Arc::clone(batch)).unwrap();
         // router: dequeue, recycle returned lists, route, fan out
         let batch = job_rx.recv().unwrap();
-        for (_, rx) in return_rings.iter_mut() {
-            rx.drain_into(rows_pool, rows_cap);
+        for (_, rx) in &return_rings {
+            for rows in rx.try_iter() {
+                if rows_pool.len() < rows_cap {
+                    rows_pool.push(rows);
+                }
+            }
         }
         let mut out = std::mem::take(route_scratch);
         while out.len() < n_shards {
             out.push(rows_pool.pop().unwrap_or_default());
         }
         router.route_range_into(&batch, 0, batch.len(), &mut out);
-        for ((tx, _), rows) in shard_rings.iter_mut().zip(out.drain(..)) {
+        for ((tx, _), rows) in shard_rings.iter().zip(out.drain(..)) {
             tx.send((Arc::clone(&batch), rows)).unwrap();
         }
         *route_scratch = out;
         // workers: consume the routed rows, return the lists
-        for (shard, (_, rx)) in shard_rings.iter_mut().enumerate() {
+        for (shard, (_, rx)) in shard_rings.iter().enumerate() {
             let (batch, mut rows) = rx.recv().unwrap();
             let engines = &mut shards[shard];
             for (pi, engine) in engines.iter_mut().enumerate() {

@@ -21,7 +21,7 @@ use sharon::streams::workload::{
     figure_1_workload, figure_2_workload, overlapping_workload, WorkloadConfig,
 };
 use sharon::twostep::{FlinkLike, SpassLike};
-use sharon::{build_executor, Strategy};
+use sharon::Strategy;
 
 #[path = "support.rs"]
 mod support;
@@ -488,8 +488,10 @@ fn all_strategies_agree_on_skewed_input() {
     let rates = RateMap::uniform(100.0);
     let cfg = OptimizerConfig::default();
 
-    let (mut reference, _) =
-        build_executor(&catalog, &workload, &rates, Strategy::ASeq, &cfg).unwrap();
+    let (mut reference, _) = SharonBuilder::new(&catalog, &workload, &rates)
+        .strategy(Strategy::ASeq)
+        .build_executor()
+        .unwrap();
     reference.process_columnar(&batch);
     let want = reference.finish();
     assert!(!want.is_empty());
@@ -546,8 +548,10 @@ fn baseline_matched_counts_agree_across_paths() {
     let cfg = OptimizerConfig::default();
 
     for strategy in [Strategy::FlinkLike, Strategy::SpassLike] {
-        let (mut sequential, _) =
-            build_executor(&catalog, &workload, &rates, strategy, &cfg).unwrap();
+        let (mut sequential, _) = SharonBuilder::new(&catalog, &workload, &rates)
+            .strategy(strategy)
+            .build_executor()
+            .unwrap();
         sequential.process_columnar(&batch);
         let matched = sequential.finish_with_stats().events_matched;
         assert!(

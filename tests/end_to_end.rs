@@ -16,12 +16,28 @@ fn rates_of(events: &[Event]) -> RateMap {
     RateMap::from_counts(&counts, span)
 }
 
+/// Run the time-ordered `events` sequentially under `strategy` (as one
+/// columnar batch) and return the results.
+fn run(
+    catalog: &Catalog,
+    workload: &Workload,
+    rates: &RateMap,
+    strategy: Strategy,
+    events: &[Event],
+) -> ExecutorResults {
+    let (mut ex, _) = SharonBuilder::new(catalog, workload, rates)
+        .strategy(strategy)
+        .build_executor()
+        .unwrap();
+    ex.process_columnar(&EventBatch::from_events(events));
+    ex.finish()
+}
+
 fn agree(catalog: &Catalog, workload: &Workload, events: &[Event], strategies: &[Strategy]) {
     let rates = rates_of(events);
-    let reference =
-        sharon::run_strategy(catalog, workload, &rates, Strategy::ASeq, events).unwrap();
+    let reference = run(catalog, workload, &rates, Strategy::ASeq, events);
     for &s in strategies {
-        let got = sharon::run_strategy(catalog, workload, &rates, s, events).unwrap();
+        let got = run(catalog, workload, &rates, s, events);
         assert!(
             got.semantically_eq(&reference, 1e-9),
             "{} diverges from A-Seq",
@@ -52,8 +68,7 @@ fn taxi_traffic_use_case() {
 
     // route counts are per vehicle: no group key may be missing
     let rates = rates_of(&events);
-    let results =
-        sharon::run_strategy(&catalog, &workload, &rates, Strategy::Sharon, &events).unwrap();
+    let results = run(&catalog, &workload, &rates, Strategy::Sharon, &events);
     assert!(!results.is_empty());
     for (g, _, _) in results.of_query(QueryId(6)) {
         assert!(matches!(g, GroupKey::One(Value::Int(_))));
@@ -93,8 +108,7 @@ fn linear_road_use_case() {
         &[Strategy::Sharon, Strategy::Greedy],
     );
     let rates = rates_of(&events);
-    let results =
-        sharon::run_strategy(&catalog, &workload, &rates, Strategy::Sharon, &events).unwrap();
+    let results = run(&catalog, &workload, &rates, Strategy::Sharon, &events);
     // cars drive consecutive segments every 500 ms: sequences exist
     assert!(!results.is_empty(), "LR stream must produce matches");
 }
@@ -150,9 +164,8 @@ fn numeric_aggregates_end_to_end() {
     )
     .unwrap();
     let rates = rates_of(&events);
-    let shared =
-        sharon::run_strategy(&catalog, &workload, &rates, Strategy::Sharon, &events).unwrap();
-    let aseq = sharon::run_strategy(&catalog, &workload, &rates, Strategy::ASeq, &events).unwrap();
+    let shared = run(&catalog, &workload, &rates, Strategy::Sharon, &events);
+    let aseq = run(&catalog, &workload, &rates, Strategy::ASeq, &events);
     assert!(shared.semantically_eq(&aseq, 1e-9));
     assert!(!shared.is_empty());
 
