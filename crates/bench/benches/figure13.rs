@@ -9,9 +9,8 @@
 //! `DNF`, mirroring the paper's "does not terminate".
 //!
 //! All four strategies are driven through the same columnar
-//! `BatchProcessor` pipeline, and `SHARON_SHARDS=N` runs every strategy —
-//! baselines included — on the route-once sharded runtime, so the
-//! comparison stays apples-to-apples at any shard count.
+//! `BatchProcessor` pipeline on the sequential engine, so the comparison
+//! is apples-to-apples: one thread each.
 
 use sharon::prelude::*;
 use sharon::streams::linear_road::{generate, LinearRoadConfig};
@@ -99,11 +98,10 @@ fn main() {
         throughput.row(thr_row);
     }
     let note = format!(
-        "SHARON_SCALE={}, SHARON_SHARDS={}; 6 queries, pattern length 4, \
+        "SHARON_SCALE={}; 6 queries, pattern length 4, \
          WITHIN {within_secs}s SLIDE 2s, GROUP BY car; DNF = exceeded {}s cap \
          (paper: Flink/SPASS do not terminate)",
         scale(),
-        sharon_bench::shards(),
         cap.as_secs()
     );
     latency.note(note.clone());

@@ -6,17 +6,18 @@
 //! SPASS, A-Seq, SHARON through `AnyExecutor::process_columnar`) that
 //! doubles as the trait-dispatch bitrot guard: CI runs this bench at
 //! 5k-event scale on every change, and the sweep asserts all four
-//! strategies still agree — on uniform **and** on Zipf-skewed input.
+//! strategies still agree — on uniform **and** on Zipf-skewed input. The
+//! online strategies also run 2-way sharded there; the two-step baselines
+//! run sequentially only.
 //!
 //! The **skew sweep** measures skewed `GROUP BY` traffic: taxi streams at
 //! theta ∈ {0, 0.8, 1.2} across 1/2/4/8 shards. Every group lives on its
 //! hash owner, so a hot group loads one shard; every row of a sweep must
 //! report identical result counts.
 //!
-//! The **query-count sweep** measures the scope-dedup path on the
-//! workload shape that used to stall the routing core: 1/8/64 Flink-like
-//! queries sharing one routing scope (dedup collapses them to a single
-//! router scan per batch) × shards ∈ {1, 4, 8}.
+//! The **query-count sweep** measures the scope-dedup path: 1/8/64
+//! Flink-like queries sharing one routing scope, which dedup collapses to
+//! a single scan per batch.
 //!
 //! Prints one table per scenario and writes a machine-readable baseline to
 //! `BENCH_PR10.json` at the workspace root (override with
@@ -168,10 +169,8 @@ fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
 
 /// Scope dedup on a many-query, shared-scope workload: `n_queries`
 /// Flink-like queries over the same `SEQ(MainSt, StateSt)` scope (windows
-/// differ, so the queries are distinct but route identically — dedup
-/// collapses them to ONE router scan per batch), swept over shard counts.
-/// This is the Amdahl case dedup exists for: per-query routing work used
-/// to serialize on the routing core while the workers idled.
+/// differ, so the queries are distinct but select identically — dedup
+/// collapses them to ONE scan per batch).
 fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
     let n_events = scaled(60_000, 3_000);
     let n_vehicles = 512;
@@ -193,33 +192,17 @@ fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
         parse_workload(&mut catalog, sources.iter().map(String::as_str)).expect("workload parses");
     let n = batch.len();
 
-    let mut runs = Vec::new();
-    runs.push(measure("flink/sequential", n, || {
+    let runs = vec![measure("flink/sequential", n, || {
         let mut ex = FlinkLike::new(&catalog, &workload).unwrap();
         ex.process_columnar(&batch);
         ex.finish()
-    }));
-    for shards in [1usize, 4, 8] {
-        runs.push(measure(&format!("flink/sharded/{shards}"), n, || {
-            let mut ex =
-                FlinkLike::sharded(&catalog, &workload, shards, &ShardedOptions::default())
-                    .unwrap();
-            ex.process_columnar(&batch);
-            ex.finish()
-        }));
-    }
-
-    // the shard count must never change results
-    let want = runs[0].results;
-    for run in &runs {
-        assert_eq!(run.results, want, "{}: result count diverged", run.label);
-    }
+    })];
     (name, runs)
 }
 
 /// All four strategies of Figure 3 through the one columnar trait-dispatch
-/// pipeline (`AnyExecutor::process_columnar`), sequential and 2-way
-/// sharded. Sized smaller than the main scenarios: the two-step baselines
+/// pipeline (`AnyExecutor::process_columnar`), sequential, and the online
+/// ones 2-way sharded too. Sized smaller than the main scenarios: the two-step baselines
 /// pay the polynomial sequence-construction cost by design. With
 /// `theta > 0` the taxi stream is Zipf-skewed — the CI smoke runs this at
 /// theta=1.2 so the four strategies are asserted to agree on skewed input
@@ -251,7 +234,6 @@ fn strategy_sweep(theta: f64) -> (String, Vec<Run>) {
     // optimize once outside the measured closures (like `scenario`): the
     // sweep times ingestion + finish, not the fixed plan-search cost
     let plan = optimize_sharon(&workload, &rates, &OptimizerConfig::default()).plan;
-    let defaults = ShardedOptions::default();
     let build = |strategy: Strategy, shards: usize| -> AnyExecutor {
         match (strategy, shards) {
             (Strategy::Sharon, 0) => Executor::new(&catalog, &workload, &plan).unwrap().into(),
@@ -262,15 +244,7 @@ fn strategy_sweep(theta: f64) -> (String, Vec<Run>) {
             (Strategy::ASeq, n) => {
                 sharded(&catalog, &workload, &SharingPlan::non_shared(), n).into()
             }
-            (Strategy::FlinkLike, n) => FlinkLike::sharded(&catalog, &workload, n, &defaults)
-                .unwrap()
-                .into(),
-            (Strategy::SpassLike, n) => {
-                SpassLike::sharded(&catalog, &workload, &plan, n, &defaults)
-                    .unwrap()
-                    .into()
-            }
-            (Strategy::Greedy, _) => unreachable!("Greedy is not in the sweep"),
+            (strategy, n) => unreachable!("{} is not in the {n}-shard sweep", strategy.name()),
         }
     };
 
@@ -288,7 +262,7 @@ fn strategy_sweep(theta: f64) -> (String, Vec<Run>) {
             ex.finish()
         }));
     }
-    for strategy in strategies {
+    for strategy in [Strategy::ASeq, Strategy::Sharon] {
         runs.push(measure(
             &format!("strategy/{}/sharded-2", strategy.name()),
             n,

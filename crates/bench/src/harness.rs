@@ -27,17 +27,6 @@ pub fn scale() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Read the global shard count (default 0 = sequential). Every strategy —
-/// online or two-step — runs on the route-once sharded runtime when this
-/// is set, making the figure sweeps apples-to-apples columnar comparisons
-/// at any shard count.
-pub fn shards() -> usize {
-    std::env::var("SHARON_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
 /// Scale an integer parameter, keeping it at least `min`.
 pub fn scaled(base: usize, min: usize) -> usize {
     ((base as f64 * scale()) as usize).max(min)
@@ -129,9 +118,8 @@ impl Measurement {
 /// Events are fed through the columnar [`EventBatch`] pipeline — the
 /// native form of every strategy — chunked at window-slide boundaries (so
 /// per-window latency samples stay meaningful) and at
-/// [`Executor::RUN_BATCH`] rows. With `SHARON_SHARDS=N` the strategy runs
-/// on the route-once sharded runtime instead (`finish` drains the
-/// workers, so totals still charge all work).
+/// [`Executor::RUN_BATCH`] rows. Every strategy runs on the sequential
+/// engine.
 pub fn run_measured(
     catalog: &Catalog,
     workload: &Workload,
@@ -150,11 +138,9 @@ pub fn run_measured(
         search_budget: Some(Duration::from_secs(5)),
         ..Default::default()
     };
-    let n_shards = shards();
     let (mut ex, _) = SharonBuilder::new(catalog, workload, rates)
         .strategy(strategy)
         .optimizer_config(cfg)
-        .shards(n_shards)
         .build_executor()
         .expect("executor compiles");
 

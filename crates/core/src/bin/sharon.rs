@@ -15,15 +15,15 @@
 //! Without --queries, taxi runs the paper's Figure 1 traffic workload, lr
 //! six overlapping length-4 routes over its `Seg*` types grouped by car
 //! (`WITHIN 10 s SLIDE 1 s`), and ec the Figure 2 purchase workload.
-//! `--shards N` runs *any* strategy — online or two-step — on the
-//! sharded parallel runtime with N worker threads (every strategy is a
-//! columnar `BatchProcessor` the route-once runtime can host); routing
-//! overlaps execution on one
-//! dedicated router thread. The per-scope `scan:` tallies are read after
-//! the run finishes, so they cover the whole stream at any shard count.
-//! `--skew THETA` draws the stream's group
-//! dimension (vehicle / car / customer) from a Zipf(THETA) distribution:
-//! a skewed `GROUP BY`, whose hot group stays on its hash owner.
+//! `--shards N` runs an online strategy (sharon, greedy, aseq) on the
+//! sharded parallel runtime with N worker threads; routing overlaps
+//! execution on one dedicated router thread. The two-step baselines
+//! (flink, spass) run sequentially only: `--shards` with one is refused
+//! with the builder's error (exit 1). The per-scope `scan:` tallies are
+//! read after the run finishes, so they cover the whole stream at any
+//! shard count. `--skew THETA` draws the stream's group dimension
+//! (vehicle / car / customer) from a Zipf(THETA) distribution: a skewed
+//! `GROUP BY`, whose hot group stays on its hash owner.
 //!
 //! Durability (sharded online strategies only): `--checkpoint-dir DIR`
 //! takes a consistent checkpoint every `--checkpoint-interval` ingested
@@ -181,7 +181,9 @@ fn parse_args() -> Result<Args, String> {
                      \x20        [--strategy sharon|greedy|aseq|flink|spass] [--shards N]\n\
                      \x20        [--skew THETA] [--explain]\n\
                      \x20        [--results N] [--checkpoint-dir DIR] [--checkpoint-interval N]\n\
-                     \x20        [--resume] [--disorder K] [--lateness B] [--churn FILE]"
+                     \x20        [--resume] [--disorder K] [--lateness B] [--churn FILE]\n\n\
+                     --shards N runs sharon|greedy|aseq on N worker threads;\n\
+                     flink|spass run sequentially only."
                 );
                 std::process::exit(0);
             }

@@ -13,21 +13,20 @@
 //! ]).unwrap();
 //! let rates = RateMap::uniform(100.0);
 //!
-//! let mut fw = SharonBuilder::new(&catalog, &workload, &rates)
+//! let (ex, outcome) = SharonBuilder::new(&catalog, &workload, &rates)
 //!     .shards(2)
-//!     .build()
+//!     .build_executor()
 //!     .unwrap();
-//! # let _ = fw.finish();
+//! assert!(outcome.is_some(), "the Sharon optimizer ran");
+//! # let _ = ex.finish();
 //! ```
 //!
-//! The terminal calls are [`SharonBuilder::build`] (a
-//! [`SharonFramework`]), [`SharonBuilder::build_executor`] (the raw
-//! [`AnyExecutor`] plus optimizer outcome), [`SharonBuilder::resume`]
+//! The terminal calls are [`SharonBuilder::build_executor`] (an
+//! [`AnyExecutor`] plus the optimizer outcome), [`SharonBuilder::resume`]
 //! (the same, restarted from the latest checkpoint), and
 //! [`SharonBuilder::session`] (a live [`SharonSession`] supporting
 //! runtime query churn).
 
-use crate::framework::SharonFramework;
 use crate::session::{SessionConfig, SharonSession};
 use crate::strategy::{build_sharded_any, strategy_plan, AnyExecutor, Strategy};
 use sharon_executor::{
@@ -45,7 +44,7 @@ use sharon_types::Catalog;
 /// Unset knobs keep the engine defaults ([`ShardedOptions::default`],
 /// [`Strategy::Sharon`], [`OptimizerConfig::default`]). `shards(0)` (the
 /// default) builds the sequential engine; `shards(n ≥ 1)` the sharded
-/// runtime.
+/// runtime, which hosts the online strategies only.
 #[derive(Clone)]
 pub struct SharonBuilder<'a> {
     catalog: &'a Catalog,
@@ -86,7 +85,8 @@ impl<'a> SharonBuilder<'a> {
     }
 
     /// Run on the sharded parallel runtime with `n` worker shards
-    /// (`0` = the sequential engine; the default).
+    /// (`0` = the sequential engine; the default). Online strategies only:
+    /// a two-step baseline runs sequentially.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -126,8 +126,9 @@ impl<'a> SharonBuilder<'a> {
     ///
     /// A durability option (checkpoint / fault) with `shards(0)`
     /// is [`CompileError::ShardsRequired`] — the durability tier lives in
-    /// the sharded runtime only — and one on a two-step baseline is
-    /// [`CompileError::UnsupportedOption`].
+    /// the sharded runtime only. A two-step baseline with `shards(n ≥ 1)`
+    /// is [`CompileError::UnsupportedOption`], naming the durability
+    /// option if one is set and `shards` otherwise.
     pub fn build_executor(self) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
         if self.shards > 0 {
             return build_sharded_any(
@@ -173,13 +174,6 @@ impl<'a> SharonBuilder<'a> {
             }
         };
         Ok((ex, outcome))
-    }
-
-    /// Build a [`SharonFramework`] — the optimize-once, run-the-stream
-    /// facade.
-    pub fn build(self) -> Result<SharonFramework, CompileError> {
-        let (executor, outcome) = self.build_executor()?;
-        Ok(SharonFramework::from_parts(executor, outcome))
     }
 
     /// Rebuild a sharded run of an **online** strategy (Sharon / Greedy /
@@ -305,7 +299,11 @@ mod tests {
             ungated.process_columnar(&EventBatch::from_events(&events));
             let want = ungated.finish();
             assert!(!want.is_empty(), "{}: the stream matches", strategy.name());
-            for shards in [0, 2] {
+            let shard_counts: &[usize] = match strategy {
+                Strategy::FlinkLike | Strategy::SpassLike => &[0],
+                _ => &[0, 2],
+            };
+            for &shards in shard_counts {
                 let (mut gated, _) = builder
                     .clone()
                     .shards(shards)
@@ -326,27 +324,30 @@ mod tests {
     }
 
     #[test]
-    fn durability_on_a_baseline_is_a_typed_error() {
+    fn shards_or_durability_on_a_baseline_is_a_typed_error() {
         let (catalog, workload) = workload();
         let rates = RateMap::uniform(100.0);
         for (strategy, name) in [
             (Strategy::FlinkLike, "Flink"),
             (Strategy::SpassLike, "SPASS"),
         ] {
-            let err = SharonBuilder::new(&catalog, &workload, &rates)
+            let sharded = SharonBuilder::new(&catalog, &workload, &rates)
                 .strategy(strategy)
-                .shards(2)
-                .fault(FaultPlan::Drop { batch: 3 })
-                .build_executor()
-                .err()
-                .expect("a baseline hosts no fault injection");
-            assert_eq!(
-                err,
-                CompileError::UnsupportedOption {
-                    option: "fault",
-                    strategy: name
-                }
-            );
+                .shards(2);
+            for (builder, option) in [
+                (sharded.clone().fault(FaultPlan::Drop { batch: 3 }), "fault"),
+                (sharded, "shards"),
+            ] {
+                let err = builder
+                    .build_executor()
+                    .err()
+                    .expect("a baseline runs sequentially only");
+                let want = CompileError::UnsupportedOption {
+                    option,
+                    strategy: name,
+                };
+                assert_eq!(err, want);
+            }
         }
     }
 

@@ -26,8 +26,8 @@
 //!
 //! // 2. optimize + execute
 //! let rates = RateMap::uniform(100.0);
-//! let mut fw = SharonBuilder::new(&catalog, &workload, &rates)
-//!     .build()
+//! let (mut ex, _outcome) = SharonBuilder::new(&catalog, &workload, &rates)
+//!     .build_executor()
 //!     .unwrap();
 //! let (a, b, c) = (catalog.lookup("A").unwrap(), catalog.lookup("B").unwrap(),
 //!                  catalog.lookup("C").unwrap());
@@ -35,8 +35,8 @@
 //!     .into_iter()
 //!     .map(|(ty, t)| Event::new(ty, Timestamp::from_millis(t)))
 //!     .collect();
-//! fw.process_columnar(&EventBatch::from_events(&events));
-//! let results = fw.finish();
+//! ex.process_columnar(&EventBatch::from_events(&events));
+//! let results = ex.finish();
 //! assert_eq!(results.total_count(QueryId(0)), 1);
 //! ```
 //!
@@ -56,12 +56,10 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod framework;
 pub mod session;
 pub mod strategy;
 
 pub use builder::SharonBuilder;
-pub use framework::SharonFramework;
 pub use session::{QueryHandle, SessionConfig, SharonSession};
 pub use strategy::{AnyExecutor, Strategy};
 
@@ -77,7 +75,6 @@ pub use sharon_types as types;
 /// Everything needed for typical use.
 pub mod prelude {
     pub use crate::builder::SharonBuilder;
-    pub use crate::framework::SharonFramework;
     pub use crate::session::{QueryHandle, SessionConfig, SharonSession};
     pub use crate::strategy::Strategy;
     pub use sharon_executor::{Executor, ExecutorResults, RuntimeOptions, ShardedExecutor};

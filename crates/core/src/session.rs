@@ -382,15 +382,18 @@ impl SharonSession {
                 i
             }
             None => {
+                // compile before registering the signature: a query that
+                // does not compile must leave no slot for a later attach
+                // to alias or a re-optimization to fold in
+                let mut wl = Workload::new();
+                wl.push(query.clone());
+                let ex = Executor::non_shared(&self.catalog, &wl)?;
                 let idx = self.sigs.len();
                 self.sigs.push(SigSlot {
                     sig,
-                    query: query.clone(),
+                    query,
                     refs: 1,
                 });
-                let mut wl = Workload::new();
-                wl.push(query);
-                let ex = Executor::non_shared(&self.catalog, &wl)?;
                 self.sidecars.push(Incarnation {
                     host: Host::Seq(ex),
                     sigs: vec![idx],
@@ -835,6 +838,29 @@ mod tests {
         assert_eq!(session.sidecar_count(), 1, "new signature needs a sidecar");
         assert!(session.is_attached(h2));
         assert_eq!(session.attached_count(), 3);
+    }
+
+    #[test]
+    fn a_failed_attach_leaves_no_query_behind() {
+        let (mut session, extra) = session_over(
+            &["RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10 s SLIDE 2 s"],
+            &["RETURN COUNT(*) PATTERN SEQ(B, A) WHERE [nope] WITHIN 10 s SLIDE 2 s"],
+        );
+        let broken = extra.into_iter().next().unwrap();
+        feed(&mut session, &["A", "B"], 0, 4_000);
+        for _ in 0..2 {
+            let err = session.attach(broken.clone()).err();
+            assert!(
+                matches!(err, Some(CompileError::GroupAttrMissing { .. })),
+                "a query that does not compile is refused every time: {err:?}"
+            );
+        }
+        assert_eq!(session.attached_count(), 1);
+        assert_eq!(session.sidecar_count(), 0);
+        session.reoptimize_now();
+        feed(&mut session, &["A", "B"], 4_000, 30_000);
+        let results = session.finish();
+        assert!(!results.is_empty(), "the hosted query still answers");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Execution strategies: the five systems compared in Section 8
 //! (Figure 3's taxonomy) behind one constructor.
 //!
-//! Every strategy — online or two-step, sequential or sharded — is a
-//! [`BatchProcessor`], so [`AnyExecutor`] is nothing but a boxed trait
-//! object: one columnar operator pipeline drives the whole taxonomy, with
-//! no per-strategy match arms. Columnar batches are the only way in;
+//! Every strategy — online or two-step, and the online ones sequential or
+//! sharded — is a [`BatchProcessor`], so [`AnyExecutor`] is nothing but a
+//! boxed trait object: one columnar operator pipeline drives the whole
+//! taxonomy, with no per-strategy match arms. The two-step baselines run
+//! sequentially only. Columnar batches are the only way in;
 //! row-form [`Event`](sharon_types::Event)s are adapted with
 //! [`EventBatch::from_events`].
 
@@ -16,7 +17,7 @@ use sharon_optimizer::{
     optimize_greedy, optimize_sharon, OptimizeOutcome, OptimizerConfig, RateMap,
 };
 use sharon_query::{SharingPlan, Workload};
-use sharon_twostep::{Family, FlinkLike, SpassLike, TwoStep};
+use sharon_twostep::{Family, TwoStep};
 use sharon_types::{Catalog, EventBatch};
 
 /// Which event sequence aggregation approach to run (Figure 3).
@@ -157,20 +158,14 @@ pub(crate) fn strategy_plan(
 /// Build a sharded parallel executor under `strategy` with the full
 /// durability-capable option set (periodic checkpoints, fault injection —
 /// see [`ShardedOptions`]). The single sharded construction
-/// path behind [`crate::SharonBuilder`].
+/// path behind [`crate::SharonBuilder`]: one [`Executor`] over shard-slice
+/// engines per worker ([`ShardedExecutor::with_options`]).
 ///
-/// Every strategy shards: the online engines run one [`Executor`] over
-/// shard-slice engines per worker ([`ShardedExecutor::with_options`]), and
-/// the two-step baselines run one baseline driver per worker behind their
-/// own route-once, scope-deduplicated routing ([`FlinkLike::sharded`] /
-/// [`SpassLike::sharded`]) — making figure-13 comparisons
-/// apples-to-apples columnar at any shard count.
-///
-/// Only the online strategies (Sharon / Greedy / A-Seq) host the
-/// durability tier; checkpoint or fault options with a two-step
-/// baseline are [`CompileError::UnsupportedOption`] — the baselines'
-/// processors cannot serialize their state, and silently running without
-/// durability would be worse.
+/// Only the online strategies (Sharon / Greedy / A-Seq) shard. A two-step
+/// baseline is [`CompileError::UnsupportedOption`], naming the durability
+/// option when one is set and `shards` otherwise: the baselines run
+/// sequentially, and silently doing so when sharding was asked for would
+/// be worse.
 pub(crate) fn build_sharded_any(
     catalog: &Catalog,
     workload: &Workload,
@@ -180,21 +175,14 @@ pub(crate) fn build_sharded_any(
     n_shards: usize,
     options: ShardedOptions,
 ) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
+    if matches!(strategy, Strategy::FlinkLike | Strategy::SpassLike) {
+        return Err(CompileError::UnsupportedOption {
+            option: options.durability_option().unwrap_or("shards"),
+            strategy: strategy.name(),
+        });
+    }
     let (plan, outcome) = strategy_plan(workload, rates, strategy, config);
-    let (ex, outcome) = match strategy {
-        Strategy::Sharon | Strategy::Greedy | Strategy::ASeq => {
-            let ex = ShardedExecutor::with_options(catalog, workload, &plan, n_shards, options)?;
-            (ex, outcome)
-        }
-        Strategy::FlinkLike => (
-            FlinkLike::sharded(catalog, workload, n_shards, &options)?,
-            None,
-        ),
-        Strategy::SpassLike => {
-            let ex = SpassLike::sharded(catalog, workload, &plan, n_shards, &options)?;
-            (ex, outcome)
-        }
-    };
+    let ex = ShardedExecutor::with_options(catalog, workload, &plan, n_shards, options)?;
     Ok((ex.into(), outcome))
 }
 
@@ -256,8 +244,10 @@ mod tests {
 
     #[test]
     fn all_strategies_shard_via_columnar_trait_dispatch() {
-        // the trait-dispatch acceptance check: every strategy, sequential
-        // and sharded, driven purely through AnyExecutor::process_columnar
+        // the trait-dispatch acceptance check: every strategy driven
+        // purely through AnyExecutor::process_columnar, the online ones
+        // sequential and sharded; asking a baseline for shards is refused
+        // before any thread starts
         let mut catalog = Catalog::new();
         let events = generate(
             &mut catalog,
@@ -289,13 +279,26 @@ mod tests {
                 strategy.name()
             );
 
+            let online = !matches!(strategy, Strategy::FlinkLike | Strategy::SpassLike);
             for shards in [1usize, 3] {
-                let (mut sharded, _) = crate::SharonBuilder::new(&catalog, &workload, &rates)
+                let built = crate::SharonBuilder::new(&catalog, &workload, &rates)
                     .strategy(strategy)
                     .optimizer_config(cfg.clone())
                     .shards(shards)
-                    .build_executor()
-                    .unwrap();
+                    .build_executor();
+                if !online {
+                    let err = built.err().expect("a baseline does not shard");
+                    let (option, strategy) = ("shards", strategy.name());
+                    assert_eq!(err, CompileError::UnsupportedOption { option, strategy });
+                    continue;
+                }
+                let (mut sharded, outcome) = built.unwrap();
+                assert_eq!(
+                    outcome.is_some(),
+                    strategy != Strategy::ASeq,
+                    "{} sharded/{shards}: the build reports its optimizer outcome",
+                    strategy.name()
+                );
                 sharded.process_columnar(&batch);
                 let got = sharded.finish();
                 assert!(

@@ -734,9 +734,6 @@ pub type BarrierHarvest<S = Vec<u8>> = (Vec<u8>, Vec<S>);
 struct BarrierSlots<S> {
     router: Option<Vec<u8>>,
     shards: Vec<Option<S>>,
-    /// Set when a participant cannot serialize (processor without
-    /// checkpoint support) — the waiter surfaces this as an error.
-    unsupported: bool,
 }
 
 impl<S> CheckpointBarrier<S> {
@@ -747,7 +744,6 @@ impl<S> CheckpointBarrier<S> {
             slots: Mutex::new(BarrierSlots {
                 router: None,
                 shards: std::iter::repeat_with(|| None).take(n_shards).collect(),
-                unsupported: false,
             }),
             filled: Condvar::new(),
         }
@@ -760,14 +756,10 @@ impl<S> CheckpointBarrier<S> {
         self.filled.notify_all();
     }
 
-    /// Deposit worker `shard`'s state (`None` marks the processor as
-    /// unable to checkpoint, failing the barrier).
-    pub fn fill_shard(&self, shard: usize, deposit: Option<S>) {
+    /// Deposit worker `shard`'s state.
+    pub fn fill_shard(&self, shard: usize, deposit: S) {
         let mut s = self.slots.lock().expect("barrier poisoned");
-        match deposit {
-            Some(b) => s.shards[shard] = Some(b),
-            None => s.unsupported = true,
-        }
+        s.shards[shard] = Some(deposit);
         self.filled.notify_all();
     }
 
@@ -778,11 +770,6 @@ impl<S> CheckpointBarrier<S> {
     pub fn wait(&self, cancel: &AtomicBool) -> Result<BarrierHarvest<S>, CheckpointError> {
         let mut s = self.slots.lock().expect("barrier poisoned");
         loop {
-            if s.unsupported {
-                return Err(CheckpointError::Mismatch(
-                    "shard processor does not support checkpointing".into(),
-                ));
-            }
             if s.router.is_some() && s.shards.iter().all(|x| x.is_some()) {
                 let router = s.router.take().expect("checked");
                 let shards = s
@@ -1000,9 +987,9 @@ mod tests {
         let cancel = AtomicBool::new(false);
         let b2 = Arc::clone(&b);
         let t = std::thread::spawn(move || {
-            b2.fill_shard(1, Some(vec![3]));
+            b2.fill_shard(1, vec![3]);
             b2.fill_router(vec![1]);
-            b2.fill_shard(0, Some(vec![2]));
+            b2.fill_shard(0, vec![2]);
         });
         let (router, shards) = b.wait(&cancel).unwrap();
         assert_eq!(router, vec![1]);
@@ -1011,15 +998,15 @@ mod tests {
     }
 
     #[test]
-    fn barrier_fails_on_cancel_and_unsupported() {
+    fn barrier_fails_on_cancel() {
         let b: CheckpointBarrier = CheckpointBarrier::new(1);
         let cancel = AtomicBool::new(true);
         assert!(b.wait(&cancel).is_err());
 
-        let b: CheckpointBarrier = CheckpointBarrier::new(1);
+        // a worker that died before its deposit fails a half-filled barrier
+        let b: CheckpointBarrier = CheckpointBarrier::new(2);
         b.fill_router(vec![]);
-        b.fill_shard(0, None);
-        let cancel = AtomicBool::new(false);
-        assert!(matches!(b.wait(&cancel), Err(CheckpointError::Mismatch(_))));
+        b.fill_shard(0, vec![1]);
+        assert!(matches!(b.wait(&cancel), Err(CheckpointError::Corrupt(_))));
     }
 }

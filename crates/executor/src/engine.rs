@@ -41,7 +41,6 @@ use crate::processor::RunReport;
 use crate::results::ExecutorResults;
 use crate::router::RoutedRows;
 use crate::runner::SegmentRunner;
-use crate::sharded::ShardProcessor;
 use crate::winvec::WindowPlane;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{
@@ -711,10 +710,9 @@ impl<A: Aggregate> Engine<A> {
 /// The executor owns the stateless front end of its partitions (see
 /// [`crate::front`]): one scan kernel per engine behind a shared type
 /// pass, and one event-time gate for all engines. The engines keep only
-/// group state. The same type is the sharded runtime's online shard
-/// worker (its [`ShardProcessor`] impl): there its engines own one
-/// [`ShardSlice`] each and it dispatches the router's row lists instead
-/// of scanning.
+/// group state. The same type is the sharded runtime's shard worker:
+/// there its engines own one [`ShardSlice`] each and it dispatches the
+/// router's row lists (`process_routed`) instead of scanning.
 pub struct Executor {
     /// One engine per partition, in partition order.
     pub(crate) engines: Vec<EngineKind>,
@@ -919,7 +917,7 @@ impl Executor {
 
     /// End of stream: release every row the gate holds, read the matched
     /// and late-drop counts, then flush every engine's windows.
-    fn report(mut self) -> RunReport {
+    pub(crate) fn report(mut self) -> RunReport {
         front::release_all(&mut self.engines[..], self.gate.as_deref_mut());
         let events_matched = self.events_matched();
         let late_rows_dropped = self.late_rows_dropped();
@@ -979,25 +977,25 @@ impl crate::processor::BatchProcessor for Executor {
     }
 }
 
-/// The sharded runtime's online worker: an executor over one shard's
+/// The sharded runtime's worker role: an executor over one shard's
 /// [`ShardSlice`] engines, dispatching the router's row lists.
-impl ShardProcessor for Executor {
-    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
+impl Executor {
+    /// Process the router's pre-routed rows of `batch`, in row order per
+    /// engine. The router guarantees every listed row routes into its
+    /// partition, passes its predicates, and belongs to a group this
+    /// shard owns — the worker never re-evaluates that prefix.
+    pub(crate) fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
         // the router stamped every chunk with the merged cross-shard
         // frontier: the gate advances to it whichever engines have rows
         let (engines, gate) = (&mut self.engines[..], self.gate.as_deref_mut());
         front::dispatch(engines, gate, batch, &rows.per_part, rows.frontier);
     }
 
-    fn events_matched(&self) -> u64 {
-        Executor::events_matched(self)
-    }
-
-    /// The shard's segment: its engines in partition order, then the
-    /// gate block — a present flag and, if set, the gate's own state
-    /// (watermark and the rows still waiting, so a resume under
+    /// The shard's checkpoint segment: its engines in partition order,
+    /// then the gate block — a present flag and, if set, the gate's own
+    /// state (watermark and the rows still waiting, so a resume under
     /// disorder is crash-exact).
-    fn save_state(&mut self) -> Option<Vec<u8>> {
+    pub(crate) fn save_state(&mut self) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.seq_len(self.engines.len());
         for engine in &mut self.engines {
@@ -1007,10 +1005,12 @@ impl ShardProcessor for Executor {
         if let Some(gate) = &mut self.gate {
             gate.save_state(&mut w);
         }
-        Some(w.into_bytes())
+        w.into_bytes()
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+    /// Restore a segment written by [`Executor::save_state`] into a worker
+    /// built for the same partitions, shard and lateness.
+    pub(crate) fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let mut r = StateReader::new(bytes);
         if r.seq_len()? != self.engines.len() {
             return Err(StateError::Corrupt("engine count per shard"));
@@ -1040,14 +1040,6 @@ impl ShardProcessor for Executor {
             return Err(StateError::Corrupt("trailing engine state bytes"));
         }
         Ok(())
-    }
-
-    fn take_results(&mut self) -> Option<ExecutorResults> {
-        Some(Executor::take_results(self))
-    }
-
-    fn finish(self: Box<Self>) -> RunReport {
-        (*self).report()
     }
 }
 

@@ -54,5 +54,5 @@ pub use results::ExecutorResults;
 pub use router::{BatchRouter, RouteBatch, RoutedRows, RowFilter};
 pub use runner::SegmentRunner;
 pub use scan::{ScanCounters, ScanKernel, TypePass};
-pub use sharded::{ShardProcessor, ShardedExecutor, ShardedOptions, DEFAULT_BATCH_SIZE};
+pub use sharded::{ShardedExecutor, ShardedOptions, DEFAULT_BATCH_SIZE};
 pub use winvec::{WinVec, WindowPlane};

@@ -1,8 +1,8 @@
 //! The uniform columnar operator interface of the execution layer.
 //!
-//! Every strategy in the system — the online Sharon/A-Seq engines, the
-//! sharded parallel runtime, and the two-step baselines — is a *stage
-//! pipeline over [`EventBatch`]*: one front end per owner of routing
+//! Every strategy in the system — the online Sharon/A-Seq engines, their
+//! sharded parallel runtime, and the sequential two-step baselines — is a
+//! *stage pipeline over [`EventBatch`]*: one front end per owner of routing
 //! scopes ([`crate::front`]) selects each scope's rows with compiled scan
 //! kernels (routing on the `ty` column, predicate evaluation over the
 //! value buffer, groupability) and dispatches them, directly or through
@@ -16,8 +16,9 @@
 //! [`EventBatch::from_events`].
 //!
 //! Implementors: [`crate::Executor`] (online engines),
-//! [`crate::ShardedExecutor`] (route-once parallel runtime), and the
-//! `sharon-twostep` crate's `FlinkLike` / `SpassLike` baselines.
+//! [`crate::ShardedExecutor`] (route-once parallel runtime of the online
+//! engines), and the `sharon-twostep` crate's `FlinkLike` / `SpassLike`
+//! baselines, which run sequentially only.
 
 use crate::results::ExecutorResults;
 use sharon_types::EventBatch;

@@ -9,8 +9,8 @@
 //! owners run) selects every scope's rows of the chunk through one shared
 //! type pass, then the router hashes each selected row's group key and
 //! appends the row index to the owning shard's list. Workers then
-//! dispatch their lists (`process_routed`) and only ever touch rows they
-//! own.
+//! dispatch their lists (`Executor::process_routed`) and only ever touch
+//! rows they own.
 //!
 //! Every group lives on its hash owner, and the assignment must agree
 //! exactly with [`crate::engine::ShardSlice::owns`], which the online
@@ -30,7 +30,8 @@ use std::sync::Arc;
 /// The stateless prefix of one routing scope as the batch router sees
 /// it: a compiled [`ScanKernel`] selecting the scope's rows (type
 /// routing, predicates, groupability) and the group-key extraction that
-/// picks each selected row's shard.
+/// picks each selected row's shard. The runtime routes
+/// [`CompiledPartition`]s; the scan-parity suite routes generated scopes.
 pub trait RowFilter {
     /// Build the group key of a selected row into `key` (reusing the
     /// `vals` scratch buffer), returning `false` for ungroupable rows.
@@ -66,9 +67,8 @@ impl RowFilter for CompiledPartition {
 }
 
 /// The rows of one batch owned by one shard, per routing scope:
-/// `per_part[p]` lists the row indexes shard-owned for scope `p`
-/// (a compiled partition, a query, or a signature partition, depending on
-/// the hosted processor).
+/// `per_part[p]` lists the row indexes shard-owned for scope `p` (a
+/// compiled partition).
 #[derive(Debug, Default)]
 pub struct RoutedRows {
     /// Row-index lists, parallel to the routing scopes.
@@ -105,62 +105,20 @@ impl RoutedRows {
     }
 }
 
-/// Type-erased batch routing: what the sharded runtime's ingest thread
-/// drives, one virtual call per batch chunk. Implemented by
-/// [`BatchRouter`] for any [`RowFilter`] scope type.
-pub trait RouteBatch: Send {
-    /// Number of shards this router fans out to.
-    fn n_shards(&self) -> usize;
-
-    /// Number of routing scopes (the length of every
-    /// [`RoutedRows::per_part`]).
-    fn n_scopes(&self) -> usize;
-
-    /// Compute, for every shard, the per-scope row lists of rows
-    /// `lo..hi` of `batch` (absolute row indexes). `out` arrives holding
-    /// recycled [`RoutedRows`] (possibly fewer than `n_shards`, possibly
-    /// dirty); the router resets and tops it up — steady-state routing
-    /// allocates nothing beyond row-list growth.
-    fn route_range_into(
-        &mut self,
-        batch: &EventBatch,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<RoutedRows>,
-    );
-
+/// What is left of the router's trait surface: one probe the benchmark
+/// rig still calls.
+pub trait RouteBatch {
     /// Always 0: every group lives on its hash owner. Kept only because
     /// the benchmark rig's `executor.router.split_groups` probe calls it;
     /// a `benchmark` change deletes both.
     fn split_groups(&self) -> usize {
         0
     }
-
-    /// The router's per-scope scan tallies, if it tracks them. Cloned by
-    /// the executor handle **before** the router moves onto its router
-    /// thread, so selectivity stays reportable from the ingest side.
-    fn scan_counters(&self) -> Option<Arc<ScanCounters>> {
-        None
-    }
-
-    /// Serialize the router's routing state (its event-time frontier)
-    /// into a checkpoint segment. Routers without routing state write
-    /// nothing — and restore nothing.
-    fn save_state(&mut self, w: &mut StateWriter) {
-        let _ = w;
-    }
-
-    /// Restore the state written by [`RouteBatch::save_state`].
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let _ = r;
-        Ok(())
-    }
 }
 
 /// Routes whole batches: one stateless prefix evaluation per event,
-/// shared by all shards. Generic over the scope type `F` — compiled
-/// partitions for the online engines, baseline-provided filters for the
-/// two-step strategies.
+/// shared by all shards. Generic over the scope type `F`: compiled
+/// partitions in the runtime.
 pub struct BatchRouter<F = CompiledPartition> {
     scopes: Vec<F>,
     /// The select stage over the scopes' kernels. Its tallies are shared
@@ -191,25 +149,30 @@ impl<F: RowFilter> BatchRouter<F> {
     }
 
     /// Per-scope `(rows_scanned, rows_selected)` tallies of the stateless
-    /// pass, shared with whoever holds a clone (see
-    /// [`RouteBatch::scan_counters`]).
+    /// pass, shared with whoever holds a clone. The sharded runtime clones
+    /// them **before** the router moves onto its router thread, so
+    /// selectivity stays reportable from the ingest side.
     pub fn scan_counters(&self) -> Arc<ScanCounters> {
         Arc::clone(self.front.counters())
     }
 
     /// Compute, for every shard, the per-scope row lists of `batch`
-    /// (convenience wrapper over [`RouteBatch::route_range_into`]).
+    /// (convenience wrapper over [`BatchRouter::route_range_into`]).
     pub fn route(&mut self, batch: &EventBatch) -> Vec<RoutedRows> {
         let mut out = Vec::new();
         self.route_range_into(batch, 0, batch.len(), &mut out);
         out
     }
 
+    /// Compute, for every shard, the per-scope row lists of rows
+    /// `lo..hi` of `batch` (absolute row indexes). `out` arrives holding
+    /// recycled [`RoutedRows`] (possibly fewer than `n_shards`, possibly
+    /// dirty); the router resets and tops it up — steady-state routing
+    /// allocates nothing beyond row-list growth.
+    ///
     /// Rows that do not route into a scope, fail its predicates, or lack a
     /// grouping attribute are dropped here — exactly the rows the stateful
     /// side would drop — so workers receive only rows they will match.
-    /// See [`RouteBatch::route_range_into`] for the recycling contract of
-    /// `out`.
     pub fn route_range_into(
         &mut self,
         batch: &EventBatch,
@@ -280,9 +243,9 @@ impl<F: RowFilter> BatchRouter<F> {
         }
     }
 
-    /// Serialize the router's event-time frontier (see
-    /// [`RouteBatch::save_state`]). Structural configuration — scopes and
-    /// shard count — is rebuilt from the plan on restore, not persisted.
+    /// Serialize the router's event-time frontier into a checkpoint
+    /// segment. Structural configuration — scopes and shard count — is
+    /// rebuilt from the plan on restore, not persisted.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.time(self.frontier);
     }
@@ -295,37 +258,7 @@ impl<F: RowFilter> BatchRouter<F> {
     }
 }
 
-impl<F: RowFilter + Send> RouteBatch for BatchRouter<F> {
-    fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    fn n_scopes(&self) -> usize {
-        self.scopes.len()
-    }
-
-    fn route_range_into(
-        &mut self,
-        batch: &EventBatch,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<RoutedRows>,
-    ) {
-        BatchRouter::route_range_into(self, batch, lo, hi, out);
-    }
-
-    fn scan_counters(&self) -> Option<Arc<ScanCounters>> {
-        Some(BatchRouter::scan_counters(self))
-    }
-
-    fn save_state(&mut self, w: &mut StateWriter) {
-        BatchRouter::save_state(self, w);
-    }
-
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        BatchRouter::load_state(self, r)
-    }
-}
+impl<F> RouteBatch for BatchRouter<F> {}
 
 #[cfg(test)]
 mod tests {

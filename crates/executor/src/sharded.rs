@@ -5,7 +5,7 @@
 //! `GROUP BY` partitions are independent by construction — "a result is
 //! returned per group and per window" (Definition 2) and no engine state is
 //! ever shared across groups — and compiled partitions (sharing-signature
-//! classes, §7.2) never interact either. Every strategy in the system is
+//! classes, §7.2) never interact either. The online strategies are
 //! therefore embarrassingly parallel along two axes, and
 //! [`ShardedExecutor`] exploits both:
 //!
@@ -16,15 +16,13 @@
 //!   assigned to worker `p mod N`, spreading independent scopes over the
 //!   shards.
 //!
-//! The runtime is generic over *what* the workers run: each worker hosts
-//! one [`ShardProcessor`] — an [`Executor`] over shard-slice online
-//! [`Engine`]s for the Sharon/Greedy/A-Seq strategies, or a two-step
-//! baseline (Flink-like, SPASS-like) for the figure-13 comparisons; both
-//! are the same objects that run sequentially — so sharding is
-//! a pure work partition for *any* strategy: shard results are disjoint
-//! and merge exactly. [`ShardedExecutor::finish`] merges them in
-//! deterministic shard order; determinism tests assert `semantically_eq`
-//! with the sequential path for every shard count and every strategy.
+//! Each worker hosts one [`Executor`] over shard-slice online
+//! [`Engine`]s — the same type that runs sequentially, restricted to the
+//! shard's groups — so sharding is a pure work partition: shard results
+//! are disjoint and merge exactly. [`ShardedExecutor::finish`] merges
+//! them in deterministic shard order; determinism tests assert
+//! `semantically_eq` with the sequential path for every shard count and
+//! every online strategy. The two-step baselines run sequentially only.
 //!
 //! Events are ingested into a columnar [`EventBatch`] and **routed once**:
 //! the routing side runs the stateless prefix of the event path — routing,
@@ -39,7 +37,7 @@
 //! # Pipelined ingest
 //!
 //! Routing is the serial stage of the runtime, so it never runs on the
-//! ingest thread: a dedicated *router thread* owns the [`RouteBatch`] and
+//! ingest thread: a dedicated *router thread* owns the [`BatchRouter`] and
 //! the worker rings, and the ingest thread hands it filled batches over
 //! one more bounded channel, the *job ring* (double-buffered — its depth
 //! is the backpressure): the router routes batch `k + 1` while the shard
@@ -94,14 +92,14 @@
 
 use crate::checkpoint::{
     BarrierRef, CheckpointBarrier, CheckpointConfig, CheckpointError, CheckpointStore, FaultPlan,
-    HarvestRef, StateError, StateReader, StateWriter,
+    HarvestRef, StateReader, StateWriter,
 };
 use crate::compile::{compile, CompileError, CompiledPartition};
 use crate::engine::{EngineKind, Executor, ShardSlice};
 use crate::front::ScanFront;
 use crate::processor::{BatchProcessor, RunReport};
 use crate::results::ExecutorResults;
-use crate::router::{BatchRouter, RouteBatch, RoutedRows};
+use crate::router::{BatchRouter, RoutedRows};
 use crate::scan::ScanCounters;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{Catalog, EventBatch};
@@ -166,60 +164,6 @@ impl Drop for CancelOnPanic {
     }
 }
 
-/// The stateful half of a shardable strategy, as run by one worker thread:
-/// consumes pre-routed row lists of shared batches and reports its slice
-/// of the results when the ring closes. Implemented by [`Executor`] (over
-/// shard-slice engines) and by the two-step baselines' driver — the same
-/// objects that run sequentially.
-///
-/// The routing side (a [`RouteBatch`] built from the same stateless
-/// filters the processor applies) guarantees every listed row routes into
-/// its scope, passes its predicates, and belongs to a group this shard
-/// owns — the processor never re-evaluates that prefix.
-pub trait ShardProcessor: Send {
-    /// Process the pre-routed rows of `batch`, in row order per scope.
-    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows);
-
-    /// Events matched so far (published to the ingest side after every
-    /// batch); zero for strategies that do not track it.
-    fn events_matched(&self) -> u64 {
-        0
-    }
-
-    /// Serialize this shard's complete engine state for a checkpoint
-    /// barrier, or `None` if the strategy does not support checkpointing
-    /// (the default — the barrier then fails with a clear
-    /// [`CheckpointError::Mismatch`] instead of writing a lying manifest).
-    fn save_state(&mut self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Restore state written by [`ShardProcessor::save_state`]. The
-    /// default rejects, matching the default `save_state`.
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let _ = bytes;
-        Err(StateError::Corrupt(
-            "shard processor does not support state restore",
-        ))
-    }
-
-    /// Move out the results emitted so far, leaving open-window state in
-    /// place — the epoch drain behind the session layer's
-    /// `drain_results`. The harvest is in-process, so the log travels as
-    /// it is (the codec is for checkpoints only). `None` (the default)
-    /// means the strategy cannot harvest mid-stream; the harvest barrier
-    /// then fails instead of returning an empty result set that lies.
-    fn take_results(&mut self) -> Option<ExecutorResults> {
-        None
-    }
-
-    /// Flush remaining windows and report this shard's slice of the run:
-    /// its results, matched count and gate's late drops. A row routes to
-    /// one shard per scope, so the shards' counts sum to the sequential
-    /// owner's.
-    fn finish(self: Box<Self>) -> RunReport;
-}
-
 /// The router's endpoints of one worker lane: the routed-batch ring in,
 /// the recycled row lists out.
 struct WorkerChannel {
@@ -242,11 +186,11 @@ struct WorkerHandle {
     matched: Arc<AtomicU64>,
 }
 
-/// The complete routing stage: the [`RouteBatch`], the worker rings (one
+/// The complete routing stage: the [`BatchRouter`], the worker rings (one
 /// lane per worker), and the recycling pools. Moved wholesale onto the
 /// router thread; dropping it closes every worker lane.
 struct Fanout {
-    router: Box<dyn RouteBatch>,
+    router: BatchRouter,
     channels: Vec<WorkerChannel>,
     /// Recycled row lists (refilled from the workers' return rings).
     rows_pool: Vec<RoutedRows>,
@@ -439,7 +383,7 @@ fn engine_shards(
     parts: &[CompiledPartition],
     n_shards: usize,
     lateness: Option<u64>,
-) -> Vec<Box<dyn ShardProcessor>> {
+) -> Vec<Executor> {
     (0..n_shards)
         .map(|shard| {
             let engines: Vec<EngineKind> = parts
@@ -458,7 +402,7 @@ fn engine_shards(
             if let Some(ms) = lateness {
                 worker.set_lateness(ms);
             }
-            Box::new(worker) as Box<dyn ShardProcessor>
+            worker
         })
         .collect()
 }
@@ -494,12 +438,10 @@ fn reorder_burst(batch: &EventBatch, lo: usize, hi: usize, k: u32) -> EventBatch
 
 /// A parallel executor that hash-partitions work across `N` worker shards.
 ///
-/// Three constructors, one build path: [`ShardedExecutor::with_options`]
+/// Two constructors, one build path: [`ShardedExecutor::with_options`]
 /// compiles a workload into online engine shards exactly like
-/// [`crate::Executor`], [`ShardedExecutor::resume`] rebuilds them from the
-/// latest complete checkpoint, and [`ShardedExecutor::from_parts`] hosts
-/// *any* [`ShardProcessor`] set behind a pre-built router, which
-/// is how the two-step baselines run sharded. Events are accepted as
+/// [`crate::Executor`], and [`ShardedExecutor::resume`] rebuilds them from
+/// the latest complete checkpoint. Events are accepted as
 /// columnar batches copied into the fill buffer; the router thread routes
 /// each buffered batch once and fans the per-shard row lists out
 /// over bounded channels (see the module docs). [`ShardedExecutor::finish`]
@@ -538,9 +480,8 @@ pub struct ShardedExecutor {
     /// simulating a crash with unflushed state.
     fault_tripped: Option<u64>,
     /// The router's per-scope scan tallies, cloned out before the router
-    /// moved onto its thread (`None` when the router does not track
-    /// them).
-    scan_counters: Option<Arc<ScanCounters>>,
+    /// moved onto its thread.
+    scan_counters: Arc<ScanCounters>,
 }
 
 impl ShardedExecutor {
@@ -564,7 +505,7 @@ impl ShardedExecutor {
         let parts = compile(catalog, workload, plan)?;
         let store = open_store(&options)?;
         let shards = engine_shards(&parts, n_shards, options.lateness);
-        let router = Box::new(BatchRouter::new(parts, n_shards));
+        let router = BatchRouter::new(parts, n_shards);
         Ok(Self::build_with(router, shards, &options, store, 0))
     }
 
@@ -597,7 +538,7 @@ impl ShardedExecutor {
         let parts = compile(catalog, workload, plan)
             .map_err(|e| CheckpointError::Mismatch(format!("workload does not compile: {e}")))?;
         let mut shards = engine_shards(&parts, n_shards, options.lateness);
-        let mut router = Box::new(BatchRouter::new(parts, n_shards));
+        let mut router = BatchRouter::new(parts, n_shards);
         let mut r = StateReader::new(&data.router);
         router.load_state(&mut r)?;
         if !r.is_exhausted() {
@@ -605,8 +546,8 @@ impl ShardedExecutor {
                 "trailing router state bytes".into(),
             ));
         }
-        for (shard, processor) in shards.iter_mut().enumerate() {
-            processor
+        for (shard, worker) in shards.iter_mut().enumerate() {
+            worker
                 .load_state(&data.shards[shard])
                 .map_err(|e| CheckpointError::Corrupt(format!("shard {shard} state: {e}")))?;
         }
@@ -617,42 +558,19 @@ impl ShardedExecutor {
         ))
     }
 
-    /// Host any strategy: a pre-built [`RouteBatch`] plus one processor
-    /// per shard (the two-step baselines run sharded this way). The
-    /// router's shard assignment must agree with how the processors
-    /// partition their group state; both sides deriving from the same
-    /// [`crate::RowFilter`] scopes guarantees that. The engine-side
-    /// option (`lateness`) is the processors' business. A checkpoint
-    /// directory that cannot be opened is [`CompileError::CheckpointDir`].
-    /// Panics on an empty shard set, or when router and processors
-    /// disagree on the shard count.
-    pub fn from_parts(
-        router: Box<dyn RouteBatch>,
-        shards: Vec<Box<dyn ShardProcessor>>,
-        options: &ShardedOptions,
-    ) -> Result<Self, CompileError> {
-        let store = open_store(options)?;
-        Ok(Self::build_with(router, shards, options, store, 0))
-    }
-
-    /// Spawn the worker and router threads around `router` + `shards`,
-    /// checkpointing into `store` (opened from `options.checkpoint`).
-    /// `events_sent` seeds the ingest counter — zero for fresh runs, the
-    /// checkpoint's replay offset for resumed ones.
+    /// Spawn the worker and router threads around `router` + `shards`
+    /// (both built for the same shard count), checkpointing into `store`
+    /// (opened from `options.checkpoint`). `events_sent` seeds the ingest
+    /// counter — zero for fresh runs, the checkpoint's replay offset for
+    /// resumed ones.
     fn build_with(
-        router: Box<dyn RouteBatch>,
-        shards: Vec<Box<dyn ShardProcessor>>,
+        router: BatchRouter,
+        shards: Vec<Executor>,
         options: &ShardedOptions,
         store: Option<CheckpointStore>,
         events_sent: u64,
     ) -> Self {
         let n_shards = shards.len();
-        assert!(n_shards >= 1, "need at least one shard");
-        assert_eq!(
-            router.n_shards(),
-            n_shards,
-            "router and processor shard counts must agree"
-        );
         let batch_size = options.batch_size.max(1);
         // cloned now: the router moves onto its own thread, but
         // selectivity stays reportable through the shared counters
@@ -685,7 +603,7 @@ impl ShardedExecutor {
         };
 
         let mut workers = Vec::with_capacity(n_shards);
-        for ((shard, processor), lane) in shards.into_iter().enumerate().zip(lanes) {
+        for ((shard, worker), lane) in shards.into_iter().enumerate().zip(lanes) {
             let matched = Arc::new(AtomicU64::new(0));
             let matched_pub = Arc::clone(&matched);
             let cancelled = Arc::clone(&cancel);
@@ -697,7 +615,7 @@ impl ShardedExecutor {
                 .name(format!("sharon-shard-{shard}"))
                 .spawn(move || {
                     let _guard = CancelOnPanic(Arc::clone(&cancelled));
-                    let mut processor = processor;
+                    let mut worker = worker;
                     let WorkerLane { rx, ret } = lane;
                     let mut processed: u64 = 0;
                     while let Ok(msg) = rx.recv() {
@@ -712,9 +630,8 @@ impl ShardedExecutor {
                                         );
                                     }
                                     processed += 1;
-                                    processor.process_routed(&batch, &rows);
-                                    matched_pub
-                                        .store(processor.events_matched(), Ordering::Relaxed);
+                                    worker.process_routed(&batch, &rows);
+                                    matched_pub.store(worker.events_matched(), Ordering::Relaxed);
                                 }
                                 drop(batch); // release the body before recycling rows
                                 rows.clear();
@@ -725,14 +642,14 @@ impl ShardedExecutor {
                             // in-band: state and results cover exactly the
                             // batches routed before the barrier
                             WorkerMsg::Barrier(barrier) => {
-                                barrier.fill_shard(shard, processor.save_state());
+                                barrier.fill_shard(shard, worker.save_state());
                             }
                             WorkerMsg::Harvest(barrier) => {
-                                barrier.fill_shard(shard, processor.take_results());
+                                barrier.fill_shard(shard, worker.take_results());
                             }
                         }
                     }
-                    processor.finish()
+                    worker.report()
                 })
                 .expect("spawn shard worker thread");
             workers.push(WorkerHandle { handle, matched });
@@ -805,16 +722,12 @@ impl ShardedExecutor {
     }
 
     /// Per-scope `(rows_scanned, rows_selected)` of the router's
-    /// stateless pass so far (empty when the router does not track it).
-    /// Live: rows still buffered or queued for the router are not
+    /// stateless pass so far. Live: rows still buffered or queued for the router are not
     /// counted yet. The tallies [`BatchProcessor::finish`] returns are
     /// read after the router thread is joined, so they cover the whole
     /// stream.
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
-        self.scan_counters
-            .as_ref()
-            .map(|c| c.snapshot())
-            .unwrap_or_default()
+        self.scan_counters.snapshot()
     }
 
     /// The fill buffer (uniquely owned between flushes).
@@ -975,9 +888,7 @@ impl ShardedExecutor {
     /// exactly the batches ingested before the call — this is the epoch
     /// drain backing the session layer's `drain_results`.
     ///
-    /// Fails with [`CheckpointError::Mismatch`] for shard processors that
-    /// cannot harvest mid-stream (the two-step baselines), and with
-    /// [`CheckpointError::Corrupt`] if a runtime thread died.
+    /// Fails with [`CheckpointError::Corrupt`] if a runtime thread died.
     pub fn harvest_results(&mut self) -> Result<ExecutorResults, CheckpointError> {
         self.flush();
         let barrier: HarvestRef = Arc::new(CheckpointBarrier::new(self.n_shards));
@@ -1057,8 +968,8 @@ impl Drop for ShardedExecutor {
     /// router thread and the workers are told to discard queued batches
     /// (they only complete the item currently in flight) and are joined,
     /// so an abandoned executor — e.g. a capped bench run reporting DNF —
-    /// never leaves detached threads grinding through polynomial two-step
-    /// work behind the next measurement.
+    /// never leaves detached threads grinding through queued work behind
+    /// the next measurement.
     fn drop(&mut self) {
         let Some(router) = self.router.take() else {
             return; // finished normally: threads already joined

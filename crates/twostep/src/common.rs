@@ -7,25 +7,20 @@
 //! natively over [`sharon_types::EventBatch`] rows and never materialize a
 //! row-form event on the batch path. [`ScopeFilter`] packages one
 //! baseline routing scope (a query for Flink-like, a sharing-signature
-//! partition for SPASS-like) as a [`RowFilter`], which is what lets the
-//! sharded runtime's route-once [`sharon_executor::BatchRouter`] fan
-//! baseline work out across shards.
+//! partition for SPASS-like) and compiles it to the [`ScanKernel`] the
+//! driver selects the scope's rows with.
 //!
-//! [`TwoStep`] is the one driver of both baselines in both roles — the
-//! sequential executor and the sharded runtime's shard worker
-//! ([`sharded`] is the one sharded build path). Its stateless prefix is
-//! the executor crate's front end ([`sharon_executor::front`]: select and
-//! tally, then dispatch through an optional event-time gate); what is
-//! its own is the fan-out of each distinct scope's rows to the
-//! [`Subscriber`]s.
+//! [`TwoStep`] is the one driver of both baselines. They run sequentially
+//! only: both of their roles, the oracle of the online runner and the
+//! §8 comparison, run them that way. Its stateless prefix is the executor crate's front end
+//! ([`sharon_executor::front`]: select and tally, then dispatch through
+//! an optional event-time gate); what is its own is the fan-out of each
+//! distinct scope's rows to the [`Subscriber`]s.
 
 use sharon_executor::agg::Contribution;
 use sharon_executor::compile::CompileError;
 use sharon_executor::front::{self, ScanFront, ScopeSink};
-use sharon_executor::{
-    BatchProcessor, BatchRouter, ExecutorResults, Reorder, RoutedRows, RowFilter, RunReport,
-    ScanKernel, ShardProcessor, ShardedExecutor, ShardedOptions,
-};
+use sharon_executor::{BatchProcessor, ExecutorResults, Reorder, RunReport, ScanKernel};
 use sharon_query::{CmpOp, Query};
 use sharon_types::{AttrId, Catalog, EventBatch, EventTypeId, GroupKey, Timestamp, Value};
 use std::collections::HashMap;
@@ -195,10 +190,10 @@ impl TypeTable {
     }
 }
 
-/// One baseline routing scope as seen by the batch router: a type-routing
-/// bitmap plus the scope's [`TypeTable`]. The stateless prefix it encodes
-/// is exactly the one the baseline's stateful side applies, so routed rows
-/// are precisely the rows the baseline would process.
+/// One baseline routing scope: a type-routing bitmap plus the scope's
+/// [`TypeTable`]. The stateless prefix it encodes is exactly the one the
+/// baseline's stateful side applies, so selected rows are precisely the
+/// rows the baseline would process.
 #[derive(Debug, Clone)]
 pub(crate) struct ScopeFilter {
     /// Per type id (dense): does the scope's pattern contain the type?
@@ -265,9 +260,9 @@ impl HashableValue {
 
 /// The routing identity of a [`ScopeFilter`]: pattern type set, per-type
 /// `GROUP BY` attributes, and per-type predicate clauses. Two scopes with
-/// equal keys select *exactly* the same rows of any batch and hash every
-/// row to the same shard, so the router only needs to scan one of them —
-/// the compile-time basis of scope deduplication ([`dedup_scopes`]).
+/// equal keys select *exactly* the same rows of any batch, so the driver
+/// only needs to scan one of them — the compile-time basis of scope
+/// deduplication ([`dedup_scopes`]).
 ///
 /// Deliberately excluded: aggregate contribution targets and window
 /// specs — they shape the *stateful* side only and never affect which
@@ -281,8 +276,8 @@ pub struct ScopeKey {
 
 /// Deduplicate routing scopes by [`ScopeKey`]: returns the distinct
 /// filters (first-seen order) and, parallel to them, the original scope
-/// indexes subscribing to each — the worker side fans each distinct
-/// scope's row selection out to all of its subscribers. With no duplicate
+/// indexes subscribing to each — the driver fans each distinct scope's
+/// row selection out to all of its subscribers. With no duplicate
 /// scopes this is the identity (`subscribers[i] == [i]`).
 pub(crate) fn dedup_scopes(scopes: Vec<ScopeFilter>) -> (Vec<ScopeFilter>, Vec<Vec<usize>>) {
     let mut index: HashMap<ScopeKey, usize> = HashMap::with_capacity(scopes.len());
@@ -301,21 +296,10 @@ pub(crate) fn dedup_scopes(scopes: Vec<ScopeFilter>) -> (Vec<ScopeFilter>, Vec<V
     (distinct, subscribers)
 }
 
-impl RowFilter for ScopeFilter {
-    #[inline]
-    fn read_group_key(
-        &self,
-        ty: EventTypeId,
-        attrs: &[Value],
-        vals: &mut Vec<Value>,
-        key: &mut GroupKey,
-    ) -> bool {
-        self.table.read_group_key(ty, attrs, vals, key)
-    }
-
-    /// This scope's stateless prefix, compiled: the kernel both the
-    /// driver's own scan and the sharded batch router select rows with.
-    fn scan_kernel(&self) -> ScanKernel {
+impl ScopeFilter {
+    /// This scope's stateless prefix, compiled: the kernel the driver's
+    /// scan selects rows with.
+    pub fn scan_kernel(&self) -> ScanKernel {
         ScanKernel::new(
             self.routed.clone(),
             &self.table.group_attrs,
@@ -326,8 +310,7 @@ impl RowFilter for ScopeFilter {
 
 /// One subscriber of a routing scope: Flink-like's per-query state or
 /// SPASS-like's per-signature partition. It only ever sees rows its
-/// scope selected (by the driver's scan or the sharded router), in
-/// event-time order.
+/// scope selected, in event-time order.
 pub(crate) trait Subscriber: Send {
     /// Fold the selected `rows` of `batch`, in row order.
     fn rows(&mut self, batch: &EventBatch, rows: &[u32], results: &mut ExecutorResults) {
@@ -359,32 +342,25 @@ pub(crate) trait Subscriber: Send {
     fn sequences(&self) -> u64;
 }
 
-/// A two-step strategy family, as named in build errors. Implemented by
-/// the uninhabited markers [`crate::Flink`] and [`crate::Spass`], which
-/// tell [`TwoStep`] which family's constructors and accessors it has.
-pub trait Family: Send + 'static {
-    /// Display name of the strategy.
-    const NAME: &'static str;
-}
+/// A two-step strategy family. Implemented by the uninhabited markers
+/// [`crate::Flink`] and [`crate::Spass`], which tell [`TwoStep`] which
+/// family's constructors and accessors it has.
+pub trait Family: Send + 'static {}
 
 /// The one driver of both two-step baselines ([`crate::FlinkLike`],
-/// [`crate::SpassLike`]): the sequential executor and, unchanged, the
-/// sharded runtime's shard worker.
+/// [`crate::SpassLike`]), run sequentially.
 ///
-/// It owns the *distinct* routing scopes (deduplicated by `ScopeKey`),
-/// the executor crate's stateless front end over their scan kernels
+/// It owns the executor crate's stateless front end over the scan
+/// kernels of the *distinct* routing scopes (deduplicated by `ScopeKey`)
 /// ([`sharon_executor::front`]: select and tally, then dispatch), an
 /// optional event-time gate, and the subscribers with their result log.
-/// Sequentially, [`TwoStep::process_columnar`] selects each distinct
-/// scope's rows once per batch and dispatches them at the batch maximum;
-/// sharded, it dispatches the router's per-scope lists at the chunk
-/// frontier. Either way each row reaches every subscriber of its scope —
-/// directly, or once the gate releases it. A late row counts once per
-/// distinct scope that selected it.
+/// [`TwoStep::process_columnar`] selects each distinct scope's rows once
+/// per batch and dispatches them at the batch maximum: each row reaches
+/// every subscriber of its scope — directly, or once the gate releases
+/// it. A late row counts once per distinct scope that selected it.
 pub struct TwoStep<F> {
-    /// Distinct routing scopes, first-seen order.
-    scopes: Vec<ScopeFilter>,
-    /// The select stage over the distinct scopes' kernels.
+    /// The select stage over the distinct scopes' kernels, first-seen
+    /// order.
     front: ScanFront,
     /// Event-time gate; `None` keeps the arrival-order contract.
     gate: Option<Reorder>,
@@ -428,8 +404,7 @@ impl<F: Family> TwoStep<F> {
     ) -> Self {
         let (scopes, fan) = dedup_scopes(scopes);
         TwoStep {
-            front: ScanFront::new(scopes.iter().map(RowFilter::scan_kernel).collect()),
-            scopes,
+            front: ScanFront::new(scopes.iter().map(ScopeFilter::scan_kernel).collect()),
             gate: None,
             subs: Subscribers {
                 fan,
@@ -537,59 +512,6 @@ impl<F: Family> BatchProcessor for TwoStep<F> {
     }
 }
 
-/// The sharded role: `rows.per_part` is parallel to the distinct scopes,
-/// exactly the lists [`TwoStep::process_columnar`] selects itself.
-impl<F: Family> ShardProcessor for TwoStep<F> {
-    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        let (subs, gate) = (&mut self.subs, self.gate.as_mut());
-        front::dispatch(subs, gate, batch, &rows.per_part, rows.frontier);
-    }
-
-    fn events_matched(&self) -> u64 {
-        TwoStep::events_matched(self)
-    }
-
-    fn finish(self: Box<Self>) -> RunReport {
-        (*self).report()
-    }
-}
-
-/// Run a baseline on the sharded runtime: each of the `n_shards` workers
-/// is one `build()` driver (gated when `options.lateness` is set), and
-/// the router is built over its distinct scopes — it scans each distinct
-/// scope once per batch. Durability options are
-/// [`CompileError::UnsupportedOption`] (a baseline cannot serialize its
-/// state) and zero shards is [`CompileError::ZeroShards`].
-pub(crate) fn sharded<F: Family>(
-    n_shards: usize,
-    options: &ShardedOptions,
-    mut build: impl FnMut() -> Result<TwoStep<F>, CompileError>,
-) -> Result<ShardedExecutor, CompileError> {
-    if let Some(option) = options.durability_option() {
-        return Err(CompileError::UnsupportedOption {
-            option,
-            strategy: F::NAME,
-        });
-    }
-    if n_shards == 0 {
-        return Err(CompileError::ZeroShards { strategy: F::NAME });
-    }
-    let mut shards = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        let mut shard = build()?;
-        if let Some(ms) = options.lateness {
-            shard.set_lateness(ms);
-        }
-        shards.push(shard);
-    }
-    let router = Box::new(BatchRouter::new(shards[0].scopes.clone(), n_shards));
-    let shards = shards
-        .into_iter()
-        .map(|shard| Box::new(shard) as Box<dyn ShardProcessor>)
-        .collect();
-    ShardedExecutor::from_parts(router, shards, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,7 +538,7 @@ mod tests {
 
     /// Every scope the baselines route — one per query (Flink-like) and
     /// one per signature partition (SPASS-like) — compiled to the kernel
-    /// the batch router runs, checked row for row against the scope's own
+    /// the driver runs, checked row for row against the scope's own
     /// routing bitmap, [`TypeTable::passes`] and [`TypeTable::groupable`].
     fn assert_scope_kernel_parity(
         catalog: &Catalog,
@@ -631,7 +553,7 @@ mod tests {
             .collect();
         let (mut selected, mut filtered) = (0usize, 0usize);
         for (si, scope) in scopes.iter().enumerate() {
-            let mut kernel = RowFilter::scan_kernel(scope);
+            let mut kernel = scope.scan_kernel();
             for (lo, hi) in ragged_ranges(batch.len()) {
                 let mut want = Vec::new();
                 for row in lo..hi {

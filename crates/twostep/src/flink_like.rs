@@ -10,15 +10,14 @@
 //! [`FlinkLike`] is the two-step driver ([`TwoStep`]) with one subscriber
 //! per query, each routed by the query's own scope: the driver's scan,
 //! event-time gate and fan-out are shared with SPASS-like, and queries
-//! whose scopes coincide share one scan. [`FlinkLike::sharded`] runs the
-//! same driver as the shard worker of the route-once parallel runtime.
+//! whose scopes coincide share one scan.
 
-use crate::common::{self, Family, ScopeFilter, Subscriber, TwoStep, TypeTable};
+use crate::common::{Family, ScopeFilter, Subscriber, TwoStep, TypeTable};
 use crate::construct::SeqBuffers;
 use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
-use sharon_executor::{ExecutorResults, ShardedExecutor, ShardedOptions};
+use sharon_executor::ExecutorResults;
 use sharon_query::{Query, QueryId, Workload};
 use sharon_types::{Catalog, EventTypeId, GroupKey, Timestamp, Value, WindowSpec};
 use std::collections::HashMap;
@@ -195,9 +194,7 @@ impl<A: Aggregate> Subscriber for QueryState<A> {
 /// The Flink-like strategy family (see [`FlinkLike`]).
 pub enum Flink {}
 
-impl Family for Flink {
-    const NAME: &'static str = "Flink";
-}
+impl Family for Flink {}
 
 /// The non-shared two-step executor: independent sequence construction and
 /// aggregation per query.
@@ -222,31 +219,6 @@ impl FlinkLike {
         Ok(TwoStep::new_driver(scopes, subs, workload.len()))
     }
 
-    /// Run the baseline on the sharded parallel runtime: the batch router
-    /// fans each distinct scope's rows out by group hash, and one
-    /// [`FlinkLike`] per worker consumes only the rows it owns. Results
-    /// are identical to the sequential baseline — sharding is a pure work
-    /// partition here too.
-    ///
-    /// Queries whose pattern types, predicates, and `GROUP BY` clauses
-    /// coincide (a `ScopeKey` match) share one routing scope, so the
-    /// router scans the batch once per *distinct* scope — not once per
-    /// query — and each worker fans the shared selection out to every
-    /// subscribing query, exactly as the sequential driver does.
-    ///
-    /// `options` sizes the batches; with a
-    /// lateness set, each worker gates its routed rows behind the
-    /// router's merged cross-shard frontier. Durability options are
-    /// [`CompileError::UnsupportedOption`].
-    pub fn sharded(
-        catalog: &Catalog,
-        workload: &Workload,
-        n_shards: usize,
-        options: &ShardedOptions,
-    ) -> Result<ShardedExecutor, CompileError> {
-        common::sharded(n_shards, options, || FlinkLike::new(catalog, workload))
-    }
-
     /// Raw events currently buffered across all queries (memory proxy).
     pub fn buffered_events(&self) -> usize {
         self.state_size()
@@ -256,7 +228,7 @@ impl FlinkLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharon_executor::Executor;
+    use sharon_executor::{BatchProcessor, Executor};
     use sharon_query::parse_workload;
     use sharon_types::{Event, EventBatch};
 
@@ -376,32 +348,31 @@ mod tests {
         columnar.process_columnar(&batch);
         let got = columnar.finish();
         assert!(got.semantically_eq(&want, 1e-9));
+    }
 
-        // sharded route-once agrees too
-        let mut sharded = FlinkLike::sharded(&c, &w, 3, &ShardedOptions::default()).unwrap();
-        sharded.process_columnar(&batch);
-        let got = sharded.finish();
-        assert!(got.semantically_eq(&want, 1e-9));
+    /// `n` queries over one routing scope (same pattern and `GROUP BY`,
+    /// different windows).
+    fn shared_scope_workload(c: &mut Catalog, n: usize) -> Workload {
+        let sources: Vec<String> = (0..n)
+            .map(|i| {
+                format!(
+                    "RETURN COUNT(*) PATTERN SEQ(A, B) GROUP BY g WITHIN {} ms SLIDE 2 ms",
+                    8 + 2 * (i % 16)
+                )
+            })
+            .collect();
+        parse_workload(c, sources.iter().map(String::as_str)).unwrap()
     }
 
     #[test]
     fn deduplicated_scopes_fan_out_to_every_query() {
-        // eight queries sharing one routing scope (same pattern + GROUP
-        // BY, different windows): the sharded runtime routes the scope
-        // once and every query still gets its full selection — results
-        // identical to the sequential baseline, on one router or two
+        // eight queries sharing one routing scope: the driver scans it
+        // once per batch and every query still gets its full selection —
+        // each query answers exactly as it does run alone
         let mut c = Catalog::new();
         c.register_with_schema("A", sharon_types::Schema::new(["g"]));
         c.register_with_schema("B", sharon_types::Schema::new(["g"]));
-        let sources: Vec<String> = (0..8)
-            .map(|i| {
-                format!(
-                    "RETURN COUNT(*) PATTERN SEQ(A, B) GROUP BY g WITHIN {} ms SLIDE 2 ms",
-                    8 + 2 * i
-                )
-            })
-            .collect();
-        let w = parse_workload(&mut c, sources.iter().map(String::as_str)).unwrap();
+        let w = shared_scope_workload(&mut c, 8);
         let a = c.lookup("A").unwrap();
         let b = c.lookup("B").unwrap();
         let events: Vec<Event> = (0..600u64)
@@ -413,29 +384,35 @@ mod tests {
                 )
             })
             .collect();
-
         let batch = EventBatch::from_events(&events);
-        let mut sequential = FlinkLike::new(&c, &w).unwrap();
-        sequential.process_columnar(&batch);
-        let want = sequential.finish();
-        assert!(!want.is_empty());
 
-        let options = ShardedOptions {
-            batch_size: 128,
-            ..ShardedOptions::default()
-        };
-        let mut sharded = FlinkLike::sharded(&c, &w, 3, &options).unwrap();
-        sharded.process_columnar(&batch);
-        let got = sharded.finish();
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "deduplicated sharded baseline diverges"
+        let mut shared = FlinkLike::new(&c, &w).unwrap();
+        shared.process_columnar(&batch);
+        assert_eq!(
+            BatchProcessor::scan_stats(&shared),
+            vec![(600, 600)],
+            "one scope scan serves all eight queries"
         );
-        for q in w.ids() {
-            assert!(
-                got.total_count(q) > 0,
-                "query {q} received its fanned-out selection"
+        let got = shared.finish();
+        for q in w.queries() {
+            let mut alone = Workload::new();
+            alone.push(q.clone());
+            let mut single = FlinkLike::new(&c, &alone).unwrap();
+            single.process_columnar(&batch);
+            let want = single.finish().of_query_sorted(QueryId(0));
+            assert!(!want.is_empty());
+            assert_eq!(
+                got.of_query_sorted(q.id),
+                want,
+                "query {} received its fanned-out selection",
+                q.id
             );
         }
+
+        // 64 identical-scope queries still cost one scope
+        let w = shared_scope_workload(&mut c, 64);
+        let mut wide = FlinkLike::new(&c, &w).unwrap();
+        wide.process_columnar(&batch);
+        assert_eq!(BatchProcessor::scan_stats(&wide).len(), 1);
     }
 }

@@ -22,12 +22,10 @@
 //! for SPASS-like): it consumes columnar [`sharon_types::EventBatch`]es
 //! natively (one stateless scan per distinct routing scope → stateful
 //! dispatch over row indices, no per-row `Event` materialization), owns the
-//! event-time gate, and is a [`sharon_executor::BatchProcessor`] as well
-//! as the [`sharon_executor::ShardProcessor`] that [`FlinkLike::sharded`] /
-//! [`SpassLike::sharded`] run on every worker of the route-once sharded
-//! runtime — for apples-to-apples comparisons with the online engines at
-//! any shard count. Sequence construction stays per baseline, so the
-//! baselines share no stateful code with the online runner.
+//! event-time gate, and is a [`sharon_executor::BatchProcessor`]. The
+//! baselines run sequentially only; the sharded runtime hosts the online
+//! engines. Sequence construction stays per baseline, so the baselines
+//! share no stateful code with the online runner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,15 +15,16 @@
 //! [`SpassLike`] is the two-step driver ([`TwoStep`]) with one subscriber
 //! per sharing-signature partition, routed by the partition's merged
 //! scope: the driver's scan, event-time gate and fan-out are shared with
-//! Flink-like. [`SpassLike::sharded`] runs the same driver as the shard
-//! worker of the route-once parallel runtime.
+//! Flink-like. Signature partitions whose routing scopes coincide
+//! (partitions differing only in window or aggregate, say) share one
+//! scan, fanned out to every subscribing partition.
 
-use crate::common::{self, Family, ScopeFilter, Subscriber, TwoStep, TypeTable};
+use crate::common::{Family, ScopeFilter, Subscriber, TwoStep, TypeTable};
 use crate::construct::SeqBuffers;
 use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
-use sharon_executor::{ExecutorResults, ShardedExecutor, ShardedOptions};
+use sharon_executor::ExecutorResults;
 use sharon_query::{Query, QueryId, SegmentKind, SharingPlan, Workload};
 use sharon_types::{Catalog, EventTypeId, GroupKey, Timestamp, Value, WindowSpec};
 use std::collections::{HashMap, VecDeque};
@@ -374,9 +375,7 @@ fn join_backward<A: Aggregate>(
 /// The SPASS-like strategy family (see [`SpassLike`]).
 pub enum Spass {}
 
-impl Family for Spass {
-    const NAME: &'static str = "SPASS";
-}
+impl Family for Spass {}
 
 /// The shared two-step executor: shared sequence construction per plan
 /// candidate, per-query join + aggregation afterwards.
@@ -418,28 +417,6 @@ impl SpassLike {
             });
         }
         Ok(TwoStep::new_driver(scopes, subs, workload.len()))
-    }
-
-    /// Run the baseline on the sharded parallel runtime: the batch router
-    /// fans each distinct scope's rows out by group hash; one
-    /// [`SpassLike`] per worker consumes only the rows it owns.
-    ///
-    /// Routing scopes are **deduplicated** like [`crate::FlinkLike::sharded`]'s:
-    /// signature partitions whose pattern types, predicates, and
-    /// `GROUP BY` clauses coincide (partitions differing only in window
-    /// or aggregate, say) share one routing scope, scanned once per batch
-    /// and fanned out to every subscribing partition on the worker side.
-    /// `options` is read as in [`crate::FlinkLike::sharded`].
-    pub fn sharded(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-        options: &ShardedOptions,
-    ) -> Result<ShardedExecutor, CompileError> {
-        common::sharded(n_shards, options, || {
-            SpassLike::new(catalog, workload, plan)
-        })
     }
 
     /// Materialized matches + buffered events (memory proxy).
@@ -559,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_and_sharded_paths_match_per_event() {
+    fn columnar_path_matches_per_event() {
         let (c, w, plan) = traffic_pair();
         let names = ["X", "Y", "A", "B", "Z"];
         let events: Vec<Event> = (0..500u64)
@@ -578,11 +555,6 @@ mod tests {
         let mut columnar = SpassLike::new(&c, &w, &plan).unwrap();
         columnar.process_columnar(&batch);
         let got = columnar.finish();
-        assert!(got.semantically_eq(&want, 1e-9));
-
-        let mut sharded = SpassLike::sharded(&c, &w, &plan, 3, &ShardedOptions::default()).unwrap();
-        sharded.process_columnar(&batch);
-        let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
     }
 }

@@ -9,6 +9,7 @@
 use sharon::prelude::*;
 use sharon::streams::ecommerce::{generate, EcommerceConfig};
 use sharon::streams::workload::{figure_2_workload, measured_rates};
+use sharon::AnyExecutor;
 
 fn main() {
     // the paper's generator spec: 50 items, 20 customers, 3k events/s
@@ -28,10 +29,10 @@ fn main() {
 
     let (counts, span) = measured_rates(&events);
     let rates = RateMap::from_counts(&counts, span);
-    let mut fw = SharonBuilder::new(&catalog, &workload, &rates)
-        .build()
+    let (mut ex, outcome) = SharonBuilder::new(&catalog, &workload, &rates)
+        .build_executor()
         .expect("compiles");
-    let plan = fw.plan();
+    let plan = outcome.expect("the Sharon strategy optimizes").plan;
     println!("\nsharing plan:");
     for cand in &plan.candidates {
         let qs: Vec<String> = cand.queries.iter().map(|q| q.to_string()).collect();
@@ -47,8 +48,8 @@ fn main() {
         "the Laptop/Case family must produce sharing opportunities"
     );
 
-    fw.run(SortedVecStream::presorted(events.clone()));
-    let results = fw.finish();
+    run(&mut ex, SortedVecStream::presorted(events.clone()));
+    let results = ex.finish();
     println!("\npurchase-sequence counts (per customer and window, totals):");
     for q in workload.ids() {
         println!("  {}: total {}", q, results.total_count(q));
@@ -63,11 +64,11 @@ fn main() {
         ],
     )
     .expect("parses");
-    let mut price_fw = SharonBuilder::new(&catalog, &price_queries, &rates)
-        .build()
+    let (mut price_ex, _) = SharonBuilder::new(&catalog, &price_queries, &rates)
+        .build_executor()
         .expect("compiles");
-    price_fw.run(SortedVecStream::presorted(events));
-    let price_results = price_fw.finish();
+    run(&mut price_ex, SortedVecStream::presorted(events));
+    let price_results = price_ex.finish();
     let sample: Vec<_> = price_results
         .of_query_sorted(QueryId(0))
         .into_iter()
@@ -76,5 +77,14 @@ fn main() {
     println!("\nAVG(Laptop.price) before a Case purchase (first 3 results):");
     for (group, window, value) in sample {
         println!("  customer {group} window@{window}: {value}");
+    }
+}
+
+/// Drain `stream` through `ex` in columnar batches.
+fn run(ex: &mut AnyExecutor, mut stream: impl EventStream) {
+    let mut buf = EventBatch::with_capacity(Executor::RUN_BATCH, 2);
+    while stream.next_batch_columnar(Executor::RUN_BATCH, &mut buf) > 0 {
+        ex.process_columnar(&buf);
+        buf.clear();
     }
 }

@@ -32,10 +32,10 @@ fn main() {
     // 2. Let the Sharon optimizer pick the sharing plan (Sections 3-7)
     // ---------------------------------------------------------------
     let rates = RateMap::uniform(100.0);
-    let mut fw = SharonBuilder::new(&catalog, &workload, &rates)
-        .build()
+    let (mut ex, outcome) = SharonBuilder::new(&catalog, &workload, &rates)
+        .build_executor()
         .expect("compiles");
-    let plan = fw.plan();
+    let plan = outcome.expect("the Sharon strategy optimizes").plan;
     println!("\nsharing plan ({} candidates):", plan.len());
     for cand in &plan.candidates {
         let qs: Vec<String> = cand.queries.iter().map(|q| q.to_string()).collect();
@@ -67,12 +67,12 @@ fn main() {
     .into_iter()
     .map(|(ty, ts)| Event::new(ty, Timestamp(ts)))
     .collect();
-    fw.process_columnar(&EventBatch::from_events(&events));
+    ex.process_columnar(&EventBatch::from_events(&events));
 
     // ---------------------------------------------------------------
     // 4. Collect per-window results
     // ---------------------------------------------------------------
-    let results = fw.finish();
+    let results = ex.finish();
     println!("\nresults:");
     for q in workload.ids() {
         for (group, window, value) in results.of_query_sorted(q) {

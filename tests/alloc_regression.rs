@@ -17,7 +17,9 @@
 
 use sharon::prelude::*;
 use sharon::twostep::{FlinkLike, SpassLike};
-use sharon_executor::{compile, BatchRouter, EngineKind, RoutedRows, ShardSlice, ShardedOptions};
+use sharon_executor::{
+    compile, BatchProcessor, BatchRouter, EngineKind, RoutedRows, ShardSlice, ShardedOptions,
+};
 use sharon_metrics::{alloc, TrackingAllocator};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -992,10 +994,10 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
 #[test]
 fn dedup_router_scans_each_distinct_scope_once_per_batch() {
     // 64 queries sharing one routing scope (same SEQ(A, B) + GROUP BY,
-    // windows differ): scope dedup collapses them to ONE router scope, so
-    // the router performs exactly 1 scope scan per batch — not 64 —
-    // measured via the metrics scan counter, with results still identical
-    // to the sequential baseline.
+    // windows differ): scope dedup collapses them to ONE scan scope, so the
+    // two-step driver scans each row once per batch — not 64 times —
+    // measured via its per-scope scan counters, with every query answering
+    // exactly as it does when run alone.
     let _serial = serial();
     let mut catalog = Catalog::new();
     catalog.register_with_schema("A", Schema::new(["g", "v"]));
@@ -1011,38 +1013,36 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
     let workload = parse_workload(&mut catalog, sources.iter().map(String::as_str)).unwrap();
 
     const BATCHES: usize = 8;
-    // flush threshold = the generator's batch size, so one pushed batch is
-    // exactly one routed chunk
-    const BATCH_SIZE: usize = BATCH_ROWS;
     let (batches, _) = build_pair_batches(&catalog, BATCHES, 0);
 
-    let mut sequential = FlinkLike::new(&catalog, &workload).unwrap();
+    let mut shared = FlinkLike::new(&catalog, &workload).unwrap();
     for b in &batches {
-        sequential.process_columnar(b);
+        shared.process_columnar(b);
     }
-    let want = sequential.finish();
-    assert!(!want.is_empty());
-
-    let options = ShardedOptions {
-        batch_size: BATCH_SIZE,
-        ..ShardedOptions::default()
-    };
-    let mut sharded = FlinkLike::sharded(&catalog, &workload, 3, &options).unwrap();
-    let scans_before = sharon_metrics::router_scope_scans();
-    for b in &batches {
-        sharded.process_columnar(b);
-    }
-    let got = sharded.finish(); // drains the pipeline: all chunks routed
-    let scans = sharon_metrics::router_scope_scans() - scans_before;
+    let rows = (BATCHES * BATCH_ROWS) as u64;
     assert_eq!(
-        scans, BATCHES as u64,
-        "64 identical-scope queries must cost exactly one scope scan per batch \
-         ({BATCHES} batches performed {scans} scans)"
+        BatchProcessor::scan_stats(&shared),
+        vec![(rows, rows)],
+        "64 identical-scope queries must cost exactly one scope scan per batch"
     );
-    assert!(
-        got.semantically_eq(&want, 1e-9),
-        "deduplicated routing changed the results"
-    );
+    let got = shared.finish();
+
+    for q in workload.queries() {
+        let mut alone = Workload::new();
+        alone.push(q.clone());
+        let mut single = FlinkLike::new(&catalog, &alone).unwrap();
+        for b in &batches {
+            single.process_columnar(b);
+        }
+        let want = single.finish().of_query_sorted(QueryId(0));
+        assert!(!want.is_empty());
+        assert_eq!(
+            got.of_query_sorted(q.id),
+            want,
+            "deduplicated scanning changed the results of query {}",
+            q.id
+        );
+    }
 }
 
 #[test]

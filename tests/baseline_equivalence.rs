@@ -3,16 +3,16 @@
 //! answer identically — they differ only in cost.
 //!
 //! Also pins the baselines' *columnar* pipeline (compiled scan + stateful
-//! dispatch over `EventBatch` row indices) fed whole batches and their
-//! *sharded* route-once runs against the same baseline fed one row per
-//! batch (the per-event cadence), on all three paper streams and over
-//! ragged batch sizes (empty and single-event batches included): neither
-//! the batch size nor sharding is ever a semantics change — not even on a
-//! Zipf-skewed stream, where every strategy still agrees, nor under
-//! below-bound disorder, where both forms drop the same late rows.
+//! dispatch over `EventBatch` row indices) fed whole batches against the
+//! same baseline fed one row per batch (the per-event cadence), on all
+//! three paper streams and over ragged batch sizes (empty and
+//! single-event batches included): the batch size is never a semantics
+//! change — not even on a Zipf-skewed stream, where every strategy still
+//! agrees with the sharded online runtime, nor under below-bound
+//! disorder, where the baselines drop exactly the rows the online engine
+//! drops. The baselines run sequentially only.
 
 use proptest::prelude::*;
-use sharon::executor::ShardedOptions;
 use sharon::prelude::*;
 use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
@@ -208,9 +208,8 @@ proptest! {
     }
 }
 
-/// One row per batch vs one whole batch vs sharded route-once for both
-/// baselines: batch size and the sharded runtime are pure re-arrangements
-/// of the same work.
+/// One row per batch vs one whole batch for both baselines: the batch
+/// size is a pure re-arrangement of the same work.
 fn assert_baseline_forms_agree(
     catalog: &Catalog,
     workload: &Workload,
@@ -221,7 +220,7 @@ fn assert_baseline_forms_agree(
     let plan = optimize_sharon(workload, &rates, &OptimizerConfig::default()).plan;
     let batch = EventBatch::from_events(events);
 
-    // Flink-like: one-row-batch reference, then whole batch, then sharded
+    // Flink-like: one-row-batch reference, then whole batch
     let mut reference = FlinkLike::new(catalog, workload).unwrap();
     for row in row_batches(events) {
         reference.process_columnar(&row);
@@ -238,16 +237,6 @@ fn assert_baseline_forms_agree(
         got.len(),
         want.len(),
     );
-    for shards in [1usize, 2, 8] {
-        let mut sharded =
-            FlinkLike::sharded(catalog, workload, shards, &ShardedOptions::default()).unwrap();
-        sharded.process_columnar(&batch);
-        let got = sharded.finish();
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{label}: flink {shards}-shard route-once diverges",
-        );
-    }
 
     // SPASS-like under the Sharon construction-sharing plan
     let mut reference = SpassLike::new(catalog, workload, &plan).unwrap();
@@ -265,17 +254,6 @@ fn assert_baseline_forms_agree(
         got.len(),
         want.len(),
     );
-    for shards in [1usize, 2, 8] {
-        let mut sharded =
-            SpassLike::sharded(catalog, workload, &plan, shards, &ShardedOptions::default())
-                .unwrap();
-        sharded.process_columnar(&batch);
-        let got = sharded.finish();
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{label}: spass {shards}-shard route-once diverges",
-        );
-    }
 }
 
 #[test]
@@ -343,11 +321,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// Ragged columnar batches — empty and single-event batches included —
-    /// never change baseline results, sequentially or under route-once
-    /// sharding with a small flush threshold.
+    /// never change baseline results, in arrival order or behind the
+    /// event-time gate.
     #[test]
     fn ragged_batches_never_change_baseline_results(
-        shards in 1usize..=5,
         chunk_lens in prop::collection::vec(0usize..=13, 1..=30),
         raw in prop::collection::vec((0usize..4, 0u64..=3, 0i64..=9), 0..=100),
     ) {
@@ -393,48 +370,33 @@ proptest! {
         reference.process_columnar(&whole);
         let want = reference.finish();
 
-        let mut columnar = FlinkLike::new(&c, &w).unwrap();
-        for b in &batches {
-            columnar.process_columnar(b);
-        }
-        let got = columnar.finish();
-        prop_assert!(
-            got.semantically_eq(&want, 1e-9),
-            "flink columnar diverges over ragged batches"
-        );
-
         let plan = SharingPlan::non_shared();
         let mut reference = SpassLike::new(&c, &w, &plan).unwrap();
         reference.process_columnar(&whole);
         let spass_want = reference.finish();
 
-        // both baselines through their one sharded constructor — and so
-        // through the one two-step driver as shard worker — in arrival
-        // order and event time (the stream is in order, so any lateness
-        // covers it); a small flush threshold forces mid-stream route-once
-        // fan-outs
+        // both baselines through the one two-step driver, in arrival order
+        // and in event time (the stream is in order, so any lateness
+        // covers it)
         for lateness in [None, Some(5)] {
-            let options = ShardedOptions {
-                batch_size: 13,
-                lateness,
-                ..ShardedOptions::default()
-            };
-            let mut flink = FlinkLike::sharded(&c, &w, shards, &options).unwrap();
-            let mut spass = SpassLike::sharded(&c, &w, &plan, shards, &options).unwrap();
+            let mut flink = FlinkLike::new(&c, &w).unwrap();
+            let mut spass = SpassLike::new(&c, &w, &plan).unwrap();
+            if let Some(ms) = lateness {
+                flink.set_lateness(ms);
+                spass.set_lateness(ms);
+            }
             for b in &batches {
                 flink.process_columnar(b);
                 spass.process_columnar(b);
             }
             prop_assert!(
                 flink.finish().semantically_eq(&want, 1e-9),
-                "flink {} shards, lateness {:?}: ragged route-once diverges",
-                shards,
+                "flink, lateness {:?}: ragged batches diverge",
                 lateness
             );
             prop_assert!(
                 spass.finish().semantically_eq(&spass_want, 1e-9),
-                "spass {} shards, lateness {:?}: ragged route-once diverges",
-                shards,
+                "spass, lateness {:?}: ragged batches diverge",
                 lateness
             );
         }
@@ -468,9 +430,9 @@ fn two_step_constructs_polynomially_many_sequences() {
     assert_eq!(res.total_count(QueryId(0)), 400);
 }
 
-/// All four strategies on a Zipf-skewed stream through the one sharded
-/// build path, [`SharonBuilder`]: everyone agrees with the sequential
-/// reference at every shard count.
+/// All four strategies on a Zipf-skewed stream through [`SharonBuilder`]:
+/// everyone agrees with the sequential reference — the online strategies
+/// at every shard count, the baselines sequentially.
 #[test]
 fn all_strategies_agree_on_skewed_input() {
     let mut catalog = Catalog::new();
@@ -496,13 +458,14 @@ fn all_strategies_agree_on_skewed_input() {
     let want = reference.finish();
     assert!(!want.is_empty());
 
-    for strategy in [
-        Strategy::Sharon,
-        Strategy::ASeq,
-        Strategy::FlinkLike,
-        Strategy::SpassLike,
+    let sharded = support::shard_counts(&[2, 3, 8]);
+    for (strategy, shard_counts) in [
+        (Strategy::Sharon, &sharded[..]),
+        (Strategy::ASeq, &sharded[..]),
+        (Strategy::FlinkLike, &[0][..]),
+        (Strategy::SpassLike, &[0][..]),
     ] {
-        for shards in support::shard_counts(&[2, 3, 8]) {
+        for &shards in shard_counts {
             let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
                 .strategy(strategy)
                 .optimizer_config(cfg.clone())
@@ -513,15 +476,16 @@ fn all_strategies_agree_on_skewed_input() {
             let got = sharded.finish();
             assert!(
                 got.semantically_eq(&want, 1e-9),
-                "{} sharded/{shards} diverges on skewed input",
+                "{} at shards({shards}) diverges on skewed input",
                 strategy.name()
             );
         }
     }
 }
 
-/// The baselines count their stateless-scan survivors: sequential,
-/// columnar, and sharded paths all report the same matched total.
+/// The baselines count their stateless-scan survivors: the live count,
+/// the finished report, and a run over ragged batches all give the same
+/// matched total.
 #[test]
 fn baseline_matched_counts_agree_across_paths() {
     let mut catalog = Catalog::new();
@@ -545,43 +509,46 @@ fn baseline_matched_counts_agree_across_paths() {
     )
     .unwrap();
     let rates = RateMap::uniform(100.0);
-    let cfg = OptimizerConfig::default();
-
-    for strategy in [Strategy::FlinkLike, Strategy::SpassLike] {
-        let (mut sequential, _) = SharonBuilder::new(&catalog, &workload, &rates)
+    let build = |strategy: Strategy| {
+        SharonBuilder::new(&catalog, &workload, &rates)
             .strategy(strategy)
             .build_executor()
-            .unwrap();
-        sequential.process_columnar(&batch);
-        let matched = sequential.finish_with_stats().events_matched;
+            .unwrap()
+            .0
+    };
+
+    for strategy in [Strategy::FlinkLike, Strategy::SpassLike] {
+        let mut whole = build(strategy);
+        whole.process_columnar(&batch);
+        let live = whole.events_matched();
+        let matched = whole.finish_with_stats().events_matched;
         assert!(
             matched > 0,
             "{}: matched events are counted",
             strategy.name()
         );
+        assert_eq!(live, matched, "{}: live count", strategy.name());
 
-        let (mut sharded, _) = SharonBuilder::new(&catalog, &workload, &rates)
-            .strategy(strategy)
-            .optimizer_config(cfg.clone())
-            .shards(3)
-            .build_executor()
-            .unwrap();
-        sharded.process_columnar(&batch);
-        let sharded_matched = sharded.finish_with_stats().events_matched;
+        let events = batch.to_events();
+        let mut ragged = build(strategy);
+        for chunk in events.chunks(97) {
+            ragged.process_columnar(&EventBatch::from_events(chunk));
+        }
         assert_eq!(
+            ragged.finish_with_stats().events_matched,
             matched,
-            sharded_matched,
-            "{}: sharded matched count diverges",
+            "{}: ragged batches change the matched count",
             strategy.name()
         );
     }
 }
 
 /// Below-bound disorder: the lateness covers only part of the shuffle, so
-/// late rows are dropped. A sequential baseline and a sharded one gate the
-/// same selected rows against the same per-batch watermark, so they agree
-/// on the results and on the drop count — one per selected row and
-/// distinct scope — at every shard count.
+/// late rows are dropped. Every gate — a sequential baseline's, the
+/// sequential online engine's, and the sharded online runtime's workers'
+/// — checks the same selected rows against the same per-batch watermark,
+/// so the baselines drop rows and still answer exactly as the online
+/// engine does, sequential and sharded at every shard count.
 #[test]
 fn baselines_drop_late_rows_alike_sequential_and_sharded() {
     const BATCH: usize = 128;
@@ -610,36 +577,45 @@ fn baselines_drop_late_rows_alike_sequential_and_sharded() {
             .expect("workload compiles")
             .0
     };
+    // sequential runs feed the ingest-batch boundaries the sharded
+    // runtime flushes at (the watermark advances once per batch)
+    let sequential = |strategy: Strategy| {
+        let mut ex = build(strategy, 0);
+        for chunk in events.chunks(BATCH) {
+            ex.process_columnar(&EventBatch::from_events(chunk));
+        }
+        ex.finish_with_stats()
+    };
+
+    let online = sequential(Strategy::ASeq);
+    assert!(online.late_rows_dropped > 0, "the online gate drops rows");
+    let want = online.results;
+    let batch = EventBatch::from_events(&events);
+    for shards in support::shard_counts(&[1, 2, 8]) {
+        let mut sharded = build(Strategy::ASeq, shards);
+        sharded.process_columnar(&batch);
+        let got = sharded.finish();
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "A-Seq {shards} shards: results diverge ({} vs {})",
+            got.len(),
+            want.len()
+        );
+    }
 
     for strategy in [Strategy::FlinkLike, Strategy::SpassLike] {
-        // sequential, over the ingest-batch boundaries the sharded
-        // runtime flushes at (the watermark advances once per batch)
-        let mut sequential = build(strategy, 0);
-        for chunk in events.chunks(BATCH) {
-            sequential.process_columnar(&EventBatch::from_events(chunk));
-        }
-        let want_drops = sequential.late_rows_dropped();
-        let want = sequential.finish();
+        let report = sequential(strategy);
         assert!(
-            want_drops > 0,
+            report.late_rows_dropped > 0,
             "{}: lateness {lateness} below {required} must drop rows",
             strategy.name()
         );
-
-        let batch = EventBatch::from_events(&events);
-        for shards in support::shard_counts(&[1, 2, 8]) {
-            let mut sharded = build(strategy, shards);
-            sharded.process_columnar(&batch);
-            let report = sharded.finish_with_stats();
-            let (got, dropped) = (report.results, report.late_rows_dropped);
-            let label = format!("{} {shards} shards", strategy.name());
-            assert_eq!(dropped, want_drops, "{label}: late-drop count");
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "{label}: results diverge ({} vs {})",
-                got.len(),
-                want.len()
-            );
-        }
+        assert!(
+            report.results.semantically_eq(&want, 1e-9),
+            "{}: results diverge from the online engine ({} vs {})",
+            strategy.name(),
+            report.results.len(),
+            want.len()
+        );
     }
 }
