@@ -236,6 +236,7 @@ impl<'a> SharonBuilder<'a> {
 mod tests {
     use super::*;
     use sharon_query::parse_workload;
+    use sharon_types::TimeDelta;
 
     fn workload() -> (Catalog, Workload) {
         let mut catalog = Catalog::new();
@@ -375,5 +376,22 @@ mod tests {
         let (option, strategy) = ("lateness", "SHARON");
         let want = CompileError::UnsupportedOption { option, strategy };
         assert_eq!(session_refusal(builder), want);
+    }
+
+    #[test]
+    fn a_session_with_a_zero_rate_horizon_is_a_typed_error() {
+        let (catalog, workload) = workload();
+        let rates = RateMap::uniform(100.0);
+        let config = SessionConfig {
+            rate_horizon: TimeDelta::ZERO,
+            ..SessionConfig::default()
+        };
+        let session = SharonBuilder::new(&catalog, &workload, &rates).session(config);
+        let err = session.err().expect("a zero horizon must be refused");
+        let want = CompileError::NonPositiveSetting {
+            setting: "rate_horizon",
+        };
+        assert_eq!(err, want);
+        assert!(err.to_string().contains("rate_horizon"), "{err}");
     }
 }

@@ -44,7 +44,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`sharon_types`] | events, values, catalogs, windows, streams |
+//! | [`sharon_types`] | events, columnar event batches, values, catalogs, windows |
 //! | [`sharon_query`] | patterns, queries, parser, sharing plans |
 //! | [`sharon_executor`] | the online Non-Shared (A-Seq) and Shared executors |
 //! | [`sharon_twostep`] | the Flink-like and SPASS-like two-step baselines |
@@ -86,7 +86,7 @@ pub mod prelude {
         Workload,
     };
     pub use sharon_types::{
-        Catalog, Event, EventBatch, EventStream, EventTypeId, GroupKey, Schema, SortedVecStream,
-        TimeDelta, Timestamp, Value, WindowSpec,
+        Catalog, Event, EventBatch, EventTypeId, GroupKey, Schema, TimeDelta, Timestamp, Value,
+        WindowSpec,
     };
 }

@@ -50,7 +50,7 @@ pub struct SessionConfig {
     /// as at least 1.
     pub churn_threshold: u32,
     /// Rate-estimation horizon: the window over which per-type event
-    /// rates are measured before each drift check.
+    /// rates are measured before each drift check. Must be positive.
     pub rate_horizon: TimeDelta,
     /// Relative score-drift threshold that triggers re-optimization under
     /// [`Strategy::Sharon`] (see [`DynamicPlanManager`]).
@@ -255,7 +255,8 @@ impl SharonSession {
     /// queries (handles `0..n` in order). A two-step strategy (option
     /// `session`: its processors cannot surface results mid-stream) and a
     /// checkpoint, fault or lateness option are
-    /// [`CompileError::UnsupportedOption`].
+    /// [`CompileError::UnsupportedOption`]; a zero `rate_horizon` is
+    /// [`CompileError::NonPositiveSetting`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         catalog: Catalog,
@@ -285,6 +286,11 @@ impl SharonSession {
             });
         }
         let rate_horizon = cfg.rate_horizon;
+        if rate_horizon.is_zero() {
+            return Err(CompileError::NonPositiveSetting {
+                setting: "rate_horizon",
+            });
+        }
         let mut session = SharonSession {
             catalog,
             strategy,

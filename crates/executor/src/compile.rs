@@ -79,6 +79,12 @@ pub enum CompileError {
         /// Display name of the strategy being built.
         strategy: &'static str,
     },
+    /// A setting that must be positive was zero (a session's
+    /// `rate_horizon`).
+    NonPositiveSetting {
+        /// The setting's name.
+        setting: &'static str,
+    },
     /// A sharded runtime was asked for zero worker shards.
     ZeroShards {
         /// Display name of the strategy being built.
@@ -117,6 +123,9 @@ impl fmt::Display for CompileError {
             ),
             CompileError::UnsupportedOption { option, strategy } => {
                 write!(f, "{strategy}: the strategy does not support the {option} option")
+            }
+            CompileError::NonPositiveSetting { setting } => {
+                write!(f, "the {setting} setting must be positive")
             }
             CompileError::ZeroShards { strategy } => {
                 write!(f, "{strategy}: the sharded runtime needs at least one shard")

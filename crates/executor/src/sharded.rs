@@ -414,7 +414,7 @@ fn engine_shards(
 /// (the shuffle is seeded from the fault parameters), so kill-and-resume
 /// runs replay the identical burst. Cold path: runs once per armed fault.
 fn reorder_burst(batch: &EventBatch, lo: usize, hi: usize, k: u32) -> EventBatch {
-    let mut events = batch.to_events();
+    let mut order: Vec<usize> = (0..batch.len()).collect();
     let mut state: u64 = 0x9E37_79B9_7F4A_7C15 ^ (((k as u64) << 32) | hi as u64);
     let mut next = move |bound: usize| {
         // xorshift64: plenty for a test-only shuffle, and dependency-free
@@ -429,11 +429,15 @@ fn reorder_burst(batch: &EventBatch, lo: usize, hi: usize, k: u32) -> EventBatch
         let end = hi.min(start + block);
         for i in (start + 1..end).rev() {
             let j = start + next(i - start + 1);
-            events.swap(i, j);
+            order.swap(i, j);
         }
         start = end;
     }
-    EventBatch::from_events(&events)
+    let mut out = EventBatch::new();
+    for row in order {
+        out.push(batch.ty(row), batch.time(row), batch.attrs(row));
+    }
+    out
 }
 
 /// A parallel executor that hash-partitions work across `N` worker shards.

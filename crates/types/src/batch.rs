@@ -290,13 +290,20 @@ mod tests {
 
     #[test]
     fn event_roundtrip() {
-        let b = sample();
+        // the sample's bare row 1, plus a row of six values
+        let mut b = sample();
+        let wide: Vec<Value> = (0..5).map(Value::Int).chain([Value::str("w")]).collect();
+        b.push(EventTypeId(2), Timestamp(3), &wide);
         let events = b.to_events();
-        assert_eq!(events.len(), 3);
+        assert_eq!(events.len(), 4);
         assert_eq!(events[2].attr_f64(AttrId(1)), Some(0.5));
+        assert!(events[1].attrs.is_empty());
+        assert_eq!(events[3].attrs, wide);
         let back = EventBatch::from_events(&events);
         assert_eq!(back, b);
-        assert_eq!(back.event(0), events[0]);
+        for (row, e) in events.iter().enumerate() {
+            assert_eq!(&back.event(row), e, "row {row}");
+        }
     }
 
     #[test]

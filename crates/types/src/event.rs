@@ -5,236 +5,21 @@
 //! `e.time` assigned by the event source \[and\] belongs to a particular event
 //! type `E`" (Section 2.1, Sharon paper).
 //!
-//! [`Event`] is the *row-form* representation; the executors' hot path runs
-//! on the columnar [`crate::EventBatch`] and treats a standalone `Event` as
-//! a one-row batch. To keep the row form cheap, attribute values live in an
-//! [`AttrVec`] — a small-vector that stores up to [`AttrVec::INLINE`] values
-//! inline, so the common 1–4 attribute events of the paper's streams never
-//! touch the allocator.
+//! [`Event`] is the *row-form* representation, an adapter for tests and
+//! examples: every executor takes rows only as a columnar
+//! [`crate::EventBatch`], built from events with
+//! [`crate::EventBatch::from_events`].
 
 use crate::catalog::{AttrId, EventTypeId};
 use crate::time::Timestamp;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::mem::MaybeUninit;
-
-/// Attribute values of one event: a small-vector inlining up to
-/// [`AttrVec::INLINE`] values.
-///
-/// All of the paper's streams carry 2–3 attributes per event, so the
-/// per-event `Vec<Value>` of the original row layout was a pure allocator
-/// tax. An `AttrVec` holds short attribute lists inline and spills to a
-/// heap `Vec` only beyond [`AttrVec::INLINE`] values. It dereferences to
-/// `[Value]`, so indexing, iteration, and slicing work as before.
-pub struct AttrVec(Repr);
-
-enum Repr {
-    /// `slots[..len]` are initialized.
-    Inline {
-        len: u8,
-        slots: [MaybeUninit<Value>; AttrVec::INLINE],
-    },
-    Heap(Vec<Value>),
-}
-
-impl AttrVec {
-    /// Number of attribute values stored without a heap allocation.
-    pub const INLINE: usize = 4;
-
-    /// An empty attribute list (no allocation).
-    pub fn new() -> Self {
-        AttrVec(Repr::Inline {
-            len: 0,
-            slots: [const { MaybeUninit::uninit() }; Self::INLINE],
-        })
-    }
-
-    /// Number of attribute values.
-    pub fn len(&self) -> usize {
-        match &self.0 {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Heap(v) => v.len(),
-        }
-    }
-
-    /// True if there are no attribute values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if the values have spilled to the heap.
-    pub fn spilled(&self) -> bool {
-        matches!(self.0, Repr::Heap(_))
-    }
-
-    /// The values as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[Value] {
-        match &self.0 {
-            Repr::Inline { len, slots } => {
-                // SAFETY: the first `len` slots are initialized (invariant).
-                unsafe { std::slice::from_raw_parts(slots.as_ptr().cast::<Value>(), *len as usize) }
-            }
-            Repr::Heap(v) => v,
-        }
-    }
-
-    /// The values as a mutable slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [Value] {
-        match &mut self.0 {
-            Repr::Inline { len, slots } => {
-                // SAFETY: the first `len` slots are initialized (invariant).
-                unsafe {
-                    std::slice::from_raw_parts_mut(
-                        slots.as_mut_ptr().cast::<Value>(),
-                        *len as usize,
-                    )
-                }
-            }
-            Repr::Heap(v) => v,
-        }
-    }
-
-    /// Append a value, spilling to the heap past [`AttrVec::INLINE`].
-    pub fn push(&mut self, value: Value) {
-        match &mut self.0 {
-            Repr::Inline { len, slots } => {
-                let n = *len as usize;
-                if n < Self::INLINE {
-                    slots[n].write(value);
-                    *len = (n + 1) as u8;
-                } else {
-                    let mut vec = Vec::with_capacity(Self::INLINE * 2);
-                    for slot in slots.iter() {
-                        // SAFETY: all INLINE slots are initialized (len ==
-                        // INLINE); setting len = 0 below transfers ownership
-                        // so Drop will not touch them again.
-                        vec.push(unsafe { slot.assume_init_read() });
-                    }
-                    *len = 0;
-                    vec.push(value);
-                    self.0 = Repr::Heap(vec);
-                }
-            }
-            Repr::Heap(v) => v.push(value),
-        }
-    }
-}
-
-impl Drop for Repr {
-    fn drop(&mut self) {
-        if let Repr::Inline { len, slots } = self {
-            for slot in &mut slots[..*len as usize] {
-                // SAFETY: the first `len` slots are initialized.
-                unsafe { slot.assume_init_drop() };
-            }
-        }
-    }
-}
-
-impl Default for AttrVec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clone for AttrVec {
-    fn clone(&self) -> Self {
-        Self::from(self.as_slice())
-    }
-}
-
-impl From<Vec<Value>> for AttrVec {
-    fn from(values: Vec<Value>) -> Self {
-        if values.len() > Self::INLINE {
-            AttrVec(Repr::Heap(values))
-        } else {
-            let mut out = Self::new();
-            for v in values {
-                out.push(v);
-            }
-            out
-        }
-    }
-}
-
-impl From<&[Value]> for AttrVec {
-    fn from(values: &[Value]) -> Self {
-        let mut out = if values.len() > Self::INLINE {
-            AttrVec(Repr::Heap(Vec::with_capacity(values.len())))
-        } else {
-            Self::new()
-        };
-        for v in values {
-            out.push(v.clone());
-        }
-        out
-    }
-}
-
-impl<const N: usize> From<[Value; N]> for AttrVec {
-    fn from(values: [Value; N]) -> Self {
-        values.into_iter().collect()
-    }
-}
-
-impl FromIterator<Value> for AttrVec {
-    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        let mut out = Self::new();
-        for v in iter {
-            out.push(v);
-        }
-        out
-    }
-}
-
-impl std::ops::Deref for AttrVec {
-    type Target = [Value];
-    #[inline]
-    fn deref(&self) -> &[Value] {
-        self.as_slice()
-    }
-}
-
-impl std::ops::DerefMut for AttrVec {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [Value] {
-        self.as_mut_slice()
-    }
-}
-
-impl<'a> IntoIterator for &'a AttrVec {
-    type Item = &'a Value;
-    type IntoIter = std::slice::Iter<'a, Value>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-impl PartialEq for AttrVec {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl PartialEq<[Value]> for AttrVec {
-    fn eq(&self, other: &[Value]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl std::fmt::Debug for AttrVec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
 
 /// A single event (row form).
 ///
 /// Attribute values are positional, parallel to the [`crate::Schema`] of the
-/// event's type. Events are cheap to clone (string values are `Arc`-interned
-/// and short attribute lists live inline).
+/// event's type. String values are `Arc`-interned, so cloning an event
+/// copies no string.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// The event's type.
@@ -242,7 +27,7 @@ pub struct Event {
     /// The source-assigned time stamp.
     pub time: Timestamp,
     /// Positional attribute values (see the type's [`crate::Schema`]).
-    pub attrs: AttrVec,
+    pub attrs: Vec<Value>,
 }
 
 impl Event {
@@ -251,12 +36,12 @@ impl Event {
         Event {
             ty,
             time,
-            attrs: AttrVec::new(),
+            attrs: Vec::new(),
         }
     }
 
     /// An event with attribute values.
-    pub fn with_attrs(ty: EventTypeId, time: Timestamp, attrs: impl Into<AttrVec>) -> Self {
+    pub fn with_attrs(ty: EventTypeId, time: Timestamp, attrs: impl Into<Vec<Value>>) -> Self {
         Event {
             ty,
             time,
@@ -300,54 +85,5 @@ mod tests {
         let e = Event::new(EventTypeId(0), Timestamp(5));
         assert!(e.attrs.is_empty());
         assert_eq!(e.time, Timestamp(5));
-    }
-
-    #[test]
-    fn attrvec_stays_inline_up_to_four() {
-        let mut a = AttrVec::new();
-        for i in 0..4 {
-            a.push(Value::Int(i));
-            assert!(!a.spilled(), "{} values fit inline", i + 1);
-        }
-        assert_eq!(a.len(), 4);
-        a.push(Value::Int(4));
-        assert!(a.spilled(), "fifth value spills to the heap");
-        assert_eq!(a.len(), 5);
-        assert_eq!(a[4], Value::Int(4));
-        assert_eq!(a[0], Value::Int(0), "inline values survive the spill");
-    }
-
-    #[test]
-    fn attrvec_roundtrips_vecs_of_every_size() {
-        for n in 0..8i64 {
-            let vals: Vec<Value> = (0..n).map(Value::Int).collect();
-            let a = AttrVec::from(vals.clone());
-            assert_eq!(a.as_slice(), &vals[..], "size {n}");
-            assert_eq!(a.spilled(), n as usize > AttrVec::INLINE);
-            let b = a.clone();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn attrvec_drops_string_values_exactly_once() {
-        use std::sync::Arc;
-        let s: Arc<str> = Arc::from("shared");
-        for n in [1usize, 4, 6] {
-            let a: AttrVec = (0..n).map(|_| Value::Str(Arc::clone(&s))).collect();
-            assert_eq!(Arc::strong_count(&s), n + 1);
-            drop(a);
-            assert_eq!(Arc::strong_count(&s), 1, "size {n}: all clones dropped");
-        }
-    }
-
-    #[test]
-    fn attrvec_iteration_and_mutation() {
-        let mut a = AttrVec::from(vec![Value::Int(1), Value::Int(2)]);
-        let sum: i64 = (&a).into_iter().filter_map(Value::as_i64).sum();
-        assert_eq!(sum, 3);
-        a.as_mut_slice()[0] = Value::Int(10);
-        assert_eq!(a[0], Value::Int(10));
-        assert_eq!(&a, &[Value::Int(10), Value::Int(2)][..]);
     }
 }

@@ -12,8 +12,8 @@
 //! * [`Value`] — typed attribute values carried by events.
 //! * [`EventTypeId`] and the [`Catalog`] — interned event types and their
 //!   attribute [`Schema`]s.
-//! * [`Event`] — a timestamped message of a particular event type, with
-//!   small attribute lists stored inline ([`AttrVec`]).
+//! * [`Event`] — a timestamped message of a particular event type (row
+//!   form, the adapter tests and examples build batches from).
 //! * [`EventBatch`] — a columnar (struct-of-arrays) slice of the stream,
 //!   the unit of work of every hot execution path.
 //! * [`WindowSpec`] — the `WITHIN`/`SLIDE` sliding-window clause together
@@ -23,6 +23,7 @@
 //! Everything downstream (queries, executors, optimizers, generators) builds
 //! on these types; none of them depends on any external CEP system.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
@@ -30,17 +31,15 @@ pub mod catalog;
 pub mod event;
 pub mod group;
 pub mod hash;
-pub mod stream;
 pub mod time;
 pub mod value;
 pub mod window;
 
 pub use batch::EventBatch;
 pub use catalog::{AttrId, Catalog, EventTypeId, Schema};
-pub use event::{AttrVec, Event};
+pub use event::Event;
 pub use group::GroupKey;
 pub use hash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use stream::{EventStream, SortedVecStream};
 pub use time::{TimeDelta, Timestamp};
 pub use value::Value;
 pub use window::{WindowInstance, WindowSpec};

@@ -48,7 +48,7 @@ fn main() {
         "the Laptop/Case family must produce sharing opportunities"
     );
 
-    run(&mut ex, SortedVecStream::presorted(events.clone()));
+    run(&mut ex, &events);
     let results = ex.finish();
     println!("\npurchase-sequence counts (per customer and window, totals):");
     for q in workload.ids() {
@@ -67,7 +67,7 @@ fn main() {
     let (mut price_ex, _) = SharonBuilder::new(&catalog, &price_queries, &rates)
         .build_executor()
         .expect("compiles");
-    run(&mut price_ex, SortedVecStream::presorted(events));
+    run(&mut price_ex, &events);
     let price_results = price_ex.finish();
     let sample: Vec<_> = price_results
         .of_query_sorted(QueryId(0))
@@ -80,11 +80,9 @@ fn main() {
     }
 }
 
-/// Drain `stream` through `ex` in columnar batches.
-fn run(ex: &mut AnyExecutor, mut stream: impl EventStream) {
-    let mut buf = EventBatch::with_capacity(Executor::RUN_BATCH, 2);
-    while stream.next_batch_columnar(Executor::RUN_BATCH, &mut buf) > 0 {
-        ex.process_columnar(&buf);
-        buf.clear();
+/// Feed `events` through `ex` in columnar batches.
+fn run(ex: &mut AnyExecutor, events: &[Event]) {
+    for chunk in events.chunks(Executor::RUN_BATCH) {
+        ex.process_columnar(&EventBatch::from_events(chunk));
     }
 }

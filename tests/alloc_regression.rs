@@ -1046,27 +1046,6 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
 }
 
 #[test]
-fn per_event_shim_stays_inline_for_small_events() {
-    let _serial = serial();
-    // the row-form adapter (tests, examples, stream generators): events
-    // with <= 4 attributes never allocate for their attribute storage
-    let ((), allocs) = alloc::measure_allocs(|| {
-        let mut sink = 0u64;
-        for i in 0..1000u64 {
-            let e = Event::with_attrs(
-                EventTypeId(0),
-                Timestamp(i),
-                [Value::Int(i as i64), Value::Float(0.5), Value::Int(7)],
-            );
-            sink += e.attrs.len() as u64;
-            std::hint::black_box(&e);
-        }
-        assert_eq!(sink, 3000);
-    });
-    assert_eq!(allocs, 0, "small events must not touch the allocator");
-}
-
-#[test]
 fn result_log_stores_a_window_close_as_one_run() {
     let _serial = serial();
     // rows by interned id, the way an engine closes windows: `run` queries
