@@ -29,11 +29,9 @@
 //! takes a consistent checkpoint every `--checkpoint-interval` ingested
 //! batches (default 64); `--resume` restarts from the latest complete
 //! checkpoint in that directory and replays the stream from the recorded
-//! offset. The `SHARON_CHECKPOINT=<dir>[:<interval>]` and
-//! `SHARON_FAULT=<drop@N|panic@N:S|abort@N|reorder@N:K>` environment
-//! knobs are honored too (unparsable values are fatal, never ignored).
-//! A durability knob without `--shards`, or on a two-step baseline, is
-//! refused with the builder's error.
+//! offset; a crash drill is `kill -9` mid-run, then the same command with
+//! `--resume`. A checkpoint flag without `--shards`, or on a two-step
+//! baseline, is refused with the builder's error (exit 1).
 //!
 //! Event time: `--disorder K` scrambles the generated stream with bounded
 //! disorder (each event displaced at most K positions; seeded, so runs
@@ -42,9 +40,7 @@
 //! watermark `max_time_seen − B` and release in event-time order; rows
 //! behind the watermark are dropped and counted. Results are exact
 //! whenever B covers the stream's disorder (in event-time milliseconds).
-//! The `SHARON_DISORDER=<K>` and `SHARON_LATENESS=<B>` environment knobs
-//! are honored too; flags override them. (The whole `SHARON_*` surface is
-//! parsed once through `RuntimeOptions::from_env`.)
+//! The runner reads flags only, never the environment.
 //!
 //! Live churn: `--churn FILE` runs the stream through a long-lived
 //! `SharonSession` and replays a script of runtime workload mutations.
@@ -59,12 +55,13 @@
 //! handle (1-based: the initial workload's queries are handles 1..k in
 //! order, then attach order), and `reopt` forces a re-optimization and
 //! plan hot-swap at that batch boundary. Offsets are event positions in
-//! the generated stream; ops apply in offset order. Requires an online
-//! strategy and an in-order stream, and does not compose with
-//! checkpoint/fault/resume; `--shards 0` is promoted to one shard.
+//! the generated stream; ops apply in offset order. `--checkpoint-dir` and
+//! `--lateness` reach the session builder, which refuses them (as it
+//! refuses a two-step baseline) with its typed error (exit 1); `--resume`
+//! is refused up front. `--shards 0` is promoted to one shard.
 //! ```
 
-use sharon::executor::{CheckpointConfig, ShardedOptions};
+use sharon::executor::CheckpointConfig;
 use sharon::prelude::*;
 use sharon::streams::workload::{
     figure_1_workload, figure_2_workload, measured_rates_batch, overlapping_workload,
@@ -86,7 +83,7 @@ struct Args {
     checkpoint_dir: Option<String>,
     checkpoint_interval: Option<u64>,
     resume: bool,
-    disorder: Option<u32>,
+    disorder: u32,
     lateness: Option<u64>,
     churn: Option<String>,
 }
@@ -104,7 +101,7 @@ fn parse_args() -> Result<Args, String> {
         checkpoint_dir: None,
         checkpoint_interval: None,
         resume: false,
-        disorder: None,
+        disorder: 0,
         lateness: None,
         churn: None,
     };
@@ -159,11 +156,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--resume" => args.resume = true,
             "--disorder" => {
-                args.disorder = Some(
-                    value("--disorder")?
-                        .parse()
-                        .map_err(|e| format!("--disorder: {e}"))?,
-                )
+                args.disorder = value("--disorder")?
+                    .parse()
+                    .map_err(|e| format!("--disorder: {e}"))?
             }
             "--lateness" => {
                 args.lateness = Some(
@@ -183,7 +178,9 @@ fn parse_args() -> Result<Args, String> {
                      \x20        [--results N] [--checkpoint-dir DIR] [--checkpoint-interval N]\n\
                      \x20        [--resume] [--disorder K] [--lateness B] [--churn FILE]\n\n\
                      --shards N runs sharon|greedy|aseq on N worker threads;\n\
-                     flink|spass run sequentially only."
+                     flink|spass run sequentially only. --checkpoint-dir needs\n\
+                     --shards; --resume restarts from its latest checkpoint.\n\
+                     --disorder needs --lateness. No environment variable is read."
                 );
                 std::process::exit(0);
             }
@@ -202,22 +199,7 @@ fn main() {
         }
     };
 
-    // the whole SHARON_* environment surface, parsed in one place; an
-    // unparsable knob is fatal, never silently ignored
-    let runtime = match RuntimeOptions::from_env() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    // flags override their environment knobs
-    let shards = if args.shards > 0 {
-        args.shards
-    } else {
-        runtime.shards.unwrap_or(0)
-    };
-    let disorder = args.disorder.unwrap_or(runtime.disorder);
+    let disorder = args.disorder;
     let mut catalog = Catalog::new();
     let events = match args.stream.as_str() {
         "taxi" => taxi::generate_batch(
@@ -296,41 +278,27 @@ fn main() {
     };
     eprintln!("workload: {} queries", workload.len());
 
-    // 3. durability knobs — flags override the SHARON_CHECKPOINT /
-    // SHARON_FAULT environment knobs that RuntimeOptions picked up; the
-    // builder refuses the combinations its runtime cannot host
-    let mut options = runtime.sharded_options();
-    if let Some(dir) = &args.checkpoint_dir {
-        options.checkpoint = Some(CheckpointConfig::every(
-            dir,
-            args.checkpoint_interval.unwrap_or(64),
-        ));
-    } else if let Some(interval) = args.checkpoint_interval {
-        match &mut options.checkpoint {
-            Some(cfg) => cfg.interval_batches = interval,
-            None => {
-                eprintln!(
-                    "error: --checkpoint-interval needs --checkpoint-dir (or SHARON_CHECKPOINT)"
-                );
-                std::process::exit(2);
-            }
+    // 3. durability and event-time flags; the builder refuses the
+    // combinations its runtime cannot host
+    let checkpoint = match (&args.checkpoint_dir, args.checkpoint_interval) {
+        (Some(dir), interval) => Some(CheckpointConfig::every(dir, interval.unwrap_or(64))),
+        (None, Some(_)) => {
+            eprintln!("error: --checkpoint-interval needs --checkpoint-dir");
+            std::process::exit(2);
         }
-    }
-    if args.resume && options.checkpoint.is_none() {
-        eprintln!("error: --resume needs --checkpoint-dir (or SHARON_CHECKPOINT)");
+        (None, None) => None,
+    };
+    if args.resume && checkpoint.is_none() {
+        eprintln!("error: --resume needs --checkpoint-dir");
         std::process::exit(2);
     }
-    // event-time knobs: --lateness overrides SHARON_LATENESS (already in
-    // options); a disordered stream without a lateness bound would
-    // violate every strategy's arrival-order contract, so refuse it
-    if let Some(b) = args.lateness {
-        options.lateness = Some(b);
-    }
-    if disorder > 0 && options.lateness.is_none() {
-        eprintln!("error: --disorder needs --lateness (or SHARON_LATENESS)");
+    // a disordered stream without a lateness bound would violate every
+    // strategy's arrival-order contract, so refuse it
+    let lateness = args.lateness;
+    if disorder > 0 && lateness.is_none() {
+        eprintln!("error: --disorder needs --lateness");
         std::process::exit(2);
     }
-    let lateness = options.lateness;
     if let Some(b) = lateness {
         eprintln!("event time: allowed lateness {b} ms (later rows are dropped and counted)");
     }
@@ -347,27 +315,18 @@ fn main() {
             &workload,
             &events,
             &rates,
-            &options,
-            shards,
-            disorder,
+            checkpoint,
         );
         return;
     }
     let t0 = Instant::now();
     let mut replay_offset: u64 = 0;
-    let mut builder = SharonBuilder::new(&catalog, &workload, &rates)
-        .strategy(args.strategy)
-        .shards(shards)
-        .batch_size(options.batch_size);
-    if let Some(ck) = options.checkpoint.clone() {
-        builder = builder.checkpoint(ck);
-    }
-    if let Some(fault) = options.fault {
-        builder = builder.fault(fault);
-    }
-    if let Some(b) = options.lateness {
-        builder = builder.lateness(b);
-    }
+    let checkpointing = checkpoint.is_some();
+    let builder = configure(
+        SharonBuilder::new(&catalog, &workload, &rates),
+        &args,
+        checkpoint,
+    );
     let built = if args.resume {
         builder
             .resume()
@@ -387,8 +346,11 @@ fn main() {
         }
     };
     let optimize_time = t0.elapsed();
-    if shards > 0 {
-        eprintln!("runtime: sharded across {shards} worker threads and one router thread");
+    if args.shards > 0 {
+        eprintln!(
+            "runtime: sharded across {} worker threads and one router thread",
+            args.shards
+        );
     }
 
     if let Some(outcome) = &outcome {
@@ -448,7 +410,7 @@ fn main() {
     let run_time = t1.elapsed();
     let processed = events.len() - offset;
     let throughput = processed as f64 / run_time.as_secs_f64().max(1e-12);
-    if options.checkpoint.is_some() {
+    if checkpointing {
         eprintln!(
             "durability: {} checkpoint(s) written",
             sharon::metrics::checkpoints_written()
@@ -500,6 +462,22 @@ fn main() {
             println!("      group={group} window@{window}: {value}");
         }
     }
+}
+
+/// Apply the strategy, shard, checkpoint and lateness flags to `builder`.
+fn configure<'a>(
+    builder: SharonBuilder<'a>,
+    args: &Args,
+    checkpoint: Option<CheckpointConfig>,
+) -> SharonBuilder<'a> {
+    let mut builder = builder.strategy(args.strategy).shards(args.shards);
+    if let Some(ck) = checkpoint {
+        builder = builder.checkpoint(ck);
+    }
+    if let Some(b) = args.lateness {
+        builder = builder.lateness(b);
+    }
+    builder
 }
 
 /// The LR default workload: six overlapping length-4 routes over the
@@ -583,7 +561,7 @@ fn parse_churn_script(catalog: &mut Catalog, text: &str) -> Result<Vec<ChurnOp>,
 
 /// `--churn` mode: run the stream through a live [`SharonSession`],
 /// applying the script's attach/detach/reopt ops at their event offsets.
-#[allow(clippy::too_many_arguments)]
+/// The session builder refuses the options a session cannot host.
 fn run_churn(
     script: &str,
     args: &Args,
@@ -591,26 +569,11 @@ fn run_churn(
     workload: &Workload,
     events: &EventBatch,
     rates: &RateMap,
-    options: &ShardedOptions,
-    shards: usize,
-    disorder: u32,
+    checkpoint: Option<CheckpointConfig>,
 ) {
-    // sessions require an in-order stream and do not compose with the
-    // durability/event-time tiers (yet) — refuse the combinations the
-    // session layer would reject anyway, with a CLI-shaped message
-    if options.checkpoint.is_some() || options.fault.is_some() || args.resume {
-        eprintln!("error: --churn does not compose with checkpoint/fault/resume");
-        std::process::exit(2);
-    }
-    if disorder > 0 || options.lateness.is_some() {
-        eprintln!("error: --churn requires an in-order stream (no --disorder / --lateness)");
-        std::process::exit(2);
-    }
-    if matches!(args.strategy, Strategy::FlinkLike | Strategy::SpassLike) {
-        eprintln!(
-            "error: the {} two-step baseline cannot host a live session (online strategies only)",
-            args.strategy.name()
-        );
+    // a resume is a terminal call of its own, so no builder sees it
+    if args.resume {
+        eprintln!("error: --churn does not compose with --resume");
         std::process::exit(2);
     }
     let text = std::fs::read_to_string(script).unwrap_or_else(|e| {
@@ -627,11 +590,11 @@ fn run_churn(
         }
     };
 
-    let shards = shards.max(1);
-    let builder = SharonBuilder::new(catalog, workload, rates)
-        .strategy(args.strategy)
-        .shards(shards)
-        .batch_size(options.batch_size);
+    let builder = configure(
+        SharonBuilder::new(catalog, workload, rates),
+        args,
+        checkpoint,
+    );
     let mut session = match builder.session(SessionConfig::default()) {
         Ok(s) => s,
         Err(e) => {
@@ -643,7 +606,7 @@ fn run_churn(
         "session: {} initial queries ({}) on {} shard(s), {} scripted op(s)",
         workload.len(),
         args.strategy.name(),
-        shards,
+        args.shards.max(1),
         ops.len()
     );
 

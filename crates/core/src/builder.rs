@@ -114,7 +114,7 @@ impl<'a> SharonBuilder<'a> {
         self
     }
 
-    /// Inject a fault mid-stream (crash-recovery tests; see
+    /// Inject a worker panic mid-stream (panic-containment tests; see
     /// [`FaultPlan`]).
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.options.fault = Some(plan);
@@ -336,7 +336,12 @@ mod tests {
                 .strategy(strategy)
                 .shards(2);
             for (builder, option) in [
-                (sharded.clone().fault(FaultPlan::Drop { batch: 3 }), "fault"),
+                (
+                    sharded
+                        .clone()
+                        .fault(FaultPlan::PanicWorker { batch: 3, shard: 0 }),
+                    "fault",
+                ),
                 (sharded, "shards"),
             ] {
                 let err = builder

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::builder::SharonBuilder;
     pub use crate::session::{QueryHandle, SessionConfig, SharonSession};
     pub use crate::strategy::Strategy;
-    pub use sharon_executor::{Executor, ExecutorResults, RuntimeOptions, ShardedExecutor};
+    pub use sharon_executor::{Executor, ExecutorResults, ShardedExecutor};
     pub use sharon_optimizer::{
         optimize_exhaustive, optimize_greedy, optimize_sharon, OptimizerConfig, RateMap,
     };

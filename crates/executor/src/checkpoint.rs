@@ -419,7 +419,9 @@ pub struct CheckpointData {
 /// A directory of checkpoints: `ckpt-<id>/shard-<i>.seg` plus a
 /// checksummed `MANIFEST`, written segments-first with the manifest
 /// renamed into place last so a crash mid-write never yields a
-/// checkpoint that looks complete.
+/// checkpoint that looks complete. Each write deletes the checkpoints
+/// older than the previous complete one, so the store holds two
+/// generations.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -465,8 +467,9 @@ impl CheckpointStore {
 
     /// Write checkpoint `id`: per-shard segments, then the manifest
     /// (atomically, via rename). The manifest keeps a counted router
-    /// list (since v3), holding the one `router` segment. Returns
-    /// the total bytes written.
+    /// list (since v3), holding the one `router` segment. Then deletes
+    /// the checkpoints older than the previous complete one. Returns the
+    /// total bytes written.
     pub fn write(
         &self,
         id: u64,
@@ -510,7 +513,30 @@ impl CheckpointStore {
         f.sync_all()?;
         drop(f);
         fs::rename(&tmp, dir.join("MANIFEST"))?;
+        self.prune_before(id)?;
         Ok(total)
+    }
+
+    /// Delete every checkpoint older than the newest complete one before
+    /// `id`. Each snapshot holds the whole result log, so keeping them all
+    /// grows disk use quadratically with the run; keeping two generations
+    /// still lets [`CheckpointStore::latest`] fall back past a corrupt
+    /// newest one.
+    fn prune_before(&self, id: u64) -> io::Result<()> {
+        let ids = self.ids()?;
+        let complete = |old: u64| self.ckpt_dir(old).join("MANIFEST").is_file();
+        let Some(keep) = ids
+            .iter()
+            .rev()
+            .copied()
+            .find(|&old| old < id && complete(old))
+        else {
+            return Ok(());
+        };
+        for old in ids.into_iter().take_while(|&old| old < keep) {
+            fs::remove_dir_all(self.ckpt_dir(old))?;
+        }
+        Ok(())
     }
 
     /// Load the newest checkpoint whose manifest and segments all verify.
@@ -608,106 +634,19 @@ impl CheckpointConfig {
     }
 }
 
-/// Parse a `<dir>[:<interval-batches>]` checkpoint spec (the
-/// `SHARON_CHECKPOINT` knob; default interval 64).
-pub fn parse_checkpoint_spec(raw: &str) -> Result<CheckpointConfig, String> {
-    let (dir, interval) = match raw.rsplit_once(':') {
-        Some((dir, n)) if !dir.is_empty() => {
-            let n: u64 = n
-                .parse()
-                .map_err(|e| format!("interval {n:?} is not a batch count: {e}"))?;
-            if n == 0 {
-                return Err("interval must be >= 1".into());
-            }
-            (dir, n)
-        }
-        _ => (raw, 64),
-    };
-    if dir.is_empty() {
-        return Err("empty checkpoint directory".into());
-    }
-    Ok(CheckpointConfig::every(dir, interval))
-}
-
-/// A fault to inject into the sharded runtime, for crash-recovery tests
-/// and the CLI's `SHARON_FAULT` knob.
+/// A fault to inject into the sharded runtime, for panic-containment
+/// tests. A crash mid-stream needs no plan: drop the executor (or kill
+/// the process) and resume from its checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPlan {
-    /// `drop@N`: simulate a crash at ingested batch `N` — the executor
-    /// stops ingesting and [finish][crate::BatchProcessor::finish] panics,
-    /// as if the process had died with its state unflushed.
-    Drop {
-        /// Zero-based ingested-batch index at which to crash.
-        batch: u64,
-    },
-    /// `panic@N:S`: worker shard `S` panics while processing its `N`-th
-    /// batch (exercises panic containment, not recovery).
+    /// Worker shard `shard` panics while processing its `batch`-th batch
+    /// (exercises panic containment, not recovery).
     PanicWorker {
         /// Zero-based per-worker batch index at which to panic.
         batch: u64,
         /// The shard whose worker panics.
         shard: usize,
     },
-    /// `abort@N`: hard-kill the whole process at ingested batch `N` via
-    /// [`std::process::abort`] — a real crash for subprocess tests.
-    Abort {
-        /// Zero-based ingested-batch index at which to abort.
-        batch: u64,
-    },
-    /// `reorder@N:K`: inject a disorder burst at ingested batch `N` — the
-    /// batch's rows are permuted by a seeded bounded shuffle displacing no
-    /// row more than `K` positions before routing. Exercises the
-    /// event-time path: a run configured with enough lateness absorbs the
-    /// burst exactly; one without drops-and-counts the late rows.
-    Reorder {
-        /// Zero-based ingested-batch index at which to scramble.
-        batch: u64,
-        /// Maximum row displacement of the injected shuffle.
-        k: u32,
-    },
-}
-
-impl std::str::FromStr for FaultPlan {
-    type Err = String;
-
-    fn from_str(raw: &str) -> Result<Self, String> {
-        let (kind, rest) = raw
-            .split_once('@')
-            .ok_or_else(|| format!("{raw:?} is not <kind>@<batch> (drop/panic/abort/reorder)"))?;
-        match kind {
-            "drop" => Ok(FaultPlan::Drop {
-                batch: parse_batch(rest)?,
-            }),
-            "abort" => Ok(FaultPlan::Abort {
-                batch: parse_batch(rest)?,
-            }),
-            "panic" => {
-                let (batch, shard) = rest
-                    .split_once(':')
-                    .ok_or_else(|| format!("panic fault {rest:?} is not <batch>:<shard>"))?;
-                Ok(FaultPlan::PanicWorker {
-                    batch: parse_batch(batch)?,
-                    shard: shard.parse().map_err(|e| format!("shard {shard:?}: {e}"))?,
-                })
-            }
-            "reorder" => {
-                let (batch, k) = rest
-                    .split_once(':')
-                    .ok_or_else(|| format!("reorder fault {rest:?} is not <batch>:<bound>"))?;
-                Ok(FaultPlan::Reorder {
-                    batch: parse_batch(batch)?,
-                    k: k.parse().map_err(|e| format!("bound {k:?}: {e}"))?,
-                })
-            }
-            _ => Err(format!(
-                "unknown fault kind {kind:?} (drop/panic/abort/reorder)"
-            )),
-        }
-    }
-}
-
-fn parse_batch(s: &str) -> Result<u64, String> {
-    s.parse().map_err(|e| format!("batch {s:?}: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -929,6 +868,34 @@ mod tests {
     }
 
     #[test]
+    fn store_keeps_two_generations() {
+        let dir = test_dir("retain");
+        let store = CheckpointStore::open(&dir).unwrap();
+        for id in 0..5 {
+            store
+                .write(id, 10 * id, b"r", &[vec![id as u8; 4]])
+                .unwrap();
+        }
+        let mut left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["ckpt-0000000000000003", "ckpt-0000000000000004"]);
+
+        // the older generation is the fallback past a corrupt newest one
+        fs::write(
+            dir.join("ckpt-0000000000000004").join("shard-0.seg"),
+            b"flipped",
+        )
+        .unwrap();
+        let got = store.latest().unwrap();
+        assert_eq!((got.id, got.events_sent), (3, 30));
+        assert_eq!(store.next_id().unwrap(), 5);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn older_format_is_refused_naming_both_versions() {
         // a v6 directory (shard segments with a gate block per engine)
         // must not be read as v7: rewrite a good manifest's version field
@@ -955,30 +922,6 @@ mod tests {
             }
         }
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_spec_parses() {
-        let c = parse_checkpoint_spec("/tmp/x").unwrap();
-        assert_eq!(c.interval_batches, 64);
-        let c = parse_checkpoint_spec("/tmp/x:8").unwrap();
-        assert_eq!((c.dir.to_str().unwrap(), c.interval_batches), ("/tmp/x", 8));
-        assert!(parse_checkpoint_spec("/tmp/x:zero").is_err());
-        assert!(parse_checkpoint_spec("/tmp/x:0").is_err());
-        assert!(parse_checkpoint_spec("").is_err());
-    }
-
-    #[test]
-    fn fault_plan_parses() {
-        assert_eq!("drop@7".parse(), Ok(FaultPlan::Drop { batch: 7 }));
-        assert_eq!(
-            "panic@3:1".parse(),
-            Ok(FaultPlan::PanicWorker { batch: 3, shard: 1 })
-        );
-        assert_eq!("abort@0".parse(), Ok(FaultPlan::Abort { batch: 0 }));
-        assert!("panic@3".parse::<FaultPlan>().is_err());
-        assert!("drop@x".parse::<FaultPlan>().is_err());
-        assert!("noop@1".parse::<FaultPlan>().is_err());
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub mod agg;
 pub mod chainlog;
 pub mod checkpoint;
 pub mod compile;
-pub mod config;
 pub mod engine;
 pub mod event_time;
 pub mod front;
@@ -45,7 +44,6 @@ pub use checkpoint::{
     StateReader, StateWriter,
 };
 pub use compile::{compile, CompileError, CompiledPartition};
-pub use config::{EnvError, RuntimeOptions};
 pub use engine::{Engine, EngineKind, Executor, ShardSlice};
 pub use event_time::{PendingRow, Reorder};
 pub use front::{ScanFront, ScopeSink};

@@ -1,6 +1,6 @@
 //! The sharded parallel runtime with a **pipelined ingest stage** and a
-//! **durability tier** (consistent checkpoints, crash-exact resume, fault
-//! injection).
+//! **durability tier** (consistent checkpoints, crash-exact resume, panic
+//! containment).
 //!
 //! `GROUP BY` partitions are independent by construction — "a result is
 //! returned per group and per window" (Definition 2) and no engine state is
@@ -52,16 +52,14 @@
 //! batch bodies — kept in [`Arc`]s end to end, including the fill buffer —
 //! return to an ingest-side pool once their `Arc` count drains, so the
 //! pipelined steady state performs no batch-, list-, or `Arc`-granular
-//! allocation. With checkpointing disabled the durability hooks reduce to
-//! two integer checks per batch — the zero-allocation steady state is
-//! unchanged (pinned by `tests/alloc_regression.rs`).
+//! allocation. With checkpointing disabled the durability hook reduces to
+//! one check per batch — the zero-allocation steady state is unchanged
+//! (pinned by `tests/alloc_regression.rs`).
 //!
 //! # Durability
 //!
-//! With a [`CheckpointConfig`] (see [`ShardedOptions::checkpoint`], or the
-//! `SHARON_CHECKPOINT` knob via
-//! [`RuntimeOptions::from_env`](crate::config::RuntimeOptions::from_env)) the runtime
-//! takes a **consistent checkpoint** every `interval_batches` ingested
+//! With a [`CheckpointConfig`] (see [`ShardedOptions::checkpoint`]) the
+//! runtime takes a **consistent checkpoint** every `interval_batches` ingested
 //! batches: a [`CheckpointBarrier`] message flows through the *same*
 //! rings as the data — ingest→router job ring first, then every worker
 //! ring — so each shard deposits its serialized engine state after
@@ -70,17 +68,20 @@
 //! frontier, and the ingest thread writes the segments plus a
 //! checksummed manifest through [`CheckpointStore`] (segments first,
 //! manifest renamed into place last, so a torn checkpoint is never
-//! *latest*). [`ShardedExecutor::resume`] rebuilds the runtime from the
-//! latest complete checkpoint and returns the stream offset to replay
-//! from — results after replay are identical to an uninterrupted run.
+//! *latest*; the store keeps two generations). [`ShardedExecutor::resume`]
+//! rebuilds the runtime from the latest complete checkpoint and returns
+//! the stream offset to replay from — results after replay are identical
+//! to an uninterrupted run. A crash needs no simulation: dropping the
+//! executor mid-stream (or killing the process) loses exactly the
+//! buffered and post-checkpoint state a real crash loses.
 //!
 //! Failures are **contained and loud**: a worker or router panic flips
 //! the shared cancel flag (so every other thread drains instead of
 //! grinding on), and [`ShardedExecutor::finish`] fails fast with an error
 //! naming the dead thread instead of silently merging partial results.
-//! [`FaultPlan`] (the `SHARON_FAULT` knob) injects exactly these failures
-//! — dropped runs, worker panics, process aborts — at chosen batch
-//! indices, which is how the recovery suites earn their confidence.
+//! [`FaultPlan::PanicWorker`] injects such a panic into a chosen worker
+//! at a chosen batch, which is how the containment tests earn their
+//! confidence.
 //!
 //! Shutdown is ordered: [`ShardedExecutor::finish`] closes the
 //! ingest→router ring *first* — the ring's close-then-drain semantics are
@@ -308,9 +309,7 @@ impl RouterThread {
 /// Every tuning and durability knob of the sharded runtime in one place;
 /// every [`ShardedExecutor`] constructor takes it whole.
 /// [`ShardedOptions::default`] is the plain runtime (no checkpoints, no
-/// faults, arrival order); the `SHARON_*` environment knobs reach it only
-/// through
-/// [`RuntimeOptions::sharded_options`](crate::config::RuntimeOptions::sharded_options).
+/// faults, arrival order).
 #[derive(Debug, Clone)]
 pub struct ShardedOptions {
     /// Events buffered before a batch is routed ([`DEFAULT_BATCH_SIZE`]).
@@ -318,8 +317,8 @@ pub struct ShardedOptions {
     /// When set, take a consistent checkpoint every
     /// `interval_batches` ingested batches into this store.
     pub checkpoint: Option<CheckpointConfig>,
-    /// When set, inject the given fault mid-stream (recovery testing —
-    /// see [`FaultPlan`]).
+    /// When set, inject the given fault mid-stream (panic-containment
+    /// testing — see [`FaultPlan`]).
     pub fault: Option<FaultPlan>,
     /// When set, run the shard workers in **event-time** mode with this
     /// allowed lateness (milliseconds): input may carry bounded disorder;
@@ -407,39 +406,6 @@ fn engine_shards(
         .collect()
 }
 
-/// Build a copy of `batch` whose rows `lo..hi` carry an injected disorder
-/// burst: consecutive blocks of `k + 1` rows are each permuted with a
-/// seeded Fisher–Yates, so no row is displaced more than `k` positions —
-/// the same bounded-disorder model as the stream generators. Deterministic
-/// (the shuffle is seeded from the fault parameters), so kill-and-resume
-/// runs replay the identical burst. Cold path: runs once per armed fault.
-fn reorder_burst(batch: &EventBatch, lo: usize, hi: usize, k: u32) -> EventBatch {
-    let mut order: Vec<usize> = (0..batch.len()).collect();
-    let mut state: u64 = 0x9E37_79B9_7F4A_7C15 ^ (((k as u64) << 32) | hi as u64);
-    let mut next = move |bound: usize| {
-        // xorshift64: plenty for a test-only shuffle, and dependency-free
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % bound as u64) as usize
-    };
-    let block = k as usize + 1;
-    let mut start = lo;
-    while start < hi {
-        let end = hi.min(start + block);
-        for i in (start + 1..end).rev() {
-            let j = start + next(i - start + 1);
-            order.swap(i, j);
-        }
-        start = end;
-    }
-    let mut out = EventBatch::new();
-    for row in order {
-        out.push(batch.ty(row), batch.time(row), batch.attrs(row));
-    }
-    out
-}
-
 /// A parallel executor that hash-partitions work across `N` worker shards.
 ///
 /// Two constructors, one build path: [`ShardedExecutor::with_options`]
@@ -465,7 +431,7 @@ pub struct ShardedExecutor {
     /// [`ShardedExecutor::events_sent`].
     events_sent: u64,
     /// Batches fanned out so far — the clock of the periodic
-    /// checkpointer and the fault plans.
+    /// checkpointer.
     batches_sent: u64,
     /// In-flight batch bodies; entries whose `Arc` count drains back to 1
     /// are cleared and reused by the next flush.
@@ -478,11 +444,6 @@ pub struct ShardedExecutor {
     cancel: Arc<AtomicBool>,
     /// Periodic-checkpoint state ([`ShardedOptions::checkpoint`]).
     checkpointer: Option<Checkpointer>,
-    /// Armed fault injection ([`ShardedOptions::fault`]).
-    fault: Option<FaultPlan>,
-    /// Set once a `Drop`-fault fired: ingest stops and `finish` panics,
-    /// simulating a crash with unflushed state.
-    fault_tripped: Option<u64>,
     /// The router's per-scope scan tallies, cloned out before the router
     /// moved onto its thread.
     scan_counters: Arc<ScanCounters>,
@@ -695,8 +656,6 @@ impl ShardedExecutor {
             batch_pool: Vec::new(),
             cancel,
             checkpointer,
-            fault: options.fault,
-            fault_tripped: None,
             scan_counters,
         }
     }
@@ -796,25 +755,10 @@ impl ShardedExecutor {
         }
     }
 
-    /// Send rows `lo..hi` of `batch` to the router thread, then run
-    /// the per-batch durability hooks (fault injection, periodic
-    /// checkpoints). With both disabled the hooks cost two integer
-    /// checks — the zero-allocation steady state is untouched.
+    /// Send rows `lo..hi` of `batch` to the router thread, then take a
+    /// periodic checkpoint if one is due. Without checkpoints that costs
+    /// one check — the zero-allocation steady state is untouched.
     fn dispatch_range(&mut self, batch: &Arc<EventBatch>, lo: usize, hi: usize) {
-        if self.fault_check() {
-            return; // "crashed": the rest of the stream is lost
-        }
-        // cold path: a `reorder@N:K` fault replaces this batch with a
-        // disorder burst — the same rows, each displaced at most K
-        // positions (the stream generators' disorder model)
-        let scrambled;
-        let batch = match self.fault {
-            Some(FaultPlan::Reorder { batch: at, k }) if self.batches_sent == at => {
-                scrambled = Arc::new(reorder_burst(batch, lo, hi, k));
-                &scrambled
-            }
-            _ => batch,
-        };
         self.events_sent += (hi - lo) as u64;
         self.send_job(RouterMsg::Route {
             batch: Arc::clone(batch),
@@ -823,31 +767,6 @@ impl ShardedExecutor {
         });
         self.batches_sent += 1;
         self.maybe_checkpoint();
-    }
-
-    /// Evaluate the armed ingest-side fault plan; returns `true` when the
-    /// run is (now or already) simulated-dead and the batch must be
-    /// dropped. `Abort` hard-kills the process — the external
-    /// kill-and-resume harness relies on that being indistinguishable
-    /// from a real crash. `Reorder` is handled in
-    /// [`ShardedExecutor::dispatch_range`] itself: it mutates the batch
-    /// rather than killing the run.
-    fn fault_check(&mut self) -> bool {
-        if self.fault_tripped.is_some() {
-            return true;
-        }
-        match self.fault {
-            Some(FaultPlan::Drop { batch }) if self.batches_sent >= batch => {
-                self.cancel.store(true, Ordering::Release);
-                self.fault_tripped = Some(batch);
-                true
-            }
-            Some(FaultPlan::Abort { batch }) if self.batches_sent >= batch => {
-                eprintln!("sharon: injected fault abort@{batch}: aborting process");
-                std::process::abort();
-            }
-            _ => false,
-        }
     }
 
     /// Take a periodic checkpoint when one is due. Failing to persist a
@@ -923,13 +842,6 @@ impl ShardedExecutor {
     /// a half-dead run can never masquerade as a complete one.
     pub fn finish_with_stats(mut self) -> RunReport {
         self.flush();
-        if let Some(batch) = self.fault_tripped {
-            // a Drop-fault is a simulated crash: the Drop impl tears the
-            // stage down during this unwind (cancel is already set)
-            panic!(
-                "injected fault: simulated crash at ingested batch {batch} (buffered state lost)"
-            );
-        }
         // teardown order is the flush contract: the router drains every
         // queued job and closes the worker lanes before the shards are
         // joined, so no routed batch is lost and every shard report is
@@ -1333,33 +1245,6 @@ mod tests {
                 "{fault:?}: unexpected panic message: {msg:?}"
             );
         }
-    }
-
-    #[test]
-    fn drop_fault_stops_ingest_and_fails_finish() {
-        let (c, w) = grouped_workload();
-        let events = stream(&c, 1000, 7);
-        let plan = SharingPlan::non_shared();
-        let options = ShardedOptions {
-            batch_size: 64,
-            fault: Some(FaultPlan::Drop { batch: 3 }),
-            ..ShardedOptions::default()
-        };
-        let mut sharded = ShardedExecutor::with_options(&c, &w, &plan, 2, options).unwrap();
-        sharded.process_columnar(&EventBatch::from_events(&events));
-        assert_eq!(
-            sharded.events_sent(),
-            3 * 64,
-            "ingest stops dead at the faulted batch"
-        );
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || sharded.finish()));
-        let err = result.expect_err("a dropped run must not report results");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("injected fault"),
-            "unexpected panic message: {msg:?}"
-        );
     }
 
     #[test]

@@ -47,17 +47,14 @@ fn test_dir(tag: &str) -> PathBuf {
 /// `SHARON_FAULT_SEED` pins it; every test prints the seed it used so a
 /// failure reproduces with `SHARON_FAULT_SEED=<seed> cargo test ...`.
 fn fault_seed() -> u64 {
-    match std::env::var("SHARON_FAULT_SEED") {
-        Ok(s) => s.parse().expect("SHARON_FAULT_SEED must be a u64"),
-        Err(_) => {
-            u64::from(
-                SystemTime::now()
-                    .duration_since(UNIX_EPOCH)
-                    .expect("clock before epoch")
-                    .subsec_nanos(),
-            ) | 1
-        }
-    }
+    support::knob("SHARON_FAULT_SEED").unwrap_or_else(|| {
+        u64::from(
+            SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .expect("clock before epoch")
+                .subsec_nanos(),
+        ) | 1
+    })
 }
 
 /// xorshift64 — deterministic for a given seed, no dependencies.
@@ -95,11 +92,19 @@ fn sequential_reference(
     sequential.finish()
 }
 
-/// The kill-and-resume drill: run with periodic checkpoints and a `Drop`
-/// fault at a randomized batch (ingest past it is lost, exactly like a
-/// crash), discard the runtime without finishing, resume from the latest
-/// checkpoint, replay the stream from the returned offset, and require
-/// results semantically identical to an uninterrupted sequential run.
+/// The events a run ingests before it crashes at `crash_batch`: its first
+/// `crash_batch` full ingest batches. Dropping the executor after them
+/// loses everything past the last checkpoint, exactly like a crash.
+fn before_crash<T>(events: &[T], crash_batch: u64) -> &[T] {
+    &events[..crash_batch as usize * BATCH]
+}
+
+/// The kill-and-resume drill: run with periodic checkpoints, feed the
+/// stream up to a randomized batch (ingest past it is lost, exactly like
+/// a crash), discard the runtime without finishing, resume from the
+/// latest checkpoint, replay the stream from the returned offset, and
+/// require results semantically identical to an uninterrupted sequential
+/// run.
 /// Under `SHARON_DISORDER` the runtime ingests the bounded-disorder
 /// shuffle with a covering lateness, so every checkpoint carries the
 /// event-time gates' waiting rows, and must still match the in-order
@@ -133,28 +138,23 @@ fn assert_kill_and_resume_is_exact(
             batch_size: BATCH,
             lateness,
             checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
-            fault: Some(FaultPlan::Drop { batch: crash_batch }),
+            ..ShardedOptions::default()
         };
 
         let mut crashing =
             ShardedExecutor::with_options(catalog, workload, plan, shards, options.clone())
                 .expect("sharded compiles");
-        crashing.process_columnar(&EventBatch::from_events(&events));
-        // simulated crash: everything after the last checkpoint is lost
+        crashing.process_columnar(&EventBatch::from_events(before_crash(&events, crash_batch)));
+        // crash: everything after the last checkpoint is lost
         drop(crashing);
 
-        let resume_options = ShardedOptions {
-            fault: None,
-            ..options
-        };
         let (mut resumed, offset) =
-            ShardedExecutor::resume(catalog, workload, plan, shards, resume_options)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "{label}: {shards} shards \
+            ShardedExecutor::resume(catalog, workload, plan, shards, options).unwrap_or_else(|e| {
+                panic!(
+                    "{label}: {shards} shards \
                          crash@{crash_batch}: resume failed: {e}"
-                    )
-                });
+                )
+            });
         assert!(
             offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
             "{label}: resume offset {offset} is not a checkpoint boundary"
@@ -250,138 +250,6 @@ fn ecommerce_kill_and_resume() {
     let workload = figure_2_workload(&mut catalog);
     let plan = sharon_plan(&workload);
     assert_kill_and_resume_is_exact(&catalog, &workload, &plan, &events, "ecommerce", &mut rng);
-}
-
-/// A `reorder@N:K` ingest fault scrambles one batch into a bounded
-/// disorder burst (each row displaced at most K positions). With a
-/// lateness that covers any within-batch scramble the run is exact, and
-/// a kill-and-resume across the burst replays to identical results: the
-/// checkpoint carries each gate's watermark and buffered rows, and when
-/// the burst lies past the resume offset the re-armed fault re-scrambles
-/// the same rows into the same permutation (the shuffle is seeded by the
-/// batch shape, not the clock).
-#[test]
-fn reorder_fault_kill_and_resume_is_exact() {
-    let mut rng = Rng::new("reorder");
-    let mut catalog = Catalog::new();
-    let events = taxi::generate(
-        &mut catalog,
-        &TaxiConfig {
-            n_events: 4000,
-            n_streets: 7,
-            n_vehicles: 40,
-            ..Default::default()
-        },
-    );
-    let workload = figure_1_workload(&mut catalog);
-    let plan = sharon_plan(&workload);
-    let want = sequential_reference(&catalog, &workload, &plan, &events);
-    assert!(!want.is_empty(), "reorder: stream must produce matches");
-    // under `SHARON_DISORDER` the burst lands on an already disordered
-    // stream, whose own covering lateness then joins the bound below
-    let (events, stream_need) = support::disordered(&events).unwrap_or((events, 0));
-
-    // the burst only displaces rows inside a single ingest batch, so the
-    // largest within-batch time spread covers it: a row's regression is
-    // at most that spread or the stream's own
-    let need = events
-        .chunks(BATCH)
-        .map(|chunk| {
-            let lo = chunk.iter().map(|e| e.time.millis()).min().unwrap();
-            let hi = chunk.iter().map(|e| e.time.millis()).max().unwrap();
-            hi - lo
-        })
-        .max()
-        .unwrap()
-        .max(stream_need);
-    assert!(need > 0, "reorder: batches must span event time");
-
-    let n_batches = (events.len() as u64).div_ceil(BATCH as u64);
-    const K: u32 = 96;
-
-    for shards in support::shard_counts(&[1, 2, 8]) {
-        let burst_at = rng.range(1, n_batches - 1);
-
-        // uninterrupted disordered run: the covering lateness must
-        // absorb the burst exactly
-        let options = ShardedOptions {
-            batch_size: BATCH,
-            lateness: Some(need),
-            fault: Some(FaultPlan::Reorder {
-                batch: burst_at,
-                k: K,
-            }),
-            ..ShardedOptions::default()
-        };
-        let mut uninterrupted =
-            ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
-                .expect("sharded compiles");
-        uninterrupted.process_columnar(&EventBatch::from_events(&events));
-        let got = uninterrupted.finish();
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "reorder: {shards} shards \
-             burst@{burst_at}:{K} with covering lateness {need} diverges from the \
-             in-order run ({} vs {} results)",
-            got.len(),
-            want.len(),
-        );
-
-        // kill-and-resume: crash at a checkpointed run mid-stream
-        // (ingest past the crash batch is lost), resume, replay
-        let crash_batch = rng.range(INTERVAL, n_batches);
-        let dir = test_dir("reorder");
-        let options = ShardedOptions {
-            checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
-            ..options
-        };
-        let mut crashing =
-            ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
-                .expect("sharded compiles");
-        crashing.process_columnar(&EventBatch::from_events(
-            &events[..(crash_batch * BATCH as u64) as usize],
-        ));
-        drop(crashing); // simulated crash: uncheckpointed tail is lost
-
-        // a burst at or past the resume offset has to fire again in
-        // the replay (shifted to the replayed batch index); a burst
-        // the checkpoint already covers must not
-        let resume_options = |offset: u64| ShardedOptions {
-            fault: (burst_at >= offset / BATCH as u64).then(|| FaultPlan::Reorder {
-                batch: burst_at - offset / BATCH as u64,
-                k: K,
-            }),
-            ..options.clone()
-        };
-        let (_, offset) =
-            ShardedExecutor::resume(&catalog, &workload, &plan, shards, options.clone())
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "reorder: {shards} shards \
-                         crash@{crash_batch}: resume failed: {e}"
-                    )
-                });
-        assert!(
-            offset > 0 && offset % (INTERVAL * BATCH as u64) == 0,
-            "reorder: resume offset {offset} is not a checkpoint boundary"
-        );
-        let (mut resumed, offset2) =
-            ShardedExecutor::resume(&catalog, &workload, &plan, shards, resume_options(offset))
-                .expect("second resume from the same store");
-        assert_eq!(offset, offset2, "reorder: resume offset must be stable");
-
-        resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
-        let got = resumed.finish();
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "reorder: {shards} shards \
-             burst@{burst_at}:{K} crash@{crash_batch} resume@{offset} diverges from \
-             the uninterrupted run ({} vs {} results)",
-            got.len(),
-            want.len(),
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
 
 /// Below-bound lateness: when the configured lateness does *not* cover
@@ -516,18 +384,17 @@ fn gated_kill_and_resume_over_two_partitions() {
                 batch_size: BATCH,
                 lateness: Some(lateness),
                 checkpoint: Some(CheckpointConfig::every(&dir, INTERVAL)),
-                fault: Some(FaultPlan::Drop { batch: crash_batch }),
+                ..ShardedOptions::default()
             };
             let mut crashing =
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
                     .expect("sharded compiles");
-            crashing.process_columnar(&EventBatch::from_events(&shuffled));
-            drop(crashing); // simulated crash: everything after the last checkpoint is lost
+            crashing.process_columnar(&EventBatch::from_events(before_crash(
+                &shuffled,
+                crash_batch,
+            )));
+            drop(crashing); // crash: everything after the last checkpoint is lost
 
-            let options = ShardedOptions {
-                fault: None,
-                ..options
-            };
             let (mut resumed, offset) =
                 ShardedExecutor::resume(&catalog, &workload, &plan, shards, options)
                     .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
@@ -643,10 +510,9 @@ fn strategy_layer_resume_round_trips() {
         let builder = builder.checkpoint(CheckpointConfig::every(&dir, INTERVAL));
         let (mut crashing, _) = builder
             .clone()
-            .fault(FaultPlan::Drop { batch: crash_batch })
             .build_executor()
             .expect("builds with durability");
-        crashing.process_columnar(&EventBatch::from_events(&events));
+        crashing.process_columnar(&EventBatch::from_events(before_crash(&events, crash_batch)));
         drop(crashing);
 
         let (mut resumed, _, offset) = builder.resume().expect("resumes");

@@ -1,20 +1,25 @@
 //! Helpers shared by the workspace integration-test suites (included via
 //! `#[path]` from each test binary).
 
-use sharon::executor::RuntimeOptions;
-
-/// The `SHARON_*` environment surface, parsed once through the canonical
-/// [`RuntimeOptions::from_env`] (an unparsable knob is a panic here — a
-/// typo'd CI matrix cell must fail loudly, not silently run defaults).
-pub fn runtime_options() -> RuntimeOptions {
-    RuntimeOptions::from_env().expect("SHARON_* environment knob")
+/// Read the test-matrix knob `var`: `None` when unset, and an
+/// unparsable value is a panic naming the variable — a typo'd CI matrix
+/// cell must fail loudly, not silently run defaults.
+pub fn knob<T: std::str::FromStr>(var: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = std::env::var(var).ok()?;
+    match raw.parse() {
+        Ok(v) => Some(v),
+        Err(e) => panic!("{var}={raw:?} is not valid: {e}"),
+    }
 }
 
 /// Shard counts under test: `SHARON_SHARDS` pins one (the CI matrix runs
 /// 2 and 4 on a multi-core runner), otherwise the suite's default spread.
 #[allow(dead_code)]
 pub fn shard_counts(default: &[usize]) -> Vec<usize> {
-    match runtime_options().shards {
+    match knob("SHARON_SHARDS") {
         Some(n) => vec![n],
         None => default.to_vec(),
     }
@@ -27,7 +32,7 @@ pub fn shard_counts(default: &[usize]) -> Vec<usize> {
 /// replays the identical shuffle.
 #[allow(dead_code)]
 pub fn disordered(events: &[sharon::types::Event]) -> Option<(Vec<sharon::types::Event>, u64)> {
-    let disorder = runtime_options().disorder;
+    let disorder: u32 = knob("SHARON_DISORDER").unwrap_or(0);
     if disorder == 0 {
         return None;
     }
