@@ -35,12 +35,16 @@
 //!
 //! Event time: `--disorder K` scrambles the generated stream with bounded
 //! disorder (each event displaced at most K positions; seeded, so runs
-//! are reproducible), `--lateness B` runs the strategy in event-time mode
-//! with an allowed lateness of B milliseconds — rows buffer behind the
-//! watermark `max_time_seen − B` and release in event-time order; rows
-//! behind the watermark are dropped and counted. Results are exact
-//! whenever B covers the stream's disorder (in event-time milliseconds).
-//! The runner reads flags only, never the environment.
+//! are reproducible), `--lateness B` runs an online strategy (sharon,
+//! greedy, aseq) in event-time mode with an allowed lateness of B
+//! milliseconds — rows buffer behind the watermark `max_time_seen − B`
+//! and release in event-time order; rows behind the watermark are
+//! dropped and counted. Results are exact whenever B covers the stream's
+//! disorder (in event-time milliseconds). The two-step baselines run in
+//! arrival order only: `--lateness` with one is refused with the
+//! builder's error (exit 1), and `--disorder` needs `--lateness`, so they
+//! see in-order streams only. The runner reads flags only, never the
+//! environment.
 //!
 //! Live churn: `--churn FILE` runs the stream through a long-lived
 //! `SharonSession` and replays a script of runtime workload mutations.
@@ -180,7 +184,9 @@ fn parse_args() -> Result<Args, String> {
                      --shards N runs sharon|greedy|aseq on N worker threads;\n\
                      flink|spass run sequentially only. --checkpoint-dir needs\n\
                      --shards; --resume restarts from its latest checkpoint.\n\
-                     --disorder needs --lateness. No environment variable is read."
+                     --lateness runs sharon|greedy|aseq in event time;\n\
+                     flink|spass run in arrival order only. --disorder needs\n\
+                     --lateness. No environment variable is read."
                 );
                 std::process::exit(0);
             }
@@ -451,14 +457,19 @@ fn main() {
         results.len()
     );
     for q in workload.ids() {
-        let rows = results.of_query_sorted(q);
-        println!(
-            "  {}: {} (group, window) results, total count {}",
-            q,
-            rows.len(),
-            results.total_count(q)
-        );
-        for (group, window, value) in rows.into_iter().take(args.results) {
+        print_summary(&results, &q.to_string(), q, args.results);
+    }
+}
+
+/// Print query `q`'s summary line under `label`, then its first `n_rows`
+/// rows in (group, window) order. The rows are sorted only when some are
+/// printed: a summary alone only counts them.
+fn print_summary(results: &ExecutorResults, label: &str, q: QueryId, n_rows: usize) {
+    let rows = results.rows().filter(|row| row.0 == q).count();
+    let total = results.total_count(q);
+    println!("  {label}: {rows} (group, window) results, total count {total}");
+    if n_rows > 0 {
+        for (group, window, value) in results.of_query_sorted(q).into_iter().take(n_rows) {
             println!("      group={group} window@{window}: {value}");
         }
     }
@@ -702,16 +713,7 @@ fn run_churn(
         sharon::metrics::swap_windows_lost()
     );
     for i in 0..handles {
-        let q = QueryId(i);
-        let rows = results.of_query_sorted(q);
-        println!(
-            "  handle {}: {} (group, window) results, total count {}",
-            i + 1,
-            rows.len(),
-            results.total_count(q)
-        );
-        for (group, window, value) in rows.into_iter().take(args.results) {
-            println!("      group={group} window@{window}: {value}");
-        }
+        let label = format!("handle {}", i + 1);
+        print_summary(&results, &label, QueryId(i), args.results);
     }
 }

@@ -101,7 +101,8 @@ impl<'a> SharonBuilder<'a> {
 
     /// Enable event-time processing with `lateness_ms` milliseconds of
     /// allowed out-of-orderness (drop-and-count beyond). Fixed for the
-    /// life of the built executor.
+    /// life of the built executor. Online strategies only: a two-step
+    /// baseline runs in arrival order.
     pub fn lateness(mut self, lateness_ms: u64) -> Self {
         self.options.lateness = Some(lateness_ms);
         self
@@ -128,7 +129,8 @@ impl<'a> SharonBuilder<'a> {
     /// is [`CompileError::ShardsRequired`] — the durability tier lives in
     /// the sharded runtime only. A two-step baseline with `shards(n ≥ 1)`
     /// is [`CompileError::UnsupportedOption`], naming the durability
-    /// option if one is set and `shards` otherwise.
+    /// option if one is set and `shards` otherwise; sequentially, one
+    /// with a lateness is the same error naming `lateness`.
     pub fn build_executor(self) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
         if self.shards > 0 {
             return build_sharded_any(
@@ -147,31 +149,25 @@ impl<'a> SharonBuilder<'a> {
                 strategy: self.strategy.name(),
             });
         }
+        let baseline = matches!(self.strategy, Strategy::FlinkLike | Strategy::SpassLike);
+        if baseline && self.options.lateness.is_some() {
+            return Err(CompileError::UnsupportedOption {
+                option: "lateness",
+                strategy: self.strategy.name(),
+            });
+        }
         // lateness is fixed on the concrete executor, before it is boxed
         let (plan, outcome) = strategy_plan(self.workload, self.rates, self.strategy, &self.config);
-        let lateness = self.options.lateness;
         let ex: AnyExecutor = match self.strategy {
             Strategy::Sharon | Strategy::Greedy | Strategy::ASeq => {
                 let mut ex = Executor::new(self.catalog, self.workload, &plan)?;
-                if let Some(ms) = lateness {
+                if let Some(ms) = self.options.lateness {
                     ex.set_lateness(ms);
                 }
                 ex.into()
             }
-            Strategy::FlinkLike => {
-                let mut ex = FlinkLike::new(self.catalog, self.workload)?;
-                if let Some(ms) = lateness {
-                    ex.set_lateness(ms);
-                }
-                ex.into()
-            }
-            Strategy::SpassLike => {
-                let mut ex = SpassLike::new(self.catalog, self.workload, &plan)?;
-                if let Some(ms) = lateness {
-                    ex.set_lateness(ms);
-                }
-                ex.into()
-            }
+            Strategy::FlinkLike => FlinkLike::new(self.catalog, self.workload)?.into(),
+            Strategy::SpassLike => SpassLike::new(self.catalog, self.workload, &plan)?.into(),
         };
         Ok((ex, outcome))
     }
@@ -236,7 +232,6 @@ impl<'a> SharonBuilder<'a> {
 mod tests {
     use super::*;
     use sharon_query::parse_workload;
-    use sharon_types::TimeDelta;
 
     fn workload() -> (Catalog, Workload) {
         let mut catalog = Catalog::new();
@@ -269,6 +264,8 @@ mod tests {
 
     #[test]
     fn lateness_is_fixed_at_build_for_every_strategy() {
+        // every online strategy: a baseline takes no lateness
+        // (`lateness_on_a_baseline_is_a_typed_error`)
         use sharon_streams::ecommerce::{generate, EcommerceConfig};
         use sharon_types::EventBatch;
         let mut catalog = Catalog::new();
@@ -288,23 +285,13 @@ mod tests {
         let lateness = sharon_streams::required_lateness(&EventBatch::from_events(&scrambled));
         assert!(lateness > 0, "the shuffle must disorder the stream");
 
-        for strategy in [
-            Strategy::Sharon,
-            Strategy::Greedy,
-            Strategy::ASeq,
-            Strategy::FlinkLike,
-            Strategy::SpassLike,
-        ] {
+        for strategy in [Strategy::Sharon, Strategy::Greedy, Strategy::ASeq] {
             let builder = SharonBuilder::new(&catalog, &workload, &rates).strategy(strategy);
             let (mut ungated, _) = builder.clone().build_executor().unwrap();
             ungated.process_columnar(&EventBatch::from_events(&events));
             let want = ungated.finish();
             assert!(!want.is_empty(), "{}: the stream matches", strategy.name());
-            let shard_counts: &[usize] = match strategy {
-                Strategy::FlinkLike | Strategy::SpassLike => &[0],
-                _ => &[0, 2],
-            };
-            for &shards in shard_counts {
+            for shards in [0, 2] {
                 let (mut gated, _) = builder
                     .clone()
                     .shards(shards)
@@ -357,6 +344,29 @@ mod tests {
         }
     }
 
+    #[test]
+    fn lateness_on_a_baseline_is_a_typed_error() {
+        let (catalog, workload) = workload();
+        let rates = RateMap::uniform(100.0);
+        for (strategy, name) in [
+            (Strategy::FlinkLike, "Flink"),
+            (Strategy::SpassLike, "SPASS"),
+        ] {
+            let err = SharonBuilder::new(&catalog, &workload, &rates)
+                .strategy(strategy)
+                .lateness(1_000)
+                .build_executor()
+                .err()
+                .expect("a baseline runs in arrival order only");
+            let want = CompileError::UnsupportedOption {
+                option: "lateness",
+                strategy: name,
+            };
+            assert_eq!(err, want);
+            assert!(err.to_string().contains("lateness"), "{err}");
+        }
+    }
+
     /// The error `session` refuses `builder` with.
     fn session_refusal(builder: SharonBuilder<'_>) -> CompileError {
         let session = builder.session(SessionConfig::default());
@@ -381,22 +391,5 @@ mod tests {
         let (option, strategy) = ("lateness", "SHARON");
         let want = CompileError::UnsupportedOption { option, strategy };
         assert_eq!(session_refusal(builder), want);
-    }
-
-    #[test]
-    fn a_session_with_a_zero_rate_horizon_is_a_typed_error() {
-        let (catalog, workload) = workload();
-        let rates = RateMap::uniform(100.0);
-        let config = SessionConfig {
-            rate_horizon: TimeDelta::ZERO,
-            ..SessionConfig::default()
-        };
-        let session = SharonBuilder::new(&catalog, &workload, &rates).session(config);
-        let err = session.err().expect("a zero horizon must be refused");
-        let want = CompileError::NonPositiveSetting {
-            setting: "rate_horizon",
-        };
-        assert_eq!(err, want);
-        assert!(err.to_string().contains("rate_horizon"), "{err}");
     }
 }

@@ -42,6 +42,10 @@ use sharon_optimizer::{DynamicPlanManager, OptimizerConfig, PlanDecision, RateEs
 use sharon_query::{Query, QueryId, QuerySig, SharingPlan, Workload};
 use sharon_types::{Catalog, EventBatch, EventTypeId, FxHashMap, TimeDelta, Timestamp};
 
+/// The horizon over which a session measures per-type event rates before
+/// each drift check.
+const RATE_HORIZON: TimeDelta = TimeDelta::from_secs(1);
+
 /// Tuning for a [`SharonSession`]'s background re-optimizer.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -49,9 +53,6 @@ pub struct SessionConfig {
     /// that trigger a re-optimization at the next batch boundary. Treated
     /// as at least 1.
     pub churn_threshold: u32,
-    /// Rate-estimation horizon: the window over which per-type event
-    /// rates are measured before each drift check. Must be positive.
-    pub rate_horizon: TimeDelta,
     /// Relative score-drift threshold that triggers re-optimization under
     /// [`Strategy::Sharon`] (see [`DynamicPlanManager`]).
     pub drift_threshold: f64,
@@ -61,7 +62,6 @@ impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
             churn_threshold: 8,
-            rate_horizon: TimeDelta::from_secs(1),
             drift_threshold: 0.1,
         }
     }
@@ -255,8 +255,7 @@ impl SharonSession {
     /// queries (handles `0..n` in order). A two-step strategy (option
     /// `session`: its processors cannot surface results mid-stream) and a
     /// checkpoint, fault or lateness option are
-    /// [`CompileError::UnsupportedOption`]; a zero `rate_horizon` is
-    /// [`CompileError::NonPositiveSetting`].
+    /// [`CompileError::UnsupportedOption`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         catalog: Catalog,
@@ -285,12 +284,6 @@ impl SharonSession {
                 strategy: strategy.name(),
             });
         }
-        let rate_horizon = cfg.rate_horizon;
-        if rate_horizon.is_zero() {
-            return Err(CompileError::NonPositiveSetting {
-                setting: "rate_horizon",
-            });
-        }
         let mut session = SharonSession {
             catalog,
             strategy,
@@ -299,7 +292,7 @@ impl SharonSession {
             n_shards,
             options,
             seed_rates,
-            tracker: Tracker::Bare(RateEstimator::new(rate_horizon)),
+            tracker: Tracker::Bare(RateEstimator::new(RATE_HORIZON)),
             handles: Vec::new(),
             sigs: Vec::new(),
             main: None,
@@ -342,7 +335,7 @@ impl SharonSession {
             strategy_plan(&wl, &session.seed_rates, strategy, &session.opt_config);
         if let (Strategy::Sharon, Some(outcome)) = (strategy, &outcome) {
             session.tracker = Tracker::Managed(Box::new(DynamicPlanManager::new(
-                session.cfg.rate_horizon,
+                RATE_HORIZON,
                 session.cfg.drift_threshold,
                 session.opt_config.clone(),
                 outcome,

@@ -71,23 +71,16 @@ impl AnyExecutor {
         self.inner.process_columnar(batch);
     }
 
-    /// Late rows dropped by the event-time gate so far (0 when no gate;
-    /// the sharded runtime reports its count at
-    /// [`AnyExecutor::finish_with_stats`] instead).
-    pub fn late_rows_dropped(&self) -> u64 {
-        self.inner.late_rows_dropped()
-    }
-
     /// Flush and return results.
     pub fn finish(self) -> ExecutorResults {
         self.inner.finish().results
     }
 
-    /// Flush and report the run (see [`RunReport`]). Unlike
-    /// [`AnyExecutor::events_matched`], [`AnyExecutor::late_rows_dropped`]
-    /// and [`AnyExecutor::scan_stats`], the counts and the per-scope
-    /// tallies here are exact for the sharded runtime too — they are read
-    /// after its router and workers drain.
+    /// Flush and report the run (see [`RunReport`]), the late-drop count
+    /// included. Unlike [`AnyExecutor::events_matched`] and
+    /// [`AnyExecutor::scan_stats`], the counts and the per-scope tallies
+    /// here are exact for the sharded runtime too — they are read after
+    /// its router and workers drain.
     pub fn finish_with_stats(self) -> RunReport {
         self.inner.finish()
     }

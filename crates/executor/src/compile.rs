@@ -71,19 +71,14 @@ pub enum CompileError {
     },
     /// The strategy cannot honour a runtime option (the two-step
     /// baselines cannot serialize their state, so they host no
-    /// checkpoint or fault injection, nor a live session; a
-    /// session hosts no checkpoint, fault or lateness option).
+    /// checkpoint or fault injection, nor a live session, and run in
+    /// arrival order, so they take no lateness; a session hosts no
+    /// checkpoint, fault or lateness option).
     UnsupportedOption {
         /// The option that was set.
         option: &'static str,
         /// Display name of the strategy being built.
         strategy: &'static str,
-    },
-    /// A setting that must be positive was zero (a session's
-    /// `rate_horizon`).
-    NonPositiveSetting {
-        /// The setting's name.
-        setting: &'static str,
     },
     /// A sharded runtime was asked for zero worker shards.
     ZeroShards {
@@ -123,9 +118,6 @@ impl fmt::Display for CompileError {
             ),
             CompileError::UnsupportedOption { option, strategy } => {
                 write!(f, "{strategy}: the strategy does not support the {option} option")
-            }
-            CompileError::NonPositiveSetting { setting } => {
-                write!(f, "the {setting} setting must be positive")
             }
             CompileError::ZeroShards { strategy } => {
                 write!(f, "{strategy}: the sharded runtime needs at least one shard")

@@ -26,8 +26,8 @@
 //!
 //! An engine keeps only group state. It selects nothing and gates
 //! nothing: its owner — the [`Executor`], sequential or as a shard worker
-//! — runs the stateless front end (scan, tallies, event-time gate; see
-//! [`crate::front`]) and hands it rows already selected, in event-time
+//! — runs the select stage (scan and tallies; see [`crate::front`]) and
+//! the event-time gate, and hands it rows already selected, in event-time
 //! order, through [`Engine::process_rows`] (a batch's selected rows) or
 //! [`Engine::process_row`] (one row the gate released).
 
@@ -36,7 +36,7 @@ use crate::chainlog::ChainLog;
 use crate::checkpoint::{StateError, StateReader, StateWriter};
 use crate::compile::{compile, CompileError, CompiledPartition, Routes};
 use crate::event_time::Reorder;
-use crate::front::{self, ScanFront, ScopeSink};
+use crate::front::ScanFront;
 use crate::processor::RunReport;
 use crate::results::ExecutorResults;
 use crate::router::RoutedRows;
@@ -707,12 +707,13 @@ impl<A: Aggregate> Engine<A> {
 /// (A-Seq per query, Section 3.2); with an optimizer-produced plan it is
 /// the Sharon executor (Section 3.3).
 ///
-/// The executor owns the stateless front end of its partitions (see
-/// [`crate::front`]): one scan kernel per engine behind a shared type
-/// pass, and one event-time gate for all engines. The engines keep only
-/// group state. The same type is the sharded runtime's shard worker:
-/// there its engines own one [`ShardSlice`] each and it dispatches the
-/// router's row lists (`process_routed`) instead of scanning.
+/// The executor owns the stateless front end of its partitions: the
+/// select stage ([`crate::front`]: one scan kernel per engine behind a
+/// shared type pass) and one event-time gate for all engines, the only
+/// gate in the system. The engines keep only group state. The same type
+/// is the sharded runtime's shard worker: there its engines own one
+/// [`ShardSlice`] each and it dispatches the router's row lists
+/// (`process_routed`) instead of scanning.
 pub struct Executor {
     /// One engine per partition, in partition order.
     pub(crate) engines: Vec<EngineKind>,
@@ -811,17 +812,42 @@ impl EngineKind {
     }
 }
 
-/// An executor's engines as the dispatch stage feeds them: scope `p` is
-/// engine `p`.
-impl ScopeSink for [EngineKind] {
-    #[inline]
-    fn rows(&mut self, scope: usize, batch: &EventBatch, rows: &[u32]) {
-        self[scope].process_rows(batch, rows);
-    }
+/// The dispatch stage of an executor: `lists` (parallel to `engines`)
+/// go straight to their engines, or — with a gate — through it in one
+/// call that admits them (dropping and counting late rows), advances the
+/// watermark to `frontier − lateness` and releases every row it passed,
+/// in event-time order, while `batch` is alive to lend their attributes.
+/// Every engine sees the same frontier, so the one gate releases each
+/// engine's rows in the order a gate of its own would, and a late row is
+/// dropped and counted once per partition that selected it.
+fn dispatch(
+    engines: &mut [EngineKind],
+    gate: Option<&mut Reorder>,
+    batch: &EventBatch,
+    lists: &[Vec<u32>],
+    frontier: Timestamp,
+) {
+    let Some(gate) = gate else {
+        for (p, rows) in lists.iter().enumerate() {
+            if !rows.is_empty() {
+                engines[p].process_rows(batch, rows);
+            }
+        }
+        return;
+    };
+    let lists = lists.iter().map(Vec::as_slice);
+    gate.process(batch, lists, frontier, |ty, time, attrs, p| {
+        on_engine!(&mut engines[p as usize], en => en.process_row(ty, time, attrs))
+    });
+}
 
-    #[inline]
-    fn row(&mut self, scope: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
-        on_engine!(&mut self[scope], en => en.process_row(ty, time, attrs))
+/// End of stream: open the gate (if any) and release every row it still
+/// holds into `engines`, before any window is force-closed.
+fn release_all(engines: &mut [EngineKind], gate: Option<&mut Reorder>) {
+    if let Some(gate) = gate {
+        gate.flush(|ty, time, attrs, p| {
+            on_engine!(&mut engines[p as usize], en => en.process_row(ty, time, attrs))
+        });
     }
 }
 
@@ -867,7 +893,7 @@ impl Executor {
         let lists = self.front.select(batch, 0, batch.len());
         let frontier = batch.max_time().unwrap_or(Timestamp::ZERO);
         let gate = self.gate.as_deref_mut();
-        front::dispatch(&mut self.engines[..], gate, batch, lists, frontier);
+        dispatch(&mut self.engines, gate, batch, lists, frontier);
     }
 
     /// Pre-size every partition's result store for about `additional`
@@ -918,7 +944,7 @@ impl Executor {
     /// End of stream: release every row the gate holds, read the matched
     /// and late-drop counts, then flush every engine's windows.
     pub(crate) fn report(mut self) -> RunReport {
-        front::release_all(&mut self.engines[..], self.gate.as_deref_mut());
+        release_all(&mut self.engines, self.gate.as_deref_mut());
         let events_matched = self.events_matched();
         let late_rows_dropped = self.late_rows_dropped();
         let mut results = ExecutorResults::new();
@@ -956,10 +982,6 @@ impl crate::processor::BatchProcessor for Executor {
         Executor::process_columnar(self, batch);
     }
 
-    fn late_rows_dropped(&self) -> u64 {
-        Executor::late_rows_dropped(self)
-    }
-
     fn events_matched(&self) -> u64 {
         Executor::events_matched(self)
     }
@@ -987,8 +1009,8 @@ impl Executor {
     pub(crate) fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
         // the router stamped every chunk with the merged cross-shard
         // frontier: the gate advances to it whichever engines have rows
-        let (engines, gate) = (&mut self.engines[..], self.gate.as_deref_mut());
-        front::dispatch(engines, gate, batch, &rows.per_part, rows.frontier);
+        let (engines, gate) = (&mut self.engines, self.gate.as_deref_mut());
+        dispatch(engines, gate, batch, &rows.per_part, rows.frontier);
     }
 
     /// The shard's checkpoint segment: its engines in partition order,

@@ -1,16 +1,17 @@
 //! Event-time machinery: the bounded-disorder reorder gate.
 //!
 //! Arrival order is not event-time order the moment a stream carries
-//! disorder. Every owner that folds rows — the online executor and the
-//! two-step driver, sequentially or as a shard worker — holds one gate of
-//! this type for all its scopes, in its front end's dispatch stage
-//! ([`crate::front`]): selected rows are *admitted*, a monotone
-//! **watermark** `max_time_seen − lateness` advances once per
-//! batch/chunk, and rows are *released* into the caller's in-order row
-//! path only once the watermark passes them. Rows that arrive with a
-//! timestamp already behind the watermark are **late**: the policy is
-//! drop-and-count ([`sharon_metrics::late_rows_dropped`]), never a silent
-//! fold into closed windows.
+//! disorder. The online [`crate::Executor`], sequentially or as a shard
+//! worker, holds one gate of this type for all its engines, between its
+//! select stage ([`crate::front`]) and its engines (the two-step
+//! baselines run in arrival order and hold none): selected rows are
+//! *admitted*, a monotone **watermark** `max_time_seen − lateness`
+//! advances once per batch/chunk, and rows are *released* into the
+//! caller's in-order row path only once the watermark passes them. Rows
+//! that arrive with a timestamp already behind the watermark are
+//! **late**: the policy is drop-and-count
+//! ([`sharon_metrics::late_rows_dropped`]), never a silent fold into
+//! closed windows.
 //!
 //! Exactness: the stream generators' disorder knob displaces a row at
 //! most `K` positions ([`sharon-streams`' bounded block shuffle]), so any
@@ -49,8 +50,7 @@ pub struct PendingRow {
     pub seq: u64,
     /// Event type of the row.
     pub ty: EventTypeId,
-    /// Routing-scope index in the owner: an executor's engine, or the
-    /// two-step driver's distinct scope.
+    /// Routing-scope index in the owner: an executor's engine.
     pub scope: u32,
     /// Index of the row in the carry.
     slot: usize,

@@ -46,7 +46,7 @@ pub use checkpoint::{
 pub use compile::{compile, CompileError, CompiledPartition};
 pub use engine::{Engine, EngineKind, Executor, ShardSlice};
 pub use event_time::{PendingRow, Reorder};
-pub use front::{ScanFront, ScopeSink};
+pub use front::ScanFront;
 pub use processor::{BatchProcessor, RunReport};
 pub use results::ExecutorResults;
 pub use router::{BatchRouter, RouteBatch, RoutedRows, RowFilter};

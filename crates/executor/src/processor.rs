@@ -2,12 +2,13 @@
 //!
 //! Every strategy in the system — the online Sharon/A-Seq engines, their
 //! sharded parallel runtime, and the sequential two-step baselines — is a
-//! *stage pipeline over [`EventBatch`]*: one front end per owner of routing
-//! scopes ([`crate::front`]) selects each scope's rows with compiled scan
-//! kernels (routing on the `ty` column, predicate evaluation over the
-//! value buffer, groupability) and dispatches them, directly or through
-//! the owner's event-time gate, to a *stateful* side that folds only
-//! those rows into per-group state.
+//! *stage pipeline over [`EventBatch`]*: one select stage per owner of
+//! routing scopes ([`crate::front`]) selects each scope's rows with
+//! compiled scan kernels (routing on the `ty` column, predicate
+//! evaluation over the value buffer, groupability) and hands them to a
+//! *stateful* side that folds only those rows into per-group state —
+//! for the online engines directly or through the executor's event-time
+//! gate, for the baselines in arrival order.
 //! [`BatchProcessor`] captures that contract behind one trait so callers
 //! (the strategy layer, the framework, the CLI, the benches) drive every
 //! strategy identically — no per-strategy match arms. Columnar batches
@@ -35,8 +36,9 @@ pub struct RunReport {
     /// Events that passed the stateless prefix (routing, predicates,
     /// grouping); zero for strategies that do not track it.
     pub events_matched: u64,
-    /// Late rows this run's gates dropped, once per scope that selected
-    /// them; zero without a gate.
+    /// Late rows this run's gates dropped, once per partition that
+    /// selected them; zero without a gate (and for the baselines, which
+    /// have none).
     pub late_rows_dropped: u64,
     /// Per-scope `(rows_scanned, rows_selected)` tallies, as
     /// [`BatchProcessor::scan_stats`] (a shard worker's are unused: the
@@ -48,24 +50,16 @@ pub struct RunReport {
 /// produces [`ExecutorResults`] when finished.
 ///
 /// Batches must arrive in global timestamp order across calls, unless
-/// the executor was built with an allowed lateness (event-time mode):
-/// then input may carry bounded disorder, rows buffer behind the
+/// an online executor was built with an allowed lateness (event-time
+/// mode): then input may carry bounded disorder, rows buffer behind the
 /// watermark `max_time_seen − lateness` and release in event-time order,
-/// and rows behind the watermark are dropped and counted
-/// ([`sharon_metrics::late_rows_dropped`]). Lateness is fixed when the
-/// executor is built.
+/// and rows behind the watermark are dropped and counted in the run's
+/// [`RunReport`]. Lateness is fixed when the executor is built; the
+/// two-step baselines take none.
 pub trait BatchProcessor: Send {
     /// Process a time-ordered columnar batch: the stateless scan +
     /// stateful dispatch pipeline.
     fn process_columnar(&mut self, batch: &EventBatch);
-
-    /// Late rows dropped by the event-time gate so far; zero when no
-    /// gate is configured, and zero mid-run for the sharded runtime,
-    /// whose gates live on its worker threads (its [`RunReport`] sums
-    /// them).
-    fn late_rows_dropped(&self) -> u64 {
-        0
-    }
 
     /// Events that passed the stateless prefix (routing, predicates,
     /// grouping) so far; zero for strategies that do not track it.

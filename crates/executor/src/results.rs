@@ -434,7 +434,7 @@ impl ExecutorResults {
             .filter(|row| row.0 == query)
             .map(|(_, gid, w, val)| (self.group(gid).clone(), w, val))
             .collect();
-        v.sort_by_key(|a| (a.0.to_string(), a.1));
+        v.sort_by_cached_key(|a| (a.0.to_string(), a.1));
         v
     }
 

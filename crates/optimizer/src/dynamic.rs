@@ -14,7 +14,7 @@
 use crate::cost::{CostModel, RateMap};
 use crate::optimizer::{optimize_sharon, OptimizeOutcome, OptimizerConfig};
 use sharon_query::{SharingPlan, Workload};
-use sharon_types::{Event, EventTypeId, TimeDelta, Timestamp};
+use sharon_types::{EventTypeId, TimeDelta, Timestamp};
 use std::collections::HashMap;
 
 /// Sliding-window per-type rate estimation over the stream's own clock.
@@ -44,20 +44,13 @@ impl RateEstimator {
         }
     }
 
-    /// Record one event. Returns `true` when a horizon just completed and
-    /// [`RateEstimator::rates`] changed.
-    pub fn observe(&mut self, event: &Event) -> bool {
-        let refreshed = self.roll_to(event.time);
-        *self.counts.entry(event.ty).or_insert(0) += 1;
-        refreshed
-    }
-
-    /// Bulk form of [`RateEstimator::observe`] for columnar ingestion:
-    /// record a batch's per-type row counts at once, `max_time` being the
-    /// batch's largest event time. The whole batch is attributed to the
-    /// horizon containing `max_time` — batch-granular attribution is a
-    /// deliberate approximation (rate drift detection does not need
-    /// row-exact horizon boundaries).
+    /// Record a batch's per-type row counts at once, `max_time` being the
+    /// batch's largest event time. Returns `true` when a horizon just
+    /// completed and [`RateEstimator::rates`] changed. The whole batch is
+    /// attributed to the horizon containing `max_time` — batch-granular
+    /// attribution is a deliberate approximation (rate drift detection
+    /// does not need row-exact horizon boundaries); one event is the
+    /// count `[(ty, 1)]` at its time.
     pub fn observe_counts(
         &mut self,
         counts: impl IntoIterator<Item = (EventTypeId, u64)>,
@@ -151,19 +144,10 @@ impl DynamicPlanManager {
         self.reoptimizations
     }
 
-    /// Record an event; at each completed rate horizon, re-score the active
-    /// plan under the fresh rates and re-optimize on drift.
-    pub fn observe(&mut self, workload: &Workload, event: &Event) -> PlanDecision {
-        if !self.estimator.observe(event) {
-            return PlanDecision::Keep;
-        }
-        self.decide(workload)
-    }
-
-    /// Bulk form of [`DynamicPlanManager::observe`] for columnar ingestion:
-    /// feed a batch's per-type row counts (with the batch's largest event
-    /// time) to the rate estimator, deciding on drift whenever a rate
-    /// horizon completes.
+    /// Feed a batch's per-type row counts (with the batch's largest event
+    /// time) to the rate estimator; at each completed rate horizon,
+    /// re-score the active plan under the fresh rates and re-optimize on
+    /// drift.
     pub fn observe_counts(
         &mut self,
         workload: &Workload,
@@ -203,7 +187,7 @@ impl DynamicPlanManager {
 
     /// Unconditionally re-run the optimizer for `workload` under `rates`,
     /// adopt the result as the active plan, and return it. Unlike
-    /// [`DynamicPlanManager::observe`], this skips the drift check — the
+    /// [`DynamicPlanManager::observe_counts`], this skips the drift check — the
     /// session layer calls it when query churn (not rate drift) has
     /// invalidated the plan, so a fresh plan is required regardless of
     /// score movement.
@@ -245,13 +229,13 @@ mod tests {
         let mut est = RateEstimator::new(TimeDelta::from_secs(1));
         // 10 As and 5 Bs in the first second
         for i in 0..10 {
-            assert!(!est.observe(&Event::new(a, Timestamp(i * 100))));
+            assert!(!est.observe_counts([(a, 1)], Timestamp(i * 100)));
         }
         for i in 0..5 {
-            est.observe(&Event::new(b, Timestamp(i * 100 + 50)));
+            est.observe_counts([(b, 1)], Timestamp(i * 100 + 50));
         }
         // first event of the next horizon triggers the refresh
-        assert!(est.observe(&Event::new(a, Timestamp(1000))));
+        assert!(est.observe_counts([(a, 1)], Timestamp(1000)));
         assert_eq!(est.rates().rate(a), 10.0);
         assert_eq!(est.rates().rate(b), 5.0);
     }
@@ -261,9 +245,9 @@ mod tests {
         let mut c = Catalog::new();
         let a = c.register("A");
         let mut est = RateEstimator::new(TimeDelta::from_secs(1));
-        est.observe(&Event::new(a, Timestamp(0)));
+        est.observe_counts([(a, 1)], Timestamp(0));
         // long silence, then one event: the old window (1 event) completes
-        assert!(est.observe(&Event::new(a, Timestamp(10_000))));
+        assert!(est.observe_counts([(a, 1)], Timestamp(10_000)));
         assert_eq!(est.rates().rate(a), 1.0);
     }
 
@@ -297,7 +281,7 @@ mod tests {
         for _ in 0..3000 {
             for &ty in &ids[..5] {
                 t += 7;
-                if let PlanDecision::Replace(_) = mgr.observe(&w, &Event::new(ty, Timestamp(t))) {
+                if let PlanDecision::Replace(_) = mgr.observe_counts(&w, [(ty, 1)], Timestamp(t)) {
                     replaced += 1;
                 }
             }
@@ -306,7 +290,7 @@ mod tests {
         for _ in 0..3000 {
             for &ty in &ids[5..] {
                 t += 7;
-                if let PlanDecision::Replace(_) = mgr.observe(&w, &Event::new(ty, Timestamp(t))) {
+                if let PlanDecision::Replace(_) = mgr.observe_counts(&w, [(ty, 1)], Timestamp(t)) {
                     replaced += 1;
                 }
             }

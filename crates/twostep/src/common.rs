@@ -11,16 +11,16 @@
 //! driver selects the scope's rows with.
 //!
 //! [`TwoStep`] is the one driver of both baselines. They run sequentially
-//! only: both of their roles, the oracle of the online runner and the
-//! §8 comparison, run them that way. Its stateless prefix is the executor crate's front end
-//! ([`sharon_executor::front`]: select and tally, then dispatch through
-//! an optional event-time gate); what is its own is the fan-out of each
-//! distinct scope's rows to the [`Subscriber`]s.
+//! and in arrival order only: both of their roles, the oracle of the
+//! online runner and the §8 comparison, run them over in-order streams,
+//! and event time has one owner, the online executor. Its stateless
+//! prefix is the executor crate's select stage
+//! ([`sharon_executor::front`]: select and tally); what is its own is the
+//! fan-out of each distinct scope's rows to the [`Subscriber`]s.
 
 use sharon_executor::agg::Contribution;
 use sharon_executor::compile::CompileError;
-use sharon_executor::front::{self, ScanFront, ScopeSink};
-use sharon_executor::{BatchProcessor, ExecutorResults, Reorder, RunReport, ScanKernel};
+use sharon_executor::{BatchProcessor, ExecutorResults, RunReport, ScanFront, ScanKernel};
 use sharon_query::{CmpOp, Query};
 use sharon_types::{AttrId, Catalog, EventBatch, EventTypeId, GroupKey, Timestamp, Value};
 use std::collections::HashMap;
@@ -310,7 +310,7 @@ impl ScopeFilter {
 
 /// One subscriber of a routing scope: Flink-like's per-query state or
 /// SPASS-like's per-signature partition. It only ever sees rows its
-/// scope selected, in event-time order.
+/// scope selected, in arrival order (which is event-time order).
 pub(crate) trait Subscriber: Send {
     /// Fold the selected `rows` of `batch`, in row order.
     fn rows(&mut self, batch: &EventBatch, rows: &[u32], results: &mut ExecutorResults) {
@@ -320,7 +320,7 @@ pub(crate) trait Subscriber: Send {
         }
     }
 
-    /// Fold one selected row (the event-time gate's release path).
+    /// Fold one selected row.
     fn row(
         &mut self,
         ty: EventTypeId,
@@ -350,49 +350,23 @@ pub trait Family: Send + 'static {}
 /// The one driver of both two-step baselines ([`crate::FlinkLike`],
 /// [`crate::SpassLike`]), run sequentially.
 ///
-/// It owns the executor crate's stateless front end over the scan
-/// kernels of the *distinct* routing scopes (deduplicated by `ScopeKey`)
-/// ([`sharon_executor::front`]: select and tally, then dispatch), an
-/// optional event-time gate, and the subscribers with their result log.
-/// [`TwoStep::process_columnar`] selects each distinct scope's rows once
-/// per batch and dispatches them at the batch maximum: each row reaches
-/// every subscriber of its scope — directly, or once the gate releases
-/// it. A late row counts once per distinct scope that selected it.
+/// It owns the executor crate's select stage over the scan kernels of
+/// the *distinct* routing scopes (deduplicated by `ScopeKey`)
+/// ([`sharon_executor::front`]: select and tally) and the subscribers
+/// with their result log. [`TwoStep::process_columnar`] selects each
+/// distinct scope's rows once per batch and hands them to every
+/// subscriber of that scope, in arrival order.
 pub struct TwoStep<F> {
     /// The select stage over the distinct scopes' kernels, first-seen
     /// order.
     front: ScanFront,
-    /// Event-time gate; `None` keeps the arrival-order contract.
-    gate: Option<Reorder>,
-    /// Where each distinct scope's rows go.
-    subs: Subscribers,
-    /// Queries answered, for [`TwoStep::reserve_results`].
-    n_queries: usize,
-    family: PhantomData<F>,
-}
-
-/// The stateful side of a [`TwoStep`] driver: the subscribers, the
-/// subscribers of each distinct scope, and the result log they emit into.
-struct Subscribers {
     /// Per distinct scope: the subscribers its rows fan out to.
     fan: Vec<Vec<usize>>,
     subs: Vec<Box<dyn Subscriber>>,
     results: ExecutorResults,
-}
-
-/// Every row of a distinct scope goes to each subscriber of that scope.
-impl ScopeSink for Subscribers {
-    fn rows(&mut self, scope: usize, batch: &EventBatch, rows: &[u32]) {
-        for &sub in &self.fan[scope] {
-            self.subs[sub].rows(batch, rows, &mut self.results);
-        }
-    }
-
-    fn row(&mut self, scope: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
-        for &sub in &self.fan[scope] {
-            self.subs[sub].row(ty, time, attrs, &mut self.results);
-        }
-    }
+    /// Queries answered, for [`TwoStep::reserve_results`].
+    n_queries: usize,
+    family: PhantomData<F>,
 }
 
 impl<F: Family> TwoStep<F> {
@@ -405,76 +379,62 @@ impl<F: Family> TwoStep<F> {
         let (scopes, fan) = dedup_scopes(scopes);
         TwoStep {
             front: ScanFront::new(scopes.iter().map(ScopeFilter::scan_kernel).collect()),
-            gate: None,
-            subs: Subscribers {
-                fan,
-                subs,
-                results: ExecutorResults::new(),
-            },
+            fan,
+            subs,
+            results: ExecutorResults::new(),
             n_queries,
             family: PhantomData,
         }
     }
 
-    /// Enable event-time processing: input may carry bounded disorder,
-    /// selected rows buffer behind the watermark `max_time_seen −
-    /// lateness_ms` and release in event-time order; rows behind the
-    /// watermark are dropped and counted. Must be called before any
-    /// ingestion.
-    pub fn set_lateness(&mut self, lateness_ms: u64) {
-        self.gate = Some(Reorder::new(lateness_ms));
-    }
-
-    /// Late rows dropped by the event-time gate (0 when no gate).
-    pub fn late_rows_dropped(&self) -> u64 {
-        self.gate.as_ref().map_or(0, Reorder::late_rows_dropped)
-    }
-
     /// Process a time-ordered columnar batch: select every distinct
-    /// scope's rows, then dispatch them at the batch's maximum event time.
+    /// scope's rows, then hand them to each subscriber of the scope.
     pub fn process_columnar(&mut self, batch: &EventBatch) {
         let lists = self.front.select(batch, 0, batch.len());
-        let frontier = batch.max_time().unwrap_or(Timestamp::ZERO);
-        front::dispatch(&mut self.subs, self.gate.as_mut(), batch, lists, frontier);
+        for (rows, fan) in lists.iter().zip(&self.fan) {
+            if !rows.is_empty() {
+                for &sub in fan {
+                    self.subs[sub].rows(batch, rows, &mut self.results);
+                }
+            }
+        }
     }
 
     /// Pre-size the result store for about `additional` further results
     /// per query (capacity planning for allocation-free steady-state
     /// emission).
     pub fn reserve_results(&mut self, additional: usize) {
-        self.subs.results.reserve(additional * self.n_queries);
+        self.results.reserve(additional * self.n_queries);
     }
 
     /// Total sequences explicitly constructed so far — the two-step cost
     /// the online approaches avoid.
     pub fn sequences_constructed(&self) -> u64 {
-        self.subs.subs.iter().map(|s| s.sequences()).sum()
+        self.subs.iter().map(|s| s.sequences()).sum()
     }
 
     /// Rows that survived the stateless scans, summed over subscribers —
     /// comparable to the online engines' per-partition matched counts.
     pub fn events_matched(&self) -> u64 {
-        self.subs.subs.iter().map(|s| s.matched()).sum()
+        self.subs.iter().map(|s| s.matched()).sum()
     }
 
     /// The family's memory proxy, summed over subscribers.
     pub(crate) fn state_size(&self) -> usize {
-        self.subs.subs.iter().map(|s| s.state_size()).sum()
+        self.subs.iter().map(|s| s.state_size()).sum()
     }
 
-    /// End of stream: release every gated row, then report the matched
-    /// and late-drop counts and flush every open window.
+    /// End of stream: report the matched count and flush every open
+    /// window.
     fn report(mut self) -> RunReport {
-        front::release_all(&mut self.subs, self.gate.as_mut());
         let events_matched = self.events_matched();
-        let late_rows_dropped = self.late_rows_dropped();
-        for sub in &mut self.subs.subs {
-            sub.finish(&mut self.subs.results);
+        for sub in &mut self.subs {
+            sub.finish(&mut self.results);
         }
         RunReport {
-            results: self.subs.results,
+            results: self.results,
             events_matched,
-            late_rows_dropped,
+            late_rows_dropped: 0,
             scan_stats: self.front.counters().snapshot(),
         }
     }
@@ -488,10 +448,6 @@ impl<F: Family> TwoStep<F> {
 impl<F: Family> BatchProcessor for TwoStep<F> {
     fn process_columnar(&mut self, batch: &EventBatch) {
         TwoStep::process_columnar(self, batch);
-    }
-
-    fn late_rows_dropped(&self) -> u64 {
-        TwoStep::late_rows_dropped(self)
     }
 
     fn events_matched(&self) -> u64 {

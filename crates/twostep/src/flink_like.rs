@@ -8,9 +8,10 @@
 //! number of events per window — reproducing Figure 13's blow-up.
 //!
 //! [`FlinkLike`] is the two-step driver ([`TwoStep`]) with one subscriber
-//! per query, each routed by the query's own scope: the driver's scan,
-//! event-time gate and fan-out are shared with SPASS-like, and queries
-//! whose scopes coincide share one scan.
+//! per query, each routed by the query's own scope: the driver's scan and
+//! fan-out are shared with SPASS-like, and queries whose scopes coincide
+//! share one scan. Like every two-step baseline it runs in arrival order
+//! and takes no lateness.
 
 use crate::common::{Family, ScopeFilter, Subscriber, TwoStep, TypeTable};
 use crate::construct::SeqBuffers;
@@ -79,7 +80,7 @@ impl<A: Aggregate> QueryState<A> {
 }
 
 impl<A: Aggregate> Subscriber for QueryState<A> {
-    /// The per-row path of every dispatch. The query's scope selected the
+    /// The per-row fold of every batch. The query's scope selected the
     /// row: routing, predicates and groupability are established.
     fn row(
         &mut self,

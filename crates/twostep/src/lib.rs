@@ -21,11 +21,12 @@
 //! subscribers (per-query state for Flink-like, per-signature partitions
 //! for SPASS-like): it consumes columnar [`sharon_types::EventBatch`]es
 //! natively (one stateless scan per distinct routing scope → stateful
-//! dispatch over row indices, no per-row `Event` materialization), owns the
-//! event-time gate, and is a [`sharon_executor::BatchProcessor`]. The
-//! baselines run sequentially only; the sharded runtime hosts the online
-//! engines. Sequence construction stays per baseline, so the baselines
-//! share no stateful code with the online runner.
+//! dispatch over row indices, no per-row `Event` materialization) and is
+//! a [`sharon_executor::BatchProcessor`]. The baselines run sequentially
+//! and in arrival order only: the sharded runtime hosts the online
+//! engines, and the online executor owns event time (lateness and its
+//! reorder gate). Sequence construction stays per baseline, so the
+//! baselines share no stateful code with the online runner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,10 +14,11 @@
 //!
 //! [`SpassLike`] is the two-step driver ([`TwoStep`]) with one subscriber
 //! per sharing-signature partition, routed by the partition's merged
-//! scope: the driver's scan, event-time gate and fan-out are shared with
-//! Flink-like. Signature partitions whose routing scopes coincide
-//! (partitions differing only in window or aggregate, say) share one
-//! scan, fanned out to every subscribing partition.
+//! scope: the driver's scan and fan-out are shared with Flink-like.
+//! Signature partitions whose routing scopes coincide (partitions
+//! differing only in window or aggregate, say) share one scan, fanned out
+//! to every subscribing partition. Like every two-step baseline it runs
+//! in arrival order and takes no lateness.
 
 use crate::common::{Family, ScopeFilter, Subscriber, TwoStep, TypeTable};
 use crate::construct::SeqBuffers;
@@ -175,7 +176,7 @@ impl<A: Aggregate> Partition<A> {
 }
 
 impl<A: Aggregate> Subscriber for Partition<A> {
-    /// The per-row path of every dispatch. The partition's scope
+    /// The per-row fold of every batch. The partition's scope
     /// selected the row: routing, predicates and groupability are
     /// established.
     fn row(

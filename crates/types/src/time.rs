@@ -63,7 +63,7 @@ impl TimeDelta {
 
     /// Construct from whole seconds.
     #[inline]
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         TimeDelta(secs * 1000)
     }
 

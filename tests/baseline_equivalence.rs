@@ -8,9 +8,10 @@
 //! three paper streams and over ragged batch sizes (empty and
 //! single-event batches included): the batch size is never a semantics
 //! change — not even on a Zipf-skewed stream, where every strategy still
-//! agrees with the sharded online runtime, nor under below-bound
-//! disorder, where the baselines drop exactly the rows the online engine
-//! drops. The baselines run sequentially only.
+//! agrees with the sharded online runtime. The baselines run
+//! sequentially and in arrival order only: event time (lateness, the
+//! reorder gate) belongs to the online executor and is checked by the
+//! gated-vs-ungated online suites.
 
 use proptest::prelude::*;
 use sharon::prelude::*;
@@ -321,8 +322,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// Ragged columnar batches — empty and single-event batches included —
-    /// never change baseline results, in arrival order or behind the
-    /// event-time gate.
+    /// never change baseline results.
     #[test]
     fn ragged_batches_never_change_baseline_results(
         chunk_lens in prop::collection::vec(0usize..=13, 1..=30),
@@ -375,31 +375,21 @@ proptest! {
         reference.process_columnar(&whole);
         let spass_want = reference.finish();
 
-        // both baselines through the one two-step driver, in arrival order
-        // and in event time (the stream is in order, so any lateness
-        // covers it)
-        for lateness in [None, Some(5)] {
-            let mut flink = FlinkLike::new(&c, &w).unwrap();
-            let mut spass = SpassLike::new(&c, &w, &plan).unwrap();
-            if let Some(ms) = lateness {
-                flink.set_lateness(ms);
-                spass.set_lateness(ms);
-            }
-            for b in &batches {
-                flink.process_columnar(b);
-                spass.process_columnar(b);
-            }
-            prop_assert!(
-                flink.finish().semantically_eq(&want, 1e-9),
-                "flink, lateness {:?}: ragged batches diverge",
-                lateness
-            );
-            prop_assert!(
-                spass.finish().semantically_eq(&spass_want, 1e-9),
-                "spass, lateness {:?}: ragged batches diverge",
-                lateness
-            );
+        // both baselines through the one two-step driver
+        let mut flink = FlinkLike::new(&c, &w).unwrap();
+        let mut spass = SpassLike::new(&c, &w, &plan).unwrap();
+        for b in &batches {
+            flink.process_columnar(b);
+            spass.process_columnar(b);
         }
+        prop_assert!(
+            flink.finish().semantically_eq(&want, 1e-9),
+            "flink: ragged batches diverge"
+        );
+        prop_assert!(
+            spass.finish().semantically_eq(&spass_want, 1e-9),
+            "spass: ragged batches diverge"
+        );
     }
 }
 
@@ -539,83 +529,6 @@ fn baseline_matched_counts_agree_across_paths() {
             matched,
             "{}: ragged batches change the matched count",
             strategy.name()
-        );
-    }
-}
-
-/// Below-bound disorder: the lateness covers only part of the shuffle, so
-/// late rows are dropped. Every gate — a sequential baseline's, the
-/// sequential online engine's, and the sharded online runtime's workers'
-/// — checks the same selected rows against the same per-batch watermark,
-/// so the baselines drop rows and still answer exactly as the online
-/// engine does, sequential and sharded at every shard count.
-#[test]
-fn baselines_drop_late_rows_alike_sequential_and_sharded() {
-    const BATCH: usize = 128;
-    let mut catalog = Catalog::new();
-    let mut events = taxi::generate(
-        &mut catalog,
-        &TaxiConfig {
-            n_events: 3000,
-            n_streets: 7,
-            n_vehicles: 40,
-            ..Default::default()
-        },
-    );
-    let workload = figure_1_workload(&mut catalog);
-    sharon::streams::scramble_events(&mut events, 64, 0x0DD5_EED5);
-    let required = sharon::streams::required_lateness(&EventBatch::from_events(&events));
-    let lateness = required / 8; // deliberately below the bound
-    let rates = RateMap::uniform(100.0);
-    let build = |strategy: Strategy, shards: usize| {
-        SharonBuilder::new(&catalog, &workload, &rates)
-            .strategy(strategy)
-            .shards(shards)
-            .batch_size(BATCH)
-            .lateness(lateness)
-            .build_executor()
-            .expect("workload compiles")
-            .0
-    };
-    // sequential runs feed the ingest-batch boundaries the sharded
-    // runtime flushes at (the watermark advances once per batch)
-    let sequential = |strategy: Strategy| {
-        let mut ex = build(strategy, 0);
-        for chunk in events.chunks(BATCH) {
-            ex.process_columnar(&EventBatch::from_events(chunk));
-        }
-        ex.finish_with_stats()
-    };
-
-    let online = sequential(Strategy::ASeq);
-    assert!(online.late_rows_dropped > 0, "the online gate drops rows");
-    let want = online.results;
-    let batch = EventBatch::from_events(&events);
-    for shards in support::shard_counts(&[1, 2, 8]) {
-        let mut sharded = build(Strategy::ASeq, shards);
-        sharded.process_columnar(&batch);
-        let got = sharded.finish();
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "A-Seq {shards} shards: results diverge ({} vs {})",
-            got.len(),
-            want.len()
-        );
-    }
-
-    for strategy in [Strategy::FlinkLike, Strategy::SpassLike] {
-        let report = sequential(strategy);
-        assert!(
-            report.late_rows_dropped > 0,
-            "{}: lateness {lateness} below {required} must drop rows",
-            strategy.name()
-        );
-        assert!(
-            report.results.semantically_eq(&want, 1e-9),
-            "{}: results diverge from the online engine ({} vs {})",
-            strategy.name(),
-            report.results.len(),
-            want.len()
         );
     }
 }

@@ -196,7 +196,7 @@ fn dynamic_plan_manager_end_to_end() {
     let mut mgr = DynamicPlanManager::new(TimeDelta::from_secs(5), 0.10, cfg, &initial);
     let mut decisions = 0u32;
     for e in &events {
-        if let PlanDecision::Replace(outcome) = mgr.observe(&workload, e) {
+        if let PlanDecision::Replace(outcome) = mgr.observe_counts(&workload, [(e.ty, 1)], e.time) {
             outcome.plan.validate(&workload).unwrap();
             decisions += 1;
         }
