@@ -462,16 +462,36 @@ fn main() {
 }
 
 /// Print query `q`'s summary line under `label`, then its first `n_rows`
-/// rows in (group, window) order. The rows are sorted only when some are
-/// printed: a summary alone only counts them.
+/// rows in (group display, window, emission) order — the order of
+/// [`ExecutorResults::of_query_sorted`]. Each group is formatted once and
+/// only the `n_rows` smallest rows are sorted, so the cost stays one pass
+/// over the rows when a few of many are printed.
 fn print_summary(results: &ExecutorResults, label: &str, q: QueryId, n_rows: usize) {
     let rows = results.rows().filter(|row| row.0 == q).count();
     let total = results.total_count(q);
     println!("  {label}: {rows} (group, window) results, total count {total}");
-    if n_rows > 0 {
-        for (group, window, value) in results.of_query_sorted(q).into_iter().take(n_rows) {
-            println!("      group={group} window@{window}: {value}");
+    if n_rows == 0 {
+        return;
+    }
+    let mut names: Vec<Option<String>> = Vec::new();
+    let mut picked = Vec::with_capacity(rows);
+    for (i, (_, gid, window, value)) in results.rows().filter(|row| row.0 == q).enumerate() {
+        let g = gid as usize;
+        if names.len() <= g {
+            names.resize(g + 1, None);
         }
+        names[g].get_or_insert_with(|| results.group(gid).to_string());
+        picked.push((gid, window, i, value));
+    }
+    let key = |row: &(u32, Timestamp, usize, _)| (names[row.0 as usize].as_deref(), row.1, row.2);
+    if picked.len() > n_rows {
+        picked.select_nth_unstable_by_key(n_rows, key);
+        picked.truncate(n_rows);
+    }
+    picked.sort_unstable_by_key(key);
+    for (gid, window, _, value) in picked {
+        let group = names[gid as usize].as_deref().unwrap_or_default();
+        println!("      group={group} window@{window}: {value}");
     }
 }
 

@@ -18,7 +18,6 @@
 //! so one cell type serves `SUM`, `MIN`, `MAX`, and `AVG`.
 
 use crate::checkpoint::{StateError, StateReader, StateWriter};
-use serde::{Deserialize, Serialize};
 use sharon_query::aggregate::AggValue;
 use sharon_query::{AggFunc, Query};
 
@@ -50,7 +49,7 @@ impl Contribution {
 }
 
 /// How a cell's fields map to the query's output value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputKind {
     /// `COUNT(*)`: the sequence count.
     Count,
@@ -135,7 +134,7 @@ pub trait Aggregate: Copy + Clone + PartialEq + std::fmt::Debug + Send + 'static
 
 /// The count-only kernel (A-Seq's counts). Saturating at `u128::MAX`,
 /// which is unreachable for any window the benchmarks run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CountCell(pub u128);
 
 impl Aggregate for CountCell {
@@ -191,7 +190,7 @@ impl Aggregate for CountCell {
 
 /// The full kernel: count plus sum/min/max of the target attribute over
 /// all sequences in the set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatsCell {
     /// Number of sequences in the set.
     pub count: u128,

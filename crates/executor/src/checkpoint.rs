@@ -9,12 +9,13 @@
 //! checkpoint and replays the stream from the recorded offset, producing
 //! results identical to an uninterrupted run.
 //!
-//! The vendored `serde` is a no-op offline stand-in, so the codec here is
-//! hand-rolled: little-endian fixed-width primitives, length-prefixed
-//! collections, and an FNV-1a checksum over every file. The format is an
-//! internal detail of this crate — both ends of it are compiled from the
-//! same source — but it is versioned so a stale checkpoint directory fails
-//! loudly instead of deserializing garbage.
+//! The codec here is hand-rolled: little-endian fixed-width primitives,
+//! length-prefixed collections, and an FNV-1a checksum over every file.
+//! Both ends of it are compiled from the same source, so the format is an
+//! internal detail of this crate and carries no field names; it is
+//! versioned so a stale checkpoint directory fails loudly instead of
+//! deserializing garbage, and trailing bytes after a manifest, segment or
+//! group block count as corruption, not slack.
 //!
 //! Layout (v7). The manifest holds the replay offset, one router segment
 //! (the router's event-time frontier) and a `(length, digest)` pair per

@@ -43,9 +43,7 @@ use crate::router::RoutedRows;
 use crate::runner::SegmentRunner;
 use crate::winvec::WindowPlane;
 use sharon_query::{SharingPlan, Workload};
-use sharon_types::{
-    fx_hash_one, Catalog, EventBatch, EventTypeId, FxHashMap, GroupKey, Timestamp, Value,
-};
+use sharon_types::{Catalog, EventBatch, EventTypeId, FxHashMap, GroupKey, Timestamp, Value};
 
 /// Per-group runtime state: one block laid out by the compiled partition.
 struct GroupRuntime<A> {
@@ -232,41 +230,6 @@ impl<A: Aggregate> FoldScratch<A> {
     }
 }
 
-/// The slice of the group space one engine owns under sharded execution.
-///
-/// Groups are hash-partitioned: an engine with slice `(index, of)` owns the
-/// groups whose [`fx_hash_one`] lands on `index` modulo `of` in its *high*
-/// 32 bits, plus — when `owns_global` — the single [`GroupKey::Global`]
-/// partition. Since groups never interact (Definition 2: one result per
-/// group per window), engines over disjoint slices produce disjoint,
-/// exactly mergeable results.
-///
-/// Routing deliberately uses different hash bits than the per-shard
-/// `FxHashMap` bucket index (which is derived from the low bits of the
-/// same hash): were both taken from the low bits, every key a shard owns
-/// would be congruent to its index mod `of`, and with power-of-two shard
-/// counts the shard's map would home-hash into only `1/of` of its buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSlice {
-    /// This engine's shard index in `0..of`.
-    pub index: u32,
-    /// Total number of shards.
-    pub of: u32,
-    /// Whether this engine owns the global (no `GROUP BY`) partition.
-    pub owns_global: bool,
-}
-
-impl ShardSlice {
-    /// True if `key` belongs to this slice.
-    #[inline]
-    pub fn owns(&self, key: &GroupKey) -> bool {
-        match key {
-            GroupKey::Global => self.owns_global,
-            key => ((fx_hash_one(key) >> 32) % self.of as u64) as u32 == self.index,
-        }
-    }
-}
-
 /// An executor for one compiled partition, generic over the aggregate
 /// kernel.
 pub struct Engine<A: Aggregate> {
@@ -279,18 +242,14 @@ pub struct Engine<A: Aggregate> {
     key_scratch: GroupKey,
     /// Reused buffer for the grouping attributes of the current event.
     vals_scratch: Vec<Value>,
-    /// Group-space slice owned by this engine (`None` = everything).
-    shard: Option<ShardSlice>,
     last_time: Timestamp,
     events_matched: u64,
 }
 
 impl<A: Aggregate> Engine<A> {
-    /// Build an engine for a compiled partition, owning every group, or
-    /// — under sharded execution — only the groups in `shard` (see
-    /// [`ShardSlice`]: the batch router sends it only rows of groups it
-    /// owns).
-    pub fn new(part: CompiledPartition, shard: Option<ShardSlice>) -> Self {
+    /// Build an engine for a compiled partition. Under sharded execution
+    /// the batch router sends it only rows of the groups its shard owns.
+    pub fn new(part: CompiledPartition) -> Self {
         Engine {
             part,
             groups: FxHashMap::default(),
@@ -301,7 +260,6 @@ impl<A: Aggregate> Engine<A> {
             scratch: FoldScratch::new(),
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
-            shard,
             last_time: Timestamp::ZERO,
             events_matched: 0,
         }
@@ -350,10 +308,6 @@ impl<A: Aggregate> Engine<A> {
             self.part
                 .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch);
         debug_assert!(grouped, "the scan selected an ungroupable event");
-        debug_assert!(
-            self.shard.is_none_or(|slice| slice.owns(&self.key_scratch)),
-            "router misrouted a group"
-        );
         self.events_matched += 1;
 
         // one probe per row: the hit path is a single `get_mut`; only the
@@ -416,7 +370,7 @@ impl<A: Aggregate> Engine<A> {
     }
 
     /// Restore the state written by [`Engine::save_state`] into a freshly
-    /// built engine for the **same** compiled partition and shard slice.
+    /// built engine for the **same** compiled partition.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         self.last_time = r.time()?;
         self.events_matched = r.u64()?;
@@ -711,9 +665,9 @@ impl<A: Aggregate> Engine<A> {
 /// select stage ([`crate::front`]: one scan kernel per engine behind a
 /// shared type pass) and one event-time gate for all engines, the only
 /// gate in the system. The engines keep only group state. The same type
-/// is the sharded runtime's shard worker: there its engines own one
-/// [`ShardSlice`] each and it dispatches the router's row lists
-/// (`process_routed`) instead of scanning.
+/// is the sharded runtime's shard worker: there its engines see only the
+/// groups the router assigns its shard, and it dispatches the router's
+/// row lists (`process_routed`) instead of scanning.
 pub struct Executor {
     /// One engine per partition, in partition order.
     pub(crate) engines: Vec<EngineKind>,
@@ -747,13 +701,12 @@ macro_rules! on_engine {
 }
 
 impl EngineKind {
-    /// Build the right kernel for `part`, optionally restricted to a
-    /// group-space [`ShardSlice`].
-    pub fn for_partition(part: CompiledPartition, shard: Option<ShardSlice>) -> Self {
+    /// Build the right kernel for `part`.
+    pub fn for_partition(part: CompiledPartition) -> Self {
         if part.count_only {
-            EngineKind::Count(Engine::new(part, shard))
+            EngineKind::Count(Engine::new(part))
         } else {
-            EngineKind::Stats(Engine::new(part, shard))
+            EngineKind::Stats(Engine::new(part))
         }
     }
 
@@ -860,17 +813,14 @@ impl Executor {
     ) -> Result<Self, CompileError> {
         let parts = compile(catalog, workload, plan)?;
         let front = ScanFront::new(parts.iter().map(CompiledPartition::scan_kernel).collect());
-        let engines = parts
-            .into_iter()
-            .map(|p| EngineKind::for_partition(p, None))
-            .collect();
+        let engines = parts.into_iter().map(EngineKind::for_partition).collect();
         Ok(Self::from_parts(engines, front))
     }
 
     /// An executor over `engines`, in partition order, selecting with
-    /// `front`: unrestricted engines and their kernels for the sequential
-    /// executor, one shard's [`ShardSlice`] engines and an empty front end
-    /// for a sharded runtime worker.
+    /// `front`: the engines and their kernels for the sequential executor,
+    /// or one shard's engines and an empty front end for a sharded runtime
+    /// worker.
     pub(crate) fn from_parts(engines: Vec<EngineKind>, front: ScanFront) -> Self {
         Executor {
             engines,
@@ -1000,7 +950,7 @@ impl crate::processor::BatchProcessor for Executor {
 }
 
 /// The sharded runtime's worker role: an executor over one shard's
-/// [`ShardSlice`] engines, dispatching the router's row lists.
+/// engines, dispatching the router's row lists.
 impl Executor {
     /// Process the router's pre-routed rows of `batch`, in row order per
     /// engine. The router guarantees every listed row routes into its

@@ -44,7 +44,7 @@ pub use checkpoint::{
     StateReader, StateWriter,
 };
 pub use compile::{compile, CompileError, CompiledPartition};
-pub use engine::{Engine, EngineKind, Executor, ShardSlice};
+pub use engine::{Engine, EngineKind, Executor};
 pub use event_time::{PendingRow, Reorder};
 pub use front::ScanFront;
 pub use processor::{BatchProcessor, RunReport};

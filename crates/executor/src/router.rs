@@ -12,13 +12,14 @@
 //! dispatch their lists (`Executor::process_routed`) and only ever touch
 //! rows they own.
 //!
-//! Every group lives on its hash owner, and the assignment must agree
-//! exactly with [`crate::engine::ShardSlice::owns`], which the online
-//! workers' engines debug-assert: grouped rows go to
+//! The router is the only place that assigns a group to a shard, and
+//! every group lives on its hash owner: grouped rows go to
 //! `(fx_hash_one(key) >> 32) % n_shards`, and the global (no `GROUP BY`)
-//! rows of scope `p` go to `p % n_shards` — the shard whose engine was
-//! built with `owns_global`. A skewed `GROUP BY` loads its hot group's
-//! shard more than the rest (README, "Skewed `GROUP BY`").
+//! rows of scope `p` go to `p % n_shards`. Groups never interact
+//! (Definition 2: one result per group per window), so shards over
+//! disjoint groups produce disjoint, exactly mergeable results. A skewed
+//! `GROUP BY` loads its hot group's shard more than the rest (README,
+//! "Skewed `GROUP BY`").
 
 use crate::checkpoint::{StateError, StateReader, StateWriter};
 use crate::compile::CompiledPartition;
@@ -206,8 +207,8 @@ impl<F: RowFilter> BatchRouter<F> {
                 out[0].per_part[pi].extend_from_slice(sel);
                 continue;
             }
-            // the global (no GROUP BY) partition owner, matching the
-            // engines' `owns_global`
+            // the global (no GROUP BY) partition's owner, spreading the
+            // global scopes over the shards
             let global_owner = pi % self.n_shards;
             for &row in sel {
                 let r = row as usize;
@@ -224,8 +225,13 @@ impl<F: RowFilter> BatchRouter<F> {
                 }
                 let owner = match &self.key_scratch {
                     GroupKey::Global => global_owner,
-                    // high hash bits, matching `ShardSlice::owns` (the
-                    // low bits index the owning shard's hash-map buckets)
+                    // the high 32 hash bits: each shard's group map takes
+                    // its `FxHashMap` bucket index from the low bits of the
+                    // same hash. Were both taken from the low bits, every
+                    // key a shard owns would be congruent to its index mod
+                    // `n_shards`, and with power-of-two shard counts its
+                    // map would home-hash into only `1/n_shards` of its
+                    // buckets.
                     key => ((fx_hash_one(key) >> 32) % self.n_shards as u64) as usize,
                 };
                 out[owner].per_part[pi].push(row);
@@ -264,7 +270,6 @@ impl<F> RouteBatch for BatchRouter<F> {}
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use crate::engine::ShardSlice;
     use sharon_query::{parse_workload, SharingPlan};
     use sharon_types::{Catalog, Schema, Timestamp};
 
@@ -299,44 +304,71 @@ mod tests {
         out
     }
 
+    /// The router is the one place that assigns a group to a shard: at
+    /// every shard count, each row of a scope reaches exactly one shard,
+    /// a grouped row the shard `(fx_hash_one(key) >> 32) % n` (so all
+    /// rows of one key meet there) and a global row the shard `p % n`.
     #[test]
     fn every_row_routes_to_exactly_the_owning_shard() {
-        let (c, parts) = setup();
-        let n_shards = 3;
-        let mut router = BatchRouter::new(parts.clone(), n_shards);
-        let batch = batch(&c, 500);
-        let routed = router.route(&batch);
-        assert_eq!(routed.len(), n_shards);
+        let mut c = Catalog::new();
+        for n in ["A", "B"] {
+            c.register_with_schema(n, Schema::new(["g", "h"]));
+        }
+        let w = parse_workload(
+            &mut c,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(A, B) GROUP BY g WITHIN 10 ms SLIDE 2 ms",
+                "RETURN COUNT(*) PATTERN SEQ(A, B) GROUP BY g, h WITHIN 10 ms SLIDE 2 ms",
+                "RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10 ms SLIDE 10 ms",
+                "RETURN COUNT(*) PATTERN SEQ(A, B) GROUP BY h WITHIN 10 ms SLIDE 2 ms",
+                "RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 8 ms SLIDE 8 ms",
+            ],
+        )
+        .unwrap();
+        let parts = compile(&c, &w, &SharingPlan::non_shared()).unwrap();
+        let (a, b) = (c.lookup("A").unwrap(), c.lookup("B").unwrap());
+        let mut batch = EventBatch::new();
+        for i in 0..500u64 {
+            let g = Value::from(format!("key-{}", i % 11).as_str());
+            let h = Value::Int(i as i64 % 7);
+            batch.push_from(if i % 2 == 0 { a } else { b }, Timestamp(i), [g, h]);
+        }
+        let key_of = |pi: usize, row: usize| {
+            let gattrs = &parts[pi].group_attrs[batch.ty(row).index()];
+            GroupKey::from_values(
+                gattrs
+                    .iter()
+                    .map(|&at| batch.attr(row, at).unwrap().clone())
+                    .collect(),
+            )
+        };
+        let arities: Vec<usize> = (0..parts.len()).map(|pi| key_of(pi, 0).arity()).collect();
+        assert_eq!(
+            arities,
+            [1, 2, 0, 1, 0],
+            "string, pair, global, int, global keys"
+        );
 
-        for (pi, _part) in parts.iter().enumerate() {
-            let mut seen = vec![0u32; batch.len()];
-            for (shard, rows) in routed.iter().enumerate() {
-                let slice = ShardSlice {
-                    index: shard as u32,
-                    of: n_shards as u32,
-                    owns_global: pi % n_shards == shard,
-                };
-                for &row in &rows.per_part[pi] {
-                    seen[row as usize] += 1;
-                    // the assignment agrees with what the engine would own
-                    let gattrs = &parts[pi].group_attrs[batch.ty(row as usize).index()];
-                    let key = if gattrs.is_empty() {
-                        GroupKey::Global
-                    } else {
-                        GroupKey::from_values(
-                            gattrs
-                                .iter()
-                                .map(|a| batch.attr(row as usize, *a).unwrap().clone())
-                                .collect(),
-                        )
+        for n in 1..=4 {
+            let routed = BatchRouter::new(parts.clone(), n).route(&batch);
+            assert_eq!(routed.len(), n);
+            for pi in 0..parts.len() {
+                let mut owner = vec![None; batch.len()];
+                for (shard, rows) in routed.iter().enumerate() {
+                    for &row in &rows.per_part[pi] {
+                        let row = row as usize;
+                        assert_eq!(owner[row], None, "{n} shards: row {row} reached two shards");
+                        owner[row] = Some(shard);
+                    }
+                }
+                for (row, shard) in owner.into_iter().enumerate() {
+                    let want = match key_of(pi, row) {
+                        GroupKey::Global => pi % n,
+                        key => ((fx_hash_one(&key) >> 32) % n as u64) as usize,
                     };
-                    assert!(slice.owns(&key), "shard {shard} got a row it does not own");
+                    assert_eq!(shard, Some(want), "{n} shards, scope {pi}, row {row}");
                 }
             }
-            assert!(
-                seen.iter().all(|&s| s <= 1),
-                "partition {pi}: a row reached two shards"
-            );
         }
     }
 

@@ -10,8 +10,8 @@
 //! [`ShardedExecutor`] exploits both:
 //!
 //! * **group axis** — every worker shard owns, for each routing scope,
-//!   the disjoint slice of groups whose key hash lands on its index (see
-//!   [`crate::engine::ShardSlice`]);
+//!   the disjoint slice of groups whose key hash lands on its index (the
+//!   router assigns them: [`crate::router`]);
 //! * **scope axis** — the global (no `GROUP BY`) rows of scope `p` are
 //!   assigned to worker `p mod N`, spreading independent scopes over the
 //!   shards.
@@ -96,7 +96,7 @@ use crate::checkpoint::{
     HarvestRef, StateReader, StateWriter,
 };
 use crate::compile::{compile, CompileError, CompiledPartition};
-use crate::engine::{EngineKind, Executor, ShardSlice};
+use crate::engine::{EngineKind, Executor};
 use crate::front::ScanFront;
 use crate::processor::{BatchProcessor, RunReport};
 use crate::results::ExecutorResults;
@@ -375,27 +375,21 @@ struct Checkpointer {
 }
 
 /// Build the online shard workers for `parts`: one [`Executor`] per
-/// shard, holding one [`EngineKind`] per compiled partition restricted to
-/// the shard's [`ShardSlice`] and one event-time gate when a lateness is
-/// set. A worker selects nothing itself, so its front end is empty.
+/// shard, holding one [`EngineKind`] per compiled partition (the router
+/// sends it only the rows of the groups its shard owns) and one
+/// event-time gate when a lateness is set. A worker selects nothing
+/// itself, so its front end is empty.
 fn engine_shards(
     parts: &[CompiledPartition],
     n_shards: usize,
     lateness: Option<u64>,
 ) -> Vec<Executor> {
     (0..n_shards)
-        .map(|shard| {
+        .map(|_| {
             let engines: Vec<EngineKind> = parts
                 .iter()
-                .enumerate()
-                .map(|(pi, part)| {
-                    let slice = ShardSlice {
-                        index: shard as u32,
-                        of: n_shards as u32,
-                        owns_global: pi % n_shards == shard,
-                    };
-                    EngineKind::for_partition(part.clone(), Some(slice))
-                })
+                .cloned()
+                .map(EngineKind::for_partition)
                 .collect();
             let mut worker = Executor::from_parts(engines, ScanFront::new(Vec::new()));
             if let Some(ms) = lateness {

@@ -7,7 +7,7 @@
 //!   (install as `#[global_allocator]` in bench binaries);
 //! * [`counters`] — explicit runtime work counters (router scope scans)
 //!   backing the shared-work regression tests;
-//! * [`report`] — printable/serializable result [`Table`]s, one per
+//! * [`report`] — result [`Table`]s, printed or appended as JSON lines, one per
 //!   reproduced figure.
 
 #![warn(missing_docs)]

@@ -1,15 +1,14 @@
 //! Result tables for the benchmark harness.
 //!
 //! Every figure-reproducing bench prints one [`Table`] whose rows mirror
-//! the series of the corresponding paper figure, and appends the raw data
-//! to a JSON report so EXPERIMENTS.md can be regenerated.
+//! the series of the corresponding paper figure, and appends the same
+//! table as one JSON line to a report file (`sharon-bench`'s `emit`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
-/// A printable, serializable measurement table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A measurement table, printed with `Display` or written as JSON.
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Experiment identifier (e.g. `"figure13a"`).
     pub id: String,
@@ -61,9 +60,8 @@ impl Table {
         writeln!(f, "{}", self.to_json())
     }
 
-    /// Serialize the table as one JSON object (no external dependencies —
-    /// the build environment has no crates.io access, so this crate ships
-    /// its own writer/parser for this fixed shape).
+    /// The table as one JSON object of string fields and string arrays
+    /// (written by hand: the workspace has no JSON dependency).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"id\":");
@@ -84,44 +82,9 @@ impl Table {
         out.push('}');
         out
     }
-
-    /// Parse a table from the JSON produced by [`Table::to_json`].
-    pub fn from_json(text: &str) -> Option<Table> {
-        let mut p = json::Parser::new(text);
-        p.expect('{')?;
-        let mut table = Table::new("", "");
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "id" => table.id = p.string()?,
-                "title" => table.title = p.string()?,
-                "headers" => table.headers = p.str_array()?,
-                "notes" => table.notes = p.str_array()?,
-                "rows" => {
-                    p.expect('[')?;
-                    if !p.try_expect(']') {
-                        loop {
-                            table.rows.push(p.str_array()?);
-                            if p.try_expect(']') {
-                                break;
-                            }
-                            p.expect(',')?;
-                        }
-                    }
-                }
-                _ => return None,
-            }
-            if p.try_expect('}') {
-                break;
-            }
-            p.expect(',')?;
-        }
-        Some(table)
-    }
 }
 
-/// Minimal JSON writer/parser for the flat string shapes [`Table`] uses.
+/// Minimal JSON writer for the flat string shapes [`Table`] uses.
 mod json {
     pub fn write_str(out: &mut String, s: &str) {
         out.push('"');
@@ -150,87 +113,6 @@ mod json {
             write_str(out, item);
         }
         out.push(']');
-    }
-
-    pub struct Parser<'a> {
-        rest: &'a str,
-    }
-
-    impl<'a> Parser<'a> {
-        pub fn new(text: &'a str) -> Self {
-            Parser { rest: text }
-        }
-
-        fn skip_ws(&mut self) {
-            self.rest = self.rest.trim_start();
-        }
-
-        pub fn expect(&mut self, c: char) -> Option<()> {
-            self.try_expect(c).then_some(())
-        }
-
-        pub fn try_expect(&mut self, c: char) -> bool {
-            self.skip_ws();
-            match self.rest.strip_prefix(c) {
-                Some(rest) => {
-                    self.rest = rest;
-                    true
-                }
-                None => false,
-            }
-        }
-
-        pub fn string(&mut self) -> Option<String> {
-            self.skip_ws();
-            self.rest = self.rest.strip_prefix('"')?;
-            let mut out = String::new();
-            let mut chars = self.rest.char_indices();
-            loop {
-                let (i, c) = chars.next()?;
-                match c {
-                    '"' => {
-                        self.rest = &self.rest[i + 1..];
-                        return Some(out);
-                    }
-                    '\\' => {
-                        let (_, esc) = chars.next()?;
-                        match esc {
-                            '"' => out.push('"'),
-                            '\\' => out.push('\\'),
-                            '/' => out.push('/'),
-                            'n' => out.push('\n'),
-                            'r' => out.push('\r'),
-                            't' => out.push('\t'),
-                            'u' => {
-                                let mut code = 0u32;
-                                for _ in 0..4 {
-                                    let (_, h) = chars.next()?;
-                                    code = code * 16 + h.to_digit(16)?;
-                                }
-                                out.push(char::from_u32(code)?);
-                            }
-                            _ => return None,
-                        }
-                    }
-                    c => out.push(c),
-                }
-            }
-        }
-
-        pub fn str_array(&mut self) -> Option<Vec<String>> {
-            self.expect('[')?;
-            let mut out = Vec::new();
-            if self.try_expect(']') {
-                return Some(out);
-            }
-            loop {
-                out.push(self.string()?);
-                if self.try_expect(']') {
-                    return Some(out);
-                }
-                self.expect(',')?;
-            }
-        }
     }
 }
 
@@ -331,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_and_append() {
+    fn json_append_writes_one_to_json_line_per_call() {
         let mut t = Table::new("figY", "demo");
         t.row(["1"]);
         let dir = std::env::temp_dir().join("sharon-metrics-test");
@@ -341,23 +223,24 @@ mod tests {
         t.append_json(&path).unwrap();
         t.append_json(&path).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content.lines().count(), 2);
-        let parsed = Table::from_json(content.lines().next().unwrap()).unwrap();
-        assert_eq!(parsed.id, "figY");
+        let lines: Vec<_> = content.lines().collect();
+        assert_eq!(lines, vec![t.to_json(), t.to_json()]);
     }
 
     #[test]
-    fn json_roundtrip_preserves_everything() {
-        let mut t = Table::new("fig\"Z\"", "quotes \\ and\nnewlines").headers(["x", "y"]);
+    fn to_json_escapes_every_special_character() {
+        let mut t = Table::new("fig\"Z\"", "back \\ slash\nnew\rline").headers(["x", "y"]);
         t.row(["1", "a\tb"]);
         t.row(["2", ""]);
-        t.note("scaled — 10×");
-        let parsed = Table::from_json(&t.to_json()).unwrap();
-        assert_eq!(parsed.id, t.id);
-        assert_eq!(parsed.title, t.title);
-        assert_eq!(parsed.headers, t.headers);
-        assert_eq!(parsed.rows, t.rows);
-        assert_eq!(parsed.notes, t.notes);
+        t.note("bell \u{7} — 10×");
+        assert_eq!(
+            t.to_json(),
+            r#"{"id":"fig\"Z\"","title":"back \\ slash\nnew\rline","headers":["x","y"],"rows":[["1","a\tb"],["2",""]],"notes":["bell \u0007 — 10×"]}"#
+        );
+        assert_eq!(
+            Table::new("", "").to_json(),
+            r#"{"id":"","title":"","headers":[],"rows":[],"notes":[]}"#
+        );
     }
 
     #[test]

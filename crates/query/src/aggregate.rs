@@ -11,12 +11,11 @@
 //! * `MIN/MAX/SUM/AVG(E.attr)` — over the `attr` values of all `E` events in
 //!   all matched sequences.
 
-use serde::{Deserialize, Serialize};
 use sharon_types::{Catalog, EventTypeId};
 use std::fmt;
 
 /// The aggregation function of a query.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(*)`: number of matched sequences.
     CountStar,
@@ -95,7 +94,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// The result of one aggregate, per group and window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AggValue {
     /// A count (`COUNT(*)`, `COUNT(E)`).
     Count(u128),

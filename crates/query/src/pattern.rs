@@ -5,13 +5,12 @@
 //! is a sequence of events of those types with strictly increasing
 //! timestamps.
 
-use serde::{Deserialize, Serialize};
 use sharon_types::{Catalog, EventTypeId};
 use std::fmt;
 use std::ops::Range;
 
 /// An event sequence pattern `(E₁ … E_l)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pattern {
     types: Box<[EventTypeId]>,
 }

@@ -15,12 +15,11 @@
 use crate::pattern::Pattern;
 use crate::query::{Query, QueryId};
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// One sharing candidate `(p, Q_p)` selected into a plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanCandidate {
     /// The shared pattern `p`.
     pub pattern: Pattern,
@@ -40,7 +39,7 @@ impl PlanCandidate {
 }
 
 /// Whether a segment's aggregates are private to one query or shared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentKind {
     /// Aggregated by this query alone (a prefix/mid/suffix piece).
     Private,
@@ -50,7 +49,7 @@ pub enum SegmentKind {
 }
 
 /// One contiguous piece of a query's pattern under a plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// The sub-pattern this segment covers.
     pub pattern: Pattern,
@@ -98,7 +97,7 @@ impl fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// A set of sharing candidates guiding the runtime executor.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SharingPlan {
     /// The selected candidates.
     pub candidates: Vec<PlanCandidate>,

@@ -7,13 +7,12 @@
 //! equivalence predicates (`[vehicle]` — all events from the same vehicle)
 //! are expressed with `GROUP BY vehicle`, which partitions state identically.
 
-use serde::{Deserialize, Serialize};
 use sharon_types::{Catalog, Event, EventTypeId, Value};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A comparison operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -81,7 +80,7 @@ impl fmt::Display for CmpOp {
 /// The predicate constrains events of type `ty`; events of other types are
 /// unaffected. An event of type `ty` lacking the attribute fails the
 /// predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     /// The constrained event type.
     pub ty: EventTypeId,

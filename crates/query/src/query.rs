@@ -7,14 +7,11 @@
 use crate::aggregate::AggFunc;
 use crate::pattern::Pattern;
 use crate::predicate::Predicate;
-use serde::{Deserialize, Serialize};
 use sharon_types::{Catalog, EventTypeId, WindowSpec};
 use std::fmt;
 
 /// Identifier of a query within a [`crate::Workload`] (its index).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct QueryId(pub u32);
 
 impl QueryId {
@@ -32,7 +29,7 @@ impl fmt::Display for QueryId {
 }
 
 /// An event sequence aggregation query (Definition 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Identifier within the workload.
     pub id: QueryId,

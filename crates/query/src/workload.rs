@@ -5,14 +5,13 @@
 //! (Section 2.1). [`QueryId`]s are indexes into the workload.
 
 use crate::query::{Query, QueryId};
-use serde::{Deserialize, Serialize};
 use sharon_types::EventTypeId;
 use std::collections::BTreeSet;
 
 use crate::pattern::Pattern;
 
 /// An ordered collection of queries evaluated against one stream.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Workload {
     queries: Vec<Query>,
 }

@@ -7,14 +7,11 @@
 //! [`EventTypeId`], produced by the [`Catalog`] interner. Attribute names are
 //! likewise resolved to positional [`AttrId`]s at query-compile time.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Dense identifier of an interned event type.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EventTypeId(pub u32);
 
 impl EventTypeId {
@@ -32,7 +29,7 @@ impl fmt::Display for EventTypeId {
 }
 
 /// Positional identifier of an attribute within a type's schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AttrId(pub u16);
 
 impl AttrId {
@@ -47,7 +44,7 @@ impl AttrId {
 ///
 /// Attributes are positional: an event of this type stores its attribute
 /// values in a `Vec<Value>` parallel to `attr_names`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Schema {
     attr_names: Vec<String>,
 }
@@ -109,11 +106,10 @@ impl Schema {
 /// stream generators, and the executors. Registering the same name twice
 /// returns the original id (the schema of the first registration wins; use
 /// [`Catalog::set_schema`] to replace it).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     names: Vec<String>,
     schemas: Vec<Schema>,
-    #[serde(skip)]
     by_name: HashMap<String, EventTypeId>,
 }
 
@@ -178,17 +174,6 @@ impl Catalog {
             .enumerate()
             .map(|(i, n)| (EventTypeId(i as u32), n.as_str()))
     }
-
-    /// Rebuild the name→id index (needed after deserialization, where the
-    /// map is skipped).
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), EventTypeId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -234,25 +219,12 @@ mod tests {
     }
 
     #[test]
-    fn iteration_and_rebuild_index() {
+    fn iteration_follows_registration_order() {
         let mut c = Catalog::new();
         c.register("A");
         c.register("B");
         let pairs: Vec<_> = c.iter().map(|(id, n)| (id.0, n.to_string())).collect();
         assert_eq!(pairs, vec![(0, "A".to_string()), (1, "B".to_string())]);
-
-        // round-trip through serde loses the index; rebuild restores it
-        let json = serde_json_roundtrip(&c);
-        assert_eq!(json.lookup("B"), Some(EventTypeId(1)));
-    }
-
-    fn serde_json_roundtrip(c: &Catalog) -> Catalog {
-        // sharon-types doesn't depend on serde_json; emulate a round trip by
-        // cloning fields and clearing the index the way `#[serde(skip)]` does.
-        let mut copy = c.clone();
-        copy.by_name.clear();
-        copy.rebuild_index();
-        copy
     }
 
     #[test]

@@ -13,14 +13,13 @@
 use crate::catalog::{AttrId, EventTypeId};
 use crate::time::Timestamp;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A single event (row form).
 ///
 /// Attribute values are positional, parallel to the [`crate::Schema`] of the
 /// event's type. String values are `Arc`-interned, so cloning an event
 /// copies no string.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// The event's type.
     pub ty: EventTypeId,

@@ -7,11 +7,10 @@
 //! without an extra allocation.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The value of a query's grouping attributes for one partition.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GroupKey {
     /// No `GROUP BY` clause: all events form a single group.
     Global,

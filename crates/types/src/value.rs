@@ -6,14 +6,13 @@
 //! comparable so they can serve as `GROUP BY` keys and predicate operands;
 //! floats are compared by their IEEE-754 bit pattern for hashing purposes.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A typed attribute value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// A 64-bit signed integer (identifiers, counters).
     Int(i64),

@@ -6,11 +6,10 @@
 //! `k` covers the half-open interval `[k·slide, k·slide + within)`.
 
 use crate::time::{TimeDelta, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The `WITHIN w SLIDE s` clause of a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WindowSpec {
     /// Window length (`WITHIN`).
     pub within: TimeDelta,
@@ -19,7 +18,7 @@ pub struct WindowSpec {
 }
 
 /// One window instance: `[start, start + within)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WindowInstance {
     /// Inclusive lower bound.
     pub start: Timestamp,

@@ -18,7 +18,7 @@
 use sharon::prelude::*;
 use sharon::twostep::{FlinkLike, SpassLike};
 use sharon_executor::{
-    compile, BatchProcessor, BatchRouter, EngineKind, RoutedRows, ShardSlice, ShardedOptions,
+    compile, BatchProcessor, BatchRouter, EngineKind, RoutedRows, ShardedOptions,
 };
 use sharon_metrics::{alloc, TrackingAllocator};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -840,18 +840,11 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
     let n_shards = 2usize;
     let mut router = BatchRouter::new(parts.clone(), n_shards);
     let mut shards: Vec<Vec<EngineKind>> = (0..n_shards)
-        .map(|shard| {
+        .map(|_| {
             parts
                 .iter()
-                .enumerate()
-                .map(|(pi, part)| {
-                    let slice = ShardSlice {
-                        index: shard as u32,
-                        of: n_shards as u32,
-                        owns_global: pi % n_shards == shard,
-                    };
-                    EngineKind::for_partition(part.clone(), Some(slice))
-                })
+                .cloned()
+                .map(EngineKind::for_partition)
                 .collect()
         })
         .collect();
