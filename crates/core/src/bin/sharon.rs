@@ -23,7 +23,10 @@
 //! read after the run finishes, so they cover the whole stream at any
 //! shard count. `--skew THETA` draws the stream's group dimension
 //! (vehicle / car / customer) from a Zipf(THETA) distribution: a skewed
-//! `GROUP BY`, whose hot group stays on its hash owner.
+//! `GROUP BY`, whose hot group stays on its hash owner. `--explain` adds
+//! the optimizer's phase timings and search statistics, and appends to
+//! each `share` line its benefit split into the cost model's terms
+//! (`non-shared N − (once O + comp C + comb K + fold F)`).
 //!
 //! Durability (sharded online strategies only): `--checkpoint-dir DIR`
 //! takes a consistent checkpoint every `--checkpoint-interval` ingested
@@ -366,10 +369,16 @@ fn main() {
             outcome.score,
             optimize_time
         );
+        let model = sharon::optimizer::CostModel::new(&workload, &rates);
         for cand in &outcome.plan.candidates {
             let qs: Vec<String> = cand.queries.iter().map(|q| q.to_string()).collect();
+            let benefit = if args.explain {
+                format!("  benefit {}", model.benefit(&cand.pattern, &cand.queries))
+            } else {
+                String::new()
+            };
             println!(
-                "  share {} among {}",
+                "  share {} among {}{benefit}",
                 cand.pattern.display(&catalog),
                 qs.join(", ")
             );

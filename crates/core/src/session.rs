@@ -840,6 +840,30 @@ mod tests {
     }
 
     #[test]
+    fn reordered_conjuncts_attach_as_an_alias() {
+        let mut catalog = Catalog::new();
+        catalog.register_with_schema("A", sharon_types::Schema::new(["x"]));
+        catalog.register_with_schema("B", sharon_types::Schema::new(["y"]));
+        let workload = parse_workload(
+            &mut catalog,
+            ["RETURN COUNT(*) PATTERN SEQ(A, B) WHERE A.x > 1 AND B.y < 2 WITHIN 10 s SLIDE 2 s"],
+        )
+        .unwrap();
+        let reordered = parse_query(
+            &mut catalog,
+            "RETURN COUNT(*) PATTERN SEQ(A, B) WHERE B.y < 2 AND A.x > 1 WITHIN 10 s SLIDE 2 s",
+        )
+        .unwrap();
+        let rates = RateMap::uniform(100.0);
+        let mut session = SharonBuilder::new(&catalog, &workload, &rates)
+            .session(SessionConfig::default())
+            .unwrap();
+        session.attach(reordered).unwrap();
+        assert_eq!(session.sidecar_count(), 0, "one conjunction must alias");
+        assert_eq!(session.attached_count(), 2);
+    }
+
+    #[test]
     fn a_failed_attach_leaves_no_query_behind() {
         let (mut session, extra) = session_over(
             &["RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10 s SLIDE 2 s"],

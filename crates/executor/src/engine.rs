@@ -1205,6 +1205,46 @@ mod tests {
     }
 
     #[test]
+    fn conjunct_order_does_not_split_a_partition() {
+        use sharon_types::Schema;
+        let mut c = Catalog::new();
+        let a = c.register_with_schema("A", Schema::new(["x"]));
+        let b = c.register_with_schema("B", Schema::new(["y"]));
+        let w = parse_workload(
+            &mut c,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(A, B) WHERE A.x > 1 AND B.y < 2 WITHIN 10 ms SLIDE 10 ms",
+                "RETURN COUNT(*) PATTERN SEQ(A, B) WHERE B.y < 2 AND A.x > 1 WITHIN 10 ms SLIDE 10 ms",
+                "RETURN COUNT(*) PATTERN SEQ(A, B) WHERE A.x > 1 AND B.y < 2 WITHIN 10 ms SLIDE 10 ms",
+            ],
+        )
+        .unwrap();
+        let mut ex = Executor::non_shared(&c, &w).unwrap();
+        assert_eq!(
+            ex.scan_stats().len(),
+            1,
+            "one partition for one conjunction"
+        );
+        feed(
+            &mut ex,
+            &[
+                Event::with_attrs(a, Timestamp(1), vec![Value::Int(0)]), // filtered
+                Event::with_attrs(a, Timestamp(2), vec![Value::Int(5)]),
+                Event::with_attrs(b, Timestamp(3), vec![Value::Int(9)]), // filtered
+                Event::with_attrs(b, Timestamp(4), vec![Value::Int(1)]),
+            ],
+        );
+        let res = ex.finish();
+        for q in w.ids() {
+            assert_eq!(
+                res.get(q, &GroupKey::Global, Timestamp(0)),
+                Some(&AggValue::Count(1)),
+                "{q}"
+            );
+        }
+    }
+
+    #[test]
     fn scopes_sharing_a_type_pass_keep_their_own_scan_tallies() {
         // three scopes selecting from one type pass per batch: each still
         // scans every row of every batch, and selects exactly the rows it

@@ -1,4 +1,5 @@
-//! The sharing benefit cost model (Section 3, Equations 1–8).
+//! The sharing benefit cost model (Section 3, Equations 1–8, plus one
+//! executor term).
 //!
 //! Costs are expressed in expected aggregate-update operations per second,
 //! driven by per-event-type arrival rates:
@@ -10,15 +11,31 @@
 //! * `Comp(p, qᵢ)` — the Shared method's private prefix/suffix computation
 //!   (Eq. 4);
 //! * `Comb(p, qᵢ)` — the count-combination overhead (Eq. 5);
-//! * `Shared(p, Q_p) = Rate(E_m) × Rate(p) + Σᵢ (Comp + Comb)` (Eq. 7);
+//! * `Fold(p, qᵢ)` — the window fold of each chain-stage boundary (below);
+//! * `Shared(p, qᵢ) = Comp + Comb + Fold` (Eq. 6 with the fold term);
+//! * `Shared(p, Q_p) = Rate(E_m) × Rate(p) + Σᵢ Shared(p, qᵢ)` (Eq. 7);
 //! * `BValue(p, Q_p) = NonShared − Shared` (Eq. 8, Definition 5).
 //!
 //! With the §7.3 extension, a type occurring `k` times multiplies the
 //! per-event update work by `k`.
+//!
+//! **Why `Fold` is not in the paper.** The paper's Shared method keeps one
+//! count per START event and combines the shared pattern's counts with the
+//! private prefix's and suffix's per START; Eq. 5 prices exactly that, as a
+//! product of boundary rates. The executor instead keeps one aggregate per
+//! open window (panes), so a stage that feeds a later stage adds each of
+//! its completions to a chain log across every window still open — up to
+//! `W(qᵢ) = ⌈WITHIN / SLIDE⌉` of them. A private prefix completes on its
+//! last type `E_{m−1}ⁱ`; the shared pattern feeding a private suffix
+//! completes on its end type. So
+//! `Fold(p, qᵢ) = W(qᵢ) × ([prefix] · Rate(E_{m−1}ⁱ) + [suffix] · Rate(end of p))`.
+//! Sharing a whole query pattern adds no boundary and costs no fold. The
+//! term has no coefficient: it counts folds in the same unit as Eqs. 2–5.
 
 use sharon_query::{Pattern, Query, QueryId, Workload};
 use sharon_types::EventTypeId;
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 
 /// Per-event-type arrival rates (events per second).
 #[derive(Debug, Clone, Default)]
@@ -154,26 +171,98 @@ impl<'a> CostModel<'a> {
         cost
     }
 
-    /// `Shared(p, qᵢ) = Comp + Comb` (Eq. 6).
+    /// `Fold(p, qᵢ)`: the per-window fold of the chain-stage boundaries
+    /// that sharing `p` adds to `q` (see the module doc). A private prefix
+    /// folds each completion of its last type, a private suffix each
+    /// completion of `p`'s end type, across `q`'s open windows.
+    pub fn fold(&self, p: &Pattern, q: &Query) -> f64 {
+        let Some(m) = q.pattern.find(p) else {
+            return 0.0;
+        };
+        let mut rate = 0.0;
+        if m > 0 {
+            rate += self.rates.rate(q.pattern.type_at(m - 1));
+        }
+        if m + p.len() < q.pattern.len() {
+            rate += self.rates.rate(p.end_type());
+        }
+        q.window.max_open() as f64 * rate
+    }
+
+    /// `Shared(p, qᵢ) = Comp + Comb + Fold` (Eq. 6 with the fold term).
     pub fn shared_query(&self, p: &Pattern, q: &Query) -> f64 {
-        self.comp(p, q) + self.comb(p, q)
+        self.comp(p, q) + self.comb(p, q) + self.fold(p, q)
+    }
+
+    /// `Rate(E_m) × Rate(p)`: the shared pattern computed once (the first
+    /// term of Eq. 7).
+    pub fn shared_once(&self, p: &Pattern) -> f64 {
+        Self::repetition_factor(p) * self.rates.rate(p.start_type()) * self.rates.pattern_rate(p)
     }
 
     /// `Shared(p, Q_p) = Rate(E_m) × Rate(p) + Σ Shared(p, qᵢ)` (Eq. 7) —
     /// the shared pattern itself is computed once.
     pub fn shared(&self, p: &Pattern, queries: &BTreeSet<QueryId>) -> f64 {
-        let once = Self::repetition_factor(p)
-            * self.rates.rate(p.start_type())
-            * self.rates.pattern_rate(p);
-        once + queries
-            .iter()
-            .map(|id| self.shared_query(p, self.workload.get(*id)))
-            .sum::<f64>()
+        self.shared_once(p)
+            + queries
+                .iter()
+                .map(|id| self.shared_query(p, self.workload.get(*id)))
+                .sum::<f64>()
     }
 
     /// `BValue(p, Q_p)` (Eq. 8): the benefit of the sharing candidate.
     pub fn bvalue(&self, p: &Pattern, queries: &BTreeSet<QueryId>) -> f64 {
         self.non_shared(queries) - self.shared(p, queries)
+    }
+
+    /// The terms of `BValue(p, Q_p)`, each summed over `Q_p`.
+    pub fn benefit(&self, p: &Pattern, queries: &BTreeSet<QueryId>) -> Benefit {
+        let mut b = Benefit {
+            non_shared: self.non_shared(queries),
+            once: self.shared_once(p),
+            comp: 0.0,
+            comb: 0.0,
+            fold: 0.0,
+        };
+        for id in queries {
+            let q = self.workload.get(*id);
+            b.comp += self.comp(p, q);
+            b.comb += self.comb(p, q);
+            b.fold += self.fold(p, q);
+        }
+        b
+    }
+}
+
+/// One candidate's benefit split into its terms (see [`CostModel::benefit`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Benefit {
+    /// `NonShared(p, Q_p)` (Eq. 3).
+    pub non_shared: f64,
+    /// The shared pattern computed once (Eq. 7's first term).
+    pub once: f64,
+    /// `Σ Comp(p, qᵢ)` (Eq. 4).
+    pub comp: f64,
+    /// `Σ Comb(p, qᵢ)` (Eq. 5).
+    pub comb: f64,
+    /// `Σ Fold(p, qᵢ)`.
+    pub fold: f64,
+}
+
+impl Benefit {
+    /// `NonShared − Shared`.
+    pub fn value(&self) -> f64 {
+        self.non_shared - (self.once + self.comp + self.comb + self.fold)
+    }
+}
+
+impl fmt::Display for Benefit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "non-shared {:.1} − (once {:.1} + comp {:.1} + comb {:.1} + fold {:.1})",
+            self.non_shared, self.once, self.comp, self.comb, self.fold
+        )
     }
 }
 
@@ -181,7 +270,7 @@ impl<'a> CostModel<'a> {
 mod tests {
     use super::*;
     use sharon_query::{AggFunc, Query};
-    use sharon_types::{Catalog, WindowSpec};
+    use sharon_types::{Catalog, TimeDelta, WindowSpec};
 
     fn workload(catalog: &mut Catalog, patterns: &[&[&str]]) -> Workload {
         Workload::from_queries(patterns.iter().map(|names| {
@@ -239,10 +328,11 @@ mod tests {
         // NonShared: 4 * (10 * 50) = 2000
         assert_eq!(model.non_shared(&queries), 2000.0);
         // Shared: pattern once 10*40=400; per query: comp = suffix 10*10=100,
-        // comb = Rate(E1)=10 * Rate(Em)=10 ... prefix empty => 10*10=100
-        // => 400 + 4*(100+100) = 1200
-        assert_eq!(model.shared(&p, &queries), 1200.0);
-        assert_eq!(model.bvalue(&p, &queries), 800.0);
+        // comb = Rate(E1)=10 * Rate(Em)=10 ... prefix empty => 10*10=100,
+        // fold = W=10 open windows * Rate(D)=10 => 100
+        // => 400 + 4*(100+100+100) = 1600
+        assert_eq!(model.shared(&p, &queries), 1600.0);
+        assert_eq!(model.bvalue(&p, &queries), 400.0);
     }
 
     #[test]
@@ -299,6 +389,68 @@ mod tests {
         let q2 = w.get(QueryId(1));
         assert_eq!(model.comp(&p, q2), 10.0 * 10.0);
         assert_eq!(model.comb(&p, q2), 10.0 * 10.0, "Rate(Em) * Rate(E_suffix)");
+    }
+
+    /// `X, A, B, Y` at rates 2, 3, 5, 7 under `WITHIN 10 s SLIDE 3 s`:
+    /// ⌈10 / 3⌉ = 4 open windows.
+    fn fold_fixture(patterns: &[&[&str]]) -> (Catalog, Workload, RateMap) {
+        let mut c = Catalog::new();
+        let window = WindowSpec::new(TimeDelta::from_secs(10), TimeDelta::from_secs(3));
+        let w = Workload::from_queries(patterns.iter().map(|names| {
+            Query::simple(
+                QueryId(0),
+                Pattern::from_names(&mut c, names.iter().copied()),
+                AggFunc::CountStar,
+                window,
+            )
+        }));
+        let rates = RateMap::from_rates(
+            [("X", 2.0), ("A", 3.0), ("B", 5.0), ("Y", 7.0)]
+                .map(|(name, rate)| (c.register(name), rate)),
+            0.0,
+        );
+        (c, w, rates)
+    }
+
+    #[test]
+    fn fold_of_a_private_prefix_is_its_last_type_per_open_window() {
+        let (mut c, w, rates) = fold_fixture(&[&["X", "A", "B"]]);
+        let p = Pattern::from_names(&mut c, ["A", "B"]);
+        let model = CostModel::new(&w, &rates);
+        // 4 windows * Rate(X) = 4 * 2
+        assert_eq!(model.fold(&p, w.get(QueryId(0))), 8.0);
+    }
+
+    #[test]
+    fn fold_of_a_private_suffix_is_the_shared_end_type_per_open_window() {
+        let (mut c, w, rates) = fold_fixture(&[&["A", "B", "Y"]]);
+        let p = Pattern::from_names(&mut c, ["A", "B"]);
+        let model = CostModel::new(&w, &rates);
+        // 4 windows * Rate(B) = 4 * 5
+        assert_eq!(model.fold(&p, w.get(QueryId(0))), 20.0);
+    }
+
+    #[test]
+    fn fold_of_a_prefix_and_a_suffix_adds_both_boundaries() {
+        let (mut c, w, rates) = fold_fixture(&[&["X", "A", "B", "Y"]]);
+        let p = Pattern::from_names(&mut c, ["A", "B"]);
+        let model = CostModel::new(&w, &rates);
+        // 4 windows * (Rate(X) + Rate(B)) = 4 * (2 + 5)
+        assert_eq!(model.fold(&p, w.get(QueryId(0))), 28.0);
+    }
+
+    #[test]
+    fn fold_of_a_whole_shared_pattern_is_zero() {
+        let (mut c, w, rates) = fold_fixture(&[&["A", "B"], &["A", "B"]]);
+        let p = Pattern::from_names(&mut c, ["A", "B"]);
+        let model = CostModel::new(&w, &rates);
+        for id in w.ids() {
+            assert_eq!(model.fold(&p, w.get(id)), 0.0);
+        }
+        let queries: BTreeSet<QueryId> = w.ids().collect();
+        // the split adds up to Eq. 8: 2 * 3 * 8 - 3 * 8
+        let b = model.benefit(&p, &queries);
+        assert_eq!((b.value(), model.bvalue(&p, &queries)), (24.0, 24.0));
     }
 
     #[test]

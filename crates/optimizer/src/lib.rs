@@ -40,7 +40,7 @@ pub mod plan_finder;
 mod proptests;
 pub mod reduction;
 
-pub use cost::{CostModel, RateMap};
+pub use cost::{Benefit, CostModel, RateMap};
 pub use dynamic::{DynamicPlanManager, PlanDecision, RateEstimator};
 pub use expansion::ExpansionConfig;
 pub use graph::{figure_4_graph, SharonGraph};

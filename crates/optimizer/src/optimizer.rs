@@ -18,8 +18,8 @@ use crate::gwmin::{gwmin, set_weight};
 use crate::mining::{mine_sharable_patterns, CandidateMap};
 use crate::plan_finder::{find_exhaustive, find_optimal_plan};
 use crate::reduction::reduce;
-use sharon_query::{PlanCandidate, SharingPlan, Workload};
-use std::collections::BTreeMap;
+use sharon_query::{Pattern, PlanCandidate, QueryId, SharingPlan, SharingSignature, Workload};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the optimizers.
@@ -92,30 +92,40 @@ impl OptimizeOutcome {
 /// different predicates, grouping, windows, or aggregates (§7.2): each
 /// candidate's query set is partitioned by sharing signature, keeping the
 /// sub-sets with at least two members. One pattern may yield several
-/// candidates (one per signature class).
+/// candidates (one per signature class, in order of first member).
 fn split_by_signature(
     workload: &Workload,
     mined: CandidateMap,
-) -> Vec<(
-    sharon_query::Pattern,
-    std::collections::BTreeSet<sharon_query::QueryId>,
-)> {
+) -> Vec<(Pattern, BTreeSet<QueryId>)> {
+    if mined.is_empty() {
+        return Vec::new();
+    }
+    // one signature per query, not one per (pattern, query) pair
+    let mut sigs: Vec<SharingSignature> = Vec::new();
+    let class: Vec<usize> = workload
+        .queries()
+        .iter()
+        .map(|q| {
+            let sig = q.sharing_signature();
+            sigs.iter().position(|s| *s == sig).unwrap_or_else(|| {
+                sigs.push(sig);
+                sigs.len() - 1
+            })
+        })
+        .collect();
     let mut out = Vec::new();
     for (pattern, queries) in mined {
-        let mut by_sig: BTreeMap<usize, std::collections::BTreeSet<_>> = BTreeMap::new();
-        let mut sigs = Vec::new();
+        let mut groups: Vec<(usize, BTreeSet<QueryId>)> = Vec::new();
         for q in queries {
-            let sig = workload.get(q).sharing_signature();
-            let idx = match sigs.iter().position(|s| *s == sig) {
-                Some(i) => i,
-                None => {
-                    sigs.push(sig);
-                    sigs.len() - 1
+            let k = class[q.index()];
+            match groups.iter_mut().find(|(g, _)| *g == k) {
+                Some((_, qs)) => {
+                    qs.insert(q);
                 }
-            };
-            by_sig.entry(idx).or_default().insert(q);
+                None => groups.push((k, BTreeSet::from([q]))),
+            }
         }
-        for (_, qs) in by_sig {
+        for (_, qs) in groups {
             if qs.len() > 1 {
                 out.push((pattern.clone(), qs));
             }
@@ -187,10 +197,7 @@ fn expanded(
     }
     let t = Instant::now();
     let model = CostModel::new(workload, rates);
-    let mut benefit =
-        |p: &sharon_query::Pattern, qs: &std::collections::BTreeSet<sharon_query::QueryId>| {
-            model.bvalue(p, qs)
-        };
+    let mut benefit = |p: &Pattern, qs: &BTreeSet<QueryId>| model.bvalue(p, qs);
     let g = expand_graph(workload, graph, &mut benefit, &config.expansion);
     (g, t.elapsed())
 }
@@ -338,7 +345,7 @@ pub fn optimize_sharon(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharon_query::{parse_workload, QueryId};
+    use sharon_query::parse_workload;
     use sharon_types::Catalog;
 
     fn traffic() -> (Catalog, Workload) {
@@ -507,6 +514,91 @@ mod tests {
             sharon.score,
             greedy.score
         );
+    }
+
+    #[test]
+    fn reordered_conjuncts_share_among_all_three_queries() {
+        let mut c = Catalog::new();
+        let w = parse_workload(
+            &mut c,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(A, B) WHERE A.x > 1 AND B.y < 2 WITHIN 10 s SLIDE 1 s",
+                "RETURN COUNT(*) PATTERN SEQ(A, B) WHERE B.y < 2 AND A.x > 1 WITHIN 10 s SLIDE 1 s",
+                "RETURN COUNT(*) PATTERN SEQ(A, B) WHERE A.x > 1 AND B.y < 2 WITHIN 10 s SLIDE 1 s",
+            ],
+        )
+        .unwrap();
+        let o = optimize_sharon(&w, &RateMap::uniform(10.0), &OptimizerConfig::default());
+        let shared: Vec<String> = o
+            .plan
+            .candidates
+            .iter()
+            .map(|cand| format!("{} {:?}", cand.pattern.display(&c), cand.queries))
+            .collect();
+        assert_eq!(shared, ["(A, B) {QueryId(0), QueryId(1), QueryId(2)}"]);
+    }
+
+    /// `SEQ(A..F)` twice and `SEQ(B..G)` at rate 10 under `WITHIN 20 s
+    /// SLIDE 1 s` (20 open windows). Eq. 8 scores `(B..F)` among all three
+    /// at 7r² = 700 and `(A..F)` among the duplicates at 6r² = 600; the
+    /// fold charges the first two prefix boundaries (20 · Rate(A)) and one
+    /// suffix boundary (20 · Rate(F)), 600 in all, leaving it 100.
+    #[test]
+    fn partial_sharing_loses_to_sharing_among_duplicates() {
+        let mut c = Catalog::new();
+        let w = parse_workload(
+            &mut c,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(A, B, C, D, E, F) WITHIN 20 s SLIDE 1 s",
+                "RETURN COUNT(*) PATTERN SEQ(A, B, C, D, E, F) WITHIN 20 s SLIDE 1 s",
+                "RETURN COUNT(*) PATTERN SEQ(B, C, D, E, F, G) WITHIN 20 s SLIDE 1 s",
+            ],
+        )
+        .unwrap();
+        let rates = RateMap::uniform(10.0);
+        let model = CostModel::new(&w, &rates);
+        let tail = Pattern::from_names(&mut c, ["B", "C", "D", "E", "F"]);
+        let b = model.benefit(&tail, &w.ids().collect());
+        assert_eq!((b.value() + b.fold, b.fold), (700.0, 600.0));
+
+        let o = optimize_sharon(&w, &rates, &OptimizerConfig::default());
+        let shared: Vec<String> = o
+            .plan
+            .candidates
+            .iter()
+            .map(|cand| format!("{} {:?}", cand.pattern.display(&c), cand.queries))
+            .collect();
+        assert_eq!(shared, ["(A, B, C, D, E, F) {QueryId(0), QueryId(1)}"]);
+        assert_eq!(o.score, 600.0);
+    }
+
+    /// `SEQ(A, B, C)` and `SEQ(B, C, D)` at rates A = C = 10, D = 5 under
+    /// `WITHIN 5 s SLIDE 1 s`: Eq. 8 scores `(B, C)` at ac − d² = 75 for
+    /// any rate of B, and its two boundaries fold 5 · Rate(A) + 5 · Rate(C)
+    /// = 100, so sharing it loses.
+    #[test]
+    fn a_candidate_whose_fold_exceeds_its_benefit_is_dropped() {
+        let mut c = Catalog::new();
+        let w = parse_workload(
+            &mut c,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(A, B, C) WITHIN 5 s SLIDE 1 s",
+                "RETURN COUNT(*) PATTERN SEQ(B, C, D) WITHIN 5 s SLIDE 1 s",
+            ],
+        )
+        .unwrap();
+        let rates = RateMap::from_rates(
+            [("A", 10.0), ("B", 7.0), ("C", 10.0), ("D", 5.0)]
+                .map(|(name, rate)| (c.lookup(name).unwrap(), rate)),
+            0.0,
+        );
+        let bc = Pattern::from_names(&mut c, ["B", "C"]);
+        let b = CostModel::new(&w, &rates).benefit(&bc, &w.ids().collect());
+        assert_eq!((b.value() + b.fold, b.fold), (75.0, 100.0));
+
+        let o = optimize_sharon(&w, &rates, &OptimizerConfig::default());
+        assert!(o.plan.is_non_shared(), "{:?}", o.plan);
+        assert_eq!(o.score, 0.0);
     }
 
     #[test]

@@ -73,12 +73,18 @@ impl Query {
     /// The *sharing signature* of the query: queries may share pattern
     /// aggregation only if their predicates, grouping, and windows coincide
     /// and they aggregate compatibly (assumption (2) / §7.2). Two queries
-    /// with equal signatures are shard-compatible.
+    /// with equal signatures are shard-compatible. The predicates are a
+    /// conjunction, so their order and repeats do not count; grouping
+    /// order does, because it fixes the group key layout.
     pub fn sharing_signature(&self) -> SharingSignature {
+        let mut predicates: Vec<String> =
+            self.predicates.iter().map(|p| format!("{:?}", p)).collect();
+        predicates.sort_unstable();
+        predicates.dedup();
         SharingSignature {
             window: self.window,
             group_by: self.group_by.clone(),
-            predicates: self.predicates.iter().map(|p| format!("{:?}", p)).collect(),
+            predicates,
             agg_target: self.agg.target_type().map(|t| t.0),
             agg_attr: self.agg.target_attr().map(str::to_owned),
             count_like: self.agg.is_count_like(),
