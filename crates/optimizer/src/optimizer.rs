@@ -572,12 +572,10 @@ mod tests {
         assert_eq!(o.score, 600.0);
     }
 
-    /// `SEQ(A, B, C)` and `SEQ(B, C, D)` at rates A = C = 10, D = 5 under
-    /// `WITHIN 5 s SLIDE 1 s`: Eq. 8 scores `(B, C)` at ac − d² = 75 for
-    /// any rate of B, and its two boundaries fold 5 · Rate(A) + 5 · Rate(C)
-    /// = 100, so sharing it loses.
-    #[test]
-    fn a_candidate_whose_fold_exceeds_its_benefit_is_dropped() {
+    /// `SEQ(A, B, C)` and `SEQ(B, C, D)` under `WITHIN 5 s SLIDE 1 s`, at
+    /// rates A = C = 10k, B = 7k, D = 5k: the plan's shared candidates
+    /// and score, and `(B, C)`'s Eq. 8 benefit and fold.
+    fn abc_and_bcd_at(k: f64) -> (Vec<String>, f64, f64, f64) {
         let mut c = Catalog::new();
         let w = parse_workload(
             &mut c,
@@ -589,16 +587,42 @@ mod tests {
         .unwrap();
         let rates = RateMap::from_rates(
             [("A", 10.0), ("B", 7.0), ("C", 10.0), ("D", 5.0)]
-                .map(|(name, rate)| (c.lookup(name).unwrap(), rate)),
+                .map(|(name, rate)| (c.lookup(name).unwrap(), k * rate)),
             0.0,
         );
         let bc = Pattern::from_names(&mut c, ["B", "C"]);
         let b = CostModel::new(&w, &rates).benefit(&bc, &w.ids().collect());
-        assert_eq!((b.value() + b.fold, b.fold), (75.0, 100.0));
-
         let o = optimize_sharon(&w, &rates, &OptimizerConfig::default());
-        assert!(o.plan.is_non_shared(), "{:?}", o.plan);
-        assert_eq!(o.score, 0.0);
+        let shared: Vec<String> = o
+            .plan
+            .candidates
+            .iter()
+            .map(|cand| format!("{} {:?}", cand.pattern.display(&c), cand.queries))
+            .collect();
+        assert_eq!(shared.is_empty(), o.plan.is_non_shared());
+        (shared, o.score, b.value() + b.fold, b.fold)
+    }
+
+    /// Eq. 8 scores `(B, C)` at ac − d² = 75 for any rate of B, and its
+    /// two boundaries fold 5 · Rate(A) + 5 · Rate(C) = 100, so sharing it
+    /// loses.
+    #[test]
+    fn a_candidate_whose_fold_exceeds_its_benefit_is_dropped() {
+        let (shared, score, eq8, fold) = abc_and_bcd_at(1.0);
+        assert_eq!((eq8, fold), (75.0, 100.0));
+        assert!(shared.is_empty(), "{shared:?}");
+        assert_eq!(score, 0.0);
+    }
+
+    /// The fold is linear in the rates and Eqs. 2–5 are not: doubling
+    /// every rate of the workload above quadruples Eq. 8 to 300 but only
+    /// doubles the fold to 200, so `(B, C)` is shared again, at 100.
+    #[test]
+    fn doubling_every_rate_shares_the_dropped_candidate_again() {
+        let (shared, score, eq8, fold) = abc_and_bcd_at(2.0);
+        assert_eq!((eq8, fold), (300.0, 200.0));
+        assert_eq!(shared, ["(B, C) {QueryId(0), QueryId(1)}"]);
+        assert_eq!(score, 100.0);
     }
 
     #[test]
