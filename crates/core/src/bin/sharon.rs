@@ -70,6 +70,7 @@
 
 use sharon::executor::CheckpointConfig;
 use sharon::prelude::*;
+use sharon::query::aggregate::AggValue;
 use sharon::streams::workload::{
     figure_1_workload, figure_2_workload, measured_rates_batch, overlapping_workload,
     WorkloadConfig,
@@ -465,42 +466,67 @@ fn main() {
         throughput,
         results.len()
     );
-    for q in workload.ids() {
-        print_summary(&results, &q.to_string(), q, args.results);
-    }
+    let labels: Vec<String> = workload.ids().map(|q| q.to_string()).collect();
+    print_summaries(&results, &labels, args.results);
 }
 
-/// Print query `q`'s summary line under `label`, then its first `n_rows`
-/// rows in (group display, window, emission) order — the order of
-/// [`ExecutorResults::of_query_sorted`]. Each group is formatted once and
-/// only the `n_rows` smallest rows are sorted, so the cost stays one pass
-/// over the rows when a few of many are printed.
-fn print_summary(results: &ExecutorResults, label: &str, q: QueryId, n_rows: usize) {
-    let rows = results.rows().filter(|row| row.0 == q).count();
-    let total = results.total_count(q);
-    println!("  {label}: {rows} (group, window) results, total count {total}");
-    if n_rows == 0 {
-        return;
-    }
+/// A row picked for printing: group id, window, emission order within its
+/// query, value.
+type Picked = (u32, Timestamp, usize, AggValue);
+
+/// For each query `q` below `labels.len()`, print its summary line under
+/// `labels[q]`, then its first `n_rows` rows in (group display, window,
+/// emission) order — the order of [`ExecutorResults::of_query_sorted`].
+/// One pass over the log counts, totals and picks for every query at once:
+/// each group is formatted once, and a query holds at most `2 × n_rows`
+/// candidate rows, cut back to its `n_rows` smallest whenever it fills.
+fn print_summaries(results: &ExecutorResults, labels: &[String], n_rows: usize) {
     let mut names: Vec<Option<String>> = Vec::new();
-    let mut picked = Vec::with_capacity(rows);
-    for (i, (_, gid, window, value)) in results.rows().filter(|row| row.0 == q).enumerate() {
+    let mut summaries: Vec<(usize, u128, Vec<Picked>)> =
+        labels.iter().map(|_| (0, 0, Vec::new())).collect();
+    for (q, gid, window, value) in results.rows() {
+        let Some((rows, total, picked)) = summaries.get_mut(q.0 as usize) else {
+            continue;
+        };
+        *rows += 1;
+        *total = total.saturating_add(value.as_count().unwrap_or(0));
+        if n_rows == 0 {
+            continue;
+        }
         let g = gid as usize;
         if names.len() <= g {
             names.resize(g + 1, None);
         }
         names[g].get_or_insert_with(|| results.group(gid).to_string());
-        picked.push((gid, window, i, value));
+        picked.push((gid, window, *rows - 1, value));
+        if picked.len() >= n_rows.saturating_mul(2) {
+            keep_smallest(picked, n_rows, &names);
+        }
     }
-    let key = |row: &(u32, Timestamp, usize, _)| (names[row.0 as usize].as_deref(), row.1, row.2);
-    if picked.len() > n_rows {
-        picked.select_nth_unstable_by_key(n_rows, key);
-        picked.truncate(n_rows);
+    for (label, (rows, total, mut picked)) in labels.iter().zip(summaries) {
+        println!("  {label}: {rows} (group, window) results, total count {total}");
+        keep_smallest(&mut picked, n_rows, &names);
+        picked.sort_unstable_by_key(|row| picked_key(row, &names));
+        for (gid, window, _, value) in picked {
+            let group = names[gid as usize].as_deref().unwrap_or_default();
+            println!("      group={group} window@{window}: {value}");
+        }
     }
-    picked.sort_unstable_by_key(key);
-    for (gid, window, _, value) in picked {
-        let group = names[gid as usize].as_deref().unwrap_or_default();
-        println!("      group={group} window@{window}: {value}");
+}
+
+/// The print order of a picked row: group display, window, emission.
+fn picked_key<'a>(
+    row: &Picked,
+    names: &'a [Option<String>],
+) -> (Option<&'a str>, Timestamp, usize) {
+    (names[row.0 as usize].as_deref(), row.1, row.2)
+}
+
+/// Cut `picked` back to its `n` smallest rows in print order.
+fn keep_smallest(picked: &mut Vec<Picked>, n: usize, names: &[Option<String>]) {
+    if picked.len() > n {
+        picked.select_nth_unstable_by_key(n, |row| picked_key(row, names));
+        picked.truncate(n);
     }
 }
 
@@ -741,8 +767,6 @@ fn run_churn(
         swaps,
         sharon::metrics::swap_windows_lost()
     );
-    for i in 0..handles {
-        let label = format!("handle {}", i + 1);
-        print_summary(&results, &label, QueryId(i), args.results);
-    }
+    let labels: Vec<String> = (1..=handles).map(|i| format!("handle {i}")).collect();
+    print_summaries(&results, &labels, args.results);
 }

@@ -5,13 +5,14 @@
 //! a [`GroupKey`] is stored once per group and never per result. An engine
 //! emits one group's window close at a time, so consecutive rows share a
 //! group id and window: the log stores each such **run** once (16 bytes)
-//! and a row as its query and an 8-byte value (13 bytes). Columns grow in
-//! fixed-size segments — no multi-MiB buffer is ever reallocated and
-//! copied — and every hop from window close to the caller is an append or
-//! a move: engines emit with the id they interned for a group,
-//! [`ExecutorResults::merge`] moves whole segments and rewrites only the
-//! runs' group ids (one key lookup per *distinct group*, one write per
-//! run, none per row).
+//! and a row as two varints in one byte column, its query and a header
+//! carrying the value (see `Segment`): a count below 32 under a query
+//! below 128 takes 2 bytes. Columns grow in fixed-size segments — no
+//! multi-MiB buffer is ever reallocated and copied — and every hop from
+//! window close to the caller is an append or a move: engines emit with
+//! the id they interned for a group, [`ExecutorResults::merge`] moves
+//! whole segments and rewrites only the runs' group ids (one key lookup
+//! per *distinct group*, one write per run, none per row).
 //!
 //! The hash index behind [`ExecutorResults::get`] and
 //! [`ExecutorResults::semantically_eq`] is built on first use and serves
@@ -23,17 +24,54 @@ use sharon_query::QueryId;
 use sharon_types::{FxHashMap, GroupKey, Timestamp};
 use std::sync::OnceLock;
 
-/// Rows per column segment. The first segment of a set grows by `Vec`
-/// doubling up to this size (small sets stay small); later ones are
-/// allocated whole.
+/// Rows per segment. The first segment of a set grows by `Vec` doubling
+/// (small sets stay small); later ones start at the previous one's size.
 const SEGMENT_ROWS: usize = 4096;
 
+/// Value kinds of a checkpoint record.
 const KIND_COUNT: u8 = 0;
 const KIND_NULL: u8 = 1;
 const KIND_NUMBER: u8 = 2;
-/// A count above `u64::MAX`: the lane indexes the segment's wide table.
-/// Checkpoints never hold this kind (they write every count in 16 bytes).
-const KIND_WIDE: u8 = 3;
+
+/// The low two bits of a row's header varint: a count inline in the
+/// header's upper bits, a null, an `f64` in the next 8 bytes, or a count
+/// of 2⁶² or more in the next 16 (all little-endian).
+const TAG_COUNT: u64 = 0;
+const TAG_NULL: u64 = 1;
+const TAG_NUMBER: u64 = 2;
+const TAG_WIDE: u64 = 3;
+
+/// The longest row: a 5-byte query varint, a 1-byte tag and a 16-byte
+/// count.
+const MAX_ROW_BYTES: usize = 22;
+
+/// Append `v` as a LEB128 varint to `out` at `at`; return the end.
+#[inline]
+fn put_varint(out: &mut [u8; MAX_ROW_BYTES], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        out[at] = v as u8 | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    out[at] = v as u8;
+    at + 1
+}
+
+/// Read the LEB128 varint at `*at`, advancing past it.
+#[inline]
+fn get_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let mut v = 0;
+    let mut shift = 0;
+    loop {
+        let b = bytes[*at];
+        *at += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
 
 /// Consecutive rows of one segment that share a group id and window.
 #[derive(Debug, Clone, Copy)]
@@ -45,27 +83,26 @@ struct Run {
     window: Timestamp,
 }
 
-/// A slice of the log, stored column-wise: 13 bytes per row (`query`, an
-/// 8-byte value lane, the value kind) plus 16 bytes per run.
+/// A slice of the log: its rows in one byte column plus 16 bytes per run.
+///
+/// A row is `varint(query)` and one header varint: `count << 2` for a
+/// count below 2⁶², `1` for null, `2` and the 8 bytes of an `f64`, or `3`
+/// and the 16 bytes of a wider count. Varints are LEB128: 7 bits a byte.
 #[derive(Debug, Clone, Default)]
 struct Segment {
-    query: Vec<u32>,
-    /// A count that fits 64 bits, an `f64`'s bits, 0 for null, or an
-    /// index into `wide`.
-    value: Vec<u64>,
-    kind: Vec<u8>,
+    bytes: Vec<u8>,
+    /// Rows in `bytes`.
+    len: usize,
     /// Starts at the previous segment's run count (plus a sixteenth) and
     /// grows by doubling; only [`ExecutorResults::reserve`] sizes it for
     /// one run per row.
     runs: Vec<Run>,
-    /// Counts above `u64::MAX`, in row order.
-    wide: Vec<u128>,
 }
 
 impl Segment {
     #[inline]
     fn len(&self) -> usize {
-        self.query.len()
+        self.len
     }
 
     #[inline]
@@ -78,84 +115,97 @@ impl Segment {
                 window,
             }),
         }
-        let (lane, kind) = match value {
-            AggValue::Count(c) => match u64::try_from(c) {
-                Ok(c) => (c, KIND_COUNT),
-                Err(_) => (self.push_wide(c), KIND_WIDE),
-            },
-            AggValue::Number(None) => (0, KIND_NULL),
-            AggValue::Number(Some(x)) => (x.to_bits(), KIND_NUMBER),
+        let mut row = [0; MAX_ROW_BYTES];
+        let at = put_varint(&mut row, 0, query.into());
+        let end = match value {
+            AggValue::Count(c) if c < 1 << 62 => put_varint(&mut row, at, (c as u64) << 2),
+            AggValue::Number(None) => put_varint(&mut row, at, TAG_NULL),
+            AggValue::Number(Some(x)) => {
+                let at = put_varint(&mut row, at, TAG_NUMBER);
+                row[at..at + 8].copy_from_slice(&x.to_bits().to_le_bytes());
+                at + 8
+            }
+            AggValue::Count(c) => {
+                let at = put_varint(&mut row, at, TAG_WIDE);
+                row[at..at + 16].copy_from_slice(&c.to_le_bytes());
+                at + 16
+            }
         };
-        self.query.push(query);
-        self.value.push(lane);
-        self.kind.push(kind);
+        self.bytes.extend_from_slice(&row[..end]);
+        self.len += 1;
     }
 
-    #[cold]
-    fn push_wide(&mut self, count: u128) -> u64 {
-        self.wide.push(count);
-        (self.wide.len() - 1) as u64
-    }
-
-    /// Copy `other`'s rows and runs behind this segment's, re-indexing its
-    /// wide lanes into this segment's table.
+    /// Copy `other`'s rows and runs behind this segment's.
     fn append(&mut self, other: &Segment) {
-        self.query.extend_from_slice(&other.query);
-        self.kind.extend_from_slice(&other.kind);
+        self.bytes.extend_from_slice(&other.bytes);
         self.runs.extend_from_slice(&other.runs);
-        if other.wide.is_empty() {
-            self.value.extend_from_slice(&other.value);
-        } else {
-            let base = self.wide.len() as u64;
-            let lanes = other.value.iter().zip(&other.kind);
-            self.value.extend(
-                lanes.map(|(&lane, &kind)| if kind == KIND_WIDE { base + lane } else { lane }),
-            );
-            self.wide.extend_from_slice(&other.wide);
-        }
+        self.len += other.len;
     }
 
-    /// Grow the row columns to a whole segment's capacity.
-    fn reserve_rows(&mut self) {
-        let room = SEGMENT_ROWS - self.len();
-        self.query.reserve_exact(room);
-        self.value.reserve_exact(room);
-        self.kind.reserve_exact(room);
-    }
-
-    /// Grow the row columns to a whole segment's capacity, and the runs
-    /// to one per row of room: every further row fits without allocating.
+    /// Grow the byte column to a whole segment of the longest rows, and
+    /// the runs to one per row of room: every further row fits without
+    /// allocating.
     fn reserve_whole(&mut self) {
+        let bytes = SEGMENT_ROWS * MAX_ROW_BYTES - self.bytes.len();
+        self.bytes.reserve_exact(bytes);
         self.runs.reserve_exact(SEGMENT_ROWS - self.len());
-        self.reserve_rows();
-    }
-
-    #[inline]
-    fn value_at(&self, row: usize) -> AggValue {
-        let lane = self.value[row];
-        match self.kind[row] {
-            KIND_COUNT => AggValue::Count(lane.into()),
-            KIND_NULL => AggValue::Number(None),
-            KIND_NUMBER => AggValue::Number(Some(f64::from_bits(lane))),
-            _ => AggValue::Count(self.wide[lane as usize]),
-        }
     }
 
     /// The segment's rows, in order: `(query, group id, window, value)`.
-    fn rows(&self) -> impl Iterator<Item = (QueryId, u32, Timestamp, AggValue)> + '_ {
-        let mut end = 0;
-        self.runs.iter().flat_map(move |run| {
-            let start = end;
-            end += run.len as usize;
-            (start..end).map(move |i| {
-                (
-                    QueryId(self.query[i]),
-                    run.group,
-                    run.window,
-                    self.value_at(i),
-                )
-            })
-        })
+    fn rows(&self) -> SegmentRows<'_> {
+        SegmentRows {
+            bytes: &self.bytes,
+            at: 0,
+            runs: self.runs.iter(),
+            group: 0,
+            window: Timestamp(0),
+            left: 0,
+        }
+    }
+}
+
+/// The decoder behind [`Segment::rows`]: a cursor into the byte column
+/// and the run it is in.
+struct SegmentRows<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    runs: std::slice::Iter<'a, Run>,
+    group: u32,
+    window: Timestamp,
+    /// Rows of the current run not yet decoded.
+    left: u32,
+}
+
+impl SegmentRows<'_> {
+    #[inline]
+    fn raw<const N: usize>(&mut self) -> [u8; N] {
+        let raw = self.bytes[self.at..self.at + N]
+            .try_into()
+            .expect("a slice of N bytes");
+        self.at += N;
+        raw
+    }
+}
+
+impl Iterator for SegmentRows<'_> {
+    type Item = (QueryId, u32, Timestamp, AggValue);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.left == 0 {
+            let run = self.runs.next()?;
+            (self.group, self.window, self.left) = (run.group, run.window, run.len);
+        }
+        self.left -= 1;
+        let query = get_varint(self.bytes, &mut self.at) as u32;
+        let header = get_varint(self.bytes, &mut self.at);
+        let value = match header & 3 {
+            TAG_COUNT => AggValue::Count((header >> 2).into()),
+            TAG_NULL => AggValue::Number(None),
+            TAG_NUMBER => AggValue::Number(Some(f64::from_bits(u64::from_le_bytes(self.raw())))),
+            _ => AggValue::Count(u128::from_le_bytes(self.raw())),
+        };
+        Some((QueryId(query), self.group, self.window, value))
     }
 }
 
@@ -237,7 +287,7 @@ impl ExecutorResults {
 
     /// Record a result for a group id handed out by this set's
     /// [`ExecutorResults::add_group`] or [`ExecutorResults::intern`]: one
-    /// append per row column, no key clone, no hash. A row with the
+    /// append to the byte column, no key clone, no hash. A row with the
     /// previous row's group id and window extends its run; any other row
     /// opens one.
     #[inline]
@@ -263,11 +313,12 @@ impl ExecutorResults {
         let seg = self.spare.pop().unwrap_or_else(|| {
             let mut seg = Segment::default();
             if let Some(last) = self.segs.last() {
-                seg.reserve_rows();
-                // a log's run length barely moves from one segment to the
-                // next: start at the last one's run count and a sixteenth
-                // more, so the runs seldom double and waste little
-                let runs = last.runs.len();
+                // a log's row width and run length barely move from one
+                // segment to the next: start at the last one's byte length
+                // and run count and a sixteenth more, so the columns seldom
+                // double and waste little
+                let (bytes, runs) = (last.bytes.len(), last.runs.len());
+                seg.bytes.reserve_exact(bytes + bytes / 16);
                 seg.runs.reserve_exact((runs + runs / 16).min(SEGMENT_ROWS));
             }
             seg
@@ -317,9 +368,9 @@ impl ExecutorResults {
         self.keys.len()
     }
 
-    /// Reserve column capacity for at least `additional` further rows (and
-    /// as many runs), so a steady-state emission phase performs no
-    /// allocation.
+    /// Reserve column capacity for at least `additional` further rows of
+    /// the longest encoding (and as many runs), so a steady-state emission
+    /// phase performs no allocation.
     pub fn reserve(&mut self, additional: usize) {
         let mut room = self.spare.len() * SEGMENT_ROWS;
         if let Some(last) = self.segs.last_mut() {
@@ -583,33 +634,87 @@ mod tests {
         );
     }
 
-    #[test]
-    fn values_survive_the_8_byte_lane_and_wide_table() {
-        let values = [
-            AggValue::Count(0),
-            AggValue::Count(u128::MAX),
-            AggValue::Count(u64::MAX.into()),
-            AggValue::Count(1 << 64),
-            AggValue::Number(None),
-            AggValue::Number(Some(-0.0)),
-            AggValue::Number(Some(f64::INFINITY)),
-            AggValue::Number(Some(1.5e-300)),
-        ];
-        let mut seg = Segment::default();
-        for (q, v) in (0..).zip(values) {
-            seg.push(q, 0, Timestamp(0), v);
+    /// A value's exact identity: counts by value, numbers by their bits
+    /// (so a NaN and −0.0 compare), null apart from every number.
+    fn exact(v: &AggValue) -> (bool, u128) {
+        match v {
+            AggValue::Count(c) => (false, *c),
+            AggValue::Number(x) => (true, x.map_or(u128::MAX, |x| x.to_bits().into())),
         }
-        assert_eq!(seg.wide, [u128::MAX, 1 << 64], "only counts past 64 bits");
-        let read = |seg: &Segment| seg.rows().map(|row| row.3).collect::<Vec<_>>();
-        assert_eq!(read(&seg), values);
-        // appended behind a segment with a wide count of its own, the wide
-        // lanes point past that segment's table
+    }
+
+    /// Each row's query and exact value.
+    fn exact_rows(
+        rows: impl Iterator<Item = (QueryId, u32, Timestamp, AggValue)>,
+    ) -> Vec<(u32, (bool, u128))> {
+        rows.map(|(q, _, _, v)| (q.0, exact(&v))).collect()
+    }
+
+    #[test]
+    fn every_varint_and_tag_boundary_round_trips() {
+        // (value, encoded header bytes): a count below 2⁶² sits inline
+        // shifted past the two tag bits, so 31 is the last 1-byte count
+        let values = [
+            (AggValue::Count(0), 1),
+            (AggValue::Count(31), 1),
+            (AggValue::Count(32), 2),
+            (AggValue::Count((1 << 62) - 1), 10),
+            (AggValue::Count(1 << 62), 17),
+            (AggValue::Count(u64::MAX.into()), 17),
+            (AggValue::Count(u128::from(u64::MAX) + 1), 17),
+            (AggValue::Count(u128::MAX), 17),
+            (AggValue::Number(None), 1),
+            (AggValue::Number(Some(-0.0)), 9),
+            (AggValue::Number(Some(f64::INFINITY)), 9),
+            (AggValue::Number(Some(f64::NAN)), 9),
+            (AggValue::Number(Some(f64::from_bits(1))), 9), // subnormal
+        ];
+        // (query id, encoded bytes): LEB128 holds 7 bits a byte
+        let queries = [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u32::MAX, 5),
+        ];
+        let rows: Vec<(u32, AggValue)> = queries
+            .iter()
+            .flat_map(|&(q, _)| values.iter().map(move |&(v, _)| (q, v)))
+            .collect();
+        let want: Vec<_> = rows.iter().map(|(q, v)| (*q, exact(v))).collect();
+        // push → rows, in runs of three
+        let mut r = ExecutorResults::new();
+        let gid = r.add_group(key(1));
+        for (i, &(q, v)) in (0..).zip(&rows) {
+            r.emit_interned(QueryId(q), gid, Timestamp(i / 3), v);
+        }
+        assert_eq!(exact_rows(r.rows()), want);
+        let width: usize = queries.iter().map(|q| q.1).sum::<usize>() * values.len()
+            + values.iter().map(|v| v.1).sum::<usize>() * queries.len();
+        assert_eq!(r.segs[0].bytes.len(), width, "each row at its width");
+        // append: behind a segment of its own rows
         let mut front = Segment::default();
-        front.push(9, 1, Timestamp(4), AggValue::Count(u128::MAX - 1));
-        front.append(&seg);
-        assert_eq!(front.wide.len(), 3);
-        assert_eq!(read(&front)[1..], values);
-        assert_eq!(read(&front)[0], AggValue::Count(u128::MAX - 1));
+        front.push(9, 1, Timestamp(4), AggValue::Count(1 << 62));
+        front.append(&r.segs[0]);
+        assert_eq!(exact_rows(front.rows().skip(1)), want);
+        assert_eq!(front.rows().next().unwrap().3, AggValue::Count(1 << 62));
+        // a remapping merge: key 1 is id 1 in the set it is copied into
+        let mut into = ExecutorResults::new();
+        into.emit(QueryId(7), key(2), Timestamp(0), AggValue::Count(1));
+        into.merge(r.clone());
+        assert_eq!(into.segs.len(), 1, "copied into the open segment");
+        assert!(into.rows().skip(1).all(|row| row.1 == 1));
+        assert_eq!(exact_rows(into.rows().skip(1)), want);
+        // save_state → load_state
+        let mut w = crate::checkpoint::StateWriter::new();
+        r.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut rd = crate::checkpoint::StateReader::new(&bytes);
+        let back = ExecutorResults::load_state(&mut rd).unwrap();
+        assert!(rd.is_exhausted());
+        assert_eq!(exact_rows(back.rows()), want);
+        assert_eq!(back.segs[0].bytes, r.segs[0].bytes);
     }
 
     #[test]
@@ -703,10 +808,10 @@ mod tests {
         for w in 0..10 {
             src.emit_interned(QueryId(0), gid, Timestamp(w), AggValue::Count(1));
         }
-        let (column, runs) = (src.segs[0].value.as_ptr(), src.segs[0].runs.as_ptr());
+        let (column, runs) = (src.segs[0].bytes.as_ptr(), src.segs[0].runs.as_ptr());
         let mut dst = ExecutorResults::new();
         dst.merge(src);
-        assert_eq!(dst.segs[0].value.as_ptr(), column, "moved, not copied");
+        assert_eq!(dst.segs[0].bytes.as_ptr(), column, "moved, not copied");
         assert_eq!(dst.segs[0].runs.as_ptr(), runs);
         assert!(dst.by_key.is_none(), "a move needs no key lookup");
         assert_eq!(dst.len(), 10);
@@ -762,19 +867,22 @@ mod tests {
     fn reserve_sets_whole_segments_aside() {
         let mut r = engine_like(0, 0, 1, 10);
         r.reserve(2 * SEGMENT_ROWS);
-        let reserved: usize = r.segs[0].value.capacity() - r.segs[0].len()
-            + r.spare.iter().map(|s| s.value.capacity()).sum::<usize>();
-        assert!(reserved >= 2 * SEGMENT_ROWS);
-        let (segs_cap, first) = (r.segs.capacity(), r.segs[0].kind.as_ptr());
+        let reserved: usize = r.segs[0].bytes.capacity() - r.segs[0].bytes.len()
+            + r.spare.iter().map(|s| s.bytes.capacity()).sum::<usize>();
+        assert!(reserved >= 2 * SEGMENT_ROWS * MAX_ROW_BYTES);
+        let (segs_cap, first) = (r.segs.capacity(), r.segs[0].bytes.as_ptr());
         let first_runs = r.segs[0].runs.as_ptr();
         // a window per row: the worst case, one run per row
         for w in 0..2 * SEGMENT_ROWS as u64 {
             r.emit_interned(QueryId(0), 0, Timestamp(100 + w), AggValue::Count(1));
         }
         assert_eq!(r.segs.capacity(), segs_cap);
-        assert_eq!(r.segs[0].kind.as_ptr(), first, "no column was reallocated");
+        assert_eq!(r.segs[0].bytes.as_ptr(), first, "no column was reallocated");
         assert_eq!(r.segs[0].runs.as_ptr(), first_runs);
-        assert!(r.segs.iter().all(|s| s.value.capacity() == SEGMENT_ROWS));
+        assert!(r
+            .segs
+            .iter()
+            .all(|s| s.bytes.capacity() == SEGMENT_ROWS * MAX_ROW_BYTES));
         assert!(r.segs.iter().all(|s| s.runs.capacity() == SEGMENT_ROWS));
     }
 
@@ -955,7 +1063,10 @@ mod tests {
             r.rows().collect::<Vec<_>>()
         );
         assert_eq!(back.segs[0].runs.len(), 2, "loading rebuilds the runs");
-        assert_eq!(back.segs[0].wide, [1 << 64]);
+        assert_eq!(
+            back.segs[0].bytes, r.segs[0].bytes,
+            "and encodes each row alike"
+        );
     }
 
     #[test]
@@ -1022,9 +1133,9 @@ mod tests {
         TakeAndRemerge(usize, usize),
         Reserve(usize, usize),
         /// An engine's window close: one `add_group`, then queries
-        /// `0..=.2` by id under one group and window.
+        /// `QUERY_IDS[..=.2]` by id under one group and window.
         Run(usize, ModelKey, usize, u64),
-        /// A count at or past the 64-bit lane: `EXTREME[.2]`.
+        /// A count at the inline-count or 64-bit boundary: `EXTREME[.2]`.
         Extreme(usize, ModelKey, usize),
         /// Engine-style runs of `.2` queries over fresh windows until the
         /// set's open segment is full, then `.3` rows more. The first burst
@@ -1032,15 +1143,22 @@ mod tests {
         Burst(usize, i64, usize, usize),
     }
 
-    const EXTREME: [u128; 3] = [u64::MAX as u128, u64::MAX as u128 + 1, u128::MAX];
+    const EXTREME: [u128; 5] = [
+        (1 << 62) - 1,
+        1 << 62,
+        u64::MAX as u128,
+        u64::MAX as u128 + 1,
+        u128::MAX,
+    ];
 
-    /// Queries an op can emit under: `0..QUERIES`.
-    const QUERIES: u32 = 8;
+    /// Queries an op can emit under: ids whose varints take 1, 2, 3, 4 and
+    /// 5 bytes. `id ^ 2` is never one of them.
+    const QUERY_IDS: [u32; 8] = [0, 1, 127, 128, 16_384, 1 << 21, 1 << 28, u32::MAX];
 
     const SETS: usize = 3;
 
     fn model_key() -> impl Strategy<Value = ModelKey> {
-        (0u32..3, -1i64..5, 0u64..2000)
+        (0..QUERY_IDS.len(), -1i64..5, 0u64..2000).prop_map(|(q, g, w)| (QUERY_IDS[q], g, w))
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -1056,7 +1174,7 @@ mod tests {
             (set(), 0usize..3 * SEGMENT_ROWS).prop_map(|(s, n)| Op::Reserve(s, n)),
             (set(), model_key(), 0usize..8, 0u64..100).prop_map(|(s, k, n, v)| Op::Run(s, k, n, v)),
             (set(), model_key(), 0usize..8, 0u64..100).prop_map(|(s, k, n, v)| Op::Run(s, k, n, v)),
-            (set(), model_key(), 0usize..3).prop_map(|(s, k, i)| Op::Extreme(s, k, i)),
+            (set(), model_key(), 0..EXTREME.len()).prop_map(|(s, k, i)| Op::Extreme(s, k, i)),
             (set(), -1i64..5, 1usize..=8, 1usize..64)
                 .prop_map(|(s, g, r, n)| Op::Burst(s, g, r, n)),
         ]
@@ -1068,15 +1186,16 @@ mod tests {
     fn check(set: &ExecutorResults, model: &Model) -> Result<(), TestCaseError> {
         prop_assert_eq!(set.len(), model.len());
         prop_assert_eq!(set.is_empty(), model.is_empty());
-        // the layout: runs partition each segment's rows; wide lanes index
-        // the segment's own table
+        // the layout: runs partition each segment's rows, and decoding
+        // them ends exactly at the end of the byte column
         for seg in &set.segs {
             prop_assert!(seg.len() <= SEGMENT_ROWS);
             prop_assert!(seg.runs.iter().all(|run| run.len > 0));
             let run_rows: usize = seg.runs.iter().map(|run| run.len as usize).sum();
             prop_assert_eq!(run_rows, seg.len());
-            let wide = seg.kind.iter().filter(|&&k| k == KIND_WIDE).count();
-            prop_assert_eq!(wide, seg.wide.len());
+            let mut decode = seg.rows();
+            prop_assert_eq!(decode.by_ref().count(), seg.len());
+            prop_assert_eq!(decode.at, seg.bytes.len());
         }
         let mut by_key: BTreeMap<ModelKey, Vec<AggValue>> = BTreeMap::new();
         for (k, v) in model {
@@ -1091,11 +1210,7 @@ mod tests {
                 GroupKey::One(sharon_types::Value::Int(g)) => *g,
                 other => panic!("not a model group: {other}"),
             };
-            let v = match v {
-                AggValue::Count(c) => (0, *c),
-                AggValue::Number(x) => (1, x.map_or(u128::MAX, |x| x.to_bits().into())),
-            };
-            (q, g, w, v)
+            (q, g, w, exact(v))
         };
         let mut want: Vec<_> = model
             .iter()
@@ -1119,16 +1234,19 @@ mod tests {
             let got = set.get(QueryId(*q), &model_group(*g), Timestamp(*w));
             prop_assert!(got.is_some_and(|v| vs.contains(v)), "{:?}", (q, g, w));
             prop_assert!(set
-                .get(QueryId(*q + QUERIES), &model_group(*g), Timestamp(*w))
+                .get(QueryId(*q ^ 2), &model_group(*g), Timestamp(*w))
                 .is_none());
         }
-        let mut per_query = [(0, 0u128); QUERIES as usize];
+        let mut per_query = QUERY_IDS.map(|q| (q, 0, 0u128));
         for ((q, _, _), v) in model {
-            let (n, total) = &mut per_query[*q as usize];
+            let (_, n, total) = per_query
+                .iter_mut()
+                .find(|tally| tally.0 == *q)
+                .expect("a model query id");
             *n += 1;
             *total = total.saturating_add(v.as_count().unwrap_or(0));
         }
-        for (q, (n, total)) in (0..).zip(per_query) {
+        for (q, n, total) in per_query {
             prop_assert_eq!(set.of_query(QueryId(q)).count(), n);
             prop_assert_eq!(set.of_query_sorted(QueryId(q)).len(), n);
             prop_assert_eq!(set.total_count(QueryId(q)), total);
@@ -1200,8 +1318,8 @@ mod tests {
                     Op::Reserve(s, n) => sets[s].reserve(n),
                     Op::Run(s, k, last, n) => {
                         let gid = sets[s].add_group(model_group(k.1));
-                        for q in 0..=last as u32 {
-                            let v = value_of(n + u64::from(q));
+                        for (&q, i) in QUERY_IDS[..=last].iter().zip(0..) {
+                            let v = value_of(n + i);
                             sets[s].emit_interned(QueryId(q), gid, Timestamp(k.2), v);
                             models[s].push(((q, k.1, k.2), v));
                         }
@@ -1215,12 +1333,12 @@ mod tests {
                         let open = sets[s].segs.last().map_or(0, |seg| seg.len());
                         let gid = sets[s].add_group(model_group(g));
                         for i in 0..SEGMENT_ROWS - open + extra {
-                            let q = (i % run) as u32;
-                            if q == 0 {
+                            let q = QUERY_IDS[i % run];
+                            if i % run == 0 {
                                 fresh += 1;
                             }
                             let v = if i % 97 == 0 {
-                                AggValue::Count(EXTREME[i % 3])
+                                AggValue::Count(EXTREME[i % EXTREME.len()])
                             } else {
                                 value_of(i as u64)
                             };

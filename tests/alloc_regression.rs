@@ -1012,11 +1012,18 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
 fn result_log_stores_a_window_close_as_one_run() {
     let _serial = serial();
     // rows by interned id, the way an engine closes windows: `run` queries
-    // of one group and window in a row. A row is 13 bytes and a run 16, so
-    // runs of 8 cost 15 bytes a row (15.15 with the run column's slack) and
-    // runs of 1 cost 29 (the log stored 33 bytes a row before runs)
+    // of one group and window in a row. A run is 16 bytes; a row is a
+    // 1-byte query varint and a header varint holding `count << 2`, so
+    // counts below 32 take 1 byte, below 4096 two, and the counts 0..2¹⁸
+    // used below 2.98 on average: 3.98 bytes a row. Each segment's columns start
+    // at the previous one's length and a sixteenth more, so runs of 8 cost
+    // (3.98 + 2) × 17/16 = 6.36 bytes a row and runs of 1 cost 3.98 × 17/16
+    // + 16 = 20.23 (the run column is capped at one run per row). LR's
+    // results, counts below 32 in runs of its queries, cost (2 + 2) × 17/16
+    // = 4.25. Each bound leaves the 0.075 / 0.1 over its derivation that
+    // the 13-byte layout's bounds left (it stored 15.15 and 29.03).
     const ROWS: usize = 64 * 4096;
-    let bytes_per_row = |run: usize| {
+    let bytes_per_row = |run: usize, count: fn(usize) -> u128| {
         let before = alloc::current_bytes();
         let mut log = ExecutorResults::new();
         let gid = log.add_group(GroupKey::Global);
@@ -1025,16 +1032,21 @@ fn result_log_stores_a_window_close_as_one_run() {
                 QueryId((i % run) as u32),
                 gid,
                 Timestamp((i / run) as u64),
-                sharon::query::aggregate::AggValue::Count(i as u128),
+                sharon::query::aggregate::AggValue::Count(count(i)),
             );
         }
         let grown = alloc::current_bytes() - before;
         assert_eq!(log.len(), ROWS);
         grown as f64 / ROWS as f64
     };
-    let eight = bytes_per_row(8);
-    let one = bytes_per_row(1);
-    eprintln!("result log: {eight:.3} B/row in runs of 8, {one:.3} B/row in runs of 1");
-    assert!(eight <= 15.2, "runs of 8 cost {eight:.3} bytes a row");
-    assert!(one <= 29.1, "runs of 1 cost {one:.3} bytes a row");
+    let eight = bytes_per_row(8, |i| i as u128);
+    let one = bytes_per_row(1, |i| i as u128);
+    let lr = bytes_per_row(8, |i| (i % 32) as u128);
+    eprintln!(
+        "result log: {eight:.3} B/row in runs of 8, {one:.3} B/row in runs of 1, \
+         {lr:.3} B/row for LR-sized counts"
+    );
+    assert!(eight <= 6.44, "runs of 8 cost {eight:.3} bytes a row");
+    assert!(one <= 20.33, "runs of 1 cost {one:.3} bytes a row");
+    assert!(lr <= 4.33, "LR-sized rows cost {lr:.3} bytes a row");
 }
