@@ -120,6 +120,9 @@ struct SigSlot {
     /// Live handles referencing this evaluation; 0 = tombstone awaiting
     /// fold-out at the next re-optimization.
     refs: u32,
+    /// Every handle ever attached to this evaluation, detached ones
+    /// included, in ascending order: the handles its rows settle onto.
+    handles: Vec<u32>,
 }
 
 /// The engine hosting one plan incarnation.
@@ -319,10 +322,13 @@ impl SharonSession {
                         sig,
                         query: q.clone(),
                         refs: 1,
+                        handles: Vec::new(),
                     });
                     session.sigs.len() - 1
                 }
             };
+            let handle = session.handles.len() as u32;
+            session.sigs[slot].handles.push(handle);
             session.handles.push(HandleSlot {
                 sig: slot,
                 attached_after: None,
@@ -392,6 +398,7 @@ impl SharonSession {
                     sig,
                     query,
                     refs: 1,
+                    handles: Vec::new(),
                 });
                 self.sidecars.push(Incarnation {
                     host: Host::Seq(ex),
@@ -405,6 +412,7 @@ impl SharonSession {
             }
         };
         let handle = QueryHandle(self.handles.len() as u32);
+        self.sigs[slot].handles.push(handle.0);
         self.handles.push(HandleSlot {
             sig: slot,
             attached_after: self.frontier,
@@ -524,6 +532,7 @@ impl SharonSession {
             let results = inc.host.harvest();
             settle_into(
                 &self.handles,
+                &self.sigs,
                 &mut self.settled,
                 &inc.sigs,
                 inc.lo,
@@ -728,15 +737,25 @@ impl SharonSession {
             host, sigs, lo, hi, ..
         } = inc;
         let results = host.finish();
-        settle_into(&self.handles, &mut self.settled, &sigs, lo, hi, &results);
+        settle_into(
+            &self.handles,
+            &self.sigs,
+            &mut self.settled,
+            &sigs,
+            lo,
+            hi,
+            &results,
+        );
     }
 }
 
 /// Re-key an incarnation's results onto handles: keep windows inside the
 /// incarnation's ownership interval `(lo, hi]`, then emit one copy per
-/// handle aliasing the window's sig slot whose lifetime covers it.
+/// handle aliasing the window's sig slot whose lifetime covers it, in
+/// ascending handle order.
 fn settle_into(
     handles: &[HandleSlot],
+    slots: &[SigSlot],
     settled: &mut ExecutorResults,
     sigs: &[usize],
     lo: Option<Timestamp>,
@@ -751,14 +770,13 @@ fn settle_into(
         if lo.is_some_and(|l| w <= l) || hi.is_some_and(|h| w > h) {
             continue;
         }
-        let slot = sigs[qid.0 as usize];
-        for (h_idx, h) in handles.iter().enumerate() {
-            if h.sig == slot && h.owns(w) {
+        for &h in &slots[sigs[qid.0 as usize]].handles {
+            if handles[h as usize].owns(w) {
                 let to = &mut settled_gid[gid as usize];
                 if *to == UNSETTLED {
                     *to = settled.intern(results.group(gid));
                 }
-                settled.emit_interned(QueryId(h_idx as u32), *to, w, value);
+                settled.emit_interned(QueryId(h), *to, w, value);
             }
         }
     }
@@ -837,6 +855,62 @@ mod tests {
         assert_eq!(session.sidecar_count(), 1, "new signature needs a sidecar");
         assert!(session.is_attached(h2));
         assert_eq!(session.attached_count(), 3);
+    }
+
+    #[test]
+    fn settled_rows_follow_each_signatures_handles_in_order() {
+        const AB: &str = "RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10 s SLIDE 2 s";
+        const BA: &str = "RETURN COUNT(*) PATTERN SEQ(B, A) WITHIN 10 s SLIDE 2 s";
+        // handles 0 and 1 alias SEQ(A, B), handle 2 is SEQ(B, A); all three
+        // stay attached and own every window, so each shows the rows its
+        // signature's evaluation emitted, in emission order
+        let (mut session, extra) = session_over(&[AB, AB, BA], &[AB, BA]);
+        let [ab, ba] = extra.try_into().ok().unwrap();
+        let attach = |session: &mut SharonSession, q: &Query, n: usize| {
+            (0..n)
+                .map(|_| session.attach(q.clone()).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let early = attach(&mut session, &ab, 3);
+        feed(&mut session, &["A", "B"], 0, 6_000);
+        let mid = attach(&mut session, &ba, 2);
+        let late = attach(&mut session, &ab, 2);
+        session.detach(early[1]);
+        feed(&mut session, &["A", "B"], 6_000, 14_000);
+        session.detach(mid[0]);
+        session.detach(late[1]);
+        attach(&mut session, &ba, 1);
+        assert_eq!(session.sidecar_count(), 0, "every attach aliases");
+        assert_eq!(session.handle_count(), 11);
+        let mut drains = vec![session.drain_results()];
+        feed(&mut session, &["A", "B"], 14_000, 30_000);
+        drains.push(session.drain_results());
+        let handles = &session.handles;
+        for drained in &drains {
+            let rows: Vec<_> = drained
+                .rows()
+                .map(|(q, gid, w, v)| (q, drained.group(gid).clone(), w, v))
+                .collect();
+            assert!(rows.iter().any(|r| r.0 == QueryId(0)));
+            // every row of handles 0 and 2 stands for one emitted row:
+            // it settles onto each handle of its signature that owns its
+            // window, by ascending handle
+            let mut want = Vec::new();
+            for (q, group, w, v) in rows.iter().filter(|r| [0, 2].contains(&r.0 .0)) {
+                let sig = handles[q.0 as usize].sig;
+                for (h, slot) in handles.iter().enumerate() {
+                    if slot.sig == sig && slot.owns(*w) {
+                        want.push((QueryId(h as u32), group.clone(), *w, *v));
+                    }
+                }
+            }
+            assert_eq!(rows, want);
+        }
+        assert!(drains[1].rows().any(|r| r.0 == QueryId(10)));
+        assert!(
+            drains.iter().all(|d| d.rows().all(|r| r.0 != QueryId(4))),
+            "detached before its first window closed"
+        );
     }
 
     #[test]

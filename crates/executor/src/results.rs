@@ -4,15 +4,19 @@
 //! id, window start, value)`; the group id indexes a per-set key table, so
 //! a [`GroupKey`] is stored once per group and never per result. An engine
 //! emits one group's window close at a time, so consecutive rows share a
-//! group id and window: the log stores each such **run** once (16 bytes)
-//! and a row as two varints in one byte column, its query and a header
-//! carrying the value (see `Segment`): a count below 32 under a query
-//! below 128 takes 2 bytes. Columns grow in fixed-size segments — no
-//! multi-MiB buffer is ever reallocated and copied — and every hop from
-//! window close to the caller is an append or a move: engines emit with
-//! the id they interned for a group, [`ExecutorResults::merge`] moves
-//! whole segments and rewrites only the runs' group ids (one key lookup
-//! per *distinct group*, one write per run, none per row).
+//! group id and window: the log writes each such **run** as one header
+//! inline in a byte column, just ahead of the rows it covers (a length
+//! byte, the group id, and the window as a delta from the previous run's:
+//! 3 bytes at small ids and steady windows), and a row as two varints, its
+//! query and a header carrying the value (see `Segment`): a count below 32
+//! under a query below 128 takes 2 bytes. Columns grow in fixed-size
+//! segments — no multi-MiB buffer is ever reallocated and copied — and
+//! every hop from window close to the caller is an append, a move or a
+//! copy per run: engines emit with the id they interned for a group,
+//! [`ExecutorResults::merge`] into an empty set moves the segments, and
+//! any other merge writes one fresh header per run (one key lookup per
+//! *distinct group*) and copies the run's row bytes in one slice, decoding
+//! no row.
 //!
 //! The hash index behind [`ExecutorResults::get`] and
 //! [`ExecutorResults::semantically_eq`] is built on first use and serves
@@ -22,6 +26,7 @@ use crate::checkpoint::{StateError, StateReader, StateWriter};
 use sharon_query::aggregate::AggValue;
 use sharon_query::QueryId;
 use sharon_types::{FxHashMap, GroupKey, Timestamp};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Rows per segment. The first segment of a set grows by `Vec` doubling
@@ -45,9 +50,16 @@ const TAG_WIDE: u64 = 3;
 /// count.
 const MAX_ROW_BYTES: usize = 22;
 
+/// The longest run header: a length byte, a 5-byte group id varint and a
+/// 10-byte window delta varint.
+const MAX_HEADER_BYTES: usize = 16;
+
+/// The most row bytes one run header covers (its length byte's range).
+const MAX_RUN_BYTES: usize = u8::MAX as usize;
+
 /// Append `v` as a LEB128 varint to `out` at `at`; return the end.
 #[inline]
-fn put_varint(out: &mut [u8; MAX_ROW_BYTES], mut at: usize, mut v: u64) -> usize {
+fn put_varint<const N: usize>(out: &mut [u8; N], mut at: usize, mut v: u64) -> usize {
     while v >= 0x80 {
         out[at] = v as u8 | 0x80;
         v >>= 7;
@@ -73,17 +85,46 @@ fn get_varint(bytes: &[u8], at: &mut usize) -> u64 {
     }
 }
 
-/// Consecutive rows of one segment that share a group id and window.
+/// Bytes of `v` as a LEB128 varint.
+#[inline]
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The window delta `to − from` (mod 2⁶⁴) zigzag-encoded, so a small step
+/// either way is a small varint.
+#[inline]
+fn window_delta(from: Timestamp, to: Timestamp) -> u64 {
+    let d = to.0.wrapping_sub(from.0) as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// The window `delta` (a [`window_delta`]) after `from`.
+#[inline]
+fn window_after(from: Timestamp, delta: u64) -> Timestamp {
+    Timestamp(
+        from.0
+            .wrapping_add((delta >> 1) ^ (delta & 1).wrapping_neg()),
+    )
+}
+
+/// The run a segment's next row may extend.
 #[derive(Debug, Clone, Copy)]
-struct Run {
+struct OpenRun {
+    /// Offset of its header's length byte in the segment's bytes.
+    head: usize,
     group: u32,
-    /// Rows in the run (at most [`SEGMENT_ROWS`]: a run never spans two
-    /// segments).
-    len: u32,
     window: Timestamp,
 }
 
-/// A slice of the log: its rows in one byte column plus 16 bytes per run.
+/// A slice of the log: runs of rows in one byte column.
+///
+/// A run is a header, then the rows it covers. The header is one length
+/// byte (1–255: the byte length of the run's rows), `varint(group id)` and
+/// `varint(zigzag(window − the previous run's window))`; a segment's first
+/// run takes its delta from 0, so every segment decodes on its own. A row
+/// that would take a run past 255 bytes opens a header of its own with the
+/// same group and a delta of 0.
 ///
 /// A row is `varint(query)` and one header varint: `count << 2` for a
 /// count below 2⁶², `1` for null, `2` and the 8 bytes of an `f64`, or `3`
@@ -93,10 +134,8 @@ struct Segment {
     bytes: Vec<u8>,
     /// Rows in `bytes`.
     len: usize,
-    /// Starts at the previous segment's run count (plus a sixteenth) and
-    /// grows by doubling; only [`ExecutorResults::reserve`] sizes it for
-    /// one run per row.
-    runs: Vec<Run>,
+    /// The last run; `None` while the segment is empty.
+    open: Option<OpenRun>,
 }
 
 impl Segment {
@@ -105,50 +144,115 @@ impl Segment {
         self.len
     }
 
+    /// Append a row: the row is encoded behind room for a header, which is
+    /// written just ahead of it when the row opens a run, so either is one
+    /// append.
     #[inline]
     fn push(&mut self, query: u32, group: u32, window: Timestamp, value: AggValue) {
-        match self.runs.last_mut() {
-            Some(run) if run.group == group && run.window == window => run.len += 1,
-            _ => self.runs.push(Run {
-                group,
-                len: 1,
-                window,
-            }),
-        }
-        let mut row = [0; MAX_ROW_BYTES];
-        let at = put_varint(&mut row, 0, query.into());
+        const ROW: usize = MAX_HEADER_BYTES;
+        let mut buf = [0; MAX_HEADER_BYTES + MAX_ROW_BYTES];
+        let at = put_varint(&mut buf, ROW, query.into());
         let end = match value {
-            AggValue::Count(c) if c < 1 << 62 => put_varint(&mut row, at, (c as u64) << 2),
-            AggValue::Number(None) => put_varint(&mut row, at, TAG_NULL),
+            AggValue::Count(c) if c < 1 << 62 => put_varint(&mut buf, at, (c as u64) << 2),
+            AggValue::Number(None) => put_varint(&mut buf, at, TAG_NULL),
             AggValue::Number(Some(x)) => {
-                let at = put_varint(&mut row, at, TAG_NUMBER);
-                row[at..at + 8].copy_from_slice(&x.to_bits().to_le_bytes());
+                let at = put_varint(&mut buf, at, TAG_NUMBER);
+                buf[at..at + 8].copy_from_slice(&x.to_bits().to_le_bytes());
                 at + 8
             }
             AggValue::Count(c) => {
-                let at = put_varint(&mut row, at, TAG_WIDE);
-                row[at..at + 16].copy_from_slice(&c.to_le_bytes());
+                let at = put_varint(&mut buf, at, TAG_WIDE);
+                buf[at..at + 16].copy_from_slice(&c.to_le_bytes());
                 at + 16
             }
         };
-        self.bytes.extend_from_slice(&row[..end]);
+        let len = end - ROW;
+        let start = match self.open {
+            Some(run)
+                if run.group == group
+                    && run.window == window
+                    && usize::from(self.bytes[run.head]) + len <= MAX_RUN_BYTES =>
+            {
+                self.bytes[run.head] += len as u8;
+                ROW
+            }
+            _ => self.open_run(group, window, len, &mut buf, ROW),
+        };
+        self.bytes.extend_from_slice(&buf[start..end]);
         self.len += 1;
     }
 
-    /// Copy `other`'s rows and runs behind this segment's.
-    fn append(&mut self, other: &Segment) {
-        self.bytes.extend_from_slice(&other.bytes);
-        self.runs.extend_from_slice(&other.runs);
-        self.len += other.len;
+    /// Write the header of a run of `len` row bytes into `buf`, ending at
+    /// `end`, and make it the open run (the caller appends the header at
+    /// the end of the byte column, then the rows); return where the
+    /// header starts.
+    #[inline]
+    fn open_run<const N: usize>(
+        &mut self,
+        group: u32,
+        window: Timestamp,
+        len: usize,
+        buf: &mut [u8; N],
+        end: usize,
+    ) -> usize {
+        let delta = window_delta(self.open.map_or(Timestamp(0), |run| run.window), window);
+        let start = end - 1 - varint_len(group.into()) - varint_len(delta);
+        buf[start] = len as u8;
+        let at = put_varint(buf, start + 1, group.into());
+        put_varint(buf, at, delta);
+        self.open = Some(OpenRun {
+            head: self.bytes.len(),
+            group,
+            window,
+        });
+        start
     }
 
-    /// Grow the byte column to a whole segment of the longest rows, and
-    /// the runs to one per row of room: every further row fits without
+    /// This segment's byte length once copied into an empty segment with
+    /// its group ids through `remap` (the window deltas keep their widths
+    /// there).
+    fn remapped_len(&self, remap: &[u32]) -> usize {
+        self.runs().fold(self.bytes.len(), |len, (group, _, _)| {
+            len + varint_len(remap[group as usize].into()) - varint_len(group.into())
+        })
+    }
+
+    /// Copy `src`'s runs behind this segment's: a fresh header per run,
+    /// with its group id through `remap` and its window delta re-based on
+    /// this segment's last run, then the run's row bytes verbatim.
+    fn append_remapped(&mut self, src: &Segment, remap: &[u32]) {
+        for (group, window, rows) in src.runs() {
+            let mut header = [0; MAX_HEADER_BYTES];
+            let start = self.open_run(
+                remap[group as usize],
+                window,
+                rows.len(),
+                &mut header,
+                MAX_HEADER_BYTES,
+            );
+            self.bytes.extend_from_slice(&header[start..]);
+            self.bytes.extend_from_slice(rows);
+        }
+        self.len += src.len;
+    }
+
+    /// Grow the byte column to a whole segment of the longest rows, each
+    /// under a header of its own: every further row fits without
     /// allocating.
     fn reserve_whole(&mut self) {
-        let bytes = SEGMENT_ROWS * MAX_ROW_BYTES - self.bytes.len();
+        let bytes = SEGMENT_ROWS * (MAX_ROW_BYTES + MAX_HEADER_BYTES) - self.bytes.len();
         self.bytes.reserve_exact(bytes);
-        self.runs.reserve_exact(SEGMENT_ROWS - self.len());
+    }
+
+    /// The segment's runs, in order: `(group id, window, row bytes)`.
+    fn runs(&self) -> impl Iterator<Item = (u32, Timestamp, &[u8])> {
+        let (mut at, mut window) = (0, Timestamp(0));
+        std::iter::from_fn(move || {
+            let (group, rows);
+            (group, window, rows) = next_run(&self.bytes, at, window)?;
+            at = rows.end;
+            Some((group, window, &self.bytes[rows]))
+        })
     }
 
     /// The segment's rows, in order: `(query, group id, window, value)`.
@@ -156,12 +260,23 @@ impl Segment {
         SegmentRows {
             bytes: &self.bytes,
             at: 0,
-            runs: self.runs.iter(),
+            run_end: 0,
             group: 0,
             window: Timestamp(0),
-            left: 0,
         }
     }
+}
+
+/// Decode the run header at `at`, whose window delta is taken from `base`:
+/// the run's group id, its window and where its rows lie. `None` at the
+/// end of `bytes`.
+#[inline]
+fn next_run(bytes: &[u8], at: usize, base: Timestamp) -> Option<(u32, Timestamp, Range<usize>)> {
+    let len = usize::from(*bytes.get(at)?);
+    let mut at = at + 1;
+    let group = get_varint(bytes, &mut at) as u32;
+    let window = window_after(base, get_varint(bytes, &mut at));
+    Some((group, window, at..at + len))
 }
 
 /// The decoder behind [`Segment::rows`]: a cursor into the byte column
@@ -169,11 +284,10 @@ impl Segment {
 struct SegmentRows<'a> {
     bytes: &'a [u8],
     at: usize,
-    runs: std::slice::Iter<'a, Run>,
+    /// Where the current run's rows end.
+    run_end: usize,
     group: u32,
     window: Timestamp,
-    /// Rows of the current run not yet decoded.
-    left: u32,
 }
 
 impl SegmentRows<'_> {
@@ -192,11 +306,11 @@ impl Iterator for SegmentRows<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        while self.left == 0 {
-            let run = self.runs.next()?;
-            (self.group, self.window, self.left) = (run.group, run.window, run.len);
+        if self.at == self.run_end {
+            let rows;
+            (self.group, self.window, rows) = next_run(self.bytes, self.at, self.window)?;
+            (self.at, self.run_end) = (rows.start, rows.end);
         }
-        self.left -= 1;
         let query = get_varint(self.bytes, &mut self.at) as u32;
         let header = get_varint(self.bytes, &mut self.at);
         let value = match header & 3 {
@@ -288,8 +402,8 @@ impl ExecutorResults {
     /// Record a result for a group id handed out by this set's
     /// [`ExecutorResults::add_group`] or [`ExecutorResults::intern`]: one
     /// append to the byte column, no key clone, no hash. A row with the
-    /// previous row's group id and window extends its run; any other row
-    /// opens one.
+    /// previous row's group id and window extends its run while the run
+    /// stays within 255 bytes; any other row writes a run header first.
     #[inline]
     pub fn emit_interned(
         &mut self,
@@ -315,11 +429,10 @@ impl ExecutorResults {
             if let Some(last) = self.segs.last() {
                 // a log's row width and run length barely move from one
                 // segment to the next: start at the last one's byte length
-                // and run count and a sixteenth more, so the columns seldom
-                // double and waste little
-                let (bytes, runs) = (last.bytes.len(), last.runs.len());
+                // and a sixteenth more, so the column seldom doubles and
+                // wastes little
+                let bytes = last.bytes.len();
                 seg.bytes.reserve_exact(bytes + bytes / 16);
-                seg.runs.reserve_exact((runs + runs / 16).min(SEGMENT_ROWS));
             }
             seg
         });
@@ -369,8 +482,8 @@ impl ExecutorResults {
     }
 
     /// Reserve column capacity for at least `additional` further rows of
-    /// the longest encoding (and as many runs), so a steady-state emission
-    /// phase performs no allocation.
+    /// the longest encoding, each under a run header of its own, so a
+    /// steady-state emission phase performs no allocation.
     pub fn reserve(&mut self, additional: usize) {
         let mut room = self.spare.len() * SEGMENT_ROWS;
         if let Some(last) = self.segs.last_mut() {
@@ -388,9 +501,11 @@ impl ExecutorResults {
 
     /// Merge another result set into this one. Into an empty set this is a
     /// move. Otherwise `other`'s group ids are translated once per distinct
-    /// group, its runs' group ids are rewritten in place, and its segments
-    /// are moved over (a short one is copied into the room the last
-    /// segment has left, so short merges do not strand capacity).
+    /// group and each of its segments is copied run by run: into the room
+    /// the last segment has left if it fits there, so short merges do not
+    /// strand capacity, else into a new segment sized to it. A run costs a
+    /// fresh header (the translated group id, the window delta re-based on
+    /// the run before it) and one copy of its row bytes; no row is decoded.
     pub fn merge(&mut self, other: ExecutorResults) {
         if other.len == 0 {
             return;
@@ -401,13 +516,17 @@ impl ExecutorResults {
         }
         self.index.take();
         let remap: Vec<u32> = other.keys.iter().map(|key| self.intern(key)).collect();
-        for mut seg in other.segs {
-            for run in &mut seg.runs {
-                run.group = remap[run.group as usize];
-            }
+        for seg in &other.segs {
             match self.segs.last_mut() {
-                Some(last) if last.len() + seg.len() <= SEGMENT_ROWS => last.append(&seg),
-                _ => self.segs.push(seg),
+                Some(last) if last.len() + seg.len() <= SEGMENT_ROWS => {
+                    last.append_remapped(seg, &remap);
+                }
+                _ => {
+                    let mut fresh = Segment::default();
+                    fresh.bytes.reserve_exact(seg.remapped_len(&remap));
+                    fresh.append_remapped(seg, &remap);
+                    self.segs.push(fresh);
+                }
             }
         }
         self.len += other.len;
@@ -541,8 +660,8 @@ impl ExecutorResults {
     /// them to reproduce an uninterrupted run's output exactly): the key
     /// table once, then one record per row: query, group id, window, kind
     /// and the value as two `u64` halves of a `u128` (a count in full, an
-    /// `f64`'s bits in the low half). Runs are not written; `load_state`
-    /// rebuilds them.
+    /// `f64`'s bits in the low half). Run headers are not written;
+    /// `load_state` rebuilds them.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.seq_len(self.keys.len());
         for key in &self.keys {
@@ -690,13 +809,16 @@ mod tests {
             r.emit_interned(QueryId(q), gid, Timestamp(i / 3), v);
         }
         assert_eq!(exact_rows(r.rows()), want);
+        // each run of three under a 3-byte header: its length, group 0 and
+        // a window step of 0 or 1
         let width: usize = queries.iter().map(|q| q.1).sum::<usize>() * values.len()
-            + values.iter().map(|v| v.1).sum::<usize>() * queries.len();
+            + values.iter().map(|v| v.1).sum::<usize>() * queries.len()
+            + rows.len().div_ceil(3) * 3;
         assert_eq!(r.segs[0].bytes.len(), width, "each row at its width");
-        // append: behind a segment of its own rows
+        // a copy behind a segment of its own rows
         let mut front = Segment::default();
         front.push(9, 1, Timestamp(4), AggValue::Count(1 << 62));
-        front.append(&r.segs[0]);
+        front.append_remapped(&r.segs[0], &[0]);
         assert_eq!(exact_rows(front.rows().skip(1)), want);
         assert_eq!(front.rows().next().unwrap().3, AggValue::Count(1 << 62));
         // a remapping merge: key 1 is id 1 in the set it is copied into
@@ -717,48 +839,152 @@ mod tests {
         assert_eq!(back.segs[0].bytes, r.segs[0].bytes);
     }
 
+    /// Each run of `seg`: `(group id, window, row bytes)`.
+    fn run_list(seg: &Segment) -> Vec<(u32, u64, usize)> {
+        seg.runs()
+            .map(|(g, w, rows)| (g, w.0, rows.len()))
+            .collect()
+    }
+
+    /// Every row of `set` with its group resolved: `(query, key, window,
+    /// exact value)`.
+    type KeyedRow = (u32, GroupKey, u64, (bool, u128));
+
+    fn keyed_rows(set: &ExecutorResults) -> Vec<KeyedRow> {
+        set.rows()
+            .map(|(q, gid, w, v)| (q.0, set.group(gid).clone(), w.0, exact(&v)))
+            .collect()
+    }
+
     #[test]
-    fn a_window_close_is_one_run() {
-        // an engine's close: every query of one group and window in a row
-        let mut r = ExecutorResults::new();
-        let gids = [r.add_group(key(1)), r.add_group(key(2))];
-        for w in 0..SEGMENT_ROWS as u64 / 4 {
-            for &gid in &gids {
-                for q in 0..5 {
-                    r.emit_interned(QueryId(q), gid, Timestamp(w), AggValue::Count(q.into()));
-                }
+    fn every_header_boundary_round_trips() {
+        // (group id, window, header bytes): a length byte, the group id's
+        // varint and the zigzag varint of the step from the previous run's
+        // window (from 0 for the first run)
+        let runs = [
+            (0, 5, 3),         // +5
+            (127, 5, 3),       // 0, another group
+            (128, 6, 4),       // +1
+            (16_383, 5, 4),    // −1
+            (16_384, 1005, 6), // +1000: zigzag 2000, 2 bytes
+            (u32::MAX, 0, 8),  // back to 0: −1005, 2 bytes
+            (0, u64::MAX, 3),  // 0 → u64::MAX: −1 mod 2⁶⁴
+            (1, 0, 3),         // and back: +1
+        ];
+        // two rows a run: 2 + 3 bytes
+        let values = [AggValue::Count(3), AggValue::Count(40)];
+        let mut seg = Segment::default();
+        for &(group, window, _) in &runs {
+            for (q, &v) in (0..).zip(&values) {
+                seg.push(q, group, Timestamp(window), v);
             }
         }
-        // 10 240 rows: two whole segments and a tail; a run never spans two
-        assert_eq!(r.segs.len(), 3);
-        let runs: Vec<usize> = r.segs.iter().map(|s| s.runs.len()).collect();
-        assert_eq!(runs, [820, 820, 410]);
-        // a later segment's runs start at the previous count and a
-        // sixteenth more: at an even run length they never double
-        assert!(r.segs[1..]
+        let want: Vec<(u32, u64, usize)> = runs.iter().map(|&(g, w, _)| (g, w, 5)).collect();
+        assert_eq!(run_list(&seg), want);
+        let width: usize = runs.iter().map(|r| r.2 + 5).sum();
+        assert_eq!(seg.bytes.len(), width, "each header at its width");
+        let decoded: Vec<(u32, u32, u64, AggValue)> =
+            seg.rows().map(|(q, g, w, v)| (q.0, g, w.0, v)).collect();
+        let expected: Vec<(u32, u32, u64, AggValue)> = runs
             .iter()
-            .all(|s| s.runs.capacity() == 820 + 820 / 16));
-        let lens = |s: &Segment| s.runs.iter().map(|run| run.len as usize).sum::<usize>();
-        assert!(r.segs.iter().all(|s| lens(s) == s.len()));
-        assert_eq!(r.rows().count(), r.len());
-        assert!(r
-            .rows()
-            .enumerate()
-            .all(|(i, (q, gid, w, v))| q.0 == i as u32 % 5
-                && gid == gids[i / 5 % 2]
-                && w.millis() == (i / 10) as u64
-                && v == AggValue::Count((i % 5) as u128)));
-        // a remapping merge rewrites one group id per run
-        let mut into = ExecutorResults::new();
-        into.emit(QueryId(7), key(2), Timestamp(0), AggValue::Count(1));
-        into.merge(r.clone());
-        assert_eq!(into.len(), r.len() + 1);
-        let moved = &into.segs[1].runs;
-        assert_eq!((moved[0].group, moved[0].len), (1, 5), "key 1 is id 1 here");
-        assert_eq!(moved[1].group, 0, "key 2 is id 0 here");
-        for (q, g, w, v) in r.iter() {
-            assert_eq!(into.get(q, g, w), Some(v));
+            .flat_map(|&(g, w, _)| (0..).zip(values).map(move |(q, v)| (q, g, w, v)))
+            .collect();
+        assert_eq!(decoded, expected);
+
+        // the length byte's edge: 85 rows of 3 bytes fill one header, the
+        // 86th opens another with a step of 0
+        let mut r = ExecutorResults::new();
+        let gids: Vec<u32> = (0..=16_384).map(|g| r.add_group(key(g))).collect();
+        let mut model: Vec<KeyedRow> = Vec::new();
+        let mut emit = |r: &mut ExecutorResults, q: u32, g: usize, w: u64, v: AggValue| {
+            r.emit_interned(QueryId(q), gids[g], Timestamp(w), v);
+            model.push((q, key(g as i64), w, exact(&v)));
+        };
+        for _ in 0..85 {
+            emit(&mut r, 0, 7, 900, AggValue::Count(32));
         }
+        assert_eq!(run_list(&r.segs[0]), [(7, 900, 255)]);
+        emit(&mut r, 1, 7, 900, AggValue::Count(32));
+        assert_eq!(run_list(&r.segs[0]), [(7, 900, 255), (7, 900, 3)]);
+        assert_eq!(
+            r.segs[0].bytes.len(),
+            4 + 255 + 3 + 3,
+            "a 2-byte step to 900"
+        );
+        // 300 rows of 22 bytes: eleven a header
+        for _ in 0..300 {
+            emit(&mut r, u32::MAX, 16_384, 1000, AggValue::Count(u128::MAX));
+        }
+        let wide = &run_list(&r.segs[0])[2..];
+        assert_eq!(wide.len(), 28);
+        assert!(wide[..27].iter().all(|&run| run == (16_384, 1000, 242)));
+        assert_eq!(wide[27], (16_384, 1000, 66));
+        // across two segments, every window far from 0: the second
+        // segment's first header steps from 0, not from the first's last
+        let mut i = 0;
+        while r.segs.len() < 2 || r.segs[1].len() < 10 {
+            let g = [0, 127, 128, 16_383, 16_384][i % 5];
+            emit(
+                &mut r,
+                (i % 3) as u32,
+                g,
+                1_000_000 + i as u64 / 2,
+                AggValue::Count(i as u128),
+            );
+            i += 1;
+        }
+        assert_eq!(keyed_rows(&r), model);
+        assert_eq!(r.segs[1].remapped_len(&gids), r.segs[1].bytes.len());
+
+        // a remapping merge into the room of a segment whose last window is
+        // 7000: key 16 384 narrows to id 0 and keys 0..=128 widen past
+        // 16 384; the first header's step is re-based on 7000
+        let mut small = ExecutorResults::new();
+        let small_gids: Vec<u32> = (0..=16_384).map(|g| small.add_group(key(g))).collect();
+        let mut small_model = Vec::new();
+        for (i, g) in [16_384, 0, 127, 128, 16_383, 16_384]
+            .into_iter()
+            .enumerate()
+        {
+            let w = 5 + i as u64 % 3;
+            small.emit_interned(QueryId(2), small_gids[g], Timestamp(w), AggValue::Count(9));
+            small_model.push((2, key(g as i64), w, exact(&AggValue::Count(9))));
+        }
+        let mut dst = ExecutorResults::new();
+        dst.emit(QueryId(0), key(16_384), Timestamp(7000), AggValue::Count(1));
+        for g in 100_000..116_384 {
+            dst.intern(&key(g));
+        }
+        let mut dst_model = keyed_rows(&dst);
+        dst.merge(small.clone());
+        dst_model.extend(small_model);
+        assert_eq!(dst.segs.len(), 1, "copied into the room");
+        assert_eq!(keyed_rows(&dst), dst_model);
+        let copied = &run_list(&dst.segs[0])[1..];
+        let groups: Vec<u32> = copied.iter().map(|run| run.0).collect();
+        assert_eq!(groups, [0, 16_385, 16_512, 16_513, 32_768, 0]);
+        // one header written per run: the first one's step of −6995 takes 2
+        // bytes, the four widened ids 3 each; the 12 row bytes are copied
+        // verbatim
+        assert_eq!(dst.segs[0].bytes.len(), 6 + (4 + 4 * 5 + 3) + 6 * 2);
+        assert!(dst.segs[0]
+            .runs()
+            .skip(1)
+            .zip(small.segs[0].runs())
+            .all(|(ours, theirs)| ours.2 == theirs.2));
+        // and the multi-segment set behind it
+        dst.merge(r.clone());
+        dst_model.extend(model);
+        assert_eq!(keyed_rows(&dst), dst_model);
+
+        // save_state → load_state
+        let mut w = crate::checkpoint::StateWriter::new();
+        dst.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut rd = crate::checkpoint::StateReader::new(&bytes);
+        let back = ExecutorResults::load_state(&mut rd).unwrap();
+        assert!(rd.is_exhausted());
+        assert_eq!(keyed_rows(&back), dst_model);
     }
 
     #[test]
@@ -808,11 +1034,10 @@ mod tests {
         for w in 0..10 {
             src.emit_interned(QueryId(0), gid, Timestamp(w), AggValue::Count(1));
         }
-        let (column, runs) = (src.segs[0].bytes.as_ptr(), src.segs[0].runs.as_ptr());
+        let column = src.segs[0].bytes.as_ptr();
         let mut dst = ExecutorResults::new();
         dst.merge(src);
         assert_eq!(dst.segs[0].bytes.as_ptr(), column, "moved, not copied");
-        assert_eq!(dst.segs[0].runs.as_ptr(), runs);
         assert!(dst.by_key.is_none(), "a move needs no key lookup");
         assert_eq!(dst.len(), 10);
     }
@@ -849,7 +1074,8 @@ mod tests {
         assert_eq!(all.len(), a.len() + b.len() + c.len());
         assert_eq!(all.group_slots(), 7 + 3 + 1, "keys are stored once");
         // b's 50 rows were copied into the room a's last segment had left;
-        // c's full segment moved, its one-row tail landed in a new one
+        // c's full segment was copied into a new one, its one-row tail into
+        // another
         assert_eq!(all.segs.len(), 5);
         for part in [&a, &b, &c] {
             for (q, g, w, v) in part.iter() {
@@ -869,21 +1095,16 @@ mod tests {
         r.reserve(2 * SEGMENT_ROWS);
         let reserved: usize = r.segs[0].bytes.capacity() - r.segs[0].bytes.len()
             + r.spare.iter().map(|s| s.bytes.capacity()).sum::<usize>();
-        assert!(reserved >= 2 * SEGMENT_ROWS * MAX_ROW_BYTES);
+        let whole = SEGMENT_ROWS * (MAX_ROW_BYTES + MAX_HEADER_BYTES);
+        assert!(reserved >= 2 * whole);
         let (segs_cap, first) = (r.segs.capacity(), r.segs[0].bytes.as_ptr());
-        let first_runs = r.segs[0].runs.as_ptr();
-        // a window per row: the worst case, one run per row
+        // a window per row: the worst case, a run header per row
         for w in 0..2 * SEGMENT_ROWS as u64 {
             r.emit_interned(QueryId(0), 0, Timestamp(100 + w), AggValue::Count(1));
         }
         assert_eq!(r.segs.capacity(), segs_cap);
         assert_eq!(r.segs[0].bytes.as_ptr(), first, "no column was reallocated");
-        assert_eq!(r.segs[0].runs.as_ptr(), first_runs);
-        assert!(r
-            .segs
-            .iter()
-            .all(|s| s.bytes.capacity() == SEGMENT_ROWS * MAX_ROW_BYTES));
-        assert!(r.segs.iter().all(|s| s.runs.capacity() == SEGMENT_ROWS));
+        assert!(r.segs.iter().all(|s| s.bytes.capacity() == whole));
     }
 
     #[test]
@@ -1051,7 +1272,7 @@ mod tests {
             Timestamp(120),
             AggValue::Number(Some(2.5)),
         );
-        assert_eq!(r.segs[0].runs.len(), 2);
+        assert_eq!(r.segs[0].runs().count(), 2);
         let mut w = crate::checkpoint::StateWriter::new();
         r.save_state(&mut w);
         assert_eq!(w.into_bytes(), GOLDEN);
@@ -1062,7 +1283,7 @@ mod tests {
             back.rows().collect::<Vec<_>>(),
             r.rows().collect::<Vec<_>>()
         );
-        assert_eq!(back.segs[0].runs.len(), 2, "loading rebuilds the runs");
+        assert_eq!(back.segs[0].runs().count(), 2, "loading rebuilds the runs");
         assert_eq!(
             back.segs[0].bytes, r.segs[0].bytes,
             "and encodes each row alike"
@@ -1186,13 +1407,21 @@ mod tests {
     fn check(set: &ExecutorResults, model: &Model) -> Result<(), TestCaseError> {
         prop_assert_eq!(set.len(), model.len());
         prop_assert_eq!(set.is_empty(), model.is_empty());
-        // the layout: runs partition each segment's rows, and decoding
-        // them ends exactly at the end of the byte column
+        // the layout: headers and their runs' rows partition each
+        // segment's bytes exactly, the open run is the last one, and
+        // decoding the rows ends exactly at the end of the byte column
         for seg in &set.segs {
             prop_assert!(seg.len() <= SEGMENT_ROWS);
-            prop_assert!(seg.runs.iter().all(|run| run.len > 0));
-            let run_rows: usize = seg.runs.iter().map(|run| run.len as usize).sum();
-            prop_assert_eq!(run_rows, seg.len());
+            let (mut at, mut base, mut last) = (0, Timestamp(0), None);
+            for (group, window, rows) in seg.runs() {
+                let header = 1 + varint_len(group.into()) + varint_len(window_delta(base, window));
+                let start = rows.as_ptr() as usize - seg.bytes.as_ptr() as usize;
+                prop_assert_eq!(start, at + header);
+                prop_assert!((1..=MAX_RUN_BYTES).contains(&rows.len()));
+                (at, base, last) = (start + rows.len(), window, Some((at, group, window)));
+            }
+            prop_assert_eq!(at, seg.bytes.len());
+            prop_assert_eq!(last, seg.open.map(|run| (run.head, run.group, run.window)));
             let mut decode = seg.rows();
             prop_assert_eq!(decode.by_ref().count(), seg.len());
             prop_assert_eq!(decode.at, seg.bytes.len());

@@ -1012,16 +1012,21 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
 fn result_log_stores_a_window_close_as_one_run() {
     let _serial = serial();
     // rows by interned id, the way an engine closes windows: `run` queries
-    // of one group and window in a row. A run is 16 bytes; a row is a
-    // 1-byte query varint and a header varint holding `count << 2`, so
-    // counts below 32 take 1 byte, below 4096 two, and the counts 0..2¹⁸
-    // used below 2.98 on average: 3.98 bytes a row. Each segment's columns start
-    // at the previous one's length and a sixteenth more, so runs of 8 cost
-    // (3.98 + 2) × 17/16 = 6.36 bytes a row and runs of 1 cost 3.98 × 17/16
-    // + 16 = 20.23 (the run column is capped at one run per row). LR's
-    // results, counts below 32 in runs of its queries, cost (2 + 2) × 17/16
-    // = 4.25. Each bound leaves the 0.075 / 0.1 over its derivation that
-    // the 13-byte layout's bounds left (it stored 15.15 and 29.03).
+    // of one group and window in a row, the window 1 ms past the previous
+    // run's. A run's header is its length byte, group id 0 and a step of
+    // 1: 3 bytes. A row is a 1-byte query varint and a header varint
+    // holding `count << 2`, so counts below 32 take 1 byte, below 4096 two,
+    // and the counts 0..2¹⁸ used below 2.98 on average: 3.98 bytes a row.
+    // Each segment's column starts at the previous one's length and a
+    // sixteenth more, so runs of 8 cost (3.98 + 3/8) × 17/16 = 4.63 bytes
+    // a row and runs of 1 (3.98 + 3) × 17/16 = 7.42. LR's results, counts
+    // below 32 in runs of its queries, cost (2 + 3/8) × 17/16 = 2.52. Once
+    // per log: the first segment grows by doubling, the 64-byte `Segment`s
+    // take 0.016 a row, and where counts grow (not LR) the second segment's
+    // rows are a byte wider than the first's, so it outgrows its start and
+    // doubles once: +0.06, +0.11 and +0.04 in all. Each bound leaves the
+    // 0.075 / 0.1 over its derivation that the earlier layouts' bounds left
+    // (16-byte runs stored 6.42, 20.29 and 4.26).
     const ROWS: usize = 64 * 4096;
     let bytes_per_row = |run: usize, count: fn(usize) -> u128| {
         let before = alloc::current_bytes();
@@ -1046,7 +1051,7 @@ fn result_log_stores_a_window_close_as_one_run() {
         "result log: {eight:.3} B/row in runs of 8, {one:.3} B/row in runs of 1, \
          {lr:.3} B/row for LR-sized counts"
     );
-    assert!(eight <= 6.44, "runs of 8 cost {eight:.3} bytes a row");
-    assert!(one <= 20.33, "runs of 1 cost {one:.3} bytes a row");
-    assert!(lr <= 4.33, "LR-sized rows cost {lr:.3} bytes a row");
+    assert!(eight <= 4.77, "runs of 8 cost {eight:.3} bytes a row");
+    assert!(one <= 7.65, "runs of 1 cost {one:.3} bytes a row");
+    assert!(lr <= 2.64, "LR-sized rows cost {lr:.3} bytes a row");
 }
