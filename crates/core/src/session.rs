@@ -130,7 +130,7 @@ enum Host {
     /// The shared main plan on the sharded runtime.
     Sharded(Box<ShardedExecutor>),
     /// A private sequential sidecar for one freshly attached query.
-    Seq(Executor),
+    Seq(Box<Executor>),
 }
 
 impl Host {
@@ -401,7 +401,7 @@ impl SharonSession {
                     handles: Vec::new(),
                 });
                 self.sidecars.push(Incarnation {
-                    host: Host::Seq(ex),
+                    host: Host::Seq(Box::new(ex)),
                     sigs: vec![idx],
                     lo: self.frontier,
                     hi: None,

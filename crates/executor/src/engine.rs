@@ -24,12 +24,14 @@
 //! A row pays for the roles its type plays; closing windows, expiring
 //! records and trimming logs are paid once per group and slide.
 //!
-//! An engine keeps only group state. It selects nothing and gates
-//! nothing: its owner — the [`Executor`], sequential or as a shard worker
-//! — runs the select stage (scan and tallies; see [`crate::front`]) and
-//! the event-time gate, and hands it rows already selected, in event-time
-//! order, through [`Engine::process_rows`] (a batch's selected rows) or
-//! [`Engine::process_row`] (one row the gate released).
+//! An engine keeps only group state. It selects nothing, gates nothing
+//! and holds no results: its owner — the [`Executor`], sequential or as a
+//! shard worker — runs the select stage (scan and tallies; see
+//! [`crate::front`]) and the event-time gate, owns the one result log
+//! every engine closes windows into, and hands it rows already selected,
+//! in event-time order, through [`Engine::process_rows`] (a batch's
+//! selected rows) or [`Engine::process_row`] (one row the gate released),
+//! each with that log.
 
 use crate::agg::{Aggregate, Contribution, CountCell, StatsCell};
 use crate::chainlog::ChainLog;
@@ -47,9 +49,9 @@ use sharon_types::{Catalog, EventBatch, EventTypeId, FxHashMap, GroupKey, Timest
 
 /// Per-group runtime state: one block laid out by the compiled partition.
 struct GroupRuntime<A> {
-    /// This group's id in the engine's result log (not persisted: a
-    /// restored group re-interns).
-    result_id: ResultId,
+    /// This group's id in the log it last closed a window into (see
+    /// [`result_id`]; not persisted).
+    result_id: u32,
     /// Column `q` is query `q`'s final accumulator; the rest mirror chain
     /// logs (`CompiledPartition::mirror_col`). Its first open window is
     /// the group's close watermark.
@@ -60,42 +62,10 @@ struct GroupRuntime<A> {
     chains: Box<[ChainLog<A>]>,
 }
 
-/// Where an engine's closing windows go.
-struct Output {
-    /// Final values: the result log, handed out by move at
-    /// [`Engine::take_results`] / [`Engine::finish`].
-    results: ExecutorResults,
-    /// Result epoch: bumped whenever `results` is handed away (see
-    /// [`ResultId`]).
-    epoch: u64,
-}
-
-/// A group's id in its engine's result log, valid for one result epoch:
-/// [`Engine::take_results`] hands the log and its key table away and
-/// bumps the epoch, so a group interns again on its next emission — once
-/// per epoch, not once per result.
-#[derive(Clone, Copy, Default)]
-struct ResultId {
-    gid: u32,
-    /// Epoch `gid` was handed out in (engine epochs start at 1).
-    epoch: u64,
-}
-
-impl ResultId {
-    #[inline]
-    fn resolve(&mut self, epoch: u64, key: &GroupKey, results: &mut ExecutorResults) -> u32 {
-        if self.epoch != epoch {
-            self.gid = results.add_group(key.clone());
-            self.epoch = epoch;
-        }
-        self.gid
-    }
-}
-
 impl<A: Aggregate> GroupRuntime<A> {
     fn new(part: &CompiledPartition) -> Self {
         GroupRuntime {
-            result_id: ResultId::default(),
+            result_id: 0,
             plane: WindowPlane::new(part.window.max_open(), part.n_cols),
             runners: part
                 .runners
@@ -142,7 +112,7 @@ impl<A: Aggregate> GroupRuntime<A> {
             .map(|_| ChainLog::load_state(r))
             .collect::<Result<_, _>>()?;
         Ok(GroupRuntime {
-            result_id: ResultId::default(),
+            result_id: 0,
             plane,
             runners,
             chains,
@@ -160,6 +130,18 @@ impl<A: Aggregate> GroupRuntime<A> {
                 .sum::<usize>()
             + self.chains.iter().map(ChainLog::len).sum::<usize>()
     }
+}
+
+/// The id of the group `key` in `results`: the `cached` one while
+/// `results` still holds `key` there, else a fresh one, cached. A log
+/// handed away takes its key table along, so a group registers once per
+/// log.
+#[inline]
+fn result_id(cached: &mut u32, key: &GroupKey, results: &mut ExecutorResults) -> u32 {
+    if (*cached as usize) >= results.group_slots() || results.group(*cached) != key {
+        *cached = results.add_group(key.clone());
+    }
+    *cached
 }
 
 /// Scratch buffers reused across events.
@@ -235,7 +217,6 @@ impl<A: Aggregate> FoldScratch<A> {
 pub struct Engine<A: Aggregate> {
     part: CompiledPartition,
     groups: FxHashMap<GroupKey, GroupRuntime<A>>,
-    out: Output,
     scratch: FoldScratch<A>,
     /// Reused per-event key storage — the hot path never allocates a
     /// fresh key; cloning happens only on first sight of a group.
@@ -253,10 +234,6 @@ impl<A: Aggregate> Engine<A> {
         Engine {
             part,
             groups: FxHashMap::default(),
-            out: Output {
-                results: ExecutorResults::new(),
-                epoch: 1,
-            },
             scratch: FoldScratch::new(),
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
@@ -282,10 +259,15 @@ impl<A: Aggregate> Engine<A> {
     /// The entry of a batch's selected `rows` (the ungated path): each
     /// goes through [`Engine::process_row`] in row order.
     #[inline]
-    pub fn process_rows(&mut self, batch: &EventBatch, rows: &[u32]) {
+    pub fn process_rows(
+        &mut self,
+        batch: &EventBatch,
+        rows: &[u32],
+        results: &mut ExecutorResults,
+    ) {
         for &row in rows {
             let row = row as usize;
-            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row));
+            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row), results);
         }
     }
 
@@ -293,9 +275,16 @@ impl<A: Aggregate> Engine<A> {
     /// event-time gate released. Every row here was selected by the
     /// owner's scan or the sharded batch router: routing, this
     /// partition's predicates, groupability and shard ownership are
-    /// already established, and rows arrive in event-time order.
+    /// already established, and rows arrive in event-time order. Windows
+    /// the row closes are appended to `results`.
     #[inline]
-    pub fn process_row(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
+    pub fn process_row(
+        &mut self,
+        ty: EventTypeId,
+        time: Timestamp,
+        attrs: &[Value],
+        results: &mut ExecutorResults,
+    ) {
         debug_assert!(time >= self.last_time, "events must be time-ordered");
         self.last_time = time;
 
@@ -322,34 +311,37 @@ impl<A: Aggregate> Engine<A> {
                 .or_insert_with(|| GroupRuntime::new(&self.part)),
         };
 
-        Self::touch(grt, &self.part, time, &mut self.out, &self.key_scratch);
+        Self::touch(grt, &self.part, time, results, &self.key_scratch);
 
         let c = Self::contribution(&self.part, ty, attrs);
         Self::dispatch(grt, &self.part, routes, time, c, &mut self.scratch);
     }
 
     /// Close every window of one group before `close_seq`, oldest first,
-    /// into the result log; zero finals are not results.
+    /// into `results`; zero finals are not results. The group's id is
+    /// resolved once per call, at its first result.
     fn close_windows(
         part: &CompiledPartition,
         key: &GroupKey,
         grt: &mut GroupRuntime<A>,
-        out: &mut Output,
+        results: &mut ExecutorResults,
         close_seq: u64,
     ) {
-        let GroupRuntime {
-            result_id, plane, ..
-        } = grt;
         let slide = part.window.slide.millis();
+        let mut gid = None;
+        let GroupRuntime {
+            result_id: cached,
+            plane,
+            ..
+        } = grt;
         plane.close_before(close_seq, |seq, cells| {
             let window = Timestamp(seq * slide);
             for (v, q) in cells.iter().zip(&part.queries) {
                 if v.is_zero() {
                     continue;
                 }
-                let gid = result_id.resolve(out.epoch, key, &mut out.results);
-                out.results
-                    .emit_interned(q.id, gid, window, v.output(q.output));
+                let gid = *gid.get_or_insert_with(|| result_id(cached, key, results));
+                results.emit_interned(q.id, gid, window, v.output(q.output));
             }
         });
     }
@@ -359,7 +351,6 @@ impl<A: Aggregate> Engine<A> {
     pub fn save_state(&self, w: &mut StateWriter) {
         w.time(self.last_time);
         w.u64(self.events_matched);
-        self.out.results.save_state(w);
         w.seq_len(self.groups.len());
         for (key, grt) in &self.groups {
             w.group_key(key);
@@ -374,7 +365,6 @@ impl<A: Aggregate> Engine<A> {
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         self.last_time = r.time()?;
         self.events_matched = r.u64()?;
-        self.out.results = ExecutorResults::load_state(r)?;
         let n_groups = r.seq_len()?;
         self.groups.clear();
         for _ in 0..n_groups {
@@ -389,14 +379,6 @@ impl<A: Aggregate> Engine<A> {
         Ok(())
     }
 
-    /// Pre-size the result store for about `additional` further results
-    /// per query, so steady-state window emission does not reallocate.
-    pub fn reserve_results(&mut self, additional: usize) {
-        self.out
-            .results
-            .reserve(additional * self.part.queries.len());
-    }
-
     /// Bring one group up to `now` before a row at `now` is dispatched:
     /// adds of earlier timestamps become readable, and once per slide the
     /// windows that ended are closed. On every other row this is two
@@ -406,14 +388,14 @@ impl<A: Aggregate> Engine<A> {
         grt: &mut GroupRuntime<A>,
         part: &CompiledPartition,
         now: Timestamp,
-        out: &mut Output,
+        results: &mut ExecutorResults,
         key: &GroupKey,
     ) {
         grt.plane.settle(now);
         let spec = part.window;
         // the oldest open window ends at `first_seq × slide + within`
         if now.millis() >= grt.plane.first_seq() * spec.slide.millis() + spec.within.millis() {
-            Self::slide_group(grt, part, now, out, key);
+            Self::slide_group(grt, part, now, results, key);
         }
     }
 
@@ -424,12 +406,12 @@ impl<A: Aggregate> Engine<A> {
         grt: &mut GroupRuntime<A>,
         part: &CompiledPartition,
         now: Timestamp,
-        out: &mut Output,
+        results: &mut ExecutorResults,
         key: &GroupKey,
     ) {
         let spec = part.window;
         let close_seq = spec.first_start_covering(now).millis() / spec.slide.millis();
-        Self::close_windows(part, key, grt, out, close_seq);
+        Self::close_windows(part, key, grt, results, close_seq);
         let dead_before = Self::dead_before(part, now);
         for runner in grt.runners.iter_mut() {
             runner.expire(dead_before);
@@ -625,22 +607,11 @@ impl<A: Aggregate> Engine<A> {
         }
     }
 
-    /// Flush all remaining windows and return the results.
-    pub fn finish(mut self) -> ExecutorResults {
+    /// Close every remaining window into `results`.
+    pub fn finish(mut self, results: &mut ExecutorResults) {
         for (key, grt) in self.groups.iter_mut() {
-            Self::close_windows(&self.part, key, grt, &mut self.out, u64::MAX);
+            Self::close_windows(&self.part, key, grt, results, u64::MAX);
         }
-        self.out.results
-    }
-
-    /// Take the results emitted so far, leaving the store empty. Windows
-    /// still open keep their state and appear in a later take or at
-    /// [`Engine::finish`] — this is the non-consuming epoch drain used by
-    /// the session layer's `drain_results`.
-    pub fn take_results(&mut self) -> ExecutorResults {
-        // the log leaves with its key table: ids handed out so far die
-        self.out.epoch += 1;
-        std::mem::take(&mut self.out.results)
     }
 
     /// Events that passed routing, predicates, and grouping.
@@ -663,14 +634,18 @@ impl<A: Aggregate> Engine<A> {
 ///
 /// The executor owns the stateless front end of its partitions: the
 /// select stage ([`crate::front`]: one scan kernel per engine behind a
-/// shared type pass) and one event-time gate for all engines, the only
-/// gate in the system. The engines keep only group state. The same type
-/// is the sharded runtime's shard worker: there its engines see only the
-/// groups the router assigns its shard, and it dispatches the router's
-/// row lists (`process_routed`) instead of scanning.
+/// shared type pass), one event-time gate for all engines, the only gate
+/// in the system, and one result log for all engines. The engines keep
+/// only group state. The same type is the sharded runtime's shard worker:
+/// there its engines see only the groups the router assigns its shard,
+/// and it dispatches the router's row lists (`process_routed`) instead of
+/// scanning.
 pub struct Executor {
     /// One engine per partition, in partition order.
     pub(crate) engines: Vec<EngineKind>,
+    /// The result log every engine closes its windows into, handed out
+    /// by move at [`Executor::take_results`] / [`Executor::finish`].
+    results: ExecutorResults,
     /// The select stage, one scope per engine (empty on a shard worker,
     /// whose rows the router selects).
     front: ScanFront,
@@ -711,8 +686,13 @@ impl EngineKind {
     }
 
     /// Process a batch's selected rows (see [`Engine::process_rows`]).
-    pub fn process_rows(&mut self, batch: &EventBatch, rows: &[u32]) {
-        on_engine!(self, en => en.process_rows(batch, rows))
+    pub fn process_rows(
+        &mut self,
+        batch: &EventBatch,
+        rows: &[u32],
+        results: &mut ExecutorResults,
+    ) {
+        on_engine!(self, en => en.process_rows(batch, rows, results))
     }
 
     /// Live aggregate cells (see [`Engine::cell_count`]).
@@ -742,20 +722,9 @@ impl EngineKind {
         }
     }
 
-    /// Pre-size the result store (see [`Engine::reserve_results`]).
-    pub fn reserve_results(&mut self, additional: usize) {
-        on_engine!(self, en => en.reserve_results(additional))
-    }
-
-    /// Take the results emitted so far without finishing (see
-    /// [`Engine::take_results`]).
-    pub fn take_results(&mut self) -> ExecutorResults {
-        on_engine!(self, en => en.take_results())
-    }
-
-    /// Flush remaining windows and return the results.
-    pub fn finish(self) -> ExecutorResults {
-        on_engine!(self, en => en.finish())
+    /// Close every remaining window into `results`.
+    pub fn finish(self, results: &mut ExecutorResults) {
+        on_engine!(self, en => en.finish(results))
     }
 
     /// Events that passed routing, predicates, grouping, and shard
@@ -765,16 +734,18 @@ impl EngineKind {
     }
 }
 
-/// The dispatch stage of an executor: `lists` (parallel to `engines`)
-/// go straight to their engines, or — with a gate — through it in one
-/// call that admits them (dropping and counting late rows), advances the
-/// watermark to `frontier − lateness` and releases every row it passed,
-/// in event-time order, while `batch` is alive to lend their attributes.
+/// The dispatch stage of an executor: `lists` (parallel to `engines`) go
+/// straight to their engines, which close windows into `results`, or —
+/// with a gate — through it in one call that admits them (dropping and
+/// counting late rows), advances the watermark to `frontier − lateness`
+/// and releases every row it passed, in event-time order, while `batch`
+/// is alive to lend their attributes.
 /// Every engine sees the same frontier, so the one gate releases each
 /// engine's rows in the order a gate of its own would, and a late row is
 /// dropped and counted once per partition that selected it.
 fn dispatch(
     engines: &mut [EngineKind],
+    results: &mut ExecutorResults,
     gate: Option<&mut Reorder>,
     batch: &EventBatch,
     lists: &[Vec<u32>],
@@ -783,23 +754,27 @@ fn dispatch(
     let Some(gate) = gate else {
         for (p, rows) in lists.iter().enumerate() {
             if !rows.is_empty() {
-                engines[p].process_rows(batch, rows);
+                engines[p].process_rows(batch, rows, results);
             }
         }
         return;
     };
     let lists = lists.iter().map(Vec::as_slice);
     gate.process(batch, lists, frontier, |ty, time, attrs, p| {
-        on_engine!(&mut engines[p as usize], en => en.process_row(ty, time, attrs))
+        on_engine!(&mut engines[p as usize], en => en.process_row(ty, time, attrs, results))
     });
 }
 
 /// End of stream: open the gate (if any) and release every row it still
 /// holds into `engines`, before any window is force-closed.
-fn release_all(engines: &mut [EngineKind], gate: Option<&mut Reorder>) {
+fn release_all(
+    engines: &mut [EngineKind],
+    results: &mut ExecutorResults,
+    gate: Option<&mut Reorder>,
+) {
     if let Some(gate) = gate {
         gate.flush(|ty, time, attrs, p| {
-            on_engine!(&mut engines[p as usize], en => en.process_row(ty, time, attrs))
+            on_engine!(&mut engines[p as usize], en => en.process_row(ty, time, attrs, results))
         });
     }
 }
@@ -824,6 +799,7 @@ impl Executor {
     pub(crate) fn from_parts(engines: Vec<EngineKind>, front: ScanFront) -> Self {
         Executor {
             engines,
+            results: ExecutorResults::new(),
             front,
             gate: None,
         }
@@ -843,16 +819,26 @@ impl Executor {
         let lists = self.front.select(batch, 0, batch.len());
         let frontier = batch.max_time().unwrap_or(Timestamp::ZERO);
         let gate = self.gate.as_deref_mut();
-        dispatch(&mut self.engines, gate, batch, lists, frontier);
+        dispatch(
+            &mut self.engines,
+            &mut self.results,
+            gate,
+            batch,
+            lists,
+            frontier,
+        );
     }
 
-    /// Pre-size every partition's result store for about `additional`
-    /// further results per query (capacity planning for allocation-free
-    /// steady-state emission).
+    /// Pre-size the result log for about `additional` further results per
+    /// query (capacity planning for allocation-free steady-state
+    /// emission).
     pub fn reserve_results(&mut self, additional: usize) {
-        for engine in &mut self.engines {
-            engine.reserve_results(additional);
-        }
+        let queries: usize = self
+            .engines
+            .iter()
+            .map(|e| on_engine!(e, en => en.part.queries.len()))
+            .sum();
+        self.results.reserve(additional * queries);
     }
 
     /// Enable event-time processing with the given allowed lateness (in
@@ -874,16 +860,12 @@ impl Executor {
     /// sharded runtime batches by [`crate::DEFAULT_BATCH_SIZE`]).
     pub const RUN_BATCH: usize = 1024;
 
-    /// Take the results emitted so far across all partition engines,
-    /// leaving every store empty. Open windows keep their state and
-    /// appear in a later take or at [`Executor::finish`] — the epoch
-    /// drain backing the session layer's `drain_results`.
+    /// Take the results emitted so far, leaving the log empty. Open
+    /// windows keep their state and appear in a later take or at
+    /// [`Executor::finish`] — the drain backing the session layer's
+    /// `drain_results`.
     pub fn take_results(&mut self) -> ExecutorResults {
-        let mut out = ExecutorResults::new();
-        for engine in &mut self.engines {
-            out.merge(engine.take_results());
-        }
-        out
+        std::mem::take(&mut self.results)
     }
 
     /// Flush remaining windows and return all results.
@@ -892,17 +874,18 @@ impl Executor {
     }
 
     /// End of stream: release every row the gate holds, read the matched
-    /// and late-drop counts, then flush every engine's windows.
+    /// and late-drop counts, then close every engine's windows into the
+    /// log.
     pub(crate) fn report(mut self) -> RunReport {
-        release_all(&mut self.engines, self.gate.as_deref_mut());
+        let gate = self.gate.as_deref_mut();
+        release_all(&mut self.engines, &mut self.results, gate);
         let events_matched = self.events_matched();
         let late_rows_dropped = self.late_rows_dropped();
-        let mut results = ExecutorResults::new();
         for engine in self.engines {
-            results.merge(engine.finish());
+            engine.finish(&mut self.results);
         }
         RunReport {
-            results,
+            results: self.results,
             events_matched,
             late_rows_dropped,
             scan_stats: self.front.counters().snapshot(),
@@ -960,15 +943,25 @@ impl Executor {
         // the router stamped every chunk with the merged cross-shard
         // frontier: the gate advances to it whichever engines have rows
         let (engines, gate) = (&mut self.engines, self.gate.as_deref_mut());
-        dispatch(engines, gate, batch, &rows.per_part, rows.frontier);
+        dispatch(
+            engines,
+            &mut self.results,
+            gate,
+            batch,
+            &rows.per_part,
+            rows.frontier,
+        );
     }
 
-    /// The shard's checkpoint segment: its engines in partition order,
-    /// then the gate block — a present flag and, if set, the gate's own
-    /// state (watermark and the rows still waiting, so a resume under
-    /// disorder is crash-exact).
+    /// The shard's checkpoint segment: its result log (results are held
+    /// until harvested or `finish`, so a resume must carry them to
+    /// reproduce an uninterrupted run's output exactly), its engines in
+    /// partition order, then the gate block — a present flag and, if set,
+    /// the gate's own state (watermark and the rows still waiting, so a
+    /// resume under disorder is crash-exact).
     pub(crate) fn save_state(&mut self) -> Vec<u8> {
         let mut w = StateWriter::new();
+        self.results.save_state(&mut w);
         w.seq_len(self.engines.len());
         for engine in &mut self.engines {
             engine.save_state(&mut w);
@@ -984,6 +977,7 @@ impl Executor {
     /// built for the same partitions, shard and lateness.
     pub(crate) fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let mut r = StateReader::new(bytes);
+        self.results = ExecutorResults::load_state(&mut r)?;
         if r.seq_len()? != self.engines.len() {
             return Err(StateError::Corrupt("engine count per shard"));
         }
@@ -1175,6 +1169,39 @@ mod tests {
             Some(&AggValue::Count(1))
         );
         assert_eq!(res.len(), 2, "no cross-vehicle sequences");
+    }
+
+    #[test]
+    fn a_cached_group_id_is_reused_only_where_the_log_holds_its_key() {
+        // group 2 takes id 0 in the first log; after that log is handed
+        // away, group 1 closes first in the second and takes id 0 there,
+        // so group 2's cached 0 is in bounds but names group 1's key
+        let mut c = Catalog::new();
+        let a = c.register_with_schema("A", sharon_types::Schema::new(["g"]));
+        let w = parse_workload(
+            &mut c,
+            ["RETURN COUNT(*) PATTERN SEQ(A) GROUP BY g WITHIN 4 ms SLIDE 4 ms"],
+        )
+        .unwrap();
+        let mut ex = Executor::non_shared(&c, &w).unwrap();
+        let row = |t, g| Event::with_attrs(a, Timestamp(t), vec![Value::Int(g)]);
+        let (k1, k2) = (GroupKey::One(Value::Int(1)), GroupKey::One(Value::Int(2)));
+        feed(&mut ex, &[row(1, 2), row(2, 1), row(5, 2)]);
+        let first = ex.take_results();
+        assert_eq!(first.rows().map(|r| r.1).collect::<Vec<_>>(), [0]);
+        assert_eq!(first.group(0), &k2);
+        feed(&mut ex, &[row(6, 1), row(9, 2)]);
+        let second = ex.take_results();
+        let keyed: Vec<_> = second
+            .rows()
+            .map(|(_, gid, w, v)| (second.group(gid).clone(), w, v))
+            .collect();
+        let one = AggValue::Count(1);
+        assert_eq!(
+            keyed,
+            [(k1, Timestamp(0), one), (k2, Timestamp(4), one)],
+            "group 2's rows carry its own key in the second log"
+        );
     }
 
     #[test]
@@ -1671,22 +1698,15 @@ mod tests {
         );
     }
 
-    /// The checkpoint image of a two-group COUNT engine nine rows in: one
-    /// closed window per group in the result log, then each group's window
-    /// plane, segment runner and chain log. Format v7.
+    /// The checkpoint image of a two-group COUNT engine nine rows in (one
+    /// window per group closed into the executor's log, which the image
+    /// does not carry): each group's window plane, segment runner and
+    /// chain log. Format v8.
     #[rustfmt::skip]
     const ENGINE_GOLDEN: &[u8] = &[
         0, // COUNT kernel
         9, 0, 0, 0, 0, 0, 0, 0, // last row time: 9 ms
         9, 0, 0, 0, 0, 0, 0, 0, // rows matched
-        2, 0, 0, 0, 0, 0, 0, 0, // two result keys
-        1, 0, 1, 0, 0, 0, 0, 0, 0, 0, // g = 1
-        1, 0, 0, 0, 0, 0, 0, 0, 0, 0, // g = 0
-        2, 0, 0, 0, 0, 0, 0, 0, // two result rows
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // q0, key 0, window 0, a count
-        1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // count 1
-        0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // q0, key 1, window 0, a count
-        3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // count 3
         2, 0, 0, 0, 0, 0, 0, 0, // two groups
         1, 0, 1, 0, 0, 0, 0, 0, 0, 0, // g = 1
         192, 0, 0, 0, 0, 0, 0, 0, // its block

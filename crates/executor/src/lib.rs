@@ -38,19 +38,15 @@ pub mod sharded;
 pub mod winvec;
 
 pub use agg::{Aggregate, Contribution, CountCell, OutputKind, StatsCell};
-pub use chainlog::ChainLog;
-pub use checkpoint::{
-    CheckpointConfig, CheckpointData, CheckpointError, CheckpointStore, FaultPlan, StateError,
-    StateReader, StateWriter,
-};
+pub use checkpoint::{CheckpointConfig, CheckpointError, CheckpointStore, FaultPlan};
 pub use compile::{compile, CompileError, CompiledPartition};
-pub use engine::{Engine, EngineKind, Executor};
-pub use event_time::{PendingRow, Reorder};
+pub use engine::{EngineKind, Executor};
+pub use event_time::Reorder;
 pub use front::ScanFront;
 pub use processor::{BatchProcessor, RunReport};
 pub use results::ExecutorResults;
 pub use router::{BatchRouter, RouteBatch, RoutedRows, RowFilter};
 pub use runner::SegmentRunner;
-pub use scan::{ScanCounters, ScanKernel, TypePass};
+pub use scan::{ScanKernel, TypePass};
 pub use sharded::{ShardedExecutor, ShardedOptions, DEFAULT_BATCH_SIZE};
-pub use winvec::{WinVec, WindowPlane};
+pub use winvec::WinVec;

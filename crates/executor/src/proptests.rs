@@ -361,8 +361,8 @@ fn block_workload(agg: &str) -> (Catalog, sharon_query::Workload, SharingPlan) {
     (c, w, plan)
 }
 
-/// Random op sequence with a `save_state` → `load_state` into a fresh
-/// executor after every event: the run must equal the uninterrupted one
+/// Random op sequence with the executor's whole checkpoint segment (result
+/// log, engines, gate) restored into a fresh executor after every event: the run must equal the uninterrupted one
 /// bit for bit, whatever state the cut lands on (live records, same-
 /// timestamp pending adds, half-closed windows).
 fn codec_round_trip_is_exact(agg: &str, raw: &[(usize, u64, i64, i64)]) {
@@ -378,14 +378,7 @@ fn codec_round_trip_is_exact(agg: &str, raw: &[(usize, u64, i64, i64)]) {
         whole.process_columnar(&row);
         cut.process_columnar(&row);
         let mut resumed = Executor::new(&c, &w, &plan).unwrap();
-        for (from, to) in cut.engines.iter_mut().zip(resumed.engines.iter_mut()) {
-            let mut sw = StateWriter::new();
-            from.save_state(&mut sw);
-            let bytes = sw.into_bytes();
-            let mut sr = StateReader::new(&bytes);
-            to.load_state(&mut sr).unwrap();
-            assert!(sr.is_exhausted(), "engine state fully consumed");
-        }
+        resumed.load_state(&cut.save_state()).unwrap();
         assert_eq!(resumed.cell_count(), cut.cell_count());
         cut = resumed;
     }

@@ -12,9 +12,11 @@
 //! under a query below 128 takes 2 bytes. Columns grow in fixed-size
 //! segments — no multi-MiB buffer is ever reallocated and copied — and
 //! every hop from window close to the caller is an append, a move or a
-//! copy per run: engines emit with the id they interned for a group,
-//! [`ExecutorResults::merge`] into an empty set moves the segments, and
-//! any other merge writes one fresh header per run (one key lookup per
+//! copy per run: the engines of an executor close windows into its one
+//! log with the id each group registered there, the log leaves its
+//! executor by move, [`ExecutorResults::merge`] into an empty set moves
+//! the segments, and any other merge (the sharded runtime's, of its
+//! workers' logs) writes one fresh header per run (one key lookup per
 //! *distinct group*) and copies the run's row bytes in one slice, decoding
 //! no row.
 //!
@@ -440,9 +442,10 @@ impl ExecutorResults {
     }
 
     /// Append `group` to the key table and return its id, without a hash
-    /// lookup: the caller (an engine, once per group and result epoch)
-    /// vouches that it does not hold an id for this key already. A key
-    /// registered twice costs a table slot, nothing else.
+    /// lookup: an engine calls it once per group and log, when the id the
+    /// group cached does not hold its key in this table. A key registered
+    /// twice (say, by two partitions' groups) costs a table slot, nothing
+    /// else.
     pub fn add_group(&mut self, group: GroupKey) -> u32 {
         if self.by_key.is_some() {
             return self.intern(&group);
@@ -655,9 +658,10 @@ impl ExecutorResults {
         })
     }
 
-    /// Serialize the full result set into a checkpoint segment (the
-    /// engines hold emitted results until `finish`, so a resume must carry
-    /// them to reproduce an uninterrupted run's output exactly): the key
+    /// Serialize the full result set into a checkpoint segment (a shard
+    /// worker holds emitted results until they are harvested or
+    /// `finish`, so a resume must carry them to reproduce an
+    /// uninterrupted run's output exactly): the key
     /// table once, then one record per row: query, group id, window, kind
     /// and the value as two `u64` halves of a `u128` (a count in full, an
     /// `f64`'s bits in the low half). Run headers are not written;

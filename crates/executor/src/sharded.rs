@@ -1129,8 +1129,8 @@ mod tests {
     fn harvest_then_finish_equals_uninterrupted_run() {
         // 97 groups, a harvest after every ingested batch: every harvest
         // hands the workers' logs and key tables away, so each group
-        // interns afresh in each epoch it emits in — ids must never leak
-        // from one epoch's table into the next
+        // registers afresh in each log it emits into — ids must never
+        // leak from one log's table into the next
         let (c, w) = grouped_workload();
         let events = stream(&c, 4000, 97);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();

@@ -142,9 +142,9 @@ fn columnar_hot_path_is_allocation_free_after_warmup() {
 fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
     // every measured batch closes windows (256 ms of events, 4 ms slide),
     // and the phase starts right after a `take_results`, i.e. on a fresh
-    // log in a fresh result epoch: one more batch re-interns every group
-    // (an id per group and epoch), `reserve_results` reserves the
-    // segments, and from there emission is pure appends
+    // log: one more batch registers every group in it again (an id per
+    // group and log), `reserve_results` reserves the segments, and from
+    // there emission is pure appends
     let _serial = serial();
     let mut catalog = Catalog::new();
     catalog.register_with_schema("A", Schema::new(["g", "v"]));
@@ -184,7 +184,7 @@ fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
         "the measured batches emitted their windows ({} rows)",
         second_epoch.len()
     );
-    // the two epochs are disjoint and carry their own key tables
+    // the two logs are disjoint and carry their own key tables
     let mut all = first_epoch;
     all.merge(second_epoch);
     all.merge(executor.finish());
@@ -273,6 +273,37 @@ fn scan_path_is_allocation_free_through_the_shared_type_pass() {
             "{scopes} scope(s): every scope scanned every row"
         );
     }
+}
+
+#[test]
+fn finish_allocates_as_often_at_24_partitions_as_at_one() {
+    // the engines close their last windows into the executor's one log,
+    // so once that log is reserved `finish` merges nothing: its
+    // allocations do not grow with the partition count
+    let _serial = serial();
+    let mut catalog = Catalog::new();
+    catalog.register_with_schema("A", Schema::new(["g", "v"]));
+    catalog.register_with_schema("B", Schema::new(["g", "v"]));
+    let sources = distinct_predicate_queries();
+    let (warmup, _) = build_pair_batches(&catalog, WARMUP_BATCHES, 0);
+    let mut finish_allocs = |sources: &[String]| {
+        let workload = parse_workload(&mut catalog, sources.iter().map(String::as_str)).unwrap();
+        let mut executor = Executor::non_shared(&catalog, &workload).unwrap();
+        for batch in &warmup {
+            executor.process_columnar(batch);
+        }
+        // a group has at most two windows open per query
+        executor.reserve_results(2 * GROUPS as usize);
+        let (results, allocs) = alloc::measure_allocs(|| executor.finish());
+        assert!(results.len() >= GROUPS as usize * sources.len());
+        allocs
+    };
+    let one = finish_allocs(&sources[..1]);
+    let all = finish_allocs(&sources);
+    assert_eq!(
+        all, one,
+        "finish at 24 partitions allocated {all} times, at one {one}"
+    );
 }
 
 #[test]
@@ -839,13 +870,12 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
     let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).unwrap();
     let n_shards = 2usize;
     let mut router = BatchRouter::new(parts.clone(), n_shards);
-    let mut shards: Vec<Vec<EngineKind>> = (0..n_shards)
+    // a shard worker's engines and the one result log they close into
+    type Shard = (Vec<EngineKind>, ExecutorResults);
+    let mut shards: Vec<Shard> = (0..n_shards)
         .map(|_| {
-            parts
-                .iter()
-                .cloned()
-                .map(EngineKind::for_partition)
-                .collect()
+            let engines = parts.iter().cloned().map(EngineKind::for_partition);
+            (engines.collect(), ExecutorResults::new())
         })
         .collect();
 
@@ -861,7 +891,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
     let mut route_scratch: Vec<RoutedRows> = Vec::new();
     let rows_cap = n_shards * 6;
     let drive = |router: &mut BatchRouter,
-                 shards: &mut Vec<Vec<EngineKind>>,
+                 shards: &mut Vec<Shard>,
                  rows_pool: &mut Vec<RoutedRows>,
                  route_scratch: &mut Vec<RoutedRows>,
                  batch: &Arc<EventBatch>| {
@@ -888,10 +918,10 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
         // workers: consume the routed rows, return the lists
         for (shard, (_, rx)) in shard_rings.iter().enumerate() {
             let (batch, mut rows) = rx.recv().unwrap();
-            let engines = &mut shards[shard];
+            let (engines, log) = &mut shards[shard];
             for (pi, engine) in engines.iter_mut().enumerate() {
                 if !rows.per_part[pi].is_empty() {
-                    engine.process_rows(&batch, &rows.per_part[pi]);
+                    engine.process_rows(&batch, &rows.per_part[pi], log);
                 }
             }
             drop(batch);
@@ -915,10 +945,8 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
     // per ms over both shards (the result log reserves exactly what it is
     // asked for — there is no hash-table slack to absorb an undercount)
     let expected = MEASURED_BATCHES * BATCH_ROWS / 2 + 64;
-    for engines in &mut shards {
-        for engine in engines.iter_mut() {
-            engine.reserve_results(expected);
-        }
+    for (_, log) in &mut shards {
+        log.reserve(expected);
     }
 
     let ((), allocs) = alloc::measure_allocs(|| {
@@ -940,11 +968,12 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
 
     let mut matched = 0u64;
     let mut results = ExecutorResults::new();
-    for engines in shards {
+    for (engines, mut log) in shards {
         for engine in engines {
             matched += engine.events_matched();
-            results.merge(engine.finish());
+            engine.finish(&mut log);
         }
+        results.merge(log);
     }
     assert_eq!(
         matched,
