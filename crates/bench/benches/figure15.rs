@@ -71,7 +71,6 @@ fn main() {
                     max_options_per_candidate: 8,
                     max_subset_queries: 4,
                 },
-                ..Default::default()
             };
             let (eo, eo_mem) = peak_of(|| optimize_exhaustive(&workload, &rates, &eo_cfg));
             if eo.stats.timed_out {

@@ -1,8 +1,7 @@
 //! Fluent construction of every Sharon runtime shape.
 //!
 //! [`SharonBuilder`] is the one way to build: a single chain that scales
-//! from "defaults, sequential" to "sharded, checkpointed,
-//! fault-injected":
+//! from "defaults, sequential" to "sharded, checkpointed, event-time":
 //!
 //! ```
 //! use sharon::prelude::*;
@@ -30,8 +29,7 @@
 use crate::session::{SessionConfig, SharonSession};
 use crate::strategy::{build_sharded_any, strategy_plan, AnyExecutor, Strategy};
 use sharon_executor::{
-    CheckpointConfig, CheckpointError, CompileError, Executor, FaultPlan, ShardedExecutor,
-    ShardedOptions,
+    CheckpointConfig, CheckpointError, CompileError, Executor, ShardedExecutor, ShardedOptions,
 };
 use sharon_optimizer::{OptimizeOutcome, OptimizerConfig, RateMap};
 use sharon_query::Workload;
@@ -115,17 +113,10 @@ impl<'a> SharonBuilder<'a> {
         self
     }
 
-    /// Inject a worker panic mid-stream (panic-containment tests; see
-    /// [`FaultPlan`]).
-    pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.options.fault = Some(plan);
-        self
-    }
-
     /// Build the executor and the optimizer outcome (when an optimizer
     /// runs for the chosen strategy).
     ///
-    /// A durability option (checkpoint / fault) with `shards(0)`
+    /// A durability option (a checkpoint) with `shards(0)`
     /// is [`CompileError::ShardsRequired`] — the durability tier lives in
     /// the sharded runtime only. A two-step baseline with `shards(n ≥ 1)`
     /// is [`CompileError::UnsupportedOption`], naming the durability
@@ -322,12 +313,11 @@ mod tests {
             let sharded = SharonBuilder::new(&catalog, &workload, &rates)
                 .strategy(strategy)
                 .shards(2);
+            let dir = std::env::temp_dir().join("sharon-builder-baseline");
             for (builder, option) in [
                 (
-                    sharded
-                        .clone()
-                        .fault(FaultPlan::PanicWorker { batch: 3, shard: 0 }),
-                    "fault",
+                    sharded.clone().checkpoint(CheckpointConfig::every(&dir, 4)),
+                    "checkpoint",
                 ),
                 (sharded, "shards"),
             ] {

@@ -217,8 +217,8 @@ impl Tracker {
 /// Construct through
 /// [`SharonBuilder::session`](crate::SharonBuilder::session). The session
 /// always runs the sharded runtime for its shared plan and accepts only
-/// the online strategies (Sharon / Greedy / A-Seq); checkpoint, fault,
-/// and lateness options are rejected for now (they do not yet compose
+/// the online strategies (Sharon / Greedy / A-Seq); checkpoint and
+/// lateness options are rejected for now (they do not yet compose
 /// with plan hot-swaps) as [`CompileError::UnsupportedOption`].
 ///
 /// Input must be time-ordered, like every Sharon ingest path. All event
@@ -257,7 +257,7 @@ impl SharonSession {
     /// Start a session hosting `workload` as the initially attached
     /// queries (handles `0..n` in order). A two-step strategy (option
     /// `session`: its processors cannot surface results mid-stream) and a
-    /// checkpoint, fault or lateness option are
+    /// checkpoint or lateness option is
     /// [`CompileError::UnsupportedOption`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
@@ -274,8 +274,6 @@ impl SharonSession {
             Some("session")
         } else if options.checkpoint.is_some() {
             Some("checkpoint")
-        } else if options.fault.is_some() {
-            Some("fault")
         } else if options.lateness.is_some() {
             Some("lateness")
         } else {

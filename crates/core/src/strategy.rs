@@ -149,8 +149,8 @@ pub(crate) fn strategy_plan(
 }
 
 /// Build a sharded parallel executor under `strategy` with the full
-/// durability-capable option set (periodic checkpoints, fault injection —
-/// see [`ShardedOptions`]). The single sharded construction
+/// durability-capable option set (periodic checkpoints, event time — see
+/// [`ShardedOptions`]). The single sharded construction
 /// path behind [`crate::SharonBuilder`]: one [`Executor`] over shard-slice
 /// engines per worker ([`ShardedExecutor::with_options`]).
 ///

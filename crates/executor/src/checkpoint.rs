@@ -17,10 +17,12 @@
 //! deserializing garbage, and trailing bytes after a manifest, segment or
 //! group block count as corruption, not slack.
 //!
-//! Layout (v8). The manifest holds the replay offset, one router segment
+//! Layout (v9). The manifest holds the replay offset, one router segment
 //! (the router's event-time frontier) and a `(length, digest)` pair per
 //! shard segment. A shard segment is written by its worker: the worker's
-//! one result log (key table, then rows), the count of engine images,
+//! one result log (its key table, then per log segment the row count and
+//! the byte column as the log holds it, run headers included; see
+//! `results.rs`), the count of engine images,
 //! each engine image in partition order (kernel tag, last row time,
 //! matched count, then its groups, each a key and a length-prefixed
 //! block), then the worker's one gate block: a present flag and, when
@@ -54,7 +56,9 @@ const MANIFEST_MAGIC: &[u8; 8] = b"SHRNCKPT";
 /// images (each used to end in a gate block of its own).
 /// v8: one result log per shard segment, ahead of the engine images
 /// (each used to carry a log of its own).
-const FORMAT_VERSION: u32 = 8;
+/// v9: the result log is its segments' byte columns as they are (was one
+/// 33-byte record per row, re-encoded on load).
+const FORMAT_VERSION: u32 = 9;
 
 // ---------------------------------------------------------------------------
 // errors
@@ -901,17 +905,17 @@ mod tests {
 
     #[test]
     fn older_format_is_refused_naming_both_versions() {
-        // a v7 directory (shard segments with a result log per engine)
-        // must not be read as v8: rewrite a good manifest's version field
-        // and re-seal it
-        let dir = test_dir("v7");
+        // a v8 directory (result logs as one record per row) must not be
+        // read as v9: rewrite a good manifest's version field and re-seal
+        // it
+        let dir = test_dir("v8");
         let store = CheckpointStore::open(&dir).unwrap();
         store.write(0, 50, b"r", &[b"seg".to_vec()]).unwrap();
         let manifest = dir.join("ckpt-0000000000000000").join("MANIFEST");
         let mut bytes = fs::read(&manifest).unwrap();
         let at = MANIFEST_MAGIC.len();
         assert_eq!(bytes[at..at + 4], FORMAT_VERSION.to_le_bytes());
-        bytes[at..at + 4].copy_from_slice(&7u32.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&8u32.to_le_bytes());
         let body = bytes.len() - 8;
         let digest = fnv1a(&bytes[..body]);
         bytes[body..].copy_from_slice(&digest.to_le_bytes());
@@ -920,7 +924,7 @@ mod tests {
         for refused in [store.load(0), store.latest()] {
             match refused {
                 Err(CheckpointError::Mismatch(msg)) => {
-                    assert!(msg.contains("v7") && msg.contains("v8"), "{msg}");
+                    assert!(msg.contains("v8") && msg.contains("v9"), "{msg}");
                 }
                 other => panic!("expected a format mismatch, got {other:?}"),
             }

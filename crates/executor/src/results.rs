@@ -18,7 +18,9 @@
 //! the segments, and any other merge (the sharded runtime's, of its
 //! workers' logs) writes one fresh header per run (one key lookup per
 //! *distinct group*) and copies the run's row bytes in one slice, decoding
-//! no row.
+//! no row. A checkpoint image is the key table and each segment's byte
+//! column as it is, headers written, not rebuilt: one row format, in
+//! memory and on disk ([`ExecutorResults::save_state`]).
 //!
 //! The hash index behind [`ExecutorResults::get`] and
 //! [`ExecutorResults::semantically_eq`] is built on first use and serves
@@ -34,11 +36,6 @@ use std::sync::OnceLock;
 /// Rows per segment. The first segment of a set grows by `Vec` doubling
 /// (small sets stay small); later ones start at the previous one's size.
 const SEGMENT_ROWS: usize = 4096;
-
-/// Value kinds of a checkpoint record.
-const KIND_COUNT: u8 = 0;
-const KIND_NULL: u8 = 1;
-const KIND_NUMBER: u8 = 2;
 
 /// The low two bits of a row's header varint: a count inline in the
 /// header's upper bits, a null, an `f64` in the next 8 bytes, or a count
@@ -71,20 +68,21 @@ fn put_varint<const N: usize>(out: &mut [u8; N], mut at: usize, mut v: u64) -> u
     at + 1
 }
 
-/// Read the LEB128 varint at `*at`, advancing past it.
+/// Read the LEB128 varint at `*at`, advancing past it; `None` past `bytes`
+/// or 64 bits.
 #[inline]
-fn get_varint(bytes: &[u8], at: &mut usize) -> u64 {
+fn get_varint(bytes: &[u8], at: &mut usize) -> Option<u64> {
     let mut v = 0;
-    let mut shift = 0;
-    loop {
-        let b = bytes[*at];
+    for shift in (0..64).step_by(7) {
+        let b = *bytes.get(*at)?;
         *at += 1;
-        v |= u64::from(b & 0x7f) << shift;
+        let low = u64::from(b & 0x7f);
+        v |= Some(low << shift).filter(|bits| bits >> shift == low)?;
         if b < 0x80 {
-            return v;
+            return Some(v);
         }
-        shift += 7;
     }
+    None
 }
 
 /// Bytes of `v` as a LEB128 varint.
@@ -111,7 +109,7 @@ fn window_after(from: Timestamp, delta: u64) -> Timestamp {
 }
 
 /// The run a segment's next row may extend.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct OpenRun {
     /// Offset of its header's length byte in the segment's bytes.
     head: usize,
@@ -141,11 +139,6 @@ struct Segment {
 }
 
 impl Segment {
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
     /// Append a row: the row is encoded behind room for a header, which is
     /// written just ahead of it when the row opens a run, so either is one
     /// append.
@@ -240,10 +233,11 @@ impl Segment {
 
     /// Grow the byte column to a whole segment of the longest rows, each
     /// under a header of its own: every further row fits without
-    /// allocating.
+    /// allocating (a column loaded with over-long varints may be longer).
     fn reserve_whole(&mut self) {
-        let bytes = SEGMENT_ROWS * (MAX_ROW_BYTES + MAX_HEADER_BYTES) - self.bytes.len();
-        self.bytes.reserve_exact(bytes);
+        let whole = SEGMENT_ROWS * (MAX_ROW_BYTES + MAX_HEADER_BYTES);
+        self.bytes
+            .reserve_exact(whole.saturating_sub(self.bytes.len()));
     }
 
     /// The segment's runs, in order: `(group id, window, row bytes)`.
@@ -261,46 +255,78 @@ impl Segment {
     fn rows(&self) -> SegmentRows<'_> {
         SegmentRows {
             bytes: &self.bytes,
-            at: 0,
-            run_end: 0,
-            group: 0,
-            window: Timestamp(0),
+            ..SegmentRows::default()
         }
+    }
+
+    /// Take `bytes` from a checkpoint as a segment of `rows` rows over
+    /// group ids below `groups`, walking it once with [`Segment::rows`]'s
+    /// decoder: every run and row must decode within its bounds (a run holds
+    /// rows that end at its end), and the walk re-derives the open run for
+    /// rows pushed after a resume.
+    fn load(rows: usize, bytes: Vec<u8>, groups: usize) -> Result<Segment, StateError> {
+        let seg = Segment {
+            bytes,
+            ..Segment::default()
+        };
+        let mut decode = seg.rows();
+        let len = decode
+            .try_fold(0, |len, row| ((row.1 as usize) < groups).then_some(len + 1))
+            .ok_or(StateError::Corrupt("result run group id"))?;
+        let bad = if decode.at < decode.run_end {
+            "result row"
+        } else if decode.at < seg.bytes.len() {
+            "result run header"
+        } else if len != rows || len > SEGMENT_ROWS {
+            "result segment row count"
+        } else {
+            let open = (len > 0).then_some(decode.run);
+            return Ok(Segment { len, open, ..seg });
+        };
+        Err(StateError::Corrupt(bad))
     }
 }
 
 /// Decode the run header at `at`, whose window delta is taken from `base`:
 /// the run's group id, its window and where its rows lie. `None` at the
-/// end of `bytes`.
+/// end of `bytes`, and for a header or rows past it, a group id past `u32`
+/// or no rows.
 #[inline]
 fn next_run(bytes: &[u8], at: usize, base: Timestamp) -> Option<(u32, Timestamp, Range<usize>)> {
     let len = usize::from(*bytes.get(at)?);
     let mut at = at + 1;
-    let group = get_varint(bytes, &mut at) as u32;
-    let window = window_after(base, get_varint(bytes, &mut at));
-    Some((group, window, at..at + len))
+    let group = u32::try_from(get_varint(bytes, &mut at)?).ok()?;
+    let window = window_after(base, get_varint(bytes, &mut at)?);
+    (len > 0 && at + len <= bytes.len()).then_some((group, window, at..at + len))
+}
+
+/// Decode the row at `at`: its query, its value and where it ends. `None`
+/// for a row that overruns `bytes` or a query id past `u32`.
+#[inline]
+fn next_row(bytes: &[u8], mut at: usize) -> Option<(QueryId, AggValue, usize)> {
+    let query = u32::try_from(get_varint(bytes, &mut at)?).ok()?;
+    let header = get_varint(bytes, &mut at)?;
+    let tail = bytes.get(at..)?;
+    let value = match header & 3 {
+        TAG_COUNT => AggValue::Count((header >> 2).into()),
+        TAG_NULL => AggValue::Number(None),
+        TAG_NUMBER => AggValue::Number(Some(f64::from_le_bytes(*tail.first_chunk()?))),
+        _ => AggValue::Count(u128::from_le_bytes(*tail.first_chunk()?)),
+    };
+    // past the tag's payload: none, none, an `f64` or a `u128`
+    at += [0, 0, 8, 16][(header & 3) as usize];
+    Some((QueryId(query), value, at))
 }
 
 /// The decoder behind [`Segment::rows`]: a cursor into the byte column
-/// and the run it is in.
+/// and the run it is in. It stops at a header or row past its bounds.
+#[derive(Default)]
 struct SegmentRows<'a> {
     bytes: &'a [u8],
     at: usize,
     /// Where the current run's rows end.
     run_end: usize,
-    group: u32,
-    window: Timestamp,
-}
-
-impl SegmentRows<'_> {
-    #[inline]
-    fn raw<const N: usize>(&mut self) -> [u8; N] {
-        let raw = self.bytes[self.at..self.at + N]
-            .try_into()
-            .expect("a slice of N bytes");
-        self.at += N;
-        raw
-    }
+    run: OpenRun,
 }
 
 impl Iterator for SegmentRows<'_> {
@@ -310,18 +336,13 @@ impl Iterator for SegmentRows<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         if self.at == self.run_end {
             let rows;
-            (self.group, self.window, rows) = next_run(self.bytes, self.at, self.window)?;
-            (self.at, self.run_end) = (rows.start, rows.end);
+            (self.run.group, self.run.window, rows) =
+                next_run(self.bytes, self.at, self.run.window)?;
+            (self.run.head, self.at, self.run_end) = (self.at, rows.start, rows.end);
         }
-        let query = get_varint(self.bytes, &mut self.at) as u32;
-        let header = get_varint(self.bytes, &mut self.at);
-        let value = match header & 3 {
-            TAG_COUNT => AggValue::Count((header >> 2).into()),
-            TAG_NULL => AggValue::Number(None),
-            TAG_NUMBER => AggValue::Number(Some(f64::from_bits(u64::from_le_bytes(self.raw())))),
-            _ => AggValue::Count(u128::from_le_bytes(self.raw())),
-        };
-        Some((QueryId(query), self.group, self.window, value))
+        let (query, value);
+        (query, value, self.at) = next_row(&self.bytes[..self.run_end], self.at)?;
+        Some((query, self.run.group, self.run.window, value))
     }
 }
 
@@ -416,7 +437,7 @@ impl ExecutorResults {
     ) {
         debug_assert!((gid as usize) < self.keys.len(), "foreign group id");
         self.index.take();
-        if self.segs.last().is_none_or(|s| s.len() == SEGMENT_ROWS) {
+        if self.segs.last().is_none_or(|s| s.len == SEGMENT_ROWS) {
             self.open_segment();
         }
         let seg = self.segs.last_mut().expect("a segment with room is open");
@@ -491,7 +512,7 @@ impl ExecutorResults {
         let mut room = self.spare.len() * SEGMENT_ROWS;
         if let Some(last) = self.segs.last_mut() {
             last.reserve_whole();
-            room += SEGMENT_ROWS - last.len();
+            room += SEGMENT_ROWS - last.len;
         }
         let whole = additional.saturating_sub(room).div_ceil(SEGMENT_ROWS);
         self.spare.extend((0..whole).map(|_| {
@@ -521,7 +542,7 @@ impl ExecutorResults {
         let remap: Vec<u32> = other.keys.iter().map(|key| self.intern(key)).collect();
         for seg in &other.segs {
             match self.segs.last_mut() {
-                Some(last) if last.len() + seg.len() <= SEGMENT_ROWS => {
+                Some(last) if last.len + seg.len <= SEGMENT_ROWS => {
                     last.append_remapped(seg, &remap);
                 }
                 _ => {
@@ -661,62 +682,41 @@ impl ExecutorResults {
     /// Serialize the full result set into a checkpoint segment (a shard
     /// worker holds emitted results until they are harvested or
     /// `finish`, so a resume must carry them to reproduce an
-    /// uninterrupted run's output exactly): the key
-    /// table once, then one record per row: query, group id, window, kind
-    /// and the value as two `u64` halves of a `u128` (a count in full, an
-    /// `f64`'s bits in the low half). Run headers are not written;
-    /// `load_state` rebuilds them.
+    /// uninterrupted run's output exactly): the key table once, then the
+    /// segment count and, per segment, its row count and its byte column
+    /// as it is, run headers included. No row is decoded.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.seq_len(self.keys.len());
         for key in &self.keys {
             w.group_key(key);
         }
-        w.seq_len(self.len);
-        for (query, gid, window, value) in self.rows() {
-            let (kind, lane) = match value {
-                AggValue::Count(c) => (KIND_COUNT, c),
-                AggValue::Number(None) => (KIND_NULL, 0),
-                AggValue::Number(Some(x)) => (KIND_NUMBER, x.to_bits().into()),
-            };
-            w.u32(query.0);
-            w.u32(gid);
-            w.time(window);
-            w.u8(kind);
-            w.u64(lane as u64);
-            w.u64((lane >> 64) as u64);
+        w.seq_len(self.segs.len());
+        for seg in &self.segs {
+            w.seq_len(seg.len);
+            w.bytes(&seg.bytes);
         }
     }
 
-    /// Decode a result set written by [`ExecutorResults::save_state`].
+    /// Decode a result set written by [`ExecutorResults::save_state`],
+    /// keeping each segment's bytes after one walk (`Segment::load`); a
+    /// malformed image is [`StateError::Corrupt`] naming the field.
     pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
-        let n_keys = r.seq_len()?;
         let mut out = ExecutorResults::new();
-        out.keys.reserve(n_keys);
-        for _ in 0..n_keys {
-            out.keys.push(r.group_key()?);
-        }
-        let n_rows = r.seq_len()?;
-        for _ in 0..n_rows {
-            let query = QueryId(r.u32()?);
-            let gid = r.u32()?;
-            if gid as usize >= n_keys {
-                return Err(StateError::Corrupt("result row group id"));
+        let mut read = |r: &mut StateReader<'_>| {
+            for _ in 0..r.seq_len()? {
+                out.keys.push(r.group_key()?);
             }
-            let window = r.time()?;
-            let kind = r.u8()?;
-            if kind > KIND_NUMBER {
-                return Err(StateError::Corrupt("result row value kind"));
+            for _ in 0..r.seq_len()? {
+                let seg = Segment::load(r.seq_len()?, r.bytes()?.to_vec(), out.keys.len())?;
+                out.len += seg.len;
+                out.segs.push(seg);
             }
-            let (low, high) = (r.u64()?, r.u64()?);
-            let lane = u128::from(low) | u128::from(high) << 64;
-            let value = match kind {
-                KIND_COUNT => AggValue::Count(lane),
-                KIND_NULL => AggValue::Number(None),
-                _ => AggValue::Number(Some(f64::from_bits(lane as u64))),
-            };
-            out.emit_interned(query, gid, window, value);
+            Ok(())
+        };
+        match read(r) {
+            Err(StateError::Eof) => Err(StateError::Corrupt("result log truncated")),
+            res => res.map(|()| out),
         }
-        Ok(out)
     }
 }
 
@@ -926,7 +926,7 @@ mod tests {
         // across two segments, every window far from 0: the second
         // segment's first header steps from 0, not from the first's last
         let mut i = 0;
-        while r.segs.len() < 2 || r.segs[1].len() < 10 {
+        while r.segs.len() < 2 || r.segs[1].len < 10 {
             let g = [0, 127, 128, 16_383, 16_384][i % 5];
             emit(
                 &mut r,
@@ -1242,21 +1242,22 @@ mod tests {
     }
 
     /// The checkpoint image of a count, a count past 64 bits, a null and a
-    /// number: one 16-byte value record per row, whatever the log's layout.
+    /// number: the key table, then the one segment's row count and byte
+    /// column as the log holds it, two run headers included.
     #[rustfmt::skip]
     const GOLDEN: &[u8] = &[
         2, 0, 0, 0, 0, 0, 0, 0, // two keys
         1, 0, 1, 0, 0, 0, 0, 0, 0, 0, // key(1)
         0, // global
+        1, 0, 0, 0, 0, 0, 0, 0, // one segment
         4, 0, 0, 0, 0, 0, 0, 0, // four rows
-        0, 0, 0, 0, 0, 0, 0, 0, 60, 0, 0, 0, 0, 0, 0, 0, KIND_COUNT,
-        3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        1, 0, 0, 0, 0, 0, 0, 0, 60, 0, 0, 0, 0, 0, 0, 0, KIND_COUNT,
-        0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
-        2, 0, 0, 0, 1, 0, 0, 0, 120, 0, 0, 0, 0, 0, 0, 0, KIND_NULL,
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        3, 0, 0, 0, 1, 0, 0, 0, 120, 0, 0, 0, 0, 0, 0, 0, KIND_NUMBER,
-        0, 0, 0, 0, 0, 0, 0x04, 0x40, 0, 0, 0, 0, 0, 0, 0, 0,
+        38, 0, 0, 0, 0, 0, 0, 0, // in 38 bytes
+        20, 0, 120, // a run of 20 bytes: group 0, window 0 + 60
+        0, 12, // query 0: count 3
+        1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, // query 1: 2⁶⁴
+        12, 1, 120, // a run of 12 bytes: group 1, window 60 + 60
+        2, 1, // query 2: null
+        3, 2, 0, 0, 0, 0, 0, 0, 0x04, 0x40, // query 3: 2.5
     ];
 
     #[test]
@@ -1287,39 +1288,168 @@ mod tests {
             back.rows().collect::<Vec<_>>(),
             r.rows().collect::<Vec<_>>()
         );
-        assert_eq!(back.segs[0].runs().count(), 2, "loading rebuilds the runs");
         assert_eq!(
             back.segs[0].bytes, r.segs[0].bytes,
-            "and encodes each row alike"
+            "loading keeps the column as it is"
         );
+    }
+
+    /// A results image over `keys` keys and the given segments, each a
+    /// declared row count and a byte column.
+    fn image(keys: i64, segs: &[(usize, &[u8])]) -> Vec<u8> {
+        let mut w = crate::checkpoint::StateWriter::new();
+        w.seq_len(keys as usize);
+        for g in 0..keys {
+            w.group_key(&key(g));
+        }
+        w.seq_len(segs.len());
+        for (rows, bytes) in segs {
+            w.seq_len(*rows);
+            w.bytes(bytes);
+        }
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<ExecutorResults, StateError> {
+        ExecutorResults::load_state(&mut crate::checkpoint::StateReader::new(bytes))
+    }
+
+    /// A log of two segments, several runs each: rows by id, runs of one to
+    /// five queries, some wide values.
+    fn two_segments() -> ExecutorResults {
+        let mut r = ExecutorResults::new();
+        let gids: Vec<u32> = (0..5).map(|g| r.add_group(key(g))).collect();
+        for i in 0..SEGMENT_ROWS + 40 {
+            let run = 1 + i / 3 % 5;
+            let value = match i % 7 {
+                0 => AggValue::Number(Some(i as f64 / 8.0)),
+                1 => AggValue::Number(None),
+                2 => AggValue::Count(u128::MAX - i as u128),
+                _ => AggValue::Count(i as u128),
+            };
+            let window = Timestamp(1_000 + (i / run) as u64 * 3);
+            r.emit_interned(QueryId((i % run) as u32), gids[i / run % 5], window, value);
+        }
+        assert_eq!(r.segs.len(), 2);
+        r
     }
 
     #[test]
     fn load_state_rejects_rows_that_point_nowhere() {
-        let image = |gid: u32, kind: u8| {
+        // one key; a run of 2 bytes (group 0, window 0): query 0, count 3
+        let good: &[u8] = &[2, 0, 0, 0, 12];
+        assert_eq!(load(&image(1, &[(1, good)])).unwrap().len(), 1);
+        let (count, run, row) = (
+            "result segment row count",
+            "result run header",
+            "result row",
+        );
+        let over_full = good.repeat(SEGMENT_ROWS + 1);
+        let bad: [(&str, &str, Vec<u8>); 13] = [
+            ("declared one row short", count, image(1, &[(0, good)])),
+            ("declared one row long", count, image(1, &[(2, good)])),
+            (
+                "more rows than a segment",
+                count,
+                image(1, &[(SEGMENT_ROWS + 1, &over_full)]),
+            ),
+            (
+                "zero run length",
+                run,
+                image(1, &[(1, &[0, 0, 0, 2, 0, 0, 0, 12])]),
+            ),
+            (
+                "group id = key count",
+                "result run group id",
+                image(1, &[(1, &[2, 1, 0, 0, 12])]),
+            ),
+            // a number's 8 bytes past a run of 2: into the next run, and
+            // past the column
+            (
+                "payload past its run",
+                row,
+                image(1, &[(2, &[2, 0, 0, 0, 2, 2, 0, 0, 0, 0, 12, 0, 0])]),
+            ),
+            (
+                "payload past the column",
+                row,
+                image(1, &[(1, &[2, 0, 0, 0, 2, 0])]),
+            ),
+            ("unterminated group id", run, image(1, &[(1, &[2, 0x80])])),
+            (
+                "unterminated query",
+                row,
+                image(1, &[(1, &[2, 0, 0, 0x80, 0x80])]),
+            ),
+            (
+                "an 11-byte group id",
+                run,
+                image(
+                    1,
+                    &[(1, &[[2].as_slice(), &[0x80; 10], &[0, 0, 0, 12]].concat())],
+                ),
+            ),
+            (
+                "a 10-byte window step past 64 bits",
+                run,
+                image(
+                    1,
+                    &[(1, &[[2, 0].as_slice(), &[0xff; 9], &[2, 0, 12]].concat())],
+                ),
+            ),
+            (
+                "a trailing byte",
+                run,
+                image(1, &[(1, &[good, &[5]].concat())]),
+            ),
+            ("a trailing run", count, image(1, &[(1, &good.repeat(2))])),
+        ];
+        for (case, field, bytes) in &bad {
+            assert_eq!(
+                load(bytes).err(),
+                Some(StateError::Corrupt(field)),
+                "{case}"
+            );
+        }
+        // every truncation of a two-segment image with many runs
+        let full = {
             let mut w = crate::checkpoint::StateWriter::new();
-            w.seq_len(1);
-            w.group_key(&key(1));
-            w.seq_len(1);
-            w.u32(0);
-            w.u32(gid);
-            w.time(Timestamp(0));
-            w.u8(kind);
-            w.u64(1);
-            w.u64(0);
+            two_segments().save_state(&mut w);
             w.into_bytes()
         };
-        let load = |bytes: &[u8]| {
-            ExecutorResults::load_state(&mut crate::checkpoint::StateReader::new(bytes))
+        for cut in 0..full.len() {
+            assert!(
+                matches!(load(&full[..cut]), Err(StateError::Corrupt(_))),
+                "cut at {cut} of {}",
+                full.len()
+            );
+        }
+
+        // rows emitted after a resume, cut mid-run in the second segment,
+        // extend the log as they extend the log that was never saved
+        let mut live = two_segments();
+        let mut resumed = load(&full).unwrap();
+        let open = |r: &ExecutorResults| {
+            let run = r.segs.last().unwrap().open.unwrap();
+            (run.head, run.group, run.window)
         };
-        assert!(load(&image(0, KIND_COUNT)).is_ok());
-        assert!(
-            load(&image(1, KIND_COUNT)).is_err(),
-            "group id past the table"
-        );
-        assert!(load(&image(0, 3)).is_err(), "unknown value kind");
-        let good = image(0, KIND_COUNT);
-        assert!(load(&good[..good.len() - 1]).is_err(), "truncated row");
+        let (head, group, window) = open(&live);
+        assert_eq!(open(&resumed), (head, group, window));
+        for r in [&mut live, &mut resumed] {
+            r.emit_interned(QueryId(9), group, window, AggValue::Count(1));
+            assert_eq!(open(r).0, head, "the open run is extended");
+            // then a run per row, into two more segments
+            for i in 0..2 * SEGMENT_ROWS as u64 {
+                let value = AggValue::Count(u128::from(i));
+                r.emit_interned(QueryId(1), (i % 5) as u32, Timestamp(9_000 + i / 2), value);
+            }
+        }
+        assert_eq!(resumed.len(), live.len());
+        assert_eq!(resumed.segs.len(), 4);
+        assert!(resumed.rows().eq(live.rows()), "row for row");
+        for (ours, theirs) in resumed.segs.iter().zip(&live.segs) {
+            assert_eq!(ours.bytes, theirs.bytes, "byte for byte");
+        }
     }
 
     // ---- model test -----------------------------------------------------
@@ -1415,7 +1545,7 @@ mod tests {
         // segment's bytes exactly, the open run is the last one, and
         // decoding the rows ends exactly at the end of the byte column
         for seg in &set.segs {
-            prop_assert!(seg.len() <= SEGMENT_ROWS);
+            prop_assert!(seg.len <= SEGMENT_ROWS);
             let (mut at, mut base, mut last) = (0, Timestamp(0), None);
             for (group, window, rows) in seg.runs() {
                 let header = 1 + varint_len(group.into()) + varint_len(window_delta(base, window));
@@ -1427,7 +1557,7 @@ mod tests {
             prop_assert_eq!(at, seg.bytes.len());
             prop_assert_eq!(last, seg.open.map(|run| (run.head, run.group, run.window)));
             let mut decode = seg.rows();
-            prop_assert_eq!(decode.by_ref().count(), seg.len());
+            prop_assert_eq!(decode.by_ref().count(), seg.len);
             prop_assert_eq!(decode.at, seg.bytes.len());
         }
         let mut by_key: BTreeMap<ModelKey, Vec<AggValue>> = BTreeMap::new();
@@ -1563,7 +1693,7 @@ mod tests {
                         models[s].push((k, v));
                     }
                     Op::Burst(s, g, run, extra) if std::mem::take(&mut burst) => {
-                        let open = sets[s].segs.last().map_or(0, |seg| seg.len());
+                        let open = sets[s].segs.last().map_or(0, |seg| seg.len);
                         let gid = sets[s].add_group(model_group(g));
                         for i in 0..SEGMENT_ROWS - open + extra {
                             let q = QUERY_IDS[i % run];

@@ -342,16 +342,10 @@ impl Default for ShardedOptions {
 }
 
 impl ShardedOptions {
-    /// The first durability option that is set (`checkpoint`, `fault`),
-    /// by name — what a build without the durability tier must refuse.
+    /// The durability option that is set (`checkpoint`), by name — what
+    /// a build without the durability tier must refuse.
     pub fn durability_option(&self) -> Option<&'static str> {
-        if self.checkpoint.is_some() {
-            Some("checkpoint")
-        } else if self.fault.is_some() {
-            Some("fault")
-        } else {
-            None
-        }
+        self.checkpoint.as_ref().map(|_| "checkpoint")
     }
 }
 

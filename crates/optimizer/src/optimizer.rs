@@ -25,11 +25,9 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the optimizers.
 #[derive(Debug, Clone, Default)]
 pub struct OptimizerConfig {
-    /// Resolve sharing conflicts by expanding candidates into query-subset
-    /// options (§7.1). On by default for the Sharon and exhaustive
-    /// optimizers, matching Section 8.3's phase description.
-    pub skip_expansion: bool,
-    /// Caps on option generation.
+    /// Caps on option generation: the Sharon and exhaustive optimizers
+    /// resolve sharing conflicts by expanding candidates into query-subset
+    /// options (§7.1), matching Section 8.3's phase description.
     pub expansion: ExpansionConfig,
     /// Wall-clock budget for each component's plan search; on exhaustion
     /// the best plan found so far is returned and `timed_out` is set. That
@@ -55,7 +53,7 @@ pub struct OptimizeStats {
     pub graph_vertices: usize,
     /// Sharing conflicts (edges).
     pub graph_edges: usize,
-    /// Vertices after expansion (0 when expansion is skipped).
+    /// Vertices after expansion (0 under GWMIN, which does not expand).
     pub expanded_vertices: usize,
     /// Conflict-ridden candidates pruned by the reduction.
     pub pruned: usize,
@@ -192,9 +190,6 @@ fn expanded(
     graph: &SharonGraph,
     config: &OptimizerConfig,
 ) -> (SharonGraph, Duration) {
-    if config.skip_expansion {
-        return (graph.clone(), Duration::ZERO);
-    }
     let t = Instant::now();
     let model = CostModel::new(workload, rates);
     let mut benefit = |p: &Pattern, qs: &BTreeSet<QueryId>| model.bvalue(p, qs);
@@ -431,19 +426,6 @@ mod tests {
         );
         assert!(o.total_time() >= Duration::ZERO);
         assert_eq!(o.stats.candidates_mined, 7, "Table 1");
-    }
-
-    #[test]
-    fn skip_expansion_reproduces_original_graph_plan() {
-        let (_, w) = traffic();
-        let rates = RateMap::uniform(100.0);
-        let cfg = OptimizerConfig {
-            skip_expansion: true,
-            ..Default::default()
-        };
-        let o = optimize_sharon(&w, &rates, &cfg);
-        assert_eq!(o.stats.expanded_vertices, o.stats.graph_vertices);
-        o.plan.validate(&w).unwrap();
     }
 
     #[test]

@@ -512,21 +512,21 @@ fn strategy_layer_resume_round_trips() {
     }
 }
 
-/// FNV-1a, the manifest checksum, spelled out for [`v8_manifest`].
+/// FNV-1a, the manifest checksum, spelled out for [`v9_manifest`].
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
-/// A format-v8 manifest, encoded here independently of the store: magic,
+/// A format-v9 manifest, encoded here independently of the store: magic,
 /// version, id, replay offset, a counted list of router segments, a
 /// counted list of shard segment `(length, digest)` pairs, then the
 /// checksum of everything before it. Integers are little-endian, counts
 /// and lengths `u64`.
-fn v8_manifest(id: u64, events_sent: u64, routers: &[&[u8]], shards: &[Vec<u8>]) -> Vec<u8> {
+fn v9_manifest(id: u64, events_sent: u64, routers: &[&[u8]], shards: &[Vec<u8>]) -> Vec<u8> {
     let mut m = b"SHRNCKPT".to_vec();
-    m.extend_from_slice(&8u32.to_le_bytes());
+    m.extend_from_slice(&9u32.to_le_bytes());
     m.extend_from_slice(&id.to_le_bytes());
     m.extend_from_slice(&events_sent.to_le_bytes());
     m.extend_from_slice(&(routers.len() as u64).to_le_bytes());
@@ -544,7 +544,7 @@ fn v8_manifest(id: u64, events_sent: u64, routers: &[&[u8]], shards: &[Vec<u8>])
     m
 }
 
-/// The runtime has one router thread, and its manifests keep the v8
+/// The runtime has one router thread, and its manifests keep the v9
 /// layout: a counted router list holding one segment, byte for byte. A
 /// manifest carrying two router segments (as a two-router build wrote
 /// them) is refused with a typed error naming the count — by the store
@@ -580,8 +580,8 @@ fn manifest_router_segments_round_trip_or_are_refused() {
         std::fs::read(dir.join(format!("ckpt-{:016}", data.id)).join("MANIFEST")).unwrap();
     assert_eq!(
         manifest,
-        v8_manifest(data.id, data.events_sent, &[&data.router], &data.shards),
-        "a one-router manifest is the v8 layout, byte for byte"
+        v9_manifest(data.id, data.events_sent, &[&data.router], &data.shards),
+        "a one-router manifest is the v9 layout, byte for byte"
     );
 
     let id = data.id + 1;
@@ -590,7 +590,7 @@ fn manifest_router_segments_round_trip_or_are_refused() {
     for (i, seg) in data.shards.iter().enumerate() {
         std::fs::write(forged.join(format!("shard-{i}.seg")), seg).unwrap();
     }
-    let two = v8_manifest(
+    let two = v9_manifest(
         id,
         data.events_sent,
         &[&data.router, &data.router],
