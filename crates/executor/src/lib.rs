@@ -27,7 +27,9 @@ pub mod checkpoint;
 pub mod compile;
 pub mod engine;
 pub mod event_time;
+mod executor;
 pub mod front;
+mod group_table;
 pub mod processor;
 mod proptests;
 pub mod results;
@@ -40,8 +42,8 @@ pub mod winvec;
 pub use agg::{Aggregate, Contribution, CountCell, OutputKind, StatsCell};
 pub use checkpoint::{CheckpointConfig, CheckpointError, CheckpointStore, FaultPlan};
 pub use compile::{compile, CompileError, CompiledPartition};
-pub use engine::{EngineKind, Executor};
 pub use event_time::Reorder;
+pub use executor::{EngineKind, Executor};
 pub use front::ScanFront;
 pub use processor::{BatchProcessor, RunReport};
 pub use results::ExecutorResults;

@@ -6,7 +6,7 @@
 
 use crate::agg::{Aggregate, Contribution, CountCell, StatsCell};
 use crate::checkpoint::{StateReader, StateWriter};
-use crate::engine::Executor;
+use crate::executor::Executor;
 use crate::runner::SegmentRunner;
 use crate::winvec::{WinVec, WindowPlane};
 use proptest::prelude::*;

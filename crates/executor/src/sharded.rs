@@ -16,9 +16,10 @@
 //!   assigned to worker `p mod N`, spreading independent scopes over the
 //!   shards.
 //!
-//! Each worker hosts one [`Executor`] over shard-slice online
-//! [`Engine`]s — the same type that runs sequentially, restricted to the
-//! shard's groups — so sharding is a pure work partition: shard results
+//! Each worker hosts one [`Executor`] (`executor.rs`) over shard-slice
+//! online [`Engine`]s — the same type that runs sequentially, whose
+//! group table holds only the shard's groups — so sharding is a pure
+//! work partition: shard results
 //! are disjoint and merge exactly. [`ShardedExecutor::finish`] merges
 //! them in deterministic shard order; determinism tests assert
 //! `semantically_eq` with the sequential path for every shard count and
@@ -96,7 +97,7 @@ use crate::checkpoint::{
     HarvestRef, StateReader, StateWriter,
 };
 use crate::compile::{compile, CompileError, CompiledPartition};
-use crate::engine::{EngineKind, Executor};
+use crate::executor::{EngineKind, Executor};
 use crate::front::ScanFront;
 use crate::processor::{BatchProcessor, RunReport};
 use crate::results::ExecutorResults;

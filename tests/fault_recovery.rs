@@ -118,7 +118,6 @@ fn assert_kill_and_resume_is_exact(
     rng: &mut Rng,
 ) {
     let want = sequential_reference(catalog, workload, plan, events);
-    assert!(!want.is_empty(), "{label}: stream must produce matches");
     let (events, lateness) = match support::disordered(events) {
         Some((shuffled, need)) => (shuffled, Some(need)),
         None => (events.to_vec(), None),
@@ -166,13 +165,15 @@ fn assert_kill_and_resume_is_exact(
 
         resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
         let got = resumed.finish();
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{label}: {shards} shards \
-             crash@{crash_batch} resume@{offset} diverges from the uninterrupted run \
-             ({} vs {} results)",
-            got.len(),
-            want.len(),
+        support::assert_equivalent(
+            &got,
+            &want,
+            workload.ids(),
+            1e-9,
+            format_args!(
+                "{label}: {shards} shards crash@{crash_batch} resume@{offset} \
+                 vs the uninterrupted run"
+            ),
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -313,12 +314,12 @@ fn below_bound_lateness_drops_and_counts() {
             "{shards} shards: every late row \
              must be counted exactly once (owner copies only)"
         );
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{shards} shards: drop-and-count \
-             must be shard-invariant ({} vs {} results)",
-            got.len(),
-            want.len(),
+        support::assert_equivalent(
+            &got,
+            &want,
+            workload.ids(),
+            1e-9,
+            format_args!("{shards} shards: drop-and-count vs sequential"),
         );
     }
 }
@@ -369,7 +370,6 @@ fn gated_kill_and_resume_over_two_partitions() {
         }
         let want_drops = sequential.late_rows_dropped();
         let want = sequential.finish();
-        assert!(!want.is_empty(), "lateness {lateness}: the stream matches");
         assert_eq!(
             want_drops == 0,
             lateness == covering,
@@ -401,11 +401,12 @@ fn gated_kill_and_resume_over_two_partitions() {
             assert!(offset > 0, "{label}: a checkpoint was written");
             resumed.process_columnar(&EventBatch::from_events(&shuffled[offset as usize..]));
             let report = resumed.finish_with_stats();
-            assert!(
-                report.results.semantically_eq(&want, 1e-9),
-                "{label}: resume@{offset} diverges from the uninterrupted run ({} vs {} results)",
-                report.results.len(),
-                want.len(),
+            support::assert_equivalent(
+                &report.results,
+                &want,
+                workload.ids(),
+                1e-9,
+                format_args!("{label}: resume@{offset} vs the uninterrupted run"),
             );
             assert_eq!(
                 report.late_rows_dropped, want_drops,
@@ -503,10 +504,15 @@ fn strategy_layer_resume_round_trips() {
         let (mut resumed, _, offset) = builder.resume().expect("resumes");
         resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
         let got = resumed.finish();
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{} crash@{crash_batch} resume@{offset}: resumed strategy run diverges",
-            strategy.name(),
+        support::assert_equivalent(
+            &got,
+            &want,
+            workload.ids(),
+            1e-9,
+            format_args!(
+                "{} crash@{crash_batch} resume@{offset}: resumed strategy run",
+                strategy.name()
+            ),
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -615,9 +621,12 @@ fn manifest_router_segments_round_trip_or_are_refused() {
         ShardedExecutor::resume(&catalog, &workload, &plan, 2, options).expect("resumes");
     assert_eq!(offset, data.events_sent);
     resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
-    assert!(
-        resumed.finish().semantically_eq(&want, 1e-9),
-        "resumed run diverges from the uninterrupted one"
+    support::assert_equivalent(
+        &resumed.finish(),
+        &want,
+        workload.ids(),
+        1e-9,
+        "resumed run vs the uninterrupted one",
     );
     std::fs::remove_dir_all(&dir).ok();
 }

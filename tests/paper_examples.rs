@@ -8,6 +8,9 @@ use sharon::optimizer::plan_finder::{find_exhaustive, find_optimal_plan};
 use sharon::optimizer::reduction::reduce;
 use sharon::prelude::*;
 
+#[path = "support.rs"]
+mod support;
+
 /// Table 1: the sharing candidates of the traffic workload.
 #[test]
 fn table_1_sharing_candidates() {
@@ -166,9 +169,10 @@ fn examples_1_and_2_executor_counts() {
 /// Example 3 (Figure 7): the Shared method combines count(A,B) and
 /// count(C,D) into count(A,B,C,D) = 7.
 ///
-/// Event layout: a1 b2 c3 d4 a5 b6 b7 c8 d9 —
+/// Event layout: y0 a1 b2 c3 d4 a5 b6 b7 c8 d9 x10 —
 /// at c3: count(A,B) = 1, two later Ds (d4, d9) ⇒ 2;
 /// at c8: count(A,B) = 5, one later D (d9) ⇒ 5; total 7.
+/// y0 and x10 give the other two queries rows to compare.
 #[test]
 fn example_3_shared_combination() {
     let mut c = Catalog::new();
@@ -183,7 +187,8 @@ fn example_3_shared_combination() {
     .unwrap();
     let t = |n: &str| c.lookup(n).unwrap();
     let events: Vec<Event> = [
-        (t("A"), 1u64),
+        (t("Y"), 0u64),
+        (t("A"), 1),
         (t("B"), 2),
         (t("C"), 3),
         (t("D"), 4),
@@ -192,6 +197,7 @@ fn example_3_shared_combination() {
         (t("B"), 7),
         (t("C"), 8),
         (t("D"), 9),
+        (t("X"), 10),
     ]
     .into_iter()
     .map(|(ty, ts)| Event::new(ty, Timestamp(ts)))
@@ -211,7 +217,7 @@ fn example_3_shared_combination() {
     let sr = shared.finish();
     let nr = nonshared.finish();
     assert_eq!(sr.total_count(QueryId(0)), 7, "paper: count(A,B,C,D) = 7");
-    assert!(sr.semantically_eq(&nr, 1e-9));
+    support::assert_equivalent(&sr, &nr, w.ids(), 1e-9, "shared vs non-shared");
 }
 
 /// Example 13 / Figure 11: option compatibility after conflict resolution.

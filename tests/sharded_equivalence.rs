@@ -67,12 +67,12 @@ fn assert_sharded_matches_sequential(
         gated.set_lateness(need);
         gated.process_columnar(&run_batch);
         let got = gated.finish();
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{label}: gated sequential engine diverges under disorder \
-             (lateness {need} ms, {} vs {} results)",
-            got.len(),
-            want.len(),
+        support::assert_equivalent(
+            &got,
+            &want,
+            workload.ids(),
+            1e-9,
+            format_args!("{label}: gated sequential engine under disorder (lateness {need} ms)"),
         );
     }
 
@@ -91,19 +91,18 @@ fn assert_sharded_matches_sequential(
         sharded.process_columnar(&run_batch);
         let report = sharded.finish_with_stats();
         let (got, matched) = (report.results, report.events_matched);
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{label}: {shards} shards diverge from the sequential engine \
-             ({} vs {} results)",
-            got.len(),
-            want.len(),
+        support::assert_equivalent(
+            &got,
+            &want,
+            workload.ids(),
+            1e-9,
+            format_args!("{label}: {shards} shards vs the sequential engine"),
         );
         assert_eq!(
             matched, want_matched,
             "{label}: {shards} shards: matched count"
         );
     }
-    assert!(!want.is_empty(), "{label}: stream must produce matches");
 }
 
 fn sharon_plan(workload: &Workload) -> SharingPlan {
@@ -414,6 +413,7 @@ proptest! {
         sequential.process_columnar(&batch);
         let want_matched = sequential.events_matched();
         let want = sequential.finish();
+        proptest::prop_assume!(support::has_rows_of_each(&want, workload.ids()));
 
         let mut sharded = ShardedExecutor::with_options(
             &catalog,
@@ -426,12 +426,12 @@ proptest! {
         sharded.process_columnar(&batch);
         let report = sharded.finish_with_stats();
         let (got, matched) = (report.results, report.events_matched);
-        proptest::prop_assert!(
-            got.semantically_eq(&want, 1e-9),
-            "cardinality {} theta {} shards {}: sharded diverges",
-            cardinality,
-            theta,
-            shards
+        support::assert_equivalent(
+            &got,
+            &want,
+            workload.ids(),
+            1e-9,
+            format_args!("cardinality {cardinality} theta {theta} shards {shards}: sharded"),
         );
         proptest::prop_assert_eq!(matched, want_matched);
     }
@@ -487,15 +487,19 @@ proptest! {
         let mut whole = Executor::non_shared(&catalog, &workload).unwrap();
         whole.process_columnar(&EventBatch::from_events(&events));
         let want = whole.finish();
+        proptest::prop_assume!(support::has_rows_of_each(&want, workload.ids()));
 
         let mut columnar = Executor::non_shared(&catalog, &workload).unwrap();
         for b in &batches {
             columnar.process_columnar(b);
         }
         let got = columnar.finish();
-        proptest::prop_assert!(
-            got.semantically_eq(&want, 1e-9),
-            "sequential columnar diverges over ragged batches"
+        support::assert_equivalent(
+            &got,
+            &want,
+            workload.ids(),
+            1e-9,
+            "sequential columnar over ragged batches",
         );
 
         // a small flush threshold forces mid-stream route-once fan-outs
@@ -510,10 +514,12 @@ proptest! {
             sharded.process_columnar(b);
         }
         let got = sharded.finish();
-        proptest::prop_assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{} shards: columnar route-once diverges over ragged batches",
-            shards
+        support::assert_equivalent(
+            &got,
+            &want,
+            workload.ids(),
+            1e-9,
+            format_args!("{shards} shards: columnar route-once over ragged batches"),
         );
     }
 }
@@ -549,7 +555,6 @@ fn gated_matched_counts_agree_across_shard_counts() {
     };
     let report = run(0);
     let (want, want_matched) = (report.results, report.events_matched);
-    assert!(!want.is_empty());
     for shards in shard_counts() {
         let report = run(shards);
         let (got, matched) = (report.results, report.events_matched);
@@ -557,9 +562,12 @@ fn gated_matched_counts_agree_across_shard_counts() {
             matched, want_matched,
             "{shards} shards: matched count differs from the sequential run"
         );
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "{shards} shards: gated results diverge"
+        support::assert_equivalent(
+            &got,
+            &want,
+            workload.ids(),
+            1e-9,
+            format_args!("{shards} shards: gated results"),
         );
     }
 }

@@ -60,3 +60,41 @@ pub fn short_window_taxi_workload(catalog: &mut sharon::types::Catalog) -> sharo
     )
     .expect("short-window taxi workload parses")
 }
+
+/// Whether `reference` holds at least one row of each of `queries`.
+#[allow(dead_code)]
+pub fn has_rows_of_each(
+    reference: &sharon::executor::ExecutorResults,
+    queries: impl IntoIterator<Item = sharon::query::QueryId>,
+) -> bool {
+    queries
+        .into_iter()
+        .all(|q| reference.of_query(q).next().is_some())
+}
+
+/// Assert that `got` is `semantically_eq` to `reference` within `tol`,
+/// after asserting that the reference holds a row of each of `queries`:
+/// an equivalence over an empty reference checks nothing. `what` names
+/// the comparison in a failure.
+#[allow(dead_code)]
+#[track_caller]
+pub fn assert_equivalent(
+    got: &sharon::executor::ExecutorResults,
+    reference: &sharon::executor::ExecutorResults,
+    queries: impl IntoIterator<Item = sharon::query::QueryId>,
+    tol: f64,
+    what: impl std::fmt::Display,
+) {
+    for q in queries {
+        assert!(
+            reference.of_query(q).next().is_some(),
+            "{what}: the reference has no row of {q:?}"
+        );
+    }
+    assert!(
+        got.semantically_eq(reference, tol),
+        "{what}: diverges from the reference ({} vs {} results)",
+        got.len(),
+        reference.len(),
+    );
+}
