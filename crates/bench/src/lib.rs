@@ -3,6 +3,6 @@
 //! Shared helpers for the figure-reproducing benchmark binaries (see the
 //! `benches/` directory: one target per paper figure).
 
-pub mod harness;
+mod harness;
 
 pub use harness::*;

@@ -55,9 +55,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
-pub mod session;
-pub mod strategy;
+mod builder;
+mod session;
+mod strategy;
 
 pub use builder::SharonBuilder;
 pub use session::{QueryHandle, SessionConfig, SharonSession};

@@ -180,10 +180,36 @@ pub(crate) fn build_sharded_any(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sharon_streams::ecommerce::{generate, EcommerceConfig};
     use sharon_streams::workload::{figure_2_workload, measured_rates};
+
+    /// Assert that `got` is `semantically_eq` to `reference` within `tol`,
+    /// after asserting that the reference holds a row of each of its first
+    /// `n_queries` queries: an equivalence over an empty reference checks
+    /// nothing. `what` names the comparison in a failure.
+    #[track_caller]
+    pub(crate) fn assert_equivalent(
+        got: &sharon_executor::ExecutorResults,
+        reference: &sharon_executor::ExecutorResults,
+        n_queries: u32,
+        tol: f64,
+        what: impl std::fmt::Display,
+    ) {
+        for q in (0..n_queries).map(sharon_query::QueryId) {
+            assert!(
+                reference.of_query(q).next().is_some(),
+                "{what}: the reference has no row of {q:?}"
+            );
+        }
+        assert!(
+            got.semantically_eq(reference, tol),
+            "{what}: diverges from the reference ({} vs {} results)",
+            got.len(),
+            reference.len()
+        );
+    }
 
     /// Run `batch` sequentially under `strategy` and return the results.
     fn run(
@@ -227,11 +253,8 @@ mod tests {
             Strategy::SpassLike,
         ] {
             let got = run(&catalog, &workload, &rates, strategy, &batch);
-            assert!(
-                got.semantically_eq(&reference, 1e-9),
-                "{} diverges from A-Seq",
-                strategy.name()
-            );
+            let n = workload.len() as u32;
+            assert_equivalent(&got, &reference, n, 1e-9, strategy.name());
         }
     }
 
@@ -266,11 +289,9 @@ mod tests {
             Strategy::SpassLike,
         ] {
             let got = run(&catalog, &workload, &rates, strategy, &batch);
-            assert!(
-                got.semantically_eq(&reference, 1e-9),
-                "{} columnar diverges",
-                strategy.name()
-            );
+            let n = workload.len() as u32;
+            let what = format!("{} columnar", strategy.name());
+            assert_equivalent(&got, &reference, n, 1e-9, what);
 
             let online = !matches!(strategy, Strategy::FlinkLike | Strategy::SpassLike);
             for shards in [1usize, 3] {
@@ -294,11 +315,8 @@ mod tests {
                 );
                 sharded.process_columnar(&batch);
                 let got = sharded.finish();
-                assert!(
-                    got.semantically_eq(&reference, 1e-9),
-                    "{} sharded/{shards} diverges",
-                    strategy.name()
-                );
+                let what = format!("{} sharded/{shards}", strategy.name());
+                assert_equivalent(&got, &reference, n, 1e-9, what);
             }
         }
     }

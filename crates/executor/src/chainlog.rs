@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 /// One folded contribution: `value` added to every window in
 /// `lo ..= hi`.
 #[derive(Debug, Clone, Copy)]
-pub struct LogEntry<A> {
+pub(crate) struct LogEntry<A> {
     /// The event time that produced it: visible to strictly later events.
     pub time: Timestamp,
     /// First window sequence covered.
@@ -44,7 +44,7 @@ pub struct LogEntry<A> {
 
 /// An append-only, front-expiring log of chain contributions.
 #[derive(Debug, Clone)]
-pub struct ChainLog<A> {
+pub(crate) struct ChainLog<A> {
     /// Absolute index of `entries.front()`.
     base: u64,
     entries: VecDeque<LogEntry<A>>,
@@ -58,7 +58,7 @@ impl<A: Aggregate> Default for ChainLog<A> {
 
 impl<A: Aggregate> ChainLog<A> {
     /// An empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ChainLog {
             base: 0,
             entries: VecDeque::new(),
@@ -68,7 +68,7 @@ impl<A: Aggregate> ChainLog<A> {
     /// Record `value` over windows `lo ..= hi`, performed at `now` (no
     /// earlier than any recorded entry).
     #[inline]
-    pub fn add_range(&mut self, now: Timestamp, lo: WinSeq, hi: WinSeq, value: A) {
+    pub(crate) fn add_range(&mut self, now: Timestamp, lo: WinSeq, hi: WinSeq, value: A) {
         if value.is_zero() || lo > hi {
             return;
         }
@@ -84,14 +84,14 @@ impl<A: Aggregate> ChainLog<A> {
     /// The absolute offset separating contributions strictly before `now`
     /// from later ones. Stored per START record of the next chain stage.
     #[inline]
-    pub fn offset_at(&self, now: Timestamp) -> u64 {
+    pub(crate) fn offset_at(&self, now: Timestamp) -> u64 {
         let same_time = self.entries.iter().rev().take_while(|e| e.time >= now);
         self.base + (self.entries.len() - same_time.count()) as u64
     }
 
     /// Iterate the entries visible at `now` (`time < now`) as
     /// `(absolute index, entry)`, oldest first.
-    pub fn iter_before(&self, now: Timestamp) -> impl Iterator<Item = (u64, &LogEntry<A>)> {
+    pub(crate) fn iter_before(&self, now: Timestamp) -> impl Iterator<Item = (u64, &LogEntry<A>)> {
         self.entries
             .iter()
             .take_while(move |e| e.time < now)
@@ -102,7 +102,7 @@ impl<A: Aggregate> ChainLog<A> {
     /// Drop leading entries whose whole window range closed before
     /// `close_seq` — they can no longer contribute to any result.
     #[inline]
-    pub fn drop_dead(&mut self, close_seq: WinSeq) {
+    pub(crate) fn drop_dead(&mut self, close_seq: WinSeq) {
         while self.entries.front().is_some_and(|e| e.hi < close_seq) {
             self.entries.pop_front();
             self.base += 1;
@@ -110,19 +110,14 @@ impl<A: Aggregate> ChainLog<A> {
     }
 
     /// Entries currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when no entries are held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Serialize the log — its entries and the absolute base offset (START
     /// events of later stages hold absolute offsets into this log, so the
     /// base must survive a restore).
-    pub fn save_state(&self, w: &mut StateWriter) {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
         w.u64(self.base);
         w.seq_len(self.entries.len());
         for e in &self.entries {
@@ -134,7 +129,7 @@ impl<A: Aggregate> ChainLog<A> {
     }
 
     /// Decode a log written by [`ChainLog::save_state`].
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+    pub(crate) fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
         let base = r.u64()?;
         let n = r.seq_len()?;
         let mut entries = VecDeque::with_capacity(n);
@@ -190,7 +185,7 @@ mod tests {
         log.add_range(Timestamp(1), 0, 3, c(0));
         log.add_range(Timestamp(1), 3, 1, c(5));
         assert_eq!(log.offset_at(Timestamp(9)), 0);
-        assert!(log.is_empty());
+        assert_eq!(log.len(), 0);
     }
 
     #[test]

@@ -398,7 +398,7 @@ impl<'a> StateReader<'a> {
 }
 
 /// FNV-1a over `bytes` — the checksum guarding every checkpoint file.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -668,14 +668,14 @@ pub enum FaultPlan {
 /// fill. `S` is what a worker deposits: state bytes for a checkpoint, the
 /// result log itself (moved, never encoded) for a result harvest.
 #[derive(Debug)]
-pub struct CheckpointBarrier<S = Vec<u8>> {
+pub(crate) struct CheckpointBarrier<S = Vec<u8>> {
     slots: Mutex<BarrierSlots<S>>,
     filled: Condvar,
 }
 
 /// The harvest a filled barrier yields: the router's serialized segment,
 /// then one deposit per worker shard.
-pub type BarrierHarvest<S = Vec<u8>> = (Vec<u8>, Vec<S>);
+pub(crate) type BarrierHarvest<S = Vec<u8>> = (Vec<u8>, Vec<S>);
 
 #[derive(Debug)]
 struct BarrierSlots<S> {
@@ -686,7 +686,7 @@ struct BarrierSlots<S> {
 impl<S> CheckpointBarrier<S> {
     /// A barrier awaiting the router's deposit and `n_shards` worker
     /// deposits.
-    pub fn new(n_shards: usize) -> Self {
+    pub(crate) fn new(n_shards: usize) -> Self {
         CheckpointBarrier {
             slots: Mutex::new(BarrierSlots {
                 router: None,
@@ -697,14 +697,14 @@ impl<S> CheckpointBarrier<S> {
     }
 
     /// Deposit the router thread's serialized state.
-    pub fn fill_router(&self, bytes: Vec<u8>) {
+    pub(crate) fn fill_router(&self, bytes: Vec<u8>) {
         let mut s = self.slots.lock().expect("barrier poisoned");
         s.router = Some(bytes);
         self.filled.notify_all();
     }
 
     /// Deposit worker `shard`'s state.
-    pub fn fill_shard(&self, shard: usize, deposit: S) {
+    pub(crate) fn fill_shard(&self, shard: usize, deposit: S) {
         let mut s = self.slots.lock().expect("barrier poisoned");
         s.shards[shard] = Some(deposit);
         self.filled.notify_all();
@@ -714,7 +714,7 @@ impl<S> CheckpointBarrier<S> {
     ///
     /// Checks `cancel` periodically so a worker that died mid-checkpoint
     /// fails the barrier instead of hanging the ingest thread forever.
-    pub fn wait(&self, cancel: &AtomicBool) -> Result<BarrierHarvest<S>, CheckpointError> {
+    pub(crate) fn wait(&self, cancel: &AtomicBool) -> Result<BarrierHarvest<S>, CheckpointError> {
         let mut s = self.slots.lock().expect("barrier poisoned");
         loop {
             if s.router.is_some() && s.shards.iter().all(|x| x.is_some()) {
@@ -741,10 +741,10 @@ impl<S> CheckpointBarrier<S> {
 }
 
 /// Convenience alias used by barrier messages flowing through the rings.
-pub type BarrierRef = Arc<CheckpointBarrier>;
+pub(crate) type BarrierRef = Arc<CheckpointBarrier>;
 
 /// A result-harvest barrier in flight: workers deposit their result log.
-pub type HarvestRef = Arc<CheckpointBarrier<crate::results::ExecutorResults>>;
+pub(crate) type HarvestRef = Arc<CheckpointBarrier<crate::results::ExecutorResults>>;
 
 #[cfg(test)]
 mod tests {

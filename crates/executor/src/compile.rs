@@ -296,7 +296,7 @@ pub fn compile(
         .map_err(|e| CompileError::PlanInvalid(e.to_string()))?;
 
     // partition queries by sharing signature, preserving id order
-    let mut partitions: Vec<(Vec<&Query>, sharon_query::query::SharingSignature)> = Vec::new();
+    let mut partitions: Vec<(Vec<&Query>, sharon_query::SharingSignature)> = Vec::new();
     for q in workload.queries() {
         let sig = q.sharing_signature();
         match partitions.iter_mut().find(|(_, s)| *s == sig) {

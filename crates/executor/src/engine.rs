@@ -3,8 +3,7 @@
 //! One [`Engine`] evaluates one compiled partition (queries with identical
 //! predicates, grouping, window, and aggregate — assumption (2) / §7.2).
 //! Per `GROUP BY` partition it maintains one flat block, a
-//! `GroupRuntime` held by the engine's `GroupTable` (`group_table.rs`;
-//! README, "Group state"):
+//! `GroupRuntime` held by the engine's `GroupTable` (`group_table.rs`):
 //!
 //! * a **runner plane**: one [`SegmentRunner`] per runner slot — shared
 //!   runners are updated *once* per event regardless of how many queries
@@ -266,7 +265,7 @@ impl<A: Aggregate> Engine<A> {
     /// Serialize this engine's full evaluation state into a checkpoint
     /// segment: its clock and match count, then its group table (each
     /// group one length-prefixed block after its key).
-    pub fn save_state(&self, w: &mut StateWriter) {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
         w.time(self.last_time);
         w.u64(self.events_matched);
         self.groups.save(w);
@@ -274,10 +273,10 @@ impl<A: Aggregate> Engine<A> {
 
     /// Restore the state written by [`Engine::save_state`] into a freshly
     /// built engine for the **same** compiled partition.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         self.last_time = r.time()?;
         self.events_matched = r.u64()?;
-        self.groups.load(r, &self.part)
+        self.groups.load(r, &self.part, self.last_time)
     }
 
     /// Bring one group up to `now` before a row at `now` is dispatched:
@@ -540,6 +539,7 @@ impl<A: Aggregate> Engine<A> {
 mod tests {
     use super::*;
     use crate::executor::{EngineKind, Executor};
+    use crate::results::tests::assert_equivalent;
     use crate::runner::SegmentRunner;
     use sharon_query::aggregate::AggValue;
     use sharon_query::{parse_workload, Pattern, PlanCandidate, QueryId, SharingPlan, Workload};
@@ -552,30 +552,6 @@ mod tests {
     /// Feed row-form `events` to `ex` as one columnar batch.
     fn feed(ex: &mut Executor, events: &[Event]) {
         ex.process_columnar(&EventBatch::from_events(events));
-    }
-
-    /// Assert `got` equals the `reference` within `tol`, after asserting
-    /// that the reference holds a row of each of its first `n_queries`
-    /// queries: an equivalence over an empty reference checks nothing.
-    #[track_caller]
-    fn assert_equivalent(
-        got: &ExecutorResults,
-        reference: &ExecutorResults,
-        n_queries: u32,
-        tol: f64,
-    ) {
-        for q in (0..n_queries).map(QueryId) {
-            assert!(
-                reference.of_query(q).next().is_some(),
-                "the reference has no row of {q:?}"
-            );
-        }
-        assert!(
-            got.semantically_eq(reference, tol),
-            "diverges from the reference ({} vs {} results)",
-            got.len(),
-            reference.len()
-        );
     }
 
     fn run_queries(
@@ -692,7 +668,7 @@ mod tests {
             shared.get(QueryId(0), &GroupKey::Global, Timestamp(0)),
             Some(&AggValue::Count(4))
         );
-        assert_equivalent(&shared, &nonshared, 2, 1e-9);
+        assert_equivalent(&shared, &nonshared, 2, 1e-9, "shared vs non-shared");
     }
 
     #[test]
@@ -1025,7 +1001,7 @@ mod tests {
         assert_eq!(ex.late_rows_dropped(), 0);
         let got = ex.finish();
         // covered disorder must reproduce the in-order results
-        assert_equivalent(&got, &want, 1, 1e-9);
+        assert_equivalent(&got, &want, 1, 1e-9, "gated vs in order");
     }
 
     #[test]
@@ -1121,7 +1097,7 @@ mod tests {
             shared.get(QueryId(1), &GroupKey::Global, Timestamp(0)),
             Some(&AggValue::Count(3))
         );
-        assert_equivalent(&shared, &nonshared, 2, 1e-9);
+        assert_equivalent(&shared, &nonshared, 2, 1e-9, "shared vs non-shared");
     }
 
     #[test]
@@ -1157,7 +1133,7 @@ mod tests {
         };
         let (_, shared) = run_queries(&srcs, &plan, events);
         let (_, nonshared) = run_queries(&srcs, &SharingPlan::non_shared(), events);
-        assert_equivalent(&shared, &nonshared, 2, 1e-9);
+        assert_equivalent(&shared, &nonshared, 2, 1e-9, "shared vs non-shared");
     }
 
     #[test]
@@ -1244,7 +1220,7 @@ mod tests {
         feed(&mut resumed, &events[cut..]);
         assert_eq!(resumed.events_matched(), want_matched);
         // snapshot + restore + replay must equal the uninterrupted run
-        assert_equivalent(&resumed.finish(), &want, 1, 0.0);
+        assert_equivalent(&resumed.finish(), &want, 1, 0.0, "resumed vs uninterrupted");
     }
 
     /// The checkpoint image of a two-group COUNT engine nine rows in (one
@@ -1374,6 +1350,73 @@ mod tests {
             engine_blob(&ex)
         };
         assert_eq!(blob_after("A"), blob_after("Y"));
+    }
+
+    /// A gated executor over three groups, fed half of a stream whose
+    /// neighbours are swapped under a covering lateness of 3 ms: its
+    /// checkpoint segment, and the offset of the gate block at its end.
+    fn gated_segment() -> (Catalog, Workload, Vec<u8>, usize) {
+        let (c, w, mut events) = grouped_setup(3);
+        for pair in events.chunks_mut(2) {
+            pair.reverse();
+        }
+        let mut ex = Executor::non_shared(&c, &w).unwrap();
+        ex.set_lateness(3);
+        feed(&mut ex, &events[..events.len() / 2]);
+        // the segment is the log, the engines, a gate flag, then the gate
+        let mut head = StateWriter::new();
+        ex.results.save_state(&mut head);
+        head.seq_len(ex.engines.len());
+        for engine in &ex.engines {
+            engine.save_state(&mut head);
+        }
+        head.bool(true);
+        let head = head.into_bytes();
+        let segment = ex.save_state();
+        assert_eq!(segment[..head.len()], head[..]);
+        (c, w, segment, head.len())
+    }
+
+    #[test]
+    fn a_gate_row_no_engine_routes_is_corrupt() {
+        let (c, w, segment, gate) = gated_segment();
+        // lateness, frontier, watermark, seq and drop count, then the row
+        // count and the first row: its time, seq, type and scope
+        let rows = u64::from_le_bytes(segment[gate + 40..gate + 48].try_into().unwrap());
+        assert!(rows > 0, "the gate holds rows at the cut");
+        let (ty, scope) = (gate + 64, gate + 68);
+        let load = |image: &[u8]| {
+            let mut ex = Executor::non_shared(&c, &w).unwrap();
+            ex.set_lateness(3);
+            ex.load_state(image)
+        };
+        assert_eq!(load(&segment), Ok(()));
+        let corrupt = Err(StateError::Corrupt(
+            "gate row for no engine that routes its type",
+        ));
+        let mut image = segment.clone();
+        image[scope] = 1; // the executor has one engine
+        assert_eq!(load(&image), corrupt);
+        let mut image = segment;
+        image[ty] = 7; // the catalog has types 0 and 1
+        assert_eq!(load(&image), corrupt);
+    }
+
+    #[test]
+    fn a_window_plane_opening_past_the_last_row_is_corrupt() {
+        // the golden engine's last row is at 9 ms: the oldest window
+        // covering it (WITHIN 8 ms SLIDE 4 ms) is window 1, [4, 12)
+        let first_block = 1 + 8 + 8 + 8 + 10 + 8;
+        let mut image = ENGINE_GOLDEN.to_vec();
+        assert_eq!(
+            image[first_block..first_block + 8],
+            [1, 0, 0, 0, 0, 0, 0, 0]
+        );
+        image[first_block] = 2;
+        assert_eq!(
+            load_engine_image(&image),
+            Err(StateError::Corrupt("window plane opens past the last row"))
+        );
     }
 
     #[test]

@@ -239,7 +239,8 @@ impl Reorder {
     }
 
     /// Buffered rows awaiting release.
-    pub fn pending_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_len(&self) -> usize {
         self.carry.live() + self.fresh.len()
     }
 
@@ -400,7 +401,7 @@ impl Reorder {
     /// pending rows). Rows are written in `(time, seq)` order so
     /// identical state yields identical bytes; every row was selected
     /// before admission, so each is written with `pre_routed` true.
-    pub fn save_state(&mut self, w: &mut StateWriter) {
+    pub(crate) fn save_state(&mut self, w: &mut StateWriter) {
         self.settle();
         w.u64(self.lateness);
         w.time(self.frontier);
@@ -425,8 +426,14 @@ impl Reorder {
 
     /// Restore the state written by [`Reorder::save_state`]. The
     /// configured lateness must match — a resume under a different bound
-    /// would silently change which rows count as late.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    /// would silently change which rows count as late — and `routes`
+    /// must accept every row's `(scope, type)`: a row no engine of the
+    /// owner can take would fail only when it is released.
+    pub(crate) fn load_state(
+        &mut self,
+        r: &mut StateReader<'_>,
+        routes: impl Fn(u32, EventTypeId) -> bool,
+    ) -> Result<(), StateError> {
         let lateness = r.u64()?;
         if lateness != self.lateness {
             return Err(StateError::Corrupt(
@@ -446,6 +453,11 @@ impl Reorder {
             let seq = r.u64()?;
             let ty = EventTypeId(r.u32()?);
             let scope = r.u32()?;
+            if !routes(scope, ty) {
+                return Err(StateError::Corrupt(
+                    "gate row for no engine that routes its type",
+                ));
+            }
             r.bool()?; // pre_routed: always true
             attrs.clear();
             for _ in 0..r.seq_len()? {
@@ -602,7 +614,7 @@ mod tests {
 
         let mut restored = Reorder::new(5);
         let mut r = StateReader::new(&bytes);
-        restored.load_state(&mut r).unwrap();
+        restored.load_state(&mut r, |_, _| true).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(restored.watermark(), g.watermark());
         assert_eq!(restored.late_rows_dropped(), 1);
@@ -611,7 +623,9 @@ mod tests {
 
         // lateness mismatch is refused, not silently re-interpreted
         let mut wrong = Reorder::new(9);
-        assert!(wrong.load_state(&mut StateReader::new(&bytes)).is_err());
+        assert!(wrong
+            .load_state(&mut StateReader::new(&bytes), |_, _| true)
+            .is_err());
     }
 
     /// A gate row as the checkpoint lists it: `(time, seq, ty, scope,
@@ -786,7 +800,7 @@ mod tests {
         let mut restored = Reorder::new(g.lateness());
         let mut r = StateReader::new(&bytes);
         restored
-            .load_state(&mut r)
+            .load_state(&mut r, |_, _| true)
             .expect("the gate's own bytes load");
         assert!(r.is_exhausted());
         *g = restored;

@@ -20,7 +20,7 @@ use crate::processor::RunReport;
 use crate::results::ExecutorResults;
 use crate::router::RoutedRows;
 use sharon_query::{SharingPlan, Workload};
-use sharon_types::{Catalog, EventBatch, Timestamp};
+use sharon_types::{Catalog, EventBatch, EventTypeId, Timestamp};
 
 /// The public executor: compiles a workload + plan into one engine per
 /// sharing-signature partition and fans every event out to them.
@@ -30,7 +30,7 @@ use sharon_types::{Catalog, EventBatch, Timestamp};
 /// the Sharon executor (Section 3.3).
 ///
 /// The executor owns the stateless front end of its partitions: the
-/// select stage ([`crate::front`]: one scan kernel per engine behind a
+/// select stage ([`ScanFront`]: one scan kernel per engine behind a
 /// shared type pass), one event-time gate for all engines, the only gate
 /// in the system, and one result log for all engines. The engines keep
 /// only group state. The same type is the sharded runtime's shard worker:
@@ -82,7 +82,7 @@ impl EngineKind {
         }
     }
 
-    /// Process a batch's selected rows (see [`Engine::process_rows`]).
+    /// Process a batch's selected rows (see `Engine::process_rows`).
     pub fn process_rows(
         &mut self,
         batch: &EventBatch,
@@ -92,14 +92,14 @@ impl EngineKind {
         on_engine!(self, en => en.process_rows(batch, rows, results))
     }
 
-    /// Live aggregate cells (see [`Engine::cell_count`]).
+    /// Live aggregate cells (see `Engine::cell_count`).
     pub fn cell_count(&self) -> usize {
         on_engine!(self, en => en.cell_count())
     }
 
     /// Serialize the full evaluation state, tagged with the kernel kind
     /// (see [`Engine::save_state`]).
-    pub fn save_state(&self, w: &mut StateWriter) {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
         let tag = match self {
             EngineKind::Count(_) => 0,
             EngineKind::Stats(_) => 1,
@@ -110,7 +110,7 @@ impl EngineKind {
 
     /// Restore state written by [`EngineKind::save_state`]; the kernel
     /// kind must match the one this engine was compiled with.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let tag = r.u8()?;
         match (self, tag) {
             (EngineKind::Count(en), 0) => en.load_state(r),
@@ -128,6 +128,11 @@ impl EngineKind {
     /// ownership.
     pub fn events_matched(&self) -> u64 {
         on_engine!(self, en => en.events_matched())
+    }
+
+    /// True if `ty` routes into this engine's partition.
+    fn routes(&self, ty: EventTypeId) -> bool {
+        on_engine!(self, en => en.part.routed(ty))
     }
 }
 
@@ -386,7 +391,14 @@ impl Executor {
         // both directions rather than guess
         let had_gate = r.bool()?;
         match (&mut self.gate, had_gate) {
-            (Some(gate), true) => gate.load_state(&mut r)?,
+            (Some(gate), true) => {
+                let engines = &self.engines;
+                gate.load_state(&mut r, |scope, ty| {
+                    engines
+                        .get(scope as usize)
+                        .is_some_and(|engine| engine.routes(ty))
+                })?
+            }
             (None, false) => {}
             (Some(_), false) => {
                 return Err(StateError::Corrupt(

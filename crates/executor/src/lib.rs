@@ -21,23 +21,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agg;
-pub mod chainlog;
-pub mod checkpoint;
-pub mod compile;
-pub mod engine;
-pub mod event_time;
+mod agg;
+mod chainlog;
+mod checkpoint;
+mod compile;
+mod engine;
+mod event_time;
 mod executor;
-pub mod front;
+mod front;
 mod group_table;
-pub mod processor;
+mod processor;
 mod proptests;
-pub mod results;
-pub mod router;
-pub mod runner;
-pub mod scan;
-pub mod sharded;
-pub mod winvec;
+mod results;
+mod router;
+mod runner;
+mod scan;
+mod sharded;
+mod winvec;
 
 pub use agg::{Aggregate, Contribution, CountCell, OutputKind, StatsCell};
 pub use checkpoint::{CheckpointConfig, CheckpointError, CheckpointStore, FaultPlan};

@@ -10,8 +10,8 @@
 //! for the online engines directly or through the executor's event-time
 //! gate, for the baselines in arrival order.
 //! [`BatchProcessor`] captures that contract behind one trait so callers
-//! (the strategy layer, the framework, the CLI, the benches) drive every
-//! strategy identically — no per-strategy match arms. Columnar batches
+//! (the strategy layer, the builder and session, the CLI, the benches)
+//! drive every strategy identically — no per-strategy match arms. Columnar batches
 //! are the only way rows enter an executor; row-form
 //! [`sharon_types::Event`]s reach it through
 //! [`EventBatch::from_events`].

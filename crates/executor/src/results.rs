@@ -685,7 +685,7 @@ impl ExecutorResults {
     /// uninterrupted run's output exactly): the key table once, then the
     /// segment count and, per segment, its row count and its byte column
     /// as it is, run headers included. No row is decoded.
-    pub fn save_state(&self, w: &mut StateWriter) {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
         w.seq_len(self.keys.len());
         for key in &self.keys {
             w.group_key(key);
@@ -700,7 +700,7 @@ impl ExecutorResults {
     /// Decode a result set written by [`ExecutorResults::save_state`],
     /// keeping each segment's bytes after one walk (`Segment::load`); a
     /// malformed image is [`StateError::Corrupt`] naming the field.
-    pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+    pub(crate) fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
         let mut out = ExecutorResults::new();
         let mut read = |r: &mut StateReader<'_>| {
             for _ in 0..r.seq_len()? {
@@ -721,10 +721,36 @@ impl ExecutorResults {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+
+    /// Assert that `got` is `semantically_eq` to `reference` within `tol`,
+    /// after asserting that the reference holds a row of each of its first
+    /// `n_queries` queries: an equivalence over an empty reference checks
+    /// nothing. `what` names the comparison in a failure.
+    #[track_caller]
+    pub(crate) fn assert_equivalent(
+        got: &ExecutorResults,
+        reference: &ExecutorResults,
+        n_queries: u32,
+        tol: f64,
+        what: impl std::fmt::Display,
+    ) {
+        for q in (0..n_queries).map(sharon_query::QueryId) {
+            assert!(
+                reference.of_query(q).next().is_some(),
+                "{what}: the reference has no row of {q:?}"
+            );
+        }
+        assert!(
+            got.semantically_eq(reference, tol),
+            "{what}: diverges from the reference ({} vs {} results)",
+            got.len(),
+            reference.len()
+        );
+    }
 
     fn key(i: i64) -> GroupKey {
         GroupKey::One(sharon_types::Value::Int(i))

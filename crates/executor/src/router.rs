@@ -18,8 +18,10 @@
 //! rows of scope `p` go to `p % n_shards`. Groups never interact
 //! (Definition 2: one result per group per window), so shards over
 //! disjoint groups produce disjoint, exactly mergeable results. A skewed
-//! `GROUP BY` loads its hot group's shard more than the rest (README,
-//! "Skewed `GROUP BY`").
+//! `GROUP BY` loads its hot group's shard more than the rest. A mode that
+//! split a hot group across shards was deleted: every replica repeated
+//! all of the group's state work, and a 2-core probe over Zipf-skewed LR
+//! found no case where it won.
 
 use crate::checkpoint::{StateError, StateReader, StateWriter};
 use crate::compile::CompiledPartition;
@@ -252,13 +254,13 @@ impl<F: RowFilter> BatchRouter<F> {
     /// Serialize the router's event-time frontier into a checkpoint
     /// segment. Structural configuration — scopes and shard count — is
     /// rebuilt from the plan on restore, not persisted.
-    pub fn save_state(&self, w: &mut StateWriter) {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
         w.time(self.frontier);
     }
 
     /// Restore the state written by [`BatchRouter::save_state`] into a
     /// router built with the same scopes and shard count.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         self.frontier = r.time()?;
         Ok(())
     }

@@ -138,11 +138,6 @@ impl<A: Aggregate> SegmentRunner<A> {
         }
     }
 
-    /// The segment length.
-    pub fn segment_len(&self) -> usize {
-        self.width + 1
-    }
-
     /// Number of live records.
     pub fn live_records(&self) -> usize {
         self.live
@@ -288,7 +283,7 @@ impl<A: Aggregate> SegmentRunner<A> {
     /// Serialize the live records, oldest first, each with its offsets
     /// and cells (committed + pending, preserving the strict `<`
     /// same-timestamp isolation).
-    pub fn save_state(&self, w: &mut StateWriter) {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
         w.seq_len(self.width);
         w.seq_len(self.n_offs);
         w.seq_len(self.live);
@@ -307,7 +302,7 @@ impl<A: Aggregate> SegmentRunner<A> {
 
     /// Decode a runner written by [`SegmentRunner::save_state`] for the
     /// same segment length and offset count.
-    pub fn load_state(
+    pub(crate) fn load_state(
         r: &mut StateReader<'_>,
         len: usize,
         n_offs: usize,
@@ -499,7 +494,6 @@ mod tests {
         }
         assert_eq!((r.live_records(), r.cap), (5, 8), "grew 4 -> 8 in place");
         assert_eq!(r.cell_count(), 5 * (3 + 2));
-        assert_eq!(r.segment_len(), 4);
         assert_eq!(r.expire(Timestamp(4)), 3);
         assert_eq!(r.expire(Timestamp(4)), 0, "idempotent");
         // six more records wrap around the 8-slot ring without growing

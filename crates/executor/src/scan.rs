@@ -566,7 +566,7 @@ fn eval_clause(words: &mut [u64], g: &Gather, offs: &[u32], values: &[Value], cl
 
 /// Extract the set bits of a selection bitmap into absolute row indexes
 /// (bit `i` of `words` is row `lo + i`), appended to `sel` ascending.
-pub fn extract_into(words: &[u64], lo: usize, sel: &mut Vec<u32>) {
+pub(crate) fn extract_into(words: &[u64], lo: usize, sel: &mut Vec<u32>) {
     for (w, &word) in words.iter().enumerate() {
         let base = lo + w * 64;
         let mut bits = word;

@@ -22,7 +22,7 @@ use sharon_types::Timestamp;
 use std::collections::VecDeque;
 
 /// Sequence number of a window instance (`start / slide`).
-pub type WinSeq = u64;
+pub(crate) type WinSeq = u64;
 
 /// A range add waiting for the group's time to advance.
 #[derive(Debug, Clone, Copy)]
@@ -49,7 +49,7 @@ struct PendingAdd<A> {
 /// `first_seq ..= t / slide`, at most [`sharon_types::WindowSpec::max_open`]
 /// of them once the caller has closed everything that ended by `t`.
 #[derive(Debug, Clone)]
-pub struct WindowPlane<A> {
+pub(crate) struct WindowPlane<A> {
     /// The oldest open window — the close watermark: every window before
     /// it has been emitted.
     first_seq: WinSeq,
@@ -65,7 +65,7 @@ pub struct WindowPlane<A> {
 impl<A: Aggregate> WindowPlane<A> {
     /// An all-zero plane of `n_slots` windows × `n_cols` accumulators,
     /// starting at window 0.
-    pub fn new(n_slots: usize, n_cols: usize) -> Self {
+    pub(crate) fn new(n_slots: usize, n_cols: usize) -> Self {
         assert!(n_slots > 0 && n_cols > 0, "a plane has at least one cell");
         WindowPlane {
             first_seq: 0,
@@ -79,7 +79,7 @@ impl<A: Aggregate> WindowPlane<A> {
 
     /// The oldest open window: everything before it is closed.
     #[inline]
-    pub fn first_seq(&self) -> WinSeq {
+    pub(crate) fn first_seq(&self) -> WinSeq {
         self.first_seq
     }
 
@@ -116,7 +116,7 @@ impl<A: Aggregate> WindowPlane<A> {
     /// Merge `totals[i]` into column `col` of window `lo + i`, visible at
     /// once.
     #[inline]
-    pub fn add_dense(&mut self, col: usize, lo: WinSeq, totals: &[A]) {
+    pub(crate) fn add_dense(&mut self, col: usize, lo: WinSeq, totals: &[A]) {
         if totals.is_empty() {
             return;
         }
@@ -130,7 +130,14 @@ impl<A: Aggregate> WindowPlane<A> {
     /// called with a later time. The caller settles before the first add
     /// of a new timestamp.
     #[inline]
-    pub fn add_pending(&mut self, now: Timestamp, col: usize, lo: WinSeq, hi: WinSeq, value: A) {
+    pub(crate) fn add_pending(
+        &mut self,
+        now: Timestamp,
+        col: usize,
+        lo: WinSeq,
+        hi: WinSeq,
+        value: A,
+    ) {
         debug_assert!(
             self.pending.is_empty() || self.pending_time == now,
             "settle before adding at a new timestamp"
@@ -146,7 +153,7 @@ impl<A: Aggregate> WindowPlane<A> {
 
     /// Make every pending add older than `now` visible.
     #[inline]
-    pub fn settle(&mut self, now: Timestamp) {
+    pub(crate) fn settle(&mut self, now: Timestamp) {
         if !self.pending.is_empty() && self.pending_time < now {
             self.flush();
         }
@@ -165,7 +172,7 @@ impl<A: Aggregate> WindowPlane<A> {
 
     /// Column `col` of open window `seq`, without the pending adds.
     #[inline]
-    pub fn get(&self, col: usize, seq: WinSeq) -> A {
+    pub(crate) fn get(&self, col: usize, seq: WinSeq) -> A {
         self.cells[self.slot(seq) + col]
     }
 
@@ -174,7 +181,7 @@ impl<A: Aggregate> WindowPlane<A> {
     /// window that will reuse it. Pending adds are left alone — between
     /// [`WindowPlane::settle`] and the adds of the same timestamp there
     /// are none for a window that ended.
-    pub fn close_before(&mut self, cutoff: WinSeq, mut emit: impl FnMut(WinSeq, &[A])) {
+    pub(crate) fn close_before(&mut self, cutoff: WinSeq, mut emit: impl FnMut(WinSeq, &[A])) {
         if cutoff <= self.first_seq {
             return;
         }
@@ -195,14 +202,14 @@ impl<A: Aggregate> WindowPlane<A> {
     }
 
     /// Non-zero cells of open windows (memory proxy).
-    pub fn live_cells(&self) -> usize {
+    pub(crate) fn live_cells(&self) -> usize {
         self.cells.iter().filter(|c| !c.is_zero()).count()
     }
 
     /// Serialize the plane: the watermark, the open windows up to the
     /// last one holding a value, and the pending adds with their
     /// timestamp, so a restore keeps the strict `<` semantics.
-    pub fn save_state(&self, w: &mut StateWriter) {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
         w.u64(self.first_seq);
         w.seq_len(self.n_cols);
         let n_slots = self.cells.len() / self.n_cols;
@@ -232,7 +239,7 @@ impl<A: Aggregate> WindowPlane<A> {
 
     /// Decode a plane written by [`WindowPlane::save_state`] for the same
     /// dimensions.
-    pub fn load_state(
+    pub(crate) fn load_state(
         r: &mut StateReader<'_>,
         n_slots: usize,
         n_cols: usize,

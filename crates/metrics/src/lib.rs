@@ -3,18 +3,18 @@
 //! Measurement utilities for reproducing the paper's evaluation metrics
 //! (Section 8.1): peak memory, work counters and result tables.
 //!
-//! * [`alloc`] — a [`TrackingAllocator`] recording current/peak heap use
+//! * `alloc` — a [`TrackingAllocator`] recording current/peak heap use
 //!   (install as `#[global_allocator]` in bench binaries);
-//! * [`counters`] — explicit runtime work counters (router scope scans)
-//!   backing the shared-work regression tests;
-//! * [`report`] — result [`Table`]s, printed or appended as JSON lines, one per
+//! * `counters` — explicit runtime work counters (router scope scans,
+//!   [`router_scope_scans`]) backing the shared-work regression tests;
+//! * `report` — result [`Table`]s, printed or appended as JSON lines, one per
 //!   reproduced figure.
 
 #![warn(missing_docs)]
 
-pub mod alloc;
-pub mod counters;
-pub mod report;
+mod alloc;
+mod counters;
+mod report;
 
 pub use alloc::{
     alloc_count, current_bytes, measure_allocs, measure_peak, peak_bytes, reset_peak,

@@ -86,7 +86,7 @@ impl Table {
 
 /// Minimal JSON writer for the flat string shapes [`Table`] uses.
 mod json {
-    pub fn write_str(out: &mut String, s: &str) {
+    pub(super) fn write_str(out: &mut String, s: &str) {
         out.push('"');
         for c in s.chars() {
             match c {
@@ -104,7 +104,7 @@ mod json {
         out.push('"');
     }
 
-    pub fn write_str_array(out: &mut String, items: &[String]) {
+    pub(super) fn write_str_array(out: &mut String, items: &[String]) {
         out.push('[');
         for (i, item) in items.iter().enumerate() {
             if i > 0 {

@@ -10,7 +10,7 @@
 //! The expanded graph (Algorithm 6) re-derives all conflict edges among
 //! options and feeds the same reduction + plan finder pipeline.
 
-use crate::graph::{in_conflict, SharonGraph};
+use crate::graph::SharonGraph;
 use sharon_query::{Pattern, PlanCandidate, QueryId, Workload};
 use std::collections::BTreeSet;
 
@@ -160,20 +160,6 @@ pub fn expand_graph(
     SharonGraph::from_weighted(workload, items)
 }
 
-/// Count conflicts that `in_conflict` detects among a candidate list —
-/// exposed for optimizer statistics.
-pub fn conflict_count(workload: &Workload, candidates: &[PlanCandidate]) -> usize {
-    let mut count = 0;
-    for (i, a) in candidates.iter().enumerate() {
-        for b in &candidates[i + 1..] {
-            if in_conflict(workload, a, b) {
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,13 +260,5 @@ mod tests {
         let items = vec![QueryId(0), QueryId(1)];
         let subs = non_empty_subsets(&items);
         assert_eq!(subs.len(), 3);
-    }
-
-    #[test]
-    fn conflict_count_on_figure_4() {
-        let mut c = Catalog::new();
-        let (w, g) = figure_4_graph(&mut c);
-        let cands: Vec<PlanCandidate> = g.vertices().iter().map(|v| v.candidate.clone()).collect();
-        assert_eq!(conflict_count(&w, &cands), 10);
     }
 }

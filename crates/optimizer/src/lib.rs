@@ -10,7 +10,7 @@
 //!
 //! 1. [`mining`] — detect sharable patterns with the modified CCSpan
 //!    algorithm (Appendix A);
-//! 2. [`cost`] — the sharing benefit model, Equations 1–8;
+//! 2. `cost` ([`CostModel`]) — the sharing benefit model, Equations 1–8;
 //! 3. [`graph`] — the SHARON graph of candidates, benefits, and conflicts
 //!    (Section 4);
 //! 4. [`expansion`] — conflict resolution by candidate options (§7.1);
@@ -20,7 +20,7 @@
 //! 6. [`plan_finder`] — the optimal sharing plan finder (Section 6): a
 //!    branch-and-bound maximum-weight independent set search per conflict
 //!    component, started from GWMIN's plan;
-//! 7. [`dynamic`] — rate monitoring and re-optimization (§7.4).
+//! 7. `dynamic` ([`DynamicPlanManager`]) — rate monitoring and re-optimization (§7.4).
 //!
 //! The top-level entry points are [`optimize_sharon`],
 //! [`optimize_greedy`], and [`optimize_exhaustive`] — the three optimizers
@@ -29,13 +29,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cost;
-pub mod dynamic;
+mod cost;
+mod dynamic;
 pub mod expansion;
 pub mod graph;
 pub mod gwmin;
 pub mod mining;
-pub mod optimizer;
+mod optimizer;
 pub mod plan_finder;
 mod proptests;
 pub mod reduction;

@@ -29,19 +29,6 @@ pub fn mine_sharable_patterns(workload: &Workload) -> CandidateMap {
     all
 }
 
-/// Count the total sub-patterns enumerated (the `H` table of Algorithm 7)
-/// — exposed for the optimizer's phase statistics.
-pub fn enumerated_subpatterns(workload: &Workload) -> usize {
-    workload
-        .queries()
-        .iter()
-        .map(|q| {
-            let l = q.pattern.len();
-            l * l.saturating_sub(1) / 2
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,14 +113,6 @@ mod tests {
         let mined = mine_sharable_patterns(&w);
         let ab = Pattern::from_names(&mut c, ["A", "B"]);
         assert_eq!(mined.get(&ab).map(BTreeSet::len), Some(2));
-    }
-
-    #[test]
-    fn enumeration_count() {
-        let mut c = Catalog::new();
-        let w = workload(&mut c, &[&["A", "B", "C"], &["A", "B"]]);
-        // len 3 -> 3 subpatterns (AB, ABC, BC); len 2 -> 1
-        assert_eq!(enumerated_subpatterns(&w), 4);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   (Definition 7), with the prefix/shared/suffix decomposition used by the
 //!   shared executor (Definition 4, generalized to several shared segments
 //!   per query).
-//! * [`parser`] — a text parser for the SASE-style surface syntax:
+//! * [`parse_query`] / [`parse_workload`] — a text parser for the SASE-style surface syntax:
 //!   `RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt) GROUP BY vehicle WITHIN 10
 //!   min SLIDE 1 min`.
 
@@ -23,12 +23,12 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod parser;
-pub mod pattern;
-pub mod plan;
-pub mod predicate;
-pub mod query;
-pub mod workload;
+mod parser;
+mod pattern;
+mod plan;
+mod predicate;
+mod query;
+mod workload;
 
 pub use aggregate::AggFunc;
 pub use parser::{parse_query, parse_workload, ParseError};

@@ -64,12 +64,6 @@ impl Query {
         self
     }
 
-    /// Add a predicate (builder style).
-    pub fn with_predicate(mut self, p: Predicate) -> Self {
-        self.predicates.push(p);
-        self
-    }
-
     /// The *sharing signature* of the query: queries may share pattern
     /// aggregation only if their predicates, grouping, and windows coincide
     /// and they aggregate compatibly (assumption (2) / §7.2). Two queries
@@ -188,7 +182,9 @@ mod tests {
         let mut c = Catalog::new();
         let q = mk(&mut c);
         let oak = c.lookup("OakSt").unwrap();
-        let q = q.with_predicate(Predicate::new(oak, "speed", CmpOp::Gt, Value::Int(10)));
+        let mut q = q;
+        q.predicates
+            .push(Predicate::new(oak, "speed", CmpOp::Gt, Value::Int(10)));
         let s = q.display(&c).to_string();
         assert!(s.contains("WHERE OakSt.speed > 10"), "{s}");
     }

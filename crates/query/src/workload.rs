@@ -5,10 +5,6 @@
 //! (Section 2.1). [`QueryId`]s are indexes into the workload.
 
 use crate::query::{Query, QueryId};
-use sharon_types::EventTypeId;
-use std::collections::BTreeSet;
-
-use crate::pattern::Pattern;
 
 /// An ordered collection of queries evaluated against one stream.
 #[derive(Debug, Clone, Default)]
@@ -86,24 +82,6 @@ impl Workload {
     pub fn ids(&self) -> impl Iterator<Item = QueryId> + '_ {
         (0..self.queries.len() as u32).map(QueryId)
     }
-
-    /// The set of event types any query refers to.
-    pub fn referenced_types(&self) -> BTreeSet<EventTypeId> {
-        self.queries
-            .iter()
-            .flat_map(|q| q.pattern.types().iter().copied())
-            .collect()
-    }
-
-    /// Queries whose pattern contains `p` contiguously — the `Q_p` of
-    /// Definition 3.
-    pub fn queries_containing(&self, p: &Pattern) -> BTreeSet<QueryId> {
-        self.queries
-            .iter()
-            .filter(|q| q.pattern.find(p).is_some())
-            .map(|q| q.id)
-            .collect()
-    }
 }
 
 impl std::ops::Index<QueryId> for Workload {
@@ -117,6 +95,7 @@ impl std::ops::Index<QueryId> for Workload {
 mod tests {
     use super::*;
     use crate::aggregate::AggFunc;
+    use crate::pattern::Pattern;
     use sharon_types::{Catalog, WindowSpec};
 
     fn workload(catalog: &mut Catalog, patterns: &[&[&str]]) -> Workload {
@@ -139,35 +118,6 @@ mod tests {
         assert_eq!(w.get(QueryId(1)).id, QueryId(1));
         assert_eq!(w.ids().collect::<Vec<_>>(), vec![QueryId(0), QueryId(1)]);
         assert_eq!(w[QueryId(1)].pattern.len(), 2);
-    }
-
-    #[test]
-    fn queries_containing_matches_table_1_style_lookup() {
-        let mut c = Catalog::new();
-        // q1..q4 of the traffic workload all contain (OakSt, MainSt)
-        let w = workload(
-            &mut c,
-            &[
-                &["OakSt", "MainSt", "StateSt"],
-                &["OakSt", "MainSt", "WestSt"],
-                &["ParkAve", "OakSt", "MainSt"],
-                &["ParkAve", "OakSt", "MainSt", "WestSt"],
-                &["MainSt", "StateSt", "ElmSt"],
-            ],
-        );
-        let p1 = Pattern::from_names(&mut c, ["OakSt", "MainSt"]);
-        let qs = w.queries_containing(&p1);
-        assert_eq!(
-            qs,
-            [QueryId(0), QueryId(1), QueryId(2), QueryId(3)]
-                .into_iter()
-                .collect()
-        );
-        let p6 = Pattern::from_names(&mut c, ["MainSt", "StateSt"]);
-        assert_eq!(
-            w.queries_containing(&p6),
-            [QueryId(0), QueryId(4)].into_iter().collect()
-        );
     }
 
     #[test]
@@ -194,13 +144,6 @@ mod tests {
         assert_eq!(w.get(QueryId(0)).pattern.display(&c).to_string(), "(A, B)");
         assert_eq!(w.get(QueryId(1)).pattern.display(&c).to_string(), "(C, D)");
         assert_eq!(w.get(QueryId(1)).id, QueryId(1));
-    }
-
-    #[test]
-    fn referenced_types() {
-        let mut c = Catalog::new();
-        let w = workload(&mut c, &[&["A", "B"], &["B", "C"]]);
-        assert_eq!(w.referenced_types().len(), 3);
     }
 
     #[test]

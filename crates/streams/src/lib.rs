@@ -15,23 +15,23 @@
 //!   the Figure 14–16 experiments.
 //!
 //! All generators are seeded and deterministic, and all three stream
-//! generators expose a Zipfian `skew` knob ([`zipf`]) on their group
+//! generators expose a Zipfian `skew` knob ([`Zipf`]) on their group
 //! dimension (vehicle / car / customer) so skewed `GROUP BY`
 //! distributions — where one hot group loads its shard more than the
 //! rest — are reachable everywhere the streams are. A `disorder` knob
-//! ([`disorder`]) applies a seeded *bounded* shuffle to any generated
+//! ([`scramble_batch`]) applies a seeded *bounded* shuffle to any generated
 //! stream, simulating late arrivals while keeping the displacement bound
 //! the event-time exactness guarantee is stated against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod disorder;
+mod disorder;
 pub mod ecommerce;
 pub mod linear_road;
 pub mod taxi;
 pub mod workload;
-pub mod zipf;
+mod zipf;
 
 pub use disorder::{required_lateness, scramble_batch, scramble_events};
 pub use ecommerce::EcommerceConfig;

@@ -161,25 +161,25 @@ pub fn generate(catalog: &mut Catalog, config: &LinearRoadConfig) -> Vec<Event> 
     generate_batch(catalog, config).to_events()
 }
 
-/// Events per second over the first and last quarter of the stream —
-/// used by tests to verify the ramping-rate property. A zero-event
-/// stream (e.g. a `duration_secs: 0` config) reports `(0.0, 0.0)`
-/// instead of panicking.
-pub fn rate_ramp(events: &[Event]) -> (f64, f64) {
-    let Some(last) = events.last() else {
-        return (0.0, 0.0);
-    };
-    let end = last.time.millis();
-    let q = end / 4;
-    let first = events.iter().filter(|e| e.time.millis() < q).count();
-    let last = events.iter().filter(|e| e.time.millis() >= end - q).count();
-    let qsecs = (q as f64 / 1000.0).max(1e-9);
-    (first as f64 / qsecs, last as f64 / qsecs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Events per second over the first and last quarter of the stream,
+    /// the instrument of the ramping-rate property. A zero-event stream
+    /// (e.g. a `duration_secs: 0` config) reports `(0.0, 0.0)` instead
+    /// of panicking.
+    fn rate_ramp(events: &[Event]) -> (f64, f64) {
+        let Some(last) = events.last() else {
+            return (0.0, 0.0);
+        };
+        let end = last.time.millis();
+        let q = end / 4;
+        let first = events.iter().filter(|e| e.time.millis() < q).count();
+        let last = events.iter().filter(|e| e.time.millis() >= end - q).count();
+        let qsecs = (q as f64 / 1000.0).max(1e-9);
+        (first as f64 / qsecs, last as f64 / qsecs)
+    }
 
     #[test]
     fn rate_ramps_up() {

@@ -32,21 +32,6 @@ pub struct WorkloadConfig {
     pub seed: u64,
 }
 
-impl WorkloadConfig {
-    /// The paper's default shape: 20 queries of length 10 over `alphabet`,
-    /// `WITHIN 10 min SLIDE 1 min`.
-    pub fn paper_default(alphabet: Vec<String>) -> Self {
-        WorkloadConfig {
-            n_queries: 20,
-            pattern_len: 10,
-            alphabet,
-            window: WindowSpec::paper_traffic(),
-            group_by: None,
-            seed: 42,
-        }
-    }
-}
-
 /// Generate an overlapping `COUNT(*)` workload per `config`.
 pub fn overlapping_workload(catalog: &mut Catalog, config: &WorkloadConfig) -> Workload {
     assert!(
@@ -136,6 +121,19 @@ mod tests {
         (0..n).map(|i| format!("T{i}")).collect()
     }
 
+    /// The paper's default shape: 20 queries of length 10 over `alphabet`,
+    /// `WITHIN 10 min SLIDE 1 min`.
+    fn paper_default(alphabet: Vec<String>) -> WorkloadConfig {
+        WorkloadConfig {
+            n_queries: 20,
+            pattern_len: 10,
+            alphabet,
+            window: WindowSpec::paper_traffic(),
+            group_by: None,
+            seed: 42,
+        }
+    }
+
     #[test]
     fn generates_requested_shape() {
         let mut c = Catalog::new();
@@ -188,7 +186,7 @@ mod tests {
         let mut c = Catalog::new();
         let cfg = WorkloadConfig {
             group_by: Some("vehicle".into()),
-            ..WorkloadConfig::paper_default(alphabet(12))
+            ..paper_default(alphabet(12))
         };
         let w = overlapping_workload(&mut c, &cfg);
         assert!(w.queries().iter().all(|q| q.group_by == vec!["vehicle"]));
@@ -227,7 +225,7 @@ mod tests {
         let mut c = Catalog::new();
         let cfg = WorkloadConfig {
             pattern_len: 9,
-            ..WorkloadConfig::paper_default(alphabet(5))
+            ..paper_default(alphabet(5))
         };
         let _ = overlapping_workload(&mut c, &cfg);
     }

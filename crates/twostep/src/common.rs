@@ -15,11 +15,11 @@
 //! online runner and the §8 comparison, run them over in-order streams,
 //! and event time has one owner, the online executor. Its stateless
 //! prefix is the executor crate's select stage
-//! ([`sharon_executor::front`]: select and tally); what is its own is the
+//! ([`sharon_executor::ScanFront`]: select and tally); what is its own is the
 //! fan-out of each distinct scope's rows to the [`Subscriber`]s.
 
-use sharon_executor::agg::Contribution;
-use sharon_executor::compile::CompileError;
+use sharon_executor::CompileError;
+use sharon_executor::Contribution;
 use sharon_executor::{BatchProcessor, ExecutorResults, RunReport, ScanFront, ScanKernel};
 use sharon_query::{CmpOp, Query};
 use sharon_types::{AttrId, Catalog, EventBatch, EventTypeId, GroupKey, Timestamp, Value};
@@ -39,7 +39,7 @@ pub(crate) struct TypeTable {
 
 impl TypeTable {
     /// Resolve clauses of `query` against `catalog`.
-    pub fn build(catalog: &Catalog, query: &Query) -> Result<Self, CompileError> {
+    pub(crate) fn build(catalog: &Catalog, query: &Query) -> Result<Self, CompileError> {
         let max_ty = query
             .pattern
             .types()
@@ -101,7 +101,7 @@ impl TypeTable {
     /// both queries' pattern types (used by SPASS partitions, whose
     /// queries share predicates/grouping by signature but span different
     /// type sets).
-    pub fn absorb(&mut self, other: TypeTable) {
+    pub(crate) fn absorb(&mut self, other: TypeTable) {
         if other.group_attrs.len() > self.group_attrs.len() {
             self.group_attrs
                 .resize(other.group_attrs.len(), Box::new([]));
@@ -150,7 +150,7 @@ impl TypeTable {
     /// buffer, so the steady-state path allocates nothing), returning
     /// `false` if a grouping attribute is absent. With no `GROUP BY`,
     /// writes [`GroupKey::Global`].
-    pub fn read_group_key(
+    pub(crate) fn read_group_key(
         &self,
         ty: EventTypeId,
         attrs: &[Value],
@@ -176,7 +176,7 @@ impl TypeTable {
     }
 
     /// The row's aggregate contribution.
-    pub fn contribution(&self, ty: EventTypeId, attrs: &[Value]) -> Contribution {
+    pub(crate) fn contribution(&self, ty: EventTypeId, attrs: &[Value]) -> Contribution {
         match self.contrib_target {
             Some((t, attr)) if t == ty => match attr {
                 None => Contribution::of(1.0),
@@ -204,7 +204,7 @@ pub(crate) struct ScopeFilter {
 impl ScopeFilter {
     /// A filter routing the union of `queries`' pattern types, with their
     /// merged clause table.
-    pub fn build(catalog: &Catalog, queries: &[&Query]) -> Result<Self, CompileError> {
+    pub(crate) fn build(catalog: &Catalog, queries: &[&Query]) -> Result<Self, CompileError> {
         let mut table = TypeTable::build(catalog, queries[0])?;
         for q in &queries[1..] {
             table.absorb(TypeTable::build(catalog, q)?);
@@ -218,7 +218,7 @@ impl ScopeFilter {
     }
 
     /// The routing identity of this filter (see [`ScopeKey`]).
-    pub fn key(&self) -> ScopeKey {
+    pub(crate) fn key(&self) -> ScopeKey {
         ScopeKey {
             routed: self.routed.clone(),
             group_attrs: self.table.group_attrs.clone(),
@@ -268,7 +268,7 @@ impl HashableValue {
 /// specs — they shape the *stateful* side only and never affect which
 /// rows route where.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ScopeKey {
+pub(crate) struct ScopeKey {
     routed: Vec<bool>,
     group_attrs: Vec<Box<[AttrId]>>,
     predicates: Vec<Vec<(AttrId, CmpOp, HashableValue)>>,
@@ -299,7 +299,7 @@ pub(crate) fn dedup_scopes(scopes: Vec<ScopeFilter>) -> (Vec<ScopeFilter>, Vec<V
 impl ScopeFilter {
     /// This scope's stateless prefix, compiled: the kernel the driver's
     /// scan selects rows with.
-    pub fn scan_kernel(&self) -> ScanKernel {
+    pub(crate) fn scan_kernel(&self) -> ScanKernel {
         ScanKernel::new(
             self.routed.clone(),
             &self.table.group_attrs,
@@ -352,7 +352,7 @@ pub trait Family: Send + 'static {}
 ///
 /// It owns the executor crate's select stage over the scan kernels of
 /// the *distinct* routing scopes (deduplicated by `ScopeKey`)
-/// ([`sharon_executor::front`]: select and tally) and the subscribers
+/// ([`sharon_executor::ScanFront`]: select and tally) and the subscribers
 /// with their result log. [`TwoStep::process_columnar`] selects each
 /// distinct scope's rows once per batch and hands them to every
 /// subscriber of that scope, in arrival order.
@@ -469,7 +469,7 @@ impl<F: Family> BatchProcessor for TwoStep<F> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spass_like::signature_partitions;
     use sharon_query::{parse_workload, Workload};
@@ -477,6 +477,32 @@ mod tests {
     use sharon_streams::linear_road::{self, LinearRoadConfig};
     use sharon_streams::taxi::{self, TaxiConfig};
     use sharon_types::Schema;
+
+    /// Assert that `got` is `semantically_eq` to `reference` within `tol`,
+    /// after asserting that the reference holds a row of each of its first
+    /// `n_queries` queries: an equivalence over an empty reference checks
+    /// nothing. `what` names the comparison in a failure.
+    #[track_caller]
+    pub(crate) fn assert_equivalent(
+        got: &sharon_executor::ExecutorResults,
+        reference: &sharon_executor::ExecutorResults,
+        n_queries: u32,
+        tol: f64,
+        what: impl std::fmt::Display,
+    ) {
+        for q in (0..n_queries).map(sharon_query::QueryId) {
+            assert!(
+                reference.of_query(q).next().is_some(),
+                "{what}: the reference has no row of {q:?}"
+            );
+        }
+        assert!(
+            got.semantically_eq(reference, tol),
+            "{what}: diverges from the reference ({} vs {} results)",
+            got.len(),
+            reference.len()
+        );
+    }
 
     /// Ragged `(lo, hi)` ranges over `n` rows: whole, empty, odd sizes
     /// (partial 64-row words), and a singleton tail.

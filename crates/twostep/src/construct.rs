@@ -8,42 +8,32 @@
 //! *enumerates every sequence* ending at a given END event. No counting
 //! shortcuts are taken — that is the point of the baseline.
 
-use sharon_executor::agg::{Aggregate, Contribution};
+use sharon_executor::{Aggregate, Contribution};
 use sharon_types::Timestamp;
 use std::collections::VecDeque;
 
 /// Buffered events for one pattern, one buffer per position.
 #[derive(Debug, Clone)]
-pub struct SeqBuffers {
+pub(crate) struct SeqBuffers {
     positions: Vec<VecDeque<(Timestamp, Contribution)>>,
 }
 
 impl SeqBuffers {
     /// Buffers for a pattern of `len` positions.
-    pub fn new(len: usize) -> Self {
+    pub(crate) fn new(len: usize) -> Self {
         SeqBuffers {
             positions: (0..len).map(|_| VecDeque::new()).collect(),
         }
     }
 
-    /// Number of pattern positions.
-    pub fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// True if no position holds events.
-    pub fn is_empty(&self) -> bool {
-        self.positions.iter().all(VecDeque::is_empty)
-    }
-
     /// Total buffered events (memory proxy — the two-step approaches must
     /// retain raw events for the whole window).
-    pub fn buffered_events(&self) -> usize {
+    pub(crate) fn buffered_events(&self) -> usize {
         self.positions.iter().map(VecDeque::len).sum()
     }
 
     /// Record an event at position `pos`.
-    pub fn push(&mut self, pos: usize, time: Timestamp, c: Contribution) {
+    pub(crate) fn push(&mut self, pos: usize, time: Timestamp, c: Contribution) {
         debug_assert!(
             self.positions[pos].back().is_none_or(|(t, _)| *t <= time),
             "events must arrive in timestamp order"
@@ -52,7 +42,7 @@ impl SeqBuffers {
     }
 
     /// Drop events with `time <= cutoff` from every buffer.
-    pub fn expire(&mut self, cutoff: Timestamp) {
+    pub(crate) fn expire(&mut self, cutoff: Timestamp) {
         for buf in &mut self.positions {
             while buf.front().is_some_and(|(t, _)| *t <= cutoff) {
                 buf.pop_front();
@@ -67,7 +57,7 @@ impl SeqBuffers {
     /// Positions `0 .. len-1` are drawn from the buffers (strictly
     /// increasing timestamps); the END event itself is supplied by the
     /// caller and must not be buffered yet at its END position.
-    pub fn enumerate_ending<A: Aggregate>(
+    pub(crate) fn enumerate_ending<A: Aggregate>(
         &self,
         end_time: Timestamp,
         end_c: Contribution,
@@ -138,7 +128,7 @@ impl SeqBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharon_executor::agg::{CountCell, StatsCell};
+    use sharon_executor::{CountCell, StatsCell};
 
     const NONE: Contribution = Contribution::NONE;
 
@@ -201,8 +191,6 @@ mod tests {
         b.expire(Timestamp(1));
         assert_eq!(b.buffered_events(), 1);
         assert_eq!(collect(&b, 9), vec![(5, 1)]);
-        assert!(!b.is_empty());
-        assert_eq!(b.len(), 2);
     }
 
     #[test]

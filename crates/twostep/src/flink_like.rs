@@ -15,10 +15,10 @@
 
 use crate::common::{Family, ScopeFilter, Subscriber, TwoStep, TypeTable};
 use crate::construct::SeqBuffers;
-use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
-use sharon_executor::compile::CompileError;
-use sharon_executor::winvec::WinVec;
+use sharon_executor::CompileError;
 use sharon_executor::ExecutorResults;
+use sharon_executor::WinVec;
+use sharon_executor::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_query::{Query, QueryId, Workload};
 use sharon_types::{Catalog, EventTypeId, GroupKey, Timestamp, Value, WindowSpec};
 use std::collections::HashMap;
@@ -229,6 +229,7 @@ impl FlinkLike {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::assert_equivalent;
     use sharon_executor::{BatchProcessor, Executor};
     use sharon_query::parse_workload;
     use sharon_types::{Event, EventBatch};
@@ -256,7 +257,7 @@ mod tests {
         assert_eq!(fl.sequences_constructed(), 3, "constructs all 3 sequences");
         let fr = fl.finish();
         let or = online.finish();
-        assert!(fr.semantically_eq(&or, 1e-9));
+        assert_equivalent(&fr, &or, 1, 1e-9, "flink vs online");
         assert_eq!(fr.total_count(QueryId(0)), 3);
     }
 
@@ -290,12 +291,7 @@ mod tests {
         online.process_columnar(&batch);
         let fr = fl.finish();
         let or = online.finish();
-        assert!(
-            fr.semantically_eq(&or, 1e-9),
-            "flink: {:?}\nonline: {:?}",
-            fr.of_query_sorted(QueryId(0)),
-            or.of_query_sorted(QueryId(0))
-        );
+        assert_equivalent(&fr, &or, 2, 1e-9, "flink vs online");
         assert!(!fr.is_empty());
     }
 
@@ -348,7 +344,7 @@ mod tests {
         let mut columnar = FlinkLike::new(&c, &w).unwrap();
         columnar.process_columnar(&batch);
         let got = columnar.finish();
-        assert!(got.semantically_eq(&want, 1e-9));
+        assert_equivalent(&got, &want, 1, 1e-9, "columnar vs per event");
     }
 
     /// `n` queries over one routing scope (same pattern and `GROUP BY`,

@@ -32,11 +32,10 @@
 #![warn(missing_docs)]
 
 mod common;
-pub mod construct;
-pub mod flink_like;
-pub mod spass_like;
+mod construct;
+mod flink_like;
+mod spass_like;
 
 pub use common::{Family, TwoStep};
-pub use construct::SeqBuffers;
 pub use flink_like::{Flink, FlinkLike};
 pub use spass_like::{Spass, SpassLike};

@@ -22,10 +22,10 @@
 
 use crate::common::{Family, ScopeFilter, Subscriber, TwoStep, TypeTable};
 use crate::construct::SeqBuffers;
-use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
-use sharon_executor::compile::CompileError;
-use sharon_executor::winvec::WinVec;
+use sharon_executor::CompileError;
 use sharon_executor::ExecutorResults;
+use sharon_executor::WinVec;
+use sharon_executor::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_query::{Query, QueryId, SegmentKind, SharingPlan, Workload};
 use sharon_types::{Catalog, EventTypeId, GroupKey, Timestamp, Value, WindowSpec};
 use std::collections::{HashMap, VecDeque};
@@ -85,7 +85,7 @@ struct Partition<A> {
 /// Partition `workload` by sharing signature, preserving id order — one
 /// subscriber (and routing scope) per partition.
 pub(crate) fn signature_partitions(workload: &Workload) -> Vec<Vec<&Query>> {
-    let mut parts: Vec<(Vec<&Query>, sharon_query::query::SharingSignature)> = Vec::new();
+    let mut parts: Vec<(Vec<&Query>, sharon_query::SharingSignature)> = Vec::new();
     for q in workload.queries() {
         let sig = q.sharing_signature();
         match parts.iter_mut().find(|(_, s)| *s == sig) {
@@ -419,16 +419,12 @@ impl SpassLike {
         }
         Ok(TwoStep::new_driver(scopes, subs, workload.len()))
     }
-
-    /// Materialized matches + buffered events (memory proxy).
-    pub fn materialized_matches(&self) -> usize {
-        self.state_size()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::assert_equivalent;
     use sharon_executor::Executor;
     use sharon_query::{parse_workload, Pattern, PlanCandidate};
     use sharon_types::{Event, EventBatch};
@@ -480,14 +476,7 @@ mod tests {
         assert!(sp.sequences_constructed() > 0);
         let sr = sp.finish();
         let or = online.finish();
-        assert!(
-            sr.semantically_eq(&or, 1e-9),
-            "spass: {:?} {:?}\nonline: {:?} {:?}",
-            sr.of_query_sorted(QueryId(0)),
-            sr.of_query_sorted(QueryId(1)),
-            or.of_query_sorted(QueryId(0)),
-            or.of_query_sorted(QueryId(1)),
-        );
+        assert_equivalent(&sr, &or, 2, 1e-9, "spass vs online");
         assert!(!sr.is_empty());
     }
 
@@ -507,10 +496,7 @@ mod tests {
         ]));
         // (a1,b2), (a1,b4), (a3,b4) = 3 shared matches
         assert_eq!(sp.sequences_constructed(), 3);
-        assert!(
-            sp.materialized_matches() >= 3,
-            "match sets are materialized"
-        );
+        assert!(sp.state_size() >= 3, "match sets are materialized");
         let r = sp.finish();
         assert!(r.is_empty());
     }
@@ -533,7 +519,7 @@ mod tests {
         fl.process_columnar(&batch);
         let sr = sp.finish();
         let fr = fl.finish();
-        assert!(sr.semantically_eq(&fr, 1e-9));
+        assert_equivalent(&sr, &fr, 1, 1e-9, "spass vs flink");
     }
 
     #[test]
@@ -556,6 +542,6 @@ mod tests {
         let mut columnar = SpassLike::new(&c, &w, &plan).unwrap();
         columnar.process_columnar(&batch);
         let got = columnar.finish();
-        assert!(got.semantically_eq(&want, 1e-9));
+        assert_equivalent(&got, &want, 2, 1e-9, "columnar vs per event");
     }
 }

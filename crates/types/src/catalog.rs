@@ -79,11 +79,6 @@ impl Schema {
             .map(|i| AttrId(i as u16))
     }
 
-    /// Name of the attribute at `id`.
-    pub fn attr_name(&self, id: AttrId) -> Option<&str> {
-        self.attr_names.get(id.index()).map(String::as_str)
-    }
-
     /// Number of attributes.
     pub fn len(&self) -> usize {
         self.attr_names.len()
@@ -202,7 +197,6 @@ mod tests {
         assert_eq!(s.attr("vehicle"), Some(AttrId(0)));
         assert_eq!(s.attr("speed"), Some(AttrId(1)));
         assert_eq!(s.attr("missing"), None);
-        assert_eq!(s.attr_name(AttrId(1)), Some("speed"));
         assert_eq!(s.names().collect::<Vec<_>>(), vec!["vehicle", "speed"]);
     }
 

@@ -8,7 +8,7 @@
 //! and the Rust compiler: a couple of arithmetic instructions per word,
 //! well-mixed output for small structured keys.
 //!
-//! Use the [`FxHashMap`]/[`FxHashSet`] aliases anywhere a map is touched
+//! Use the [`FxHashMap`] alias anywhere a map is touched
 //! per event; keep the default hasher for maps keyed by untrusted input.
 
 use std::hash::{BuildHasherDefault, Hasher};
@@ -87,16 +87,10 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` producing [`FxHasher`]s.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+/// A `HashMap` using `FxHasher` — for hot-path maps over trusted keys.
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// A `HashMap` using [`FxHasher`] — for hot-path maps over trusted keys.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` using [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
-
-/// Hash one value with [`FxHasher`] — used for deterministic shard routing.
+/// Hash one value with `FxHasher` — used for deterministic shard routing.
 #[inline]
 pub fn fx_hash_one<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
     let mut hasher = FxHasher::default();

@@ -26,20 +26,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
-pub mod catalog;
-pub mod event;
-pub mod group;
-pub mod hash;
-pub mod time;
-pub mod value;
-pub mod window;
+mod batch;
+mod catalog;
+mod event;
+mod group;
+mod hash;
+mod time;
+mod value;
+mod window;
 
 pub use batch::EventBatch;
 pub use catalog::{AttrId, Catalog, EventTypeId, Schema};
 pub use event::Event;
 pub use group::GroupKey;
-pub use hash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{fx_hash_one, FxHashMap};
 pub use time::{TimeDelta, Timestamp};
 pub use value::Value;
 pub use window::{WindowInstance, WindowSpec};

@@ -20,7 +20,7 @@ use sharon::twostep::{FlinkLike, SpassLike};
 use sharon_executor::{
     compile, BatchProcessor, BatchRouter, EngineKind, RoutedRows, ShardedOptions,
 };
-use sharon_metrics::{alloc, TrackingAllocator};
+use sharon_metrics::TrackingAllocator;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
@@ -120,7 +120,7 @@ fn columnar_hot_path_is_allocation_free_after_warmup() {
     executor.reserve_results(expected_results);
 
     let matched_before = executor.events_matched();
-    let (_, allocs) = alloc::measure_allocs(|| {
+    let (_, allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             executor.process_columnar(batch);
         }
@@ -171,7 +171,7 @@ fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
     let closing = 2 * (MEASURED_BATCHES * BATCH_ROWS);
     executor.reserve_results(closing);
 
-    let (_, allocs) = alloc::measure_allocs(|| {
+    let (_, allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             executor.process_columnar(batch);
         }
@@ -256,7 +256,7 @@ fn scan_path_is_allocation_free_through_the_shared_type_pass() {
         executor.reserve_results(expected_results);
 
         let matched_before = executor.events_matched();
-        let (_, allocs) = alloc::measure_allocs(|| {
+        let (_, allocs) = sharon_metrics::measure_allocs(|| {
             for batch in &measured {
                 executor.process_columnar(batch);
             }
@@ -303,7 +303,7 @@ fn finish_allocates_as_often_at_24_partitions_as_at_one() {
         }
         // a group has at most two windows open per query
         executor.reserve_results(2 * GROUPS as usize);
-        let (results, allocs) = alloc::measure_allocs(|| executor.finish());
+        let (results, allocs) = sharon_metrics::measure_allocs(|| executor.finish());
         assert!(results.len() >= GROUPS as usize * sources.len());
         allocs
     };
@@ -336,7 +336,7 @@ fn multi_scope_router_is_allocation_free_through_the_shared_type_pass() {
     for batch in &warmup {
         router.route_range_into(batch, 0, batch.len(), &mut routed);
     }
-    let ((), allocs) = alloc::measure_allocs(|| {
+    let ((), allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             router.route_range_into(batch, 0, batch.len(), &mut routed);
             for rows in &routed {
@@ -402,7 +402,7 @@ fn watermark_tracking_is_allocation_free_after_warmup() {
     executor.reserve_results(expected_results);
 
     let matched_before = executor.events_matched();
-    let (_, allocs) = alloc::measure_allocs(|| {
+    let (_, allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             executor.process_columnar(batch);
         }
@@ -478,12 +478,12 @@ fn watermark_tracking_is_allocation_free_after_warmup() {
             caught_up(&sharded, released[i]);
         }
     }
-    let before = alloc::alloc_count();
+    let before = sharon_metrics::alloc_count();
     for (batch, &want) in measured.iter().zip(&released[WARMUP_BATCHES..]) {
         sharded.process_columnar(batch);
         caught_up(&sharded, want);
     }
-    let allocs = alloc::alloc_count() - before;
+    let allocs = sharon_metrics::alloc_count() - before;
     assert_eq!(
         allocs, 0,
         "a gated `.shards(1)` runtime must not allocate in steady state \
@@ -529,7 +529,7 @@ fn multi_type_segment_path_is_allocation_free_after_warmup() {
     executor.reserve_results(expected_results);
 
     let matched_before = executor.events_matched();
-    let (_, allocs) = alloc::measure_allocs(|| {
+    let (_, allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             executor.process_columnar(batch);
         }
@@ -612,7 +612,7 @@ fn shared_segment_with_unit_stage_is_allocation_free_and_a_new_group_is_cheap() 
     }
     // a batch is 16 slides for each of 16 groups and two queries
     executor.reserve_results(MEASURED_BATCHES * 16 * GROUPS as usize + 64);
-    let (_, allocs) = alloc::measure_allocs(|| {
+    let (_, allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             executor.process_columnar(batch);
         }
@@ -625,7 +625,7 @@ fn shared_segment_with_unit_stage_is_allocation_free_and_a_new_group_is_cheap() 
 
     // a group seen for the first time: its block is a handful of
     // allocations (window plane, runner table, log table, one START ring)
-    let (_, allocs) = alloc::measure_allocs(|| executor.process_columnar(&newcomer));
+    let (_, allocs) = sharon_metrics::measure_allocs(|| executor.process_columnar(&newcomer));
     assert!(
         (1..=8).contains(&allocs),
         "a first-seen group cost {allocs} allocations"
@@ -672,7 +672,7 @@ fn folding_starts_across_24_scopes_is_allocation_free() {
     }
     // a batch is 8 slides for each group
     executor.reserve_results(MEASURED_BATCHES * 8 * GROUPS as usize + 64);
-    let (_, allocs) = alloc::measure_allocs(|| {
+    let (_, allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             executor.process_columnar(batch);
         }
@@ -734,7 +734,7 @@ fn chained_runner_is_allocation_free_after_warmup() {
     }
     // a batch is 16 slides for each of 16 groups and two queries
     executor.reserve_results(MEASURED_BATCHES * 16 * GROUPS as usize + 64);
-    let (_, allocs) = alloc::measure_allocs(|| {
+    let (_, allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             executor.process_columnar(batch);
         }
@@ -773,7 +773,8 @@ fn a_query_parses_in_a_handful_of_allocations() {
     let mut catalog = Catalog::new();
     // the types are registered already, as for every query after the first
     parse_query(&mut catalog, SOURCE).unwrap();
-    let (query, allocs) = alloc::measure_allocs(|| parse_query(&mut catalog, SOURCE).unwrap());
+    let (query, allocs) =
+        sharon_metrics::measure_allocs(|| parse_query(&mut catalog, SOURCE).unwrap());
     assert!(allocs <= 8, "one COUNT(*) query took {allocs} allocations");
     assert_eq!(query.group_by, vec!["customer".to_string()]);
     assert_eq!(query.pattern.len(), 3);
@@ -802,7 +803,7 @@ fn flink_like_columnar_path_is_allocation_free_after_warmup() {
     flink.reserve_results(expected_results);
 
     let constructed_before = flink.sequences_constructed();
-    let (_, allocs) = alloc::measure_allocs(|| {
+    let (_, allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             flink.process_columnar(batch);
         }
@@ -843,7 +844,7 @@ fn spass_like_columnar_path_is_allocation_free_after_warmup() {
     spass.reserve_results(expected_results);
 
     let constructed_before = spass.sequences_constructed();
-    let (_, allocs) = alloc::measure_allocs(|| {
+    let (_, allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             spass.process_columnar(batch);
         }
@@ -970,7 +971,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
         log.reserve(expected);
     }
 
-    let ((), allocs) = alloc::measure_allocs(|| {
+    let ((), allocs) = sharon_metrics::measure_allocs(|| {
         for batch in &measured {
             drive(
                 &mut router,
@@ -1079,7 +1080,7 @@ fn result_log_stores_a_window_close_as_one_run() {
     // (16-byte runs stored 6.42, 20.29 and 4.26).
     const ROWS: usize = 64 * 4096;
     let bytes_per_row = |run: usize, count: fn(usize) -> u128| {
-        let before = alloc::current_bytes();
+        let before = sharon_metrics::current_bytes();
         let mut log = ExecutorResults::new();
         let gid = log.add_group(GroupKey::Global);
         for i in 0..ROWS {
@@ -1090,7 +1091,7 @@ fn result_log_stores_a_window_close_as_one_run() {
                 sharon::query::aggregate::AggValue::Count(count(i)),
             );
         }
-        let grown = alloc::current_bytes() - before;
+        let grown = sharon_metrics::current_bytes() - before;
         assert_eq!(log.len(), ROWS);
         grown as f64 / ROWS as f64
     };

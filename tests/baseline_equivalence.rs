@@ -74,20 +74,59 @@ fn row_batches(events: &[Event]) -> impl Iterator<Item = EventBatch> + '_ {
         .map(|e| EventBatch::from_events(std::slice::from_ref(e)))
 }
 
-/// Events from `(type, time step, v)` triples: one group, and the value
-/// attribute the aggregates read.
-fn materialize(c: &Catalog, n_types: usize, raw: &[(usize, u64, i64)]) -> Vec<Event> {
-    let mut t = 0u64;
-    raw.iter()
-        .map(|&(ty, dt, v)| {
-            t += dt;
-            Event::with_attrs(
-                c.lookup(&format!("T{}", ty % n_types)).unwrap(),
-                Timestamp(t),
-                vec![Value::Int(0), Value::Int(v)],
-            )
-        })
-        .collect()
+/// Every query of `w` planted at the head of a stream: position `i` of
+/// each pattern at `i` ms, in group 0 with value `v`. Window 0 then
+/// holds a sequence of every query whenever WITHIN is at least
+/// [`longest`], so the reference has a row of each query and a drawn case
+/// is not rejected for want of one.
+fn planted(w: &Workload, v: i64) -> Vec<Event> {
+    let mut events = Vec::new();
+    for i in 0..longest(w) {
+        let mut types: Vec<EventTypeId> = w
+            .queries()
+            .iter()
+            .filter_map(|q| q.pattern.types().get(i).copied())
+            .collect();
+        types.sort();
+        types.dedup();
+        for ty in types {
+            let attrs = vec![Value::Int(0), Value::Int(v)];
+            events.push(Event::with_attrs(ty, Timestamp(i as u64), attrs));
+        }
+    }
+    events
+}
+
+/// The length of `w`'s longest pattern.
+fn longest(w: &Workload) -> usize {
+    w.queries()
+        .iter()
+        .map(|q| q.pattern.len())
+        .max()
+        .unwrap_or(0)
+}
+
+/// `within_x × slide`, raised to the smallest multiple of `slide` that
+/// covers a pattern of `longest` types.
+fn covering_within(longest: usize, within_x: u64, slide: u64) -> u64 {
+    within_x.max((longest as u64).div_ceil(slide)) * slide
+}
+
+/// `w`'s planted head (see [`planted`]), then events from `(type, time
+/// step, v)` triples: one group, and the value attribute the aggregates
+/// read.
+fn materialize(c: &Catalog, w: &Workload, n_types: usize, raw: &[(usize, u64, i64)]) -> Vec<Event> {
+    let mut events = planted(w, 1);
+    let mut t = longest(w) as u64;
+    events.extend(raw.iter().map(|&(ty, dt, v)| {
+        t += dt;
+        Event::with_attrs(
+            c.lookup(&format!("T{}", ty % n_types)).unwrap(),
+            Timestamp(t),
+            vec![Value::Int(0), Value::Int(v)],
+        )
+    }));
+    events
 }
 
 // The two-step baselines construct every sequence and share no kernel
@@ -106,12 +145,13 @@ proptest! {
         slide in 1u64..=5,
         within_x in 1u64..=6,
     ) {
-        let within = within_x * slide;
         let queries: Vec<_> = queries.into_iter()
             .map(|(o, l, agg)| (o % n_types, l.min(n_types), agg))
             .collect();
+        let longest = queries.iter().map(|q| q.1).max().unwrap_or(1);
+        let within = covering_within(longest, within_x, slide);
         let (c, w) = build(n_types, &queries, within, slide);
-        let batch = EventBatch::from_events(&materialize(&c, n_types, &raw));
+        let batch = EventBatch::from_events(&materialize(&c, &w, n_types, &raw));
 
         let mut online = Executor::non_shared(&c, &w).unwrap();
         let mut flink = FlinkLike::new(&c, &w).unwrap();
@@ -138,12 +178,13 @@ proptest! {
         slide in 1u64..=5,
         within_x in 1u64..=6,
     ) {
-        let within = within_x * slide;
         let queries: Vec<_> = queries.into_iter()
             .map(|(o, l)| (o % n_types, l.min(n_types), agg))
             .collect();
+        let longest = queries.iter().map(|q| q.1).max().unwrap_or(1);
+        let within = covering_within(longest, within_x, slide);
         let (c, w) = build(n_types, &queries, within, slide);
-        let batch = EventBatch::from_events(&materialize(&c, n_types, &raw));
+        let batch = EventBatch::from_events(&materialize(&c, &w, n_types, &raw));
 
         let rates = RateMap::uniform(50.0);
         let outcome = optimize_sharon(&w, &rates, &OptimizerConfig::default());
@@ -176,7 +217,7 @@ proptest! {
         for i in 0..5 {
             c.register_with_schema(&format!("T{i}"), Schema::new(["g", "v"]));
         }
-        let within = within_x * slide;
+        let within = covering_within(4, within_x, slide);
         let w = parse_workload(
             &mut c,
             ["T0", "T4"].map(|first| {
@@ -195,7 +236,7 @@ proptest! {
             parts.iter().any(|p| p.runners.iter().any(|r| r.start_subs.len() == 2)),
             "the shared segment is a stage-1 runner of both queries"
         );
-        let batch = EventBatch::from_events(&materialize(&c, 5, &raw));
+        let batch = EventBatch::from_events(&materialize(&c, &w, 5, &raw));
 
         let mut online = Executor::new(&c, &w, &plan).unwrap();
         let mut flink = FlinkLike::new(&c, &w).unwrap();
@@ -342,18 +383,18 @@ proptest! {
             ],
         )
         .unwrap();
-        let mut t = 0u64;
-        let events: Vec<Event> = raw
-            .into_iter()
-            .map(|(ty, dt, v)| {
-                t += dt;
-                Event::with_attrs(
-                    c.lookup(&format!("T{ty}")).unwrap(),
-                    Timestamp(t),
-                    vec![Value::Int(v % 7), Value::Int(v)],
-                )
-            })
-            .collect();
+        // the planted head's value keeps its group, 7 % 7 = 0, and makes
+        // its SUM non-zero
+        let mut events = planted(&w, 7);
+        let mut t = longest(&w) as u64;
+        events.extend(raw.into_iter().map(|(ty, dt, v)| {
+            t += dt;
+            Event::with_attrs(
+                c.lookup(&format!("T{ty}")).unwrap(),
+                Timestamp(t),
+                vec![Value::Int(v % 7), Value::Int(v)],
+            )
+        }));
 
         // chop the stream into ragged columnar chunks (0-length chunks
         // produce genuinely empty batches; leftover events form a tail)

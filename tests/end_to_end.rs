@@ -1,4 +1,4 @@
-//! End-to-end runs of the full framework over all three paper data-set
+//! End-to-end runs of the whole system over all three paper data-set
 //! generators (TX, LR, EC), checking cross-strategy agreement and basic
 //! sanity properties of the results.
 

@@ -1,7 +1,9 @@
 //! README's citations stay true: every backticked `crates/…` path it
-//! cites exists, and every backticked `Type::member` names a `fn`, a
-//! field or a `const` in a file under `crates/` that defines or
-//! implements `Type`. A rename that leaves README behind fails here.
+//! cites exists, every backticked `Type::member` names a `fn`, a field or
+//! a `const` in a file under `crates/` that defines or implements `Type`,
+//! and every backticked dotted rig metric (`executor.scan.ns_per_row`) is
+//! a metric `BENCHMARK.json` declares. A rename that leaves README behind
+//! fails here.
 
 use std::path::{Path, PathBuf};
 
@@ -124,6 +126,37 @@ fn declares_member(text: &str, member: &str) -> bool {
     })
 }
 
+/// Every `"name"` string of `BENCHMARK.json`: its metrics, and its
+/// workloads, which no dotted span can match.
+fn benchmark_names(root: &Path) -> Vec<String> {
+    let json = std::fs::read_to_string(root.join("BENCHMARK.json")).unwrap();
+    json.split("\"name\"")
+        .skip(1)
+        .filter_map(|rest| {
+            let rest = rest.trim_start().strip_prefix(':')?.trim_start();
+            let rest = rest.strip_prefix('"')?;
+            Some(rest[..rest.find('"')?].to_string())
+        })
+        .collect()
+}
+
+/// `span` reads as a rig metric: lowercase identifiers joined by dots,
+/// the first of them one of the metric families (`families`), and not a
+/// file name such as `query.rs`.
+fn is_metric(span: &str, families: &[&str]) -> bool {
+    let mut segments = span.split('.');
+    let family = segments.next().unwrap_or_default();
+    let segment = |s: &str| {
+        !s.is_empty()
+            && s.chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+    };
+    span.contains('.')
+        && !span.ends_with(".rs")
+        && families.contains(&family)
+        && span.split('.').all(segment)
+}
+
 #[test]
 fn readme_cites_only_paths_and_names_that_exist() {
     let root = repo_root();
@@ -131,9 +164,20 @@ fn readme_cites_only_paths_and_names_that_exist() {
     let mut sources = Vec::new();
     rust_sources(&root.join("crates"), &mut sources);
 
-    let (mut paths, mut names, mut stale) = (0, 0, Vec::new());
+    let metrics = benchmark_names(&root);
+    let families: Vec<&str> = metrics
+        .iter()
+        .filter_map(|name| Some(name.split_once('.')?.0))
+        .collect();
+
+    let (mut paths, mut names, mut cited_metrics, mut stale) = (0, 0, 0, Vec::new());
     for span in code_spans(&readme) {
-        if span.starts_with("crates/") {
+        if is_metric(&span, &families) {
+            cited_metrics += 1;
+            if !metrics.contains(&span) {
+                stale.push(format!("metric `{span}`"));
+            }
+        } else if span.starts_with("crates/") {
             paths += 1;
             let path = span.split(':').next().unwrap_or(&span);
             if !root.join(path).exists() {
@@ -150,11 +194,11 @@ fn readme_cites_only_paths_and_names_that_exist() {
         }
     }
     assert!(
-        paths > 0 && names > 0,
-        "README cites {paths} paths and {names} names"
+        paths > 0 && names > 0 && cited_metrics > 0,
+        "README cites {paths} paths, {names} names and {cited_metrics} metrics"
     );
     assert!(
         stale.is_empty(),
-        "README cites what crates/ does not hold: {stale:?}"
+        "README cites what crates/ or BENCHMARK.json does not hold: {stale:?}"
     );
 }
