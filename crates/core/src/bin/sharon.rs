@@ -65,7 +65,9 @@
 //! the generated stream; ops apply in offset order. `--checkpoint-dir` and
 //! `--lateness` reach the session builder, which refuses them (as it
 //! refuses a two-step baseline) with its typed error (exit 1); `--resume`
-//! is refused up front. `--shards 0` is promoted to one shard.
+//! is refused up front. `--shards N` places the session's shared plan as
+//! it places a static run's: in-process without it, on N worker threads
+//! with it.
 //! ```
 
 use sharon::executor::CheckpointConfig;
@@ -672,7 +674,7 @@ fn run_churn(
         "session: {} initial queries ({}) on {} shard(s), {} scripted op(s)",
         workload.len(),
         args.strategy.name(),
-        args.shards.max(1),
+        args.shards,
         ops.len()
     );
 

@@ -27,9 +27,9 @@
 //! runtime query churn).
 
 use crate::session::{SessionConfig, SharonSession};
-use crate::strategy::{build_sharded_any, strategy_plan, AnyExecutor, Strategy};
+use crate::strategy::{build_online, strategy_plan, AnyExecutor, Strategy};
 use sharon_executor::{
-    CheckpointConfig, CheckpointError, CompileError, Executor, ShardedExecutor, ShardedOptions,
+    CheckpointConfig, CheckpointError, CompileError, ShardedExecutor, ShardedOptions,
 };
 use sharon_optimizer::{OptimizeOutcome, OptimizerConfig, RateMap};
 use sharon_query::Workload;
@@ -123,42 +123,30 @@ impl<'a> SharonBuilder<'a> {
     /// option if one is set and `shards` otherwise; sequentially, one
     /// with a lateness is the same error naming `lateness`.
     pub fn build_executor(self) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
-        if self.shards > 0 {
-            return build_sharded_any(
-                self.catalog,
-                self.workload,
-                self.rates,
-                self.strategy,
-                &self.config,
-                self.shards,
-                self.options,
-            );
-        }
-        if let Some(option) = self.options.durability_option() {
-            return Err(CompileError::ShardsRequired {
-                option,
-                strategy: self.strategy.name(),
-            });
-        }
+        let strategy = self.strategy.name();
         let baseline = matches!(self.strategy, Strategy::FlinkLike | Strategy::SpassLike);
-        if baseline && self.options.lateness.is_some() {
-            return Err(CompileError::UnsupportedOption {
-                option: "lateness",
-                strategy: self.strategy.name(),
-            });
+        if baseline && self.shards > 0 {
+            let option = self.options.durability_option().unwrap_or("shards");
+            return Err(CompileError::UnsupportedOption { option, strategy });
         }
-        // lateness is fixed on the concrete executor, before it is boxed
+        if let (0, Some(option)) = (self.shards, self.options.durability_option()) {
+            return Err(CompileError::ShardsRequired { option, strategy });
+        }
+        if baseline && self.options.lateness.is_some() {
+            let option = "lateness";
+            return Err(CompileError::UnsupportedOption { option, strategy });
+        }
         let (plan, outcome) = strategy_plan(self.workload, self.rates, self.strategy, &self.config);
         let ex: AnyExecutor = match self.strategy {
-            Strategy::Sharon | Strategy::Greedy | Strategy::ASeq => {
-                let mut ex = Executor::new(self.catalog, self.workload, &plan)?;
-                if let Some(ms) = self.options.lateness {
-                    ex.set_lateness(ms);
-                }
-                ex.into()
-            }
             Strategy::FlinkLike => FlinkLike::new(self.catalog, self.workload)?.into(),
             Strategy::SpassLike => SpassLike::new(self.catalog, self.workload, &plan)?.into(),
+            Strategy::Sharon | Strategy::Greedy | Strategy::ASeq => build_online(
+                self.catalog,
+                self.workload,
+                &plan,
+                self.shards,
+                self.options,
+            )?,
         };
         Ok((ex, outcome))
     }
@@ -202,8 +190,9 @@ impl<'a> SharonBuilder<'a> {
     /// [`attach`](SharonSession::attach) / [`detach`](SharonSession::detach)
     /// churn with background plan re-optimization.
     ///
-    /// Sessions always run the sharded runtime (`shards(0)` is promoted
-    /// to one shard) and require an online strategy; see
+    /// The shared plan runs where [`SharonBuilder::build_executor`] would
+    /// run it: in-process at `shards(0)`, on the sharded runtime
+    /// otherwise. Sessions require an online strategy; see
     /// [`SharonSession`] for the option surface it supports.
     pub fn session(self, session_config: SessionConfig) -> Result<SharonSession, CompileError> {
         SharonSession::start(
@@ -212,7 +201,7 @@ impl<'a> SharonBuilder<'a> {
             self.rates.clone(),
             self.strategy,
             self.config,
-            self.shards.max(1),
+            self.shards,
             self.options,
             session_config,
         )

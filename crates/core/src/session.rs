@@ -35,8 +35,8 @@
 //! for *it* — the first fully-owned window after its attach point, and
 //! only windows closed before its detach point.
 
-use crate::strategy::{strategy_plan, Strategy};
-use sharon_executor::{CompileError, Executor, ExecutorResults, ShardedExecutor, ShardedOptions};
+use crate::strategy::{build_online, strategy_plan, AnyExecutor, Strategy};
+use sharon_executor::{CompileError, Executor, ExecutorResults, ShardedOptions};
 use sharon_metrics::record_swap_windows_lost;
 use sharon_optimizer::{DynamicPlanManager, OptimizerConfig, PlanDecision, RateEstimator, RateMap};
 use sharon_query::{Query, QueryId, QuerySig, SharingPlan, Workload};
@@ -125,48 +125,6 @@ struct SigSlot {
     handles: Vec<u32>,
 }
 
-/// The engine hosting one plan incarnation.
-enum Host {
-    /// The shared main plan on the sharded runtime.
-    Sharded(Box<ShardedExecutor>),
-    /// A private sequential sidecar for one freshly attached query.
-    Seq(Box<Executor>),
-}
-
-impl Host {
-    fn process_columnar(&mut self, batch: &EventBatch) {
-        match self {
-            Host::Sharded(ex) => ex.process_columnar(batch),
-            Host::Seq(ex) => ex.process_columnar(batch),
-        }
-    }
-
-    /// Move out every result emitted so far, leaving window state intact.
-    fn harvest(&mut self) -> ExecutorResults {
-        match self {
-            Host::Sharded(ex) => ex
-                .harvest_results()
-                .unwrap_or_else(|e| panic!("harvesting the shared plan failed: {e}")),
-            Host::Seq(ex) => ex.take_results(),
-        }
-    }
-
-    fn finish(self) -> ExecutorResults {
-        match self {
-            Host::Sharded(ex) => ex.finish(),
-            Host::Seq(ex) => ex.finish(),
-        }
-    }
-
-    fn state_size(&self) -> usize {
-        match self {
-            // sharded state lives on the worker threads; not visible here
-            Host::Sharded(_) => 0,
-            Host::Seq(ex) => ex.cell_count(),
-        }
-    }
-}
-
 /// One compiled plan with its window-start ownership interval.
 ///
 /// Every live incarnation receives the full stream; the interval decides
@@ -176,7 +134,9 @@ impl Host {
 /// being fed until `horizon` so every window starting at or before `hi`
 /// sees all its rows.
 struct Incarnation {
-    host: Host,
+    /// The shared plan as the builder builds it, or a sidecar's
+    /// sequential executor.
+    host: AnyExecutor,
     /// Maps this incarnation's internal [`QueryId`] index to a sig slot.
     sigs: Vec<usize>,
     /// Exclusive lower ownership bound (`None` = from the beginning).
@@ -216,7 +176,8 @@ impl Tracker {
 ///
 /// Construct through
 /// [`SharonBuilder::session`](crate::SharonBuilder::session). The session
-/// always runs the sharded runtime for its shared plan and accepts only
+/// builds its shared plan through the builder's build path, in-process
+/// at `shards(0)` and on the sharded runtime otherwise, and accepts only
 /// the online strategies (Sharon / Greedy / A-Seq); checkpoint and
 /// lateness options are rejected for now (they do not yet compose
 /// with plan hot-swaps) as [`CompileError::UnsupportedOption`].
@@ -256,8 +217,8 @@ pub struct SharonSession {
 impl SharonSession {
     /// Start a session hosting `workload` as the initially attached
     /// queries (handles `0..n` in order). A two-step strategy (option
-    /// `session`: its processors cannot surface results mid-stream) and a
-    /// checkpoint or lateness option is
+    /// `session`: a session re-plans and hot-swaps online engines only)
+    /// and a checkpoint or lateness option is
     /// [`CompileError::UnsupportedOption`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
@@ -346,15 +307,10 @@ impl SharonSession {
             )));
         }
         if !wl.is_empty() {
-            let ex = ShardedExecutor::with_options(
-                &session.catalog,
-                &wl,
-                &plan,
-                n_shards,
-                session.options.clone(),
-            )?;
+            let options = session.options.clone();
+            let host = build_online(&session.catalog, &wl, &plan, n_shards, options)?;
             session.main = Some(Incarnation {
-                host: Host::Sharded(Box::new(ex)),
+                host,
                 sigs: map,
                 lo: None,
                 hi: None,
@@ -399,7 +355,7 @@ impl SharonSession {
                     handles: Vec::new(),
                 });
                 self.sidecars.push(Incarnation {
-                    host: Host::Seq(Box::new(ex)),
+                    host: ex.into(),
                     sigs: vec![idx],
                     lo: self.frontier,
                     hi: None,
@@ -527,7 +483,7 @@ impl SharonSession {
             .chain(self.sidecars.iter_mut())
             .chain(self.retiring.iter_mut())
         {
-            let results = inc.host.harvest();
+            let results = inc.host.drain_results();
             settle_into(
                 &self.handles,
                 &self.sigs,
@@ -574,22 +530,17 @@ impl SharonSession {
         self.swap_count
     }
 
-    /// Session-side state proxy: live aggregate cells of the sidecar and
-    /// retiring engines hosted in-process (the shared plan's state lives
-    /// on its worker threads and reports 0 — see
+    /// Session-side state proxy: live aggregate cells of every
+    /// incarnation hosted in-process (a shared plan on the sharded
+    /// runtime keeps its state on the worker threads and reports 0 — see
     /// [`sharon_executor::BatchProcessor::state_size`]).
     pub fn state_size(&self) -> usize {
-        self.main.iter().map(|i| i.host.state_size()).sum::<usize>()
-            + self
-                .sidecars
-                .iter()
-                .map(|i| i.host.state_size())
-                .sum::<usize>()
-            + self
-                .retiring
-                .iter()
-                .map(|i| i.host.state_size())
-                .sum::<usize>()
+        self.main
+            .iter()
+            .chain(&self.sidecars)
+            .chain(&self.retiring)
+            .map(|i| i.host.state_size())
+            .sum()
     }
 
     /// Live sidecar engines (queries attached but not yet folded into the
@@ -683,7 +634,7 @@ impl SharonSession {
             }
         }
         if !workload.is_empty() {
-            let ex = ShardedExecutor::with_options(
+            let host = build_online(
                 &self.catalog,
                 &workload,
                 &plan,
@@ -692,7 +643,7 @@ impl SharonSession {
             )
             .expect("re-optimized sharing plan must compile");
             self.main = Some(Incarnation {
-                host: Host::Sharded(Box::new(ex)),
+                host,
                 sigs: sig_map,
                 lo: boundary,
                 hi: None,

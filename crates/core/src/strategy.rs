@@ -17,7 +17,6 @@ use sharon_optimizer::{
     optimize_greedy, optimize_sharon, OptimizeOutcome, OptimizerConfig, RateMap,
 };
 use sharon_query::{SharingPlan, Workload};
-use sharon_twostep::{Family, TwoStep};
 use sharon_types::{Catalog, EventBatch};
 
 /// Which event sequence aggregation approach to run (Figure 3).
@@ -58,17 +57,18 @@ pub struct AnyExecutor {
 }
 
 impl AnyExecutor {
-    /// Wrap any [`BatchProcessor`].
-    pub fn new(inner: Box<dyn BatchProcessor>) -> Self {
-        AnyExecutor { inner }
-    }
-
     /// Process a time-ordered columnar batch — every strategy's native
     /// compiled-scan → stateful-dispatch pipeline (the online engines'
     /// columnar path, the sharded runtime's route-once fan-out, the
     /// baselines' per-scope scans).
     pub fn process_columnar(&mut self, batch: &EventBatch) {
         self.inner.process_columnar(batch);
+    }
+
+    /// Move out the results closed so far (see
+    /// [`BatchProcessor::drain_results`]).
+    pub fn drain_results(&mut self) -> ExecutorResults {
+        self.inner.drain_results()
     }
 
     /// Flush and return results.
@@ -107,21 +107,11 @@ impl AnyExecutor {
     }
 }
 
-impl From<Executor> for AnyExecutor {
-    fn from(ex: Executor) -> Self {
-        AnyExecutor::new(Box::new(ex))
-    }
-}
-
-impl From<ShardedExecutor> for AnyExecutor {
-    fn from(ex: ShardedExecutor) -> Self {
-        AnyExecutor::new(Box::new(ex))
-    }
-}
-
-impl<F: Family> From<TwoStep<F>> for AnyExecutor {
-    fn from(ex: TwoStep<F>) -> Self {
-        AnyExecutor::new(Box::new(ex))
+impl<P: BatchProcessor + 'static> From<P> for AnyExecutor {
+    fn from(ex: P) -> Self {
+        AnyExecutor {
+            inner: Box::new(ex),
+        }
     }
 }
 
@@ -148,35 +138,27 @@ pub(crate) fn strategy_plan(
     }
 }
 
-/// Build a sharded parallel executor under `strategy` with the full
-/// durability-capable option set (periodic checkpoints, event time — see
-/// [`ShardedOptions`]). The single sharded construction
-/// path behind [`crate::SharonBuilder`]: one [`Executor`] over shard-slice
-/// engines per worker ([`ShardedExecutor::with_options`]).
-///
-/// Only the online strategies (Sharon / Greedy / A-Seq) shard. A two-step
-/// baseline is [`CompileError::UnsupportedOption`], naming the durability
-/// option when one is set and `shards` otherwise: the baselines run
-/// sequentially, and silently doing so when sharding was asked for would
-/// be worse.
-pub(crate) fn build_sharded_any(
+/// Build an online strategy's executor over `plan`: the one build path
+/// behind [`crate::SharonBuilder`] and the session's shared plan.
+/// `shards == 0` is the sequential [`Executor`] with `options.lateness`
+/// fixed on its gate (every other option needs the sharded runtime, which
+/// the caller checks); `shards ≥ 1` is the sharded runtime with the whole
+/// option set ([`ShardedExecutor::with_options`]).
+pub(crate) fn build_online(
     catalog: &Catalog,
     workload: &Workload,
-    rates: &RateMap,
-    strategy: Strategy,
-    config: &OptimizerConfig,
-    n_shards: usize,
+    plan: &SharingPlan,
+    shards: usize,
     options: ShardedOptions,
-) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
-    if matches!(strategy, Strategy::FlinkLike | Strategy::SpassLike) {
-        return Err(CompileError::UnsupportedOption {
-            option: options.durability_option().unwrap_or("shards"),
-            strategy: strategy.name(),
-        });
+) -> Result<AnyExecutor, CompileError> {
+    if shards > 0 {
+        return Ok(ShardedExecutor::with_options(catalog, workload, plan, shards, options)?.into());
     }
-    let (plan, outcome) = strategy_plan(workload, rates, strategy, config);
-    let ex = ShardedExecutor::with_options(catalog, workload, &plan, n_shards, options)?;
-    Ok((ex.into(), outcome))
+    let mut ex = Executor::new(catalog, workload, plan)?;
+    if let Some(ms) = options.lateness {
+        ex.set_lateness(ms);
+    }
+    Ok(ex.into())
 }
 
 #[cfg(test)]

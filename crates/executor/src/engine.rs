@@ -539,6 +539,7 @@ impl<A: Aggregate> Engine<A> {
 mod tests {
     use super::*;
     use crate::executor::{EngineKind, Executor};
+    use crate::processor::BatchProcessor;
     use crate::results::tests::assert_equivalent;
     use crate::runner::SegmentRunner;
     use sharon_query::aggregate::AggValue;
@@ -718,11 +719,11 @@ mod tests {
         let row = |t, g| Event::with_attrs(a, Timestamp(t), vec![Value::Int(g)]);
         let (k1, k2) = (GroupKey::One(Value::Int(1)), GroupKey::One(Value::Int(2)));
         feed(&mut ex, &[row(1, 2), row(2, 1), row(5, 2)]);
-        let first = ex.take_results();
+        let first = ex.drain_results();
         assert_eq!(first.rows().map(|r| r.1).collect::<Vec<_>>(), [0]);
         assert_eq!(first.group(0), &k2);
         feed(&mut ex, &[row(6, 1), row(9, 2)]);
-        let second = ex.take_results();
+        let second = ex.drain_results();
         let keyed: Vec<_> = second
             .rows()
             .map(|(_, gid, w, v)| (second.group(gid).clone(), w, v))

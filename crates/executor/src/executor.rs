@@ -41,7 +41,7 @@ pub struct Executor {
     /// One engine per partition, in partition order.
     pub(crate) engines: Vec<EngineKind>,
     /// The result log every engine closes its windows into, handed out
-    /// by move at [`Executor::take_results`] / [`Executor::finish`].
+    /// by move at `drain_results` / [`Executor::finish`].
     pub(crate) results: ExecutorResults,
     /// The select stage, one scope per engine (empty on a shard worker,
     /// whose rows the router selects).
@@ -262,14 +262,6 @@ impl Executor {
     /// sharded runtime batches by [`crate::DEFAULT_BATCH_SIZE`]).
     pub const RUN_BATCH: usize = 1024;
 
-    /// Take the results emitted so far, leaving the log empty. Open
-    /// windows keep their state and appear in a later take or at
-    /// [`Executor::finish`] — the drain backing the session layer's
-    /// `drain_results`.
-    pub fn take_results(&mut self) -> ExecutorResults {
-        std::mem::take(&mut self.results)
-    }
-
     /// Flush remaining windows and return all results.
     pub fn finish(self) -> ExecutorResults {
         self.report().results
@@ -317,6 +309,11 @@ impl crate::processor::BatchProcessor for Executor {
         Executor::process_columnar(self, batch);
     }
 
+    /// Take the log, leaving it empty.
+    fn drain_results(&mut self) -> ExecutorResults {
+        std::mem::take(&mut self.results)
+    }
+
     fn events_matched(&self) -> u64 {
         Executor::events_matched(self)
     }
@@ -356,7 +353,7 @@ impl Executor {
     }
 
     /// The shard's checkpoint segment: its result log (results are held
-    /// until harvested or `finish`, so a resume must carry them to
+    /// until drained or `finish`, so a resume must carry them to
     /// reproduce an uninterrupted run's output exactly), its engines in
     /// partition order, then the gate block — a present flag and, if set,
     /// the gate's own state (watermark and the rows still waiting, so a

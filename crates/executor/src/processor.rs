@@ -20,6 +20,13 @@
 //! [`crate::ShardedExecutor`] (route-once parallel runtime of the online
 //! engines), and the `sharon-twostep` crate's `FlinkLike` / `SpassLike`
 //! baselines, which run sequentially only.
+//!
+//! The verbs: [`BatchProcessor::process_columnar`] feeds a batch,
+//! [`BatchProcessor::drain_results`] moves out the results closed so far
+//! (the only way to read results mid-stream), and
+//! [`BatchProcessor::finish`] closes every window and reports the run;
+//! [`BatchProcessor::events_matched`], [`BatchProcessor::scan_stats`] and
+//! [`BatchProcessor::state_size`] read progress without moving anything.
 
 use crate::results::ExecutorResults;
 use sharon_types::EventBatch;
@@ -60,6 +67,12 @@ pub trait BatchProcessor: Send {
     /// Process a time-ordered columnar batch: the stateless scan +
     /// stateful dispatch pipeline.
     fn process_columnar(&mut self, batch: &EventBatch);
+
+    /// Move out every result emitted so far, leaving open windows' state
+    /// in place: they surface in a later drain or at
+    /// [`BatchProcessor::finish`]. Repeated drains return disjoint sets
+    /// whose union with `finish`'s is the whole run's result set.
+    fn drain_results(&mut self) -> ExecutorResults;
 
     /// Events that passed the stateless prefix (routing, predicates,
     /// grouping) so far; zero for strategies that do not track it.

@@ -680,7 +680,7 @@ impl ExecutorResults {
     }
 
     /// Serialize the full result set into a checkpoint segment (a shard
-    /// worker holds emitted results until they are harvested or
+    /// worker holds emitted results until they are drained or
     /// `finish`, so a resume must carry them to reproduce an
     /// uninterrupted run's output exactly): the key table once, then the
     /// segment count and, per segment, its row count and its byte column
@@ -1509,7 +1509,7 @@ pub(crate) mod tests {
         Duplicate(usize, usize),
         /// Move set `.0` into set `.1`.
         Merge(usize, usize),
-        /// Take the set out (as `take_results` does) and merge it back in
+        /// Take the set out (as `drain_results` does) and merge it back in
         /// behind `.1` fresh rows.
         TakeAndRemerge(usize, usize),
         Reserve(usize, usize),

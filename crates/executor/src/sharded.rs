@@ -603,7 +603,7 @@ impl ShardedExecutor {
                                 barrier.fill_shard(shard, worker.save_state());
                             }
                             WorkerMsg::Harvest(barrier) => {
-                                barrier.fill_shard(shard, worker.take_results());
+                                barrier.fill_shard(shard, worker.drain_results());
                             }
                         }
                     }
@@ -796,27 +796,6 @@ impl ShardedExecutor {
         Ok(id)
     }
 
-    /// Flush the ingest buffer and harvest every shard's results emitted
-    /// so far, **without** stopping the runtime: open windows keep their
-    /// state and surface in a later harvest or at
-    /// [`ShardedExecutor::finish`]. The harvest travels the same in-band
-    /// barrier path as a checkpoint, so the returned results cover
-    /// exactly the batches ingested before the call — this is the epoch
-    /// drain backing the session layer's `drain_results`.
-    ///
-    /// Fails with [`CheckpointError::Corrupt`] if a runtime thread died.
-    pub fn harvest_results(&mut self) -> Result<ExecutorResults, CheckpointError> {
-        self.flush();
-        let barrier: HarvestRef = Arc::new(CheckpointBarrier::new(self.n_shards));
-        self.send_job(RouterMsg::Harvest(Arc::clone(&barrier)));
-        let (_router, shards) = barrier.wait(&self.cancel)?;
-        let mut out = ExecutorResults::new();
-        for results in shards {
-            out.merge(results);
-        }
-        Ok(out)
-    }
-
     /// Flush remaining events, stop the workers, and merge their results
     /// in deterministic shard order. Shard result sets are disjoint (each
     /// group is owned by exactly one shard), so that merge is exact.
@@ -835,12 +814,18 @@ impl ShardedExecutor {
     /// a half-dead run can never masquerade as a complete one.
     pub fn finish_with_stats(mut self) -> RunReport {
         self.flush();
-        // teardown order is the flush contract: the router drains every
-        // queued job and closes the worker lanes before the shards are
-        // joined, so no routed batch is lost and every shard report is
-        // complete
-        let router_ok = self.router.take().expect("finish runs once").join();
-        // all rings are closed: join the shards in deterministic order
+        let mut run = self.join();
+        run.scan_stats = self.scan_stats();
+        run
+    }
+
+    /// Join the router, then the workers in shard order, and sum their
+    /// reports. Teardown order is the flush contract: the router drains
+    /// every queued job and closes the worker lanes before the shards are
+    /// joined, so no routed batch is lost and every shard report is
+    /// complete. Panics naming every dead thread.
+    fn join(&mut self) -> RunReport {
+        let router_ok = self.router.take().expect("the runtime joins once").join();
         let workers = std::mem::take(&mut self.workers);
         let mut run = RunReport::default();
         let mut failed_shards = Vec::new();
@@ -867,7 +852,6 @@ impl ShardedExecutor {
                 parts.join("; ")
             );
         }
-        run.scan_stats = self.scan_stats();
         run
     }
 }
@@ -894,6 +878,26 @@ impl Drop for ShardedExecutor {
 impl BatchProcessor for ShardedExecutor {
     fn process_columnar(&mut self, batch: &EventBatch) {
         ShardedExecutor::process_columnar(self, batch);
+    }
+
+    /// Flush the ingest buffer and move out every shard's log through
+    /// the in-band barrier path a checkpoint takes, so the drain covers
+    /// exactly the batches ingested before the call. A dead router or
+    /// worker fails it as it fails
+    /// [`ShardedExecutor::finish_with_stats`]: a panic naming the thread.
+    fn drain_results(&mut self) -> ExecutorResults {
+        self.flush();
+        let barrier: HarvestRef = Arc::new(CheckpointBarrier::new(self.n_shards));
+        self.send_job(RouterMsg::Harvest(Arc::clone(&barrier)));
+        let Ok((_router, shards)) = barrier.wait(&self.cancel) else {
+            self.join();
+            panic!("sharded runtime failed: a runtime thread stopped mid-drain");
+        };
+        let mut out = ExecutorResults::new();
+        for results in shards {
+            out.merge(results);
+        }
+        out
     }
 
     fn events_matched(&self) -> u64 {
@@ -1125,7 +1129,7 @@ mod tests {
 
     #[test]
     fn harvest_then_finish_equals_uninterrupted_run() {
-        // 97 groups, a harvest after every ingested batch: every harvest
+        // 97 groups, a drain after every ingested batch: every drain
         // hands the workers' logs and key tables away, so each group
         // registers afresh in each log it emits into — ids must never
         // leak from one log's table into the next
@@ -1142,7 +1146,7 @@ mod tests {
             let (mut epochs, mut epochs_with_tracked) = (0, 0);
             for batch in events.chunks(64) {
                 sharded.process_columnar(&EventBatch::from_events(batch));
-                let epoch = sharded.harvest_results().expect("harvest");
+                let epoch = sharded.drain_results();
                 epochs += usize::from(!epoch.is_empty());
                 epochs_with_tracked +=
                     usize::from(epoch.rows().any(|r| *epoch.group(r.1) == tracked));
@@ -1154,11 +1158,11 @@ mod tests {
                 &want,
                 w.len() as u32,
                 1e-9,
-                format!("{shards} shards: harvested epochs + finish"),
+                format!("{shards} shards: drained epochs + finish"),
             );
             assert!(
                 epochs > 30 && epochs_with_tracked > 10,
-                "{shards} shards: mid-stream harvests yield closed windows \
+                "{shards} shards: mid-stream drains yield closed windows \
                  ({epochs} epochs, group 0 in {epochs_with_tracked})"
             );
         }

@@ -450,6 +450,11 @@ impl<F: Family> BatchProcessor for TwoStep<F> {
         TwoStep::process_columnar(self, batch);
     }
 
+    /// Take the log: subscribers emit each window as it closes.
+    fn drain_results(&mut self) -> ExecutorResults {
+        std::mem::take(&mut self.results)
+    }
+
     fn events_matched(&self) -> u64 {
         TwoStep::events_matched(self)
     }
@@ -646,6 +651,62 @@ pub(crate) mod tests {
         )
         .expect("ecommerce predicate workload parses");
         assert_scope_kernel_parity(&catalog, &workload, &batch, "ecommerce");
+    }
+
+    /// Both baselines emit each window as it closes: draining after
+    /// every batch yields closed windows mid-stream, and the drained
+    /// epochs plus `finish` equal one uninterrupted run.
+    #[test]
+    fn drained_epochs_plus_finish_equal_one_run() {
+        let mut catalog = Catalog::new();
+        let events = ecommerce::generate(
+            &mut catalog,
+            &EcommerceConfig {
+                n_items: 6,
+                n_customers: 8,
+                events_per_sec: 300,
+                n_events: 2500,
+                ..Default::default()
+            },
+        );
+        let workload = parse_workload(
+            &mut catalog,
+            [
+                "RETURN COUNT(*) PATTERN SEQ(Laptop, Case) WHERE [customer] WITHIN 1 s SLIDE 500 ms",
+                "RETURN COUNT(*) PATTERN SEQ(Laptop, Adapter) WHERE [customer] WITHIN 1 s SLIDE 500 ms",
+            ],
+        )
+        .expect("ecommerce workload parses");
+        let plan = sharon_query::SharingPlan::non_shared();
+        let run = |mut ex: Box<dyn BatchProcessor>, drain: bool| {
+            let (mut all, mut epochs) = (ExecutorResults::new(), 0);
+            for chunk in events.chunks(256) {
+                ex.process_columnar(&EventBatch::from_events(chunk));
+                if drain {
+                    let epoch = ex.drain_results();
+                    epochs += usize::from(!epoch.is_empty());
+                    all.merge(epoch);
+                }
+            }
+            all.merge(ex.finish().results);
+            (all, epochs)
+        };
+        let n = workload.len() as u32;
+        for label in ["Flink", "SPASS"] {
+            let build = || -> Box<dyn BatchProcessor> {
+                match label {
+                    "Flink" => Box::new(crate::FlinkLike::new(&catalog, &workload).unwrap()),
+                    _ => Box::new(crate::SpassLike::new(&catalog, &workload, &plan).unwrap()),
+                }
+            };
+            let (want, _) = run(build(), false);
+            let (got, epochs) = run(build(), true);
+            assert!(
+                epochs > 2,
+                "{label}: windows close mid-stream ({epochs} epochs)"
+            );
+            assert_equivalent(&got, &want, n, 1e-9, format!("{label}: drained + finish"));
+        }
     }
 
     #[test]

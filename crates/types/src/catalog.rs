@@ -99,8 +99,7 @@ impl Schema {
 ///
 /// The catalog is the single source of truth shared by the parser, the
 /// stream generators, and the executors. Registering the same name twice
-/// returns the original id (the schema of the first registration wins; use
-/// [`Catalog::set_schema`] to replace it).
+/// returns the original id (the schema of the first registration wins).
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     names: Vec<String>,
@@ -130,11 +129,6 @@ impl Catalog {
         self.schemas.push(schema);
         self.by_name.insert(name.to_string(), id);
         id
-    }
-
-    /// Replace the schema of an already-registered type.
-    pub fn set_schema(&mut self, id: EventTypeId, schema: Schema) {
-        self.schemas[id.index()] = schema;
     }
 
     /// Look up a type by name without registering it.
@@ -201,15 +195,13 @@ mod tests {
     }
 
     #[test]
-    fn first_schema_wins_unless_replaced() {
+    fn first_schema_wins() {
         let mut c = Catalog::new();
         let id = c.register_with_schema("T", Schema::new(["a"]));
         let again = c.register_with_schema("T", Schema::new(["b"]));
         assert_eq!(id, again);
         assert_eq!(c.schema(id).attr("a"), Some(AttrId(0)));
-        c.set_schema(id, Schema::new(["b"]));
-        assert_eq!(c.schema(id).attr("b"), Some(AttrId(0)));
-        assert_eq!(c.schema(id).attr("a"), None);
+        assert_eq!(c.schema(id).attr("b"), None);
     }
 
     #[test]

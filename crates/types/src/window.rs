@@ -50,13 +50,6 @@ impl WindowSpec {
         (self.within.millis().div_ceil(self.slide.millis())) as usize
     }
 
-    /// Start of the latest window instance containing `t`
-    /// (the instance `⌊t / slide⌋`).
-    #[inline]
-    pub fn last_start_covering(&self, t: Timestamp) -> Timestamp {
-        Timestamp(t.millis() / self.slide.millis() * self.slide.millis())
-    }
-
     /// Start of the earliest window instance containing `t`: the smallest
     /// slide-aligned `s` with `s + within > t`.
     #[inline]
@@ -127,7 +120,6 @@ mod tests {
         let w = spec(4, 1); // the running example of Figure 6(b)
                             // event at time 5: windows starting at 2,3,4,5
         assert_eq!(w.first_start_covering(Timestamp(5)), Timestamp(2));
-        assert_eq!(w.last_start_covering(Timestamp(5)), Timestamp(5));
     }
 
     #[test]
@@ -155,7 +147,6 @@ mod tests {
         let w = WindowSpec::tumbling(TimeDelta(5));
         assert_eq!(w.max_open(), 1);
         assert_eq!(w.first_start_covering(Timestamp(7)), Timestamp(5));
-        assert_eq!(w.last_start_covering(Timestamp(7)), Timestamp(5));
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn columnar_hot_path_is_allocation_free_after_warmup() {
 #[test]
 fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
     // every measured batch closes windows (256 ms of events, 4 ms slide),
-    // and the phase starts right after a `take_results`, i.e. on a fresh
+    // and the phase starts right after a `drain_results`, i.e. on a fresh
     // log: one more batch registers every group in it again (an id per
     // group and log), `reserve_results` reserves the segments, and from
     // there emission is pure appends
@@ -164,7 +164,7 @@ fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
     for batch in &warmup {
         executor.process_columnar(batch);
     }
-    let first_epoch = executor.take_results();
+    let first_epoch = executor.drain_results();
     assert!(first_epoch.len() > 1000, "warm-up closed windows");
     executor.process_columnar(&reintern[0]);
     // an event per ms, each in two windows of its group
@@ -181,7 +181,7 @@ fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
         "window closes after reserve_results must not allocate \
          ({MEASURED_BATCHES} closing batches performed {allocs} allocations)"
     );
-    let second_epoch = executor.take_results();
+    let second_epoch = executor.drain_results();
     assert!(
         second_epoch.len() >= closing - 64,
         "the measured batches emitted their windows ({} rows)",

@@ -12,12 +12,13 @@
 //! - the initial workload's handles own every window, across any number
 //!   of plan hot-swaps.
 //!
-//! Checked on all three paper streams (TX, LR, EC), across shard counts,
-//! for: forced hot-swap mid-stream, attach at
-//! an offset (fresh signature → sidecar, equal signature → alias fast
-//! path), detach (sidecar state freed immediately, shared queries keep
-//! their closed windows), a fully scripted churn scenario with metric
-//! assertions, and per-epoch `drain_results` disjointness.
+//! Checked on all three paper streams (TX, LR, EC), across shard counts
+//! (`0` hosts the shared plan in-process), for: forced hot-swap
+//! mid-stream, attach at an offset (fresh signature → sidecar, equal
+//! signature → alias fast path), detach (sidecar state freed immediately,
+//! shared queries keep their closed windows), a fully scripted churn
+//! scenario with metric assertions, per-epoch `drain_results`
+//! disjointness, and a per-slide drain of an in-process session.
 
 use sharon::prelude::*;
 use sharon::streams::ecommerce::{self, EcommerceConfig};
@@ -220,7 +221,7 @@ fn hot_swap_mid_stream_matches_uninterrupted() {
     for s in setups() {
         let want = static_run(&s.catalog, &s.workload, &s.rates, &s.events);
         assert!(!want.is_empty(), "{}: reference produces results", s.label);
-        for &shards in &support::shard_counts(&[1, 2]) {
+        for &shards in &support::shard_counts(&[0, 1, 2]) {
             let ctx = format!("{}/shards{shards}", s.label);
             let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
                 .shards(shards)
@@ -293,7 +294,7 @@ fn attach_at_offset_matches_static_for_complete_windows() {
         let n = s.workload.len() as u32;
         let want = static_run(&catalog, &full, &s.rates, &s.events);
 
-        for &shards in &support::shard_counts(&[1, 2]) {
+        for &shards in &support::shard_counts(&[0, 1, 2]) {
             let ctx = format!("{}/shards{shards}", s.label);
             let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
                 .shards(shards)
@@ -471,7 +472,7 @@ fn scripted_churn_matches_static_reference() {
         let within = s.workload.get(victim).window.within.millis();
         let want = static_run(&catalog, &full, &s.rates, &s.events);
 
-        for &shards in &support::shard_counts(&[2, 4]) {
+        for &shards in &support::shard_counts(&[0, 2, 4]) {
             let ctx = format!("{}/shards{shards}", s.label);
             let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
                 .shards(shards)
@@ -572,4 +573,45 @@ fn drain_epochs_are_disjoint_and_complete() {
         1e-9,
         "drained epochs plus finish vs the one-shot run",
     );
+}
+
+/// `.shards(0)` runs the session's shared plan in-process: its window
+/// state shows in `state_size` with no sidecar, and draining after every
+/// slide plus `finish` equals the static `shards(0)` run.
+#[test]
+fn an_in_process_session_drains_every_slide_like_the_static_run() {
+    for s in setups() {
+        let want = static_run(&s.catalog, &s.workload, &s.rates, &s.events);
+        let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
+            .shards(0)
+            .session(SessionConfig::default())
+            .expect("session starts");
+        let slide = s.workload.get(QueryId(0)).window.slide.millis();
+        let times = s.events.times();
+        let (mut drained, mut epochs, mut from) = (ExecutorResults::new(), 0, 0);
+        while from < times.len() {
+            let slide_end = (times[from].millis() / slide + 1) * slide;
+            let to = from + times[from..].partition_point(|t| t.millis() < slide_end);
+            feed(&mut session, &s.events, from, to);
+            let epoch = session.drain_results();
+            epochs += usize::from(!epoch.is_empty());
+            drained.merge(epoch);
+            from = to;
+        }
+        assert_eq!(session.sidecar_count(), 0, "{}: no sidecar", s.label);
+        assert!(
+            session.state_size() > 0,
+            "{}: the shared plan's open windows live in-process",
+            s.label
+        );
+        assert!(epochs > 2, "{}: slides close windows ({epochs})", s.label);
+        drained.merge(session.finish());
+        support::assert_equivalent(
+            &drained,
+            &want,
+            s.workload.ids(),
+            1e-9,
+            format_args!("{}: per-slide drains plus finish", s.label),
+        );
+    }
 }

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use sharon::executor::{
-    CheckpointConfig, CheckpointError, CheckpointStore, FaultPlan, ShardedOptions,
+    BatchProcessor, CheckpointConfig, CheckpointError, CheckpointStore, FaultPlan, ShardedOptions,
 };
 use sharon::prelude::*;
 use sharon::streams::ecommerce::{self, EcommerceConfig};
@@ -102,9 +102,11 @@ fn before_crash<T>(events: &[T], crash_batch: u64) -> &[T] {
 /// The kill-and-resume drill: run with periodic checkpoints, feed the
 /// stream up to a randomized batch (ingest past it is lost, exactly like
 /// a crash), discard the runtime without finishing, resume from the
-/// latest checkpoint, replay the stream from the returned offset, and
-/// require results semantically identical to an uninterrupted sequential
-/// run.
+/// latest checkpoint, drain it, replay the stream from the returned
+/// offset, and require the drain plus `finish` to be semantically
+/// identical to an uninterrupted sequential run. The cut must carry state
+/// both ways: the drain holds rows restored from the checkpoint's log,
+/// and the reference holds a window live across the cut.
 /// Under `SHARON_DISORDER` the runtime ingests the bounded-disorder
 /// shuffle with a covering lateness, so every checkpoint carries the
 /// event-time gates' waiting rows, and must still match the in-order
@@ -125,13 +127,14 @@ fn assert_kill_and_resume_is_exact(
 
     let n_batches = (events.len() as u64).div_ceil(BATCH as u64);
     assert!(
-        n_batches > INTERVAL + 1,
-        "{label}: stream too short to cross a checkpoint boundary"
+        n_batches > 2 * INTERVAL + 1,
+        "{label}: stream too short to cross two checkpoint boundaries"
     );
 
     for shards in support::shard_counts(&[1, 2, 8]) {
-        // crash after the first checkpoint but before ingest completes
-        let crash_batch = rng.range(INTERVAL, n_batches);
+        // crash after the second checkpoint (so windows closed before the
+        // cut) but before ingest completes
+        let crash_batch = rng.range(2 * INTERVAL, n_batches);
         let dir = test_dir(label);
         let options = ShardedOptions {
             batch_size: BATCH,
@@ -163,17 +166,29 @@ fn assert_kill_and_resume_is_exact(
             "{label}: checkpoint at {offset} covers events dropped at batch {crash_batch}"
         );
 
+        let ctx = format!("{label}: {shards} shards crash@{crash_batch} resume@{offset}");
+        let mut got = resumed.drain_results();
+        assert!(
+            !got.is_empty(),
+            "{ctx}: the checkpoint restores emitted rows"
+        );
+        let cut = events[..offset as usize].iter().map(|e| e.time).max();
+        let cut = cut.expect("a checkpoint covers events").millis();
+        assert!(
+            want.iter().any(|(q, _, w, _)| {
+                let within = workload.get(q).window.within.millis();
+                w.millis() < cut && w.millis() + within > cut
+            }),
+            "{ctx}: a window is live across the cut"
+        );
         resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
-        let got = resumed.finish();
+        got.merge(resumed.finish());
         support::assert_equivalent(
             &got,
             &want,
             workload.ids(),
             1e-9,
-            format_args!(
-                "{label}: {shards} shards crash@{crash_batch} resume@{offset} \
-                 vs the uninterrupted run"
-            ),
+            format_args!("{ctx}: drain plus finish vs the uninterrupted run"),
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -199,7 +214,9 @@ fn taxi_kill_and_resume() {
             ..Default::default()
         },
     );
-    let workload = figure_1_workload(&mut catalog);
+    // Figure 1's patterns under windows short against the 12 s stream,
+    // so windows close before the cut and stay open across it
+    let workload = support::short_window_taxi_workload(&mut catalog);
     let plan = sharon_plan(&workload);
     assert_kill_and_resume_is_exact(&catalog, &workload, &plan, &events, "taxi", &mut rng);
 }
@@ -248,7 +265,18 @@ fn ecommerce_kill_and_resume() {
             ..Default::default()
         },
     );
-    let workload = figure_2_workload(&mut catalog);
+    // Figure 2's patterns under windows short against the 7 s stream, so
+    // windows close before the cut and stay open across it
+    let workload = parse_workload(
+        &mut catalog,
+        [
+            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, Adapter) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, KeyboardProtector) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, iPhone) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, iPhone, ScreenProtector) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+        ],
+    )
+    .unwrap();
     let plan = sharon_plan(&workload);
     assert_kill_and_resume_is_exact(&catalog, &workload, &plan, &events, "ecommerce", &mut rng);
 }
@@ -631,6 +659,42 @@ fn manifest_router_segments_round_trip_or_are_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The message a sharded taxi run fails with when its last shard panics
+/// at that shard's batch 2 and `end` ends the run.
+fn worker_panic_message(shards: usize, end: impl FnOnce(ShardedExecutor)) -> String {
+    let mut catalog = Catalog::new();
+    let events = taxi::generate(
+        &mut catalog,
+        &TaxiConfig {
+            n_events: 2000,
+            n_streets: 7,
+            n_vehicles: 40,
+            ..Default::default()
+        },
+    );
+    let workload = figure_1_workload(&mut catalog);
+    let plan = sharon_plan(&workload);
+    let options = ShardedOptions {
+        batch_size: BATCH,
+        fault: Some(FaultPlan::PanicWorker {
+            batch: 2,
+            shard: shards - 1,
+        }),
+        ..ShardedOptions::default()
+    };
+    let mut sharded = ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
+        .expect("sharded compiles");
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        sharded.process_columnar(&EventBatch::from_events(&events));
+        end(sharded);
+    }))
+    .expect_err("a worker panic must fail the run, not vanish");
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
 /// A worker panic mid-stream is contained: the runtime cancels, ingest
 /// stops feeding dead rings, and `finish` fails fast with a message
 /// naming the failed shard — it never hangs and never returns partial
@@ -638,43 +702,24 @@ fn manifest_router_segments_round_trip_or_are_refused() {
 #[test]
 fn worker_panic_is_contained_and_reported() {
     for shards in support::shard_counts(&[1, 2, 8]) {
-        let mut catalog = Catalog::new();
-        let events = taxi::generate(
-            &mut catalog,
-            &TaxiConfig {
-                n_events: 2000,
-                n_streets: 7,
-                n_vehicles: 40,
-                ..Default::default()
-            },
-        );
-        let workload = figure_1_workload(&mut catalog);
-        let plan = sharon_plan(&workload);
-        let options = ShardedOptions {
-            batch_size: BATCH,
-            fault: Some(FaultPlan::PanicWorker {
-                batch: 2,
-                shard: shards - 1,
-            }),
-            ..ShardedOptions::default()
-        };
-        let mut sharded =
-            ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
-                .expect("sharded compiles");
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            sharded.process_columnar(&EventBatch::from_events(&events));
-            sharded.finish()
-        }))
-        .expect_err("a worker panic must fail the run, not vanish");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        let msg = worker_panic_message(shards, |ex| drop(ex.finish()));
         assert!(
             msg.contains("worker shard"),
             "{shards} shards: panic message \
              must name the failed worker, got: {msg:?}"
         );
+    }
+}
+
+/// A mid-stream drain over a dead worker fails as `finish` does: with
+/// the same panic naming the dead shard, never with partial results.
+#[test]
+fn a_drain_after_a_worker_panic_names_the_dead_shard() {
+    for shards in support::shard_counts(&[1, 2, 8]) {
+        let drained = worker_panic_message(shards, |mut ex| drop(ex.drain_results()));
+        let dead = format!("worker shard(s) [{}] panicked", shards - 1);
+        assert!(drained.contains(&dead), "{shards} shards: got {drained:?}");
+        let finished = worker_panic_message(shards, |ex| drop(ex.finish_with_stats()));
+        assert_eq!(drained, finished, "{shards} shards: drain and finish agree");
     }
 }
