@@ -49,6 +49,6 @@ pub use processor::{BatchProcessor, RunReport};
 pub use results::ExecutorResults;
 pub use router::{BatchRouter, RouteBatch, RoutedRows, RowFilter};
 pub use runner::SegmentRunner;
-pub use scan::{ScanKernel, TypePass};
+pub use scan::{ColumnCache, ScanKernel, TypePass};
 pub use sharded::{ShardedExecutor, ShardedOptions, DEFAULT_BATCH_SIZE};
 pub use winvec::WinVec;

@@ -5,16 +5,14 @@
 //! A [`ScanKernel`] is the only thing that selects the rows an executor
 //! folds: it compiles the scope's clause list once and evaluates it
 //! column-at-a-time instead of walking every row through branchy
-//! per-clause checks. The work splits into one pass shared by every scope
-//! of an owner and the per-scope rest:
+//! per-clause checks. Two passes are shared by every scope of an owner
+//! (an [`crate::Executor`]'s engines, a two-step driver's distinct
+//! scopes, or a [`crate::BatchRouter`]'s scopes — each owner's
+//! [`crate::ScanFront`]); the rest is per scope:
 //!
 //! 1. **Type pass, shared** — a [`TypePass`] sweeps the `ty` and
-//!    row-offset columns of a chunk once for *all* scopes of its owner
-//!    (an [`crate::Executor`]'s engines, a two-step driver's distinct
-//!    scopes, or a [`crate::BatchRouter`]'s scopes — each owner's
-//!    [`crate::ScanFront`]), building a membership bitmap for every
-//!    routed type plus that type's minimum row width in the chunk.
-//!    However many scopes follow, the type column is read once per
+//!    row-offset columns of a chunk once, building a membership bitmap
+//!    for every routed type plus that type's minimum row width in the
 //!    chunk.
 //! 2. **Routing + groupability, per scope** — the kernel's candidate
 //!    bitmap is the union of its routed types' bitmaps. A row carries
@@ -22,28 +20,26 @@
 //!    (grouping attributes are positional), so a type whose chunk-minimum
 //!    width already covers the scope's need joins word-wise; only a type
 //!    with narrower rows is checked bit by bit.
-//! 3. **Gather** — identical `(attr, op, lit)` clauses appearing on
-//!    several types (the signature of a shared workload) are merged at
-//!    compile time into one clause over the union type mask; for each
-//!    distinct `(type set, attribute)` run, the *live* rows' values are
-//!    gathered once, compacted in row order, into reused typed column
-//!    scratch (`f64` mirror, exact `i64` lane, plus present/int/str
-//!    bitmaps). Live means of the clause's types (read from the shared
-//!    type bitmaps) and still selected: rows an earlier clause failed are
-//!    never gathered again.
-//! 4. **Clause evaluation** — each clause produces pass bits for the
-//!    gathered lanes with branch-free 64-lane comparisons, folded into
-//!    the selection with `R &= !M | P` (rows of other types are
-//!    unaffected; gathered rows must pass, so the fold clears the ones
-//!    that fail). Compaction keeps the comparisons to rows the clause can
-//!    affect, not every row of the chunk. String-literal equality falls
-//!    back to a scalar lane over the (few) string lanes.
+//! 3. **Column cache, shared** — right after the type pass, a
+//!    [`ColumnCache`] gathers each distinct `(type, attribute)` column
+//!    any kernel compares, once, over every row of the type, compacted
+//!    in row order into typed lanes (`f64` mirror, exact `i64` lane,
+//!    present/int/str bitmaps). Six scopes comparing one column share
+//!    one gather.
+//! 4. **Clause evaluation, per scope** — each `(type, attr, op, lit)`
+//!    clause compares its cached column with branch-free 64-lane
+//!    comparisons and folds into the selection with `R &= !M | P`: rows
+//!    of other types are unaffected, the column's rows survive only
+//!    where the clause passes. The column also covers rows this scope
+//!    never selected or already failed; a cleared bit stays cleared, so
+//!    the fold is exact. String literals compare in a scalar lane over
+//!    the (few) string lanes.
 //! 5. **Extraction** — `trailing_zeros` walks each word's survivors into
 //!    the existing `Vec<u32>` selection buffers.
 //!
-//! [`ScanKernel::select_from`] runs steps 2–5 over a pass its owner built;
-//! [`ScanKernel::select_into`] is the one-scope form, building a pass that
-//! covers only its own types and then running the same code.
+//! [`ScanKernel::select_from`] runs steps 2, 4 and 5 over its owner's
+//! pass and cache; [`ScanKernel::select_into`] is the one-scope form,
+//! over a pass and a cache that cover only its own kernel.
 //!
 //! Exactness is non-negotiable: the kernel reproduces
 //! [`sharon_query::clause_passes`] bit for bit — a missing attribute
@@ -98,26 +94,22 @@ impl ScanCounters {
     }
 }
 
-/// One compiled predicate clause: rows of the types in `types` must
-/// satisfy `attrs[attr] <op> lit`. Identical `(attr, op, lit)` clauses
-/// appearing on several routed types — the signature of a shared
-/// workload — are merged into one clause over the *union* of the type
-/// masks, so the comparison sweep runs once, not once per type.
+/// One compiled predicate clause: rows of type `ty` must satisfy
+/// `attrs[attr] <op> lit`.
 #[derive(Debug, Clone)]
 struct Clause {
-    /// Type ids of every type carrying this clause, sorted.
-    types: Box<[u32]>,
+    ty: u32,
     /// Positional attribute index within the row.
     attr: u32,
     op: CmpOp,
     lit: Value,
 }
 
-/// Reused typed column scratch of the gather stage: the gathered rows'
-/// values **compacted** in row order, one lane per gathered row, so the
-/// comparisons run over live rows only — not over every row of the chunk.
+/// One cached typed column: an attribute of every row of one type in the
+/// chunk, **compacted** in row order, one lane per row, so comparisons
+/// run over that type's rows only.
 #[derive(Debug, Default)]
-struct Gather {
+struct Column {
     /// Chunk-relative row index of each lane.
     rows: Vec<u32>,
     /// `f64` mirror of every present numeric value (`Int` lanes hold
@@ -139,8 +131,9 @@ struct Gather {
 /// type some covered kernel routes, the type's membership bitmap (bit
 /// `i` covers absolute row `lo + i`) and the minimum width of its rows in
 /// the chunk. Built once per chunk by [`TypePass::build`], then read by
-/// each covered kernel's [`ScanKernel::select_from`]. All storage is
-/// reused, so steady-state passes allocate nothing.
+/// the [`ColumnCache`] and each covered kernel's
+/// [`ScanKernel::select_from`]. All storage is reused, so steady-state
+/// passes allocate nothing.
 #[derive(Debug)]
 pub struct TypePass {
     /// Per type id (dense): the type's slot, 0 for types no covered
@@ -162,16 +155,14 @@ impl TypePass {
     pub fn new<'a>(kernels: impl IntoIterator<Item = &'a ScanKernel>) -> Self {
         let mut slot_of: Vec<u32> = Vec::new();
         let mut n_slots = 1u32; // slot 0 is the unrouted sink
-        for kernel in kernels {
-            for &(ty, _) in kernel.types.iter() {
-                let ty = ty as usize;
-                if slot_of.len() <= ty {
-                    slot_of.resize(ty + 1, 0);
-                }
-                if slot_of[ty] == 0 {
-                    slot_of[ty] = n_slots;
-                    n_slots += 1;
-                }
+        for &(ty, _) in kernels.into_iter().flat_map(|k| k.types.iter()) {
+            let ty = ty as usize;
+            if slot_of.len() <= ty {
+                slot_of.resize(ty + 1, 0);
+            }
+            if slot_of[ty] == 0 {
+                slot_of[ty] = n_slots;
+                n_slots += 1;
             }
         }
         TypePass {
@@ -222,6 +213,58 @@ impl TypePass {
     }
 }
 
+/// Pass 2 of the scan, shared like the [`TypePass`]: one typed column over
+/// every row of the type in the chunk for each distinct `(type,
+/// attribute)` a covered kernel compares. Built once per chunk by
+/// [`ColumnCache::build`], right after the pass, then read by each
+/// covered kernel's [`ScanKernel::select_from`]. All storage is reused,
+/// so steady-state builds allocate nothing.
+#[derive(Debug)]
+pub struct ColumnCache {
+    /// The distinct `(type id, attribute)` keys, ascending; `cols[i]` is
+    /// the column of `keys[i]`.
+    keys: Box<[(u32, u32)]>,
+    cols: Box<[Column]>,
+}
+
+impl ColumnCache {
+    /// A cache holding every column compared by any of `kernels`.
+    pub fn new<'a>(kernels: impl IntoIterator<Item = &'a ScanKernel>) -> Self {
+        let mut keys: Vec<(u32, u32)> = kernels
+            .into_iter()
+            .flat_map(|k| k.clauses.iter().map(|c| (c.ty, c.attr)))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        ColumnCache {
+            cols: keys.iter().map(|_| Column::default()).collect(),
+            keys: keys.into_boxed_slice(),
+        }
+    }
+
+    /// Gather every column over the chunk `pass` was last built over
+    /// (rows of `batch`); `pass` must cover this cache's kernels.
+    pub fn build(&mut self, pass: &TypePass, batch: &EventBatch) {
+        let offs = &batch.offsets()[pass.lo..pass.hi + 1];
+        for (&(ty, attr), col) in self.keys.iter().zip(self.cols.iter_mut()) {
+            col.gather(pass.of(ty).0, offs, batch.values(), attr);
+        }
+    }
+
+    /// The column of `attr` on type `ty`.
+    fn column(&self, ty: u32, attr: u32) -> &Column {
+        // an owner builds its cache from the kernels that read it, so a
+        // miss is a kernel from another owner: a caller's bug, asserted
+        // like a type missing from `TypePass::of`
+        #[allow(clippy::expect_used)]
+        let i = self
+            .keys
+            .binary_search(&(ty, attr))
+            .expect("column is not covered by this cache");
+        &self.cols[i]
+    }
+}
+
 /// A compiled scan kernel for one routing scope. Built once at executor
 /// construction (see [`crate::CompiledPartition::scan_kernel`]); all
 /// scratch is reused, so steady-state scanning allocates nothing.
@@ -231,20 +274,14 @@ pub struct ScanKernel {
     /// row width that carries every `GROUP BY` attribute of the type
     /// (`max group-attr index + 1`, 0 with no `GROUP BY`).
     types: Box<[(u32, u32)]>,
-    /// Merged predicate clauses, sorted by `(types, attr)` so the gather
-    /// is built once per distinct `(type set, attr)` run.
+    /// Predicate clauses of the routed types (others can never matter).
     clauses: Box<[Clause]>,
     /// The selection bitmap under construction (64 rows per word).
     words: Vec<u64>,
-    /// The current clause's *live* mask: its types' membership ∧ the
-    /// selection so far — rows another clause already failed are never
-    /// gathered or compared again.
-    ty_match: Vec<u64>,
-    gather: Gather,
-    /// The pass [`ScanKernel::select_into`] builds over this kernel's own
-    /// types (created on first use; boxed, as most kernels never build
-    /// one).
-    solo: Option<Box<TypePass>>,
+    /// The pass and cache [`ScanKernel::select_into`] builds over this
+    /// kernel alone (created on first use; boxed, as most kernels never
+    /// build one).
+    solo: Option<Box<(TypePass, ColumnCache)>>,
 }
 
 impl ScanKernel {
@@ -255,94 +292,66 @@ impl ScanKernel {
         group_attrs: &[Box<[AttrId]>],
         predicates: &[Vec<(AttrId, CmpOp, Value)>],
     ) -> Self {
-        let types: Box<[(u32, u32)]> = routed
-            .iter()
-            .enumerate()
-            .filter(|&(_, &is_routed)| is_routed)
-            .map(|(ti, _)| {
-                let need = group_attrs
-                    .get(ti)
-                    .map(|g| g.iter().map(|a| a.index() as u32 + 1).max().unwrap_or(0))
-                    .unwrap_or(0);
-                (ti as u32, need)
-            })
-            .collect();
-        // merge identical (attr, op, lit) clauses of routed types (others
-        // can never matter) across types: a shared workload attaches the
-        // same comparison to many pattern types, and one sweep over the
-        // union mask serves them all. (NaN float literals never compare
-        // equal, so they simply stay unmerged.)
-        let mut clauses: Vec<Clause> = Vec::new();
-        let mut merged: Vec<Vec<u32>> = Vec::new();
-        for &(ti, _) in types.iter() {
-            for (attr, op, lit) in predicates.get(ti as usize).into_iter().flatten() {
-                let attr = attr.index() as u32;
-                if let Some(i) = clauses
-                    .iter()
-                    .position(|c| c.attr == attr && c.op == *op && c.lit == *lit)
-                {
-                    if !merged[i].contains(&ti) {
-                        merged[i].push(ti);
-                    }
-                } else {
-                    clauses.push(Clause {
-                        types: Box::new([]),
-                        attr,
-                        op: *op,
-                        lit: lit.clone(),
-                    });
-                    merged.push(vec![ti]);
-                }
+        let (mut types, mut clauses) = (Vec::new(), Vec::new());
+        for ty in (0..routed.len()).filter(|&ty| routed[ty]) {
+            let group = group_attrs.get(ty).into_iter().flatten();
+            let need = group.map(|a| a.index() as u32 + 1).max().unwrap_or(0);
+            types.push((ty as u32, need));
+            for (attr, op, lit) in predicates.get(ty).into_iter().flatten() {
+                clauses.push(Clause {
+                    ty: ty as u32,
+                    attr: attr.index() as u32,
+                    op: *op,
+                    lit: lit.clone(),
+                });
             }
         }
-        for (c, tys) in clauses.iter_mut().zip(merged) {
-            // pushed in ascending type order: already sorted
-            c.types = tys.into_boxed_slice();
-        }
-        clauses.sort_by(|a, b| (&a.types, a.attr).cmp(&(&b.types, b.attr)));
         ScanKernel {
-            types,
+            types: types.into_boxed_slice(),
             clauses: clauses.into_boxed_slice(),
             words: Vec::new(),
-            ty_match: Vec::new(),
-            gather: Gather::default(),
             solo: None,
         }
     }
 
-    /// Select this scope's rows of the chunk `pass` was last built over
-    /// (rows `lo..hi` of `batch`), appending the surviving absolute row
-    /// indexes to `sel` (ascending).
-    ///
-    /// # Panics
-    ///
-    /// If `pass` was not built for this kernel (see [`TypePass::new`]).
-    pub fn select_from(&mut self, pass: &TypePass, batch: &EventBatch, sel: &mut Vec<u32>) {
-        self.scan(pass, batch);
+    /// Select this scope's rows of the chunk `pass` and `cache` were last
+    /// built over (rows `lo..hi` of `batch`), appending the surviving
+    /// absolute row indexes to `sel` (ascending). Panics if `pass` or
+    /// `cache` was not built over this kernel ([`TypePass::new`],
+    /// [`ColumnCache::new`]).
+    pub fn select_from(
+        &mut self,
+        pass: &TypePass,
+        cache: &ColumnCache,
+        batch: &EventBatch,
+        sel: &mut Vec<u32>,
+    ) {
+        self.scan(pass, cache, batch);
         extract_into(&self.words, pass.lo, sel);
     }
 
     /// Evaluate the scope's stateless prefix over rows `lo..hi` of
     /// `batch` and append the surviving absolute row indexes to `sel`
     /// (ascending): the one-scope form of [`ScanKernel::select_from`],
-    /// over a pass covering only this kernel's types.
+    /// over a pass and a cache covering only this kernel.
     pub fn select_into(&mut self, batch: &EventBatch, lo: usize, hi: usize, sel: &mut Vec<u32>) {
         let mut solo = self
             .solo
             .take()
-            .unwrap_or_else(|| Box::new(TypePass::new([&*self])));
-        solo.build(batch, lo, hi);
-        self.select_from(&solo, batch, sel);
+            .unwrap_or_else(|| Box::new((TypePass::new([&*self]), ColumnCache::new([&*self]))));
+        let (pass, cache) = &mut *solo;
+        pass.build(batch, lo, hi);
+        cache.build(pass, batch);
+        self.select_from(pass, cache, batch, sel);
         self.solo = Some(solo);
     }
 
     /// Evaluate the scope's stateless prefix over the chunk of `pass`
     /// into the selection bitmap `words`: bit `i` covers absolute row
     /// `pass.lo + i`.
-    fn scan(&mut self, pass: &TypePass, batch: &EventBatch) {
-        let n_words = pass.n_words;
+    fn scan(&mut self, pass: &TypePass, cache: &ColumnCache, batch: &EventBatch) {
         self.words.clear();
-        self.words.resize(n_words, 0);
+        self.words.resize(pass.n_words, 0);
         let offs = &batch.offsets()[pass.lo..pass.hi + 1];
 
         // routing ∧ groupability: the union of the routed types' bitmaps,
@@ -368,100 +377,81 @@ impl ScanKernel {
                 }
             }
         }
-        if self.clauses.is_empty() || self.words.iter().all(|&w| w == 0) {
-            return;
-        }
 
-        // predicate clauses, fused with AND/ANDNOT. Each clause's working
-        // mask is the union of its types' shared membership bitmaps ∧ the
-        // selection so far, so rows an earlier clause already failed are
-        // neither gathered nor compared again. Clauses are sorted by
-        // (types, attr): the gather runs once per distinct (type set,
-        // attr) run, and because the selection only ever shrinks, a gather
-        // taken at the first clause of a run covers every later clause's
-        // (smaller) mask.
-        let mut cur: Option<(&[u32], u32)> = None;
-        let values = batch.values();
+        // predicate clauses, each over its type's cached column, fused
+        // with AND/ANDNOT; a clause whose type has no selected row left
+        // cannot clear anything and is skipped
         for clause in self.clauses.iter() {
-            self.ty_match.clear();
-            self.ty_match.resize(n_words, 0);
-            for &ty in clause.types.iter() {
-                for (m, &t) in self.ty_match.iter_mut().zip(pass.of(ty).0) {
-                    *m |= t;
-                }
+            let members = pass.of(clause.ty).0;
+            if members.iter().zip(&self.words).all(|(&m, &r)| m & r == 0) {
+                continue;
             }
-            let mut live = 0u64;
-            for (m, &r) in self.ty_match.iter_mut().zip(self.words.iter()) {
-                *m &= r;
-                live |= *m;
-            }
-            if live == 0 {
-                continue; // no live rows of these types: clause cannot matter
-            }
-            if cur != Some((&clause.types, clause.attr)) {
-                gather_column(&mut self.gather, &self.ty_match, offs, values, clause.attr);
-                cur = Some((&clause.types, clause.attr));
-            }
-            eval_clause(&mut self.words, &self.gather, offs, values, clause);
+            let col = cache.column(clause.ty, clause.attr);
+            eval_clause(&mut self.words, col, offs, batch.values(), clause);
         }
     }
 }
 
-/// Gather attribute `attr` of every row in `ty_match`, compacted in row
-/// order, into the typed column scratch. `offs` is the chunk-relative
-/// offsets view (`n + 1` entries indexing the batch-wide `values` buffer).
-fn gather_column(g: &mut Gather, ty_match: &[u64], offs: &[u32], values: &[Value], attr: u32) {
-    g.rows.clear();
-    g.f64s.clear();
-    g.i64s.clear();
-    g.present.clear();
-    g.ints.clear();
-    g.strs.clear();
-    let (mut present, mut ints, mut strs) = (0u64, 0u64, 0u64);
-    for (w, &m) in ty_match.iter().enumerate() {
-        let mut bits = m;
-        while bits != 0 {
-            let i = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let lane = g.rows.len() % 64;
-            let (mut f, mut k) = (0.0, 0);
-            if offs[i + 1] - offs[i] > attr {
-                present |= 1 << lane;
-                match &values[(offs[i] + attr) as usize] {
-                    Value::Int(x) => {
-                        ints |= 1 << lane;
-                        k = *x;
-                        // the f64 mirror is exactly `Value::as_f64`'s view
-                        // of the mixed numeric comparison
-                        f = *x as f64;
+impl Column {
+    /// Gather attribute `attr` of every row in `members`, compacted in row
+    /// order. `offs` is the chunk-relative offsets view (`n + 1` entries
+    /// indexing the batch-wide `values` buffer).
+    fn gather(&mut self, members: &[u64], offs: &[u32], values: &[Value], attr: u32) {
+        self.rows.clear();
+        self.f64s.clear();
+        self.i64s.clear();
+        self.present.clear();
+        self.ints.clear();
+        self.strs.clear();
+        let (mut present, mut ints, mut strs) = (0u64, 0u64, 0u64);
+        for (w, &m) in members.iter().enumerate() {
+            let mut bits = m;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let lane = self.rows.len() % 64;
+                let (mut f, mut k) = (0.0, 0);
+                if offs[i + 1] - offs[i] > attr {
+                    present |= 1 << lane;
+                    match &values[(offs[i] + attr) as usize] {
+                        Value::Int(x) => {
+                            ints |= 1 << lane;
+                            k = *x;
+                            // the f64 mirror is exactly `Value::as_f64`'s
+                            // view of the mixed numeric comparison
+                            f = *x as f64;
+                        }
+                        Value::Float(x) => f = *x,
+                        Value::Str(_) => strs |= 1 << lane,
                     }
-                    Value::Float(x) => f = *x,
-                    Value::Str(_) => strs |= 1 << lane,
+                }
+                self.rows.push(i as u32);
+                self.f64s.push(f);
+                self.i64s.push(k);
+                if lane == 63 {
+                    self.present.push(std::mem::take(&mut present));
+                    self.ints.push(std::mem::take(&mut ints));
+                    self.strs.push(std::mem::take(&mut strs));
                 }
             }
-            g.rows.push(i as u32);
-            g.f64s.push(f);
-            g.i64s.push(k);
-            if lane == 63 {
-                g.present.push(std::mem::take(&mut present));
-                g.ints.push(std::mem::take(&mut ints));
-                g.strs.push(std::mem::take(&mut strs));
-            }
+        }
+        if !self.rows.len().is_multiple_of(64) {
+            self.present.push(present);
+            self.ints.push(ints);
+            self.strs.push(strs);
         }
     }
-    if !g.rows.len().is_multiple_of(64) {
-        g.present.push(present);
-        g.ints.push(ints);
-        g.strs.push(strs);
-    }
 }
 
-/// 64-lane branch-free comparison of an `f64` column against a literal.
-/// Native IEEE-754 comparisons reproduce `partial_cmp` + `CmpOp::eval`
-/// exactly: any comparison involving NaN orders as `None`, which fails
-/// every operator except `!=` — and native `!=` is true for NaN operands.
+/// 64-lane branch-free comparison of a cached lane against a literal:
+/// the `f64` mirror, or the exact `i64` lane of `Int` values (`Int` vs
+/// `Int` must not round-trip through `f64`: beyond 2^53 the conversion
+/// conflates distinct integers). On `f64`, native IEEE-754 comparisons
+/// reproduce `partial_cmp` + `CmpOp::eval` exactly: any comparison
+/// involving NaN orders as `None`, which fails every operator except
+/// `!=` — and native `!=` is true for NaN operands.
 #[inline]
-fn cmp_f64_word(vals: &[f64], lit: f64, op: CmpOp) -> u64 {
+fn cmp_word<T: PartialOrd + Copy>(vals: &[T], lit: T, op: CmpOp) -> u64 {
     macro_rules! pack {
         ($test:expr) => {{
             let mut bits = 0u64;
@@ -472,46 +462,22 @@ fn cmp_f64_word(vals: &[f64], lit: f64, op: CmpOp) -> u64 {
         }};
     }
     match op {
-        CmpOp::Eq => pack!(|v: f64| v == lit),
-        CmpOp::Ne => pack!(|v: f64| v != lit),
-        CmpOp::Lt => pack!(|v: f64| v < lit),
-        CmpOp::Le => pack!(|v: f64| v <= lit),
-        CmpOp::Gt => pack!(|v: f64| v > lit),
-        CmpOp::Ge => pack!(|v: f64| v >= lit),
+        CmpOp::Eq => pack!(|v: T| v == lit),
+        CmpOp::Ne => pack!(|v: T| v != lit),
+        CmpOp::Lt => pack!(|v: T| v < lit),
+        CmpOp::Le => pack!(|v: T| v <= lit),
+        CmpOp::Gt => pack!(|v: T| v > lit),
+        CmpOp::Ge => pack!(|v: T| v >= lit),
     }
 }
 
-/// 64-lane comparison of the exact `i64` column against an integer
-/// literal (`Int` vs `Int` must not round-trip through `f64`: beyond
-/// 2^53 the conversion conflates distinct integers).
-#[inline]
-fn cmp_i64_word(vals: &[i64], lit: i64, op: CmpOp) -> u64 {
-    macro_rules! pack {
-        ($test:expr) => {{
-            let mut bits = 0u64;
-            for (lane, &v) in vals.iter().enumerate() {
-                bits |= (($test(v)) as u64) << lane;
-            }
-            bits
-        }};
-    }
-    match op {
-        CmpOp::Eq => pack!(|v: i64| v == lit),
-        CmpOp::Ne => pack!(|v: i64| v != lit),
-        CmpOp::Lt => pack!(|v: i64| v < lit),
-        CmpOp::Le => pack!(|v: i64| v <= lit),
-        CmpOp::Gt => pack!(|v: i64| v > lit),
-        CmpOp::Ge => pack!(|v: i64| v >= lit),
-    }
-}
-
-/// Fold one clause into the selection, 64 gathered lanes at a time:
+/// Fold one clause into the selection, 64 cached lanes at a time:
 /// `R &= !M | P` — rows of other types (`!M`) are unaffected, the
-/// gathered rows (`M`) survive only where the clause passes (`P`), so the
-/// fold clears exactly the gathered rows that fail. Gathered rows an
-/// earlier clause of the same run already failed are cleared again, which
-/// changes nothing.
-fn eval_clause(words: &mut [u64], g: &Gather, offs: &[u32], values: &[Value], clause: &Clause) {
+/// column's rows (`M`) survive only where the clause passes (`P`), so the
+/// fold clears exactly the column's rows that fail. A row this scope
+/// never selected, or an earlier clause already failed, is cleared again,
+/// which changes nothing.
+fn eval_clause(words: &mut [u64], g: &Column, offs: &[u32], values: &[Value], clause: &Clause) {
     let op = clause.op;
     // a present-but-incomparable value satisfies only `!=`
     let ne_all = if op == CmpOp::Ne { !0u64 } else { 0 };
@@ -526,15 +492,15 @@ fn eval_clause(words: &mut [u64], g: &Gather, offs: &[u32], values: &[Value], cl
                 // (`as_f64` on both sides); Str vs Int is incomparable
                 let ints = g.ints[w];
                 let floats = present & !ints & !strs;
-                let ci = cmp_i64_word(&g.i64s[base..base + lanes], *k, op);
-                let cf = cmp_f64_word(&g.f64s[base..base + lanes], *k as f64, op);
+                let ci = cmp_word(&g.i64s[base..base + lanes], *k, op);
+                let cf = cmp_word(&g.f64s[base..base + lanes], *k as f64, op);
                 (ints & ci) | (floats & cf) | (present & strs & ne_all)
             }
             Value::Float(x) => {
                 // every numeric lane compares in f64 (Int lanes were
                 // mirrored by the gather); Str vs Float is incomparable
                 let nums = present & !strs;
-                let cf = cmp_f64_word(&g.f64s[base..base + lanes], *x, op);
+                let cf = cmp_word(&g.f64s[base..base + lanes], *x, op);
                 (nums & cf) | (present & strs & ne_all)
             }
             Value::Str(_) => {
@@ -604,38 +570,58 @@ mod tests {
                     .iter()
                     .all(|(a, op, lit)| clause_passes(*op, attrs.get(a.index()), lit))
             });
-            if !preds_ok {
-                continue;
-            }
             let grp_ok = group_attrs
                 .get(ty.index())
                 .is_none_or(|gattrs| gattrs.iter().all(|a| attrs.get(a.index()).is_some()));
-            if !grp_ok {
-                continue;
+            if preds_ok && grp_ok {
+                sel.push(row as u32);
             }
-            sel.push(row as u32);
         }
         sel
     }
 
-    fn assert_parity(
-        routed: Vec<bool>,
-        group_attrs: Vec<Box<[AttrId]>>,
-        predicates: Vec<Vec<(AttrId, CmpOp, Value)>>,
-        batch: &EventBatch,
-    ) {
-        let mut kernel = ScanKernel::new(routed.clone(), &group_attrs, &predicates);
-        for (lo, hi) in [
-            (0, batch.len()),
-            (0, batch.len().min(1)),
-            (batch.len() / 3, batch.len()),
-            (batch.len() / 2, batch.len() / 2),
-        ] {
-            let want = scalar_select(&routed, &group_attrs, &predicates, batch, lo, hi);
-            let mut got = Vec::new();
-            kernel.select_into(batch, lo, hi, &mut got);
-            assert_eq!(got, want, "rows {lo}..{hi}");
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    type Table = (
+        Vec<bool>,
+        Vec<Box<[AttrId]>>,
+        Vec<Vec<(AttrId, CmpOp, Value)>>,
+    );
+
+    /// Every table's kernel selects from one type pass and one column
+    /// cache per chunk, as in a [`crate::ScanFront`]: each selection must
+    /// equal the scalar oracle and the kernel's own `select_into`.
+    /// Returns how many columns the shared cache holds.
+    fn assert_shared_parity(tables: &[Table], b: &EventBatch) -> usize {
+        let mut kernels: Vec<ScanKernel> = tables
+            .iter()
+            .map(|(r, g, p)| ScanKernel::new(r.clone(), g, p))
+            .collect();
+        let (mut pass, mut cache) = (TypePass::new(&kernels), ColumnCache::new(&kernels));
+        let n = b.len();
+        for (lo, hi) in [(0, n), (0, n.min(1)), (n / 3, n), (7, 71), (n / 2, n / 2)] {
+            pass.build(b, lo, hi);
+            cache.build(&pass, b);
+            for (si, ((r, g, p), kernel)) in tables.iter().zip(&mut kernels).enumerate() {
+                let want = scalar_select(r, g, p, b, lo, hi);
+                let (mut shared, mut alone) = (Vec::new(), Vec::new());
+                kernel.select_from(&pass, &cache, b, &mut shared);
+                kernel.select_into(b, lo, hi, &mut alone);
+                assert_eq!(
+                    (&shared, &alone),
+                    (&want, &want),
+                    "scope {si}, rows {lo}..{hi}"
+                );
+            }
         }
+        cache.keys.len()
     }
 
     /// A batch mixing every hard case: NaN, ±inf, huge exact ints,
@@ -661,27 +647,16 @@ mod tests {
     #[test]
     fn routing_and_group_width_only() {
         let b = hard_batch(130); // trailing partial word
-        assert_parity(vec![true, false, true], vec![], vec![], &b);
+        assert_shared_parity(&[(vec![true, false, true], vec![], vec![])], &b);
         // GROUP BY attr 1 on type 0: width filter drops narrow rows
-        assert_parity(
-            vec![true, true, false],
-            vec![Box::new([AttrId(1)]), Box::new([])],
-            vec![],
-            &b,
-        );
+        let group_by_1: Vec<Box<[AttrId]>> = vec![Box::new([AttrId(1)])];
+        assert_shared_parity(&[(vec![true, true, false], group_by_1, vec![])], &b);
     }
 
     #[test]
     fn numeric_clauses_match_scalar_semantics() {
         let b = hard_batch(200);
-        for op in [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ] {
+        for op in OPS {
             for lit in [
                 Value::Int(0),
                 Value::Int((1i64 << 53) + 1),
@@ -691,16 +666,11 @@ mod tests {
                 Value::str("MainSt"),
                 Value::str("zz"),
             ] {
-                assert_parity(
-                    vec![true, true, true],
-                    vec![],
-                    vec![
-                        vec![(AttrId(0), op, lit.clone())],
-                        vec![(AttrId(1), op, lit.clone())],
-                        vec![],
-                    ],
-                    &b,
-                );
+                let preds = vec![
+                    vec![(AttrId(0), op, lit.clone())],
+                    vec![(AttrId(1), op, lit.clone())],
+                ];
+                assert_shared_parity(&[(vec![true, true, true], vec![], preds)], &b);
             }
         }
     }
@@ -721,32 +691,25 @@ mod tests {
     #[test]
     fn multiple_clauses_fuse_with_and() {
         let b = hard_batch(150);
-        assert_parity(
-            vec![true, true, true],
-            vec![Box::new([]), Box::new([AttrId(0)])],
+        let preds = vec![
             vec![
-                vec![
-                    (AttrId(0), CmpOp::Ge, Value::Int(-10)),
-                    (AttrId(1), CmpOp::Ne, Value::str("x")),
-                ],
-                vec![(AttrId(0), CmpOp::Ne, Value::Float(f64::NAN))],
-                vec![],
+                (AttrId(0), CmpOp::Ge, Value::Int(-10)),
+                (AttrId(1), CmpOp::Ne, Value::str("x")),
             ],
-            &b,
-        );
+            vec![(AttrId(0), CmpOp::Ne, Value::Float(f64::NAN))],
+        ];
+        let group_attrs: Vec<Box<[AttrId]>> = vec![Box::new([]), Box::new([AttrId(0)])];
+        assert_shared_parity(&[(vec![true, true, true], group_attrs, preds)], &b);
     }
 
     #[test]
     fn kernels_sharing_a_type_pass_select_as_they_do_alone() {
-        // one pass, three scopes: GROUP BY widths that every row of a type
-        // covers (word-wise union), that only some rows cover (bit-by-bit
-        // width check), and a clause merged across two types
+        // GROUP BY widths that every row of a type covers (word-wise
+        // union) and that only some rows cover (bit-by-bit width check);
+        // one clause text on two types; and two scopes comparing one
+        // column against an Int, a Float and a NaN literal
         let b = hard_batch(150);
-        type Table = (
-            Vec<bool>,
-            Vec<Box<[AttrId]>>,
-            Vec<Vec<(AttrId, CmpOp, Value)>>,
-        );
+        let gt0 = (AttrId(0), CmpOp::Gt, Value::Int(0));
         let tables: Vec<Table> = vec![
             (vec![true, true, false], vec![], vec![]),
             (
@@ -757,26 +720,50 @@ mod tests {
             (
                 vec![true, false, true],
                 vec![],
-                vec![
-                    vec![(AttrId(0), CmpOp::Gt, Value::Int(0))],
-                    vec![],
-                    vec![(AttrId(0), CmpOp::Gt, Value::Int(0))],
-                ],
+                vec![vec![gt0.clone()], vec![], vec![gt0]],
+            ),
+            (
+                vec![true, false, false],
+                vec![],
+                vec![vec![
+                    (AttrId(0), CmpOp::Lt, Value::Float(1e17)),
+                    (AttrId(0), CmpOp::Ne, Value::Float(f64::NAN)),
+                ]],
             ),
         ];
-        let mut kernels: Vec<ScanKernel> = tables
-            .iter()
-            .map(|(r, g, p)| ScanKernel::new(r.clone(), g, p))
-            .collect();
-        let mut pass = TypePass::new(&kernels);
-        for (lo, hi) in [(0, b.len()), (7, 71), (b.len() / 2, b.len() / 2)] {
-            pass.build(&b, lo, hi);
-            for ((r, g, p), kernel) in tables.iter().zip(&mut kernels) {
-                let mut got = Vec::new();
-                kernel.select_from(&pass, &b, &mut got);
-                assert_eq!(got, scalar_select(r, g, p, &b, lo, hi), "rows {lo}..{hi}");
-            }
+        // columns (0, 0) and (2, 0), each gathered once: (0, 0) is read by
+        // an Int clause of one scope, a Float and a NaN clause of another
+        assert_eq!(assert_shared_parity(&tables, &b), 2);
+    }
+
+    #[test]
+    fn a_front_of_24_scopes_gathers_each_column_once() {
+        // the EC filter shape: 24 scopes each route 3 of 12 types with one
+        // `price` clause per type, so 72 clauses read 12 distinct columns
+        let mut b = EventBatch::new();
+        for i in 0..600u64 {
+            let price = match i % 3 {
+                0 => Value::Int((i * 37 % 500) as i64),
+                _ => Value::Float((i * 53 % 500) as f64 + 0.5),
+            };
+            let attrs = if i % 13 == 0 { vec![] } else { vec![price] };
+            b.push_from(EventTypeId((i * 7 % 12) as u32), Timestamp(i), attrs);
         }
+        let tables: Vec<Table> = (0..24u32)
+            .map(|s| {
+                let types = [s % 12, (s + 1) % 12, (s + 3) % 12];
+                let mut preds = vec![vec![]; 12];
+                for (k, &ty) in types.iter().enumerate() {
+                    let lit = match k {
+                        0 => Value::Int(s as i64 * 20),
+                        _ => Value::Float(s as f64 * 20.0 + 0.5),
+                    };
+                    preds[ty as usize].push((AttrId(0), OPS[(s as usize + k) % 6], lit));
+                }
+                ((0..12).map(|t| types.contains(&t)).collect(), vec![], preds)
+            })
+            .collect();
+        assert_eq!(assert_shared_parity(&tables, &b), 12);
     }
 
     #[test]
@@ -786,7 +773,8 @@ mod tests {
         let mut pass = TypePass::new([&ScanKernel::new(vec![true], &[], &[])]);
         pass.build(&b, 0, b.len());
         let mut other = ScanKernel::new(vec![false, true], &[], &[]);
-        other.select_from(&pass, &b, &mut Vec::new());
+        let cache = ColumnCache::new([&other]);
+        other.select_from(&pass, &cache, &b, &mut Vec::new());
     }
 
     #[test]

@@ -223,10 +223,10 @@ fn distinct_predicate_queries() -> Vec<String> {
 fn scan_path_is_allocation_free_through_the_shared_type_pass() {
     // the compiled scan's steady-state promise: with predicate clauses in
     // play (so every kernel runs the full bitmap pipeline — selection from
-    // the executor's type pass, gather scratch, clause fold, extraction —
-    // not just the clause-free early return), the scan stays at zero
-    // allocations per batch once warmed up, for one scope and for 24
-    // scopes sharing one type pass
+    // the executor's type pass, the column cache's gathered lanes, clause
+    // fold, extraction — not just a clause-free routing pass), the scan
+    // stays at zero allocations per batch once warmed up, for one scope
+    // and for 24 scopes sharing one type pass and one column cache
     let _serial = serial();
     let mut catalog = Catalog::new();
     catalog.register_with_schema("A", Schema::new(["g", "v"]));

@@ -20,9 +20,7 @@ use sharon::prelude::*;
 use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
 use sharon::streams::taxi::{self, TaxiConfig};
-use sharon::streams::workload::{
-    figure_1_workload, figure_2_workload, overlapping_workload, WorkloadConfig,
-};
+use sharon::streams::workload::{figure_1_workload, overlapping_workload, WorkloadConfig};
 use sharon::{SharonBuilder, Strategy};
 
 #[path = "support.rs"]
@@ -168,19 +166,8 @@ fn assert_kill_and_resume_is_exact(
 
         let ctx = format!("{label}: {shards} shards crash@{crash_batch} resume@{offset}");
         let mut got = resumed.drain_results();
-        assert!(
-            !got.is_empty(),
-            "{ctx}: the checkpoint restores emitted rows"
-        );
-        let cut = events[..offset as usize].iter().map(|e| e.time).max();
-        let cut = cut.expect("a checkpoint covers events").millis();
-        assert!(
-            want.iter().any(|(q, _, w, _)| {
-                let within = workload.get(q).window.within.millis();
-                w.millis() < cut && w.millis() + within > cut
-            }),
-            "{ctx}: a window is live across the cut"
-        );
+        assert_rows_before_cut(&got, &ctx);
+        assert_window_across_cut(&want, workload, &events, offset, &ctx);
         resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
         got.merge(resumed.finish());
         support::assert_equivalent(
@@ -192,6 +179,52 @@ fn assert_kill_and_resume_is_exact(
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The cut carries emitted rows: what a resumed run drains before it
+/// ingests anything was restored from the checkpoint's result log.
+fn assert_rows_before_cut(drained: &ExecutorResults, ctx: &str) {
+    assert!(
+        !drained.is_empty(),
+        "{ctx}: the checkpoint restores emitted rows"
+    );
+}
+
+/// The cut carries open state: a window of the uninterrupted run `want`
+/// starts before the cut (the latest time among the first `offset`
+/// ingested events) and ends after it.
+fn assert_window_across_cut(
+    want: &ExecutorResults,
+    workload: &Workload,
+    events: &[Event],
+    offset: u64,
+    ctx: &str,
+) {
+    let cut = events[..offset as usize].iter().map(|e| e.time).max();
+    let cut = cut.expect("a checkpoint covers events").millis();
+    assert!(
+        want.iter().any(|(q, _, w, _)| {
+            let within = workload.get(q).window.within.millis();
+            w.millis() < cut && w.millis() + within > cut
+        }),
+        "{ctx}: a window is live across the cut"
+    );
+}
+
+/// Figure 2's patterns under windows short against a 7 s stream (2 000
+/// events at 300 a second), so windows close before a cut after the
+/// second checkpoint and stay open across it.
+fn short_window_figure_2_workload(catalog: &mut Catalog) -> Workload {
+    parse_workload(
+        catalog,
+        [
+            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, Adapter) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, KeyboardProtector) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, iPhone) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, iPhone, ScreenProtector) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
+        ],
+    )
+    .unwrap()
 }
 
 fn sharon_plan(workload: &Workload) -> SharingPlan {
@@ -265,18 +298,7 @@ fn ecommerce_kill_and_resume() {
             ..Default::default()
         },
     );
-    // Figure 2's patterns under windows short against the 7 s stream, so
-    // windows close before the cut and stay open across it
-    let workload = parse_workload(
-        &mut catalog,
-        [
-            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, Adapter) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
-            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, KeyboardProtector) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
-            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, iPhone) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
-            "RETURN COUNT(*) PATTERN SEQ(Laptop, Case, iPhone, ScreenProtector) WHERE [customer] WITHIN 2 s SLIDE 500 ms",
-        ],
-    )
-    .unwrap();
+    let workload = short_window_figure_2_workload(&mut catalog);
     let plan = sharon_plan(&workload);
     assert_kill_and_resume_is_exact(&catalog, &workload, &plan, &events, "ecommerce", &mut rng);
 }
@@ -398,6 +420,10 @@ fn gated_kill_and_resume_over_two_partitions() {
         }
         let want_drops = sequential.late_rows_dropped();
         let want = sequential.finish();
+        assert!(
+            !want.is_empty(),
+            "lateness {lateness}: the reference emits rows"
+        );
         assert_eq!(
             want_drops == 0,
             lateness == covering,
@@ -405,7 +431,9 @@ fn gated_kill_and_resume_over_two_partitions() {
         );
 
         for shards in support::shard_counts(&[1, 2, 8]) {
-            let crash_batch = rng.range(INTERVAL, n_batches);
+            // crash after the second checkpoint, so windows closed before
+            // the cut
+            let crash_batch = rng.range(2 * INTERVAL, n_batches);
             let label = format!("lateness {lateness}, {shards} shards, crash@{crash_batch}");
             let dir = test_dir("two-partitions");
             let options = ShardedOptions {
@@ -427,10 +455,14 @@ fn gated_kill_and_resume_over_two_partitions() {
                 ShardedExecutor::resume(&catalog, &workload, &plan, shards, options)
                     .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
             assert!(offset > 0, "{label}: a checkpoint was written");
+            let mut got = resumed.drain_results();
+            assert_rows_before_cut(&got, &label);
+            assert_window_across_cut(&want, &workload, &shuffled, offset, &label);
             resumed.process_columnar(&EventBatch::from_events(&shuffled[offset as usize..]));
             let report = resumed.finish_with_stats();
+            got.merge(report.results);
             support::assert_equivalent(
-                &report.results,
+                &got,
                 &want,
                 workload.ids(),
                 1e-9,
@@ -504,7 +536,7 @@ fn strategy_layer_resume_round_trips() {
             ..Default::default()
         },
     );
-    let workload = figure_2_workload(&mut catalog);
+    let workload = short_window_figure_2_workload(&mut catalog);
     let rates = RateMap::uniform(100.0);
     let config = OptimizerConfig::default();
 
@@ -517,10 +549,17 @@ fn strategy_layer_resume_round_trips() {
         let (mut plain, _) = builder.clone().build_executor().expect("builds");
         plain.process_columnar(&EventBatch::from_events(&events));
         let want = plain.finish();
+        assert!(
+            !want.is_empty(),
+            "{}: the reference emits rows",
+            strategy.name()
+        );
 
         let dir = test_dir(strategy.name());
         let n_batches = (events.len() as u64).div_ceil(BATCH as u64);
-        let crash_batch = rng.range(INTERVAL, n_batches);
+        // crash after the second checkpoint, so windows closed before the
+        // cut
+        let crash_batch = rng.range(2 * INTERVAL, n_batches);
         let builder = builder.checkpoint(CheckpointConfig::every(&dir, INTERVAL));
         let (mut crashing, _) = builder
             .clone()
@@ -530,17 +569,18 @@ fn strategy_layer_resume_round_trips() {
         drop(crashing);
 
         let (mut resumed, _, offset) = builder.resume().expect("resumes");
+        let ctx = format!("{} crash@{crash_batch} resume@{offset}", strategy.name());
+        let mut got = resumed.drain_results();
+        assert_rows_before_cut(&got, &ctx);
+        assert_window_across_cut(&want, &workload, &events, offset, &ctx);
         resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
-        let got = resumed.finish();
+        got.merge(resumed.finish());
         support::assert_equivalent(
             &got,
             &want,
             workload.ids(),
             1e-9,
-            format_args!(
-                "{} crash@{crash_batch} resume@{offset}: resumed strategy run",
-                strategy.name()
-            ),
+            format_args!("{ctx}: resumed strategy run"),
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -12,8 +12,9 @@
 //!    string literals), random `GROUP BY` widths, evaluated over random
 //!    sub-ranges (partial trailing words included). The kernel's selection
 //!    must equal the oracle's exactly.
-//! 2. **Shared type pass** — 2–8 random scopes select from one
-//!    [`TypePass`] per chunk: each scope's selection must equal the oracle
+//! 2. **Shared type pass and column cache** — 2–8 random scopes select
+//!    from one [`TypePass`] and one [`ColumnCache`] per chunk: each
+//!    scope's selection must equal the oracle
 //!    and its own one-scope `select_into`, and a [`BatchRouter`] over the
 //!    same scopes must route the same rows.
 //! 3. **Row-for-row parity on the paper streams** — every compiled
@@ -29,7 +30,8 @@ use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
 use sharon::streams::taxi::{self, TaxiConfig};
 use sharon_executor::{
-    compile, BatchRouter, CompiledPartition, RoutedRows, RowFilter, ScanKernel, TypePass,
+    compile, BatchRouter, ColumnCache, CompiledPartition, RoutedRows, RowFilter, ScanKernel,
+    TypePass,
 };
 use sharon_query::{clause_passes, CmpOp};
 use sharon_types::{AttrId, GroupKey};
@@ -251,9 +253,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// 2–8 random scopes × random ragged batches: every scope's selection
-    /// from one shared type pass per chunk equals the row oracle and the
-    /// scope's own `select_into`, and the batch router routes the same
-    /// rows.
+    /// from one shared type pass and column cache per chunk equals the
+    /// row oracle and the scope's own `select_into`, and the batch router
+    /// routes the same rows.
     #[test]
     fn shared_type_pass_matches_oracle_and_solo_kernels(
         scopes in prop::collection::vec(scope(), 2..=8),
@@ -270,6 +272,7 @@ proptest! {
         }
         let mut kernels: Vec<ScanKernel> = scopes.iter().map(RowFilter::scan_kernel).collect();
         let mut pass = TypePass::new(&kernels);
+        let mut cache = ColumnCache::new(&kernels);
         let n = batch.len();
         let mut ranges = vec![(0usize, n)];
         for c in cuts {
@@ -279,13 +282,14 @@ proptest! {
         }
         for (lo, hi) in ranges {
             pass.build(&batch, lo, hi);
+            cache.build(&pass, &batch);
             let mut want_all = Vec::new();
             for (si, (scope, kernel)) in scopes.iter().zip(&mut kernels).enumerate() {
                 let want = scalar_select(
                     &scope.routed, &scope.group_attrs, &scope.predicates, &batch, lo, hi,
                 );
                 let mut shared = Vec::new();
-                kernel.select_from(&pass, &batch, &mut shared);
+                kernel.select_from(&pass, &cache, &batch, &mut shared);
                 proptest::prop_assert_eq!(
                     &shared, &want,
                     "scope {} from the shared pass, rows {}..{} of {}", si, lo, hi, n
@@ -340,7 +344,8 @@ fn partition_oracle(
 
 /// Kernel vs the partition's per-row checks, row for row, on every
 /// compiled partition of a real stream's workload: each kernel alone, all
-/// kernels from one shared type pass, and the batch router.
+/// kernels from one shared type pass and column cache, and the batch
+/// router.
 fn assert_stream_kernel_parity(
     catalog: &Catalog,
     workload: &Workload,
@@ -350,9 +355,11 @@ fn assert_stream_kernel_parity(
     let parts = compile(catalog, workload, &SharingPlan::non_shared()).expect("workload compiles");
     let mut kernels: Vec<ScanKernel> = parts.iter().map(CompiledPartition::scan_kernel).collect();
     let mut pass = TypePass::new(&kernels);
+    let mut cache = ColumnCache::new(&kernels);
     let mut selected_any = false;
     for (lo, hi) in ragged_ranges(batch.len()) {
         pass.build(batch, lo, hi);
+        cache.build(&pass, batch);
         let mut want_all = Vec::new();
         for (pi, (part, kernel)) in parts.iter().zip(&mut kernels).enumerate() {
             let want = partition_oracle(part, batch, lo, hi);
@@ -363,7 +370,7 @@ fn assert_stream_kernel_parity(
                 "{label}: partition {pi} selection diverges on rows {lo}..{hi}"
             );
             got.clear();
-            kernel.select_from(&pass, batch, &mut got);
+            kernel.select_from(&pass, &cache, batch, &mut got);
             assert_eq!(
                 got, want,
                 "{label}: partition {pi} shared-pass selection diverges on rows {lo}..{hi}"
@@ -468,7 +475,7 @@ fn ecommerce_stream_kernel_row_parity() {
 fn ecommerce_filter_workload_partitions_row_parity() {
     // the benchmark's filter shape: 24 queries over three consecutive of
     // 12 items, one price clause per item, literals distinct per query —
-    // 24 partitions whose scans share one type pass
+    // 24 partitions whose scans share one type pass and 12 cached columns
     let mut catalog = Catalog::new();
     let batch = ecommerce::generate_batch(
         &mut catalog,
