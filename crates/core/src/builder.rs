@@ -284,7 +284,7 @@ mod tests {
                 }
                 let what = format!("{} at shards({shards}), gated", strategy.name());
                 let n = workload.len() as u32;
-                assert_equivalent(&gated.finish(), &want, n, 1e-9, what);
+                assert_equivalent(&gated.finish(), &want, n, what);
             }
         }
     }

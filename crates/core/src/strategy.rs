@@ -167,16 +167,16 @@ pub(crate) mod tests {
     use sharon_streams::ecommerce::{generate, EcommerceConfig};
     use sharon_streams::workload::{figure_2_workload, measured_rates};
 
-    /// Assert that `got` is `semantically_eq` to `reference` within `tol`,
-    /// after asserting that the reference holds a row of each of its first
-    /// `n_queries` queries: an equivalence over an empty reference checks
-    /// nothing. `what` names the comparison in a failure.
+    /// Assert that `got` equals `reference` exactly (`semantically_eq`
+    /// at `eps = 0`), after asserting that the reference holds a row of
+    /// each of its first `n_queries` queries: an equivalence over an
+    /// empty reference checks nothing. `what` names the comparison in a
+    /// failure.
     #[track_caller]
     pub(crate) fn assert_equivalent(
         got: &sharon_executor::ExecutorResults,
         reference: &sharon_executor::ExecutorResults,
         n_queries: u32,
-        tol: f64,
         what: impl std::fmt::Display,
     ) {
         for q in (0..n_queries).map(sharon_query::QueryId) {
@@ -186,7 +186,7 @@ pub(crate) mod tests {
             );
         }
         assert!(
-            got.semantically_eq(reference, tol),
+            got.semantically_eq(reference, 0.0),
             "{what}: diverges from the reference ({} vs {} results)",
             got.len(),
             reference.len()
@@ -236,7 +236,7 @@ pub(crate) mod tests {
         ] {
             let got = run(&catalog, &workload, &rates, strategy, &batch);
             let n = workload.len() as u32;
-            assert_equivalent(&got, &reference, n, 1e-9, strategy.name());
+            assert_equivalent(&got, &reference, n, strategy.name());
         }
     }
 
@@ -273,7 +273,7 @@ pub(crate) mod tests {
             let got = run(&catalog, &workload, &rates, strategy, &batch);
             let n = workload.len() as u32;
             let what = format!("{} columnar", strategy.name());
-            assert_equivalent(&got, &reference, n, 1e-9, what);
+            assert_equivalent(&got, &reference, n, what);
 
             let online = !matches!(strategy, Strategy::FlinkLike | Strategy::SpassLike);
             for shards in [1usize, 3] {
@@ -298,7 +298,7 @@ pub(crate) mod tests {
                 sharded.process_columnar(&batch);
                 let got = sharded.finish();
                 let what = format!("{} sharded/{shards}", strategy.name());
-                assert_equivalent(&got, &reference, n, 1e-9, what);
+                assert_equivalent(&got, &reference, n, what);
             }
         }
     }

@@ -16,6 +16,16 @@
 //! [`CountCell`] is the specialized kernel for `COUNT(*)`/`COUNT(E)`
 //! (exactly A-Seq's counts); [`StatsCell`] additionally carries sum/min/max
 //! so one cell type serves `SUM`, `MIN`, `MAX`, and `AVG`.
+//!
+//! **Exact means equal.** A `StatsCell` sum is a float sum, so its bits
+//! depend on the order of its adds. Every cell folds its inputs in the
+//! order of its group's rows, and a group's rows reach it in the same
+//! order on every online path (sequential, gated, sharded, resumed,
+//! churned, in a session), while merging shard logs copies rows and
+//! re-adds nothing. So those paths agree bit for bit, and the test
+//! suites compare them exactly (`semantically_eq` at `eps = 0`). Only a
+//! two-step baseline, which sums a sequence's values in construction
+//! order, is compared within a tolerance.
 
 use crate::checkpoint::{StateError, StateReader, StateWriter};
 use sharon_query::aggregate::AggValue;

@@ -16,7 +16,7 @@ use crate::compile::{compile, CompileError, CompiledPartition};
 use crate::engine::Engine;
 use crate::event_time::Reorder;
 use crate::front::ScanFront;
-use crate::processor::RunReport;
+use crate::processor::{RunReport, WorkCounts};
 use crate::results::ExecutorResults;
 use crate::router::RoutedRows;
 use sharon_query::{SharingPlan, Workload};
@@ -119,8 +119,9 @@ impl EngineKind {
         }
     }
 
-    /// Close every remaining window into `results`.
-    pub fn finish(self, results: &mut ExecutorResults) {
+    /// Close every remaining window into `results` and return the
+    /// engine's work counts (see `Engine::finish`).
+    pub fn finish(self, results: &mut ExecutorResults) -> WorkCounts {
         on_engine!(self, en => en.finish(results))
     }
 
@@ -258,10 +259,6 @@ impl Executor {
         self.gate.as_ref().map_or(0, |g| g.late_rows_dropped())
     }
 
-    /// Batch size in which stream drivers feed a sequential executor (the
-    /// sharded runtime batches by [`crate::DEFAULT_BATCH_SIZE`]).
-    pub const RUN_BATCH: usize = 1024;
-
     /// Flush remaining windows and return all results.
     pub fn finish(self) -> ExecutorResults {
         self.report().results
@@ -269,20 +266,22 @@ impl Executor {
 
     /// End of stream: release every row the gate holds, read the matched
     /// and late-drop counts, then close every engine's windows into the
-    /// log.
+    /// log and sum the engines' work counts.
     pub(crate) fn report(mut self) -> RunReport {
         let gate = self.gate.as_deref_mut();
         release_all(&mut self.engines, &mut self.results, gate);
         let events_matched = self.events_matched();
         let late_rows_dropped = self.late_rows_dropped();
+        let mut work = WorkCounts::default();
         for engine in self.engines {
-            engine.finish(&mut self.results);
+            work += engine.finish(&mut self.results);
         }
         RunReport {
             results: self.results,
             events_matched,
             late_rows_dropped,
             scan_stats: self.front.counters().snapshot(),
+            work,
         }
     }
 

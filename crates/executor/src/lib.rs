@@ -45,7 +45,7 @@ pub use compile::{compile, CompileError, CompiledPartition};
 pub use event_time::Reorder;
 pub use executor::{EngineKind, Executor};
 pub use front::ScanFront;
-pub use processor::{BatchProcessor, RunReport};
+pub use processor::{BatchProcessor, RunReport, WorkCounts};
 pub use results::ExecutorResults;
 pub use router::{BatchRouter, RouteBatch, RoutedRows, RowFilter};
 pub use runner::SegmentRunner;

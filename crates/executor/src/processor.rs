@@ -10,7 +10,7 @@
 //! for the online engines directly or through the executor's event-time
 //! gate, for the baselines in arrival order.
 //! [`BatchProcessor`] captures that contract behind one trait so callers
-//! (the strategy layer, the builder and session, the CLI, the benches)
+//! (the strategy layer, the builder and session, the CLI, the test suites)
 //! drive every strategy identically — no per-strategy match arms. Columnar batches
 //! are the only way rows enter an executor; row-form
 //! [`sharon_types::Event`]s reach it through
@@ -51,6 +51,62 @@ pub struct RunReport {
     /// [`BatchProcessor::scan_stats`] (a shard worker's are unused: the
     /// router selects its rows).
     pub scan_stats: Vec<(u64, u64)>,
+    /// The aggregate-update operations the run's engines performed (zero
+    /// for the baselines, which construct sequences instead).
+    pub work: WorkCounts,
+}
+
+/// The aggregate-update operations an online engine performed, in the
+/// unit `sharon_optimizer`'s cost model prices plans in (`cost.rs`).
+///
+/// Each engine keeps them as plain counters; they are exact run
+/// statistics: every count is a function of each group's rows alone, so
+/// a seed repeats them and the sharded runtime's sum over its shards
+/// equals the sequential executor's. They are not checkpointed: a
+/// resumed run counts only the work done after the resume.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Runner records a row visits: one per START (joined or opened),
+    /// and per MID or END row every live record older than it (Eq. 2's
+    /// "one count per live START", per slide and offset run).
+    pub record_updates: u64,
+    /// Non-zero prefix aggregates written: a START's unit and each
+    /// extension a MID row adds to a record.
+    pub prefix_adds: u64,
+    /// Chain-log entries a stage > 0 completion combines with its
+    /// records' counts, and open windows a length-1 stage > 0 reads from
+    /// its mirror column (Comb, Eq. 5).
+    pub chain_combines: u64,
+    /// Value runs a chain-stage boundary writes into its chain log
+    /// across the open windows (the `Fold` term).
+    pub chain_folds: u64,
+    /// Open-window totals written into the window plane's final columns.
+    pub window_folds: u64,
+    /// Windows closed, per group.
+    pub window_closes: u64,
+}
+
+impl WorkCounts {
+    /// Every operation counted, whatever its kind.
+    pub fn total(&self) -> u64 {
+        self.record_updates
+            + self.prefix_adds
+            + self.chain_combines
+            + self.chain_folds
+            + self.window_folds
+            + self.window_closes
+    }
+}
+
+impl std::ops::AddAssign for WorkCounts {
+    fn add_assign(&mut self, other: WorkCounts) {
+        self.record_updates += other.record_updates;
+        self.prefix_adds += other.prefix_adds;
+        self.chain_combines += other.chain_combines;
+        self.chain_folds += other.chain_folds;
+        self.window_folds += other.window_folds;
+        self.window_closes += other.window_closes;
+    }
 }
 
 /// A columnar operator: consumes time-ordered [`EventBatch`]es and

@@ -390,13 +390,16 @@ fn push_key(keys: &mut Vec<GroupKey>, group: GroupKey) -> u32 {
     gid
 }
 
+/// Equal counts, or numbers with equal bits (a NaN equals only the same
+/// NaN, and `0.0` is not `-0.0`) or, for `eps > 0`, within `eps`
+/// relative error.
 fn values_eq(a: &AggValue, b: &AggValue, eps: f64) -> bool {
     match (a, b) {
         (AggValue::Count(x), AggValue::Count(y)) => x == y,
         (AggValue::Number(None), AggValue::Number(None)) => true,
         (AggValue::Number(Some(x)), AggValue::Number(Some(y))) => {
             let scale = x.abs().max(y.abs()).max(1.0);
-            (x - y).abs() <= eps * scale
+            x.to_bits() == y.to_bits() || (eps > 0.0 && (x - y).abs() <= eps * scale)
         }
         _ => false,
     }
@@ -653,9 +656,11 @@ impl ExecutorResults {
     }
 
     /// Compare two result sets for semantic equality: same keys, counts
-    /// exactly equal, numeric values equal within `eps` relative error. A
-    /// set holding two rows for one `(query, group, window)` equals
-    /// nothing, itself included.
+    /// exactly equal, numeric values with equal bits or, for `eps > 0`,
+    /// within `eps` relative error. `eps = 0` is exact equality, which
+    /// every online path meets (each cell folds its inputs in row order,
+    /// and merging shard logs re-adds nothing). A set holding two rows for
+    /// one `(query, group, window)` equals nothing, itself included.
     pub fn semantically_eq(&self, other: &ExecutorResults, eps: f64) -> bool {
         let (a, b) = (self.index(), other.index());
         debug_assert!(
@@ -726,16 +731,16 @@ pub(crate) mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// Assert that `got` is `semantically_eq` to `reference` within `tol`,
-    /// after asserting that the reference holds a row of each of its first
-    /// `n_queries` queries: an equivalence over an empty reference checks
-    /// nothing. `what` names the comparison in a failure.
+    /// Assert that `got` equals `reference` exactly (`semantically_eq`
+    /// at `eps = 0`), after asserting that the reference holds a row of
+    /// each of its first `n_queries` queries: an equivalence over an
+    /// empty reference checks nothing. `what` names the comparison in a
+    /// failure.
     #[track_caller]
     pub(crate) fn assert_equivalent(
         got: &ExecutorResults,
         reference: &ExecutorResults,
         n_queries: u32,
-        tol: f64,
         what: impl std::fmt::Display,
     ) {
         for q in (0..n_queries).map(sharon_query::QueryId) {
@@ -745,7 +750,7 @@ pub(crate) mod tests {
             );
         }
         assert!(
-            got.semantically_eq(reference, tol),
+            got.semantically_eq(reference, 0.0),
             "{what}: diverges from the reference ({} vs {} results)",
             got.len(),
             reference.len()
@@ -1235,6 +1240,21 @@ pub(crate) mod tests {
             AggValue::Number(Some(1.0)),
         );
         assert!(!a.semantically_eq(&g, 1e-9));
+        // `eps = 0` compares bits
+        let one = |v: f64| {
+            let mut r = ExecutorResults::new();
+            r.emit(QueryId(0), key(1), Timestamp(0), AggValue::Number(Some(v)));
+            r
+        };
+        // a last-bit difference is tolerated only with an `eps`
+        let next_up = f64::from_bits(1.0f64.to_bits() + 1);
+        assert!(one(1.0).semantically_eq(&one(next_up), 1e-9));
+        assert!(!one(1.0).semantically_eq(&one(next_up), 0.0));
+        // a NaN equals only the NaN with its bits, and zeros keep their sign
+        let nan = f64::NAN;
+        assert!(one(nan).semantically_eq(&one(nan), 0.0));
+        assert!(!one(nan).semantically_eq(&one(-nan), 0.0));
+        assert!(!one(0.0).semantically_eq(&one(-0.0), 0.0));
     }
 
     #[test]

@@ -237,34 +237,39 @@ impl<A: Aggregate> SegmentRunner<A> {
     /// (`1 ≤ pos ≤ len − 2`): for every live record whose first START is
     /// strictly older than the event, extend the length-`pos` prefix
     /// aggregate into the length-`pos + 1` one (members at the event's own
-    /// time are still pending and stay out).
-    pub fn on_mid(&mut self, pos: usize, time: Timestamp, c: Contribution) {
+    /// time are still pending and stay out). Returns the records visited
+    /// and the extensions written (the non-zero ones).
+    pub fn on_mid(&mut self, pos: usize, time: Timestamp, c: Contribution) -> (usize, usize) {
         debug_assert!(pos >= 1 && pos < self.width, "mid position out of range");
+        let mut added = 0;
         for idx in 0..self.live {
             if self.start_time(idx) >= time {
-                break;
+                return (idx, added);
             }
             let at = self.pos(idx) * self.width + pos;
             let prev = self.cells[at - 1].read(time);
             if !prev.is_zero() {
                 self.cells[at].add(time, &prev.extend(c));
+                added += 1;
             }
         }
+        (self.live, added)
     }
 
     /// An END-type event arrived: report, per live record, the aggregate
     /// of the *newly completed* sequences (those ending at this event).
     /// The callback receives `(record_index, first_start_time, delta)`.
+    /// Returns the records visited.
     pub fn on_end<F: FnMut(usize, Timestamp, A)>(
         &mut self,
         time: Timestamp,
         c: Contribution,
         mut on_completion: F,
-    ) {
+    ) -> usize {
         for idx in 0..self.live {
             let start = self.start_time(idx);
             if start >= time {
-                break;
+                return idx;
             }
             let last = (self.pos(idx) + 1) * self.width - 1;
             let prev = self.cells[last].read(time);
@@ -272,6 +277,7 @@ impl<A: Aggregate> SegmentRunner<A> {
                 on_completion(idx, start, prev.extend(c));
             }
         }
+        self.live
     }
 
     /// Aggregate cells and chain offsets of the live records (for memory

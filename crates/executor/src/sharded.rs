@@ -21,9 +21,9 @@
 //! group table holds only the shard's groups — so sharding is a pure
 //! work partition: shard results
 //! are disjoint and merge exactly. [`ShardedExecutor::finish`] merges
-//! them in deterministic shard order; determinism tests assert
-//! `semantically_eq` with the sequential path for every shard count and
-//! every online strategy. The two-step baselines run sequentially only.
+//! them in deterministic shard order; determinism tests assert exact
+//! equality (`semantically_eq` at `eps = 0`) with the sequential path
+//! for every shard count and every online strategy. The two-step baselines run sequentially only.
 //!
 //! Events are ingested into a columnar [`EventBatch`] and **routed once**:
 //! the routing side runs the stateless prefix of the event path — routing,
@@ -431,8 +431,8 @@ pub struct ShardedExecutor {
     batch_pool: Vec<Arc<EventBatch>>,
     /// Set when the executor is dropped without `finish`, or when any
     /// runtime thread panics: the router thread and the workers discard
-    /// queued batches instead of draining them (a capped/aborted bench
-    /// run must not keep burning CPU on detached threads, and a
+    /// queued batches instead of draining them (an abandoned run must
+    /// not keep burning CPU on detached threads, and a
     /// half-dead runtime must fail fast rather than hang).
     cancel: Arc<AtomicBool>,
     /// Periodic-checkpoint state ([`ShardedOptions::checkpoint`]).
@@ -804,7 +804,8 @@ impl ShardedExecutor {
     }
 
     /// [`ShardedExecutor::finish`] plus runtime statistics: the matched
-    /// and late-drop counts summed over the shards' reports, and the
+    /// and late-drop counts and the work counts summed over the shards'
+    /// reports, and the
     /// router's scan tallies, all read after the router and the workers
     /// drain (see [`ShardedExecutor::scan_stats`]).
     ///
@@ -835,6 +836,7 @@ impl ShardedExecutor {
                     run.results.merge(report.results);
                     run.events_matched += report.events_matched;
                     run.late_rows_dropped += report.late_rows_dropped;
+                    run.work += report.work;
                 }
                 Err(_) => failed_shards.push(shard),
             }
@@ -860,7 +862,7 @@ impl Drop for ShardedExecutor {
     /// Dropping without [`ShardedExecutor::finish`] *aborts* the run: the
     /// router thread and the workers are told to discard queued batches
     /// (they only complete the item currently in flight) and are joined,
-    /// so an abandoned executor — e.g. a capped bench run reporting DNF —
+    /// so an abandoned executor — e.g. a run cut short by its caller —
     /// never leaves detached threads grinding through queued work behind
     /// the next measurement.
     fn drop(&mut self) {
@@ -989,7 +991,7 @@ mod tests {
             }
             let report = sharded.finish_with_stats();
             let n = w.len() as u32;
-            assert_equivalent(&report.results, &want, n, 1e-9, format!("{shards} shards"));
+            assert_equivalent(&report.results, &want, n, format!("{shards} shards"));
             assert_eq!(
                 report.events_matched, want_matched,
                 "{shards} shards: matched count"
@@ -1011,7 +1013,7 @@ mod tests {
         let mut sharded = non_shared(&c, &w, 3, DEFAULT_BATCH_SIZE);
         sharded.process_columnar(&batch);
         let got = sharded.finish();
-        assert_equivalent(&got, &want, w.len() as u32, 1e-9, "sharded");
+        assert_equivalent(&got, &want, w.len() as u32, "sharded");
 
         // a few buffered rows first, then a push that straddles the
         // flush threshold: the buffered rows route ahead of the rest
@@ -1020,7 +1022,7 @@ mod tests {
         sharded.process_columnar(&EventBatch::from_events(head));
         sharded.process_columnar(&EventBatch::from_events(tail));
         let report = sharded.finish_with_stats();
-        assert_equivalent(&report.results, &want, w.len() as u32, 1e-9, "straddling");
+        assert_equivalent(&report.results, &want, w.len() as u32, "straddling");
         assert!(report.events_matched > 0);
     }
 
@@ -1048,7 +1050,7 @@ mod tests {
         let mut sharded = non_shared(&c, &w, 4, DEFAULT_BATCH_SIZE);
         sharded.process_columnar(&EventBatch::from_events(&events));
         let got = sharded.finish();
-        assert_equivalent(&got, &want, w.len() as u32, 1e-9, "sharded");
+        assert_equivalent(&got, &want, w.len() as u32, "sharded");
         assert!(got.total_count(QueryId(0)) > 0);
         assert_eq!(
             got.get(QueryId(0), &GroupKey::Global, Timestamp(20))
@@ -1071,13 +1073,13 @@ mod tests {
             sharded.process_columnar(&EventBatch::from_events(std::slice::from_ref(e)));
         }
         let got = sharded.finish();
-        assert_equivalent(&got, &want, w.len() as u32, 1e-9, "sharded");
+        assert_equivalent(&got, &want, w.len() as u32, "sharded");
     }
 
     #[test]
     fn drop_without_finish_aborts_and_joins_workers() {
         // dropping mid-stream must not hang and must not leave router or
-        // worker threads draining queued work (the bench DNF path)
+        // worker threads draining queued work (an abandoned run)
         let (c, w) = grouped_workload();
         let events = stream(&c, 2000, 11);
         let mut sharded = non_shared(&c, &w, 3, 64);
@@ -1104,7 +1106,7 @@ mod tests {
             "flushed batch bodies are pooled for reuse"
         );
         let got = sharded.finish();
-        assert_equivalent(&got, &want, w.len() as u32, 1e-9, "sharded");
+        assert_equivalent(&got, &want, w.len() as u32, "sharded");
     }
 
     #[test]
@@ -1157,7 +1159,6 @@ mod tests {
                 &drained,
                 &want,
                 w.len() as u32,
-                1e-9,
                 format!("{shards} shards: drained epochs + finish"),
             );
             assert!(
@@ -1202,7 +1203,7 @@ mod tests {
         resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
         let report = resumed.finish_with_stats();
         let n = w.len() as u32;
-        assert_equivalent(&report.results, &want, n, 1e-9, "resumed vs uninterrupted");
+        assert_equivalent(&report.results, &want, n, "resumed vs uninterrupted");
         assert_eq!(report.events_matched, want_matched, "matched count");
         let _ = std::fs::remove_dir_all(&dir);
     }

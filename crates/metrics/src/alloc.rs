@@ -4,8 +4,9 @@
 //! aggregates, events, and event sequences" for the executors and "the
 //! maximal memory for storing the SHARON graph and the sharing plans" for
 //! the optimizers (Section 8.1). [`TrackingAllocator`] wraps the system
-//! allocator with atomic current/peak counters; benchmarks install it as
-//! the `#[global_allocator]` and read peak deltas around measured regions.
+//! allocator with atomic current/peak counters; the benchmark rig and the
+//! allocation-regression tests install it as the `#[global_allocator]`
+//! and read peak deltas and allocation counts around measured regions.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,18 +110,6 @@ fn thread_alloc_count() -> usize {
     THREAD_ALLOCS.with(Cell::get)
 }
 
-/// Measure the peak heap growth (bytes above the starting level) while
-/// running `f`.
-///
-/// Meaningful only when [`TrackingAllocator`] is installed as the global
-/// allocator; otherwise returns 0.
-pub fn measure_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = reset_peak();
-    let out = f();
-    let peak = peak_bytes();
-    (out, peak.saturating_sub(base))
-}
-
 /// Count the allocation calls the **calling thread** performs while
 /// running `f`; other threads' allocations are not seen.
 ///
@@ -196,13 +185,5 @@ mod tests {
         });
         assert_eq!(n, 0, "another thread's allocation must not be counted");
         on_dealloc(8);
-    }
-
-    #[test]
-    fn measure_peak_without_installation_is_zero_or_more() {
-        let (val, peak) = measure_peak(|| 21 * 2);
-        assert_eq!(val, 42);
-        // without installation no allocations are tracked inside f
-        let _ = peak;
     }
 }

@@ -43,8 +43,11 @@
 //! rates per second (not per minute or per window) fixes where that
 //! cross-over lies. The term has no tuning coefficient, but it is not in
 //! the paper's unit, and the trade-off was measured only at the
-//! benchmark workloads' own rates (ROADMAP item 1(a) is to count the
-//! executor's operations and fit the model to them).
+//! benchmark workloads' own rates. The executor now counts the
+//! operations this model prices (`WorkCounts` in `sharon-executor`), and
+//! `tests/paper_evaluation.rs` finds plans the model shares that do more
+//! counted work than A-Seq; fitting the model to those counts is ROADMAP
+//! item 1(b).
 
 use sharon_query::{Pattern, Query, QueryId, Workload};
 use sharon_types::EventTypeId;

@@ -8,8 +8,10 @@
 //!   search per connected component of the reduced graph that starts from
 //!   GWMIN's plan and returns the optimal one (see [`crate::plan_finder`]).
 //!
-//! All three return a [`SharingPlan`] plus per-phase wall-clock timings,
-//! which the Figure 15 benchmark prints.
+//! All three return a [`SharingPlan`] plus per-phase wall-clock timings
+//! and search statistics (the rig traces the timings, and
+//! `tests/paper_evaluation.rs` compares the three's scores and search
+//! nodes for Figure 15).
 
 use crate::cost::{CostModel, RateMap};
 use crate::expansion::{expand_graph, ExpansionConfig};

@@ -58,7 +58,7 @@ impl TaxiConfig {
     /// A high-group-cardinality variant: many concurrent vehicles, so
     /// `GROUP BY vehicle` state spreads over many independent partitions.
     /// This is the shape the sharded runtime is built for — used by the
-    /// throughput benchmarks and the sharded determinism tests.
+    /// sharded determinism tests and the work-count exactness test.
     pub fn high_cardinality(n_events: usize, n_vehicles: usize) -> Self {
         TaxiConfig {
             n_streets: 7,

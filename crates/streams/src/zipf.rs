@@ -5,7 +5,7 @@
 //! a `skew` knob (the Zipf exponent theta) that draws the group dimension
 //! (vehicle / customer / car) from this sampler instead of a uniform
 //! range, so skewed `GROUP BY` traffic is reachable from the CLI, the
-//! benchmarks, and the property tests.
+//! benchmark rig, and the property tests.
 //!
 //! Implemented as a precomputed normalized CDF with binary-search
 //! sampling — deterministic, allocation-free per sample, and independent

@@ -436,6 +436,7 @@ impl<F: Family> TwoStep<F> {
             events_matched,
             late_rows_dropped: 0,
             scan_stats: self.front.counters().snapshot(),
+            work: Default::default(),
         }
     }
 
@@ -483,16 +484,21 @@ pub(crate) mod tests {
     use sharon_streams::taxi::{self, TaxiConfig};
     use sharon_types::Schema;
 
-    /// Assert that `got` is `semantically_eq` to `reference` within `tol`,
-    /// after asserting that the reference holds a row of each of its first
-    /// `n_queries` queries: an equivalence over an empty reference checks
-    /// nothing. `what` names the comparison in a failure.
+    /// Assert that `got` is `semantically_eq` to `reference` within a
+    /// relative `1e-9`, after asserting that the reference holds a row of
+    /// each of its first `n_queries` queries: an equivalence over an
+    /// empty reference checks nothing. `what` names the comparison in a
+    /// failure.
+    ///
+    /// The tolerance exists for one reason: a two-step baseline sums a
+    /// sequence's values in construction order, while the online engines
+    /// fold each cell in row order, so a `SUM` or `AVG` may differ in its
+    /// last bits. Keys, counts and the rest compare exactly.
     #[track_caller]
-    pub(crate) fn assert_equivalent(
+    pub(crate) fn assert_equal_up_to_summation_order(
         got: &sharon_executor::ExecutorResults,
         reference: &sharon_executor::ExecutorResults,
         n_queries: u32,
-        tol: f64,
         what: impl std::fmt::Display,
     ) {
         for q in (0..n_queries).map(sharon_query::QueryId) {
@@ -502,7 +508,7 @@ pub(crate) mod tests {
             );
         }
         assert!(
-            got.semantically_eq(reference, tol),
+            got.semantically_eq(reference, 1e-9),
             "{what}: diverges from the reference ({} vs {} results)",
             got.len(),
             reference.len()
@@ -705,7 +711,12 @@ pub(crate) mod tests {
                 epochs > 2,
                 "{label}: windows close mid-stream ({epochs} epochs)"
             );
-            assert_equivalent(&got, &want, n, 1e-9, format!("{label}: drained + finish"));
+            assert_equal_up_to_summation_order(
+                &got,
+                &want,
+                n,
+                format!("{label}: drained + finish"),
+            );
         }
     }
 

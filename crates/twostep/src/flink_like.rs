@@ -229,7 +229,7 @@ impl FlinkLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::tests::assert_equivalent;
+    use crate::common::tests::assert_equal_up_to_summation_order;
     use sharon_executor::{BatchProcessor, Executor};
     use sharon_query::parse_workload;
     use sharon_types::{Event, EventBatch};
@@ -257,7 +257,7 @@ mod tests {
         assert_eq!(fl.sequences_constructed(), 3, "constructs all 3 sequences");
         let fr = fl.finish();
         let or = online.finish();
-        assert_equivalent(&fr, &or, 1, 1e-9, "flink vs online");
+        assert_equal_up_to_summation_order(&fr, &or, 1, "flink vs online");
         assert_eq!(fr.total_count(QueryId(0)), 3);
     }
 
@@ -291,7 +291,7 @@ mod tests {
         online.process_columnar(&batch);
         let fr = fl.finish();
         let or = online.finish();
-        assert_equivalent(&fr, &or, 2, 1e-9, "flink vs online");
+        assert_equal_up_to_summation_order(&fr, &or, 2, "flink vs online");
         assert!(!fr.is_empty());
     }
 
@@ -344,7 +344,7 @@ mod tests {
         let mut columnar = FlinkLike::new(&c, &w).unwrap();
         columnar.process_columnar(&batch);
         let got = columnar.finish();
-        assert_equivalent(&got, &want, 1, 1e-9, "columnar vs per event");
+        assert_equal_up_to_summation_order(&got, &want, 1, "columnar vs per event");
     }
 
     /// `n` queries over one routing scope (same pattern and `GROUP BY`,

@@ -424,7 +424,7 @@ impl SpassLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::tests::assert_equivalent;
+    use crate::common::tests::assert_equal_up_to_summation_order;
     use sharon_executor::Executor;
     use sharon_query::{parse_workload, Pattern, PlanCandidate};
     use sharon_types::{Event, EventBatch};
@@ -476,7 +476,7 @@ mod tests {
         assert!(sp.sequences_constructed() > 0);
         let sr = sp.finish();
         let or = online.finish();
-        assert_equivalent(&sr, &or, 2, 1e-9, "spass vs online");
+        assert_equal_up_to_summation_order(&sr, &or, 2, "spass vs online");
         assert!(!sr.is_empty());
     }
 
@@ -519,7 +519,7 @@ mod tests {
         fl.process_columnar(&batch);
         let sr = sp.finish();
         let fr = fl.finish();
-        assert_equivalent(&sr, &fr, 1, 1e-9, "spass vs flink");
+        assert_equal_up_to_summation_order(&sr, &fr, 1, "spass vs flink");
     }
 
     #[test]
@@ -542,6 +542,6 @@ mod tests {
         let mut columnar = SpassLike::new(&c, &w, &plan).unwrap();
         columnar.process_columnar(&batch);
         let got = columnar.finish();
-        assert_equivalent(&got, &want, 2, 1e-9, "columnar vs per event");
+        assert_equal_up_to_summation_order(&got, &want, 2, "columnar vs per event");
     }
 }

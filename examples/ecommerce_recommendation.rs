@@ -11,6 +11,9 @@ use sharon::streams::ecommerce::{generate, EcommerceConfig};
 use sharon::streams::workload::{figure_2_workload, measured_rates};
 use sharon::AnyExecutor;
 
+/// Rows per columnar batch fed to an executor.
+const BATCH: usize = 1024;
+
 fn main() {
     // the paper's generator spec: 50 items, 20 customers, 3k events/s
     let mut catalog = Catalog::new();
@@ -82,7 +85,7 @@ fn main() {
 
 /// Feed `events` through `ex` in columnar batches.
 fn run(ex: &mut AnyExecutor, events: &[Event]) {
-    for chunk in events.chunks(Executor::RUN_BATCH) {
+    for chunk in events.chunks(BATCH) {
         ex.process_columnar(&EventBatch::from_events(chunk));
     }
 }

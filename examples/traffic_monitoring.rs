@@ -116,6 +116,6 @@ fn main() {
 
     // sanity: A-Seq agrees
     let reference = run(Strategy::ASeq);
-    assert!(results.semantically_eq(&reference, 1e-9));
+    assert!(results.semantically_eq(&reference, 0.0));
     println!("\nverified: SHARON results identical to A-Seq (non-shared) results");
 }

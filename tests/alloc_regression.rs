@@ -195,13 +195,7 @@ fn window_closes_are_allocation_free_in_a_fresh_result_epoch() {
     for batch in warmup.iter().chain(&reintern).chain(&measured) {
         oracle.process_columnar(batch);
     }
-    support::assert_equivalent(
-        &all,
-        &oracle.finish(),
-        workload.ids(),
-        0.0,
-        "epochs vs one run",
-    );
+    support::assert_equivalent(&all, &oracle.finish(), workload.ids(), "epochs vs one run");
 }
 
 /// 24 queries alternating `SEQ(A)` / `SEQ(B)` whose predicates are
@@ -495,13 +489,7 @@ fn watermark_tracking_is_allocation_free_after_warmup() {
         matched,
         (WARMUP_BATCHES + MEASURED_BATCHES) as u64 * BATCH_ROWS as u64
     );
-    support::assert_equivalent(
-        &got,
-        &reference.finish(),
-        long.ids(),
-        0.0,
-        "gated shards(1)",
-    );
+    support::assert_equivalent(&got, &reference.finish(), long.ids(), "gated shards(1)");
 }
 
 #[test]
@@ -697,7 +685,7 @@ fn folding_starts_across_24_scopes_is_allocation_free() {
     }
     let results = executor.finish();
     assert!(results.len() > 1000, "windows closed and emitted");
-    support::assert_equivalent(&results, &oracle.finish(), workload.ids(), 0.0, "24 scopes");
+    support::assert_equivalent(&results, &oracle.finish(), workload.ids(), "24 scopes");
 }
 
 #[test]
@@ -753,13 +741,7 @@ fn chained_runner_is_allocation_free_after_warmup() {
         let rows = results.of_query(q).count();
         assert!(rows > 1000, "{q:?}: windows closed and emitted ({rows})");
     }
-    support::assert_equivalent(
-        &results,
-        &oracle.finish(),
-        workload.ids(),
-        0.0,
-        "chained runner",
-    );
+    support::assert_equivalent(&results, &oracle.finish(), workload.ids(), "chained runner");
 }
 
 #[test]

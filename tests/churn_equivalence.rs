@@ -209,7 +209,6 @@ fn assert_handle_matches(
         &g,
         &w,
         [QueryId(0)],
-        1e-9,
         format_args!("{ctx}: handle {h} vs static {q}"),
     );
 }
@@ -238,7 +237,6 @@ fn hot_swap_mid_stream_matches_uninterrupted() {
                 &got,
                 &want,
                 s.workload.ids(),
-                1e-9,
                 format_args!("{ctx}: swapped run vs uninterrupted"),
             );
         }
@@ -275,7 +273,6 @@ fn hot_swap_holds_for_greedy_and_non_shared() {
             &got,
             &want,
             s.workload.ids(),
-            1e-9,
             format_args!("{}: double-swapped run under {}", s.label, strategy.name()),
         );
     }
@@ -570,7 +567,6 @@ fn drain_epochs_are_disjoint_and_complete() {
         &union,
         &want,
         s.workload.ids(),
-        1e-9,
         "drained epochs plus finish vs the one-shot run",
     );
 }
@@ -610,7 +606,6 @@ fn an_in_process_session_drains_every_slide_like_the_static_run() {
             &drained,
             &want,
             s.workload.ids(),
-            1e-9,
             format_args!("{}: per-slide drains plus finish", s.label),
         );
     }

@@ -103,7 +103,7 @@ proptest! {
         let or = online.finish();
         let br = brute.finish();
         prop_assume!(support::has_rows_of_each(&br, w.ids()));
-        support::assert_equivalent(&or, &br, w.ids(), 1e-9, format_args!(
+        support::assert_equivalent(&or, &br, w.ids(), format_args!(
             "online {:?}\nbrute {:?}",
             or.of_query_sorted(QueryId(0)),
             br.of_query_sorted(QueryId(0))

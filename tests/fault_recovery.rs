@@ -174,7 +174,6 @@ fn assert_kill_and_resume_is_exact(
             &got,
             &want,
             workload.ids(),
-            1e-9,
             format_args!("{ctx}: drain plus finish vs the uninterrupted run"),
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -368,7 +367,6 @@ fn below_bound_lateness_drops_and_counts() {
             &got,
             &want,
             workload.ids(),
-            1e-9,
             format_args!("{shards} shards: drop-and-count vs sequential"),
         );
     }
@@ -465,7 +463,6 @@ fn gated_kill_and_resume_over_two_partitions() {
                 &got,
                 &want,
                 workload.ids(),
-                1e-9,
                 format_args!("{label}: resume@{offset} vs the uninterrupted run"),
             );
             assert_eq!(
@@ -579,7 +576,6 @@ fn strategy_layer_resume_round_trips() {
             &got,
             &want,
             workload.ids(),
-            1e-9,
             format_args!("{ctx}: resumed strategy run"),
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -693,7 +689,6 @@ fn manifest_router_segments_round_trip_or_are_refused() {
         &resumed.finish(),
         &want,
         workload.ids(),
-        1e-9,
         "resumed run vs the uninterrupted one",
     );
     std::fs::remove_dir_all(&dir).ok();

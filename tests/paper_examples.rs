@@ -217,7 +217,7 @@ fn example_3_shared_combination() {
     let sr = shared.finish();
     let nr = nonshared.finish();
     assert_eq!(sr.total_count(QueryId(0)), 7, "paper: count(A,B,C,D) = 7");
-    support::assert_equivalent(&sr, &nr, w.ids(), 1e-9, "shared vs non-shared");
+    support::assert_equivalent(&sr, &nr, w.ids(), "shared vs non-shared");
 }
 
 /// Example 13 / Figure 11: option compatibility after conflict resolution.

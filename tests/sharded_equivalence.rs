@@ -1,6 +1,6 @@
 //! Determinism of the sharded parallel runtime and the columnar batch
 //! path: for every shard count, [`ShardedExecutor`] produces results
-//! `semantically_eq` to the sequential [`Executor`] — sharding is a pure
+//! equal to the sequential [`Executor`], bit for bit — sharding is a pure
 //! work partition, never a semantics change — and how the stream is cut
 //! into columnar batches never matters either. Checked on all three paper
 //! streams (TX, LR, EC) under both the Sharon plan and the non-shared
@@ -71,7 +71,6 @@ fn assert_sharded_matches_sequential(
             &got,
             &want,
             workload.ids(),
-            1e-9,
             format_args!("{label}: gated sequential engine under disorder (lateness {need} ms)"),
         );
     }
@@ -95,7 +94,6 @@ fn assert_sharded_matches_sequential(
             &got,
             &want,
             workload.ids(),
-            1e-9,
             format_args!("{label}: {shards} shards vs the sequential engine"),
         );
         assert_eq!(
@@ -360,8 +358,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Random group cardinalities, Zipf group skew, shard counts, and
-    /// stream shapes: the sharded runtime is always `semantically_eq` to
-    /// the sequential one.
+    /// stream shapes: the sharded runtime always equals the sequential
+    /// one exactly.
     #[test]
     fn random_group_cardinalities(
         cardinality in 1i64..=64,
@@ -430,7 +428,6 @@ proptest! {
             &got,
             &want,
             workload.ids(),
-            1e-9,
             format_args!("cardinality {cardinality} theta {theta} shards {shards}: sharded"),
         );
         proptest::prop_assert_eq!(matched, want_matched);
@@ -498,7 +495,6 @@ proptest! {
             &got,
             &want,
             workload.ids(),
-            1e-9,
             "sequential columnar over ragged batches",
         );
 
@@ -518,7 +514,6 @@ proptest! {
             &got,
             &want,
             workload.ids(),
-            1e-9,
             format_args!("{shards} shards: columnar route-once over ragged batches"),
         );
     }
@@ -566,7 +561,6 @@ fn gated_matched_counts_agree_across_shard_counts() {
             &got,
             &want,
             workload.ids(),
-            1e-9,
             format_args!("{shards} shards: gated results"),
         );
     }

@@ -160,7 +160,6 @@ fn assert_matches(got: &ExecutorResults, want: &ExecutorResults, w: &Workload, l
         got,
         want,
         w.ids(),
-        1e-9,
         format_args!(
             "{label}:\n got[q1]={:?}\nwant[q1]={:?}",
             got.of_query_sorted(QueryId(0)),
@@ -244,7 +243,7 @@ fn regression_same_timestamp_chain_through_shared_boundary() {
     nonshared.process_columnar(&batch);
     let sr = shared.finish();
     let nr = nonshared.finish();
-    support::assert_equivalent(&sr, &nr, w.ids(), 1e-9, "shared vs non-shared");
+    support::assert_equivalent(&sr, &nr, w.ids(), "shared vs non-shared");
     // x5 < a7 < b8 and x6 < a7 < b8 are the only full q1 matches
     // (x5/a5 share a timestamp and cannot chain). Windows starting at
     // 0, 2, 4 contain both matches; the window starting at 6 contains

@@ -72,17 +72,44 @@ pub fn has_rows_of_each(
         .all(|q| reference.of_query(q).next().is_some())
 }
 
-/// Assert that `got` is `semantically_eq` to `reference` within `tol`,
-/// after asserting that the reference holds a row of each of `queries`:
-/// an equivalence over an empty reference checks nothing. `what` names
-/// the comparison in a failure.
+/// Assert that `got` equals `reference` exactly — equal keys, equal
+/// counts and equal `f64` bits (`semantically_eq` at `eps = 0`) — after
+/// asserting that the reference holds a row of each of `queries`: an
+/// equivalence over an empty reference checks nothing. `what` names the
+/// comparison in a failure.
 #[allow(dead_code)]
 #[track_caller]
 pub fn assert_equivalent(
     got: &sharon::executor::ExecutorResults,
     reference: &sharon::executor::ExecutorResults,
     queries: impl IntoIterator<Item = sharon::query::QueryId>,
-    tol: f64,
+    what: impl std::fmt::Display,
+) {
+    assert_within(got, reference, queries, 0.0, what);
+}
+
+/// [`assert_equivalent`] within a relative `1e-9`, for a two-step
+/// baseline against an online engine only: a baseline sums a sequence's
+/// values in construction order, while the online engines fold each cell
+/// in row order, so a `SUM` or `AVG` may differ in its last bits. Keys,
+/// counts and the rest compare exactly.
+#[allow(dead_code)]
+#[track_caller]
+pub fn assert_equal_up_to_summation_order(
+    got: &sharon::executor::ExecutorResults,
+    reference: &sharon::executor::ExecutorResults,
+    queries: impl IntoIterator<Item = sharon::query::QueryId>,
+    what: impl std::fmt::Display,
+) {
+    assert_within(got, reference, queries, 1e-9, what);
+}
+
+#[track_caller]
+fn assert_within(
+    got: &sharon::executor::ExecutorResults,
+    reference: &sharon::executor::ExecutorResults,
+    queries: impl IntoIterator<Item = sharon::query::QueryId>,
+    eps: f64,
     what: impl std::fmt::Display,
 ) {
     for q in queries {
@@ -92,7 +119,7 @@ pub fn assert_equivalent(
         );
     }
     assert!(
-        got.semantically_eq(reference, tol),
+        got.semantically_eq(reference, eps),
         "{what}: diverges from the reference ({} vs {} results)",
         got.len(),
         reference.len(),
